@@ -461,7 +461,6 @@ def run_sweep(
             "gas_per_op": serial["gas_per_op"],
         },
         "observability": phase_latency_record(workloads, serial),
-        "migration": migration_record(),
     }
     if host["effective_cpus"] <= 1:
         # Honest label for the committed JSON: every multi-lane number in this
@@ -469,32 +468,6 @@ def run_sweep(
         # scaling.  Re-running the sweep on a real multicore host clears it.
         payload["multicore_sweep"] = "pending"
     return payload
-
-
-def migration_record() -> dict:
-    """The elastic backend's migration traffic, appended to the trajectory.
-
-    The sweep above runs static pinned-lane fleets, so its per-configuration
-    ``ipc`` records legitimately carry zero migrations; this extra record is
-    one seeded churn + gas-aware-planner run on the elastic process backend
-    (delegated to ``bench_migration``, whose hard checks also re-verify
-    serial equivalence), so the committed JSON tracks what moving a feed
-    between lanes actually costs per epoch.
-    """
-    bench_dir = str(Path(__file__).resolve().parent)
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    import bench_migration
-
-    payload = bench_migration.run_benchmark(
-        bench_migration.DEFAULT_SEED, bench_migration.OPS_PER_FEED
-    )
-    return {
-        "source": payload["source"],
-        "config": payload["config"],
-        "equivalence": payload["equivalence"],
-        "ipc": payload["results"]["ipc"],
-    }
 
 
 def write_results(payload: dict, output: Path) -> None:

@@ -18,7 +18,11 @@ Hard checks (exit non-zero on violation, which is what the CI
   one elastic lane spawn beyond the first lane, and one lane retirement were
   metered (a run that never moves a feed measures nothing);
 * **block feasibility** — ``block_gas_limit_overflow`` is zero and no mined
-  block exceeds the chain's gas limit.
+  block exceeds the chain's gas limit;
+* **no thrash** — the run makes no more lane-to-lane moves than the committed
+  ``BENCH_migration.json`` records for the same configuration (the move count
+  is a pure function of the seed, so any excess is a placement regression —
+  e.g. a return to ``shard_index % lanes``).
 
 Results land in ``BENCH_migration.json``; the schedule seed is recorded
 there and in ``BENCH_migration_seed.txt`` (written *before* the run, so a
@@ -59,6 +63,32 @@ BASE_FEEDS = 12
 OPS_PER_FEED = 48
 NUM_WORKERS = 6
 DEFAULT_SEED = bench_churn.DEFAULT_SEED
+#: The committed record the no-thrash check compares against.
+COMMITTED = BENCH_DIR.parent / "BENCH_migration.json"
+
+
+def run_config(seed: int, ops_per_feed: int) -> dict:
+    return {
+        "seed": seed,
+        "base_feeds": BASE_FEEDS,
+        "joins": bench_churn.JOINS,
+        "leaves": bench_churn.LEAVES,
+        "epoch_size": bench_churn.EPOCH_SIZE,
+        "ops_per_feed": ops_per_feed,
+        "num_workers": NUM_WORKERS,
+        "block_gas_fraction": bench_churn.BLOCK_GAS_FRACTION,
+    }
+
+
+def committed_migrations(config: dict) -> int | None:
+    """The committed record's move count, if it was taken with exactly this
+    configuration (another seed or size has nothing to be compared with)."""
+    if not COMMITTED.exists():
+        return None
+    payload = json.loads(COMMITTED.read_text())
+    if payload.get("config") != config:
+        return None
+    return payload["results"]["ipc"]["migrations_total"]
 
 
 def _timed_run(seed: int, ops_per_feed: int, num_workers: int, execution_mode: str):
@@ -73,13 +103,18 @@ def _timed_run(seed: int, ops_per_feed: int, num_workers: int, execution_mode: s
     return schedule, registry, fleet, time.perf_counter() - started
 
 
-def check_invariants(registry, serial_fleet, process_fleet) -> list:
+def check_invariants(registry, serial_fleet, process_fleet, committed_moves=None) -> list:
     violations = []
     if process_fleet.fingerprint() != serial_fleet.fingerprint():
         violations.append("process run's telemetry differs from serial")
     ipc = process_fleet.ipc or {}
     if ipc.get("migrations_total", 0) < 1:
         violations.append("no feed ever migrated between lanes")
+    if committed_moves is not None and ipc.get("migrations_total", 0) > committed_moves:
+        violations.append(
+            f"{ipc['migrations_total']} lane-to-lane moves, above the committed "
+            f"{committed_moves} ({COMMITTED.name}) — lane assignment is thrashing"
+        )
     if not ipc.get("migration_bytes_per_epoch", 0) > 0:
         violations.append("migration traffic was not metered")
     if ipc.get("installs_total", 0) < 1:
@@ -99,6 +134,9 @@ def check_invariants(registry, serial_fleet, process_fleet) -> list:
 
 
 def run_benchmark(seed: int, ops_per_feed: int) -> dict:
+    config = run_config(seed, ops_per_feed)
+    # Read before the run: ``--output`` defaults to this very file.
+    committed_moves = committed_migrations(config)
     _, serial_registry, serial_fleet, serial_wall = _timed_run(
         seed, ops_per_feed, num_workers=1, execution_mode="serial"
     )
@@ -106,7 +144,9 @@ def run_benchmark(seed: int, ops_per_feed: int) -> dict:
         seed, ops_per_feed, num_workers=NUM_WORKERS, execution_mode="process"
     )
 
-    violations = check_invariants(serial_registry, serial_fleet, process_fleet)
+    violations = check_invariants(
+        serial_registry, serial_fleet, process_fleet, committed_moves
+    )
     if violations:
         raise AssertionError("migration invariants violated: " + "; ".join(violations))
 
@@ -121,7 +161,8 @@ def run_benchmark(seed: int, ops_per_feed: int) -> dict:
     print(
         f"migration: {ipc['migrations_total']} lane-to-lane moves "
         f"({ipc['migration_bytes_total']:,} B total, "
-        f"{ipc['migration_bytes_per_epoch']:.0f} B/epoch), "
+        f"{ipc['migration_bytes_per_epoch']:.0f} B/epoch; "
+        f"by reason {ipc['migrations_by_reason']}), "
         f"{ipc['installs_total']} installs "
         f"({ipc['install_bytes_total']:,} B)"
     )
@@ -140,6 +181,7 @@ def run_benchmark(seed: int, ops_per_feed: int) -> dict:
 
     record = {
         "migrations_total": ipc["migrations_total"],
+        "migrations_by_reason": ipc["migrations_by_reason"],
         "migration_bytes_total": ipc["migration_bytes_total"],
         "migration_bytes_per_epoch": round(ipc["migration_bytes_per_epoch"], 2),
         "installs_total": ipc["installs_total"],
@@ -151,16 +193,7 @@ def run_benchmark(seed: int, ops_per_feed: int) -> dict:
     return {
         "benchmark": "migration",
         "source": "benchmarks/bench_migration.py",
-        "config": {
-            "seed": seed,
-            "base_feeds": BASE_FEEDS,
-            "joins": bench_churn.JOINS,
-            "leaves": bench_churn.LEAVES,
-            "epoch_size": bench_churn.EPOCH_SIZE,
-            "ops_per_feed": ops_per_feed,
-            "num_workers": NUM_WORKERS,
-            "block_gas_fraction": bench_churn.BLOCK_GAS_FRACTION,
-        },
+        "config": config,
         "host": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),

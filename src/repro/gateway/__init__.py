@@ -35,6 +35,10 @@ storage-manager contract).  This package turns that into a hosted service:
   EWMA-estimates per-feed epoch gas from trailing telemetry and bin-packs
   feeds so every settlement block stays under a configured fraction of the
   chain's block gas limit;
+* :mod:`repro.gateway.placement` — which worker lane executes each shard
+  on the elastic process backend: affinity to the lane already hosting the
+  shard's feeds under a load-balance cap, so feeds only move when the plan
+  really regroups them (process-side only, never fingerprinted);
 * :mod:`repro.gateway.cache` — the consumer-side :class:`ReadCache`,
   sharded per feed, with write-invalidation keyed on each record's
   replication state and immediate warm-up from verified deliver payloads,

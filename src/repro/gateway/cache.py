@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
 @dataclass
@@ -185,6 +185,17 @@ class ReadCache:
         if stats is not None:
             shard.stats = stats
         self._shards[feed_id] = shard
+
+    def export_shard(self, feed_id: str) -> Tuple[tuple, CacheStats]:
+        """One feed's shard as plain data — the inverse of
+        :meth:`install_shard`: ``(key, value)`` entries in LRU order (oldest
+        first) plus the shard's counters (empty and zeros if the feed never
+        touched the cache).  What a snapshot frame or a run-end state result
+        ships when the feed's shard changes process."""
+        shard = self._shards.get(feed_id)
+        if shard is None:
+            return (), CacheStats()
+        return tuple(shard.entries.items()), shard.stats
 
     def invalidate_feed(self, feed_id: str) -> int:
         """Drop one feed's whole shard (the feed was removed).

@@ -89,9 +89,19 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.chain.chain import ChainParameters, ExecutionBuffer, buffer_from_wire
 from repro.chain.gas import (
@@ -124,6 +134,7 @@ from repro.common.wire import (
 from repro.core.grub import RunReport
 from repro.gateway.cache import CacheStats, ReadCache
 from repro.gateway.metrics import FeedTelemetry
+from repro.gateway.placement import FeedMove
 from repro.gateway.registry import FeedRegistry, FeedSpec
 from repro.gateway.router import (
     DeliverGroup,
@@ -1188,9 +1199,11 @@ class IpcMeter:
     def __init__(self) -> None:
         self.epochs = 0
         self.lanes: Dict[int, Dict[str, float]] = {}
-        #: Cross-lane feed moves (source snapshot → destination install).
+        #: Cross-lane feed moves (source snapshot → destination install),
+        #: in total and by the reason the placement gave for each move.
         self.migrations = 0
         self.migration_bytes = 0
+        self.migrations_by_reason: Dict[str, int] = {}
         #: Main→lane snapshot installs (initial elastic placement and
         #: admissions — every elastic feed arrives by one of these).
         self.installs = 0
@@ -1199,9 +1212,10 @@ class IpcMeter:
         self.lane_spawns = 0
         self.lane_retirements = 0
 
-    def record_migration(self, nbytes: int) -> None:
+    def record_migration(self, nbytes: int, reason: str) -> None:
         self.migrations += 1
         self.migration_bytes += nbytes
+        self.migrations_by_reason[reason] = self.migrations_by_reason.get(reason, 0) + 1
 
     def record_install(self, nbytes: int) -> None:
         self.installs += 1
@@ -1244,6 +1258,7 @@ class IpcMeter:
                 str(lane): dict(self.lanes[lane]) for lane in sorted(self.lanes)
             },
             "migrations_total": self.migrations,
+            "migrations_by_reason": dict(sorted(self.migrations_by_reason.items())),
             "migration_bytes_total": self.migration_bytes,
             "migration_bytes_per_epoch": (
                 self.migration_bytes / self.epochs if self.epochs else 0.0
@@ -1451,12 +1466,7 @@ class _LaneWorker:
         """
         handle = self.registry.get(feed_id)
         cache = self.env.cache
-        if cache is not None:
-            shard_obj = cache._shards.get(feed_id)
-            entries = tuple(shard_obj.entries.items()) if shard_obj else ()
-            stats = shard_obj.stats if shard_obj else CacheStats()
-        else:
-            entries, stats = (), None
+        entries, stats = cache.export_shard(feed_id) if cache is not None else ((), None)
         frame = encode_feed_snapshot(
             WireEncoder(),
             handle,
@@ -1721,12 +1731,9 @@ class _LaneWorker:
                 backing = handle.system.sp_store.backing
                 if isinstance(backing, LSMStore):
                     backing.close()
-                if cache is not None:
-                    shard_obj = cache._shards.get(feed_id)
-                    entries = tuple(shard_obj.entries.items()) if shard_obj else ()
-                    stats = shard_obj.stats if shard_obj else CacheStats()
-                else:
-                    entries, stats = (), None
+                entries, stats = (
+                    cache.export_shard(feed_id) if cache is not None else ((), None)
+                )
                 results.append(
                     FeedStateResult(
                         feed_id=feed_id,
@@ -1817,16 +1824,19 @@ def _lane_collect() -> List[FeedStateResult]:
     return _LANE_WORKER.collect()
 
 
-def _lane_install(spec: FeedSpec, frame: WireFrame) -> None:
-    """Install one feed into this lane from a snapshot frame."""
+def _lane_install(items: Sequence[Tuple[FeedSpec, WireFrame]]) -> None:
+    """Install one epoch's arriving feeds into this lane, one snapshot frame
+    each."""
     assert _LANE_WORKER is not None, "lane worker not started"
-    _LANE_WORKER.install_feed(spec, frame)
+    for spec, frame in items:
+        _LANE_WORKER.install_feed(spec, frame)
 
 
-def _lane_migrate_out(feed_id: str) -> WireFrame:
-    """Snapshot one feed out of this lane (release its resources)."""
+def _lane_migrate_out(feed_ids: Sequence[str]) -> List[WireFrame]:
+    """Snapshot one epoch's departing feeds out of this lane (releasing
+    their resources); one frame per feed, in order."""
     assert _LANE_WORKER is not None, "lane worker not started"
-    return _LANE_WORKER.migrate_out(feed_id)
+    return [_LANE_WORKER.migrate_out(feed_id) for feed_id in feed_ids]
 
 
 def _lane_teardown(feed_id: str, epoch: int) -> FeedTelemetry:
@@ -2182,10 +2192,13 @@ class ElasticProcessEngine:
     re-shard moves alike — through :func:`encode_feed_snapshot` frames.  One
     mechanism covers the whole feed lifecycle:
 
-    * ``install``: main encodes a feed's mirror and a lane adopts it;
-    * ``migrate``: a source lane snapshots a feed out (closing any exclusive
-      LSM directory opener) and a destination lane adopts the frame — the
-      frame passes *through* the main process raw, never decoded there;
+    * ``transfer``: one epoch's feed moves as one batched order per lane —
+      every source lane snapshots its departing feeds out (closing any
+      exclusive LSM directory opener) while the main process encodes the
+      feeds it still hosts, then every destination lane adopts its arrivals;
+      migrated frames pass *through* the main process raw, never decoded
+      there, and installs are not waited on (a lane's pool is FIFO, so the
+      epoch order queued behind an install already sees the feed);
     * ``teardown``: an eviction order; the lane returns the feed's final
       telemetry row (poll + cancel accounting identical to a serial boundary);
     * ``ensure_lanes`` / ``retire_lanes``: the pool grows to the plan's lane
@@ -2204,11 +2217,15 @@ class ElasticProcessEngine:
         self.ipc_profile = ipc_profile
         self.meter = IpcMeter()
         self._lanes: Dict[int, _ElasticLane] = {}
+        #: The main registry (its specs accompany every install order).
+        self._registry: Optional[FeedRegistry] = None
         self._template: Optional[LaneConfig] = None
         #: epoch → the sorted lane ids that received that epoch's order.
         self._participants: Dict[int, List[int]] = {}
         #: shard index → lane, for the *latest* submitted epoch (span labels).
         self._shard_lane: Dict[int, int] = {}
+        #: Install orders still in flight (see :meth:`transfer`).
+        self._installs: List[Future] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -2222,6 +2239,7 @@ class ElasticProcessEngine:
     ) -> None:
         """Capture the empty-lane template.  No lanes spawn here —
         :meth:`ensure_lanes` spawns them as the plan demands."""
+        self._registry = registry
         self._template = LaneConfig(
             schedule=registry.schedule,
             parameters=registry.parameters,
@@ -2268,31 +2286,60 @@ class ElasticProcessEngine:
 
     # -- feed lifecycle ------------------------------------------------------
 
-    def install(self, lane: int, spec: FeedSpec, frame: WireFrame) -> None:
-        """Install a main-encoded feed snapshot into ``lane`` (blocking)."""
-        if spec.preload is not None:
-            spec = replace(spec, preload=None)
-        self._lanes[lane].pool.submit(_lane_install, spec, frame).result()
-        self.meter.record_install(frame.nbytes)
+    def transfer(
+        self,
+        moves: Sequence[FeedMove],
+        snapshot_local: Callable[[str], WireFrame],
+    ) -> None:
+        """Carry out one epoch's feed moves: one migrate-out order per source
+        lane, then one install order per destination lane.
 
-    def migrate(self, feed_id: str, source: int, destination: int, spec: FeedSpec) -> int:
-        """Move one feed between lanes; returns the snapshot frame's bytes.
-
-        Blocking and strictly ordered: the source's ``migrate_out`` resolves
-        (its LSM opener closed, its mirror released) before the destination's
-        install is even submitted.
+        Source lanes encode in parallel while ``snapshot_local`` encodes the
+        feeds the main process still hosts (``source is None``).  Every
+        migrate-out resolves — mirror released, LSM opener closed — before
+        any frame reaches a destination (single-opener rule); the installs
+        themselves are left in flight, and a failed one re-raises at the
+        engine's next :meth:`results` / :meth:`teardown` / :meth:`collect`.
         """
-        frame = (
-            self._lanes[source].pool.submit(_lane_migrate_out, feed_id).result()
-        )
-        if spec.preload is not None:
-            spec = replace(spec, preload=None)
-        self._lanes[destination].pool.submit(_lane_install, spec, frame).result()
-        self.meter.record_migration(frame.nbytes)
-        return frame.nbytes
+        outgoing: Dict[int, List[str]] = {}
+        for move in moves:
+            if move.source is not None:
+                outgoing.setdefault(move.source, []).append(move.feed_id)
+        orders = [
+            (feed_ids, self._lanes[lane].pool.submit(_lane_migrate_out, feed_ids))
+            for lane, feed_ids in outgoing.items()
+        ]
+        frames = {
+            move.feed_id: snapshot_local(move.feed_id)
+            for move in moves
+            if move.source is None
+        }
+        for feed_ids, future in orders:
+            frames.update(zip(feed_ids, future.result()))
+        incoming: Dict[int, List[Tuple[FeedSpec, WireFrame]]] = {}
+        for move in moves:
+            frame = frames[move.feed_id]
+            spec = self._registry.get(move.feed_id).spec
+            if spec.preload is not None:
+                spec = replace(spec, preload=None)
+            incoming.setdefault(move.destination, []).append((spec, frame))
+            if move.source is None:
+                self.meter.record_install(frame.nbytes)
+            else:
+                self.meter.record_migration(frame.nbytes, move.reason)
+        for lane, items in incoming.items():
+            self._installs.append(self._lanes[lane].pool.submit(_lane_install, items))
+
+    def _settle_installs(self) -> None:
+        """Wait out the deferred install orders; a failed one re-raises its
+        original typed error here."""
+        installs, self._installs = self._installs, []
+        for future in installs:
+            future.result()
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict one feed from its lane; returns its final telemetry row."""
+        self._settle_installs()
         return self._lanes[lane].pool.submit(_lane_teardown, feed_id, epoch).result()
 
     # -- lockstep epochs -----------------------------------------------------
@@ -2344,6 +2391,7 @@ class ElasticProcessEngine:
         """Wait for — and decode — every participating lane's frame for
         ``epoch``, in fixed shard order (same contract as the static
         engine's :meth:`ProcessEngine.results`)."""
+        self._settle_installs()
         results: List[ShardEpochResult] = []
         samples: List[IpcSample] = []
         for lane in self._participants.pop(epoch):
@@ -2376,6 +2424,7 @@ class ElasticProcessEngine:
 
     def collect(self) -> List[FeedStateResult]:
         """Fetch every live lane's final feed state (run end)."""
+        self._settle_installs()
         futures = [
             self._lanes[lane].pool.submit(_lane_collect)
             for lane in sorted(self._lanes)
@@ -2392,6 +2441,7 @@ class ElasticProcessEngine:
             entry.pool.shutdown(wait=True, cancel_futures=True)
         self._lanes = {}
         self._participants = {}
+        self._installs = []
 
 
 def apply_feed_state(

@@ -114,8 +114,8 @@ from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.types import EpochSummary, Operation, ReplicationState
-from repro.common.wire import WireEncoder
-from repro.gateway.cache import CacheStats, ReadCache
+from repro.common.wire import WireEncoder, WireFrame
+from repro.gateway.cache import ReadCache
 from repro.gateway.executor import (
     EXECUTION_MODES,
     GATEWAY_OPERATOR,
@@ -135,6 +135,7 @@ from repro.gateway.executor import (
     warm_cache_from_deliveries,
 )
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
+from repro.gateway.placement import FeedMove, assign_lanes, plan_moves
 from repro.gateway.planner import RoundRobinPlanner, ShardPlanner
 from repro.gateway.registry import FeedRegistry, FeedSpec
 from repro.gateway.router import DeliverGroup
@@ -1193,10 +1194,15 @@ class EpochScheduler:
           serial), then serialises the mirror into the lane the plan assigns
           and releases any exclusive LSM opener so the lane can take the
           directory over;
-        * **re-shard migration** — when a fresh plan moves a feed to a
-          different lane, the source lane snapshots it out (closing its LSM
-          opener first) and the destination installs the frame, which passes
-          through the main process raw;
+        * **re-shard migration** — each epoch's plan maps onto the lanes by
+          placement (:func:`~repro.gateway.placement.assign_lanes`: a shard
+          goes to the live lane already hosting most of its feeds, within a
+          load-balance cap on the planner's estimates), so only a feed the
+          plan really regrouped, or one on a retiring lane, moves; all of an
+          epoch's moves travel as one snapshot-out order per source lane and
+          one install order per destination lane (frames pass through the
+          main process raw), and the epoch order queues behind the installs
+          without waiting for them;
         * **eviction** — the owning lane polls, cancels and counts exactly
           like a serial churn boundary and returns the tenant's final bill;
         * **elasticity** — the pool grows to the plan's lane demand
@@ -1221,12 +1227,13 @@ class EpochScheduler:
             self._wire_feed_obs(feed_id)
 
         engine = ElasticProcessEngine(self.num_workers, ipc_profile=self.ipc_profile)
-        #: Feeds the main process still hosts (created, but not yet installed
-        #: into any lane): initial feeds before their first executed epoch,
-        #: and admissions awaiting their first plan.
-        pending_install = set(active)
-        #: feed id → the lane currently hosting its mirror.
+        #: feed id → the lane currently hosting its mirror.  An active feed
+        #: absent from it is still hosted by the main process (created, not
+        #: yet installed into any lane): an initial feed before its first
+        #: executed epoch, or an admission awaiting its first plan.
         feed_lane: Dict[str, int] = {}
+        #: The planner's per-feed load estimate (uniform when it keeps none).
+        estimate = getattr(self.planner, "estimate", lambda feed_id: 1.0)
         remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
         epoch = 0
         try:
@@ -1240,7 +1247,7 @@ class EpochScheduler:
                 while True:
                     self._apply_churn_process(
                         epoch, active, queues, remaining, fleet,
-                        engine, pending_install, feed_lane, source,
+                        engine, feed_lane, source,
                     )
                     arrivals_installed: Dict[str, Sequence[Operation]] = {}
                     if source is not None:
@@ -1251,7 +1258,7 @@ class EpochScheduler:
                             source.poll(epoch, wait=idle),
                             queues,
                             remaining,
-                            pending_install,
+                            feed_lane,
                         )
                     has_work = any(remaining[f] for f in active)
                     door_open = source is not None and not source.exhausted
@@ -1280,29 +1287,21 @@ class EpochScheduler:
                     # what's missing now, retire the surplus once drained.
                     desired = max(1, min(self.num_workers, len(shard_plan)))
                     spawned = engine.ensure_lanes(desired)
+                    shard_lanes = assign_lanes(shard_plan, desired, feed_lane, estimate)
+                    moves = plan_moves(shard_plan, shard_lanes, feed_lane, desired)
+                    engine.transfer(
+                        moves,
+                        lambda feed_id: self._snapshot_feed(feed_id, queues, fleet),
+                    )
+                    for move in moves:
+                        feed_lane[move.feed_id] = move.destination
                     assignments: Dict[int, List[Tuple[int, List[str]]]] = {}
-                    migrations = 0
                     for shard_index, shard in enumerate(shard_plan):
-                        lane = shard_index % desired
-                        assignments.setdefault(lane, []).append(
+                        assignments.setdefault(shard_lanes[shard_index], []).append(
                             (shard_index, list(shard))
                         )
-                        for feed_id in shard:
-                            if feed_id in pending_install:
-                                self._install_feed(engine, lane, feed_id, queues, fleet)
-                                pending_install.discard(feed_id)
-                                feed_lane[feed_id] = lane
-                            elif feed_lane[feed_id] != lane:
-                                engine.migrate(
-                                    feed_id,
-                                    feed_lane[feed_id],
-                                    lane,
-                                    self.registry.get(feed_id).spec,
-                                )
-                                feed_lane[feed_id] = lane
-                                migrations += 1
                     retired = engine.retire_lanes(desired)
-                    self._observe_migrations(len(spawned), len(retired), migrations)
+                    self._observe_migrations(len(spawned), len(retired), moves)
                     arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
                     for feed_id in sorted(arrivals_installed):
                         arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
@@ -1362,21 +1361,21 @@ class EpochScheduler:
         remaining: Dict[str, int],
         fleet: FleetTelemetry,
         engine: ElasticProcessEngine,
-        pending_install: set,
         feed_lane: Dict[str, int],
         source: Optional["RequestSource"] = None,
     ) -> None:
         """:meth:`_apply_churn`, adapted to lane-hosted feeds.
 
         Admissions are pure main-side (the feed is created — preload and all —
-        against the main chain exactly as serial does, and waits in
-        ``pending_install`` for its first plan).  An eviction of a lane-hosted
-        feed is a teardown order to the owning lane, whose boundary poll and
-        cancellation accounting mirror the serial ones; a still-main-hosted
-        feed is evicted with the serial accounting directly.  No main-side
-        watchdog poll happens here: the merged lane events were already routed
-        and consumed inside the lanes, so a main poll would stuff main-side
-        mirrors with requests that can never be delivered.
+        against the main chain exactly as serial does, and stays main-hosted,
+        absent from ``feed_lane``, until its first plan).  An eviction of a
+        lane-hosted feed is a teardown order to the owning lane, whose
+        boundary poll and cancellation accounting mirror the serial ones; a
+        still-main-hosted feed is evicted with the serial accounting
+        directly.  No main-side watchdog poll happens here: the merged lane
+        events were already routed and consumed inside the lanes, so a main
+        poll would stuff main-side mirrors with requests that can never be
+        delivered.
         """
         due_admissions = [a for a in self._admission_queue if a.at_epoch <= epoch]
         for admission in due_admissions:
@@ -1400,7 +1399,6 @@ class EpochScheduler:
                 feed_id=spec.feed_id, admitted_epoch=epoch
             )
             fleet.admissions += 1
-            pending_install.add(spec.feed_id)
         due_evictions = [e for e in self._eviction_queue if e.at_epoch <= epoch]
         for eviction in due_evictions:
             feed_id = eviction.feed_id
@@ -1444,7 +1442,6 @@ class EpochScheduler:
                 if queue:
                     telemetry.cancelled_ops += len(queue)
                 telemetry.departed_epoch = epoch
-                pending_install.discard(feed_id)
             queues.pop(feed_id, None)
             remaining.pop(feed_id, None)
             if feed_id in active:
@@ -1465,7 +1462,7 @@ class EpochScheduler:
         arrivals: Mapping[str, Sequence[Operation]],
         queues: Dict[str, Deque[Operation]],
         remaining: Dict[str, int],
-        pending_install: set,
+        feed_lane: Mapping[str, int],
     ) -> Dict[str, Sequence[Operation]]:
         """Fold one boundary's live arrivals into the elastic fleet.
 
@@ -1486,21 +1483,20 @@ class EpochScheduler:
                     "reject unknown or departed tenants at admission"
                 )
             remaining[feed_id] += len(operations)
-            if feed_id in pending_install:
-                queues[feed_id].extend(operations)
-            else:
+            if feed_id in feed_lane:
                 shipped[feed_id] = operations
+            else:
+                queues[feed_id].extend(operations)
         return shipped
 
-    def _install_feed(
+    def _snapshot_feed(
         self,
-        engine: ElasticProcessEngine,
-        lane: int,
         feed_id: str,
         queues: Dict[str, Deque[Operation]],
         fleet: FleetTelemetry,
-    ) -> None:
-        """Ship a main-hosted feed's mirror into ``lane`` as a snapshot frame.
+    ) -> WireFrame:
+        """Encode a main-hosted feed's mirror as the snapshot frame its first
+        lane installs.
 
         The main mirror stays registered (the merge path records settlements
         against its addresses), but its queue empties — the lane's copy is
@@ -1508,12 +1504,9 @@ class EpochScheduler:
         lane can take over the directory (single-opener rule).
         """
         handle = self.registry.get(feed_id)
-        if self.cache is not None:
-            shard_obj = self.cache._shards.get(feed_id)
-            entries = tuple(shard_obj.entries.items()) if shard_obj else ()
-            stats = shard_obj.stats if shard_obj else CacheStats()
-        else:
-            entries, stats = (), None
+        entries, stats = (
+            self.cache.export_shard(feed_id) if self.cache is not None else ((), None)
+        )
         frame = encode_feed_snapshot(
             WireEncoder(),
             handle,
@@ -1526,21 +1519,25 @@ class EpochScheduler:
         backing = handle.system.sp_store.backing
         if isinstance(backing, LSMStore):
             backing.close()
-        engine.install(lane, handle.spec, frame)
         queues[feed_id].clear()
+        return frame
 
     #: Migration-count histogram bounds (counts, not latencies).
     _MIGRATION_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-    def _observe_migrations(self, spawned: int, retired: int, migrations: int) -> None:
-        """Record one epoch's feed-mobility activity on the obs plane."""
+    def _observe_migrations(
+        self, spawned: int, retired: int, moves: Sequence[FeedMove]
+    ) -> None:
+        """Record one epoch's feed-mobility activity on the obs plane; each
+        lane-to-lane move counts under the reason the placement gave it."""
         if not self.obs.enabled:
             return
+        reasons = [move.reason for move in moves if move.source is not None]
         self.obs.histogram(
             "migrations_per_epoch", buckets=self._MIGRATION_BUCKETS
-        ).observe(float(migrations))
-        if migrations:
-            self.obs.counter("migrations_total").inc(migrations)
+        ).observe(float(len(reasons)))
+        for reason in reasons:
+            self.obs.counter("migrations_total", reason=reason).inc()
         if spawned:
             self.obs.counter("lane_spawns_total").inc(spawned)
         if retired:

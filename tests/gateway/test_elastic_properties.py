@@ -36,6 +36,8 @@ import pytest
 
 from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.gateway import EpochScheduler, FeedRegistry, GasAwareShardPlanner
+from repro.gateway.placement import MOVE_LANE_RETIRED, MOVE_REGROUPED
+from repro.obs import Observability
 from repro.workloads.fleet_churn import FleetChurnWorkload
 
 NUM_SCHEDULES = int(os.environ.get("GRUB_PROPERTY_SEEDS", "20"))
@@ -62,7 +64,7 @@ def build_schedule(seed: int):
     ).generate()
 
 
-def run_schedule(seed: int, num_workers: int, execution_mode: str = "thread"):
+def run_schedule(seed: int, num_workers: int, execution_mode: str = "thread", obs=None):
     schedule = build_schedule(seed)
     registry = FeedRegistry()
     scheduler = EpochScheduler(
@@ -70,6 +72,7 @@ def run_schedule(seed: int, num_workers: int, execution_mode: str = "thread"):
         num_workers=num_workers,
         execution_mode=execution_mode,
         epoch_size=EPOCH_SIZE,
+        obs=obs,
         planner=GasAwareShardPlanner(block_gas_fraction=BLOCK_GAS_FRACTION),
     )
     workloads = schedule.install(registry, scheduler)
@@ -98,6 +101,9 @@ def test_churn_schedule_invariants(seed):
     # into, migrate between, and tear down from worker lanes.
     assert parallel_fleet.fingerprint() == serial_fleet.fingerprint()
     assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+    # ... and the process run really moved feeds: placement-aware lane
+    # assignment removes the gratuitous moves, not the mobility under test.
+    assert process_fleet.ipc["migrations_total"] >= 1
 
     # Block feasibility under the gas-aware plan, in both runs.
     for registry in (serial_registry, parallel_registry):
@@ -170,6 +176,23 @@ def test_process_mode_forces_migration_spawn_and_retirement():
     assert ipc["install_bytes_total"] > 0
     assert ipc["lane_spawns_total"] >= 2
     assert ipc["lane_retirements_total"] >= 1
+
+
+def test_every_migration_is_metered_with_its_reason():
+    """"Why did this feed move lanes": each lane-to-lane move carries the
+    placement's reason, on ``fleet.ipc`` and as a label on the obs plane's
+    ``migrations_total`` counter — outside the fingerprint either way."""
+    obs = Observability()
+    fleet = run_schedule(SEEDS[0], num_workers=4, execution_mode="process", obs=obs)[2]
+    by_reason = fleet.ipc["migrations_by_reason"]
+    assert set(by_reason) <= {MOVE_REGROUPED, MOVE_LANE_RETIRED}
+    assert sum(by_reason.values()) == fleet.ipc["migrations_total"]
+    # This schedule shrinks the fleet under occupied lanes, so both occur.
+    assert by_reason[MOVE_REGROUPED] >= 1 and by_reason[MOVE_LANE_RETIRED] >= 1
+    for reason, count in by_reason.items():
+        assert obs.registry.find("migrations_total", reason=reason).value == count
+    plain = run_schedule(SEEDS[0], num_workers=1)[2]
+    assert fleet.fingerprint() == plain.fingerprint()
 
 
 def test_gas_aware_plans_use_multiple_shards():

@@ -1,0 +1,189 @@
+"""The elastic engine's batched feed transfer: deferred installs must fail
+loudly, and LSM directories must keep a single opener while they move.
+
+``ElasticProcessEngine.transfer`` leaves its install orders in flight (the
+epoch order queues behind them on the lane's FIFO pool), so a failed install
+is only observed at the engine's next call.  These tests inject the classic
+broken hand-off — a spec paired with another feed's snapshot frame — and pin
+that the *original* typed error surfaces there, the run ends instead of
+hanging (every wait is bounded), and ``shutdown()`` leaves no lane process
+behind.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import threading
+
+import pytest
+
+from repro.common.errors import ConfigurationError
+from repro.common.types import KVRecord, Operation
+from repro.common.wire import WireEncoder, WireError
+from repro.core.config import GrubConfig
+from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
+from repro.gateway.executor import ElasticProcessEngine, encode_feed_snapshot
+from repro.gateway.metrics import FeedTelemetry
+from repro.gateway.placement import FeedMove
+from repro.workloads.synthetic import SyntheticWorkload
+
+#: Generous for a sub-second body; only a hang ever reaches it.
+TIMEOUT_SECONDS = 60
+
+
+def bounded(body):
+    """Run ``body`` on a thread and fail the test if it outlives the
+    timeout; its exception (if any) re-raises here."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = body()
+        except BaseException as error:  # re-raised on the test thread below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(TIMEOUT_SECONDS)
+    assert not thread.is_alive(), "the run hung instead of failing"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
+
+
+def two_feed_registry():
+    registry = FeedRegistry()
+    for feed_id in ("alpha", "beta"):
+        registry.create_feed(FeedSpec(feed_id=feed_id, config=GrubConfig(epoch_size=4)))
+    return registry
+
+
+def snapshot_of(registry, feed_id):
+    return encode_feed_snapshot(
+        WireEncoder(),
+        registry.get(feed_id),
+        queue=[Operation.read("k")] * 4,
+        dirty=set(),
+        telemetry=FeedTelemetry(feed_id=feed_id),
+    )
+
+
+@pytest.mark.parametrize("next_call", ["results", "teardown", "collect"])
+def test_failed_install_reraises_at_the_next_engine_call(next_call):
+    registry = two_feed_registry()
+    engine = ElasticProcessEngine(2)
+    before = set(multiprocessing.active_children())
+
+    def body():
+        engine.start(registry, cache_enabled=False, cache_capacity=None)
+        engine.ensure_lanes(1)
+        # alpha's install order carries beta's frame; the order is accepted
+        # (installs are not waited on) ...
+        engine.transfer(
+            [FeedMove("alpha", None, 0, None)],
+            snapshot_local=lambda feed_id: snapshot_of(registry, "beta"),
+        )
+        # ... and the lane's WireError surfaces at the very next call.
+        if next_call == "results":
+            engine.submit_epoch(0, 4, {0: [(0, ["alpha"])]}, {})
+            engine.results(0)
+        elif next_call == "teardown":
+            engine.teardown(0, "alpha", 0)
+        else:
+            engine.collect()
+
+    try:
+        with pytest.raises(WireError, match="pairs spec 'alpha' with a snapshot of 'beta'"):
+            bounded(body)
+    finally:
+        bounded(engine.shutdown)
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_failed_migrate_out_reraises_its_typed_error():
+    registry = two_feed_registry()
+    engine = ElasticProcessEngine(2)
+
+    def body():
+        engine.start(registry, cache_enabled=False, cache_capacity=None)
+        engine.ensure_lanes(2)
+        # Lane 0 hosts nothing: its migrate-out order fails in the lane.
+        engine.transfer(
+            [FeedMove("alpha", 0, 1, "regrouped")],
+            snapshot_local=lambda feed_id: snapshot_of(registry, feed_id),
+        )
+
+    try:
+        with pytest.raises(ConfigurationError, match="alpha"):
+            bounded(body)
+    finally:
+        bounded(engine.shutdown)
+
+
+def test_run_with_a_mismatched_frame_ends_with_the_wire_error(monkeypatch):
+    registry = two_feed_registry()
+    scheduler = EpochScheduler(
+        registry,
+        num_workers=2,
+        execution_mode="process",
+        epoch_size=4,
+        planner=GasAwareShardPlanner(block_gas_fraction=0.01),
+    )
+    genuine = EpochScheduler._snapshot_feed
+
+    def crossed(self, feed_id, queues, fleet):
+        return genuine(self, "beta" if feed_id == "alpha" else feed_id, queues, fleet)
+
+    monkeypatch.setattr(EpochScheduler, "_snapshot_feed", crossed)
+    before = set(multiprocessing.active_children())
+    workloads = {feed_id: [Operation.read("k")] * 8 for feed_id in ("alpha", "beta")}
+    with pytest.raises(WireError, match="pairs spec 'alpha'"):
+        bounded(lambda: scheduler.run(workloads))
+    assert set(multiprocessing.active_children()) <= before
+
+
+def _run_lsm_fleet(execution_mode, num_workers, directory):
+    """Six LSM-backed feeds under a budget tight enough that the gas-aware
+    plan regroups them between epochs."""
+    registry = FeedRegistry()
+    workloads = {}
+    for index in range(6):
+        feed_id = f"lsm-{index}"
+        registry.create_feed(
+            FeedSpec(
+                feed_id=feed_id,
+                config=GrubConfig(epoch_size=8, algorithm="memoryless", k=1 + index % 3),
+                preload=[KVRecord.make(f"k{index}-{j:02d}", bytes(32)) for j in range(8)],
+                store_backend="lsm",
+                store_directory=directory / feed_id,
+            )
+        )
+        workloads[feed_id] = SyntheticWorkload(
+            read_write_ratio=1.0 + index,
+            num_operations=48,
+            num_keys=6,
+            key_prefix=f"k{index}-",
+            seed=index + 1,
+        ).operations()
+    scheduler = EpochScheduler(
+        registry,
+        num_workers=num_workers,
+        execution_mode=execution_mode,
+        planner=GasAwareShardPlanner(block_gas_fraction=0.02, migration_stickiness=0.0),
+    )
+    return scheduler.run(workloads), registry
+
+
+def test_lsm_feeds_migrate_in_batches_with_a_single_opener(tmp_path):
+    """A second opener of a moving feed's directory raises in the lane, so a
+    clean run that really migrated LSM feeds proves every source closed
+    before its frame reached a destination."""
+    serial_fleet, serial_registry = _run_lsm_fleet("serial", 1, tmp_path / "serial")
+    process_fleet, process_registry = bounded(
+        lambda: _run_lsm_fleet("process", 3, tmp_path / "process")
+    )
+    assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+    assert process_fleet.ipc["migrations_total"] >= 1
+    for handle in serial_registry.handles:
+        moved = process_registry.get(handle.feed_id).system.sp_store
+        assert moved.root == handle.system.sp_store.root

@@ -298,3 +298,20 @@ class TestStatsHygiene:
         cache.install_shard("alpha", [("k", b"v")], CacheStats(hits=2, misses=1))
         assert cache.stats.hits == 2 and cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
+
+    def test_export_shard_is_the_inverse_of_install_shard(self):
+        cache = ReadCache()
+        cache.put("alpha", "old", b"1")
+        cache.put("alpha", "new", b"2")
+        cache.get("alpha", "old")  # hit; "old" becomes most recent
+        cache.get("alpha", "ghost")  # miss
+        entries, stats = cache.export_shard("alpha")
+        assert entries == (("new", b"2"), ("old", b"1"))  # LRU order
+        assert (stats.hits, stats.misses) == (1, 1)
+        other = ReadCache()
+        other.install_shard("alpha", entries, stats)
+        assert other.export_shard("alpha") == (entries, stats)
+        # A feed that never touched the cache exports empty, without
+        # allocating a shard.
+        assert cache.export_shard("ghost") == ((), CacheStats())
+        assert cache.shard_stats("ghost").lookups == 0 and len(cache) == 2
