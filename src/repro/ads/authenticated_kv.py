@@ -120,8 +120,9 @@ class AuthenticatedKVStore:
             for record in records
             if record.state is ReplicationState.REPLICATED
         }
-        for record in records:
-            self.backing.put(record.prefixed_key, record.value)
+        self.backing.write_batch(
+            [(record.prefixed_key, record.value) for record in records]
+        )
         self._tree = MerkleTree([self._leaf_hash(record) for record in records])
         return self.root
 
@@ -207,6 +208,7 @@ class AuthenticatedKVStore:
         if existing is None:
             new_state = state or ReplicationState.NOT_REPLICATED
             record = KVRecord(key=key, value=value, state=new_state, version=0)
+            self.backing.put(record.prefixed_key, record.value)
             self._insert_record(record)
         else:
             new_state = state or existing.state
@@ -228,16 +230,18 @@ class AuthenticatedKVStore:
         typically clusters under shared subtrees, so the shared interior
         hashes are computed once per batch.  Fresh inserts take the normal
         incremental path (leaf storage stays current throughout, so the mix
-        is safe).  Returns the new root.
+        is safe).  The backing store gets the batch's writes, in the same
+        order, as one :meth:`KVStore.write_batch`.  Returns the new root.
         """
         staged: List[int] = []
+        writes: List[Tuple[str, Optional[bytes]]] = []
         for key, value, state in updates:
             existing = self._records.get(key)
             if existing is None:
                 new_state = state or ReplicationState.NOT_REPLICATED
-                self._insert_record(
-                    KVRecord(key=key, value=value, state=new_state, version=0)
-                )
+                record = KVRecord(key=key, value=value, state=new_state, version=0)
+                writes.append((record.prefixed_key, record.value))
+                self._insert_record(record)
                 continue
             new_state = state or existing.state
             record = KVRecord(
@@ -250,10 +254,11 @@ class AuthenticatedKVStore:
             else:
                 self._replicated_keys.discard(key)
             if existing.prefixed_key != record.prefixed_key:
-                self.backing.delete(existing.prefixed_key)
-            self.backing.put(record.prefixed_key, record.value)
+                writes.append((existing.prefixed_key, None))
+            writes.append((record.prefixed_key, record.value))
             self._tree.stage_leaf(slot, self._leaf_hash(record))
             staged.append(slot)
+        self.backing.write_batch(writes)
         self._tree.recompute_paths(staged)
         return self.root
 
@@ -356,11 +361,11 @@ class AuthenticatedKVStore:
         return self.leaf_hash_for(record)
 
     def _insert_record(self, record: KVRecord) -> None:
+        """Give a new record its slot and leaf (the caller writes the backing)."""
         bisect.insort(self._sorted_keys, record.key)
         self._records[record.key] = record
         if record.state is ReplicationState.REPLICATED:
             self._replicated_keys.add(record.key)
-        self.backing.put(record.prefixed_key, record.value)
         if self._free_slots:
             slot = self._free_slots.pop()
             self._slots[slot] = record.key

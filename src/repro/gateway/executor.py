@@ -1114,7 +1114,7 @@ def install_feed_snapshot(handle, snapshot: FeedSnapshot) -> None:
     slot_of: Dict[str, int] = {}
     slots: List[Optional[str]] = [None] * snapshot.slot_count
     replicated = set()
-    backing = store.backing
+    writes: List[Tuple[str, Optional[bytes]]] = []
     for key, value, state_index, version, slot in snapshot.records:
         record = KVRecord(
             key=key,
@@ -1127,7 +1127,8 @@ def install_feed_snapshot(handle, snapshot: FeedSnapshot) -> None:
         slots[slot] = key
         if record.state is ReplicationState.REPLICATED:
             replicated.add(key)
-        backing.put(record.prefixed_key, record.value)
+        writes.append((record.prefixed_key, record.value))
+    store.backing.write_batch(writes)
     store._records = records
     store._slot_of = slot_of
     store._slots = slots
@@ -2510,11 +2511,13 @@ def _apply_store_delta(store, delta: dict) -> None:
     slot_of = store._slot_of
     tree = store._tree
     leaves = tree._leaves
+    # The backing's share of the delta, in order, committed as one batch.
+    writes: List[Tuple[str, Optional[bytes]]] = []
     for key in delta["deleted"]:
         old = records.pop(key)
         slot = slot_of.pop(key)
         store._replicated_keys.discard(key)
-        store.backing.delete(old.prefixed_key)
+        writes.append((old.prefixed_key, None))
         leaves[slot] = TOMBSTONE_LEAF
     layout = delta["layout"]
     if layout[0] == "tail":
@@ -2543,7 +2546,6 @@ def _apply_store_delta(store, delta: dict) -> None:
             if key is None:
                 leaves[slot] = TOMBSTONE_LEAF
     membership_changed = bool(delta["deleted"])
-    backing = store.backing
     replicated = store._replicated_keys
     for key, value, state_value, version, slot, leaf in delta["changed"]:
         record = KVRecord(
@@ -2557,14 +2559,15 @@ def _apply_store_delta(store, delta: dict) -> None:
             membership_changed = True
             slot_of[key] = slot
         elif old.prefixed_key != record.prefixed_key:
-            backing.delete(old.prefixed_key)
+            writes.append((old.prefixed_key, None))
         records[key] = record
-        backing.put(record.prefixed_key, record.value)
+        writes.append((record.prefixed_key, record.value))
         if record.state is ReplicationState.REPLICATED:
             replicated.add(key)
         else:
             replicated.discard(key)
         leaves[slot] = leaf
+    store.backing.write_batch(writes)
     if membership_changed:
         store._sorted_keys = sorted(records)
     # Interior tree levels come over as one flat digest blob; level 0 is the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import StorageError
 
@@ -60,9 +60,20 @@ class KVStore(ABC):
             raise StorageError(f"key not found: {key!r}")
         return value
 
+    def write_batch(self, items: Iterable[Tuple[str, Optional[bytes]]]) -> None:
+        """Apply ordered ``(key, value)`` writes; a ``None`` value deletes.
+
+        Equivalent to the same :meth:`put`/:meth:`delete` sequence.  Stores
+        with a log override it to commit the batch's records together.
+        """
+        for key, value in items:
+            if value is None:
+                self.delete(key)
+            else:
+                self.put(key, value)
+
     def put_many(self, records: Dict[str, bytes]) -> None:
-        for key, value in records.items():
-            self.put(key, value)
+        self.write_batch(records.items())
 
     def clear(self) -> None:
         for key in list(self.keys()):

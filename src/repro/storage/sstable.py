@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +19,9 @@ from typing import Iterator, List, Optional, Tuple
 _TOMBSTONE_MARKER = 0xFF
 _VALUE_MARKER = 0x00
 _sstable_ids = itertools.count()
+_HEADER = struct.Struct(">QI")
+_ENTRY = struct.Struct(">BI")
+_VALUE_LEN = struct.Struct(">I")
 
 
 @dataclass
@@ -33,11 +37,11 @@ class SSTable:
     sequence: int = field(default_factory=lambda: next(_sstable_ids))
 
     def __post_init__(self) -> None:
-        self._keys = [key for key, _ in self.entries]
-        if self._keys != sorted(self._keys):
-            raise ValueError("SSTable entries must be sorted by key")
-        if len(set(self._keys)) != len(self._keys):
-            raise ValueError("SSTable entries must have unique keys")
+        self._keys = keys = [key for key, _ in self.entries]
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise ValueError(
+                "SSTable entries must be sorted by key and have unique keys"
+            )
 
     def get(self, key: str) -> Tuple[bool, Optional[bytes]]:
         """Return ``(found, value)``; tombstones report ``(True, None)``."""
@@ -73,18 +77,19 @@ class SSTable:
         """Serialise the table to ``path`` in a length-prefixed binary format."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as handle:
-            handle.write(struct.pack(">QI", self.sequence, len(self.entries)))
-            for key, value in self.entries:
-                key_bytes = key.encode("utf-8")
-                if value is None:
-                    handle.write(struct.pack(">BI", _TOMBSTONE_MARKER, len(key_bytes)))
-                    handle.write(key_bytes)
-                else:
-                    handle.write(struct.pack(">BI", _VALUE_MARKER, len(key_bytes)))
-                    handle.write(key_bytes)
-                    handle.write(struct.pack(">I", len(value)))
-                    handle.write(value)
+        parts = [_HEADER.pack(self.sequence, len(self.entries))]
+        for key, value in self.entries:
+            key_bytes = key.encode("utf-8")
+            if value is None:
+                parts += (_ENTRY.pack(_TOMBSTONE_MARKER, len(key_bytes)), key_bytes)
+            else:
+                parts += (
+                    _ENTRY.pack(_VALUE_MARKER, len(key_bytes)),
+                    key_bytes,
+                    _VALUE_LEN.pack(len(value)),
+                    value,
+                )
+        path.write_bytes(b"".join(parts))
         return path
 
     @classmethod
@@ -92,18 +97,23 @@ class SSTable:
         """Load a table previously produced by :meth:`write_to`."""
         path = Path(path)
         entries: List[Tuple[str, Optional[bytes]]] = []
-        with path.open("rb") as handle:
-            sequence, count = struct.unpack(">QI", handle.read(12))
-            for _ in range(count):
-                marker, key_len = struct.unpack(">BI", handle.read(5))
-                key = handle.read(key_len).decode("utf-8")
-                if marker == _TOMBSTONE_MARKER:
-                    entries.append((key, None))
-                else:
-                    (value_len,) = struct.unpack(">I", handle.read(4))
-                    entries.append((key, handle.read(value_len)))
-        table = cls(entries=entries, sequence=sequence)
-        return table
+        data = path.read_bytes()
+        sequence, count = _HEADER.unpack_from(data, 0)
+        offset = _HEADER.size
+        for _ in range(count):
+            marker, key_len = _ENTRY.unpack_from(data, offset)
+            offset += _ENTRY.size
+            key = data[offset : offset + key_len].decode("utf-8")
+            offset += key_len
+            if marker == _TOMBSTONE_MARKER:
+                entries.append((key, None))
+            else:
+                (value_len,) = _VALUE_LEN.unpack_from(data, offset)
+                offset += _VALUE_LEN.size
+                entries.append((key, data[offset : offset + value_len]))
+                offset += value_len
+        _reserve_sequences(sequence)
+        return cls(entries=entries, sequence=sequence)
 
     @classmethod
     def from_memtable_items(
@@ -117,6 +127,17 @@ class SSTable:
             else:
                 entries.append((key, value))  # type: ignore[arg-type]
         return cls(entries=entries)
+
+
+def _reserve_sequences(through: int) -> None:
+    """Make every later default ``sequence`` exceed ``through``.
+
+    A table read from disk may have been written by another process, whose
+    counter ran ahead of this one's; a table flushed after it must still be
+    the newer of the two.
+    """
+    global _sstable_ids
+    _sstable_ids = itertools.count(max(next(_sstable_ids), through + 1))
 
 
 def merge_tables(tables: List[SSTable], drop_tombstones: bool) -> SSTable:

@@ -4,8 +4,11 @@ The paper claims GRuB works over "any off-chain storage service supporting KV
 storage"; this suite makes that interchangeability a tested contract.  It is
 parametrized over the dict-backed :class:`InMemoryKVStore`, the LSM tree
 (:class:`LSMStore`) and the :class:`MemTable` write buffer (adapted to the
-store interface), and covers roundtrip, overwrite, delete, and the ``scan``
-edge cases (empty range, ``limit=0``, unbounded end).
+store interface), and covers roundtrip, overwrite, delete, the ``scan``
+edge cases (empty range, ``limit=0``, unbounded end) and ``write_batch``.
+A backend declares what it promises beyond that with :class:`KVCapabilities`
+flags; the suite demands the restart checks only of backends that declare
+``supports_persistence``.
 
 Import :data:`BACKENDS` and decorate with ``@pytest.mark.parametrize`` (see
 ``test_kv_suite.py``), or subclass :class:`KVStoreContract` with a ``make``
@@ -17,6 +20,7 @@ from __future__ import annotations
 import atexit
 import shutil
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -139,10 +143,64 @@ def populate(store: KVStore, count: int = 8, prefix: str = "key") -> List[str]:
     return keys
 
 
+@dataclass(frozen=True)
+class KVCapabilities:
+    """What a backend guarantees beyond the basic contract."""
+
+    #: Everything a returned call wrote is found again by a second store
+    #: opened over the first one's files, without the first being closed.
+    supports_persistence: bool = False
+
+
+#: One batch with every case in it: overwrites inside the batch, a delete of
+#: a key written earlier in the batch, of a pre-existing key and of a key
+#: that never existed, and a re-insert after a delete.
+MIXED_BATCH: List[Tuple[str, Optional[bytes]]] = [
+    ("alpha", b"1"),
+    ("bravo", b"2"),
+    ("alpha", b"3"),
+    ("bravo", None),
+    ("key-0001", None),
+    ("ghost", None),
+    ("charlie", b"4"),
+    ("bravo", b"5"),
+    ("charlie", None),
+    ("key-0002", b"rewritten"),
+]
+
+
+def step_writes(store: KVStore, writes) -> None:
+    """The ``put``/``delete`` sequence a batch of ``writes`` must equal."""
+    for key, value in writes:
+        if value is None:
+            store.delete(key)
+        else:
+            store.put(key, value)
+
+
+def apply_writes(model: dict, writes) -> dict:
+    """The dict a store that held ``model`` must equal after ``writes``."""
+    model = dict(model)
+    for key, value in writes:
+        if value is None:
+            model.pop(key, None)
+        else:
+            model[key] = value
+    return model
+
+
 class KVStoreContract:
     """The behavioural contract; ``make()`` is provided by parametrization."""
 
     make: Callable[[], KVStore]
+    capabilities = KVCapabilities()
+    #: Backends with ``supports_persistence``: a new store over ``store``'s
+    #: files, as after a process restart.
+    restart: Callable[[KVStore], KVStore]
+
+    def check_survives_restart(self, store: KVStore) -> None:
+        if self.capabilities.supports_persistence:
+            assert list(self.restart(store).items()) == list(store.items())
 
     # -- roundtrip -----------------------------------------------------------
 
@@ -245,3 +303,48 @@ class KVStoreContract:
         keys = populate(store, 3)
         result = store.scan("")
         assert [key for key, _ in result] == keys
+
+    # -- write_batch ---------------------------------------------------------
+
+    def test_write_batch_equals_the_same_put_delete_sequence(self):
+        batched, stepped = self.make(), self.make()
+        populate(batched, 4)
+        populate(stepped, 4)
+        batched.write_batch(MIXED_BATCH)
+        step_writes(stepped, MIXED_BATCH)
+        assert list(batched.items()) == list(stepped.items())
+        assert dict(batched.items()) == {
+            "alpha": b"3",
+            "bravo": b"5",
+            "key-0000": b"value-0",
+            "key-0002": b"rewritten",
+            "key-0003": b"value-3",
+        }
+        self.check_survives_restart(batched)
+
+    def test_write_batch_is_ordered_and_last_write_wins(self):
+        store = self.make()
+        store.write_batch([("k", b"1"), ("k", b"2"), ("k", b"3")])
+        assert store.get("k") == b"3"
+        assert len(store) == 1
+        store.write_batch([("k", b"4"), ("k", None)])
+        assert store.get("k") is None
+        store.write_batch([("k", None), ("k", b"5")])
+        assert store.get("k") == b"5"
+        self.check_survives_restart(store)
+
+    def test_write_batch_deletes_existing_and_missing_keys(self):
+        store = self.make()
+        keys = populate(store, 4)
+        store.write_batch([(keys[1], None), ("ghost", None), (keys[3], None)])
+        assert store.keys() == [keys[0], keys[2]]
+        self.check_survives_restart(store)
+
+    def test_write_batch_takes_any_iterable_and_an_empty_one(self):
+        store = self.make()
+        store.write_batch(iter(()))
+        assert len(store) == 0
+        store.write_batch((f"key-{index:04d}", b"x" * 16) for index in range(64))
+        assert len(store) == 64
+        assert store.get("key-0063") == b"x" * 16
+        self.check_survives_restart(store)

@@ -8,6 +8,7 @@ between them) fails here with the backend's name in the test id.
 from __future__ import annotations
 
 from kv_suite import (
+    KVCapabilities,
     KVStoreContract,
     MemTableKVAdapter,
     _persistent_lsm,
@@ -33,6 +34,8 @@ class TestLSMStorePersistentContract(KVStoreContract):
     — groundwork for persistent per-feed SP stores."""
 
     make = staticmethod(_persistent_lsm)
+    capabilities = KVCapabilities(supports_persistence=True)
+    restart = staticmethod(reopen_lsm)
 
 
 class TestMemTableContract(KVStoreContract):

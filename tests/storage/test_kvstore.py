@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from kv_suite import apply_writes
 
 from repro.common.errors import StorageError
 from repro.storage.kvstore import InMemoryKVStore
@@ -173,29 +176,47 @@ class TestLSMMechanics:
             store.compact()
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["put", "delete"]),
-            st.text(alphabet="abcdef", min_size=1, max_size=3),
-            st.binary(max_size=8),
-        ),
-        max_size=60,
-    )
+_KEYS = st.text(alphabet="abcdef", min_size=1, max_size=3)
+_STEPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, st.binary(max_size=8)),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(
+        st.just("batch"),
+        st.lists(st.tuples(_KEYS, st.none() | st.binary(max_size=8)), max_size=12),
+    ),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("restart")),
 )
-def test_lsm_store_matches_dict_model(script):
-    """Property: the LSM store behaves exactly like a plain dict."""
-    store = LSMStore(config=LSMConfig(memtable_flush_bytes=64))
-    model = {}
-    for action, key, value in script:
-        if action == "put":
-            store.put(key, value)
-            model[key] = value
-        else:
-            store.delete(key)
-            model.pop(key, None)
-    assert dict(store.items()) == model
-    assert len(store) == len(model)
-    for key, value in model.items():
-        assert store.get(key) == value
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.lists(_STEPS, max_size=60))
+def test_lsm_store_matches_dict_model(persistent, script):
+    """Property: the LSM store behaves exactly like a plain dict — through
+    single writes, batches, a close/reopen and (on disk) a restart that finds
+    the unflushed writes in the log."""
+    config = LSMConfig(memtable_flush_bytes=64)
+    with tempfile.TemporaryDirectory() as scratch:
+        store = LSMStore(directory=scratch if persistent else None, config=config)
+        model = {}
+        for action, *args in script:
+            if action == "put":
+                store.put(*args)
+                model[args[0]] = args[1]
+            elif action == "delete":
+                assert store.delete(*args) is (args[0] in model)
+                model.pop(args[0], None)
+            elif action == "batch":
+                store.write_batch(args[0])
+                model = apply_writes(model, args[0])
+            elif action == "restart" and persistent:
+                # No close(): the new store recovers from tables plus log.
+                store = LSMStore(directory=scratch, config=config)
+            else:
+                store.close()
+                store.reopen()
+            assert dict(store.items()) == model
+        assert len(store) == len(model)
+        for key, value in model.items():
+            assert store.get(key) == value
+        store.close()
