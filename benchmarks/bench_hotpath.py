@@ -22,11 +22,8 @@ runner drives this module's machinery through the importable entry points
 rather than shelling out to the script.
 
 Process-mode sweep records always carry the run's IPC meter summary (wire
-bytes per epoch, encode/decode seconds, per-lane rows).  ``--profile-ipc``
-additionally has each worker measure what the same epoch results would have
-cost as a generic protocol-5 pickle, recording the codec's
-``reduction_vs_pickle``.  On hosts granted a single effective CPU the
-results carry ``"multicore_sweep": "pending"`` so a reader knows the
+bytes per epoch, encode/decode seconds, per-lane rows).  On hosts granted a
+single effective CPU the results carry ``"multicore_sweep": "pending"`` so a reader knows the
 recorded process numbers measure boundary overhead, not scaling.
 
 A note on scaling regimes: the *thread* backend is bounded by the GIL on
@@ -169,7 +166,6 @@ def run_fleet_once(
     epoch_size: int = EPOCH_SIZE,
     preload_keys: int = PRELOAD_KEYS,
     obs=None,
-    ipc_profile: bool = False,
 ):
     """One measured fleet run; the importable unit the experiment runner drives.
 
@@ -186,7 +182,6 @@ def run_fleet_once(
         num_workers=num_workers,
         execution_mode=execution_mode,
         obs=obs,
-        ipc_profile=ipc_profile,
     )
     fleet = scheduler.run(workloads)
     return registry, fleet
@@ -224,10 +219,6 @@ def _ipc_record(summary: dict) -> dict:
         record["migration_bytes_per_epoch"] = round(
             summary["migration_bytes_per_epoch"], 2
         )
-    if "legacy_pickle_bytes_total" in summary:
-        record["legacy_pickle_bytes_total"] = summary["legacy_pickle_bytes_total"]
-        record["legacy_bytes_per_epoch"] = round(summary["legacy_bytes_per_epoch"], 2)
-        record["reduction_vs_pickle"] = round(summary["reduction_vs_pickle"], 4)
     return record
 
 
@@ -236,16 +227,13 @@ def run_configuration(
     num_workers: int,
     workloads: Dict[str, List[Operation]],
     repeats: int,
-    profile_ipc: bool = False,
 ) -> dict:
     """Run the fleet at one configuration; keep the best wall time of ``repeats``."""
     best: Optional[dict] = None
     fingerprint = None
     gas_bills = None
     for _ in range(repeats):
-        registry, fleet = run_fleet_once(
-            execution_mode, num_workers, workloads, ipc_profile=profile_ipc
-        )
+        registry, fleet = run_fleet_once(execution_mode, num_workers, workloads)
         fingerprint = fleet.fingerprint()
         gas_bills = {
             feed_id: registry.chain.ledger.scope_total(feed_id)
@@ -338,7 +326,6 @@ def run_sweep(
     process_lanes: Sequence[int],
     ops_per_feed: int,
     repeats: int,
-    profile_ipc: bool = False,
 ) -> dict:
     workloads = build_workloads(ops_per_feed)
     configurations: List[Tuple[str, int]] = [("serial", 1)]
@@ -347,7 +334,7 @@ def run_sweep(
     )
     configurations.extend(("process", lanes) for lanes in process_lanes)
     results = [
-        run_configuration(mode, workers, workloads, repeats, profile_ipc=profile_ipc)
+        run_configuration(mode, workers, workloads, repeats)
         for mode, workers in configurations
     ]
 
@@ -422,11 +409,6 @@ def run_sweep(
             f"{record['ipc']['bytes_per_epoch']:,.0f} B",
             format_duration(record["ipc"]["encode_seconds"]),
             format_duration(record["ipc"]["decode_seconds"]),
-            (
-                f"{record['ipc']['reduction_vs_pickle'] * 100:.1f}%"
-                if "reduction_vs_pickle" in record["ipc"]
-                else "—"
-            ),
         )
         for record in sweep_records
         if "ipc" in record
@@ -435,7 +417,7 @@ def run_sweep(
         print()
         print(
             format_table(
-                ["lanes", "epochs", "wire B/epoch", "encode", "decode", "vs pickle"],
+                ["lanes", "epochs", "wire B/epoch", "encode", "decode"],
                 ipc_rows,
                 title="Process-boundary IPC (per configuration, best repeat)",
             )
@@ -525,13 +507,6 @@ def main() -> int:
         "--repeats", type=int, default=None, help="repeats per configuration (best kept)"
     )
     parser.add_argument(
-        "--profile-ipc",
-        action="store_true",
-        help="also measure what each process-mode epoch would have cost as a "
-        "generic protocol-5 pickle and record reduction_vs_pickle "
-        "(regression gating lives in benchmarks/runner.py)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_hotpath.json",
@@ -549,9 +524,7 @@ def main() -> int:
         ops = args.ops or FULL_OPS_PER_FEED
         repeats = args.repeats or FULL_REPEATS
     started = time.perf_counter()
-    payload = run_sweep(
-        workers, lanes, ops, repeats, profile_ipc=args.profile_ipc
-    )
+    payload = run_sweep(workers, lanes, ops, repeats)
     payload["config"]["quick"] = bool(args.quick)
     write_results(payload, args.output)
     print(f"sweep completed in {time.perf_counter() - started:.1f}s")

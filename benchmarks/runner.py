@@ -33,8 +33,8 @@ importable)::
 
 Grid canonicalization: ``serial`` always runs one worker and ``thread`` cells
 need >= 2 workers (one thread worker is just serial with overhead).
-``process × churn`` cells run like any others — the elastic process engine
-migrates feeds between lanes at churn and re-shard boundaries — and their
+``process × churn`` cells run like any others — the lane engine migrates
+feeds between lanes at churn and re-shard boundaries — and their
 fingerprints join the cross-backend equivalence check, so the migration path
 is equivalence-gated on every CI run.  Every sample records per-run host
 affinity (``effective_cpus`` and

@@ -26,17 +26,19 @@ storage-manager contract).  This package turns that into a hosted service:
   at epoch boundaries, with per-tenant ops/gas quotas deferring over-quota
   operations to later epochs;
 * :mod:`repro.gateway.executor` — the backends themselves: the shared
-  per-shard phase logic every mode runs, plus the :class:`ProcessEngine`
-  (shards pinned to persistent worker processes hosting full feed mirrors,
-  only per-epoch deltas crossing the process boundary) that gives the
-  engine true multicore scaling where CPython's GIL caps the thread pool;
+  per-shard phase logic every mode runs, plus the :class:`LaneEngine`
+  (persistent worker processes hosting full feed mirrors, only per-epoch
+  deltas crossing the process boundary; feeds reach a lane as snapshot
+  frames, or by fork inheritance when the run's plan cannot change) that
+  gives the engine true multicore scaling where CPython's GIL caps the
+  thread pool;
 * :mod:`repro.gateway.planner` — shard planning strategies: the fixed
   :class:`RoundRobinPlanner` and the :class:`GasAwareShardPlanner`, which
   EWMA-estimates per-feed epoch gas from trailing telemetry and bin-packs
   feeds so every settlement block stays under a configured fraction of the
   chain's block gas limit;
 * :mod:`repro.gateway.placement` — which worker lane executes each shard
-  on the elastic process backend: affinity to the lane already hosting the
+  of a process run whose plan can change: affinity to the lane already hosting the
   shard's feeds under a load-balance cap, so feeds only move when the plan
   really regroups them (process-side only, never fingerprinted);
 * :mod:`repro.gateway.cache` — the consumer-side :class:`ReadCache`,
@@ -64,7 +66,7 @@ Quickstart::
 """
 
 from repro.gateway.cache import ReadCache
-from repro.gateway.executor import EXECUTION_MODES, ProcessEngine, ShardEnvironment
+from repro.gateway.executor import EXECUTION_MODES, LaneEngine, ShardEnvironment
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.planner import GasAwareShardPlanner, RoundRobinPlanner, ShardPlanner
 from repro.gateway.registry import FeedHandle, FeedRegistry, FeedSpec
@@ -85,7 +87,7 @@ __all__ = [
     "FleetTelemetry",
     "GasAwareShardPlanner",
     "GatewayRouterContract",
-    "ProcessEngine",
+    "LaneEngine",
     "ReadCache",
     "RoundRobinPlanner",
     "ShardEnvironment",

@@ -17,32 +17,28 @@ than a property of careful duplication.
 **Process backend.**  CPython's GIL means the thread backend can only overlap
 the hash/storage work of one interpreter; on a multicore host it never
 multiplies throughput (``BENCH_hotpath.json`` records speedup ≈ 1× however
-many threads run).  :class:`ProcessEngine` instead ships each shard's epoch
-work to a persistent pool of long-lived worker processes:
+many threads run).  :class:`LaneEngine` instead ships each shard's epoch work
+to long-lived worker processes:
 
-* every worker **lane** is a single-process :class:`ProcessPoolExecutor`;
-  shards are pinned to lanes (``shard_index % num_lanes``), so the worker-side
-  state of a shard — its feeds' contracts on a worker-local chain, SP stores,
-  control planes, cache shards, telemetry rows, workload queues — persists
+* every worker **lane** is a single-process :class:`ProcessPoolExecutor`, so
+  the worker-side state of a feed — its contracts on a worker-local chain, SP
+  store, control plane, cache shard, telemetry row, workload queue — persists
   across epochs and only *per-epoch deltas* cross the process boundary;
-* per epoch, a lane receives a tiny ``(epoch, epoch_size)`` order and returns
-  **one contiguous wire frame** (:class:`LaneEpochEnvelope`) covering all of
-  its shards' phases: each shard's driving-phase
-  :class:`~repro.chain.chain.ExecutionBuffer` as a packed ledger delta plus
-  unstamped events, and the shard's settlement transactions *pre-executed*
-  against the worker's mirror of the shard's contracts
-  (:class:`SettlementResult`: gas used, receipt outcome, emitted events,
-  exact ledger delta);
+* per order, a lane receives a tiny ``(start, count, epoch_size)`` tuple
+  (plus, when the plan can change, the epoch's shard assignment and live
+  arrivals) and returns **one contiguous wire frame** per epoch
+  (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
+  shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` as a
+  packed ledger delta plus unstamped events, and the shard's settlement
+  transactions *pre-executed* against the worker's mirror of the shard's
+  contracts (:class:`SettlementResult`: gas used, receipt outcome, emitted
+  events, exact ledger delta);
 * the main process merges results in **fixed shard order** — stamp and absorb
   every drive buffer at the epoch-start height, then mine one recorded block
   per shard deliver, then one per shard update
   (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`) — reproducing
   the serial merge exactly, so fingerprints, per-feed gas bills and chain
   state are bit-identical to a serial run;
-* because event stamps are assigned by the *main* chain at merge time,
-  workers never wait for the previous epoch's merge: the scheduler submits
-  every epoch the remaining workloads already guarantee, and lanes run
-  epochs back-to-back while the main process merges behind them;
 * at run end the workers ship their final feed state back
   (:class:`FeedStateResult`) and the engine folds it into the main registry's
   mirrors, so post-run inspection (contract storage, roots, replica counts,
@@ -58,34 +54,36 @@ per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  This
 file owns the *schema* (what the fields mean); ``repro.common.wire`` owns the
 *format* (how primitives are packed).
 
-Worker processes rebuild their feeds from the shipped :class:`FeedSpec`s plus
-a wire-packed seed frame of workload operations and preload records (sent
-once, at start), so the construction is deterministic and identical to the
-main registry's own mirrors.
+**How a feed reaches a lane.**  Two ways, chosen by the scheduler from what it
+can observe about the run, never by an option:
 
-**Feed migration.**  Feeds are not pinned to the lane that first hosted them:
-a feed's complete mirror — contract attrs and storage slots, the SP store's
-records, slot layout and Merkle tree, DO root/signer state, SP counters,
-control-plane and monitor state, cache shard, workload queue, dirty keys,
-telemetry row — serialises into one self-contained snapshot frame
-(:func:`encode_feed_snapshot`; a fresh wire channel per frame, so no lane's
-persistent intern table leaks into the move) and installs into another lane
-(:func:`decode_feed_snapshot` + :func:`install_feed_snapshot`).
-:class:`ElasticProcessEngine` builds on those frames: lanes start *empty* and
-every feed — initial placement included — arrives by snapshot install, so
-admission, eviction, gas-aware re-sharding and lane spawn/retire all reduce to
-the same three lane operations (install / migrate-out / teardown).  LSM-backed
-SP stores migrate by closing the source lane's exclusive directory opener
-before the destination lane re-opens it (single-opener enforced by
-:class:`~repro.storage.lsm.LSMStore`).  The static
-:class:`ProcessEngine` path — fixed fleet, round-robin plan, memory stores —
-keeps its fork/wire seeding and pipelined multi-epoch orders.
+* *snapshot install* (the general way): lanes start **empty** and a feed's
+  complete mirror — contract attrs and storage slots, the SP store's records,
+  slot layout and Merkle tree, DO root/signer state, SP counters,
+  control-plane and monitor state, cache shard, workload queue, dirty keys,
+  telemetry row — serialises into one self-contained snapshot frame
+  (:func:`encode_feed_snapshot`; a fresh wire channel per frame, so no lane's
+  persistent intern table leaks into the move) and installs into a lane
+  (:func:`decode_feed_snapshot` + :func:`install_feed_snapshot`).  Initial
+  placement, admission, eviction, gas-aware re-sharding and lane spawn/retire
+  all reduce to the same three lane operations (install / migrate-out /
+  teardown), one lockstep epoch per order.  LSM-backed SP stores migrate by
+  closing the source's exclusive directory opener before the destination
+  re-opens it (single-opener enforced by :class:`~repro.storage.lsm.LSMStore`);
+* *fork seeding* (a run whose plan cannot change, on a ``fork`` platform):
+  each lane adopts the main process's built registry through the fork's
+  copy-on-write duplication and is pinned to its shards for the run.  Because
+  event stamps are assigned by the *main* chain at merge time, such lanes
+  never wait for the previous epoch's merge: the scheduler orders every epoch
+  the remaining workloads already guarantee, and lanes run them back-to-back
+  while the main process merges behind them.  Routing a static fleet through
+  snapshot installs and lockstep orders instead measured 30–42 % fewer
+  ``ops_per_s`` on the ``lanes_read`` benchmark workload, which is why this
+  second way exists.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
 import time
 from collections import deque
@@ -100,10 +98,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.chain.chain import ChainParameters, ExecutionBuffer, buffer_from_wire
+from repro.chain.chain import ChainParameters, ExecutionBuffer
 from repro.chain.gas import (
     GasSchedule,
     LAYER_APPLICATION,
@@ -406,6 +403,33 @@ def settle_feed_epoch(
     return summary.gas_total
 
 
+def close_feed_bill(
+    env: ShardEnvironment, feed_id: str, epoch: int, *, poll: bool
+) -> FeedTelemetry:
+    """The eviction boundary's accounting, wherever the feed's live mirror is
+    hosted: cancel the departing feed's undelivered requests and still-queued
+    operations *visibly* — counted on its telemetry row, which becomes the
+    tenant's final bill — and stamp the departure epoch.
+
+    ``poll`` first pulls any still-unrouted request events while the feed's
+    route exists, so their cancellation is counted instead of events dangling
+    toward a dead handle.  The main side of a process run passes ``False``
+    for a feed no lane hosts yet: the main chain's absorbed events were
+    already routed and consumed inside the lanes, so a main poll would stuff
+    main-side mirrors with requests that can never be delivered.
+    """
+    watchdog = env.registry.watchdog
+    if poll:
+        watchdog.poll()
+    telemetry = env.feeds[feed_id]
+    telemetry.cancelled_requests += watchdog.cancel_pending(env.registry.get(feed_id))
+    queue = env.queues.pop(feed_id, None)
+    if queue:
+        telemetry.cancelled_ops += len(queue)
+    telemetry.departed_epoch = epoch
+    return telemetry
+
+
 # ---------------------------------------------------------------------------
 # Process backend: boundary types
 # ---------------------------------------------------------------------------
@@ -413,13 +437,17 @@ def settle_feed_epoch(
 
 @dataclass(frozen=True)
 class LaneConfig:
-    """Everything one worker process needs to rebuild its pinned shards.
+    """A lane's startup order; crosses the boundary once, at lane start.
 
-    Crosses the boundary exactly once, at lane start.  The bulky, regular
-    parts — every feed's workload operations and preload records — travel in
-    :attr:`seed_frame`, wire-packed; only the small irregular remainder (the
-    specs' configs, consumer factories and quota fields) rides on the pickled
-    dataclass itself.
+    By default the lane starts **empty**, with a registry of its own built
+    from the chain parameters here, and every feed reaches it later as a
+    snapshot frame.  With :attr:`pinned` set the lane is **fork-seeded**
+    instead: on a fork start method the worker process is a copy-on-write
+    clone of the main process taken at pool startup — the fully built
+    registry and the workload queues are already in its address space,
+    bit-for-bit the state a dedicated mirror would have to be rebuilt into —
+    so the lane adopts the inherited registry via :data:`_FORK_SEED` and
+    drives only its own shards against it.
     """
 
     schedule: GasSchedule
@@ -427,43 +455,12 @@ class LaneConfig:
     router_address: str
     cache_enabled: bool
     cache_capacity: Optional[int]
-    #: shard index → that shard's feeds' specs (preload stripped — it travels
-    #: in :attr:`seed_frame`), in shard order.
-    shards: Dict[int, Tuple[FeedSpec, ...]]
-    #: Wire-packed workloads + preloads for every feed of every shard, in the
-    #: same sorted-shard / per-shard feed order as :attr:`shards`.
-    seed_frame: WireFrame
     #: When set, the lane times per-shard phase spans (its own monotonic
     #: clock) and ships them back in :attr:`ShardEpochResult.spans`.
     obs_enabled: bool = False
-    #: When set, the lane additionally measures what each epoch's results
-    #: *would* have cost as a generic protocol-5 pickle
-    #: (:attr:`LaneEpochEnvelope.legacy_pickle_bytes`), so the codec's
-    #: reduction is a recorded before/after, not an estimate.
-    ipc_profile: bool = False
-
-
-@dataclass(frozen=True)
-class ForkLaneConfig:
-    """Lane startup order for **fork-seeded** lanes (the ``inherit`` seed mode).
-
-    On a fork start method the worker process is a copy-on-write clone of the
-    main process taken at pool startup — the fully built registry and the
-    workload queues are already in its address space, bit-for-bit the state a
-    dedicated mirror would have to be rebuilt into.  Shipping specs and
-    workloads again (and re-running every feed's Merkle build in the worker)
-    would only re-derive what the fork already copied, so this config carries
-    nothing but the lane's shard→feed pinning and the runtime flags; the
-    worker adopts the inherited registry via :data:`_FORK_SEED` and drives
-    only its own shards against it.
-    """
-
-    #: shard index → that shard's feed ids, in shard order.
-    shard_feeds: Dict[int, Tuple[str, ...]]
-    cache_enabled: bool
-    cache_capacity: Optional[int]
-    obs_enabled: bool = False
-    ipc_profile: bool = False
+    #: Fork-seeded lanes only: shard index → that shard's feed ids, in shard
+    #: order — the lane's pinning for the whole run.
+    pinned: Optional[Dict[int, Tuple[str, ...]]] = None
 
 
 @dataclass(frozen=True)
@@ -529,9 +526,6 @@ class LaneEpochEnvelope:
     #: Worker-side wall time spent encoding the frame (the IPC meter's
     #: ``ipc_encode_seconds``).
     encode_seconds: float
-    #: What this epoch's results measured as a generic protocol-5 pickle —
-    #: the pre-codec wire format.  0 unless :attr:`LaneConfig.ipc_profile`.
-    legacy_pickle_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -606,22 +600,6 @@ def _decode_operation(r: WireReader) -> Operation:
         size_bytes=r.uvarint(),
         scan_length=r.uvarint(),
         sequence=r.svarint(),
-    )
-
-
-def _encode_record(w: WireWriter, record: KVRecord) -> None:
-    w.string(record.key)
-    w.bytes_(record.value)
-    w.uvarint(_STATE_INDEX[record.state])
-    w.uvarint(record.version)
-
-
-def _decode_record(r: WireReader) -> KVRecord:
-    return KVRecord(
-        key=r.string(),
-        value=r.bytes_(),
-        state=_REPLICATION_STATES[r.uvarint()],
-        version=r.uvarint(),
     )
 
 
@@ -727,53 +705,6 @@ def _decode_settlement(r: WireReader) -> Optional[SettlementResult]:
     )
 
 
-def encode_lane_seed(
-    encoder: WireEncoder,
-    seed_items: Sequence[Tuple[int, Sequence[Tuple[Sequence[Operation], Optional[Sequence[KVRecord]]]]]],
-) -> WireFrame:
-    """Pack one lane's complete startup payload: per shard (sorted order),
-    per feed, the workload operations and the optional preload records."""
-    w = encoder.writer()
-    w.uvarint(len(seed_items))
-    for shard_index, feeds in seed_items:
-        w.uvarint(shard_index)
-        w.uvarint(len(feeds))
-        for operations, preload in feeds:
-            w.uvarint(len(operations))
-            for operation in operations:
-                _encode_operation(w, operation)
-            if preload is None:
-                w.uvarint(0)
-            else:
-                w.uvarint(len(preload) + 1)
-                for record in preload:
-                    _encode_record(w, record)
-    return w.frame()
-
-
-def decode_lane_seed(
-    decoder: WireDecoder, frame: WireFrame
-) -> Dict[int, List[Tuple[List[Operation], Optional[List[KVRecord]]]]]:
-    """Decode :func:`encode_lane_seed`: shard index → per-feed
-    ``(operations, preload)`` in the shard's feed order."""
-    r = decoder.reader(frame)
-    shards: Dict[int, List[Tuple[List[Operation], Optional[List[KVRecord]]]]] = {}
-    for _ in range(r.uvarint()):
-        shard_index = r.uvarint()
-        feeds: List[Tuple[List[Operation], Optional[List[KVRecord]]]] = []
-        for _ in range(r.uvarint()):
-            operations = [_decode_operation(r) for _ in range(r.uvarint())]
-            marker = r.uvarint()
-            preload = (
-                None
-                if marker == 0
-                else [_decode_record(r) for _ in range(marker - 1)]
-            )
-            feeds.append((operations, preload))
-        shards[shard_index] = feeds
-    return shards
-
-
 def encode_lane_arrivals(
     encoder: WireEncoder, arrivals: Sequence[Tuple[str, Sequence[Operation]]]
 ) -> WireFrame:
@@ -781,10 +712,10 @@ def encode_lane_arrivals(
     the caller's sorted order), the operations joining the tail of that
     feed's worker-local queue.
 
-    Arrivals frames use a fresh channel per boundary, like the seed frame:
-    they flow main → worker, opposite the lane's persistent epoch-result
-    channel, and a boundary's batch is small enough that cross-boundary
-    interning would buy nothing.
+    Arrivals frames use a fresh channel per boundary: they flow main →
+    worker, opposite the lane's persistent epoch-result channel, and a
+    boundary's batch is small enough that cross-boundary interning would buy
+    nothing.
     """
     w = encoder.writer()
     w.uvarint(len(arrivals))
@@ -1013,6 +944,31 @@ def encode_feed_snapshot(
     return w.frame()
 
 
+def snapshot_feed(env: ShardEnvironment, feed_id: str) -> WireFrame:
+    """Encode a feed hosted in ``env`` — queue, dirty keys, telemetry row and
+    cache shard included — as the snapshot frame its next host installs, and
+    release an exclusive LSM opener so that host can take over the directory
+    (single-opener rule).  The caller retires whatever it keeps of the feed.
+    """
+    handle = env.registry.get(feed_id)
+    entries, stats = (
+        env.cache.export_shard(feed_id) if env.cache is not None else ((), None)
+    )
+    frame = encode_feed_snapshot(
+        WireEncoder(),
+        handle,
+        queue=env.queues[feed_id],
+        dirty=env.dirty[feed_id],
+        telemetry=env.feeds[feed_id],
+        cache_entries=entries,
+        cache_stats=stats,
+    )
+    backing = handle.system.sp_store.backing
+    if isinstance(backing, LSMStore):
+        backing.close()
+    return frame
+
+
 def decode_feed_snapshot(decoder: WireDecoder, frame: WireFrame) -> FeedSnapshot:
     """Decode :func:`encode_feed_snapshot` (mirrored field order; pass a
     fresh :class:`WireDecoder` — snapshot channels are one frame long)."""
@@ -1186,8 +1142,6 @@ class IpcSample:
     encode_seconds: float
     #: Main-side decode wall time.
     decode_seconds: float
-    #: Same results as a generic protocol-5 pickle (0 unless profiling).
-    legacy_pickle_bytes: int = 0
 
 
 class IpcMeter:
@@ -1232,24 +1186,19 @@ class IpcMeter:
                     "wire_bytes": 0,
                     "encode_seconds": 0.0,
                     "decode_seconds": 0.0,
-                    "legacy_pickle_bytes": 0,
                 },
             )
             row["epochs"] += 1
             row["wire_bytes"] += sample.wire_bytes
             row["encode_seconds"] += sample.encode_seconds
             row["decode_seconds"] += sample.decode_seconds
-            row["legacy_pickle_bytes"] += sample.legacy_pickle_bytes
 
     def summary(self) -> dict:
         """Plain-data totals (the shape ``FleetTelemetry.ipc`` carries and the
         benchmark records): fleet-wide bytes/epoch, encode/decode seconds,
-        per-lane rows, and — when profiled — the legacy-pickle comparison."""
+        per-lane rows, and the feed-mobility totals."""
         wire_total = int(sum(row["wire_bytes"] for row in self.lanes.values()))
-        legacy_total = int(
-            sum(row["legacy_pickle_bytes"] for row in self.lanes.values())
-        )
-        out: dict = {
+        return {
             "epochs": self.epochs,
             "wire_bytes_total": wire_total,
             "bytes_per_epoch": wire_total / self.epochs if self.epochs else 0.0,
@@ -1269,13 +1218,6 @@ class IpcMeter:
             "lane_spawns_total": self.lane_spawns,
             "lane_retirements_total": self.lane_retirements,
         }
-        if legacy_total:
-            out["legacy_pickle_bytes_total"] = legacy_total
-            out["legacy_bytes_per_epoch"] = (
-                legacy_total / self.epochs if self.epochs else 0.0
-            )
-            out["reduction_vs_pickle"] = 1.0 - wire_total / legacy_total
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1301,12 +1243,11 @@ class _LaneWorker:
     what allows it to run epochs ahead of the main process's merge.
     """
 
-    def __init__(self, config: Union[LaneConfig, ForkLaneConfig]) -> None:
+    def __init__(self, config: LaneConfig) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
         #: detached spans; the finished spans ship back as wire dicts and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
-        self.ipc_profile = config.ipc_profile
         #: The lane's epoch-result channel (worker → main); persistent, so
         #: feed ids and keys intern once for the whole run.
         self.encoder = WireEncoder()
@@ -1315,76 +1256,40 @@ class _LaneWorker:
         #: Feeds that arrived via :meth:`install_feed` — their run-end store
         #: state ships as a full-from-empty delta (``store_reset``).
         self._installed: set = set()
-        if isinstance(config, ForkLaneConfig):
-            seed = _FORK_SEED
-            if seed is None:
-                raise ConfigurationError(
-                    "fork-seeded lane started without an inherited seed — "
-                    "the pool's start method is not 'fork'; use the 'wire' "
-                    "seed mode instead"
-                )
-            registry, queues = seed
-            #: The forked copy of the main registry: every feed's contracts,
-            #: stores and control planes exactly as the main process built
-            #: them, for free via copy-on-write.  The lane only ever drives
-            #: its own shards against it; the chain's obs hook is severed
-            #: (metrics belong to the main process, and worker-side mining
-            #: must not pay for them).
-            self.registry = registry
-            self.registry.chain.obs = None
+        self._store_baseline: Dict[str, tuple] = {}
+        if config.pinned is None:
+            self.registry = FeedRegistry(
+                schedule=config.schedule,
+                parameters=config.parameters,
+                router_address=config.router_address,
+            )
             self.env = ShardEnvironment(registry=self.registry, cache=cache)
-            for shard_index in sorted(config.shard_feeds):
-                feed_ids = list(config.shard_feeds[shard_index])
-                for feed_id in feed_ids:
-                    self.env.queues[feed_id] = queues[feed_id]
-                    self.env.dirty[feed_id] = set()
-                    self.env.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
-                    if cache is not None:
-                        cache.ensure_shard(feed_id)
-                self.shards.append((shard_index, feed_ids))
-            self._snapshot_store_baselines()
             return
-        self.registry = FeedRegistry(
-            schedule=config.schedule,
-            parameters=config.parameters,
-            router_address=config.router_address,
-        )
+        if _FORK_SEED is None:
+            raise ConfigurationError(
+                "fork-seeded lane started without an inherited seed — the "
+                "pool's start method is not 'fork'"
+            )
+        #: The forked copy of the main registry: every feed's contracts,
+        #: stores and control planes exactly as the main process built them,
+        #: for free via copy-on-write.  The lane only ever drives its own
+        #: shards against it; the chain's obs hook is severed (metrics belong
+        #: to the main process, and worker-side mining must not pay for them).
+        self.registry, queues = _FORK_SEED
+        self.registry.chain.obs = None
         self.env = ShardEnvironment(registry=self.registry, cache=cache)
-        seeds = decode_lane_seed(WireDecoder(), config.seed_frame)
-        for shard_index in sorted(config.shards):
-            specs = config.shards[shard_index]
-            shard_seeds = seeds[shard_index]
-            if len(shard_seeds) != len(specs):
-                raise WireError(
-                    f"lane seed frame carries {len(shard_seeds)} feeds for "
-                    f"shard {shard_index}, config names {len(specs)}"
-                )
-            feed_ids: List[str] = []
-            for spec, (operations, preload) in zip(specs, shard_seeds):
-                self.registry.create_feed(
-                    replace(spec, preload=preload) if preload is not None else spec
-                )
-                feed_id = spec.feed_id
-                feed_ids.append(feed_id)
-                self.env.queues[feed_id] = deque(operations)
+        for shard_index in sorted(config.pinned):
+            feed_ids = list(config.pinned[shard_index])
+            for feed_id in feed_ids:
+                self.env.queues[feed_id] = queues[feed_id]
                 self.env.dirty[feed_id] = set()
                 self.env.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
                 if cache is not None:
                     cache.ensure_shard(feed_id)
-            self.shards.append((shard_index, feed_ids))
-        self._snapshot_store_baselines()
-
-    def _snapshot_store_baselines(self) -> None:
-        """Record each feed's SP-store state at seed time.
-
-        Both seed modes leave the worker's stores identical to the main
-        registry's (fork copies them; wire rebuilds them from the same
-        preloads), so at run end :meth:`_pack_store` only needs to ship what
-        *diverged* from this snapshot — the main side patches its own copy.
-        """
-        self._store_baseline: Dict[str, tuple] = {}
-        for _, shard in self.shards:
-            for feed_id in shard:
+                # The fork leaves this store identical to the main
+                # registry's, so at run end :meth:`_pack_store` only ships
+                # what *diverged* from its state now — the main side patches
+                # its own copy.
                 store = self.registry.get(feed_id).system.sp_store
                 self._store_baseline[feed_id] = (
                     {
@@ -1394,17 +1299,17 @@ class _LaneWorker:
                     len(store._slots),
                     list(store._free_slots),
                 )
+            self.shards.append((shard_index, feed_ids))
 
     # -- one epoch -----------------------------------------------------------
 
     def ingest(self, frame: WireFrame) -> None:
         """Append one epoch boundary's live arrivals to this lane's queues.
 
-        Called (via :func:`_lane_live_epoch`) immediately before the epoch
-        the arrivals join: the scheduler ships each boundary's arrivals with
-        the epoch order itself, so by drive time the worker-local queues
-        hold exactly what the serial path's ``_ingest`` would have appended
-        at the same boundary.
+        Called (via :func:`_lane_epochs`) immediately before the epoch the
+        arrivals join: the scheduler ships each boundary's arrivals with the
+        epoch order itself, so by drive time the worker-local queues hold
+        exactly what an inline run would have appended at the same boundary.
         """
         for feed_id, operations in decode_lane_arrivals(WireDecoder(), frame):
             queue = self.env.queues.get(feed_id)
@@ -1415,11 +1320,11 @@ class _LaneWorker:
                 )
             queue.extend(operations)
 
-    # -- elastic lane operations (migration / admission / eviction) ----------
+    # -- feed mobility (assignment / admission / migration / eviction) --------
 
     def set_assignment(self, shards: Sequence[Tuple[int, Sequence[str]]]) -> None:
-        """Adopt this epoch's shard→feed assignment (elastic mode re-plans
-        every epoch, so the pinning is per-order, not per-run)."""
+        """Adopt this epoch's shard→feed assignment (a lane that is not
+        fork-pinned is re-assigned every order)."""
         for _, feed_ids in shards:
             for feed_id in feed_ids:
                 if feed_id not in self.env.queues:
@@ -1461,71 +1366,46 @@ class _LaneWorker:
     def migrate_out(self, feed_id: str) -> WireFrame:
         """Snapshot the feed, release its resources, and return the frame.
 
-        Closes an LSM-backed store's directory *before* returning, so by the
-        time the destination lane's install order runs, the single-opener
-        lock is free.
+        An LSM-backed store's directory is closed *before* returning, so by
+        the time the destination lane's install order runs, the
+        single-opener lock is free.
         """
-        handle = self.registry.get(feed_id)
-        cache = self.env.cache
-        entries, stats = cache.export_shard(feed_id) if cache is not None else ((), None)
-        frame = encode_feed_snapshot(
-            WireEncoder(),
-            handle,
-            queue=self.env.queues[feed_id],
-            dirty=self.env.dirty[feed_id],
-            telemetry=self.env.feeds[feed_id],
-            cache_entries=entries,
-            cache_stats=stats,
-        )
-        backing = handle.system.sp_store.backing
-        if isinstance(backing, LSMStore):
-            backing.close()
-        self.registry.remove_feed(feed_id)
-        del self.env.queues[feed_id]
-        del self.env.dirty[feed_id]
-        del self.env.feeds[feed_id]
-        if cache is not None:
-            cache.invalidate_feed(feed_id)
-        self._store_baseline.pop(feed_id, None)
-        self._installed.discard(feed_id)
-        self.shards = [
-            (index, [fid for fid in feed_ids if fid != feed_id])
-            for index, feed_ids in self.shards
-        ]
+        frame = snapshot_feed(self.env, feed_id)
+        self._release(feed_id)
         return frame
 
     def teardown_feed(self, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict the feed from this lane, returning its final telemetry row.
 
-        Mirrors the serial eviction boundary: one watchdog poll routes the
-        lane chain's unconsumed request events to their SPs' pending lists
-        (all of this lane's feeds — other lanes route theirs at their next
-        epoch's poll, with identical per-feed content), then the departing
-        feed's pending requests and queued operations are cancelled and
-        counted on its bill.
+        :func:`close_feed_bill` polls first, which routes the lane chain's
+        unconsumed request events to their SPs' pending lists for all of this
+        lane's feeds — other lanes route theirs at their next epoch's poll,
+        with identical per-feed content.
         """
-        self.registry.watchdog.poll()
-        handle = self.registry.get(feed_id)
-        telemetry = self.env.feeds.pop(feed_id)
-        telemetry.cancelled_requests += self.registry.watchdog.cancel_pending(handle)
-        queue = self.env.queues.pop(feed_id, None)
-        if queue:
-            telemetry.cancelled_ops += len(queue)
-        telemetry.departed_epoch = epoch
-        backing = handle.system.sp_store.backing
+        telemetry = close_feed_bill(self.env, feed_id, epoch, poll=True)
+        self._release(feed_id)
+        return telemetry
+
+    def _release(self, feed_id: str) -> None:
+        """Drop every trace of a feed that left this lane (migrated out or
+        evicted), closing its LSM opener so the next host can take the
+        directory."""
+        backing = self.registry.get(feed_id).system.sp_store.backing
         if isinstance(backing, LSMStore):
             backing.close()
         self.registry.remove_feed(feed_id)
-        self.env.dirty.pop(feed_id, None)
-        if self.env.cache is not None:
-            self.env.cache.invalidate_feed(feed_id)
+        env = self.env
+        env.queues.pop(feed_id, None)
+        env.dirty.pop(feed_id, None)
+        env.feeds.pop(feed_id, None)
+        if env.cache is not None:
+            env.cache.invalidate_feed(feed_id)
         self._store_baseline.pop(feed_id, None)
         self._installed.discard(feed_id)
         self.shards = [
             (index, [fid for fid in feed_ids if fid != feed_id])
             for index, feed_ids in self.shards
         ]
-        return telemetry
 
     def run_epoch(self, epoch: int, epoch_size: int) -> LaneEpochEnvelope:
         env = self.env
@@ -1555,14 +1435,19 @@ class _LaneWorker:
         # Phase 1: drive every shard, wire the buffers *before* the local
         # absorb clears their event lists, then merge locally in shard order
         # (the worker's own watchdog needs the events in its log).
-        drives: List[Tuple[int, List[str], ExecutionBuffer, Dict[str, EpochSummary]]] = []
+        buffers: List[ExecutionBuffer] = []
+        shard_summaries: Dict[int, Dict[str, EpochSummary]] = {}
         for shard_index, shard in self.shards:
             span = tracer.detached("shard", phase="drive", shard=shard_index)
-            buffer, summaries = drive_shard(env, shard, epoch, epoch_size)
+            buffer, shard_summaries[shard_index] = drive_shard(
+                env, shard, epoch, epoch_size
+            )
             _ship(shard_index, span)
-            drives.append((shard_index, shard, buffer, summaries))
-        drive_wires = {index: buffer.to_wire() for index, _, buffer, _ in drives}
-        for _, _, buffer, _ in drives:
+            buffers.append(buffer)
+        drive_wires = {
+            index: buffer.to_wire() for (index, _), buffer in zip(self.shards, buffers)
+        }
+        for buffer in buffers:
             chain.absorb(buffer)
         self.registry.watchdog.poll()
 
@@ -1610,7 +1495,7 @@ class _LaneWorker:
         results: List[ShardEpochResult] = []
         for shard_index, shard in self.shards:
             span = tracer.detached("shard", phase="settle", shard=shard_index)
-            summaries = next(s for i, _, _, s in drives if i == shard_index)
+            summaries = shard_summaries[shard_index]
             epoch_gas: Dict[str, int] = {}
             for feed_id in shard:
                 epoch_gas[feed_id] = settle_feed_epoch(
@@ -1635,15 +1520,10 @@ class _LaneWorker:
                 )
             )
 
-        legacy_bytes = (
-            len(pickle.dumps(results, protocol=5)) if self.ipc_profile else 0
-        )
         started = time.perf_counter()
         frame = encode_lane_epoch(self.encoder, epoch, results)
         return LaneEpochEnvelope(
-            frame=frame,
-            encode_seconds=time.perf_counter() - started,
-            legacy_pickle_bytes=legacy_bytes,
+            frame=frame, encode_seconds=time.perf_counter() - started
         )
 
     def _settle(self, transaction: Transaction, feed_ids: List[str]) -> SettlementResult:
@@ -1789,35 +1669,36 @@ _LANE_WORKER: Optional[_LaneWorker] = None
 _FORK_SEED: Optional[Tuple[FeedRegistry, Dict[str, Deque[Operation]]]] = None
 
 
-def _lane_start(config: Union[LaneConfig, ForkLaneConfig]) -> int:
+def _lane_start(config: LaneConfig) -> None:
     global _LANE_WORKER
     _LANE_WORKER = _LaneWorker(config)
-    return len(_LANE_WORKER.shards)
 
 
-def _lane_epochs(start: int, count: int, epoch_size: int) -> List[LaneEpochEnvelope]:
-    """Run ``count`` consecutive epochs back-to-back, one wire frame each.
-
-    Epochs are ordered in batches (the scheduler submits every epoch the
-    remaining workloads guarantee as one order) so the per-task pool overhead
-    — argument pickling, queue wakeups, result marshalling — is paid once per
-    batch instead of once per epoch."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    run_epoch = _LANE_WORKER.run_epoch
-    return [run_epoch(epoch, epoch_size) for epoch in range(start, start + count)]
-
-
-def _lane_live_epoch(
-    epoch: int, epoch_size: int, arrivals_frame: Optional[WireFrame]
+def _lane_epochs(
+    start: int,
+    count: int,
+    epoch_size: int,
+    shards: Optional[Sequence[Tuple[int, Sequence[str]]]] = None,
+    arrivals_frame: Optional[WireFrame] = None,
 ) -> List[LaneEpochEnvelope]:
-    """Run one live epoch: ingest the boundary's arrivals (when any reached
-    this lane), then drive the epoch.  Live runs are lockstep — the
-    scheduler cannot submit ahead of arrivals it has not yet seen — so each
-    order carries exactly one epoch."""
+    """The lane's one epoch entry point: adopt ``shards`` as the assignment
+    (when given), ingest the boundary's live arrivals (when any reached this
+    lane), then run ``count`` consecutive epochs from ``start`` back-to-back,
+    one wire frame each.
+
+    A fork-pinned lane is ordered in batches (every epoch the remaining
+    workloads guarantee as one order) so the per-task pool overhead —
+    argument pickling, queue wakeups, result marshalling — is paid once per
+    batch instead of once per epoch.  Any other lane is lockstep, one epoch
+    per order: the next plan needs this epoch's observed gas, and an epoch's
+    arrivals cannot exist before the previous one settled."""
     assert _LANE_WORKER is not None, "lane worker not started"
+    if shards is not None:
+        _LANE_WORKER.set_assignment(shards)
     if arrivals_frame is not None:
         _LANE_WORKER.ingest(arrivals_frame)
-    return [_LANE_WORKER.run_epoch(epoch, epoch_size)]
+    run_epoch = _LANE_WORKER.run_epoch
+    return [run_epoch(epoch, epoch_size) for epoch in range(start, start + count)]
 
 
 def _lane_collect() -> List[FeedStateResult]:
@@ -1846,49 +1727,13 @@ def _lane_teardown(feed_id: str, epoch: int) -> FeedTelemetry:
     return _LANE_WORKER.teardown_feed(feed_id, epoch)
 
 
-def _lane_elastic_epoch(
-    epoch: int,
-    epoch_size: int,
-    shards: Sequence[Tuple[int, Sequence[str]]],
-    arrivals_frame: Optional[WireFrame],
-) -> List[LaneEpochEnvelope]:
-    """Run one elastic epoch: adopt this epoch's shard assignment, ingest
-    the boundary's arrivals, then drive the epoch.  Elastic runs are
-    lockstep — the next plan needs this epoch's observed gas — so each
-    order carries exactly one epoch."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    _LANE_WORKER.set_assignment(shards)
-    if arrivals_frame is not None:
-        _LANE_WORKER.ingest(arrivals_frame)
-    return [_LANE_WORKER.run_epoch(epoch, epoch_size)]
-
-
 # ---------------------------------------------------------------------------
 # Process backend: the main-process engine
 # ---------------------------------------------------------------------------
 
-#: How lanes receive their feeds at startup.  ``inherit`` adopts the main
-#: process's built registry via fork copy-on-write (no re-derivation, no
-#: startup shipping — but fork only); ``wire`` ships preload-stripped specs
-#: plus a wire-packed seed frame and rebuilds mirrors in the worker (any
-#: start method); ``auto`` picks by the platform's start method.
-SEED_MODES = ("auto", "inherit", "wire")
-
-
-def _resolve_seed_mode(requested: str) -> str:
-    """Resolve the effective seed mode (``GRUB_PROCESS_SEED`` overrides)."""
-    mode = os.environ.get("GRUB_PROCESS_SEED", requested)
-    if mode not in SEED_MODES:
-        raise ConfigurationError(
-            f"unknown process seed mode {mode!r}; expected one of {SEED_MODES}"
-        )
-    if mode == "auto":
-        return "inherit" if multiprocessing.get_start_method() == "fork" else "wire"
-    return mode
-
 
 class _PendingBatch:
-    """One in-flight multi-epoch order on one lane."""
+    """One in-flight order of ``count`` consecutive epochs on one lane."""
 
     __slots__ = ("future", "start", "count", "envelopes", "taken")
 
@@ -1900,280 +1745,9 @@ class _PendingBatch:
         self.taken = 0
 
 
-class ProcessEngine:
-    """Persistent multi-process execution backend for the epoch scheduler.
-
-    One single-worker :class:`ProcessPoolExecutor` per lane keeps each lane's
-    worker process alive (and its shard state resident) for the whole run;
-    shards are pinned ``shard_index % num_lanes``.
-
-    Epoch execution is **pipelined**: :meth:`submit_epoch` queues an epoch on
-    every lane (each lane's single-worker pool runs its queue back-to-back),
-    and :meth:`results` blocks for — and decodes — one specific epoch's
-    frames.  The scheduler submits as many epochs ahead as the remaining
-    workloads guarantee will run, so lanes never idle waiting for the main
-    process's merge.  Because each lane's frames are produced and decoded
-    strictly in epoch order, the persistent per-lane wire channels
-    (:class:`~repro.common.wire.WireEncoder` / ``WireDecoder``) stay in sync
-    by construction.
-    """
-
-    def __init__(
-        self, num_lanes: int, *, ipc_profile: bool = False, seed_mode: str = "auto"
-    ) -> None:
-        if num_lanes <= 0:
-            raise ConfigurationError("process backend needs at least one lane")
-        self.num_lanes = num_lanes
-        self.ipc_profile = ipc_profile
-        self.seed_mode = _resolve_seed_mode(seed_mode)
-        #: Per-lane IPC totals for the run (always metered).
-        self.meter = IpcMeter()
-        self._pools: List[ProcessPoolExecutor] = []
-        self._lane_shards: Dict[int, List[int]] = {}
-        self._lane_ids: List[int] = []
-        self._feed_lane: Dict[str, int] = {}
-        self._pending: List[Deque[_PendingBatch]] = []
-        self._decoders: List[WireDecoder] = []
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(
-        self,
-        registry: FeedRegistry,
-        shard_plan: Sequence[Sequence[str]],
-        queues: Dict[str, Deque[Operation]],
-        *,
-        cache_enabled: bool,
-        cache_capacity: Optional[int],
-        obs_enabled: bool = False,
-    ) -> None:
-        """Spawn the lanes and hand each its pinned shards.
-
-        In ``inherit`` seed mode (fork platforms) the worker adopts the main
-        process's built registry and workload queues via the fork's
-        copy-on-write duplication — the startup order carries only the lane's
-        shard→feed pinning.  In ``wire`` mode the bulky startup payload —
-        every feed's operations and preload — crosses wire-packed
-        (:func:`encode_lane_seed`) and the specs themselves (configs,
-        factories, quotas) ride on the pickled :class:`LaneConfig`; the
-        worker rebuilds dedicated mirrors from them.
-        """
-        lanes_used = min(self.num_lanes, max(1, len(shard_plan)))
-        lane_shards: Dict[int, Dict[int, Tuple[str, ...]]] = {
-            lane: {} for lane in range(lanes_used)
-        }
-        for shard_index, shard in enumerate(shard_plan):
-            lane_shards[shard_index % lanes_used][shard_index] = tuple(shard)
-        self._lane_shards = {
-            lane: sorted(shards) for lane, shards in lane_shards.items() if shards
-        }
-        self._lane_ids = sorted(self._lane_shards)
-        self._feed_lane = {
-            feed_id: lane
-            for lane, shards in lane_shards.items()
-            for feeds in shards.values()
-            for feed_id in feeds
-        }
-        configs: Dict[int, Union[LaneConfig, ForkLaneConfig]] = {}
-        if self.seed_mode == "inherit":
-            for lane in self._lane_ids:
-                configs[lane] = ForkLaneConfig(
-                    shard_feeds=lane_shards[lane],
-                    cache_enabled=cache_enabled,
-                    cache_capacity=cache_capacity,
-                    obs_enabled=obs_enabled,
-                    ipc_profile=self.ipc_profile,
-                )
-        else:
-            for lane in self._lane_ids:
-                shard_specs: Dict[int, Tuple[FeedSpec, ...]] = {}
-                lane_seeds = []
-                for shard_index in self._lane_shards[lane]:
-                    specs = []
-                    seeds = []
-                    for feed_id in lane_shards[lane][shard_index]:
-                        spec = registry.get(feed_id).spec
-                        seeds.append((tuple(queues[feed_id]), spec.preload))
-                        if spec.preload is not None:
-                            spec = replace(spec, preload=None)
-                        specs.append(spec)
-                    shard_specs[shard_index] = tuple(specs)
-                    lane_seeds.append((shard_index, seeds))
-                configs[lane] = LaneConfig(
-                    schedule=registry.schedule,
-                    parameters=registry.parameters,
-                    router_address=registry.router.address,
-                    cache_enabled=cache_enabled,
-                    cache_capacity=cache_capacity,
-                    shards=shard_specs,
-                    seed_frame=encode_lane_seed(WireEncoder(), lane_seeds),
-                    obs_enabled=obs_enabled,
-                    ipc_profile=self.ipc_profile,
-                )
-        self._pending = [deque() for _ in self._lane_ids]
-        self._decoders = [WireDecoder() for _ in self._lane_ids]
-        global _FORK_SEED
-        if self.seed_mode == "inherit":
-            _FORK_SEED = (registry, queues)
-        try:
-            # Pool workers fork at first submit, so the seed handoff above is
-            # visible to every fork-seeded lane; the startup barrier below
-            # guarantees all lanes have forked before the seed is cleared.
-            self._pools = [ProcessPoolExecutor(max_workers=1) for _ in self._lane_ids]
-            startups = [
-                pool.submit(_lane_start, configs[lane])
-                for pool, lane in zip(self._pools, self._lane_ids)
-            ]
-            for lane, future in zip(self._lane_ids, startups):
-                try:
-                    future.result()
-                except ConfigurationError:
-                    self.shutdown()
-                    raise
-                except Exception as exc:
-                    # The dominant startup failure is an unpicklable spec
-                    # payload (a consumer factory closing over live chain
-                    # objects, say); surface it as the configuration error it
-                    # is instead of a broken-pool traceback.
-                    self.shutdown()
-                    raise ConfigurationError(
-                        "process execution mode hands feed specs and "
-                        f"workloads to worker processes, but lane {lane} "
-                        f"failed to start (unpicklable spec payload?): {exc!r}"
-                    ) from exc
-        finally:
-            _FORK_SEED = None
-
-    @property
-    def lane_of(self) -> Dict[int, int]:
-        """shard index → lane index, for labelling grafted lane spans."""
-        return {
-            shard: lane
-            for lane, shards in self._lane_shards.items()
-            for shard in shards
-        }
-
-    # -- pipelined epochs ------------------------------------------------------
-
-    def submit_epochs(self, start: int, count: int, epoch_size: int) -> None:
-        """Queue ``count`` epochs from ``start`` on every lane as one order
-        (returns immediately).  Each lane's single worker executes the batch
-        back-to-back — one wire frame per epoch — so submitting ahead of the
-        merge keeps every lane busy and pays pool overhead once per batch."""
-        for pending, pool in zip(self._pending, self._pools):
-            pending.append(
-                _PendingBatch(
-                    pool.submit(_lane_epochs, start, count, epoch_size), start, count
-                )
-            )
-
-    def submit_live_epoch(
-        self,
-        epoch: int,
-        epoch_size: int,
-        arrivals: Mapping[str, Sequence[Operation]],
-    ) -> None:
-        """Queue one live epoch on every lane, shipping each lane the slice
-        of this boundary's arrivals destined for feeds it hosts (returns
-        immediately; :meth:`results` for the epoch blocks as usual).
-
-        Live epochs are lockstep — submitted one at a time, because an
-        epoch's arrivals cannot exist before the previous epoch settled and
-        its futures resolved — so every order is a one-epoch batch.  Lanes
-        without arrivals still receive the order: every lane runs every
-        epoch, exactly as in the batch path.
-        """
-        per_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {
-            lane: [] for lane in self._lane_ids
-        }
-        for feed_id in sorted(arrivals):
-            operations = arrivals[feed_id]
-            if not operations:
-                continue
-            lane = self._feed_lane.get(feed_id)
-            if lane is None:
-                raise ConfigurationError(
-                    f"live arrivals for feed {feed_id!r}, which no lane hosts"
-                )
-            per_lane[lane].append((feed_id, operations))
-        for lane, pending, pool in zip(self._lane_ids, self._pending, self._pools):
-            items = per_lane[lane]
-            frame = encode_lane_arrivals(WireEncoder(), items) if items else None
-            pending.append(
-                _PendingBatch(
-                    pool.submit(_lane_live_epoch, epoch, epoch_size, frame),
-                    epoch,
-                    1,
-                )
-            )
-
-    def results(self, epoch: int) -> Tuple[List[ShardEpochResult], List[IpcSample]]:
-        """Wait for — and decode — every lane's frame for ``epoch``.
-
-        Must be called for epochs in submission order (the per-lane wire
-        channels are stateful); returns the shard results in fixed shard
-        order plus one :class:`IpcSample` per lane.
-        """
-        results: List[ShardEpochResult] = []
-        samples: List[IpcSample] = []
-        for lane, pending, decoder in zip(self._lane_ids, self._pending, self._decoders):
-            batch = pending[0]
-            if batch.envelopes is None:
-                batch.envelopes = batch.future.result()
-            if batch.start + batch.taken != epoch:
-                raise WireError(
-                    f"lane {lane} results requested for epoch {epoch}, but "
-                    f"the next in-flight epoch is {batch.start + batch.taken}"
-                )
-            envelope: LaneEpochEnvelope = batch.envelopes[batch.taken]
-            batch.taken += 1
-            if batch.taken == batch.count:
-                pending.popleft()
-            started = time.perf_counter()
-            frame_epoch, lane_results = decode_lane_epoch(decoder, envelope.frame)
-            decode_seconds = time.perf_counter() - started
-            if frame_epoch != epoch:
-                raise WireError(
-                    f"lane {lane} frame is for epoch {frame_epoch}, expected "
-                    f"{epoch}; lane frames must be decoded in submission order"
-                )
-            samples.append(
-                IpcSample(
-                    lane=lane,
-                    epoch=epoch,
-                    wire_bytes=envelope.frame.nbytes,
-                    encode_seconds=envelope.encode_seconds,
-                    decode_seconds=decode_seconds,
-                    legacy_pickle_bytes=envelope.legacy_pickle_bytes,
-                )
-            )
-            results.extend(lane_results)
-        results.sort(key=lambda result: result.shard_index)
-        self.meter.record(samples)
-        return results, samples
-
-    def collect(self) -> List[FeedStateResult]:
-        """Fetch every lane's final feed state (run end)."""
-        futures = [pool.submit(_lane_collect) for pool in self._pools]
-        results: List[FeedStateResult] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
-
-    def shutdown(self) -> None:
-        # wait=True: lanes are idle here (results already merged), and an
-        # unwaited shutdown races the interpreter-exit wakeup of the pool's
-        # management thread ("Exception ignored ... Bad file descriptor").
-        for pool in self._pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._pools = []
-        self._pending = []
-        self._decoders = []
-
-
-class _ElasticLane:
-    """One live elastic lane: its single-worker pool, the persistent decoder
-    for its epoch-result channel, and its in-flight one-epoch orders."""
+class _Lane:
+    """One live lane: its single-worker pool, the persistent decoder of its
+    epoch-result channel, and its in-flight epoch orders."""
 
     __slots__ = ("pool", "decoder", "pending")
 
@@ -2183,63 +1757,42 @@ class _ElasticLane:
         self.pending: Deque[_PendingBatch] = deque()
 
 
-class ElasticProcessEngine:
-    """Process backend with feed mobility: lanes are spawned empty and feeds
-    move between them as snapshot frames.
+class LaneEngine:
+    """The process backend's main-side engine: a pool of worker lanes, the
+    feeds' way into and between them, and the per-epoch frame exchange.
 
-    Where :class:`ProcessEngine` pins shards to lanes for the run and seeds
-    each lane's mirrors at startup, this engine starts every lane **empty**
-    and installs each feed — initial placement, admissions, and per-epoch
-    re-shard moves alike — through :func:`encode_feed_snapshot` frames.  One
-    mechanism covers the whole feed lifecycle:
+    One single-worker :class:`ProcessPoolExecutor` per lane keeps each lane's
+    worker process alive (and its feeds' state resident) across epochs.  A
+    lane's pool is FIFO and its frames are produced and decoded strictly in
+    epoch order, so the persistent per-lane wire channels
+    (:class:`~repro.common.wire.WireEncoder` / ``WireDecoder``) stay in sync
+    by construction, and an order queued behind an install already sees the
+    installed feed.
 
-    * ``transfer``: one epoch's feed moves as one batched order per lane —
-      every source lane snapshots its departing feeds out (closing any
-      exclusive LSM directory opener) while the main process encodes the
-      feeds it still hosts, then every destination lane adopts its arrivals;
-      migrated frames pass *through* the main process raw, never decoded
-      there, and installs are not waited on (a lane's pool is FIFO, so the
-      epoch order queued behind an install already sees the feed);
-    * ``teardown``: an eviction order; the lane returns the feed's final
-      telemetry row (poll + cancel accounting identical to a serial boundary);
-    * ``ensure_lanes`` / ``retire_lanes``: the pool grows to the plan's lane
-      count and shrinks once a drained lane hosts nothing.
-
-    Epochs are lockstep one-epoch orders (the next plan depends on this
-    epoch's observed gas), each carrying the lane's shard assignment for the
-    epoch — the pinned-shard invariant of the static engine does not exist
-    here.
+    Lanes come to host feeds in one of the two ways the module docstring
+    describes: :meth:`spawn_pinned` (fork-seeded, pinned for the run; orders
+    may cover many epochs), or :meth:`ensure_lanes` / :meth:`retire_lanes` +
+    :meth:`transfer` / :meth:`teardown` (empty lanes, feeds as snapshot
+    frames; each order carries one epoch and the lane's shard assignment).
     """
 
-    def __init__(self, max_lanes: int, *, ipc_profile: bool = False) -> None:
-        if max_lanes <= 0:
-            raise ConfigurationError("process backend needs at least one lane")
-        self.max_lanes = max_lanes
-        self.ipc_profile = ipc_profile
-        self.meter = IpcMeter()
-        self._lanes: Dict[int, _ElasticLane] = {}
-        #: The main registry (its specs accompany every install order).
-        self._registry: Optional[FeedRegistry] = None
-        self._template: Optional[LaneConfig] = None
-        #: epoch → the sorted lane ids that received that epoch's order.
-        self._participants: Dict[int, List[int]] = {}
-        #: shard index → lane, for the *latest* submitted epoch (span labels).
-        self._shard_lane: Dict[int, int] = {}
-        #: Install orders still in flight (see :meth:`transfer`).
-        self._installs: List[Future] = []
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(
+    def __init__(
         self,
+        max_lanes: int,
         registry: FeedRegistry,
         *,
         cache_enabled: bool,
         cache_capacity: Optional[int],
         obs_enabled: bool = False,
     ) -> None:
-        """Capture the empty-lane template.  No lanes spawn here —
-        :meth:`ensure_lanes` spawns them as the plan demands."""
+        """Capture the lane startup template.  No lanes spawn here."""
+        if max_lanes <= 0:
+            raise ConfigurationError("process backend needs at least one lane")
+        self.max_lanes = max_lanes
+        #: Per-lane IPC totals for the run (always metered).
+        self.meter = IpcMeter()
+        self._lanes: Dict[int, _Lane] = {}
+        #: The main registry (its specs accompany every install order).
         self._registry = registry
         self._template = LaneConfig(
             schedule=registry.schedule,
@@ -2247,30 +1800,74 @@ class ElasticProcessEngine:
             router_address=registry.router.address,
             cache_enabled=cache_enabled,
             cache_capacity=cache_capacity,
-            shards={},
-            seed_frame=encode_lane_seed(WireEncoder(), []),
             obs_enabled=obs_enabled,
-            ipc_profile=self.ipc_profile,
         )
+        #: shard index → lane, as of the latest order (span labels).
+        self._shard_lane: Dict[int, int] = {}
+        #: Install orders still in flight, each with the specs it ships
+        #: (see :meth:`transfer`).
+        self._installs: List[Tuple[List[FeedSpec], Future]] = []
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def _spawn(self, configs: Mapping[int, LaneConfig]) -> None:
+        """Start one lane per config and wait until every worker is up."""
+        started = []
+        for lane, config in configs.items():
+            self._lanes[lane] = _Lane(ProcessPoolExecutor(max_workers=1))
+            started.append(self._lanes[lane].pool.submit(_lane_start, config))
+        try:
+            for future in started:
+                future.result()
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def spawn_pinned(
+        self,
+        shard_plan: Sequence[Sequence[str]],
+        queues: Dict[str, Deque[Operation]],
+    ) -> Dict[str, int]:
+        """Spawn fork-seeded lanes pinned to ``shard_plan`` for the whole run
+        (shard ``i`` on lane ``i % lanes``); returns feed id → lane.
+
+        The workers adopt the main process's built registry and ``queues``
+        through the fork's copy-on-write duplication — the startup order
+        carries only each lane's shard→feed pinning.  Requires a ``fork``
+        start method (the caller checks).
+        """
+        lanes = min(self.max_lanes, max(1, len(shard_plan)))
+        pinned: Dict[int, Dict[int, Tuple[str, ...]]] = {}
+        for shard_index, shard in enumerate(shard_plan):
+            lane = self._shard_lane[shard_index] = shard_index % lanes
+            pinned.setdefault(lane, {})[shard_index] = tuple(shard)
+        global _FORK_SEED
+        _FORK_SEED = (self._registry, queues)
+        try:
+            # Pool workers fork at first submit, so the seed handoff above is
+            # visible to every lane; ``_spawn``'s startup barrier guarantees
+            # all lanes have forked before the seed is cleared.
+            self._spawn(
+                {
+                    lane: replace(self._template, pinned=shards)
+                    for lane, shards in sorted(pinned.items())
+                }
+            )
+        finally:
+            _FORK_SEED = None
+        return {
+            feed_id: lane
+            for lane, shards in pinned.items()
+            for feed_ids in shards.values()
+            for feed_id in feed_ids
+        }
 
     def ensure_lanes(self, count: int) -> List[int]:
         """Spawn empty lanes until lanes ``0..count-1`` are all live;
         returns the lane ids spawned by this call."""
-        assert self._template is not None, "engine not started"
-        spawned: List[int] = []
-        for lane in range(count):
-            if lane in self._lanes:
-                continue
-            pool = ProcessPoolExecutor(max_workers=1)
-            try:
-                pool.submit(_lane_start, self._template).result()
-            except Exception:
-                pool.shutdown(wait=False, cancel_futures=True)
-                self.shutdown()
-                raise
-            self._lanes[lane] = _ElasticLane(pool)
-            self.meter.lane_spawns += 1
-            spawned.append(lane)
+        spawned = [lane for lane in range(count) if lane not in self._lanes]
+        self._spawn({lane: self._template for lane in spawned})
+        self.meter.lane_spawns += len(spawned)
         return spawned
 
     def retire_lanes(self, keep: int) -> List[int]:
@@ -2298,9 +1895,11 @@ class ElasticProcessEngine:
         Source lanes encode in parallel while ``snapshot_local`` encodes the
         feeds the main process still hosts (``source is None``).  Every
         migrate-out resolves — mirror released, LSM opener closed — before
-        any frame reaches a destination (single-opener rule); the installs
-        themselves are left in flight, and a failed one re-raises at the
-        engine's next :meth:`results` / :meth:`teardown` / :meth:`collect`.
+        any frame reaches a destination (single-opener rule); migrated frames
+        pass *through* the main process raw, never decoded there.  The
+        installs themselves are left in flight, and a failed one re-raises at
+        the engine's next :meth:`results` / :meth:`teardown` /
+        :meth:`collect`.
         """
         outgoing: Dict[int, List[str]] = {}
         for move in moves:
@@ -2329,77 +1928,116 @@ class ElasticProcessEngine:
             else:
                 self.meter.record_migration(frame.nbytes, move.reason)
         for lane, items in incoming.items():
-            self._installs.append(self._lanes[lane].pool.submit(_lane_install, items))
+            self._installs.append(
+                (
+                    [spec for spec, _ in items],
+                    self._lanes[lane].pool.submit(_lane_install, items),
+                )
+            )
 
     def _settle_installs(self) -> None:
-        """Wait out the deferred install orders; a failed one re-raises its
-        original typed error here."""
+        """Wait out the deferred install orders — the one place they settle.
+
+        A failed install re-raises its original typed error here.  An order
+        that never reached its lane because a spec in it cannot be pickled
+        (a closure ``consumer_factory``, say) is the configuration error it
+        is, named by feed, instead of a raw pickling traceback.
+        """
         installs, self._installs = self._installs, []
-        for future in installs:
-            future.result()
+        for specs, future in installs:
+            try:
+                future.result()
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                for spec in specs:
+                    if not _picklable(spec):
+                        raise ConfigurationError(
+                            "process execution mode ships feed specs to "
+                            f"worker lanes, but the spec of feed "
+                            f"{spec.feed_id!r} cannot be pickled: {exc!r}"
+                        ) from exc
+                raise
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict one feed from its lane; returns its final telemetry row."""
         self._settle_installs()
         return self._lanes[lane].pool.submit(_lane_teardown, feed_id, epoch).result()
 
-    # -- lockstep epochs -----------------------------------------------------
+    # -- epochs --------------------------------------------------------------
 
-    def submit_epoch(
+    def submit(
         self,
-        epoch: int,
+        start: int,
+        count: int,
         epoch_size: int,
-        assignments: Mapping[int, Sequence[Tuple[int, Sequence[str]]]],
-        arrivals_by_lane: Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]],
+        assignments: Optional[Mapping[int, Sequence[Tuple[int, Sequence[str]]]]] = None,
+        arrivals_by_lane: Optional[
+            Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]]
+        ] = None,
     ) -> None:
-        """Queue one epoch on every assigned lane, shipping each lane its
+        """Queue ``count`` epochs from ``start`` as one order per lane
+        (returns immediately; :meth:`results` blocks for one epoch's frames).
+
+        Without ``assignments`` every lane takes the order under its pinning
+        (fork-seeded lanes).  With it, each lane named there is shipped its
         ``(shard_index, feed_ids)`` list for the epoch plus its slice of the
-        boundary's arrivals (returns immediately)."""
-        participants = sorted(assignments)
-        self._participants[epoch] = participants
-        self._shard_lane = {
-            shard_index: lane
-            for lane in participants
-            for shard_index, _ in assignments[lane]
-        }
-        for lane in participants:
-            items = list(arrivals_by_lane.get(lane, ()))
-            frame = encode_lane_arrivals(WireEncoder(), items) if items else None
+        boundary's live arrivals, and the other lanes sit the epoch out.
+        """
+        if assignments is not None:
+            self._shard_lane = {
+                shard_index: lane
+                for lane, shards in assignments.items()
+                for shard_index, _ in shards
+            }
+        for lane in sorted(self._lanes if assignments is None else assignments):
+            shards = frame = None
+            if assignments is not None:
+                shards = [(index, list(feed_ids)) for index, feed_ids in assignments[lane]]
+                items = list((arrivals_by_lane or {}).get(lane, ()))
+                if items:
+                    frame = encode_lane_arrivals(WireEncoder(), items)
             entry = self._lanes[lane]
             entry.pending.append(
                 _PendingBatch(
                     entry.pool.submit(
-                        _lane_elastic_epoch,
-                        epoch,
-                        epoch_size,
-                        [
-                            (shard_index, list(feed_ids))
-                            for shard_index, feed_ids in assignments[lane]
-                        ],
-                        frame,
+                        _lane_epochs, start, count, epoch_size, shards, frame
                     ),
-                    epoch,
-                    1,
+                    start,
+                    count,
                 )
             )
 
     @property
     def lane_of(self) -> Dict[int, int]:
-        """shard index → lane, for the latest submitted epoch (span labels)."""
+        """shard index → lane, as of the latest order (span labels)."""
         return dict(self._shard_lane)
 
     def results(self, epoch: int) -> Tuple[List[ShardEpochResult], List[IpcSample]]:
-        """Wait for — and decode — every participating lane's frame for
-        ``epoch``, in fixed shard order (same contract as the static
-        engine's :meth:`ProcessEngine.results`)."""
+        """Wait for — and decode — the frame of every lane with an order in
+        flight, which must be its frame for ``epoch``.
+
+        Must be called for epochs in submission order (the per-lane wire
+        channels are stateful); returns the shard results in fixed shard
+        order plus one :class:`IpcSample` per lane.
+        """
         self._settle_installs()
         results: List[ShardEpochResult] = []
         samples: List[IpcSample] = []
-        for lane in self._participants.pop(epoch):
+        for lane in sorted(self._lanes):
             entry = self._lanes[lane]
-            batch = entry.pending.popleft()
-            envelopes = batch.future.result()
-            envelope: LaneEpochEnvelope = envelopes[0]
+            if not entry.pending:
+                continue
+            batch = entry.pending[0]
+            if batch.envelopes is None:
+                batch.envelopes = batch.future.result()
+            if batch.start + batch.taken != epoch:
+                raise WireError(
+                    f"lane {lane} results requested for epoch {epoch}, but "
+                    f"the next in-flight epoch is {batch.start + batch.taken}"
+                )
+            envelope: LaneEpochEnvelope = batch.envelopes[batch.taken]
+            batch.taken += 1
+            if batch.taken == batch.count:
+                entry.pending.popleft()
             started = time.perf_counter()
             frame_epoch, lane_results = decode_lane_epoch(entry.decoder, envelope.frame)
             decode_seconds = time.perf_counter() - started
@@ -2415,7 +2053,6 @@ class ElasticProcessEngine:
                     wire_bytes=envelope.frame.nbytes,
                     encode_seconds=envelope.encode_seconds,
                     decode_seconds=decode_seconds,
-                    legacy_pickle_bytes=envelope.legacy_pickle_bytes,
                 )
             )
             results.extend(lane_results)
@@ -2424,11 +2061,15 @@ class ElasticProcessEngine:
         return results, samples
 
     def collect(self) -> List[FeedStateResult]:
-        """Fetch every live lane's final feed state (run end)."""
+        """Fetch every live lane's final feed state (run end).  Every order
+        must have been merged by now — an epoch a lane ran but the main chain
+        never recorded would leave the two diverged."""
         self._settle_installs()
+        unmerged = sorted(lane for lane, entry in self._lanes.items() if entry.pending)
+        if unmerged:
+            raise ReproError(f"lanes {unmerged} still hold unmerged epoch orders")
         futures = [
-            self._lanes[lane].pool.submit(_lane_collect)
-            for lane in sorted(self._lanes)
+            self._lanes[lane].pool.submit(_lane_collect) for lane in sorted(self._lanes)
         ]
         results: List[FeedStateResult] = []
         for future in futures:
@@ -2436,13 +2077,21 @@ class ElasticProcessEngine:
         return results
 
     def shutdown(self) -> None:
-        # wait=True for the same reason as the pipelined engine's shutdown:
-        # lanes are idle by now, and unwaited pools race interpreter exit.
+        # wait=True: lanes are idle here (results already merged), and an
+        # unwaited shutdown races the interpreter-exit wakeup of the pool's
+        # management thread ("Exception ignored ... Bad file descriptor").
         for entry in self._lanes.values():
             entry.pool.shutdown(wait=True, cancel_futures=True)
         self._lanes = {}
-        self._participants = {}
         self._installs = []
+
+
+def _picklable(value: object) -> bool:
+    try:
+        pickle.dumps(value)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
 
 
 def apply_feed_state(
@@ -2572,33 +2221,9 @@ def _apply_store_delta(store, delta: dict) -> None:
         store._sorted_keys = sorted(records)
     # Interior tree levels come over as one flat digest blob; level 0 is the
     # leaf list padded to the tree's power-of-two width.
-    size = 1
-    while size < max(1, count):
-        size *= 2
-    level0 = list(leaves)
-    level0.extend([EMPTY_DIGEST] * (size - len(level0)))
-    levels = [level0]
-    upper = memoryview(delta["upper"])
-    offset = 0
-    width = size // 2
-    while width >= 1:
-        levels.append(
-            [
-                bytes(upper[offset + index * 32 : offset + index * 32 + 32])
-                for index in range(width)
-            ]
-        )
-        offset += width * 32
-        width //= 2
-    tree._levels = levels
+    tree._levels = _rebuild_tree_levels(leaves, delta["upper"])
 
 
 def settlement_buffer(result: SettlementResult) -> ExecutionBuffer:
     """The ledger-only absorb payload of a pre-executed settlement."""
     return ExecutionBuffer(ledger=ledger_from_wire(result.ledger_delta))
-
-
-def drive_buffer(result: ShardEpochResult, block_number: int) -> ExecutionBuffer:
-    """The phase-1 absorb payload of one shard's epoch result, with its
-    events stamped at the absorbing chain's epoch-start height."""
-    return buffer_from_wire(result.drive, block_number=block_number)

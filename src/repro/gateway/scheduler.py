@@ -42,37 +42,38 @@ one operation always executes and a throttled tenant still terminates).
 Over-quota operations are *deferred*: they stay at the head of the feed's
 queue for later epochs and are surfaced as ``deferred_ops`` in telemetry.
 
-**Parallel execution.** Feeds are independent between settlement points, so
-within an epoch the off-chain work of every shard — driving its feeds'
-operations, generating the SP's deliver proofs, running each DO's
-``prepare_epoch_update`` — executes on a pluggable backend selected by
-``execution_mode``: ``"serial"`` runs shards inline, ``"thread"`` (default)
-overlaps them on a :class:`~concurrent.futures.ThreadPoolExecutor` with
-``num_workers`` threads (CPython's GIL caps the speedup at ≈1× for this
-pure-Python hot path), and ``"process"`` ships whole shards to persistent
-worker processes (:class:`~repro.gateway.executor.ProcessEngine`) that host
-full mirrors of their feeds and return per-epoch deltas — the mode that
-actually multiplies throughput on multicore hosts.  Isolation is structural,
-not locked: a worker owns whole shards (so every per-feed object —
-contracts, SP store, control plane, cache shard, telemetry row, workload
-queue — is touched by exactly one worker), and the two globally *ordered*
-chain structures (the gas ledger and the event log) are deferred into
-per-shard :class:`~repro.chain.chain.ExecutionBuffer`\\ s.  Settlement then
-lands in a **deterministic merge phase**: buffers are absorbed, transactions
-submitted (or, in process mode, recorded from the workers' pre-executed
-results), and accounting folded in fixed shard order, so every backend
-produces bit-identical telemetry, per-feed gas bills and chain state to a
-serial run — which executes the very same phase code, shared through
-:mod:`repro.gateway.executor`.  Churn processing and shard planning happen
-on the main thread between epochs, from deterministic inputs, so the
+**One loop, pluggable execution.** :meth:`EpochScheduler.run` is the only
+epoch loop — churn, live ingest, fast-forward, plan, execute, settle feedback
+— and it runs over a small executor seam (:class:`_Executor`) that hides just
+where an epoch's work executes.  Feeds are independent between settlement
+points, so within an epoch the off-chain work of every shard — driving its
+feeds' operations, generating the SP's deliver proofs, running each DO's
+``prepare_epoch_update`` — can run anywhere: ``execution_mode="serial"`` runs
+shards inline and ``"thread"`` (default) overlaps them on a
+:class:`~concurrent.futures.ThreadPoolExecutor` with ``num_workers`` threads
+(CPython's GIL caps the speedup at ≈1× for this pure-Python hot path) — both
+are :class:`_InlineExecutor`; ``"process"`` (:class:`_LaneExecutor`) ships
+whole shards to persistent worker processes
+(:class:`~repro.gateway.executor.LaneEngine`) that host full mirrors of their
+feeds and return per-epoch deltas — the mode that actually multiplies
+throughput on multicore hosts.  Isolation is structural, not locked: a worker
+owns whole shards (so every per-feed object — contracts, SP store, control
+plane, cache shard, telemetry row, workload queue — is touched by exactly one
+worker), and the two globally *ordered* chain structures (the gas ledger and
+the event log) are deferred into per-shard
+:class:`~repro.chain.chain.ExecutionBuffer`\\ s.  Settlement then lands in a
+**deterministic merge phase**: buffers are absorbed, transactions submitted
+(or, in process mode, recorded from the workers' pre-executed results), and
+accounting folded in fixed shard order, so every backend produces
+bit-identical telemetry, per-feed gas bills and chain state to a serial run —
+which executes the very same phase code, shared through
+:mod:`repro.gateway.executor`.  Churn processing and shard planning happen in
+the loop, on the main thread between epochs, from deterministic inputs, so the
 guarantee extends to elastic runs (pinned by
-``tests/gateway/test_elastic_properties.py`` over all three backends).  A
-static process run — fixed fleet, round-robin plan, memory-backed stores —
-keeps the pinned, pipelined :class:`~repro.gateway.executor.ProcessEngine`;
-anything else (queued churn, a re-sharding gas-aware plan, LSM-backed SP
-stores) routes to the :class:`~repro.gateway.executor.ElasticProcessEngine`,
-which moves feeds between worker lanes as wire-encoded snapshot frames at
-epoch boundaries and grows/shrinks the lane pool with the plan.
+``tests/gateway/test_elastic_properties.py`` over all three backends).  How a
+feed reaches a worker lane — as a wire-encoded snapshot frame, or by fork
+inheritance when nothing about the run can change the plan — is chosen by
+:class:`_LaneExecutor` from what it can observe, never by an option.
 
 Reads are fronted by the consumer-side :class:`~repro.gateway.cache.ReadCache`
 when one is configured: a read of a key whose verified replica the gateway has
@@ -94,6 +95,7 @@ sampled to report the runtime's own ops/sec.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -114,23 +116,23 @@ from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.types import EpochSummary, Operation, ReplicationState
-from repro.common.wire import WireEncoder, WireFrame
+from repro.common.wire import WireFrame
 from repro.gateway.cache import ReadCache
 from repro.gateway.executor import (
     EXECUTION_MODES,
     GATEWAY_OPERATOR,
-    ElasticProcessEngine,
-    ProcessEngine,
+    LaneEngine,
     SettlementResult,
     ShardEnvironment,
     apply_feed_state,
     build_deliver_groups,
+    close_feed_bill,
     deliver_transaction,
     drive_shard,
-    encode_feed_snapshot,
     prepare_update_groups,
     settle_feed_epoch,
     settlement_buffer,
+    snapshot_feed,
     update_transaction,
     warm_cache_from_deliveries,
 )
@@ -234,7 +236,6 @@ class EpochScheduler:
         planner: Optional[ShardPlanner] = None,
         execution_mode: str = "thread",
         obs: Optional[Observability] = None,
-        ipc_profile: bool = False,
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
@@ -281,12 +282,6 @@ class EpochScheduler:
         #: into planning, gas or state, which keeps fingerprints bit-identical
         #: with it on or off, across every backend.
         self.obs = obs if obs is not None else DISABLED
-        #: Process mode only: additionally measure what each epoch's lane
-        #: results *would* cost as a generic protocol-5 pickle, so the wire
-        #: codec's byte reduction is recorded per run (``FleetTelemetry.ipc``)
-        #: rather than asserted.  Off by default — the comparison pickle is
-        #: itself the overhead the codec exists to avoid.
-        self.ipc_profile = ipc_profile
         if self.obs.enabled:
             self.registry.chain.obs = self.obs
             self.planner.obs = self.obs
@@ -299,12 +294,6 @@ class EpochScheduler:
             # A leaving tenant's entries must not linger (or be served to a
             # later tenant that reuses the feed id).
             registry.removal_listeners.append(self.cache.invalidate_feed)
-        #: Keys written this epoch, per feed: their on-chain replica is stale
-        #: until the epoch update lands, so the cache must not re-memoise them
-        #: mid-epoch (a later epoch would otherwise be served the old value).
-        self._dirty: Dict[str, set] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._env: Optional[ShardEnvironment] = None
         self._admission_queue: List[Admission] = []
         self._eviction_queue: List[Eviction] = []
         self.epochs_run = 0
@@ -406,8 +395,9 @@ class EpochScheduler:
         self,
         epoch: int,
         active: List[str],
-        queues: Dict[str, Deque[Operation]],
+        env: ShardEnvironment,
         fleet: FleetTelemetry,
+        executor: "_Executor",
         source: Optional["RequestSource"] = None,
     ) -> None:
         """Apply every due arrival, then every due departure, in queue order.
@@ -416,6 +406,10 @@ class EpochScheduler:
         well-defined: the tenant joins and immediately leaves (its whole
         workload cancelled) instead of the eviction failing on a feed that
         does not exist yet.
+
+        An admission is pure main-side work in every mode: the feed is created
+        — preload and all — against the main chain, and (in process mode) stays
+        main-hosted until its first plan assigns it a lane.
         """
         due_admissions = [a for a in self._admission_queue if a.at_epoch <= epoch]
         for admission in due_admissions:
@@ -429,9 +423,9 @@ class EpochScheduler:
             self._require_batch_deliver(spec)
             self.registry.create_feed(spec)
             self._wire_feed_obs(spec.feed_id)
-            queues[spec.feed_id] = deque(admission.operations)
+            env.queues[spec.feed_id] = deque(admission.operations)
             active.append(spec.feed_id)
-            self._dirty[spec.feed_id] = set()
+            env.dirty[spec.feed_id] = set()
             if self.cache is not None:
                 self.cache.ensure_shard(spec.feed_id)
             fleet.feeds[spec.feed_id] = FeedTelemetry(
@@ -439,11 +433,6 @@ class EpochScheduler:
             )
             fleet.admissions += 1
         due_evictions = [e for e in self._eviction_queue if e.at_epoch <= epoch]
-        if due_evictions:
-            # Pull any still-unrouted request events while the departing
-            # feeds' routes exist, so their cancellation is explicit and
-            # counted instead of events dangling toward a dead handle.
-            self.registry.watchdog.poll()
         for eviction in due_evictions:
             feed_id = eviction.feed_id
             telemetry = fleet.feeds.get(feed_id)
@@ -465,19 +454,16 @@ class EpochScheduler:
             if telemetry is None:
                 # Registered but idle this run (no workload): still a real
                 # departure — it gets a (empty) final bill like any tenant.
-                telemetry = FeedTelemetry(feed_id=feed_id)
-                fleet.feeds[feed_id] = telemetry
-            handle = self.registry.get(feed_id)
-            telemetry.cancelled_requests += self.registry.watchdog.cancel_pending(handle)
-            queue = queues.pop(feed_id, None)
-            if queue is not None:
-                telemetry.cancelled_ops += len(queue)
+                fleet.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
+            # Whoever hosts the live mirror cancels the tenant's undelivered
+            # requests and unexecuted operations; the row that comes back is
+            # its final bill.
+            fleet.feeds[feed_id] = executor.retire(feed_id, epoch)
             if feed_id in active:
                 active.remove(feed_id)
-            telemetry.departed_epoch = epoch
             fleet.departures += 1
             self.planner.forget(feed_id)
-            self._dirty.pop(feed_id, None)
+            env.dirty.pop(feed_id, None)
             # Deregisters the watchdog route, frees the on-chain addresses and
             # fires the removal listeners (cache shard teardown among them).
             self.registry.remove_feed(feed_id)
@@ -505,57 +491,6 @@ class EpochScheduler:
         backing = self.registry.get(feed_id).system.sp_store.backing
         if isinstance(backing, LSMStore):
             backing.obs = self.obs
-
-    # -- worker-pool plumbing -------------------------------------------------
-
-    def _map_shards(
-        self,
-        fn: Callable,
-        shards: Sequence[List[str]],
-        *args,
-        phase: Optional[str] = None,
-    ) -> List:
-        """Apply ``fn(shard, *args)`` to every shard, returning results in
-        shard order.
-
-        With one worker (or one shard) this is a plain loop on the calling
-        thread; otherwise shards run concurrently on the pool.  Either way the
-        caller receives results in the fixed shard order, which is what makes
-        the subsequent merge deterministic.
-
-        With tracing on and a ``phase`` name given, each shard's call is timed
-        in a detached span (safe off-thread: a worker only reads the clock)
-        and the finished spans are adopted under the currently open phase span
-        afterwards, on this thread, in fixed shard order — so the trace tree
-        is identical whatever the thread interleaving was.
-        """
-        tracer = self.obs.tracer
-        traced = phase is not None and tracer.enabled
-
-        def timed(index: int, shard: List[str]):
-            span = (
-                tracer.detached("shard", phase=phase, shard=index)
-                if traced
-                else None
-            )
-            result = fn(shard, *args)
-            if span is not None:
-                tracer.finish(span)
-            return result, span
-
-        if self._pool is None or len(shards) <= 1:
-            outcomes = [timed(index, shard) for index, shard in enumerate(shards)]
-        else:
-            futures = [
-                self._pool.submit(timed, index, shard)
-                for index, shard in enumerate(shards)
-            ]
-            outcomes = [future.result() for future in futures]
-        if traced:
-            parent = tracer.current
-            for _, span in outcomes:
-                tracer.adopt(parent, span)
-        return [result for result, _ in outcomes]
 
     # -- the fleet run --------------------------------------------------------
 
@@ -589,9 +524,14 @@ class EpochScheduler:
         the run ends once the source is exhausted, every queue is drained and
         no churn remains.  The seam replaces nothing: a source-less ``run``
         is the unchanged deterministic batch path.
+
+        This is the only epoch loop — monitor, decide, replicate, settle —
+        whatever ``execution_mode`` says: where an epoch's work executes (and
+        where a feed's queue lives meanwhile) is behind the small
+        :class:`_Executor` seam, so churn, live ingest, fast-forward,
+        planning and settle feedback are the same code, in the same order,
+        for every backend.
         """
-        if self.execution_mode == "process":
-            return self._run_process(workloads, source=source)
         queues, epoch_size, active, fleet = self._prepare_run(
             workloads, source=source
         )
@@ -599,35 +539,39 @@ class EpochScheduler:
         # Pre-create every per-feed structure a worker will touch, so the
         # parallel phases never mutate a shared directory — workers only
         # operate on the interiors of structures their shard exclusively owns.
-        self._dirty = {feed_id: set() for feed_id in active}
-        if self.cache is not None:
-            for feed_id in active:
-                self.cache.ensure_shard(feed_id)
-        for feed_id in active:
-            self._wire_feed_obs(feed_id)
-
-        blocks_before = self.registry.chain.height
-        wall_start = time.perf_counter()
-
-        # The environment the shard phases operate on: the same dict objects
-        # the churn controller mutates, wrapped for the shared executor
-        # functions (worker processes build their own, shard-local ones).
-        self._env = ShardEnvironment(
+        #: ``dirty``: keys written this epoch, per feed.  Their on-chain
+        #: replica is stale until the epoch update lands, so the cache must
+        #: not re-memoise them mid-epoch (a later epoch would otherwise be
+        #: served the old value).
+        env = ShardEnvironment(
             registry=self.registry,
             cache=self.cache,
-            dirty=self._dirty,
+            dirty={feed_id: set() for feed_id in active},
             queues=queues,
             feeds=fleet.feeds,
         )
-        pool = ThreadPoolExecutor(
-            max_workers=self.num_workers, thread_name_prefix="epoch-worker"
-        ) if self.execution_mode == "thread" and self.num_workers > 1 else None
-        self._pool = pool
+        for feed_id in active:
+            if self.cache is not None:
+                self.cache.ensure_shard(feed_id)
+            self._wire_feed_obs(feed_id)
+
+        chain = self.registry.chain
+        blocks_before = chain.height
+        wall_start = time.perf_counter()
+        if self.execution_mode == "process":
+            # Nothing queued or live can change the plan mid-run: the lanes
+            # may be seeded once, for the whole run.
+            static = source is None and not self.pending_churn
+            executor: _Executor = _LaneExecutor(
+                self, env, epoch_size, fleet, static=static
+            )
+        else:
+            executor = _InlineExecutor(self, env, epoch_size, fleet)
         epoch = 0
         try:
             with self.obs.span("run", mode=self.execution_mode):
                 while True:
-                    self._apply_churn(epoch, active, queues, fleet, source)
+                    self._apply_churn(epoch, active, env, fleet, executor, source)
                     if source is not None:
                         # Drain eligible live arrivals into the queues.  An
                         # idle gateway (no queued work, no pending churn)
@@ -635,12 +579,10 @@ class EpochScheduler:
                         # is scheduled, or the door closes — a live server
                         # waits for requests, it does not exit.
                         idle = not self.pending_churn and not any(
-                            queues[f] for f in active
+                            executor.depth(f) for f in active
                         )
-                        self._ingest(
-                            source.poll(epoch, wait=idle), queues
-                        )
-                    has_work = any(queues[f] for f in active)
+                        self._ingest(source.poll(epoch, wait=idle), env, executor)
+                    has_work = any(executor.depth(f) for f in active)
                     door_open = source is not None and not source.exhausted
                     if not self.pending_churn and not has_work and not door_open:
                         break
@@ -662,29 +604,43 @@ class EpochScheduler:
                             max(epoch + 1, min(targets)) if targets else epoch + 1
                         )
                         continue
-                    shard_plan = self.planner.plan(
-                        active,
-                        block_gas_limit=self.registry.chain.parameters.block_gas_limit,
-                    )
+                    shard_plan = self.shards(active)
                     fleet.rosters.append((epoch, sorted(active)))
                     fleet.shards_per_epoch.append(len(shard_plan))
-                    with self.obs.span("epoch", epoch=epoch):
-                        self._run_epoch(
-                            epoch, epoch_size, active, queues, shard_plan, fleet,
-                            source=source,
-                        )
+                    # Queue depths at the boundary: with a live source, each
+                    # feed's planned slice (head-of-queue, capped by the
+                    # lockstep epoch size) derives from these.
+                    queued_before = (
+                        {feed_id: executor.depth(feed_id) for feed_id in active}
+                        if source is not None
+                        else None
+                    )
+                    settled = executor.run_epoch(epoch, shard_plan, active)
+                    # Settle feedback, in roster order: the settled gas feeds
+                    # the shard planner's estimates, and a live source learns
+                    # what ran so it can resolve its futures.
+                    for feed_id in active:
+                        executed, epoch_gas = settled[feed_id]
+                        self.planner.observe(feed_id, epoch_gas)
+                        if source is not None:
+                            planned = min(queued_before[feed_id], epoch_size)
+                            source.settled(
+                                epoch,
+                                feed_id,
+                                executed=executed,
+                                deferred=planned - executed,
+                                gas=epoch_gas,
+                            )
                     epoch += 1
+            executor.finish()
         finally:
-            self._pool = None
-            self._env = None
-            if pool is not None:
-                pool.shutdown(wait=True)
+            executor.close()
             if source is not None:
                 source.run_finished(fleet)
 
         fleet.wall_seconds = time.perf_counter() - wall_start
         fleet.epochs_run = epoch
-        fleet.blocks_mined = self.registry.chain.height - blocks_before
+        fleet.blocks_mined = chain.height - blocks_before
         self.epochs_run += epoch
         return fleet
 
@@ -693,9 +649,8 @@ class EpochScheduler:
         workloads: Optional[Mapping[str, Sequence[Operation]]],
         source: Optional["RequestSource"] = None,
     ) -> Tuple[Dict[str, Deque[Operation]], int, List[str], FleetTelemetry]:
-        """Shared run prologue for every backend: validate the workload map
-        against the registry and build the initial run state.  Validation
-        added here applies to serial, thread *and* process runs.
+        """The run prologue: validate the workload map against the registry
+        and build the initial run state.
 
         With a live ``source``, *every* registered feed is active from epoch 0
         (each may receive requests at any boundary), with an empty queue
@@ -729,7 +684,8 @@ class EpochScheduler:
     def _ingest(
         self,
         arrivals: Mapping[str, Sequence[Operation]],
-        queues: Dict[str, Deque[Operation]],
+        env: ShardEnvironment,
+        executor: "_Executor",
     ) -> None:
         """Append one boundary's live arrivals to the per-feed queues.
 
@@ -743,28 +699,182 @@ class EpochScheduler:
             operations = arrivals[feed_id]
             if not operations:
                 continue
-            queue = queues.get(feed_id)
-            if queue is None:
+            if feed_id not in env.queues:
                 raise ConfigurationError(
                     f"live request for feed {feed_id!r}, which the gateway "
                     "does not currently host — the request source must "
                     "reject unknown or departed tenants at admission"
                 )
-            queue.extend(operations)
+            executor.ingest(feed_id, operations)
 
-    # -- one lockstep epoch ---------------------------------------------------
+
+def _raise_if_reverted(function: str, feed_ids, success: bool, error) -> None:
+    """Fail loudly if a settlement batch reverted.
+
+    The batched transaction reverts atomically on chain, but the hosted DOs'
+    off-chain state (trusted roots, SP stores) has already advanced by the
+    time the batch lands — continuing would leave those feeds diverged from
+    their on-chain digests forever, so a reverted batch is a hosting-runtime
+    bug worth stopping the run for.
+    """
+    if not success:
+        raise ReproError(
+            f"gateway {function} reverted (feeds {sorted(feed_ids)}): {error}"
+        )
+
+
+class _Executor:
+    """Where an epoch's work executes — the whole of what the epoch loop's
+    backends differ in.  Private to :meth:`EpochScheduler.run`, which creates
+    one per run; the base class only documents the seam.
+
+    The coordinator (the loop) decides — churn, ingest, plan, settle
+    feedback; an executor only executes, and owns where each feed's live
+    mirror and workload queue sit while it does.
+    """
+
+    def __init__(
+        self,
+        scheduler: EpochScheduler,
+        env: ShardEnvironment,
+        epoch_size: int,
+        fleet: FleetTelemetry,
+    ) -> None:
+        self.obs = scheduler.obs
+        self.registry = scheduler.registry
+        self.env = env
+        self.epoch_size = epoch_size
+        self.fleet = fleet
+
+    def depth(self, feed_id: str) -> int:
+        """Operations still queued for an active feed."""
+        raise NotImplementedError
+
+    def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
+        """Append live arrivals to the tail of a hosted feed's queue."""
+        raise NotImplementedError
+
+    def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
+        """Retire an evicted feed's live mirror: cancel and count its
+        undelivered requests and queued operations, return its final row."""
+        raise NotImplementedError
+
+    def run_epoch(
+        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+    ) -> Dict[str, Tuple[int, int]]:
+        """Execute and settle one lockstep epoch under ``shard_plan``;
+        returns feed id → ``(operations executed, settled epoch gas)``."""
+        raise NotImplementedError
+
+    def finish(self) -> None:
+        """The run completed: fold whatever state lives elsewhere back into
+        the main registry's mirrors."""
+
+    def close(self) -> None:
+        """Release workers (always called, also after a failed run)."""
+
+
+class _InlineExecutor(_Executor):
+    """Runs every shard's phases in this process, against the main registry:
+    inline on the calling thread (``"serial"``), or overlapped on a
+    ``num_workers`` thread pool (``"thread"``)."""
+
+    def __init__(self, scheduler: EpochScheduler, *run_state) -> None:
+        super().__init__(scheduler, *run_state)
+        self._pool = (
+            ThreadPoolExecutor(
+                max_workers=scheduler.num_workers, thread_name_prefix="epoch-worker"
+            )
+            if scheduler.execution_mode == "thread" and scheduler.num_workers > 1
+            else None
+        )
+
+    def depth(self, feed_id: str) -> int:
+        return len(self.env.queues[feed_id])
+
+    def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
+        self.env.queues[feed_id].extend(operations)
+
+    def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
+        return close_feed_bill(self.env, feed_id, epoch, poll=True)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+    def _map_shards(
+        self,
+        fn: Callable,
+        shards: Sequence[List[str]],
+        *args,
+        phase: str,
+    ) -> List:
+        """Apply ``fn(*args, shard)`` to every shard, returning results in
+        shard order.
+
+        With one worker (or one shard) this is a plain loop on the calling
+        thread; otherwise shards run concurrently on the pool.  Either way the
+        caller receives results in the fixed shard order, which is what makes
+        the subsequent merge deterministic.
+
+        With tracing on, each shard's call is timed in a detached span (safe
+        off-thread: a worker only reads the clock) and the finished spans are
+        adopted under the currently open phase span afterwards, on this
+        thread, in fixed shard order — so the trace tree is identical
+        whatever the thread interleaving was.
+        """
+        tracer = self.obs.tracer
+
+        def timed(index: int, shard: List[str]):
+            span = tracer.detached("shard", phase=phase, shard=index)
+            result = fn(*args, shard)
+            tracer.finish(span)
+            return result, span
+
+        if self._pool is None or len(shards) <= 1:
+            outcomes = [timed(index, shard) for index, shard in enumerate(shards)]
+        else:
+            futures = [
+                self._pool.submit(timed, index, shard)
+                for index, shard in enumerate(shards)
+            ]
+            outcomes = [future.result() for future in futures]
+        if tracer.enabled:
+            parent = tracer.current
+            for _, span in outcomes:
+                tracer.adopt(parent, span)
+        return [result for result, _ in outcomes]
+
+    def _settle(self, transaction: Transaction) -> None:
+        """Land one shard's batch in its own block — one shard, one block, so
+        the block gas limit bounds exactly what the planner budgeted."""
+        chain = self.registry.chain
+        chain.submit(transaction)
+        chain.mine_block()
+        receipt = chain.receipt_for(transaction.txid)
+        if receipt is not None:
+            _raise_if_reverted(
+                transaction.function,
+                transaction.scopes or {},
+                receipt.success,
+                receipt.error,
+            )
+
+    def run_epoch(
+        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+    ) -> Dict[str, Tuple[int, int]]:
+        with self.obs.span("epoch", epoch=epoch):
+            return self._run_epoch(epoch, shard_plan, active)
 
     def _run_epoch(
-        self,
-        epoch: int,
-        epoch_size: int,
-        active: List[str],
-        queues: Dict[str, Deque[Operation]],
-        shard_plan: List[List[str]],
-        fleet: FleetTelemetry,
-        source: Optional["RequestSource"] = None,
-    ) -> None:
-        ledger = self.registry.chain.ledger
+        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+    ) -> Dict[str, Tuple[int, int]]:
+        env = self.env
+        registry = self.registry
+        chain = registry.chain
+        router = registry.router.address
+        fleet = self.fleet
+        ledger = chain.ledger
         gas_before = {
             feed_id: (
                 ledger.scope_total(feed_id, LAYER_FEED),
@@ -772,14 +882,6 @@ class EpochScheduler:
             )
             for feed_id in active
         }
-        # Queue depths at the boundary: with a live source, the settled
-        # callback derives each feed's planned slice (head-of-queue, capped
-        # by the lockstep epoch size) from these.
-        queued_before = (
-            {feed_id: len(queues[feed_id]) for feed_id in active}
-            if source is not None
-            else None
-        )
 
         # Phase 1 — every shard drives its feeds' slice of the epoch
         # concurrently (reads execute against per-feed contract state or hit
@@ -787,41 +889,36 @@ class EpochScheduler:
         # charges and emitted events land in per-shard buffers, merged below
         # in shard order.
         with self.obs.phase("drive", epoch=epoch):
-            drive_results = self._map_shards(
-                self._drive_shard, shard_plan, epoch, epoch_size, phase="drive"
-            )
             summaries: Dict[str, EpochSummary] = {}
-            for buffer, shard_summaries in drive_results:
-                self.registry.chain.absorb(buffer)
+            for buffer, shard_summaries in self._map_shards(
+                lambda shard: drive_shard(env, shard, epoch, self.epoch_size),
+                shard_plan,
+                phase="drive",
+            ):
+                chain.absorb(buffer)
                 summaries.update(shard_summaries)
 
         # Phase 2 — the shared watchdog scans the merged log once for the
         # whole fleet; each shard then builds its deliver groups (record
         # lookups + batched Merkle proof generation) concurrently, and each
         # shard's groups settle in one batched deliver transaction mined into
-        # its own block, in shard order — one shard, one block, so the block
-        # gas limit bounds exactly what the planner budgeted.
+        # its own block, in shard order.
         with self.obs.phase("deliver", epoch=epoch):
-            self.registry.watchdog.poll()
+            registry.watchdog.poll()
             deliveries: Dict[str, int] = {feed_id: 0 for feed_id in active}
-            shard_deliver_groups = self._map_shards(
-                self._build_deliver_groups, shard_plan, phase="deliver"
-            )
             delivered_groups: List[DeliverGroup] = []
-            for groups in shard_deliver_groups:
+            for groups in self._map_shards(
+                build_deliver_groups, shard_plan, registry, phase="deliver"
+            ):
                 if not groups:
                     continue
-                transaction = self.registry.chain.submit(
-                    deliver_transaction(self.registry.router.address, groups)
-                )
-                self.registry.chain.mine_block()
-                self._check_settlement([transaction])
+                self._settle(deliver_transaction(router, groups))
                 fleet.deliver_batches += 1
                 for group in groups:
                     deliveries[group.feed_id] += 1
                     fleet.feeds[group.feed_id].deliver_groups += 1
                     delivered_groups.append(group)
-            warm_cache_from_deliveries(self._env, delivered_groups)
+            warm_cache_from_deliveries(env, delivered_groups)
 
         # Phase 3 — every shard prepares its feeds' epoch updates (control
         # plane + ADS + root signing) concurrently; each shard's payloads
@@ -830,697 +927,275 @@ class EpochScheduler:
         with self.obs.phase("update", epoch=epoch):
             transitions: Dict[str, Dict[str, ReplicationState]] = {}
             updates: Dict[str, int] = {feed_id: 0 for feed_id in active}
-            shard_update_results = self._map_shards(
-                self._prepare_update_groups, shard_plan, phase="update"
-            )
-            for groups_u, shard_transitions in shard_update_results:
+            for groups_u, shard_transitions in self._map_shards(
+                prepare_update_groups, shard_plan, registry, phase="update"
+            ):
                 transitions.update(shard_transitions)
                 if not groups_u:
                     continue
-                transaction = self.registry.chain.submit(
-                    update_transaction(self.registry.router.address, groups_u)
-                )
-                self.registry.chain.mine_block()
-                self._check_settlement([transaction])
+                self._settle(update_transaction(router, groups_u))
                 fleet.update_batches += 1
                 for group in groups_u:
                     updates[group.feed_id] += 1
                     fleet.feeds[group.feed_id].update_groups += 1
 
-        # Phase 4 — settle per-feed accounting for the epoch, apply
+        # Phase 4 — settle per-feed accounting for the epoch and apply
         # replication-keyed cache invalidation (an evicted replica must not be
-        # served from the cache), and feed the settled gas back to the shard
-        # planner's estimates.
+        # served from the cache).
         with self.obs.phase("settle", epoch=epoch):
-            for feed_id in active:
-                epoch_gas = settle_feed_epoch(
-                    self._env,
-                    feed_id,
-                    summaries[feed_id],
-                    deliveries=deliveries[feed_id],
-                    update_transactions=updates[feed_id],
-                    transitions=transitions.get(feed_id, {}),
-                    gas_before=gas_before[feed_id],
-                )
-                self.planner.observe(feed_id, epoch_gas)
-                if source is not None:
-                    executed = summaries[feed_id].operations
-                    planned = min(queued_before[feed_id], epoch_size)
-                    source.settled(
-                        epoch,
+            return {
+                feed_id: (
+                    summaries[feed_id].operations,
+                    settle_feed_epoch(
+                        env,
                         feed_id,
-                        executed=executed,
-                        deferred=planned - executed,
-                        gas=epoch_gas,
-                    )
-
-    # -- per-shard work (runs on worker threads) ------------------------------
-    #
-    # The phase bodies live in :mod:`repro.gateway.executor` so the process
-    # backend's workers execute the very same code against their own shard
-    # environments; these thin wrappers bind the scheduler's environment.
-
-    def _drive_shard(self, shard: List[str], epoch: int, epoch_size: int):
-        return drive_shard(self._env, shard, epoch, epoch_size)
-
-    def _build_deliver_groups(self, shard: List[str]) -> List[DeliverGroup]:
-        return build_deliver_groups(self.registry, shard)
-
-    def _prepare_update_groups(self, shard: List[str]):
-        return prepare_update_groups(self.registry, shard)
-
-    # -- settlement helpers (main thread only) --------------------------------
-
-    def _check_settlement(self, batch_txs: List[Transaction]) -> None:
-        """Fail loudly if any settlement batch reverted.
-
-        The batched transaction reverts atomically on chain, but the hosted
-        DOs' off-chain state (trusted roots, SP stores) has already advanced
-        by the time the batch lands — continuing would leave those feeds
-        diverged from their on-chain digests forever, so a reverted batch is
-        a hosting-runtime bug worth stopping the run for.
-        """
-        for transaction in batch_txs:
-            receipt = self.registry.chain.receipt_for(transaction.txid)
-            if receipt is not None and not receipt.success:
-                raise ReproError(
-                    f"gateway {transaction.function} reverted "
-                    f"(feeds {sorted(transaction.scopes or {})}): {receipt.error}"
+                        summaries[feed_id],
+                        deliveries=deliveries[feed_id],
+                        update_transactions=updates[feed_id],
+                        transitions=transitions.get(feed_id, {}),
+                        gas_before=gas_before[feed_id],
+                    ),
                 )
-
-    # -- the process backend --------------------------------------------------
-
-    def _run_process(
-        self,
-        workloads: Optional[Mapping[str, Sequence[Operation]]],
-        source: Optional["RequestSource"] = None,
-    ) -> FleetTelemetry:
-        """Drive the fleet on the multicore process backend.
-
-        Feeds are pinned to long-lived worker processes by the epoch-0 shard
-        plan; each worker hosts full mirrors of its shards' feeds (built from
-        the same :class:`FeedSpec`\\ s the main registry used) and executes
-        whole epochs locally, shipping back only the per-epoch deltas — the
-        driving phase's execution buffer and the pre-executed settlement
-        transactions — which the main chain records in fixed shard order.
-        Output is bit-identical to the serial backend.
-
-        Runs the static pinning can't serve — queued churn (tenants join and
-        leave lanes mid-run), a re-sharding planner (a feed's shard, hence
-        its lane, moves between epochs), or LSM-backed SP stores (a feed's
-        directory must follow it between processes) — route to
-        :meth:`_run_process_elastic`, where feeds migrate between lanes as
-        snapshot frames.
-
-        With a live ``source`` the run is **lockstep** instead of pipelined:
-        an epoch's arrivals must reach each lane's worker-local queues before
-        that lane drives the epoch, so the scheduler ships one epoch order at
-        a time with the boundary's arrivals wire-packed alongside it
-        (:meth:`ProcessEngine.submit_live_epoch`).  Determinism over
-        pipelining — the batch path keeps its submit-ahead throughput.
-        """
-        queues, epoch_size, active, fleet = self._prepare_run(
-            workloads, source=source
-        )
-        if (
-            self.pending_churn
-            or not isinstance(self.planner, RoundRobinPlanner)
-            or any(
-                self.registry.get(feed_id).spec.store_backend != "memory"
                 for feed_id in active
-            )
-        ):
-            return self._run_process_elastic(
-                queues, epoch_size, active, fleet, source=source
-            )
-        chain = self.registry.chain
-        blocks_before = chain.height
-        wall_start = time.perf_counter()
+            }
 
-        # The plan is computed once and reused every epoch: round-robin over
-        # a static fleet is per-epoch stable, so this matches what the serial
-        # run's per-epoch plan() calls would produce.
-        shard_plan = self.planner.plan(
-            active, block_gas_limit=chain.parameters.block_gas_limit
+
+class _LaneExecutor(_Executor):
+    """Runs epochs on worker-process lanes (``"process"``): each lane hosts
+    full mirrors of its feeds and executes whole epochs locally, shipping
+    back only the per-epoch deltas — the driving phase's execution buffer and
+    the pre-executed settlement transactions — which the main chain records
+    in fixed shard order, bit-identical to an inline run.
+
+    A feed is hosted by the main process (created, its queue in
+    ``env.queues``) until an epoch's plan first assigns it a lane; from then
+    on the lane's copy is the live one and ``remaining`` mirrors its queue
+    depth.  How feeds reach lanes is decided from what the run shows, never
+    by an option:
+
+    * a **static** run — nothing that can change the plan: no queued churn,
+      no live source, a :class:`RoundRobinPlanner`, memory-backed stores — on
+      a ``fork`` start method spawns fork-seeded lanes pinned to the (stable)
+      plan and orders epochs ahead of the merge (:meth:`_order_ahead`);
+    * every other run spawns empty lanes and moves feeds as snapshot frames,
+      one lockstep epoch per order (:meth:`_place_and_order`) — the next plan
+      depends on this epoch's settled gas, and an epoch's arrivals cannot
+      exist before the previous one settled.
+
+    Sending a static fleet the second way measured 30–42 % fewer
+    ``ops_per_s`` on the ``lanes_read`` benchmark workload (ROADMAP), which
+    is what the first way is kept for.  Lane traffic is metered per run
+    (``FleetTelemetry.ipc``) and per epoch (obs histograms) — never
+    fingerprinted.
+    """
+
+    def __init__(self, scheduler: EpochScheduler, *run_state, static: bool) -> None:
+        super().__init__(scheduler, *run_state)
+        env = self.env
+        self.num_workers = scheduler.num_workers
+        #: The planner's per-feed load estimate (uniform when it keeps none).
+        self._estimate = getattr(scheduler.planner, "estimate", lambda feed_id: 1.0)
+        self._pinned = (
+            static
+            and isinstance(scheduler.planner, RoundRobinPlanner)
+            and all(
+                self.registry.get(feed_id).spec.store_backend == "memory"
+                for feed_id in env.queues
+            )
+            and multiprocessing.get_start_method() == "fork"
         )
-        engine = ProcessEngine(self.num_workers, ipc_profile=self.ipc_profile)
-        if source is not None:
-            return self._run_process_live(
-                engine,
-                source,
-                queues,
-                epoch_size,
-                active,
-                fleet,
-                shard_plan,
-                blocks_before,
-                wall_start,
+        #: Pinned lanes only: epochs ordered so far (``[0, _submitted)``).
+        self._submitted = 0
+        #: feed id → the lane hosting its live mirror.  An active feed absent
+        #: from it is still hosted by the main process: an initial feed before
+        #: its first executed epoch, or an admission awaiting its first plan.
+        self.feed_lane: Dict[str, int] = {}
+        #: Lane-hosted feeds' queue depths, as of the last merged epoch plus
+        #: arrivals since.
+        self.remaining: Dict[str, int] = {}
+        #: This boundary's arrivals for lane-hosted feeds; they ship with the
+        #: next epoch order.
+        self._arrivals: Dict[str, Sequence[Operation]] = {}
+        cache = scheduler.cache
+        self.engine = LaneEngine(
+            self.num_workers,
+            self.registry,
+            cache_enabled=cache is not None,
+            cache_capacity=cache.capacity if cache is not None else None,
+            obs_enabled=self.obs.enabled,
+        )
+
+    def depth(self, feed_id: str) -> int:
+        if feed_id in self.feed_lane:
+            return self.remaining[feed_id]
+        return len(self.env.queues[feed_id])
+
+    def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
+        if feed_id in self.feed_lane:
+            self.remaining[feed_id] += len(operations)
+            self._arrivals[feed_id] = operations
+        else:
+            # Still main-hosted: they ship inside its install snapshot.
+            self.env.queues[feed_id].extend(operations)
+
+    def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
+        lane = self.feed_lane.pop(feed_id, None)
+        if lane is None:
+            # Still main-hosted (admitted this very boundary, or never ran an
+            # epoch): the serial accounting on the main structures, minus
+            # the poll (see :func:`close_feed_bill`).
+            return close_feed_bill(self.env, feed_id, epoch, poll=False)
+        # The lane owns the live mirror — its boundary poll, request
+        # cancellation and queue counting happen there.
+        del self.remaining[feed_id]
+        del self.env.queues[feed_id]
+        return self.engine.teardown(lane, feed_id, epoch)
+
+    def _snapshot_feed(self, feed_id: str) -> WireFrame:
+        """Encode a main-hosted feed's mirror as the snapshot frame its first
+        lane installs.
+
+        The main mirror stays registered (the merge path records settlements
+        against its addresses), but its queue empties — the lane's copy is
+        the live one now.
+        """
+        frame = snapshot_feed(self.env, feed_id)
+        queue = self.env.queues[feed_id]
+        self.remaining[feed_id] = len(queue)
+        queue.clear()
+        return frame
+
+    def run_epoch(
+        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+    ) -> Dict[str, Tuple[int, int]]:
+        if self._pinned:
+            self._order_ahead(epoch, shard_plan)
+        else:
+            self._place_and_order(epoch, shard_plan)
+        results = self._merge_lane_epoch(epoch)
+        settled: Dict[str, Tuple[int, int]] = {}
+        remaining = self.remaining
+        for result in results:
+            # ``epoch_gas`` is the very gas each lane's settle phase
+            # computed; the executed count is the queue-depth delta.
+            for feed_id, epoch_gas in result.epoch_gas.items():
+                left = result.remaining[feed_id]
+                settled[feed_id] = (remaining[feed_id] - left, epoch_gas)
+                remaining[feed_id] = left
+        return settled
+
+    def _order_ahead(self, epoch: int, shard_plan: List[List[str]]) -> None:
+        """Pinned lanes: keep every lane's queue primed with all the epochs
+        the remaining workloads guarantee, so the merge runs behind the lanes.
+
+        A feed with ``r`` queued operations needs at least
+        ``ceil(r / epoch_size)`` more epochs — quotas and gas caps can only
+        *reduce* per-epoch consumption, never raise it — so that many epochs
+        past this one are certain to run and safe to order.  A merge shrinks
+        the bound by at most one (the epoch just merged), so the target never
+        drops below what is already ordered: every ordered epoch is merged
+        and the run ends with none orphaned.
+        """
+        if not self.feed_lane:
+            # Round-robin over a static fleet is per-epoch stable, so the
+            # first epoch's plan is the run's.
+            self.feed_lane = self.engine.spawn_pinned(shard_plan, self.env.queues)
+            self.remaining = {
+                feed_id: len(self.env.queues[feed_id]) for feed_id in self.feed_lane
+            }
+        target = epoch + max(
+            -(-count // self.epoch_size) for count in self.remaining.values()
+        )
+        if self._submitted < target:
+            self.engine.submit(
+                self._submitted, target - self._submitted, self.epoch_size
             )
-        remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
+            self._submitted = target
 
-        def guaranteed_epochs() -> int:
-            """How many more epochs are certain to run, from the remaining
-            workload counts alone.  A feed with ``r`` queued operations needs
-            at least ``ceil(r / epoch_size)`` more epochs — quotas and gas
-            caps can only *reduce* per-epoch consumption, never raise it, so
-            this is a lower bound the scheduler may safely submit ahead."""
-            return max(
-                (-(-count // epoch_size) for count in remaining.values() if count),
-                default=0,
+    def _place_and_order(self, epoch: int, shard_plan: List[List[str]]) -> None:
+        """Map this epoch's plan onto the lane pool, move the feeds it
+        regrouped, and order the epoch.
+
+        *Initial placement / admission* serialise the main-hosted mirror into
+        the lane the plan assigns; *re-shard migration* follows placement
+        (:func:`~repro.gateway.placement.assign_lanes`: a shard goes to the
+        live lane already hosting most of its feeds, within a load-balance
+        cap on the planner's estimates), so only a feed the plan really
+        regrouped, or one on a retiring lane, moves — all of an epoch's moves
+        as one snapshot-out order per source lane and one install order per
+        destination lane, with the epoch order queued behind the installs
+        without waiting for them.
+        """
+        engine = self.engine
+        feed_lane = self.feed_lane
+        # Elasticity: lanes 0..desired-1 serve this epoch; spawn what's
+        # missing now, retire the surplus once drained.
+        desired = max(1, min(self.num_workers, len(shard_plan)))
+        spawned = engine.ensure_lanes(desired)
+        shard_lanes = assign_lanes(shard_plan, desired, feed_lane, self._estimate)
+        moves = plan_moves(shard_plan, shard_lanes, feed_lane, desired)
+        engine.transfer(moves, self._snapshot_feed)
+        for move in moves:
+            feed_lane[move.feed_id] = move.destination
+        assignments: Dict[int, List[Tuple[int, List[str]]]] = {}
+        for shard_index, shard in enumerate(shard_plan):
+            assignments.setdefault(shard_lanes[shard_index], []).append(
+                (shard_index, list(shard))
             )
-
-        # Pipelined run: keep every lane's queue primed with all epochs the
-        # remaining workloads guarantee, and merge results behind the lanes.
-        # After each merge the bound can shrink by at most one (the epoch just
-        # merged), so ``target`` never drops below what is already submitted
-        # — every submitted epoch is merged, and the loop ends with
-        # ``submitted == merged`` (no orphaned lane work).
-        submitted = 0
-        merged = 0
-        target = guaranteed_epochs()
-        try:
-            engine.start(
-                self.registry,
-                shard_plan,
-                queues,
-                cache_enabled=self.cache is not None,
-                cache_capacity=self.cache.capacity if self.cache is not None else None,
-                obs_enabled=self.obs.enabled,
+        retired = engine.retire_lanes(desired)
+        self._observe_migrations(len(spawned), len(retired), moves)
+        arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
+        for feed_id in sorted(self._arrivals):
+            arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
+                (feed_id, self._arrivals[feed_id])
             )
-            with self.obs.span("run", mode="process"):
-                while merged < target:
-                    if submitted < target:
-                        engine.submit_epochs(submitted, target - submitted, epoch_size)
-                        submitted = target
-                    fleet.rosters.append((merged, sorted(active)))
-                    fleet.shards_per_epoch.append(len(shard_plan))
-                    self._merge_lane_epoch(engine, merged, fleet, remaining)
-                    merged += 1
-                    target = merged + guaranteed_epochs()
-            # Run over: pull every worker's final feed state back into the
-            # main registry's mirrors, so post-run inspection (contract
-            # storage, roots, reports, cache) sees serial-identical state.
-            for state in engine.collect():
-                apply_feed_state(self.registry, self.cache, state)
-                fleet.feeds[state.feed_id] = state.telemetry
-        finally:
-            engine.shutdown()
+        self._arrivals = {}
+        engine.submit(epoch, 1, self.epoch_size, assignments, arrivals_by_lane)
 
-        fleet.wall_seconds = time.perf_counter() - wall_start
-        fleet.epochs_run = merged
-        fleet.blocks_mined = chain.height - blocks_before
-        fleet.ipc = engine.meter.summary()
-        self.epochs_run += merged
-        return fleet
+    def _merge_lane_epoch(self, epoch: int) -> List:
+        """Merge one ordered epoch's lane results into the main chain.
 
-    def _merge_lane_epoch(
-        self,
-        engine,
-        epoch: int,
-        fleet: FleetTelemetry,
-        remaining: Dict[str, int],
-    ) -> List:
-        """Merge one submitted epoch's lane results into the main chain.
-
-        Deterministic merge, mirroring the serial phase order: every shard's
+        Deterministic merge, mirroring the inline phase order: every shard's
         drive buffer (events stamped at this epoch's starting height), then
         one recorded block per shard deliver, then one per shard update — all
         in fixed shard order.  The lanes' per-shard phase spans graft under
         this epoch in fixed shard order, before the merge span, so the trace
-        tree reads in canonical phase order.  ``remaining`` is updated with
-        the lanes' post-epoch queue depths (run termination, and the live
-        path's executed-count attribution).  Returns the decoded shard
-        results in shard order (the elastic path reads each shard's settled
-        per-feed gas off them; either engine flavour works).
+        tree reads in canonical phase order.  Returns the decoded shard
+        results in shard order.
         """
         chain = self.registry.chain
         with self.obs.span("epoch", epoch=epoch) as epoch_span:
-            results, samples = engine.results(epoch)
-            self._graft_lane_spans(epoch_span, results, engine)
+            results, samples = self.engine.results(epoch)
+            self._graft_lane_spans(epoch_span, results)
             with self.obs.phase("merge", epoch=epoch):
                 height = chain.height
                 for result in results:
                     chain.absorb_wire(result.drive, height)
                 for result in results:
                     if result.deliver is not None:
-                        self._record_settlement(result.deliver, fleet)
+                        self._record_settlement(result.deliver)
                 for result in results:
                     if result.update is not None:
-                        self._record_settlement(result.update, fleet)
+                        self._record_settlement(result.update)
         self._observe_ipc(samples)
-        for result in results:
-            remaining.update(result.remaining)
         return results
 
-    def _run_process_live(
-        self,
-        engine: ProcessEngine,
-        source: "RequestSource",
-        queues: Dict[str, Deque[Operation]],
-        epoch_size: int,
-        active: List[str],
-        fleet: FleetTelemetry,
-        shard_plan: List[List[str]],
-        blocks_before: int,
-        wall_start: float,
-    ) -> FleetTelemetry:
-        """The live (lockstep) half of the process backend.
+    def finish(self) -> None:
+        # Every surviving lane feed's final state folds back into the main
+        # mirrors, so post-run inspection (contract storage, roots, reports,
+        # cache) sees serial-identical state.  An LSM-backed feed's main
+        # opener was released when the feed left for its lane — take the
+        # directory back (the lane closed its opener in ``collect``).
+        for state in self.engine.collect():
+            backing = self.registry.get(state.feed_id).system.sp_store.backing
+            if isinstance(backing, LSMStore) and backing.closed:
+                backing.reopen()
+            apply_feed_state(self.registry, self.env.cache, state)
+            self.fleet.feeds[state.feed_id] = state.telemetry
+        self.fleet.ipc = self.engine.meter.summary()
 
-        Mirrors the serial live loop epoch for epoch: poll the source at each
-        boundary (blocking when the fleet is idle but the door is open), ship
-        the boundary's arrivals to the lanes with the epoch order itself,
-        merge the epoch exactly as the batch path does, then fire the per-feed
-        ``settled`` callbacks.  Executed counts come from the lanes' reported
-        queue-depth deltas and gas attribution from the main ledger's
-        per-feed scope totals around the merge — both bit-identical to what
-        the serial path's ``settle_feed_epoch`` observes, because the merge
-        replays the lanes' exact gas deltas in the same order.
-        """
-        chain = self.registry.chain
-        ledger = chain.ledger
-        remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
-        epoch = 0
-        try:
-            engine.start(
-                self.registry,
-                shard_plan,
-                queues,
-                cache_enabled=self.cache is not None,
-                cache_capacity=self.cache.capacity if self.cache is not None else None,
-                obs_enabled=self.obs.enabled,
-            )
-            with self.obs.span("run", mode="process"):
-                while True:
-                    idle = not any(remaining.values())
-                    arrivals = self._absorb_arrivals(
-                        source.poll(epoch, wait=idle), remaining
-                    )
-                    has_work = any(remaining.values())
-                    if not has_work:
-                        if source.exhausted:
-                            break
-                        # Idle but open: jump to the earliest scheduled
-                        # arrival (the serial loop's fast-forward).
-                        scheduled = source.next_epoch(epoch)
-                        epoch = (
-                            max(epoch + 1, scheduled)
-                            if scheduled is not None
-                            else epoch + 1
-                        )
-                        continue
-                    queued_before = dict(remaining)
-                    gas_before = {
-                        feed_id: (
-                            ledger.scope_total(feed_id, LAYER_FEED)
-                            + ledger.scope_total(feed_id, LAYER_APPLICATION)
-                        )
-                        for feed_id in active
-                    }
-                    fleet.rosters.append((epoch, sorted(active)))
-                    fleet.shards_per_epoch.append(len(shard_plan))
-                    engine.submit_live_epoch(epoch, epoch_size, arrivals)
-                    self._merge_lane_epoch(engine, epoch, fleet, remaining)
-                    for feed_id in active:
-                        executed = queued_before[feed_id] - remaining[feed_id]
-                        planned = min(queued_before[feed_id], epoch_size)
-                        gas = (
-                            ledger.scope_total(feed_id, LAYER_FEED)
-                            + ledger.scope_total(feed_id, LAYER_APPLICATION)
-                            - gas_before[feed_id]
-                        )
-                        source.settled(
-                            epoch,
-                            feed_id,
-                            executed=executed,
-                            deferred=planned - executed,
-                            gas=gas,
-                        )
-                    epoch += 1
-            for state in engine.collect():
-                apply_feed_state(self.registry, self.cache, state)
-                fleet.feeds[state.feed_id] = state.telemetry
-        finally:
-            engine.shutdown()
-            source.run_finished(fleet)
-
-        fleet.wall_seconds = time.perf_counter() - wall_start
-        fleet.epochs_run = epoch
-        fleet.blocks_mined = chain.height - blocks_before
-        fleet.ipc = engine.meter.summary()
-        self.epochs_run += epoch
-        return fleet
-
-    # -- the elastic process backend (feed migration) --------------------------
-
-    def _run_process_elastic(
-        self,
-        queues: Dict[str, Deque[Operation]],
-        epoch_size: int,
-        active: List[str],
-        fleet: FleetTelemetry,
-        source: Optional["RequestSource"] = None,
-    ) -> FleetTelemetry:
-        """The full-feature process backend: churn, gas-aware re-sharding and
-        LSM-backed stores over an elastic pool of worker lanes.
-
-        Mirrors the serial loop boundary for boundary — churn, live ingest,
-        fast-forward, per-epoch plan — but executes each epoch on
-        :class:`~repro.gateway.executor.ElasticProcessEngine` lanes.  Lanes
-        start empty; every feed reaches its lane as a wire-encoded snapshot
-        frame (:func:`~repro.gateway.executor.encode_feed_snapshot`):
-
-        * **initial placement / admission** — the main process creates the
-          feed (running its preload against the main chain, exactly like
-          serial), then serialises the mirror into the lane the plan assigns
-          and releases any exclusive LSM opener so the lane can take the
-          directory over;
-        * **re-shard migration** — each epoch's plan maps onto the lanes by
-          placement (:func:`~repro.gateway.placement.assign_lanes`: a shard
-          goes to the live lane already hosting most of its feeds, within a
-          load-balance cap on the planner's estimates), so only a feed the
-          plan really regrouped, or one on a retiring lane, moves; all of an
-          epoch's moves travel as one snapshot-out order per source lane and
-          one install order per destination lane (frames pass through the
-          main process raw), and the epoch order queues behind the installs
-          without waiting for them;
-        * **eviction** — the owning lane polls, cancels and counts exactly
-          like a serial churn boundary and returns the tenant's final bill;
-        * **elasticity** — the pool grows to the plan's lane demand
-          (``min(num_workers, shards)``) and retires drained lanes once the
-          demand shrinks.
-
-        Epochs are lockstep (the next plan depends on this epoch's settled
-        gas, shipped per feed on each shard result), so the planner and a
-        live source observe byte-identical sequences to serial.  Migration
-        traffic is metered per run (``FleetTelemetry.ipc``) and per epoch
-        (the ``migrations_per_epoch`` histogram) — never fingerprinted.
-        """
-        chain = self.registry.chain
-        blocks_before = chain.height
-        wall_start = time.perf_counter()
-
-        self._dirty = {feed_id: set() for feed_id in active}
-        if self.cache is not None:
-            for feed_id in active:
-                self.cache.ensure_shard(feed_id)
-        for feed_id in active:
-            self._wire_feed_obs(feed_id)
-
-        engine = ElasticProcessEngine(self.num_workers, ipc_profile=self.ipc_profile)
-        #: feed id → the lane currently hosting its mirror.  An active feed
-        #: absent from it is still hosted by the main process (created, not
-        #: yet installed into any lane): an initial feed before its first
-        #: executed epoch, or an admission awaiting its first plan.
-        feed_lane: Dict[str, int] = {}
-        #: The planner's per-feed load estimate (uniform when it keeps none).
-        estimate = getattr(self.planner, "estimate", lambda feed_id: 1.0)
-        remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
-        epoch = 0
-        try:
-            engine.start(
-                self.registry,
-                cache_enabled=self.cache is not None,
-                cache_capacity=self.cache.capacity if self.cache is not None else None,
-                obs_enabled=self.obs.enabled,
-            )
-            with self.obs.span("run", mode="process"):
-                while True:
-                    self._apply_churn_process(
-                        epoch, active, queues, remaining, fleet,
-                        engine, feed_lane, source,
-                    )
-                    arrivals_installed: Dict[str, Sequence[Operation]] = {}
-                    if source is not None:
-                        idle = not self.pending_churn and not any(
-                            remaining[f] for f in active
-                        )
-                        arrivals_installed = self._ingest_process(
-                            source.poll(epoch, wait=idle),
-                            queues,
-                            remaining,
-                            feed_lane,
-                        )
-                    has_work = any(remaining[f] for f in active)
-                    door_open = source is not None and not source.exhausted
-                    if not self.pending_churn and not has_work and not door_open:
-                        break
-                    if not has_work:
-                        # Same fast-forward as the serial loop: jump to the
-                        # next churn event or scheduled live arrival.
-                        targets = []
-                        if self.pending_churn:
-                            targets.append(self._next_churn_epoch())
-                        if door_open:
-                            scheduled = source.next_epoch(epoch)
-                            if scheduled is not None:
-                                targets.append(scheduled)
-                        epoch = (
-                            max(epoch + 1, min(targets)) if targets else epoch + 1
-                        )
-                        continue
-                    shard_plan = self.planner.plan(
-                        active, block_gas_limit=chain.parameters.block_gas_limit
-                    )
-                    fleet.rosters.append((epoch, sorted(active)))
-                    fleet.shards_per_epoch.append(len(shard_plan))
-                    # Elasticity: lanes 0..desired-1 serve this epoch; spawn
-                    # what's missing now, retire the surplus once drained.
-                    desired = max(1, min(self.num_workers, len(shard_plan)))
-                    spawned = engine.ensure_lanes(desired)
-                    shard_lanes = assign_lanes(shard_plan, desired, feed_lane, estimate)
-                    moves = plan_moves(shard_plan, shard_lanes, feed_lane, desired)
-                    engine.transfer(
-                        moves,
-                        lambda feed_id: self._snapshot_feed(feed_id, queues, fleet),
-                    )
-                    for move in moves:
-                        feed_lane[move.feed_id] = move.destination
-                    assignments: Dict[int, List[Tuple[int, List[str]]]] = {}
-                    for shard_index, shard in enumerate(shard_plan):
-                        assignments.setdefault(shard_lanes[shard_index], []).append(
-                            (shard_index, list(shard))
-                        )
-                    retired = engine.retire_lanes(desired)
-                    self._observe_migrations(len(spawned), len(retired), moves)
-                    arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
-                    for feed_id in sorted(arrivals_installed):
-                        arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
-                            (feed_id, arrivals_installed[feed_id])
-                        )
-                    queued_before = dict(remaining) if source is not None else None
-                    engine.submit_epoch(
-                        epoch, epoch_size, assignments, arrivals_by_lane
-                    )
-                    results = self._merge_lane_epoch(engine, epoch, fleet, remaining)
-                    epoch_gas: Dict[str, int] = {}
-                    for result in results:
-                        epoch_gas.update(result.epoch_gas)
-                    # Settle feedback in serial order: the planner's estimates
-                    # and a live source's per-request attribution both consume
-                    # the very gas each lane's settle phase computed.
-                    for feed_id in active:
-                        self.planner.observe(feed_id, epoch_gas[feed_id])
-                        if source is not None:
-                            executed = queued_before[feed_id] - remaining[feed_id]
-                            planned = min(queued_before[feed_id], epoch_size)
-                            source.settled(
-                                epoch,
-                                feed_id,
-                                executed=executed,
-                                deferred=planned - executed,
-                                gas=epoch_gas[feed_id],
-                            )
-                    epoch += 1
-            # Run over: every surviving lane feed's final state folds back
-            # into the main mirrors.  An LSM-backed feed's main opener was
-            # released when the feed left for its lane — take the directory
-            # back (the lane closed its opener in ``collect``).
-            for state in engine.collect():
-                backing = self.registry.get(state.feed_id).system.sp_store.backing
-                if isinstance(backing, LSMStore) and backing.closed:
-                    backing.reopen()
-                apply_feed_state(self.registry, self.cache, state)
-                fleet.feeds[state.feed_id] = state.telemetry
-        finally:
-            engine.shutdown()
-            if source is not None:
-                source.run_finished(fleet)
-
-        fleet.wall_seconds = time.perf_counter() - wall_start
-        fleet.epochs_run = epoch
-        fleet.blocks_mined = chain.height - blocks_before
-        fleet.ipc = engine.meter.summary()
-        self.epochs_run += epoch
-        return fleet
-
-    def _apply_churn_process(
-        self,
-        epoch: int,
-        active: List[str],
-        queues: Dict[str, Deque[Operation]],
-        remaining: Dict[str, int],
-        fleet: FleetTelemetry,
-        engine: ElasticProcessEngine,
-        feed_lane: Dict[str, int],
-        source: Optional["RequestSource"] = None,
-    ) -> None:
-        """:meth:`_apply_churn`, adapted to lane-hosted feeds.
-
-        Admissions are pure main-side (the feed is created — preload and all —
-        against the main chain exactly as serial does, and stays main-hosted,
-        absent from ``feed_lane``, until its first plan).  An eviction of a
-        lane-hosted feed is a teardown order to the owning lane, whose
-        boundary poll and cancellation accounting mirror the serial ones; a
-        still-main-hosted feed is evicted with the serial accounting
-        directly.  No main-side watchdog poll happens here: the merged lane
-        events were already routed and consumed inside the lanes, so a main
-        poll would stuff main-side mirrors with requests that can never be
-        delivered.
-        """
-        due_admissions = [a for a in self._admission_queue if a.at_epoch <= epoch]
-        for admission in due_admissions:
-            self._admission_queue.remove(admission)
-            spec = admission.spec
-            if spec.feed_id in fleet.feeds:
-                raise ConfigurationError(
-                    f"feed id {spec.feed_id!r} was already hosted in this run; "
-                    "ids are unique per run (reuse is allowed across runs)"
-                )
-            self._require_batch_deliver(spec)
-            self.registry.create_feed(spec)
-            self._wire_feed_obs(spec.feed_id)
-            queues[spec.feed_id] = deque(admission.operations)
-            remaining[spec.feed_id] = len(admission.operations)
-            active.append(spec.feed_id)
-            self._dirty[spec.feed_id] = set()
-            if self.cache is not None:
-                self.cache.ensure_shard(spec.feed_id)
-            fleet.feeds[spec.feed_id] = FeedTelemetry(
-                feed_id=spec.feed_id, admitted_epoch=epoch
-            )
-            fleet.admissions += 1
-        due_evictions = [e for e in self._eviction_queue if e.at_epoch <= epoch]
-        for eviction in due_evictions:
-            feed_id = eviction.feed_id
-            telemetry = fleet.feeds.get(feed_id)
-            if (telemetry is not None and telemetry.departed) or feed_id not in self.registry:
-                if any(a.spec.feed_id == feed_id for a in self._admission_queue):
-                    # The eviction outran its feed's admission; leave it
-                    # queued — it fires the boundary the feed arrives.
-                    continue
-                raise ConfigurationError(
-                    f"cannot evict {feed_id!r}: "
-                    + (
-                        "the feed already departed this run"
-                        if telemetry is not None and telemetry.departed
-                        else "not hosted by the gateway"
-                    )
-                )
-            self._eviction_queue.remove(eviction)
-            if telemetry is None:
-                # Registered but idle this run (no workload): still a real
-                # departure — it gets a (empty) final bill like any tenant.
-                telemetry = FeedTelemetry(feed_id=feed_id)
-                fleet.feeds[feed_id] = telemetry
-            if feed_id in feed_lane:
-                # Lane-hosted: the lane owns the live mirror — its boundary
-                # poll, request cancellation and queue counting happen there,
-                # and the returned row is the tenant's final bill.
-                fleet.feeds[feed_id] = engine.teardown(
-                    feed_lane.pop(feed_id), feed_id, epoch
-                )
-            else:
-                # Still main-hosted (admitted this very boundary, or never
-                # ran an epoch): serial accounting on the main structures.
-                # ``cancel_pending`` needs no poll first — the main chain's
-                # absorbed events were consumed inside the lanes already.
-                handle = self.registry.get(feed_id)
-                telemetry.cancelled_requests += self.registry.watchdog.cancel_pending(
-                    handle
-                )
-                queue = queues.get(feed_id)
-                if queue:
-                    telemetry.cancelled_ops += len(queue)
-                telemetry.departed_epoch = epoch
-            queues.pop(feed_id, None)
-            remaining.pop(feed_id, None)
-            if feed_id in active:
-                active.remove(feed_id)
-            fleet.departures += 1
-            self.planner.forget(feed_id)
-            self._dirty.pop(feed_id, None)
-            # Deregisters the watchdog route, frees the on-chain addresses and
-            # fires the removal listeners (cache shard teardown among them).
-            self.registry.remove_feed(feed_id)
-            if source is not None:
-                # A live source must cancel the tenant's outstanding requests
-                # now — their operations just left the queue for good.
-                source.evicted(epoch, feed_id)
-
-    def _ingest_process(
-        self,
-        arrivals: Mapping[str, Sequence[Operation]],
-        queues: Dict[str, Deque[Operation]],
-        remaining: Dict[str, int],
-        feed_lane: Mapping[str, int],
-    ) -> Dict[str, Sequence[Operation]]:
-        """Fold one boundary's live arrivals into the elastic fleet.
-
-        A feed the main process still hosts takes them straight onto its
-        queue (they ship inside its install snapshot); a lane-hosted feed's
-        arrivals are returned for shipping alongside the epoch order — the
-        elastic counterpart of :meth:`_ingest` / :meth:`_absorb_arrivals`.
-        """
-        shipped: Dict[str, Sequence[Operation]] = {}
-        for feed_id in sorted(arrivals):
-            operations = arrivals[feed_id]
-            if not operations:
-                continue
-            if feed_id not in remaining:
-                raise ConfigurationError(
-                    f"live request for feed {feed_id!r}, which the gateway "
-                    "does not currently host — the request source must "
-                    "reject unknown or departed tenants at admission"
-                )
-            remaining[feed_id] += len(operations)
-            if feed_id in feed_lane:
-                shipped[feed_id] = operations
-            else:
-                queues[feed_id].extend(operations)
-        return shipped
-
-    def _snapshot_feed(
-        self,
-        feed_id: str,
-        queues: Dict[str, Deque[Operation]],
-        fleet: FleetTelemetry,
-    ) -> WireFrame:
-        """Encode a main-hosted feed's mirror as the snapshot frame its first
-        lane installs.
-
-        The main mirror stays registered (the merge path records settlements
-        against its addresses), but its queue empties — the lane's copy is
-        the live one now — and an exclusive LSM opener is released so the
-        lane can take over the directory (single-opener rule).
-        """
-        handle = self.registry.get(feed_id)
-        entries, stats = (
-            self.cache.export_shard(feed_id) if self.cache is not None else ((), None)
-        )
-        frame = encode_feed_snapshot(
-            WireEncoder(),
-            handle,
-            queue=queues[feed_id],
-            dirty=self._dirty[feed_id],
-            telemetry=fleet.feeds[feed_id],
-            cache_entries=entries,
-            cache_stats=stats,
-        )
-        backing = handle.system.sp_store.backing
-        if isinstance(backing, LSMStore):
-            backing.close()
-        queues[feed_id].clear()
-        return frame
+    def close(self) -> None:
+        self.engine.shutdown()
 
     #: Migration-count histogram bounds (counts, not latencies).
     _MIGRATION_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -1542,30 +1217,6 @@ class EpochScheduler:
             self.obs.counter("lane_spawns_total").inc(spawned)
         if retired:
             self.obs.counter("lane_retirements_total").inc(retired)
-
-    def _absorb_arrivals(
-        self,
-        arrivals: Mapping[str, Sequence[Operation]],
-        remaining: Dict[str, int],
-    ) -> Dict[str, Sequence[Operation]]:
-        """Validate one boundary's live arrivals against the hosted fleet and
-        fold their counts into the main-side queue-depth mirror, returning
-        the normalized map to ship to the lanes (the process-mode counterpart
-        of :meth:`_ingest` — the operations themselves live in the lanes)."""
-        shipped: Dict[str, Sequence[Operation]] = {}
-        for feed_id in sorted(arrivals):
-            operations = arrivals[feed_id]
-            if not operations:
-                continue
-            if feed_id not in remaining:
-                raise ConfigurationError(
-                    f"live request for feed {feed_id!r}, which the gateway "
-                    "does not currently host — the request source must "
-                    "reject unknown or departed tenants at admission"
-                )
-            remaining[feed_id] += len(operations)
-            shipped[feed_id] = operations
-        return shipped
 
     #: Byte-count histograms need byte-scaled buckets — the default log
     #: buckets are seconds-oriented (10µs–40s).  64 B–128 MB, doubling.
@@ -1589,7 +1240,7 @@ class EpochScheduler:
                 sample.decode_seconds
             )
 
-    def _graft_lane_spans(self, epoch_span, results, engine: ProcessEngine) -> None:
+    def _graft_lane_spans(self, epoch_span, results) -> None:
         """Fold the lanes' per-shard phase spans into the main trace tree.
 
         Spans arrive as plain-data wire deltas on each :class:`ShardEpochResult`
@@ -1603,7 +1254,7 @@ class EpochScheduler:
         phase_parents = reassemble_shard_spans(
             epoch_span,
             [(result.shard_index, result.spans) for result in results],
-            lane_of=engine.lane_of,
+            lane_of=self.engine.lane_of,
         )
         for parent in phase_parents:
             for span in parent.children:
@@ -1611,11 +1262,11 @@ class EpochScheduler:
                     str(span.attrs.get("phase", span.name)), span.duration
                 )
 
-    def _record_settlement(self, result: SettlementResult, fleet: FleetTelemetry) -> None:
+    def _record_settlement(self, result: SettlementResult) -> None:
         """Record one worker-executed settlement on the main chain: mine its
         block (receipt, events, block-gas accounting), absorb its exact gas
-        delta, and fail loudly on a reverted batch — the same contract
-        :meth:`_check_settlement` enforces for locally executed batches."""
+        delta, and fail loudly on a reverted batch — the same contract the
+        inline executor enforces for locally executed batches."""
         chain = self.registry.chain
         transaction = Transaction(
             sender=GATEWAY_OPERATOR,
@@ -1634,12 +1285,8 @@ class EpochScheduler:
             events=list(result.events),
         )
         chain.absorb(settlement_buffer(result))
-        if not result.success:
-            raise ReproError(
-                f"gateway {result.function} reverted "
-                f"(feeds {sorted(result.scopes)}): {result.error}"
-            )
+        _raise_if_reverted(result.function, result.scopes, result.success, result.error)
         if result.function == "deliver_batch":
-            fleet.deliver_batches += 1
+            self.fleet.deliver_batches += 1
         else:
-            fleet.update_batches += 1
+            self.fleet.update_batches += 1

@@ -1,7 +1,7 @@
-"""The elastic engine's batched feed transfer: deferred installs must fail
+"""The lane engine's batched feed transfer: deferred installs must fail
 loudly, and LSM directories must keep a single opener while they move.
 
-``ElasticProcessEngine.transfer`` leaves its install orders in flight (the
+``LaneEngine.transfer`` leaves its install orders in flight (the
 epoch order queues behind them on the lane's FIFO pool), so a failed install
 is only observed at the engine's next call.  These tests inject the classic
 broken hand-off — a spec paired with another feed's snapshot frame — and pin
@@ -21,10 +21,12 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
 from repro.common.wire import WireEncoder, WireError
 from repro.core.config import GrubConfig
+from repro.core.data_consumer import DataConsumerContract
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
-from repro.gateway.executor import ElasticProcessEngine, encode_feed_snapshot
+from repro.gateway.executor import LaneEngine, encode_feed_snapshot
 from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
+from repro.gateway.scheduler import _LaneExecutor
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: Generous for a sub-second body; only a hang ever reaches it.
@@ -71,11 +73,10 @@ def snapshot_of(registry, feed_id):
 @pytest.mark.parametrize("next_call", ["results", "teardown", "collect"])
 def test_failed_install_reraises_at_the_next_engine_call(next_call):
     registry = two_feed_registry()
-    engine = ElasticProcessEngine(2)
+    engine = LaneEngine(2, registry, cache_enabled=False, cache_capacity=None)
     before = set(multiprocessing.active_children())
 
     def body():
-        engine.start(registry, cache_enabled=False, cache_capacity=None)
         engine.ensure_lanes(1)
         # alpha's install order carries beta's frame; the order is accepted
         # (installs are not waited on) ...
@@ -85,7 +86,7 @@ def test_failed_install_reraises_at_the_next_engine_call(next_call):
         )
         # ... and the lane's WireError surfaces at the very next call.
         if next_call == "results":
-            engine.submit_epoch(0, 4, {0: [(0, ["alpha"])]}, {})
+            engine.submit(0, 1, 4, {0: [(0, ["alpha"])]})
             engine.results(0)
         elif next_call == "teardown":
             engine.teardown(0, "alpha", 0)
@@ -102,10 +103,9 @@ def test_failed_install_reraises_at_the_next_engine_call(next_call):
 
 def test_failed_migrate_out_reraises_its_typed_error():
     registry = two_feed_registry()
-    engine = ElasticProcessEngine(2)
+    engine = LaneEngine(2, registry, cache_enabled=False, cache_capacity=None)
 
     def body():
-        engine.start(registry, cache_enabled=False, cache_capacity=None)
         engine.ensure_lanes(2)
         # Lane 0 hosts nothing: its migrate-out order fails in the lane.
         engine.transfer(
@@ -129,15 +129,47 @@ def test_run_with_a_mismatched_frame_ends_with_the_wire_error(monkeypatch):
         epoch_size=4,
         planner=GasAwareShardPlanner(block_gas_fraction=0.01),
     )
-    genuine = EpochScheduler._snapshot_feed
+    genuine = _LaneExecutor._snapshot_feed
 
-    def crossed(self, feed_id, queues, fleet):
-        return genuine(self, "beta" if feed_id == "alpha" else feed_id, queues, fleet)
+    def crossed(self, feed_id):
+        return genuine(self, "beta" if feed_id == "alpha" else feed_id)
 
-    monkeypatch.setattr(EpochScheduler, "_snapshot_feed", crossed)
+    monkeypatch.setattr(_LaneExecutor, "_snapshot_feed", crossed)
     before = set(multiprocessing.active_children())
     workloads = {feed_id: [Operation.read("k")] * 8 for feed_id in ("alpha", "beta")}
     with pytest.raises(WireError, match="pairs spec 'alpha'"):
+        bounded(lambda: scheduler.run(workloads))
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_unpicklable_spec_is_a_configuration_error_naming_the_feed():
+    """An install order pickles its specs on the pool's feeder thread, so a
+    spec that cannot cross (a closure ``consumer_factory``) only fails where
+    installs settle — as the configuration error it is, not a raw pickling
+    traceback."""
+    registry = FeedRegistry()
+    for feed_id in ("alpha", "beta"):
+
+        def factory(manager_address, feed_id=feed_id):
+            return DataConsumerContract(f"{feed_id}/data-consumer", manager_address)
+
+        registry.create_feed(
+            FeedSpec(
+                feed_id=feed_id,
+                config=GrubConfig(epoch_size=4),
+                consumer_factory=factory,
+            )
+        )
+    scheduler = EpochScheduler(
+        registry,
+        num_workers=2,
+        execution_mode="process",
+        epoch_size=4,
+        planner=GasAwareShardPlanner(block_gas_fraction=0.01),
+    )
+    before = set(multiprocessing.active_children())
+    workloads = {feed_id: [Operation.read("k")] * 8 for feed_id in ("alpha", "beta")}
+    with pytest.raises(ConfigurationError, match="'alpha' cannot be pickled"):
         bounded(lambda: scheduler.run(workloads))
     assert set(multiprocessing.active_children()) <= before
 

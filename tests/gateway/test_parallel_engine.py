@@ -12,6 +12,8 @@ worker processes and whose results are spliced back in shard order.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.chain.chain import ChainParameters
@@ -39,7 +41,8 @@ def _mixed_fleet_configs():
     ]
 
 
-def build_mixed_fleet():
+def build_mixed_fleet(max_ops_per_epoch=None):
+    """``max_ops_per_epoch`` puts a quota on every other tenant."""
     registry = FeedRegistry()
     workloads = {}
     for index, config in enumerate(_mixed_fleet_configs()):
@@ -47,7 +50,14 @@ def build_mixed_fleet():
         preload = [
             KVRecord.make(f"k{index:02d}-{j:02d}", bytes(32)) for j in range(8)
         ]
-        registry.create_feed(FeedSpec(feed_id=feed_id, config=config, preload=preload))
+        registry.create_feed(
+            FeedSpec(
+                feed_id=feed_id,
+                config=config,
+                preload=preload,
+                max_ops_per_epoch=max_ops_per_epoch if index % 2 else None,
+            )
+        )
         workloads[feed_id] = SyntheticWorkload(
             read_write_ratio=2.0 + index,
             num_operations=64,
@@ -105,16 +115,15 @@ def run_fleet(
     num_shards: int = 4,
     execution_mode: str = "thread",
     with_obs: bool = False,
-    ipc_profile: bool = False,
+    max_ops_per_epoch=None,
 ):
-    registry, workloads = build_mixed_fleet()
+    registry, workloads = build_mixed_fleet(max_ops_per_epoch)
     scheduler = EpochScheduler(
         registry,
         num_shards=num_shards,
         num_workers=num_workers,
         execution_mode=execution_mode,
         obs=Observability() if with_obs else None,
-        ipc_profile=ipc_profile,
     )
     fleet = scheduler.run(workloads)
     return fleet, registry
@@ -165,9 +174,29 @@ class TestExecutionModeEquivalence:
     """serial / thread / process must be indistinguishable in every output."""
 
     def test_three_modes_bit_identical(self):
-        serial_fleet, serial_registry = run_fleet(1, execution_mode="serial")
-        thread_fleet, thread_registry = run_fleet(4, execution_mode="thread")
-        process_fleet, process_registry = run_fleet(2, execution_mode="process")
+        # Unthrottled, then with op quotas on half the tenants: a throttled
+        # feed drains slower than the bound the process backend orders epochs
+        # ahead by, so that bound must stay a *lower* bound — an epoch a lane
+        # ran but the main chain never merged would show up as an extra
+        # summary on the lane's telemetry row (and the engine refuses to
+        # collect over an unmerged order).
+        for quota in (None, 3):
+            self._check_three_modes(quota)
+
+    def _check_three_modes(self, quota):
+        serial_fleet, serial_registry = run_fleet(
+            1, execution_mode="serial", max_ops_per_epoch=quota
+        )
+        thread_fleet, thread_registry = run_fleet(
+            4, execution_mode="thread", max_ops_per_epoch=quota
+        )
+        process_fleet, process_registry = run_fleet(
+            2, execution_mode="process", max_ops_per_epoch=quota
+        )
+        assert (serial_fleet.deferred_ops > 0) == (quota is not None)
+        # A static fleet is fork-seeded: no feed travels as a snapshot frame.
+        assert process_fleet.ipc["installs_total"] == 0
+        assert process_fleet.ipc["epochs"] == serial_fleet.epochs_run
 
         serial_print = serial_fleet.fingerprint()
         assert thread_fleet.fingerprint() == serial_print
@@ -269,7 +298,7 @@ class TestExecutionModeEquivalence:
 
 class TestWireCodecEquivalence:
     """The compact wire boundary must be invisible in every output —
-    with and without observability attached, in both seed modes."""
+    with and without observability attached, however feeds reach lanes."""
 
     def test_three_modes_bit_identical_with_obs_enabled(self):
         serial_fleet, serial_registry = run_fleet(
@@ -298,34 +327,31 @@ class TestWireCodecEquivalence:
             quiet_registry
         )
 
-    def test_wire_seed_mode_bit_identical_to_serial(self, monkeypatch):
-        """Force the explicit wire seed path (fork inheritance is the Linux
-        default, so without the override it never runs here)."""
+    def test_spawn_platform_installs_snapshots(self, monkeypatch):
+        """Off a ``fork`` start method nothing can be inherited, so the same
+        static fleet reaches its lanes as snapshot frames (fork is the Linux
+        default, so without the override that path never runs it here)."""
         serial_fleet, serial_registry = run_fleet(1, execution_mode="serial")
-        monkeypatch.setenv("GRUB_PROCESS_SEED", "wire")
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
         process_fleet, process_registry = run_fleet(2, execution_mode="process")
+        assert process_fleet.ipc["installs_total"] == len(serial_fleet.feeds)
         assert process_fleet.fingerprint() == serial_fleet.fingerprint()
         assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
             serial_registry
         )
 
     def test_ipc_meter_reports_traffic_and_stays_out_of_fingerprint(self):
-        quiet_fleet, _ = run_fleet(2, execution_mode="process")
-        profiled_fleet, _ = run_fleet(
-            2, execution_mode="process", ipc_profile=True
-        )
-        assert profiled_fleet.fingerprint() == quiet_fleet.fingerprint()
-        for summary in (quiet_fleet.ipc, profiled_fleet.ipc):
-            assert summary is not None
-            assert summary["wire_bytes_total"] > 0
-            assert summary["bytes_per_epoch"] > 0
-            assert summary["epochs"] > 0
-        # profiling adds the pickle comparison; the plain run omits it
-        assert "reduction_vs_pickle" not in quiet_fleet.ipc
-        assert 0.0 < profiled_fleet.ipc["reduction_vs_pickle"] < 1.0
-        # serial runs have no process boundary, hence no IPC record
+        process_fleet, _ = run_fleet(2, execution_mode="process")
+        summary = process_fleet.ipc
+        assert summary is not None
+        assert summary["wire_bytes_total"] > 0
+        assert summary["bytes_per_epoch"] > 0
+        assert summary["epochs"] > 0
+        # serial runs have no process boundary, hence no IPC record — and the
+        # record is measurement, so the fingerprints still agree
         serial_fleet, _ = run_fleet(1, execution_mode="serial")
         assert serial_fleet.ipc is None
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
 
 
 class TestProcessModeConstraints:

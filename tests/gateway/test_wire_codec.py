@@ -1,10 +1,10 @@
-"""Round-trip tests for the lane epoch/seed wire codec.
+"""Round-trip tests for the lane epoch/arrivals wire codec.
 
 The process backend's correctness rests on one property: whatever a worker
-lane packs with :func:`encode_lane_epoch` / :func:`encode_lane_seed`, the main
-process unpacks to *equal* Python values — randomized drive buffers, ledger
-deltas (including empty and zero-omitting ones), settlement records, unicode
-keys and all.  These tests drive the codec with generated payloads shaped
+lane packs with :func:`encode_lane_epoch`, the main process unpacks to *equal*
+Python values — randomized drive buffers, ledger deltas (including empty and
+zero-omitting ones), settlement records, unicode keys and all — and likewise
+for the live arrivals the main process packs for a lane.  These tests drive the codec with generated payloads shaped
 like real engine traffic, plus the cross-version guard at this layer.
 """
 
@@ -22,7 +22,7 @@ from repro.chain.gas import (
     ledger_from_wire,
     ledger_to_wire,
 )
-from repro.common.types import KVRecord, Operation, OperationKind, ReplicationState
+from repro.common.types import Operation, OperationKind
 from repro.common.wire import (
     WIRE_SCHEMA_VERSION,
     WireDecoder,
@@ -34,9 +34,9 @@ from repro.gateway.executor import (
     SettlementResult,
     ShardEpochResult,
     decode_lane_epoch,
-    decode_lane_seed,
+    decode_lane_arrivals,
     encode_lane_epoch,
-    encode_lane_seed,
+    encode_lane_arrivals,
 )
 
 FEEDS = ["feed-00", "feed-01", "fèed-ünïcode", "피드-03"]
@@ -210,8 +210,9 @@ class TestLaneEpochRoundTrip:
             decode_lane_epoch(decoder, skewed)
 
 
-class TestLaneSeedRoundTrip:
-    def test_seed_round_trip(self):
+class TestLaneArrivalsRoundTrip:
+    def test_arrivals_round_trip(self):
+        """The one place operations cross main → lane outside a snapshot."""
         rng = random.Random(11)
         operations = [
             Operation(
@@ -224,32 +225,6 @@ class TestLaneSeedRoundTrip:
             )
             for _ in range(30)
         ]
-        preload = [
-            KVRecord(
-                key=f"ässet-{index:04d}",
-                value=bytes(rng.randrange(0, 600)),
-                state=rng.choice(list(ReplicationState)),
-                version=rng.randrange(20),
-            )
-            for index in range(10)
-        ]
-        seed_items = [
-            (0, [(operations[:15], preload)]),
-            (3, [(operations[15:], None), ([], [])]),
-        ]
-        encoder, decoder = WireEncoder(), WireDecoder()
-        frame = encode_lane_seed(encoder, seed_items)
-        decoded = decode_lane_seed(decoder, frame)
-        assert decoded == {
-            0: [(operations[:15], preload)],
-            3: [(operations[15:], None), ([], [])],
-        }
-
-    def test_bulk_preload_values_travel_out_of_band(self):
-        records = [
-            KVRecord.make(f"asset-{index:04d}", bytes(4096)) for index in range(8)
-        ]
-        encoder, _ = WireEncoder(), WireDecoder()
-        frame = encode_lane_seed(encoder, [(0, [([], records)])])
-        assert len(frame.blobs) == len(records)
-        assert len(frame.body) < 4096  # values are not in the body
+        arrivals = [("feed-00", operations[:15]), ("fèed-ünïcode", operations[15:])]
+        frame = encode_lane_arrivals(WireEncoder(), arrivals)
+        assert decode_lane_arrivals(WireDecoder(), frame) == arrivals
