@@ -104,23 +104,24 @@ def run_fleet(
 ):
     """One churn run; the importable unit the experiment runner drives.
 
-    ``execution_mode`` defaults to the scheduler's thread backend (the
-    benchmark's historical behaviour); pass ``"serial"`` for an inline run or
-    ``"process"`` for the elastic multicore backend, where churn and the
-    gas-aware re-shard migrate feeds between worker lanes as snapshot frames.
+    ``execution_mode`` defaults to what ``num_workers`` implies: one worker
+    is an inline ``"serial"`` run, more are ``"process"`` lanes, where churn
+    and the gas-aware re-shard migrate feeds between worker lanes as snapshot
+    frames.
     """
+    if execution_mode is None:
+        execution_mode = "serial" if num_workers == 1 else "process"
     schedule = build_schedule(
         seed, ops_per_feed, base_feeds=base_feeds, correlated=correlated
     ).generate()
     registry = FeedRegistry()
-    kwargs = {} if execution_mode is None else {"execution_mode": execution_mode}
     scheduler = EpochScheduler(
         registry,
         num_workers=num_workers,
         epoch_size=EPOCH_SIZE,
         planner=GasAwareShardPlanner(block_gas_fraction=BLOCK_GAS_FRACTION),
         obs=obs,
-        **kwargs,
+        execution_mode=execution_mode,
     )
     workloads = schedule.install(registry, scheduler)
     fleet = scheduler.run(workloads)

@@ -12,7 +12,7 @@ Hard checks (exit non-zero on violation, which is what the CI
 ``frontdoor-smoke`` job gates on):
 
 * **live ≡ batch** — the live run's fleet fingerprint is bit-identical to
-  the equivalent batch run's, in serial, thread AND process modes;
+  the equivalent batch run's, in serial AND process modes;
 * **gas conservation** — per-request gas attributions sum exactly to the
   fleet's feed+application gas (every unit billed to exactly one request);
 * **non-empty percentiles** — every mode reports real p50/p95/p99 numbers;
@@ -40,11 +40,10 @@ from pathlib import Path
 from repro.analysis.reporting import format_rate, format_table
 from repro.core.config import GrubConfig
 from repro.frontdoor import FrontDoor, Request, STATUS_REJECTED
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
+from repro.gateway import EXECUTION_MODES, EpochScheduler, FeedRegistry, FeedSpec
 from repro.obs.export import format_duration
 from repro.workloads.synthetic import SyntheticWorkload
 
-MODES = ("serial", "thread", "process")
 EPOCH_SIZE = 8
 NUM_WORKERS = 2
 DEFAULT_SEED = 20260808
@@ -210,7 +209,7 @@ def run_benchmark(seed: int, tenants: int, ops: int) -> dict:
     modes = {}
     violations = []
     telemetry_fingerprints = set()
-    for mode in MODES:
+    for mode in EXECUTION_MODES:
         door, responses, elapsed = run_mode(mode, seed, tenants, ops)
         violations.extend(check_mode(mode, door, responses, batch_fingerprint))
         report = door.percentiles()
@@ -253,7 +252,7 @@ def run_benchmark(seed: int, tenants: int, ops: int) -> dict:
     )
     print(
         "equivalence: live fingerprints bit-identical to the batch run in "
-        "serial, thread and process modes; per-request gas attributions sum "
+        "serial and process modes; per-request gas attributions sum "
         "to the fleet's bill in every mode"
     )
     metered = run_metered_scenario(seed)
@@ -282,7 +281,7 @@ def run_benchmark(seed: int, tenants: int, ops: int) -> dict:
         },
         "equivalence": (
             "live fingerprints bit-identical to batch across "
-            "serial/thread/process; gas attribution conserved"
+            "serial/process; gas attribution conserved"
         ),
         "modes": modes,
         "metered": metered,

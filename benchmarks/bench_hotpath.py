@@ -1,15 +1,15 @@
-"""Hot-path benchmark: serial throughput and execution-backend scaling.
+"""Hot-path benchmark: serial throughput and process-lane scaling.
 
 Drives one 32-feed fleet (preloaded stores, mixed read/write synthetic
-workloads) through the epoch engine, sweeping worker counts over the *thread*
-backend and lane counts over the *process* backend at a fixed shard plan.
+workloads) through the epoch engine: once on the serial backend, then
+sweeping lane counts over the *process* backend at a fixed shard plan.
 Reported per configuration: wall time, ops/sec, feed-layer gas/op and speedup
-versus the serial run.  Three hard checks:
+versus the serial run.  Two hard checks:
 
-* **equivalence** — every thread and process run's telemetry fingerprint and
-  per-feed gas bills must be bit-identical to the serial run's (the engine's
-  core guarantee); a violation exits non-zero, which is what the CI perf-smoke
-  job gates on;
+* **equivalence** — every process run's telemetry fingerprint and per-feed
+  gas bills must be bit-identical to the serial run's (the engine's core
+  guarantee); a violation exits non-zero, which is what the CI
+  hotpath-equivalence job gates on;
 * **trajectory** — results are written to ``BENCH_hotpath.json`` so future
   PRs have a recorded perf trajectory to beat.
 
@@ -26,13 +26,11 @@ bytes per epoch, encode/decode seconds, per-lane rows).  On hosts granted a
 single effective CPU the results carry ``"multicore_sweep": "pending"`` so a reader knows the
 recorded process numbers measure boundary overhead, not scaling.
 
-A note on scaling regimes: the *thread* backend is bounded by the GIL on
-CPython — it can only match serial throughput, never multiply it.  The
-*process* backend runs each shard's feeds in a separate worker process and is
-bounded by the host's CPUs instead.  Results therefore record both
-``host.cpus`` and ``host.effective_cpus`` (the scheduling affinity actually
-granted to this process — CI containers routinely advertise many CPUs while
-pinning the job to one), and every sweep record carries its
+A note on scaling regimes: the *process* backend runs each shard's feeds in a
+separate worker process and is bounded by the host's CPUs.  Results therefore
+record both ``host.cpus`` and ``host.effective_cpus`` (the scheduling affinity
+actually granted to this process — CI containers routinely advertise many
+CPUs while pinning the job to one), and every sweep record carries its
 ``execution_mode``, so a flat speedup curve on a single-CPU host is read as
 "host had one CPU", not "parallelism doesn't help".
 
@@ -40,7 +38,6 @@ Runs under pytest (the repo's benchmark harness) or standalone::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick    # <60s CI smoke
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --workers auto
 """
 
 from __future__ import annotations
@@ -65,8 +62,6 @@ from repro.workloads.synthetic import SyntheticWorkload
 NUM_FEEDS = 32
 NUM_SHARDS = 8
 EPOCH_SIZE = 16
-FULL_WORKERS = (1, 2, 4, 8)
-QUICK_WORKERS = (1, 4, 8)
 FULL_PROCESS_LANES = (2, 4, 8)
 QUICK_PROCESS_LANES = (2,)
 FULL_OPS_PER_FEED = 256
@@ -89,19 +84,6 @@ def effective_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux hosts
         return os.cpu_count() or 1
-
-
-def auto_worker_counts() -> Tuple[int, ...]:
-    """``--workers auto``: powers of two from 1 up to twice the affinity.
-
-    Always includes an oversubscribed point (2× the effective CPUs) so the
-    curve shows where scaling flattens rather than stopping at the knee.
-    """
-    cpus = effective_cpus()
-    counts = [1]
-    while counts[-1] < 2 * cpus:
-        counts.append(counts[-1] * 2)
-    return tuple(counts)
 
 
 def host_facts() -> dict:
@@ -322,16 +304,12 @@ def phase_latency_record(
 
 
 def run_sweep(
-    worker_counts: Sequence[int],
     process_lanes: Sequence[int],
     ops_per_feed: int,
     repeats: int,
 ) -> dict:
     workloads = build_workloads(ops_per_feed)
     configurations: List[Tuple[str, int]] = [("serial", 1)]
-    configurations.extend(
-        ("thread", workers) for workers in worker_counts if workers > 1
-    )
     configurations.extend(("process", lanes) for lanes in process_lanes)
     results = [
         run_configuration(mode, workers, workloads, repeats)
@@ -432,7 +410,6 @@ def run_sweep(
             "ops_per_feed": ops_per_feed,
             "preload_keys_per_feed": PRELOAD_KEYS,
             "repeats": repeats,
-            "worker_counts": list(worker_counts),
             "process_lanes": list(process_lanes),
         },
         "host": host,
@@ -460,22 +437,13 @@ def write_results(payload: dict, output: Path) -> None:
 def test_hotpath(benchmark):
     """Pytest entry: quick sweep under the benchmark harness."""
     quick = os.environ.get("GRUB_BENCH_SCALE") == "quick"
-    workers = QUICK_WORKERS if quick else FULL_WORKERS
     lanes = QUICK_PROCESS_LANES if quick else FULL_PROCESS_LANES
     ops = QUICK_OPS_PER_FEED if quick else FULL_OPS_PER_FEED
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
     payload = benchmark.pedantic(
-        run_sweep, args=(workers, lanes, ops, repeats), rounds=1, iterations=1
+        run_sweep, args=(lanes, ops, repeats), rounds=1, iterations=1
     )
     assert payload["sweep"], "sweep produced no records"
-
-
-def _parse_workers(values: Optional[List[str]], default: Sequence[int]) -> Tuple[int, ...]:
-    if not values:
-        return tuple(default)
-    if len(values) == 1 and values[0] == "auto":
-        return auto_worker_counts()
-    return tuple(int(value) for value in values)
 
 
 def main() -> int:
@@ -483,14 +451,7 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sweep for CI (<60s): fewer worker counts, 96 ops/feed, 1 repeat",
-    )
-    parser.add_argument(
-        "--workers",
-        nargs="*",
-        default=None,
-        help="thread worker counts to sweep, or 'auto' to derive the curve "
-        "from the host's effective CPUs (default: 1 2 4 8)",
+        help="small sweep for CI (<60s): one lane count, 96 ops/feed, 1 repeat",
     )
     parser.add_argument(
         "--process-lanes",
@@ -514,17 +475,15 @@ def main() -> int:
     )
     args = parser.parse_args()
     if args.quick:
-        workers = _parse_workers(args.workers, QUICK_WORKERS)
         lanes = tuple(args.process_lanes) if args.process_lanes is not None else QUICK_PROCESS_LANES
         ops = args.ops or QUICK_OPS_PER_FEED
         repeats = args.repeats or QUICK_REPEATS
     else:
-        workers = _parse_workers(args.workers, FULL_WORKERS)
         lanes = tuple(args.process_lanes) if args.process_lanes is not None else FULL_PROCESS_LANES
         ops = args.ops or FULL_OPS_PER_FEED
         repeats = args.repeats or FULL_REPEATS
     started = time.perf_counter()
-    payload = run_sweep(workers, lanes, ops, repeats)
+    payload = run_sweep(lanes, ops, repeats)
     payload["config"]["quick"] = bool(args.quick)
     write_results(payload, args.output)
     print(f"sweep completed in {time.perf_counter() - started:.1f}s")

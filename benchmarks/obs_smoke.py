@@ -1,15 +1,15 @@
 """Observability smoke: tracing changes nothing, and the exports are sound.
 
-Drives one small mixed fleet through all three execution backends with the
+Drives one small mixed fleet through both execution backends with the
 observability plane on and off, then validates every exit the plane has:
 
 * **zero-entropy** — telemetry fingerprints, per-feed gas bills and chain
-  state are bit-identical across serial/thread/process with tracing on or
+  state are bit-identical across serial/process with tracing on or
   off; the plane observes the run, it never steers it;
 * **span-tree completeness** — the traced serial run has one ``run`` root,
   every epoch under it, every phase under each epoch, and every shard under
-  each fanned-out phase; the process run additionally grafts lane spans in
-  fixed shard order with its ``merge`` phase last;
+  each phase; the process run grafts its lanes' shard spans in fixed shard
+  order and adds its main-side ``merge`` phase last;
 * **percentiles** — every instrumented phase reports non-empty p50/p95/p99;
 * **JSONL** — every exported line passes the schema validator (meta line
   first, pre-order span ids, histogram bucket invariants);
@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.types import KVRecord
 from repro.core.config import GrubConfig
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
+from repro.gateway import EXECUTION_MODES, EpochScheduler, FeedRegistry, FeedSpec
 from repro.obs import PHASE_ORDER, Observability
 from repro.obs.export import parse_prometheus, validate_jsonl
 from repro.workloads.synthetic import SyntheticWorkload
@@ -40,7 +40,11 @@ NUM_SHARDS = 4
 EPOCH_SIZE = 8
 OPS_PER_FEED = 64
 SERIAL_PHASES = ("drive", "deliver", "update", "settle")
-MODES: Tuple[Tuple[str, int], ...] = (("serial", 1), ("thread", 4), ("process", 3))
+PROCESS_LANES = 3
+#: ``(execution mode, num_workers)`` for every backend the scheduler has.
+MODES: Tuple[Tuple[str, int], ...] = tuple(
+    (mode, 1 if mode == "serial" else PROCESS_LANES) for mode in EXECUTION_MODES
+)
 
 
 def build_fleet():
@@ -118,8 +122,8 @@ def check_tree(obs: Observability, mode: str, violations: List[str]) -> None:
             return
         for phase_span in epoch_span.children:
             phase = phase_span.attrs["phase"]
-            if phase == "merge" or (mode != "process" and phase == "settle"):
-                continue  # not fanned out per shard
+            if phase == "merge":
+                continue  # main-side only, not per shard
             shards = [span.attrs.get("shard") for span in phase_span.children]
             if shards != list(range(NUM_SHARDS)):
                 violations.append(
@@ -188,11 +192,10 @@ def main() -> int:
                 f"zero-entropy: untraced {mode}/{workers} diverged from serial"
             )
 
-    for mode in ("serial", "process"):
+    for mode in EXECUTION_MODES:
         check_tree(traced[mode], mode, violations)
         check_percentiles(traced[mode], mode, violations)
-    check_exports(traced["serial"], "serial", violations)
-    check_exports(traced["process"], "process", violations)
+        check_exports(traced[mode], mode, violations)
 
     if violations:
         print("obs-smoke FAILED:")

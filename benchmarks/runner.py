@@ -23,16 +23,15 @@ importable)::
       "order_seed": 20260808,
       "ops_per_feed": 96,
       "factors": {
-        "execution_mode": ["serial", "thread", "process"],
-        "workers": [2, 4],            # thread workers / process lanes; "auto"
-                                      # expands from the host's effective CPUs
+        "execution_mode": ["serial", "process"],
+        "workers": [2, 4],            # process lanes; "auto" expands from
+                                      # the host's effective CPUs
         "fleet_size": [16, 32],       # feeds (churn: resident base feeds)
         "workload": ["mixed", "read_heavy", "write_heavy", "churn"]
       }
     }
 
-Grid canonicalization: ``serial`` always runs one worker and ``thread`` cells
-need >= 2 workers (one thread worker is just serial with overhead).
+Grid canonicalization: ``serial`` always runs one worker.
 ``process × churn`` cells run like any others — the lane engine migrates
 feeds between lanes at churn and re-shard boundaries — and their
 fingerprints join the cross-backend equivalence check, so the migration path
@@ -79,11 +78,11 @@ import bench_hotpath
 
 from repro.analysis import stats
 from repro.analysis.reporting import format_rate, format_table
+from repro.gateway import EXECUTION_MODES
 from repro.obs import Observability
 
 HOTPATH_PROFILES = tuple(sorted(bench_hotpath.PROFILE_RATIOS))
 WORKLOADS = HOTPATH_PROFILES + ("churn",)
-EXECUTION_MODES = ("serial", "thread", "process")
 
 #: Gated metrics: direction plus the per-metric actionability floor.
 #: Throughput gets a generous floor because baseline and current routinely
@@ -103,7 +102,7 @@ SMOKE_SPEC = {
     "order_seed": 20260808,
     "ops_per_feed": 48,
     "factors": {
-        "execution_mode": ["serial", "thread", "process"],
+        "execution_mode": list(EXECUTION_MODES),
         "workers": [1, 2],
         "fleet_size": [12],
         "workload": ["mixed", "churn"],
@@ -116,7 +115,7 @@ FULL_SPEC = {
     "order_seed": 20260808,
     "ops_per_feed": 96,
     "factors": {
-        "execution_mode": ["serial", "thread", "process"],
+        "execution_mode": list(EXECUTION_MODES),
         "workers": ["auto"],
         "fleet_size": [16, 32],
         "workload": ["mixed", "read_heavy", "write_heavy", "churn"],
@@ -193,9 +192,9 @@ def load_spec(path: Path) -> dict:
 def expand_cells(spec: dict) -> List[Cell]:
     """Expand a spec's factor grid into canonical, deduplicated cells.
 
-    Canonicalization: serial forces one worker; thread keeps only >= 2
-    workers.  The returned list is deterministically sorted — randomization
-    happens at the *run order* level, not here.
+    Canonicalization: serial forces one worker.  The returned list is
+    deterministically sorted — randomization happens at the *run order*
+    level, not here.
     """
     factors = spec.get("factors", {})
     modes = list(factors.get("execution_mode", ["serial"]))
@@ -224,8 +223,6 @@ def expand_cells(spec: dict) -> List[Cell]:
     ):
         if mode == "serial":
             workers = 1
-        elif mode == "thread" and workers < 2:
-            continue
         elif mode == "process" and workers < 1:
             continue
         cells.add(

@@ -25,7 +25,13 @@ import argparse
 from repro.analysis.reporting import format_gas
 from repro.common.types import Operation
 from repro.core.config import GrubConfig
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
+from repro.gateway import (
+    EXECUTION_MODES,
+    EpochScheduler,
+    FeedRegistry,
+    FeedSpec,
+    GasAwareShardPlanner,
+)
 from repro.workloads.synthetic import SyntheticWorkload
 
 EPOCH_SIZE = 8
@@ -55,8 +61,8 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--execution-mode",
-        choices=("serial", "thread", "process"),
-        default="thread",
+        choices=EXECUTION_MODES,
+        default="serial",
         help="execution backend (process = elastic lanes with feed migration)",
     )
     args = parser.parse_args(argv)
@@ -75,7 +81,7 @@ def main(argv: list[str] | None = None) -> None:
 
     scheduler = EpochScheduler(
         registry,
-        num_workers=2,
+        num_workers=1 if args.execution_mode == "serial" else 2,
         execution_mode=args.execution_mode,
         epoch_size=EPOCH_SIZE,
         # A tight per-shard budget so the planner visibly bin-packs: 100k of

@@ -15,7 +15,6 @@ theorems can be checked in tests.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
@@ -170,7 +169,12 @@ class Blockchain:
         self.blocks: List[Block] = []
         self.pending: List[Transaction] = []
         self.receipts: Dict[int, TransactionReceipt] = {}
-        self._isolation = threading.local()
+        #: The open :meth:`isolated_execution` buffer, if any.  Plain
+        #: attributes: exactly one thread ever drives a chain (the caller's,
+        #: a lane worker's main thread, or the front door's scheduler thread).
+        self._isolation_buffer: Optional[ExecutionBuffer] = None
+        #: Reusable internal-call frames for calls made outside isolation.
+        self._call_frames: Dict[tuple, _CallFrame] = {}
         #: Optional :class:`repro.obs.Observability` hook (set by the hosting
         #: runtime).  Strictly observation-only: mine paths read the wall
         #: clock and bump counters through it, and nothing it records ever
@@ -183,32 +187,34 @@ class Blockchain:
 
     @contextmanager
     def isolated_execution(self) -> Iterator[ExecutionBuffer]:
-        """Buffer this thread's internal-call side effects for a later merge.
+        """Buffer internal-call side effects for a later merge.
 
-        While the context is active, :meth:`execute_internal_call` on this
-        thread charges gas to the buffer's private ledger and collects emitted
-        events in the buffer instead of the global event log.  The chain's
+        While the context is active, :meth:`execute_internal_call` charges
+        gas to the buffer's private ledger and collects emitted events in the
+        buffer instead of the global event log.  The chain's
         height, clock and contract storage are untouched by the buffering —
         only the two globally *ordered* structures are deferred — so per-feed
         contract state advances exactly as it would serially.  The caller must
         pass the buffer to :meth:`absorb` (in a deterministic order) before
         anything reads the ledger or polls the event log.
         """
-        if getattr(self._isolation, "buffer", None) is not None:
+        if self._isolation_buffer is not None:
             raise ReproError("isolated_execution contexts cannot be nested")
-        buffer = ExecutionBuffer()
-        self._isolation.buffer = buffer
+        buffer = self._isolation_buffer = ExecutionBuffer()
         try:
             yield buffer
         finally:
-            self._isolation.buffer = None
+            self._isolation_buffer = None
 
     def absorb(self, buffer: ExecutionBuffer) -> None:
-        """Merge an isolation buffer's charges and events into the chain."""
+        """Merge an isolation buffer's charges and events into the chain.
+
+        The buffer itself is left as it was (the log takes stamped copies),
+        so a lane worker can still put it on the wire after its local merge.
+        """
         self.ledger.merge(buffer.ledger)
         for event in buffer.events:
             self.event_log.append_event(event, event.block_number, 0)
-        buffer.events.clear()
 
     def absorb_wire(self, payload: dict, block_number: int) -> None:
         """Merge a wire-form drive buffer (:meth:`ExecutionBuffer.to_wire`).
@@ -432,19 +438,13 @@ class Blockchain:
         enclosing transaction is committed within the current block).
         """
         contract = self.get_contract(contract_address)
-        buffer: Optional[ExecutionBuffer] = getattr(self._isolation, "buffer", None)
+        buffer = self._isolation_buffer
         frame: Optional[_CallFrame] = None
         if gas_limit is None:
             # Hot path: reuse the cached call envelope for this attribution.
-            # Frames live on the isolation buffer when one is active (buffers
-            # are single-threaded by construction) and otherwise per thread,
-            # so no frame is ever shared across threads.
-            if buffer is not None:
-                frames = buffer.call_frames
-            else:
-                frames = getattr(self._isolation, "call_frames", None)
-                if frames is None:
-                    frames = self._isolation.call_frames = {}
+            # Frames live on the isolation buffer when one is active (their
+            # meters charge its ledger) and on the chain otherwise.
+            frames = self._call_frames if buffer is None else buffer.call_frames
             frame = frames.get((layer, scope))
             if frame is None:
                 meter = GasMeter(

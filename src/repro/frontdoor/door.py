@@ -21,7 +21,7 @@ Determinism: epoch membership is driven purely by admission order and
 ``not_before_epoch`` eligibility.  A client that stamps its whole request
 sequence before the fleet drains it (the seeded benchmark client, tests)
 produces **bit-identical** fingerprints, gas bills and chain state to the
-equivalent batch run — in serial, thread and process modes alike.  Requests
+equivalent batch run — in serial and process modes alike.  Requests
 racing the epoch clock in real time are serviced correctly, but *which*
 boundary catches them is scheduling weather, not physics, and is the one
 thing a replay cannot pin.

@@ -16,22 +16,21 @@ storage-manager contract).  This package turns that into a hosted service:
   shared event log once per cycle and routing request events to the feed they
   belong to;
 * :mod:`repro.gateway.scheduler` — the :class:`EpochScheduler`, an elastic
-  parallel epoch engine: each shard's off-chain work (operation driving,
-  proof generation, epoch-update preparation) runs on a pluggable execution
-  backend (``execution_mode="serial" | "thread" | "process"``), settlement
-  lands in a deterministic merge phase (fixed shard order), one batched
-  deliver plus one grouped update settles per shard in its own block — every
-  backend is bit-identical to serial — and tenants join
+  epoch engine: each shard's off-chain work (operation driving, proof
+  generation, epoch-update preparation) runs on one of two execution
+  backends (``execution_mode="serial" | "process"``), settlement lands in a
+  deterministic merge phase (fixed shard order), one batched deliver plus
+  one grouped update settles per shard in its own block — process lanes are
+  bit-identical to serial — and tenants join
   (:meth:`EpochScheduler.admit`) and leave (:meth:`EpochScheduler.evict`)
   at epoch boundaries, with per-tenant ops/gas quotas deferring over-quota
   operations to later epochs;
-* :mod:`repro.gateway.executor` — the backends themselves: the shared
-  per-shard phase logic every mode runs, plus the :class:`LaneEngine`
-  (persistent worker processes hosting full feed mirrors, only per-epoch
-  deltas crossing the process boundary; feeds reach a lane as snapshot
-  frames, or by fork inheritance when the run's plan cannot change) that
-  gives the engine true multicore scaling where CPython's GIL caps the
-  thread pool;
+* :mod:`repro.gateway.executor` — the backends themselves: the one epoch
+  body both modes run (``run_epoch_phases``, where the phase order is
+  written down), plus the :class:`LaneEngine` (persistent worker processes
+  hosting full feed mirrors, only per-epoch deltas crossing the process
+  boundary; feeds reach a lane as snapshot frames, or by fork inheritance
+  when the run's plan cannot change);
 * :mod:`repro.gateway.planner` — shard planning strategies: the fixed
   :class:`RoundRobinPlanner` and the :class:`GasAwareShardPlanner`, which
   EWMA-estimates per-feed epoch gas from trailing telemetry and bin-packs
@@ -57,7 +56,7 @@ Quickstart::
     registry = FeedRegistry()
     for i in range(8):
         registry.create_feed(FeedSpec(feed_id=f"feed-{i:02d}", config=GrubConfig(epoch_size=16)))
-    scheduler = EpochScheduler(registry, num_shards=2, num_workers=4)
+    scheduler = EpochScheduler(registry, num_shards=2)
     fleet = scheduler.run({
         f"feed-{i:02d}": SyntheticWorkload(read_write_ratio=4, num_operations=128, seed=i).operations()
         for i in range(8)

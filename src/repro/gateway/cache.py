@@ -109,9 +109,9 @@ class ReadCache:
     def ensure_shard(self, feed_id: str) -> None:
         """Pre-create a feed's shard.
 
-        The parallel scheduler calls this for every fleet feed before fanning
-        out, so worker threads never mutate the shard *directory* — each only
-        touches the interior of shards it exclusively owns.
+        Whoever hosts a feed (the scheduler, or a worker lane) calls this
+        before the feed's first epoch, so the epoch phases never mutate the
+        shard *directory* — each only touches the interior of shards it owns.
         """
         if feed_id not in self._shards:
             self._shards[feed_id] = _FeedShard()

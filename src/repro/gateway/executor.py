@@ -1,24 +1,23 @@
-"""Execution backends for the epoch engine: shared phase logic + process pool.
+"""Execution backends for the epoch engine: the epoch body + process lanes.
 
 The :class:`~repro.gateway.scheduler.EpochScheduler` orchestrates epochs; this
-module owns *how a shard's work actually executes*.  It has two halves:
+module owns *how an epoch's work actually executes*.  It has two halves:
 
-**Shared phase logic.**  The per-shard phase bodies — driving a shard's
-operations (cache front, quotas, deferral), building deliver groups, preparing
-update groups, warming the cache, settling a feed's epoch accounting — are
-plain functions over a :class:`ShardEnvironment` (registry + cache + queues +
-telemetry + dirty-key sets).  The scheduler's serial and thread backends call
-them against the fleet-wide environment on the main process; the process
-backend calls the very same functions inside worker processes against
-worker-local environments.  One implementation, three execution modes, which
-is what makes the bit-identical guarantee a property of the code path rather
-than a property of careful duplication.
+**The epoch body.**  :func:`run_epoch_phases` is the one place the epoch's
+phase order is written down: per-feed gas marks, drive every shard, absorb in
+shard order, one watchdog poll, per shard deliver build + settle + cache
+warm-up, per shard update prepare + settle, per-feed accounting — over a
+:class:`ShardEnvironment` (registry + cache + queues + telemetry + dirty-key
+sets) and an ordered ``[(shard_index, feed_ids)]``.  The serial backend calls
+it against the fleet-wide environment on the main process; the process
+backend calls the very same function inside worker processes against
+worker-local environments.  The two differ only in the ``settle`` callable
+they hand it (land the batch and check for a revert, or land it and capture
+what the main chain must record), which is what makes the bit-identical
+guarantee a property of the code path rather than of careful duplication.
 
-**Process backend.**  CPython's GIL means the thread backend can only overlap
-the hash/storage work of one interpreter; on a multicore host it never
-multiplies throughput (``BENCH_hotpath.json`` records speedup ≈ 1× however
-many threads run).  :class:`LaneEngine` instead ships each shard's epoch work
-to long-lived worker processes:
+**Process backend.**  :class:`LaneEngine` ships each shard's epoch work to
+long-lived worker processes:
 
 * every worker **lane** is a single-process :class:`ProcessPoolExecutor`, so
   the worker-side state of a feed — its contracts on a worker-local chain, SP
@@ -41,8 +40,10 @@ to long-lived worker processes:
   state are bit-identical to a serial run;
 * at run end the workers ship their final feed state back
   (:class:`FeedStateResult`) and the engine folds it into the main registry's
-  mirrors, so post-run inspection (contract storage, roots, replica counts,
-  reports, cache contents) sees exactly what a serial run would have left.
+  mirrors — the off-chain actors (:class:`ActorState`) included — so
+  post-run inspection (contract storage, roots, replica counts, reports,
+  cache contents) sees exactly what a serial run would have left, and the
+  registry's next run continues from it.
 
 Everything that crosses a lane boundary per epoch is encoded with the compact
 codec in :mod:`repro.common.wire` — varint-packed counters, feed ids / record
@@ -139,7 +140,8 @@ from repro.gateway.router import (
     scope_weights_for_deliver,
     scope_weights_for_update,
 )
-from repro.obs.tracing import Tracer
+from repro.obs import DISABLED
+from repro.obs.tracing import Span, Tracer
 from repro.storage.lsm import LSMStore
 
 #: Externally-owned account the gateway runtime submits batched transactions
@@ -147,11 +149,11 @@ from repro.storage.lsm import LSMStore
 GATEWAY_OPERATOR = "gateway-operator"
 
 #: The scheduler's execution backends.
-EXECUTION_MODES = ("serial", "thread", "process")
+EXECUTION_MODES = ("serial", "process")
 
 
 # ---------------------------------------------------------------------------
-# Shared phase logic (serial, thread and process backends all run this)
+# The epoch body (the serial and process backends both run this)
 # ---------------------------------------------------------------------------
 
 
@@ -159,10 +161,10 @@ EXECUTION_MODES = ("serial", "thread", "process")
 class ShardEnvironment:
     """Everything the shard phases mutate, owned by exactly one interpreter.
 
-    The scheduler builds one for the whole fleet (serial/thread modes); each
-    worker process builds one for the feeds of its pinned shards (process
-    mode).  Phases only ever touch entries for the feeds they were handed, so
-    a worker's environment never needs entries for other lanes' feeds.
+    The scheduler builds one for the whole fleet; in process mode each worker
+    lane also builds one for the feeds it hosts.  Phases only ever touch
+    entries for the feeds they were handed, so a lane's environment never
+    needs entries for other lanes' feeds.
     """
 
     registry: FeedRegistry
@@ -403,6 +405,145 @@ def settle_feed_epoch(
     return summary.gas_total
 
 
+@dataclass
+class ShardOutcome:
+    """What one epoch left behind for one shard (see :func:`run_epoch_phases`)."""
+
+    shard_index: int
+    #: The drive phase's isolation buffer, already absorbed into ``env``'s chain.
+    drive: ExecutionBuffer
+    #: What ``settle`` returned for the shard's deliver / update batch;
+    #: ``None`` when the shard had nothing to land.
+    deliver: object = None
+    update: object = None
+    #: feed id → ``(operations executed, settled epoch gas)``.
+    settled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    #: The shard's finished phase spans, in phase order (empty when untraced).
+    spans: List[Span] = field(default_factory=list)
+
+
+def run_epoch_phases(
+    env: ShardEnvironment,
+    shards: Sequence[Tuple[int, Sequence[str]]],
+    epoch: int,
+    epoch_size: int,
+    *,
+    settle: Callable[[Transaction], object],
+    tracer: Tracer,
+    phase: Callable = DISABLED.phase,
+) -> List[ShardOutcome]:
+    """One lockstep epoch over ``shards`` — monitor, decide, replicate, settle
+    — against ``env``'s chain: the only copy of the epoch's phase order.
+
+    ``settle(transaction)`` lands one shard's batch in its own block (so the
+    block gas limit bounds exactly what the planner budgeted) and returns
+    whatever the caller wants kept on the shard's outcome.  ``phase(name,
+    epoch=…)`` scopes each phase; a span it yields adopts the phase's
+    per-shard spans in shard order.  Outcomes come back in ``shards`` order.
+    """
+    registry = env.registry
+    chain = registry.chain
+    ledger = chain.ledger
+    router = registry.router.address
+    gas_before = {
+        feed_id: (
+            ledger.scope_total(feed_id, LAYER_FEED),
+            ledger.scope_total(feed_id, LAYER_APPLICATION),
+        )
+        for _, shard in shards
+        for feed_id in shard
+    }
+    outcomes: List[ShardOutcome] = []
+
+    def close(parent: Optional[Span], outcome: ShardOutcome, span: Optional[Span]):
+        if span is not None:
+            tracer.finish(span)
+            outcome.spans.append(span)
+            if parent is not None:
+                tracer.adopt(parent, span)
+
+    # Phase 1 — every shard drives its feeds' slice of the epoch (reads
+    # execute against per-feed contract state or hit the feed's cache shard;
+    # writes buffer at the feed's DO).  Gas charges and emitted events land
+    # in per-shard buffers, merged in shard order once all have driven.
+    summaries: Dict[str, EpochSummary] = {}
+    with phase("drive", epoch=epoch) as parent:
+        for shard_index, shard in shards:
+            span = tracer.detached("shard", phase="drive", shard=shard_index)
+            buffer, shard_summaries = drive_shard(env, shard, epoch, epoch_size)
+            summaries.update(shard_summaries)
+            outcome = ShardOutcome(shard_index, buffer)
+            outcomes.append(outcome)
+            close(parent, outcome, span)
+        for outcome in outcomes:
+            chain.absorb(outcome.drive)
+
+    # Phase 2 — the shared watchdog scans the merged log once; each shard
+    # then builds its deliver groups (record lookups + batched Merkle proofs)
+    # and settles them in one batched deliver transaction, and the records
+    # the chain just verified and replicated warm the cache.
+    delivered = dict.fromkeys(gas_before, 0)
+    with phase("deliver", epoch=epoch) as parent:
+        registry.watchdog.poll()
+        for (shard_index, shard), outcome in zip(shards, outcomes):
+            span = tracer.detached("shard", phase="deliver", shard=shard_index)
+            groups = build_deliver_groups(registry, shard)
+            if groups:
+                outcome.deliver = settle(deliver_transaction(router, groups))
+                for group in groups:
+                    delivered[group.feed_id] += 1
+                    env.feeds[group.feed_id].deliver_groups += 1
+                warm_cache_from_deliveries(env, groups)
+            close(parent, outcome, span)
+
+    # Phase 3 — every shard prepares its feeds' epoch updates (control plane
+    # + ADS + root signing); each shard's payloads land in one grouped update
+    # transaction.
+    updated = dict.fromkeys(gas_before, 0)
+    transitions: Dict[str, Dict[str, ReplicationState]] = {}
+    with phase("update", epoch=epoch) as parent:
+        for (shard_index, shard), outcome in zip(shards, outcomes):
+            span = tracer.detached("shard", phase="update", shard=shard_index)
+            update_groups, shard_transitions = prepare_update_groups(registry, shard)
+            transitions.update(shard_transitions)
+            if update_groups:
+                outcome.update = settle(update_transaction(router, update_groups))
+                for group in update_groups:
+                    updated[group.feed_id] += 1
+                    env.feeds[group.feed_id].update_groups += 1
+            close(parent, outcome, span)
+
+    # Phase 4 — per-feed accounting for the epoch, plus replication-keyed
+    # cache invalidation (an evicted replica must not be served from cache).
+    with phase("settle", epoch=epoch) as parent:
+        for (shard_index, shard), outcome in zip(shards, outcomes):
+            span = tracer.detached("shard", phase="settle", shard=shard_index)
+            for feed_id in shard:
+                summary = summaries[feed_id]
+                outcome.settled[feed_id] = (
+                    summary.operations,
+                    settle_feed_epoch(
+                        env,
+                        feed_id,
+                        summary,
+                        deliveries=delivered[feed_id],
+                        update_transactions=updated[feed_id],
+                        transitions=transitions.get(feed_id, {}),
+                        gas_before=gas_before[feed_id],
+                    ),
+                )
+            close(parent, outcome, span)
+    return outcomes
+
+
+def land_transaction(chain, transaction: Transaction):
+    """Submit ``transaction`` and mine it into a block of its own; returns
+    its receipt."""
+    chain.submit(transaction)
+    chain.mine_block()
+    return chain.receipt_for(transaction.txid)
+
+
 def close_feed_bill(
     env: ShardEnvironment, feed_id: str, epoch: int, *, poll: bool
 ) -> FeedTelemetry:
@@ -528,10 +669,95 @@ class LaneEpochEnvelope:
     encode_seconds: float
 
 
+@dataclass
+class ActorState:
+    """One feed's off-chain actors as plain data: the DO's trusted root and
+    signer, the SP's counters and pending requests, the control plane
+    (algorithm, actuator) and its monitor.  Wherever a feed's mirror changes
+    interpreter — a snapshot frame into a lane, the run-end state back to the
+    main registry — this is captured on one side and installed on the other.
+
+    The SP's ``_log_cursor`` deliberately does *not* travel: it indexes the
+    source's private event log; :meth:`install` re-bases it against the
+    destination chain.
+    """
+
+    do_trusted_root: bytes
+    do_epochs_submitted: int
+    signer_secret: bytes
+    signer_epoch: int
+    sp_deliveries_sent: int
+    sp_records_delivered: int
+    sp_pending: list
+    cp_epochs_run: int
+    cp_algorithm: object
+    cp_actuator: object
+    monitor_observed_reads: int
+    monitor_observed_writes: int
+    #: Absolute call-history index of the monitor's cursor.  Its coordinate
+    #: space is the storage manager's call history, which travels with the
+    #: contract attrs — so the position stays valid across the move.
+    monitor_cursor_position: int
+    monitor_local_writes: list
+
+    @classmethod
+    def capture(cls, handle) -> "ActorState":
+        data_owner = handle.data_owner
+        provider = handle.service_provider
+        control_plane = data_owner.control_plane
+        monitor = control_plane.monitor
+        return cls(
+            do_trusted_root=data_owner.trusted_root,
+            do_epochs_submitted=data_owner.epochs_submitted,
+            signer_secret=data_owner.signer._secret,
+            signer_epoch=data_owner.signer._epoch,
+            sp_deliveries_sent=provider.deliveries_sent,
+            sp_records_delivered=provider.records_delivered,
+            sp_pending=list(provider.pending),
+            cp_epochs_run=control_plane.epochs_run,
+            cp_algorithm=control_plane.algorithm,
+            cp_actuator=control_plane.actuator,
+            monitor_observed_reads=monitor.observed_reads,
+            monitor_observed_writes=monitor.observed_writes,
+            monitor_cursor_position=monitor._cursor.position,
+            monitor_local_writes=list(monitor._local_writes),
+        )
+
+    def install(self, handle) -> None:
+        data_owner = handle.data_owner
+        data_owner.trusted_root = self.do_trusted_root
+        data_owner.epochs_submitted = self.do_epochs_submitted
+        data_owner.signer._secret = self.signer_secret
+        data_owner.signer._epoch = self.signer_epoch
+        data_owner._write_buffer = []
+        provider = handle.service_provider
+        provider.deliveries_sent = self.sp_deliveries_sent
+        provider.records_delivered = self.sp_records_delivered
+        provider.pending = list(self.sp_pending)
+        # Everything logged on the destination chain so far was routed by
+        # whoever hosted the feed then; a later poll must not replay it.
+        provider._log_cursor = len(handle.system.chain.event_log)
+        # Mutate the control plane *in place*: the SP's ``decision_lookup``
+        # binding (wired at construction) must keep pointing at this object.
+        control_plane = data_owner.control_plane
+        control_plane.epochs_run = self.cp_epochs_run
+        control_plane.algorithm = self.cp_algorithm
+        control_plane.actuator = self.cp_actuator
+        monitor = control_plane.monitor
+        monitor.observed_reads = self.monitor_observed_reads
+        monitor.observed_writes = self.monitor_observed_writes
+        monitor._local_writes = list(self.monitor_local_writes)
+        monitor._read_ops = {}
+        # The cursor itself is destination-local (a weak ref held by the
+        # destination's storage manager); only its position crosses.
+        monitor._cursor.position = self.monitor_cursor_position
+
+
 @dataclass(frozen=True)
 class FeedStateResult:
     """A feed's final state, shipped back at run end so the main registry's
-    mirrors match what a serial run would have left behind."""
+    mirrors hold what a serial run would have left behind — and the registry
+    can be run again."""
 
     feed_id: str
     telemetry: FeedTelemetry
@@ -541,10 +767,7 @@ class FeedStateResult:
     consumer_attrs: dict
     consumer_slots: Dict[str, bytes]
     sp_store_state: Optional[dict]
-    do_trusted_root: bytes
-    do_epochs_submitted: int
-    sp_deliveries_sent: int
-    sp_records_delivered: int
+    actors: ActorState
     cache_entries: Tuple[Tuple[str, bytes], ...]
     cache_stats: Optional[CacheStats]
     #: When set, :attr:`sp_store_state` is a delta against an *empty* store
@@ -814,10 +1037,8 @@ class FeedSnapshot:
     full contents (records in dict order, slot layout, free-slot stack,
     Merkle leaves + interior levels), the DO's trusted root and signer state,
     the SP's counters and pending requests, the control plane (algorithm,
-    actuator, monitor counters and history-cursor position), and the feed's
-    cache shard.  The SP's ``_log_cursor`` deliberately does *not* travel —
-    it indexes the source lane's private event log; the installer re-bases it
-    against the destination chain.
+    actuator, monitor counters and history-cursor position) — the
+    :class:`ActorState` — and the feed's cache shard.
     """
 
     feed_id: str
@@ -839,23 +1060,7 @@ class FeedSnapshot:
     #: at freed slots, which a changed-records delta could not reconstruct.
     leaves_blob: bytes
     upper_blob: bytes
-    do_trusted_root: bytes
-    do_epochs_submitted: int
-    signer_secret: bytes
-    signer_epoch: int
-    sp_deliveries_sent: int
-    sp_records_delivered: int
-    sp_pending: list
-    cp_epochs_run: int
-    cp_algorithm: object
-    cp_actuator: object
-    monitor_observed_reads: int
-    monitor_observed_writes: int
-    #: Absolute call-history index of the monitor's cursor.  Its coordinate
-    #: space is the storage manager's call history, which travels with the
-    #: contract attrs — so the position stays valid across the move.
-    monitor_cursor_position: int
-    monitor_local_writes: list
+    actors: ActorState
     cache_entries: List[Tuple[str, bytes]]
     cache_stats: Optional[CacheStats]
 
@@ -880,12 +1085,7 @@ def encode_feed_snapshot(
     contract attrs, control-plane algorithm/actuator) ride the codec's
     tagged-value fallback.
     """
-    system = handle.system
-    store = system.sp_store
-    data_owner = handle.data_owner
-    provider = handle.service_provider
-    control_plane = data_owner.control_plane
-    monitor = control_plane.monitor
+    store = handle.system.sp_store
     w = encoder.writer()
     w.string(handle.feed_id)
     w.uvarint(len(queue))
@@ -918,20 +1118,21 @@ def encode_feed_snapshot(
     tree = store._tree
     w.bytes_(b"".join(tree._leaves))
     w.bytes_(b"".join(digest for level in tree._levels[1:] for digest in level))
-    w.bytes_(data_owner.trusted_root)
-    w.uvarint(data_owner.epochs_submitted)
-    w.bytes_(data_owner.signer._secret)
-    w.uvarint(data_owner.signer._epoch)
-    w.uvarint(provider.deliveries_sent)
-    w.uvarint(provider.records_delivered)
-    w.value(list(provider.pending))
-    w.uvarint(control_plane.epochs_run)
-    w.value(control_plane.algorithm)
-    w.value(control_plane.actuator)
-    w.uvarint(monitor.observed_reads)
-    w.uvarint(monitor.observed_writes)
-    w.uvarint(monitor._cursor.position)
-    w.value(list(monitor._local_writes))
+    actors = ActorState.capture(handle)
+    w.bytes_(actors.do_trusted_root)
+    w.uvarint(actors.do_epochs_submitted)
+    w.bytes_(actors.signer_secret)
+    w.uvarint(actors.signer_epoch)
+    w.uvarint(actors.sp_deliveries_sent)
+    w.uvarint(actors.sp_records_delivered)
+    w.value(actors.sp_pending)
+    w.uvarint(actors.cp_epochs_run)
+    w.value(actors.cp_algorithm)
+    w.value(actors.cp_actuator)
+    w.uvarint(actors.monitor_observed_reads)
+    w.uvarint(actors.monitor_observed_writes)
+    w.uvarint(actors.monitor_cursor_position)
+    w.value(actors.monitor_local_writes)
     w.uvarint(len(cache_entries))
     for key, value in cache_entries:
         w.string(key)
@@ -1005,20 +1206,22 @@ def decode_feed_snapshot(decoder: WireDecoder, frame: WireFrame) -> FeedSnapshot
         free_slots=free_slots,
         leaves_blob=leaves_blob,
         upper_blob=upper_blob,
-        do_trusted_root=r.bytes_(),
-        do_epochs_submitted=r.uvarint(),
-        signer_secret=r.bytes_(),
-        signer_epoch=r.uvarint(),
-        sp_deliveries_sent=r.uvarint(),
-        sp_records_delivered=r.uvarint(),
-        sp_pending=r.value(),
-        cp_epochs_run=r.uvarint(),
-        cp_algorithm=r.value(),
-        cp_actuator=r.value(),
-        monitor_observed_reads=r.uvarint(),
-        monitor_observed_writes=r.uvarint(),
-        monitor_cursor_position=r.uvarint(),
-        monitor_local_writes=r.value(),
+        actors=ActorState(
+            do_trusted_root=r.bytes_(),
+            do_epochs_submitted=r.uvarint(),
+            signer_secret=r.bytes_(),
+            signer_epoch=r.uvarint(),
+            sp_deliveries_sent=r.uvarint(),
+            sp_records_delivered=r.uvarint(),
+            sp_pending=r.value(),
+            cp_epochs_run=r.uvarint(),
+            cp_algorithm=r.value(),
+            cp_actuator=r.value(),
+            monitor_observed_reads=r.uvarint(),
+            monitor_observed_writes=r.uvarint(),
+            monitor_cursor_position=r.uvarint(),
+            monitor_local_writes=r.value(),
+        ),
         cache_entries=[(r.string(), r.bytes_()) for _ in range(r.uvarint())],
         cache_stats=r.value() if r.uvarint() else None,
     )
@@ -1096,33 +1299,7 @@ def install_feed_snapshot(handle, snapshot: FeedSnapshot) -> None:
     tree = store._tree
     tree._leaves = leaves
     tree._levels = _rebuild_tree_levels(leaves, snapshot.upper_blob)
-    data_owner = handle.data_owner
-    data_owner.trusted_root = snapshot.do_trusted_root
-    data_owner.epochs_submitted = snapshot.do_epochs_submitted
-    data_owner.signer._secret = snapshot.signer_secret
-    data_owner.signer._epoch = snapshot.signer_epoch
-    data_owner._write_buffer = []
-    provider = handle.service_provider
-    provider.deliveries_sent = snapshot.sp_deliveries_sent
-    provider.records_delivered = snapshot.sp_records_delivered
-    provider.pending = list(snapshot.sp_pending)
-    # The source lane's log cursor indexes *its* chain; re-base against the
-    # destination chain so a later watchdog-less poll never replays history.
-    provider._log_cursor = len(handle.system.chain.event_log)
-    # Mutate the control plane *in place*: the SP's ``decision_lookup``
-    # binding (wired at construction) must keep pointing at this object.
-    control_plane = data_owner.control_plane
-    control_plane.epochs_run = snapshot.cp_epochs_run
-    control_plane.algorithm = snapshot.cp_algorithm
-    control_plane.actuator = snapshot.cp_actuator
-    monitor = control_plane.monitor
-    monitor.observed_reads = snapshot.monitor_observed_reads
-    monitor.observed_writes = snapshot.monitor_observed_writes
-    monitor._local_writes = list(snapshot.monitor_local_writes)
-    monitor._read_ops = {}
-    # The cursor itself is destination-local (a weak ref held by the manager
-    # we just rebuilt); only its position crosses.
-    monitor._cursor.position = snapshot.monitor_cursor_position
+    snapshot.actors.install(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -1408,133 +1585,42 @@ class _LaneWorker:
         ]
 
     def run_epoch(self, epoch: int, epoch_size: int) -> LaneEpochEnvelope:
-        env = self.env
-        chain = self.registry.chain
-        ledger = chain.ledger
-
-        active = [feed_id for _, shard in self.shards for feed_id in shard]
-        gas_before = {
-            feed_id: (
-                ledger.scope_total(feed_id, LAYER_FEED),
-                ledger.scope_total(feed_id, LAYER_APPLICATION),
+        """Run the epoch body over this lane's shards against the lane-local
+        chain and pack what the main chain must record into one frame."""
+        queues = self.env.queues
+        results = [
+            ShardEpochResult(
+                shard_index=outcome.shard_index,
+                drive=outcome.drive.to_wire(),
+                deliver=outcome.deliver,
+                update=outcome.update,
+                remaining={feed_id: len(queues[feed_id]) for feed_id in outcome.settled},
+                epoch_gas={
+                    feed_id: gas for feed_id, (_, gas) in outcome.settled.items()
+                },
+                spans=tuple(span.to_wire() for span in outcome.spans),
             )
-            for feed_id in active
-        }
-
-        # Per-shard finished wire spans, shipped back with each shard's
-        # result.  ``_span``/``_ship`` are no-ops on an untraced lane (the
-        # tracer hands out None spans).
-        tracer = self.tracer
-        wire_spans: Dict[int, List[dict]] = {index: [] for index, _ in self.shards}
-
-        def _ship(shard_index: int, span) -> None:
-            if span is not None:
-                tracer.finish(span)
-                wire_spans[shard_index].append(span.to_wire())
-
-        # Phase 1: drive every shard, wire the buffers *before* the local
-        # absorb clears their event lists, then merge locally in shard order
-        # (the worker's own watchdog needs the events in its log).
-        buffers: List[ExecutionBuffer] = []
-        shard_summaries: Dict[int, Dict[str, EpochSummary]] = {}
-        for shard_index, shard in self.shards:
-            span = tracer.detached("shard", phase="drive", shard=shard_index)
-            buffer, shard_summaries[shard_index] = drive_shard(
-                env, shard, epoch, epoch_size
+            for outcome in run_epoch_phases(
+                self.env,
+                self.shards,
+                epoch,
+                epoch_size,
+                settle=self._settle,
+                tracer=self.tracer,
             )
-            _ship(shard_index, span)
-            buffers.append(buffer)
-        drive_wires = {
-            index: buffer.to_wire() for (index, _), buffer in zip(self.shards, buffers)
-        }
-        for buffer in buffers:
-            chain.absorb(buffer)
-        self.registry.watchdog.poll()
-
-        # Phase 2: per shard, build deliver groups and settle them locally in
-        # one batched transaction mined into its own local block.
-        delivers: Dict[int, Optional[SettlementResult]] = {}
-        deliveries: Dict[str, int] = {feed_id: 0 for feed_id in active}
-        for shard_index, shard in self.shards:
-            span = tracer.detached("shard", phase="deliver", shard=shard_index)
-            groups = build_deliver_groups(self.registry, shard)
-            if not groups:
-                delivers[shard_index] = None
-                _ship(shard_index, span)
-                continue
-            result = self._settle(deliver_transaction(self.registry.router.address, groups),
-                                  [group.feed_id for group in groups])
-            for group in groups:
-                deliveries[group.feed_id] += 1
-                env.feeds[group.feed_id].deliver_groups += 1
-            warm_cache_from_deliveries(env, groups)
-            delivers[shard_index] = result
-            _ship(shard_index, span)
-
-        # Phase 3: per shard, prepare epoch updates and settle them locally.
-        updates: Dict[int, Optional[SettlementResult]] = {}
-        update_counts: Dict[str, int] = {feed_id: 0 for feed_id in active}
-        transitions: Dict[str, Dict[str, ReplicationState]] = {}
-        for shard_index, shard in self.shards:
-            span = tracer.detached("shard", phase="update", shard=shard_index)
-            groups_u, shard_transitions = prepare_update_groups(self.registry, shard)
-            transitions.update(shard_transitions)
-            if not groups_u:
-                updates[shard_index] = None
-                _ship(shard_index, span)
-                continue
-            result = self._settle(update_transaction(self.registry.router.address, groups_u),
-                                  [group.feed_id for group in groups_u])
-            for group in groups_u:
-                update_counts[group.feed_id] += 1
-                env.feeds[group.feed_id].update_groups += 1
-            updates[shard_index] = result
-            _ship(shard_index, span)
-
-        # Phase 4: per-feed epoch accounting, in shard order.
-        results: List[ShardEpochResult] = []
-        for shard_index, shard in self.shards:
-            span = tracer.detached("shard", phase="settle", shard=shard_index)
-            summaries = shard_summaries[shard_index]
-            epoch_gas: Dict[str, int] = {}
-            for feed_id in shard:
-                epoch_gas[feed_id] = settle_feed_epoch(
-                    env,
-                    feed_id,
-                    summaries[feed_id],
-                    deliveries=deliveries[feed_id],
-                    update_transactions=update_counts[feed_id],
-                    transitions=transitions.get(feed_id, {}),
-                    gas_before=gas_before[feed_id],
-                )
-            _ship(shard_index, span)
-            results.append(
-                ShardEpochResult(
-                    shard_index=shard_index,
-                    drive=drive_wires[shard_index],
-                    deliver=delivers[shard_index],
-                    update=updates[shard_index],
-                    remaining={feed_id: len(env.queues[feed_id]) for feed_id in shard},
-                    epoch_gas=epoch_gas,
-                    spans=tuple(wire_spans[shard_index]),
-                )
-            )
-
+        ]
         started = time.perf_counter()
         frame = encode_lane_epoch(self.encoder, epoch, results)
         return LaneEpochEnvelope(
             frame=frame, encode_seconds=time.perf_counter() - started
         )
 
-    def _settle(self, transaction: Transaction, feed_ids: List[str]) -> SettlementResult:
+    def _settle(self, transaction: Transaction) -> SettlementResult:
         """Execute one settlement transaction on the local chain, capturing
         the exact ledger delta, receipt outcome and emitted events."""
         chain = self.registry.chain
         before = ledger_to_wire(chain.ledger)
-        chain.submit(transaction)
-        chain.mine_block()
-        receipt = chain.receipt_for(transaction.txid)
-        assert receipt is not None
+        receipt = land_transaction(chain, transaction)
         ledger_delta = ledger_delta_wire(before, chain.ledger)
         # Block-gas-limit overflow is *derived* accounting: the worker's local
         # mine_block recorded it from this block's gas, and the main chain's
@@ -1543,7 +1629,7 @@ class _LaneWorker:
         ledger_delta["by_category"].pop("block_gas_limit_overflow", None)
         return SettlementResult(
             function=transaction.function,
-            feed_ids=tuple(feed_ids),
+            feed_ids=tuple(group.feed_id for group in transaction.args["groups"]),
             scopes=dict(transaction.scopes or {}),
             calldata_bytes=transaction.calldata_bytes,
             gas_used=receipt.gas_used,
@@ -1625,10 +1711,7 @@ class _LaneWorker:
                         consumer_attrs=consumer_attrs,
                         consumer_slots=consumer_slots,
                         sp_store_state=sp_store_state,
-                        do_trusted_root=handle.data_owner.trusted_root,
-                        do_epochs_submitted=handle.data_owner.epochs_submitted,
-                        sp_deliveries_sent=handle.service_provider.deliveries_sent,
-                        sp_records_delivered=handle.service_provider.records_delivered,
+                        actors=ActorState.capture(handle),
                         cache_entries=entries,
                         cache_stats=stats,
                         store_reset=feed_id in self._installed,
@@ -2102,11 +2185,10 @@ def apply_feed_state(
     """Fold a worker's final feed state into the main registry's mirror.
 
     After this, the main-side handle's contracts (storage slots, counters,
-    call history), report, SP store contents, DO root and SP counters match
-    what a serial run would have produced — which is what the equivalence
-    suite inspects and what post-run analysis reads.  The mirror's control
-    plane is *not* rewound to match (its state lives in the worker's decision
-    algorithm); a registry that ran in process mode is done, not resumable.
+    call history), report, SP store contents and off-chain actors
+    (:class:`ActorState`) match what a serial run would have produced —
+    which is what the equivalence suite inspects, what post-run analysis
+    reads, and what the registry's next run starts from.
     """
     handle = registry.get(state.feed_id)
     _apply_contract_state(handle.storage_manager, state.manager_attrs, state.manager_slots)
@@ -2119,10 +2201,7 @@ def apply_feed_state(
             # seed state must go first — patching it would leave ghosts.
             _reset_store(handle.system.sp_store)
         _apply_store_delta(handle.system.sp_store, state.sp_store_state)
-    handle.data_owner.trusted_root = state.do_trusted_root
-    handle.data_owner.epochs_submitted = state.do_epochs_submitted
-    handle.service_provider.deliveries_sent = state.sp_deliveries_sent
-    handle.service_provider.records_delivered = state.sp_records_delivered
+    state.actors.install(handle)
     if cache is not None and state.cache_stats is not None:
         cache.install_shard(state.feed_id, state.cache_entries, state.cache_stats)
 

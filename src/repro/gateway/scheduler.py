@@ -48,29 +48,26 @@ epoch loop — churn, live ingest, fast-forward, plan, execute, settle feedback
 where an epoch's work executes.  Feeds are independent between settlement
 points, so within an epoch the off-chain work of every shard — driving its
 feeds' operations, generating the SP's deliver proofs, running each DO's
-``prepare_epoch_update`` — can run anywhere: ``execution_mode="serial"`` runs
-shards inline and ``"thread"`` (default) overlaps them on a
-:class:`~concurrent.futures.ThreadPoolExecutor` with ``num_workers`` threads
-(CPython's GIL caps the speedup at ≈1× for this pure-Python hot path) — both
-are :class:`_InlineExecutor`; ``"process"`` (:class:`_LaneExecutor`) ships
-whole shards to persistent worker processes
-(:class:`~repro.gateway.executor.LaneEngine`) that host full mirrors of their
-feeds and return per-epoch deltas — the mode that actually multiplies
-throughput on multicore hosts.  Isolation is structural, not locked: a worker
-owns whole shards (so every per-feed object — contracts, SP store, control
-plane, cache shard, telemetry row, workload queue — is touched by exactly one
-worker), and the two globally *ordered* chain structures (the gas ledger and
-the event log) are deferred into per-shard
+``prepare_epoch_update`` — can run anywhere.  There are two backends:
+``execution_mode="serial"`` (default; :class:`_InlineExecutor`) runs every
+shard inline on the calling thread, and ``"process"``
+(:class:`_LaneExecutor`) ships whole shards to ``num_workers`` persistent
+worker processes (:class:`~repro.gateway.executor.LaneEngine`) that host full
+mirrors of their feeds and return per-epoch deltas.  Isolation is structural,
+not locked: a lane owns whole shards (so every per-feed object — contracts,
+SP store, control plane, cache shard, telemetry row, workload queue — is
+touched by exactly one interpreter), and the two globally *ordered* chain
+structures (the gas ledger and the event log) are deferred into per-shard
 :class:`~repro.chain.chain.ExecutionBuffer`\\ s.  Settlement then lands in a
 **deterministic merge phase**: buffers are absorbed, transactions submitted
-(or, in process mode, recorded from the workers' pre-executed results), and
-accounting folded in fixed shard order, so every backend produces
-bit-identical telemetry, per-feed gas bills and chain state to a serial run —
-which executes the very same phase code, shared through
-:mod:`repro.gateway.executor`.  Churn processing and shard planning happen in
-the loop, on the main thread between epochs, from deterministic inputs, so the
-guarantee extends to elastic runs (pinned by
-``tests/gateway/test_elastic_properties.py`` over all three backends).  How a
+(or, in process mode, recorded from the lanes' pre-executed results), and
+accounting folded in fixed shard order, so both backends produce
+bit-identical telemetry, per-feed gas bills and chain state — they execute
+the very same epoch body, :func:`repro.gateway.executor.run_epoch_phases`,
+the one place the phase order is written.  Churn processing and shard
+planning happen in the loop, on the main process between epochs, from
+deterministic inputs, so the guarantee extends to elastic runs (pinned by
+``tests/gateway/test_elastic_properties.py`` over both backends).  How a
 feed reaches a worker lane — as a wire-encoded snapshot frame, or by fork
 inheritance when nothing about the run can change the plan — is chosen by
 :class:`_LaneExecutor` from what it can observe, never by an option.
@@ -98,10 +95,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Deque,
     Dict,
     Iterable,
@@ -112,10 +107,10 @@ from typing import (
     Tuple,
 )
 
-from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
+from repro.chain.gas import LAYER_FEED
 from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError
-from repro.common.types import EpochSummary, Operation, ReplicationState
+from repro.common.types import Operation
 from repro.common.wire import WireFrame
 from repro.gateway.cache import ReadCache
 from repro.gateway.executor import (
@@ -125,22 +120,16 @@ from repro.gateway.executor import (
     SettlementResult,
     ShardEnvironment,
     apply_feed_state,
-    build_deliver_groups,
     close_feed_bill,
-    deliver_transaction,
-    drive_shard,
-    prepare_update_groups,
-    settle_feed_epoch,
+    land_transaction,
+    run_epoch_phases,
     settlement_buffer,
     snapshot_feed,
-    update_transaction,
-    warm_cache_from_deliveries,
 )
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.placement import FeedMove, assign_lanes, plan_moves
 from repro.gateway.planner import RoundRobinPlanner, ShardPlanner
 from repro.gateway.registry import FeedRegistry, FeedSpec
-from repro.gateway.router import DeliverGroup
 from repro.obs import DISABLED, Observability
 from repro.obs.metrics import log_buckets
 from repro.obs.tracing import reassemble_shard_spans
@@ -221,7 +210,7 @@ class Eviction:
 
 
 class EpochScheduler:
-    """Drives hosted feeds epoch-by-epoch with parallel off-chain execution,
+    """Drives hosted feeds epoch-by-epoch with sharded off-chain execution,
     cross-feed batched settlement and epoch-boundary tenant churn."""
 
     def __init__(
@@ -234,7 +223,7 @@ class EpochScheduler:
         read_cache: Optional[ReadCache] = None,
         enable_cache: bool = True,
         planner: Optional[ShardPlanner] = None,
-        execution_mode: str = "thread",
+        execution_mode: str = "serial",
         obs: Optional[Observability] = None,
     ) -> None:
         if num_shards <= 0:
@@ -249,7 +238,8 @@ class EpochScheduler:
         if execution_mode == "serial" and num_workers != 1:
             raise ConfigurationError(
                 "execution_mode='serial' runs every shard on the calling "
-                "thread; num_workers must be 1"
+                "thread, so num_workers must be 1; for more workers pass "
+                "execution_mode=\"process\" (num_workers worker-process lanes)"
             )
         if planner is not None and num_shards != 1:
             raise ConfigurationError(
@@ -261,13 +251,12 @@ class EpochScheduler:
         self.registry = registry
         self.num_shards = num_shards
         #: How the per-shard phases execute: ``"serial"`` runs them inline,
-        #: ``"thread"`` overlaps them on a ``num_workers`` thread pool (wall
-        #: clock only; the GIL caps the gain), ``"process"`` ships them to
-        #: ``num_workers`` persistent worker processes (true multicore).  All
-        #: three merge in fixed shard order and produce bit-identical output.
+        #: ``"process"`` ships them to ``num_workers`` persistent worker
+        #: processes.  Both merge in fixed shard order and produce
+        #: bit-identical output.
         self.execution_mode = execution_mode
-        #: Worker threads (or process lanes) for the per-shard off-chain
-        #: phases.  Results are always folded in shard order, so this only
+        #: Process lanes for the per-shard off-chain phases (1 in serial
+        #: mode).  Results are always folded in shard order, so this only
         #: affects wall-clock speed, never any output.
         self.num_workers = num_workers
         self._epoch_size = epoch_size
@@ -536,9 +525,8 @@ class EpochScheduler:
             workloads, source=source
         )
 
-        # Pre-create every per-feed structure a worker will touch, so the
-        # parallel phases never mutate a shared directory — workers only
-        # operate on the interiors of structures their shard exclusively owns.
+        # Pre-create every per-feed structure the phases will touch, so they
+        # only ever operate on the interiors of structures one shard owns.
         #: ``dirty``: keys written this epoch, per feed.  Their on-chain
         #: replica is stale until the epoch update lands, so the cache must
         #: not re-memoise them mid-epoch (a later epoch would otherwise be
@@ -615,7 +603,7 @@ class EpochScheduler:
                         if source is not None
                         else None
                     )
-                    settled = executor.run_epoch(epoch, shard_plan, active)
+                    settled = executor.run_epoch(epoch, shard_plan)
                     # Settle feedback, in roster order: the settled gas feeds
                     # the shard planner's estimates, and a live source learns
                     # what ran so it can resolve its futures.
@@ -760,7 +748,7 @@ class _Executor:
         raise NotImplementedError
 
     def run_epoch(
-        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+        self, epoch: int, shard_plan: List[List[str]]
     ) -> Dict[str, Tuple[int, int]]:
         """Execute and settle one lockstep epoch under ``shard_plan``;
         returns feed id → ``(operations executed, settled epoch gas)``."""
@@ -775,19 +763,8 @@ class _Executor:
 
 
 class _InlineExecutor(_Executor):
-    """Runs every shard's phases in this process, against the main registry:
-    inline on the calling thread (``"serial"``), or overlapped on a
-    ``num_workers`` thread pool (``"thread"``)."""
-
-    def __init__(self, scheduler: EpochScheduler, *run_state) -> None:
-        super().__init__(scheduler, *run_state)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=scheduler.num_workers, thread_name_prefix="epoch-worker"
-            )
-            if scheduler.execution_mode == "thread" and scheduler.num_workers > 1
-            else None
-        )
+    """Runs every shard's phases in this process, on the calling thread,
+    against the main registry (``"serial"``)."""
 
     def depth(self, feed_id: str) -> int:
         return len(self.env.queues[feed_id])
@@ -798,166 +775,35 @@ class _InlineExecutor(_Executor):
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         return close_feed_bill(self.env, feed_id, epoch, poll=True)
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
-    def _map_shards(
-        self,
-        fn: Callable,
-        shards: Sequence[List[str]],
-        *args,
-        phase: str,
-    ) -> List:
-        """Apply ``fn(*args, shard)`` to every shard, returning results in
-        shard order.
-
-        With one worker (or one shard) this is a plain loop on the calling
-        thread; otherwise shards run concurrently on the pool.  Either way the
-        caller receives results in the fixed shard order, which is what makes
-        the subsequent merge deterministic.
-
-        With tracing on, each shard's call is timed in a detached span (safe
-        off-thread: a worker only reads the clock) and the finished spans are
-        adopted under the currently open phase span afterwards, on this
-        thread, in fixed shard order — so the trace tree is identical
-        whatever the thread interleaving was.
-        """
-        tracer = self.obs.tracer
-
-        def timed(index: int, shard: List[str]):
-            span = tracer.detached("shard", phase=phase, shard=index)
-            result = fn(*args, shard)
-            tracer.finish(span)
-            return result, span
-
-        if self._pool is None or len(shards) <= 1:
-            outcomes = [timed(index, shard) for index, shard in enumerate(shards)]
-        else:
-            futures = [
-                self._pool.submit(timed, index, shard)
-                for index, shard in enumerate(shards)
-            ]
-            outcomes = [future.result() for future in futures]
-        if tracer.enabled:
-            parent = tracer.current
-            for _, span in outcomes:
-                tracer.adopt(parent, span)
-        return [result for result, _ in outcomes]
-
-    def _settle(self, transaction: Transaction) -> None:
-        """Land one shard's batch in its own block — one shard, one block, so
-        the block gas limit bounds exactly what the planner budgeted."""
-        chain = self.registry.chain
-        chain.submit(transaction)
-        chain.mine_block()
-        receipt = chain.receipt_for(transaction.txid)
-        if receipt is not None:
-            _raise_if_reverted(
-                transaction.function,
-                transaction.scopes or {},
-                receipt.success,
-                receipt.error,
-            )
+    def _settle(self, transaction: Transaction):
+        """Land one shard's batch; a reverted one stops the run."""
+        receipt = land_transaction(self.registry.chain, transaction)
+        _raise_if_reverted(
+            transaction.function, transaction.scopes or {}, receipt.success, receipt.error
+        )
+        return receipt
 
     def run_epoch(
-        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+        self, epoch: int, shard_plan: List[List[str]]
     ) -> Dict[str, Tuple[int, int]]:
         with self.obs.span("epoch", epoch=epoch):
-            return self._run_epoch(epoch, shard_plan, active)
-
-    def _run_epoch(
-        self, epoch: int, shard_plan: List[List[str]], active: List[str]
-    ) -> Dict[str, Tuple[int, int]]:
-        env = self.env
-        registry = self.registry
-        chain = registry.chain
-        router = registry.router.address
-        fleet = self.fleet
-        ledger = chain.ledger
-        gas_before = {
-            feed_id: (
-                ledger.scope_total(feed_id, LAYER_FEED),
-                ledger.scope_total(feed_id, LAYER_APPLICATION),
+            outcomes = run_epoch_phases(
+                self.env,
+                list(enumerate(shard_plan)),
+                epoch,
+                self.epoch_size,
+                settle=self._settle,
+                tracer=self.obs.tracer,
+                phase=self.obs.phase,
             )
-            for feed_id in active
-        }
-
-        # Phase 1 — every shard drives its feeds' slice of the epoch
-        # concurrently (reads execute against per-feed contract state or hit
-        # the feed's cache shard; writes buffer at the feed's DO).  Gas
-        # charges and emitted events land in per-shard buffers, merged below
-        # in shard order.
-        with self.obs.phase("drive", epoch=epoch):
-            summaries: Dict[str, EpochSummary] = {}
-            for buffer, shard_summaries in self._map_shards(
-                lambda shard: drive_shard(env, shard, epoch, self.epoch_size),
-                shard_plan,
-                phase="drive",
-            ):
-                chain.absorb(buffer)
-                summaries.update(shard_summaries)
-
-        # Phase 2 — the shared watchdog scans the merged log once for the
-        # whole fleet; each shard then builds its deliver groups (record
-        # lookups + batched Merkle proof generation) concurrently, and each
-        # shard's groups settle in one batched deliver transaction mined into
-        # its own block, in shard order.
-        with self.obs.phase("deliver", epoch=epoch):
-            registry.watchdog.poll()
-            deliveries: Dict[str, int] = {feed_id: 0 for feed_id in active}
-            delivered_groups: List[DeliverGroup] = []
-            for groups in self._map_shards(
-                build_deliver_groups, shard_plan, registry, phase="deliver"
-            ):
-                if not groups:
-                    continue
-                self._settle(deliver_transaction(router, groups))
-                fleet.deliver_batches += 1
-                for group in groups:
-                    deliveries[group.feed_id] += 1
-                    fleet.feeds[group.feed_id].deliver_groups += 1
-                    delivered_groups.append(group)
-            warm_cache_from_deliveries(env, delivered_groups)
-
-        # Phase 3 — every shard prepares its feeds' epoch updates (control
-        # plane + ADS + root signing) concurrently; each shard's payloads
-        # land in one grouped update transaction and its own block, in shard
-        # order.
-        with self.obs.phase("update", epoch=epoch):
-            transitions: Dict[str, Dict[str, ReplicationState]] = {}
-            updates: Dict[str, int] = {feed_id: 0 for feed_id in active}
-            for groups_u, shard_transitions in self._map_shards(
-                prepare_update_groups, shard_plan, registry, phase="update"
-            ):
-                transitions.update(shard_transitions)
-                if not groups_u:
-                    continue
-                self._settle(update_transaction(router, groups_u))
-                fleet.update_batches += 1
-                for group in groups_u:
-                    updates[group.feed_id] += 1
-                    fleet.feeds[group.feed_id].update_groups += 1
-
-        # Phase 4 — settle per-feed accounting for the epoch and apply
-        # replication-keyed cache invalidation (an evicted replica must not be
-        # served from the cache).
-        with self.obs.phase("settle", epoch=epoch):
-            return {
-                feed_id: (
-                    summaries[feed_id].operations,
-                    settle_feed_epoch(
-                        env,
-                        feed_id,
-                        summaries[feed_id],
-                        deliveries=deliveries[feed_id],
-                        update_transactions=updates[feed_id],
-                        transitions=transitions.get(feed_id, {}),
-                        gas_before=gas_before[feed_id],
-                    ),
-                )
-                for feed_id in active
-            }
+        settled: Dict[str, Tuple[int, int]] = {}
+        for outcome in outcomes:
+            if outcome.deliver is not None:
+                self.fleet.deliver_batches += 1
+            if outcome.update is not None:
+                self.fleet.update_batches += 1
+            settled.update(outcome.settled)
+        return settled
 
 
 class _LaneExecutor(_Executor):
@@ -1066,7 +912,7 @@ class _LaneExecutor(_Executor):
         return frame
 
     def run_epoch(
-        self, epoch: int, shard_plan: List[List[str]], active: List[str]
+        self, epoch: int, shard_plan: List[List[str]]
     ) -> Dict[str, Tuple[int, int]]:
         if self._pinned:
             self._order_ahead(epoch, shard_plan)
@@ -1192,6 +1038,9 @@ class _LaneExecutor(_Executor):
                 backing.reopen()
             apply_feed_state(self.registry, self.env.cache, state)
             self.fleet.feeds[state.feed_id] = state.telemetry
+        # The lanes routed this run's request events on their own chains; the
+        # main watchdog must not replay them into the next run.
+        self.registry.watchdog.skip_to_end()
         self.fleet.ipc = self.engine.meter.summary()
 
     def close(self) -> None:

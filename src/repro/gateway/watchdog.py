@@ -60,11 +60,9 @@ class SharedWatchdog:
         """Scan new events once, routing requests to their feeds' SPs.
 
         Returns how many pending requests were enqueued across the fleet.
-        The per-feed SP's own log cursor is advanced past the scanned range so
-        a feed later driven standalone does not re-answer old requests.
         """
         events = self.chain.event_log.since(self._cursor)
-        self._cursor = len(self.chain.event_log)
+        self.skip_to_end()
         routed = 0
         for event in events:
             self.events_scanned += 1
@@ -74,7 +72,14 @@ class SharedWatchdog:
             requests = PendingRequest.from_event(event)
             handle.service_provider.pending.extend(requests)
             routed += len(requests)
-        for handle in self._routes.values():
-            handle.service_provider._log_cursor = self._cursor
         self.requests_routed += routed
         return routed
+
+    def skip_to_end(self) -> None:
+        """Count everything logged so far as scanned.  The per-feed SPs' own
+        log cursors follow, so a feed later driven standalone does not
+        re-answer old requests.  Called on its own after a process-mode run,
+        whose lanes routed the run's events on their own chains."""
+        self._cursor = len(self.chain.event_log)
+        for handle in self._routes.values():
+            handle.service_provider._log_cursor = self._cursor

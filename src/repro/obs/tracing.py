@@ -13,12 +13,13 @@ Two attachment disciplines, one tree:
 * **Stack spans** (:meth:`Tracer.span`) — the context-manager form for code
   that runs on the orchestrating thread: each span opens under the innermost
   open span and closes in LIFO order.
-* **Detached spans** (:meth:`Tracer.detached`) — spans measured *off* the
-  orchestrating thread (a worker thread timing its shard, a worker process
-  timing a phase).  They are created unattached, finished where the work
-  ran, and adopted into a parent afterwards **in fixed shard order** — the
-  same discipline the engine's deterministic merge applies to execution
-  buffers, so the assembled tree is identical however the work interleaved.
+* **Detached spans** (:meth:`Tracer.detached`) — spans measured where the
+  work runs, which may be another process (the epoch body timing one shard's
+  phase, inline or inside a worker lane).  They are created unattached,
+  finished where the work ran, and adopted into a parent afterwards **in
+  fixed shard order** — the same discipline the engine's deterministic merge
+  applies to execution buffers, so the assembled tree is identical however
+  the work interleaved.
 
 Spans cross the process boundary the way every other per-epoch delta does:
 :meth:`Span.to_wire` / :func:`span_from_wire` translate to and from plain
@@ -192,14 +193,14 @@ class Tracer:
         """The innermost open stack span, if any."""
         return self._stack[-1] if self._stack else None
 
-    # -- detached spans (worker threads / processes) ---------------------------
+    # -- detached spans (per-shard work, possibly in a worker process) ---------
 
     def detached(self, name: str, **attrs: object) -> Optional[Span]:
         """Start an unattached span.
 
-        Safe to call from worker threads: it touches no shared tracer state,
-        only the clock.  Finish it with :meth:`finish`, then :meth:`adopt` it
-        into a parent on the orchestrating thread, in deterministic order.
+        Touches no tracer state, only the clock.  Finish it with
+        :meth:`finish`, then :meth:`adopt` it into a parent (or ship it as
+        :meth:`Span.to_wire` data), in deterministic order.
         Returns ``None`` when the tracer is disabled (callers pass it along
         unconditionally; ``finish``/``adopt`` ignore ``None``).
         """

@@ -24,7 +24,7 @@ TINY_SPEC = {
     "order_seed": 7,
     "ops_per_feed": 16,
     "factors": {
-        "execution_mode": ["serial", "thread"],
+        "execution_mode": ["serial", "process"],
         "workers": [2],
         "fleet_size": [4],
         "workload": ["mixed"],
@@ -41,7 +41,7 @@ def test_expand_cells_canonicalizes_the_grid():
     spec = {
         "ops_per_feed": 32,
         "factors": {
-            "execution_mode": ["serial", "thread", "process"],
+            "execution_mode": ["serial", "process"],
             "workers": [1, 2],
             "fleet_size": [8],
             "workload": ["mixed", "churn"],
@@ -49,14 +49,13 @@ def test_expand_cells_canonicalizes_the_grid():
     }
     cells = runner.expand_cells(spec)
     labels = {(c.workload, c.execution_mode, c.workers) for c in cells}
-    # Serial collapses to one worker; thread/1 is dropped as redundant;
-    # process × churn runs on the elastic engine and stays in the grid.
-    assert ("mixed", "serial", 1) in labels
-    assert ("mixed", "thread", 2) in labels
-    assert ("mixed", "process", 1) in labels and ("mixed", "process", 2) in labels
-    assert ("churn", "serial", 1) in labels and ("churn", "thread", 2) in labels
-    assert ("churn", "process", 1) in labels and ("churn", "process", 2) in labels
-    assert not any(mode == "thread" and workers < 2 for _, mode, workers in labels)
+    # Serial collapses to one worker; process × churn runs on the elastic
+    # engine and stays in the grid.
+    assert labels == {
+        (workload, mode, workers)
+        for workload in ("mixed", "churn")
+        for mode, workers in (("serial", 1), ("process", 1), ("process", 2))
+    }
     assert len(cells) == len(set(cells)), "cells must be deduplicated"
     assert cells == sorted(cells), "expansion must be deterministic"
 
@@ -71,7 +70,7 @@ def test_expand_cells_rejects_unknown_factors():
 def test_expand_cells_rejects_empty_grid():
     with pytest.raises(ValueError):
         runner.expand_cells(
-            {"factors": {"execution_mode": ["thread"], "workers": [1]}}
+            {"factors": {"execution_mode": ["process"], "workers": [0]}}
         )
 
 
@@ -153,7 +152,7 @@ def test_analysis_summarizes_every_cell(tiny_payload):
         assert summary["n"] >= 3
         assert summary["ci_low"] <= summary["mean"] <= summary["ci_high"]
         assert len(summary["samples"]) == summary["n"], "samples retained"
-    # Effect sizes: the thread cell is compared against its serial reference.
+    # Effect sizes: the process cell is compared against its serial reference.
     assert any(
         comparison["metric"] == "ops_per_sec"
         and "mode=serial" in comparison["reference"]
@@ -163,7 +162,7 @@ def test_analysis_summarizes_every_cell(tiny_payload):
 
 def test_equivalence_holds_across_backends(tiny_payload):
     fingerprints = {s["fingerprint"] for s in tiny_payload["samples"]}
-    assert len(fingerprints) == 1, "serial and thread runs must be bit-identical"
+    assert len(fingerprints) == 1, "serial and process runs must be bit-identical"
 
 
 def test_gate_passes_against_itself(tiny_payload):
@@ -177,7 +176,7 @@ def test_gate_passes_against_itself(tiny_payload):
 
 
 def _synthetic_payload(per_cell_values):
-    """Payload with crafted ops_per_sec samples for two cells (serial, thread)."""
+    """Payload with crafted ops_per_sec samples for two cells (serial, process)."""
     samples = []
     for (mode, workers), values in per_cell_values.items():
         for rep, value in enumerate(values):
@@ -197,7 +196,7 @@ def _synthetic_payload(per_cell_values):
 
 BASELINE_VALUES = {
     ("serial", 1): [1000.0, 1020.0, 980.0, 1010.0, 990.0],
-    ("thread", 2): [1500.0, 1530.0, 1470.0, 1515.0, 1485.0],
+    ("process", 2): [1500.0, 1530.0, 1470.0, 1515.0, 1485.0],
 }
 
 
@@ -248,6 +247,24 @@ def test_gate_refuses_to_compare_nothing():
         sample["fleet_size"] = 999  # no key overlap with the baseline
     with pytest.raises(AssertionError, match="no comparable cells"):
         runner.check_regression(baseline, other)
+
+
+@pytest.mark.parametrize("missing_from", ["baseline", "current"])
+def test_gate_judges_only_the_cells_both_sides_hold(missing_from):
+    """A cell one side lacks (rows trimmed from the committed baseline, or a
+    grid that grew or shrank) neither fails the gate nor hides a regression
+    in a cell both sides do hold."""
+    serial_only = {("serial", 1): BASELINE_VALUES[("serial", 1)]}
+    slower = {cell: [v * 0.7 for v in values] for cell, values in BASELINE_VALUES.items()}
+    if missing_from == "baseline":
+        baseline, same, degraded = serial_only, BASELINE_VALUES, slower
+    else:
+        baseline, same = BASELINE_VALUES, serial_only
+        degraded = {("serial", 1): slower[("serial", 1)]}
+    baseline = _synthetic_payload(baseline)
+    assert runner.check_regression(baseline, _synthetic_payload(same)) == []
+    failures = runner.check_regression(baseline, _synthetic_payload(degraded))
+    assert len(failures) == 1 and "mode=serial" in failures[0]
 
 
 def test_committed_baseline_matches_smoke_grid():

@@ -118,6 +118,18 @@ class TestExecution:
             deployed_chain.execute_internal_call("user", "counter", "increment")
         assert [event.name for event in buffer.events] == ["Incremented"]
 
+    def test_isolated_execution_cannot_be_nested_and_reopens_after_exit(
+        self, deployed_chain
+    ):
+        with deployed_chain.isolated_execution():
+            with pytest.raises(ReproError, match="cannot be nested"):
+                with deployed_chain.isolated_execution():
+                    pass
+        # The failed nesting left the outer context's exit intact.
+        with deployed_chain.isolated_execution() as buffer:
+            deployed_chain.execute_internal_call("user", "counter", "increment")
+        assert len(buffer.events) == 1 and len(deployed_chain.event_log) == 0
+
     def test_internal_call_events_reach_log_immediately(self, deployed_chain):
         deployed_chain.execute_internal_call("user", "counter", "increment")
         assert deployed_chain.event_log.latest("Incremented") is not None

@@ -2,8 +2,8 @@
 
 The load-bearing test is the equivalence suite: a seeded client driving the
 same request sequence through the asyncio door must leave fingerprints, gas
-bills and chain state bit-identical to the equivalent batch run — in serial,
-thread and process execution modes.
+bills and chain state bit-identical to the equivalent batch run — in serial
+and process execution modes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.frontdoor import (
     STATUS_REJECTED,
     STATUS_SETTLED,
 )
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
+from repro.gateway import EXECUTION_MODES, EpochScheduler, FeedRegistry, FeedSpec
 from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -85,7 +85,7 @@ def drive_live(scheduler, workloads, *, door=None):
 
 
 class TestLiveBatchEquivalence:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_live_run_matches_batch_run_bit_for_bit(self, mode):
         registry, workloads = build_fleet()
         baseline = EpochScheduler(registry, epoch_size=EPOCH).run(workloads)
@@ -108,7 +108,7 @@ class TestLiveBatchEquivalence:
 
     def test_door_telemetry_fingerprint_is_mode_invariant(self):
         fingerprints = []
-        for mode in ("serial", "thread", "process"):
+        for mode in EXECUTION_MODES:
             registry, workloads = build_fleet(n_feeds=2, n_ops=6)
             kwargs = {} if mode == "serial" else {"num_workers": 2}
             scheduler = EpochScheduler(
@@ -116,7 +116,7 @@ class TestLiveBatchEquivalence:
             )
             door, _ = drive_live(scheduler, workloads)
             fingerprints.append(door.telemetry.fingerprint())
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0] == fingerprints[1]
 
     def test_pre_seeded_workloads_execute_ahead_of_live_requests(self):
         # A live run may pre-seed queues exactly like a batch run; seeded

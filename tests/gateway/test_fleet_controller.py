@@ -311,7 +311,11 @@ class TestElasticDeterminism:
             for index in range(4):
                 registry.create_feed(make_spec(f"res-{index}"))
             scheduler = EpochScheduler(
-                registry, num_shards=2, num_workers=workers, epoch_size=EPOCH
+                registry,
+                num_shards=2,
+                num_workers=workers,
+                execution_mode="serial" if workers == 1 else "process",
+                epoch_size=EPOCH,
             )
             scheduler.admit(make_spec("late"), make_ops("late", 8), at_epoch=1)
             scheduler.evict("res-1", at_epoch=2)
@@ -401,7 +405,11 @@ class TestFlashTenancy:
             for index in range(3):
                 registry.create_feed(make_spec(f"res-{index}"))
             scheduler = EpochScheduler(
-                registry, num_shards=2, num_workers=workers, epoch_size=EPOCH
+                registry,
+                num_shards=2,
+                num_workers=workers,
+                execution_mode="serial" if workers == 1 else "process",
+                epoch_size=EPOCH,
             )
             scheduler.admit(make_spec("flash"), make_ops("flash", 8), at_epoch=1)
             scheduler.evict("flash", at_epoch=1)
@@ -410,6 +418,6 @@ class TestFlashTenancy:
                  for index in range(3)}
             )
 
-        serial, threaded = run(1), run(4)
-        assert serial.fingerprint() == threaded.fingerprint()
+        serial, parallel = run(1), run(4)
+        assert serial.fingerprint() == parallel.fingerprint()
         assert serial.feed("flash").cancelled_ops == 8

@@ -1,9 +1,9 @@
 """Parallel epoch engine: bit-identical to serial, deterministic, warm cache.
 
 The engine's contract is strict: neither ``num_workers`` nor the execution
-backend (``serial`` / ``thread`` / ``process``) may change anything but
-wall-clock time.  Telemetry, per-feed gas bills and final chain state must be
-equal to the bit for any backend and worker count, and two runs of the same
+backend (``serial`` / ``process``) may change anything but wall-clock time.
+Telemetry, per-feed gas bills and final chain state must be equal to the bit
+for any backend and worker count, and two runs of the same
 configuration must be identical to each other.  These tests pin that over a
 mixed fleet (different algorithms, k values, record sizes and workload shapes
 per feed) — including the process backend, whose feeds execute in separate
@@ -113,10 +113,14 @@ def chain_state_fingerprint(registry: FeedRegistry) -> dict:
 def run_fleet(
     num_workers: int,
     num_shards: int = 4,
-    execution_mode: str = "thread",
+    execution_mode: str | None = None,
     with_obs: bool = False,
     max_ops_per_epoch=None,
 ):
+    """``execution_mode`` defaults to what ``num_workers`` implies: one
+    worker is the serial backend, more are process lanes."""
+    if execution_mode is None:
+        execution_mode = "serial" if num_workers == 1 else "process"
     registry, workloads = build_mixed_fleet(max_ops_per_epoch)
     scheduler = EpochScheduler(
         registry,
@@ -171,9 +175,9 @@ class TestParallelSerialEquivalence:
 
 
 class TestExecutionModeEquivalence:
-    """serial / thread / process must be indistinguishable in every output."""
+    """serial / process must be indistinguishable in every output."""
 
-    def test_three_modes_bit_identical(self):
+    def test_modes_bit_identical(self):
         # Unthrottled, then with op quotas on half the tenants: a throttled
         # feed drains slower than the bound the process backend orders epochs
         # ahead by, so that bound must stay a *lower* bound — an epoch a lane
@@ -181,14 +185,11 @@ class TestExecutionModeEquivalence:
         # summary on the lane's telemetry row (and the engine refuses to
         # collect over an unmerged order).
         for quota in (None, 3):
-            self._check_three_modes(quota)
+            self._check_modes(quota)
 
-    def _check_three_modes(self, quota):
+    def _check_modes(self, quota):
         serial_fleet, serial_registry = run_fleet(
             1, execution_mode="serial", max_ops_per_epoch=quota
-        )
-        thread_fleet, thread_registry = run_fleet(
-            4, execution_mode="thread", max_ops_per_epoch=quota
         )
         process_fleet, process_registry = run_fleet(
             2, execution_mode="process", max_ops_per_epoch=quota
@@ -198,13 +199,10 @@ class TestExecutionModeEquivalence:
         assert process_fleet.ipc["installs_total"] == 0
         assert process_fleet.ipc["epochs"] == serial_fleet.epochs_run
 
-        serial_print = serial_fleet.fingerprint()
-        assert thread_fleet.fingerprint() == serial_print
-        assert process_fleet.fingerprint() == serial_print
-
-        serial_chain = chain_state_fingerprint(serial_registry)
-        assert chain_state_fingerprint(thread_registry) == serial_chain
-        assert chain_state_fingerprint(process_registry) == serial_chain
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
+            serial_registry
+        )
 
         # Per-feed gas bills straight from the ledger's scopes.
         for feed_id in serial_fleet.feeds:
@@ -259,6 +257,37 @@ class TestExecutionModeEquivalence:
         assert serial.get("block_gas_limit_overflow", 0) > 0
         assert process == serial
 
+    @pytest.mark.parametrize("gas_aware", [False, True], ids=["pinned", "gas-aware"])
+    def test_registry_runs_again_after_a_process_run(self, gas_aware):
+        """A second ``run()`` on the same scheduler continues from the first
+        run's final state in either mode: the lanes' control planes, monitors,
+        signer epochs and pending requests come home at run end, and the main
+        watchdog does not replay events the lanes already routed.  Covers
+        fork-pinned lanes and (gas-aware planner) snapshot-installed ones."""
+
+        def two_runs(mode, workers):
+            registry, first = build_mixed_fleet()
+            _, second = build_mixed_fleet()
+            scheduler = EpochScheduler(
+                registry,
+                num_workers=workers,
+                execution_mode=mode,
+                **(
+                    {"planner": GasAwareShardPlanner(block_gas_fraction=0.02)}
+                    if gas_aware
+                    else {"num_shards": 4}
+                ),
+            )
+            prints = [scheduler.run(first).fingerprint()]
+            prints.append(scheduler.run(second).fingerprint())
+            return prints, chain_state_fingerprint(registry)
+
+        serial_prints, serial_chain = two_runs("serial", 1)
+        process_prints, process_chain = two_runs("process", 2)
+        assert process_prints[0] == serial_prints[0]
+        assert process_prints[1] == serial_prints[1]
+        assert process_chain == serial_chain
+
     def test_process_lane_count_never_changes_output(self):
         one_lane, _ = run_fleet(1, execution_mode="process")
         many_lanes, _ = run_fleet(4, execution_mode="process")
@@ -300,22 +329,17 @@ class TestWireCodecEquivalence:
     """The compact wire boundary must be invisible in every output —
     with and without observability attached, however feeds reach lanes."""
 
-    def test_three_modes_bit_identical_with_obs_enabled(self):
+    def test_modes_bit_identical_with_obs_enabled(self):
         serial_fleet, serial_registry = run_fleet(
             1, execution_mode="serial", with_obs=True
-        )
-        thread_fleet, thread_registry = run_fleet(
-            4, execution_mode="thread", with_obs=True
         )
         process_fleet, process_registry = run_fleet(
             2, execution_mode="process", with_obs=True
         )
-        serial_print = serial_fleet.fingerprint()
-        assert thread_fleet.fingerprint() == serial_print
-        assert process_fleet.fingerprint() == serial_print
-        serial_chain = chain_state_fingerprint(serial_registry)
-        assert chain_state_fingerprint(thread_registry) == serial_chain
-        assert chain_state_fingerprint(process_registry) == serial_chain
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
+            serial_registry
+        )
 
     def test_obs_enabled_matches_obs_disabled(self):
         quiet_fleet, quiet_registry = run_fleet(2, execution_mode="process")
@@ -356,14 +380,18 @@ class TestWireCodecEquivalence:
 
 class TestProcessModeConstraints:
     def test_serial_mode_rejects_extra_workers(self):
+        """Serial is the default mode; either way the error says where extra
+        workers go."""
         registry, _ = build_mixed_fleet()
-        with pytest.raises(ConfigurationError):
-            EpochScheduler(registry, num_workers=4, execution_mode="serial")
+        for kwargs in ({"execution_mode": "serial"}, {}):
+            with pytest.raises(ConfigurationError, match='execution_mode="process"'):
+                EpochScheduler(registry, num_workers=4, **kwargs)
 
     def test_unknown_mode_rejected(self):
         registry, _ = build_mixed_fleet()
-        with pytest.raises(ConfigurationError):
-            EpochScheduler(registry, execution_mode="fiber")
+        for mode in ("fiber", "thread"):
+            with pytest.raises(ConfigurationError, match="'serial', 'process'"):
+                EpochScheduler(registry, execution_mode=mode)
 
     def _run_with_churn(self, execution_mode, num_workers):
         registry, workloads = build_mixed_fleet()
