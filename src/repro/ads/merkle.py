@@ -336,19 +336,38 @@ def recompute_root_from_proof(
     proof: MerkleProof,
     charge_hash: Optional[Callable[[int], None]] = None,
 ) -> bytes:
-    """Recompute the root implied by ``leaf_hash`` and ``proof``.
+    """Recompute the root implied by ``leaf_hash`` at ``proof.leaf_index``.
+
+    The path is bound to the position it claims: it must be as long as a tree
+    of ``proof.leaf_count`` leaves is deep, and each step's side comes from
+    the index bits — a sibling's ``is_left`` flag has to agree, it never
+    decides.  A proof that breaks the binding raises
+    :class:`~repro.common.errors.IntegrityError` (``verify_range`` and
+    ``verify_non_membership`` trust ``leaf_index``, so a path for leaf 9
+    relabelled as leaf 6 must not verify).
 
     ``charge_hash`` is called once per hash computation with the input size in
-    words, letting the storage-manager contract charge hash gas.
+    words, letting the storage-manager contract charge hash gas; the binding
+    checks themselves hash nothing.
     """
+    position = proof.leaf_index
+    path = proof.path
+    if not 0 <= position < proof.leaf_count or len(path) != expected_proof_length(
+        proof.leaf_count
+    ):
+        raise IntegrityError("proof path does not fit its leaf index and count")
     current = leaf_hash
-    for node in proof.path:
+    for node in path:
+        sibling_is_left = position & 1
+        if node.is_left != sibling_is_left:
+            raise IntegrityError("proof path does not lead to its leaf index")
         if charge_hash is not None:
             charge_hash(2)
-        if node.is_left:
+        if sibling_is_left:
             current = _hash_pair_memo(node.digest, current)
         else:
             current = _hash_pair_memo(current, node.digest)
+        position >>= 1
     return current
 
 
@@ -359,7 +378,10 @@ def verify_membership(
     charge_hash: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """Check that ``leaf_hash`` is a member under ``root`` at ``proof.leaf_index``."""
-    return recompute_root_from_proof(leaf_hash, proof, charge_hash) == root
+    try:
+        return recompute_root_from_proof(leaf_hash, proof, charge_hash) == root
+    except IntegrityError:
+        return False
 
 
 def verify_range(
@@ -428,11 +450,4 @@ def verify_non_membership(
 
 def expected_proof_length(leaf_count: int) -> int:
     """Proof length (in digests) for a tree of ``leaf_count`` leaves."""
-    if leaf_count <= 1:
-        return 0
-    length = 0
-    size = 1
-    while size < leaf_count:
-        size *= 2
-        length += 1
-    return length
+    return max(0, leaf_count - 1).bit_length()

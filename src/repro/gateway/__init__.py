@@ -40,6 +40,9 @@ storage-manager contract).  This package turns that into a hosted service:
   of a process run whose plan can change: affinity to the lane already hosting the
   shard's feeds under a load-balance cap, so feeds only move when the plan
   really regroups them (process-side only, never fingerprinted);
+* :mod:`repro.gateway.runtime` — the run's ownership of the interpreter's
+  cyclic collector: the preloaded heap frozen, collection at epoch boundaries
+  only, the interpreter's prior state restored on exit;
 * :mod:`repro.gateway.cache` — the consumer-side :class:`ReadCache`,
   sharded per feed, with write-invalidation keyed on each record's
   replication state and immediate warm-up from verified deliver payloads,

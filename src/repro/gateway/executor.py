@@ -140,6 +140,7 @@ from repro.gateway.router import (
     scope_weights_for_deliver,
     scope_weights_for_update,
 )
+from repro.gateway.runtime import CollectorOwner
 from repro.obs import DISABLED
 from repro.obs.tracing import Span, Tracer
 from repro.storage.lsm import LSMStore
@@ -667,6 +668,8 @@ class LaneEpochEnvelope:
     #: Worker-side wall time spent encoding the frame (the IPC meter's
     #: ``ipc_encode_seconds``).
     encode_seconds: float
+    #: Boundary collections the lane has taken so far, this epoch's included.
+    gc_collections: int = 0
 
 
 @dataclass
@@ -1319,6 +1322,8 @@ class IpcSample:
     encode_seconds: float
     #: Main-side decode wall time.
     decode_seconds: float
+    #: Boundary collections the lane's collector owner has taken so far.
+    gc_collections: int = 0
 
 
 class IpcMeter:
@@ -1369,6 +1374,7 @@ class IpcMeter:
             row["wire_bytes"] += sample.wire_bytes
             row["encode_seconds"] += sample.encode_seconds
             row["decode_seconds"] += sample.decode_seconds
+            row["gc_collections"] = sample.gc_collections
 
     def summary(self) -> dict:
         """Plain-data totals (the shape ``FleetTelemetry.ipc`` carries and the
@@ -1425,6 +1431,16 @@ class _LaneWorker:
         #: detached spans; the finished spans ship back as wire dicts and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
+        #: The lane owns its process's collector until the process exits with
+        #: its pool (so nothing is ever restored): a fork-seeded lane inherits
+        #: the main process's frozen heap and switched-off collector, and this
+        #: is who collects in its stead — between epochs, never inside one.
+        self.collector = CollectorOwner().__enter__()
+        #: A fork-pinned lane serves a static run — no live source, no churn —
+        #: which ends with its workloads; any other lane may serve a run that
+        #: never does, and insures against what it cannot see (cycles that
+        #: outlive a boundary).
+        self._unending = config.pinned is None
         #: The lane's epoch-result channel (worker → main); persistent, so
         #: feed ids and keys intern once for the whole run.
         self.encoder = WireEncoder()
@@ -1611,8 +1627,12 @@ class _LaneWorker:
         ]
         started = time.perf_counter()
         frame = encode_lane_epoch(self.encoder, epoch, results)
+        encode_seconds = time.perf_counter() - started
+        self.collector.boundary(insure=self._unending)
         return LaneEpochEnvelope(
-            frame=frame, encode_seconds=time.perf_counter() - started
+            frame=frame,
+            encode_seconds=encode_seconds,
+            gc_collections=self.collector.collections,
         )
 
     def _settle(self, transaction: Transaction) -> SettlementResult:
@@ -2136,6 +2156,7 @@ class LaneEngine:
                     wire_bytes=envelope.frame.nbytes,
                     encode_seconds=envelope.encode_seconds,
                     decode_seconds=decode_seconds,
+                    gc_collections=envelope.gc_collections,
                 )
             )
             results.extend(lane_results)

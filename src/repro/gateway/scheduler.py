@@ -88,6 +88,12 @@ The scheduler never consults a wall clock for scheduling decisions and uses
 no randomness, so two runs over the same fleet, workloads and churn schedule
 are identical — whatever ``num_workers`` says; ``time.perf_counter`` is only
 sampled to report the runtime's own ops/sec.
+
+For the duration of a run the scheduler also owns the interpreter's cyclic
+collector (:mod:`repro.gateway.runtime`): the preloaded heap is frozen, and
+collection happens between epochs — after settle feedback, and in front of an
+idle gateway's blocking poll — never inside one.  The interpreter gets its
+collector back, exactly as it was, on every exit path.
 """
 
 from __future__ import annotations
@@ -130,6 +136,7 @@ from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.placement import FeedMove, assign_lanes, plan_moves
 from repro.gateway.planner import RoundRobinPlanner, ShardPlanner
 from repro.gateway.registry import FeedRegistry, FeedSpec
+from repro.gateway.runtime import CollectorOwner
 from repro.obs import DISABLED, Observability
 from repro.obs.metrics import log_buckets
 from repro.obs.tracing import reassemble_shard_spans
@@ -556,75 +563,82 @@ class EpochScheduler:
         else:
             executor = _InlineExecutor(self, env, epoch_size, fleet)
         epoch = 0
-        try:
-            with self.obs.span("run", mode=self.execution_mode):
-                while True:
-                    self._apply_churn(epoch, active, env, fleet, executor, source)
-                    if source is not None:
-                        # Drain eligible live arrivals into the queues.  An
-                        # idle gateway (no queued work, no pending churn)
-                        # blocks here until traffic arrives, a future epoch
-                        # is scheduled, or the door closes — a live server
-                        # waits for requests, it does not exit.
-                        idle = not self.pending_churn and not any(
-                            executor.depth(f) for f in active
-                        )
-                        self._ingest(source.poll(epoch, wait=idle), env, executor)
-                    has_work = any(executor.depth(f) for f in active)
-                    door_open = source is not None and not source.exhausted
-                    if not self.pending_churn and not has_work and not door_open:
-                        break
-                    if not has_work:
-                        # Every queue is idle; the run is only waiting out the
-                        # epochs until the next churn event or the earliest
-                        # scheduled live arrival.  Jump straight there (O(1)
-                        # per wait, however far off) — no summaries, no
-                        # polling, no blocks, no roster entries for the
-                        # skipped span, whose membership cannot change.
-                        targets = []
-                        if self.pending_churn:
-                            targets.append(self._next_churn_epoch())
-                        if door_open:
-                            scheduled = source.next_epoch(epoch)
-                            if scheduled is not None:
-                                targets.append(scheduled)
-                        epoch = (
-                            max(epoch + 1, min(targets)) if targets else epoch + 1
-                        )
-                        continue
-                    shard_plan = self.shards(active)
-                    fleet.rosters.append((epoch, sorted(active)))
-                    fleet.shards_per_epoch.append(len(shard_plan))
-                    # Queue depths at the boundary: with a live source, each
-                    # feed's planned slice (head-of-queue, capped by the
-                    # lockstep epoch size) derives from these.
-                    queued_before = (
-                        {feed_id: executor.depth(feed_id) for feed_id in active}
-                        if source is not None
-                        else None
-                    )
-                    settled = executor.run_epoch(epoch, shard_plan)
-                    # Settle feedback, in roster order: the settled gas feeds
-                    # the shard planner's estimates, and a live source learns
-                    # what ran so it can resolve its futures.
-                    for feed_id in active:
-                        executed, epoch_gas = settled[feed_id]
-                        self.planner.observe(feed_id, epoch_gas)
+        # The run owns the collector from here — what preload built is frozen
+        # before any lane forks — and collects between epochs, until whatever
+        # state lives in lanes is folded back.
+        with CollectorOwner(self.obs) as collector:
+            try:
+                with self.obs.span("run", mode=self.execution_mode):
+                    while True:
+                        self._apply_churn(epoch, active, env, fleet, executor, source)
                         if source is not None:
-                            planned = min(queued_before[feed_id], epoch_size)
-                            source.settled(
-                                epoch,
-                                feed_id,
-                                executed=executed,
-                                deferred=planned - executed,
-                                gas=epoch_gas,
+                            # Drain eligible live arrivals into the queues.  An
+                            # idle gateway (no queued work, no pending churn)
+                            # blocks here until traffic arrives, a future epoch
+                            # is scheduled, or the door closes — a live server
+                            # waits for requests, it does not exit.
+                            idle = not self.pending_churn and not any(
+                                executor.depth(f) for f in active
                             )
-                    epoch += 1
-            executor.finish()
-        finally:
-            executor.close()
-            if source is not None:
-                source.run_finished(fleet)
+                            if idle:
+                                collector.boundary(insure=True)
+                            self._ingest(source.poll(epoch, wait=idle), env, executor)
+                        has_work = any(executor.depth(f) for f in active)
+                        door_open = source is not None and not source.exhausted
+                        if not self.pending_churn and not has_work and not door_open:
+                            break
+                        if not has_work:
+                            # Every queue is idle; the run is only waiting out the
+                            # epochs until the next churn event or the earliest
+                            # scheduled live arrival.  Jump straight there (O(1)
+                            # per wait, however far off) — no summaries, no
+                            # polling, no blocks, no roster entries for the
+                            # skipped span, whose membership cannot change.
+                            targets = []
+                            if self.pending_churn:
+                                targets.append(self._next_churn_epoch())
+                            if door_open:
+                                scheduled = source.next_epoch(epoch)
+                                if scheduled is not None:
+                                    targets.append(scheduled)
+                            epoch = (
+                                max(epoch + 1, min(targets)) if targets else epoch + 1
+                            )
+                            continue
+                        shard_plan = self.shards(active)
+                        fleet.rosters.append((epoch, sorted(active)))
+                        fleet.shards_per_epoch.append(len(shard_plan))
+                        # Queue depths at the boundary: with a live source, each
+                        # feed's planned slice (head-of-queue, capped by the
+                        # lockstep epoch size) derives from these.
+                        queued_before = (
+                            {feed_id: executor.depth(feed_id) for feed_id in active}
+                            if source is not None
+                            else None
+                        )
+                        settled = executor.run_epoch(epoch, shard_plan)
+                        # Settle feedback, in roster order: the settled gas feeds
+                        # the shard planner's estimates, and a live source learns
+                        # what ran so it can resolve its futures.
+                        for feed_id in active:
+                            executed, epoch_gas = settled[feed_id]
+                            self.planner.observe(feed_id, epoch_gas)
+                            if source is not None:
+                                planned = min(queued_before[feed_id], epoch_size)
+                                source.settled(
+                                    epoch,
+                                    feed_id,
+                                    executed=executed,
+                                    deferred=planned - executed,
+                                    gas=epoch_gas,
+                                )
+                        collector.boundary(insure=source is not None)
+                        epoch += 1
+                executor.finish()
+            finally:
+                executor.close()
+                if source is not None:
+                    source.run_finished(fleet)
 
         fleet.wall_seconds = time.perf_counter() - wall_start
         fleet.epochs_run = epoch

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ads.merkle import (
+    MerkleProof,
     MerkleTree,
+    ProofNode,
     expected_proof_length,
     recompute_root_from_proof,
     verify_membership,
     verify_non_membership,
     verify_range,
 )
+from repro.common.errors import IntegrityError
 from repro.common.hashing import EMPTY_DIGEST, keccak
 
 
@@ -149,6 +152,87 @@ class TestRangeAndNonMembership:
         assert verify_non_membership(tree.root, left, right)
         far_right = (tree.leaf(5), tree.prove(5))
         assert not verify_non_membership(tree.root, left, far_right)
+
+
+class TestProofBinding:
+    """A path verifies only at the leaf index and count it claims —
+    ``verify_range`` and ``verify_non_membership`` trust those fields."""
+
+    def test_forged_index_fails(self):
+        tree = MerkleTree(leaves_for(16))
+        honest = tree.prove(9)
+        forged = MerkleProof(leaf_index=6, leaf_count=16, path=honest.path)
+        assert verify_membership(tree.root, tree.leaf(9), honest)
+        assert not verify_membership(tree.root, tree.leaf(9), forged)
+        with pytest.raises(IntegrityError):
+            recompute_root_from_proof(tree.leaf(9), forged)
+
+    def test_flags_cannot_override_the_index(self):
+        # Leaf 9's siblings relabelled with leaf 6's sides: index and flags
+        # agree with each other, the digests belong elsewhere.
+        tree = MerkleTree(leaves_for(16))
+        relabelled = tuple(
+            ProofNode(digest=node.digest, is_left=flagged.is_left)
+            for node, flagged in zip(tree.prove(9).path, tree.prove(6).path)
+        )
+        forged = MerkleProof(leaf_index=6, leaf_count=16, path=relabelled)
+        assert not verify_membership(tree.root, tree.leaf(9), forged)
+
+    def test_out_of_range_index_fails(self):
+        tree = MerkleTree(leaves_for(16))
+        path = tree.prove(9).path
+        for index in (-7, 16, 9 + 16):
+            forged = MerkleProof(leaf_index=index, leaf_count=16, path=path)
+            assert not verify_membership(tree.root, tree.leaf(9), forged)
+
+    def test_wrong_length_fails(self):
+        tree = MerkleTree(leaves_for(16))
+        honest = tree.prove(9)
+        # A path cut short "proves" an interior node as if it were a leaf.
+        interior = recompute_root_from_proof(
+            tree.leaf(9), MerkleProof(1, 2, honest.path[:1])
+        )
+        truncated = MerkleProof(leaf_index=9 >> 1, leaf_count=16, path=honest.path[1:])
+        assert not verify_membership(tree.root, interior, truncated)
+        # The same path under a leaf count of another depth.
+        for leaf_count in (8, 17, 64):
+            relabelled = MerkleProof(leaf_index=1, leaf_count=leaf_count, path=honest.path)
+            assert not verify_membership(tree.root, tree.leaf(9), relabelled)
+
+    def test_binding_checks_charge_no_hash(self):
+        tree = MerkleTree(leaves_for(16))
+        charges = []
+        forged = MerkleProof(leaf_index=6, leaf_count=16, path=tree.prove(9).path)
+        assert not verify_membership(
+            tree.root, tree.leaf(9), forged, charge_hash=charges.append
+        )
+        assert len(charges) < tree.depth
+
+    def test_forged_adjacency_fails_non_membership(self):
+        # Leaves 2 and 9 are far apart; relabelling 9's proof as index 3
+        # would "prove" that nothing lies between them.
+        tree = MerkleTree(leaves_for(16))
+        left = (tree.leaf(2), tree.prove(2))
+        forged_right = (
+            tree.leaf(9),
+            MerkleProof(leaf_index=3, leaf_count=16, path=tree.prove(9).path),
+        )
+        assert not verify_non_membership(tree.root, left, forged_right)
+
+    def test_forged_boundary_fails_range(self):
+        tree = MerkleTree(leaves_for(16))
+        honest = tree.prove_range(4, 3)
+        # Claim the run 4..6 but end it with leaf 9 under a relabelled path.
+        forged_last = MerkleProof(leaf_index=6, leaf_count=16, path=tree.prove(9).path)
+        forged = type(honest)(
+            start_index=4,
+            count=3,
+            leaf_count=16,
+            leaf_hashes=honest.leaf_hashes[:2] + (tree.leaf(9),),
+            boundary_proofs=(honest.boundary_proofs[0], forged_last),
+        )
+        assert verify_range(tree.root, honest)
+        assert not verify_range(tree.root, forged)
 
 
 @settings(max_examples=30, deadline=None)
