@@ -296,7 +296,7 @@ class WireReader:
     shares the channel's persistent decode-side string table.
     """
 
-    __slots__ = ("_body", "_blobs", "_pos", "_table", "_keysets")
+    __slots__ = ("_body", "_blobs", "_pos", "_table", "_keysets", "_mark")
 
     def __init__(
         self,
@@ -309,6 +309,16 @@ class WireReader:
         self._pos = 2  # past magic + version, validated by the channel
         self._table = table
         self._keysets = keysets
+        self._mark = (len(table), len(keysets))
+
+    def _fail(self, message: str) -> WireError:
+        """The error for a frame that cannot be decoded.  A failed frame
+        interns nothing: whatever it registered before the bad byte is taken
+        back, so the channel's tables only ever hold complete frames."""
+        strings, keysets = self._mark
+        del self._table[strings:]
+        del self._keysets[keysets:]
+        return WireError(message)
 
     # -- integers ------------------------------------------------------------
 
@@ -318,7 +328,7 @@ class WireReader:
         try:
             byte = body[pos]
         except IndexError:
-            raise WireError("truncated frame: varint ran past the body")
+            raise self._fail("truncated frame: varint ran past the body")
         if byte < 0x80:
             self._pos = pos + 1
             return byte
@@ -328,7 +338,7 @@ class WireReader:
             try:
                 byte = body[pos]
             except IndexError:
-                raise WireError("truncated frame: varint ran past the body")
+                raise self._fail("truncated frame: varint ran past the body")
             pos += 1
             result |= (byte & 0x7F) << shift
             if byte < 0x80:
@@ -349,13 +359,13 @@ class WireReader:
         try:
             marker = body[pos]
         except IndexError:
-            raise WireError("truncated frame: string marker ran past the body")
+            raise self._fail("truncated frame: string marker ran past the body")
         if _STR_REF_BASE <= marker < 0x80:
             self._pos = pos + 1
             try:
                 return self._table[marker - _STR_REF_BASE]
             except IndexError:
-                raise WireError(
+                raise self._fail(
                     f"string reference {marker - _STR_REF_BASE} is outside "
                     "this channel's table — frames decoded out of order?"
                 )
@@ -364,13 +374,18 @@ class WireReader:
             try:
                 return self._table[marker - _STR_REF_BASE]
             except IndexError:
-                raise WireError(
+                raise self._fail(
                     f"string reference {marker - _STR_REF_BASE} is outside "
                     "this channel's table — frames decoded out of order?"
                 )
         length = self.uvarint()
         end = self._pos + length
-        s = self._body[self._pos:end].decode("utf-8")
+        if end > len(body):
+            raise self._fail("truncated frame: string ran past the body")
+        try:
+            s = body[self._pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self._fail(f"string is not valid UTF-8: {exc}") from exc
         self._pos = end
         if marker == _STR_DEF:
             self._table.append(s)
@@ -383,17 +398,20 @@ class WireReader:
             try:
                 return self._blobs[index]
             except IndexError:
-                raise WireError(f"out-of-band buffer {index} missing from frame")
+                raise self._fail(f"out-of-band buffer {index} missing from frame")
         length = self.uvarint()
         end = self._pos + length
         data = self._body[self._pos:end]
         if len(data) != length:
-            raise WireError("truncated frame: byte payload ran past the body")
+            raise self._fail("truncated frame: byte payload ran past the body")
         self._pos = end
         return data
 
     def float_(self) -> float:
-        (x,) = _unpack_double(self._body, self._pos)
+        try:
+            (x,) = _unpack_double(self._body, self._pos)
+        except struct.error:
+            raise self._fail("truncated frame: float ran past the body")
         self._pos += 8
         return x
 
@@ -403,7 +421,7 @@ class WireReader:
         try:
             tag = self._body[self._pos]
         except IndexError:
-            raise WireError("truncated frame: value tag ran past the body")
+            raise self._fail("truncated frame: value tag ran past the body")
         self._pos += 1
         if tag >= _T_SMALL_BASE:
             return tag - _T_SMALL_BASE
@@ -426,7 +444,7 @@ class WireReader:
             try:
                 keys = self._keysets[index]
             except IndexError:
-                raise WireError(
+                raise self._fail(
                     f"dict key-set reference {index} is outside this "
                     "channel's table — frames decoded out of order?"
                 )
@@ -437,14 +455,21 @@ class WireReader:
                 self._keysets.append(keys)
             return {key: self.value() for key in keys}
         if tag == _T_DICT:
-            return {self.value(): self.value() for _ in range(self.uvarint())}
+            try:
+                return {self.value(): self.value() for _ in range(self.uvarint())}
+            except TypeError as exc:
+                raise self._fail(f"dict key is not hashable: {exc}") from exc
         if tag == _T_LIST:
             return [self.value() for _ in range(self.uvarint())]
         if tag == _T_TUPLE:
             return tuple(self.value() for _ in range(self.uvarint()))
         if tag == _T_PICKLE:
-            return pickle.loads(self.bytes_())
-        raise WireError(f"unknown value tag {tag} at offset {self._pos - 1}")
+            blob = self.bytes_()
+            try:
+                return pickle.loads(blob)
+            except Exception as exc:  # whatever a damaged pickle raises
+                raise self._fail(f"embedded pickle cannot be loaded: {exc!r}") from exc
+        raise self._fail(f"unknown value tag {tag} at offset {self._pos - 1}")
 
 
 @dataclass

@@ -282,6 +282,10 @@ class RequestMetricsMiddleware(Middleware):
     HISTOGRAM = "request_latency_seconds"
     #: Requests through the stack, labelled by tenant and outcome.
     COUNTER = "frontdoor_requests_total"
+    #: The one tenant label for every request the door does not know the
+    #: tenant of: the name is the client's to choose, and instruments are per
+    #: label set, so labelling with it would let a client grow the registry.
+    UNKNOWN_TENANT = "(unknown)"
 
     def __init__(self, obs: Observability) -> None:
         self.obs = obs
@@ -290,10 +294,13 @@ class RequestMetricsMiddleware(Middleware):
         started = time.perf_counter()
         response = await call_next(request)
         elapsed = time.perf_counter() - started
+        tenant = (
+            self.UNKNOWN_TENANT
+            if response.reason == REJECT_UNKNOWN_TENANT
+            else request.tenant
+        )
         self.obs.histogram(
-            self.HISTOGRAM, tenant=request.tenant, status=response.status
+            self.HISTOGRAM, tenant=tenant, status=response.status
         ).observe(elapsed)
-        self.obs.counter(
-            self.COUNTER, tenant=request.tenant, status=response.status
-        ).inc()
+        self.obs.counter(self.COUNTER, tenant=tenant, status=response.status).inc()
         return response

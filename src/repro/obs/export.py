@@ -6,7 +6,7 @@ Three consumers, three formats, one source of truth (a
 :class:`~repro.obs.tracing.Tracer`):
 
 * :func:`export_jsonl` — one JSON object per line, machine-diffable, the form
-  the CI obs-smoke job validates with :func:`validate_jsonl_line`.  Spans are
+  the tier-1 suite validates with :func:`validate_jsonl_line`.  Spans are
   flattened depth-first with ``span_id``/``parent_id`` assigned **at export
   time** in deterministic pre-order — span identity is a property of the
   finished tree, not of creation order, so exporting never introduces
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ReproError
@@ -148,8 +149,9 @@ def validate_jsonl_line(line: str) -> dict:
     """Parse one JSONL line and check it against the event schema.
 
     Raises :class:`ReproError` describing the first violation; returns the
-    parsed event otherwise.  This is the check the CI obs-smoke job runs over
-    every exported line.
+    parsed event otherwise.  This is the check
+    ``tests/gateway/test_observability.py`` runs over every exported line of
+    a real traced run, serial and process.
     """
     try:
         event = json.loads(line)
@@ -195,14 +197,10 @@ def validate_jsonl(text: str) -> List[dict]:
 
 # -- Prometheus text -----------------------------------------------------------
 
-
-def _prom_labels(labels: Tuple[Tuple[str, str], ...], extra: str = "") -> str:
-    parts = [f'{key}="{value}"' for key, value in labels]
-    if extra:
-        parts.append(extra)
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
+#: One ``key="value"`` pair of a label set and its separator; the value may
+#: hold the three escapes :func:`~repro.obs.metrics._render_key` writes.
+_PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\[\\"n])*)"(?:,(?!$)|$)')
+_PROM_ESCAPE = re.compile(r'\\([\\"n])')
 
 
 def _prom_number(value: float) -> str:
@@ -228,23 +226,24 @@ def export_prometheus(registry: MetricsRegistry) -> str:
             for histogram in family:
                 for bound, count in histogram.cumulative_buckets():
                     le = "+Inf" if math.isinf(bound) else _prom_number(bound)
-                    bucket_labels = _prom_labels(histogram.labels, f'le="{le}"')
-                    lines.append(f"{name}_bucket{bucket_labels} {count}")
+                    bucket = _render_key(f"{name}_bucket", histogram.labels, f'le="{le}"')
+                    lines.append(f"{bucket} {count}")
                 lines.append(
-                    f"{name}_sum{_prom_labels(histogram.labels)} {_prom_number(histogram.total)}"
+                    f"{_render_key(f'{name}_sum', histogram.labels)} "
+                    f"{_prom_number(histogram.total)}"
                 )
                 lines.append(
-                    f"{name}_count{_prom_labels(histogram.labels)} {histogram.count}"
+                    f"{_render_key(f'{name}_count', histogram.labels)} {histogram.count}"
                 )
         elif issubclass(kind, Counter):
             lines.append(f"# TYPE {name} counter")
             for counter in family:
-                lines.append(f"{name}{_prom_labels(counter.labels)} {counter.value}")
+                lines.append(f"{_render_key(name, counter.labels)} {counter.value}")
         else:
             lines.append(f"# TYPE {name} gauge")
             for gauge in family:
                 lines.append(
-                    f"{name}{_prom_labels(gauge.labels)} {_prom_number(gauge.value)}"
+                    f"{_render_key(name, gauge.labels)} {_prom_number(gauge.value)}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -253,11 +252,11 @@ def parse_prometheus(text: str) -> Dict[str, List[Tuple[Dict[str, str], float]]]
     """Parse Prometheus text back into ``{metric: [(labels, value), …]}``.
 
     A deliberately strict parser for the formats :func:`export_prometheus`
-    emits — the CI smoke job uses it to assert the snapshot is well-formed.
+    emits — the tier-1 suite uses it to assert the snapshot is well-formed.
     Raises :class:`ReproError` on any malformed line.
     """
     samples: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
-    for raw in text.splitlines():
+    for raw in text.split("\n"):  # not splitlines(): "\r" and kin may sit in a label
         line = raw.strip()
         if not line:
             continue
@@ -283,13 +282,15 @@ def parse_prometheus(text: str) -> Dict[str, List[Tuple[Dict[str, str], float]]]
         labels: Dict[str, str] = {}
         if name_part.endswith("}"):
             name, _, label_blob = name_part.partition("{")
-            label_blob = label_blob[:-1]
-            if label_blob:
-                for pair in label_blob.split(","):
-                    key, eq, quoted = pair.partition("=")
-                    if not eq or len(quoted) < 2 or quoted[0] != '"' or quoted[-1] != '"':
-                        raise ReproError(f"malformed Prometheus label: {raw!r}")
-                    labels[key] = quoted[1:-1]
+            position, end = 0, len(label_blob) - 1
+            while position < end:
+                pair = _PROM_LABEL.match(label_blob, position, end)
+                if pair is None:
+                    raise ReproError(f"malformed Prometheus label: {raw!r}")
+                labels[pair[1]] = _PROM_ESCAPE.sub(
+                    lambda escape: "\n" if escape[1] == "n" else escape[1], pair[2]
+                )
+                position = pair.end()
         else:
             name = name_part
         if not name or not name.replace("_", "").replace(":", "").isalnum():

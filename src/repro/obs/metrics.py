@@ -313,11 +313,21 @@ class MetricsRegistry:
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
-def _render_key(name: str, labels: LabelSet) -> str:
-    if not labels:
+def _escape_label_value(value: str) -> str:
+    """Escape a label value the way the Prometheus text format does.  Values
+    can come from outside the program (a tenant name), so a quote, backslash
+    or newline in one must not be able to end the label or the line."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _render_key(name: str, labels: LabelSet, extra: str = "") -> str:
+    """``name{key="value",…}``; ``extra`` is one more, already rendered, pair."""
+    parts = [f'{key}="{_escape_label_value(value)}"' for key, value in labels]
+    if extra:
+        parts.append(extra)
+    if not parts:
         return name
-    rendered = ",".join(f'{key}="{value}"' for key, value in labels)
-    return f"{name}{{{rendered}}}"
+    return f"{name}{{{','.join(parts)}}}"
 
 
 def percentile_reference(samples: Iterable[float], q: float) -> Optional[float]:

@@ -15,6 +15,7 @@ from repro.analysis.experiments import (
     run_algorithm_comparison,
     run_btcrelay_experiment,
     run_eth_price_oracle_experiment,
+    run_multitenant_gateway_experiment,
     run_parameter_k_sweep,
     run_ratio_sweep,
     run_record_size_sweep,
@@ -184,3 +185,23 @@ class TestCharacterisationExperiment:
         assert eth.get(0, 0) == pytest.approx(0.704, abs=0.08)
         assert btc.get(0, 0) == pytest.approx(0.937, abs=0.25)
         assert result.eth_price_target[0] == pytest.approx(0.704, abs=1e-6)
+
+
+class TestGatewayVersusIsolation:
+    def test_hosting_beats_isolation_and_amortises_with_fleet_size(self):
+        """N feeds behind one gateway against N single-feed deployments on the
+        same workloads: the batched base cost is split N ways and hot
+        replicated reads come from the cache."""
+        results = {
+            num_feeds: run_multitenant_gateway_experiment(
+                num_feeds, operations_per_feed=128
+            )
+            for num_feeds in (1, 4, 8)
+        }
+        for num_feeds in (4, 8):
+            result = results[num_feeds]
+            assert result.gateway_gas_feed < result.isolated_gas_feed
+            assert result.gateway_gas_per_operation < result.isolated_gas_per_operation
+            assert result.fleet.cache_hit_rate > 0.0
+        # The saving does not shrink as the fleet grows (2 points of slack).
+        assert results[8].saving >= results[4].saving - 0.02

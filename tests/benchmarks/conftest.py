@@ -1,4 +1,5 @@
-"""Make the (non-package) benchmark scripts importable from tests."""
+"""Make the repo benchmark's package (``benchmarks/suite``) importable as
+``suite`` from tests."""
 
 from __future__ import annotations
 

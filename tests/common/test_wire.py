@@ -395,3 +395,80 @@ class TestInternTableBoundary:
         assert ("gamma",) not in encoder._keysets
         assert len(encoder._keysets) == MAX_INTERNED_STRINGS
         assert len(decoder._keysets) == MAX_INTERNED_STRINGS
+
+
+class TestHostileBytes:
+    """A damaged frame either decodes or raises :class:`WireError` — nothing
+    else — and leaves the channel's tables as the last good frame left them."""
+
+    READS = (
+        "uvarint", "svarint", "string", "string", "string", "bytes_", "bytes_",
+        "float_", "value", "value", "value", "value", "value",
+    )
+
+    @staticmethod
+    def _write(w):
+        w.uvarint(300)
+        w.svarint(-12345)
+        w.string("settlement-receipt")
+        w.string("feed-00")  # interned by the first frame: a reference
+        w.string("päyload-✓")
+        w.bytes_(b"\x00\x01inline")
+        w.bytes_(bytes(range(256)) * 2)  # out of band
+        w.float_(3.25)
+        w.value({"name": "Delivered", "gas": 21000, "ratio": 0.5, "ok": True})
+        w.value({"name": "Updated", "gas": 5, "ratio": 1.5, "ok": None})
+        w.value({1: "one", (2, 3): [4.5, b"raw", -7]})
+        w.value({1, 2, 3})  # no wire tag: embedded pickle
+        w.value(["tail", ("nested", 1 << 40)])
+
+    def _channel_after_one_good_frame(self):
+        encoder, decoder = channel()
+        w = encoder.writer()
+        w.string("feed-00")
+        decoder.reader(w.frame()).string()
+        w = encoder.writer()
+        self._write(w)
+        return decoder, w.frame()
+
+    def _decode(self, decoder, frame):
+        r = decoder.reader(frame)
+        return [getattr(r, read)() for read in self.READS]
+
+    def _decodes(self, body, blobs):
+        """True if the frame decodes; False if it raised ``WireError`` and left
+        the channel as the good frame did.  Anything else propagates."""
+        decoder, _ = self._channel_after_one_good_frame()
+        try:
+            self._decode(decoder, WireFrame(body, blobs))
+        except WireError:
+            assert decoder.interned == 1 and not decoder._keysets
+            return False
+        return True
+
+    def test_a_cut_string_is_neither_returned_nor_interned(self):
+        decoder, frame = self._channel_after_one_good_frame()
+        cut = frame.body.index(b"settlement-receipt") + len("settlement-")
+        r = decoder.reader(WireFrame(frame.body[:cut], frame.blobs))
+        r.uvarint(), r.svarint()
+        with pytest.raises(WireError, match="truncated"):
+            r.string()
+        assert decoder.interned == 1
+        assert self._decode(decoder, frame)[2] == "settlement-receipt"
+
+    def test_every_truncation_point_raises_wire_error(self):
+        _, frame = self._channel_after_one_good_frame()
+        for cut in range(2, len(frame.body)):
+            assert not self._decodes(frame.body[:cut], frame.blobs)
+        assert not self._decodes(frame.body, ())
+
+    def test_seeded_mutations_decode_or_raise_wire_error(self):
+        _, frame = self._channel_after_one_good_frame()
+        rng = random.Random(20260730)
+        outcomes = set()
+        for _ in range(400):
+            body = bytearray(frame.body)
+            for _ in range(rng.randrange(1, 4)):
+                body[rng.randrange(2, len(body))] = rng.randrange(256)
+            outcomes.add(self._decodes(bytes(body), frame.blobs))
+        assert outcomes == {True, False}

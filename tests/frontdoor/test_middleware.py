@@ -27,6 +27,8 @@ from repro.frontdoor import (
     build_stack,
 )
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
+from repro.obs import Observability
+from repro.obs.export import parse_prometheus
 
 EPOCH = 4
 
@@ -234,3 +236,37 @@ class TestRateLimitUnderConcurrentClients:
         assert [r.ok for r in responses] == [True, True, False, False, False]
         assert door.telemetry.tenant("metered").rejected == {REJECT_RATE_LIMITED: 3}
         assert door.fleet.feed("metered").operations == 2
+
+
+class TestRequestMetricsThroughALiveDoor:
+    def test_a_client_chosen_tenant_name_cannot_forge_or_grow_metrics(self):
+        """Requests for tenants the door does not host are counted under one
+        fixed label, so the name — the client's to choose — neither reaches
+        the export nor adds instruments, however many names are tried."""
+        registry = FeedRegistry()
+        registry.create_feed(make_spec("hosted"))
+        obs = Observability()
+        door = FrontDoor(EpochScheduler(registry, epoch_size=EPOCH, obs=obs))
+        forged = 'x",status="ok"} 999\nforged_total{a="'
+
+        async def clients():
+            async with door.serving() as d:
+                responses = [
+                    await d.submit(Request.read(name, "k"))
+                    for name in (forged, "ghost-1", "ghost-2", 'odd,b="c"\n')
+                ]
+                responses.append(await d.submit(Request.read("hosted", "k")))
+                d.close()
+            return responses
+
+        responses = asyncio.run(clients())
+        assert [r.status for r in responses] == [STATUS_REJECTED] * 4 + [STATUS_SETTLED]
+        text = obs.export_prometheus()
+        assert "forged_total" not in text and "ghost" not in text
+        samples = parse_prometheus(text)
+        assert "forged_total" not in samples
+        assert sorted(
+            (labels["tenant"], labels["status"], value)
+            for labels, value in samples["frontdoor_requests_total"]
+        ) == [("(unknown)", STATUS_REJECTED, 4.0), ("hosted", STATUS_SETTLED, 1.0)]
+        assert len(obs.registry.histograms("request_latency_seconds")) == 2

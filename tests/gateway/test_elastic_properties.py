@@ -22,6 +22,10 @@ set of invariants is asserted on every schedule:
 * **quota enforcement** — a tenant with ``max_ops_per_epoch`` never runs
   more than that many operations in any epoch.
 
+A few of the schedules run a second time with *synchronized hot-key bursts*
+(every resident bursts over the same 4 keys in the same epochs — cross-feed
+correlated traffic, the planner's worst case) under the same invariants.
+
 The seed count defaults to 20 (the CI contract) and can be raised via the
 ``GRUB_PROPERTY_SEEDS`` environment variable; a failing parametrized test id
 carries the schedule seed, which is all that is needed to reproduce the run.
@@ -49,7 +53,10 @@ EPOCH_SIZE = 4
 BLOCK_GAS_FRACTION = 0.01
 
 
-def build_schedule(seed: int):
+def build_schedule(seed: int, correlated: bool = False):
+    """``correlated``: every resident also bursts over the same 4 hot keys in
+    the same 3 epochs, so the planner sees every bin fill at once instead of
+    independent noise averaging out."""
     return FleetChurnWorkload(
         seed=seed,
         base_feeds=4,
@@ -60,11 +67,20 @@ def build_schedule(seed: int):
         epoch_size=EPOCH_SIZE,
         ops_per_feed=24,
         quota_feeds=1,
+        correlated_hot_keys=correlated,
+        hot_keys=4,
+        hot_burst_epochs=3,
     ).generate()
 
 
-def run_schedule(seed: int, num_workers: int, execution_mode: str = "serial", obs=None):
-    schedule = build_schedule(seed)
+def run_schedule(
+    seed: int,
+    num_workers: int,
+    execution_mode: str = "serial",
+    obs=None,
+    correlated: bool = False,
+):
+    schedule = build_schedule(seed, correlated)
     registry = FeedRegistry()
     scheduler = EpochScheduler(
         registry,
@@ -91,9 +107,21 @@ def run_schedule(seed: int, num_workers: int, execution_mode: str = "serial", ob
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_churn_schedule_invariants(seed):
-    schedule, serial_registry, serial_fleet, baseline = run_schedule(seed, num_workers=1)
+    check_schedule_invariants(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_synchronized_hot_key_bursts_keep_the_invariants(seed):
+    schedule = check_schedule_invariants(seed, correlated=True)
+    assert len(schedule.hot_suffixes) == 4 and len(schedule.hot_burst_epochs) == 3
+
+
+def check_schedule_invariants(seed, correlated=False):
+    schedule, serial_registry, serial_fleet, baseline = run_schedule(
+        seed, num_workers=1, correlated=correlated
+    )
     _, process_registry, process_fleet, _ = run_schedule(
-        seed, num_workers=4, execution_mode="process"
+        seed, num_workers=4, execution_mode="process", correlated=correlated
     )
 
     # Differential determinism: neither worker count nor execution backend
@@ -153,6 +181,7 @@ def test_churn_schedule_invariants(seed):
             continue
         telemetry = serial_fleet.feeds[feed_id]
         assert all(summary.operations <= cap for summary in telemetry.epochs)
+    return schedule
 
 
 def test_same_seed_reruns_are_bit_identical():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import PHASE_ORDER, Observability
-from repro.obs.export import validate_jsonl
+from repro.obs.export import parse_prometheus, validate_jsonl
 
 from test_parallel_engine import build_mixed_fleet, chain_state_fingerprint
 
@@ -157,11 +157,22 @@ class TestSpanTreeCompleteness:
         assert snapshot["gauges"]["cache_hits"] > 0
         assert snapshot["gauges"]["cache_entries"] >= 0
 
-    def test_jsonl_export_of_a_real_run_validates(self, traced_serial):
-        events = validate_jsonl(traced_serial.export_jsonl(meta={"mode": "serial"}))
-        spans = [event for event in events if event["type"] == "span"]
-        assert any(span["name"] == "run" for span in spans)
-        assert any(span["name"] == "shard" for span in spans)
+    def test_jsonl_export_of_a_real_run_validates(self, traced_serial, traced_process):
+        for mode, obs in (("serial", traced_serial), ("process", traced_process)):
+            events = validate_jsonl(obs.export_jsonl(meta={"mode": mode}))
+            assert {"meta", "span", "counter", "histogram"} <= {e["type"] for e in events}
+            spans = [event for event in events if event["type"] == "span"]
+            assert any(span["name"] == "run" for span in spans)
+            assert any(span["name"] == "shard" for span in spans)
+            # The Prometheus text of the same run parses and carries the same
+            # counter values, label set for label set.
+            samples = parse_prometheus(obs.export_prometheus())
+            counters = [event for event in events if event["type"] == "counter"]
+            assert counters
+            for counter in counters:
+                assert (counter["labels"], float(counter["value"])) in samples[
+                    counter["name"]
+                ], (mode, counter)
 
 
 class TestDisabledOverhead:

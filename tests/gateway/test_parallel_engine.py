@@ -369,8 +369,11 @@ class TestWireCodecEquivalence:
         summary = process_fleet.ipc
         assert summary is not None
         assert summary["wire_bytes_total"] > 0
-        assert summary["bytes_per_epoch"] > 0
         assert summary["epochs"] > 0
+        # Wire bytes are a pure function of the fleet and the frame format:
+        # this run ships 9 018 B over 8 epochs.  The ceiling (+5 %) is where a
+        # format change has to be deliberate.
+        assert 0 < summary["bytes_per_epoch"] <= 1127.25 * 1.05
         # serial runs have no process boundary, hence no IPC record — and the
         # record is measurement, so the fingerprints still agree
         serial_fleet, _ = run_fleet(1, execution_mode="serial")

@@ -131,12 +131,52 @@ class TestPrometheus:
         )
         assert counts == {"drive": 2.0, "deliver": 2.0, "update": 2.0, "settle": 2.0}
 
+    def test_label_values_round_trip_escaped(self):
+        """A label value is data, whatever it holds: it can neither end its
+        label, nor its line, nor be read back as anything but itself."""
+        hostile = [
+            'x",status="ok"} 999\nforged_total{a="',
+            'comma,b="c"',
+            "back\\slash\\n and } = { \\",
+            "carriage\rreturn\u2028",
+            "",
+        ]
+        registry = MetricsRegistry()
+        for index, value in enumerate(hostile):
+            registry.counter("requests_total", tenant=value, status="rejected").inc(index + 1)
+            registry.histogram("latency_seconds", tenant=value).observe(0.5)
+        text = export_prometheus(registry)
+        assert all(
+            line.startswith(("# TYPE ", "requests_total{", "latency_seconds_"))
+            for line in text.split("\n")
+            if line
+        )
+        samples = parse_prometheus(text)
+        assert set(samples) == {
+            "requests_total",
+            "latency_seconds_bucket",
+            "latency_seconds_sum",
+            "latency_seconds_count",
+        }
+        assert sorted(
+            (labels["tenant"], value) for labels, value in samples["requests_total"]
+        ) == sorted((value, index + 1.0) for index, value in enumerate(hostile))
+        assert all(labels["status"] == "rejected" for labels, _ in samples["requests_total"])
+        assert {labels["tenant"] for labels, _ in samples["latency_seconds_count"]} == set(
+            hostile
+        )
+        assert len(registry.snapshot()["counters"]) == len(hostile)
+
     def test_parser_rejects_malformed_text(self):
         for bad in (
             "# HELP x\n",
             "metric_without_value\n",
             'metric{unquoted=3} 1\n',
             "name with space 1 2 3\n",
+            'metric{a="1",} 1\n',
+            'metric{a="1"b="2"} 1\n',
+            'metric{a="bad \\x escape"} 1\n',
+            'metric{a="open} 1\n',
         ):
             with pytest.raises(ReproError):
                 parse_prometheus(bad)
