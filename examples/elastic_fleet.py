@@ -10,7 +10,7 @@ block over the chain's gas limit.
 The whole walkthrough runs on any execution backend — churn, the gas-aware
 planner, and quota deferral included.  ``--execution-mode process`` runs it
 on the elastic process backend, where the same feeds migrate between worker
-lanes as snapshot frames (the report is bit-identical either way).
+lanes as packed feed states (the report is bit-identical either way).
 
 Run with::
 

@@ -13,7 +13,8 @@ Modules:
 * :mod:`repro.ads.merkle` — a generic Merkle tree with membership and range
   proofs over an ordered list of leaves,
 * :mod:`repro.ads.authenticated_kv` — the GRuB-specific layout, update
-  protocol (DO-side verification + root recomputation) and query proofs,
+  protocol (DO-side verification + root recomputation), query proofs, and
+  the baseline / delta a store changes interpreter with,
 * :mod:`repro.ads.signer` — the DO's signature over published root hashes.
 """
 

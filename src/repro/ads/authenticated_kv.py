@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ads.merkle import (
     MerkleProof,
@@ -84,6 +84,42 @@ class UpdateWitness:
     proof: Optional[MerkleProof]
     leaf_index: Optional[int]
     root: bytes
+
+
+@dataclass(frozen=True)
+class StoreBaseline:
+    """What a store held at one moment (:meth:`AuthenticatedKVStore.baseline`),
+    kept by whoever will later ask for everything that changed since."""
+
+    records: Mapping[str, KVRecord]
+    slot_of: Mapping[str, int]
+
+
+#: The baseline of a store that never held anything: the delta against it is
+#: the whole store.
+EMPTY_BASELINE = StoreBaseline(records={}, slot_of={})
+
+
+@dataclass(frozen=True)
+class StoreDelta:
+    """A store's divergence from a :class:`StoreBaseline`, as plain data: what
+    :meth:`AuthenticatedKVStore.apply_delta` needs to bring a mirror standing
+    at that baseline to the exporter's state — same root, same slot layout,
+    same proofs — without hashing anything."""
+
+    #: The baseline held no record: this is the whole store, and a mirror
+    #: that holds anything is emptied before applying.
+    from_empty: bool
+    #: ``(key, value, state, version, slot, leaf)`` of every record that is
+    #: new, rewritten or sitting in another slot than at the baseline.
+    changed: List[Tuple[str, bytes, ReplicationState, int, int, bytes]]
+    #: Baseline keys the store no longer holds.
+    deleted: List[str]
+    slot_count: int
+    #: The free-slot stack, bottom first (the next insert pops the last).
+    free_slots: List[int]
+    #: :meth:`MerkleTree.interior` of the exporter's tree.
+    interior: bytes
 
 
 @dataclass
@@ -349,6 +385,95 @@ class AuthenticatedKVStore:
         for key in self._sorted_keys[start : start + count]:
             results.append(self.query(key))
         return results
+
+    # -- changing interpreter (one layout, known only here) -------------------------
+
+    def baseline(self) -> StoreBaseline:
+        """Mark the current contents as what a later :meth:`export_delta` is
+        measured against (records are immutable, so this copies two dicts)."""
+        return StoreBaseline(dict(self._records), dict(self._slot_of))
+
+    def export_delta(self, baseline: StoreBaseline = EMPTY_BASELINE) -> StoreDelta:
+        """Everything that diverged from ``baseline`` — the whole store against
+        :data:`EMPTY_BASELINE`, next to nothing for a store barely touched."""
+        records = self._records
+        base_records = baseline.records
+        base_slot_of = baseline.slot_of
+        leaf = self._tree.leaf
+        changed = []
+        for key, slot in self._slot_of.items():
+            record = records[key]
+            if base_records.get(key) is not record or base_slot_of[key] != slot:
+                changed.append(
+                    (key, record.value, record.state, record.version, slot, leaf(slot))
+                )
+        return StoreDelta(
+            from_empty=not base_records,
+            changed=changed,
+            deleted=[key for key in base_records if key not in records],
+            slot_count=len(self._slots),
+            free_slots=list(self._free_slots),
+            interior=self._tree.interior(),
+        )
+
+    def apply_delta(self, delta: StoreDelta) -> bytes:
+        """Bring this store — a mirror standing at the delta's baseline — to
+        the exporter's state and return the new root.
+
+        Reproduced exactly: records by key, slot layout, free-slot stack,
+        leaves and interior levels (hence every proof), the sorted and
+        replicated views, and the backing's contents, written as one batch.
+        The records' dict order is not part of that state.
+        """
+        if delta.from_empty and self._slots:
+            self.backing.write_batch(
+                [(record.prefixed_key, None) for record in self._records.values()]
+            )
+            self.load([])
+        records, slot_of, slots = self._records, self._slot_of, self._slots
+        leaves = self._tree.leaves()
+        writes: List[Tuple[str, Optional[bytes]]] = []
+        # Vacate first — deleted keys, and changed ones that moved — so a
+        # record that took over a vacated slot is not wiped after it lands.
+        moved = [
+            key for key, _, _, _, slot, _ in delta.changed if slot_of.get(key, slot) != slot
+        ]
+        for key in delta.deleted:
+            writes.append((records.pop(key).prefixed_key, None))
+            self._replicated_keys.discard(key)
+        for key in delta.deleted + moved:
+            slot = slot_of.pop(key)
+            slots[slot] = None
+            leaves[slot] = TOMBSTONE_LEAF
+        # A slot past the mirror's end that no record lands in was filled and
+        # freed again since the baseline.
+        grow = delta.slot_count - len(slots)
+        slots.extend([None] * grow)
+        leaves.extend([TOMBSTONE_LEAF] * grow)
+        del slots[delta.slot_count :], leaves[delta.slot_count :]
+        membership_changed = bool(delta.deleted)
+        for key, value, state, version, slot, leaf in delta.changed:
+            record = KVRecord(key=key, value=value, state=state, version=version)
+            old = records.get(key)
+            if old is None:
+                membership_changed = True
+            elif old.prefixed_key != record.prefixed_key:
+                writes.append((old.prefixed_key, None))
+            writes.append((record.prefixed_key, value))
+            records[key] = record
+            slot_of[key] = slot
+            slots[slot] = key
+            leaves[slot] = leaf
+            if state is ReplicationState.REPLICATED:
+                self._replicated_keys.add(key)
+            else:
+                self._replicated_keys.discard(key)
+        self._tree = MerkleTree.from_levels(leaves, delta.interior)
+        self._free_slots = list(delta.free_slots)
+        if membership_changed:
+            self._sorted_keys = sorted(records)
+        self.backing.write_batch(writes)
+        return self.root
 
     @staticmethod
     def leaf_hash_for(record: KVRecord) -> bytes:

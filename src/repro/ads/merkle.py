@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import IntegrityError
-from repro.common.hashing import EMPTY_DIGEST, hash_pair, keccak
+from repro.common.hashing import DIGEST_SIZE_BYTES, EMPTY_DIGEST, hash_pair, keccak
 
 #: Entries kept by the interior-node hash memo.  Epoch workloads re-hash the
 #: same (left, right) digest pairs constantly — a hot record delivered every
@@ -129,6 +129,38 @@ class MerkleTree:
         """Build a tree whose leaves are the hashes of ``values``."""
         return cls([keccak(value) for value in values])
 
+    @classmethod
+    def from_levels(cls, leaves: Sequence[bytes], interior: bytes) -> "MerkleTree":
+        """Reassemble a tree from its leaves and the :meth:`interior` blob of
+        the tree they were read from — nothing is hashed, so a tree that
+        changes interpreter costs a copy, not a rebuild."""
+        tree = cls.__new__(cls)
+        tree._leaves = list(leaves)
+        width = 1
+        while width < len(tree._leaves):
+            width *= 2
+        if len(interior) != (width - 1) * DIGEST_SIZE_BYTES:
+            raise IntegrityError(
+                f"{len(interior)} interior bytes do not fit {len(tree._leaves)} leaves"
+            )
+        tree._levels = [tree._leaves + [EMPTY_DIGEST] * (width - len(tree._leaves))]
+        offset = 0
+        while width > 1:
+            width //= 2
+            end = offset + width * DIGEST_SIZE_BYTES
+            tree._levels.append(
+                [
+                    interior[start : start + DIGEST_SIZE_BYTES]
+                    for start in range(offset, end, DIGEST_SIZE_BYTES)
+                ]
+            )
+            offset = end
+        return tree
+
+    def interior(self) -> bytes:
+        """Every interior node as one flat blob: level by level, root last."""
+        return b"".join(digest for level in self._levels[1:] for digest in level)
+
     # -- queries ----------------------------------------------------------------
 
     @property
@@ -147,6 +179,9 @@ class MerkleTree:
 
     def leaf(self, index: int) -> bytes:
         return self._leaves[index]
+
+    def leaves(self) -> List[bytes]:
+        return list(self._leaves)
 
     def prove(self, index: int) -> MerkleProof:
         """Produce the authentication path for the leaf at ``index``."""

@@ -90,10 +90,10 @@ class ExecutionBuffer:
     is bit-identical to a serial run of the same shard plan.
 
     Buffers also cross process boundaries (the process execution backend ships
-    one per shard epoch): :meth:`to_wire` / :func:`buffer_from_wire` translate
-    to and from plain data, so exactly the merge-relevant content crosses —
-    the ledger counters and the events' replayable fields — and never the
-    worker-local ``call_frames`` cache or event-log bookkeeping.
+    one per shard epoch): :meth:`to_wire` / :meth:`Blockchain.absorb_wire`
+    translate to and from plain data, so exactly the merge-relevant content
+    crosses — the ledger counters and the events' replayable fields — and
+    never the worker-local ``call_frames`` cache or event-log bookkeeping.
     """
 
     ledger: GasLedger = field(default_factory=GasLedger)
@@ -108,7 +108,7 @@ class ExecutionBuffer:
         Events travel *unstamped* — ``(contract, name, payload)`` only.  All
         of a drive phase's events carry the chain height at the epoch start
         (nothing mines during a drive), so the receiving side supplies that
-        one height when it rebuilds the buffer (:func:`buffer_from_wire`)
+        one height when it absorbs the buffer (:meth:`Blockchain.absorb_wire`)
         rather than every event repeating it across the boundary.  This is
         also what lets process-mode workers run epochs *ahead* of the main
         chain's merge: the stamp is assigned at merge time from the main
@@ -122,26 +122,6 @@ class ExecutionBuffer:
                 for event in self.events
             ],
         }
-
-
-def buffer_from_wire(payload: dict, *, block_number: int) -> ExecutionBuffer:
-    """Rebuild an :class:`ExecutionBuffer` from :meth:`ExecutionBuffer.to_wire`,
-    stamping every event with ``block_number`` (the absorbing chain's height
-    at the epoch start — exactly the stamp a serial drive would have given)."""
-    return ExecutionBuffer(
-        ledger=ledger_from_wire(payload["ledger"]),
-        events=[
-            LogEvent(
-                contract=contract,
-                name=name,
-                payload=event_payload,
-                block_number=block_number,
-                transaction_index=-1,
-                log_index=-1,
-            )
-            for contract, name, event_payload in payload["events"]
-        ],
-    )
 
 
 class Blockchain:
@@ -219,10 +199,8 @@ class Blockchain:
     def absorb_wire(self, payload: dict, block_number: int) -> None:
         """Merge a wire-form drive buffer (:meth:`ExecutionBuffer.to_wire`).
 
-        Equivalent to ``absorb(buffer_from_wire(payload, block_number=...))``
-        but stamps each event exactly once — the intermediate unstamped
-        :class:`LogEvent` the generic path builds and immediately replaces is
-        the main process's single largest per-event merge cost.
+        Equivalent to absorbing the buffer the lane held, with every event
+        stamped ``block_number`` — exactly once, straight into the log.
         """
         self.ledger.merge(ledger_from_wire(payload["ledger"]))
         self.event_log.extend_unstamped(payload["events"], block_number)

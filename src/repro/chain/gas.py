@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.encoding import words_for_bytes
 
@@ -210,15 +210,6 @@ class GasLedger:
     def application_total(self) -> int:
         return self.layer_total(LAYER_APPLICATION)
 
-    def snapshot(self) -> "GasLedgerSnapshot":
-        """Capture the current totals so a caller can later compute a delta."""
-        return GasLedgerSnapshot(
-            total=self.total,
-            by_layer=dict(self.by_layer),
-            by_category=dict(self.by_category),
-            by_scope=dict(self.by_scope),
-        )
-
     def merge(self, other: "GasLedger") -> None:
         """Fold another ledger's charges into this one."""
         self.total += other.total
@@ -229,54 +220,6 @@ class GasLedger:
             self.by_layer[layer] += amount
         for scope_layer, amount in other.by_scope.items():
             self.by_scope[scope_layer] += amount
-
-
-@dataclass(frozen=True)
-class GasLedgerSnapshot:
-    """Immutable capture of a :class:`GasLedger` used for delta accounting."""
-
-    total: int
-    by_layer: Mapping[str, int]
-    by_category: Mapping[str, int]
-    by_scope: Mapping[Tuple[str, str], int] = field(default_factory=dict)
-
-    def delta(self, ledger: GasLedger) -> "GasDelta":
-        layers = {
-            layer: ledger.by_layer.get(layer, 0) - self.by_layer.get(layer, 0)
-            for layer in set(ledger.by_layer) | set(self.by_layer)
-        }
-        categories = {
-            cat: ledger.by_category.get(cat, 0) - self.by_category.get(cat, 0)
-            for cat in set(ledger.by_category) | set(self.by_category)
-        }
-        scopes = {
-            key: ledger.by_scope.get(key, 0) - self.by_scope.get(key, 0)
-            for key in set(ledger.by_scope) | set(self.by_scope)
-        }
-        return GasDelta(
-            total=ledger.total - self.total,
-            by_layer=layers,
-            by_category=categories,
-            by_scope=scopes,
-        )
-
-
-@dataclass(frozen=True)
-class GasDelta:
-    """Gas consumed between two snapshots."""
-
-    total: int
-    by_layer: Mapping[str, int]
-    by_category: Mapping[str, int]
-    by_scope: Mapping[Tuple[str, str], int] = field(default_factory=dict)
-
-    def layer(self, name: str) -> int:
-        return self.by_layer.get(name, 0)
-
-    def scope(self, name: str, layer: Optional[str] = None) -> int:
-        if layer is not None:
-            return self.by_scope.get((name, layer), 0)
-        return sum(amount for (owner, _), amount in self.by_scope.items() if owner == name)
 
 
 def split_transaction_cost(
@@ -374,16 +317,3 @@ def ledger_delta_wire(before: Mapping, ledger: GasLedger) -> dict:
             if amount != before_scope.get((scope, layer), 0)
         ],
     }
-
-
-def summarise_categories(ledgers: Iterable[GasLedger]) -> Dict[str, int]:
-    """Aggregate the per-category totals of several ledgers (for reports)."""
-    combined: Dict[str, int] = defaultdict(int)
-    for ledger in ledgers:
-        for category, amount in ledger.by_category.items():
-            combined[category] += amount
-    return dict(combined)
-
-
-DEFAULT_SCHEDULE: Optional[GasSchedule] = GasSchedule()
-"""Module-level default schedule; components copy it rather than mutate it."""

@@ -55,8 +55,11 @@ from repro.common.errors import ReproError
 #: Bump on any change to the frame layout or the type tags below.  Encoder
 #: and decoder check it per frame; a mismatch is a hard error.
 #: v2: lane epoch results carry per-feed settled gas (the main-side planner's
-#: observation stream), and feed-snapshot frames (migration/install/teardown)
-#: joined the vocabulary.
+#: observation stream).  Feed-snapshot frames joined the vocabulary with v2 and
+#: have left it again — a feed now moves as a packed
+#: :class:`~repro.gateway.feed_state.FeedState`, not as a wire frame — which
+#: changes no layout a v2 decoder reads (lane epochs and arrivals are as they
+#: were), so the version stands.
 WIRE_SCHEMA_VERSION = 2
 
 #: First byte of every frame body — catches "this is not a wire frame at all"

@@ -110,15 +110,6 @@ class ServiceProvider:
             found += len(requests)
         return found
 
-    def register_request(
-        self, key: str, consumer: str, callback: str = "on_data", **context: object
-    ) -> None:
-        """Directly register a pending request (used when the simulation routes
-        request events to the SP without going through the mined event log)."""
-        self.pending.append(
-            PendingRequest(key=key, consumer=consumer, callback=callback, context=dict(context))
-        )
-
     # -- deliver -------------------------------------------------------------------
 
     def build_deliver_items(self, requests: List[PendingRequest]) -> List[DeliverItem]:

@@ -140,7 +140,8 @@ class TenantRequestStats:
 
 @dataclass
 class FrontDoorTelemetry:
-    """Fleet-wide front-door counters, one row per tenant.
+    """Fleet-wide front-door counters, one row per hosted tenant — plus one
+    shared row for every request naming a tenant the fleet does not host.
 
     Everything here is a function of the admitted request sequence and the
     epoch clock — never of wall time — so the fingerprint is replayable and
@@ -266,7 +267,13 @@ class FrontDoor(RequestSource):
         """
         response = await self._app(request)
         if response.status == STATUS_REJECTED:
-            stats = self.telemetry.tenant(request.tenant)
+            # A tenant the fleet does not host is a name the client chose:
+            # whatever turned it away (no such tenant, or no token for one),
+            # it shares one row, so clients cannot grow the door's telemetry.
+            hosted = request.tenant in self._tenants
+            stats = self.telemetry.tenant(
+                request.tenant if hosted else RequestMetricsMiddleware.UNKNOWN_TENANT
+            )
             reason = response.reason or "rejected"
             stats.rejected[reason] = stats.rejected.get(reason, 0) + 1
         return response

@@ -29,8 +29,13 @@ storage-manager contract).  This package turns that into a hosted service:
   body both modes run (``run_epoch_phases``, where the phase order is
   written down), plus the :class:`LaneEngine` (persistent worker processes
   hosting full feed mirrors, only per-epoch deltas crossing the process
-  boundary; feeds reach a lane as snapshot frames, or by fork inheritance
-  when the run's plan cannot change);
+  boundary; feeds reach a lane as packed feed states, or by fork
+  inheritance when the run's plan cannot change);
+* :mod:`repro.gateway.feed_state` — the one form a feed changes interpreter
+  in: a :class:`~repro.gateway.feed_state.FeedState` (contracts, off-chain
+  actors, cache shard, queue, and the SP store as a delta against a
+  baseline) with one capture and one apply, used main → lane, lane → lane
+  and lane → main alike;
 * :mod:`repro.gateway.planner` — shard planning strategies: the fixed
   :class:`RoundRobinPlanner` and the :class:`GasAwareShardPlanner`, which
   EWMA-estimates per-feed epoch gas from trailing telemetry and bin-packs

@@ -164,10 +164,10 @@ class ReadCache:
         """Replace one feed's shard with externally computed contents.
 
         The process execution backend runs each feed's cache shard inside the
-        worker process that owns the feed; at run end the worker ships the
-        shard back — ``entries`` in LRU order (oldest first) plus its
-        counters — so the main cache ends up exactly as a serial run would
-        have left it.
+        worker process that owns the feed; the shard travels with the feed
+        (:mod:`repro.gateway.feed_state`) — ``entries`` in LRU order (oldest
+        first) plus its counters — between lanes and, at run end, back, so
+        the main cache ends up exactly as a serial run would have left it.
 
         A replaced shard's counters retire into the cache-wide aggregate
         first: the installed counters cover only what the *worker* observed,
@@ -190,8 +190,9 @@ class ReadCache:
         """One feed's shard as plain data — the inverse of
         :meth:`install_shard`: ``(key, value)`` entries in LRU order (oldest
         first) plus the shard's counters (empty and zeros if the feed never
-        touched the cache).  What a snapshot frame or a run-end state result
-        ships when the feed's shard changes process."""
+        touched the cache).  What a
+        :class:`~repro.gateway.feed_state.FeedState` carries when the feed —
+        and its shard with it — changes process."""
         shard = self._shards.get(feed_id)
         if shard is None:
             return (), CacheStats()

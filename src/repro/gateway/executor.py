@@ -38,9 +38,10 @@ long-lived worker processes:
   (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`) — reproducing
   the serial merge exactly, so fingerprints, per-feed gas bills and chain
   state are bit-identical to a serial run;
-* at run end the workers ship their final feed state back
-  (:class:`FeedStateResult`) and the engine folds it into the main registry's
-  mirrors — the off-chain actors (:class:`ActorState`) included — so
+* at run end the workers ship their final feed state back — the same packed
+  :class:`~repro.gateway.feed_state.FeedState` a feed moves between lanes
+  as, a fork-pinned lane's holding only what its store diverged by since the
+  fork — and the scheduler applies it to the main registry's mirrors, so
   post-run inspection (contract storage, roots, replica counts, reports,
   cache contents) sees exactly what a serial run would have left, and the
   registry's next run continues from it.
@@ -58,19 +59,19 @@ file owns the *schema* (what the fields mean); ``repro.common.wire`` owns the
 **How a feed reaches a lane.**  Two ways, chosen by the scheduler from what it
 can observe about the run, never by an option:
 
-* *snapshot install* (the general way): lanes start **empty** and a feed's
-  complete mirror — contract attrs and storage slots, the SP store's records,
-  slot layout and Merkle tree, DO root/signer state, SP counters,
-  control-plane and monitor state, cache shard, workload queue, dirty keys,
-  telemetry row — serialises into one self-contained snapshot frame
-  (:func:`encode_feed_snapshot`; a fresh wire channel per frame, so no lane's
-  persistent intern table leaks into the move) and installs into a lane
-  (:func:`decode_feed_snapshot` + :func:`install_feed_snapshot`).  Initial
-  placement, admission, eviction, gas-aware re-sharding and lane spawn/retire
-  all reduce to the same three lane operations (install / migrate-out /
-  teardown), one lockstep epoch per order.  LSM-backed SP stores migrate by
-  closing the source's exclusive directory opener before the destination
-  re-opens it (single-opener enforced by :class:`~repro.storage.lsm.LSMStore`);
+* *install* (the general way): lanes start **empty** and a feed's complete
+  mirror — contract attrs and storage slots, the SP store's records, slot
+  layout and Merkle tree, DO root/signer state, SP counters, control-plane
+  and monitor state, cache shard, workload queue, dirty keys, telemetry row
+  — is captured as one :class:`~repro.gateway.feed_state.FeedState`, packed
+  into self-contained bytes where it is captured and applied where it lands
+  (:mod:`repro.gateway.feed_state`: one capture, one apply, whoever sends and
+  whoever receives).  Initial placement, admission, eviction, gas-aware
+  re-sharding and lane spawn/retire all reduce to the same three lane
+  operations (install / migrate-out / teardown), one lockstep epoch per
+  order.  LSM-backed SP stores migrate by closing the source's exclusive
+  directory opener before the destination re-opens it (single-opener
+  enforced by :class:`~repro.storage.lsm.LSMStore`);
 * *fork seeding* (a run whose plan cannot change, on a ``fork`` platform):
   each lane adopts the main process's built registry through the fork's
   copy-on-write duplication and is pinned to its shards for the run.  Because
@@ -78,7 +79,7 @@ can observe about the run, never by an option:
   never wait for the previous epoch's merge: the scheduler orders every epoch
   the remaining workloads already guarantee, and lanes run them back-to-back
   while the main process merges behind them.  Routing a static fleet through
-  snapshot installs and lockstep orders instead measured 30–42 % fewer
+  installs and lockstep orders instead measured 30–42 % fewer
   ``ops_per_s`` on the ``lanes_read`` benchmark workload, which is why this
   second way exists.
 """
@@ -111,12 +112,10 @@ from repro.chain.gas import (
     ledger_to_wire,
 )
 from repro.chain.transaction import Transaction
-from repro.ads.authenticated_kv import TOMBSTONE_LEAF
+from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline
 from repro.common.errors import ConfigurationError, ReproError
-from repro.common.hashing import EMPTY_DIGEST
 from repro.common.types import (
     EpochSummary,
-    KVRecord,
     Operation,
     OperationKind,
     ReplicationState,
@@ -129,8 +128,8 @@ from repro.common.wire import (
     WireReader,
     WireWriter,
 )
-from repro.core.grub import RunReport
-from repro.gateway.cache import CacheStats, ReadCache
+from repro.gateway import feed_state
+from repro.gateway.cache import ReadCache
 from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
 from repro.gateway.registry import FeedRegistry, FeedSpec
@@ -143,7 +142,6 @@ from repro.gateway.router import (
 from repro.gateway.runtime import CollectorOwner
 from repro.obs import DISABLED
 from repro.obs.tracing import Span, Tracer
-from repro.storage.lsm import LSMStore
 
 #: Externally-owned account the gateway runtime submits batched transactions
 #: from (defined here so the worker side needs no scheduler import).
@@ -583,7 +581,7 @@ class LaneConfig:
 
     By default the lane starts **empty**, with a registry of its own built
     from the chain parameters here, and every feed reaches it later as a
-    snapshot frame.  With :attr:`pinned` set the lane is **fork-seeded**
+    packed state.  With :attr:`pinned` set the lane is **fork-seeded**
     instead: on a fork start method the worker process is a copy-on-write
     clone of the main process taken at pool startup — the fully built
     registry and the workload queues are already in its address space,
@@ -672,114 +670,6 @@ class LaneEpochEnvelope:
     gc_collections: int = 0
 
 
-@dataclass
-class ActorState:
-    """One feed's off-chain actors as plain data: the DO's trusted root and
-    signer, the SP's counters and pending requests, the control plane
-    (algorithm, actuator) and its monitor.  Wherever a feed's mirror changes
-    interpreter — a snapshot frame into a lane, the run-end state back to the
-    main registry — this is captured on one side and installed on the other.
-
-    The SP's ``_log_cursor`` deliberately does *not* travel: it indexes the
-    source's private event log; :meth:`install` re-bases it against the
-    destination chain.
-    """
-
-    do_trusted_root: bytes
-    do_epochs_submitted: int
-    signer_secret: bytes
-    signer_epoch: int
-    sp_deliveries_sent: int
-    sp_records_delivered: int
-    sp_pending: list
-    cp_epochs_run: int
-    cp_algorithm: object
-    cp_actuator: object
-    monitor_observed_reads: int
-    monitor_observed_writes: int
-    #: Absolute call-history index of the monitor's cursor.  Its coordinate
-    #: space is the storage manager's call history, which travels with the
-    #: contract attrs — so the position stays valid across the move.
-    monitor_cursor_position: int
-    monitor_local_writes: list
-
-    @classmethod
-    def capture(cls, handle) -> "ActorState":
-        data_owner = handle.data_owner
-        provider = handle.service_provider
-        control_plane = data_owner.control_plane
-        monitor = control_plane.monitor
-        return cls(
-            do_trusted_root=data_owner.trusted_root,
-            do_epochs_submitted=data_owner.epochs_submitted,
-            signer_secret=data_owner.signer._secret,
-            signer_epoch=data_owner.signer._epoch,
-            sp_deliveries_sent=provider.deliveries_sent,
-            sp_records_delivered=provider.records_delivered,
-            sp_pending=list(provider.pending),
-            cp_epochs_run=control_plane.epochs_run,
-            cp_algorithm=control_plane.algorithm,
-            cp_actuator=control_plane.actuator,
-            monitor_observed_reads=monitor.observed_reads,
-            monitor_observed_writes=monitor.observed_writes,
-            monitor_cursor_position=monitor._cursor.position,
-            monitor_local_writes=list(monitor._local_writes),
-        )
-
-    def install(self, handle) -> None:
-        data_owner = handle.data_owner
-        data_owner.trusted_root = self.do_trusted_root
-        data_owner.epochs_submitted = self.do_epochs_submitted
-        data_owner.signer._secret = self.signer_secret
-        data_owner.signer._epoch = self.signer_epoch
-        data_owner._write_buffer = []
-        provider = handle.service_provider
-        provider.deliveries_sent = self.sp_deliveries_sent
-        provider.records_delivered = self.sp_records_delivered
-        provider.pending = list(self.sp_pending)
-        # Everything logged on the destination chain so far was routed by
-        # whoever hosted the feed then; a later poll must not replay it.
-        provider._log_cursor = len(handle.system.chain.event_log)
-        # Mutate the control plane *in place*: the SP's ``decision_lookup``
-        # binding (wired at construction) must keep pointing at this object.
-        control_plane = data_owner.control_plane
-        control_plane.epochs_run = self.cp_epochs_run
-        control_plane.algorithm = self.cp_algorithm
-        control_plane.actuator = self.cp_actuator
-        monitor = control_plane.monitor
-        monitor.observed_reads = self.monitor_observed_reads
-        monitor.observed_writes = self.monitor_observed_writes
-        monitor._local_writes = list(self.monitor_local_writes)
-        monitor._read_ops = {}
-        # The cursor itself is destination-local (a weak ref held by the
-        # destination's storage manager); only its position crosses.
-        monitor._cursor.position = self.monitor_cursor_position
-
-
-@dataclass(frozen=True)
-class FeedStateResult:
-    """A feed's final state, shipped back at run end so the main registry's
-    mirrors hold what a serial run would have left behind — and the registry
-    can be run again."""
-
-    feed_id: str
-    telemetry: FeedTelemetry
-    report: RunReport
-    manager_attrs: dict
-    manager_slots: Dict[str, bytes]
-    consumer_attrs: dict
-    consumer_slots: Dict[str, bytes]
-    sp_store_state: Optional[dict]
-    actors: ActorState
-    cache_entries: Tuple[Tuple[str, bytes], ...]
-    cache_stats: Optional[CacheStats]
-    #: When set, :attr:`sp_store_state` is a delta against an *empty* store
-    #: (the feed was snapshot-installed into its lane, so the lane never saw
-    #: the main mirror's seed state): the main side resets its mirror's store
-    #: before applying, instead of patching the seed state in place.
-    store_reset: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Process backend: the wire schema
 #
@@ -795,10 +685,6 @@ class FeedStateResult:
 _OPERATION_KINDS: Tuple[OperationKind, ...] = tuple(OperationKind)
 _KIND_INDEX: Dict[OperationKind, int] = {
     kind: index for index, kind in enumerate(_OPERATION_KINDS)
-}
-_REPLICATION_STATES: Tuple[ReplicationState, ...] = tuple(ReplicationState)
-_STATE_INDEX: Dict[ReplicationState, int] = {
-    state: index for index, state in enumerate(_REPLICATION_STATES)
 }
 
 
@@ -1026,286 +912,6 @@ def decode_lane_epoch(
 
 
 # ---------------------------------------------------------------------------
-# Feed snapshot frames (migration / admission / eviction across lanes)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeedSnapshot:
-    """One feed's complete mirror, decoded from a snapshot frame.
-
-    Everything a lane needs to continue the feed exactly where another
-    interpreter left it: the workload queue and dirty keys, the telemetry row
-    and run report, both contracts' attrs and storage slots, the SP store's
-    full contents (records in dict order, slot layout, free-slot stack,
-    Merkle leaves + interior levels), the DO's trusted root and signer state,
-    the SP's counters and pending requests, the control plane (algorithm,
-    actuator, monitor counters and history-cursor position) — the
-    :class:`ActorState` — and the feed's cache shard.
-    """
-
-    feed_id: str
-    queue: List[Operation]
-    dirty: set
-    telemetry: FeedTelemetry
-    report: RunReport
-    manager_attrs: dict
-    manager_slots: Dict[str, bytes]
-    consumer_attrs: dict
-    consumer_slots: Dict[str, bytes]
-    #: ``(key, value, state_index, version, slot)`` in the source store's
-    #: dict order (insertion order is reproduced on install, so a later
-    #: run-end delta computes identically to a never-migrated run).
-    records: List[Tuple[str, bytes, int, int, int]]
-    slot_count: int
-    free_slots: List[int]
-    #: Every Merkle leaf, 32 bytes each — including :data:`TOMBSTONE_LEAF`
-    #: at freed slots, which a changed-records delta could not reconstruct.
-    leaves_blob: bytes
-    upper_blob: bytes
-    actors: ActorState
-    cache_entries: List[Tuple[str, bytes]]
-    cache_stats: Optional[CacheStats]
-
-
-def encode_feed_snapshot(
-    encoder: WireEncoder,
-    handle,
-    *,
-    queue: Sequence[Operation],
-    dirty: set,
-    telemetry: FeedTelemetry,
-    cache_entries: Sequence[Tuple[str, bytes]] = (),
-    cache_stats: Optional[CacheStats] = None,
-) -> WireFrame:
-    """Serialise one feed's mirror out of its current interpreter.
-
-    Snapshot frames always use a **fresh** channel (pass a new
-    :class:`WireEncoder`): the frame moves between interpreters whose
-    persistent epoch channels have diverged intern tables, so it must be
-    self-contained.  Regular bulk state — store records, Merkle digests —
-    packs compactly; the irregular object graphs (telemetry, report,
-    contract attrs, control-plane algorithm/actuator) ride the codec's
-    tagged-value fallback.
-    """
-    store = handle.system.sp_store
-    w = encoder.writer()
-    w.string(handle.feed_id)
-    w.uvarint(len(queue))
-    for operation in queue:
-        _encode_operation(w, operation)
-    w.uvarint(len(dirty))
-    for key in sorted(dirty):
-        w.string(key)
-    w.value(telemetry)
-    w.value(handle.report)
-    manager_attrs, manager_slots = _contract_state(handle.storage_manager)
-    consumer_attrs, consumer_slots = _contract_state(handle.consumer)
-    w.value(manager_attrs)
-    w.value(manager_slots)
-    w.value(consumer_attrs)
-    w.value(consumer_slots)
-    records = store._records
-    slot_of = store._slot_of
-    w.uvarint(len(records))
-    for key, record in records.items():
-        w.string(key)
-        w.bytes_(record.value)
-        w.uvarint(_STATE_INDEX[record.state])
-        w.uvarint(record.version)
-        w.uvarint(slot_of[key])
-    w.uvarint(len(store._slots))
-    w.uvarint(len(store._free_slots))
-    for slot in store._free_slots:
-        w.uvarint(slot)
-    tree = store._tree
-    w.bytes_(b"".join(tree._leaves))
-    w.bytes_(b"".join(digest for level in tree._levels[1:] for digest in level))
-    actors = ActorState.capture(handle)
-    w.bytes_(actors.do_trusted_root)
-    w.uvarint(actors.do_epochs_submitted)
-    w.bytes_(actors.signer_secret)
-    w.uvarint(actors.signer_epoch)
-    w.uvarint(actors.sp_deliveries_sent)
-    w.uvarint(actors.sp_records_delivered)
-    w.value(actors.sp_pending)
-    w.uvarint(actors.cp_epochs_run)
-    w.value(actors.cp_algorithm)
-    w.value(actors.cp_actuator)
-    w.uvarint(actors.monitor_observed_reads)
-    w.uvarint(actors.monitor_observed_writes)
-    w.uvarint(actors.monitor_cursor_position)
-    w.value(actors.monitor_local_writes)
-    w.uvarint(len(cache_entries))
-    for key, value in cache_entries:
-        w.string(key)
-        w.bytes_(value)
-    if cache_stats is None:
-        w.uvarint(0)
-    else:
-        w.uvarint(1)
-        w.value(cache_stats)
-    return w.frame()
-
-
-def snapshot_feed(env: ShardEnvironment, feed_id: str) -> WireFrame:
-    """Encode a feed hosted in ``env`` — queue, dirty keys, telemetry row and
-    cache shard included — as the snapshot frame its next host installs, and
-    release an exclusive LSM opener so that host can take over the directory
-    (single-opener rule).  The caller retires whatever it keeps of the feed.
-    """
-    handle = env.registry.get(feed_id)
-    entries, stats = (
-        env.cache.export_shard(feed_id) if env.cache is not None else ((), None)
-    )
-    frame = encode_feed_snapshot(
-        WireEncoder(),
-        handle,
-        queue=env.queues[feed_id],
-        dirty=env.dirty[feed_id],
-        telemetry=env.feeds[feed_id],
-        cache_entries=entries,
-        cache_stats=stats,
-    )
-    backing = handle.system.sp_store.backing
-    if isinstance(backing, LSMStore):
-        backing.close()
-    return frame
-
-
-def decode_feed_snapshot(decoder: WireDecoder, frame: WireFrame) -> FeedSnapshot:
-    """Decode :func:`encode_feed_snapshot` (mirrored field order; pass a
-    fresh :class:`WireDecoder` — snapshot channels are one frame long)."""
-    r = decoder.reader(frame)
-    feed_id = r.string()
-    queue = [_decode_operation(r) for _ in range(r.uvarint())]
-    dirty = {r.string() for _ in range(r.uvarint())}
-    telemetry = r.value()
-    report = r.value()
-    manager_attrs = r.value()
-    manager_slots = r.value()
-    consumer_attrs = r.value()
-    consumer_slots = r.value()
-    records = [
-        (r.string(), r.bytes_(), r.uvarint(), r.uvarint(), r.uvarint())
-        for _ in range(r.uvarint())
-    ]
-    slot_count = r.uvarint()
-    free_slots = [r.uvarint() for _ in range(r.uvarint())]
-    leaves_blob = r.bytes_()
-    upper_blob = r.bytes_()
-    return FeedSnapshot(
-        feed_id=feed_id,
-        queue=queue,
-        dirty=dirty,
-        telemetry=telemetry,
-        report=report,
-        manager_attrs=manager_attrs,
-        manager_slots=manager_slots,
-        consumer_attrs=consumer_attrs,
-        consumer_slots=consumer_slots,
-        records=records,
-        slot_count=slot_count,
-        free_slots=free_slots,
-        leaves_blob=leaves_blob,
-        upper_blob=upper_blob,
-        actors=ActorState(
-            do_trusted_root=r.bytes_(),
-            do_epochs_submitted=r.uvarint(),
-            signer_secret=r.bytes_(),
-            signer_epoch=r.uvarint(),
-            sp_deliveries_sent=r.uvarint(),
-            sp_records_delivered=r.uvarint(),
-            sp_pending=r.value(),
-            cp_epochs_run=r.uvarint(),
-            cp_algorithm=r.value(),
-            cp_actuator=r.value(),
-            monitor_observed_reads=r.uvarint(),
-            monitor_observed_writes=r.uvarint(),
-            monitor_cursor_position=r.uvarint(),
-            monitor_local_writes=r.value(),
-        ),
-        cache_entries=[(r.string(), r.bytes_()) for _ in range(r.uvarint())],
-        cache_stats=r.value() if r.uvarint() else None,
-    )
-
-
-def _rebuild_tree_levels(leaves: List[bytes], upper: bytes) -> List[List[bytes]]:
-    """Reassemble a Merkle tree's levels from its leaves and the shipped
-    interior blob (32 bytes per node, root last)."""
-    size = 1
-    while size < max(1, len(leaves)):
-        size *= 2
-    level0 = list(leaves)
-    level0.extend([EMPTY_DIGEST] * (size - len(level0)))
-    levels = [level0]
-    blob = memoryview(upper)
-    offset = 0
-    width = size // 2
-    while width >= 1:
-        levels.append(
-            [
-                bytes(blob[offset + index * 32 : offset + index * 32 + 32])
-                for index in range(width)
-            ]
-        )
-        offset += width * 32
-        width //= 2
-    return levels
-
-
-def install_feed_snapshot(handle, snapshot: FeedSnapshot) -> None:
-    """Install a decoded snapshot into a freshly created feed handle.
-
-    The handle must come from ``create_feed`` with the feed's preload
-    stripped (the preload's records travel inside the snapshot's store
-    contents).  Contract state, store, DO, SP and control plane are rebuilt
-    in place; the caller wires the environment side (queue, dirty set,
-    telemetry row, cache shard).
-    """
-    if handle.feed_id != snapshot.feed_id:
-        raise WireError(
-            f"snapshot frame is for feed {snapshot.feed_id!r}, but the "
-            f"destination handle hosts {handle.feed_id!r}"
-        )
-    _apply_contract_state(handle.storage_manager, snapshot.manager_attrs, snapshot.manager_slots)
-    _apply_contract_state(handle.consumer, snapshot.consumer_attrs, snapshot.consumer_slots)
-    handle.report.__dict__.update(snapshot.report.__dict__)
-    store = handle.system.sp_store
-    records: Dict[str, KVRecord] = {}
-    slot_of: Dict[str, int] = {}
-    slots: List[Optional[str]] = [None] * snapshot.slot_count
-    replicated = set()
-    writes: List[Tuple[str, Optional[bytes]]] = []
-    for key, value, state_index, version, slot in snapshot.records:
-        record = KVRecord(
-            key=key,
-            value=value,
-            state=_REPLICATION_STATES[state_index],
-            version=version,
-        )
-        records[key] = record
-        slot_of[key] = slot
-        slots[slot] = key
-        if record.state is ReplicationState.REPLICATED:
-            replicated.add(key)
-        writes.append((record.prefixed_key, record.value))
-    store.backing.write_batch(writes)
-    store._records = records
-    store._slot_of = slot_of
-    store._slots = slots
-    store._free_slots = list(snapshot.free_slots)
-    store._sorted_keys = sorted(records)
-    store._replicated_keys = replicated
-    blob = snapshot.leaves_blob
-    leaves = [bytes(blob[index : index + 32]) for index in range(0, len(blob), 32)]
-    tree = store._tree
-    tree._leaves = leaves
-    tree._levels = _rebuild_tree_levels(leaves, snapshot.upper_blob)
-    snapshot.actors.install(handle)
-
-
-# ---------------------------------------------------------------------------
 # Process backend: IPC metering
 # ---------------------------------------------------------------------------
 
@@ -1336,12 +942,12 @@ class IpcMeter:
     def __init__(self) -> None:
         self.epochs = 0
         self.lanes: Dict[int, Dict[str, float]] = {}
-        #: Cross-lane feed moves (source snapshot → destination install),
+        #: Cross-lane feed moves (source detach → destination install),
         #: in total and by the reason the placement gave for each move.
         self.migrations = 0
         self.migration_bytes = 0
         self.migrations_by_reason: Dict[str, int] = {}
-        #: Main→lane snapshot installs (initial elastic placement and
+        #: Main→lane installs (initial elastic placement and
         #: admissions — every elastic feed arrives by one of these).
         self.installs = 0
         self.install_bytes = 0
@@ -1446,10 +1052,11 @@ class _LaneWorker:
         self.encoder = WireEncoder()
         cache = ReadCache(capacity=config.cache_capacity) if config.cache_enabled else None
         self.shards: List[Tuple[int, List[str]]] = []
-        #: Feeds that arrived via :meth:`install_feed` — their run-end store
-        #: state ships as a full-from-empty delta (``store_reset``).
-        self._installed: set = set()
-        self._store_baseline: Dict[str, tuple] = {}
+        #: Fork-pinned feeds only: the SP store as the fork left it, which is
+        #: what the main mirror still holds — so at run end only what diverged
+        #: from it ships.  A feed that was installed has no entry: the lane
+        #: never saw the main mirror's store, and ships its own whole.
+        self._store_baseline: Dict[str, StoreBaseline] = {}
         if config.pinned is None:
             self.registry = FeedRegistry(
                 schedule=config.schedule,
@@ -1479,19 +1086,8 @@ class _LaneWorker:
                 self.env.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
                 if cache is not None:
                     cache.ensure_shard(feed_id)
-                # The fork leaves this store identical to the main
-                # registry's, so at run end :meth:`_pack_store` only ships
-                # what *diverged* from its state now — the main side patches
-                # its own copy.
                 store = self.registry.get(feed_id).system.sp_store
-                self._store_baseline[feed_id] = (
-                    {
-                        key: (record.version, record.state, record.value)
-                        for key, record in store._records.items()
-                    },
-                    len(store._slots),
-                    list(store._free_slots),
-                )
+                self._store_baseline[feed_id] = store.baseline()
             self.shards.append((shard_index, feed_ids))
 
     # -- one epoch -----------------------------------------------------------
@@ -1528,44 +1124,17 @@ class _LaneWorker:
                     )
         self.shards = [(index, list(feed_ids)) for index, feed_ids in shards]
 
-    def install_feed(self, spec: FeedSpec, frame: WireFrame) -> None:
-        """Create the feed from ``spec`` (preload stripped) and restore its
-        state from a snapshot frame (fresh decode channel per frame)."""
-        snapshot = decode_feed_snapshot(WireDecoder(), frame)
-        if spec.feed_id != snapshot.feed_id:
-            raise WireError(
-                f"install order pairs spec {spec.feed_id!r} with a snapshot "
-                f"of {snapshot.feed_id!r}"
-            )
-        handle = self.registry.create_feed(spec)
-        install_feed_snapshot(handle, snapshot)
-        feed_id = snapshot.feed_id
-        self.env.queues[feed_id] = deque(snapshot.queue)
-        self.env.dirty[feed_id] = set(snapshot.dirty)
-        self.env.feeds[feed_id] = snapshot.telemetry
-        cache = self.env.cache
-        if cache is not None:
-            cache.ensure_shard(feed_id)
-            if snapshot.cache_stats is not None:
-                cache.install_shard(
-                    feed_id, snapshot.cache_entries, snapshot.cache_stats
-                )
-        # Every installed feed's store baseline is *empty*: the lane never
-        # saw the main mirror's seed state, so the run-end delta ships the
-        # whole store and the main side resets before applying.
-        self._store_baseline[feed_id] = ({}, 0, [])
-        self._installed.add(feed_id)
-
-    def migrate_out(self, feed_id: str) -> WireFrame:
-        """Snapshot the feed, release its resources, and return the frame.
+    def migrate_out(self, feed_id: str) -> bytes:
+        """Detach the feed — its whole store: the next host starts from an
+        empty one — and drop the lane's copy.
 
         An LSM-backed store's directory is closed *before* returning, so by
         the time the destination lane's install order runs, the
         single-opener lock is free.
         """
-        frame = snapshot_feed(self.env, feed_id)
+        blob = feed_state.detach(self.env, feed_id)
         self._release(feed_id)
-        return frame
+        return blob
 
     def teardown_feed(self, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict the feed from this lane, returning its final telemetry row.
@@ -1576,16 +1145,13 @@ class _LaneWorker:
         with identical per-feed content.
         """
         telemetry = close_feed_bill(self.env, feed_id, epoch, poll=True)
+        feed_state.close_store(self.registry.get(feed_id))
         self._release(feed_id)
         return telemetry
 
     def _release(self, feed_id: str) -> None:
         """Drop every trace of a feed that left this lane (migrated out or
-        evicted), closing its LSM opener so the next host can take the
-        directory."""
-        backing = self.registry.get(feed_id).system.sp_store.backing
-        if isinstance(backing, LSMStore):
-            backing.close()
+        evicted)."""
         self.registry.remove_feed(feed_id)
         env = self.env
         env.queues.pop(feed_id, None)
@@ -1593,8 +1159,6 @@ class _LaneWorker:
         env.feeds.pop(feed_id, None)
         if env.cache is not None:
             env.cache.invalidate_feed(feed_id)
-        self._store_baseline.pop(feed_id, None)
-        self._installed.discard(feed_id)
         self.shards = [
             (index, [fid for fid in feed_ids if fid != feed_id])
             for index, feed_ids in self.shards
@@ -1664,101 +1228,17 @@ class _LaneWorker:
 
     # -- run-end state shipping ----------------------------------------------
 
-    def _pack_store(self, feed_id: str, store) -> dict:
-        """The feed's SP store as a delta against the seed-time snapshot.
-
-        Ships only the records whose ``(version, state, value)`` diverged,
-        the keys that vanished, the slot-layout change (appended tail in the
-        common insert-only case, the full layout after deletes), and the
-        Merkle tree's current shape — changed leaves by slot plus the interior
-        levels as one flat digest blob (32 bytes per node, no per-object
-        framing).  Everything else the main process already holds.
-        """
-        base_records, base_nslots, base_free = self._store_baseline[feed_id]
-        records = store._records
-        slot_of = store._slot_of
-        tree = store._tree
-        leaves = tree._leaves
-        changed = []
-        for key, record in records.items():
-            if base_records.get(key) != (record.version, record.state, record.value):
-                slot = slot_of[key]
-                changed.append(
-                    (key, record.value, record.state.value, record.version,
-                     slot, leaves[slot])
-                )
-        deleted = [key for key in base_records if key not in records]
-        if not deleted and store._free_slots == base_free:
-            layout: tuple = ("tail", list(store._slots[base_nslots:]))
-        else:
-            layout = ("full", list(store._slots), list(store._free_slots))
-        return {
-            "changed": changed,
-            "deleted": deleted,
-            "layout": layout,
-            "leaf_count": len(leaves),
-            "upper": b"".join(
-                digest for level in tree._levels[1:] for digest in level
-            ),
-        }
-
-    def collect(self) -> List[FeedStateResult]:
-        results: List[FeedStateResult] = []
-        cache = self.env.cache
-        for _, shard in self.shards:
-            for feed_id in shard:
-                handle = self.registry.get(feed_id)
-                manager_attrs, manager_slots = _contract_state(handle.storage_manager)
-                consumer_attrs, consumer_slots = _contract_state(handle.consumer)
-                sp_store_state: Optional[dict] = self._pack_store(
-                    feed_id, handle.system.sp_store
-                )
-                # Hand an LSM directory back to the main process: it reopens
-                # the feed's own (closed) backing before applying this state.
-                backing = handle.system.sp_store.backing
-                if isinstance(backing, LSMStore):
-                    backing.close()
-                entries, stats = (
-                    cache.export_shard(feed_id) if cache is not None else ((), None)
-                )
-                results.append(
-                    FeedStateResult(
-                        feed_id=feed_id,
-                        telemetry=self.env.feeds[feed_id],
-                        report=handle.report,
-                        manager_attrs=manager_attrs,
-                        manager_slots=manager_slots,
-                        consumer_attrs=consumer_attrs,
-                        consumer_slots=consumer_slots,
-                        sp_store_state=sp_store_state,
-                        actors=ActorState.capture(handle),
-                        cache_entries=entries,
-                        cache_stats=stats,
-                        store_reset=feed_id in self._installed,
-                    )
-                )
-        return results
-
-
-#: Contract attributes that must not cross the process boundary: the chain
-#: back-reference (worker-local), the storage (shipped as slots), and the
-#: storage manager's weak cursor registry (rebuilt by the main-side monitor).
-_CONTRACT_ATTR_EXCLUDES = ("chain", "storage", "_history_cursors")
-
-
-def _contract_state(contract) -> Tuple[dict, Dict[str, bytes]]:
-    attrs = {
-        key: value
-        for key, value in vars(contract).items()
-        if key not in _CONTRACT_ATTR_EXCLUDES
-    }
-    return attrs, dict(contract.storage.slots)
-
-
-def _apply_contract_state(contract, attrs: dict, slots: Dict[str, bytes]) -> None:
-    contract.__dict__.update(attrs)
-    contract.storage.slots.clear()
-    contract.storage.slots.update(slots)
+    def collect(self) -> List[bytes]:
+        """Detach every hosted feed for the main registry's mirror of it: a
+        fork-pinned feed against its fork-time store, so only what the run
+        changed crosses; an installed feed whole, resetting the mirror."""
+        return [
+            feed_state.detach(
+                self.env, feed_id, self._store_baseline.get(feed_id, EMPTY_BASELINE)
+            )
+            for _, shard in self.shards
+            for feed_id in shard
+        ]
 
 
 #: The lane's resident worker, one per process (set by :func:`_lane_start`).
@@ -1804,22 +1284,22 @@ def _lane_epochs(
     return [run_epoch(epoch, epoch_size) for epoch in range(start, start + count)]
 
 
-def _lane_collect() -> List[FeedStateResult]:
+def _lane_collect() -> List[bytes]:
     assert _LANE_WORKER is not None, "lane worker not started"
     return _LANE_WORKER.collect()
 
 
-def _lane_install(items: Sequence[Tuple[FeedSpec, WireFrame]]) -> None:
-    """Install one epoch's arriving feeds into this lane, one snapshot frame
+def _lane_install(items: Sequence[Tuple[FeedSpec, bytes]]) -> None:
+    """Install one epoch's arriving feeds into this lane, one packed state
     each."""
     assert _LANE_WORKER is not None, "lane worker not started"
-    for spec, frame in items:
-        _LANE_WORKER.install_feed(spec, frame)
+    for spec, blob in items:
+        feed_state.install(_LANE_WORKER.env, spec, blob)
 
 
-def _lane_migrate_out(feed_ids: Sequence[str]) -> List[WireFrame]:
-    """Snapshot one epoch's departing feeds out of this lane (releasing
-    their resources); one frame per feed, in order."""
+def _lane_migrate_out(feed_ids: Sequence[str]) -> List[bytes]:
+    """Detach one epoch's departing feeds from this lane (releasing their
+    resources); one packed state per feed, in order."""
     assert _LANE_WORKER is not None, "lane worker not started"
     return [_LANE_WORKER.migrate_out(feed_id) for feed_id in feed_ids]
 
@@ -1875,8 +1355,8 @@ class LaneEngine:
     Lanes come to host feeds in one of the two ways the module docstring
     describes: :meth:`spawn_pinned` (fork-seeded, pinned for the run; orders
     may cover many epochs), or :meth:`ensure_lanes` / :meth:`retire_lanes` +
-    :meth:`transfer` / :meth:`teardown` (empty lanes, feeds as snapshot
-    frames; each order carries one epoch and the lane's shard assignment).
+    :meth:`transfer` / :meth:`teardown` (empty lanes, feeds as packed
+    states; each order carries one epoch and the lane's shard assignment).
     """
 
     def __init__(
@@ -1990,16 +1470,16 @@ class LaneEngine:
     def transfer(
         self,
         moves: Sequence[FeedMove],
-        snapshot_local: Callable[[str], WireFrame],
+        snapshot_local: Callable[[str], bytes],
     ) -> None:
         """Carry out one epoch's feed moves: one migrate-out order per source
         lane, then one install order per destination lane.
 
-        Source lanes encode in parallel while ``snapshot_local`` encodes the
+        Source lanes detach in parallel while ``snapshot_local`` detaches the
         feeds the main process still hosts (``source is None``).  Every
         migrate-out resolves — mirror released, LSM opener closed — before
-        any frame reaches a destination (single-opener rule); migrated frames
-        pass *through* the main process raw, never decoded there.  The
+        any state reaches a destination (single-opener rule); migrated states
+        pass *through* the main process packed, never opened there.  The
         installs themselves are left in flight, and a failed one re-raises at
         the engine's next :meth:`results` / :meth:`teardown` /
         :meth:`collect`.
@@ -2012,24 +1492,24 @@ class LaneEngine:
             (feed_ids, self._lanes[lane].pool.submit(_lane_migrate_out, feed_ids))
             for lane, feed_ids in outgoing.items()
         ]
-        frames = {
+        blobs = {
             move.feed_id: snapshot_local(move.feed_id)
             for move in moves
             if move.source is None
         }
         for feed_ids, future in orders:
-            frames.update(zip(feed_ids, future.result()))
-        incoming: Dict[int, List[Tuple[FeedSpec, WireFrame]]] = {}
+            blobs.update(zip(feed_ids, future.result()))
+        incoming: Dict[int, List[Tuple[FeedSpec, bytes]]] = {}
         for move in moves:
-            frame = frames[move.feed_id]
+            blob = blobs[move.feed_id]
             spec = self._registry.get(move.feed_id).spec
             if spec.preload is not None:
                 spec = replace(spec, preload=None)
-            incoming.setdefault(move.destination, []).append((spec, frame))
+            incoming.setdefault(move.destination, []).append((spec, blob))
             if move.source is None:
-                self.meter.record_install(frame.nbytes)
+                self.meter.record_install(len(blob))
             else:
-                self.meter.record_migration(frame.nbytes, move.reason)
+                self.meter.record_migration(len(blob), move.reason)
         for lane, items in incoming.items():
             self._installs.append(
                 (
@@ -2164,7 +1644,7 @@ class LaneEngine:
         self.meter.record(samples)
         return results, samples
 
-    def collect(self) -> List[FeedStateResult]:
+    def collect(self) -> List[feed_state.FeedState]:
         """Fetch every live lane's final feed state (run end).  Every order
         must have been merged by now — an epoch a lane ran but the main chain
         never recorded would leave the two diverged."""
@@ -2175,10 +1655,9 @@ class LaneEngine:
         futures = [
             self._lanes[lane].pool.submit(_lane_collect) for lane in sorted(self._lanes)
         ]
-        results: List[FeedStateResult] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
+        return [
+            feed_state.unpack(blob) for future in futures for blob in future.result()
+        ]
 
     def shutdown(self) -> None:
         # wait=True: lanes are idle here (results already merged), and an
@@ -2196,132 +1675,6 @@ def _picklable(value: object) -> bool:
     except (pickle.PicklingError, AttributeError, TypeError):
         return False
     return True
-
-
-def apply_feed_state(
-    registry: FeedRegistry,
-    cache: Optional[ReadCache],
-    state: FeedStateResult,
-) -> None:
-    """Fold a worker's final feed state into the main registry's mirror.
-
-    After this, the main-side handle's contracts (storage slots, counters,
-    call history), report, SP store contents and off-chain actors
-    (:class:`ActorState`) match what a serial run would have produced —
-    which is what the equivalence suite inspects, what post-run analysis
-    reads, and what the registry's next run starts from.
-    """
-    handle = registry.get(state.feed_id)
-    _apply_contract_state(handle.storage_manager, state.manager_attrs, state.manager_slots)
-    _apply_contract_state(handle.consumer, state.consumer_attrs, state.consumer_slots)
-    handle.report.__dict__.update(state.report.__dict__)
-    if state.sp_store_state is not None:
-        if state.store_reset:
-            # The lane's baseline was an empty store (snapshot-installed
-            # feed): the shipped delta is the whole store, so the mirror's
-            # seed state must go first — patching it would leave ghosts.
-            _reset_store(handle.system.sp_store)
-        _apply_store_delta(handle.system.sp_store, state.sp_store_state)
-    state.actors.install(handle)
-    if cache is not None and state.cache_stats is not None:
-        cache.install_shard(state.feed_id, state.cache_entries, state.cache_stats)
-
-
-def _reset_store(store) -> None:
-    """Empty a main-side SP store mirror before a full-from-empty apply.
-
-    Clears the wrapper's structures and removes its stale records from the
-    backing (idempotent against a backing that already holds the lane's
-    final contents — the apply re-puts every live record's value).
-    """
-    from repro.ads.merkle import MerkleTree
-
-    for record in store._records.values():
-        store.backing.delete(record.prefixed_key)
-    store._records = {}
-    store._slot_of = {}
-    store._slots = []
-    store._free_slots = []
-    store._sorted_keys = []
-    store._replicated_keys = set()
-    store._tree = MerkleTree([])
-
-
-def _apply_store_delta(store, delta: dict) -> None:
-    """Patch the main registry's SP store with a worker's run-end delta.
-
-    The inverse of :meth:`_LaneWorker._pack_store`: the main store starts
-    from the same seed state the worker did, so deletions, the slot-layout
-    change, the changed records and the tree patch reproduce the worker's
-    final store exactly — including the records' dict order (updates replace
-    in place, inserts append in the worker's op order, same as a serial run).
-    """
-    records = store._records
-    slot_of = store._slot_of
-    tree = store._tree
-    leaves = tree._leaves
-    # The backing's share of the delta, in order, committed as one batch.
-    writes: List[Tuple[str, Optional[bytes]]] = []
-    for key in delta["deleted"]:
-        old = records.pop(key)
-        slot = slot_of.pop(key)
-        store._replicated_keys.discard(key)
-        writes.append((old.prefixed_key, None))
-        leaves[slot] = TOMBSTONE_LEAF
-    layout = delta["layout"]
-    if layout[0] == "tail":
-        tail = layout[1]
-        base = len(store._slots)
-        store._slots.extend(tail)
-        for slot, key in enumerate(tail, start=base):
-            if key is not None:
-                slot_of[key] = slot
-    else:
-        _, slots, free_slots = layout
-        store._slots = list(slots)
-        store._free_slots = list(free_slots)
-        store._slot_of = slot_of = {
-            key: slot for slot, key in enumerate(slots) if key is not None
-        }
-    count = delta["leaf_count"]
-    if len(leaves) < count:
-        leaves.extend([EMPTY_DIGEST] * (count - len(leaves)))
-    if layout[0] == "full":
-        # A slot without a key was freed by a delete at some point; its leaf
-        # is the tombstone digest.  The changed-record list cannot carry
-        # these (no record remains), and a full-from-empty apply
-        # (``store_reset``) has no seed-time tombstones to inherit.
-        for slot, key in enumerate(store._slots):
-            if key is None:
-                leaves[slot] = TOMBSTONE_LEAF
-    membership_changed = bool(delta["deleted"])
-    replicated = store._replicated_keys
-    for key, value, state_value, version, slot, leaf in delta["changed"]:
-        record = KVRecord(
-            key=key,
-            value=value,
-            state=ReplicationState(state_value),
-            version=version,
-        )
-        old = records.get(key)
-        if old is None:
-            membership_changed = True
-            slot_of[key] = slot
-        elif old.prefixed_key != record.prefixed_key:
-            writes.append((old.prefixed_key, None))
-        records[key] = record
-        writes.append((record.prefixed_key, record.value))
-        if record.state is ReplicationState.REPLICATED:
-            replicated.add(key)
-        else:
-            replicated.discard(key)
-        leaves[slot] = leaf
-    store.backing.write_batch(writes)
-    if membership_changed:
-        store._sorted_keys = sorted(records)
-    # Interior tree levels come over as one flat digest blob; level 0 is the
-    # leaf list padded to the tree's power-of-two width.
-    tree._levels = _rebuild_tree_levels(leaves, delta["upper"])
 
 
 def settlement_buffer(result: SettlementResult) -> ExecutionBuffer:

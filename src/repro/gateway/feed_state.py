@@ -1,0 +1,285 @@
+"""One feed's state, in the one form it changes interpreter in.
+
+GRuB's unit of state is one feed: the SP's authenticated KV store, the DO's
+trusted root and control plane, the two contracts.  In process mode that unit
+crosses an interpreter boundary three ways — main → lane (install), lane →
+lane (migration), lane → main (run end) — and every crossing is the same
+four steps on the same :class:`FeedState`:
+
+* :func:`capture` reads a hosted feed out of its environment, its SP store as
+  a **delta against a baseline**.  Against
+  :data:`~repro.ads.authenticated_kv.EMPTY_BASELINE` that is the whole store
+  (install, migration, and the run-end state of a feed that was installed);
+  against the baseline a fork-pinned lane took when it forked, it is only
+  what the run changed — the main mirror still holds the rest.
+* :func:`pack` turns it into opaque bytes (``pickle`` protocol 5), once, where
+  it was captured; a migrating feed passes through the main process in that
+  form, metered but never opened.
+* :func:`unpack` opens the bytes where they are applied.  Anything that is
+  not a packed :class:`FeedState` is a :class:`~repro.common.wire.WireError`,
+  raised before a handle or registry is touched.
+* :func:`apply` installs it into a destination handle and environment.  The
+  delta itself says whether it is from empty, and a non-empty mirror is reset
+  first — so a lane's fresh handle and the main registry's seed-state mirror
+  take the same call.
+
+:func:`detach` is capture + pack + handing over the feed's LSM directory, the
+form all three senders use; :func:`install` is unpack + create + apply, a
+lane's way in.  How the store lays out its delta is the store's business
+(:meth:`~repro.ads.authenticated_kv.AuthenticatedKVStore.export_delta`).
+"""
+
+from __future__ import annotations
+
+import pickle
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline, StoreDelta
+from repro.common.types import Operation
+from repro.common.wire import WireError
+from repro.core.grub import RunReport
+from repro.gateway.cache import CacheStats
+from repro.gateway.metrics import FeedTelemetry
+from repro.gateway.registry import FeedSpec
+from repro.storage.lsm import LSMStore
+
+if TYPE_CHECKING:
+    from repro.gateway.executor import ShardEnvironment
+
+
+@dataclass
+class ActorState:
+    """One feed's off-chain actors as plain data: the DO's trusted root and
+    signer, the SP's counters and pending requests, the control plane
+    (algorithm, actuator) and its monitor.
+
+    The SP's ``_log_cursor`` deliberately does *not* travel: it indexes the
+    source's private event log; :meth:`install` re-bases it against the
+    destination chain.
+    """
+
+    do_trusted_root: bytes
+    do_epochs_submitted: int
+    signer_secret: bytes
+    signer_epoch: int
+    sp_deliveries_sent: int
+    sp_records_delivered: int
+    sp_pending: list
+    cp_epochs_run: int
+    cp_algorithm: object
+    cp_actuator: object
+    monitor_observed_reads: int
+    monitor_observed_writes: int
+    #: Absolute call-history index of the monitor's cursor.  Its coordinate
+    #: space is the storage manager's call history, which travels with the
+    #: contract attrs — so the position stays valid across the move.
+    monitor_cursor_position: int
+    monitor_local_writes: list
+
+    @classmethod
+    def capture(cls, handle) -> "ActorState":
+        data_owner = handle.data_owner
+        provider = handle.service_provider
+        control_plane = data_owner.control_plane
+        monitor = control_plane.monitor
+        return cls(
+            do_trusted_root=data_owner.trusted_root,
+            do_epochs_submitted=data_owner.epochs_submitted,
+            signer_secret=data_owner.signer._secret,
+            signer_epoch=data_owner.signer._epoch,
+            sp_deliveries_sent=provider.deliveries_sent,
+            sp_records_delivered=provider.records_delivered,
+            sp_pending=list(provider.pending),
+            cp_epochs_run=control_plane.epochs_run,
+            cp_algorithm=control_plane.algorithm,
+            cp_actuator=control_plane.actuator,
+            monitor_observed_reads=monitor.observed_reads,
+            monitor_observed_writes=monitor.observed_writes,
+            monitor_cursor_position=monitor._cursor.position,
+            monitor_local_writes=list(monitor._local_writes),
+        )
+
+    def install(self, handle) -> None:
+        data_owner = handle.data_owner
+        data_owner.trusted_root = self.do_trusted_root
+        data_owner.epochs_submitted = self.do_epochs_submitted
+        data_owner.signer._secret = self.signer_secret
+        data_owner.signer._epoch = self.signer_epoch
+        data_owner._write_buffer = []
+        provider = handle.service_provider
+        provider.deliveries_sent = self.sp_deliveries_sent
+        provider.records_delivered = self.sp_records_delivered
+        provider.pending = list(self.sp_pending)
+        # Everything logged on the destination chain so far was routed by
+        # whoever hosted the feed then; a later poll must not replay it.
+        provider._log_cursor = len(handle.system.chain.event_log)
+        # Mutate the control plane *in place*: the SP's ``decision_lookup``
+        # binding (wired at construction) must keep pointing at this object.
+        control_plane = data_owner.control_plane
+        control_plane.epochs_run = self.cp_epochs_run
+        control_plane.algorithm = self.cp_algorithm
+        control_plane.actuator = self.cp_actuator
+        monitor = control_plane.monitor
+        monitor.observed_reads = self.monitor_observed_reads
+        monitor.observed_writes = self.monitor_observed_writes
+        monitor._local_writes = list(self.monitor_local_writes)
+        monitor._read_ops = {}
+        # The cursor itself is destination-local (a weak ref held by the
+        # destination's storage manager); only its position crosses.
+        monitor._cursor.position = self.monitor_cursor_position
+
+
+#: Contract attributes that must not cross the process boundary: the chain
+#: back-reference (interpreter-local), the storage (shipped as slots), and the
+#: storage manager's weak cursor registry (rebuilt by the destination's monitor).
+_CONTRACT_ATTR_EXCLUDES = ("chain", "storage", "_history_cursors")
+
+
+def _contract_state(contract) -> Tuple[dict, Dict[str, bytes]]:
+    attrs = {
+        key: value
+        for key, value in vars(contract).items()
+        if key not in _CONTRACT_ATTR_EXCLUDES
+    }
+    return attrs, dict(contract.storage.slots)
+
+
+def _apply_contract_state(contract, state: Tuple[dict, Dict[str, bytes]]) -> None:
+    attrs, slots = state
+    contract.__dict__.update(attrs)
+    contract.storage.slots.clear()
+    contract.storage.slots.update(slots)
+
+
+@dataclass
+class FeedState:
+    """Everything an interpreter needs to continue a feed exactly where
+    another left it."""
+
+    feed_id: str
+    #: The workload queue and the keys written this epoch (see
+    #: :class:`~repro.gateway.executor.ShardEnvironment`).
+    queue: List[Operation]
+    dirty: set
+    telemetry: FeedTelemetry
+    report: RunReport
+    #: ``(attrs, storage slots)`` of the storage manager and the consumer.
+    manager: Tuple[dict, Dict[str, bytes]]
+    consumer: Tuple[dict, Dict[str, bytes]]
+    actors: ActorState
+    #: The feed's cache shard (:meth:`ReadCache.export_shard`); ``cache_stats``
+    #: is ``None`` when the source runs without a cache.
+    cache_entries: Tuple[Tuple[str, bytes], ...]
+    cache_stats: Optional[CacheStats]
+    #: The SP store, as what diverged from the baseline it was captured against.
+    store: StoreDelta
+
+
+def capture(
+    env: "ShardEnvironment", feed_id: str, baseline: StoreBaseline = EMPTY_BASELINE
+) -> FeedState:
+    """Read a feed hosted in ``env`` — queue, dirty keys, telemetry row and
+    cache shard included — with its SP store as a delta against ``baseline``."""
+    handle = env.registry.get(feed_id)
+    entries, stats = (
+        env.cache.export_shard(feed_id) if env.cache is not None else ((), None)
+    )
+    return FeedState(
+        feed_id=feed_id,
+        queue=list(env.queues[feed_id]),
+        dirty=set(env.dirty[feed_id]),
+        telemetry=env.feeds[feed_id],
+        report=handle.report,
+        manager=_contract_state(handle.storage_manager),
+        consumer=_contract_state(handle.consumer),
+        actors=ActorState.capture(handle),
+        cache_entries=entries,
+        cache_stats=stats,
+        store=handle.system.sp_store.export_delta(baseline),
+    )
+
+
+def pack(state: FeedState) -> bytes:
+    return pickle.dumps(state, protocol=5)
+
+
+def unpack(blob: bytes) -> FeedState:
+    """Open a packed state.  Only ever handed bytes this program's own
+    processes packed; a blob that is cut short, or holds anything else, is a
+    :class:`WireError` — whatever the unpickler made of it."""
+    try:
+        state = pickle.loads(blob)
+    except Exception as exc:
+        raise WireError(f"packed feed state cannot be opened: {exc!r}") from exc
+    if not isinstance(state, FeedState):
+        raise WireError(
+            f"packed feed state holds a {type(state).__name__}, not a FeedState"
+        )
+    return state
+
+
+def detach(
+    env: "ShardEnvironment", feed_id: str, baseline: StoreBaseline = EMPTY_BASELINE
+) -> bytes:
+    """Capture and pack a feed for its next host, then release an exclusive
+    LSM opener so that host can take over the directory (single-opener rule).
+    The caller retires whatever it keeps of the feed."""
+    blob = pack(capture(env, feed_id, baseline))
+    close_store(env.registry.get(feed_id))
+    return blob
+
+
+def close_store(handle) -> None:
+    """Close the feed's LSM opener, if it has one (a no-op when closed)."""
+    backing = handle.system.sp_store.backing
+    if isinstance(backing, LSMStore):
+        backing.close()
+
+
+def install(env: "ShardEnvironment", spec: FeedSpec, blob: bytes) -> None:
+    """Create the feed from ``spec`` (preload stripped: its records travel
+    inside the state's store) in ``env``'s registry and apply its packed
+    state.  The blob is opened and matched against the spec first — nothing
+    is created for one that does not open or belongs to another feed."""
+    state = unpack(blob)
+    if spec.feed_id != state.feed_id:
+        raise WireError(
+            f"install order pairs spec {spec.feed_id!r} with a snapshot "
+            f"of {state.feed_id!r}"
+        )
+    apply(env, env.registry.create_feed(spec), state)
+
+
+def apply(env: "ShardEnvironment", handle, state: FeedState) -> None:
+    """Install ``state`` into ``handle`` and wire its environment side (queue,
+    dirty set, telemetry row, cache shard) into ``env``.
+
+    After this the handle's contracts (storage slots, counters, call
+    history), report, SP store and off-chain actors are the source's — what a
+    lane continues from, and what the main registry's next run, the
+    equivalence suite and post-run analysis see.  A handle whose LSM
+    directory was handed to a lane takes it back first.
+    """
+    feed_id = state.feed_id
+    if handle.feed_id != feed_id:
+        raise WireError(
+            f"feed state is for feed {feed_id!r}, but the destination handle "
+            f"hosts {handle.feed_id!r}"
+        )
+    backing = handle.system.sp_store.backing
+    if isinstance(backing, LSMStore) and backing.closed:
+        backing.reopen()
+    _apply_contract_state(handle.storage_manager, state.manager)
+    _apply_contract_state(handle.consumer, state.consumer)
+    handle.report.__dict__.update(state.report.__dict__)
+    handle.system.sp_store.apply_delta(state.store)
+    state.actors.install(handle)
+    env.queues[feed_id] = deque(state.queue)
+    env.dirty[feed_id] = state.dirty
+    env.feeds[feed_id] = state.telemetry
+    if env.cache is not None:
+        env.cache.ensure_shard(feed_id)
+        if state.cache_stats is not None:
+            env.cache.install_shard(feed_id, state.cache_entries, state.cache_stats)

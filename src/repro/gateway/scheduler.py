@@ -68,8 +68,9 @@ the one place the phase order is written.  Churn processing and shard
 planning happen in the loop, on the main process between epochs, from
 deterministic inputs, so the guarantee extends to elastic runs (pinned by
 ``tests/gateway/test_elastic_properties.py`` over both backends).  How a
-feed reaches a worker lane — as a wire-encoded snapshot frame, or by fork
-inheritance when nothing about the run can change the plan — is chosen by
+feed reaches a worker lane — as a packed
+:class:`~repro.gateway.feed_state.FeedState`, or by fork inheritance when
+nothing about the run can change the plan — is chosen by
 :class:`_LaneExecutor` from what it can observe, never by an option.
 
 Reads are fronted by the consumer-side :class:`~repro.gateway.cache.ReadCache`
@@ -117,7 +118,7 @@ from repro.chain.gas import LAYER_FEED
 from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.types import Operation
-from repro.common.wire import WireFrame
+from repro.gateway import feed_state
 from repro.gateway.cache import ReadCache
 from repro.gateway.executor import (
     EXECUTION_MODES,
@@ -125,12 +126,10 @@ from repro.gateway.executor import (
     LaneEngine,
     SettlementResult,
     ShardEnvironment,
-    apply_feed_state,
     close_feed_bill,
     land_transaction,
     run_epoch_phases,
     settlement_buffer,
-    snapshot_feed,
 )
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.placement import FeedMove, assign_lanes, plan_moves
@@ -837,10 +836,11 @@ class _LaneExecutor(_Executor):
       no live source, a :class:`RoundRobinPlanner`, memory-backed stores — on
       a ``fork`` start method spawns fork-seeded lanes pinned to the (stable)
       plan and orders epochs ahead of the merge (:meth:`_order_ahead`);
-    * every other run spawns empty lanes and moves feeds as snapshot frames,
-      one lockstep epoch per order (:meth:`_place_and_order`) — the next plan
-      depends on this epoch's settled gas, and an epoch's arrivals cannot
-      exist before the previous one settled.
+    * every other run spawns empty lanes and moves feeds as packed
+      :class:`~repro.gateway.feed_state.FeedState`\\ s, one lockstep epoch per
+      order (:meth:`_place_and_order`) — the next plan depends on this
+      epoch's settled gas, and an epoch's arrivals cannot exist before the
+      previous one settled.
 
     Sending a static fleet the second way measured 30–42 % fewer
     ``ops_per_s`` on the ``lanes_read`` benchmark workload (ROADMAP), which
@@ -895,7 +895,7 @@ class _LaneExecutor(_Executor):
             self.remaining[feed_id] += len(operations)
             self._arrivals[feed_id] = operations
         else:
-            # Still main-hosted: they ship inside its install snapshot.
+            # Still main-hosted: they ship inside its install state.
             self.env.queues[feed_id].extend(operations)
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
@@ -911,19 +911,19 @@ class _LaneExecutor(_Executor):
         del self.env.queues[feed_id]
         return self.engine.teardown(lane, feed_id, epoch)
 
-    def _snapshot_feed(self, feed_id: str) -> WireFrame:
-        """Encode a main-hosted feed's mirror as the snapshot frame its first
-        lane installs.
+    def _snapshot_feed(self, feed_id: str) -> bytes:
+        """Detach a main-hosted feed's mirror — its whole store: a lane starts
+        empty — as the packed state its first lane installs.
 
         The main mirror stays registered (the merge path records settlements
         against its addresses), but its queue empties — the lane's copy is
         the live one now.
         """
-        frame = snapshot_feed(self.env, feed_id)
+        blob = feed_state.detach(self.env, feed_id)
         queue = self.env.queues[feed_id]
         self.remaining[feed_id] = len(queue)
         queue.clear()
-        return frame
+        return blob
 
     def run_epoch(
         self, epoch: int, shard_plan: List[List[str]]
@@ -982,7 +982,7 @@ class _LaneExecutor(_Executor):
         live lane already hosting most of its feeds, within a load-balance
         cap on the planner's estimates), so only a feed the plan really
         regrouped, or one on a retiring lane, moves — all of an epoch's moves
-        as one snapshot-out order per source lane and one install order per
+        as one migrate-out order per source lane and one install order per
         destination lane, with the epoch order queued behind the installs
         without waiting for them.
         """
@@ -1042,16 +1042,14 @@ class _LaneExecutor(_Executor):
 
     def finish(self) -> None:
         # Every surviving lane feed's final state folds back into the main
-        # mirrors, so post-run inspection (contract storage, roots, reports,
-        # cache) sees serial-identical state.  An LSM-backed feed's main
-        # opener was released when the feed left for its lane — take the
-        # directory back (the lane closed its opener in ``collect``).
+        # mirrors — the same apply a lane installs an arriving feed with — so
+        # post-run inspection (contract storage, roots, reports, cache) sees
+        # serial-identical state.  A fork-pinned lane's state patches the
+        # mirror's store with what the run changed; an installed feed's
+        # replaces it.  The telemetry row lands in ``fleet.feeds``, which
+        # ``env.feeds`` is.
         for state in self.engine.collect():
-            backing = self.registry.get(state.feed_id).system.sp_store.backing
-            if isinstance(backing, LSMStore) and backing.closed:
-                backing.reopen()
-            apply_feed_state(self.registry, self.env.cache, state)
-            self.fleet.feeds[state.feed_id] = state.telemetry
+            feed_state.apply(self.env, self.registry.get(state.feed_id), state)
         # The lanes routed this run's request events on their own chains; the
         # main watchdog must not replay them into the next run.
         self.registry.watchdog.skip_to_end()

@@ -67,16 +67,6 @@ class TestGasLedger:
         assert ledger.total == 70
         assert ledger.refunded == 30
 
-    def test_snapshot_delta(self, ledger):
-        ledger.charge(100, "a", LAYER_FEED)
-        snapshot = ledger.snapshot()
-        ledger.charge(40, "a", LAYER_FEED)
-        ledger.charge(10, "b", LAYER_APPLICATION)
-        delta = snapshot.delta(ledger)
-        assert delta.total == 50
-        assert delta.layer(LAYER_FEED) == 40
-        assert delta.layer(LAYER_APPLICATION) == 10
-
     def test_merge(self):
         a, b = GasLedger(), GasLedger()
         a.charge(10, "x")

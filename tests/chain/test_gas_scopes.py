@@ -69,16 +69,6 @@ class TestLedgerScopes:
         # Unscoped gas still lands in the layer/grand totals.
         assert ledger.feed_total == 112
 
-    def test_snapshot_delta_tracks_scopes(self):
-        ledger = GasLedger()
-        ledger.charge(100, "sstore", LAYER_FEED, scope="feed-a")
-        snapshot = ledger.snapshot()
-        ledger.charge(23, "sstore", LAYER_FEED, scope="feed-a")
-        ledger.charge(9, "sload", LAYER_FEED, scope="feed-b")
-        delta = snapshot.delta(ledger)
-        assert delta.scope("feed-a") == 23
-        assert delta.scope("feed-b", LAYER_FEED) == 9
-
     def test_meter_stamps_its_scope(self, schedule):
         ledger = GasLedger()
         meter = GasMeter(schedule=schedule, ledger=ledger, scope="tenant-1")

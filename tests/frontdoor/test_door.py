@@ -17,8 +17,10 @@ from repro.core.config import GrubConfig
 from repro.frontdoor import (
     FrontDoor,
     REJECT_DOOR_CLOSED,
+    REJECT_UNAUTHORIZED,
     REJECT_UNKNOWN_TENANT,
     Request,
+    RequestMetricsMiddleware,
     STATUS_CANCELLED,
     STATUS_REJECTED,
     STATUS_SETTLED,
@@ -194,6 +196,32 @@ class TestRequestLifecycle:
         response = asyncio.run(main())
         assert response.status == STATUS_REJECTED
         assert response.reason == REJECT_UNKNOWN_TENANT
+
+    @pytest.mark.parametrize(
+        "tokens, reason",
+        [(None, REJECT_UNKNOWN_TENANT), ({"feed-0": "secret"}, REJECT_UNAUTHORIZED)],
+        ids=["open", "tokens"],
+    )
+    def test_client_chosen_tenant_names_share_one_telemetry_row(self, tokens, reason):
+        """Whatever turns away a tenant the fleet does not host — the door
+        itself, or the auth layer above the metrics — 10 000 such names leave
+        one row; a hosted tenant keeps its own row and its own reasons."""
+        registry, _ = build_fleet(n_feeds=1, n_ops=0)
+        door = FrontDoor(EpochScheduler(registry, epoch_size=EPOCH), tokens=tokens)
+
+        async def main():
+            async with door.serving() as d:
+                for index in range(10_000):
+                    await d.submit(Request.read(f"ghost-{index}", "k"))
+                d.close()
+                await d.submit(Request.read("feed-0", "k", token="secret"))
+
+        asyncio.run(main())
+        rows = door.telemetry.tenants
+        assert set(rows) == {"feed-0", RequestMetricsMiddleware.UNKNOWN_TENANT}
+        assert door.telemetry.rejected == 10_001
+        assert rows[RequestMetricsMiddleware.UNKNOWN_TENANT].rejected == {reason: 10_000}
+        assert rows["feed-0"].rejected == {REJECT_DOOR_CLOSED: 1}
 
     def test_submissions_after_close_rejected(self):
         registry, _ = build_fleet(n_feeds=1, n_ops=2)

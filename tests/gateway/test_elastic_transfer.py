@@ -4,7 +4,7 @@ loudly, and LSM directories must keep a single opener while they move.
 ``LaneEngine.transfer`` leaves its install orders in flight (the
 epoch order queues behind them on the lane's FIFO pool), so a failed install
 is only observed at the engine's next call.  These tests inject the classic
-broken hand-off — a spec paired with another feed's snapshot frame — and pin
+broken hand-off — a spec paired with another feed's packed state — and pin
 that the *original* typed error surfaces there, the run ends instead of
 hanging (every wait is bounded), and ``shutdown()`` leaves no lane process
 behind.
@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+from collections import deque
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
-from repro.common.wire import WireEncoder, WireError
+from repro.common.wire import WireError
 from repro.core.config import GrubConfig
 from repro.core.data_consumer import DataConsumerContract
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
-from repro.gateway.executor import LaneEngine, encode_feed_snapshot
+from repro.gateway import feed_state
+from repro.gateway.executor import LaneEngine, ShardEnvironment
 from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
 from repro.gateway.scheduler import _LaneExecutor
@@ -61,13 +63,14 @@ def two_feed_registry():
 
 
 def snapshot_of(registry, feed_id):
-    return encode_feed_snapshot(
-        WireEncoder(),
-        registry.get(feed_id),
-        queue=[Operation.read("k")] * 4,
-        dirty=set(),
-        telemetry=FeedTelemetry(feed_id=feed_id),
+    env = ShardEnvironment(
+        registry=registry,
+        cache=None,
+        dirty={feed_id: set()},
+        queues={feed_id: deque([Operation.read("k")] * 4)},
+        feeds={feed_id: FeedTelemetry(feed_id=feed_id)},
     )
+    return feed_state.pack(feed_state.capture(env, feed_id))
 
 
 @pytest.mark.parametrize("next_call", ["results", "teardown", "collect"])

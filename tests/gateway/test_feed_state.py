@@ -1,0 +1,195 @@
+"""The one form a feed changes interpreter in (``repro.gateway.feed_state``):
+capture → pack → unpack → apply reproduces the feed; bytes that are not a
+packed state of the expected feed install nothing; and the run-end state of a
+fork-pinned lane stays a delta while an installed feed's is the whole store.
+"""
+
+from __future__ import annotations
+
+import pickle
+from collections import deque
+from dataclasses import replace
+
+import pytest
+
+from repro.common.types import KVRecord, Operation
+from repro.common.wire import WireError
+from repro.core.config import GrubConfig
+from repro.gateway import (
+    EpochScheduler,
+    FeedRegistry,
+    FeedSpec,
+    GasAwareShardPlanner,
+    ReadCache,
+    ShardEnvironment,
+    feed_state,
+)
+from repro.gateway.feed_state import ActorState
+from repro.workloads.synthetic import SyntheticWorkload
+
+
+def spec_of(feed_id: str) -> FeedSpec:
+    return FeedSpec(
+        feed_id=feed_id,
+        config=GrubConfig(epoch_size=8, algorithm="memoryless", k=1),
+        preload=[KVRecord.make(f"{feed_id}-{j:02d}", bytes(32)) for j in range(8)],
+    )
+
+
+def workload_of(feed_id: str, operations: int = 48) -> list:
+    return SyntheticWorkload(
+        read_write_ratio=8.0,
+        num_operations=operations,
+        num_keys=6,
+        key_prefix=f"{feed_id}-",
+        seed=7,
+    ).operations()
+
+
+def hosted(*feed_ids: str) -> ShardEnvironment:
+    """An environment whose feeds have run six epochs — replicas on chain,
+    entries in the cache, counters everywhere — with work still queued, a
+    dirty key and a pending request."""
+    registry = FeedRegistry()
+    for feed_id in feed_ids:
+        registry.create_feed(spec_of(feed_id))
+    cache = ReadCache()
+    fleet = EpochScheduler(registry, read_cache=cache).run(
+        {feed_id: workload_of(feed_id) for feed_id in feed_ids}
+    )
+    env = ShardEnvironment(registry=registry, cache=cache, feeds=fleet.feeds)
+    for feed_id in feed_ids:
+        env.queues[feed_id] = deque(workload_of(feed_id, operations=5))
+        env.dirty[feed_id] = {f"{feed_id}-03"}
+        handle = registry.get(feed_id)
+        handle.system.drive_operation(
+            Operation.read(f"{feed_id}-07"), handle.system.begin_epoch(6, 1), handle.report
+        )
+    registry.watchdog.poll()
+    return env
+
+
+def empty_environment() -> ShardEnvironment:
+    return ShardEnvironment(registry=FeedRegistry(), cache=ReadCache())
+
+
+def actors_of(handle) -> dict:
+    actors = vars(ActorState.capture(handle))
+    return {**actors, "cp_algorithm": vars(actors["cp_algorithm"])}
+
+
+def feed_view(env: ShardEnvironment, feed_id: str) -> dict:
+    handle = env.registry.get(feed_id)
+    store = handle.system.sp_store
+    entries, stats = env.cache.export_shard(feed_id)
+    return {
+        "manager": feed_state._contract_state(handle.storage_manager),
+        "consumer": feed_state._contract_state(handle.consumer),
+        "on_chain_root": handle.storage_manager.root_hash(),
+        "replicas": handle.storage_manager.replica_count(),
+        "store_root": store.root,
+        "records": store.records(),
+        "actors": actors_of(handle),
+        "report": handle.report,
+        "telemetry": env.feeds[feed_id],
+        "cache": (entries, stats),
+        "queue": list(env.queues[feed_id]),
+        "dirty": env.dirty[feed_id],
+    }
+
+
+def test_a_packed_state_reproduces_the_feed_in_another_registry():
+    source = hosted("alpha")
+    view = feed_view(source, "alpha")
+    assert view["replicas"] and view["cache"][0] and view["actors"]["sp_pending"]
+    blob = feed_state.pack(feed_state.capture(source, "alpha"))
+    destination = empty_environment()
+    feed_state.install(destination, replace(spec_of("alpha"), preload=None), blob)
+    assert feed_view(destination, "alpha") == view
+    # Capturing read the source; it did not change it.
+    assert feed_view(source, "alpha") == view
+
+
+def test_every_truncation_is_a_wire_error_and_installs_nothing():
+    blob = feed_state.pack(feed_state.capture(hosted("alpha"), "alpha"))
+    destination = empty_environment()
+    spec = replace(spec_of("alpha"), preload=None)
+    for cut in range(len(blob)):
+        with pytest.raises(WireError):
+            feed_state.install(destination, spec, blob[:cut])
+    assert "alpha" not in destination.registry and not destination.queues
+
+
+def test_a_blob_holding_something_else_is_a_wire_error():
+    state = feed_state.capture(hosted("alpha"), "alpha")
+    destination = empty_environment()
+    with pytest.raises(WireError, match="holds a dict, not a FeedState"):
+        feed_state.install(destination, spec_of("alpha"), pickle.dumps(vars(state)))
+    assert "alpha" not in destination.registry
+
+
+def test_a_state_for_another_feed_is_a_wire_error_and_touches_nothing():
+    source = hosted("alpha", "beta")
+    beta = feed_state.pack(feed_state.capture(source, "beta"))
+    destination = empty_environment()
+    with pytest.raises(WireError, match="pairs spec 'alpha' with a snapshot of 'beta'"):
+        feed_state.install(destination, spec_of("alpha"), beta)
+    assert "alpha" not in destination.registry and "beta" not in destination.registry
+    # The main side's way in — apply onto a handle that exists — refuses too.
+    before = feed_view(source, "alpha")
+    with pytest.raises(WireError, match="is for feed 'beta'.*hosts 'alpha'"):
+        feed_state.apply(source, source.registry.get("alpha"), feed_state.unpack(beta))
+    assert feed_view(source, "alpha") == before
+
+
+def run_recording_run_end_states(monkeypatch, **sharding):
+    """One process run over a busy feed and one whose workload is empty;
+    returns the run-end states the main process applied, and the registry."""
+    registry = FeedRegistry()
+    for feed_id in ("busy", "idle"):
+        registry.create_feed(spec_of(feed_id))
+    states = {}
+    genuine = feed_state.apply
+
+    def recording(env, handle, state):
+        states[state.feed_id] = state
+        genuine(env, handle, state)
+
+    monkeypatch.setattr(feed_state, "apply", recording)
+    scheduler = EpochScheduler(
+        registry, num_workers=2, execution_mode="process", **sharding
+    )
+    fleet = scheduler.run({"busy": workload_of("busy"), "idle": []})
+    return states, registry, fleet
+
+
+def serial_roots() -> dict:
+    registry = FeedRegistry()
+    for feed_id in ("busy", "idle"):
+        registry.create_feed(spec_of(feed_id))
+    EpochScheduler(registry, num_shards=2).run({"busy": workload_of("busy"), "idle": []})
+    return {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
+
+
+def test_a_fork_pinned_lane_ships_only_what_its_store_diverged_by(monkeypatch):
+    states, registry, fleet = run_recording_run_end_states(monkeypatch, num_shards=2)
+    assert fleet.ipc["installs_total"] == 0
+    idle, busy = states["idle"].store, states["busy"].store
+    assert (idle.from_empty, idle.changed, idle.deleted) == (False, [], [])
+    assert not busy.from_empty
+    assert 0 < len(busy.changed) < len(registry.get("busy").system.sp_store)
+    roots = {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
+    assert roots == serial_roots()
+
+
+def test_an_install_ships_the_whole_store_back_and_resets_the_mirror(monkeypatch):
+    states, registry, fleet = run_recording_run_end_states(
+        monkeypatch, planner=GasAwareShardPlanner(block_gas_fraction=0.01)
+    )
+    assert fleet.ipc["installs_total"] == 2
+    for feed_id, state in states.items():
+        store = registry.get(feed_id).system.sp_store
+        assert state.store.from_empty
+        assert sorted(key for key, *_ in state.store.changed) == store.keys()
+    roots = {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
+    assert roots == serial_roots()
