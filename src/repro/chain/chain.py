@@ -91,9 +91,10 @@ class ExecutionBuffer:
 
     Buffers also cross process boundaries (the process execution backend ships
     one per shard epoch): :meth:`to_wire` / :meth:`Blockchain.absorb_wire`
-    translate to and from plain data, so exactly the merge-relevant content
-    crosses — the ledger counters and the events' replayable fields — and
-    never the worker-local ``call_frames`` cache or event-log bookkeeping.
+    translate to and from the plain data a lane packs with the rest of its
+    epoch, so exactly the merge-relevant content crosses — the ledger
+    counters and the events' replayable fields — and never the worker-local
+    ``call_frames`` cache or event-log bookkeeping.
     """
 
     ledger: GasLedger = field(default_factory=GasLedger)
@@ -103,7 +104,8 @@ class ExecutionBuffer:
     call_frames: Dict[tuple, _CallFrame] = field(default_factory=dict, repr=False)
 
     def to_wire(self) -> dict:
-        """Plain-data form of the buffer (picklable, process-boundary safe).
+        """Plain-data form of the buffer: what a lane's packed epoch holds of
+        it.
 
         Events travel *unstamped* — ``(contract, name, payload)`` only.  All
         of a drive phase's events carry the chain height at the epoch start
@@ -190,14 +192,15 @@ class Blockchain:
         """Merge an isolation buffer's charges and events into the chain.
 
         The buffer itself is left as it was (the log takes stamped copies),
-        so a lane worker can still put it on the wire after its local merge.
+        so a lane worker can still ship it after its local merge.
         """
         self.ledger.merge(buffer.ledger)
         for event in buffer.events:
             self.event_log.append_event(event, event.block_number, 0)
 
     def absorb_wire(self, payload: dict, block_number: int) -> None:
-        """Merge a wire-form drive buffer (:meth:`ExecutionBuffer.to_wire`).
+        """Merge a drive buffer in its plain-data form
+        (:meth:`ExecutionBuffer.to_wire`), as opened from a lane's epoch.
 
         Equivalent to absorbing the buffer the lane held, with every event
         stamped ``block_number`` — exactly once, straight into the log.

@@ -255,13 +255,14 @@ def split_transaction_cost(
 
 
 def ledger_to_wire(ledger: GasLedger) -> dict:
-    """Plain-data form of a ledger (the process backend's wire contract).
+    """Plain-data form of a ledger: the shape its counters cross a lane
+    boundary in.
 
-    A ledger *could* be pickled whole, but the explicit snapshot keeps the
-    process boundary inspectable and intentional: exactly the counters cross,
-    never incidental object state, and :func:`ledger_delta_wire` can compute
-    zero-omitting deltas against it (merging a delta then creates exactly the
-    entries direct charging would have).  Nothing is filtered or reordered:
+    A lane packs this dict with the rest of its epoch's results, not the
+    ledger object, so exactly the counters cross, never incidental object
+    state, and :func:`ledger_delta_wire` can compute zero-omitting deltas
+    against it (merging a delta then creates exactly the entries direct
+    charging would have).  Nothing is filtered or reordered:
     ``ledger_from_wire(ledger_to_wire(l))`` reproduces every counter.
     """
     return {

@@ -35,6 +35,12 @@ class OutOfGasError(ReproError):
         self.requested = requested
         self.remaining = remaining
 
+    def __reduce__(self):
+        # Exceptions cross process boundaries pickled, and the default
+        # rebuilds from ``args`` — the one formatted message, which this
+        # signature cannot take back.
+        return type(self), (self.requested, self.remaining)
+
 
 class StorageError(ReproError):
     """Raised by the off-chain key-value store on invalid operations."""
@@ -54,3 +60,9 @@ class ConfigurationError(ReproError):
 
 class UnknownKeyError(StorageError, KeyError):
     """Raised when a key is looked up that neither the SP nor the chain holds."""
+
+
+class WireError(ReproError):
+    """Raised when bytes that crossed a process boundary are not what they
+    should be: they do not open, hold another type, or belong to another
+    feed or epoch than the one they were handed over as."""

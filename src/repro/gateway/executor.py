@@ -25,10 +25,10 @@ long-lived worker processes:
   across epochs and only *per-epoch deltas* cross the process boundary;
 * per order, a lane receives a tiny ``(start, count, epoch_size)`` tuple
   (plus, when the plan can change, the epoch's shard assignment and live
-  arrivals) and returns **one contiguous wire frame** per epoch
+  arrivals) and returns **one packed frame** per epoch
   (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` as a
-  packed ledger delta plus unstamped events, and the shard's settlement
+  plain-data ledger delta plus unstamped events, and the shard's settlement
   transactions *pre-executed* against the worker's mirror of the shard's
   contracts (:class:`SettlementResult`: gas used, receipt outcome, emitted
   events, exact ledger delta);
@@ -46,15 +46,19 @@ long-lived worker processes:
   cache contents) sees exactly what a serial run would have left, and the
   registry's next run continues from it.
 
-Everything that crosses a lane boundary per epoch is encoded with the compact
-codec in :mod:`repro.common.wire` — varint-packed counters, feed ids / record
-keys / category names interned into the lane's persistent string table (only
-first occurrences cross), bulk byte payloads out-of-band, one schema-versioned
-frame per lane per epoch — and metered by :class:`IpcMeter`
+The lane boundary has one format, the one a feed's state already crosses in
+(:mod:`repro.gateway.feed_state`): a lane packs its epoch — ``(epoch,
+[ShardEpochResult, …])`` — once, where it is produced, the main process opens
+it once, where it is merged (:func:`open_lane_epoch`), and a boundary's live
+arrivals go the other way packed where the order is placed.  Every frame is
+self-contained, and is metered in between by :class:`IpcMeter`
 (``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` / ``ipc_decode_seconds``
-per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  This
-file owns the *schema* (what the fields mean); ``repro.common.wire`` owns the
-*format* (how primitives are packed).
+per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  Lanes
+are this program's own children, so the byte layout is no protocol; what the
+boundary checks is that the bytes open, hold the type they should, and are
+for the epoch and the feeds they were handed over for — each failure a
+:class:`~repro.common.errors.WireError` before anything is merged or
+ingested.
 
 **How a feed reaches a lane.**  Two ways, chosen by the scheduler from what it
 can observe about the run, never by an option:
@@ -113,20 +117,12 @@ from repro.chain.gas import (
 )
 from repro.chain.transaction import Transaction
 from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline
-from repro.common.errors import ConfigurationError, ReproError
+from repro.common.errors import ConfigurationError, ReproError, WireError
 from repro.common.types import (
     EpochSummary,
     Operation,
     OperationKind,
     ReplicationState,
-)
-from repro.common.wire import (
-    WireDecoder,
-    WireEncoder,
-    WireError,
-    WireFrame,
-    WireReader,
-    WireWriter,
 )
 from repro.gateway import feed_state
 from repro.gateway.cache import ReadCache
@@ -653,260 +649,36 @@ class ShardEpochResult:
 
 @dataclass(frozen=True)
 class LaneEpochEnvelope:
-    """One lane's whole epoch on the wire: a single contiguous frame.
+    """One lane's whole epoch as it crosses the pool boundary.
 
-    The frame body packs every :class:`ShardEpochResult` of the lane's shards
-    (drive delta, settlements, remaining counts, spans) through the lane's
-    persistent wire channel; crossing the pool boundary then costs one pickle
-    of ``(bytes, tuple-of-bytes, float, int)`` instead of a recursive object
-    graph.
+    :attr:`frame` is the lane's ``(epoch, [ShardEpochResult, …])``, packed in
+    the lane (:func:`repro.gateway.feed_state.pack`) so the pool's own pickle
+    of this envelope copies bytes instead of walking an object graph, and the
+    main process opens it on the thread that merges it
+    (:func:`open_lane_epoch`) with its size and both costs metered.
     """
 
-    frame: WireFrame
-    #: Worker-side wall time spent encoding the frame (the IPC meter's
+    frame: bytes
+    #: Worker-side wall time spent packing the frame (the IPC meter's
     #: ``ipc_encode_seconds``).
     encode_seconds: float
     #: Boundary collections the lane has taken so far, this epoch's included.
     gc_collections: int = 0
 
 
-# ---------------------------------------------------------------------------
-# Process backend: the wire schema
-#
-# ``repro.common.wire`` defines the *format* (varints, interned strings,
-# out-of-band bytes, frames); the functions here define the *schema* — the
-# exact field order of everything the gateway ships across a lane boundary.
-# Encoder and decoder of one channel must execute mirrored call sequences, so
-# every encode function below has its decode twin directly underneath.
-# ---------------------------------------------------------------------------
-
-#: Enum members are encoded as their index in these fixed tuples (declaration
-#: order is part of the wire schema; reordering requires a version bump).
-_OPERATION_KINDS: Tuple[OperationKind, ...] = tuple(OperationKind)
-_KIND_INDEX: Dict[OperationKind, int] = {
-    kind: index for index, kind in enumerate(_OPERATION_KINDS)
-}
-
-
-def _encode_operation(w: WireWriter, operation: Operation) -> None:
-    w.uvarint(_KIND_INDEX[operation.kind])
-    w.string(operation.key)
-    if operation.value is None:
-        w.uvarint(0)
-    else:
-        w.uvarint(1)
-        w.bytes_(operation.value)
-    w.uvarint(operation.size_bytes)
-    w.uvarint(operation.scan_length)
-    w.svarint(operation.sequence)
-
-
-def _decode_operation(r: WireReader) -> Operation:
-    kind = _OPERATION_KINDS[r.uvarint()]
-    key = r.string()
-    value = r.bytes_() if r.uvarint() else None
-    return Operation(
-        kind=kind,
-        key=key,
-        value=value,
-        size_bytes=r.uvarint(),
-        scan_length=r.uvarint(),
-        sequence=r.svarint(),
-    )
-
-
-def _encode_ledger_wire(w: WireWriter, payload: dict) -> None:
-    """Pack a :func:`ledger_to_wire` / :func:`ledger_delta_wire` dict.
-
-    Category, layer and scope names intern into the channel's string table,
-    so a steady-state epoch's ledger delta is almost entirely varints.
-    """
-    w.svarint(payload["total"])
-    w.svarint(payload["refunded"])
-    by_category = payload["by_category"]
-    w.uvarint(len(by_category))
-    for category, amount in by_category.items():
-        w.string(category)
-        w.svarint(amount)
-    by_layer = payload["by_layer"]
-    w.uvarint(len(by_layer))
-    for layer, amount in by_layer.items():
-        w.string(layer)
-        w.svarint(amount)
-    by_scope = payload["by_scope"]
-    w.uvarint(len(by_scope))
-    for scope, layer, amount in by_scope:
-        w.string(scope)
-        w.string(layer)
-        w.svarint(amount)
-
-
-def _decode_ledger_wire(r: WireReader) -> dict:
-    total = r.svarint()
-    refunded = r.svarint()
-    by_category = {r.string(): r.svarint() for _ in range(r.uvarint())}
-    by_layer = {r.string(): r.svarint() for _ in range(r.uvarint())}
-    by_scope = [
-        (r.string(), r.string(), r.svarint()) for _ in range(r.uvarint())
-    ]
-    return {
-        "total": total,
-        "refunded": refunded,
-        "by_category": by_category,
-        "by_layer": by_layer,
-        "by_scope": by_scope,
-    }
-
-
-def _encode_events(w: WireWriter, events: Sequence[tuple]) -> None:
-    """Unstamped events: ``(contract, name, payload)`` triples.  Contract
-    addresses and event names repeat every epoch — both intern."""
-    w.uvarint(len(events))
-    string = w.string
-    value = w.value
-    for contract, name, payload in events:
-        string(contract)
-        string(name)
-        value(payload)
-
-
-def _decode_events(r: WireReader) -> List[tuple]:
-    string = r.string
-    value = r.value
-    return [(string(), string(), value()) for _ in range(r.uvarint())]
-
-
-def _encode_settlement(w: WireWriter, result: Optional[SettlementResult]) -> None:
-    if result is None:
-        w.uvarint(0)
-        return
-    w.uvarint(1)
-    w.string(result.function)
-    w.uvarint(len(result.feed_ids))
-    for feed_id in result.feed_ids:
-        w.string(feed_id)
-    w.uvarint(len(result.scopes))
-    for scope, weight in result.scopes.items():
-        w.string(scope)
-        w.svarint(weight)
-    w.uvarint(result.calldata_bytes)
-    w.uvarint(result.gas_used)
-    w.uvarint(1 if result.success else 0)
-    if result.error is None:
-        w.uvarint(0)
-    else:
-        w.uvarint(1)
-        w.string(result.error)
-    _encode_events(w, result.events)
-    _encode_ledger_wire(w, result.ledger_delta)
-
-
-def _decode_settlement(r: WireReader) -> Optional[SettlementResult]:
-    if not r.uvarint():
-        return None
-    return SettlementResult(
-        function=r.string(),
-        feed_ids=tuple(r.string() for _ in range(r.uvarint())),
-        scopes={r.string(): r.svarint() for _ in range(r.uvarint())},
-        calldata_bytes=r.uvarint(),
-        gas_used=r.uvarint(),
-        success=bool(r.uvarint()),
-        error=r.string() if r.uvarint() else None,
-        events=tuple(_decode_events(r)),
-        ledger_delta=_decode_ledger_wire(r),
-    )
-
-
-def encode_lane_arrivals(
-    encoder: WireEncoder, arrivals: Sequence[Tuple[str, Sequence[Operation]]]
-) -> WireFrame:
-    """Pack one epoch boundary's live arrivals for one lane: per feed (in
-    the caller's sorted order), the operations joining the tail of that
-    feed's worker-local queue.
-
-    Arrivals frames use a fresh channel per boundary: they flow main →
-    worker, opposite the lane's persistent epoch-result channel, and a
-    boundary's batch is small enough that cross-boundary interning would buy
-    nothing.
-    """
-    w = encoder.writer()
-    w.uvarint(len(arrivals))
-    for feed_id, operations in arrivals:
-        w.string(feed_id)
-        w.uvarint(len(operations))
-        for operation in operations:
-            _encode_operation(w, operation)
-    return w.frame()
-
-
-def decode_lane_arrivals(
-    decoder: WireDecoder, frame: WireFrame
-) -> List[Tuple[str, List[Operation]]]:
-    """Decode :func:`encode_lane_arrivals`: ``(feed_id, operations)`` pairs
-    in encoded (sorted-by-feed) order."""
-    r = decoder.reader(frame)
-    arrivals: List[Tuple[str, List[Operation]]] = []
-    for _ in range(r.uvarint()):
-        feed_id = r.string()
-        operations = [_decode_operation(r) for _ in range(r.uvarint())]
-        arrivals.append((feed_id, operations))
-    return arrivals
-
-
-def encode_lane_epoch(
-    encoder: WireEncoder, epoch: int, results: Sequence[ShardEpochResult]
-) -> WireFrame:
-    """Pack one lane's whole epoch — every pinned shard's result — into one
-    contiguous frame on the lane's persistent channel."""
-    w = encoder.writer()
-    w.uvarint(epoch)
-    w.uvarint(len(results))
-    for result in results:
-        w.uvarint(result.shard_index)
-        _encode_ledger_wire(w, result.drive["ledger"])
-        _encode_events(w, result.drive["events"])
-        _encode_settlement(w, result.deliver)
-        _encode_settlement(w, result.update)
-        w.uvarint(len(result.remaining))
-        for feed_id, count in result.remaining.items():
-            w.string(feed_id)
-            w.uvarint(count)
-        w.uvarint(len(result.epoch_gas))
-        for feed_id, gas in result.epoch_gas.items():
-            w.string(feed_id)
-            w.uvarint(gas)
-        w.uvarint(len(result.spans))
-        for span in result.spans:
-            w.value(span)
-    return w.frame()
-
-
-def decode_lane_epoch(
-    decoder: WireDecoder, frame: WireFrame
-) -> Tuple[int, List[ShardEpochResult]]:
-    """Decode :func:`encode_lane_epoch` back into the epoch index and the
-    lane's :class:`ShardEpochResult`\\ s (in the lane's shard order)."""
-    r = decoder.reader(frame)
-    epoch = r.uvarint()
-    results: List[ShardEpochResult] = []
-    for _ in range(r.uvarint()):
-        shard_index = r.uvarint()
-        drive = {"ledger": _decode_ledger_wire(r), "events": _decode_events(r)}
-        deliver = _decode_settlement(r)
-        update = _decode_settlement(r)
-        remaining = {r.string(): r.uvarint() for _ in range(r.uvarint())}
-        epoch_gas = {r.string(): r.uvarint() for _ in range(r.uvarint())}
-        spans = tuple(r.value() for _ in range(r.uvarint()))
-        results.append(
-            ShardEpochResult(
-                shard_index=shard_index,
-                drive=drive,
-                deliver=deliver,
-                update=update,
-                remaining=remaining,
-                epoch_gas=epoch_gas,
-                spans=spans,
-            )
+def open_lane_epoch(frame: bytes) -> Tuple[int, List[ShardEpochResult]]:
+    """Open one lane's packed epoch: the epoch index and the lane's
+    :class:`ShardEpochResult`\\ s in the lane's shard order.  Bytes that do not
+    open to exactly that shape are a :class:`WireError`."""
+    opened = feed_state.open_packed(frame, tuple, "lane epoch frame")
+    epoch, results = opened if len(opened) == 2 else (None, None)
+    if not (
+        isinstance(epoch, int)
+        and isinstance(results, list)
+        and all(isinstance(result, ShardEpochResult) for result in results)
+    ):
+        raise WireError(
+            "lane epoch frame does not hold (epoch, [ShardEpochResult, ...])"
         )
     return epoch, results
 
@@ -922,21 +694,23 @@ class IpcSample:
 
     lane: int
     epoch: int
-    #: Frame body plus out-of-band blobs, in bytes.
+    #: Length of the lane's packed frame, in bytes.
     wire_bytes: int
-    #: Worker-side encode wall time.
+    #: Worker-side wall time packing it.
     encode_seconds: float
-    #: Main-side decode wall time.
+    #: Main-side wall time opening it.
     decode_seconds: float
     #: Boundary collections the lane's collector owner has taken so far.
     gc_collections: int = 0
 
 
 class IpcMeter:
-    """Per-lane IPC totals for a process-mode run.
+    """Per-lane IPC totals for a process-mode run: each packed lane frame's
+    length and the seconds spent packing and opening it, plus what feed
+    mobility shipped.
 
     Always on — recording costs a handful of adds per lane epoch — so every
-    process run can report its boundary traffic, not just profiled ones.
+    process run reports its boundary traffic.
     """
 
     def __init__(self) -> None:
@@ -1022,8 +796,7 @@ class _LaneWorker:
     shards — drive, watchdog poll, deliver settlement, cache warm-up, update
     settlement, per-feed accounting — against its *local* chain, in the same
     per-feed order a serial run uses, and ships back only the deltas the main
-    chain must record, as one wire frame per epoch on the lane's persistent
-    channel.
+    chain must record, as one packed frame per epoch.
 
     The local chain's heights are private bookkeeping: drive events cross
     unstamped (the main chain stamps them at merge time) and settlement
@@ -1034,7 +807,7 @@ class _LaneWorker:
 
     def __init__(self, config: LaneConfig) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
-        #: detached spans; the finished spans ship back as wire dicts and the
+        #: detached spans; the finished spans ship back as plain dicts and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
         #: The lane owns its process's collector until the process exits with
@@ -1047,9 +820,6 @@ class _LaneWorker:
         #: never does, and insures against what it cannot see (cycles that
         #: outlive a boundary).
         self._unending = config.pinned is None
-        #: The lane's epoch-result channel (worker → main); persistent, so
-        #: feed ids and keys intern once for the whole run.
-        self.encoder = WireEncoder()
         cache = ReadCache(capacity=config.cache_capacity) if config.cache_enabled else None
         self.shards: List[Tuple[int, List[str]]] = []
         #: Fork-pinned feeds only: the SP store as the fork left it, which is
@@ -1092,22 +862,25 @@ class _LaneWorker:
 
     # -- one epoch -----------------------------------------------------------
 
-    def ingest(self, frame: WireFrame) -> None:
-        """Append one epoch boundary's live arrivals to this lane's queues.
+    def ingest(self, frame: bytes) -> None:
+        """Append one epoch boundary's live arrivals — packed ``(feed_id,
+        operations)`` pairs — to this lane's queues.
 
         Called (via :func:`_lane_epochs`) immediately before the epoch the
         arrivals join: the scheduler ships each boundary's arrivals with the
         epoch order itself, so by drive time the worker-local queues hold
         exactly what an inline run would have appended at the same boundary.
         """
-        for feed_id, operations in decode_lane_arrivals(WireDecoder(), frame):
-            queue = self.env.queues.get(feed_id)
-            if queue is None:
+        arrivals = feed_state.open_packed(frame, list, "arrivals frame")
+        queues = self.env.queues
+        for feed_id, _ in arrivals:
+            if feed_id not in queues:
                 raise WireError(
                     f"arrivals frame names feed {feed_id!r}, which this lane "
                     "does not host — the engine's feed→lane split is broken"
                 )
-            queue.extend(operations)
+        for feed_id, operations in arrivals:
+            queues[feed_id].extend(operations)
 
     # -- feed mobility (assignment / admission / migration / eviction) --------
 
@@ -1190,7 +963,7 @@ class _LaneWorker:
             )
         ]
         started = time.perf_counter()
-        frame = encode_lane_epoch(self.encoder, epoch, results)
+        frame = feed_state.pack((epoch, results))
         encode_seconds = time.perf_counter() - started
         self.collector.boundary(insure=self._unending)
         return LaneEpochEnvelope(
@@ -1262,12 +1035,12 @@ def _lane_epochs(
     count: int,
     epoch_size: int,
     shards: Optional[Sequence[Tuple[int, Sequence[str]]]] = None,
-    arrivals_frame: Optional[WireFrame] = None,
+    arrivals_frame: Optional[bytes] = None,
 ) -> List[LaneEpochEnvelope]:
     """The lane's one epoch entry point: adopt ``shards`` as the assignment
     (when given), ingest the boundary's live arrivals (when any reached this
     lane), then run ``count`` consecutive epochs from ``start`` back-to-back,
-    one wire frame each.
+    one packed frame each.
 
     A fork-pinned lane is ordered in batches (every epoch the remaining
     workloads guarantee as one order) so the per-task pool overhead —
@@ -1329,14 +1102,12 @@ class _PendingBatch:
 
 
 class _Lane:
-    """One live lane: its single-worker pool, the persistent decoder of its
-    epoch-result channel, and its in-flight epoch orders."""
+    """One live lane: its single-worker pool and its in-flight epoch orders."""
 
-    __slots__ = ("pool", "decoder", "pending")
+    __slots__ = ("pool", "pending")
 
     def __init__(self, pool: ProcessPoolExecutor) -> None:
         self.pool = pool
-        self.decoder = WireDecoder()
         self.pending: Deque[_PendingBatch] = deque()
 
 
@@ -1346,11 +1117,9 @@ class LaneEngine:
 
     One single-worker :class:`ProcessPoolExecutor` per lane keeps each lane's
     worker process alive (and its feeds' state resident) across epochs.  A
-    lane's pool is FIFO and its frames are produced and decoded strictly in
-    epoch order, so the persistent per-lane wire channels
-    (:class:`~repro.common.wire.WireEncoder` / ``WireDecoder``) stay in sync
-    by construction, and an order queued behind an install already sees the
-    installed feed.
+    lane's pool is FIFO, so an order queued behind an install already sees
+    the installed feed; its frames are self-contained, and are opened in
+    epoch order because that is the order the main chain merges in.
 
     Lanes come to host feeds in one of the two ways the module docstring
     describes: :meth:`spawn_pinned` (fork-seeded, pinned for the run; orders
@@ -1563,7 +1332,9 @@ class LaneEngine:
         Without ``assignments`` every lane takes the order under its pinning
         (fork-seeded lanes).  With it, each lane named there is shipped its
         ``(shard_index, feed_ids)`` list for the epoch plus its slice of the
-        boundary's live arrivals, and the other lanes sit the epoch out.
+        boundary's live arrivals — packed here, so the lane ingests what the
+        boundary held when the order was placed, whenever the pool's feeder
+        thread gets to it — and the other lanes sit the epoch out.
         """
         if assignments is not None:
             self._shard_lane = {
@@ -1577,7 +1348,7 @@ class LaneEngine:
                 shards = [(index, list(feed_ids)) for index, feed_ids in assignments[lane]]
                 items = list((arrivals_by_lane or {}).get(lane, ()))
                 if items:
-                    frame = encode_lane_arrivals(WireEncoder(), items)
+                    frame = feed_state.pack(items)
             entry = self._lanes[lane]
             entry.pending.append(
                 _PendingBatch(
@@ -1595,16 +1366,19 @@ class LaneEngine:
         return dict(self._shard_lane)
 
     def results(self, epoch: int) -> Tuple[List[ShardEpochResult], List[IpcSample]]:
-        """Wait for — and decode — the frame of every lane with an order in
+        """Wait for — and open — the frame of every lane with an order in
         flight, which must be its frame for ``epoch``.
 
-        Must be called for epochs in submission order (the per-lane wire
-        channels are stateful); returns the shard results in fixed shard
-        order plus one :class:`IpcSample` per lane.
+        Must be called for epochs in submission order (the order the main
+        chain merges in); returns the shard results in fixed shard order plus
+        one :class:`IpcSample` per lane.  No lane's frame is taken until
+        every lane's has opened and checked: a :class:`WireError` leaves the
+        epoch wholly unmerged and every frame where it was.
         """
         self._settle_installs()
         results: List[ShardEpochResult] = []
         samples: List[IpcSample] = []
+        opened: List[_Lane] = []
         for lane in sorted(self._lanes):
             entry = self._lanes[lane]
             if not entry.pending:
@@ -1618,28 +1392,31 @@ class LaneEngine:
                     f"the next in-flight epoch is {batch.start + batch.taken}"
                 )
             envelope: LaneEpochEnvelope = batch.envelopes[batch.taken]
-            batch.taken += 1
-            if batch.taken == batch.count:
-                entry.pending.popleft()
             started = time.perf_counter()
-            frame_epoch, lane_results = decode_lane_epoch(entry.decoder, envelope.frame)
+            frame_epoch, lane_results = open_lane_epoch(envelope.frame)
             decode_seconds = time.perf_counter() - started
             if frame_epoch != epoch:
                 raise WireError(
                     f"lane {lane} frame is for epoch {frame_epoch}, expected "
-                    f"{epoch}; lane frames must be decoded in submission order"
+                    f"{epoch}; lane frames are merged in submission order"
                 )
             samples.append(
                 IpcSample(
                     lane=lane,
                     epoch=epoch,
-                    wire_bytes=envelope.frame.nbytes,
+                    wire_bytes=len(envelope.frame),
                     encode_seconds=envelope.encode_seconds,
                     decode_seconds=decode_seconds,
                     gc_collections=envelope.gc_collections,
                 )
             )
             results.extend(lane_results)
+            opened.append(entry)
+        for entry in opened:
+            batch = entry.pending[0]
+            batch.taken += 1
+            if batch.taken == batch.count:
+                entry.pending.popleft()
         results.sort(key=lambda result: result.shard_index)
         self.meter.record(samples)
         return results, samples

@@ -16,8 +16,9 @@ four steps on the same :class:`FeedState`:
   it was captured; a migrating feed passes through the main process in that
   form, metered but never opened.
 * :func:`unpack` opens the bytes where they are applied.  Anything that is
-  not a packed :class:`FeedState` is a :class:`~repro.common.wire.WireError`,
-  raised before a handle or registry is touched.
+  not a packed :class:`FeedState` is a
+  :class:`~repro.common.errors.WireError`, raised before a handle or registry
+  is touched.
 * :func:`apply` installs it into a destination handle and environment.  The
   delta itself says whether it is from empty, and a non-empty mirror is reset
   first — so a lane's fresh handle and the main registry's seed-state mirror
@@ -27,6 +28,11 @@ four steps on the same :class:`FeedState`:
 form all three senders use; :func:`install` is unpack + create + apply, a
 lane's way in.  How the store lays out its delta is the store's business
 (:meth:`~repro.ads.authenticated_kv.AuthenticatedKVStore.export_delta`).
+
+The lane boundary has this one format: a lane's epoch results and a
+boundary's live arrivals (:mod:`repro.gateway.executor`) are packed by the
+same :func:`pack` and opened by the same :func:`open_packed`, the one place
+the package unpickles anything.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline, StoreDelta
+from repro.common.errors import WireError
 from repro.common.types import Operation
-from repro.common.wire import WireError
 from repro.core.grub import RunReport
 from repro.gateway.cache import CacheStats
 from repro.gateway.metrics import FeedTelemetry
@@ -201,23 +207,28 @@ def capture(
     )
 
 
-def pack(state: FeedState) -> bytes:
-    return pickle.dumps(state, protocol=5)
+def pack(value: object) -> bytes:
+    return pickle.dumps(value, protocol=5)
+
+
+def open_packed(blob: bytes, expected: type, what: str):
+    """Open what :func:`pack` packed.  Only ever handed bytes this program's
+    own processes packed; a blob that is cut short, or holds anything but an
+    ``expected``, is a :class:`WireError` — whatever the unpickler made of
+    it."""
+    try:
+        value = pickle.loads(blob)
+    except Exception as exc:
+        raise WireError(f"{what} cannot be opened: {exc!r}") from exc
+    if not isinstance(value, expected):
+        raise WireError(
+            f"{what} holds a {type(value).__name__}, not a {expected.__name__}"
+        )
+    return value
 
 
 def unpack(blob: bytes) -> FeedState:
-    """Open a packed state.  Only ever handed bytes this program's own
-    processes packed; a blob that is cut short, or holds anything else, is a
-    :class:`WireError` — whatever the unpickler made of it."""
-    try:
-        state = pickle.loads(blob)
-    except Exception as exc:
-        raise WireError(f"packed feed state cannot be opened: {exc!r}") from exc
-    if not isinstance(state, FeedState):
-        raise WireError(
-            f"packed feed state holds a {type(state).__name__}, not a FeedState"
-        )
-    return state
+    return open_packed(blob, FeedState, "packed feed state")
 
 
 def detach(

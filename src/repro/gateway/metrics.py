@@ -135,8 +135,8 @@ class FleetTelemetry:
     rosters: List[tuple] = field(default_factory=list)
     #: How many shards the planner produced, parallel to ``rosters``.
     shards_per_epoch: List[int] = field(default_factory=list)
-    #: Process mode only: the run's IPC meter summary (wire bytes per epoch,
-    #: encode/decode seconds, per-lane rows; see
+    #: Process mode only: the run's IPC meter summary (packed lane-frame
+    #: bytes per epoch, seconds packing and opening them, per-lane rows; see
     #: :class:`repro.gateway.executor.IpcMeter`).  Wall-clock measurement,
     #: not fleet state — deliberately outside :meth:`fingerprint`.
     ipc: Optional[dict] = None

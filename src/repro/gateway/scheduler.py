@@ -1020,7 +1020,7 @@ class _LaneExecutor(_Executor):
         one recorded block per shard deliver, then one per shard update — all
         in fixed shard order.  The lanes' per-shard phase spans graft under
         this epoch in fixed shard order, before the merge span, so the trace
-        tree reads in canonical phase order.  Returns the decoded shard
+        tree reads in canonical phase order.  Returns the opened shard
         results in shard order.
         """
         chain = self.registry.chain
@@ -1104,7 +1104,7 @@ class _LaneExecutor(_Executor):
     def _graft_lane_spans(self, epoch_span, results) -> None:
         """Fold the lanes' per-shard phase spans into the main trace tree.
 
-        Spans arrive as plain-data wire deltas on each :class:`ShardEpochResult`
+        Spans arrive as plain-data dicts on each :class:`ShardEpochResult`
         (like the drive buffers); they are grafted under per-phase parents in
         fixed shard order, and each shard span's duration feeds the phase
         latency histograms — in process mode the phase's real time lives in

@@ -18,9 +18,8 @@ from collections import deque
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, WireError
 from repro.common.types import KVRecord, Operation
-from repro.common.wire import WireError
 from repro.core.config import GrubConfig
 from repro.core.data_consumer import DataConsumerContract
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner

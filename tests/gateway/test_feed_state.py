@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.errors import WireError
 from repro.common.types import KVRecord, Operation
-from repro.common.wire import WireError
 from repro.core.config import GrubConfig
 from repro.gateway import (
     EpochScheduler,

@@ -1,0 +1,423 @@
+"""The lane boundary's one format: what a lane packs, the main process opens
+to *equal* values; what does not open to that is refused whole.
+
+Lane epochs and live arrivals cross packed like a feed's state does
+(``feed_state.pack`` → ``open_lane_epoch`` / the lane's ``ingest``).  The
+round trips drive generated payloads shaped like real engine traffic —
+randomized drive buffers, ledger deltas (including empty and zero-omitting
+ones), settlement records, unicode keys.  The hostile half swaps a real
+lane's frame mid-run for bytes that are not that epoch's results and pins the
+three typed failures: nothing of the epoch is merged, the frames stay where
+they were, and no lane process outlives the run.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import random
+from collections import deque
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+from repro.chain.chain import ExecutionBuffer
+from repro.chain.events import LogEvent
+from repro.chain.gas import (
+    GasLedger,
+    ledger_delta_wire,
+    ledger_from_wire,
+    ledger_to_wire,
+)
+from repro.common.errors import WireError
+from repro.common.types import KVRecord, Operation, OperationKind
+from repro.core.config import GrubConfig
+from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, feed_state
+from repro.gateway.executor import (
+    LaneEngine,
+    SettlementResult,
+    ShardEnvironment,
+    ShardEpochResult,
+    _LaneWorker,
+    _lane_epochs,
+    open_lane_epoch,
+)
+from repro.gateway.metrics import FeedTelemetry
+from repro.gateway.placement import FeedMove
+from repro.workloads.synthetic import SyntheticWorkload
+
+#: Generous for a sub-second lane order; only a hang ever reaches it.
+TIMEOUT_SECONDS = 60
+
+FEEDS = ["feed-00", "feed-01", "fèed-ünïcode", "피드-03"]
+CATEGORIES = ["sload", "sstore", "log", "calldata"]
+LAYERS = ["feed", "settlement"]
+
+
+def random_ledger(rng: random.Random) -> GasLedger:
+    ledger = GasLedger()
+    for _ in range(rng.randrange(0, 6)):
+        ledger.charge(
+            rng.randrange(1, 50_000),
+            rng.choice(CATEGORIES),
+            layer=rng.choice(LAYERS),
+            scope=rng.choice(FEEDS),
+        )
+    return ledger
+
+
+def random_events(rng: random.Random) -> list:
+    names = ["request", "deliver", "üpdate"]
+    return [
+        (
+            f"0xcontract{rng.randrange(3)}",
+            rng.choice(names),
+            {
+                "key": f"ässet-{rng.randrange(100):04d}",
+                "version": rng.randrange(1_000),
+                "size": rng.choice([32, 64, 4096]),
+            },
+        )
+        for _ in range(rng.randrange(0, 5))
+    ]
+
+
+def random_settlement(rng: random.Random) -> SettlementResult:
+    feed_ids = tuple(rng.sample(FEEDS, rng.randrange(1, len(FEEDS))))
+    before = ledger_to_wire(GasLedger())
+    ledger = random_ledger(rng)
+    return SettlementResult(
+        function=rng.choice(["deliver", "update", "settle"]),
+        feed_ids=feed_ids,
+        scopes={feed_id: rng.randrange(1, 9) for feed_id in feed_ids},
+        calldata_bytes=rng.randrange(0, 10_000),
+        gas_used=rng.randrange(0, 500_000),
+        success=rng.random() < 0.9,
+        error=None if rng.random() < 0.8 else "réverted: künçe",
+        events=tuple(random_events(rng)),
+        ledger_delta=ledger_delta_wire(before, ledger),
+    )
+
+
+def random_shard_result(rng: random.Random, shard_index: int) -> ShardEpochResult:
+    buffer = ExecutionBuffer(ledger=random_ledger(rng))
+    for contract, name, payload in random_events(rng):
+        buffer.events.append(
+            LogEvent(
+                contract=contract,
+                name=name,
+                payload=payload,
+                block_number=rng.randrange(50),
+                transaction_index=0,
+                log_index=rng.randrange(500),
+            )
+        )
+    return ShardEpochResult(
+        shard_index=shard_index,
+        drive=buffer.to_wire(),
+        deliver=None if rng.random() < 0.3 else random_settlement(rng),
+        update=None if rng.random() < 0.3 else random_settlement(rng),
+        remaining={
+            feed_id: rng.randrange(0, 300)
+            for feed_id in rng.sample(FEEDS, rng.randrange(0, 3))
+        },
+        spans=tuple(
+            {"phase": rng.choice(["drive", "update"]), "seconds": rng.random()}
+            for _ in range(rng.randrange(0, 3))
+        ),
+    )
+
+
+def round_trip(epoch: int, results: list):
+    return open_lane_epoch(feed_state.pack((epoch, results)))
+
+
+class TestLaneEpochRoundTrip:
+    def test_randomized_epochs_round_trip(self):
+        rng = random.Random(21)
+        for epoch in range(40):
+            results = [
+                random_shard_result(rng, shard_index)
+                for shard_index in range(rng.randrange(1, 4))
+            ]
+            assert round_trip(epoch, results) == (epoch, results)
+
+    def test_empty_epoch(self):
+        assert round_trip(0, []) == (0, [])
+
+    def test_empty_buffer_and_zero_omitting_delta(self):
+        """A quiet shard: untouched ledger, no events, empty delta dicts."""
+        quiet = ShardEpochResult(
+            shard_index=0,
+            drive=ExecutionBuffer().to_wire(),
+            deliver=SettlementResult(
+                function="deliver",
+                feed_ids=("feed-00",),
+                scopes={"feed-00": 1},
+                calldata_bytes=0,
+                gas_used=0,
+                success=True,
+                error=None,
+                events=(),
+                # zero-omitting delta of a no-op settlement: all empty
+                ledger_delta=ledger_delta_wire(
+                    ledger_to_wire(GasLedger()), GasLedger()
+                ),
+            ),
+            update=None,
+            remaining={},
+            spans=(),
+        )
+        _, results = round_trip(7, [quiet])
+        assert results == [quiet]
+        delta = results[0].deliver.ledger_delta
+        assert delta["total"] == 0
+        assert delta["by_category"] == {}
+        assert delta["by_scope"] == []
+
+    def test_delta_merges_like_direct_charging(self):
+        """Opened deltas must merge into exactly the ledger the worker had."""
+        rng = random.Random(5)
+        worker = random_ledger(rng)
+        before = ledger_to_wire(GasLedger())
+        result = ShardEpochResult(
+            shard_index=0,
+            drive={"ledger": ledger_delta_wire(before, worker), "events": []},
+            deliver=None,
+            update=None,
+            remaining={},
+            spans=(),
+        )
+        _, [opened] = round_trip(0, [result])
+        merged = GasLedger()
+        merged.merge(ledger_from_wire(opened.drive["ledger"]))
+        assert ledger_to_wire(merged) == ledger_to_wire(worker)
+
+
+def lane_hosting(*feed_ids: str):
+    """What ``_LaneWorker.ingest`` touches of a lane: its feeds' queues."""
+    return SimpleNamespace(
+        env=SimpleNamespace(queues={feed_id: deque() for feed_id in feed_ids})
+    )
+
+
+def random_operations(rng: random.Random, count: int) -> list:
+    return [
+        Operation(
+            kind=rng.choice(list(OperationKind)),
+            key=f"ässet-{rng.randrange(50):04d}",
+            value=None if rng.random() < 0.5 else bytes(rng.randrange(0, 600)),
+            size_bytes=rng.randrange(0, 5_000),
+            scan_length=rng.randrange(1, 5),
+            sequence=rng.randrange(10_000),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestLaneArrivalsRoundTrip:
+    def test_arrivals_round_trip(self):
+        """The one place operations cross main → lane outside a feed state:
+        packed as ``LaneEngine.submit`` packs them, they join the tail of the
+        hosting lane's queues equal and in order."""
+        operations = random_operations(random.Random(11), 30)
+        arrivals = [("feed-00", operations[:15]), ("fèed-ünïcode", operations[15:])]
+        lane = lane_hosting("feed-00", "fèed-ünïcode", "feed-02")
+        _LaneWorker.ingest(lane, feed_state.pack(arrivals))
+        assert {
+            feed_id: list(queue) for feed_id, queue in lane.env.queues.items()
+        } == {**dict(arrivals), "feed-02": []}
+
+    def test_unhosted_arrivals_ingest_nothing(self):
+        operations = random_operations(random.Random(12), 4)
+        lane = lane_hosting("feed-00")
+        frame = feed_state.pack([("feed-00", operations), ("feed-01", operations)])
+        with pytest.raises(WireError, match="names feed 'feed-01'"):
+            _LaneWorker.ingest(lane, frame)
+        assert not lane.env.queues["feed-00"]
+
+
+# -- hostile frames, in real lanes ---------------------------------------------
+
+
+def small_fleet():
+    """Four feeds over two shards: a static fleet, so process mode fork-pins
+    one shard to each of two lanes and orders every epoch ahead."""
+    registry = FeedRegistry()
+    workloads = {}
+    for index in range(4):
+        feed_id = f"feed-{index}"
+        registry.create_feed(
+            FeedSpec(
+                feed_id=feed_id,
+                config=GrubConfig(epoch_size=8, algorithm="memoryless", k=1 + index % 2),
+                preload=[KVRecord.make(f"k{index}-{j:02d}", bytes(32)) for j in range(8)],
+            )
+        )
+        workloads[feed_id] = SyntheticWorkload(
+            read_write_ratio=2.0 + index,
+            num_operations=48,
+            num_keys=6,
+            key_prefix=f"k{index}-",
+            seed=index + 1,
+        ).operations()
+    return registry, workloads
+
+
+def small_fleet_scheduler(execution_mode: str):
+    registry, workloads = small_fleet()
+    scheduler = EpochScheduler(
+        registry,
+        num_shards=2,
+        num_workers=2 if execution_mode == "process" else 1,
+        execution_mode=execution_mode,
+    )
+    return scheduler, registry, workloads
+
+
+def merged_so_far(chain) -> tuple:
+    return chain.height, chain.ledger.total, len(chain.event_log)
+
+
+#: The mid-run epoch whose lane-1 frame the tests below replace.
+HOSTILE_EPOCH = 3
+
+
+def refuse_hostile_frames(monkeypatch, chain, *, restore: bool) -> dict:
+    """Wrap ``LaneEngine.results``: at :data:`HOSTILE_EPOCH`, lane 1's frame —
+    back from the lane, not yet opened — is replaced, in turn, by every
+    truncation of itself, a packed ``dict``, a packed ``(epoch, [a
+    SettlementResult])`` and the intact frame of the *next* epoch.  Each must
+    be refused with nothing merged.  The last one then stays in place, or
+    (``restore``) the intact frame goes back; either way the real call runs.
+    """
+    genuine = LaneEngine.results
+    seen = {}
+
+    def results(engine, epoch):
+        if epoch != HOSTILE_EPOCH:
+            return genuine(engine, epoch)
+        batch = engine._lanes[1].pending[0]
+        batch.envelopes = batch.future.result(timeout=TIMEOUT_SECONDS)
+        position = epoch - batch.start
+        intact = batch.envelopes[position]
+        _, [shard_result] = open_lane_epoch(intact.frame)
+        settlement = shard_result.deliver or shard_result.update
+        assert isinstance(settlement, SettlementResult)
+        hostile = [
+            (intact.frame[:cut], "cannot be opened")
+            for cut in range(len(intact.frame))
+        ] + [
+            (feed_state.pack({"epoch": epoch}), "holds a dict, not a tuple"),
+            (feed_state.pack((epoch, [settlement])), r"does not hold \(epoch, \["),
+            (batch.envelopes[position + 1].frame, "is for epoch 4, expected 3"),
+        ]
+        seen["merged"] = merged_so_far(chain)
+        for frame, refusal in hostile:
+            batch.envelopes[position] = replace(intact, frame=frame)
+            with pytest.raises(WireError, match=refusal):
+                genuine(engine, epoch)
+            assert merged_so_far(chain) == seen["merged"]
+        seen["refused"] = len(hostile)
+        if restore:
+            batch.envelopes[position] = intact
+        return genuine(engine, epoch)
+
+    monkeypatch.setattr(LaneEngine, "results", results)
+    return seen
+
+
+class TestHostileLaneFrames:
+    def test_refused_frame_ends_run_nothing_merged(self, monkeypatch):
+        scheduler, registry, workloads = small_fleet_scheduler("process")
+        seen = refuse_hostile_frames(monkeypatch, registry.chain, restore=False)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(WireError, match="frame is for epoch 4, expected 3"):
+            scheduler.run(workloads)
+        assert seen["refused"] > 100
+        # Lane 0's frame for the epoch was good, and opened every time — and
+        # still nothing of the epoch reached the main chain.
+        assert merged_so_far(registry.chain) == seen["merged"]
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_intact_frame_still_opens_after_refusals(self, monkeypatch):
+        """Every refusal left both lanes' frames where they were: with the
+        intact frame back in place the run ends serial-identical."""
+        scheduler, registry, workloads = small_fleet_scheduler("serial")
+        serial_fleet = scheduler.run(workloads)
+        serial_merged = merged_so_far(registry.chain)
+        scheduler, registry, workloads = small_fleet_scheduler("process")
+        seen = refuse_hostile_frames(monkeypatch, registry.chain, restore=True)
+        process_fleet = scheduler.run(workloads)
+        assert seen["refused"] > 100
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert merged_so_far(registry.chain) == serial_merged
+
+    def test_results_out_of_order_are_refused(self):
+        registry, _ = small_fleet()
+        engine = LaneEngine(1, registry, cache_enabled=False, cache_capacity=None)
+        try:
+            feed_ids = [handle.feed_id for handle in registry.handles]
+            engine.spawn_pinned([feed_ids], {feed_id: deque() for feed_id in feed_ids})
+            engine.submit(0, 2, 8)
+            with pytest.raises(WireError, match="for epoch 1, but the next in-flight epoch is 0"):
+                engine.results(1)
+            for epoch in (0, 1):
+                results, _ = engine.results(epoch)
+                assert [result.shard_index for result in results] == [0]
+        finally:
+            engine.shutdown()
+
+
+class TestHostileOrders:
+    """An epoch's assignment and arrivals cross main → lane inside its order,
+    so what the lane makes of them comes back out of that order's future."""
+
+    @pytest.fixture
+    def lane_hosting_alpha(self):
+        registry = FeedRegistry()
+        registry.create_feed(FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=4)))
+        env = ShardEnvironment(
+            registry=registry,
+            cache=None,
+            dirty={"alpha": set()},
+            queues={"alpha": deque()},
+            feeds={"alpha": FeedTelemetry(feed_id="alpha")},
+        )
+        engine = LaneEngine(1, registry, cache_enabled=False, cache_capacity=None)
+        before = set(multiprocessing.active_children())
+        engine.ensure_lanes(1)
+        engine.transfer(
+            [FeedMove("alpha", None, 0, None)],
+            snapshot_local=lambda feed_id: feed_state.detach(env, feed_id),
+        )
+        yield engine
+        engine.shutdown()
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_assignment_naming_an_unhosted_feed(self, lane_hosting_alpha):
+        engine = lane_hosting_alpha
+        engine.submit(0, 1, 4, {0: [(0, ["alpha", "beta"])]})
+        with pytest.raises(WireError, match="assignment names feed 'beta', which this"):
+            engine.results(0)
+
+    def test_arrivals_naming_an_unhosted_feed(self, lane_hosting_alpha):
+        engine = lane_hosting_alpha
+        engine.submit(
+            0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("beta", [Operation.read("k")])]}
+        )
+        with pytest.raises(WireError, match="names feed 'beta', which this lane"):
+            engine.results(0)
+
+    def test_arrivals_that_do_not_open(self, lane_hosting_alpha):
+        engine = lane_hosting_alpha
+        frame = feed_state.pack([("alpha", [Operation.read("k")])])
+        order = engine._lanes[0].pool.submit(
+            _lane_epochs, 0, 1, 4, [(0, ["alpha"])], frame[: len(frame) // 2]
+        )
+        with pytest.raises(WireError, match="arrivals frame cannot be opened"):
+            order.result(timeout=TIMEOUT_SECONDS)
+        # The lane took nothing from the bad order and serves the next one.
+        engine.submit(0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("alpha", [Operation.read("k")])]})
+        [result], _ = engine.results(0)
+        assert result.remaining == {"alpha": 0} and result.epoch_gas["alpha"] > 0
