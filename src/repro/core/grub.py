@@ -262,7 +262,11 @@ class GrubSystem:
     def drive_operation(
         self, operation: Operation, summary: EpochSummary, report: RunReport
     ) -> None:
-        """Apply one workload operation: buffer a write, or execute a read on chain."""
+        """Apply one workload operation: buffer a write, or execute a read on chain.
+
+        ``report`` is whatever keeps the run's counters: a :class:`RunReport`,
+        or — under the gateway — the feed's bill, which carries the same names.
+        """
         if operation.is_write:
             value = operation.value
             if value is None:

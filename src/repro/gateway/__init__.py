@@ -6,7 +6,12 @@ storage-manager contract).  This package turns that into a hosted service:
 * :mod:`repro.gateway.registry` — :class:`FeedRegistry` instantiates and
   namespaces many independent feeds (each with its own data owner, storage
   provider, decision algorithm and :class:`~repro.core.config.GrubConfig`)
-  over a **shared** blockchain;
+  over a **shared** blockchain.  A hosted feed is one object, its
+  :class:`FeedHandle`: the wired system plus everything a run keeps per feed
+  — the workload queue, the keys written this epoch, the bill, and the
+  **read memo** (verified replicated values, dropped on a write or an R→NR
+  transition and warmed from verified deliver payloads, so repeated reads of
+  replicated records short-circuit);
 * :mod:`repro.gateway.router` — the on-chain
   :class:`GatewayRouterContract` that fans batched cross-feed ``deliver`` /
   ``update`` transactions out to each feed's storage-manager contract,
@@ -33,9 +38,9 @@ storage-manager contract).  This package turns that into a hosted service:
   inheritance when the run's plan cannot change);
 * :mod:`repro.gateway.feed_state` — the one form a feed changes interpreter
   in: a :class:`~repro.gateway.feed_state.FeedState` (contracts, off-chain
-  actors, cache shard, queue, and the SP store as a delta against a
-  baseline) with one capture and one apply, used main → lane, lane → lane
-  and lane → main alike;
+  actors, the handle's run state — queue, dirty keys, bill, read memo — and
+  the SP store as a delta against a baseline) with one capture and one
+  apply, used main → lane, lane → lane and lane → main alike;
 * :mod:`repro.gateway.planner` — shard planning strategies: the fixed
   :class:`RoundRobinPlanner` and the :class:`GasAwareShardPlanner`, which
   EWMA-estimates per-feed epoch gas from trailing telemetry and bin-packs
@@ -48,10 +53,6 @@ storage-manager contract).  This package turns that into a hosted service:
 * :mod:`repro.gateway.runtime` — the run's ownership of the interpreter's
   cyclic collector: the preloaded heap frozen, collection at epoch boundaries
   only, the interpreter's prior state restored on exit;
-* :mod:`repro.gateway.cache` — the consumer-side :class:`ReadCache`,
-  sharded per feed, with write-invalidation keyed on each record's
-  replication state and immediate warm-up from verified deliver payloads,
-  so repeated reads of replicated records short-circuit;
 * :mod:`repro.gateway.metrics` — per-feed and fleet-wide telemetry (gas,
   wall-clock throughput, cache hit rate, replication churn).
 
@@ -72,8 +73,7 @@ Quickstart::
     print(fleet.format_report())
 """
 
-from repro.gateway.cache import ReadCache
-from repro.gateway.executor import EXECUTION_MODES, LaneEngine, ShardEnvironment
+from repro.gateway.executor import EXECUTION_MODES, LaneEngine
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.planner import GasAwareShardPlanner, RoundRobinPlanner, ShardPlanner
 from repro.gateway.registry import FeedHandle, FeedRegistry, FeedSpec
@@ -95,9 +95,7 @@ __all__ = [
     "GasAwareShardPlanner",
     "GatewayRouterContract",
     "LaneEngine",
-    "ReadCache",
     "RoundRobinPlanner",
-    "ShardEnvironment",
     "ShardPlanner",
     "SharedWatchdog",
     "UpdateGroup",

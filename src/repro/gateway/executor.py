@@ -5,13 +5,15 @@ module owns *how an epoch's work actually executes*.  It has two halves:
 
 **The epoch body.**  :func:`run_epoch_phases` is the one place the epoch's
 phase order is written down: per-feed gas marks, drive every shard, absorb in
-shard order, one watchdog poll, per shard deliver build + settle + cache
+shard order, one watchdog poll, per shard deliver build + settle + memo
 warm-up, per shard update prepare + settle, per-feed accounting — over a
-:class:`ShardEnvironment` (registry + cache + queues + telemetry + dirty-key
-sets) and an ordered ``[(shard_index, feed_ids)]``.  The serial backend calls
-it against the fleet-wide environment on the main process; the process
-backend calls the very same function inside worker processes against
-worker-local environments.  The two differ only in the ``settle`` callable
+:class:`~repro.gateway.registry.FeedRegistry` and an ordered
+``[(shard_index, feed_ids)]``.  Everything a run keeps per feed — workload
+queue, dirty keys, read memo, bill — sits on the feed's
+:class:`~repro.gateway.registry.FeedHandle`, so the body looks a feed up once
+and has it all.  The serial backend calls it against the main registry; the
+process backend calls the very same function inside worker processes against
+lane-local registries.  The two differ only in the ``settle`` callable
 they hand it (land the batch and check for a revert, or land it and capture
 what the main chain must record), which is what makes the bit-identical
 guarantee a property of the code path rather than of careful duplication.
@@ -21,8 +23,8 @@ long-lived worker processes:
 
 * every worker **lane** is a single-process :class:`ProcessPoolExecutor`, so
   the worker-side state of a feed — its contracts on a worker-local chain, SP
-  store, control plane, cache shard, telemetry row, workload queue — persists
-  across epochs and only *per-epoch deltas* cross the process boundary;
+  store, control plane, read memo, bill, workload queue — persists across
+  epochs and only *per-epoch deltas* cross the process boundary;
 * per order, a lane receives a tiny ``(start, count, epoch_size)`` tuple
   (plus, when the plan can change, the epoch's shard assignment and live
   arrivals) and returns **one packed frame** per epoch
@@ -42,8 +44,8 @@ long-lived worker processes:
   :class:`~repro.gateway.feed_state.FeedState` a feed moves between lanes
   as, a fork-pinned lane's holding only what its store diverged by since the
   fork — and the scheduler applies it to the main registry's mirrors, so
-  post-run inspection (contract storage, roots, replica counts, reports,
-  cache contents) sees exactly what a serial run would have left, and the
+  post-run inspection (contract storage, roots, replica counts, bills,
+  memos) sees exactly what a serial run would have left, and the
   registry's next run continues from it.
 
 The lane boundary has one format, the one a feed's state already crosses in
@@ -66,8 +68,8 @@ can observe about the run, never by an option:
 * *install* (the general way): lanes start **empty** and a feed's complete
   mirror — contract attrs and storage slots, the SP store's records, slot
   layout and Merkle tree, DO root/signer state, SP counters, control-plane
-  and monitor state, cache shard, workload queue, dirty keys, telemetry row
-  — is captured as one :class:`~repro.gateway.feed_state.FeedState`, packed
+  and monitor state, read memo, workload queue, dirty keys, bill — is
+  captured as one :class:`~repro.gateway.feed_state.FeedState`, packed
   into self-contained bytes where it is captured and applied where it lands
   (:mod:`repro.gateway.feed_state`: one capture, one apply, whoever sends and
   whoever receives).  Initial placement, admission, eviction, gas-aware
@@ -77,8 +79,9 @@ can observe about the run, never by an option:
   directory opener before the destination re-opens it (single-opener
   enforced by :class:`~repro.storage.lsm.LSMStore`);
 * *fork seeding* (a run whose plan cannot change, on a ``fork`` platform):
-  each lane adopts the main process's built registry through the fork's
-  copy-on-write duplication and is pinned to its shards for the run.  Because
+  each lane adopts the main process's built registry — handles, queues and
+  memos with it — through the fork's copy-on-write duplication and is pinned
+  to its shards for the run.  Because
   event stamps are assigned by the *main* chain at merge time, such lanes
   never wait for the previous epoch's merge: the scheduler orders every epoch
   the remaining workloads already guarantee, and lanes run them back-to-back
@@ -116,7 +119,6 @@ from repro.chain.gas import (
     ledger_to_wire,
 )
 from repro.chain.transaction import Transaction
-from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline
 from repro.common.errors import ConfigurationError, ReproError, WireError
 from repro.common.types import (
     EpochSummary,
@@ -125,7 +127,6 @@ from repro.common.types import (
     ReplicationState,
 )
 from repro.gateway import feed_state
-from repro.gateway.cache import ReadCache
 from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
 from repro.gateway.registry import FeedRegistry, FeedSpec
@@ -152,25 +153,8 @@ EXECUTION_MODES = ("serial", "process")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ShardEnvironment:
-    """Everything the shard phases mutate, owned by exactly one interpreter.
-
-    The scheduler builds one for the whole fleet; in process mode each worker
-    lane also builds one for the feeds it hosts.  Phases only ever touch
-    entries for the feeds they were handed, so a lane's environment never
-    needs entries for other lanes' feeds.
-    """
-
-    registry: FeedRegistry
-    cache: Optional[ReadCache]
-    dirty: Dict[str, set] = field(default_factory=dict)
-    queues: Dict[str, Deque[Operation]] = field(default_factory=dict)
-    feeds: Dict[str, FeedTelemetry] = field(default_factory=dict)
-
-
 def drive_shard(
-    env: ShardEnvironment,
+    registry: FeedRegistry,
     shard: Sequence[str],
     epoch: int,
     epoch_size: int,
@@ -186,22 +170,21 @@ def drive_shard(
 
     The loop is deliberately flat: per-feed attribute lookups are hoisted out
     of the per-operation path (this is the scheduler's hottest loop), and the
-    read route — cache probe, miss drive, replica memoisation — is inlined
+    read route — memo probe, miss drive, replica memoisation — is inlined
     rather than dispatched per operation.
     """
-    registry = env.registry
     chain = registry.chain
-    cache = env.cache
     shard_summaries: Dict[str, EpochSummary] = {}
     with chain.isolated_execution() as buffer:
         by_scope = buffer.ledger.by_scope
         for feed_id in shard:
             handle = registry.get(feed_id)
-            telemetry = env.feeds[feed_id]
-            queue = env.queues[feed_id]
+            bill = handle.bill
+            queue = handle.queue
+            memo = handle.memo
+            dirty = handle.dirty
             spec = handle.spec
             system = handle.system
-            report = handle.report
             planned = min(len(queue), epoch_size)
             take = planned
             if spec.max_ops_per_epoch is not None:
@@ -212,33 +195,32 @@ def drive_shard(
             gas_cap = spec.max_gas_per_epoch
             popleft = queue.popleft
             drive_op = system.drive_operation
-            dirty = env.dirty[feed_id]
             replica_of = handle.storage_manager.replica_of
             for _ in range(take):
                 operation = popleft()
                 kind = operation.kind
-                if cache is not None and kind is OperationKind.READ:
+                if memo is not None and kind is OperationKind.READ:
                     key = operation.key
-                    if cache.get(feed_id, key) is not None:
+                    if key in memo:
                         # Served from the gateway's memo of verified chain
                         # state: no on-chain call, no gas, no trace entry.
-                        telemetry.cache_hits += 1
+                        bill.cache_hits += 1
                         summary.reads += 1
-                        report.reads += 1
-                        report.operations += 1
+                        bill.reads += 1
+                        bill.operations += 1
                     else:
-                        telemetry.cache_misses += 1
-                        drive_op(operation, summary, report)
+                        bill.cache_misses += 1
+                        drive_op(operation, summary, bill)
                         replica = replica_of(key)
                         if replica is not None and key not in dirty:
                             # Served by a verified on-chain replica with no
                             # buffered write about to supersede it: memoise.
-                            cache.put(feed_id, key, replica)
+                            memo[key] = replica
                 else:
-                    if kind is OperationKind.WRITE and cache is not None:
-                        cache.invalidate(feed_id, operation.key)
+                    if kind is OperationKind.WRITE and memo is not None:
+                        memo.pop(operation.key, None)
                         dirty.add(operation.key)
-                    drive_op(operation, summary, report)
+                    drive_op(operation, summary, bill)
                 executed += 1
                 if (
                     gas_cap is not None
@@ -253,7 +235,7 @@ def drive_shard(
             summary.operations = executed
             deferred = planned - executed
             if deferred:
-                telemetry.deferred_ops += deferred
+                bill.deferred_ops += deferred
     return buffer, shard_summaries
 
 
@@ -331,28 +313,29 @@ def update_transaction(router_address: str, groups: List[UpdateGroup]) -> Transa
 
 
 def warm_cache_from_deliveries(
-    env: ShardEnvironment, groups: Sequence[DeliverGroup]
+    registry: FeedRegistry, groups: Sequence[DeliverGroup]
 ) -> None:
     """Memoise records the deliver batches just verified *and* replicated.
 
     Once the chain has verified a delivered record's proof and stored it as a
-    replica, its value is public replicated state — exactly what the cache
+    replica, its value is public replicated state — exactly what the memo
     serves — so it is memoised immediately instead of waiting for the first
     post-deliver read.  Keys written during the current epoch are skipped
     (their replica is about to be superseded by the pending epoch update).
     """
-    cache = env.cache
-    if cache is None:
-        return
     for group in groups:
-        dirty = env.dirty.get(group.feed_id, ())
+        handle = registry.get(group.feed_id)
+        memo = handle.memo
+        if memo is None:
+            continue
+        dirty = handle.dirty
         for item in group.items:
             if item.replicate and item.key not in dirty:
-                cache.put(group.feed_id, item.key, item.value)
+                memo[item.key] = item.value
 
 
 def settle_feed_epoch(
-    env: ShardEnvironment,
+    registry: FeedRegistry,
     feed_id: str,
     summary: EpochSummary,
     *,
@@ -361,42 +344,33 @@ def settle_feed_epoch(
     transitions: Dict[str, ReplicationState],
     gas_before: Tuple[int, int],
 ) -> int:
-    """Phase 4 (per feed): settle epoch accounting and cache invalidation.
+    """Phase 4 (per feed): settle epoch accounting and memo invalidation.
 
-    Applies replication-keyed cache invalidation, clears the feed's dirty-key
-    set (the epoch update has landed, replicas are fresh again), folds the
-    epoch into the feed's system report and telemetry row, and returns the
-    epoch's total gas (the planner's observation input).
+    Drops the memo entries of records that went R→NR (an evicted replica must
+    not be served from the memo), clears the feed's dirty-key set (the epoch
+    update has landed, replicas are fresh again), folds the epoch into the
+    feed's bill, and returns the epoch's total gas (the planner's observation
+    input).
     """
-    registry = env.registry
     ledger = registry.chain.ledger
     handle = registry.get(feed_id)
-    telemetry = env.feeds[feed_id]
-    cache = env.cache
-    if cache is not None:
+    memo = handle.memo
+    if memo is not None:
         for key, state in transitions.items():
             if state is ReplicationState.NOT_REPLICATED:
-                cache.invalidate(feed_id, key)
-        env.dirty[feed_id].clear()
+                memo.pop(key, None)
+        handle.dirty.clear()
     feed_after = ledger.scope_total(feed_id, LAYER_FEED)
     app_after = ledger.scope_total(feed_id, LAYER_APPLICATION)
     handle.system.record_epoch(
         summary,
-        handle.report,
+        handle.bill,
         deliveries=deliveries,
         update_transactions=update_transactions,
         transitions=transitions,
         gas_feed=feed_after - gas_before[0],
         gas_application=app_after - gas_before[1],
     )
-    telemetry.epochs.append(summary)
-    telemetry.operations += summary.operations
-    telemetry.reads += summary.reads
-    telemetry.writes += summary.writes
-    telemetry.gas_feed += summary.gas_feed
-    telemetry.gas_application += summary.gas_application
-    telemetry.replications += summary.replications
-    telemetry.evictions += summary.evictions
     return summary.gas_total
 
 
@@ -405,7 +379,7 @@ class ShardOutcome:
     """What one epoch left behind for one shard (see :func:`run_epoch_phases`)."""
 
     shard_index: int
-    #: The drive phase's isolation buffer, already absorbed into ``env``'s chain.
+    #: The drive phase's isolation buffer, already absorbed into the chain.
     drive: ExecutionBuffer
     #: What ``settle`` returned for the shard's deliver / update batch;
     #: ``None`` when the shard had nothing to land.
@@ -418,7 +392,7 @@ class ShardOutcome:
 
 
 def run_epoch_phases(
-    env: ShardEnvironment,
+    registry: FeedRegistry,
     shards: Sequence[Tuple[int, Sequence[str]]],
     epoch: int,
     epoch_size: int,
@@ -428,7 +402,7 @@ def run_epoch_phases(
     phase: Callable = DISABLED.phase,
 ) -> List[ShardOutcome]:
     """One lockstep epoch over ``shards`` — monitor, decide, replicate, settle
-    — against ``env``'s chain: the only copy of the epoch's phase order.
+    — against ``registry``'s chain: the only copy of the epoch's phase order.
 
     ``settle(transaction)`` lands one shard's batch in its own block (so the
     block gas limit bounds exactly what the planner budgeted) and returns
@@ -436,7 +410,6 @@ def run_epoch_phases(
     epoch=…)`` scopes each phase; a span it yields adopts the phase's
     per-shard spans in shard order.  Outcomes come back in ``shards`` order.
     """
-    registry = env.registry
     chain = registry.chain
     ledger = chain.ledger
     router = registry.router.address
@@ -458,14 +431,14 @@ def run_epoch_phases(
                 tracer.adopt(parent, span)
 
     # Phase 1 — every shard drives its feeds' slice of the epoch (reads
-    # execute against per-feed contract state or hit the feed's cache shard;
+    # execute against per-feed contract state or hit the feed's memo;
     # writes buffer at the feed's DO).  Gas charges and emitted events land
     # in per-shard buffers, merged in shard order once all have driven.
     summaries: Dict[str, EpochSummary] = {}
     with phase("drive", epoch=epoch) as parent:
         for shard_index, shard in shards:
             span = tracer.detached("shard", phase="drive", shard=shard_index)
-            buffer, shard_summaries = drive_shard(env, shard, epoch, epoch_size)
+            buffer, shard_summaries = drive_shard(registry, shard, epoch, epoch_size)
             summaries.update(shard_summaries)
             outcome = ShardOutcome(shard_index, buffer)
             outcomes.append(outcome)
@@ -476,7 +449,7 @@ def run_epoch_phases(
     # Phase 2 — the shared watchdog scans the merged log once; each shard
     # then builds its deliver groups (record lookups + batched Merkle proofs)
     # and settles them in one batched deliver transaction, and the records
-    # the chain just verified and replicated warm the cache.
+    # the chain just verified and replicated warm the memos.
     delivered = dict.fromkeys(gas_before, 0)
     with phase("deliver", epoch=epoch) as parent:
         registry.watchdog.poll()
@@ -487,8 +460,7 @@ def run_epoch_phases(
                 outcome.deliver = settle(deliver_transaction(router, groups))
                 for group in groups:
                     delivered[group.feed_id] += 1
-                    env.feeds[group.feed_id].deliver_groups += 1
-                warm_cache_from_deliveries(env, groups)
+                warm_cache_from_deliveries(registry, groups)
             close(parent, outcome, span)
 
     # Phase 3 — every shard prepares its feeds' epoch updates (control plane
@@ -505,11 +477,10 @@ def run_epoch_phases(
                 outcome.update = settle(update_transaction(router, update_groups))
                 for group in update_groups:
                     updated[group.feed_id] += 1
-                    env.feeds[group.feed_id].update_groups += 1
             close(parent, outcome, span)
 
     # Phase 4 — per-feed accounting for the epoch, plus replication-keyed
-    # cache invalidation (an evicted replica must not be served from cache).
+    # memo invalidation (an evicted replica must not be served from the memo).
     with phase("settle", epoch=epoch) as parent:
         for (shard_index, shard), outcome in zip(shards, outcomes):
             span = tracer.detached("shard", phase="settle", shard=shard_index)
@@ -518,7 +489,7 @@ def run_epoch_phases(
                 outcome.settled[feed_id] = (
                     summary.operations,
                     settle_feed_epoch(
-                        env,
+                        registry,
                         feed_id,
                         summary,
                         deliveries=delivered[feed_id],
@@ -540,12 +511,12 @@ def land_transaction(chain, transaction: Transaction):
 
 
 def close_feed_bill(
-    env: ShardEnvironment, feed_id: str, epoch: int, *, poll: bool
+    registry: FeedRegistry, feed_id: str, epoch: int, *, poll: bool
 ) -> FeedTelemetry:
     """The eviction boundary's accounting, wherever the feed's live mirror is
     hosted: cancel the departing feed's undelivered requests and still-queued
-    operations *visibly* — counted on its telemetry row, which becomes the
-    tenant's final bill — and stamp the departure epoch.
+    operations *visibly* — counted on its bill, which becomes final — and
+    stamp the departure epoch.
 
     ``poll`` first pulls any still-unrouted request events while the feed's
     route exists, so their cancellation is counted instead of events dangling
@@ -554,16 +525,16 @@ def close_feed_bill(
     already routed and consumed inside the lanes, so a main poll would stuff
     main-side mirrors with requests that can never be delivered.
     """
-    watchdog = env.registry.watchdog
+    watchdog = registry.watchdog
     if poll:
         watchdog.poll()
-    telemetry = env.feeds[feed_id]
-    telemetry.cancelled_requests += watchdog.cancel_pending(env.registry.get(feed_id))
-    queue = env.queues.pop(feed_id, None)
-    if queue:
-        telemetry.cancelled_ops += len(queue)
-    telemetry.departed_epoch = epoch
-    return telemetry
+    handle = registry.get(feed_id)
+    bill = handle.bill
+    bill.cancelled_requests += watchdog.cancel_pending(handle)
+    bill.cancelled_ops += len(handle.queue)
+    handle.queue.clear()
+    bill.departed_epoch = epoch
+    return bill
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +551,15 @@ class LaneConfig:
     packed state.  With :attr:`pinned` set the lane is **fork-seeded**
     instead: on a fork start method the worker process is a copy-on-write
     clone of the main process taken at pool startup — the fully built
-    registry and the workload queues are already in its address space,
-    bit-for-bit the state a dedicated mirror would have to be rebuilt into —
-    so the lane adopts the inherited registry via :data:`_FORK_SEED` and
-    drives only its own shards against it.
+    registry, every handle's workload queue and memo with it, is already in
+    its address space, bit-for-bit the state a dedicated mirror would have to
+    be rebuilt into — so the lane adopts the inherited registry via
+    :data:`_FORK_SEED` and drives only its own shards against it.
     """
 
     schedule: GasSchedule
     parameters: ChainParameters
     router_address: str
-    cache_enabled: bool
-    cache_capacity: Optional[int]
     #: When set, the lane times per-shard phase spans (its own monotonic
     #: clock) and ships them back in :attr:`ShardEpochResult.spans`.
     obs_enabled: bool = False
@@ -793,7 +762,7 @@ class _LaneWorker:
 
     Built once per lane from the shipped :class:`LaneConfig`; lives for the
     whole run.  Every epoch it executes the complete epoch for each of its
-    shards — drive, watchdog poll, deliver settlement, cache warm-up, update
+    shards — drive, watchdog poll, deliver settlement, memo warm-up, update
     settlement, per-feed accounting — against its *local* chain, in the same
     per-feed order a serial run uses, and ships back only the deltas the main
     chain must record, as one packed frame per epoch.
@@ -820,20 +789,13 @@ class _LaneWorker:
         #: never does, and insures against what it cannot see (cycles that
         #: outlive a boundary).
         self._unending = config.pinned is None
-        cache = ReadCache(capacity=config.cache_capacity) if config.cache_enabled else None
         self.shards: List[Tuple[int, List[str]]] = []
-        #: Fork-pinned feeds only: the SP store as the fork left it, which is
-        #: what the main mirror still holds — so at run end only what diverged
-        #: from it ships.  A feed that was installed has no entry: the lane
-        #: never saw the main mirror's store, and ships its own whole.
-        self._store_baseline: Dict[str, StoreBaseline] = {}
         if config.pinned is None:
             self.registry = FeedRegistry(
                 schedule=config.schedule,
                 parameters=config.parameters,
                 router_address=config.router_address,
             )
-            self.env = ShardEnvironment(registry=self.registry, cache=cache)
             return
         if _FORK_SEED is None:
             raise ConfigurationError(
@@ -841,23 +803,23 @@ class _LaneWorker:
                 "pool's start method is not 'fork'"
             )
         #: The forked copy of the main registry: every feed's contracts,
-        #: stores and control planes exactly as the main process built them,
-        #: for free via copy-on-write.  The lane only ever drives its own
-        #: shards against it; the chain's obs hook is severed (metrics belong
-        #: to the main process, and worker-side mining must not pay for them).
-        self.registry, queues = _FORK_SEED
+        #: stores, control planes and run state (queue, memo, fresh bill)
+        #: exactly as the main process built them, for free via copy-on-write.
+        #: The lane only ever drives its own shards against it; the chain's
+        #: obs hook is severed (metrics belong to the main process, and
+        #: worker-side mining must not pay for them).
+        self.registry = _FORK_SEED
         self.registry.chain.obs = None
-        self.env = ShardEnvironment(registry=self.registry, cache=cache)
         for shard_index in sorted(config.pinned):
             feed_ids = list(config.pinned[shard_index])
             for feed_id in feed_ids:
-                self.env.queues[feed_id] = queues[feed_id]
-                self.env.dirty[feed_id] = set()
-                self.env.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
-                if cache is not None:
-                    cache.ensure_shard(feed_id)
-                store = self.registry.get(feed_id).system.sp_store
-                self._store_baseline[feed_id] = store.baseline()
+                # The SP store as the fork left it is what the main mirror
+                # still holds — so at run end only what diverged from it
+                # ships.  (An installed feed keeps the empty baseline: the
+                # lane never saw the main mirror's store, and ships its own
+                # whole.)
+                handle = self.registry.get(feed_id)
+                handle.baseline = handle.system.sp_store.baseline()
             self.shards.append((shard_index, feed_ids))
 
     # -- one epoch -----------------------------------------------------------
@@ -872,15 +834,15 @@ class _LaneWorker:
         exactly what an inline run would have appended at the same boundary.
         """
         arrivals = feed_state.open_packed(frame, list, "arrivals frame")
-        queues = self.env.queues
+        registry = self.registry
         for feed_id, _ in arrivals:
-            if feed_id not in queues:
+            if feed_id not in registry:
                 raise WireError(
                     f"arrivals frame names feed {feed_id!r}, which this lane "
                     "does not host — the engine's feed→lane split is broken"
                 )
         for feed_id, operations in arrivals:
-            queues[feed_id].extend(operations)
+            registry.get(feed_id).queue.extend(operations)
 
     # -- feed mobility (assignment / admission / migration / eviction) --------
 
@@ -889,7 +851,7 @@ class _LaneWorker:
         fork-pinned is re-assigned every order)."""
         for _, feed_ids in shards:
             for feed_id in feed_ids:
-                if feed_id not in self.env.queues:
+                if feed_id not in self.registry:
                     raise WireError(
                         f"epoch assignment names feed {feed_id!r}, which this "
                         "lane does not host — the engine's migration "
@@ -905,33 +867,27 @@ class _LaneWorker:
         the time the destination lane's install order runs, the
         single-opener lock is free.
         """
-        blob = feed_state.detach(self.env, feed_id)
+        blob = feed_state.detach(self.registry.get(feed_id))
         self._release(feed_id)
         return blob
 
     def teardown_feed(self, feed_id: str, epoch: int) -> FeedTelemetry:
-        """Evict the feed from this lane, returning its final telemetry row.
+        """Evict the feed from this lane, returning its final bill.
 
         :func:`close_feed_bill` polls first, which routes the lane chain's
         unconsumed request events to their SPs' pending lists for all of this
         lane's feeds — other lanes route theirs at their next epoch's poll,
         with identical per-feed content.
         """
-        telemetry = close_feed_bill(self.env, feed_id, epoch, poll=True)
+        bill = close_feed_bill(self.registry, feed_id, epoch, poll=True)
         feed_state.close_store(self.registry.get(feed_id))
         self._release(feed_id)
-        return telemetry
+        return bill
 
     def _release(self, feed_id: str) -> None:
-        """Drop every trace of a feed that left this lane (migrated out or
-        evicted)."""
+        """Drop a feed that left this lane (migrated out or evicted): its
+        handle, and everything the lane kept of it with the handle."""
         self.registry.remove_feed(feed_id)
-        env = self.env
-        env.queues.pop(feed_id, None)
-        env.dirty.pop(feed_id, None)
-        env.feeds.pop(feed_id, None)
-        if env.cache is not None:
-            env.cache.invalidate_feed(feed_id)
         self.shards = [
             (index, [fid for fid in feed_ids if fid != feed_id])
             for index, feed_ids in self.shards
@@ -940,21 +896,24 @@ class _LaneWorker:
     def run_epoch(self, epoch: int, epoch_size: int) -> LaneEpochEnvelope:
         """Run the epoch body over this lane's shards against the lane-local
         chain and pack what the main chain must record into one frame."""
-        queues = self.env.queues
+        registry = self.registry
         results = [
             ShardEpochResult(
                 shard_index=outcome.shard_index,
                 drive=outcome.drive.to_wire(),
                 deliver=outcome.deliver,
                 update=outcome.update,
-                remaining={feed_id: len(queues[feed_id]) for feed_id in outcome.settled},
+                remaining={
+                    feed_id: len(registry.get(feed_id).queue)
+                    for feed_id in outcome.settled
+                },
                 epoch_gas={
                     feed_id: gas for feed_id, (_, gas) in outcome.settled.items()
                 },
                 spans=tuple(span.to_wire() for span in outcome.spans),
             )
             for outcome in run_epoch_phases(
-                self.env,
+                registry,
                 self.shards,
                 epoch,
                 epoch_size,
@@ -1006,9 +965,7 @@ class _LaneWorker:
         fork-pinned feed against its fork-time store, so only what the run
         changed crosses; an installed feed whole, resetting the mirror."""
         return [
-            feed_state.detach(
-                self.env, feed_id, self._store_baseline.get(feed_id, EMPTY_BASELINE)
-            )
+            feed_state.detach(self.registry.get(feed_id))
             for _, shard in self.shards
             for feed_id in shard
         ]
@@ -1017,12 +974,12 @@ class _LaneWorker:
 #: The lane's resident worker, one per process (set by :func:`_lane_start`).
 _LANE_WORKER: Optional[_LaneWorker] = None
 
-#: Fork-seeding handoff: the parent sets this to ``(registry, queues)``
-#: immediately before spawning fork-seeded lanes and clears it once they have
-#: started; each lane's forked copy keeps its own private reference.  Only
-#: meaningful under a ``fork`` start method — it is the parent's built state
-#: that the fork duplicates into the worker for free.
-_FORK_SEED: Optional[Tuple[FeedRegistry, Dict[str, Deque[Operation]]]] = None
+#: Fork-seeding handoff: the parent sets this to its registry immediately
+#: before spawning fork-seeded lanes and clears it once they have started;
+#: each lane's forked copy keeps its own private reference.  Only meaningful
+#: under a ``fork`` start method — it is the parent's built state that the
+#: fork duplicates into the worker for free.
+_FORK_SEED: Optional[FeedRegistry] = None
 
 
 def _lane_start(config: LaneConfig) -> None:
@@ -1067,7 +1024,7 @@ def _lane_install(items: Sequence[Tuple[FeedSpec, bytes]]) -> None:
     each."""
     assert _LANE_WORKER is not None, "lane worker not started"
     for spec, blob in items:
-        feed_state.install(_LANE_WORKER.env, spec, blob)
+        feed_state.install(_LANE_WORKER.registry, spec, blob)
 
 
 def _lane_migrate_out(feed_ids: Sequence[str]) -> List[bytes]:
@@ -1078,7 +1035,7 @@ def _lane_migrate_out(feed_ids: Sequence[str]) -> List[bytes]:
 
 
 def _lane_teardown(feed_id: str, epoch: int) -> FeedTelemetry:
-    """Evict one feed from this lane; returns its final telemetry row."""
+    """Evict one feed from this lane; returns its final bill."""
     assert _LANE_WORKER is not None, "lane worker not started"
     return _LANE_WORKER.teardown_feed(feed_id, epoch)
 
@@ -1133,8 +1090,6 @@ class LaneEngine:
         max_lanes: int,
         registry: FeedRegistry,
         *,
-        cache_enabled: bool,
-        cache_capacity: Optional[int],
         obs_enabled: bool = False,
     ) -> None:
         """Capture the lane startup template.  No lanes spawn here."""
@@ -1150,8 +1105,6 @@ class LaneEngine:
             schedule=registry.schedule,
             parameters=registry.parameters,
             router_address=registry.router.address,
-            cache_enabled=cache_enabled,
-            cache_capacity=cache_capacity,
             obs_enabled=obs_enabled,
         )
         #: shard index → lane, as of the latest order (span labels).
@@ -1175,18 +1128,14 @@ class LaneEngine:
             self.shutdown()
             raise
 
-    def spawn_pinned(
-        self,
-        shard_plan: Sequence[Sequence[str]],
-        queues: Dict[str, Deque[Operation]],
-    ) -> Dict[str, int]:
+    def spawn_pinned(self, shard_plan: Sequence[Sequence[str]]) -> Dict[str, int]:
         """Spawn fork-seeded lanes pinned to ``shard_plan`` for the whole run
         (shard ``i`` on lane ``i % lanes``); returns feed id → lane.
 
-        The workers adopt the main process's built registry and ``queues``
-        through the fork's copy-on-write duplication — the startup order
-        carries only each lane's shard→feed pinning.  Requires a ``fork``
-        start method (the caller checks).
+        The workers adopt the main process's built registry — the queues on
+        its handles included — through the fork's copy-on-write duplication;
+        the startup order carries only each lane's shard→feed pinning.
+        Requires a ``fork`` start method (the caller checks).
         """
         lanes = min(self.max_lanes, max(1, len(shard_plan)))
         pinned: Dict[int, Dict[int, Tuple[str, ...]]] = {}
@@ -1194,7 +1143,7 @@ class LaneEngine:
             lane = self._shard_lane[shard_index] = shard_index % lanes
             pinned.setdefault(lane, {})[shard_index] = tuple(shard)
         global _FORK_SEED
-        _FORK_SEED = (self._registry, queues)
+        _FORK_SEED = self._registry
         try:
             # Pool workers fork at first submit, so the seed handoff above is
             # visible to every lane; ``_spawn``'s startup barrier guarantees
@@ -1310,7 +1259,7 @@ class LaneEngine:
                 raise
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
-        """Evict one feed from its lane; returns its final telemetry row."""
+        """Evict one feed from its lane; returns its final bill."""
         self._settle_installs()
         return self._lanes[lane].pool.submit(_lane_teardown, feed_id, epoch).result()
 

@@ -6,8 +6,10 @@ crosses an interpreter boundary three ways — main → lane (install), lane →
 lane (migration), lane → main (run end) — and every crossing is the same
 four steps on the same :class:`FeedState`:
 
-* :func:`capture` reads a hosted feed out of its environment, its SP store as
-  a **delta against a baseline**.  Against
+* :func:`capture` reads a hosted feed off its
+  :class:`~repro.gateway.registry.FeedHandle` — the wired system and the run
+  state beside it (queue, dirty keys, bill, read memo) — its SP store as a
+  **delta against the handle's baseline**.  Against
   :data:`~repro.ads.authenticated_kv.EMPTY_BASELINE` that is the whole store
   (install, migration, and the run-end state of a feed that was installed);
   against the baseline a fork-pinned lane took when it forked, it is only
@@ -19,10 +21,10 @@ four steps on the same :class:`FeedState`:
   not a packed :class:`FeedState` is a
   :class:`~repro.common.errors.WireError`, raised before a handle or registry
   is touched.
-* :func:`apply` installs it into a destination handle and environment.  The
-  delta itself says whether it is from empty, and a non-empty mirror is reset
-  first — so a lane's fresh handle and the main registry's seed-state mirror
-  take the same call.
+* :func:`apply` installs it into a destination handle.  The delta itself
+  says whether it is from empty, and a non-empty mirror is reset first — so a
+  lane's fresh handle and the main registry's seed-state mirror take the
+  same call.
 
 :func:`detach` is capture + pack + handing over the feed's LSM directory, the
 form all three senders use; :func:`install` is unpack + create + apply, a
@@ -40,19 +42,14 @@ from __future__ import annotations
 import pickle
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline, StoreDelta
+from repro.ads.authenticated_kv import StoreDelta
 from repro.common.errors import WireError
 from repro.common.types import Operation
-from repro.core.grub import RunReport
-from repro.gateway.cache import CacheStats
 from repro.gateway.metrics import FeedTelemetry
-from repro.gateway.registry import FeedSpec
+from repro.gateway.registry import FeedHandle, FeedRegistry, FeedSpec
 from repro.storage.lsm import LSMStore
-
-if TYPE_CHECKING:
-    from repro.gateway.executor import ShardEnvironment
 
 
 @dataclass
@@ -165,45 +162,34 @@ class FeedState:
     another left it."""
 
     feed_id: str
-    #: The workload queue and the keys written this epoch (see
-    #: :class:`~repro.gateway.executor.ShardEnvironment`).
+    #: The handle's run state (see :class:`~repro.gateway.registry.FeedHandle`):
+    #: ``memo`` is ``None`` when the feed runs with caching off, which is how
+    #: the next host knows not to memoise either.
     queue: List[Operation]
     dirty: set
-    telemetry: FeedTelemetry
-    report: RunReport
+    bill: FeedTelemetry
+    memo: Optional[Dict[str, bytes]]
     #: ``(attrs, storage slots)`` of the storage manager and the consumer.
     manager: Tuple[dict, Dict[str, bytes]]
     consumer: Tuple[dict, Dict[str, bytes]]
     actors: ActorState
-    #: The feed's cache shard (:meth:`ReadCache.export_shard`); ``cache_stats``
-    #: is ``None`` when the source runs without a cache.
-    cache_entries: Tuple[Tuple[str, bytes], ...]
-    cache_stats: Optional[CacheStats]
     #: The SP store, as what diverged from the baseline it was captured against.
     store: StoreDelta
 
 
-def capture(
-    env: "ShardEnvironment", feed_id: str, baseline: StoreBaseline = EMPTY_BASELINE
-) -> FeedState:
-    """Read a feed hosted in ``env`` — queue, dirty keys, telemetry row and
-    cache shard included — with its SP store as a delta against ``baseline``."""
-    handle = env.registry.get(feed_id)
-    entries, stats = (
-        env.cache.export_shard(feed_id) if env.cache is not None else ((), None)
-    )
+def capture(handle: FeedHandle) -> FeedState:
+    """Read a hosted feed off its handle — queue, dirty keys, bill and memo
+    included — with its SP store as a delta against the handle's baseline."""
     return FeedState(
-        feed_id=feed_id,
-        queue=list(env.queues[feed_id]),
-        dirty=set(env.dirty[feed_id]),
-        telemetry=env.feeds[feed_id],
-        report=handle.report,
+        feed_id=handle.feed_id,
+        queue=list(handle.queue),
+        dirty=set(handle.dirty),
+        bill=handle.bill,
+        memo=handle.memo,
         manager=_contract_state(handle.storage_manager),
         consumer=_contract_state(handle.consumer),
         actors=ActorState.capture(handle),
-        cache_entries=entries,
-        cache_stats=stats,
-        store=handle.system.sp_store.export_delta(baseline),
+        store=handle.system.sp_store.export_delta(handle.baseline),
     )
 
 
@@ -231,14 +217,12 @@ def unpack(blob: bytes) -> FeedState:
     return open_packed(blob, FeedState, "packed feed state")
 
 
-def detach(
-    env: "ShardEnvironment", feed_id: str, baseline: StoreBaseline = EMPTY_BASELINE
-) -> bytes:
+def detach(handle: FeedHandle) -> bytes:
     """Capture and pack a feed for its next host, then release an exclusive
     LSM opener so that host can take over the directory (single-opener rule).
     The caller retires whatever it keeps of the feed."""
-    blob = pack(capture(env, feed_id, baseline))
-    close_store(env.registry.get(feed_id))
+    blob = pack(capture(handle))
+    close_store(handle)
     return blob
 
 
@@ -249,29 +233,29 @@ def close_store(handle) -> None:
         backing.close()
 
 
-def install(env: "ShardEnvironment", spec: FeedSpec, blob: bytes) -> None:
+def install(registry: FeedRegistry, spec: FeedSpec, blob: bytes) -> None:
     """Create the feed from ``spec`` (preload stripped: its records travel
-    inside the state's store) in ``env``'s registry and apply its packed
-    state.  The blob is opened and matched against the spec first — nothing
-    is created for one that does not open or belongs to another feed."""
+    inside the state's store) in ``registry`` and apply its packed state.
+    The blob is opened and matched against the spec first — nothing is
+    created for one that does not open or belongs to another feed."""
     state = unpack(blob)
     if spec.feed_id != state.feed_id:
         raise WireError(
             f"install order pairs spec {spec.feed_id!r} with a snapshot "
             f"of {state.feed_id!r}"
         )
-    apply(env, env.registry.create_feed(spec), state)
+    apply(registry.create_feed(spec), state)
 
 
-def apply(env: "ShardEnvironment", handle, state: FeedState) -> None:
-    """Install ``state`` into ``handle`` and wire its environment side (queue,
-    dirty set, telemetry row, cache shard) into ``env``.
+def apply(handle: FeedHandle, state: FeedState) -> None:
+    """Install ``state`` into ``handle``.
 
     After this the handle's contracts (storage slots, counters, call
-    history), report, SP store and off-chain actors are the source's — what a
-    lane continues from, and what the main registry's next run, the
-    equivalence suite and post-run analysis see.  A handle whose LSM
-    directory was handed to a lane takes it back first.
+    history), SP store, off-chain actors and run state (queue, dirty keys,
+    bill, memo) are the source's — what a lane continues from, and what the
+    main registry's next run, the equivalence suite and post-run analysis
+    see.  A handle whose LSM directory was handed to a lane takes it back
+    first.
     """
     feed_id = state.feed_id
     if handle.feed_id != feed_id:
@@ -284,13 +268,9 @@ def apply(env: "ShardEnvironment", handle, state: FeedState) -> None:
         backing.reopen()
     _apply_contract_state(handle.storage_manager, state.manager)
     _apply_contract_state(handle.consumer, state.consumer)
-    handle.report.__dict__.update(state.report.__dict__)
     handle.system.sp_store.apply_delta(state.store)
     state.actors.install(handle)
-    env.queues[feed_id] = deque(state.queue)
-    env.dirty[feed_id] = state.dirty
-    env.feeds[feed_id] = state.telemetry
-    if env.cache is not None:
-        env.cache.ensure_shard(feed_id)
-        if state.cache_stats is not None:
-            env.cache.install_shard(feed_id, state.cache_entries, state.cache_stats)
+    handle.queue = deque(state.queue)
+    handle.dirty = state.dirty
+    handle.bill = state.bill
+    handle.memo = state.memo

@@ -17,13 +17,19 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.reporting import format_gas, format_rate, format_table
 from repro.common.types import EpochSummary
 
 
 @dataclass
 class FeedTelemetry:
-    """One hosted feed's bill: gas, traffic, cache and churn counters."""
+    """One hosted feed's bill: gas, traffic, cache and churn counters.
+
+    The counters a :class:`~repro.core.grub.RunReport` also keeps carry its
+    names, so the bill is the ``report`` that
+    :meth:`~repro.core.grub.GrubSystem.drive_operation` and
+    :meth:`~repro.core.grub.GrubSystem.record_epoch` fold into: every counter
+    is written once, where the operation or the epoch happens.
+    """
 
     feed_id: str
     operations: int = 0
@@ -35,8 +41,9 @@ class FeedTelemetry:
     cache_misses: int = 0
     replications: int = 0
     evictions: int = 0
-    deliver_groups: int = 0
-    update_groups: int = 0
+    #: Deliver / update batches this feed had a group in.
+    deliveries: int = 0
+    update_transactions: int = 0
     #: Epoch at which the tenant joined the run (0 = present from the start).
     admitted_epoch: int = 0
     #: Epoch boundary at which the tenant left, or ``None`` while hosted.  A
@@ -104,8 +111,8 @@ class FeedTelemetry:
             "cache_misses": self.cache_misses,
             "replications": self.replications,
             "evictions": self.evictions,
-            "deliver_groups": self.deliver_groups,
-            "update_groups": self.update_groups,
+            "deliver_groups": self.deliveries,
+            "update_groups": self.update_transactions,
             "admitted_epoch": self.admitted_epoch,
             "departed_epoch": self.departed_epoch,
             "deferred_ops": self.deferred_ops,
@@ -241,6 +248,10 @@ class FleetTelemetry:
 
     def per_feed_rows(self) -> List[tuple]:
         """One report row per feed, sorted by feed id."""
+        # Imported where used: importing ``repro.analysis`` reaches, through
+        # the churn workloads, the registry — which builds these rows' class.
+        from repro.analysis.reporting import format_gas
+
         rows = []
         for feed_id in sorted(self.feeds):
             feed = self.feeds[feed_id]
@@ -267,6 +278,8 @@ class FleetTelemetry:
 
     def format_report(self, title: Optional[str] = None) -> str:
         """Operator report: per-feed table plus the fleet summary lines."""
+        from repro.analysis.reporting import format_gas, format_rate, format_table
+
         lines = [
             format_table(
                 [

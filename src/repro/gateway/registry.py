@@ -16,16 +16,19 @@ batched transaction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline
 from repro.chain.chain import Blockchain, ChainParameters
 from repro.chain.gas import GasSchedule
 from repro.common.errors import ConfigurationError
-from repro.common.types import KVRecord
+from repro.common.types import KVRecord, Operation
 from repro.core.config import GrubConfig
-from repro.core.grub import GrubSystem, RunReport
+from repro.core.grub import GrubSystem
+from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.router import GatewayRouterContract
 from repro.gateway.watchdog import SharedWatchdog
 from repro.storage.kvstore import KVStore
@@ -99,11 +102,49 @@ class FeedSpec:
 
 @dataclass
 class FeedHandle:
-    """One hosted feed: its wired GRuB system plus per-feed run state."""
+    """One hosted feed: its wired GRuB system plus everything a run keeps per
+    feed.  The handle is the only place that state lives — a forked lane
+    inherits it whole, a :class:`~repro.gateway.feed_state.FeedState` ships it
+    whole, and it is gone with the handle when the feed is removed — so a
+    tenant reusing a departed feed id starts from nothing.
+    """
 
     spec: FeedSpec
     system: GrubSystem
-    report: RunReport
+    #: The feed's bill for the current (or latest) run: the very row
+    #: ``FleetTelemetry.feeds`` holds, and the ``report`` the system's
+    #: ``drive_operation`` / ``record_epoch`` fold into.
+    bill: FeedTelemetry
+    #: Workload operations not yet driven, head first.
+    queue: Deque[Operation] = field(default_factory=deque)
+    #: Keys written this epoch.  Their on-chain replica is stale until the
+    #: epoch update lands, so they are not memoised meanwhile (a later epoch
+    #: would otherwise be served the old value).
+    dirty: set = field(default_factory=set)
+    #: The read memo: key → value of records the gateway has seen verified
+    #: *and replicated* on chain (a read served by a replica, or a deliver the
+    #: chain just verified and stored).  A write drops the key's entry, an
+    #: R→NR transition drops it, so every entry equals the on-chain replica
+    #: and the memo is bounded by the replicas GRuB itself decided to keep.
+    #: ``None`` while the run has caching off.
+    memo: Optional[Dict[str, bytes]] = field(default_factory=dict)
+    #: What a run-end state's store is a delta against: on a fork-pinned lane
+    #: the SP store as the fork left it (which the main mirror still holds),
+    #: everywhere else the empty store.
+    baseline: StoreBaseline = EMPTY_BASELINE
+
+    def begin_run(self, operations: Iterable[Operation], *, memoise: bool) -> None:
+        """Start a run: ``operations`` queued, no dirty keys, a fresh bill.
+        The memo carries over between runs that memoise — it holds nothing
+        but on-chain replicas — and a run that does not drops it, so nothing
+        can go stale behind that run's back."""
+        self.queue = deque(operations)
+        self.dirty = set()
+        self.bill = FeedTelemetry(feed_id=self.feed_id)
+        if not memoise:
+            self.memo = None
+        elif self.memo is None:
+            self.memo = {}
 
     @property
     def feed_id(self) -> str:
@@ -147,9 +188,6 @@ class FeedRegistry:
         self.chain.deploy(self.router)
         self.watchdog = SharedWatchdog(chain=self.chain)
         self._feeds: Dict[str, FeedHandle] = {}
-        #: Callables invoked with the feed id when a feed is removed (the
-        #: scheduler hooks cache invalidation in here).
-        self.removal_listeners: List[Callable[[str], None]] = []
 
     # -- tenant lifecycle ----------------------------------------------------
 
@@ -167,9 +205,7 @@ class FeedRegistry:
             sp_store_backing=spec.build_store_backing(),
         )
         handle = FeedHandle(
-            spec=spec,
-            system=system,
-            report=RunReport(system_name=f"GRuB[{spec.feed_id}]"),
+            spec=spec, system=system, bill=FeedTelemetry(feed_id=spec.feed_id)
         )
         self._feeds[spec.feed_id] = handle
         self.watchdog.register(handle)
@@ -177,14 +213,13 @@ class FeedRegistry:
 
     def remove_feed(self, feed_id: str) -> FeedHandle:
         """Deregister a feed: stop scheduling/billing it and free its
-        on-chain addresses (so the feed id can be reused by a later tenant)."""
+        on-chain addresses (so the feed id can be reused by a later tenant).
+        Its run state — queue, memo, bill — leaves with the handle."""
         handle = self.get(feed_id)
         del self._feeds[feed_id]
         self.watchdog.deregister(handle)
         self.chain.undeploy(handle.storage_manager.address)
         self.chain.undeploy(handle.consumer.address)
-        for listener in self.removal_listeners:
-            listener(feed_id)
         return handle
 
     # -- lookup --------------------------------------------------------------

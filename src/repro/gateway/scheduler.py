@@ -21,13 +21,14 @@ the shard planner budgets against ``ChainParameters.block_gas_limit``.
 loop: :meth:`EpochScheduler.admit` and :meth:`EpochScheduler.evict` queue
 tenant arrivals and departures that are applied at epoch boundaries (feeds
 never change mid-epoch, so per-epoch accounting stays exact).  An admitted
-feed is created in the registry, given a cache shard and a telemetry row, and
-joins the next shard plan; an evicted feed has its pending deliver requests
-explicitly cancelled (after a final watchdog poll), its unexecuted workload
-operations counted as cancelled, its registry entry removed (which deregisters
-its watchdog route and tears down its cache shard via the removal listeners)
-— while its telemetry row is retained as the tenant's final bill.  Feed ids
-are unique within one run; a departed id may be reused in a later run.
+feed is created in the registry — its handle carries the queue, the read memo
+and the bill — and joins the next shard plan; an evicted feed has its pending
+deliver requests explicitly cancelled (after a final watchdog poll), its
+unexecuted workload operations counted as cancelled, its registry entry
+removed (which deregisters its watchdog route; queue and memo go with the
+handle) — while its bill stays in the fleet's telemetry as the tenant's final
+one.  Feed ids are unique within one run; a departed id may be reused in a
+later run, and starts from an empty memo because it is a new handle.
 
 **Shard planning and quotas.** Each epoch's shard plan comes from a
 :class:`~repro.gateway.planner.ShardPlanner` — by default the original
@@ -55,8 +56,8 @@ shard inline on the calling thread, and ``"process"``
 worker processes (:class:`~repro.gateway.executor.LaneEngine`) that host full
 mirrors of their feeds and return per-epoch deltas.  Isolation is structural,
 not locked: a lane owns whole shards (so every per-feed object — contracts,
-SP store, control plane, cache shard, telemetry row, workload queue — is
-touched by exactly one interpreter), and the two globally *ordered* chain
+SP store, control plane, read memo, bill, workload queue — is touched by
+exactly one interpreter), and the two globally *ordered* chain
 structures (the gas ledger and the event log) are deferred into per-shard
 :class:`~repro.chain.chain.ExecutionBuffer`\\ s.  Settlement then lands in a
 **deterministic merge phase**: buffers are absorbed, transactions submitted
@@ -73,17 +74,20 @@ feed reaches a worker lane — as a packed
 nothing about the run can change the plan — is chosen by
 :class:`_LaneExecutor` from what it can observe, never by an option.
 
-Reads are fronted by the consumer-side :class:`~repro.gateway.cache.ReadCache`
-when one is configured: a read of a key whose verified replica the gateway has
-already observed is served from the gateway's full node without re-executing
-the on-chain ``gGet`` (cached reads therefore do not appear in the on-chain
-read trace — exactly like a consumer that keeps its own memo of public chain
-state).  The cache is additionally warmed straight from verified deliver
-payloads: a record the chain just verified *and replicated* in a deliver batch
-is public replicated state, so it is memoised immediately instead of waiting
-for the first post-deliver read.  Writes and evictions invalidate the affected
-entry; keys written during the current epoch are never memoised until their
-epoch update lands.
+Reads are fronted by each feed's read memo (``FeedHandle.memo``) unless the
+scheduler was built with ``enable_cache=False``: a read of a key whose
+verified replica the gateway has already observed is served from the
+gateway's full node without re-executing the on-chain ``gGet`` (memoised reads
+therefore do not appear in the on-chain read trace — exactly like a consumer
+that keeps its own memo of public chain state).  The memo is additionally
+warmed straight from verified deliver payloads: a record the chain just
+verified *and replicated* in a deliver batch is public replicated state, so it
+is memoised immediately instead of waiting for the first post-deliver read.
+Writes and evictions drop the affected entry; keys written during the current
+epoch are never memoised until their epoch update lands.  The memo belongs to
+the feed, not to a scheduler: whichever scheduler drives the feed next reads
+and maintains the same one, and a run with caching off drops it, so no run
+can leave another a stale entry.
 
 The scheduler never consults a wall clock for scheduling decisions and uses
 no randomness, so two runs over the same fleet, workloads and churn schedule
@@ -101,10 +105,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Deque,
     Dict,
     Iterable,
     List,
@@ -119,13 +121,11 @@ from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.types import Operation
 from repro.gateway import feed_state
-from repro.gateway.cache import ReadCache
 from repro.gateway.executor import (
     EXECUTION_MODES,
     GATEWAY_OPERATOR,
     LaneEngine,
     SettlementResult,
-    ShardEnvironment,
     close_feed_bill,
     land_transaction,
     run_epoch_phases,
@@ -226,7 +226,6 @@ class EpochScheduler:
         num_shards: int = 1,
         num_workers: int = 1,
         epoch_size: Optional[int] = None,
-        read_cache: Optional[ReadCache] = None,
         enable_cache: bool = True,
         planner: Optional[ShardPlanner] = None,
         execution_mode: str = "serial",
@@ -280,15 +279,15 @@ class EpochScheduler:
         if self.obs.enabled:
             self.registry.chain.obs = self.obs
             self.planner.obs = self.obs
-        self.cache = read_cache if read_cache is not None else (ReadCache() if enable_cache else None)
-        if self.obs.enabled and self.cache is not None:
-            # Pull-style: cache counters are copied into gauges at snapshot
-            # time, so the cache's own hot path stays untouched.
+        #: Whether this scheduler's runs serve repeated reads of replicated
+        #: records from the feeds' memos (``FeedHandle.memo``).
+        self.enable_cache = enable_cache
+        #: The current (or latest) run's telemetry, for the memo gauges.
+        self._fleet = FleetTelemetry()
+        if self.obs.enabled and enable_cache:
+            # Pull-style: the bills' counters are copied into gauges at
+            # snapshot time, so the hot path stays untouched.
             self.obs.registry.register_collector(self._collect_cache_metrics)
-        if self.cache is not None and self.cache.invalidate_feed not in registry.removal_listeners:
-            # A leaving tenant's entries must not linger (or be served to a
-            # later tenant that reuses the feed id).
-            registry.removal_listeners.append(self.cache.invalidate_feed)
         self._admission_queue: List[Admission] = []
         self._eviction_queue: List[Eviction] = []
         self.epochs_run = 0
@@ -390,7 +389,6 @@ class EpochScheduler:
         self,
         epoch: int,
         active: List[str],
-        env: ShardEnvironment,
         fleet: FleetTelemetry,
         executor: "_Executor",
         source: Optional["RequestSource"] = None,
@@ -416,16 +414,12 @@ class EpochScheduler:
                     "ids are unique per run (reuse is allowed across runs)"
                 )
             self._require_batch_deliver(spec)
-            self.registry.create_feed(spec)
+            handle = self.registry.create_feed(spec)
+            handle.begin_run(admission.operations, memoise=self.enable_cache)
+            handle.bill.admitted_epoch = epoch
             self._wire_feed_obs(spec.feed_id)
-            env.queues[spec.feed_id] = deque(admission.operations)
             active.append(spec.feed_id)
-            env.dirty[spec.feed_id] = set()
-            if self.cache is not None:
-                self.cache.ensure_shard(spec.feed_id)
-            fleet.feeds[spec.feed_id] = FeedTelemetry(
-                feed_id=spec.feed_id, admitted_epoch=epoch
-            )
+            fleet.feeds[spec.feed_id] = handle.bill
             fleet.admissions += 1
         due_evictions = [e for e in self._eviction_queue if e.at_epoch <= epoch]
         for eviction in due_evictions:
@@ -446,21 +440,18 @@ class EpochScheduler:
                     )
                 )
             self._eviction_queue.remove(eviction)
-            if telemetry is None:
-                # Registered but idle this run (no workload): still a real
-                # departure — it gets a (empty) final bill like any tenant.
-                fleet.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
             # Whoever hosts the live mirror cancels the tenant's undelivered
-            # requests and unexecuted operations; the row that comes back is
-            # its final bill.
+            # requests and unexecuted operations; the bill that comes back is
+            # final.  (A feed registered but idle this run — no workload — is
+            # still a real departure: its bill is the empty one the run's
+            # start gave it.)
             fleet.feeds[feed_id] = executor.retire(feed_id, epoch)
             if feed_id in active:
                 active.remove(feed_id)
             fleet.departures += 1
             self.planner.forget(feed_id)
-            env.dirty.pop(feed_id, None)
-            # Deregisters the watchdog route, frees the on-chain addresses and
-            # fires the removal listeners (cache shard teardown among them).
+            # Deregisters the watchdog route and frees the on-chain addresses;
+            # the feed's queue and memo go with its handle.
             self.registry.remove_feed(feed_id)
             if source is not None:
                 # A live source must cancel the tenant's outstanding requests
@@ -470,14 +461,15 @@ class EpochScheduler:
     # -- observability plumbing -----------------------------------------------
 
     def _collect_cache_metrics(self, registry) -> None:
-        """Pull collector: snapshot the read cache's counters into gauges."""
-        stats = self.cache.stats
-        registry.gauge("cache_hits").set(stats.hits)
-        registry.gauge("cache_misses").set(stats.misses)
-        registry.gauge("cache_invalidations").set(stats.invalidations)
-        registry.gauge("cache_evictions").set(stats.evictions)
-        registry.gauge("cache_hit_rate").set(stats.hit_rate)
-        registry.gauge("cache_entries").set(len(self.cache))
+        """Pull collector: the run's memo traffic, from its bills, and the
+        entries the hosted feeds' memos hold, as gauges."""
+        fleet = self._fleet
+        registry.gauge("cache_hits").set(fleet.cache_hits)
+        registry.gauge("cache_misses").set(fleet.cache_lookups - fleet.cache_hits)
+        registry.gauge("cache_hit_rate").set(fleet.cache_hit_rate)
+        registry.gauge("cache_entries").set(
+            sum(len(handle.memo or ()) for handle in self.registry.handles)
+        )
 
     def _wire_feed_obs(self, feed_id: str) -> None:
         """Attach the obs hook to a feed's LSM store backing (if it has one)."""
@@ -527,26 +519,9 @@ class EpochScheduler:
         planning and settle feedback are the same code, in the same order,
         for every backend.
         """
-        queues, epoch_size, active, fleet = self._prepare_run(
-            workloads, source=source
-        )
-
-        # Pre-create every per-feed structure the phases will touch, so they
-        # only ever operate on the interiors of structures one shard owns.
-        #: ``dirty``: keys written this epoch, per feed.  Their on-chain
-        #: replica is stale until the epoch update lands, so the cache must
-        #: not re-memoise them mid-epoch (a later epoch would otherwise be
-        #: served the old value).
-        env = ShardEnvironment(
-            registry=self.registry,
-            cache=self.cache,
-            dirty={feed_id: set() for feed_id in active},
-            queues=queues,
-            feeds=fleet.feeds,
-        )
+        epoch_size, active, fleet = self._prepare_run(workloads, source=source)
+        self._fleet = fleet
         for feed_id in active:
-            if self.cache is not None:
-                self.cache.ensure_shard(feed_id)
             self._wire_feed_obs(feed_id)
 
         chain = self.registry.chain
@@ -557,10 +532,10 @@ class EpochScheduler:
             # may be seeded once, for the whole run.
             static = source is None and not self.pending_churn
             executor: _Executor = _LaneExecutor(
-                self, env, epoch_size, fleet, static=static
+                self, epoch_size, fleet, static=static
             )
         else:
-            executor = _InlineExecutor(self, env, epoch_size, fleet)
+            executor = _InlineExecutor(self, epoch_size, fleet)
         epoch = 0
         # The run owns the collector from here — what preload built is frozen
         # before any lane forks — and collects between epochs, until whatever
@@ -569,7 +544,7 @@ class EpochScheduler:
             try:
                 with self.obs.span("run", mode=self.execution_mode):
                     while True:
-                        self._apply_churn(epoch, active, env, fleet, executor, source)
+                        self._apply_churn(epoch, active, fleet, executor, source)
                         if source is not None:
                             # Drain eligible live arrivals into the queues.  An
                             # idle gateway (no queued work, no pending churn)
@@ -581,7 +556,7 @@ class EpochScheduler:
                             )
                             if idle:
                                 collector.boundary(insure=True)
-                            self._ingest(source.poll(epoch, wait=idle), env, executor)
+                            self._ingest(source.poll(epoch, wait=idle), executor)
                         has_work = any(executor.depth(f) for f in active)
                         door_open = source is not None and not source.exhausted
                         if not self.pending_churn and not has_work and not door_open:
@@ -649,9 +624,11 @@ class EpochScheduler:
         self,
         workloads: Optional[Mapping[str, Sequence[Operation]]],
         source: Optional["RequestSource"] = None,
-    ) -> Tuple[Dict[str, Deque[Operation]], int, List[str], FleetTelemetry]:
+    ) -> Tuple[int, List[str], FleetTelemetry]:
         """The run prologue: validate the workload map against the registry
-        and build the initial run state.
+        and start the run on every registered handle — its workload queued
+        (empty for a feed ``workloads`` does not name), a fresh bill, the memo
+        kept or dropped as ``enable_cache`` says.
 
         With a live ``source``, *every* registered feed is active from epoch 0
         (each may receive requests at any boundary), with an empty queue
@@ -672,20 +649,20 @@ class EpochScheduler:
             )
         for feed_id in feed_ids:
             self._require_batch_deliver(self.registry.get(feed_id).spec)
-        queues: Dict[str, Deque[Operation]] = {
-            feed_id: deque(workloads.get(feed_id, ())) for feed_id in feed_ids
-        }
+        for handle in self.registry.handles:
+            handle.begin_run(
+                workloads.get(handle.feed_id, ()), memoise=self.enable_cache
+            )
         epoch_size = self.epoch_size_for(feed_ids)
         active = list(feed_ids)
         fleet = FleetTelemetry(
-            feeds={feed_id: FeedTelemetry(feed_id=feed_id) for feed_id in active}
+            feeds={feed_id: self.registry.get(feed_id).bill for feed_id in active}
         )
-        return queues, epoch_size, active, fleet
+        return epoch_size, active, fleet
 
     def _ingest(
         self,
         arrivals: Mapping[str, Sequence[Operation]],
-        env: ShardEnvironment,
         executor: "_Executor",
     ) -> None:
         """Append one boundary's live arrivals to the per-feed queues.
@@ -700,7 +677,7 @@ class EpochScheduler:
             operations = arrivals[feed_id]
             if not operations:
                 continue
-            if feed_id not in env.queues:
+            if feed_id not in self.registry:
                 raise ConfigurationError(
                     f"live request for feed {feed_id!r}, which the gateway "
                     "does not currently host — the request source must "
@@ -737,13 +714,11 @@ class _Executor:
     def __init__(
         self,
         scheduler: EpochScheduler,
-        env: ShardEnvironment,
         epoch_size: int,
         fleet: FleetTelemetry,
     ) -> None:
         self.obs = scheduler.obs
         self.registry = scheduler.registry
-        self.env = env
         self.epoch_size = epoch_size
         self.fleet = fleet
 
@@ -757,7 +732,7 @@ class _Executor:
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         """Retire an evicted feed's live mirror: cancel and count its
-        undelivered requests and queued operations, return its final row."""
+        undelivered requests and queued operations, return its final bill."""
         raise NotImplementedError
 
     def run_epoch(
@@ -780,13 +755,13 @@ class _InlineExecutor(_Executor):
     against the main registry (``"serial"``)."""
 
     def depth(self, feed_id: str) -> int:
-        return len(self.env.queues[feed_id])
+        return len(self.registry.get(feed_id).queue)
 
     def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
-        self.env.queues[feed_id].extend(operations)
+        self.registry.get(feed_id).queue.extend(operations)
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
-        return close_feed_bill(self.env, feed_id, epoch, poll=True)
+        return close_feed_bill(self.registry, feed_id, epoch, poll=True)
 
     def _settle(self, transaction: Transaction):
         """Land one shard's batch; a reverted one stops the run."""
@@ -801,7 +776,7 @@ class _InlineExecutor(_Executor):
     ) -> Dict[str, Tuple[int, int]]:
         with self.obs.span("epoch", epoch=epoch):
             outcomes = run_epoch_phases(
-                self.env,
+                self.registry,
                 list(enumerate(shard_plan)),
                 epoch,
                 self.epoch_size,
@@ -826,11 +801,10 @@ class _LaneExecutor(_Executor):
     the pre-executed settlement transactions — which the main chain records
     in fixed shard order, bit-identical to an inline run.
 
-    A feed is hosted by the main process (created, its queue in
-    ``env.queues``) until an epoch's plan first assigns it a lane; from then
-    on the lane's copy is the live one and ``remaining`` mirrors its queue
-    depth.  How feeds reach lanes is decided from what the run shows, never
-    by an option:
+    A feed is hosted by the main process (created, its queue on its handle)
+    until an epoch's plan first assigns it a lane; from then on the lane's
+    copy is the live one and ``remaining`` mirrors its queue depth.  How
+    feeds reach lanes is decided from what the run shows, never by an option:
 
     * a **static** run — nothing that can change the plan: no queued churn,
       no live source, a :class:`RoundRobinPlanner`, memory-backed stores — on
@@ -851,7 +825,6 @@ class _LaneExecutor(_Executor):
 
     def __init__(self, scheduler: EpochScheduler, *run_state, static: bool) -> None:
         super().__init__(scheduler, *run_state)
-        env = self.env
         self.num_workers = scheduler.num_workers
         #: The planner's per-feed load estimate (uniform when it keeps none).
         self._estimate = getattr(scheduler.planner, "estimate", lambda feed_id: 1.0)
@@ -860,7 +833,7 @@ class _LaneExecutor(_Executor):
             and isinstance(scheduler.planner, RoundRobinPlanner)
             and all(
                 self.registry.get(feed_id).spec.store_backend == "memory"
-                for feed_id in env.queues
+                for feed_id in self.fleet.feeds
             )
             and multiprocessing.get_start_method() == "fork"
         )
@@ -876,19 +849,14 @@ class _LaneExecutor(_Executor):
         #: This boundary's arrivals for lane-hosted feeds; they ship with the
         #: next epoch order.
         self._arrivals: Dict[str, Sequence[Operation]] = {}
-        cache = scheduler.cache
         self.engine = LaneEngine(
-            self.num_workers,
-            self.registry,
-            cache_enabled=cache is not None,
-            cache_capacity=cache.capacity if cache is not None else None,
-            obs_enabled=self.obs.enabled,
+            self.num_workers, self.registry, obs_enabled=self.obs.enabled
         )
 
     def depth(self, feed_id: str) -> int:
         if feed_id in self.feed_lane:
             return self.remaining[feed_id]
-        return len(self.env.queues[feed_id])
+        return len(self.registry.get(feed_id).queue)
 
     def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
         if feed_id in self.feed_lane:
@@ -896,7 +864,7 @@ class _LaneExecutor(_Executor):
             self._arrivals[feed_id] = operations
         else:
             # Still main-hosted: they ship inside its install state.
-            self.env.queues[feed_id].extend(operations)
+            self.registry.get(feed_id).queue.extend(operations)
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         lane = self.feed_lane.pop(feed_id, None)
@@ -904,11 +872,10 @@ class _LaneExecutor(_Executor):
             # Still main-hosted (admitted this very boundary, or never ran an
             # epoch): the serial accounting on the main structures, minus
             # the poll (see :func:`close_feed_bill`).
-            return close_feed_bill(self.env, feed_id, epoch, poll=False)
+            return close_feed_bill(self.registry, feed_id, epoch, poll=False)
         # The lane owns the live mirror — its boundary poll, request
         # cancellation and queue counting happen there.
         del self.remaining[feed_id]
-        del self.env.queues[feed_id]
         return self.engine.teardown(lane, feed_id, epoch)
 
     def _snapshot_feed(self, feed_id: str) -> bytes:
@@ -919,10 +886,10 @@ class _LaneExecutor(_Executor):
         against its addresses), but its queue empties — the lane's copy is
         the live one now.
         """
-        blob = feed_state.detach(self.env, feed_id)
-        queue = self.env.queues[feed_id]
-        self.remaining[feed_id] = len(queue)
-        queue.clear()
+        handle = self.registry.get(feed_id)
+        blob = feed_state.detach(handle)
+        self.remaining[feed_id] = len(handle.queue)
+        handle.queue.clear()
         return blob
 
     def run_epoch(
@@ -959,9 +926,10 @@ class _LaneExecutor(_Executor):
         if not self.feed_lane:
             # Round-robin over a static fleet is per-epoch stable, so the
             # first epoch's plan is the run's.
-            self.feed_lane = self.engine.spawn_pinned(shard_plan, self.env.queues)
+            self.feed_lane = self.engine.spawn_pinned(shard_plan)
             self.remaining = {
-                feed_id: len(self.env.queues[feed_id]) for feed_id in self.feed_lane
+                feed_id: len(self.registry.get(feed_id).queue)
+                for feed_id in self.feed_lane
             }
         target = epoch + max(
             -(-count // self.epoch_size) for count in self.remaining.values()
@@ -1043,13 +1011,14 @@ class _LaneExecutor(_Executor):
     def finish(self) -> None:
         # Every surviving lane feed's final state folds back into the main
         # mirrors — the same apply a lane installs an arriving feed with — so
-        # post-run inspection (contract storage, roots, reports, cache) sees
+        # post-run inspection (contract storage, roots, bills, memos) sees
         # serial-identical state.  A fork-pinned lane's state patches the
         # mirror's store with what the run changed; an installed feed's
-        # replaces it.  The telemetry row lands in ``fleet.feeds``, which
-        # ``env.feeds`` is.
+        # replaces it.  The bill that came back is the fleet's row.
         for state in self.engine.collect():
-            feed_state.apply(self.env, self.registry.get(state.feed_id), state)
+            handle = self.registry.get(state.feed_id)
+            feed_state.apply(handle, state)
+            self.fleet.feeds[state.feed_id] = handle.bill
         # The lanes routed this run's request events on their own chains; the
         # main watchdog must not replay them into the next run.
         self.registry.watchdog.skip_to_end()

@@ -214,7 +214,7 @@ class MetricsRegistry:
     """Named, labelled instruments plus pull-style collectors.
 
     Collectors are callables registered by components whose counters already
-    exist elsewhere (the read cache's :class:`~repro.gateway.cache.CacheStats`,
+    exist elsewhere (the memo hits and misses on the gateway's per-feed bills,
     an LSM store's flush/compaction totals).  They run once per
     :meth:`snapshot`, copying those numbers into gauges — the Prometheus
     "collect on scrape" idiom — so the component's own hot path stays

@@ -20,7 +20,11 @@ set of invariants is asserted on every schedule:
   roster or summaries, and its final gas bill equals the ledger's scoped
   total (frozen, exact);
 * **quota enforcement** — a tenant with ``max_ops_per_epoch`` never runs
-  more than that many operations in any epoch.
+  more than that many operations in any epoch;
+* **one hosted feed, one object** — after either run a hosted feed's bill is
+  the fleet's row, its queue is drained, and its read memo holds nothing but
+  what the chain holds as replicas (the bound that stands in for an LRU); a
+  departed feed's handle is in no registry and its bill is still the fleet's.
 
 A few of the schedules run a second time with *synchronized hot-key bursts*
 (every resident bursts over the same 4 keys in the same epochs — cross-feed
@@ -38,7 +42,8 @@ import os
 import pytest
 
 from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
-from repro.gateway import EpochScheduler, FeedRegistry, GasAwareShardPlanner
+from repro.common.types import Operation
+from repro.gateway import EpochScheduler, FeedRegistry, FeedTelemetry, GasAwareShardPlanner
 from repro.gateway.placement import MOVE_LANE_RETIRED, MOVE_REGROUPED
 from repro.obs import Observability
 from repro.workloads.fleet_churn import FleetChurnWorkload
@@ -181,7 +186,52 @@ def check_schedule_invariants(seed, correlated=False):
             continue
         telemetry = serial_fleet.feeds[feed_id]
         assert all(summary.operations <= cap for summary in telemetry.epochs)
+
+    # One hosted feed, one object — wherever the run executed.
+    for registry, fleet in (
+        (serial_registry, serial_fleet),
+        (process_registry, process_fleet),
+    ):
+        for handle in registry.handles:
+            assert handle.bill is fleet.feeds[handle.feed_id]
+            assert not handle.queue and not handle.dirty
+            manager = handle.storage_manager
+            assert all(
+                manager.replica_of(key) == value for key, value in handle.memo.items()
+            )
+            assert len(handle.memo) <= manager.replica_count()
+        for feed_id in departures:
+            assert feed_id not in registry and fleet.feeds[feed_id].departed
     return schedule
+
+
+@pytest.mark.parametrize("execution_mode, num_workers", [("serial", 1), ("process", 2)])
+def test_a_second_run_starts_every_registered_handle_afresh(execution_mode, num_workers):
+    _, registry, first, _ = run_schedule(SEEDS[0], num_workers=1)
+    idle, busy, *others = registry.handles
+    assert others and all(handle.bill.operations for handle in registry.handles)
+    # What an aborted run could leave behind.
+    idle.queue.append(Operation.read("left-over"))
+    idle.dirty.add("left-over")
+
+    scheduler = EpochScheduler(
+        registry,
+        num_workers=num_workers,
+        execution_mode=execution_mode,
+        epoch_size=EPOCH_SIZE,
+    )
+    scheduler.evict(idle.feed_id, at_epoch=1)
+    second = scheduler.run({busy.feed_id: [Operation.read("k")] * 8})
+
+    assert set(second.feeds) == {idle.feed_id, busy.feed_id}
+    assert busy.bill is second.feeds[busy.feed_id] and busy.bill.operations == 8
+    # Evicted mid-run without a workload: a real departure, billed nothing —
+    # not last run's bill, and not the left-over operation as a cancellation.
+    assert second.feeds[idle.feed_id] == FeedTelemetry(idle.feed_id, departed_epoch=1)
+    assert first.feeds[idle.feed_id].operations and not first.feeds[idle.feed_id].departed
+    for handle in others:
+        assert handle.bill == FeedTelemetry(handle.feed_id)
+        assert not handle.queue and not handle.dirty
 
 
 def test_same_seed_reruns_are_bit_identical():

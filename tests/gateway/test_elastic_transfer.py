@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from collections import deque
 
 import pytest
 
@@ -24,8 +23,7 @@ from repro.core.config import GrubConfig
 from repro.core.data_consumer import DataConsumerContract
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
 from repro.gateway import feed_state
-from repro.gateway.executor import LaneEngine, ShardEnvironment
-from repro.gateway.metrics import FeedTelemetry
+from repro.gateway.executor import LaneEngine
 from repro.gateway.placement import FeedMove
 from repro.gateway.scheduler import _LaneExecutor
 from repro.workloads.synthetic import SyntheticWorkload
@@ -62,20 +60,15 @@ def two_feed_registry():
 
 
 def snapshot_of(registry, feed_id):
-    env = ShardEnvironment(
-        registry=registry,
-        cache=None,
-        dirty={feed_id: set()},
-        queues={feed_id: deque([Operation.read("k")] * 4)},
-        feeds={feed_id: FeedTelemetry(feed_id=feed_id)},
-    )
-    return feed_state.pack(feed_state.capture(env, feed_id))
+    handle = registry.get(feed_id)
+    handle.begin_run([Operation.read("k")] * 4, memoise=False)
+    return feed_state.pack(feed_state.capture(handle))
 
 
 @pytest.mark.parametrize("next_call", ["results", "teardown", "collect"])
 def test_failed_install_reraises_at_the_next_engine_call(next_call):
     registry = two_feed_registry()
-    engine = LaneEngine(2, registry, cache_enabled=False, cache_capacity=None)
+    engine = LaneEngine(2, registry)
     before = set(multiprocessing.active_children())
 
     def body():
@@ -105,7 +98,7 @@ def test_failed_install_reraises_at_the_next_engine_call(next_call):
 
 def test_failed_migrate_out_reraises_its_typed_error():
     registry = two_feed_registry()
-    engine = LaneEngine(2, registry, cache_enabled=False, cache_capacity=None)
+    engine = LaneEngine(2, registry)
 
     def body():
         engine.ensure_lanes(2)

@@ -20,8 +20,6 @@ from repro.gateway import (
     FeedRegistry,
     FeedSpec,
     GasAwareShardPlanner,
-    ReadCache,
-    ShardEnvironment,
     feed_state,
 )
 from repro.gateway.feed_state import ActorState
@@ -46,31 +44,23 @@ def workload_of(feed_id: str, operations: int = 48) -> list:
     ).operations()
 
 
-def hosted(*feed_ids: str) -> ShardEnvironment:
-    """An environment whose feeds have run six epochs — replicas on chain,
-    entries in the cache, counters everywhere — with work still queued, a
+def hosted(*feed_ids: str) -> FeedRegistry:
+    """A registry whose feeds have run six epochs — replicas on chain,
+    entries in the memo, counters everywhere — with work still queued, a
     dirty key and a pending request."""
     registry = FeedRegistry()
     for feed_id in feed_ids:
         registry.create_feed(spec_of(feed_id))
-    cache = ReadCache()
-    fleet = EpochScheduler(registry, read_cache=cache).run(
-        {feed_id: workload_of(feed_id) for feed_id in feed_ids}
-    )
-    env = ShardEnvironment(registry=registry, cache=cache, feeds=fleet.feeds)
-    for feed_id in feed_ids:
-        env.queues[feed_id] = deque(workload_of(feed_id, operations=5))
-        env.dirty[feed_id] = {f"{feed_id}-03"}
-        handle = registry.get(feed_id)
+    EpochScheduler(registry).run({feed_id: workload_of(feed_id) for feed_id in feed_ids})
+    for handle in registry.handles:
+        feed_id = handle.feed_id
+        handle.queue = deque(workload_of(feed_id, operations=5))
+        handle.dirty = {f"{feed_id}-03"}
         handle.system.drive_operation(
-            Operation.read(f"{feed_id}-07"), handle.system.begin_epoch(6, 1), handle.report
+            Operation.read(f"{feed_id}-07"), handle.system.begin_epoch(6, 1), handle.bill
         )
     registry.watchdog.poll()
-    return env
-
-
-def empty_environment() -> ShardEnvironment:
-    return ShardEnvironment(registry=FeedRegistry(), cache=ReadCache())
+    return registry
 
 
 def actors_of(handle) -> dict:
@@ -78,10 +68,9 @@ def actors_of(handle) -> dict:
     return {**actors, "cp_algorithm": vars(actors["cp_algorithm"])}
 
 
-def feed_view(env: ShardEnvironment, feed_id: str) -> dict:
-    handle = env.registry.get(feed_id)
+def feed_view(registry: FeedRegistry, feed_id: str) -> dict:
+    handle = registry.get(feed_id)
     store = handle.system.sp_store
-    entries, stats = env.cache.export_shard(feed_id)
     return {
         "manager": feed_state._contract_state(handle.storage_manager),
         "consumer": feed_state._contract_state(handle.consumer),
@@ -90,20 +79,20 @@ def feed_view(env: ShardEnvironment, feed_id: str) -> dict:
         "store_root": store.root,
         "records": store.records(),
         "actors": actors_of(handle),
-        "report": handle.report,
-        "telemetry": env.feeds[feed_id],
-        "cache": (entries, stats),
-        "queue": list(env.queues[feed_id]),
-        "dirty": env.dirty[feed_id],
+        "bill": handle.bill,
+        "memo": handle.memo,
+        "queue": list(handle.queue),
+        "dirty": handle.dirty,
     }
 
 
 def test_a_packed_state_reproduces_the_feed_in_another_registry():
     source = hosted("alpha")
     view = feed_view(source, "alpha")
-    assert view["replicas"] and view["cache"][0] and view["actors"]["sp_pending"]
-    blob = feed_state.pack(feed_state.capture(source, "alpha"))
-    destination = empty_environment()
+    assert view["replicas"] and view["memo"] and view["actors"]["sp_pending"]
+    assert view["bill"].cache_hits and view["queue"] and view["dirty"]
+    blob = feed_state.pack(feed_state.capture(source.get("alpha")))
+    destination = FeedRegistry()
     feed_state.install(destination, replace(spec_of("alpha"), preload=None), blob)
     assert feed_view(destination, "alpha") == view
     # Capturing read the source; it did not change it.
@@ -111,34 +100,35 @@ def test_a_packed_state_reproduces_the_feed_in_another_registry():
 
 
 def test_every_truncation_is_a_wire_error_and_installs_nothing():
-    blob = feed_state.pack(feed_state.capture(hosted("alpha"), "alpha"))
-    destination = empty_environment()
+    blob = feed_state.pack(feed_state.capture(hosted("alpha").get("alpha")))
+    destination = FeedRegistry()
     spec = replace(spec_of("alpha"), preload=None)
     for cut in range(len(blob)):
         with pytest.raises(WireError):
             feed_state.install(destination, spec, blob[:cut])
-    assert "alpha" not in destination.registry and not destination.queues
+    assert not destination.handles
+    assert list(destination.chain.contracts) == [destination.router.address]
 
 
 def test_a_blob_holding_something_else_is_a_wire_error():
-    state = feed_state.capture(hosted("alpha"), "alpha")
-    destination = empty_environment()
+    state = feed_state.capture(hosted("alpha").get("alpha"))
+    destination = FeedRegistry()
     with pytest.raises(WireError, match="holds a dict, not a FeedState"):
         feed_state.install(destination, spec_of("alpha"), pickle.dumps(vars(state)))
-    assert "alpha" not in destination.registry
+    assert "alpha" not in destination
 
 
 def test_a_state_for_another_feed_is_a_wire_error_and_touches_nothing():
     source = hosted("alpha", "beta")
-    beta = feed_state.pack(feed_state.capture(source, "beta"))
-    destination = empty_environment()
+    beta = feed_state.pack(feed_state.capture(source.get("beta")))
+    destination = FeedRegistry()
     with pytest.raises(WireError, match="pairs spec 'alpha' with a snapshot of 'beta'"):
         feed_state.install(destination, spec_of("alpha"), beta)
-    assert "alpha" not in destination.registry and "beta" not in destination.registry
+    assert "alpha" not in destination and "beta" not in destination
     # The main side's way in — apply onto a handle that exists — refuses too.
     before = feed_view(source, "alpha")
     with pytest.raises(WireError, match="is for feed 'beta'.*hosts 'alpha'"):
-        feed_state.apply(source, source.registry.get("alpha"), feed_state.unpack(beta))
+        feed_state.apply(source.get("alpha"), feed_state.unpack(beta))
     assert feed_view(source, "alpha") == before
 
 
@@ -151,9 +141,9 @@ def run_recording_run_end_states(monkeypatch, **sharding):
     states = {}
     genuine = feed_state.apply
 
-    def recording(env, handle, state):
+    def recording(handle, state):
         states[state.feed_id] = state
-        genuine(env, handle, state)
+        genuine(handle, state)
 
     monkeypatch.setattr(feed_state, "apply", recording)
     scheduler = EpochScheduler(

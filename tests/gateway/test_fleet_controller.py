@@ -365,19 +365,18 @@ class TestFlashTenancy:
         assert alpha.service_provider.pending == []  # serviced, not dropped
 
     def test_flash_cache_shard_is_torn_down(self):
-        from repro.gateway import ReadCache
-
         registry = FeedRegistry()
         registry.create_feed(make_spec("alpha"))
-        cache = ReadCache()
-        scheduler = EpochScheduler(registry, epoch_size=EPOCH, read_cache=cache)
+        scheduler = EpochScheduler(registry, epoch_size=EPOCH)
         scheduler.admit(make_spec("flash"), make_ops("flash", 8), at_epoch=1)
         scheduler.evict("flash", at_epoch=1)
-        scheduler.run({"alpha": make_ops("alpha", 16)})
-        # The admission pre-created flash's shard; the same-boundary eviction
-        # must deregister it — a churning gateway must not leak ghost shards.
-        assert "flash" not in cache._shards
-        assert "alpha" in cache._shards
+        fleet = scheduler.run({"alpha": make_ops("alpha", 16)})
+        # The admission gave flash a handle — memo, queue, bill; the
+        # same-boundary eviction took the handle away whole, so a churning
+        # gateway keeps nothing of a departed tenant but its final bill.
+        assert [handle.feed_id for handle in registry.handles] == ["alpha"]
+        assert registry.get("alpha").memo is not None
+        assert fleet.feed("flash").departed and fleet.feed("flash").cancelled_ops == 8
 
     def test_flash_bill_is_frozen_at_preload(self):
         registry = FeedRegistry()

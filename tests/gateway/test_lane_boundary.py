@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import multiprocessing
 import random
-from collections import deque
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -36,13 +35,11 @@ from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, feed_state
 from repro.gateway.executor import (
     LaneEngine,
     SettlementResult,
-    ShardEnvironment,
     ShardEpochResult,
     _LaneWorker,
     _lane_epochs,
     open_lane_epoch,
 )
-from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -195,10 +192,12 @@ class TestLaneEpochRoundTrip:
 
 
 def lane_hosting(*feed_ids: str):
-    """What ``_LaneWorker.ingest`` touches of a lane: its feeds' queues."""
-    return SimpleNamespace(
-        env=SimpleNamespace(queues={feed_id: deque() for feed_id in feed_ids})
-    )
+    """What ``_LaneWorker.ingest`` touches of a lane: its registry, for the
+    queues on its feeds' handles."""
+    registry = FeedRegistry()
+    for feed_id in feed_ids:
+        registry.create_feed(FeedSpec(feed_id=feed_id))
+    return SimpleNamespace(registry=registry)
 
 
 def random_operations(rng: random.Random, count: int) -> list:
@@ -225,7 +224,7 @@ class TestLaneArrivalsRoundTrip:
         lane = lane_hosting("feed-00", "fèed-ünïcode", "feed-02")
         _LaneWorker.ingest(lane, feed_state.pack(arrivals))
         assert {
-            feed_id: list(queue) for feed_id, queue in lane.env.queues.items()
+            handle.feed_id: list(handle.queue) for handle in lane.registry.handles
         } == {**dict(arrivals), "feed-02": []}
 
     def test_unhosted_arrivals_ingest_nothing(self):
@@ -234,7 +233,7 @@ class TestLaneArrivalsRoundTrip:
         frame = feed_state.pack([("feed-00", operations), ("feed-01", operations)])
         with pytest.raises(WireError, match="names feed 'feed-01'"):
             _LaneWorker.ingest(lane, frame)
-        assert not lane.env.queues["feed-00"]
+        assert not lane.registry.get("feed-00").queue
 
 
 # -- hostile frames, in real lanes ---------------------------------------------
@@ -355,10 +354,10 @@ class TestHostileLaneFrames:
 
     def test_results_out_of_order_are_refused(self):
         registry, _ = small_fleet()
-        engine = LaneEngine(1, registry, cache_enabled=False, cache_capacity=None)
+        engine = LaneEngine(1, registry)
         try:
             feed_ids = [handle.feed_id for handle in registry.handles]
-            engine.spawn_pinned([feed_ids], {feed_id: deque() for feed_id in feed_ids})
+            engine.spawn_pinned([feed_ids])
             engine.submit(0, 2, 8)
             with pytest.raises(WireError, match="for epoch 1, but the next in-flight epoch is 0"):
                 engine.results(1)
@@ -377,19 +376,12 @@ class TestHostileOrders:
     def lane_hosting_alpha(self):
         registry = FeedRegistry()
         registry.create_feed(FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=4)))
-        env = ShardEnvironment(
-            registry=registry,
-            cache=None,
-            dirty={"alpha": set()},
-            queues={"alpha": deque()},
-            feeds={"alpha": FeedTelemetry(feed_id="alpha")},
-        )
-        engine = LaneEngine(1, registry, cache_enabled=False, cache_capacity=None)
+        engine = LaneEngine(1, registry)
         before = set(multiprocessing.active_children())
         engine.ensure_lanes(1)
         engine.transfer(
             [FeedMove("alpha", None, 0, None)],
-            snapshot_local=lambda feed_id: feed_state.detach(env, feed_id),
+            snapshot_local=lambda feed_id: feed_state.detach(registry.get(feed_id)),
         )
         yield engine
         engine.shutdown()

@@ -263,7 +263,9 @@ class TestExecutionModeEquivalence:
         run's final state in either mode: the lanes' control planes, monitors,
         signer epochs and pending requests come home at run end, and the main
         watchdog does not replay events the lanes already routed.  Covers
-        fork-pinned lanes and (gas-aware planner) snapshot-installed ones."""
+        fork-pinned lanes and (gas-aware planner) snapshot-installed ones.
+        A third run only re-reads: it is served from the memos the first two
+        warmed, which a lane must have however its feeds reached it."""
 
         def two_runs(mode, workers):
             registry, first = build_mixed_fleet()
@@ -278,14 +280,20 @@ class TestExecutionModeEquivalence:
                     else {"num_shards": 4}
                 ),
             )
-            prints = [scheduler.run(first).fingerprint()]
-            prints.append(scheduler.run(second).fingerprint())
+            rereads = {
+                feed_id: [Operation.read(operation.key) for operation in operations[:16]]
+                for feed_id, operations in second.items()
+            }
+            prints = [
+                scheduler.run(workloads).fingerprint()
+                for workloads in (first, second, rereads)
+            ]
+            assert prints[2]["feeds"]["feed-00"]["cache_hits"]
             return prints, chain_state_fingerprint(registry)
 
         serial_prints, serial_chain = two_runs("serial", 1)
         process_prints, process_chain = two_runs("process", 2)
-        assert process_prints[0] == serial_prints[0]
-        assert process_prints[1] == serial_prints[1]
+        assert process_prints == serial_prints
         assert process_chain == serial_chain
 
     def test_process_lane_count_never_changes_output(self):
@@ -309,9 +317,9 @@ class TestExecutionModeEquivalence:
                 == serial_handle.storage_manager.root_hash()
             )
             assert process_handle.replicated_on_chain == serial_handle.replicated_on_chain
-            # Off-chain mirrors: report, SP store root, DO trusted root.
-            assert process_handle.report.gas_feed == serial_handle.report.gas_feed
-            assert process_handle.report.operations == serial_handle.report.operations
+            # Off-chain mirrors: bill, memo, SP store root, DO trusted root.
+            assert process_handle.bill == serial_handle.bill
+            assert process_handle.memo == serial_handle.memo
             assert (
                 process_handle.system.sp_store.root == serial_handle.system.sp_store.root
             )

@@ -1,4 +1,5 @@
-"""The consumer-side read cache: hits, invalidation, LRU bounds, gas effect."""
+"""The read memo on the feed's handle: hits, what drops an entry, gas effect,
+and that it belongs to the feed — not to whichever scheduler warmed it."""
 
 from __future__ import annotations
 
@@ -6,60 +7,7 @@ import pytest
 
 from repro.common.types import Operation
 from repro.core.config import GrubConfig
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, ReadCache
-from repro.gateway.cache import CacheStats
-
-
-class TestReadCacheUnit:
-    def test_hit_after_put(self):
-        cache = ReadCache()
-        cache.put("feed", "k", b"v")
-        assert cache.get("feed", "k") == b"v"
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 0
-
-    def test_miss_is_counted(self):
-        cache = ReadCache()
-        assert cache.get("feed", "k") is None
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.0
-
-    def test_entries_are_per_feed(self):
-        cache = ReadCache()
-        cache.put("alpha", "k", b"alpha-value")
-        assert cache.get("bravo", "k") is None
-        assert cache.get("alpha", "k") == b"alpha-value"
-
-    def test_invalidate_drops_one_entry(self):
-        cache = ReadCache()
-        cache.put("feed", "k", b"v")
-        assert cache.invalidate("feed", "k") is True
-        assert cache.invalidate("feed", "k") is False
-        assert cache.get("feed", "k") is None
-        assert cache.stats.invalidations == 1
-
-    def test_invalidate_feed_drops_only_that_feed(self):
-        cache = ReadCache()
-        cache.put("alpha", "k1", b"1")
-        cache.put("alpha", "k2", b"2")
-        cache.put("bravo", "k1", b"3")
-        assert cache.invalidate_feed("alpha") == 2
-        assert len(cache) == 1
-        assert cache.get("bravo", "k1") == b"3"
-
-    def test_lru_capacity_evicts_oldest(self):
-        cache = ReadCache(capacity=2)
-        cache.put("feed", "a", b"1")
-        cache.put("feed", "b", b"2")
-        cache.get("feed", "a")  # refresh a; b is now the LRU entry
-        cache.put("feed", "c", b"3")
-        assert cache.get("feed", "b") is None
-        assert cache.get("feed", "a") == b"1"
-        assert cache.stats.evictions == 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ReadCache(capacity=0)
+from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
 
 
 def _single_feed_fixture(enable_cache: bool):
@@ -68,7 +16,7 @@ def _single_feed_fixture(enable_cache: bool):
         FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=4, algorithm="memoryless", k=1))
     )
     # One write then a long run of reads of the same key: the key replicates,
-    # after which every further read can be served from the cache.
+    # after which every further read can be served from the memo.
     operations = [Operation.write("hot", b"hot-value")]
     operations += [Operation.read("hot") for _ in range(23)]
     scheduler = EpochScheduler(registry, enable_cache=enable_cache)
@@ -95,32 +43,31 @@ class TestReadCacheInScheduler:
         registry.create_feed(
             FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=2, algorithm="always"))
         )
-        cache = ReadCache()
-        scheduler = EpochScheduler(registry, read_cache=cache)
+        scheduler = EpochScheduler(registry)
         operations = [
             Operation.write("k", b"v1"),
             Operation.write("pad", b"p"),
-            # Epoch 1: the replica now exists; the read populates the cache.
+            # Epoch 1: the replica now exists; the read populates the memo.
             Operation.read("k"),
             Operation.read("k"),
-            # Epoch 2: a write invalidates; the trailing read must go back to
-            # the chain and observe v2, not the stale memo.
+            # Epoch 2: a write drops the entry; the trailing read must go back
+            # to the chain and observe v2, not the stale memo.
             Operation.write("k", b"v2"),
             Operation.read("k"),
             Operation.read("k"),
             Operation.read("k"),
         ]
         scheduler.run({"alpha": operations})
-        assert registry.get("alpha").consumer.last_value("k") == b"v2"
-        assert cache.stats.invalidations >= 1
+        alpha = registry.get("alpha")
+        assert alpha.consumer.last_value("k") == b"v2"
+        assert alpha.memo.get("k") != b"v1"
 
     def test_feed_removal_drops_the_feeds_entries(self):
         registry = FeedRegistry()
         registry.create_feed(
             FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=2, algorithm="always"))
         )
-        cache = ReadCache()
-        scheduler = EpochScheduler(registry, read_cache=cache)
+        scheduler = EpochScheduler(registry)
         scheduler.run(
             {
                 "alpha": [
@@ -131,9 +78,10 @@ class TestReadCacheInScheduler:
                 ]
             }
         )
-        assert len(cache) > 0
-        registry.remove_feed("alpha")
-        assert len(cache) == 0
+        assert registry.get("alpha").memo
+        removed = registry.remove_feed("alpha")
+        # The entries live on the handle, and left the registry with it.
+        assert removed.memo and not registry.handles
 
     def test_eviction_invalidates_cache_entry(self):
         registry = FeedRegistry()
@@ -144,60 +92,27 @@ class TestReadCacheInScheduler:
                                   evict_unused_after_epochs=1),
             )
         )
-        cache = ReadCache()
-        scheduler = EpochScheduler(registry, read_cache=cache)
+        scheduler = EpochScheduler(registry)
         operations = [
             Operation.write("k", b"v1"),
             Operation.read("k"),
             Operation.read("k"),
             Operation.read("k"),
             # Epochs with no reads of "k": the idle-eviction policy demotes it
-            # R→NR, which must also drop the gateway's cached copy.
+            # R→NR, which must also drop the gateway's memoised copy.
             Operation.write("other", b"o1"),
             Operation.write("other", b"o2"),
             Operation.write("other", b"o3"),
             Operation.write("other", b"o4"),
         ]
         scheduler.run({"alpha": operations})
-        assert cache.get("alpha", "k") is None
-
-
-class TestTenantChurn:
-    """Shard lifecycle under feed removal (PR 2: per-feed-sharded cache)."""
-
-    def test_removed_feed_shard_is_deregistered_but_stats_survive(self):
-        cache = ReadCache()
-        cache.put("alpha", "k", b"1")
-        assert cache.get("alpha", "k") == b"1"
-        hits_before = cache.stats.hits
-        dropped = cache.invalidate_feed("alpha")
-        assert dropped == 1
-        # The aggregate keeps the removed tenant's counters...
-        assert cache.stats.hits == hits_before
-        assert cache.stats.invalidations >= 1
-        # ...but a tenant reusing the feed id starts from zero.
-        assert cache.shard_stats("alpha").hits == 0
-        assert len(cache) == 0
-
-    def test_clear_preserves_aggregate_statistics(self):
-        cache = ReadCache()
-        cache.put("alpha", "k", b"1")
-        cache.get("alpha", "k")
-        cache.get("alpha", "other")
-        before = (cache.stats.hits, cache.stats.misses)
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.stats.hits, cache.stats.misses) == before
-
-    def test_probe_of_unknown_feed_counts_miss_without_allocating(self):
-        cache = ReadCache()
-        assert cache.get("ghost", "k") is None
-        assert cache.stats.misses == 1
-        assert len(cache) == 0
+        alpha = registry.get("alpha")
+        assert alpha.storage_manager.replica_of("k") is None
+        assert "k" not in alpha.memo
 
 
 class TestSchedulerEvictionTeardown:
-    """Cache teardown through the fleet controller's eviction path."""
+    """Memo teardown through the fleet controller's eviction path."""
 
     def _spec(self) -> FeedSpec:
         return FeedSpec(
@@ -214,104 +129,107 @@ class TestSchedulerEvictionTeardown:
 
     def test_evicted_feeds_shard_is_dropped_and_stats_frozen(self):
         registry = FeedRegistry()
-        registry.create_feed(self._spec())
-        cache = ReadCache()
-        scheduler = EpochScheduler(registry, read_cache=cache)
-        scheduler.run({"alpha": self._warming_ops(b"v1")})
-        assert len(cache) > 0
-        hits_before = cache.stats.hits
+        alpha = registry.create_feed(self._spec())
+        scheduler = EpochScheduler(registry)
+        warm = scheduler.run({"alpha": self._warming_ops(b"v1")})
+        assert alpha.memo
+        hits_before = warm.feed("alpha").cache_hits
         assert hits_before > 0
 
         scheduler.evict("alpha", at_epoch=0)
-        scheduler.run({})
+        fleet = scheduler.run({})
 
-        # Shard gone, per-feed counters reset, aggregate counters survive.
-        assert len(cache) == 0
-        assert cache.shard_stats("alpha").hits == 0
-        assert cache.stats.hits == hits_before
-        assert cache.stats.invalidations >= 1  # the dropped entries
+        # The handle — memo and all — is in no registry any more; the run
+        # that evicted the feed bills it an empty final row, and the earlier
+        # run's bill is still what it was.
+        assert "alpha" not in registry and not registry.handles
+        assert fleet.feed("alpha").departed and fleet.feed("alpha").cache_hits == 0
+        assert warm.feed("alpha").cache_hits == hits_before
 
     def test_no_stale_reads_survive_readmission_of_same_feed_id(self):
         registry = FeedRegistry()
-        registry.create_feed(self._spec())
-        cache = ReadCache()
-        scheduler = EpochScheduler(registry, read_cache=cache)
+        departed = registry.create_feed(self._spec())
+        scheduler = EpochScheduler(registry)
         scheduler.run({"alpha": self._warming_ops(b"old-value")})
-        assert cache.get("alpha", "k") == b"old-value"
+        assert departed.memo["k"] == b"old-value"
 
         # Tenant leaves; a NEW tenant reuses the feed id in the next run with
-        # a different value under the same key — on the same gateway and cache.
+        # a different value under the same key — on the same gateway.
         scheduler.evict("alpha", at_epoch=0)
         scheduler.run({})
-        registry.create_feed(self._spec())
+        readmitted = registry.create_feed(self._spec())
+        # A new handle, so an empty memo: there is nothing to tear down.
+        assert readmitted is not departed and readmitted.memo == {}
         fleet = scheduler.run({"alpha": self._warming_ops(b"new-value")})
 
         # The re-admitted tenant's consumer observed its own value, never the
-        # predecessor's memo, and the cache now holds only the new value.
-        assert registry.get("alpha").consumer.last_value("k") == b"new-value"
-        assert cache.get("alpha", "k") == b"new-value"
+        # predecessor's memo, and its memo now holds only the new value.
+        assert readmitted.consumer.last_value("k") == b"new-value"
+        assert readmitted.memo["k"] == b"new-value"
         assert fleet.feed("alpha").operations == 4
 
 
-class TestStatsHygiene:
-    """CacheStats arithmetic: the regression pair for the zero-lookup
-    hit_rate and the install-time retirement of replaced shard counters."""
+class TestTheMemoIsTheFeeds:
+    """The memo sits on the handle, so every scheduler over a registry reads
+    and maintains the same one — none can be left holding a stale copy."""
 
-    def test_zero_lookup_hit_rate_is_zero_not_nan(self):
-        stats = CacheStats()
-        assert stats.lookups == 0
-        assert stats.hit_rate == 0.0
-        # A fresh cache (pre-created shards, no traffic) quotes the same.
-        cache = ReadCache()
-        cache.ensure_shard("alpha")
-        assert cache.stats.hit_rate == 0.0
+    SPEC = FeedSpec(
+        feed_id="alpha",
+        config=GrubConfig(
+            epoch_size=2, algorithm="memoryless", k=1, evict_unused_after_epochs=1
+        ),
+    )
+    WARM = [Operation.write("k", b"v1")] + [Operation.read("k")] * 3
+    #: Epochs with no reads of "k": the idle-eviction policy demotes it R→NR.
+    IDLE = [Operation.write("other", bytes([i])) for i in range(8)]
+    REREAD = [Operation.read("k")] * 2
 
-    def test_merge_folds_every_counter(self):
-        into = CacheStats(hits=1, misses=2, invalidations=3, evictions=4)
-        into.merge(CacheStats(hits=10, misses=20, invalidations=30, evictions=40))
-        assert (into.hits, into.misses, into.invalidations, into.evictions) == (
-            11,
-            22,
-            33,
-            44,
-        )
+    def reread_bill(self, second_scheduler):
+        """Warm "k" under one scheduler, let it go R→NR under a second one
+        (``None``: under the same), then read it again under the first."""
+        registry = FeedRegistry()
+        alpha = registry.create_feed(self.SPEC)
+        first = EpochScheduler(registry)
+        first.run({"alpha": self.WARM})
+        assert alpha.memo == {"k": b"v1"}
+        second = first
+        if second_scheduler is not None:
+            second = EpochScheduler(registry, **second_scheduler)
+        second.run({"alpha": self.IDLE})
+        assert alpha.storage_manager.replica_of("k") is None
+        return first.run({"alpha": self.REREAD}).feed("alpha")
 
-    def test_install_shard_retires_replaced_counters_exactly_once(self):
-        cache = ReadCache()
-        # Main-side shard observes some traffic before the worker's shard
-        # ships back (a reused cache; a fresh run's shard counts nothing).
-        cache.put("alpha", "k", b"main")
-        cache.get("alpha", "k")  # hit
-        cache.get("alpha", "ghost")  # miss
-        worker_stats = CacheStats(hits=5, misses=3)
-        cache.install_shard("alpha", [("k", b"worker")], worker_stats)
-        # Aggregate = retired main-side counters + installed worker counters,
-        # each exactly once.
-        assert cache.stats.hits == 1 + 5
-        assert cache.stats.misses == 1 + 3
-        # The live shard carries only what the worker observed.
-        assert cache.shard_stats("alpha").hits == 5
-        assert cache.get("alpha", "k") == b"worker"
+    @pytest.mark.parametrize(
+        "second_scheduler",
+        [
+            {},
+            {"enable_cache": False},
+            {"execution_mode": "process", "num_workers": 1},
+        ],
+        ids=["cached", "cache-off", "process"],
+    )
+    def test_a_second_scheduler_cannot_leave_the_first_a_stale_entry(
+        self, second_scheduler
+    ):
+        # "k" is no longer replicated: the read must go request → deliver
+        # with a proof, and be paid for, whoever warmed the memo before.
+        bill = self.reread_bill(second_scheduler)
+        assert (bill.cache_hits, bill.deliveries) == (0, 1)
+        assert bill.gas_feed == self.reread_bill(None).gas_feed > 0
 
-    def test_install_over_missing_shard_retires_nothing(self):
-        cache = ReadCache()
-        cache.install_shard("alpha", [("k", b"v")], CacheStats(hits=2, misses=1))
-        assert cache.stats.hits == 2 and cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
+    def test_constructing_a_scheduler_does_not_touch_the_registry(self):
+        registry = FeedRegistry()
+        registry.create_feed(self.SPEC)
 
-    def test_export_shard_is_the_inverse_of_install_shard(self):
-        cache = ReadCache()
-        cache.put("alpha", "old", b"1")
-        cache.put("alpha", "new", b"2")
-        cache.get("alpha", "old")  # hit; "old" becomes most recent
-        cache.get("alpha", "ghost")  # miss
-        entries, stats = cache.export_shard("alpha")
-        assert entries == (("new", b"2"), ("old", b"1"))  # LRU order
-        assert (stats.hits, stats.misses) == (1, 1)
-        other = ReadCache()
-        other.install_shard("alpha", entries, stats)
-        assert other.export_shard("alpha") == (entries, stats)
-        # A feed that never touched the cache exports empty, without
-        # allocating a shard.
-        assert cache.export_shard("ghost") == ((), CacheStats())
-        assert cache.shard_stats("ghost").lookups == 0 and len(cache) == 2
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(registry).items()
+                if isinstance(value, (list, dict))
+            }
+
+        before = sizes()
+        assert before
+        for _ in range(100):
+            EpochScheduler(registry)
+        assert sizes() == before

@@ -90,14 +90,6 @@ def test_removed_feed_id_can_be_recreated(registry):
     assert "alpha" in registry
 
 
-def test_remove_feed_notifies_listeners(registry):
-    removed = []
-    registry.removal_listeners.append(removed.append)
-    registry.create_feed(FeedSpec(feed_id="alpha"))
-    registry.remove_feed("alpha")
-    assert removed == ["alpha"]
-
-
 def test_feed_ids_preserve_creation_order(registry):
     for name in ("zulu", "alpha", "mike"):
         registry.create_feed(FeedSpec(feed_id=name))
