@@ -17,7 +17,7 @@ Three flows are implemented here:
   state the record's leaf hash changes (the R/NR prefix is part of the
   authenticated payload), which changes the root.
 
-Deviation from the paper's physical layout, documented in DESIGN.md: the paper
+Deviation from the paper's physical layout: the paper
 physically orders leaves by (replication-state group, key) and relocates a
 record between groups on a state transition.  This implementation keeps a
 *stable physical slot* per record and authenticates the replication state

@@ -2,24 +2,27 @@
 
 Each runner builds the systems under comparison (GRuB plus the relevant
 baselines), drives the corresponding workload, and returns a structured result
-object.  Benchmarks call these runners and print the rows/series the paper
-reports; tests assert the *shape* properties (who wins, where the crossover
-falls) rather than absolute gas values.
+object.  :mod:`repro.analysis.figures` names each figure's runner and the
+paper's arguments for it; ``python -m repro.analysis`` prints the rows/series
+the paper reports, and the tests assert the *shape* properties (who wins, where
+the crossover falls) and pin the gas numbers at the ``quick`` scale.
 
 Every runner accepts an :class:`ExperimentScale` so the same code can run the
-paper's full parameters (slow) or a scaled-down configuration (the default for
-benchmarks and CI) without changing the experiment logic.
+paper's full parameters (slow) or a scaled-down configuration (``default`` in
+CI, ``quick`` in tests) without changing the experiment logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.gateway.metrics import FleetTelemetry
 
-from repro.common.types import KVRecord, Operation, ReplicationState
+from repro.analysis.reporting import percent_difference
+from repro.chain.gas import GasSchedule
+from repro.common.types import KVRecord, Operation
 from repro.core.baselines import (
     AlwaysReplicateSystem,
     NoReplicationSystem,
@@ -31,7 +34,7 @@ from repro.core.grub import GrubSystem, RunReport
 from repro.workloads.btcrelay_trace import BtcRelayTrace
 from repro.workloads.eth_price_oracle import EthPriceOracleTrace
 from repro.workloads.operations import WorkloadStats, characterise
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.synthetic import AlternatingPhaseWorkload, SyntheticWorkload
 from repro.workloads.ycsb import MixedYCSBWorkload
 
 
@@ -40,8 +43,7 @@ class ExperimentScale:
     """Scaling knobs shared by all experiment runners.
 
     ``paper()`` returns the parameters used in the paper; ``default()`` is a
-    laptop-scale configuration that preserves every shape while keeping each
-    experiment under a few seconds.
+    laptop-scale configuration that keeps each experiment under a few seconds.
     """
 
     synthetic_operations: int = 512
@@ -88,30 +90,126 @@ class ExperimentScale:
 
 
 # ---------------------------------------------------------------------------
-# Figures 3 and 7: per-operation gas versus read/write ratio
+# What every comparison shares: the workloads at a scale, the build-and-run
+# loop, and the shapes its results take
 # ---------------------------------------------------------------------------
+
+BASELINES: Dict[str, type] = {
+    "BL1": NoReplicationSystem,
+    "BL2": AlwaysReplicateSystem,
+    "BL3": OnChainTraceSystem,
+    "BL4": OnChainReadTraceSystem,
+}
+STATIC_COMPARISON = ("BL1", "BL2", "GRuB")
+
+
+def _run_systems(
+    configs: Mapping[str, GrubConfig],
+    operations: Sequence[Operation],
+    *,
+    preload: Optional[Sequence[KVRecord]] = None,
+    prepare: Optional[Callable[[GrubSystem], object]] = None,
+    phase_markers: Optional[Dict[int, str]] = None,
+) -> Dict[str, RunReport]:
+    """Drive the same operations through one freshly built system per label.
+
+    A label naming a baseline (BL1–BL4) builds that baseline — BL1 and BL2
+    fix their own replication policy, whatever algorithm and K the config
+    carries — and any other label builds GRuB.  ``prepare`` sees each system
+    before its run (to deploy an application on it, say).
+    """
+    reports: Dict[str, RunReport] = {}
+    for name, config in configs.items():
+        system = BASELINES.get(name, GrubSystem)(config, preload=preload)
+        if prepare is not None:
+            prepare(system)
+        reports[name] = system.run(operations, phase_markers=phase_markers)
+    return reports
+
+
+def _synthetic_operations(scale: ExperimentScale, ratio: float, **workload) -> List[Operation]:
+    """``scale.synthetic_operations`` operations over four keys at one read/write ratio."""
+    workload = {"num_operations": scale.synthetic_operations, "num_keys": 4, **workload}
+    return SyntheticWorkload(read_write_ratio=ratio, **workload).operations()
+
+
+def _eth_price_oracle(
+    scale: ExperimentScale, **trace_options
+) -> Tuple[List[Operation], List[KVRecord]]:
+    """The ethPriceOracle trace at ``scale`` and the records its store starts with."""
+    trace = EthPriceOracleTrace(
+        num_writes=scale.eth_price_writes,
+        assets_per_update=scale.eth_price_assets_per_update,
+        num_assets=scale.eth_price_store_records,
+        **trace_options,
+    )
+    preload = [
+        KVRecord.make(trace.asset_key(index), b"\x00" * 32)
+        for index in range(scale.eth_price_store_records)
+    ]
+    return trace.operations(), preload
+
+
+def _mixed_ycsb(
+    scale: ExperimentScale, phases: Sequence[str], record_size_bytes: int
+) -> MixedYCSBWorkload:
+    return MixedYCSBWorkload(
+        phases=phases,
+        record_count=scale.ycsb_record_count,
+        record_size_bytes=record_size_bytes,
+        operations_per_phase=scale.ycsb_operations_per_phase,
+    )
 
 
 @dataclass
-class RatioSweepResult:
-    """Per-ratio per-operation gas for each system (Figures 3 and 7)."""
+class SweepResult:
+    """Per-operation gas of each named series along one swept parameter
+    (Figures 3, 7, 8b, 11 and 14)."""
 
-    ratios: List[float]
+    x_label: str
+    x_values: List[float]
     gas_per_operation: Dict[str, List[float]]
-    crossover_ratio: Optional[float] = None
+    #: Where BL1 stops being cheaper than BL2 (the read/write-ratio sweeps).
+    crossover: Optional[float] = None
+    #: Systems the swept parameter does not touch, as flat lines (Figure 14).
+    baselines: Dict[str, float] = field(default_factory=dict)
 
-    def series(self, system: str) -> List[float]:
-        return self.gas_per_operation[system]
+    def series(self, name: str) -> List[float]:
+        return self.gas_per_operation[name]
 
     def rows(self) -> List[Tuple[object, ...]]:
-        systems = list(self.gas_per_operation)
-        rows = []
-        for index, ratio in enumerate(self.ratios):
-            rows.append(
-                (ratio, *[round(self.gas_per_operation[s][index]) for s in systems])
-            )
-        return rows
+        return [
+            (x, *[round(series[index]) for series in self.gas_per_operation.values()])
+            for index, x in enumerate(self.x_values)
+        ]
 
+
+@dataclass
+class ComparisonResult:
+    """Several systems over one workload — GRuB against the static baselines
+    (Figures 5, 6, 9, 13), or variants of GRuB against one another (Figures 8a
+    and 15, the ablations) — each read against ``reference``."""
+
+    reports: Dict[str, RunReport]
+    reference: str = "GRuB"
+
+    @property
+    def totals(self) -> Dict[str, int]:
+        return {name: report.gas_feed for name, report in self.reports.items()}
+
+    @property
+    def epoch_series(self) -> Dict[str, List[float]]:
+        return {name: report.epoch_series() for name, report in self.reports.items()}
+
+    def versus_reference(self, system: str) -> float:
+        """How far a system's feed gas is above the reference's, in percent."""
+        totals = self.totals
+        return percent_difference(totals[system], totals[self.reference])
+
+
+# ---------------------------------------------------------------------------
+# Figures 3 and 7: per-operation gas versus read/write ratio
+# ---------------------------------------------------------------------------
 
 DEFAULT_RATIOS = (0.0, 0.125, 0.5, 1.0, 2.0, 4.0, 16.0, 64.0, 256.0)
 
@@ -124,37 +222,28 @@ def run_ratio_sweep(
     include_dynamic_baselines: bool = False,
     grub_algorithm: str = "memoryless",
     num_keys: int = 4,
-) -> RatioSweepResult:
+) -> SweepResult:
     """Figure 3 (static baselines only) and Figure 7 (plus BL3/BL4 and GRuB)."""
     scale = scale or ExperimentScale.default()
-    systems: Dict[str, type] = {"BL1": NoReplicationSystem, "BL2": AlwaysReplicateSystem}
-    if include_dynamic_baselines:
-        systems["BL3"] = OnChainTraceSystem
-        systems["BL4"] = OnChainReadTraceSystem
-    systems["GRuB"] = GrubSystem
-
-    results: Dict[str, List[float]] = {name: [] for name in systems}
+    config = GrubConfig(
+        epoch_size=scale.epoch_size,
+        record_size_bytes=record_size_bytes,
+        algorithm=grub_algorithm,
+    )
+    dynamic = ("BL3", "BL4") if include_dynamic_baselines else ()
+    configs = dict.fromkeys(("BL1", "BL2", *dynamic, "GRuB"), config)
+    results: Dict[str, List[float]] = {name: [] for name in configs}
     for ratio in ratios:
-        workload = SyntheticWorkload(
-            read_write_ratio=ratio,
-            num_operations=scale.synthetic_operations,
-            num_keys=num_keys,
-            record_size_bytes=record_size_bytes,
+        operations = _synthetic_operations(
+            scale, ratio, num_keys=num_keys, record_size_bytes=record_size_bytes
         )
-        operations = workload.operations()
-        for name, cls in systems.items():
-            config = GrubConfig(
-                epoch_size=scale.epoch_size,
-                record_size_bytes=record_size_bytes,
-                algorithm=grub_algorithm if name in ("GRuB", "BL3", "BL4") else "memoryless",
-            )
-            system = cls(config)
-            report = system.run(operations)
+        for name, report in _run_systems(configs, operations).items():
             results[name].append(report.gas_per_operation)
-
-    crossover = _find_crossover(list(ratios), results.get("BL1", []), results.get("BL2", []))
-    return RatioSweepResult(
-        ratios=list(ratios), gas_per_operation=results, crossover_ratio=crossover
+    return SweepResult(
+        x_label="read/write ratio",
+        x_values=list(ratios),
+        gas_per_operation=results,
+        crossover=_find_crossover(list(ratios), results["BL1"], results["BL2"]),
     )
 
 
@@ -177,26 +266,9 @@ def _find_crossover(
 
 
 # ---------------------------------------------------------------------------
-# Figure 5 / Table 3: ethPriceOracle trace with the stablecoin application
+# Figure 5 / Table 3 (ethPriceOracle + stablecoin), Figure 6 (BtcRelay) and
+# Figures 9, 13 / Table 4 (mixed YCSB): GRuB versus BL1 and BL2 under a trace
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TraceExperimentResult:
-    """GRuB versus the static baselines under one recorded trace."""
-
-    reports: Dict[str, RunReport]
-    epoch_series: Dict[str, List[float]]
-    application_gas: Dict[str, int] = field(default_factory=dict)
-
-    def feed_gas(self, system: str) -> int:
-        return self.reports[system].gas_feed
-
-    def overhead_versus_grub(self, system: str) -> float:
-        grub = self.reports["GRuB"].gas_feed
-        if grub == 0:
-            return 0.0
-        return (self.reports[system].gas_feed - grub) / grub * 100.0
 
 
 def run_eth_price_oracle_experiment(
@@ -206,53 +278,23 @@ def run_eth_price_oracle_experiment(
     grub_algorithm: str = "memoryless",
     grub_k: int = 1,
     read_fanout: int = 10,
-) -> TraceExperimentResult:
+) -> ComparisonResult:
     """Figure 5 and Table 3: GRuB vs BL1/BL2 under the ethPriceOracle workload."""
+    from repro.apps.stablecoin import build_stablecoin_deployment
+
     scale = scale or ExperimentScale.default()
-    trace = EthPriceOracleTrace(
-        num_writes=scale.eth_price_writes,
-        assets_per_update=scale.eth_price_assets_per_update,
-        num_assets=scale.eth_price_store_records,
-        read_fanout=read_fanout,
-        hot_assets=2,
+    operations, preload = _eth_price_oracle(scale, read_fanout=read_fanout, hot_assets=2)
+    config = GrubConfig(
+        epoch_size=scale.epoch_size, record_size_bytes=32, algorithm=grub_algorithm, k=grub_k
     )
-    operations = trace.operations()
-    preload = [
-        KVRecord.make(trace.asset_key(index), b"\x00" * 32, ReplicationState.NOT_REPLICATED)
-        for index in range(scale.eth_price_store_records)
-    ]
-
-    reports: Dict[str, RunReport] = {}
-    application_gas: Dict[str, int] = {}
-    for name, cls, algorithm in (
-        ("BL1", NoReplicationSystem, "never"),
-        ("BL2", AlwaysReplicateSystem, "always"),
-        ("GRuB", GrubSystem, grub_algorithm),
-    ):
-        config = GrubConfig(
-            epoch_size=scale.epoch_size,
-            record_size_bytes=32,
-            algorithm=algorithm,
-            k=grub_k if name == "GRuB" else None,
+    return ComparisonResult(
+        _run_systems(
+            dict.fromkeys(STATIC_COMPARISON, config),
+            operations,
+            preload=preload,
+            prepare=build_stablecoin_deployment if with_stablecoin else None,
         )
-        system = cls(config, preload=preload)
-        if with_stablecoin:
-            from repro.apps.stablecoin import build_stablecoin_deployment
-
-            build_stablecoin_deployment(system)
-        report = system.run(operations)
-        reports[name] = report
-        application_gas[name] = report.gas_application
-    return TraceExperimentResult(
-        reports=reports,
-        epoch_series={name: report.epoch_series() for name, report in reports.items()},
-        application_gas=application_gas,
     )
-
-
-# ---------------------------------------------------------------------------
-# Figure 6: BtcRelay trace
-# ---------------------------------------------------------------------------
 
 
 def run_btcrelay_experiment(
@@ -260,39 +302,24 @@ def run_btcrelay_experiment(
     scale: Optional[ExperimentScale] = None,
     grub_k: int = 2,
     evict_after_epochs: int = 8,
-) -> TraceExperimentResult:
+) -> ComparisonResult:
     """Figure 6: GRuB vs BL1/BL2 under the BtcRelay block-read workload."""
     scale = scale or ExperimentScale.default()
-    trace = BtcRelayTrace(num_blocks=scale.btcrelay_blocks)
-    operations = trace.operations()
-
-    reports: Dict[str, RunReport] = {}
-    for name, cls, algorithm in (
-        ("BL1", NoReplicationSystem, "never"),
-        ("BL2", AlwaysReplicateSystem, "always"),
-        ("GRuB", GrubSystem, "memorizing"),
-    ):
-        config = GrubConfig(
-            epoch_size=scale.btcrelay_epoch_size,
-            record_size_bytes=96,
-            algorithm=algorithm,
-            k=grub_k,
-            k_prime=grub_k,
-            reuse_replica_slots=name == "GRuB",
-            continuous_decisions=name == "GRuB",
-            evict_unused_after_epochs=evict_after_epochs if name == "GRuB" else None,
-        )
-        system = cls(config)
-        reports[name] = system.run(operations)
-    return TraceExperimentResult(
-        reports=reports,
-        epoch_series={name: report.epoch_series() for name, report in reports.items()},
+    baseline = GrubConfig(
+        epoch_size=scale.btcrelay_epoch_size, record_size_bytes=96, k=grub_k, k_prime=grub_k
     )
-
-
-# ---------------------------------------------------------------------------
-# Figures 9, 13, 14 / Table 4: YCSB macro-benchmarks
-# ---------------------------------------------------------------------------
+    grub = baseline.with_algorithm(
+        "memorizing",
+        reuse_replica_slots=True,
+        continuous_decisions=True,
+        evict_unused_after_epochs=evict_after_epochs,
+    )
+    return ComparisonResult(
+        _run_systems(
+            {"BL1": baseline, "BL2": baseline, "GRuB": grub},
+            BtcRelayTrace(num_blocks=scale.btcrelay_blocks).operations(),
+        )
+    )
 
 
 def run_ycsb_experiment(
@@ -302,36 +329,24 @@ def run_ycsb_experiment(
     record_size_bytes: Optional[int] = None,
     grub_algorithm: str = "memoryless",
     grub_k: Optional[int] = None,
-) -> TraceExperimentResult:
+) -> ComparisonResult:
     """Figure 9 / 13 and Table 4: GRuB vs baselines under mixed YCSB workloads."""
     scale = scale or ExperimentScale.default()
     record_size = record_size_bytes or scale.ycsb_record_size_bytes
-    workload = MixedYCSBWorkload(
-        phases=phases,
-        record_count=scale.ycsb_record_count,
+    workload = _mixed_ycsb(scale, phases, record_size)
+    config = GrubConfig(
+        epoch_size=scale.epoch_size,
         record_size_bytes=record_size,
-        operations_per_phase=scale.ycsb_operations_per_phase,
+        algorithm=grub_algorithm,
+        k=grub_k,
     )
-    operations = workload.operations()
-    markers = workload.phase_markers()
-
-    reports: Dict[str, RunReport] = {}
-    for name, cls, algorithm in (
-        ("BL1", NoReplicationSystem, "never"),
-        ("BL2", AlwaysReplicateSystem, "always"),
-        ("GRuB", GrubSystem, grub_algorithm),
-    ):
-        config = GrubConfig(
-            epoch_size=scale.epoch_size,
-            record_size_bytes=record_size,
-            algorithm=algorithm,
-            k=grub_k if name == "GRuB" else None,
+    return ComparisonResult(
+        _run_systems(
+            dict.fromkeys(STATIC_COMPARISON, config),
+            workload.operations(),
+            preload=workload.preload_records(),
+            phase_markers=workload.phase_markers(),
         )
-        system = cls(config, preload=workload.preload_records())
-        reports[name] = system.run(operations, phase_markers=markers)
-    return TraceExperimentResult(
-        reports=reports,
-        epoch_series={name: report.epoch_series() for name, report in reports.items()},
     )
 
 
@@ -340,48 +355,28 @@ def run_ycsb_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AlgorithmComparisonResult:
-    """Per-epoch gas of each decision algorithm over the same workload."""
-
-    epoch_series: Dict[str, List[float]]
-    totals: Dict[str, int]
-
-
 def run_algorithm_comparison(
     *,
     k: int = 8,
     window_d: int = 1,
     scale: Optional[ExperimentScale] = None,
     num_keys: int = 4,
-) -> AlgorithmComparisonResult:
+) -> ComparisonResult:
     """Figure 8a: the workload of ratio K+1 that separates the two algorithms."""
     scale = scale or ExperimentScale.default()
-    workload = SyntheticWorkload(
-        read_write_ratio=k + 1,
-        num_operations=scale.synthetic_operations,
-        num_keys=num_keys,
-        record_size_bytes=32,
+    operations = _synthetic_operations(scale, k + 1, num_keys=num_keys)
+    memoryless = GrubConfig(epoch_size=scale.epoch_size, algorithm="memoryless", k=k)
+    memorizing = memoryless.with_algorithm("memorizing", k=None, k_prime=k, window_d=window_d)
+    reports = _run_systems({"memoryless": memoryless, "memorizing": memorizing}, operations)
+    # The yardstick: the same system, told the whole trace before it starts.
+    reports.update(
+        _run_systems(
+            {"offline": memoryless},
+            operations,
+            prepare=lambda system: system.set_future_trace(operations),
+        )
     )
-    operations = workload.operations()
-
-    epoch_series: Dict[str, List[float]] = {}
-    totals: Dict[str, int] = {}
-    configs = {
-        "memoryless": GrubConfig(epoch_size=scale.epoch_size, algorithm="memoryless", k=k),
-        "memorizing": GrubConfig(
-            epoch_size=scale.epoch_size, algorithm="memorizing", k_prime=k, window_d=window_d
-        ),
-        "offline": GrubConfig(epoch_size=scale.epoch_size, algorithm="memoryless", k=k),
-    }
-    for name, config in configs.items():
-        system = GrubSystem(config)
-        if name == "offline":
-            system.set_future_trace(operations)
-        report = system.run(operations)
-        epoch_series[name] = report.epoch_series()
-        totals[name] = report.gas_feed
-    return AlgorithmComparisonResult(epoch_series=epoch_series, totals=totals)
+    return ComparisonResult(reports, reference="memoryless")
 
 
 # ---------------------------------------------------------------------------
@@ -389,40 +384,27 @@ def run_algorithm_comparison(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RecordSizeSweepResult:
-    record_sizes_words: List[int]
-    gas_per_operation: Dict[str, List[float]]
-
-
 def run_record_size_sweep(
     record_sizes_words: Sequence[int] = (1, 2, 4, 8, 16),
     *,
     read_write_ratio: float = 2.0,
     scale: Optional[ExperimentScale] = None,
-) -> RecordSizeSweepResult:
+) -> SweepResult:
     """Figure 8b: per-operation gas versus record size for BL1, BL2 and GRuB."""
     scale = scale or ExperimentScale.default()
-    results: Dict[str, List[float]] = {"BL1": [], "BL2": [], "GRuB": []}
+    results: Dict[str, List[float]] = {name: [] for name in STATIC_COMPARISON}
     for words in record_sizes_words:
-        size_bytes = words * 32
-        workload = SyntheticWorkload(
-            read_write_ratio=read_write_ratio,
-            num_operations=scale.synthetic_operations,
-            num_keys=4,
-            record_size_bytes=size_bytes,
+        config = GrubConfig(epoch_size=scale.epoch_size, record_size_bytes=words * 32)
+        operations = _synthetic_operations(
+            scale, read_write_ratio, record_size_bytes=words * 32
         )
-        operations = workload.operations()
-        for name, cls in (
-            ("BL1", NoReplicationSystem),
-            ("BL2", AlwaysReplicateSystem),
-            ("GRuB", GrubSystem),
-        ):
-            config = GrubConfig(epoch_size=scale.epoch_size, record_size_bytes=size_bytes)
-            report = cls(config).run(operations)
+        reports = _run_systems(dict.fromkeys(STATIC_COMPARISON, config), operations)
+        for name, report in reports.items():
             results[name].append(report.gas_per_operation)
-    return RecordSizeSweepResult(
-        record_sizes_words=list(record_sizes_words), gas_per_operation=results
+    return SweepResult(
+        x_label="record size (words)",
+        x_values=list(record_sizes_words),
+        gas_per_operation=results,
     )
 
 
@@ -431,11 +413,13 @@ def run_record_size_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParameterKSweepResult:
-    k_values: List[float]
-    gas_per_operation: Dict[str, List[float]]
-    baselines: Dict[str, float] = field(default_factory=dict)
+def _memoryless_k_series(
+    k_values: Sequence[int], config: GrubConfig, operations: Sequence[Operation], **run
+) -> List[float]:
+    """Memoryless GRuB's gas per operation over one workload, for each K."""
+    configs = {f"K={k}": config.with_algorithm("memoryless", k=int(k)) for k in k_values}
+    reports = _run_systems(configs, operations, **run)
+    return [report.gas_per_operation for report in reports.values()]
 
 
 def run_parameter_k_sweep(
@@ -443,25 +427,20 @@ def run_parameter_k_sweep(
     ratios: Sequence[float] = (2.0, 4.0, 8.0),
     *,
     scale: Optional[ExperimentScale] = None,
-) -> ParameterKSweepResult:
+) -> SweepResult:
     """Figure 11: memoryless GRuB's gas versus K for several read/write ratios."""
     scale = scale or ExperimentScale.default()
-    results: Dict[str, List[float]] = {}
-    for ratio in ratios:
-        label = f"ratio={ratio:g}"
-        results[label] = []
-        workload = SyntheticWorkload(
-            read_write_ratio=ratio,
-            num_operations=scale.synthetic_operations,
-            num_keys=4,
-            record_size_bytes=32,
-        )
-        operations = workload.operations()
-        for k in k_values:
-            config = GrubConfig(epoch_size=scale.epoch_size, algorithm="memoryless", k=int(k))
-            report = GrubSystem(config).run(operations)
-            results[label].append(report.gas_per_operation)
-    return ParameterKSweepResult(k_values=[float(k) for k in k_values], gas_per_operation=results)
+    config = GrubConfig(epoch_size=scale.epoch_size)
+    return SweepResult(
+        x_label="K",
+        x_values=[float(k) for k in k_values],
+        gas_per_operation={
+            f"ratio={ratio:g}": _memoryless_k_series(
+                k_values, config, _synthetic_operations(scale, ratio)
+            )
+            for ratio in ratios
+        },
+    )
 
 
 def run_ycsb_parameter_k_sweep(
@@ -469,39 +448,23 @@ def run_ycsb_parameter_k_sweep(
     phases: Sequence[str] = ("A", "B", "A", "B"),
     *,
     scale: Optional[ExperimentScale] = None,
-) -> ParameterKSweepResult:
+) -> SweepResult:
     """Figure 14: GRuB's gas versus K under the mixed YCSB workload, with baselines."""
     scale = scale or ExperimentScale.default()
-    workload = MixedYCSBWorkload(
-        phases=phases,
-        record_count=scale.ycsb_record_count,
-        record_size_bytes=scale.ycsb_record_size_bytes,
-        operations_per_phase=scale.ycsb_operations_per_phase,
-    )
+    workload = _mixed_ycsb(scale, phases, scale.ycsb_record_size_bytes)
     operations = workload.operations()
     preload = workload.preload_records()
-
-    baselines: Dict[str, float] = {}
-    for name, cls in (("BL1", NoReplicationSystem), ("BL2", AlwaysReplicateSystem)):
-        config = GrubConfig(
-            epoch_size=scale.epoch_size, record_size_bytes=scale.ycsb_record_size_bytes
-        )
-        baselines[name] = cls(config, preload=list(preload)).run(operations).gas_per_operation
-
-    series: List[float] = []
-    for k in k_values:
-        config = GrubConfig(
-            epoch_size=scale.epoch_size,
-            record_size_bytes=scale.ycsb_record_size_bytes,
-            algorithm="memoryless",
-            k=int(k),
-        )
-        report = GrubSystem(config, preload=list(preload)).run(operations)
-        series.append(report.gas_per_operation)
-    return ParameterKSweepResult(
-        k_values=[float(k) for k in k_values],
-        gas_per_operation={"GRuB": series},
-        baselines=baselines,
+    config = GrubConfig(
+        epoch_size=scale.epoch_size, record_size_bytes=scale.ycsb_record_size_bytes
+    )
+    baselines = _run_systems({"BL1": config, "BL2": config}, operations, preload=preload)
+    return SweepResult(
+        x_label="K",
+        x_values=[float(k) for k in k_values],
+        gas_per_operation={
+            "GRuB": _memoryless_k_series(k_values, config, operations, preload=preload)
+        },
+        baselines={name: report.gas_per_operation for name, report in baselines.items()},
     )
 
 
@@ -533,19 +496,19 @@ def run_threshold_ratio_experiment(
             KVRecord.make(f"key-{index:08d}", b"\x00" * record_size)
             for index in range(data_size)
         ]
+        config = GrubConfig(epoch_size=scale.epoch_size, record_size_bytes=record_size)
         series: Dict[str, List[float]] = {"BL1": [], "BL2": []}
         for ratio in ratios:
-            workload = SyntheticWorkload(
-                read_write_ratio=ratio,
+            operations = _synthetic_operations(
+                scale,
+                ratio,
                 num_operations=scale.synthetic_operations // 2,
                 num_keys=min(4, data_size),
                 record_size_bytes=record_size,
                 key_prefix="key",
             )
-            operations = workload.operations()
-            for name, cls in (("BL1", NoReplicationSystem), ("BL2", AlwaysReplicateSystem)):
-                config = GrubConfig(epoch_size=scale.epoch_size, record_size_bytes=record_size)
-                report = cls(config, preload=list(preload)).run(operations)
+            reports = _run_systems(dict.fromkeys(series, config), operations, preload=preload)
+            for name, report in reports.items():
                 series[name].append(report.gas_per_operation)
         crossover = _find_crossover(list(ratios), series["BL1"], series["BL2"])
         return crossover if crossover is not None else float(max(ratios))
@@ -564,54 +527,72 @@ def run_threshold_ratio_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdaptiveKResult:
-    totals: Dict[str, int]
-    epoch_series: Dict[str, List[float]]
-
-    def relative_to_static(self, policy: str) -> float:
-        static = self.totals["static"]
-        if static == 0:
-            return 0.0
-        return (self.totals[policy] - static) / static * 100.0
-
-
 def run_adaptive_k_experiment(
     *,
     scale: Optional[ExperimentScale] = None,
     static_k: int = 1,
-) -> AdaptiveKResult:
+) -> ComparisonResult:
     """Figure 15 / Table 5: static K vs adaptive policies K1 and K2 on ethPriceOracle."""
     scale = scale or ExperimentScale.default()
-    trace = EthPriceOracleTrace(
-        num_writes=scale.eth_price_writes,
-        assets_per_update=scale.eth_price_assets_per_update,
-        num_assets=scale.eth_price_store_records,
+    operations, preload = _eth_price_oracle(scale)
+    static = GrubConfig(
+        epoch_size=scale.epoch_size, record_size_bytes=32, algorithm="memoryless", k=static_k
     )
-    operations = trace.operations()
-    preload = [
-        KVRecord.make(trace.asset_key(index), b"\x00" * 32)
-        for index in range(scale.eth_price_store_records)
-    ]
+    configs = {
+        "static": static,
+        "adaptive-k1": static.with_algorithm("adaptive-k1"),
+        "adaptive-k2": static.with_algorithm("adaptive-k2"),
+    }
+    return ComparisonResult(
+        _run_systems(configs, operations, preload=preload), reference="static"
+    )
 
-    totals: Dict[str, int] = {}
-    epoch_series: Dict[str, List[float]] = {}
-    for name, algorithm in (
-        ("static", "memoryless"),
-        ("adaptive-k1", "adaptive-k1"),
-        ("adaptive-k2", "adaptive-k2"),
-    ):
-        config = GrubConfig(
-            epoch_size=scale.epoch_size,
-            record_size_bytes=32,
-            algorithm=algorithm,
-            k=static_k,
-        )
-        system = GrubSystem(config, preload=list(preload))
-        report = system.run(operations)
-        totals[name] = report.gas_feed
-        epoch_series[name] = report.epoch_series()
-    return AdaptiveKResult(totals=totals, epoch_series=epoch_series)
+
+# ---------------------------------------------------------------------------
+# Ablations: one design choice switched, everything else equal
+# ---------------------------------------------------------------------------
+
+
+def _ablation(
+    configs: Mapping[str, GrubConfig], operations: Sequence[Operation]
+) -> ComparisonResult:
+    """GRuB under each config, read against the first."""
+    return ComparisonResult(_run_systems(configs, operations), reference=next(iter(configs)))
+
+
+def run_deliver_batching_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:
+    """One epoch-batched deliver transaction against one per request."""
+    scale = scale or ExperimentScale.default()
+    batched = GrubConfig(epoch_size=scale.epoch_size)
+    configs = {"epoch-batched": batched, "per-request": batched.with_overrides(batch_deliver=False)}
+    return _ablation(configs, _synthetic_operations(scale, 8))
+
+
+def _replica_churn_operations(scale: ExperimentScale, num_keys: int) -> List[Operation]:
+    """Read-heavy and write-only phases in turn, so replicas come and go."""
+    return AlternatingPhaseWorkload(
+        phase_ratios=(8.0, 0.0, 8.0, 0.0),
+        operations_per_phase=scale.synthetic_operations // 4,
+        num_keys=num_keys,
+    ).operations()
+
+
+def run_storage_refund_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:
+    """The paper's cost model against Ethereum's storage-clear refund, which it ignores."""
+    scale = scale or ExperimentScale.default()
+    paper = GrubConfig(epoch_size=scale.epoch_size, algorithm="memoryless", k=2)
+    refunding = paper.with_overrides(gas_schedule=GasSchedule().with_refunds())
+    configs = {"no refunds (paper model)": paper, "with clear refunds": refunding}
+    return _ablation(configs, _replica_churn_operations(scale, num_keys=4))
+
+
+def run_slot_reuse_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:
+    """A fresh storage slot per replica against the BtcRelay experiment's reused pool."""
+    scale = scale or ExperimentScale.default()
+    fresh = GrubConfig(epoch_size=scale.epoch_size)
+    reusing = fresh.with_overrides(reuse_replica_slots=True)
+    configs = {"fresh slot per replica": fresh, "reused slot pool": reusing}
+    return _ablation(configs, _replica_churn_operations(scale, num_keys=6))
 
 
 # ---------------------------------------------------------------------------

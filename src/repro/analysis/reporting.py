@@ -1,8 +1,9 @@
-"""Plain-text reporting helpers for experiments and benchmarks.
+"""Plain-text reporting helpers for the experiments, the gateway and the examples.
 
-The benchmark harness prints the same rows/series the paper reports; these
-helpers keep that formatting in one place so every benchmark output looks the
-same and EXPERIMENTS.md can be assembled from it.
+``python -m repro.analysis`` prints the same rows/series the paper reports;
+these helpers keep that formatting in one place, so every table this repo
+prints looks the same and the README's results are that command's output,
+pasted.
 """
 
 from __future__ import annotations

@@ -402,7 +402,10 @@ class FrontDoor(RequestSource):
             self._fleet = fleet
         except BaseException as exc:  # noqa: BLE001 - relayed to the loop
             self._error = exc
-            self._fail_outstanding(exc)
+            # The scheduler says so itself on its way out of the epoch loop; a
+            # run that fails before reaching it (a workload naming a feed the
+            # registry does not host) has not.
+            self.run_finished(None, error=exc)
 
     def poll(
         self, epoch: int, *, wait: bool
@@ -527,56 +530,56 @@ class FrontDoor(RequestSource):
         """
         with self._cond:
             self._departed.add(feed_id)
-            leftovers = [
-                pending
-                for pending in self._pending
-                if pending.request.tenant == feed_id
-            ]
-            self._pending = [
-                pending
-                for pending in self._pending
-                if pending.request.tenant != feed_id
-            ]
-            queue = self._inflight.pop(feed_id, None)
-            if queue is not None:
-                leftovers.extend(queue)
-        for pending in sorted(leftovers, key=lambda item: item.sequence):
-            stats = self.telemetry.tenant(feed_id)
-            stats.cancelled += 1
-            self._resolve(
-                pending,
-                Response(
-                    status=STATUS_CANCELLED,
-                    tenant=feed_id,
-                    deferred_epochs=pending.deferred_epochs,
-                    reason=f"tenant evicted at epoch {epoch}",
-                ),
-            )
+            leftovers = self._take(feed_id)
+        self._cancel(leftovers, f"tenant evicted at epoch {epoch}")
 
-    def run_finished(self, fleet: FleetTelemetry) -> None:
-        """Run over: cancel whatever never executed so no future is left
-        hanging (a safety net — departures already cancel eagerly via
-        :meth:`evicted`)."""
-        with self._cond:
-            leftovers = list(self._pending)
-            self._pending = []
-            for queue in self._inflight.values():
-                leftovers.extend(queue)
-                queue.clear()
-        for pending in sorted(leftovers, key=lambda item: item.sequence):
-            stats = self.telemetry.tenant(pending.request.tenant)
-            stats.cancelled += 1
-            self._resolve(
-                pending,
-                Response(
-                    status=STATUS_CANCELLED,
-                    tenant=pending.request.tenant,
-                    deferred_epochs=pending.deferred_epochs,
-                    reason="run finished before the request executed",
-                ),
-            )
+    def run_finished(
+        self, fleet: Optional[FleetTelemetry], error: Optional[BaseException] = None
+    ) -> None:
+        """Run over, normally or not: close the door and resolve whatever
+        never executed, so that no future is left hanging and no later
+        submission queues behind a scheduler that is gone.  Leftovers get the
+        ``error`` the run is unwinding when there is one; otherwise they are
+        cancelled (a safety net — a run only ends normally once the door is
+        closed and drained, and departures cancel eagerly via :meth:`evicted`).
+        """
+        self.close()
+        leftovers = self._take()
+        if error is None:
+            self._cancel(leftovers, "run finished before the request executed")
+        else:
+            for pending in leftovers:
+                self._post(self._set_exception, pending.future, error)
 
     # -- resolution plumbing ---------------------------------------------------
+
+    def _take(self, tenant: Optional[str] = None) -> List[_Pending]:
+        """Remove every unresolved request — pending or in flight — of one
+        tenant, or of all of them, and return them in admission order."""
+        with self._cond:
+            taken: List[_Pending] = []
+            kept: List[_Pending] = []
+            for pending in self._pending:
+                mine = tenant is None or pending.request.tenant == tenant
+                (taken if mine else kept).append(pending)
+            self._pending = kept
+            for feed_id in list(self._inflight) if tenant is None else [tenant]:
+                taken.extend(self._inflight.pop(feed_id, ()))
+        return sorted(taken, key=lambda item: item.sequence)
+
+    def _cancel(self, leftovers: List[_Pending], reason: str) -> None:
+        for pending in leftovers:
+            tenant = pending.request.tenant
+            self.telemetry.tenant(tenant).cancelled += 1
+            self._resolve(
+                pending,
+                Response(
+                    status=STATUS_CANCELLED,
+                    tenant=tenant,
+                    deferred_epochs=pending.deferred_epochs,
+                    reason=reason,
+                ),
+            )
 
     def _resolve(self, pending: _Pending, response: Response) -> None:
         """Resolve one request's future from the scheduler thread."""
@@ -585,26 +588,14 @@ class FrontDoor(RequestSource):
             pending.span.attrs["status"] = response.status
             self.obs.tracer.finish(pending.span)
             self._finished_spans.append((pending.sequence, pending.span))
-        loop = self._loop
-        if loop is None or loop.is_closed():  # pragma: no cover - shutdown race
-            return
-        loop.call_soon_threadsafe(self._set_result, pending.future, response)
+        self._post(self._set_result, pending.future, response)
 
-    def _fail_outstanding(self, error: BaseException) -> None:
-        """Scheduler crash: fail every unresolved future with the error."""
-        with self._cond:
-            leftovers = list(self._pending)
-            self._pending = []
-            for queue in self._inflight.values():
-                leftovers.extend(queue)
-                queue.clear()
+    def _post(self, setter, future: "asyncio.Future[Response]", outcome) -> None:
+        """Hand a future its outcome on the client's loop, from this thread."""
         loop = self._loop
         if loop is None or loop.is_closed():  # pragma: no cover - shutdown race
             return
-        for pending in leftovers:
-            loop.call_soon_threadsafe(
-                self._set_exception, pending.future, error
-            )
+        loop.call_soon_threadsafe(setter, future, outcome)
 
     @staticmethod
     def _set_result(future: "asyncio.Future[Response]", response: Response) -> None:

@@ -169,8 +169,10 @@ class RequestSource:
       at admission — a client awaiting them would otherwise hold the door
       open for responses that can never settle.  Optional; defaults to a
       no-op for sources that never see churn.
-    * ``run_finished(fleet)`` — the run is over (normally or not); fail any
-      still-pending futures instead of leaving clients hanging.
+    * ``run_finished(fleet, error)`` — the run is over: normally
+      (``error is None``), or unwinding ``error``.  Stop admitting, and resolve
+      every still-pending future — with the error when there is one — instead
+      of leaving clients hanging.
 
     Everything is driven by epoch indices and queue positions — never a wall
     clock — so a scripted request sequence reproduces bit-identically.
@@ -194,7 +196,9 @@ class RequestSource:
     def evicted(self, epoch: int, feed_id: str) -> None:
         """Optional hook; sources that never face churn can ignore it."""
 
-    def run_finished(self, fleet: FleetTelemetry) -> None:
+    def run_finished(
+        self, fleet: FleetTelemetry, error: Optional[BaseException] = None
+    ) -> None:
         raise NotImplementedError
 
 
@@ -541,6 +545,7 @@ class EpochScheduler:
         # before any lane forks — and collects between epochs, until whatever
         # state lives in lanes is folded back.
         with CollectorOwner(self.obs) as collector:
+            error: Optional[BaseException] = None
             try:
                 with self.obs.span("run", mode=self.execution_mode):
                     while True:
@@ -609,10 +614,13 @@ class EpochScheduler:
                         collector.boundary(insure=source is not None)
                         epoch += 1
                 executor.finish()
+            except BaseException as unwinding:
+                error = unwinding
+                raise
             finally:
                 executor.close()
                 if source is not None:
-                    source.run_finished(fleet)
+                    source.run_finished(fleet, error)
 
         fleet.wall_seconds = time.perf_counter() - wall_start
         fleet.epochs_run = epoch

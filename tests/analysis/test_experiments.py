@@ -1,28 +1,29 @@
-"""Tests for the experiment runners and reporting helpers.
+"""Tests for the paper's evaluation: every figure, once, at the ``quick`` scale.
 
-These run every figure/table experiment at the ``quick`` scale and assert the
-*shape* properties the paper reports, so a regression in the system or the
-workloads that would change the headline conclusions is caught by the suite.
+``repro.analysis.figures.FIGURES`` is the one table of figures; this module
+runs each key once (``quick``) and reads the result two ways: the *shape*
+properties the paper reports (who wins, where the crossover falls), so a
+regression that would change a headline conclusion is caught, and a committed
+golden table of the exact Gas numbers, so one that moves every figure by 5 %
+while keeping the orderings is caught too.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import pprint
+import subprocess
+import sys
+from pathlib import Path
+from statistics import fmean
+
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentScale,
-    run_adaptive_k_experiment,
-    run_algorithm_comparison,
-    run_btcrelay_experiment,
-    run_eth_price_oracle_experiment,
-    run_multitenant_gateway_experiment,
-    run_parameter_k_sweep,
-    run_ratio_sweep,
-    run_record_size_sweep,
-    run_threshold_ratio_experiment,
-    run_workload_characterisation,
-    run_ycsb_experiment,
-)
+import repro
+from repro.analysis import figures
+from repro.analysis.experiments import ExperimentScale, run_multitenant_gateway_experiment
+from repro.analysis.figures import FIGURES, pins
 from repro.analysis.reporting import (
     format_distribution,
     format_gas,
@@ -32,7 +33,109 @@ from repro.analysis.reporting import (
     percent_difference,
 )
 
-QUICK = ExperimentScale.quick()
+#: Figure key → the numbers it pins at the quick scale (see ``figures.SHAPES``),
+#: computed with the runners as they stood before PR 21 folded their loops.  A
+#: PR that means to move Gas pastes the row the failing assertion prints, and
+#: says so; any other PR leaves this table alone.
+GOLDEN = {
+    "fig03": {"BL1": [1065.6875, 2580.5, 4547.34375, 6029.0625, 8747.4375, 7876.21875,
+                      6034.53125, 6442.359375],
+              "BL2": [10954.4375, 10053.390625, 8259.09375, 6853.1875, 4414.171875,
+                      3482.90625, 2367.484375, 1696.234375],
+              "GRuB": [1065.6875, 2580.5, 4547.34375, 6029.0625, 5765.21875, 3482.90625,
+                       2367.484375, 1696.234375],
+              "crossover": 1.4793848633484108},
+    "fig05": {"BL1": [14894612, 456950], "BL2": [6977904, 456950], "GRuB": [5546668, 456950]},
+    "fig06": {"BL1": [6518530, 123728], "BL2": [5589272, 123728], "GRuB": [6213624, 115995]},
+    "fig07": {"BL1": [1065.6875, 4547.34375, 6029.0625, 7546.953125, 8747.4375, 7876.21875,
+                      6034.53125, 6442.359375],
+              "BL2": [10954.4375, 8259.09375, 6853.1875, 5505.515625, 4414.171875,
+                      3482.90625, 2367.484375, 1696.234375],
+              "BL3": [1065.6875, 6656.71875, 8997.8125, 11922.625, 11585.53125, 9420.40625,
+                      7836.234375, 6930.609375],
+              "BL4": [1065.6875, 6656.71875, 8997.8125, 10047.625, 10218.34375, 8639.15625,
+                      7523.734375, 6774.359375],
+              "GRuB": [1065.6875, 4547.34375, 6029.0625, 6258.5625, 5765.21875, 3482.90625,
+                       2367.484375, 1696.234375],
+              "crossover": 1.2875962398307488},
+    "fig08a": {"memoryless": [733280, 61161],
+               "memorizing": [562356, 61161],
+               "offline": [458132, 61161]},
+    "fig08b": {"BL1": [7546.953125, 8637.953125, 10819.953125, 15183.953125, 23911.953125],
+               "BL2": [5505.515625, 8484.953125, 14443.828125, 26361.578125, 50197.078125],
+               "GRuB": [6258.5625, 8903.765625, 14194.171875, 24774.984375, 45936.609375],
+               "crossover": None},
+    "fig09-AB": {"BL1": [10968312, 266437],
+                 "BL2": [11825680, 266437],
+                 "GRuB": [10469192, 266437]},
+    "fig09-AE": {"BL1": [57698756, 1476300],
+                 "BL2": [25279870, 1476300],
+                 "GRuB": [35674854, 1476300]},
+    "fig09-AF": {"BL1": [10507008, 269952],
+                 "BL2": [9156984, 269952],
+                 "GRuB": [10358468, 269952]},
+    "fig11": {"ratio=2": [6038.546875, 6258.5625, 7546.953125, 7546.953125, 7546.953125,
+                          7546.953125, 7546.953125],
+              "ratio=4": [5173.921875, 5765.21875, 6222.984375, 8747.4375, 8747.4375,
+                          8747.4375, 8747.4375],
+              "ratio=8": [4617.09375, 4618.65625, 4618.65625, 5360.78125, 9479.796875,
+                          9479.796875, 9479.796875],
+              "crossover": None},
+    "fig12": {"by record size": {32: 0.8545096820958891, 512: 8.0, 4096: 8.0},
+              "by data size": {256: 0.8545096820958891,
+                               4096: 0.6208425078224591,
+                               16384: 0.5300695925017096}},
+    "fig14": {"GRuB": [24287.0234375, 20447.640625, 19463.6171875, 20359.40625,
+                       20988.921875],
+              "BL1": 21422.484375,
+              "BL2": 23097.03125,
+              "crossover": None},
+    "fig15": {"static": [2270320, 53428],
+              "adaptive-k1": [2142366, 53428],
+              "adaptive-k2": [6096730, 53428]},
+    "tab1-6": {"ethPriceOracle": {0: 0.7333333333333333,
+                                  1: 0.175,
+                                  2: 0.041666666666666664,
+                                  3: 0.025,
+                                  4: 0.008333333333333333,
+                                  6: 0.008333333333333333,
+                                  7: 0.008333333333333333},
+               "BtcRelay": {0: 0.92, 1: 0.0775, 2: 0.0025}},
+    "ablation-deliver-batching": {"epoch-batched": [591188, 59755], "per-request": [752644, 59755]},
+    "ablation-storage-refunds": {"no refunds (paper model)": [755176, 19684],
+                                 "with clear refunds": [755176, 19684]},
+    "ablation-slot-reuse": {"fresh slot per replica": [817280, 19684],
+                            "reused slot pool": [817280, 19684]},
+}
+
+#: The figure keys some test below checks the shape of.
+SHAPE_CHECKED = set()
+
+
+def checks(*keys):
+    """Mark a test as the shape check of these figure keys."""
+    SHAPE_CHECKED.update(keys)
+    return lambda test: test
+
+
+@functools.lru_cache(maxsize=None)
+def quick(key):
+    """The figure's result at the quick scale; each figure runs once a session."""
+    _title, run = FIGURES[key]
+    return run(scale=ExperimentScale.quick())
+
+
+@pytest.mark.parametrize("key", FIGURES)
+def test_pinned_numbers_are_the_committed_ones(key):
+    pinned = pins(quick(key))
+    row = pprint.pformat(pinned, width=80, compact=True, sort_dicts=False)
+    assert pinned == GOLDEN.get(key), f"{key} moved; if on purpose, its GOLDEN row is now\n{row}"
+
+
+def test_every_figure_is_pinned_and_shape_checked():
+    """A figure cannot be added unpinned, nor a golden row outlive its figure."""
+    assert set(GOLDEN) == set(FIGURES)
+    assert SHAPE_CHECKED == set(FIGURES)
 
 
 class TestReporting:
@@ -63,8 +166,9 @@ class TestReporting:
 
 
 class TestRatioSweep:
+    @checks("fig03")
     def test_figure3_shape(self):
-        result = run_ratio_sweep(ratios=(0.0, 0.5, 4.0, 64.0), scale=QUICK)
+        result = quick("fig03")
         bl1, bl2 = result.series("BL1"), result.series("BL2")
         # BL1 rises with the read share, BL2 falls.
         assert bl1[0] < bl1[-1]
@@ -72,119 +176,227 @@ class TestRatioSweep:
         # Static baselines trade places: BL1 wins write-heavy, BL2 read-heavy.
         assert bl1[0] < bl2[0]
         assert bl2[-1] < bl1[-1]
-        assert result.crossover_ratio is not None
-        assert 0.25 <= result.crossover_ratio <= 4.0
+        assert result.crossover is not None
+        assert 0.25 <= result.crossover <= 4.0
 
+    @checks("fig07")
     def test_figure7_includes_dynamic_baselines(self):
-        result = run_ratio_sweep(
-            ratios=(0.5, 16.0), scale=QUICK, include_dynamic_baselines=True
-        )
+        result = quick("fig07")
         assert set(result.gas_per_operation) == {"BL1", "BL2", "BL3", "BL4", "GRuB"}
-        # Storing the trace on chain is strictly more expensive than GRuB.
-        for index in range(2):
-            assert result.series("BL3")[index] > result.series("GRuB")[index]
-            assert result.series("BL4")[index] > result.series("GRuB")[index]
+        grub = result.series("GRuB")
+        # Storing the trace on chain is strictly more expensive than GRuB as
+        # soon as there is a read to trace (at ratio 0 there is none).
+        for index, ratio in enumerate(result.x_values):
+            for traced in (result.series("BL3")[index], result.series("BL4")[index]):
+                assert traced > grub[index] if ratio > 0 else traced == grub[index]
+        # GRuB tracks the cheaper static baseline at both extremes.
+        assert grub[0] <= result.series("BL2")[0] and grub[0] <= result.series("BL1")[0]
+        assert grub[-1] <= result.series("BL1")[-1] and grub[-1] <= result.series("BL2")[-1]
 
     def test_rows_for_printing(self):
-        result = run_ratio_sweep(ratios=(0.0, 4.0), scale=QUICK)
+        result = quick("fig03")
         rows = result.rows()
-        assert len(rows) == 2 and rows[0][0] == 0.0
+        assert len(rows) == len(result.x_values) and rows[0][0] == 0.0
+
+
+MIXES = ("fig09-AB", "fig09-AE", "fig09-AF")
 
 
 class TestTraceExperiments:
+    @checks("fig05")
     def test_figure5_table3_ordering(self):
-        result = run_eth_price_oracle_experiment(scale=QUICK, with_stablecoin=False)
+        result = quick("fig05")
         # GRuB is the cheapest; the never-replicate baseline is the most expensive
         # (the paper's Table 3 ordering).
-        assert result.feed_gas("GRuB") < result.feed_gas("BL2")
-        assert result.feed_gas("GRuB") < result.feed_gas("BL1")
-        assert result.overhead_versus_grub("BL1") > 0
-        assert result.overhead_versus_grub("BL2") > 0
+        assert result.totals["GRuB"] < result.totals["BL2"] < result.totals["BL1"]
+        assert result.versus_reference("BL1") > 0
+        assert result.versus_reference("BL2") > 0
 
     def test_figure5_application_layer_adds_gas(self):
-        result = run_eth_price_oracle_experiment(scale=QUICK, with_stablecoin=True)
-        for name in ("BL1", "BL2", "GRuB"):
-            assert result.application_gas[name] >= 0
-            assert result.reports[name].gas_total >= result.reports[name].gas_feed
+        for report in quick("fig05").reports.values():
+            assert report.gas_application > 0
+            assert report.gas_total == report.gas_feed + report.gas_application
 
+    @checks("fig06")
     def test_figure6_btcrelay_phases(self):
-        result = run_btcrelay_experiment(scale=QUICK)
+        result = quick("fig06")
         series_bl1 = result.epoch_series["BL1"]
         series_bl2 = result.epoch_series["BL2"]
         half = len(series_bl1) // 2
-        mean = lambda xs: sum(xs) / max(1, len(xs))
         # Phase 1 (write-intensive): BL1 beats BL2; phase 2 (read-intensive): BL2 beats BL1.
-        assert mean(series_bl1[:half]) < mean(series_bl2[:half])
-        assert mean(series_bl2[half:]) < mean(series_bl1[half:])
-        # GRuB stays competitive with the best baseline overall.
-        best = min(result.feed_gas("BL1"), result.feed_gas("BL2"))
-        assert result.feed_gas("GRuB") <= best * 1.15
+        assert fmean(series_bl1[:half]) < fmean(series_bl2[:half])
+        assert fmean(series_bl2[half:]) < fmean(series_bl1[half:])
+        # GRuB stays competitive with the best baseline overall — at this
+        # scale it lands between the two, not below both.
+        best = min(result.totals["BL1"], result.totals["BL2"])
+        assert result.totals["GRuB"] <= best * 1.15
 
     def test_figure9_table4_ycsb(self):
-        result = run_ycsb_experiment(phases=("A", "B"), scale=QUICK)
-        assert result.feed_gas("GRuB") <= min(result.feed_gas("BL1"), result.feed_gas("BL2")) * 1.2
+        result = quick("fig09-AB")
+        assert result.totals["GRuB"] <= min(result.totals["BL1"], result.totals["BL2"]) * 1.2
         assert len(result.epoch_series["GRuB"]) > 2
+
+    @checks(*MIXES)
+    @pytest.mark.parametrize("key", MIXES)
+    def test_figures9_13_ycsb_mixes(self, key):
+        """GRuB stays below the worse static placement on every four-phase
+        mix, and within 1.5x of the better one.  On A,B it beats both; on A,E
+        and the small-record A,F it lands *between* them (1.41x and 1.13x the
+        better one here).  The 1.5x bound is a quick- and default-scale fact:
+        the recorded paper-scale run reads 1.60x on A,E, with BL1 and BL2 in
+        the opposite order (README, "Reproducing the paper")."""
+        result = quick(key)
+        baselines = result.totals["BL1"], result.totals["BL2"]
+        assert result.totals["GRuB"] <= max(baselines)
+        assert result.totals["GRuB"] <= min(baselines) * 1.5
 
 
 class TestAlgorithmAndParameterExperiments:
+    @checks("fig08a")
     def test_figure8a_memorizing_converges_below_memoryless(self):
-        result = run_algorithm_comparison(k=4, scale=QUICK)
+        result = quick("fig08a")
         assert result.totals["memorizing"] < result.totals["memoryless"]
         assert result.totals["offline"] <= result.totals["memorizing"] * 1.05
 
+    @checks("fig08b")
     def test_figure8b_record_size_monotone(self):
-        result = run_record_size_sweep(record_sizes_words=(1, 4, 8), scale=QUICK)
+        result = quick("fig08b")
         for name in ("BL1", "BL2", "GRuB"):
             series = result.gas_per_operation[name]
             assert series[0] < series[-1]
-        # GRuB never exceeds the worse baseline.
-        for index in range(3):
-            worst = max(result.gas_per_operation["BL1"][index], result.gas_per_operation["BL2"][index])
-            assert result.gas_per_operation["GRuB"][index] <= worst
+        # GRuB never exceeds the worse baseline — but for 2-word records, where
+        # this ratio-2 workload sits on the BL1/BL2 crossover and GRuB pays 3 %
+        # over both for switching between them.
+        for index, words in enumerate(result.x_values):
+            worst = max(result.series("BL1")[index], result.series("BL2")[index])
+            assert result.series("GRuB")[index] <= worst * (1.05 if words == 2 else 1.0)
 
+    @checks("fig11")
     def test_figure11_k_sweep_has_workload_dependent_extremum(self):
-        result = run_parameter_k_sweep(k_values=(1, 2, 8, 32), ratios=(2.0, 8.0), scale=QUICK)
-        for label, series in result.gas_per_operation.items():
-            assert len(series) == 4
+        result = quick("fig11")
+        assert len(result.gas_per_operation) == 3
+        for series in result.gas_per_operation.values():
+            assert len(series) == len(result.x_values)
             assert max(series) > min(series)  # K matters
 
+    @checks("fig14")
+    def test_figure14_k_sweep_under_ycsb(self):
+        result = quick("fig14")
+        assert result.baselines["BL1"] > 0 and result.baselines["BL2"] > 0
+        series = result.series("GRuB")
+        assert len(series) == len(result.x_values)
+        assert max(series) > min(series)  # K matters
+
+    @checks("fig12")
     def test_figure12_threshold_ratio_trends(self):
-        result = run_threshold_ratio_experiment(
-            record_sizes_bytes=(32, 512), data_sizes=(64, 1024), scale=QUICK
-        )
-        small_record = result.by_record_size[32]
-        large_record = result.by_record_size[512]
+        result = quick("fig12")
+        small_record, *_, large_record = result.by_record_size.values()
         assert small_record is not None and large_record is not None
         # Larger records shift the crossover towards more reads (Figure 12a).
         assert large_record >= small_record
-        small_data = result.by_data_size[64]
-        large_data = result.by_data_size[1024]
+        small_data, *_, large_data = result.by_data_size.values()
         assert small_data is not None and large_data is not None
         # Larger datasets (bigger proofs) shift it the other way (Figure 12b).
         assert large_data <= small_data
 
+    @checks("fig15")
     def test_figure15_table5_adaptive_k(self):
-        result = run_adaptive_k_experiment(scale=QUICK)
+        result = quick("fig15")
         assert set(result.totals) == {"static", "adaptive-k1", "adaptive-k2"}
         assert all(total > 0 for total in result.totals.values())
         # K1 ("the future repeats the past") stays close to the static policy,
-        # matching Table 5's +0.8%.  The K2-beats-static result of Table 5
-        # depends on the anti-correlated bursts of the real trace, which the
-        # synthetic i.i.d. trace deliberately does not inject; EXPERIMENTS.md
-        # discusses the difference.
-        assert abs(result.relative_to_static("adaptive-k1")) < 35.0
-        assert isinstance(result.relative_to_static("adaptive-k2"), float)
+        # matching Table 5's +0.8%.  Table 5's K2-beats-static does not
+        # reproduce: it depends on the anti-correlated bursts of the real
+        # trace, which the synthetic i.i.d. trace deliberately does not inject,
+        # so K2 costs a multiple of static K here (2.7x at this scale).
+        assert abs(result.versus_reference("adaptive-k1")) < 35.0
+        assert result.versus_reference("adaptive-k2") > 0
         assert len(result.epoch_series["static"]) > 1
 
 
+#: Ablation key → (the variant that must not cost more, the one it is read against).
+ABLATIONS = {
+    "ablation-deliver-batching": ("epoch-batched", "per-request"),
+    "ablation-storage-refunds": ("with clear refunds", "no refunds (paper model)"),
+    "ablation-slot-reuse": ("reused slot pool", "fresh slot per replica"),
+}
+
+
+class TestAblations:
+    @checks(*ABLATIONS)
+    @pytest.mark.parametrize("key", ABLATIONS)
+    def test_design_choice_never_costs_more(self, key):
+        totals = quick(key).totals
+        cheaper, dearer = ABLATIONS[key]
+        assert totals[cheaper] <= totals[dearer]
+
+    def test_only_deliver_batching_shows_on_these_workloads(self):
+        """Batching saves a transaction per request.  The other two are
+        equalities at every scale, not savings: an eviction invalidates a
+        replica's slot and never clears it, so no clear refund is ever
+        credited, and the six keys re-replicate into their own invalidated
+        slots, so the freed-slot pool is never drawn on (BtcRelay's ever-new
+        block keys are what draw on it).  Pinned so that either starting to
+        matter is noticed."""
+        batched, per_request = quick("ablation-deliver-batching").totals.values()
+        assert batched < per_request
+        for key in ("ablation-storage-refunds", "ablation-slot-reuse"):
+            without, with_choice = quick(key).totals.values()
+            assert with_choice == without
+
+
 class TestCharacterisationExperiment:
+    @checks("tab1-6")
     def test_tables_one_and_six(self):
-        result = run_workload_characterisation(scale=QUICK)
+        result = quick("tab1-6")
         eth = result.eth_price_oracle.reads_per_write_distribution()
         btc = result.btcrelay.reads_per_write_distribution()
-        assert eth.get(0, 0) == pytest.approx(0.704, abs=0.08)
-        assert btc.get(0, 0) == pytest.approx(0.937, abs=0.25)
+        assert eth.get(0, 0) == pytest.approx(0.704, abs=0.05)
+        assert btc.get(0, 0) == pytest.approx(0.937, abs=0.05)
         assert result.eth_price_target[0] == pytest.approx(0.704, abs=1e-6)
+
+
+class TestCommand:
+    """``python -m repro.analysis``, the table's second reader."""
+
+    def test_prints_a_figure_and_the_same_bytes_under_any_hash_seed(self):
+        def run(hash_seed):
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONIOENCODING": "utf-8",
+            }
+            # Keys on both sides of the option.
+            arguments = ["fig03", "--scale", "quick", "fig06", "fig08a"]
+            command = [sys.executable, "-m", "repro.analysis", *arguments]
+            return subprocess.run(command, env=env, capture_output=True, timeout=60)
+
+        first, second = run("0"), run("12345")
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        lines = first.stdout.decode("utf-8").splitlines()
+        assert lines[0] == f"[fig03] {FIGURES['fig03'][0]}" and "(paper: " in lines[0]
+        assert "BL1/BL2 crossover ratio ≈ 1.48" in lines
+
+    def test_unknown_key_exits_nonzero_and_lists_the_keys(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            figures.main(["fig03", "fig99"])
+        assert exit_.value.code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing is run before every key is known
+        assert "fig99" in captured.err and all(key in captured.err for key in FIGURES)
+
+    def test_no_arguments_prints_every_figure(self, monkeypatch, capsys):
+        # The quick results above stand in for the default-scale runs (32 s).
+        cached = {
+            key: (title, lambda scale, key=key: quick(key))
+            for key, (title, _run) in FIGURES.items()
+        }
+        monkeypatch.setattr(figures, "FIGURES", cached)
+        assert figures.main([]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines() if line[:1] == "["]
+        assert headers == [f"[{key}] {title}" for key, (title, _run) in FIGURES.items()]
 
 
 class TestGatewayVersusIsolation:

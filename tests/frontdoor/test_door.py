@@ -283,6 +283,45 @@ class TestRequestLifecycle:
         assert stats.settled == 1 and stats.cancelled == 2
         assert door.fleet.feed("leaver").cancelled_ops == 2
 
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_scheduler_crash_fails_the_request_in_flight_and_closes_the_door(self, mode):
+        """The epoch loop raises behind ``serving()``: the request in flight
+        gets the error itself (not a "run finished" cancellation), a request
+        submitted afterwards is turned away at a closed door instead of
+        waiting for ever on a queue nobody drains, and the ``async with``
+        re-raises the same error on the way out."""
+        registry, _ = build_fleet(n_feeds=2, n_ops=0)
+        kwargs = {} if mode == "serial" else {"num_workers": 2}
+        scheduler = EpochScheduler(registry, epoch_size=EPOCH, execution_mode=mode, **kwargs)
+        crash = RuntimeError("planner exploded")
+
+        def plan(feed_ids, *, block_gas_limit):
+            raise crash
+
+        scheduler.planner.plan = plan
+        door = FrontDoor(scheduler)
+        outcome = {}
+
+        async def main():
+            async with door.serving() as d:
+                try:
+                    await asyncio.wait_for(d.submit(Request.read("feed-0", "k")), 5)
+                except RuntimeError as error:
+                    outcome["in flight"] = error
+                # Once the scheduler thread is gone, nobody drains the queue.
+                await asyncio.wait_for(asyncio.to_thread(door._thread.join), 5)
+                outcome["late"] = await asyncio.wait_for(
+                    d.submit(Request.read("feed-1", "k")), 5
+                )
+
+        with pytest.raises(RuntimeError) as raised:
+            asyncio.run(main())
+        assert raised.value is crash
+        assert outcome["in flight"] is crash
+        assert outcome["late"].status == STATUS_REJECTED
+        assert outcome["late"].reason == REJECT_DOOR_CLOSED
+        assert door._pending == [] and not any(door._inflight.values())
+
     def test_fleet_property_requires_a_finished_run(self):
         registry, _ = build_fleet(n_feeds=1, n_ops=0)
         door = FrontDoor(EpochScheduler(registry, epoch_size=EPOCH))
