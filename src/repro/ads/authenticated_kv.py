@@ -341,11 +341,10 @@ class AuthenticatedKVStore:
         """Produce records + proofs for several keys in one batched tree pass.
 
         Used by the SP when answering an epoch's deliver batch: instead of
-        one :meth:`query` (and one root-path walk) per requested record, all
-        proofs are generated by :meth:`MerkleTree.prove_many`, which shares
-        the sibling digests common to the batch.  Each result is identical to
-        what :meth:`query` would return for the same key against the same
-        root.
+        one :meth:`query` per requested record, all proofs are generated by
+        :meth:`MerkleTree.prove_many`, once per distinct key.  Each result is
+        identical to what :meth:`query` would return for the same key against
+        the same root.
         """
         results: Dict[str, QueryResult] = {}
         present: Dict[str, int] = {}

@@ -2,16 +2,19 @@
 
 The tree is the binary-Merkle construction the paper uses for its ADS
 (Figure 4b): leaves hold record hashes, interior nodes hash the concatenation
-of their children.  Proof verification is written as pure functions so the
-storage-manager contract can call them while charging hash gas per node
-through its meter, and off-chain parties can call them for free.
+of their children.  A proof is the flat tuple of sibling digests from the leaf
+up; which side each sits on is read off the bits of the leaf index, never off
+the proof.  Verification is pure functions: off-chain parties call them for
+free, and an on-chain verifier knows what a walk costs before it starts
+(:attr:`MerkleProof.num_nodes` pair hashes), so it meters a proof as one
+amount instead of once per hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import IntegrityError
 from repro.common.hashing import DIGEST_SIZE_BYTES, EMPTY_DIGEST, hash_pair, keccak
@@ -43,28 +46,26 @@ def clear_pair_memo() -> None:
 
 
 @dataclass(frozen=True)
-class ProofNode:
-    """One sibling digest on an authentication path.
-
-    ``is_left`` records whether the sibling sits to the left of the path node,
-    which determines the concatenation order when recomputing the parent.
-    """
-
-    digest: bytes
-    is_left: bool
-
-
-@dataclass(frozen=True)
 class MerkleProof:
-    """Authentication path proving that a leaf is at ``leaf_index``."""
+    """Authentication path proving that a leaf is at ``leaf_index``: the
+    sibling digest at every level, leaf level first."""
 
     leaf_index: int
     leaf_count: int
-    path: Tuple[ProofNode, ...]
+    path: Tuple[bytes, ...]
 
     @property
     def num_nodes(self) -> int:
         return len(self.path)
+
+    @property
+    def is_bound(self) -> bool:
+        """Whether the path fits the position it claims: an index inside the
+        leaf count and one sibling per level of a tree that size.  Checking
+        this hashes nothing, so a verifier that meters does it first."""
+        return 0 <= self.leaf_index < self.leaf_count and len(
+            self.path
+        ) == expected_proof_length(self.leaf_count)
 
     @property
     def size_words(self) -> int:
@@ -187,56 +188,31 @@ class MerkleTree:
         """Produce the authentication path for the leaf at ``index``."""
         if not 0 <= index < len(self._leaves):
             raise IndexError(f"leaf index {index} out of range")
-        path: List[ProofNode] = []
-        position = index
-        for level in self._levels[:-1]:
-            sibling_index = position ^ 1
-            sibling = level[sibling_index] if sibling_index < len(level) else EMPTY_DIGEST
-            path.append(ProofNode(digest=sibling, is_left=sibling_index < position))
-            position //= 2
-        return MerkleProof(
-            leaf_index=index, leaf_count=len(self._leaves), path=tuple(path)
-        )
+        # Every level is padded to a power of two, so the sibling exists.
+        path = [
+            level[(index >> depth) ^ 1]
+            for depth, level in enumerate(self._levels[:-1])
+        ]
+        return MerkleProof(index, len(self._leaves), tuple(path))
 
     def prove_many(self, indices: Sequence[int]) -> Dict[int, MerkleProof]:
         """Authentication paths for several leaves in one tree pass.
 
         Batched proof generation for a deliver batch: the level lists are
-        bound once and sibling :class:`ProofNode` objects are built at most
-        once per (level, position) and shared between the returned proofs —
-        requests in one epoch cluster under common subtrees, so neighbouring
-        proofs reuse most of their upper path nodes.  Each returned proof is
-        identical to what :meth:`prove` would produce for the same index.
+        bound once and each distinct index is proved once.  Each returned
+        proof is identical to what :meth:`prove` would produce for the same
+        index.
         """
-        levels = self._levels[:-1]
+        levels = list(enumerate(self._levels[:-1]))
         leaf_count = len(self._leaves)
-        shared_nodes: Dict[Tuple[int, int], ProofNode] = {}
         proofs: Dict[int, MerkleProof] = {}
         for index in indices:
             if index in proofs:
                 continue
             if not 0 <= index < leaf_count:
                 raise IndexError(f"leaf index {index} out of range")
-            path: List[ProofNode] = []
-            position = index
-            for depth, level in enumerate(levels):
-                sibling_index = position ^ 1
-                node = shared_nodes.get((depth, sibling_index))
-                if node is None:
-                    sibling = (
-                        level[sibling_index]
-                        if sibling_index < len(level)
-                        else EMPTY_DIGEST
-                    )
-                    # A sibling's side is fixed by its parity: even positions
-                    # sit to the left of their (odd) partner.
-                    node = ProofNode(digest=sibling, is_left=sibling_index % 2 == 0)
-                    shared_nodes[(depth, sibling_index)] = node
-                path.append(node)
-                position //= 2
-            proofs[index] = MerkleProof(
-                leaf_index=index, leaf_count=leaf_count, path=tuple(path)
-            )
+            path = [level[(index >> depth) ^ 1] for depth, level in levels]
+            proofs[index] = MerkleProof(index, leaf_count, tuple(path))
         return proofs
 
     def prove_range(self, start_index: int, count: int) -> RangeProof:
@@ -267,14 +243,10 @@ class MerkleTree:
         self._levels[0][position] = new_hash
         for depth in range(len(self._levels) - 1):
             parent_index = position // 2
-            left = self._levels[depth][parent_index * 2]
-            right_index = parent_index * 2 + 1
-            right = (
-                self._levels[depth][right_index]
-                if right_index < len(self._levels[depth])
-                else EMPTY_DIGEST
+            level = self._levels[depth]
+            self._levels[depth + 1][parent_index] = _hash_pair_memo(
+                level[parent_index * 2], level[parent_index * 2 + 1]
             )
-            self._levels[depth + 1][parent_index] = _hash_pair_memo(left, right)
             position = parent_index
         return self.root
 
@@ -318,15 +290,9 @@ class MerkleTree:
             parent_level = self._levels[depth + 1]
             next_parents = set()
             for parent in parents:
-                left_index = parent * 2
-                right_index = left_index + 1
-                left = level[left_index]
-                right = (
-                    level[right_index]
-                    if right_index < len(level)
-                    else EMPTY_DIGEST
+                parent_level[parent] = _hash_pair_memo(
+                    level[parent * 2], level[parent * 2 + 1]
                 )
-                parent_level[parent] = _hash_pair_memo(left, right)
                 next_parents.add(parent >> 1)
             parents = next_parents
         return self.root
@@ -363,67 +329,42 @@ class MerkleTree:
         return self.root
 
 
-# -- verification (usable on-chain with gas metering) -----------------------------
+# -- verification (pure: a metering verifier charges before it calls) ---------------
 
 
-def recompute_root_from_proof(
-    leaf_hash: bytes,
-    proof: MerkleProof,
-    charge_hash: Optional[Callable[[int], None]] = None,
-) -> bytes:
+def recompute_root_from_proof(leaf_hash: bytes, proof: MerkleProof) -> bytes:
     """Recompute the root implied by ``leaf_hash`` at ``proof.leaf_index``.
 
-    The path is bound to the position it claims: it must be as long as a tree
-    of ``proof.leaf_count`` leaves is deep, and each step's side comes from
-    the index bits — a sibling's ``is_left`` flag has to agree, it never
-    decides.  A proof that breaks the binding raises
-    :class:`~repro.common.errors.IntegrityError` (``verify_range`` and
-    ``verify_non_membership`` trust ``leaf_index``, so a path for leaf 9
-    relabelled as leaf 6 must not verify).
-
-    ``charge_hash`` is called once per hash computation with the input size in
-    words, letting the storage-manager contract charge hash gas; the binding
-    checks themselves hash nothing.
+    The path is bound to the position it claims: it must pass
+    :attr:`MerkleProof.is_bound` or this raises
+    :class:`~repro.common.errors.IntegrityError`, and each sibling's side
+    comes from the index bits — the proof carries nothing that could say
+    otherwise.  ``verify_range`` and ``verify_non_membership`` trust
+    ``leaf_index``, so a path for leaf 9 relabelled as leaf 6 must not verify:
+    it hashes its siblings on leaf 6's sides and arrives at another root.
     """
-    position = proof.leaf_index
-    path = proof.path
-    if not 0 <= position < proof.leaf_count or len(path) != expected_proof_length(
-        proof.leaf_count
-    ):
+    if not proof.is_bound:
         raise IntegrityError("proof path does not fit its leaf index and count")
+    position = proof.leaf_index
     current = leaf_hash
-    for node in path:
-        sibling_is_left = position & 1
-        if node.is_left != sibling_is_left:
-            raise IntegrityError("proof path does not lead to its leaf index")
-        if charge_hash is not None:
-            charge_hash(2)
-        if sibling_is_left:
-            current = _hash_pair_memo(node.digest, current)
+    for sibling in proof.path:
+        if position & 1:
+            current = _hash_pair_memo(sibling, current)
         else:
-            current = _hash_pair_memo(current, node.digest)
+            current = _hash_pair_memo(current, sibling)
         position >>= 1
     return current
 
 
-def verify_membership(
-    root: bytes,
-    leaf_hash: bytes,
-    proof: MerkleProof,
-    charge_hash: Optional[Callable[[int], None]] = None,
-) -> bool:
+def verify_membership(root: bytes, leaf_hash: bytes, proof: MerkleProof) -> bool:
     """Check that ``leaf_hash`` is a member under ``root`` at ``proof.leaf_index``."""
     try:
-        return recompute_root_from_proof(leaf_hash, proof, charge_hash) == root
+        return recompute_root_from_proof(leaf_hash, proof) == root
     except IntegrityError:
         return False
 
 
-def verify_range(
-    root: bytes,
-    proof: RangeProof,
-    charge_hash: Optional[Callable[[int], None]] = None,
-) -> bool:
+def verify_range(root: bytes, proof: RangeProof) -> bool:
     """Check a contiguous-range proof: the boundary paths must verify and the
     in-range leaf hashes must be exactly those committed at the boundary
     positions.
@@ -443,7 +384,7 @@ def verify_range(
     first = proof.boundary_proofs[0]
     if first.leaf_index != proof.start_index:
         return False
-    if not verify_membership(root, proof.leaf_hashes[0], first, charge_hash):
+    if not verify_membership(root, proof.leaf_hashes[0], first):
         return False
     if proof.count > 1:
         if len(proof.boundary_proofs) < 2:
@@ -451,7 +392,7 @@ def verify_range(
         last = proof.boundary_proofs[1]
         if last.leaf_index != proof.start_index + proof.count - 1:
             return False
-        if not verify_membership(root, proof.leaf_hashes[-1], last, charge_hash):
+        if not verify_membership(root, proof.leaf_hashes[-1], last):
             return False
         # Interior completeness: recompute the root over the whole leaf level
         # is not available to the contract; instead the contract checks that
@@ -466,7 +407,6 @@ def verify_non_membership(
     root: bytes,
     left_neighbor: Tuple[bytes, MerkleProof],
     right_neighbor: Tuple[bytes, MerkleProof],
-    charge_hash: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """Check that no leaf exists between two adjacent leaves.
 
@@ -478,9 +418,9 @@ def verify_non_membership(
     right_hash, right_proof = right_neighbor
     if right_proof.leaf_index != left_proof.leaf_index + 1:
         return False
-    if not verify_membership(root, left_hash, left_proof, charge_hash):
+    if not verify_membership(root, left_hash, left_proof):
         return False
-    return verify_membership(root, right_hash, right_proof, charge_hash)
+    return verify_membership(root, right_hash, right_proof)
 
 
 def expected_proof_length(leaf_count: int) -> int:

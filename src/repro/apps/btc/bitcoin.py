@@ -67,11 +67,11 @@ class SPVProof:
     merkle_root: bytes
     proof: MerkleProof
 
-    def verify(self, expected_merkle_root: bytes, charge_hash=None) -> bool:
+    def verify(self, expected_merkle_root: bytes) -> bool:
         """Check the transaction is committed under ``expected_merkle_root``."""
         if expected_merkle_root != self.merkle_root:
             return False
-        return verify_membership(expected_merkle_root, keccak(self.txid), self.proof, charge_hash)
+        return verify_membership(expected_merkle_root, keccak(self.txid), self.proof)
 
 
 @dataclass

@@ -145,12 +145,15 @@ class PeggedTokenContract(DataConsumerContract):
         proof: SPVProof = request["proof"]
         # The header's Merkle root occupies bytes 40..72 of the serialised header.
         merkle_root = header[40:72]
-        ok = proof.verify(
-            merkle_root,
-            charge_hash=lambda words: ctx.meter.charge(
-                ctx.meter.schedule.hash_cost(words), "hash"
-            ),
-        )
+        # Gas is paid before the work: a proof that names this header's root and
+        # fits its index (neither check hashes anything) is charged its whole
+        # walk as one amount, then walked.
+        ok = proof.merkle_root == merkle_root and proof.proof.is_bound
+        if ok:
+            ctx.meter.charge(
+                proof.proof.num_nodes * ctx.meter.schedule.hash_cost(2), "hash"
+            )
+            ok = proof.verify(merkle_root)
         if not ok:
             self.rejected += 1
             self.emit(ctx, "VerificationFailed", purpose=purpose, block_height=request["block_height"])

@@ -69,7 +69,12 @@ class Contract:
     def require(self, condition: bool, message: str) -> None:
         """Solidity-style ``require``: revert the call when ``condition`` fails."""
         if not condition:
-            raise ContractError(f"{type(self).__name__}: {message}")
+            self.revert(message)
+
+    def revert(self, message: str) -> None:
+        """Solidity-style ``revert``, for a check in a loop: unlike
+        :meth:`require` it builds its message only when the check fails."""
+        raise ContractError(f"{type(self).__name__}: {message}")
 
     def call_contract(
         self,

@@ -297,36 +297,43 @@ class StorageManagerContract(Contract):
         return results
 
     def deliver(self, ctx: ExecutionContext, items: List[DeliverItem]) -> int:
-        """SP transaction answering requests: verify, optionally replicate, call back."""
-        root = self.storage.load(ctx.meter, self.ROOT_SLOT)
+        """SP transaction answering requests: verify every record of the call,
+        then replicate and call back.
+
+        Nothing is applied until the whole call has verified: a consumer's
+        Python-side state is not contract storage, so a callback that ran
+        before a later item failed could not be rolled back with the revert.
+        """
+        meter = ctx.meter
+        root = self.storage.load(meter, self.ROOT_SLOT)
         self.require(root is not None, "no root hash published yet")
         obs = getattr(self.chain, "obs", None)
         verify_started = obs.tracer.clock() if obs is not None else 0.0
-        verified = 0
+        pair_cost = meter.schedule.hash_cost(2)
         for item in items:
-            self.require(item.proof is not None, f"missing proof for {item.key!r}")
+            proof = item.proof
+            if proof is None:
+                self.revert(f"missing proof for {item.key!r}")
             leaf = self._leaf_hash(ctx, item)
-            ok = verify_membership(
-                root,
-                leaf,
-                item.proof,
-                charge_hash=lambda words: ctx.meter.charge(
-                    ctx.meter.schedule.hash_cost(words), "hash"
-                ),
+            # Gas is paid before the work, as on the EVM: once a proof is seen
+            # to fit its index and count (which hashes nothing) its whole walk
+            # is charged as one amount, whether or not it reaches the root.
+            if proof.is_bound:
+                meter.charge(proof.num_nodes * pair_cost, "hash")
+            if not verify_membership(root, leaf, proof):
+                self.revert(f"integrity check failed for delivered key {item.key!r}")
+        if obs is not None:
+            obs.counter("chain_verify_total").inc(len(items))
+            obs.histogram("chain_verify_seconds").observe(
+                obs.tracer.clock() - verify_started
             )
-            self.require(ok, f"integrity check failed for delivered key {item.key!r}")
+        for item in items:
             if item.replicate:
                 self._store_replica(ctx, item.key, item.value)
             if item.callback is not None:
                 self._invoke_callback(ctx, item.callback, item.key, item.value)
-            verified += 1
-            self.delivered_records += 1
-        if obs is not None:
-            obs.counter("chain_verify_total").inc(verified)
-            obs.histogram("chain_verify_seconds").observe(
-                obs.tracer.clock() - verify_started
-            )
-        return verified
+        self.delivered_records += len(items)
+        return len(items)
 
     # -- write path -----------------------------------------------------------
 

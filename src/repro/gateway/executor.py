@@ -287,28 +287,31 @@ def prepare_update_groups(
 
 
 def deliver_transaction(router_address: str, groups: List[DeliverGroup]) -> Transaction:
-    """The batched cross-feed deliver transaction for one shard's groups."""
+    """The batched cross-feed deliver transaction for one shard's groups (one
+    group a feed, so the per-feed weights add up to its calldata)."""
+    scopes = scope_weights_for_deliver(groups)
     return Transaction(
         sender=GATEWAY_OPERATOR,
         contract=router_address,
         function="deliver_batch",
         args={"groups": groups},
-        calldata_bytes=sum(group.calldata_bytes for group in groups),
+        calldata_bytes=sum(scopes.values()),
         layer=LAYER_FEED,
-        scopes=scope_weights_for_deliver(groups),
+        scopes=scopes,
     )
 
 
 def update_transaction(router_address: str, groups: List[UpdateGroup]) -> Transaction:
     """The grouped cross-feed update transaction for one shard's groups."""
+    scopes = scope_weights_for_update(groups)
     return Transaction(
         sender=GATEWAY_OPERATOR,
         contract=router_address,
         function="update_batch",
         args={"groups": groups},
-        calldata_bytes=sum(group.calldata_bytes for group in groups),
+        calldata_bytes=sum(scopes.values()),
         layer=LAYER_FEED,
-        scopes=scope_weights_for_update(groups),
+        scopes=scopes,
     )
 
 

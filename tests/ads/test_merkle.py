@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.ads.merkle import (
     MerkleProof,
     MerkleTree,
-    ProofNode,
     expected_proof_length,
     recompute_root_from_proof,
     verify_membership,
@@ -16,7 +15,7 @@ from repro.ads.merkle import (
     verify_range,
 )
 from repro.common.errors import IntegrityError
-from repro.common.hashing import EMPTY_DIGEST, keccak
+from repro.common.hashing import EMPTY_DIGEST, hash_pair, keccak
 
 
 def leaves_for(count: int) -> list:
@@ -76,11 +75,13 @@ class TestMembershipProofs:
         with pytest.raises(IndexError):
             tree.prove(4)
 
-    def test_charge_hash_called_per_level(self):
+    def test_walk_costs_one_pair_hash_per_level(self):
+        # What a metering verifier charges for: one pair hash per level, known
+        # from the proof alone before anything is hashed.
         tree = MerkleTree(leaves_for(16))
-        charges = []
-        verify_membership(tree.root, tree.leaf(0), tree.prove(0), charge_hash=charges.append)
-        assert len(charges) == tree.depth
+        proof = tree.prove(0)
+        assert proof.is_bound
+        assert proof.num_nodes == tree.depth == expected_proof_length(16)
 
     def test_recompute_root_matches(self):
         tree = MerkleTree(leaves_for(10))
@@ -121,6 +122,52 @@ class TestUpdates:
         tree.remove_leaf(2)
         assert tree.leaf_count == 4
         assert tree.root == MerkleTree(leaves_for(4)).root
+
+
+def appended_across_a_doubling(leaves):
+    tree = MerkleTree(leaves[: len(leaves) // 2])
+    for leaf in leaves[len(leaves) // 2 :]:
+        tree.append_leaf(leaf)
+    return tree
+
+
+def reassembled(leaves):
+    source = MerkleTree(leaves)
+    return MerkleTree.from_levels(source.leaves(), source.interior())
+
+
+class TestPadding:
+    """Every level is padded to a power of two, however the tree came to be —
+    ``prove``, ``_update_path`` and ``recompute_paths`` index siblings without
+    a bounds check on that premise."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 1000])
+    @pytest.mark.parametrize(
+        "construct", [MerkleTree, appended_across_a_doubling, reassembled]
+    )
+    def test_every_sibling_exists_and_padding_is_empty(self, construct, count):
+        leaves = leaves_for(count)
+        tree = construct(list(leaves))
+        assert tree.root == MerkleTree(leaves).root
+        # The digest of an all-padding subtree, by height.
+        empty = [EMPTY_DIGEST]
+        for _ in range(tree.depth):
+            empty.append(hash_pair(empty[-1], empty[-1]))
+        batch = tree.prove_many(range(count))
+        for index, leaf in enumerate(leaves):
+            proof = tree.prove(index)
+            assert proof == batch[index]
+            assert verify_membership(tree.root, leaf, proof)
+            for height, sibling in enumerate(proof.path):
+                first_leaf_under_sibling = ((index >> height) ^ 1) << height
+                assert (sibling == empty[height]) == (first_leaf_under_sibling >= count)
+        # The two update paths read the right-hand sibling the same way.
+        leaves[-1] = keccak(b"rewritten")
+        tree.update_leaf(count - 1, leaves[-1])
+        assert tree.root == MerkleTree(leaves).root
+        leaves[0] = keccak(b"staged")
+        tree.stage_leaf(0, leaves[0])
+        assert tree.recompute_paths([0]) == MerkleTree(leaves).root
 
 
 class TestRangeAndNonMembership:
@@ -164,19 +211,24 @@ class TestProofBinding:
         forged = MerkleProof(leaf_index=6, leaf_count=16, path=honest.path)
         assert verify_membership(tree.root, tree.leaf(9), honest)
         assert not verify_membership(tree.root, tree.leaf(9), forged)
-        with pytest.raises(IntegrityError):
-            recompute_root_from_proof(tree.leaf(9), forged)
+        # The relabelled path fits a 16-leaf tree, so it is walked to the end —
+        # on leaf 6's sides — and arrives at a root that is not the tree's.
+        assert forged.is_bound
+        assert recompute_root_from_proof(tree.leaf(9), forged) != tree.root
 
     def test_flags_cannot_override_the_index(self):
-        # Leaf 9's siblings relabelled with leaf 6's sides: index and flags
-        # agree with each other, the digests belong elsewhere.
+        # A proof has no side flags left to forge: the sides come from the
+        # index bits, so leaf 9's siblings verify under index 9 and under no
+        # other index of the tree.
         tree = MerkleTree(leaves_for(16))
-        relabelled = tuple(
-            ProofNode(digest=node.digest, is_left=flagged.is_left)
-            for node, flagged in zip(tree.prove(9).path, tree.prove(6).path)
-        )
-        forged = MerkleProof(leaf_index=6, leaf_count=16, path=relabelled)
-        assert not verify_membership(tree.root, tree.leaf(9), forged)
+        path = tree.prove(9).path
+        assert all(type(sibling) is bytes for sibling in path)
+        verifying = [
+            index
+            for index in range(16)
+            if verify_membership(tree.root, tree.leaf(9), MerkleProof(index, 16, path))
+        ]
+        assert verifying == [9]
 
     def test_out_of_range_index_fails(self):
         tree = MerkleTree(leaves_for(16))
@@ -200,13 +252,22 @@ class TestProofBinding:
             assert not verify_membership(tree.root, tree.leaf(9), relabelled)
 
     def test_binding_checks_charge_no_hash(self):
+        # ``is_bound`` is what an on-chain verifier reads before it pays for
+        # the walk: a wrong length or an out-of-range index is refused there,
+        # for no hash gas, and the pure functions refuse the same proofs.
         tree = MerkleTree(leaves_for(16))
-        charges = []
-        forged = MerkleProof(leaf_index=6, leaf_count=16, path=tree.prove(9).path)
-        assert not verify_membership(
-            tree.root, tree.leaf(9), forged, charge_hash=charges.append
-        )
-        assert len(charges) < tree.depth
+        path = tree.prove(9).path
+        unbound = [
+            MerkleProof(leaf_index=16, leaf_count=16, path=path),
+            MerkleProof(leaf_index=-7, leaf_count=16, path=path),
+            MerkleProof(leaf_index=9, leaf_count=16, path=path[1:]),
+            MerkleProof(leaf_index=9, leaf_count=17, path=path),
+        ]
+        for forged in unbound:
+            assert not forged.is_bound
+            assert not verify_membership(tree.root, tree.leaf(9), forged)
+            with pytest.raises(IntegrityError):
+                recompute_root_from_proof(tree.leaf(9), forged)
 
     def test_forged_adjacency_fails_non_membership(self):
         # Leaves 2 and 9 are far apart; relabelling 9's proof as index 3

@@ -104,8 +104,10 @@ class TestBtcRelayFeed:
 
 
 class TestPeggedToken:
-    def _confirmed_deposit(self, pegged, amount=1.0):
+    def _confirmed_deposit(self, pegged, amount=1.0, other_deposits=0):
         tx = pegged.bitcoin.deposit(amount_btc=amount, ethereum_recipient="alice")
+        for other in range(other_deposits):
+            pegged.bitcoin.deposit(amount_btc=1.0 + other, ethereum_recipient=f"other-{other}")
         deposit_block = pegged.bitcoin.mine_block()
         # Mine enough confirmations for the verification window.
         for _ in range(pegged.pegged.confirmations):
@@ -129,6 +131,26 @@ class TestPeggedToken:
         settle_feed(pegged)
         assert pegged.pegged.mints == 1
         assert pegged.token.peek_balance("alice") == tx.amount_satoshi
+
+    def test_mint_verification_gas_is_pinned(self, pegged):
+        # The SPV walk is metered as one amount (3 pair hashes here) where it
+        # used to be charged hash by hash; the figures are the earlier ones.
+        tx, deposit_block = self._confirmed_deposit(pegged, amount=0.5, other_deposits=4)
+        proof = pegged.bitcoin.spv_proof(tx.txid)
+        assert proof.proof.num_nodes == 3
+        chain = pegged.system.chain
+        chain.execute_internal_call(
+            "alice", "pegged-btc-gateway", "request_mint", recipient="alice",
+            amount_satoshi=tx.amount_satoshi, proof=proof, block_height=deposit_block.height,
+            layer="application",
+        )
+        hash_before = chain.ledger.by_category["hash"]
+        pegged.system.service_provider.service_epoch()
+        (receipt,) = chain.mine_block().receipts
+        assert receipt.success and pegged.pegged.mints == 1
+        # Three delivered headers (leaf hash 60 + 2 pair hashes each) + the SPV walk.
+        assert chain.ledger.by_category["hash"] - hash_before == 558 == 3 * (60 + 2 * 42) + 3 * 42
+        assert receipt.gas_used == 85_369
 
     def test_mint_with_forged_proof_rejected(self, pegged):
         tx, deposit_block = self._confirmed_deposit(pegged)

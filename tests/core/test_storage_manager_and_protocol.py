@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
 from repro.chain.chain import Blockchain, ChainParameters
+from repro.chain.transaction import Transaction
+from repro.common.clock import ManualClock
 from repro.common.types import KVRecord, Operation, ReplicationState
 from repro.core.config import GrubConfig
 from repro.core.control_plane import ControlPlane, DecisionActuator, WorkloadMonitor
@@ -15,6 +19,7 @@ from repro.core.decision.memoryless import MemorylessAlgorithm
 from repro.core.grub import GrubSystem
 from repro.core.service_provider import ServiceProvider, TamperingServiceProvider
 from repro.core.storage_manager import INVALID_REPLICA, StorageManagerContract
+from repro.obs import Observability
 
 
 @pytest.fixture
@@ -174,6 +179,46 @@ class TestReadPathAndWatchdog:
         assert transactions == []
 
 
+def requested_items(system, keys):
+    """Have the consumer ask for ``keys`` and return the honest SP's answer,
+    every record flagged for replication, without sending it."""
+    for key in keys:
+        system.chain.execute_internal_call("user", "data-consumer", "query_feed", key=key)
+    provider = system.service_provider
+    provider.decision_lookup = lambda key: ReplicationState.REPLICATED
+    provider.poll_requests()
+    requests, provider.pending = provider.pending, []
+    return provider.build_deliver_items(requests)
+
+
+def land_deliver(system, items, gas_limit=None):
+    """Mine one ``deliver`` of ``items``; its receipt and what it added to the
+    ledger by category."""
+    ledger = system.chain.ledger
+    before = dict(ledger.by_category)
+    system.chain.submit(
+        Transaction(
+            sender="storage-provider",
+            contract="storage-manager",
+            function="deliver",
+            args={"items": items},
+            calldata_bytes=sum(item.calldata_bytes for item in items),
+            gas_limit=gas_limit,
+        )
+    )
+    (receipt,) = system.chain.mine_block().receipts
+    charged = {
+        category: amount - before.get(category, 0)
+        for category, amount in ledger.by_category.items()
+        if amount != before.get(category, 0)
+    }
+    return receipt, charged
+
+
+def forged(item):
+    return replace(item, value=item.value + b"-forged")
+
+
 class TestSecurityAgainstTamperingSP:
     @pytest.mark.parametrize("attack", ["forge", "replay", "fork"])
     def test_tampered_deliveries_are_rejected_on_chain(self, attack):
@@ -202,6 +247,28 @@ class TestSecurityAgainstTamperingSP:
         # The callback must never observe tampered data.
         assert system.consumer.deliveries() == 0
 
+    @pytest.mark.parametrize("forged_at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_forged_item_in_a_mixed_batch_applies_nothing(self, protocol_system, forged_at):
+        """One forged record fails the whole ``deliver`` *before* anything is
+        applied: a consumer's Python-side state is not contract storage, so a
+        callback that had already run could not be reverted with the receipt.
+
+        This holds per ``deliver`` call.  A forged group inside a router
+        ``deliver_batch`` still leaves the callbacks of *earlier groups* run —
+        each group is its own ``deliver`` — which is ROADMAP item 2 (c).
+        """
+        system = protocol_system
+        items = requested_items(system, ["alpha", "bravo", "charlie"])
+        items[forged_at] = forged(items[forged_at])
+        receipt, _ = land_deliver(system, items)
+        assert not receipt.success and "integrity check failed" in receipt.error
+        assert system.consumer.deliveries() == 0
+        assert system.storage_manager.delivered_records == 0
+        assert system.storage_manager.replica_count() == 0
+        assert not any(
+            slot.startswith("replica:") for slot in system.storage_manager.storage.slots
+        )
+
     def test_omission_attack_denies_service_but_not_integrity(self):
         config = GrubConfig(epoch_size=4)
         system = GrubSystem(config, preload=[KVRecord.make("alpha", b"A" * 32)])
@@ -224,6 +291,113 @@ class TestSecurityAgainstTamperingSP:
         deliver_receipts = [r for r in receipts if r.transaction.function == "deliver"]
         assert deliver_receipts and all(r.success for r in deliver_receipts)
         assert protocol_system.consumer.deliveries() == 1
+
+
+class TestDeliverMetering:
+    """What a ``deliver`` costs.  Verification is metered per proof (the walk's
+    ``num_nodes`` pair hashes as one amount, after the free binding check and
+    before the walk) and everything is verified before anything is applied.
+    The constants for calls that succeed were computed at the commit that still
+    charged once per hash: they must never move.  The two failing calls are the
+    only figures the change moved, and say from what."""
+
+    @staticmethod
+    def system_with(records):
+        preload = [
+            KVRecord.make(f"key-{index:03d}", bytes([65 + index % 26]) * 32)
+            for index in range(records)
+        ]
+        return GrubSystem(GrubConfig(epoch_size=4), preload=preload)
+
+    KEYS = [f"key-{index:03d}" for index in range(4)]
+
+    @pytest.mark.parametrize(
+        "records, depth, hash_gas, gas_used",
+        [(5, 3, 696, 150_404), (40, 6, 1_200, 177_020)],
+    )
+    def test_successful_deliver_costs_what_it_always_did(
+        self, records, depth, hash_gas, gas_used
+    ):
+        system = self.system_with(records)
+        items = requested_items(system, self.KEYS)
+        assert {item.proof.num_nodes for item in items} == {depth}
+        receipt, charged = land_deliver(system, items)
+        assert receipt.success
+        # Per record: one leaf hash over 3 words (48) and `depth` pair hashes (42).
+        assert charged["hash"] == hash_gas == 4 * (48 + depth * 42)
+        assert receipt.gas_used == gas_used == sum(charged.values())
+        assert charged["sstore_insert"] == 80_000 and charged["call"] == 2_800
+        assert system.consumer.deliveries() == system.storage_manager.delivered_records == 4
+
+    def test_out_of_gas_while_applying(self):
+        # The limit runs out at the third record's replica store.  All four
+        # proofs are verified (and paid for) first, so `hash` reads 1 200 where
+        # per-item verify-and-apply had charged three records' worth (900) and
+        # the receipt 135 614 where it read 135 314; `delivered_records`, which
+        # used to count the two applied records of the reverted call, stays 0.
+        system = self.system_with(40)
+        receipt, charged = land_deliver(
+            system, requested_items(system, self.KEYS), gas_limit=145_000
+        )
+        assert not receipt.success and "out of gas" in receipt.error
+        assert receipt.gas_used == 135_614 == sum(charged.values())
+        assert charged == {
+            "transaction": 92_808,
+            "sload": 200,
+            "hash": 1_200,
+            "sstore_insert": 40_000,
+            "call": 1_400,
+            "callback": 6,
+        }
+        assert system.storage_manager.delivered_records == 0
+        assert system.storage_manager.replica_count() == 0
+        # Running out of gas while applying is not a verification failure: the
+        # two callbacks that ran are Python-side state no revert undoes.
+        assert system.consumer.deliveries() == 2
+
+    def test_forged_proof_costs_the_verification_it_reached(self):
+        # Third of four records forged: the first two and the forged one are
+        # hashed and walked (906, as before), the fourth is never looked at,
+        # and nothing is stored or called — the receipt read 137 496 when the
+        # first two records were applied before the third failed.
+        system = self.system_with(40)
+        items = requested_items(system, self.KEYS)
+        items[2] = forged(items[2])
+        receipt, charged = land_deliver(system, items)
+        assert not receipt.success
+        assert charged == {"transaction": 94_984, "sload": 200, "hash": 906}
+        assert receipt.gas_used == 96_090
+
+    def test_unbound_proof_costs_no_path_hash(self):
+        # A path of the wrong length is refused by the binding check, which
+        # hashes nothing: only the record's own leaf hash (48) was paid.
+        system = self.system_with(40)
+        (item,) = requested_items(system, self.KEYS[:1])
+        truncated = replace(item, proof=replace(item.proof, path=item.proof.path[1:]))
+        receipt, charged = land_deliver(system, [truncated])
+        assert not receipt.success and "integrity check failed" in receipt.error
+        assert charged["hash"] == 48
+
+
+    def test_verify_histogram_spans_the_verification_pass_alone(self, monkeypatch):
+        # A consumer whose callback takes a second (of a hand-moved clock):
+        # the block's mining time holds all four, the verification time none.
+        system = self.system_with(40)
+        clock = ManualClock()
+        system.chain.obs = obs = Observability(clock=clock)
+        on_data = system.consumer.on_data
+
+        def slow_callback(ctx, **delivered):
+            clock.advance(1.0)
+            on_data(ctx, **delivered)
+
+        monkeypatch.setattr(system.consumer, "on_data", slow_callback)
+        receipt, _ = land_deliver(system, requested_items(system, self.KEYS))
+        assert receipt.success and system.consumer.deliveries() == 4
+        snapshot = obs.snapshot()
+        assert snapshot["counters"]["chain_verify_total"] == 4
+        assert snapshot["histograms"]["chain_verify_seconds"]["sum"] == 0.0
+        assert snapshot["histograms"]["chain_mine_seconds"]["sum"] == 4.0
 
 
 class TestControlPlane:
