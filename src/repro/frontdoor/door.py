@@ -7,32 +7,51 @@ each request's future resolves when its epoch settles — carrying the settled
 epoch, the request's even share of its feed's epoch gas bill, and how many
 boundaries it sat deferred under its tenant's quota.
 
-The two halves meet through a condition variable, not a wall clock:
+The two halves meet through a condition variable and, at the idle boundary
+only, a deadline:
 
 * loop thread — ``submit`` runs the middleware stack; an admitted request
-  joins the pending list (FIFO, stamped with a global admission sequence)
-  and notifies the scheduler if it is blocked idle.
+  joins the pending list (FIFO, stamped with a global admission sequence and
+  its admission time) and wakes the scheduler only when a waiting scheduler
+  could act on it: the list was empty, or the arrival may have filled a slice.
 * scheduler thread — ``poll`` takes every *eligible* pending request
   (``not_before_epoch <= epoch``) at each boundary; ``settled`` pops the
   executed head of each feed's in-flight queue and resolves the futures via
   ``loop.call_soon_threadsafe``.
 
+Group commit: an epoch costs its transactions whatever it carries, so an idle
+fleet does not start one for the first arrival.  ``poll(wait=True)`` keeps
+gathering until :func:`gather_rule` says the arrivals are worth an epoch — some
+tenant's next slice is full, the oldest request has waited
+:data:`GATHER_LIMIT_S` since its *admission*, nothing has arrived for
+:data:`GATHER_QUIET_FRACTION` of that limit, or the door closed / was
+released.  The deadline touches nothing but *when* an idle boundary happens.
+A fleet with queued or deferred work (``wait=False``) never gathers, so
+overload keeps its natural batching, and requests that piled up while an epoch
+ran are not made to wait again.
+
 Determinism: epoch membership is driven purely by admission order and
 ``not_before_epoch`` eligibility.  A client that stamps its whole request
-sequence before the fleet drains it (the seeded benchmark client, tests)
+sequence before the fleet drains it (the seeded benchmark client, tests: a
+held door, then :meth:`FrontDoor.release`, which ends the gather at once)
 produces **bit-identical** fingerprints, gas bills and chain state to the
 equivalent batch run — in serial and process modes alike.  Requests
 racing the epoch clock in real time are serviced correctly, but *which*
-boundary catches them is scheduling weather, not physics, and is the one
-thing a replay cannot pin.
+boundary catches them is scheduling weather, not physics — the gather
+deadline is part of that weather — and is the one thing a replay cannot pin.
 
 Observability: the run's span tree grows a ``frontdoor`` root above
 ``run → epoch``, each request gets a detached ``frontdoor.request`` span
-(admission → resolution) adopted under the root in admission order, and
-end-to-end latency lands in the ``request_latency_seconds`` histograms via
-:class:`~repro.frontdoor.middleware.RequestMetricsMiddleware`.  The door
-additionally keeps its own raw latency samples so p50/p95/p99 reporting
-works even with the obs plane disabled.
+(admission → resolution) adopted under the root in admission order — a
+settled request's span says which ``epoch`` served it and splits its time into
+``queue_wait_s`` (admission → taken by a boundary, the gather included) and
+``exec_s`` (taken → settled) — and end-to-end latency lands in the
+``request_latency_seconds`` histograms via
+:class:`~repro.frontdoor.middleware.RequestMetricsMiddleware`.  Every epoch
+that began at an idle boundary counts in ``frontdoor_gather_total{ended=…}``
+(what ended its gather) and ``frontdoor_gather_seconds`` (how long the fleet
+held it back).  The door additionally keeps its own raw latency samples so
+p50/p95/p99 reporting works even with the obs plane disabled.
 """
 
 from __future__ import annotations
@@ -51,6 +70,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -82,9 +102,103 @@ __all__ = [
     "FrontDoor",
     "FrontDoorTelemetry",
     "TenantRequestStats",
+    "GATHER_LIMIT_S",
+    "GATHER_QUIET_FRACTION",
+    "Gather",
+    "gather_rule",
     "latency_percentile",
     "latency_percentiles",
 ]
+
+#: The longest an idle fleet holds back an epoch it could start, counted from
+#: the oldest eligible request's admission (seconds).  Two orders under the
+#: chain's own ``propagation_delay``, 1/25 of the benchmark's latency limit.
+#:
+#: Measured, not tuned by hand — ``door_open`` steps of 3 s, seeds 21 / 22,
+#: ``gas_per_op`` over the 3 000 and 4 500 req/s steps and p50 at 3 000 req/s
+#: (before the gather: 22 728 / 22 545 gas, 2.2 / 1.6 ms), quiet fraction 0.25:
+#:
+#: ======  =================  ==========  ==============
+#: limit   gas_per_op         vs. before  p50 @ 3 000/s
+#: ======  =================  ==========  ==============
+#:  5 ms   17 899 / 17 632    −21.5 %      7.5 /  8.0 ms
+#: 10 ms   15 894 / 15 764    −30.1 %     12.6 / 12.0 ms
+#: 20 ms   14 760 / 14 544    −35.3 %     17.7 / 23.4 ms
+#: ======  =================  ==========  ==============
+#:
+#: 10 ms is the knee: the first 5 ms buy 21 points of Gas, the next 5 buy 9,
+#: the next 10 buy 5 — by then a tenant's 16-operation slice fills first at
+#: 4 500 req/s and the limit stops mattering.
+GATHER_LIMIT_S = 0.010
+#: The gather also ends once nothing has arrived for this share of the limit,
+#: so a lone caller, or a few closed-loop clients, wait 2.5 ms, not the limit.
+#: Same steps, limit 10 ms: 0.10 → 19 387 / 17 689 gas (a 1 ms window is the
+#: granularity of an asyncio timer, so any asyncio-paced client looks quiet
+#: between two sends: epochs carried 14–18 operations at 3 000 req/s, not
+#: 41–43, and in a probe with obs attached, seed 12, "quiet" ended 543 of 546
+#: gathers there); 0.15 → 15 759 (seed 22); 0.25 → 15 894 / 15 764; 0.50 →
+#: 15 826 / 15 631.  Flat from 0.15 up: 0.25 keeps a margin over the timer
+#: without making the lone caller pay for it.
+GATHER_QUIET_FRACTION = 0.25
+
+#: Time an idle fleet held back an epoch it could have started (seconds).
+GATHER_HISTOGRAM = "frontdoor_gather_seconds"
+#: Epochs that began at an idle boundary, labelled by what ended the gather.
+GATHER_COUNTER = "frontdoor_gather_total"
+
+
+class Gather(NamedTuple):
+    """One reading of :func:`gather_rule`: start the epoch, or keep waiting."""
+
+    #: Why the boundary happens now — ``"fill"``, ``"limit"``, ``"quiet"`` or
+    #: ``"closed"``, or ``"nothing"`` when there is nothing eligible to gather
+    #: and no reason to wait for it.  ``None`` while the gather goes on.
+    ended: Optional[str]
+    #: Seconds until the rule can next change its mind by itself (``None``:
+    #: never — only an arrival, ``close()`` or ``release()`` can).
+    wait_s: Optional[float] = None
+    #: Arrivals after which it may change its mind sooner: the fewest that
+    #: could fill some tenant's slice.
+    wake_after: int = 0
+
+
+def gather_rule(
+    eligible: Sequence[Tuple[str, float]],
+    slices: Mapping[str, int],
+    now: float,
+    *,
+    scheduled: bool = False,
+    flush: bool = False,
+) -> Gather:
+    """Are the arrivals at an idle boundary worth an epoch yet?
+
+    ``eligible`` is ``(tenant, admitted_at)`` of every pending request this
+    epoch may take, in admission order; ``slices`` is how many operations of
+    each tenant one epoch runs (more would only defer); ``scheduled`` says
+    requests are pending for a later epoch; ``flush`` that the door is closed,
+    or was released with its sequence already stamped.  A pure function of its
+    arguments — the lock, the clock and the waiting are :meth:`FrontDoor.poll`'s.
+    """
+    if not eligible:
+        if flush or scheduled:
+            # Run dry, or fast-forward to the scheduled epoch: no gather.
+            return Gather("nothing")
+        return Gather(None, None, 1)
+    if flush:
+        return Gather("closed")
+    counts: Dict[str, int] = {}
+    for tenant, _ in eligible:
+        counts[tenant] = counts.get(tenant, 0) + 1
+    missing = min(size - counts.get(tenant, 0) for tenant, size in slices.items())
+    if missing <= 0:
+        return Gather("fill")
+    limit_in = eligible[0][1] + GATHER_LIMIT_S - now
+    if limit_in <= 0.0:
+        return Gather("limit")
+    quiet_in = eligible[-1][1] + GATHER_LIMIT_S * GATHER_QUIET_FRACTION - now
+    if quiet_in <= 0.0:
+        return Gather("quiet")
+    return Gather(None, min(limit_in, quiet_in), missing)
 
 
 def latency_percentile(samples: Iterable[float], q: float) -> Optional[float]:
@@ -185,6 +299,9 @@ class _Pending:
     admitted_at: float
     span: Optional[Any] = None
     deferred_epochs: int = 0
+    #: When a boundary took it, and when its epoch settled (``perf_counter``).
+    taken_at: float = 0.0
+    settled_at: float = 0.0
 
 
 class FrontDoor(RequestSource):
@@ -214,11 +331,13 @@ class FrontDoor(RequestSource):
         #: Tenants evicted mid-run: their queued requests were cancelled and
         #: new submissions are turned away at admission.
         self._departed: set = set()
+        #: Each tenant's per-epoch operation quota (``None``: uncapped) — the
+        #: rate limiter's refill and the cap on the tenant's epoch slice.
+        quotas = {
+            feed_id: scheduler.registry.get(feed_id).spec.max_ops_per_epoch
+            for feed_id in self._tenants
+        }
         if middleware is None:
-            quotas = {
-                feed_id: scheduler.registry.get(feed_id).spec.max_ops_per_epoch
-                for feed_id in self._tenants
-            }
             middleware = [
                 *(
                     [AuthTokenMiddleware(tokens)]
@@ -231,6 +350,13 @@ class FrontDoor(RequestSource):
             ]
         self.middleware: Tuple[Middleware, ...] = tuple(middleware)
         self._app: Handler = build_stack(self.middleware, self._enqueue)
+        #: Operations of each tenant one epoch runs: the lockstep epoch size,
+        #: capped by the tenant's quota.  What :func:`gather_rule` fills.
+        epoch_size = scheduler.epoch_size_for(sorted(self._tenants))
+        self._slices: Dict[str, int] = {
+            feed_id: min(epoch_size, quota or epoch_size)
+            for feed_id, quota in quotas.items()
+        }
 
         self._cond = threading.Condition()
         #: Admitted, not yet taken by a boundary (admission order).
@@ -242,6 +368,11 @@ class FrontDoor(RequestSource):
         #: and own no futures.
         self._seeded: Dict[str, int] = {}
         self._sequence = 0
+        #: Arrivals until the gathering scheduler is woken early (0: it is not
+        #: waiting on arrivals, nobody is notified).
+        self._wake_after = 0
+        #: The last epoch the middleware's ``on_epoch_settled`` hooks saw.
+        self._settled_epoch: Optional[int] = None
         self._closed = False
         #: While held, boundaries take nothing: admissions accumulate in the
         #: pending list and the idle scheduler blocks in ``poll``.  This is
@@ -250,6 +381,9 @@ class FrontDoor(RequestSource):
         #: only on the sequence (and eligibility stamps), never on how
         #: admission raced the epoch clock.
         self._held = held
+        #: Set by :meth:`release`: what is pending was stamped under the hold,
+        #: so the next boundary takes it without gathering.
+        self._flush = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
@@ -303,7 +437,12 @@ class FrontDoor(RequestSource):
             )
             self._pending.append(pending)
             self.telemetry.tenant(request.tenant).accepted += 1
-            self._cond.notify_all()
+            # Wake the gathering scheduler only when it could act: the list
+            # was empty, or enough has arrived that a slice may be full.
+            if self._wake_after:
+                self._wake_after -= 1
+                if not self._wake_after:
+                    self._cond.notify_all()
         return await future
 
     def hold(self) -> None:
@@ -321,7 +460,9 @@ class FrontDoor(RequestSource):
         in admission order.
         """
         with self._cond:
-            self._held = False
+            if self._held:
+                self._held = False
+                self._flush = bool(self._pending)
             self._cond.notify_all()
 
     def close(self) -> None:
@@ -412,10 +553,13 @@ class FrontDoor(RequestSource):
     ) -> Mapping[str, Sequence[Operation]]:
         """Take every eligible pending request for this boundary.
 
-        Blocks (``wait=True``, the idle gateway) until a request arrives or
-        the door closes; returns immediately when the fleet has queued work,
-        or when everything pending is scheduled for a later epoch — the run
-        loop fast-forwards to it via :meth:`next_epoch`.
+        With ``wait=True`` (the idle gateway) this is the group commit: block
+        until :func:`gather_rule` says the arrivals are worth an epoch, the
+        door closes, or everything pending is scheduled for a later epoch —
+        the run loop fast-forwards to it via :meth:`next_epoch`.  One timed
+        wait at a time, re-read when it expires or when :meth:`_enqueue`
+        counts enough arrivals to matter.  With ``wait=False`` the fleet has
+        queued work: take what there is and return at once.
 
         A held door blocks *unconditionally* — even a scheduler with seeded
         queues or pending churn parks at its first boundary until
@@ -424,21 +568,44 @@ class FrontDoor(RequestSource):
         its request sequence.
         """
         with self._cond:
-            while not self._closed and self._held:
-                self._cond.wait()
-            if wait:
-                while not self._closed and not self._pending:
+            entered: Optional[float] = None
+            while True:
+                if self._held and not self._closed:
                     self._cond.wait()
-            eligible: List[_Pending] = []
-            kept: List[_Pending] = []
-            for pending in self._pending:
-                if pending.request.not_before_epoch <= epoch:
-                    eligible.append(pending)
-                else:
-                    kept.append(pending)
-            self._pending = kept
+                    continue
+                eligible: List[_Pending] = []
+                later: List[_Pending] = []
+                for pending in self._pending:
+                    ready = pending.request.not_before_epoch <= epoch
+                    (eligible if ready else later).append(pending)
+                now = time.perf_counter()
+                if not wait:
+                    break
+                if entered is None:
+                    entered = now
+                verdict = gather_rule(
+                    [(p.request.tenant, p.admitted_at) for p in eligible],
+                    self._slices,
+                    now,
+                    scheduled=bool(later),
+                    flush=self._closed or self._flush,
+                )
+                if verdict.ended is not None:
+                    break
+                self._wake_after = verdict.wake_after
+                self._cond.wait(verdict.wait_s)
+            self._pending = later
+            self._wake_after = 0
+            self._flush = False
+            if wait and eligible:
+                # An epoch begins at an idle boundary: say why, and how long
+                # the fleet held it back once it had something to run.
+                held_back = now - max(entered, eligible[0].admitted_at)
+                self.obs.counter(GATHER_COUNTER, ended=verdict.ended).inc()
+                self.obs.histogram(GATHER_HISTOGRAM).observe(held_back)
             arrivals: Dict[str, List[Operation]] = {}
             for pending in eligible:
+                pending.taken_at = now
                 feed_id = pending.request.tenant
                 self._inflight.setdefault(feed_id, deque()).append(pending)
                 arrivals.setdefault(feed_id, []).append(pending.request.operation)
@@ -471,9 +638,14 @@ class FrontDoor(RequestSource):
         a time from the front, so the split is exact and deterministic.
         Deferred head-of-queue requests get their deferral stamped.
         """
+        now = time.perf_counter()
         with self._cond:
-            for layer in self.middleware:
-                layer.on_epoch_settled(epoch)
+            if epoch != self._settled_epoch:
+                # The scheduler reports an epoch feed by feed; the layers'
+                # clock ticks once for all of them.
+                self._settled_epoch = epoch
+                for layer in self.middleware:
+                    layer.on_epoch_settled(epoch)
             queue = self._inflight.get(feed_id)
             seeded = self._seeded.get(feed_id, 0)
             consumed_seeded = min(seeded, executed)
@@ -488,6 +660,7 @@ class FrontDoor(RequestSource):
                 if not queue:
                     break
                 pending = queue.popleft()
+                pending.settled_at = now
                 # Seeded operations occupy gas shares [0, consumed_seeded).
                 position = consumed_seeded + index
                 attributed = share + (1 if position < remainder else 0)
@@ -585,7 +758,13 @@ class FrontDoor(RequestSource):
         """Resolve one request's future from the scheduler thread."""
         self._latencies.append(time.perf_counter() - pending.admitted_at)
         if pending.span is not None:
-            pending.span.attrs["status"] = response.status
+            attrs = pending.span.attrs
+            attrs["status"] = response.status
+            if response.status == STATUS_SETTLED:
+                # Where the request's time went, and which epoch served it.
+                attrs["epoch"] = response.epoch
+                attrs["queue_wait_s"] = pending.taken_at - pending.admitted_at
+                attrs["exec_s"] = pending.settled_at - pending.taken_at
             self.obs.tracer.finish(pending.span)
             self._finished_spans.append((pending.sequence, pending.span))
         self._post(self._set_result, pending.future, response)

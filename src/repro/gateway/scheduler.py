@@ -151,9 +151,12 @@ class RequestSource:
 
     * ``poll(epoch, wait=...)`` at every epoch boundary — return the eligible
       arrivals as ``{feed_id: [Operation, ...]}``.  With ``wait=True`` the
-      gateway is idle: block until arrivals become eligible, a future epoch
-      is scheduled, or the door closes (then return what there is, possibly
-      nothing).
+      gateway is idle: block until the arrivals are worth an epoch (an epoch
+      costs its transactions whatever it carries, so the source may gather
+      past the first arrival — how long is its policy, not the scheduler's),
+      a future epoch is scheduled, or the door closes (then return what there
+      is, possibly nothing).  With ``wait=False`` the fleet has queued work:
+      return what is eligible at once.
     * ``exhausted`` — ``True`` once the door is closed *and* every accepted
       request has been handed over; the run may then terminate.
     * ``next_epoch(after)`` — the earliest epoch > ``after`` with a scheduled
@@ -174,8 +177,10 @@ class RequestSource:
       every still-pending future — with the error when there is one — instead
       of leaving clients hanging.
 
-    Everything is driven by epoch indices and queue positions — never a wall
-    clock — so a scripted request sequence reproduces bit-identically.
+    Everything the scheduler is told is epoch indices and queue positions —
+    never a wall clock — so a scripted request sequence reproduces
+    bit-identically; how long an idle ``poll`` gathers decides only *when* a
+    boundary happens, that is, which boundary catches a request racing it.
     """
 
     def poll(self, epoch: int, *, wait: bool) -> Mapping[str, Sequence[Operation]]:

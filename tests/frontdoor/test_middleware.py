@@ -238,6 +238,48 @@ class TestRateLimitUnderConcurrentClients:
         assert door.fleet.feed("metered").operations == 2
 
 
+class EpochClockRecorder(Middleware):
+    """Keeps every epoch its ``on_epoch_settled`` hook is told about."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def on_epoch_settled(self, epoch: int) -> None:
+        self.seen.append(epoch)
+
+
+class TestEpochClockThroughALiveDoor:
+    def test_each_settled_epoch_ticks_the_layers_once_in_order(self):
+        """The scheduler reports a settled epoch feed by feed; a layer that
+        counts epochs must still see each one exactly once."""
+        registry = FeedRegistry()
+        for index in range(3):
+            registry.create_feed(make_spec(f"feed-{index}"))
+        recorder = EpochClockRecorder()
+        door = FrontDoor(
+            EpochScheduler(registry, epoch_size=EPOCH), middleware=[recorder], held=True
+        )
+
+        async def clients():
+            async with door.serving() as d:
+                tasks = [
+                    asyncio.create_task(
+                        d.submit(Request.read(f"feed-{index}", f"k{i}", sequence=i))
+                    )
+                    for index in range(3)
+                    for i in range(2 * EPOCH + 1)
+                ]
+                await asyncio.sleep(0)
+                d.release()
+                responses = await asyncio.gather(*tasks)
+                d.close()
+            return responses
+
+        responses = asyncio.run(clients())
+        assert sorted({r.epoch for r in responses}) == [0, 1, 2]
+        assert recorder.seen == [0, 1, 2]
+
+
 class TestRequestMetricsThroughALiveDoor:
     def test_a_client_chosen_tenant_name_cannot_forge_or_grow_metrics(self):
         """Requests for tenants the door does not host are counted under one
