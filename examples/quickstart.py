@@ -48,8 +48,10 @@ def main() -> None:
         )
     )
     print()
-    print("GRuB decides per record whether to keep an on-chain replica, so it")
-    print("tracks whichever static placement is cheaper for the current workload.")
+    print("GRuB decides per record whether to keep an on-chain replica.  Two reads a")
+    print("write is near where the static placements trade places, and there GRuB pays")
+    print("for switching between them; README, 'Reproducing the paper', has the runs")
+    print("where it follows the cheaper one and the ones where it does not.")
 
 
 if __name__ == "__main__":

@@ -10,25 +10,43 @@ verifies every delivered record against it.
 
 Modules:
 
-* :mod:`repro.ads.merkle` — a generic Merkle tree with membership and range
-  proofs over an ordered list of leaves,
+* :mod:`repro.ads.merkle` — a generic Merkle tree with membership, batch
+  (multiproof) and range proofs over an ordered list of leaves,
 * :mod:`repro.ads.authenticated_kv` — the GRuB-specific layout, update
   protocol (DO-side verification + root recomputation), query proofs, and
   the baseline / delta a store changes interpreter with,
 * :mod:`repro.ads.signer` — the DO's signature over published root hashes.
 """
 
-from repro.ads.merkle import MerkleTree, MerkleProof, RangeProof, verify_membership, verify_range
-from repro.ads.authenticated_kv import AuthenticatedKVStore, QueryResult, UpdateWitness
+from repro.ads.merkle import (
+    MerkleProof,
+    MerkleTree,
+    MultiProof,
+    RangeProof,
+    multiproof_shape,
+    verify_membership,
+    verify_multiproof,
+    verify_range,
+)
+from repro.ads.authenticated_kv import (
+    AuthenticatedKVStore,
+    BatchQueryResult,
+    QueryResult,
+    UpdateWitness,
+)
 from repro.ads.signer import RootSigner, SignedRoot
 
 __all__ = [
     "MerkleTree",
     "MerkleProof",
+    "MultiProof",
     "RangeProof",
+    "multiproof_shape",
     "verify_membership",
+    "verify_multiproof",
     "verify_range",
     "AuthenticatedKVStore",
+    "BatchQueryResult",
     "QueryResult",
     "UpdateWitness",
     "RootSigner",

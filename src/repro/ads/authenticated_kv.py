@@ -38,6 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.ads.merkle import (
     MerkleProof,
     MerkleTree,
+    MultiProof,
     expected_proof_length,
     verify_membership,
 )
@@ -73,6 +74,17 @@ class QueryResult:
     def payload_words(self) -> int:
         record_words = self.record.size_words if self.record is not None else 0
         return record_words + self.proof_words
+
+
+@dataclass(frozen=True)
+class BatchQueryResult:
+    """What the SP returns for an epoch's gGets on one feed: every requested
+    record that exists with the leaf it sits at, and one proof for all of
+    those leaves together (a key asked for twice is still one leaf)."""
+
+    #: key → ``(record, leaf index)``; a key the store does not hold is absent.
+    found: Dict[str, Tuple[KVRecord, int]]
+    proof: MultiProof
 
 
 @dataclass(frozen=True)
@@ -256,13 +268,15 @@ class AuthenticatedKVStore:
 
     def apply_updates(
         self,
-        updates: Sequence[Tuple[str, bytes, Optional[ReplicationState]]],
+        updates: Sequence[Tuple[str, Optional[bytes], Optional[ReplicationState]]],
     ) -> bytes:
         """Apply a batch of ``(key, value, state)`` updates in one tree pass.
 
-        Equivalent to calling :meth:`apply_update` per tuple in order, but
-        leaf replacements are staged and their root paths recomputed once via
-        :meth:`MerkleTree.recompute_paths` — a feed's epoch write batch
+        Equivalent to calling :meth:`apply_update` per tuple in order — a
+        ``value`` of ``None`` is a state-only transition: the record keeps its
+        value and version and only moves to ``state`` — but leaf
+        replacements are staged and their root paths recomputed once via
+        :meth:`MerkleTree.recompute_paths`: a feed's epoch write batch
         typically clusters under shared subtrees, so the shared interior
         hashes are computed once per batch.  Fresh inserts take the normal
         incremental path (leaf storage stays current throughout, so the mix
@@ -273,19 +287,28 @@ class AuthenticatedKVStore:
         writes: List[Tuple[str, Optional[bytes]]] = []
         for key, value, state in updates:
             existing = self._records.get(key)
-            if existing is None:
+            if value is None:
+                if existing is None:
+                    raise StorageError(f"cannot change state of unknown key {key!r}")
+                if existing.state is state:
+                    continue
+                record = existing.with_state(state)
+            elif existing is None:
                 new_state = state or ReplicationState.NOT_REPLICATED
                 record = KVRecord(key=key, value=value, state=new_state, version=0)
                 writes.append((record.prefixed_key, record.value))
                 self._insert_record(record)
                 continue
-            new_state = state or existing.state
-            record = KVRecord(
-                key=key, value=value, state=new_state, version=existing.version + 1
-            )
+            else:
+                record = KVRecord(
+                    key=key,
+                    value=value,
+                    state=state or existing.state,
+                    version=existing.version + 1,
+                )
             slot = self._slot_of[key]
             self._records[key] = record
-            if new_state is ReplicationState.REPLICATED:
+            if record.state is ReplicationState.REPLICATED:
                 self._replicated_keys.add(key)
             else:
                 self._replicated_keys.discard(key)
@@ -300,13 +323,7 @@ class AuthenticatedKVStore:
 
     def apply_state_transition(self, key: str, new_state: ReplicationState) -> bytes:
         """Re-authenticate ``key`` under ``new_state`` and return the new root."""
-        existing = self._records.get(key)
-        if existing is None:
-            raise StorageError(f"cannot change state of unknown key {key!r}")
-        if existing.state is new_state:
-            return self.root
-        self._replace_record(existing, existing.with_state(new_state))
-        return self.root
+        return self.apply_updates([(key, None, new_state)])
 
     def delete(self, key: str) -> bytes:
         """Remove ``key`` entirely and return the new root."""
@@ -337,32 +354,20 @@ class AuthenticatedKVStore:
             key=key, record=record, proof=self._tree.prove(index), root=self.root
         )
 
-    def query_many(self, keys: Sequence[str]) -> Dict[str, QueryResult]:
-        """Produce records + proofs for several keys in one batched tree pass.
+    def query_many(self, keys: Sequence[str]) -> BatchQueryResult:
+        """Look up several keys and prove every one found with one multiproof.
 
-        Used by the SP when answering an epoch's deliver batch: instead of
-        one :meth:`query` per requested record, all proofs are generated by
-        :meth:`MerkleTree.prove_many`, once per distinct key.  Each result is
-        identical to what :meth:`query` would return for the same key against
-        the same root.
+        Used by the SP when answering an epoch's deliver batch: the records'
+        leaves are authenticated together by :meth:`MerkleTree.prove_many`
+        against the current root, instead of one root path per request.
         """
-        results: Dict[str, QueryResult] = {}
-        present: Dict[str, int] = {}
-        root = self.root
-        for key in keys:
-            if key in results or key in present:
-                continue
-            record = self._records.get(key)
-            if record is None:
-                results[key] = QueryResult(key=key, record=None, proof=None, root=root)
-            else:
-                present[key] = self._slot_of[key]
-        proofs = self._tree.prove_many(list(present.values()))
-        for key, index in present.items():
-            results[key] = QueryResult(
-                key=key, record=self._records[key], proof=proofs[index], root=root
-            )
-        return results
+        records = self._records
+        slot_of = self._slot_of
+        found = {key: (records[key], slot_of[key]) for key in keys if key in records}
+        return BatchQueryResult(
+            found=found,
+            proof=self._tree.prove_many([slot for _, slot in found.values()]),
+        )
 
     def query_range(self, start_key: str, end_key: str) -> List[QueryResult]:
         """Per-record proofs for every NR record with key in ``[start_key, end_key]``."""

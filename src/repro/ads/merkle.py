@@ -8,13 +8,19 @@ the proof.  Verification is pure functions: off-chain parties call them for
 free, and an on-chain verifier knows what a walk costs before it starts
 (:attr:`MerkleProof.num_nodes` pair hashes), so it meters a proof as one
 amount instead of once per hash.
+
+Several leaves proved together share one :class:`MultiProof`: the paths of a
+batch repeat each other's upper siblings and carry siblings that are hashes of
+other leaves of the batch, so the batch ships only the digests its own leaves
+cannot compute (:meth:`MerkleTree.prove_many`), and what a verifier will need
+and hash is known from the leaf positions alone (:func:`multiproof_shape`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import IntegrityError
 from repro.common.hashing import DIGEST_SIZE_BYTES, EMPTY_DIGEST, hash_pair, keccak
@@ -71,6 +77,25 @@ class MerkleProof:
     def size_words(self) -> int:
         """Proof size in 32-byte words (one word per sibling digest)."""
         return len(self.path)
+
+
+@dataclass(frozen=True)
+class MultiProof:
+    """One proof for a set of leaves of one tree: the sibling digests the
+    leaves cannot compute among themselves, level by level from the leaf level
+    up and left to right within a level.  Which leaves it proves is not part
+    of it — the verifier walks the positions it was asked about
+    (:func:`multiproof_shape`), so a proof for other leaves has the wrong
+    number of digests or arrives at another root.  For one leaf the siblings
+    are exactly :attr:`MerkleProof.path`."""
+
+    leaf_count: int
+    siblings: Tuple[bytes, ...]
+
+    @property
+    def size_words(self) -> int:
+        """Proof size in 32-byte words (one word per sibling digest)."""
+        return len(self.siblings)
 
 
 @dataclass(frozen=True)
@@ -195,25 +220,29 @@ class MerkleTree:
         ]
         return MerkleProof(index, len(self._leaves), tuple(path))
 
-    def prove_many(self, indices: Sequence[int]) -> Dict[int, MerkleProof]:
-        """Authentication paths for several leaves in one tree pass.
-
-        Batched proof generation for a deliver batch: the level lists are
-        bound once and each distinct index is proved once.  Each returned
-        proof is identical to what :meth:`prove` would produce for the same
-        index.
-        """
-        levels = list(enumerate(self._levels[:-1]))
+    def prove_many(self, indices: Sequence[int]) -> MultiProof:
+        """One proof for every leaf in ``indices`` (any order, repeats allowed):
+        a deliver batch's records are authenticated together, so a sibling
+        two of them share is shipped once and one that is itself the hash of
+        proved leaves is not shipped at all."""
         leaf_count = len(self._leaves)
-        proofs: Dict[int, MerkleProof] = {}
-        for index in indices:
-            if index in proofs:
-                continue
-            if not 0 <= index < leaf_count:
-                raise IndexError(f"leaf index {index} out of range")
-            path = [level[(index >> depth) ^ 1] for depth, level in levels]
-            proofs[index] = MerkleProof(index, leaf_count, tuple(path))
-        return proofs
+        known = sorted(set(indices))
+        if known and not 0 <= known[0] <= known[-1] < leaf_count:
+            raise IndexError(f"leaf indices {known} out of range")
+        siblings: List[bytes] = []
+        for level in self._levels[:-1]:
+            parents: List[int] = []
+            offset, count = 0, len(known)
+            while offset < count:
+                position = known[offset]
+                offset += 1
+                if offset < count and known[offset] == position ^ 1:
+                    offset += 1  # its sibling is proved too: nothing to ship
+                else:
+                    siblings.append(level[position ^ 1])
+                parents.append(position >> 1)
+            known = parents
+        return MultiProof(leaf_count, tuple(siblings))
 
     def prove_range(self, start_index: int, count: int) -> RangeProof:
         """Produce a proof for ``count`` consecutive leaves starting at ``start_index``."""
@@ -290,9 +319,9 @@ class MerkleTree:
             parent_level = self._levels[depth + 1]
             next_parents = set()
             for parent in parents:
-                parent_level[parent] = _hash_pair_memo(
-                    level[parent * 2], level[parent * 2 + 1]
-                )
+                # Not through the memo: a freshly written leaf makes every
+                # pair above it one the memo has never seen.
+                parent_level[parent] = hash_pair(level[parent * 2], level[parent * 2 + 1])
                 next_parents.add(parent >> 1)
             parents = next_parents
         return self.root
@@ -360,6 +389,91 @@ def verify_membership(root: bytes, leaf_hash: bytes, proof: MerkleProof) -> bool
     """Check that ``leaf_hash`` is a member under ``root`` at ``proof.leaf_index``."""
     try:
         return recompute_root_from_proof(leaf_hash, proof) == root
+    except IntegrityError:
+        return False
+
+
+def _check_leaf_positions(indices: Sequence[int], leaf_count: int) -> None:
+    if not indices:
+        raise IntegrityError("a multiproof proves at least one leaf")
+    if indices[0] < 0 or indices[-1] >= leaf_count:
+        raise IntegrityError("multiproof leaf index outside the leaf count")
+    if any(left >= right for left, right in zip(indices, indices[1:])):
+        raise IntegrityError("multiproof leaf indices must be strictly ascending")
+
+
+def multiproof_shape(indices: Sequence[int], leaf_count: int) -> Tuple[int, int]:
+    """``(siblings, pair_hashes)``: how many digests a :class:`MultiProof` for
+    the leaves at ``indices`` of a ``leaf_count``-leaf tree carries, and how
+    many pair hashes walking it to the root takes.
+
+    Hashes nothing, so a verifier that meters calls it first: the proof's
+    length is checked and the whole walk charged before any of it is done.
+    ``indices`` must be strictly ascending (sorted, no repeats), non-empty and
+    inside the leaf count, or this raises
+    :class:`~repro.common.errors.IntegrityError`.  One index needs its
+    ``expected_proof_length(leaf_count)`` path siblings and as many hashes.
+    """
+    _check_leaf_positions(indices, leaf_count)
+    # Every distinct ancestor of the leaves is hashed once; an ancestor takes
+    # two children, and the ones the walk does not hold are the siblings.
+    siblings = pair_hashes = 0
+    nodes = set(indices)
+    for _ in range(expected_proof_length(leaf_count)):
+        parents = {position >> 1 for position in nodes}
+        pair_hashes += len(parents)
+        siblings += 2 * len(parents) - len(nodes)
+        nodes = parents
+    return siblings, pair_hashes
+
+
+def recompute_root_from_multiproof(
+    indices: Sequence[int], leaf_hashes: Sequence[bytes], proof: MultiProof
+) -> bytes:
+    """Recompute the root implied by ``leaf_hashes`` sitting at ``indices``.
+
+    Raises :class:`~repro.common.errors.IntegrityError` unless the proof fits
+    the positions exactly: indices :func:`multiproof_shape` would refuse, a
+    sibling too few or one left over.  Each sibling's place and side come
+    from the positions, as for a single path.
+    """
+    _check_leaf_positions(indices, proof.leaf_count)
+    if len(leaf_hashes) != len(indices):
+        raise IntegrityError("one leaf hash per multiproof leaf index")
+    # Positions stay ascending from level to level (dicts keep insertion
+    # order), so siblings are taken left to right as prove_many laid them out.
+    digests = dict(zip(indices, leaf_hashes))
+    siblings = iter(proof.siblings)
+    try:
+        for _ in range(expected_proof_length(proof.leaf_count)):
+            parents = {}
+            for position, digest in digests.items():
+                if position & 1:
+                    if position ^ 1 not in digests:
+                        parents[position >> 1] = _hash_pair_memo(next(siblings), digest)
+                else:
+                    right = digests.get(position ^ 1)
+                    parents[position >> 1] = _hash_pair_memo(
+                        digest, next(siblings) if right is None else right
+                    )
+            digests = parents
+    except StopIteration:
+        raise IntegrityError("multiproof is short of sibling digests") from None
+    if next(siblings, None) is not None:
+        raise IntegrityError("multiproof has sibling digests left over")
+    return digests[0]
+
+
+def verify_multiproof(
+    root: bytes,
+    indices: Sequence[int],
+    leaf_hashes: Sequence[bytes],
+    proof: MultiProof,
+) -> bool:
+    """Check that every ``leaf_hashes[i]`` is the leaf at ``indices[i]`` under
+    ``root``; all of them or none."""
+    try:
+        return recompute_root_from_multiproof(indices, leaf_hashes, proof) == root
     except IntegrityError:
         return False
 

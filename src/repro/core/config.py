@@ -29,6 +29,10 @@ class GrubConfig:
         k: the memoryless threshold K (consecutive reads before replicating).
             ``None`` derives it from the gas schedule via Equation 1.
         k_prime: the memorizing algorithm's K'; ``None`` derives it like K.
+            With neither configured, the control plane re-derives the
+            threshold every epoch with ``C_read_off`` at what the feed's
+            delivered reads have measurably cost (records of one ``deliver``
+            share a multiproof); configuring either pins it.
         window_d: the memorizing algorithm's hysteresis window D.
         adaptive_history: number of past writes the adaptive-K heuristics
             average over (the paper uses 3).

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.types import Operation, OperationKind, ReplicationState
+from repro.core.decision.base import CostModel, Decision, DecisionAlgorithm
 from repro.core.storage_manager import CallHistoryCursor, StorageManagerContract
 
 
@@ -165,6 +166,10 @@ class ControlPlane:
     actuator: DecisionActuator = field(default_factory=DecisionActuator)
     evict_unused_after_epochs: Optional[int] = None
     continuous: bool = False
+    #: Set when the algorithm's threshold is Equation 1's and not a configured
+    #: K: each epoch then re-derives it at what the feed's delivered reads
+    #: have measurably cost (``delivered_read_discount``).
+    cost_model: Optional[CostModel] = None
     epochs_run: int = 0
 
     def record_local_write(self, operation: Operation) -> None:
@@ -186,6 +191,9 @@ class ControlPlane:
 
     def run_epoch(self, replicated_keys: Iterable[str]) -> Dict[str, ReplicationState]:
         """Execute one control-plane cycle and return the state transitions."""
+        if self.cost_model is not None:
+            discount = self.monitor.storage_manager.delivered_read_discount()
+            self.algorithm.set_threshold(self.cost_model.equation_one_k_at(discount))
         if self.continuous:
             self.observe_chain_reads()
             # Writes were observed as they were buffered; drop the epoch trace

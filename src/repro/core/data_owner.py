@@ -161,10 +161,9 @@ class DataOwner:
         # replicated are additionally carried by the ``update`` transaction so
         # the on-chain replica tracks every tick of the feed.  When witnesses
         # are not verified per update (the default — the DO trusts its own
-        # mirror), the whole epoch's writes land in one batched tree pass.
-        batched: Optional[List[Tuple[str, bytes, ReplicationState]]] = (
-            None if self.verify_witnesses else []
-        )
+        # mirror), the epoch's writes wait in ``batched`` and land with its
+        # state-only transitions in one tree pass.
+        batched: List[Tuple[str, Optional[bytes], ReplicationState]] = []
         for operation in self._write_buffer:
             if self.verify_witnesses:
                 witness = self.sp_store.update_witness(operation.key)
@@ -172,7 +171,7 @@ class DataOwner:
             decided = transitions.get(
                 operation.key, self.control_plane.decision_for(operation.key)
             )
-            if batched is None:
+            if self.verify_witnesses:
                 self.sp_store.apply_update(operation.key, operation.value or b"", decided)
             else:
                 batched.append((operation.key, operation.value or b"", decided))
@@ -192,9 +191,6 @@ class DataOwner:
                 )
                 replicated_this_epoch.add(operation.key)
 
-        if batched:
-            self.sp_store.apply_updates(batched)
-
         # Materialise state transitions for keys that were not written this epoch.
         for key, new_state in transitions.items():
             if key in written_keys:
@@ -213,7 +209,7 @@ class DataOwner:
             if record is None:
                 continue
             if record.state is not new_state:
-                self.sp_store.apply_state_transition(key, new_state)
+                batched.append((key, None, new_state))
             currently_on_chain = self.storage_manager.has_replica(key)
             if new_state is ReplicationState.REPLICATED and not currently_on_chain:
                 entries.append(
@@ -229,6 +225,9 @@ class DataOwner:
                 entries.append(
                     UpdateEntry(key=key, value=None, new_state=new_state, is_transition=True)
                 )
+
+        if batched:
+            self.sp_store.apply_updates(batched)
 
         buffered = len(self._write_buffer)
         self._write_buffer = []

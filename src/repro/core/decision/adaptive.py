@@ -87,6 +87,9 @@ class AdaptiveKAlgorithm(DecisionAlgorithm):
             return 0.0
         return sum(history) / len(history)
 
+    def set_threshold(self, k: int) -> None:
+        self.base_k = k
+
     def reset(self) -> None:
         super().reset()
         self._reads_since_write.clear()

@@ -56,7 +56,15 @@ class CostModel:
     @property
     def equation_one_k(self) -> int:
         """The paper's Equation 1: ``K = C_update / C_read_off`` (≥ 1)."""
-        return max(1, round(self.update_cost / self.off_chain_read_cost))
+        return self.equation_one_k_at(1.0)
+
+    def equation_one_k_at(self, read_discount: float) -> int:
+        """Equation 1 with ``C_read_off`` at ``read_discount`` of its schedule
+        price.  The paper's read off chain ships a root path with every
+        record; a ``deliver`` whose records share one multiproof moves fewer
+        words per record, a read off chain is that much cheaper to keep
+        renting, and the break-even count of reads rises by as much."""
+        return max(1, round(self.update_cost / (self.off_chain_read_cost * read_discount)))
 
 
 class DecisionAlgorithm(ABC):
@@ -88,6 +96,10 @@ class DecisionAlgorithm(ABC):
     def reset(self) -> None:
         """Forget all decisions and internal counters."""
         self._states.clear()
+
+    def set_threshold(self, k: int) -> None:
+        """Move the read-count threshold the algorithm decides by (K, K' or
+        the adaptive base K); the static and offline algorithms have none."""
 
     # -- helpers shared by implementations ----------------------------------
 

@@ -76,6 +76,9 @@ class MemorizingAlgorithm(DecisionAlgorithm):
             "writes": self._write_counts.get(key, 0),
         }
 
+    def set_threshold(self, k: int) -> None:
+        self.k_prime = k
+
     def reset(self) -> None:
         super().reset()
         self._read_counts.clear()

@@ -55,6 +55,9 @@ class MemorylessAlgorithm(DecisionAlgorithm):
         """Consecutive reads recorded for ``key`` since its last write."""
         return self._counters.get(key, 0)
 
+    def set_threshold(self, k: int) -> None:
+        self.k = k
+
     def reset(self) -> None:
         super().reset()
         self._counters.clear()

@@ -187,12 +187,16 @@ class GrubSystem:
             window_d=self.config.window_d,
             adaptive_history=self.config.adaptive_history,
         )
+        # A feed whose operator configured a threshold keeps it; one left to
+        # Equation 1 has it re-derived at what its reads measurably cost.
+        derived_k = self.config.k is None and self.config.k_prime is None
         control_plane = ControlPlane(
             monitor=WorkloadMonitor(storage_manager=self.storage_manager),
             algorithm=algorithm,
             actuator=DecisionActuator(),
             evict_unused_after_epochs=self.config.evict_unused_after_epochs,
             continuous=self.config.continuous_decisions,
+            cost_model=cost_model if derived_k else None,
         )
         self.data_owner = DataOwner(
             address=f"{prefix}data-owner",

@@ -3,8 +3,9 @@
 The SP holds the primary copy of the feed in its authenticated KV store and
 runs a watchdog daemon that tails the blockchain event log.  When the
 storage-manager contract emits a ``request`` event (a DU asked for a record
-that has no on-chain replica), the watchdog looks the record up, attaches its
-Merkle proof, and answers with a ``deliver`` transaction.
+that has no on-chain replica), the watchdog looks the record up and answers
+with a ``deliver`` transaction; every ``deliver`` carries one Merkle
+multiproof for all the records in it.
 
 Two delivery modes are supported:
 
@@ -23,15 +24,21 @@ can show the on-chain verification rejects each of them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
+from repro.ads.merkle import MultiProof
 from repro.chain.chain import Blockchain
 from repro.chain.gas import LAYER_FEED
 from repro.chain.transaction import Transaction
 from repro.common.types import ReplicationState
-from repro.core.storage_manager import CallbackRef, DeliverItem, StorageManagerContract
+from repro.core.storage_manager import (
+    CallbackRef,
+    DeliverItem,
+    StorageManagerContract,
+    deliver_calldata_bytes,
+)
 
 
 @dataclass
@@ -112,23 +119,26 @@ class ServiceProvider:
 
     # -- deliver -------------------------------------------------------------------
 
-    def build_deliver_items(self, requests: List[PendingRequest]) -> List[DeliverItem]:
-        """Look up requested records and attach proofs (honest behaviour).
+    def build_deliver_items(
+        self, requests: List[PendingRequest]
+    ) -> Tuple[List[DeliverItem], MultiProof]:
+        """Look up requested records and prove them (honest behaviour).
 
-        Proofs for the whole batch are generated in one tree pass
-        (:meth:`AuthenticatedKVStore.query_many`) rather than one root-path
-        walk per request; duplicate keys within the batch share one result.
+        One item per request that finds its record, in request order, and one
+        multiproof for the whole call (:meth:`AuthenticatedKVStore.query_many`):
+        requests of the same key point at the same leaf, which is proved once.
         """
         items: List[DeliverItem] = []
         seen_keys: set = set()
-        results = self.store.query_many([request.key for request in requests])
+        result = self.store.query_many([request.key for request in requests])
+        found = result.found
         for request in requests:
-            result = results[request.key]
-            if result.record is None:
+            if request.key not in found:
                 # Honest SP answers misses by omitting the record; the DU's
                 # callback simply never fires for an unknown key.
                 continue
-            replicate = result.record.state is ReplicationState.REPLICATED
+            record, leaf_index = found[request.key]
+            replicate = record.state is ReplicationState.REPLICATED
             if self.decision_lookup is not None:
                 replicate = self.decision_lookup(request.key) is ReplicationState.REPLICATED
             if replicate and request.key in seen_keys:
@@ -139,33 +149,33 @@ class ServiceProvider:
             items.append(
                 DeliverItem(
                     key=request.key,
-                    value=result.record.value,
+                    value=record.value,
                     replicate=replicate,
-                    proof=result.proof,
-                    state_prefix=result.record.state.prefix,
+                    leaf_index=leaf_index,
+                    state_prefix=record.state.prefix,
                     callback=CallbackRef.make(
                         request.consumer, request.callback, **request.context
                     ),
                 )
             )
-        return items
+        return items, result.proof
 
-    def drain_pending_items(self) -> List[DeliverItem]:
-        """Drain pending requests into deliver items without submitting a
-        transaction.
+    def drain_pending_items(self) -> Tuple[List[DeliverItem], Optional[MultiProof]]:
+        """Drain pending requests into one ``deliver`` call's arguments
+        without submitting a transaction (no items: nothing to land).
 
-        Used by the multi-tenant gateway, which lands the items inside a
+        Used by the multi-tenant gateway, which lands the call inside a
         batched router transaction shared with other feeds; the SP's delivery
         counters are updated here so they stay correct in both deployments.
         """
         if not self.pending:
-            return []
+            return [], None
         requests, self.pending = self.pending, []
-        items = self.build_deliver_items(requests)
+        items, proof = self.build_deliver_items(requests)
         if items:
             self.deliveries_sent += 1
             self.records_delivered += len(items)
-        return items
+        return items, proof
 
     def flush_deliveries(self) -> List[Transaction]:
         """Answer pending requests, either in one batched transaction or one each."""
@@ -179,16 +189,15 @@ class ServiceProvider:
             groups = [[request] for request in requests]
         transactions: List[Transaction] = []
         for group in groups:
-            items = self.build_deliver_items(group)
+            items, proof = self.build_deliver_items(group)
             if not items:
                 continue
-            calldata = sum(item.calldata_bytes for item in items)
             transaction = Transaction(
                 sender=self.address,
                 contract=self.storage_manager.address,
                 function="deliver",
-                args={"items": items},
-                calldata_bytes=calldata,
+                args={"items": items, "proof": proof},
+                calldata_bytes=deliver_calldata_bytes(items, proof),
                 layer=LAYER_FEED,
                 scope=self.scope,
             )
@@ -237,54 +246,48 @@ class TamperingServiceProvider(ServiceProvider):
             record.key: record.value for record in self.store.records()
         }
 
-    def build_deliver_items(self, requests: List[PendingRequest]) -> List[DeliverItem]:
-        items = super().build_deliver_items(requests)
-        corrupted: List[DeliverItem] = []
-        for item in items:
-            self.attacks_attempted += 1
-            if self.attack == "forge":
-                corrupted.append(
-                    DeliverItem(
-                        key=item.key,
-                        value=item.value + b"-forged",
-                        replicate=item.replicate,
-                        proof=item.proof,
-                        state_prefix=item.state_prefix,
-                        callback=item.callback,
-                    )
-                )
-            elif self.attack == "replay":
-                stale = self.stale_snapshot.get(item.key, item.value + b"-missing")
-                corrupted.append(
-                    DeliverItem(
-                        key=item.key,
-                        value=stale,
-                        replicate=item.replicate,
-                        proof=item.proof,
-                        state_prefix=item.state_prefix,
-                        callback=item.callback,
-                    )
-                )
-            elif self.attack == "omit":
-                if self.rng.random() < self.omit_probability:
+    def build_deliver_items(
+        self, requests: List[PendingRequest]
+    ) -> Tuple[List[DeliverItem], MultiProof]:
+        if self.attack == "omit":
+            # Drop requests before proving, so what is left still verifies:
+            # omission is the one attack the contract cannot see.
+            kept = []
+            for request in requests:
+                if self.store.get_record(request.key) is None:
                     continue
-                corrupted.append(item)
-            elif self.attack == "fork":
-                forked_store = AuthenticatedKVStore()
-                forked_store.load(
-                    [record.with_value(record.value + b"-fork") for record in self.store.records()]
+                self.attacks_attempted += 1
+                if self.rng.random() >= self.omit_probability:
+                    kept.append(request)
+            return super().build_deliver_items(kept)
+        items, proof = super().build_deliver_items(requests)
+        self.attacks_attempted += len(items)
+        if self.attack == "forge":
+            items = [replace(item, value=item.value + b"-forged") for item in items]
+        elif self.attack == "replay":
+            items = [
+                replace(
+                    item,
+                    value=self.stale_snapshot.get(item.key, item.value + b"-missing"),
                 )
-                result = forked_store.query(item.key)
-                corrupted.append(
-                    DeliverItem(
-                        key=item.key,
-                        value=result.record.value,
-                        replicate=item.replicate,
-                        proof=result.proof,
-                        state_prefix=result.record.state.prefix,
-                        callback=item.callback,
-                    )
+                for item in items
+            ]
+        elif self.attack == "fork":
+            forked_store = AuthenticatedKVStore()
+            forked_store.load(
+                [record.with_value(record.value + b"-fork") for record in self.store.records()]
+            )
+            forked = forked_store.query_many([item.key for item in items])
+            proof = forked.proof
+            items = [
+                replace(
+                    item,
+                    value=record.value,
+                    leaf_index=leaf_index,
+                    state_prefix=record.state.prefix,
                 )
-            else:
-                corrupted.append(item)
-        return corrupted
+                for item, (record, leaf_index) in zip(
+                    items, [forked.found[item.key] for item in items]
+                )
+            ]
+        return items, proof

@@ -13,10 +13,11 @@ and exposes three functions:
   replica exists the callback is invoked synchronously with the value;
   otherwise a ``request`` event is emitted for the SP's watchdog and the call
   returns ``None`` (the callback will be invoked later by ``deliver``).
-* ``deliver(items)`` — transaction from the SP answering outstanding
-  requests.  Each delivered record is verified against ``rootHash`` with its
-  Merkle proof; verified records optionally become replicas (when the
-  record's replication decision is R) and the requesting DU's callback runs.
+* ``deliver(items, proof)`` — transaction from the SP answering outstanding
+  requests.  The call's records are verified against ``rootHash`` together,
+  by the one Merkle multiproof it carries; verified records optionally become
+  replicas (when the record's replication decision is R) and the requesting
+  DU's callback runs.
 * ``update(entries, transitions, digest)`` — the DO's epoch transaction:
   refresh the digest, write the new values of replicated records, and
   actuate replication-state transitions (insert new replicas / evict old
@@ -31,13 +32,19 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.ads.merkle import MerkleProof, verify_membership
+from repro.ads.merkle import (
+    MultiProof,
+    expected_proof_length,
+    multiproof_shape,
+    verify_multiproof,
+)
 from repro.chain.contract import Contract
 from repro.chain.vm import ExecutionContext
 from repro.chain.gas import LAYER_APPLICATION
 from repro.common.encoding import words_for_bytes
+from repro.common.errors import IntegrityError
 from repro.common.hashing import hash_record
 from repro.common.types import ReplicationState
 
@@ -62,20 +69,28 @@ class CallbackRef:
 
 @dataclass(frozen=True)
 class DeliverItem:
-    """One record the SP delivers in answer to a request event."""
+    """One record the SP delivers in answer to a request event.  Its
+    authentication is the call's: ``leaf_index`` says which leaf of the
+    ``deliver``'s one multiproof the record claims to be."""
 
     key: str
     value: bytes
     replicate: bool
-    proof: Optional[MerkleProof]
+    leaf_index: int
     state_prefix: str
     callback: Optional[CallbackRef]
 
     @property
     def calldata_bytes(self) -> int:
-        proof_bytes = (self.proof.size_words if self.proof else 0) * 32
-        # key word + value + proof + packed (replicate flag, callback selector).
-        return 32 + len(self.value) + proof_bytes + 8
+        # key word + value + packed (replicate flag, callback selector); the
+        # leaf index rides uncharged, as a path's index always has.
+        return 32 + len(self.value) + 8
+
+
+def deliver_calldata_bytes(items: Sequence[DeliverItem], proof: MultiProof) -> int:
+    """Encoded size of one ``deliver`` call: its records plus one word per
+    sibling digest of their shared proof."""
+    return sum(item.calldata_bytes for item in items) + 32 * proof.size_words
 
 
 @dataclass(frozen=True)
@@ -208,6 +223,11 @@ class StorageManagerContract(Contract):
         self._history_cursors: List["weakref.ReferenceType[CallHistoryCursor]"] = []
         self.requests_emitted = 0
         self.delivered_records = 0
+        #: Calldata the verified ``deliver`` calls carried, and what the same
+        #: records would have carried with a root path each (the paper's
+        #: ``deliver``); see :meth:`delivered_read_discount`.
+        self.delivered_bytes = 0
+        self.delivered_bytes_unshared = 0
         self.current_epoch_hint = 0
         #: Incrementally maintained count of live (non-invalidated) replicas;
         #: ``None`` marks it dirty (a revert touched storage behind our back)
@@ -296,9 +316,11 @@ class StorageManagerContract(Contract):
                 self._run_callback(ctx, consumer, callback, None, key, value)
         return results
 
-    def deliver(self, ctx: ExecutionContext, items: List[DeliverItem]) -> int:
-        """SP transaction answering requests: verify every record of the call,
-        then replicate and call back.
+    def deliver(
+        self, ctx: ExecutionContext, items: List[DeliverItem], proof: MultiProof
+    ) -> int:
+        """SP transaction answering requests: verify every record of the call
+        against the one multiproof it carries, then replicate and call back.
 
         Nothing is applied until the whole call has verified: a consumer's
         Python-side state is not contract storage, so a callback that ran
@@ -307,23 +329,54 @@ class StorageManagerContract(Contract):
         meter = ctx.meter
         root = self.storage.load(meter, self.ROOT_SLOT)
         self.require(root is not None, "no root hash published yet")
+        if not items:
+            return 0
         obs = getattr(self.chain, "obs", None)
         verify_started = obs.tracer.clock() if obs is not None else 0.0
-        pair_cost = meter.schedule.hash_cost(2)
+        # Requests of one key are one leaf: every item pays its own leaf hash
+        # (each carries its own value), the leaf is proved once.
+        leaves: Dict[int, bytes] = {}
         for item in items:
-            proof = item.proof
-            if proof is None:
-                self.revert(f"missing proof for {item.key!r}")
             leaf = self._leaf_hash(ctx, item)
-            # Gas is paid before the work, as on the EVM: once a proof is seen
-            # to fit its index and count (which hashes nothing) its whole walk
-            # is charged as one amount, whether or not it reaches the root.
-            if proof.is_bound:
-                meter.charge(proof.num_nodes * pair_cost, "hash")
-            if not verify_membership(root, leaf, proof):
+            if leaves.setdefault(item.leaf_index, leaf) != leaf:
                 self.revert(f"integrity check failed for delivered key {item.key!r}")
+        indices = sorted(leaves)
+        # The proof is the SP's word until it verifies, and sizing its walk is
+        # not charged for: a tree of the depth it names needs at least
+        # ``depth - log2(leaves)`` siblings, so a depth beyond what the call
+        # shipped (and paid calldata for) is refused before it is walked.
+        self.require(
+            isinstance(proof, MultiProof)
+            and type(proof.leaf_count) is int
+            and isinstance(proof.siblings, tuple),
+            "missing proof",
+        )
+        depth = expected_proof_length(proof.leaf_count)
+        if not depth - len(indices) <= len(proof.siblings) <= depth * len(indices):
+            self.revert(
+                "integrity check failed for the delivered records: "
+                f"{len(proof.siblings)} sibling digests cannot prove {len(indices)} "
+                f"leaves of a depth-{depth} tree"
+            )
+        # Gas is paid before the work, as on the EVM: once the proof is seen to
+        # fit the leaves it is for (which hashes nothing) its whole walk is
+        # charged as one amount, whether or not it reaches the root.
+        try:
+            needed, pair_hashes = multiproof_shape(indices, proof.leaf_count)
+        except IntegrityError as error:
+            self.revert(f"integrity check failed for the delivered records: {error}")
+        if needed != len(proof.siblings):
+            self.revert(
+                "integrity check failed for the delivered records: "
+                f"{len(proof.siblings)} sibling digests where {needed} are needed"
+            )
+        meter.charge(pair_hashes * meter.schedule.hash_cost(2), "hash")
+        if not verify_multiproof(root, indices, [leaves[i] for i in indices], proof):
+            self.revert("integrity check failed for the delivered records")
         if obs is not None:
             obs.counter("chain_verify_total").inc(len(items))
+            obs.counter("chain_proof_leaves_total").inc(len(indices))
+            obs.counter("chain_proof_siblings_total").inc(len(proof.siblings))
             obs.histogram("chain_verify_seconds").observe(
                 obs.tracer.clock() - verify_started
             )
@@ -333,6 +386,9 @@ class StorageManagerContract(Contract):
             if item.callback is not None:
                 self._invoke_callback(ctx, item.callback, item.key, item.value)
         self.delivered_records += len(items)
+        record_bytes = sum(item.calldata_bytes for item in items)
+        self.delivered_bytes += record_bytes + 32 * len(proof.siblings)
+        self.delivered_bytes_unshared += record_bytes + 32 * depth * len(items)
         return len(items)
 
     # -- write path -----------------------------------------------------------
@@ -387,6 +443,17 @@ class StorageManagerContract(Contract):
             self._replica_count += 1
 
     # -- views (no global gas; used by off-chain components via their full node) --
+
+    def delivered_read_discount(self) -> float:
+        """What a read off chain has cost here as a share of the paper's, which
+        ships every record with its own root path: 1.0 before any delivery and
+        while every call holds one record, lower the more of their proof the
+        records of a call share.  The DO's control plane reads it (off the
+        ``deliver`` calls its full node sees) to keep Equation 1's
+        ``C_read_off`` at what a delivered word measurably costs."""
+        if not self.delivered_bytes_unshared:
+            return 1.0
+        return self.delivered_bytes / self.delivered_bytes_unshared
 
     def replica_of(self, key: str) -> Optional[bytes]:
         """Unmetered view of a replica slot (off-chain observation)."""

@@ -243,11 +243,11 @@ def build_deliver_groups(
     registry: FeedRegistry, shard: Sequence[str]
 ) -> List[DeliverGroup]:
     """Phase 2 (build): drain one shard's pending requests into deliver groups
-    (record lookups plus batched proof generation, no chain I/O)."""
+    (record lookups plus one multiproof a feed, no chain I/O)."""
     groups: List[DeliverGroup] = []
     for feed_id in shard:
         handle = registry.get(feed_id)
-        items = handle.service_provider.drain_pending_items()
+        items, proof = handle.service_provider.drain_pending_items()
         if not items:
             continue
         groups.append(
@@ -255,6 +255,7 @@ def build_deliver_groups(
                 feed_id=feed_id,
                 manager=handle.storage_manager.address,
                 items=items,
+                proof=proof,
             )
         )
     return groups

@@ -24,23 +24,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.ads.merkle import MultiProof
 from repro.chain.contract import Contract
 from repro.chain.vm import ExecutionContext
-from repro.core.storage_manager import DeliverItem, UpdateEntry
+from repro.core.storage_manager import DeliverItem, UpdateEntry, deliver_calldata_bytes
 
 
 @dataclass(frozen=True)
 class DeliverGroup:
-    """One feed's slice of a batched cross-feed ``deliver`` transaction."""
+    """One feed's slice of a batched cross-feed ``deliver`` transaction: the
+    records it answers with and the one multiproof that authenticates them."""
 
     feed_id: str
     manager: str
     items: List[DeliverItem]
+    proof: MultiProof
 
     @property
     def calldata_bytes(self) -> int:
-        # Manager address word + the items' encoded size.
-        return 32 + sum(item.calldata_bytes for item in self.items)
+        # Manager address word + the feed's deliver call (records and proof).
+        return 32 + deliver_calldata_bytes(self.items, self.proof)
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,8 @@ class GatewayRouterContract(Contract):
         """Answer outstanding requests of several feeds in one transaction.
 
         Each group is executed under its feed's gas scope; the per-feed
-        storage manager performs the usual Merkle verification, optional
-        replication and consumer callbacks.
+        storage manager performs the usual Merkle verification (one
+        multiproof a group), optional replication and consumer callbacks.
         """
         self.require(bool(groups), "empty deliver batch")
         verified = 0
@@ -84,6 +87,7 @@ class GatewayRouterContract(Contract):
                 "deliver",
                 scope=group.feed_id,
                 items=group.items,
+                proof=group.proof,
             )
             self.groups_routed += 1
         self.deliver_batches += 1

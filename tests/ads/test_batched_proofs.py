@@ -1,11 +1,13 @@
-"""Batched proof generation must be indistinguishable from per-leaf proving."""
+"""Batched proof generation: one multiproof for a set of leaves, the single
+path when the set is one leaf (the property tests are ``test_multiproof.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
-from repro.ads.merkle import MerkleTree, verify_membership
+from repro.ads.merkle import MerkleTree, verify_multiproof
+from repro.common.errors import StorageError
 from repro.common.hashing import keccak
 from repro.common.types import KVRecord, ReplicationState
 
@@ -18,33 +20,48 @@ class TestProveMany:
     @pytest.mark.parametrize("num_leaves", [1, 2, 5, 8, 33])
     def test_matches_individual_proofs(self, num_leaves):
         tree = make_tree(num_leaves)
-        indices = list(range(num_leaves))
-        batched = tree.prove_many(indices)
-        for index in indices:
-            assert batched[index] == tree.prove(index)
+        for index in range(num_leaves):
+            batched = tree.prove_many([index])
+            assert batched.leaf_count == num_leaves
+            assert batched.siblings == tree.prove(index).path
+        # Every leaf proved together leaves only all-padding subtrees to ship.
+        everything = tree.prove_many(range(num_leaves))
+        assert len(everything.siblings) == bin(-num_leaves % (1 << tree.depth)).count("1")
+        assert verify_multiproof(
+            tree.root, list(range(num_leaves)), tree.leaves(), everything
+        )
 
     def test_shared_siblings_are_one_object(self):
         tree = make_tree(8)
-        proofs = tree.prove_many([0, 1])
-        # Leaves 0 and 1 share every path node above the leaf level.
-        assert proofs[0].path[1] is proofs[1].path[1]
-        assert proofs[0].path[2] is proofs[1].path[2]
+        proof = tree.prove_many([0, 1])
+        # Leaves 0 and 1 are each other's sibling and share every path node
+        # above the leaf level: two digests where two paths carry six, and the
+        # tree's own objects, not copies.
+        assert len(proof.siblings) == 2
+        for shared, first, second in zip(
+            proof.siblings, tree.prove(0).path[1:], tree.prove(1).path[1:]
+        ):
+            assert shared is first is second
 
     def test_batched_proofs_verify(self):
         tree = make_tree(16)
-        proofs = tree.prove_many([3, 7, 11])
-        for index, proof in proofs.items():
-            assert verify_membership(tree.root, tree.leaf(index), proof)
+        indices = [3, 7, 11]
+        proof = tree.prove_many(indices)
+        leaves = [tree.leaf(index) for index in indices]
+        assert verify_multiproof(tree.root, indices, leaves, proof)
+        assert not verify_multiproof(tree.root, [3, 7, 12], leaves, proof)
 
     def test_out_of_range_rejected(self):
         tree = make_tree(4)
         with pytest.raises(IndexError):
             tree.prove_many([5])
+        with pytest.raises(IndexError):
+            tree.prove_many([0, -1])
 
     def test_duplicate_indices_deduplicated(self):
         tree = make_tree(4)
-        proofs = tree.prove_many([2, 2, 2])
-        assert set(proofs) == {2}
+        assert tree.prove_many([2, 2, 2]) == tree.prove_many([2])
+        assert tree.prove_many([3, 0, 3]) == tree.prove_many([0, 3])
 
 
 class TestStagedLeafUpdates:
@@ -77,11 +94,43 @@ class TestQueryMany:
 
     def test_matches_individual_queries(self):
         store = self.make_store()
-        keys = ["key-01", "key-05", "key-09", "missing"]
+        keys = ["key-09", "key-01", "missing", "key-05", "key-01"]
         batched = store.query_many(keys)
-        for key in keys:
+        assert list(batched.found) == ["key-09", "key-01", "key-05"]
+        for key, (record, leaf_index) in batched.found.items():
             single = store.query(key)
-            assert batched[key] == single
+            assert record == single.record
+            assert leaf_index == single.proof.leaf_index
+        by_leaf = sorted(
+            (leaf_index, store.leaf_hash_for(record))
+            for record, leaf_index in batched.found.values()
+        )
+        assert verify_multiproof(
+            store.root,
+            [leaf_index for leaf_index, _ in by_leaf],
+            [leaf for _, leaf in by_leaf],
+            batched.proof,
+        )
+
+    def test_state_only_update_keeps_value_and_version(self):
+        batched_store = self.make_store()
+        sequential_store = self.make_store()
+        updates = [
+            ("key-03", b"v3", None),
+            ("key-04", None, ReplicationState.REPLICATED),
+            ("key-03", None, ReplicationState.REPLICATED),
+            ("key-05", None, ReplicationState.NOT_REPLICATED),  # already there
+        ]
+        root = batched_store.apply_updates(updates)
+        sequential_store.apply_update("key-03", b"v3")
+        sequential_store.apply_state_transition("key-04", ReplicationState.REPLICATED)
+        sequential_store.apply_state_transition("key-03", ReplicationState.REPLICATED)
+        assert root == sequential_store.root
+        assert batched_store.replicated_keys() == ["key-03", "key-04"]
+        assert batched_store.records() == sequential_store.records()
+        assert dict(batched_store.backing.items()) == dict(sequential_store.backing.items())
+        with pytest.raises(StorageError):
+            batched_store.apply_updates([("nobody", None, ReplicationState.REPLICATED)])
 
     def test_apply_updates_equals_sequential(self):
         batched_store = self.make_store()

@@ -11,6 +11,7 @@ from repro.ads.merkle import (
     expected_proof_length,
     recompute_root_from_proof,
     verify_membership,
+    verify_multiproof,
     verify_non_membership,
     verify_range,
 )
@@ -153,10 +154,12 @@ class TestPadding:
         empty = [EMPTY_DIGEST]
         for _ in range(tree.depth):
             empty.append(hash_pair(empty[-1], empty[-1]))
-        batch = tree.prove_many(range(count))
+        assert verify_multiproof(
+            tree.root, list(range(count)), leaves, tree.prove_many(range(count))
+        )
         for index, leaf in enumerate(leaves):
             proof = tree.prove(index)
-            assert proof == batch[index]
+            assert proof.path == tree.prove_many([index]).siblings
             assert verify_membership(tree.root, leaf, proof)
             for height, sibling in enumerate(proof.path):
                 first_leaf_under_sibling = ((index >> height) ^ 1) << height

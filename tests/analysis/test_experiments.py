@@ -34,65 +34,73 @@ from repro.analysis.reporting import (
 )
 
 #: Figure key → the numbers it pins at the quick scale (see ``figures.SHAPES``),
-#: computed with the runners as they stood before PR 21 folded their loops.  A
-#: PR that means to move Gas pastes the row the failing assertion prints, and
-#: says so; any other PR leaves this table alone.
+#: first computed with the runners as they stood before PR 21 folded their
+#: loops.  A PR that means to move Gas pastes the row the failing assertion
+#: prints, and says so; any other PR leaves this table alone.  Last moved by
+#: PR 24 (one multiproof per ``deliver`` call): every row in which a system
+#: delivers more than one record a call — not BL2 where it never delivers
+#: (``fig03`` ``fig05`` ``fig06`` ``fig07`` ``fig08b``), not ``per-request``,
+#: not ``tab1-6`` — and, where the runner configures no K, the GRuB, BL3 and
+#: BL4 rows again: Equation 1's K there follows what delivers measurably cost.
 GOLDEN = {
-    "fig03": {"BL1": [1065.6875, 2580.5, 4547.34375, 6029.0625, 8747.4375, 7876.21875,
-                      6034.53125, 6442.359375],
-              "BL2": [10954.4375, 10053.390625, 8259.09375, 6853.1875, 4414.171875,
-                      3482.90625, 2367.484375, 1696.234375],
-              "GRuB": [1065.6875, 2580.5, 4547.34375, 6029.0625, 5765.21875, 3482.90625,
-                       2367.484375, 1696.234375],
-              "crossover": 1.4793848633484108},
-    "fig05": {"BL1": [14894612, 456950], "BL2": [6977904, 456950], "GRuB": [5546668, 456950]},
-    "fig06": {"BL1": [6518530, 123728], "BL2": [5589272, 123728], "GRuB": [6213624, 115995]},
-    "fig07": {"BL1": [1065.6875, 4547.34375, 6029.0625, 7546.953125, 8747.4375, 7876.21875,
-                      6034.53125, 6442.359375],
-              "BL2": [10954.4375, 8259.09375, 6853.1875, 5505.515625, 4414.171875,
-                      3482.90625, 2367.484375, 1696.234375],
-              "BL3": [1065.6875, 6656.71875, 8997.8125, 11922.625, 11585.53125, 9420.40625,
-                      7836.234375, 6930.609375],
-              "BL4": [1065.6875, 6656.71875, 8997.8125, 10047.625, 10218.34375, 8639.15625,
-                      7523.734375, 6774.359375],
-              "GRuB": [1065.6875, 4547.34375, 6029.0625, 6258.5625, 5765.21875, 3482.90625,
-                       2367.484375, 1696.234375],
-              "crossover": 1.2875962398307488},
-    "fig08a": {"memoryless": [733280, 61161],
-               "memorizing": [562356, 61161],
+    "fig03": {"BL1": [1065.6875, 2219.234375, 3441.296875, 4368.515625,
+                      6081.859375, 5815.484375, 5497.359375, 6442.359375],
+              "BL2": [10954.4375, 10053.390625, 8259.09375, 6853.1875,
+                      4414.171875, 3482.90625, 2367.484375, 1696.234375],
+              "GRuB": [1065.6875, 2219.234375, 3441.296875, 4368.515625,
+                       5633.828125, 3482.90625, 2367.484375, 1696.234375],
+              "crossover": 2.7951277699801693},
+    "fig05": {"BL1": [6625076, 456950], "BL2": [6977904, 456950], "GRuB": [3743560, 456950]},
+    "fig06": {"BL1": [4957830, 123728], "BL2": [5589272, 123728], "GRuB": [5533996, 115995]},
+    "fig07": {"BL1": [1065.6875, 3441.296875, 4368.515625, 5331.90625,
+                      6081.859375, 5815.484375, 5497.359375, 6442.359375],
+              "BL2": [10954.4375, 8259.09375, 6853.1875, 5505.515625,
+                      4414.171875, 3482.90625, 2367.484375, 1696.234375],
+              "BL3": [1065.6875, 5550.671875, 7337.265625, 10404.078125,
+                      11376.015625, 9420.40625, 7836.234375, 6930.609375],
+              "BL4": [1065.6875, 5550.671875, 7337.265625, 9622.828125,
+                      10086.953125, 8639.15625, 7523.734375, 6774.359375],
+              "GRuB": [1065.6875, 3441.296875, 4368.515625, 5833.765625,
+                       5633.828125, 3482.90625, 2367.484375, 1696.234375],
+              "crossover": 2.188572931782117},
+    "fig08a": {"memoryless": [666740, 61161],
+               "memorizing": [531304, 61161],
                "offline": [458132, 61161]},
-    "fig08b": {"BL1": [7546.953125, 8637.953125, 10819.953125, 15183.953125, 23911.953125],
-               "BL2": [5505.515625, 8484.953125, 14443.828125, 26361.578125, 50197.078125],
-               "GRuB": [6258.5625, 8903.765625, 14194.171875, 24774.984375, 45936.609375],
+    "fig08b": {"BL1": [5331.90625, 6422.90625, 8604.90625, 12968.90625,
+                       21696.90625],
+               "BL2": [5505.515625, 8484.953125, 14443.828125, 26361.578125,
+                       50197.078125],
+               "GRuB": [5833.765625, 7477.078125, 10763.703125, 17336.953125,
+                        30483.453125],
                "crossover": None},
-    "fig09-AB": {"BL1": [10968312, 266437],
-                 "BL2": [11825680, 266437],
-                 "GRuB": [10469192, 266437]},
-    "fig09-AE": {"BL1": [57698756, 1476300],
-                 "BL2": [25279870, 1476300],
-                 "GRuB": [35674854, 1476300]},
-    "fig09-AF": {"BL1": [10507008, 269952],
-                 "BL2": [9156984, 269952],
-                 "GRuB": [10358468, 269952]},
-    "fig11": {"ratio=2": [6038.546875, 6258.5625, 7546.953125, 7546.953125, 7546.953125,
-                          7546.953125, 7546.953125],
-              "ratio=4": [5173.921875, 5765.21875, 6222.984375, 8747.4375, 8747.4375,
-                          8747.4375, 8747.4375],
-              "ratio=8": [4617.09375, 4618.65625, 4618.65625, 5360.78125, 9479.796875,
-                          9479.796875, 9479.796875],
+    "fig09-AB": {"BL1": [6134868, 266437],
+                 "BL2": [10932968, 266437],
+                 "GRuB": [6363918, 266437]},
+    "fig09-AE": {"BL1": [18537806, 1476300],
+                 "BL2": [19737288, 1476300],
+                 "GRuB": [21445642, 1476300]},
+    "fig09-AF": {"BL1": [5960946, 269952],
+                 "BL2": [8339726, 269952],
+                 "GRuB": [5997026, 269952]},
+    "fig11": {"ratio=2": [5865.265625, 5946.65625, 5331.90625, 5331.90625, 5331.90625,
+                          5331.90625, 5331.90625],
+              "ratio=4": [4931.328125, 5314.6875, 5633.828125, 6081.859375, 6081.859375,
+                          6081.859375, 6081.859375],
+              "ratio=8": [4374.5, 4376.0625, 4376.0625, 4910.25, 6536.96875, 6536.96875,
+                          6536.96875],
               "crossover": None},
-    "fig12": {"by record size": {32: 0.8545096820958891, 512: 8.0, 4096: 8.0},
-              "by data size": {256: 0.8545096820958891,
-                               4096: 0.6208425078224591,
-                               16384: 0.5300695925017096}},
-    "fig14": {"GRuB": [24287.0234375, 20447.640625, 19463.6171875, 20359.40625,
-                       20988.921875],
-              "BL1": 21422.484375,
-              "BL2": 23097.03125,
+    "fig12": {"by record size": {32: 3.957654405307835, 512: 8.0, 4096: 8.0},
+              "by data size": {256: 3.957654405307835,
+                               4096: 3.7412430481022536,
+                               16384: 3.6330373694994633}},
+    "fig14": {"GRuB": [20914.2890625, 15108.34375, 12429.52734375, 12001.109375,
+                       11942.65234375],
+              "BL1": 11982.1640625,
+              "BL2": 21353.453125,
               "crossover": None},
-    "fig15": {"static": [2270320, 53428],
-              "adaptive-k1": [2142366, 53428],
-              "adaptive-k2": [6096730, 53428]},
+    "fig15": {"static": [1591612, 53428],
+              "adaptive-k1": [1570122, 53428],
+              "adaptive-k2": [5990266, 53428]},
     "tab1-6": {"ethPriceOracle": {0: 0.7333333333333333,
                                   1: 0.175,
                                   2: 0.041666666666666664,
@@ -101,11 +109,12 @@ GOLDEN = {
                                   6: 0.008333333333333333,
                                   7: 0.008333333333333333},
                "BtcRelay": {0: 0.92, 1: 0.0775, 2: 0.0025}},
-    "ablation-deliver-batching": {"epoch-batched": [591188, 59755], "per-request": [752644, 59755]},
-    "ablation-storage-refunds": {"no refunds (paper model)": [755176, 19684],
-                                 "with clear refunds": [755176, 19684]},
-    "ablation-slot-reuse": {"fresh slot per replica": [817280, 19684],
-                            "reused slot pool": [817280, 19684]},
+    "ablation-deliver-batching": {"epoch-batched": [560136, 59755],
+                                  "per-request": [752644, 59755]},
+    "ablation-storage-refunds": {"no refunds (paper model)": [631094, 19684],
+                                 "with clear refunds": [631094, 19684]},
+    "ablation-slot-reuse": {"fresh slot per replica": [612232, 19684],
+                            "reused slot pool": [612232, 19684]},
 }
 
 #: The figure keys some test below checks the shape of.
@@ -206,9 +215,14 @@ class TestTraceExperiments:
     @checks("fig05")
     def test_figure5_table3_ordering(self):
         result = quick("fig05")
-        # GRuB is the cheapest; the never-replicate baseline is the most expensive
-        # (the paper's Table 3 ordering).
-        assert result.totals["GRuB"] < result.totals["BL2"] < result.totals["BL1"]
+        # GRuB is the cheapest by far (the paper's Table 3 headline).  Table 3
+        # also has never-replicate (BL1) as the dearest, and so did this run
+        # while every request carried its own path.  It cannot any more: the
+        # trace reads two hot assets ten times after each write, and requests
+        # of one key are now one leaf of one multiproof (ISSUE 24's duplicate
+        # fix), so BL1 — all delivers — fell from 14.9 M to 6.6 M, under BL2,
+        # which never delivers and did not move.
+        assert result.totals["GRuB"] * 1.5 < result.totals["BL1"] < result.totals["BL2"]
         assert result.versus_reference("BL1") > 0
         assert result.versus_reference("BL2") > 0
 
@@ -239,15 +253,18 @@ class TestTraceExperiments:
     @checks(*MIXES)
     @pytest.mark.parametrize("key", MIXES)
     def test_figures9_13_ycsb_mixes(self, key):
-        """GRuB stays below the worse static placement on every four-phase
-        mix, and within 1.5x of the better one.  On A,B it beats both; on A,E
-        and the small-record A,F it lands *between* them (1.41x and 1.13x the
-        better one here).  The 1.5x bound is a quick- and default-scale fact:
-        the recorded paper-scale run reads 1.60x on A,E, with BL1 and BL2 in
-        the opposite order (README, "Reproducing the paper")."""
+        """GRuB stays below the worse static placement on the point-read
+        mixes, and within 1.5x of the better one on every mix: 1.04x and 1.01x
+        BL1 on A,B and the small-record A,F.  On the scan mix A,E it is the
+        dearest of the three, 1.16x BL1 and 1.09x BL2 (it was between them,
+        1.41x the better one, with a path per record): a scan's records share
+        most of one multiproof, which made never-replicate 68 % cheaper there,
+        and at 128 operations a phase the records GRuB replicates out of a
+        scanned range are not scanned again often enough to pay for their
+        storage (README, "Reproducing the paper")."""
         result = quick(key)
         baselines = result.totals["BL1"], result.totals["BL2"]
-        assert result.totals["GRuB"] <= max(baselines)
+        assert result.totals["GRuB"] <= max(baselines) * (1.10 if key == "fig09-AE" else 1.0)
         assert result.totals["GRuB"] <= min(baselines) * 1.5
 
 
@@ -264,12 +281,13 @@ class TestAlgorithmAndParameterExperiments:
         for name in ("BL1", "BL2", "GRuB"):
             series = result.gas_per_operation[name]
             assert series[0] < series[-1]
-        # GRuB never exceeds the worse baseline — but for 2-word records, where
-        # this ratio-2 workload sits on the BL1/BL2 crossover and GRuB pays 3 %
-        # over both for switching between them.
+        # GRuB never exceeds the worse baseline — but for 1-word records, where
+        # this ratio-2 workload sits on the BL1/BL2 crossover (it sat at 2
+        # words with a path per record) and GRuB pays 6 % over both for the
+        # three replicas its first epoch makes before any delivery is measured.
         for index, words in enumerate(result.x_values):
             worst = max(result.series("BL1")[index], result.series("BL2")[index])
-            assert result.series("GRuB")[index] <= worst * (1.05 if words == 2 else 1.0)
+            assert result.series("GRuB")[index] <= worst * (1.06 if words == 1 else 1.0)
 
     @checks("fig11")
     def test_figure11_k_sweep_has_workload_dependent_extremum(self):
@@ -308,7 +326,7 @@ class TestAlgorithmAndParameterExperiments:
         # matching Table 5's +0.8%.  Table 5's K2-beats-static does not
         # reproduce: it depends on the anti-correlated bursts of the real
         # trace, which the synthetic i.i.d. trace deliberately does not inject,
-        # so K2 costs a multiple of static K here (2.7x at this scale).
+        # so K2 costs a multiple of static K here (3.8x at this scale).
         assert abs(result.versus_reference("adaptive-k1")) < 35.0
         assert result.versus_reference("adaptive-k2") > 0
         assert len(result.epoch_series["static"]) > 1
@@ -377,7 +395,7 @@ class TestCommand:
         assert first.stdout == second.stdout
         lines = first.stdout.decode("utf-8").splitlines()
         assert lines[0] == f"[fig03] {FIGURES['fig03'][0]}" and "(paper: " in lines[0]
-        assert "BL1/BL2 crossover ratio ≈ 1.48" in lines
+        assert "BL1/BL2 crossover ratio ≈ 2.80" in lines
 
     def test_unknown_key_exits_nonzero_and_lists_the_keys(self, capsys):
         with pytest.raises(SystemExit) as exit_:

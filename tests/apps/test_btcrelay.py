@@ -148,9 +148,12 @@ class TestPeggedToken:
         pegged.system.service_provider.service_epoch()
         (receipt,) = chain.mine_block().receipts
         assert receipt.success and pegged.pegged.mints == 1
-        # Three delivered headers (leaf hash 60 + 2 pair hashes each) + the SPV walk.
-        assert chain.ledger.by_category["hash"] - hash_before == 558 == 3 * (60 + 2 * 42) + 3 * 42
-        assert receipt.gas_used == 85_369
+        # Three delivered headers (a leaf hash of 60 each, and the 3 pair hashes
+        # of their one multiproof over a 4-leaf tree, where three paths took 6)
+        # + the SPV walk, which is a single path and did not move.
+        assert chain.ledger.by_category["hash"] - hash_before == 432 == 3 * 60 + 3 * 42 + 3 * 42
+        # 85 369 with a path per header: 126 less hashing, 5 fewer calldata words.
+        assert receipt.gas_used == 74_363 == 85_369 - 126 - 5 * 2_176
 
     def test_mint_with_forged_proof_rejected(self, pegged):
         tx, deposit_block = self._confirmed_deposit(pegged)

@@ -69,6 +69,19 @@ class TestMemoryless:
         assert bound == pytest.approx(1 + k * COST_MODEL.off_chain_read_cost / COST_MODEL.update_cost)
         assert bound <= 2.05
 
+    def test_equation_one_stays_two_competitive_at_the_measured_read_price(self):
+        # A read off chain that costs a share of the schedule's price moves K
+        # by the inverse share, so the bound of Theorem A.1 stays where it was
+        # (up to K's rounding) instead of growing with the discount.
+        assert COST_MODEL.equation_one_k_at(1.0) == COST_MODEL.equation_one_k == 2
+        assert [COST_MODEL.equation_one_k_at(share) for share in (0.59, 0.394, 0.1)] == [4, 6, 23]
+        for share in (1.0, 0.59, 0.394, 0.1):
+            algo = MemorylessAlgorithm(k=COST_MODEL.equation_one_k_at(share))
+            bound = algo.worst_case_competitiveness(
+                COST_MODEL.update_cost, COST_MODEL.off_chain_read_cost * share
+            )
+            assert bound <= 2.25
+
     def test_reset_clears_state(self):
         algo = MemorylessAlgorithm(k=1)
         algo.observe([Operation.read("a")])

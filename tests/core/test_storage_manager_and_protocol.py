@@ -18,7 +18,11 @@ from repro.core.data_owner import DataOwner
 from repro.core.decision.memoryless import MemorylessAlgorithm
 from repro.core.grub import GrubSystem
 from repro.core.service_provider import ServiceProvider, TamperingServiceProvider
-from repro.core.storage_manager import INVALID_REPLICA, StorageManagerContract
+from repro.core.storage_manager import (
+    INVALID_REPLICA,
+    StorageManagerContract,
+    deliver_calldata_bytes,
+)
 from repro.obs import Observability
 
 
@@ -180,8 +184,9 @@ class TestReadPathAndWatchdog:
 
 
 def requested_items(system, keys):
-    """Have the consumer ask for ``keys`` and return the honest SP's answer,
-    every record flagged for replication, without sending it."""
+    """Have the consumer ask for ``keys`` and return the honest SP's answer —
+    the items and their one multiproof — every record flagged for
+    replication, without sending it."""
     for key in keys:
         system.chain.execute_internal_call("user", "data-consumer", "query_feed", key=key)
     provider = system.service_provider
@@ -191,9 +196,9 @@ def requested_items(system, keys):
     return provider.build_deliver_items(requests)
 
 
-def land_deliver(system, items, gas_limit=None):
-    """Mine one ``deliver`` of ``items``; its receipt and what it added to the
-    ledger by category."""
+def land_deliver(system, items, proof, gas_limit=None):
+    """Mine one ``deliver`` of ``items`` under ``proof``; its receipt and what
+    it added to the ledger by category."""
     ledger = system.chain.ledger
     before = dict(ledger.by_category)
     system.chain.submit(
@@ -201,8 +206,8 @@ def land_deliver(system, items, gas_limit=None):
             sender="storage-provider",
             contract="storage-manager",
             function="deliver",
-            args={"items": items},
-            calldata_bytes=sum(item.calldata_bytes for item in items),
+            args={"items": items, "proof": proof},
+            calldata_bytes=deliver_calldata_bytes(items, proof),
             gas_limit=gas_limit,
         )
     )
@@ -258,9 +263,9 @@ class TestSecurityAgainstTamperingSP:
         each group is its own ``deliver`` — which is ROADMAP item 2 (c).
         """
         system = protocol_system
-        items = requested_items(system, ["alpha", "bravo", "charlie"])
+        items, proof = requested_items(system, ["alpha", "bravo", "charlie"])
         items[forged_at] = forged(items[forged_at])
-        receipt, _ = land_deliver(system, items)
+        receipt, _ = land_deliver(system, items, proof)
         assert not receipt.success and "integrity check failed" in receipt.error
         assert system.consumer.deliveries() == 0
         assert system.storage_manager.delivered_records == 0
@@ -294,12 +299,13 @@ class TestSecurityAgainstTamperingSP:
 
 
 class TestDeliverMetering:
-    """What a ``deliver`` costs.  Verification is metered per proof (the walk's
-    ``num_nodes`` pair hashes as one amount, after the free binding check and
-    before the walk) and everything is verified before anything is applied.
-    The constants for calls that succeed were computed at the commit that still
-    charged once per hash: they must never move.  The two failing calls are the
-    only figures the change moved, and say from what."""
+    """What a ``deliver`` costs.  Every item pays its own leaf hash; the call's
+    one multiproof is then checked against the leaves it is for (free), its
+    whole walk charged as one amount, and everything is verified before
+    anything is applied.  A one-record call's multiproof is that record's
+    path, so its constants are those of the commits that shipped one path per
+    record and must never move; the multi-record constants moved when the
+    paths became one proof (PR 24), and say from what."""
 
     @staticmethod
     def system_with(records):
@@ -311,40 +317,76 @@ class TestDeliverMetering:
 
     KEYS = [f"key-{index:03d}" for index in range(4)]
 
+    @pytest.mark.parametrize("key", ["key-000", "key-003"])
     @pytest.mark.parametrize(
-        "records, depth, hash_gas, gas_used",
-        [(5, 3, 696, 150_404), (40, 6, 1_200, 177_020)],
+        "records, depth, gas_used", [(5, 3, 55_133), (40, 6, 61_787)]
     )
-    def test_successful_deliver_costs_what_it_always_did(
-        self, records, depth, hash_gas, gas_used
+    def test_one_record_deliver_costs_what_it_always_did(
+        self, records, depth, gas_used, key
     ):
         system = self.system_with(records)
-        items = requested_items(system, self.KEYS)
-        assert {item.proof.num_nodes for item in items} == {depth}
-        receipt, charged = land_deliver(system, items)
+        items, proof = requested_items(system, [key])
+        assert proof.siblings == system.sp_store.query(key).proof.path
+        receipt, charged = land_deliver(system, items, proof)
         assert receipt.success
-        # Per record: one leaf hash over 3 words (48) and `depth` pair hashes (42).
-        assert charged["hash"] == hash_gas == 4 * (48 + depth * 42)
+        # One leaf hash over 3 words (48) and `depth` pair hashes (42).
+        assert charged["hash"] == 48 + depth * 42
+        assert charged["transaction"] == 21_000 + 2_176 * (3 + depth)
+        assert receipt.gas_used == gas_used == sum(charged.values())
+
+    @pytest.mark.parametrize(
+        "records, siblings, pair_hashes, gas_used",
+        [(5, 1, 4, 126_132), (40, 4, 7, 132_786)],
+    )
+    def test_successful_deliver_costs_what_it_always_did(
+        self, records, siblings, pair_hashes, gas_used
+    ):
+        # Four neighbouring leaves: two pairs, their parent, then one sibling a
+        # level to the root.  With a path per record the same calls carried
+        # 12 / 24 digests, hashed 12 / 24 pairs and cost 150 404 / 177 020.
+        system = self.system_with(records)
+        items, proof = requested_items(system, self.KEYS)
+        assert [item.leaf_index for item in items] == [0, 1, 2, 3]
+        assert len(proof.siblings) == siblings
+        receipt, charged = land_deliver(system, items, proof)
+        assert receipt.success
+        assert charged["hash"] == 4 * 48 + pair_hashes * 42
+        # 4 x 72 bytes of records are 9 words of calldata, plus the siblings.
+        assert charged["transaction"] == 21_000 + 2_176 * (9 + siblings)
         assert receipt.gas_used == gas_used == sum(charged.values())
         assert charged["sstore_insert"] == 80_000 and charged["call"] == 2_800
         assert system.consumer.deliveries() == system.storage_manager.delivered_records == 4
 
+    def test_k_requests_of_one_key_pay_one_leafs_siblings(self):
+        # Three requests of one key are one leaf: its six siblings are shipped
+        # and walked once (49 288 of calldata, 3 x 48 + 6 x 42 of hashing)
+        # where every request used to carry the path again (75 400 and 900,
+        # 98 609 in all), and all three callbacks still fire.
+        system = self.system_with(40)
+        items, proof = requested_items(system, ["key-002"] * 3)
+        assert [item.leaf_index for item in items] == [2, 2, 2]
+        assert [item.replicate for item in items] == [True, False, False]
+        assert proof.siblings == system.sp_store.query("key-002").proof.path
+        receipt, charged = land_deliver(system, items, proof)
+        assert receipt.success and receipt.gas_used == 71_993
+        assert charged["transaction"] == 49_288 and charged["hash"] == 396
+        assert charged["sstore_insert"] == 20_000
+        assert system.consumer.deliveries() == system.storage_manager.delivered_records == 3
+
     def test_out_of_gas_while_applying(self):
-        # The limit runs out at the third record's replica store.  All four
-        # proofs are verified (and paid for) first, so `hash` reads 1 200 where
-        # per-item verify-and-apply had charged three records' worth (900) and
-        # the receipt 135 614 where it read 135 314; `delivered_records`, which
-        # used to count the two applied records of the reverted call, stays 0.
+        # The limit runs out at the third record's replica store, after the
+        # whole call has been verified and paid for (hash 486);
+        # `delivered_records` does not count a reverted call.
         system = self.system_with(40)
         receipt, charged = land_deliver(
-            system, requested_items(system, self.KEYS), gas_limit=145_000
+            system, *requested_items(system, self.KEYS), gas_limit=100_000
         )
         assert not receipt.success and "out of gas" in receipt.error
-        assert receipt.gas_used == 135_614 == sum(charged.values())
+        assert receipt.gas_used == 91_380 == sum(charged.values())
         assert charged == {
-            "transaction": 92_808,
+            "transaction": 49_288,
             "sload": 200,
-            "hash": 1_200,
+            "hash": 486,
             "sstore_insert": 40_000,
             "call": 1_400,
             "callback": 6,
@@ -355,29 +397,108 @@ class TestDeliverMetering:
         # two callbacks that ran are Python-side state no revert undoes.
         assert system.consumer.deliveries() == 2
 
+    def test_out_of_gas_inside_the_proof_charge_applies_nothing(self):
+        # The four leaf hashes fit (192), the walk's one charge (7 x 42) does
+        # not: nothing of it is hashed, stored or called back.
+        system = self.system_with(40)
+        receipt, charged = land_deliver(
+            system, *requested_items(system, self.KEYS), gas_limit=49_700
+        )
+        assert not receipt.success and "out of gas: requested 294" in receipt.error
+        assert charged == {"transaction": 49_288, "sload": 200, "hash": 192}
+        assert system.storage_manager.delivered_records == 0
+        assert system.storage_manager.replica_count() == 0
+        assert system.consumer.deliveries() == 0
+
     def test_forged_proof_costs_the_verification_it_reached(self):
-        # Third of four records forged: the first two and the forged one are
-        # hashed and walked (906, as before), the fourth is never looked at,
-        # and nothing is stored or called — the receipt read 137 496 when the
-        # first two records were applied before the third failed.
+        # Third of four records forged: the leaves are hashed and the proof
+        # fits them, so the whole walk is charged (4 x 48 + 7 x 42 = 486; 906
+        # when the first three paths were walked one by one) before it arrives
+        # at another root; nothing is stored or called.
         system = self.system_with(40)
-        items = requested_items(system, self.KEYS)
+        items, proof = requested_items(system, self.KEYS)
         items[2] = forged(items[2])
-        receipt, charged = land_deliver(system, items)
-        assert not receipt.success
-        assert charged == {"transaction": 94_984, "sload": 200, "hash": 906}
-        assert receipt.gas_used == 96_090
-
-    def test_unbound_proof_costs_no_path_hash(self):
-        # A path of the wrong length is refused by the binding check, which
-        # hashes nothing: only the record's own leaf hash (48) was paid.
-        system = self.system_with(40)
-        (item,) = requested_items(system, self.KEYS[:1])
-        truncated = replace(item, proof=replace(item.proof, path=item.proof.path[1:]))
-        receipt, charged = land_deliver(system, [truncated])
+        receipt, charged = land_deliver(system, items, proof)
         assert not receipt.success and "integrity check failed" in receipt.error
-        assert charged["hash"] == 48
+        # The forged value is 7 bytes longer: one more word to hash and to ship.
+        assert charged == {"transaction": 49_288 + 2_176, "sload": 200, "hash": 486 + 6}
+        assert receipt.gas_used == sum(charged.values())
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda items, proof: (items, replace(proof, siblings=proof.siblings[1:])),
+            lambda items, proof: (items, replace(proof, siblings=proof.siblings + (b"x" * 32,))),
+            lambda items, proof: (items, replace(proof, leaf_count=17)),
+            lambda items, proof: ([replace(items[0], leaf_index=40)] + items[1:], proof),
+            lambda items, proof: ([replace(items[0], leaf_index=-1)] + items[1:], proof),
+        ],
+        ids=["sibling-dropped", "sibling-extra", "leaf-count", "index-past-end", "index-negative"],
+    )
+    def test_unbound_proof_costs_no_path_hash(self, malform):
+        # A proof that does not fit the leaves it is for is refused by the
+        # shape check, which hashes nothing: only the leaf hashes were paid.
+        system = self.system_with(40)
+        items, proof = malform(*requested_items(system, self.KEYS))
+        receipt, charged = land_deliver(system, items, proof)
+        assert not receipt.success and "integrity check failed" in receipt.error
+        assert charged["hash"] == 4 * 48
+        assert system.consumer.deliveries() == 0
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            lambda proof: None,
+            lambda proof: proof.siblings,
+            lambda proof: replace(proof, leaf_count=None),
+            lambda proof: replace(proof, siblings=None),
+            # A tree a million levels deep, or as many digests as it takes to
+            # look like one: sizing the walk is not charged for, so neither
+            # may buy more of it than the call's leaves and calldata cover.
+            lambda proof: replace(proof, leaf_count=1 << 1_000_000),
+            lambda proof: replace(proof, siblings=proof.siblings * 7),
+        ],
+        ids=["none", "not-a-proof", "no-leaf-count", "no-siblings", "deep-tree", "long-proof"],
+    )
+    def test_hostile_proof_reverts_the_call_before_its_walk_is_sized(
+        self, hostile, monkeypatch
+    ):
+        # The proof is the SP's argument: whatever it is, the transaction
+        # reverts (the block is mined, the receipt says why) and the free
+        # shape walk is never started.
+        from repro.core import storage_manager
+
+        monkeypatch.setattr(
+            storage_manager,
+            "multiproof_shape",
+            lambda *_: pytest.fail("the shape of a hostile proof was walked"),
+        )
+        system = self.system_with(40)
+        items, proof = requested_items(system, self.KEYS)
+        system.chain.submit(
+            Transaction(
+                sender="storage-provider",
+                contract="storage-manager",
+                function="deliver",
+                args={"items": items, "proof": hostile(proof)},
+                calldata_bytes=deliver_calldata_bytes(items, proof),
+            )
+        )
+        (receipt,) = system.chain.mine_block().receipts
+        assert not receipt.success
+        assert "missing proof" in receipt.error or "integrity check failed" in receipt.error
+        assert system.consumer.deliveries() == system.storage_manager.delivered_records == 0
+
+    def test_two_values_for_one_leaf_are_refused(self):
+        # Requests of one key share a leaf; a second item claiming the same
+        # leaf with another value is caught before the proof is looked at.
+        system = self.system_with(40)
+        items, proof = requested_items(system, ["key-002", "key-002"])
+        items[1] = forged(items[1])
+        receipt, charged = land_deliver(system, items, proof)
+        assert not receipt.success and "integrity check failed" in receipt.error
+        assert charged["hash"] == 48 + 54
+        assert system.consumer.deliveries() == 0
 
     def test_verify_histogram_spans_the_verification_pass_alone(self, monkeypatch):
         # A consumer whose callback takes a second (of a hand-moved clock):
@@ -392,12 +513,76 @@ class TestDeliverMetering:
             on_data(ctx, **delivered)
 
         monkeypatch.setattr(system.consumer, "on_data", slow_callback)
-        receipt, _ = land_deliver(system, requested_items(system, self.KEYS))
+        receipt, _ = land_deliver(system, *requested_items(system, self.KEYS))
         assert receipt.success and system.consumer.deliveries() == 4
         snapshot = obs.snapshot()
         assert snapshot["counters"]["chain_verify_total"] == 4
+        # Siblings per delivered record is the ratio an operator reads: one
+        # digest a record here, six with a path each.
+        assert snapshot["counters"]["chain_proof_leaves_total"] == 4
+        assert snapshot["counters"]["chain_proof_siblings_total"] == 4
         assert snapshot["histograms"]["chain_verify_seconds"]["sum"] == 0.0
         assert snapshot["histograms"]["chain_mine_seconds"]["sum"] == 4.0
+
+
+class TestDeliveredReadDiscount:
+    """Equation 1's ``C_read_off`` is the price of a word moved on chain, and
+    the paper's read off chain moves a root path with every record.  The
+    contract keeps what the verified ``deliver`` calls carried beside what a
+    path per record would have, and a feed whose K is Equation 1's — not a
+    configured one — re-derives it at that share every epoch."""
+
+    system_with = staticmethod(TestDeliverMetering.system_with)
+
+    def test_one_record_calls_are_the_papers_read(self):
+        system = self.system_with(40)
+        manager = system.storage_manager
+        assert manager.delivered_read_discount() == 1.0
+        for key in TestDeliverMetering.KEYS:
+            receipt, _ = land_deliver(system, *requested_items(system, [key]))
+            assert receipt.success
+        assert manager.delivered_bytes == manager.delivered_bytes_unshared == 4 * (72 + 6 * 32)
+        assert manager.delivered_read_discount() == 1.0
+
+    def test_records_sharing_a_proof_are_cheaper_and_a_refused_call_counts_nothing(self):
+        system = self.system_with(40)
+        manager = system.storage_manager
+        items, proof = requested_items(system, TestDeliverMetering.KEYS)
+        receipt, _ = land_deliver(system, [forged(items[0])] + items[1:], proof)
+        assert not receipt.success and manager.delivered_read_discount() == 1.0
+        receipt, _ = land_deliver(system, items, proof)
+        assert receipt.success
+        # Four 72-byte records and 4 siblings, where four paths are 24.
+        assert manager.delivered_bytes == 4 * 72 + 4 * 32
+        assert manager.delivered_bytes_unshared == 4 * 72 + 24 * 32
+        assert manager.delivered_read_discount() == pytest.approx(0.394, abs=1e-3)
+
+    @pytest.mark.parametrize("algorithm, threshold", [
+        ("memoryless", "k"), ("memorizing", "k_prime"), ("adaptive-k1", "base_k"),
+    ])
+    def test_equation_one_k_follows_the_measured_read(self, algorithm, threshold):
+        # 5000 / 2176 rounds to 2; at 0.394 of the read's price it is 6.
+        system = GrubSystem(
+            GrubConfig(epoch_size=4, algorithm=algorithm),
+            preload=[KVRecord.make(f"key-{i:03d}", b"v" * 32) for i in range(40)],
+        )
+        plane = system.data_owner.control_plane
+        assert getattr(plane.algorithm, threshold) == 2
+        land_deliver(system, *requested_items(system, TestDeliverMetering.KEYS))
+        plane.run_epoch(replicated_keys=[])
+        assert getattr(plane.algorithm, threshold) == 6
+
+    @pytest.mark.parametrize("configured", [{"k": 2}, {"k_prime": 2}])
+    def test_a_configured_threshold_is_left_alone(self, configured):
+        system = GrubSystem(
+            GrubConfig(epoch_size=4, **configured),
+            preload=[KVRecord.make(f"key-{i:03d}", b"v" * 32) for i in range(40)],
+        )
+        plane = system.data_owner.control_plane
+        assert plane.cost_model is None
+        land_deliver(system, *requested_items(system, TestDeliverMetering.KEYS))
+        plane.run_epoch(replicated_keys=[])
+        assert plane.algorithm.k == 2
 
 
 class TestControlPlane:

@@ -140,8 +140,10 @@ def test_empty_plan_assigns_nothing():
     assert assign_lanes([], 1, {}, lambda feed_id: 1.0) == []
 
 
-#: Lane-to-lane moves the run below makes: 36 ``regrouped`` + 4
-#: ``lane_retired``.  The count is a pure function of the seed.
+#: Lane-to-lane moves the run below makes stay under this: it made 36
+#: ``regrouped`` + 4 ``lane_retired`` when the bound was set, and makes 29 + 4
+#: now.  The count is a pure function of the seed and of what the feeds'
+#: epochs cost against the planner's budget.
 NO_THRASH_MOVES = 40
 
 
@@ -169,7 +171,9 @@ def test_placement_does_not_thrash_under_churn():
         num_workers=6,
         execution_mode="process",
         epoch_size=8,
-        planner=GasAwareShardPlanner(block_gas_fraction=0.02),
+        # As tight as the 0.02 it was set at: a deliver's records share one
+        # multiproof since PR 24, which took a fifth off what an epoch costs.
+        planner=GasAwareShardPlanner(block_gas_fraction=0.016),
     )
     ipc = scheduler.run(schedule.install(registry, scheduler)).ipc
     assert 1 <= ipc["migrations_total"] <= NO_THRASH_MOVES, ipc["migrations_by_reason"]

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.chain.transaction import Transaction
 from repro.common.types import KVRecord, ReplicationState
+from repro.core.service_provider import TamperingServiceProvider
 from repro.core.storage_manager import UpdateEntry
 from repro.gateway import FeedRegistry, FeedSpec
+from repro.gateway.executor import (
+    build_deliver_groups,
+    deliver_transaction,
+    land_transaction,
+)
 from repro.gateway.router import UpdateGroup, scope_weights_for_update
 
 
@@ -83,3 +91,101 @@ def test_receipt_gas_covers_batched_group_execution():
     # And the per-feed bill contains the group's storage write, not just the
     # intrinsic share.
     assert registry.chain.ledger.scope_total("alpha") > 20_000
+
+
+# ---------------------------------------------------------------------------
+# The adversary inside the gateway: one tampering SP among honest neighbours
+# ---------------------------------------------------------------------------
+
+KEYS = [f"k{index}" for index in range(6)]
+
+
+def fleet_with_adversary(attack, adversary_at):
+    """Three hosted feeds with every record requested once; the feed at
+    ``adversary_at`` is served by a :class:`TamperingServiceProvider`."""
+    registry = FeedRegistry()
+    feed_ids = ["alpha", "bravo", "charlie"]
+    for feed_id in feed_ids:
+        registry.create_feed(
+            FeedSpec(
+                feed_id=feed_id,
+                preload=[KVRecord.make(key, key.encode() * 16) for key in KEYS],
+            )
+        )
+    victim = registry.get(feed_ids[adversary_at])
+    honest = victim.service_provider
+    evil = TamperingServiceProvider(
+        address=honest.address,
+        chain=honest.chain,
+        storage_manager=honest.storage_manager,
+        store=honest.store,
+        scope=honest.scope,
+        attack=attack,
+        omit_probability=0.5,
+    )
+    evil.capture_snapshot()
+    victim.system.service_provider = evil
+    if attack == "replay":
+        # Move the feed past the snapshot so the replayed values are stale.
+        for key in KEYS:
+            victim.data_owner.put(key, b"fresh-" + key.encode() * 8)
+        victim.data_owner.end_epoch()
+        registry.chain.mine_block()
+    for handle in registry.handles:
+        handle.service_provider.decision_lookup = lambda key: ReplicationState.REPLICATED
+        for key in KEYS:
+            registry.chain.execute_internal_call(
+                "user", handle.consumer.address, "query_feed", key=key
+            )
+    registry.watchdog.poll()
+    return registry, feed_ids, evil
+
+
+@pytest.mark.parametrize("adversary_at", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("attack", ["forge", "replay", "fork"])
+def test_tampering_group_reverts_the_whole_deliver_batch(attack, adversary_at):
+    registry, feed_ids, evil = fleet_with_adversary(attack, adversary_at)
+    groups = build_deliver_groups(registry, feed_ids)
+    assert [group.feed_id for group in groups] == feed_ids
+    assert all(len(group.items) == len(KEYS) for group in groups)
+    receipt = land_transaction(
+        registry.chain, deliver_transaction(registry.router.address, groups)
+    )
+    assert evil.attacks_attempted == len(KEYS)
+    assert not receipt.success and "integrity check failed" in receipt.error
+    # The batch is atomic on chain: the neighbours' groups verified — some of
+    # them before the tampering one was reached — yet none of their replicas
+    # survives, the router counts no batch, and the tampered feed's consumer
+    # never saw a record.
+    for handle in registry.handles:
+        assert handle.storage_manager.replica_count() == 0
+        assert not any(
+            slot.startswith("replica:") for slot in handle.storage_manager.storage.slots
+        )
+    assert registry.router.deliver_batches == 0
+    assert registry.get(feed_ids[adversary_at]).consumer.deliveries() == 0
+    # Groups after the tampering one were never executed at all.  (Groups
+    # before it ran their consumers' callbacks, which are Python-side state no
+    # revert undoes — quarantining the one tenant is ROADMAP item 2 (c).)
+    for feed_id in feed_ids[adversary_at + 1 :]:
+        assert registry.get(feed_id).consumer.deliveries() == 0
+        assert registry.get(feed_id).storage_manager.delivered_records == 0
+
+
+def test_omitting_group_lands_and_starves_only_its_own_feed():
+    registry, feed_ids, evil = fleet_with_adversary("omit", 1)
+    groups = build_deliver_groups(registry, feed_ids)
+    omitted = len(KEYS) - len(groups[1].items)
+    assert evil.attacks_attempted == len(KEYS) and 0 < omitted < len(KEYS)
+    receipt = land_transaction(
+        registry.chain, deliver_transaction(registry.router.address, groups)
+    )
+    # Omission is the attack verification cannot see: what is delivered is
+    # genuine (the multiproof was made for the records that were kept), the
+    # transaction lands, and only the adversary's own tenant goes short.
+    assert receipt.success
+    delivered = [registry.get(feed_id).consumer.deliveries() for feed_id in feed_ids]
+    assert delivered == [len(KEYS), len(KEYS) - omitted, len(KEYS)]
+    assert [
+        registry.get(feed_id).storage_manager.replica_count() for feed_id in feed_ids
+    ] == delivered
