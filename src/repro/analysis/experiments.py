@@ -21,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.gateway.metrics import FleetTelemetry
 
 from repro.analysis.reporting import percent_difference
-from repro.chain.gas import GasSchedule
 from repro.common.types import KVRecord, Operation
 from repro.core.baselines import (
     AlwaysReplicateSystem,
@@ -575,15 +574,6 @@ def _replica_churn_operations(scale: ExperimentScale, num_keys: int) -> List[Ope
         operations_per_phase=scale.synthetic_operations // 4,
         num_keys=num_keys,
     ).operations()
-
-
-def run_storage_refund_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:
-    """The paper's cost model against Ethereum's storage-clear refund, which it ignores."""
-    scale = scale or ExperimentScale.default()
-    paper = GrubConfig(epoch_size=scale.epoch_size, algorithm="memoryless", k=2)
-    refunding = paper.with_overrides(gas_schedule=GasSchedule().with_refunds())
-    configs = {"no refunds (paper model)": paper, "with clear refunds": refunding}
-    return _ablation(configs, _replica_churn_operations(scale, num_keys=4))
 
 
 def run_slot_reuse_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:

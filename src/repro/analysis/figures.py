@@ -174,10 +174,6 @@ FIGURES: Dict[str, Tuple[str, Callable[..., object]]] = {
         "Ablation — one deliver transaction per epoch vs one per request",
         ex.run_deliver_batching_ablation,
     ),
-    "ablation-storage-refunds": (
-        "Ablation — Ethereum's storage-clear refunds, which the paper's cost model ignores",
-        ex.run_storage_refund_ablation,
-    ),
     "ablation-slot-reuse": (
         "Ablation — replica slot reuse (BtcRelay's 'reusable storage')",
         ex.run_slot_reuse_ablation,

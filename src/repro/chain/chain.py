@@ -26,8 +26,6 @@ from repro.chain.gas import (
     GasLedger,
     GasSchedule,
     LAYER_FEED,
-    ledger_from_wire,
-    ledger_to_wire,
     split_transaction_cost,
 )
 from repro.chain.transaction import Transaction, TransactionReceipt
@@ -89,41 +87,16 @@ class ExecutionBuffer:
     commutative and events keep their per-shard order, a run merged this way
     is bit-identical to a serial run of the same shard plan.
 
-    Buffers also cross process boundaries (the process execution backend ships
-    one per shard epoch): :meth:`to_wire` / :meth:`Blockchain.absorb_wire`
-    translate to and from the plain data a lane packs with the rest of its
-    epoch, so exactly the merge-relevant content crosses — the ledger
-    counters and the events' replayable fields — and never the worker-local
-    ``call_frames`` cache or event-log bookkeeping.
+    A buffer holds nothing but its ledger and its events, so it crosses a
+    process boundary as itself: a lane pickles it into its epoch frame, and
+    the main chain absorbs it there like any other buffer.  The events'
+    stamps are whatever the lane's chain gave them; :meth:`Blockchain.absorb`
+    restamps every event at the absorbing chain's height, so a lane never
+    needs to know the main chain's height.
     """
 
     ledger: GasLedger = field(default_factory=GasLedger)
     events: List[LogEvent] = field(default_factory=list)
-    #: Per-(layer, scope) reusable internal-call frames; worker-local, never
-    #: merged or shipped.
-    call_frames: Dict[tuple, _CallFrame] = field(default_factory=dict, repr=False)
-
-    def to_wire(self) -> dict:
-        """Plain-data form of the buffer: what a lane's packed epoch holds of
-        it.
-
-        Events travel *unstamped* — ``(contract, name, payload)`` only.  All
-        of a drive phase's events carry the chain height at the epoch start
-        (nothing mines during a drive), so the receiving side supplies that
-        one height when it absorbs the buffer (:meth:`Blockchain.absorb_wire`)
-        rather than every event repeating it across the boundary.  This is
-        also what lets process-mode workers run epochs *ahead* of the main
-        chain's merge: the stamp is assigned at merge time from the main
-        chain, so a worker never needs to know (or pad its local chain to)
-        the main chain's height.
-        """
-        return {
-            "ledger": ledger_to_wire(self.ledger),
-            "events": [
-                (event.contract, event.name, event.payload)
-                for event in self.events
-            ],
-        }
 
 
 class Blockchain:
@@ -155,13 +128,15 @@ class Blockchain:
         #: attributes: exactly one thread ever drives a chain (the caller's,
         #: a lane worker's main thread, or the front door's scheduler thread).
         self._isolation_buffer: Optional[ExecutionBuffer] = None
-        #: Reusable internal-call frames for calls made outside isolation.
+        #: Reusable internal-call frames per (layer, scope) attribution; their
+        #: meters charge the ledger that was current when they were made, so
+        #: each :meth:`isolated_execution` starts a fresh set.
         self._call_frames: Dict[tuple, _CallFrame] = {}
         #: Optional :class:`repro.obs.Observability` hook (set by the hosting
         #: runtime).  Strictly observation-only: mine paths read the wall
         #: clock and bump counters through it, and nothing it records ever
         #: feeds back into execution, gas or state — which is why it is
-        #: excluded from every fingerprint and every wire form.
+        #: excluded from every fingerprint.
         self.obs = None
         self._genesis()
 
@@ -183,30 +158,27 @@ class Blockchain:
         if self._isolation_buffer is not None:
             raise ReproError("isolated_execution contexts cannot be nested")
         buffer = self._isolation_buffer = ExecutionBuffer()
+        outer_frames, self._call_frames = self._call_frames, {}
         try:
             yield buffer
         finally:
             self._isolation_buffer = None
+            self._call_frames = outer_frames
 
     def absorb(self, buffer: ExecutionBuffer) -> None:
-        """Merge an isolation buffer's charges and events into the chain.
+        """Merge an isolation buffer's charges and events into the chain,
+        every event stamped at the current height.
 
-        The buffer itself is left as it was (the log takes stamped copies),
-        so a lane worker can still ship it after its local merge.
+        Nothing mines while a drive phase runs, so that height is the one the
+        buffer's calls executed at; a buffer shipped from a lane gets the
+        main chain's height, whatever its own chain stamped.  The buffer
+        itself is left as it was (the log takes stamped copies), so a lane
+        worker can still ship it after its local merge.
         """
         self.ledger.merge(buffer.ledger)
+        height = self.height
         for event in buffer.events:
-            self.event_log.append_event(event, event.block_number, 0)
-
-    def absorb_wire(self, payload: dict, block_number: int) -> None:
-        """Merge a drive buffer in its plain-data form
-        (:meth:`ExecutionBuffer.to_wire`), as opened from a lane's epoch.
-
-        Equivalent to absorbing the buffer the lane held, with every event
-        stamped ``block_number`` — exactly once, straight into the log.
-        """
-        self.ledger.merge(ledger_from_wire(payload["ledger"]))
-        self.event_log.extend_unstamped(payload["events"], block_number)
+            self.event_log.append_event(event, height, 0)
 
     # -- deployment and lookup ----------------------------------------------
 
@@ -423,9 +395,7 @@ class Blockchain:
         frame: Optional[_CallFrame] = None
         if gas_limit is None:
             # Hot path: reuse the cached call envelope for this attribution.
-            # Frames live on the isolation buffer when one is active (their
-            # meters charge its ledger) and on the chain otherwise.
-            frames = self._call_frames if buffer is None else buffer.call_frames
+            frames = self._call_frames
             frame = frames.get((layer, scope))
             if frame is None:
                 meter = GasMeter(

@@ -82,27 +82,6 @@ class EventLog:
         self._events.append(stamped)
         return stamped
 
-    def extend_unstamped(self, events: List[tuple], block_number: int) -> None:
-        """Append wire-form ``(contract, name, payload)`` triples in order.
-
-        The merge path for process-mode drive events: each triple becomes its
-        final stamped :class:`LogEvent` directly — same stamps
-        :meth:`append_event` would assign to an absorbed buffer event —
-        without materialising the intermediate unstamped object first.
-        """
-        stamped = self._events
-        for contract, name, payload in events:
-            stamped.append(
-                LogEvent(
-                    contract=contract,
-                    name=name,
-                    payload=payload,
-                    block_number=block_number,
-                    transaction_index=0,
-                    log_index=len(stamped),
-                )
-            )
-
     def __len__(self) -> int:
         return len(self._events)
 

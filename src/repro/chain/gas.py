@@ -14,9 +14,7 @@ Hash computation            ``30 + 6 * X``
 ==========================  =============================================
 
 The schedule also carries the LOG-event pricing (used by GRuB's ``request``
-events) and the optional storage-clear refund, which is off by default because
-the paper's cost model does not account for refunds; an ablation benchmark
-turns it on.
+events).
 
 :class:`GasLedger` attributes consumed gas to named categories and layers so
 experiments can report feed-layer versus application-layer gas the way the
@@ -49,8 +47,6 @@ class GasSchedule:
     storage_insert_per_word: int = 20_000
     storage_update_per_word: int = 5_000
     storage_read_per_word: int = 200
-    storage_delete_base: int = 5_000
-    storage_refund_per_word: int = 15_000
     hash_base: int = 30
     hash_per_word: int = 6
     log_base: int = 375
@@ -58,7 +54,6 @@ class GasSchedule:
     log_data_per_byte: int = 8
     call_base: int = 700
     memory_per_word: int = 3
-    refunds_enabled: bool = False
 
     def transaction_cost(self, calldata_words: int) -> int:
         """Intrinsic cost of a transaction carrying ``calldata_words`` words."""
@@ -77,15 +72,6 @@ class GasSchedule:
 
     def storage_read_cost(self, words: int) -> int:
         return self.storage_read_per_word * max(0, words)
-
-    def storage_delete_cost(self) -> int:
-        return self.storage_delete_base
-
-    def storage_refund(self, words: int) -> int:
-        """Refund credited when a slot is cleared (0 unless refunds are enabled)."""
-        if not self.refunds_enabled:
-            return 0
-        return self.storage_refund_per_word * max(0, words)
 
     def hash_cost(self, words: int) -> int:
         return self.hash_base + self.hash_per_word * max(0, words)
@@ -114,26 +100,6 @@ class GasSchedule:
         """
         return max(1, round(self.storage_update_per_word / self.transaction_word))
 
-    def with_refunds(self) -> "GasSchedule":
-        """Return a copy of the schedule with storage-clear refunds enabled."""
-        return GasSchedule(
-            transaction_base=self.transaction_base,
-            transaction_word=self.transaction_word,
-            storage_insert_per_word=self.storage_insert_per_word,
-            storage_update_per_word=self.storage_update_per_word,
-            storage_read_per_word=self.storage_read_per_word,
-            storage_delete_base=self.storage_delete_base,
-            storage_refund_per_word=self.storage_refund_per_word,
-            hash_base=self.hash_base,
-            hash_per_word=self.hash_per_word,
-            log_base=self.log_base,
-            log_topic=self.log_topic,
-            log_data_per_byte=self.log_data_per_byte,
-            call_base=self.call_base,
-            memory_per_word=self.memory_per_word,
-            refunds_enabled=True,
-        )
-
 
 #: Gas-attribution layer for the data-feed protocol itself.
 LAYER_FEED = "feed"
@@ -152,7 +118,6 @@ class GasLedger:
     """
 
     total: int = 0
-    refunded: int = 0
     by_category: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     by_layer: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     #: (scope, layer) → gas.  A scope is a tenant identifier (a feed id in the
@@ -174,17 +139,6 @@ class GasLedger:
         self.by_layer[layer] += amount
         if scope is not None:
             self.by_scope[(scope, layer)] += amount
-        return amount
-
-    def refund(self, amount: int, layer: str = LAYER_FEED, scope: Optional[str] = None) -> int:
-        """Record a refund (subtracted from the layer and grand totals)."""
-        if amount < 0:
-            raise ValueError("refunds must be non-negative")
-        self.refunded += amount
-        self.total -= amount
-        self.by_layer[layer] -= amount
-        if scope is not None:
-            self.by_scope[(scope, layer)] -= amount
         return amount
 
     def scope_total(self, scope: str, layer: Optional[str] = None) -> int:
@@ -213,13 +167,31 @@ class GasLedger:
     def merge(self, other: "GasLedger") -> None:
         """Fold another ledger's charges into this one."""
         self.total += other.total
-        self.refunded += other.refunded
         for category, amount in other.by_category.items():
             self.by_category[category] += amount
         for layer, amount in other.by_layer.items():
             self.by_layer[layer] += amount
         for scope_layer, amount in other.by_scope.items():
             self.by_scope[scope_layer] += amount
+
+    def since(self, before: "GasLedger") -> "GasLedger":
+        """The charges made since ``before`` (an earlier copy of this ledger).
+
+        Entries whose delta is zero are omitted, so merging the delta into
+        another ledger creates exactly the entries the charges would have
+        created had they been made there directly.
+        """
+        delta = GasLedger(total=self.total - before.total)
+        for mine, theirs, out in (
+            (self.by_category, before.by_category, delta.by_category),
+            (self.by_layer, before.by_layer, delta.by_layer),
+            (self.by_scope, before.by_scope, delta.by_scope),
+        ):
+            for key, amount in mine.items():
+                change = amount - theirs.get(key, 0)
+                if change:
+                    out[key] = change
+        return delta
 
 
 def split_transaction_cost(
@@ -252,69 +224,3 @@ def split_transaction_cost(
             + schedule.transaction_word * words
         )
     return shares
-
-
-def ledger_to_wire(ledger: GasLedger) -> dict:
-    """Plain-data form of a ledger: the shape its counters cross a lane
-    boundary in.
-
-    A lane packs this dict with the rest of its epoch's results, not the
-    ledger object, so exactly the counters cross, never incidental object
-    state, and :func:`ledger_delta_wire` can compute zero-omitting deltas
-    against it (merging a delta then creates exactly the entries direct
-    charging would have).  Nothing is filtered or reordered:
-    ``ledger_from_wire(ledger_to_wire(l))`` reproduces every counter.
-    """
-    return {
-        "total": ledger.total,
-        "refunded": ledger.refunded,
-        "by_category": dict(ledger.by_category),
-        "by_layer": dict(ledger.by_layer),
-        "by_scope": [
-            (scope, layer, amount)
-            for (scope, layer), amount in ledger.by_scope.items()
-        ],
-    }
-
-
-def ledger_from_wire(payload: Mapping) -> GasLedger:
-    """Rebuild a :class:`GasLedger` from :func:`ledger_to_wire` output."""
-    ledger = GasLedger()
-    ledger.total = payload["total"]
-    ledger.refunded = payload["refunded"]
-    ledger.by_category.update(payload["by_category"])
-    ledger.by_layer.update(payload["by_layer"])
-    for scope, layer, amount in payload["by_scope"]:
-        ledger.by_scope[(scope, layer)] = amount
-    return ledger
-
-
-def ledger_delta_wire(before: Mapping, ledger: GasLedger) -> dict:
-    """Exact charge delta between a :func:`ledger_to_wire` snapshot and now.
-
-    Returned in wire form; keys whose delta is zero are omitted so merging the
-    delta into another ledger creates exactly the entries the charges would
-    have created had they been applied there directly.
-    """
-    before_scope = {
-        (scope, layer): amount for scope, layer, amount in before["by_scope"]
-    }
-    return {
-        "total": ledger.total - before["total"],
-        "refunded": ledger.refunded - before["refunded"],
-        "by_category": {
-            category: amount - before["by_category"].get(category, 0)
-            for category, amount in ledger.by_category.items()
-            if amount != before["by_category"].get(category, 0)
-        },
-        "by_layer": {
-            layer: amount - before["by_layer"].get(layer, 0)
-            for layer, amount in ledger.by_layer.items()
-            if amount != before["by_layer"].get(layer, 0)
-        },
-        "by_scope": [
-            (scope, layer, amount - before_scope.get((scope, layer), 0))
-            for (scope, layer), amount in ledger.by_scope.items()
-            if amount != before_scope.get((scope, layer), 0)
-        ],
-    }

@@ -3,10 +3,9 @@
 Each contract owns a :class:`ContractStorage`: a mapping from string slots to
 byte values where every access is charged according to the gas schedule —
 inserts at the (expensive) ``SSTORE`` insert price, overwrites at the update
-price, reads at the ``SLOAD`` price, and deletes at the delete price with an
-optional refund.  This is the component whose pricing asymmetry drives the
-whole GRuB design: keeping a replica on chain makes reads cheap and writes
-expensive.
+price and reads at the ``SLOAD`` price.  This is the component whose pricing
+asymmetry drives the whole GRuB design: keeping a replica on chain makes reads
+cheap and writes expensive.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class ContractStorage:
     slots: Dict[str, bytes] = field(default_factory=dict)
     writes: int = 0
     reads: int = 0
-    deletes: int = 0
     #: Undo journal of the transaction currently executing: slot → its
     #: pre-transaction value, or ``_ABSENT``.  Allocated lazily on the first
     #: journalled write — the chain journals *every* deployed contract per
@@ -122,20 +120,6 @@ class ContractStorage:
         meter.charge(meter.schedule.storage_read_cost(1), "sload")
         self.reads += 1
         return slot in self.slots
-
-    def delete(self, meter: GasMeter, slot: str) -> bool:
-        """Clear ``slot``; charges the delete cost and credits any refund."""
-        if slot not in self.slots:
-            return False
-        words = max(1, words_for_bytes(len(self.slots[slot])))
-        meter.charge(meter.schedule.storage_delete_cost(), "sstore_delete")
-        refund = meter.schedule.storage_refund(words)
-        if refund:
-            meter.refund(refund)
-        self._record(slot)
-        del self.slots[slot]
-        self.deletes += 1
-        return True
 
     # -- unmetered helpers -------------------------------------------------
     #

@@ -84,18 +84,6 @@ class GasMeter:
             meter.used += amount
             meter = meter.parent
 
-    def refund(self, amount: int, layer: Optional[str] = None) -> int:
-        """Credit a refund (only effective when the schedule enables refunds)."""
-        if amount <= 0:
-            return 0
-        self.used = max(0, self.used - amount)
-        meter = self.parent
-        while meter is not None:
-            meter.used = max(0, meter.used - amount)
-            meter = meter.parent
-        self.ledger.refund(amount, layer or self.layer, scope=self.scope)
-        return amount
-
     @property
     def remaining(self) -> Optional[int]:
         if self.limit is None:

@@ -29,14 +29,14 @@ long-lived worker processes:
   (plus, when the plan can change, the epoch's shard assignment and live
   arrivals) and returns **one packed frame** per epoch
   (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
-  shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` as a
-  plain-data ledger delta plus unstamped events, and the shard's settlement
-  transactions *pre-executed* against the worker's mirror of the shard's
-  contracts (:class:`SettlementResult`: gas used, receipt outcome, emitted
-  events, exact ledger delta);
-* the main process merges results in **fixed shard order** — stamp and absorb
-  every drive buffer at the epoch-start height, then mine one recorded block
-  per shard deliver, then one per shard update
+  shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
+  and the shard's settlement transactions *pre-executed* against the
+  worker's mirror of the shard's contracts (:class:`SettlementResult`: gas
+  used, receipt outcome, emitted events, exact ledger delta as a
+  :class:`~repro.chain.gas.GasLedger`);
+* the main process merges results in **fixed shard order** — absorb every
+  drive buffer, stamping its events at the epoch-start height, then mine one
+  recorded block per shard deliver, then one per shard update
   (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`) — reproducing
   the serial merge exactly, so fingerprints, per-feed gas bills and chain
   state are bit-identical to a serial run;
@@ -50,10 +50,11 @@ long-lived worker processes:
 
 The lane boundary has one format, the one a feed's state already crosses in
 (:mod:`repro.gateway.feed_state`): a lane packs its epoch — ``(epoch,
-[ShardEpochResult, …])`` — once, where it is produced, the main process opens
-it once, where it is merged (:func:`open_lane_epoch`), and a boundary's live
-arrivals go the other way packed where the order is placed.  Every frame is
-self-contained, and is metered in between by :class:`IpcMeter`
+[ShardEpochResult, …])``, the engine's own objects (buffers, ledgers,
+spans) with no second plain-data form — once, where it is produced, the main
+process opens it once, where it is merged (:func:`open_lane_epoch`), and a
+boundary's live arrivals go the other way packed where the order is placed.
+Every frame is self-contained, and is metered in between by :class:`IpcMeter`
 (``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` / ``ipc_decode_seconds``
 per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  Lanes
 are this program's own children, so the byte layout is no protocol; what the
@@ -111,12 +112,10 @@ from typing import (
 
 from repro.chain.chain import ChainParameters, ExecutionBuffer
 from repro.chain.gas import (
+    GasLedger,
     GasSchedule,
     LAYER_APPLICATION,
     LAYER_FEED,
-    ledger_delta_wire,
-    ledger_from_wire,
-    ledger_to_wire,
 )
 from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError, WireError
@@ -591,7 +590,7 @@ class SettlementResult:
     success: bool
     error: Optional[str]
     events: Tuple[tuple, ...]
-    ledger_delta: dict
+    ledger_delta: GasLedger
 
 
 @dataclass(frozen=True)
@@ -599,10 +598,9 @@ class ShardEpochResult:
     """One shard's epoch, as shipped back from its worker lane."""
 
     shard_index: int
-    #: Phase-1 side effects (gas + unstamped request events),
-    #: :meth:`ExecutionBuffer.to_wire` form; the main chain stamps the events
-    #: with its own epoch-start height at merge time.
-    drive: dict
+    #: Phase-1 side effects (gas + request events); the main chain restamps
+    #: the events with its own epoch-start height when it absorbs the buffer.
+    drive: ExecutionBuffer
     deliver: Optional[SettlementResult]
     update: Optional[SettlementResult]
     #: feed id → operations still queued after this epoch (run termination).
@@ -612,12 +610,12 @@ class ShardEpochResult:
     #: observation input and the live request source's ``gas`` argument, so
     #: the main process feeds both exactly what a serial run would have.
     epoch_gas: Dict[str, int] = field(default_factory=dict)
-    #: This shard's finished phase spans in wire form (empty when the lane
-    #: runs untraced).  Durations are from the *lane's* clock; the main
+    #: This shard's finished phase spans (empty when the lane runs
+    #: untraced).  Durations are from the *lane's* clock; the main
     #: process grafts them into its trace tree in fixed shard order
     #: (:func:`repro.obs.tracing.reassemble_shard_spans`) and never compares
     #: their timestamps across processes.
-    spans: Tuple[dict, ...] = ()
+    spans: Tuple[Span, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -771,8 +769,8 @@ class _LaneWorker:
     per-feed order a serial run uses, and ships back only the deltas the main
     chain must record, as one packed frame per epoch.
 
-    The local chain's heights are private bookkeeping: drive events cross
-    unstamped (the main chain stamps them at merge time) and settlement
+    The local chain's heights are private bookkeeping: the main chain
+    restamps drive events when it absorbs their buffer, and settlement
     events are stamped by ``mine_recorded_block`` on the main side, so the
     worker neither tracks nor pads toward the main chain's height — which is
     what allows it to run epochs ahead of the main process's merge.
@@ -780,7 +778,7 @@ class _LaneWorker:
 
     def __init__(self, config: LaneConfig) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
-        #: detached spans; the finished spans ship back as plain dicts and the
+        #: detached spans; the finished spans ship back as themselves and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
         #: The lane owns its process's collector until the process exits with
@@ -904,7 +902,7 @@ class _LaneWorker:
         results = [
             ShardEpochResult(
                 shard_index=outcome.shard_index,
-                drive=outcome.drive.to_wire(),
+                drive=outcome.drive,
                 deliver=outcome.deliver,
                 update=outcome.update,
                 remaining={
@@ -914,7 +912,7 @@ class _LaneWorker:
                 epoch_gas={
                     feed_id: gas for feed_id, (_, gas) in outcome.settled.items()
                 },
-                spans=tuple(span.to_wire() for span in outcome.spans),
+                spans=tuple(outcome.spans),
             )
             for outcome in run_epoch_phases(
                 registry,
@@ -939,14 +937,15 @@ class _LaneWorker:
         """Execute one settlement transaction on the local chain, capturing
         the exact ledger delta, receipt outcome and emitted events."""
         chain = self.registry.chain
-        before = ledger_to_wire(chain.ledger)
+        before = GasLedger()
+        before.merge(chain.ledger)
         receipt = land_transaction(chain, transaction)
-        ledger_delta = ledger_delta_wire(before, chain.ledger)
+        ledger_delta = chain.ledger.since(before)
         # Block-gas-limit overflow is *derived* accounting: the worker's local
         # mine_block recorded it from this block's gas, and the main chain's
         # mine_recorded_block re-derives it from the shipped gas_used.
         # Shipping it in the delta too would double-count it.
-        ledger_delta["by_category"].pop("block_gas_limit_overflow", None)
+        ledger_delta.by_category.pop("block_gas_limit_overflow", None)
         return SettlementResult(
             function=transaction.function,
             feed_ids=tuple(group.feed_id for group in transaction.args["groups"]),
@@ -1405,8 +1404,3 @@ def _picklable(value: object) -> bool:
     except (pickle.PicklingError, AttributeError, TypeError):
         return False
     return True
-
-
-def settlement_buffer(result: SettlementResult) -> ExecutionBuffer:
-    """The ledger-only absorb payload of a pre-executed settlement."""
-    return ExecutionBuffer(ledger=ledger_from_wire(result.ledger_delta))

@@ -129,7 +129,6 @@ from repro.gateway.executor import (
     close_feed_bill,
     land_transaction,
     run_epoch_phases,
-    settlement_buffer,
 )
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.placement import FeedMove, assign_lanes, plan_moves
@@ -1009,9 +1008,8 @@ class _LaneExecutor(_Executor):
             results, samples = self.engine.results(epoch)
             self._graft_lane_spans(epoch_span, results)
             with self.obs.phase("merge", epoch=epoch):
-                height = chain.height
                 for result in results:
-                    chain.absorb_wire(result.drive, height)
+                    chain.absorb(result.drive)
                 for result in results:
                     if result.deliver is not None:
                         self._record_settlement(result.deliver)
@@ -1086,8 +1084,8 @@ class _LaneExecutor(_Executor):
     def _graft_lane_spans(self, epoch_span, results) -> None:
         """Fold the lanes' per-shard phase spans into the main trace tree.
 
-        Spans arrive as plain-data dicts on each :class:`ShardEpochResult`
-        (like the drive buffers); they are grafted under per-phase parents in
+        Spans arrive as themselves on each :class:`ShardEpochResult` (like
+        the drive buffers); they are grafted under per-phase parents in
         fixed shard order, and each shard span's duration feeds the phase
         latency histograms — in process mode the phase's real time lives in
         the lanes, so that is where the percentiles must come from.
@@ -1107,7 +1105,7 @@ class _LaneExecutor(_Executor):
 
     def _record_settlement(self, result: SettlementResult) -> None:
         """Record one worker-executed settlement on the main chain: mine its
-        block (receipt, events, block-gas accounting), absorb its exact gas
+        block (receipt, events, block-gas accounting), merge its exact gas
         delta, and fail loudly on a reverted batch — the same contract the
         inline executor enforces for locally executed batches."""
         chain = self.registry.chain
@@ -1127,7 +1125,7 @@ class _LaneExecutor(_Executor):
             error=result.error,
             events=list(result.events),
         )
-        chain.absorb(settlement_buffer(result))
+        chain.ledger.merge(result.ledger_delta)
         _raise_if_reverted(result.function, result.scopes, result.success, result.error)
         if result.function == "deliver_batch":
             self.fleet.deliver_batches += 1

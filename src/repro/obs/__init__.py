@@ -54,7 +54,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     reassemble_shard_spans,
-    span_from_wire,
 )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "REPORT_PERCENTILES",
     "Tracer",
     "Span",
-    "span_from_wire",
     "reassemble_shard_spans",
     "PHASE_ORDER",
     "export_jsonl",

@@ -22,13 +22,13 @@ Two attachment disciplines, one tree:
   the work interleaved.
 
 Spans cross the process boundary the way every other per-epoch delta does:
-:meth:`Span.to_wire` / :func:`span_from_wire` translate to and from plain
-data (picklable dicts of primitives).  A wire span carries its duration and
-its own clock's timestamps; timestamps from different processes share no
-epoch, so cross-process ordering always comes from the merge discipline, not
-from comparing clocks.  :func:`reassemble_shard_spans` is that discipline for
-worker lanes: given each shard's wire spans, it grafts them under per-phase
-parents sorted by shard index, whatever order the lanes returned in.
+as themselves, pickled into the lane's epoch frame.  A shipped span carries
+its duration and its own clock's timestamps; timestamps from different
+processes share no epoch, so cross-process ordering always comes from the
+merge discipline, not from comparing clocks.  :func:`reassemble_shard_spans`
+is that discipline for worker lanes: given each shard's spans, it grafts them
+under per-phase parents sorted by shard index, whatever order the lanes
+returned in.
 """
 
 from __future__ import annotations
@@ -89,36 +89,11 @@ class Span:
             and all(span.attrs.get(key) == value for key, value in attrs.items())
         ]
 
-    # -- wire form (process boundary) -----------------------------------------
-
-    def to_wire(self) -> dict:
-        """Plain-data form: primitives and nested dicts only, picklable and
-        JSON-serialisable, carrying exactly what the merge side needs."""
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start": self.start,
-            "end": self.end,
-            "children": [child.to_wire() for child in self.children],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, attrs={self.attrs}, "
             f"duration={self.duration:.6f}, children={len(self.children)})"
         )
-
-
-def span_from_wire(payload: Mapping) -> Span:
-    """Rebuild a span tree from :meth:`Span.to_wire` output."""
-    span = Span(
-        str(payload["name"]),
-        dict(payload.get("attrs") or {}),
-        start=float(payload.get("start") or 0.0),
-        end=payload.get("end"),
-    )
-    span.children = [span_from_wire(child) for child in payload.get("children", ())]
-    return span
 
 
 class _SpanContext:
@@ -199,8 +174,8 @@ class Tracer:
         """Start an unattached span.
 
         Touches no tracer state, only the clock.  Finish it with
-        :meth:`finish`, then :meth:`adopt` it into a parent (or ship it as
-        :meth:`Span.to_wire` data), in deterministic order.
+        :meth:`finish`, then :meth:`adopt` it into a parent (or ship it to
+        another process), in deterministic order.
         Returns ``None`` when the tracer is disabled (callers pass it along
         unconditionally; ``finish``/``adopt`` ignore ``None``).
         """
@@ -241,21 +216,20 @@ class Tracer:
 
 
 #: Fixed phase order of one engine epoch — the order phase spans appear in
-#: under an epoch span, and the order lane wire spans are reassembled in.
+#: under an epoch span, and the order lane spans are reassembled in.
 PHASE_ORDER = ("drive", "deliver", "update", "settle", "merge")
 
 
 def reassemble_shard_spans(
     epoch_span: Span,
-    shard_wire_spans: Sequence[Tuple[int, Sequence[Mapping]]],
+    shard_spans: Sequence[Tuple[int, Sequence[Span]]],
     *,
     phase_order: Sequence[str] = PHASE_ORDER,
     lane_of: Optional[Mapping[int, int]] = None,
 ) -> List[Span]:
-    """Graft worker-lane wire spans under per-phase parents, in fixed shard
-    order.
+    """Graft worker-lane spans under per-phase parents, in fixed shard order.
 
-    ``shard_wire_spans`` maps shard index → that shard's finished wire spans
+    ``shard_spans`` maps shard index → that shard's finished spans
     (each tagged with a ``phase`` attr by the worker).  Lanes return results
     in whatever order the pool delivers; this function imposes the canonical
     structure: one ``phase`` span per phase (in ``phase_order``) whose
@@ -267,9 +241,8 @@ def reassemble_shard_spans(
     one child.
     """
     by_phase: Dict[str, List[Tuple[int, Span]]] = {}
-    for shard_index, wire_spans in sorted(shard_wire_spans, key=lambda item: item[0]):
-        for payload in wire_spans:
-            span = span_from_wire(payload)
+    for shard_index, spans in sorted(shard_spans, key=lambda item: item[0]):
+        for span in spans:
             span.attrs.setdefault("shard", shard_index)
             if lane_of is not None and shard_index in lane_of:
                 span.attrs.setdefault("lane", lane_of[shard_index])

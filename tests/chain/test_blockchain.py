@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chain.chain import Blockchain, ChainParameters
@@ -129,6 +131,46 @@ class TestExecution:
         with deployed_chain.isolated_execution() as buffer:
             deployed_chain.execute_internal_call("user", "counter", "increment")
         assert len(buffer.events) == 1 and len(deployed_chain.event_log) == 0
+
+    def test_calls_after_isolation_charge_the_chain_again(self, deployed_chain):
+        """Call frames made inside isolation charge the buffer; the chain's
+        own frames come back when the context exits."""
+        deployed_chain.execute_internal_call("user", "counter", "increment")
+        with deployed_chain.isolated_execution() as buffer:
+            deployed_chain.execute_internal_call("user", "counter", "increment")
+        buffered, before = buffer.ledger.total, deployed_chain.ledger.total
+        deployed_chain.execute_internal_call("user", "counter", "increment")
+        assert buffer.ledger.total == buffered > 0
+        assert deployed_chain.ledger.total > before
+
+    def test_absorb_stamps_at_the_absorbing_chains_height(self, deployed_chain):
+        """A buffer from another chain (a lane's) carries that chain's
+        heights and log indices; absorbing restamps every event here."""
+        lane = Blockchain()
+        lane.deploy(CounterContract("counter"))
+        for _ in range(5):
+            lane.mine_block()
+        lane.execute_internal_call("user", "counter", "increment")
+        with lane.isolated_execution() as buffer:
+            for _ in range(2):
+                lane.execute_internal_call("user", "counter", "increment")
+        buffer.events[:] = [
+            replace(event, transaction_index=3, log_index=40 + index)
+            for index, event in enumerate(buffer.events)
+        ]
+        deployed_chain.mine_block()
+        deployed_chain.execute_internal_call("user", "counter", "increment")
+        height = deployed_chain.height
+        assert height != lane.height
+        deployed_chain.absorb(buffer)
+        absorbed = deployed_chain.event_log.since(1)
+        assert [
+            (event.block_number, event.transaction_index, event.log_index)
+            for event in absorbed
+        ] == [(height, 0, 1), (height, 0, 2)]
+        assert [event.payload for event in absorbed] == [
+            event.payload for event in buffer.events
+        ]
 
     def test_internal_call_events_reach_log_immediately(self, deployed_chain):
         deployed_chain.execute_internal_call("user", "counter", "increment")

@@ -29,10 +29,6 @@ class TestGasSchedule:
         with pytest.raises(ValueError):
             schedule.transaction_cost(-1)
 
-    def test_refunds_disabled_by_default(self, schedule):
-        assert schedule.storage_refund(4) == 0
-        assert schedule.with_refunds().storage_refund(4) == 60_000
-
     def test_equation_one_k_is_about_two(self, schedule):
         # K = C_update / C_read_off = 5000 / 2176 ≈ 2
         assert schedule.replication_threshold_k == 2
@@ -61,12 +57,6 @@ class TestGasLedger:
         with pytest.raises(ValueError):
             ledger.charge(-5, "x")
 
-    def test_refund_subtracts(self, ledger):
-        ledger.charge(100, "sstore")
-        ledger.refund(30)
-        assert ledger.total == 70
-        assert ledger.refunded == 30
-
     def test_merge(self):
         a, b = GasLedger(), GasLedger()
         a.charge(10, "x")
@@ -74,6 +64,69 @@ class TestGasLedger:
         a.merge(b)
         assert a.total == 15
         assert a.by_category["x"] == 15
+
+    @staticmethod
+    def _copy(ledger):
+        snapshot = GasLedger()
+        snapshot.merge(ledger)
+        return snapshot
+
+    def test_copy_by_merge_compares_equal(self, ledger):
+        ledger.charge(10, "sload", LAYER_FEED, scope="f1")
+        ledger.charge(4, "hash", LAYER_APPLICATION)
+        assert self._copy(ledger) == ledger
+        assert self._copy(ledger) != GasLedger()
+
+    def test_since_holds_only_the_new_charges(self, ledger):
+        ledger.charge(100, "sload", LAYER_FEED, scope="f1")
+        before = self._copy(ledger)
+        ledger.charge(30, "sload", LAYER_FEED, scope="f1")
+        ledger.charge(7, "hash", LAYER_APPLICATION, scope="f2")
+        delta = ledger.since(before)
+        assert delta.total == 37
+        assert dict(delta.by_category) == {"sload": 30, "hash": 7}
+        assert dict(delta.by_layer) == {LAYER_FEED: 30, LAYER_APPLICATION: 7}
+        assert dict(delta.by_scope) == {
+            ("f1", LAYER_FEED): 30,
+            ("f2", LAYER_APPLICATION): 7,
+        }
+
+    def test_since_omits_entries_that_did_not_move(self, ledger):
+        ledger.charge(100, "sload", LAYER_FEED, scope="f1")
+        before = self._copy(ledger)
+        ledger.charge(5, "hash", LAYER_FEED)
+        delta = ledger.since(before)
+        assert "sload" not in delta.by_category
+        assert ("f1", LAYER_FEED) not in delta.by_scope
+        assert dict(delta.by_layer) == {LAYER_FEED: 5}
+
+    def test_since_an_equal_ledger_is_empty(self, ledger):
+        ledger.charge(100, "sload", LAYER_FEED, scope="f1")
+        assert ledger.since(self._copy(ledger)) == GasLedger()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=10_000),
+                st.sampled_from(["sload", "hash", "calldata"]),
+                st.sampled_from([LAYER_FEED, LAYER_APPLICATION]),
+                st.sampled_from([None, "f1", "f2"]),
+            ),
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_merging_the_delta_into_the_snapshot_restores_the_ledger(
+        self, charges, split
+    ):
+        ledger = GasLedger()
+        for charge in charges[:split]:
+            ledger.charge(*charge)
+        before = self._copy(ledger)
+        for charge in charges[split:]:
+            ledger.charge(*charge)
+        before.merge(ledger.since(before))
+        assert before == ledger
 
 
 class TestGasMeter:
@@ -117,21 +170,6 @@ class TestContractStorage:
         storage = ContractStorage()
         assert storage.load(meter, "missing") is None
         assert ledger.by_category["sload"] == 200
-
-    def test_delete_and_refund(self, ledger):
-        schedule = GasSchedule().with_refunds()
-        meter = GasMeter(schedule=schedule, ledger=ledger)
-        storage = ContractStorage()
-        storage.store(meter, "slot", b"a" * 32)
-        used_before = meter.used
-        assert storage.delete(meter, "slot")
-        assert not storage.has("slot")
-        # The refund more than offsets the delete's base cost under this schedule.
-        assert meter.used < used_before + schedule.storage_delete_cost()
-
-    def test_delete_missing_returns_false(self, meter):
-        storage = ContractStorage()
-        assert storage.delete(meter, "nope") is False
 
     def test_store_reusing_charges_update_price_for_new_slot(self, meter, ledger):
         storage = ContractStorage()

@@ -3,9 +3,10 @@ to *equal* values; what does not open to that is refused whole.
 
 Lane epochs and live arrivals cross packed like a feed's state does
 (``feed_state.pack`` → ``open_lane_epoch`` / the lane's ``ingest``).  The
-round trips drive generated payloads shaped like real engine traffic —
-randomized drive buffers, ledger deltas (including empty and zero-omitting
-ones), settlement records, unicode keys.  The hostile half swaps a real
+round trips drive the engine's own objects, generated to look like real
+engine traffic — randomized drive buffers, ledger deltas (including empty and
+zero-omitting ones), settlement records, spans, unicode keys — and one real
+drive buffer, which must cross without the chain's call frames.  The hostile half swaps a real
 lane's frame mid-run for bytes that are not that epoch's results and pins the
 three typed failures: nothing of the epoch is merged, the frames stay where
 they were, and no lane process outlives the run.
@@ -22,12 +23,7 @@ import pytest
 
 from repro.chain.chain import ExecutionBuffer
 from repro.chain.events import LogEvent
-from repro.chain.gas import (
-    GasLedger,
-    ledger_delta_wire,
-    ledger_from_wire,
-    ledger_to_wire,
-)
+from repro.chain.gas import GasLedger
 from repro.common.errors import WireError
 from repro.common.types import KVRecord, Operation, OperationKind
 from repro.core.config import GrubConfig
@@ -38,9 +34,11 @@ from repro.gateway.executor import (
     ShardEpochResult,
     _LaneWorker,
     _lane_epochs,
+    drive_shard,
     open_lane_epoch,
 )
 from repro.gateway.placement import FeedMove
+from repro.obs.tracing import Span
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: Generous for a sub-second lane order; only a hang ever reaches it.
@@ -81,8 +79,6 @@ def random_events(rng: random.Random) -> list:
 
 def random_settlement(rng: random.Random) -> SettlementResult:
     feed_ids = tuple(rng.sample(FEEDS, rng.randrange(1, len(FEEDS))))
-    before = ledger_to_wire(GasLedger())
-    ledger = random_ledger(rng)
     return SettlementResult(
         function=rng.choice(["deliver", "update", "settle"]),
         feed_ids=feed_ids,
@@ -92,7 +88,7 @@ def random_settlement(rng: random.Random) -> SettlementResult:
         success=rng.random() < 0.9,
         error=None if rng.random() < 0.8 else "réverted: künçe",
         events=tuple(random_events(rng)),
-        ledger_delta=ledger_delta_wire(before, ledger),
+        ledger_delta=random_ledger(rng).since(GasLedger()),
     )
 
 
@@ -111,18 +107,46 @@ def random_shard_result(rng: random.Random, shard_index: int) -> ShardEpochResul
         )
     return ShardEpochResult(
         shard_index=shard_index,
-        drive=buffer.to_wire(),
+        drive=buffer,
         deliver=None if rng.random() < 0.3 else random_settlement(rng),
         update=None if rng.random() < 0.3 else random_settlement(rng),
         remaining={
             feed_id: rng.randrange(0, 300)
             for feed_id in rng.sample(FEEDS, rng.randrange(0, 3))
         },
-        spans=tuple(
-            {"phase": rng.choice(["drive", "update"]), "seconds": rng.random()}
-            for _ in range(rng.randrange(0, 3))
-        ),
+        spans=tuple(random_span(rng) for _ in range(rng.randrange(0, 3))),
     )
+
+
+def random_span(rng: random.Random) -> Span:
+    start = rng.random()
+    span = Span(
+        "shard",
+        {"phase": rng.choice(["drive", "update"]), "shard": rng.randrange(4)},
+        start=start,
+        end=start + rng.random(),
+    )
+    for _ in range(rng.randrange(0, 2)):
+        span.child("fèed", feed=rng.choice(FEEDS)).end = start
+    return span
+
+
+def span_tree(span: Span) -> tuple:
+    """A span tree as comparable values (spans compare by identity)."""
+    return (
+        span.name,
+        span.attrs,
+        span.start,
+        span.end,
+        [span_tree(child) for child in span.children],
+    )
+
+
+def comparable(results: list) -> list:
+    return [
+        (replace(result, spans=()), [span_tree(span) for span in result.spans])
+        for result in results
+    ]
 
 
 def round_trip(epoch: int, results: list):
@@ -137,7 +161,9 @@ class TestLaneEpochRoundTrip:
                 random_shard_result(rng, shard_index)
                 for shard_index in range(rng.randrange(1, 4))
             ]
-            assert round_trip(epoch, results) == (epoch, results)
+            opened_epoch, opened = round_trip(epoch, results)
+            assert opened_epoch == epoch
+            assert comparable(opened) == comparable(results)
 
     def test_empty_epoch(self):
         assert round_trip(0, []) == (0, [])
@@ -146,7 +172,7 @@ class TestLaneEpochRoundTrip:
         """A quiet shard: untouched ledger, no events, empty delta dicts."""
         quiet = ShardEpochResult(
             shard_index=0,
-            drive=ExecutionBuffer().to_wire(),
+            drive=ExecutionBuffer(),
             deliver=SettlementResult(
                 function="deliver",
                 feed_ids=("feed-00",),
@@ -157,9 +183,7 @@ class TestLaneEpochRoundTrip:
                 error=None,
                 events=(),
                 # zero-omitting delta of a no-op settlement: all empty
-                ledger_delta=ledger_delta_wire(
-                    ledger_to_wire(GasLedger()), GasLedger()
-                ),
+                ledger_delta=GasLedger().since(GasLedger()),
             ),
             update=None,
             remaining={},
@@ -168,27 +192,54 @@ class TestLaneEpochRoundTrip:
         _, results = round_trip(7, [quiet])
         assert results == [quiet]
         delta = results[0].deliver.ledger_delta
-        assert delta["total"] == 0
-        assert delta["by_category"] == {}
-        assert delta["by_scope"] == []
+        assert delta == GasLedger()
+        assert (delta.total, delta.by_category, delta.by_scope) == (0, {}, {})
 
     def test_delta_merges_like_direct_charging(self):
-        """Opened deltas must merge into exactly the ledger the worker had."""
+        """An opened delta merges into exactly the ledger direct charging
+        makes: the same counters, and no zero entries for what did not move."""
         rng = random.Random(5)
         worker = random_ledger(rng)
-        before = ledger_to_wire(GasLedger())
+        before = GasLedger()
+        before.merge(worker)
+        direct = GasLedger()
+        direct.merge(worker)
+        for _ in range(4):
+            amount = rng.randrange(1, 50_000)
+            category, layer = rng.choice(CATEGORIES), rng.choice(LAYERS)
+            scope = rng.choice(FEEDS)
+            worker.charge(amount, category, layer=layer, scope=scope)
+            direct.charge(amount, category, layer=layer, scope=scope)
         result = ShardEpochResult(
             shard_index=0,
-            drive={"ledger": ledger_delta_wire(before, worker), "events": []},
-            deliver=None,
+            drive=ExecutionBuffer(),
+            deliver=replace(
+                random_settlement(rng), ledger_delta=worker.since(before)
+            ),
             update=None,
             remaining={},
-            spans=(),
         )
         _, [opened] = round_trip(0, [result])
         merged = GasLedger()
-        merged.merge(ledger_from_wire(opened.drive["ledger"]))
-        assert ledger_to_wire(merged) == ledger_to_wire(worker)
+        merged.merge(before)
+        merged.merge(opened.deliver.ledger_delta)
+        assert merged == direct
+
+    def test_real_drive_buffer_crosses_without_call_frames(self):
+        """A shard's real drive buffer pickles as its ledger and events; the
+        chain's per-attribution call frames stay behind."""
+        registry, workloads = small_fleet()
+        for feed_id, operations in workloads.items():
+            registry.get(feed_id).queue.extend(operations)
+        buffer, _ = drive_shard(registry, ["feed-0", "feed-1"], 0, 8)
+        assert buffer.events and buffer.ledger.total > 0
+        result = ShardEpochResult(
+            shard_index=0, drive=buffer, deliver=None, update=None, remaining={}
+        )
+        frame = feed_state.pack((0, [result]))
+        assert b"_CallFrame" not in frame
+        _, [opened] = open_lane_epoch(frame)
+        assert opened.drive == buffer
 
 
 def lane_hosting(*feed_ids: str):

@@ -1,4 +1,4 @@
-"""Tracing: span trees, pinned clocks, wire round-trips, lane reassembly.
+"""Tracing: span trees, pinned clocks, pickle round trips, lane reassembly.
 
 The process-lane merge is the critical property: span trees from worker lanes
 must reassemble under per-phase parents in fixed shard order, whatever order
@@ -20,7 +20,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     reassemble_shard_spans,
-    span_from_wire,
 )
 
 
@@ -115,37 +114,34 @@ class TestDetachedSpans:
         assert tracer.roots == [span]
 
 
-class TestWireForm:
-    def test_round_trip_preserves_tree(self):
+def span_tree(span: Span) -> tuple:
+    """A span tree as comparable values (spans compare by identity)."""
+    return (
+        span.name,
+        span.attrs,
+        span.start,
+        span.end,
+        [span_tree(child) for child in span.children],
+    )
+
+
+class TestPickledSpans:
+    def test_pickle_round_trip_preserves_tree(self):
+        """Lanes ship their spans as themselves, pickled into the epoch frame."""
         clock = ManualClock(step=0.125)
         tracer = Tracer(clock=clock)
         with tracer.span("run", mode="process"):
             with tracer.span("epoch", epoch=3):
                 with tracer.span("phase", phase="drive"):
                     pass
-        wire = tracer.roots[0].to_wire()
-        rebuilt = span_from_wire(wire)
-        assert rebuilt.to_wire() == wire
-        assert rebuilt.name == "run"
-        assert rebuilt.children[0].attrs == {"epoch": 3}
+        root = tracer.roots[0]
+        rebuilt = pickle.loads(pickle.dumps(root))
+        assert span_tree(rebuilt) == span_tree(root)
         assert rebuilt.children[0].children[0].duration == pytest.approx(0.125)
 
-    def test_wire_form_is_plain_data(self):
-        span = Span("shard", {"phase": "drive", "shard": 1}, start=0.0, end=0.5)
-        span.child("inner").end = 0.0
-        wire = span.to_wire()
-        assert pickle.loads(pickle.dumps(wire)) == wire
 
-        def only_plain(node):
-            assert set(node) == {"name", "attrs", "start", "end", "children"}
-            for child in node["children"]:
-                only_plain(child)
-
-        only_plain(wire)
-
-
-def _lane_wire_spans(shard_index: int, phases=PHASE_ORDER[:4]) -> list:
-    """One shard's finished wire spans, as a lane would ship them."""
+def _lane_spans(shard_index: int, phases=PHASE_ORDER[:4]) -> list:
+    """One shard's finished spans, as a lane would ship them."""
     clock = ManualClock(start=shard_index * 10.0)
     tracer = Tracer(clock=clock)
     spans = []
@@ -153,7 +149,7 @@ def _lane_wire_spans(shard_index: int, phases=PHASE_ORDER[:4]) -> list:
         span = tracer.detached("shard", phase=phase, shard=shard_index)
         clock.advance(0.1 * (shard_index + 1))
         tracer.finish(span)
-        spans.append(span.to_wire())
+        spans.append(span)
     return spans
 
 
@@ -168,14 +164,13 @@ class TestReassembleShardSpans:
             epoch_span = Span("epoch", {"epoch": 0})
             reassemble_shard_spans(
                 epoch_span,
-                [(index, _lane_wire_spans(index)) for index in order],
+                [(index, _lane_spans(index)) for index in order],
             )
-            trees.append(epoch_span.to_wire())
+            trees.append(span_tree(epoch_span))
         # All arrival orders produce the identical tree...
         assert all(tree == trees[0] for tree in trees[1:])
         # ...whose phases follow the canonical order, each with its shards
         # sorted by index.
-        epoch_span = span_from_wire(trees[0])
         assert [child.attrs["phase"] for child in epoch_span.children] == list(
             PHASE_ORDER[:4]
         )
@@ -187,7 +182,7 @@ class TestReassembleShardSpans:
     def test_durations_survive_the_graft(self):
         epoch_span = Span("epoch", {"epoch": 0})
         reassemble_shard_spans(
-            epoch_span, [(index, _lane_wire_spans(index)) for index in (1, 0)]
+            epoch_span, [(index, _lane_spans(index)) for index in (1, 0)]
         )
         drive = epoch_span.children[0]
         assert drive.attrs["phase"] == "drive"
@@ -200,7 +195,7 @@ class TestReassembleShardSpans:
         epoch_span = Span("epoch", {"epoch": 0})
         reassemble_shard_spans(
             epoch_span,
-            [(0, _lane_wire_spans(0)), (1, _lane_wire_spans(1))],
+            [(0, _lane_spans(0)), (1, _lane_spans(1))],
             lane_of={0: 0, 1: 1},
         )
         for phase_span in epoch_span.children:
@@ -210,7 +205,7 @@ class TestReassembleShardSpans:
         epoch_span = Span("epoch", {"epoch": 0})
         grafted = reassemble_shard_spans(
             epoch_span,
-            [(0, _lane_wire_spans(0, phases=("drive",))), (1, ())],
+            [(0, _lane_spans(0, phases=("drive",))), (1, ())],
         )
         assert [parent.attrs["phase"] for parent in grafted] == ["drive"]
         assert len(epoch_span.children) == 1
@@ -219,4 +214,4 @@ class TestReassembleShardSpans:
         epoch_span = Span("epoch", {"epoch": 0})
         rogue = Span("shard", {"phase": "frobnicate", "shard": 0}, end=1.0)
         with pytest.raises(ReproError):
-            reassemble_shard_spans(epoch_span, [(0, [rogue.to_wire()])])
+            reassemble_shard_spans(epoch_span, [(0, [rogue])])
