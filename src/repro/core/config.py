@@ -26,6 +26,9 @@ class GrubConfig:
         algorithm: which decision algorithm the control plane runs; one of
             ``"memoryless"``, ``"memorizing"``, ``"adaptive-k1"``,
             ``"adaptive-k2"``, ``"offline"``, ``"always"``, ``"never"``.
+            Under all but the last two, a deliver carries the DO's current
+            decision (Listing 2's ``replicate`` flag), so an NR→R transition
+            lands on the read path, not at the next epoch update.
         k: the memoryless threshold K (consecutive reads before replicating).
             ``None`` derives it from the gas schedule via Equation 1.
         k_prime: the memorizing algorithm's K'; ``None`` derives it like K.
@@ -43,17 +46,11 @@ class GrubConfig:
             soon as the DO observes it (writes locally, reads via the chain's
             call history) instead of once per epoch; decisions can then be
             actuated by the very next deliver.
-        deliver_replication_hint: let the SP's deliver carry the DO's current
-            replication decision so an NR→R transition is materialised on the
-            read path (the ``replicate`` flag of the paper's Listing 2)
-            instead of waiting for the next epoch update.
         evict_unused_after_epochs: evict a replicated record that has not been
             read for this many epochs (the BtcRelay experiment's "reusable
             storage"); ``None`` disables time-based eviction.
         record_size_bytes: default record payload size used when a workload
             operation does not carry an explicit value.
-        track_application_gas: attribute DU callback gas to the application
-            layer (Table 3's second column).
         gas_schedule / chain_parameters: substrate configuration.
     """
 
@@ -65,11 +62,9 @@ class GrubConfig:
     adaptive_history: int = 3
     batch_deliver: bool = True
     continuous_decisions: bool = False
-    deliver_replication_hint: bool = True
     reuse_replica_slots: bool = False
     evict_unused_after_epochs: Optional[int] = None
     record_size_bytes: int = 32
-    track_application_gas: bool = True
     gas_schedule: GasSchedule = field(default_factory=GasSchedule)
     chain_parameters: ChainParameters = field(default_factory=ChainParameters)
 

@@ -206,7 +206,7 @@ class GrubSystem:
             control_plane=control_plane,
             scope=feed_id,
         )
-        if self.config.deliver_replication_hint and self.config.algorithm not in ("always", "never"):
+        if self.config.algorithm not in ("always", "never"):
             self.service_provider.decision_lookup = control_plane.decision_for
         self.consistency = ConsistencyModel(
             epoch_seconds=self.config.epoch_size * 1.0,

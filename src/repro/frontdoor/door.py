@@ -57,7 +57,6 @@ p50/p95/p99 reporting works even with the obs plane disabled.
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 import time
 from collections import deque
@@ -67,7 +66,6 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -80,7 +78,10 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import Operation
 from repro.gateway.metrics import FleetTelemetry
 from repro.gateway.scheduler import EpochScheduler, RequestSource
-from repro.obs import REPORT_PERCENTILES
+from repro.obs.metrics import (
+    percentile as latency_percentile,
+    percentiles as latency_percentiles,
+)
 from repro.frontdoor.middleware import (
     Handler,
     Middleware,
@@ -199,31 +200,6 @@ def gather_rule(
     if quiet_in <= 0.0:
         return Gather("quiet")
     return Gather(None, min(limit_in, quiet_in), missing)
-
-
-def latency_percentile(samples: Iterable[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile of raw latency samples.
-
-    Same definition as :meth:`repro.obs.metrics.Histogram.percentile` — the
-    smallest sample with at least ``q``% of samples at or below it — so the
-    door's report agrees with the obs plane's to the last ulp.  ``q`` in
-    (0, 100]; ``None`` when there are no samples.
-    """
-    if not 0.0 < q <= 100.0:
-        raise ConfigurationError("percentile q must be in (0, 100]")
-    ordered = sorted(samples)
-    if not ordered:
-        return None
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[max(rank, 1) - 1]
-
-
-def latency_percentiles(
-    samples: Iterable[float], qs: Sequence[float] = REPORT_PERCENTILES
-) -> Dict[str, Optional[float]]:
-    """The ``{"p50": ..., "p95": ..., "p99": ...}`` dict reports use."""
-    ordered = sorted(samples)
-    return {f"p{q:g}": latency_percentile(ordered, q) for q in qs}
 
 
 @dataclass

@@ -54,9 +54,10 @@ The lane boundary has one format, the one a feed's state already crosses in
 spans) with no second plain-data form — once, where it is produced, the main
 process opens it once, where it is merged (:func:`open_lane_epoch`), and a
 boundary's live arrivals go the other way packed where the order is placed.
-Every frame is self-contained, and is metered in between by :class:`IpcMeter`
-(``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` / ``ipc_decode_seconds``
-per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  Lanes
+Every frame is self-contained, and is metered once, as the main process takes
+it, into the ``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` /
+``ipc_decode_seconds`` histograms per lane that :func:`ipc_summary` reads
+back as ``FleetTelemetry.ipc``.  Lanes
 are this program's own children, so the byte layout is no protocol; what the
 boundary checks is that the bytes open, hold the type they should, and are
 for the epoch and the feeds they were handed over for — each failure a
@@ -137,6 +138,7 @@ from repro.gateway.router import (
 )
 from repro.gateway.runtime import CollectorOwner
 from repro.obs import DISABLED
+from repro.obs.metrics import Histogram, LabelSet, MetricsRegistry, log_buckets
 from repro.obs.tracing import Span, Tracer
 
 #: Externally-owned account the gateway runtime submits batched transactions
@@ -630,8 +632,8 @@ class LaneEpochEnvelope:
     """
 
     frame: bytes
-    #: Worker-side wall time spent packing the frame (the IPC meter's
-    #: ``ipc_encode_seconds``).
+    #: Worker-side wall time spent packing the frame (what
+    #: ``ipc_encode_seconds`` observes).
     encode_seconds: float
     #: Boundary collections the lane has taken so far, this epoch's included.
     gc_collections: int = 0
@@ -655,103 +657,85 @@ def open_lane_epoch(frame: bytes) -> Tuple[int, List[ShardEpochResult]]:
 
 
 # ---------------------------------------------------------------------------
-# Process backend: IPC metering
+# Process backend: the lane boundary's instruments
 # ---------------------------------------------------------------------------
 
+#: Frame sizes need byte-scaled buckets (the default ones are seconds):
+#: 64 B–128 MB, doubling.
+_FRAME_BYTE_BUCKETS = log_buckets(start=64.0, factor=2.0, count=22)
+#: Lane-to-lane moves per epoch (counts, not latencies).
+_MOVE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
+#: Per-lane frame histograms → the ``fleet.ipc`` lane-row field each sums to.
+_LANE_ROW = {
+    "ipc_bytes_per_epoch": "wire_bytes",
+    "ipc_encode_seconds": "encode_seconds",
+    "ipc_decode_seconds": "decode_seconds",
+}
+#: Run-wide counters: ``fleet.ipc`` keys of the same name, except merged lane
+#: epochs (``epochs``); ``migrations_total`` also counts by its ``reason``.
+_COUNTERS = (
+    "ipc_epochs_total", "migrations_total", "migration_bytes_total", "installs_total",
+    "install_bytes_total", "lane_spawns_total", "lane_retirements_total",
+)
+#: Where each lane-boundary counter and histogram stands: ``(count, sum)``.
+IpcReadings = Dict[Tuple[str, LabelSet], Tuple[float, float]]
 
-@dataclass(frozen=True)
-class IpcSample:
-    """One lane's IPC cost for one epoch (the obs histograms' unit)."""
 
-    lane: int
-    epoch: int
-    #: Length of the lane's packed frame, in bytes.
-    wire_bytes: int
-    #: Worker-side wall time packing it.
-    encode_seconds: float
-    #: Main-side wall time opening it.
-    decode_seconds: float
-    #: Boundary collections the lane's collector owner has taken so far.
-    gc_collections: int = 0
+def ipc_readings(metrics: MetricsRegistry) -> IpcReadings:
+    """Read every lane-boundary counter (its value is both count and sum) and
+    histogram — each of them only grows."""
+    return {
+        (instrument.name, instrument.labels): (
+            (instrument.count, instrument.total)
+            if isinstance(instrument, Histogram)
+            else (instrument.value, instrument.value)
+        )
+        for instrument in metrics.instruments()
+        if instrument.name in _LANE_ROW or instrument.name in _COUNTERS
+    }
 
 
-class IpcMeter:
-    """Per-lane IPC totals for a process-mode run: each packed lane frame's
-    length and the seconds spent packing and opening it, plus what feed
-    mobility shipped.
-
-    Always on — recording costs a handful of adds per lane epoch — so every
-    process run reports its boundary traffic.
+def ipc_summary(metrics: MetricsRegistry, since: Optional[IpcReadings] = None) -> dict:
+    """``FleetTelemetry.ipc``: what the instruments :class:`LaneEngine`
+    records into gained since the ``since`` readings (all they hold, without
+    them), so a plane that outlives runs still yields one run's record — frame
+    bytes per merged epoch, seconds packing and opening them, a row per lane
+    that shipped a frame, and the feed-mobility totals.  A row's
+    ``gc_collections`` is a level, the lane's collections so far.
     """
-
-    def __init__(self) -> None:
-        self.epochs = 0
-        self.lanes: Dict[int, Dict[str, float]] = {}
-        #: Cross-lane feed moves (source detach → destination install),
-        #: in total and by the reason the placement gave for each move.
-        self.migrations = 0
-        self.migration_bytes = 0
-        self.migrations_by_reason: Dict[str, int] = {}
-        #: Main→lane installs (initial elastic placement and
-        #: admissions — every elastic feed arrives by one of these).
-        self.installs = 0
-        self.install_bytes = 0
-        #: Lane pool elasticity events (spawned / drained-and-retired lanes).
-        self.lane_spawns = 0
-        self.lane_retirements = 0
-
-    def record_migration(self, nbytes: int, reason: str) -> None:
-        self.migrations += 1
-        self.migration_bytes += nbytes
-        self.migrations_by_reason[reason] = self.migrations_by_reason.get(reason, 0) + 1
-
-    def record_install(self, nbytes: int) -> None:
-        self.installs += 1
-        self.install_bytes += nbytes
-
-    def record(self, samples: Sequence[IpcSample]) -> None:
-        self.epochs += 1
-        for sample in samples:
-            row = self.lanes.setdefault(
-                sample.lane,
-                {
-                    "epochs": 0,
-                    "wire_bytes": 0,
-                    "encode_seconds": 0.0,
-                    "decode_seconds": 0.0,
-                },
-            )
-            row["epochs"] += 1
-            row["wire_bytes"] += sample.wire_bytes
-            row["encode_seconds"] += sample.encode_seconds
-            row["decode_seconds"] += sample.decode_seconds
-            row["gc_collections"] = sample.gc_collections
-
-    def summary(self) -> dict:
-        """Plain-data totals (the shape ``FleetTelemetry.ipc`` carries and the
-        benchmark records): fleet-wide bytes/epoch, encode/decode seconds,
-        per-lane rows, and the feed-mobility totals."""
-        wire_total = int(sum(row["wire_bytes"] for row in self.lanes.values()))
-        return {
-            "epochs": self.epochs,
-            "wire_bytes_total": wire_total,
-            "bytes_per_epoch": wire_total / self.epochs if self.epochs else 0.0,
-            "encode_seconds": sum(row["encode_seconds"] for row in self.lanes.values()),
-            "decode_seconds": sum(row["decode_seconds"] for row in self.lanes.values()),
-            "lanes": {
-                str(lane): dict(self.lanes[lane]) for lane in sorted(self.lanes)
-            },
-            "migrations_total": self.migrations,
-            "migrations_by_reason": dict(sorted(self.migrations_by_reason.items())),
-            "migration_bytes_total": self.migration_bytes,
-            "migration_bytes_per_epoch": (
-                self.migration_bytes / self.epochs if self.epochs else 0.0
-            ),
-            "installs_total": self.installs,
-            "install_bytes_total": self.install_bytes,
-            "lane_spawns_total": self.lane_spawns,
-            "lane_retirements_total": self.lane_retirements,
-        }
+    since = since or {}
+    totals = dict.fromkeys(_COUNTERS, 0)
+    lanes: Dict[str, dict] = {}
+    by_reason: Dict[str, int] = {}
+    for key, (count, total) in ipc_readings(metrics).items():
+        count_before, total_before = since.get(key, (0, 0))
+        count, total = count - count_before, total - total_before
+        name, label = key[0], dict(key[1])
+        if name in _LANE_ROW:
+            if count:
+                lanes.setdefault(label["lane"], {"epochs": count})[_LANE_ROW[name]] = total
+        else:
+            totals[name] += count
+            if "reason" in label and count:
+                by_reason[label["reason"]] = count
+    for lane, row in lanes.items():
+        row["wire_bytes"] = int(row["wire_bytes"])
+        row["gc_collections"] = int(metrics.find("lane_gc_collections", lane=lane).value)
+    epochs = totals.pop("ipc_epochs_total")
+    wire_total = sum(row["wire_bytes"] for row in lanes.values())
+    return {
+        "epochs": epochs,
+        "wire_bytes_total": wire_total,
+        "bytes_per_epoch": wire_total / epochs if epochs else 0.0,
+        "encode_seconds": sum(row["encode_seconds"] for row in lanes.values()),
+        "decode_seconds": sum(row["decode_seconds"] for row in lanes.values()),
+        "lanes": {lane: lanes[lane] for lane in sorted(lanes, key=int)},
+        "migrations_by_reason": dict(sorted(by_reason.items())),
+        "migration_bytes_per_epoch": (
+            totals["migration_bytes_total"] / epochs if epochs else 0.0
+        ),
+        **totals,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1086,12 +1070,16 @@ class LaneEngine:
     may cover many epochs), or :meth:`ensure_lanes` / :meth:`retire_lanes` +
     :meth:`transfer` / :meth:`teardown` (empty lanes, feeds as packed
     states; each order carries one epoch and the lane's shard assignment).
+
+    Each boundary event — a merged frame, an install or move, a spawn or
+    retirement — is counted once, where it happens, into ``metrics``.
     """
 
     def __init__(
         self,
         max_lanes: int,
         registry: FeedRegistry,
+        metrics: MetricsRegistry,
         *,
         obs_enabled: bool = False,
     ) -> None:
@@ -1099,8 +1087,7 @@ class LaneEngine:
         if max_lanes <= 0:
             raise ConfigurationError("process backend needs at least one lane")
         self.max_lanes = max_lanes
-        #: Per-lane IPC totals for the run (always metered).
-        self.meter = IpcMeter()
+        self.metrics = metrics
         self._lanes: Dict[int, _Lane] = {}
         #: The main registry (its specs accompany every install order).
         self._registry = registry
@@ -1171,7 +1158,8 @@ class LaneEngine:
         returns the lane ids spawned by this call."""
         spawned = [lane for lane in range(count) if lane not in self._lanes]
         self._spawn({lane: self._template for lane in spawned})
-        self.meter.lane_spawns += len(spawned)
+        if spawned:
+            self.metrics.counter("lane_spawns_total").inc(len(spawned))
         return spawned
 
     def retire_lanes(self, keep: int) -> List[int]:
@@ -1183,7 +1171,7 @@ class LaneEngine:
             # shutdown races the interpreter-exit wakeup of the pool's
             # management thread.
             self._lanes.pop(lane).pool.shutdown(wait=True, cancel_futures=True)
-            self.meter.lane_retirements += 1
+            self.metrics.counter("lane_retirements_total").inc()
         return retired
 
     # -- feed lifecycle ------------------------------------------------------
@@ -1203,7 +1191,8 @@ class LaneEngine:
         pass *through* the main process packed, never opened there.  The
         installs themselves are left in flight, and a failed one re-raises at
         the engine's next :meth:`results` / :meth:`teardown` /
-        :meth:`collect`.
+        :meth:`collect`.  Each install and each lane-to-lane move is counted
+        with its bytes, a move under the reason the placement gave it.
         """
         outgoing: Dict[int, List[str]] = {}
         for move in moves:
@@ -1220,6 +1209,7 @@ class LaneEngine:
         }
         for feed_ids, future in orders:
             blobs.update(zip(feed_ids, future.result()))
+        metrics = self.metrics
         incoming: Dict[int, List[Tuple[FeedSpec, bytes]]] = {}
         for move in moves:
             blob = blobs[move.feed_id]
@@ -1228,9 +1218,14 @@ class LaneEngine:
                 spec = replace(spec, preload=None)
             incoming.setdefault(move.destination, []).append((spec, blob))
             if move.source is None:
-                self.meter.record_install(len(blob))
+                metrics.counter("installs_total").inc()
+                metrics.counter("install_bytes_total").inc(len(blob))
             else:
-                self.meter.record_migration(len(blob), move.reason)
+                metrics.counter("migrations_total", reason=move.reason).inc()
+                metrics.counter("migration_bytes_total").inc(len(blob))
+        metrics.histogram("migrations_per_epoch", buckets=_MOVE_BUCKETS).observe(
+            sum(len(feed_ids) for feed_ids in outgoing.values())
+        )
         for lane, items in incoming.items():
             self._installs.append(
                 (
@@ -1317,20 +1312,19 @@ class LaneEngine:
         """shard index → lane, as of the latest order (span labels)."""
         return dict(self._shard_lane)
 
-    def results(self, epoch: int) -> Tuple[List[ShardEpochResult], List[IpcSample]]:
+    def results(self, epoch: int) -> List[ShardEpochResult]:
         """Wait for — and open — the frame of every lane with an order in
         flight, which must be its frame for ``epoch``.
 
         Must be called for epochs in submission order (the order the main
-        chain merges in); returns the shard results in fixed shard order plus
-        one :class:`IpcSample` per lane.  No lane's frame is taken until
-        every lane's has opened and checked: a :class:`WireError` leaves the
-        epoch wholly unmerged and every frame where it was.
+        chain merges in); returns the shard results in fixed shard order.  No
+        lane's frame is taken — or metered — until every lane's has opened
+        and checked: a :class:`WireError` leaves the epoch wholly unmerged and
+        every frame where it was.
         """
         self._settle_installs()
         results: List[ShardEpochResult] = []
-        samples: List[IpcSample] = []
-        opened: List[_Lane] = []
+        opened: List[Tuple[str, _Lane, LaneEpochEnvelope, float]] = []
         for lane in sorted(self._lanes):
             entry = self._lanes[lane]
             if not entry.pending:
@@ -1352,26 +1346,25 @@ class LaneEngine:
                     f"lane {lane} frame is for epoch {frame_epoch}, expected "
                     f"{epoch}; lane frames are merged in submission order"
                 )
-            samples.append(
-                IpcSample(
-                    lane=lane,
-                    epoch=epoch,
-                    wire_bytes=len(envelope.frame),
-                    encode_seconds=envelope.encode_seconds,
-                    decode_seconds=decode_seconds,
-                    gc_collections=envelope.gc_collections,
-                )
-            )
             results.extend(lane_results)
-            opened.append(entry)
-        for entry in opened:
+            opened.append((str(lane), entry, envelope, decode_seconds))
+        metrics = self.metrics
+        for lane, entry, envelope, decode_seconds in opened:
             batch = entry.pending[0]
             batch.taken += 1
             if batch.taken == batch.count:
                 entry.pending.popleft()
+            metrics.histogram(
+                "ipc_bytes_per_epoch", buckets=_FRAME_BYTE_BUCKETS, lane=lane
+            ).observe(len(envelope.frame))
+            metrics.histogram("ipc_encode_seconds", lane=lane).observe(
+                envelope.encode_seconds
+            )
+            metrics.histogram("ipc_decode_seconds", lane=lane).observe(decode_seconds)
+            metrics.gauge("lane_gc_collections", lane=lane).set(envelope.gc_collections)
+        metrics.counter("ipc_epochs_total").inc()
         results.sort(key=lambda result: result.shard_index)
-        self.meter.record(samples)
-        return results, samples
+        return results
 
     def collect(self) -> List[feed_state.FeedState]:
         """Fetch every live lane's final feed state (run end).  Every order

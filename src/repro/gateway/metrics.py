@@ -142,10 +142,11 @@ class FleetTelemetry:
     rosters: List[tuple] = field(default_factory=list)
     #: How many shards the planner produced, parallel to ``rosters``.
     shards_per_epoch: List[int] = field(default_factory=list)
-    #: Process mode only: the run's IPC meter summary (packed lane-frame
-    #: bytes per epoch, seconds packing and opening them, per-lane rows; see
-    #: :class:`repro.gateway.executor.IpcMeter`).  Wall-clock measurement,
-    #: not fleet state — deliberately outside :meth:`fingerprint`.
+    #: Process mode only: what crossed the lane boundary this run (packed
+    #: lane-frame bytes per epoch, seconds packing and opening them, per-lane
+    #: rows, installs, moves, spawns, retirements), read off the engine's
+    #: instruments by :func:`repro.gateway.executor.ipc_summary`.  Wall-clock
+    #: measurement, not fleet state — deliberately outside :meth:`fingerprint`.
     ipc: Optional[dict] = None
 
     def feed(self, feed_id: str) -> FeedTelemetry:

@@ -127,16 +127,18 @@ from repro.gateway.executor import (
     LaneEngine,
     SettlementResult,
     close_feed_bill,
+    ipc_readings,
+    ipc_summary,
     land_transaction,
     run_epoch_phases,
 )
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
-from repro.gateway.placement import FeedMove, assign_lanes, plan_moves
+from repro.gateway.placement import assign_lanes, plan_moves
 from repro.gateway.planner import RoundRobinPlanner, ShardPlanner
 from repro.gateway.registry import FeedRegistry, FeedSpec
 from repro.gateway.runtime import CollectorOwner
 from repro.obs import DISABLED, Observability
-from repro.obs.metrics import log_buckets
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import reassemble_shard_spans
 from repro.storage.lsm import LSMStore
 
@@ -830,9 +832,10 @@ class _LaneExecutor(_Executor):
 
     Sending a static fleet the second way measured 30–42 % fewer
     ``ops_per_s`` on the ``lanes_read`` benchmark workload (ROADMAP), which
-    is what the first way is kept for.  Lane traffic is metered per run
-    (``FleetTelemetry.ipc``) and per epoch (obs histograms) — never
-    fingerprinted.
+    is what the first way is kept for.  The engine counts lane traffic on
+    every run — on the obs plane, or on a registry of the run's own — and
+    ``FleetTelemetry.ipc`` is what the counters gained during the run (never
+    fingerprinted).
     """
 
     def __init__(self, scheduler: EpochScheduler, *run_state, static: bool) -> None:
@@ -861,9 +864,12 @@ class _LaneExecutor(_Executor):
         #: This boundary's arrivals for lane-hosted feeds; they ship with the
         #: next epoch order.
         self._arrivals: Dict[str, Sequence[Operation]] = {}
+        metrics = self.obs.registry if self.obs.enabled else MetricsRegistry()
         self.engine = LaneEngine(
-            self.num_workers, self.registry, obs_enabled=self.obs.enabled
+            self.num_workers, self.registry, metrics, obs_enabled=self.obs.enabled
         )
+        #: Where the boundary's instruments stood as the run began.
+        self._ipc_start = ipc_readings(metrics)
 
     def depth(self, feed_id: str) -> int:
         if feed_id in self.feed_lane:
@@ -971,7 +977,7 @@ class _LaneExecutor(_Executor):
         # Elasticity: lanes 0..desired-1 serve this epoch; spawn what's
         # missing now, retire the surplus once drained.
         desired = max(1, min(self.num_workers, len(shard_plan)))
-        spawned = engine.ensure_lanes(desired)
+        engine.ensure_lanes(desired)
         shard_lanes = assign_lanes(shard_plan, desired, feed_lane, self._estimate)
         moves = plan_moves(shard_plan, shard_lanes, feed_lane, desired)
         engine.transfer(moves, self._snapshot_feed)
@@ -982,8 +988,7 @@ class _LaneExecutor(_Executor):
             assignments.setdefault(shard_lanes[shard_index], []).append(
                 (shard_index, list(shard))
             )
-        retired = engine.retire_lanes(desired)
-        self._observe_migrations(len(spawned), len(retired), moves)
+        engine.retire_lanes(desired)
         arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
         for feed_id in sorted(self._arrivals):
             arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
@@ -1005,7 +1010,7 @@ class _LaneExecutor(_Executor):
         """
         chain = self.registry.chain
         with self.obs.span("epoch", epoch=epoch) as epoch_span:
-            results, samples = self.engine.results(epoch)
+            results = self.engine.results(epoch)
             self._graft_lane_spans(epoch_span, results)
             with self.obs.phase("merge", epoch=epoch):
                 for result in results:
@@ -1016,7 +1021,6 @@ class _LaneExecutor(_Executor):
                 for result in results:
                     if result.update is not None:
                         self._record_settlement(result.update)
-        self._observe_ipc(samples)
         return results
 
     def finish(self) -> None:
@@ -1033,53 +1037,10 @@ class _LaneExecutor(_Executor):
         # The lanes routed this run's request events on their own chains; the
         # main watchdog must not replay them into the next run.
         self.registry.watchdog.skip_to_end()
-        self.fleet.ipc = self.engine.meter.summary()
+        self.fleet.ipc = ipc_summary(self.engine.metrics, self._ipc_start)
 
     def close(self) -> None:
         self.engine.shutdown()
-
-    #: Migration-count histogram bounds (counts, not latencies).
-    _MIGRATION_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
-
-    def _observe_migrations(
-        self, spawned: int, retired: int, moves: Sequence[FeedMove]
-    ) -> None:
-        """Record one epoch's feed-mobility activity on the obs plane; each
-        lane-to-lane move counts under the reason the placement gave it."""
-        if not self.obs.enabled:
-            return
-        reasons = [move.reason for move in moves if move.source is not None]
-        self.obs.histogram(
-            "migrations_per_epoch", buckets=self._MIGRATION_BUCKETS
-        ).observe(float(len(reasons)))
-        for reason in reasons:
-            self.obs.counter("migrations_total", reason=reason).inc()
-        if spawned:
-            self.obs.counter("lane_spawns_total").inc(spawned)
-        if retired:
-            self.obs.counter("lane_retirements_total").inc(retired)
-
-    #: Byte-count histograms need byte-scaled buckets — the default log
-    #: buckets are seconds-oriented (10µs–40s).  64 B–128 MB, doubling.
-    _IPC_BYTE_BUCKETS = log_buckets(start=64.0, factor=2.0, count=22)
-
-    def _observe_ipc(self, samples) -> None:
-        """Feed one epoch's per-lane IPC samples into the obs histograms
-        (``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` /
-        ``ipc_decode_seconds``, labelled by lane)."""
-        if not self.obs.enabled:
-            return
-        for sample in samples:
-            lane = str(sample.lane)
-            self.obs.histogram(
-                "ipc_bytes_per_epoch", buckets=self._IPC_BYTE_BUCKETS, lane=lane
-            ).observe(float(sample.wire_bytes))
-            self.obs.histogram("ipc_encode_seconds", lane=lane).observe(
-                sample.encode_seconds
-            )
-            self.obs.histogram("ipc_decode_seconds", lane=lane).observe(
-                sample.decode_seconds
-            )
 
     def _graft_lane_spans(self, epoch_span, results) -> None:
         """Fold the lanes' per-shard phase spans into the main trace tree.

@@ -12,7 +12,7 @@ always get the same object back.
 
 * fixed **log-spaced bucket** counts (:func:`log_buckets`), the Prometheus
   cumulative-``le`` form — cheap to merge and render, coarse by design;
-* the **exact sample list**, from which :meth:`Histogram.percentile` computes
+* the **exact sample list**, from which :func:`percentile` computes
   exact nearest-rank p50/p95/p99 — the numbers an operator report quotes must
   not be bucket-interpolation artifacts.  The engine's runs are epoch-bounded
   (observations arrive per phase per epoch, not per operation), so retaining
@@ -153,20 +153,9 @@ class Histogram:
         return out
 
     def percentile(self, q: float) -> Optional[float]:
-        """Exact nearest-rank percentile of every observed sample.
-
-        ``q`` in (0, 100].  Returns ``None`` when nothing was observed.  The
-        nearest-rank definition — the smallest sample with at least ``q``% of
-        samples at or below it — is the property-test reference
-        (``sorted(samples)[ceil(q/100 * n) - 1]``).
-        """
-        if not 0.0 < q <= 100.0:
-            raise ConfigurationError("percentile q must be in (0, 100]")
-        if not self.samples:
-            return None
-        ordered = sorted(self.samples)
-        rank = math.ceil(q / 100.0 * len(ordered))
-        return ordered[max(rank, 1) - 1]
+        """Exact nearest-rank percentile of every observed sample
+        (:func:`percentile`)."""
+        return percentile(self.samples, q)
 
     @property
     def mean(self) -> Optional[float]:
@@ -176,7 +165,7 @@ class Histogram:
 
     def report_percentiles(self) -> Dict[str, Optional[float]]:
         """The p50/p95/p99 dict every report and benchmark record uses."""
-        return {f"p{q:g}": self.percentile(q) for q in REPORT_PERCENTILES}
+        return percentiles(self.samples)
 
 
 class _NullCounter(Counter):
@@ -330,9 +319,32 @@ def _render_key(name: str, labels: LabelSet, extra: str = "") -> str:
     return f"{name}{{{','.join(parts)}}}"
 
 
+def _nearest_rank(ordered: Sequence[float], q: float) -> Optional[float]:
+    if not 0.0 < q <= 100.0:
+        raise ConfigurationError("percentile q must be in (0, 100]")
+    if not ordered:
+        return None
+    return ordered[max(math.ceil(q / 100.0 * len(ordered)), 1) - 1]
+
+
+def percentile(samples: Iterable[float], q: float) -> Optional[float]:
+    """Exact nearest-rank percentile — the smallest sample with at least
+    ``q``% of samples at or below it; ``q`` in (0, 100], ``None`` without
+    samples.  The histograms and the front door's report share it."""
+    return _nearest_rank(sorted(samples), q)
+
+
+def percentiles(
+    samples: Iterable[float], qs: Sequence[float] = REPORT_PERCENTILES
+) -> Dict[str, Optional[float]]:
+    """``{"p50": …, "p95": …, "p99": …}`` (by default) over one sort."""
+    ordered = sorted(samples)
+    return {f"p{q:g}": _nearest_rank(ordered, q) for q in qs}
+
+
 def percentile_reference(samples: Iterable[float], q: float) -> Optional[float]:
     """The sorted-list nearest-rank reference the property tests pin
-    :meth:`Histogram.percentile` against."""
+    :func:`percentile` against."""
     ordered = sorted(samples)
     if not ordered:
         return None

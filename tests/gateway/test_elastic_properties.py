@@ -44,6 +44,7 @@ import pytest
 from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.common.types import Operation
 from repro.gateway import EpochScheduler, FeedRegistry, FeedTelemetry, GasAwareShardPlanner
+from repro.gateway.executor import ipc_summary
 from repro.gateway.placement import MOVE_LANE_RETIRED, MOVE_REGROUPED
 from repro.obs import Observability
 from repro.workloads.fleet_churn import FleetChurnWorkload
@@ -244,7 +245,8 @@ def test_process_mode_forces_migration_spawn_and_retirement():
     """The churn schedules genuinely exercise feed mobility: at least one
     snapshot-frame migration between lanes, one elastic lane spawn beyond the
     first, and one lane retirement once the fleet shrinks — all metered on
-    ``FleetTelemetry.ipc`` (never fingerprinted)."""
+    ``FleetTelemetry.ipc`` (never fingerprinted), which holds every key the
+    benchmark suite reads; a serial run has no lane boundary and no record."""
     fleet = run_schedule(SEEDS[0], num_workers=4, execution_mode="process")[2]
     ipc = fleet.ipc
     assert ipc["migrations_total"] >= 1
@@ -254,12 +256,14 @@ def test_process_mode_forces_migration_spawn_and_retirement():
     assert ipc["install_bytes_total"] > 0
     assert ipc["lane_spawns_total"] >= 2
     assert ipc["lane_retirements_total"] >= 1
+    assert {"bytes_per_epoch", "encode_seconds", "decode_seconds"} <= set(ipc)
+    assert run_schedule(SEEDS[0], num_workers=1)[2].ipc is None
 
 
 def test_every_migration_is_metered_with_its_reason():
     """"Why did this feed move lanes": each lane-to-lane move carries the
-    placement's reason, on ``fleet.ipc`` and as a label on the obs plane's
-    ``migrations_total`` counter — outside the fingerprint either way."""
+    placement's reason as a label on the ``migrations_total`` counter, and
+    ``fleet.ipc`` is read off that very counter — outside the fingerprint."""
     obs = Observability()
     fleet = run_schedule(SEEDS[0], num_workers=4, execution_mode="process", obs=obs)[2]
     by_reason = fleet.ipc["migrations_by_reason"]
@@ -267,10 +271,64 @@ def test_every_migration_is_metered_with_its_reason():
     assert sum(by_reason.values()) == fleet.ipc["migrations_total"]
     # This schedule shrinks the fleet under occupied lanes, so both occur.
     assert by_reason[MOVE_REGROUPED] >= 1 and by_reason[MOVE_LANE_RETIRED] >= 1
-    for reason, count in by_reason.items():
-        assert obs.registry.find("migrations_total", reason=reason).value == count
+    # One record: on a fresh plane the run's view is the plane's view, and a
+    # move counted on the plane is a move in the view.
+    assert ipc_summary(obs.registry) == fleet.ipc
+    obs.counter("migrations_total", reason=MOVE_REGROUPED).inc()
+    assert ipc_summary(obs.registry)["migrations_by_reason"] == {
+        **by_reason,
+        MOVE_REGROUPED: by_reason[MOVE_REGROUPED] + 1,
+    }
     plain = run_schedule(SEEDS[0], num_workers=1)[2]
     assert fleet.fingerprint() == plain.fingerprint()
+
+
+#: The exact half of ``fleet.ipc`` (the rest is seconds).
+IPC_COUNTS = (
+    "epochs",
+    "wire_bytes_total",
+    "installs_total",
+    "migrations_total",
+    "migrations_by_reason",
+    "migration_bytes_total",
+    "lane_spawns_total",
+    "lane_retirements_total",
+)
+
+
+def ipc_counts(fleet) -> dict:
+    return {key: fleet.ipc[key] for key in IPC_COUNTS}
+
+
+def test_boundary_counts_do_not_depend_on_the_plane():
+    """The counters are on with or without an ``Observability``: the same
+    run counts the same boundary events, and fingerprints the same."""
+    quiet = run_schedule(SEEDS[0], num_workers=4, execution_mode="process")[2]
+    traced = run_schedule(
+        SEEDS[0], num_workers=4, execution_mode="process", obs=Observability()
+    )[2]
+    assert traced.fingerprint() == quiet.fingerprint()
+    quiet_counts, traced_counts = ipc_counts(quiet), ipc_counts(traced)
+    # A traced lane's frames also carry its spans, so they are longer.
+    assert traced_counts.pop("wire_bytes_total") > quiet_counts.pop("wire_bytes_total")
+    assert traced_counts == quiet_counts
+
+
+def test_fleet_ipc_is_one_run_on_a_plane_that_outlives_runs():
+    shared = Observability()
+    first = run_schedule(SEEDS[0], num_workers=4, execution_mode="process", obs=shared)[2]
+    second = run_schedule(SEEDS[0], num_workers=4, execution_mode="process", obs=shared)[2]
+    fresh = run_schedule(
+        SEEDS[0], num_workers=4, execution_mode="process", obs=Observability()
+    )[2]
+    assert ipc_counts(first) == ipc_counts(second) == ipc_counts(fresh)
+    # ... while the plane's counters hold both runs.
+    by_reason = fresh.ipc["migrations_by_reason"]
+    assert {
+        reason: shared.registry.find("migrations_total", reason=reason).value
+        for reason in by_reason
+    } == {reason: 2 * count for reason, count in by_reason.items()}
+    assert shared.registry.find("ipc_epochs_total").value == 2 * fresh.ipc["epochs"]
 
 
 def test_gas_aware_plans_use_multiple_shards():

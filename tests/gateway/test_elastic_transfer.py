@@ -26,6 +26,7 @@ from repro.gateway import feed_state
 from repro.gateway.executor import LaneEngine
 from repro.gateway.placement import FeedMove
 from repro.gateway.scheduler import _LaneExecutor
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: Generous for a sub-second body; only a hang ever reaches it.
@@ -68,7 +69,7 @@ def snapshot_of(registry, feed_id):
 @pytest.mark.parametrize("next_call", ["results", "teardown", "collect"])
 def test_failed_install_reraises_at_the_next_engine_call(next_call):
     registry = two_feed_registry()
-    engine = LaneEngine(2, registry)
+    engine = LaneEngine(2, registry, MetricsRegistry())
     before = set(multiprocessing.active_children())
 
     def body():
@@ -98,7 +99,7 @@ def test_failed_install_reraises_at_the_next_engine_call(next_call):
 
 def test_failed_migrate_out_reraises_its_typed_error():
     registry = two_feed_registry()
-    engine = LaneEngine(2, registry)
+    engine = LaneEngine(2, registry, MetricsRegistry())
 
     def body():
         engine.ensure_lanes(2)

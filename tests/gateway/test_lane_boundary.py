@@ -38,6 +38,7 @@ from repro.gateway.executor import (
     open_lane_epoch,
 )
 from repro.gateway.placement import FeedMove
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -402,10 +403,15 @@ class TestHostileLaneFrames:
         assert seen["refused"] > 100
         assert process_fleet.fingerprint() == serial_fleet.fingerprint()
         assert merged_so_far(registry.chain) == serial_merged
+        # Lane 0's frame opened with every refusal but was taken, and
+        # metered, once.
+        ipc = process_fleet.ipc
+        assert ipc["epochs"] == serial_fleet.epochs_run
+        assert [row["epochs"] for row in ipc["lanes"].values()] == [ipc["epochs"]] * 2
 
     def test_results_out_of_order_are_refused(self):
         registry, _ = small_fleet()
-        engine = LaneEngine(1, registry)
+        engine = LaneEngine(1, registry, MetricsRegistry())
         try:
             feed_ids = [handle.feed_id for handle in registry.handles]
             engine.spawn_pinned([feed_ids])
@@ -413,7 +419,7 @@ class TestHostileLaneFrames:
             with pytest.raises(WireError, match="for epoch 1, but the next in-flight epoch is 0"):
                 engine.results(1)
             for epoch in (0, 1):
-                results, _ = engine.results(epoch)
+                results = engine.results(epoch)
                 assert [result.shard_index for result in results] == [0]
         finally:
             engine.shutdown()
@@ -427,7 +433,7 @@ class TestHostileOrders:
     def lane_hosting_alpha(self):
         registry = FeedRegistry()
         registry.create_feed(FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=4)))
-        engine = LaneEngine(1, registry)
+        engine = LaneEngine(1, registry, MetricsRegistry())
         before = set(multiprocessing.active_children())
         engine.ensure_lanes(1)
         engine.transfer(
@@ -462,5 +468,5 @@ class TestHostileOrders:
             order.result(timeout=TIMEOUT_SECONDS)
         # The lane took nothing from the bad order and serves the next one.
         engine.submit(0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("alpha", [Operation.read("k")])]})
-        [result], _ = engine.results(0)
+        [result] = engine.results(0)
         assert result.remaining == {"alpha": 0} and result.epoch_gas["alpha"] > 0
