@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.chain.block import Block
 from repro.chain.contract import Contract
@@ -28,7 +28,7 @@ from repro.chain.gas import (
     LAYER_FEED,
     split_transaction_cost,
 )
-from repro.chain.transaction import Transaction, TransactionReceipt
+from repro.chain.transaction import Transaction, TransactionReceipt, next_txid
 from repro.chain.vm import ExecutionContext, GasMeter
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ContractError, OutOfGasError, ReproError
@@ -223,6 +223,53 @@ class Blockchain:
         the entire pending pool; the block gas limit is checked to surface
         configuration errors rather than to split blocks.
         """
+        transactions, self.pending = self.pending, []
+        # Lazy: each transaction executes once the block is open, at its
+        # number and timestamp.
+        return self._produce_block(map(self._execute, transactions))
+
+    def mine_recorded_block(self, receipt: TransactionReceipt) -> Block:
+        """Mine one block around a receipt executed on another chain.
+
+        The process execution backend runs each shard's settlement transaction
+        on the chain of the lane that owns the shard's contracts and ships the
+        lane's own receipt; this chain records it — clock advance, block,
+        receipt, event-log stamps, block-gas-limit accounting — through the
+        same block production :meth:`mine_block` executes with, so the
+        recorded receipt reads like a locally executed one.  Block number,
+        index, ``submitted_at``, ``finalized_at`` and event stamps are this
+        chain's; ``gas_used``, ``success``, ``error`` and ``return_value`` are
+        the lane's.  Gas *charges* are not applied here: the lane ships its
+        ledger delta beside the receipt, and the caller merges it.
+
+        The receipt's transaction takes a fresh id from this process: lanes
+        are forked copies of the id counter, so two lanes hand out the same
+        ids.  Its ``args`` are whatever the lane left on it (the process
+        backend empties them — the group payloads, with their multiproofs,
+        stay in the lane that executed them).
+
+        The pending pool must be empty: mixing locally queued transactions
+        into a recorded block would execute them against state the lane
+        already advanced past.
+        """
+        if self.pending:
+            raise ReproError(
+                "mine_recorded_block with locally pending transactions; "
+                "recorded settlement cannot be mixed with local execution"
+            )
+        transaction = receipt.transaction
+        transaction.submitted_at = self.clock.now
+        transaction.txid = next_txid()
+        return self._produce_block((receipt,))
+
+    def _produce_block(self, receipts: Iterable[TransactionReceipt]) -> Block:
+        """Open the next block, take ``receipts`` into it in order, and seal it.
+
+        ``receipts`` is consumed once the clock has advanced and the block is
+        open.  Each receipt is stamped here with its block position and
+        finality time, and its events are appended to the log with those
+        stamps (the receipt keeps the log's entries).
+        """
         obs = self.obs
         started = obs.tracer.clock() if obs is not None else 0.0
         self.clock.advance(self.parameters.block_interval)
@@ -232,13 +279,17 @@ class Blockchain:
             timestamp=self.clock.now,
             parent_hash=parent_hash,
         )
-        transactions, self.pending = self.pending, []
-        for index, transaction in enumerate(transactions):
-            receipt = self._execute(transaction, block.number, index)
+        finalized_at = block.timestamp + self.finality_delay()
+        append_event = self.event_log.append_event
+        for index, receipt in enumerate(receipts):
+            receipt.block_number = block.number
+            receipt.transaction_index = index
+            receipt.finalized_at = finalized_at
+            receipt.events = [
+                append_event(event, block.number, index) for event in receipt.events
+            ]
             block.receipts.append(receipt)
-            self.receipts[transaction.txid] = receipt
-            for event in receipt.events:
-                self.event_log.append_event(event, block.number, index)
+            self.receipts[receipt.txid] = receipt
         if block.gas_used > self.parameters.block_gas_limit:
             # Not fatal for experiments, but worth surfacing: the paper notes
             # throughput is bounded by the block gas limit.
@@ -247,94 +298,8 @@ class Blockchain:
         self.blocks.append(block)
         if obs is not None:
             obs.counter("chain_blocks_total").inc()
-            obs.counter("chain_transactions_total").inc(len(transactions))
+            obs.counter("chain_transactions_total").inc(len(block.receipts))
             obs.histogram("chain_mine_seconds").observe(obs.tracer.clock() - started)
-        return block
-
-    def mine_recorded_block(
-        self,
-        transaction: Transaction,
-        *,
-        gas_used: int,
-        success: bool,
-        error: Optional[str] = None,
-        events: Optional[List[tuple]] = None,
-    ) -> Block:
-        """Mine one block around a transaction that was executed elsewhere.
-
-        The process execution backend runs each shard's settlement transaction
-        inside the worker process that owns the shard's contracts; the main
-        chain then records the outcome — clock advance, block production,
-        receipt, event-log append with this block's stamps, block-gas-limit
-        accounting — without re-executing anything.  ``events`` carries
-        ``(contract, name, payload)`` tuples in emission order.  Gas *charges*
-        are not applied here (the worker ships its ledger delta separately,
-        via :meth:`absorb`); ``gas_used`` only feeds the receipt and the block
-        gas accounting, exactly the quantities :meth:`mine_block` derives from
-        local execution.
-
-        The pending pool must be empty: mixing locally queued transactions
-        into a recorded block would execute them against state the worker
-        already advanced past.
-
-        One documented divergence from locally executed settlement: the
-        recorded receipt's ``transaction.args`` is whatever the caller put on
-        the transaction stub (the process backend passes ``{}`` — the group
-        payloads, with their Merkle proofs, stay in the worker that executed
-        them).  The per-feed scope weights and calldata size *are* carried,
-        so gas attribution and receipts' outcomes match exactly; only the
-        argument payload of the receipt's transaction object differs from a
-        serial run.
-        """
-        if self.pending:
-            raise ReproError(
-                "mine_recorded_block with locally pending transactions; "
-                "recorded settlement cannot be mixed with local execution"
-            )
-        self.clock.advance(self.parameters.block_interval)
-        parent_hash = self.blocks[-1].block_hash if self.blocks else EMPTY_DIGEST
-        block = Block(
-            number=len(self.blocks),
-            timestamp=self.clock.now,
-            parent_hash=parent_hash,
-        )
-        receipt_events = [
-            LogEvent(
-                contract=contract,
-                name=name,
-                payload=payload,
-                block_number=block.number,
-                transaction_index=0,
-                log_index=-1,
-            )
-            for contract, name, payload in (events or [])
-        ]
-        finalized_at = (
-            self.clock.now
-            + self.parameters.propagation_delay
-            + self.parameters.block_interval * self.parameters.finality_depth
-        )
-        receipt = TransactionReceipt(
-            transaction=transaction,
-            success=success,
-            gas_used=gas_used,
-            block_number=block.number,
-            transaction_index=0,
-            error=error,
-            events=receipt_events,
-            finalized_at=finalized_at,
-        )
-        block.receipts.append(receipt)
-        self.receipts[transaction.txid] = receipt
-        for event in receipt_events:
-            self.event_log.append_event(event, block.number, 0)
-        if block.gas_used > self.parameters.block_gas_limit:
-            block_overflow = block.gas_used - self.parameters.block_gas_limit
-            self.ledger.by_category["block_gas_limit_overflow"] += block_overflow
-        self.blocks.append(block)
-        if self.obs is not None:
-            self.obs.counter("chain_blocks_total").inc()
-            self.obs.counter("chain_transactions_total").inc()
         return block
 
     def mine_until_finalized(self, block_number: int) -> None:
@@ -460,9 +425,9 @@ class Blockchain:
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(
-        self, transaction: Transaction, block_number: int, index: int
-    ) -> TransactionReceipt:
+    def _execute(self, transaction: Transaction) -> TransactionReceipt:
+        """Run ``transaction`` in the block being produced; the receipt's
+        block position is stamped by :meth:`_produce_block`."""
         contract = self.get_contract(transaction.contract)
         meter = GasMeter(
             schedule=self.schedule,
@@ -474,7 +439,7 @@ class Blockchain:
         ctx = ExecutionContext(
             sender=transaction.sender,
             meter=meter,
-            block_number=block_number,
+            block_number=self.height,
             timestamp=self.clock.now,
             value=transaction.value,
         )
@@ -515,32 +480,15 @@ class Blockchain:
         finally:
             for deployed in self.contracts.values():
                 deployed.storage.commit_tx()
-        events = [
-            LogEvent(
-                contract=event.contract,
-                name=event.name,
-                payload=event.payload,
-                block_number=block_number,
-                transaction_index=index,
-                log_index=-1,
-            )
-            for event in ctx.emitted
-        ]
-        finalized_at = (
-            self.clock.now
-            + self.parameters.propagation_delay
-            + self.parameters.block_interval * self.parameters.finality_depth
-        )
         return TransactionReceipt(
             transaction=transaction,
             success=success,
             gas_used=meter.used,
-            block_number=block_number,
-            transaction_index=index,
+            block_number=self.height,
+            transaction_index=-1,
             return_value=return_value,
             error=error,
-            events=events,
-            finalized_at=finalized_at,
+            events=ctx.emitted,
         )
 
     # -- chain state -----------------------------------------------------------

@@ -17,7 +17,8 @@ from typing import Any, Dict, List, Optional
 from repro.chain.events import LogEvent
 from repro.common.encoding import words_for_bytes
 
-_transaction_counter = itertools.count()
+#: A fresh transaction id from this process's counter.
+next_txid = itertools.count().__next__
 
 
 @dataclass
@@ -40,7 +41,7 @@ class Transaction:
     #: split across the scopes (see ``split_transaction_cost``) instead of
     #: being billed to ``scope``.
     scopes: Optional[Dict[str, int]] = None
-    txid: int = field(default_factory=lambda: next(_transaction_counter))
+    txid: int = field(default_factory=next_txid)
     submitted_at: float = 0.0
 
     @property

@@ -30,15 +30,16 @@ long-lived worker processes:
   arrivals) and returns **one packed frame** per epoch
   (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
-  and the shard's settlement transactions *pre-executed* against the
-  worker's mirror of the shard's contracts (:class:`SettlementResult`: gas
-  used, receipt outcome, emitted events, exact ledger delta as a
-  :class:`~repro.chain.gas.GasLedger`);
+  and each of the shard's settlement transactions *executed* against the
+  worker's mirror of the shard's contracts, as a :data:`Settlement`: the
+  lane chain's own receipt (its transaction's ``args`` emptied) and the
+  exact :class:`~repro.chain.gas.GasLedger` delta it charged;
 * the main process merges results in **fixed shard order** — absorb every
-  drive buffer, stamping its events at the epoch-start height, then mine one
-  recorded block per shard deliver, then one per shard update
-  (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`) — reproducing
-  the serial merge exactly, so fingerprints, per-feed gas bills and chain
+  drive buffer, stamping its events at the epoch-start height, then record
+  each shard's deliver receipt in a block of its own, then each update
+  receipt (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`, the
+  block production a serial run executes with) — reproducing the serial
+  merge exactly, so fingerprints, per-feed gas bills, receipts and chain
   state are bit-identical to a serial run;
 * at run end the workers ship their final feed state back — the same packed
   :class:`~repro.gateway.feed_state.FeedState` a feed moves between lanes
@@ -118,7 +119,7 @@ from repro.chain.gas import (
     LAYER_APPLICATION,
     LAYER_FEED,
 )
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import ConfigurationError, ReproError, WireError
 from repro.common.types import (
     EpochSummary,
@@ -573,26 +574,11 @@ class LaneConfig:
     pinned: Optional[Dict[int, Tuple[str, ...]]] = None
 
 
-@dataclass(frozen=True)
-class SettlementResult:
-    """One settlement transaction pre-executed inside a worker.
-
-    Carries exactly what the main chain needs to record the outcome without
-    re-executing: the transaction's shape (scope weights, calldata), the
-    receipt outcome, the events it emitted (in emission order, unstamped —
-    the main chain assigns block numbers when it mines the recorded block),
-    and the exact gas-ledger delta its execution charged.
-    """
-
-    function: str
-    feed_ids: Tuple[str, ...]
-    scopes: Dict[str, int]
-    calldata_bytes: int
-    gas_used: int
-    success: bool
-    error: Optional[str]
-    events: Tuple[tuple, ...]
-    ledger_delta: GasLedger
+#: One settlement transaction as a lane executed it: the lane chain's receipt
+#: and the gas-ledger delta its execution charged.  The main chain records the
+#: receipt (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`
+#: restamps its block position, events and id) and merges the delta.
+Settlement = Tuple[TransactionReceipt, GasLedger]
 
 
 @dataclass(frozen=True)
@@ -603,8 +589,8 @@ class ShardEpochResult:
     #: Phase-1 side effects (gas + request events); the main chain restamps
     #: the events with its own epoch-start height when it absorbs the buffer.
     drive: ExecutionBuffer
-    deliver: Optional[SettlementResult]
-    update: Optional[SettlementResult]
+    deliver: Optional[Settlement]
+    update: Optional[Settlement]
     #: feed id → operations still queued after this epoch (run termination).
     remaining: Dict[str, int]
     #: feed id → the epoch's settled gas total (what
@@ -755,7 +741,7 @@ class _LaneWorker:
 
     The local chain's heights are private bookkeeping: the main chain
     restamps drive events when it absorbs their buffer, and settlement
-    events are stamped by ``mine_recorded_block`` on the main side, so the
+    receipts are restamped by ``mine_recorded_block`` on the main side, so the
     worker neither tracks nor pads toward the main chain's height — which is
     what allows it to run epochs ahead of the main process's merge.
     """
@@ -917,9 +903,10 @@ class _LaneWorker:
             gc_collections=self.collector.collections,
         )
 
-    def _settle(self, transaction: Transaction) -> SettlementResult:
-        """Execute one settlement transaction on the local chain, capturing
-        the exact ledger delta, receipt outcome and emitted events."""
+    def _settle(self, transaction: Transaction) -> Settlement:
+        """Execute one settlement transaction on the local chain; ship its
+        receipt without the groups (they stay here) and the exact ledger
+        delta it charged."""
         chain = self.registry.chain
         before = GasLedger()
         before.merge(chain.ledger)
@@ -927,23 +914,11 @@ class _LaneWorker:
         ledger_delta = chain.ledger.since(before)
         # Block-gas-limit overflow is *derived* accounting: the worker's local
         # mine_block recorded it from this block's gas, and the main chain's
-        # mine_recorded_block re-derives it from the shipped gas_used.
+        # mine_recorded_block re-derives it from the receipt's gas_used.
         # Shipping it in the delta too would double-count it.
         ledger_delta.by_category.pop("block_gas_limit_overflow", None)
-        return SettlementResult(
-            function=transaction.function,
-            feed_ids=tuple(group.feed_id for group in transaction.args["groups"]),
-            scopes=dict(transaction.scopes or {}),
-            calldata_bytes=transaction.calldata_bytes,
-            gas_used=receipt.gas_used,
-            success=receipt.success,
-            error=receipt.error,
-            events=tuple(
-                (event.contract, event.name, event.payload)
-                for event in receipt.events
-            ),
-            ledger_delta=ledger_delta,
-        )
+        shipped = replace(receipt, transaction=replace(transaction, args={}))
+        return shipped, ledger_delta
 
     # -- run-end state shipping ----------------------------------------------
 

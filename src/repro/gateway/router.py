@@ -64,12 +64,6 @@ class UpdateGroup:
 class GatewayRouterContract(Contract):
     """Fans batched gateway transactions out to per-feed storage managers."""
 
-    def __init__(self, address: str = "gateway-router") -> None:
-        super().__init__(address)
-        self.deliver_batches = 0
-        self.update_batches = 0
-        self.groups_routed = 0
-
     def deliver_batch(self, ctx: ExecutionContext, groups: List[DeliverGroup]) -> int:
         """Answer outstanding requests of several feeds in one transaction.
 
@@ -89,8 +83,6 @@ class GatewayRouterContract(Contract):
                 items=group.items,
                 proof=group.proof,
             )
-            self.groups_routed += 1
-        self.deliver_batches += 1
         return verified
 
     def update_batch(self, ctx: ExecutionContext, groups: List[UpdateGroup]) -> int:
@@ -111,8 +103,6 @@ class GatewayRouterContract(Contract):
                 entries=group.entries,
                 digest=group.digest,
             )
-            self.groups_routed += 1
-        self.update_batches += 1
         return applied
 
 

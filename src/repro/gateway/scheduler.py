@@ -61,8 +61,8 @@ exactly one interpreter), and the two globally *ordered* chain
 structures (the gas ledger and the event log) are deferred into per-shard
 :class:`~repro.chain.chain.ExecutionBuffer`\\ s.  Settlement then lands in a
 **deterministic merge phase**: buffers are absorbed, transactions submitted
-(or, in process mode, recorded from the lanes' pre-executed results), and
-accounting folded in fixed shard order, so both backends produce
+(or, in process mode, the lanes' own receipts recorded through the same block
+production), and accounting folded in fixed shard order, so both backends produce
 bit-identical telemetry, per-feed gas bills and chain state — they execute
 the very same epoch body, :func:`repro.gateway.executor.run_epoch_phases`,
 the one place the phase order is written.  Churn processing and shard
@@ -116,16 +116,14 @@ from typing import (
     Tuple,
 )
 
-from repro.chain.gas import LAYER_FEED
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.types import Operation
 from repro.gateway import feed_state
 from repro.gateway.executor import (
     EXECUTION_MODES,
-    GATEWAY_OPERATOR,
     LaneEngine,
-    SettlementResult,
+    Settlement,
     close_feed_bill,
     ipc_readings,
     ipc_summary,
@@ -700,7 +698,7 @@ class EpochScheduler:
             executor.ingest(feed_id, operations)
 
 
-def _raise_if_reverted(function: str, feed_ids, success: bool, error) -> None:
+def _raise_if_reverted(receipt: TransactionReceipt) -> None:
     """Fail loudly if a settlement batch reverted.
 
     The batched transaction reverts atomically on chain, but the hosted DOs'
@@ -709,10 +707,22 @@ def _raise_if_reverted(function: str, feed_ids, success: bool, error) -> None:
     their on-chain digests forever, so a reverted batch is a hosting-runtime
     bug worth stopping the run for.
     """
-    if not success:
+    if not receipt.success:
+        transaction = receipt.transaction
         raise ReproError(
-            f"gateway {function} reverted (feeds {sorted(feed_ids)}): {error}"
+            f"gateway {transaction.function} reverted "
+            f"(feeds {sorted(transaction.scopes or {})}): {receipt.error}"
         )
+
+
+def _count_batches(fleet: FleetTelemetry, outcomes) -> None:
+    """Count the deliver and update batches one epoch's shards landed (each
+    shard's ``ShardOutcome`` or ``ShardEpochResult``)."""
+    for outcome in outcomes:
+        if outcome.deliver is not None:
+            fleet.deliver_batches += 1
+        if outcome.update is not None:
+            fleet.update_batches += 1
 
 
 class _Executor:
@@ -777,12 +787,10 @@ class _InlineExecutor(_Executor):
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         return close_feed_bill(self.registry, feed_id, epoch, poll=True)
 
-    def _settle(self, transaction: Transaction):
+    def _settle(self, transaction: Transaction) -> TransactionReceipt:
         """Land one shard's batch; a reverted one stops the run."""
         receipt = land_transaction(self.registry.chain, transaction)
-        _raise_if_reverted(
-            transaction.function, transaction.scopes or {}, receipt.success, receipt.error
-        )
+        _raise_if_reverted(receipt)
         return receipt
 
     def run_epoch(
@@ -798,12 +806,9 @@ class _InlineExecutor(_Executor):
                 tracer=self.obs.tracer,
                 phase=self.obs.phase,
             )
+        _count_batches(self.fleet, outcomes)
         settled: Dict[str, Tuple[int, int]] = {}
         for outcome in outcomes:
-            if outcome.deliver is not None:
-                self.fleet.deliver_batches += 1
-            if outcome.update is not None:
-                self.fleet.update_batches += 1
             settled.update(outcome.settled)
         return settled
 
@@ -812,7 +817,7 @@ class _LaneExecutor(_Executor):
     """Runs epochs on worker-process lanes (``"process"``): each lane hosts
     full mirrors of its feeds and executes whole epochs locally, shipping
     back only the per-epoch deltas — the driving phase's execution buffer and
-    the pre-executed settlement transactions — which the main chain records
+    each settlement's receipt plus gas delta — which the main chain records
     in fixed shard order, bit-identical to an inline run.
 
     A feed is hosted by the main process (created, its queue on its handle)
@@ -918,6 +923,7 @@ class _LaneExecutor(_Executor):
         else:
             self._place_and_order(epoch, shard_plan)
         results = self._merge_lane_epoch(epoch)
+        _count_batches(self.fleet, results)
         settled: Dict[str, Tuple[int, int]] = {}
         remaining = self.remaining
         for result in results:
@@ -1064,31 +1070,12 @@ class _LaneExecutor(_Executor):
                     str(span.attrs.get("phase", span.name)), span.duration
                 )
 
-    def _record_settlement(self, result: SettlementResult) -> None:
-        """Record one worker-executed settlement on the main chain: mine its
-        block (receipt, events, block-gas accounting), merge its exact gas
-        delta, and fail loudly on a reverted batch — the same contract the
-        inline executor enforces for locally executed batches."""
+    def _record_settlement(self, settlement: Settlement) -> None:
+        """Record one lane-executed settlement on the main chain: its receipt
+        in a block of its own, its exact gas delta merged, and a reverted
+        batch failing loudly — as the inline executor's would."""
+        receipt, ledger_delta = settlement
         chain = self.registry.chain
-        transaction = Transaction(
-            sender=GATEWAY_OPERATOR,
-            contract=self.registry.router.address,
-            function=result.function,
-            args={},
-            calldata_bytes=result.calldata_bytes,
-            layer=LAYER_FEED,
-            scopes=dict(result.scopes),
-        )
-        chain.mine_recorded_block(
-            transaction,
-            gas_used=result.gas_used,
-            success=result.success,
-            error=result.error,
-            events=list(result.events),
-        )
-        chain.ledger.merge(result.ledger_delta)
-        _raise_if_reverted(result.function, result.scopes, result.success, result.error)
-        if result.function == "deliver_batch":
-            self.fleet.deliver_batches += 1
-        else:
-            self.fleet.update_batches += 1
+        chain.mine_recorded_block(receipt)
+        chain.ledger.merge(ledger_delta)
+        _raise_if_reverted(receipt)

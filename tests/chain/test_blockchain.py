@@ -172,6 +172,54 @@ class TestExecution:
             event.payload for event in buffer.events
         ]
 
+    def test_recorded_receipt_reads_like_an_executed_one(self):
+        """A receipt executed on another chain (a lane's, at another height)
+        records here exactly as executing its transaction here would, but
+        for the transaction's emptied args and a fresh id of this chain's."""
+
+        def counter_chain(height: int) -> Blockchain:
+            chain = Blockchain()
+            chain.deploy(CounterContract("counter"))
+            for _ in range(height):
+                chain.mine_block()
+            return chain
+
+        def increment() -> Transaction:
+            return Transaction(
+                sender="a", contract="counter", function="increment", args={"by": 2}
+            )
+
+        lane, transaction = counter_chain(5), increment()
+        lane.submit(transaction)
+        lane.mine_block()
+        shipped = replace(
+            lane.receipt_for(transaction.txid),
+            transaction=replace(transaction, args={}),
+        )
+        executing = counter_chain(2)
+        executing.submit(increment())
+        [executed] = executing.mine_block().receipts
+        recording = counter_chain(2)
+        [recorded] = recording.mine_recorded_block(shipped).receipts
+
+        def outcome(receipt) -> tuple:
+            return (
+                receipt.block_number,
+                receipt.transaction_index,
+                receipt.transaction.submitted_at,
+                receipt.finalized_at,
+                receipt.events,
+                receipt.gas_used,
+                receipt.success,
+                receipt.return_value,
+            )
+
+        assert outcome(recorded) == outcome(executed)
+        assert list(recording.event_log) == list(executing.event_log)
+        assert recorded.transaction.args == {}
+        assert recorded.txid != transaction.txid
+        assert recording.receipt_for(recorded.txid) is recorded
+
     def test_internal_call_events_reach_log_immediately(self, deployed_chain):
         deployed_chain.execute_internal_call("user", "counter", "increment")
         assert deployed_chain.event_log.latest("Incremented") is not None

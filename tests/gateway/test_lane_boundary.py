@@ -5,7 +5,7 @@ Lane epochs and live arrivals cross packed like a feed's state does
 (``feed_state.pack`` → ``open_lane_epoch`` / the lane's ``ingest``).  The
 round trips drive the engine's own objects, generated to look like real
 engine traffic — randomized drive buffers, ledger deltas (including empty and
-zero-omitting ones), settlement records, spans, unicode keys — and one real
+zero-omitting ones), settlement receipts, spans, unicode keys — and one real
 drive buffer, which must cross without the chain's call frames.  The hostile half swaps a real
 lane's frame mid-run for bytes that are not that epoch's results and pins the
 three typed failures: nothing of the epoch is merged, the frames stay where
@@ -24,13 +24,13 @@ import pytest
 from repro.chain.chain import ExecutionBuffer
 from repro.chain.events import LogEvent
 from repro.chain.gas import GasLedger
+from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import WireError
 from repro.common.types import KVRecord, Operation, OperationKind
 from repro.core.config import GrubConfig
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, feed_state
 from repro.gateway.executor import (
     LaneEngine,
-    SettlementResult,
     ShardEpochResult,
     _LaneWorker,
     _lane_epochs,
@@ -38,6 +38,7 @@ from repro.gateway.executor import (
     open_lane_epoch,
 )
 from repro.gateway.placement import FeedMove
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.workloads.synthetic import SyntheticWorkload
@@ -63,52 +64,56 @@ def random_ledger(rng: random.Random) -> GasLedger:
 
 
 def random_events(rng: random.Random) -> list:
+    """Events as a lane's chain stamped them."""
     names = ["request", "deliver", "üpdate"]
     return [
-        (
-            f"0xcontract{rng.randrange(3)}",
-            rng.choice(names),
-            {
+        LogEvent(
+            contract=f"0xcontract{rng.randrange(3)}",
+            name=rng.choice(names),
+            payload={
                 "key": f"ässet-{rng.randrange(100):04d}",
                 "version": rng.randrange(1_000),
                 "size": rng.choice([32, 64, 4096]),
             },
+            block_number=rng.randrange(50),
+            transaction_index=0,
+            log_index=rng.randrange(500),
         )
         for _ in range(rng.randrange(0, 5))
     ]
 
 
-def random_settlement(rng: random.Random) -> SettlementResult:
-    feed_ids = tuple(rng.sample(FEEDS, rng.randrange(1, len(FEEDS))))
-    return SettlementResult(
-        function=rng.choice(["deliver", "update", "settle"]),
-        feed_ids=feed_ids,
-        scopes={feed_id: rng.randrange(1, 9) for feed_id in feed_ids},
-        calldata_bytes=rng.randrange(0, 10_000),
+def random_settlement(rng: random.Random) -> tuple:
+    """A lane's settlement: its receipt (transaction ``args`` emptied) and the
+    ledger delta it charged."""
+    feed_ids = rng.sample(FEEDS, rng.randrange(1, len(FEEDS)))
+    scopes = {feed_id: rng.randrange(1, 9) for feed_id in feed_ids}
+    success = rng.random() < 0.9
+    receipt = TransactionReceipt(
+        transaction=Transaction(
+            sender="gateway-operator",
+            contract="gateway-router",
+            function=rng.choice(["deliver_batch", "update_batch"]),
+            calldata_bytes=sum(scopes.values()),
+            scopes=scopes,
+            submitted_at=14.0 * rng.randrange(100),
+        ),
+        success=success,
         gas_used=rng.randrange(0, 500_000),
-        success=rng.random() < 0.9,
-        error=None if rng.random() < 0.8 else "réverted: künçe",
-        events=tuple(random_events(rng)),
-        ledger_delta=random_ledger(rng).since(GasLedger()),
+        block_number=rng.randrange(50),
+        transaction_index=0,
+        return_value=rng.randrange(10) if success else None,
+        error=None if success else "réverted: künçe",
+        events=random_events(rng),
+        finalized_at=14.0 * rng.randrange(100, 400) + 1.0,
     )
+    return receipt, random_ledger(rng).since(GasLedger())
 
 
 def random_shard_result(rng: random.Random, shard_index: int) -> ShardEpochResult:
-    buffer = ExecutionBuffer(ledger=random_ledger(rng))
-    for contract, name, payload in random_events(rng):
-        buffer.events.append(
-            LogEvent(
-                contract=contract,
-                name=name,
-                payload=payload,
-                block_number=rng.randrange(50),
-                transaction_index=0,
-                log_index=rng.randrange(500),
-            )
-        )
     return ShardEpochResult(
         shard_index=shard_index,
-        drive=buffer,
+        drive=ExecutionBuffer(ledger=random_ledger(rng), events=random_events(rng)),
         deliver=None if rng.random() < 0.3 else random_settlement(rng),
         update=None if rng.random() < 0.3 else random_settlement(rng),
         remaining={
@@ -171,28 +176,27 @@ class TestLaneEpochRoundTrip:
 
     def test_empty_buffer_and_zero_omitting_delta(self):
         """A quiet shard: untouched ledger, no events, empty delta dicts."""
+        receipt = TransactionReceipt(
+            transaction=Transaction(
+                sender="gateway-operator", contract="gateway-router", function="deliver_batch"
+            ),
+            success=True,
+            gas_used=0,
+            block_number=1,
+            transaction_index=0,
+        )
         quiet = ShardEpochResult(
             shard_index=0,
             drive=ExecutionBuffer(),
-            deliver=SettlementResult(
-                function="deliver",
-                feed_ids=("feed-00",),
-                scopes={"feed-00": 1},
-                calldata_bytes=0,
-                gas_used=0,
-                success=True,
-                error=None,
-                events=(),
-                # zero-omitting delta of a no-op settlement: all empty
-                ledger_delta=GasLedger().since(GasLedger()),
-            ),
+            # zero-omitting delta of a no-op settlement: all empty
+            deliver=(receipt, GasLedger().since(GasLedger())),
             update=None,
             remaining={},
             spans=(),
         )
         _, results = round_trip(7, [quiet])
         assert results == [quiet]
-        delta = results[0].deliver.ledger_delta
+        _, delta = results[0].deliver
         assert delta == GasLedger()
         assert (delta.total, delta.by_category, delta.by_scope) == (0, {}, {})
 
@@ -214,16 +218,14 @@ class TestLaneEpochRoundTrip:
         result = ShardEpochResult(
             shard_index=0,
             drive=ExecutionBuffer(),
-            deliver=replace(
-                random_settlement(rng), ledger_delta=worker.since(before)
-            ),
+            deliver=(random_settlement(rng)[0], worker.since(before)),
             update=None,
             remaining={},
         )
         _, [opened] = round_trip(0, [result])
         merged = GasLedger()
         merged.merge(before)
-        merged.merge(opened.deliver.ledger_delta)
+        merged.merge(opened.deliver[1])
         assert merged == direct
 
     def test_real_drive_buffer_crosses_without_call_frames(self):
@@ -337,8 +339,8 @@ HOSTILE_EPOCH = 3
 def refuse_hostile_frames(monkeypatch, chain, *, restore: bool) -> dict:
     """Wrap ``LaneEngine.results``: at :data:`HOSTILE_EPOCH`, lane 1's frame —
     back from the lane, not yet opened — is replaced, in turn, by every
-    truncation of itself, a packed ``dict``, a packed ``(epoch, [a
-    SettlementResult])`` and the intact frame of the *next* epoch.  Each must
+    truncation of itself, a packed ``dict``, a packed ``(epoch, [a settlement
+    receipt])`` and the intact frame of the *next* epoch.  Each must
     be refused with nothing merged.  The last one then stays in place, or
     (``restore``) the intact frame goes back; either way the real call runs.
     """
@@ -353,14 +355,14 @@ def refuse_hostile_frames(monkeypatch, chain, *, restore: bool) -> dict:
         position = epoch - batch.start
         intact = batch.envelopes[position]
         _, [shard_result] = open_lane_epoch(intact.frame)
-        settlement = shard_result.deliver or shard_result.update
-        assert isinstance(settlement, SettlementResult)
+        receipt, _ = shard_result.deliver or shard_result.update
+        assert isinstance(receipt, TransactionReceipt)
         hostile = [
             (intact.frame[:cut], "cannot be opened")
             for cut in range(len(intact.frame))
         ] + [
             (feed_state.pack({"epoch": epoch}), "holds a dict, not a tuple"),
-            (feed_state.pack((epoch, [settlement])), r"does not hold \(epoch, \["),
+            (feed_state.pack((epoch, [receipt])), r"does not hold \(epoch, \["),
             (batch.envelopes[position + 1].frame, "is for epoch 4, expected 3"),
         ]
         seen["merged"] = merged_so_far(chain)
@@ -470,3 +472,33 @@ class TestHostileOrders:
         engine.submit(0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("alpha", [Operation.read("k")])]})
         [result] = engine.results(0)
         assert result.remaining == {"alpha": 0} and result.epoch_gas["alpha"] > 0
+
+
+class TestRecordedBlocks:
+    def test_obs_counts_recorded_blocks_like_executed_ones(self):
+        """A process run's main chain records its lanes' settlement receipts
+        through the block production a serial run executes with, so one plane
+        counts, and times, both runs' blocks alike."""
+        obs = Observability()
+
+        def block_counts():
+            return (
+                obs.counter("chain_blocks_total").value,
+                obs.counter("chain_transactions_total").value,
+                obs.histogram("chain_mine_seconds").count,
+            )
+
+        readings = []
+        for mode in ("serial", "process"):
+            registry, workloads = small_fleet()
+            EpochScheduler(
+                registry,
+                num_shards=2,
+                num_workers=2 if mode == "process" else 1,
+                execution_mode=mode,
+                obs=obs,
+            ).run(workloads)
+            readings.append(block_counts())
+        serial, both = readings
+        assert serial[0] > 0 and serial[0] == serial[1] == serial[2]
+        assert both == tuple(2 * count for count in serial)

@@ -68,24 +68,50 @@ def build_mixed_fleet(max_ops_per_epoch=None):
     return registry, workloads
 
 
+def _event(e) -> tuple:
+    return (
+        e.contract,
+        e.name,
+        e.block_number,
+        e.transaction_index,
+        sorted(e.payload.items(), key=repr),
+    )
+
+
+def _receipt(chain, r) -> tuple:
+    """A receipt as a serial run and a process run must both record it: all
+    but the transaction's ``args`` (left in the lane) and its id (the
+    recording chain's own).  Every id must find its own receipt — lanes
+    handing out colliding ids would overwrite each other's."""
+    assert chain.receipt_for(r.txid) is r
+    return (
+        r.block_number,
+        r.transaction_index,
+        r.transaction.function,
+        r.transaction.scopes,
+        r.transaction.submitted_at,
+        r.finalized_at,
+        [_event(e) + (e.log_index,) for e in r.events],
+        r.gas_used,
+        r.success,
+        r.error,
+        r.return_value,
+    )
+
+
 def chain_state_fingerprint(registry: FeedRegistry) -> dict:
     """Everything observable about the shared chain after a run."""
-    ledger = registry.chain.ledger
+    chain = registry.chain
+    ledger = chain.ledger
     return {
-        "height": registry.chain.height,
-        "events": [
-            # Block stamps included deliberately: the process backend must
-            # reproduce not just the event stream but the very block numbers
-            # a serial run records (the main chain stamps lane events with
-            # its own heights when it merges them).
-            (
-                e.contract,
-                e.name,
-                e.block_number,
-                e.transaction_index,
-                sorted(e.payload.items(), key=repr),
-            )
-            for e in registry.chain.event_log
+        "height": chain.height,
+        # Block stamps included deliberately: the process backend must
+        # reproduce not just the event stream but the very block numbers a
+        # serial run records (the main chain stamps lane events with its own
+        # heights when it merges them).
+        "events": [_event(e) for e in chain.event_log],
+        "receipts": [
+            [_receipt(chain, r) for r in block.receipts] for block in chain.blocks
         ],
         "ledger_total": ledger.total,
         "by_scope": {
@@ -379,9 +405,9 @@ class TestWireCodecEquivalence:
         assert summary["wire_bytes_total"] > 0
         assert summary["epochs"] > 0
         # Frame bytes are a pure function of the fleet and of what a lane
-        # packs: this run ships 44 445 B over 8 epochs.  The ceiling (+5 %)
+        # packs: this run ships 50 200 B over 8 epochs.  The ceiling (+5 %)
         # is where a change to what crosses has to be deliberate.
-        assert 0 < summary["bytes_per_epoch"] <= 5555.625 * 1.05
+        assert 0 < summary["bytes_per_epoch"] <= 6275.0 * 1.05
         # serial runs have no process boundary, hence no IPC record — and the
         # record is measurement, so the fingerprints still agree
         serial_fleet, _ = run_fleet(1, execution_mode="serial")

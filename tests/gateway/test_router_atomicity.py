@@ -52,7 +52,6 @@ def test_failing_group_reverts_earlier_groups_storage():
     # atomic: no root, no replica survives the revert.
     assert alpha.storage_manager.root_hash() is None
     assert alpha.storage_manager.replica_of("k") is None
-    assert registry.router.update_batches == 0
 
 
 def test_receipt_gas_covers_batched_group_execution():
@@ -155,14 +154,12 @@ def test_tampering_group_reverts_the_whole_deliver_batch(attack, adversary_at):
     assert not receipt.success and "integrity check failed" in receipt.error
     # The batch is atomic on chain: the neighbours' groups verified — some of
     # them before the tampering one was reached — yet none of their replicas
-    # survives, the router counts no batch, and the tampered feed's consumer
-    # never saw a record.
+    # survives, and the tampered feed's consumer never saw a record.
     for handle in registry.handles:
         assert handle.storage_manager.replica_count() == 0
         assert not any(
             slot.startswith("replica:") for slot in handle.storage_manager.storage.slots
         )
-    assert registry.router.deliver_batches == 0
     assert registry.get(feed_ids[adversary_at]).consumer.deliveries() == 0
     # Groups after the tampering one were never executed at all.  (Groups
     # before it ran their consumers' callbacks, which are Python-side state no
