@@ -66,3 +66,25 @@ class WireError(ReproError):
     """Raised when bytes that crossed a process boundary are not what they
     should be: they do not open, hold another type, or belong to another
     feed or epoch than the one they were handed over as."""
+
+
+class LaneDied(ReproError):
+    """Raised when a worker lane's process is gone: its pipe broke while the
+    main process sent it an order or awaited its reply.
+
+    ``phase`` names the order that went unanswered — ``start``, ``epoch``,
+    ``install``, ``migrate-out``, ``teardown`` or ``collect`` — and ``epoch``
+    the epoch it was for (for an order placed between epochs, the first epoch
+    not yet merged).
+    """
+
+    def __init__(self, lane: int, epoch: int, phase: str) -> None:
+        super().__init__(
+            f"lane {lane} died before answering its {phase} order for epoch {epoch}"
+        )
+        self.lane = lane
+        self.epoch = epoch
+        self.phase = phase
+
+    def __reduce__(self):
+        return type(self), (self.lane, self.epoch, self.phase)

@@ -21,13 +21,16 @@ guarantee a property of the code path rather than of careful duplication.
 **Process backend.**  :class:`LaneEngine` ships each shard's epoch work to
 long-lived worker processes:
 
-* every worker **lane** is a single-process :class:`ProcessPoolExecutor`, so
-  the worker-side state of a feed — its contracts on a worker-local chain, SP
-  store, control plane, read memo, bill, workload queue — persists across
-  epochs and only *per-epoch deltas* cross the process boundary;
+* every worker **lane** is one long-lived child process on one duplex pipe,
+  running a plain loop (receive ``(function, args)``, send back the result
+  or the exception), so the worker-side state of a feed — its contracts on
+  a worker-local chain, SP store, control plane, read memo, bill, workload
+  queue — persists across epochs and only *per-epoch deltas* cross the
+  process boundary;
 * per order, a lane receives a tiny ``(start, count, epoch_size)`` tuple
   (plus, when the plan can change, the epoch's shard assignment and live
-  arrivals) and returns **one packed frame** per epoch
+  arrivals) and sends back **one packed frame** per epoch, each as soon as
+  it is packed
   (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
   and each of the shard's settlement transactions *executed* against the
@@ -87,8 +90,9 @@ can observe about the run, never by an option:
   to its shards for the run.  Because
   event stamps are assigned by the *main* chain at merge time, such lanes
   never wait for the previous epoch's merge: the scheduler orders every epoch
-  the remaining workloads already guarantee, and lanes run them back-to-back
-  while the main process merges behind them.  Routing a static fleet through
+  the remaining workloads already guarantee, lanes run them back-to-back and
+  send each epoch's frame as it is packed, and the main process merges epoch
+  *n* while the lanes run epoch *n + 1*.  Routing a static fleet through
   installs and lockstep orders instead measured 30–42 % fewer
   ``ops_per_s`` on the ``lanes_read`` benchmark workload, which is why this
   second way exists.
@@ -96,15 +100,19 @@ can observe about the run, never by an option:
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import time
+import traceback
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection
+from types import GeneratorType
 from typing import (
     Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -120,7 +128,7 @@ from repro.chain.gas import (
     LAYER_FEED,
 )
 from repro.chain.transaction import Transaction, TransactionReceipt
-from repro.common.errors import ConfigurationError, ReproError, WireError
+from repro.common.errors import ConfigurationError, LaneDied, ReproError, WireError
 from repro.common.types import (
     EpochSummary,
     Operation,
@@ -556,7 +564,7 @@ class LaneConfig:
     from the chain parameters here, and every feed reaches it later as a
     packed state.  With :attr:`pinned` set the lane is **fork-seeded**
     instead: on a fork start method the worker process is a copy-on-write
-    clone of the main process taken at pool startup — the fully built
+    clone of the main process taken as the lane starts — the fully built
     registry, every handle's workload queue and memo with it, is already in
     its address space, bit-for-bit the state a dedicated mirror would have to
     be rebuilt into — so the lane adopts the inherited registry via
@@ -608,13 +616,14 @@ class ShardEpochResult:
 
 @dataclass(frozen=True)
 class LaneEpochEnvelope:
-    """One lane's whole epoch as it crosses the pool boundary.
+    """One lane's whole epoch as it crosses the lane's pipe: one reply, sent
+    as soon as the epoch is packed.
 
     :attr:`frame` is the lane's ``(epoch, [ShardEpochResult, …])``, packed in
-    the lane (:func:`repro.gateway.feed_state.pack`) so the pool's own pickle
+    the lane (:func:`repro.gateway.feed_state.pack`) so the pipe's own pickle
     of this envelope copies bytes instead of walking an object graph, and the
-    main process opens it on the thread that merges it
-    (:func:`open_lane_epoch`) with its size and both costs metered.
+    main process opens it where it merges it (:func:`open_lane_epoch`) with
+    its size and both costs metered.
     """
 
     frame: bytes
@@ -751,8 +760,8 @@ class _LaneWorker:
         #: detached spans; the finished spans ship back as themselves and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
-        #: The lane owns its process's collector until the process exits with
-        #: its pool (so nothing is ever restored): a fork-seeded lane inherits
+        #: The lane owns its process's collector until the process exits (so
+        #: nothing is ever restored): a fork-seeded lane inherits
         #: the main process's frozen heap and switched-off collector, and this
         #: is who collects in its stead — between epochs, never inside one.
         self.collector = CollectorOwner().__enter__()
@@ -772,7 +781,7 @@ class _LaneWorker:
         if _FORK_SEED is None:
             raise ConfigurationError(
                 "fork-seeded lane started without an inherited seed — the "
-                "pool's start method is not 'fork'"
+                "lane's start method is not 'fork'"
             )
         #: The forked copy of the main registry: every feed's contracts,
         #: stores, control planes and run state (queue, memo, fresh bill)
@@ -955,25 +964,27 @@ def _lane_epochs(
     epoch_size: int,
     shards: Optional[Sequence[Tuple[int, Sequence[str]]]] = None,
     arrivals_frame: Optional[bytes] = None,
-) -> List[LaneEpochEnvelope]:
+) -> Iterator[LaneEpochEnvelope]:
     """The lane's one epoch entry point: adopt ``shards`` as the assignment
     (when given), ingest the boundary's live arrivals (when any reached this
     lane), then run ``count`` consecutive epochs from ``start`` back-to-back,
-    one packed frame each.
+    yielding each packed frame as it is made — :func:`_lane_main` sends it
+    at once, one reply per epoch.
 
     A fork-pinned lane is ordered in batches (every epoch the remaining
-    workloads guarantee as one order) so the per-task pool overhead —
-    argument pickling, queue wakeups, result marshalling — is paid once per
-    batch instead of once per epoch.  Any other lane is lockstep, one epoch
-    per order: the next plan needs this epoch's observed gas, and an epoch's
-    arrivals cannot exist before the previous one settled."""
+    workloads guarantee as one order), so it never waits on the main process
+    between epochs, and the main process merges each epoch as soon as its
+    frame arrives.  Any other lane is lockstep, one epoch per order: the next
+    plan needs this epoch's observed gas, and an epoch's arrivals cannot
+    exist before the previous one settled."""
     assert _LANE_WORKER is not None, "lane worker not started"
     if shards is not None:
         _LANE_WORKER.set_assignment(shards)
     if arrivals_frame is not None:
         _LANE_WORKER.ingest(arrivals_frame)
     run_epoch = _LANE_WORKER.run_epoch
-    return [run_epoch(epoch, epoch_size) for epoch in range(start, start + count)]
+    for epoch in range(start, start + count):
+        yield run_epoch(epoch, epoch_size)
 
 
 def _lane_collect() -> List[bytes]:
@@ -1002,43 +1013,184 @@ def _lane_teardown(feed_id: str, epoch: int) -> FeedTelemetry:
     return _LANE_WORKER.teardown_feed(feed_id, epoch)
 
 
+def _lane_main(conn: Connection) -> None:
+    """A lane process's whole life: take ``(function, args)`` orders off the
+    pipe, in order, until the stop order (``None``) or the main process's
+    end closes, and answer each with its result — one reply per item when
+    the result is a generator (:func:`_lane_epochs`) — or with the exception
+    it raised, the lane's traceback attached as a note."""
+    while True:
+        try:
+            order = conn.recv()
+        except EOFError:
+            return
+        if order is None:
+            return
+        function, args = order
+        try:
+            result = function(*args)
+            for reply in result if isinstance(result, GeneratorType) else (result,):
+                conn.send(reply)
+        except Exception as error:
+            error.add_note(f"raised in the lane:\n{traceback.format_exc()}")
+            conn.send(error)
+
+
 # ---------------------------------------------------------------------------
 # Process backend: the main-process engine
 # ---------------------------------------------------------------------------
 
+#: What a pipe raises once the process at its other end is gone.
+_PIPE_BROKEN = (EOFError, BrokenPipeError, ConnectionResetError)
+#: How long stopping lanes get to exit on their own before they are
+#: terminated (a lane that is idle exits at once).
+_STOP_SECONDS = 2.0
 
-class _PendingBatch:
-    """One in-flight order of ``count`` consecutive epochs on one lane."""
 
-    __slots__ = ("future", "start", "count", "envelopes", "taken")
+class _Reply:
+    """One reply a lane owes: the answer to its ``phase`` order for
+    ``epoch``, read off the lane's pipe in the order the lane sends."""
 
-    def __init__(self, future, start: int, count: int) -> None:
-        self.future = future
-        self.start = start
-        self.count = count
-        self.envelopes: Optional[List[LaneEpochEnvelope]] = None
-        self.taken = 0
+    __slots__ = ("lane", "phase", "epoch", "value", "received")
+
+    def __init__(self, lane: "_Lane", phase: str, epoch: int) -> None:
+        self.lane = lane
+        self.phase = phase
+        self.epoch = epoch
+        self.value: object = None
+        self.received = False
+
+    def result(self, timeout: Optional[float] = None):
+        """This reply's value, reading the lane's earlier replies first;
+        the exception the lane answered with raises.  ``timeout`` bounds
+        each read (:class:`TimeoutError`)."""
+        while not self.received:
+            self.lane.receive(timeout)
+        if isinstance(self.value, BaseException):
+            raise self.value
+        return self.value
 
 
 class _Lane:
-    """One live lane: its single-worker pool and its in-flight epoch orders."""
+    """One live lane: its process, the main process's end of its pipe, the
+    replies it still owes in the order it sends them, and its epoch replies
+    not yet merged."""
 
-    __slots__ = ("pool", "pending")
+    __slots__ = ("index", "process", "conn", "owed", "epochs", "failed")
 
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self.pool = pool
-        self.pending: Deque[_PendingBatch] = deque()
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_lane_main, args=(child,), name=f"lane-{index}", daemon=True
+        )
+        self.process.start()
+        # The lane now holds the only copy of its end, so its death reads as
+        # a broken pipe here.
+        child.close()
+        self.owed: Deque[_Reply] = deque()
+        self.epochs: Deque[_Reply] = deque()
+        #: Set once a send or receive failed or a frame was refused: replies
+        #: this lane owes may never come.
+        self.failed = False
+
+    def send(
+        self, phase: str, epoch: int, function: Callable, *args, replies: int = 1
+    ) -> List[_Reply]:
+        """The engine's one send site: order ``function(*args)``; returns the
+        ``replies`` it will answer with, reply ``i`` for ``epoch + i``.
+
+        The order is pickled whole before a byte is written, so one that
+        cannot be pickled raises here and leaves the pipe as it was.
+        """
+        try:
+            self.conn.send((function, args))
+        except _PIPE_BROKEN as broken:
+            self.failed = True
+            raise LaneDied(self.index, epoch, phase) from broken
+        owed = [_Reply(self, phase, epoch + offset) for offset in range(replies)]
+        self.owed.extend(owed)
+        return owed
+
+    def receive(self, timeout: Optional[float] = None) -> None:
+        """The engine's one receive site: read the lane's next reply into
+        the reply it answers; an exception the lane answered with raises."""
+        reply = self.owed[0]
+        try:
+            if timeout is not None and not self.conn.poll(timeout):
+                self.failed = True
+                raise TimeoutError(
+                    f"lane {self.index} sent no {reply.phase} reply in {timeout} s"
+                )
+            value = self.conn.recv()
+        except _PIPE_BROKEN as broken:
+            self.failed = True
+            raise LaneDied(self.index, reply.epoch, reply.phase) from broken
+        self.owed.popleft()
+        reply.value, reply.received = value, True
+        if isinstance(value, BaseException):
+            self.failed = True
+            raise value
+
+    def drain(self, deadline: float) -> None:
+        """Read and drop what the lane still owes, until ``deadline``, so a
+        lane blocked sending a reply gets to its stop order."""
+        conn = self.conn
+        while self.owed and conn.poll(max(0.0, deadline - time.monotonic())):
+            try:
+                conn.recv()
+            except _PIPE_BROKEN:
+                return
+            self.owed.popleft()
+
+
+def _stop(lanes: Sequence[_Lane]) -> None:
+    """Stop ``lanes``: ask each to stop — after reading what they still owe,
+    unless one of them failed — then join each with a timeout, and terminate
+    and kill whichever is still alive."""
+    deadline = time.monotonic() + _STOP_SECONDS
+    drain = not any(lane.failed for lane in lanes)
+    for lane in lanes:
+        if drain:
+            lane.drain(deadline)
+        try:
+            lane.conn.send(None)
+        except _PIPE_BROKEN:
+            pass  # already gone
+    for lane in lanes:
+        process = lane.process
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.terminate()
+            process.join(_STOP_SECONDS)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        lane.conn.close()
 
 
 class LaneEngine:
-    """The process backend's main-side engine: a pool of worker lanes, the
-    feeds' way into and between them, and the per-epoch frame exchange.
+    """The process backend's main-side engine: the worker lanes, the feeds'
+    way into and between them, and the per-epoch frame exchange.
 
-    One single-worker :class:`ProcessPoolExecutor` per lane keeps each lane's
-    worker process alive (and its feeds' state resident) across epochs.  A
-    lane's pool is FIFO, so an order queued behind an install already sees
-    the installed feed; its frames are self-contained, and are opened in
-    epoch order because that is the order the main chain merges in.
+    Each lane is one long-lived child process on one duplex pipe, so its
+    feeds' state stays resident across epochs.  A lane answers its orders in
+    the order they were sent, so an order sent behind an install already
+    sees the installed feed, and a failure surfaces at the main process's
+    next read of that lane; its frames are self-contained, and are opened in
+    epoch order because that is the order the main chain merges in.  A lane
+    whose pipe breaks — its process killed or crashed — is a
+    :class:`~repro.common.errors.LaneDied` naming the lane, the epoch and the
+    order it left unanswered.
+
+    **No pipe deadlock.**  The main process never sends an order larger than
+    the pipe buffer to a lane that may be blocked sending a reply the main
+    process has not read.  The order sequence keeps it so: installs,
+    migrate-outs and teardowns go to lockstep lanes whose epoch replies have
+    all been read (at most small install replies are unread), and a
+    fork-pinned lane, whose frames stream ahead of the merge, is sent
+    nothing large after its epoch order — only its next small epoch order,
+    the run-end collect and the stop.
 
     Lanes come to host feeds in one of the two ways the module docstring
     describes: :meth:`spawn_pinned` (fork-seeded, pinned for the run; orders
@@ -1074,21 +1226,21 @@ class LaneEngine:
         )
         #: shard index → lane, as of the latest order (span labels).
         self._shard_lane: Dict[int, int] = {}
-        #: Install orders still in flight, each with the specs it ships
-        #: (see :meth:`transfer`).
-        self._installs: List[Tuple[List[FeedSpec], Future]] = []
+        #: The first epoch not yet merged: what an order placed between
+        #: epochs is for.
+        self._boundary = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, configs: Mapping[int, LaneConfig]) -> None:
         """Start one lane per config and wait until every worker is up."""
-        started = []
-        for lane, config in configs.items():
-            self._lanes[lane] = _Lane(ProcessPoolExecutor(max_workers=1))
-            started.append(self._lanes[lane].pool.submit(_lane_start, config))
         try:
-            for future in started:
-                future.result()
+            started = []
+            for lane, config in configs.items():
+                entry = self._lanes[lane] = _Lane(lane)
+                started += entry.send("start", self._boundary, _lane_start, config)
+            for reply in started:
+                reply.result()
         except BaseException:
             self.shutdown()
             raise
@@ -1110,9 +1262,8 @@ class LaneEngine:
         global _FORK_SEED
         _FORK_SEED = self._registry
         try:
-            # Pool workers fork at first submit, so the seed handoff above is
-            # visible to every lane; ``_spawn``'s startup barrier guarantees
-            # all lanes have forked before the seed is cleared.
+            # Each lane forks as it starts, inside ``_spawn``, so the seed
+            # handoff above is visible to every lane.
             self._spawn(
                 {
                     lane: replace(self._template, pinned=shards)
@@ -1141,12 +1292,9 @@ class LaneEngine:
         """Shut down every lane with index ``>= keep``.  The caller must have
         drained them first (migrated every hosted feed away)."""
         retired = sorted(lane for lane in self._lanes if lane >= keep)
-        for lane in retired:
-            # wait=True: the lane is drained and idle, and an unwaited
-            # shutdown races the interpreter-exit wakeup of the pool's
-            # management thread.
-            self._lanes.pop(lane).pool.shutdown(wait=True, cancel_futures=True)
-            self.metrics.counter("lane_retirements_total").inc()
+        _stop([self._lanes.pop(lane) for lane in retired])
+        if retired:
+            self.metrics.counter("lane_retirements_total").inc(len(retired))
         return retired
 
     # -- feed lifecycle ------------------------------------------------------
@@ -1164,17 +1312,25 @@ class LaneEngine:
         migrate-out resolves — mirror released, LSM opener closed — before
         any state reaches a destination (single-opener rule); migrated states
         pass *through* the main process packed, never opened there.  The
-        installs themselves are left in flight, and a failed one re-raises at
-        the engine's next :meth:`results` / :meth:`teardown` /
-        :meth:`collect`.  Each install and each lane-to-lane move is counted
-        with its bytes, a move under the reason the placement gave it.
+        installs are not waited on: a failed one re-raises at the engine's
+        next read of its lane (:meth:`results` / :meth:`teardown` /
+        :meth:`collect`), and a spec that cannot be pickled (a closure
+        ``consumer_factory``, say) is the configuration error it is, named by
+        feed, as its order is sent.  Each install and each lane-to-lane move
+        is counted with its bytes, a move under the reason the placement gave
+        it.
         """
         outgoing: Dict[int, List[str]] = {}
         for move in moves:
             if move.source is not None:
                 outgoing.setdefault(move.source, []).append(move.feed_id)
         orders = [
-            (feed_ids, self._lanes[lane].pool.submit(_lane_migrate_out, feed_ids))
+            (
+                feed_ids,
+                self._lanes[lane].send(
+                    "migrate-out", self._boundary, _lane_migrate_out, feed_ids
+                )[0],
+            )
             for lane, feed_ids in outgoing.items()
         ]
         blobs = {
@@ -1182,8 +1338,8 @@ class LaneEngine:
             for move in moves
             if move.source is None
         }
-        for feed_ids, future in orders:
-            blobs.update(zip(feed_ids, future.result()))
+        for feed_ids, reply in orders:
+            blobs.update(zip(feed_ids, reply.result()))
         metrics = self.metrics
         incoming: Dict[int, List[Tuple[FeedSpec, bytes]]] = {}
         for move in moves:
@@ -1202,27 +1358,10 @@ class LaneEngine:
             sum(len(feed_ids) for feed_ids in outgoing.values())
         )
         for lane, items in incoming.items():
-            self._installs.append(
-                (
-                    [spec for spec, _ in items],
-                    self._lanes[lane].pool.submit(_lane_install, items),
-                )
-            )
-
-    def _settle_installs(self) -> None:
-        """Wait out the deferred install orders — the one place they settle.
-
-        A failed install re-raises its original typed error here.  An order
-        that never reached its lane because a spec in it cannot be pickled
-        (a closure ``consumer_factory``, say) is the configuration error it
-        is, named by feed, instead of a raw pickling traceback.
-        """
-        installs, self._installs = self._installs, []
-        for specs, future in installs:
             try:
-                future.result()
+                self._lanes[lane].send("install", self._boundary, _lane_install, items)
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                for spec in specs:
+                for spec, _ in items:
                     if not _picklable(spec):
                         raise ConfigurationError(
                             "process execution mode ships feed specs to "
@@ -1233,8 +1372,8 @@ class LaneEngine:
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict one feed from its lane; returns its final bill."""
-        self._settle_installs()
-        return self._lanes[lane].pool.submit(_lane_teardown, feed_id, epoch).result()
+        [reply] = self._lanes[lane].send("teardown", epoch, _lane_teardown, feed_id, epoch)
+        return reply.result()
 
     # -- epochs --------------------------------------------------------------
 
@@ -1248,15 +1387,15 @@ class LaneEngine:
             Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]]
         ] = None,
     ) -> None:
-        """Queue ``count`` epochs from ``start`` as one order per lane
-        (returns immediately; :meth:`results` blocks for one epoch's frames).
+        """Send ``count`` epochs from ``start`` as one order per lane
+        (returns once sent; :meth:`results` blocks for one epoch's frames).
 
         Without ``assignments`` every lane takes the order under its pinning
         (fork-seeded lanes).  With it, each lane named there is shipped its
         ``(shard_index, feed_ids)`` list for the epoch plus its slice of the
         boundary's live arrivals — packed here, so the lane ingests what the
-        boundary held when the order was placed, whenever the pool's feeder
-        thread gets to it — and the other lanes sit the epoch out.
+        boundary held when the order was placed — and the other lanes sit the
+        epoch out.
         """
         if assignments is not None:
             self._shard_lane = {
@@ -1272,13 +1411,17 @@ class LaneEngine:
                 if items:
                     frame = feed_state.pack(items)
             entry = self._lanes[lane]
-            entry.pending.append(
-                _PendingBatch(
-                    entry.pool.submit(
-                        _lane_epochs, start, count, epoch_size, shards, frame
-                    ),
+            entry.epochs.extend(
+                entry.send(
+                    "epoch",
+                    start,
+                    _lane_epochs,
                     start,
                     count,
+                    epoch_size,
+                    shards,
+                    frame,
+                    replies=count,
                 )
             )
 
@@ -1288,8 +1431,8 @@ class LaneEngine:
         return dict(self._shard_lane)
 
     def results(self, epoch: int) -> List[ShardEpochResult]:
-        """Wait for — and open — the frame of every lane with an order in
-        flight, which must be its frame for ``epoch``.
+        """Read — and open — the next frame of every lane with an epoch
+        order in flight, which must be its frame for ``epoch``.
 
         Must be called for epochs in submission order (the order the main
         chain merges in); returns the shard results in fixed shard order.  No
@@ -1297,38 +1440,36 @@ class LaneEngine:
         and checked: a :class:`WireError` leaves the epoch wholly unmerged and
         every frame where it was.
         """
-        self._settle_installs()
         results: List[ShardEpochResult] = []
         opened: List[Tuple[str, _Lane, LaneEpochEnvelope, float]] = []
         for lane in sorted(self._lanes):
             entry = self._lanes[lane]
-            if not entry.pending:
+            if not entry.epochs:
                 continue
-            batch = entry.pending[0]
-            if batch.envelopes is None:
-                batch.envelopes = batch.future.result()
-            if batch.start + batch.taken != epoch:
+            reply = entry.epochs[0]
+            if reply.epoch != epoch:
                 raise WireError(
                     f"lane {lane} results requested for epoch {epoch}, but "
-                    f"the next in-flight epoch is {batch.start + batch.taken}"
+                    f"the next in-flight epoch is {reply.epoch}"
                 )
-            envelope: LaneEpochEnvelope = batch.envelopes[batch.taken]
+            envelope: LaneEpochEnvelope = reply.result()
             started = time.perf_counter()
-            frame_epoch, lane_results = open_lane_epoch(envelope.frame)
+            try:
+                frame_epoch, lane_results = open_lane_epoch(envelope.frame)
+                if frame_epoch != epoch:
+                    raise WireError(
+                        f"lane {lane} frame is for epoch {frame_epoch}, expected "
+                        f"{epoch}; lane frames are merged in submission order"
+                    )
+            except WireError:
+                entry.failed = True
+                raise
             decode_seconds = time.perf_counter() - started
-            if frame_epoch != epoch:
-                raise WireError(
-                    f"lane {lane} frame is for epoch {frame_epoch}, expected "
-                    f"{epoch}; lane frames are merged in submission order"
-                )
             results.extend(lane_results)
             opened.append((str(lane), entry, envelope, decode_seconds))
         metrics = self.metrics
         for lane, entry, envelope, decode_seconds in opened:
-            batch = entry.pending[0]
-            batch.taken += 1
-            if batch.taken == batch.count:
-                entry.pending.popleft()
+            entry.epochs.popleft()
             metrics.histogram(
                 "ipc_bytes_per_epoch", buckets=_FRAME_BYTE_BUCKETS, lane=lane
             ).observe(len(envelope.frame))
@@ -1338,6 +1479,7 @@ class LaneEngine:
             metrics.histogram("ipc_decode_seconds", lane=lane).observe(decode_seconds)
             metrics.gauge("lane_gc_collections", lane=lane).set(envelope.gc_collections)
         metrics.counter("ipc_epochs_total").inc()
+        self._boundary = epoch + 1
         results.sort(key=lambda result: result.shard_index)
         return results
 
@@ -1345,25 +1487,21 @@ class LaneEngine:
         """Fetch every live lane's final feed state (run end).  Every order
         must have been merged by now — an epoch a lane ran but the main chain
         never recorded would leave the two diverged."""
-        self._settle_installs()
-        unmerged = sorted(lane for lane, entry in self._lanes.items() if entry.pending)
+        unmerged = sorted(lane for lane, entry in self._lanes.items() if entry.epochs)
         if unmerged:
             raise ReproError(f"lanes {unmerged} still hold unmerged epoch orders")
-        futures = [
-            self._lanes[lane].pool.submit(_lane_collect) for lane in sorted(self._lanes)
+        replies = [
+            self._lanes[lane].send("collect", self._boundary, _lane_collect)[0]
+            for lane in sorted(self._lanes)
         ]
-        return [
-            feed_state.unpack(blob) for future in futures for blob in future.result()
-        ]
+        return [feed_state.unpack(blob) for reply in replies for blob in reply.result()]
 
     def shutdown(self) -> None:
-        # wait=True: lanes are idle here (results already merged), and an
-        # unwaited shutdown races the interpreter-exit wakeup of the pool's
-        # management thread ("Exception ignored ... Bad file descriptor").
-        for entry in self._lanes.values():
-            entry.pool.shutdown(wait=True, cancel_futures=True)
-        self._lanes = {}
-        self._installs = []
+        """Stop every lane (see :func:`_stop`): after a normal end each has
+        nothing left to send and exits at once; after a failure a lane that
+        does not exit in time is terminated."""
+        lanes, self._lanes = list(self._lanes.values()), {}
+        _stop(lanes)
 
 
 def _picklable(value: object) -> bool:

@@ -828,7 +828,8 @@ class _LaneExecutor(_Executor):
     * a **static** run — nothing that can change the plan: no queued churn,
       no live source, a :class:`RoundRobinPlanner`, memory-backed stores — on
       a ``fork`` start method spawns fork-seeded lanes pinned to the (stable)
-      plan and orders epochs ahead of the merge (:meth:`_order_ahead`);
+      plan and orders epochs ahead of the merge (:meth:`_order_ahead`), each
+      lane streaming an epoch's frame as it packs it;
     * every other run spawns empty lanes and moves feeds as packed
       :class:`~repro.gateway.feed_state.FeedState`\\ s, one lockstep epoch per
       order (:meth:`_place_and_order`) — the next plan depends on this
@@ -936,8 +937,10 @@ class _LaneExecutor(_Executor):
         return settled
 
     def _order_ahead(self, epoch: int, shard_plan: List[List[str]]) -> None:
-        """Pinned lanes: keep every lane's queue primed with all the epochs
-        the remaining workloads guarantee, so the merge runs behind the lanes.
+        """Pinned lanes: keep every lane ordered with all the epochs the
+        remaining workloads guarantee, so the merge runs behind the lanes —
+        each lane sends an epoch's frame as soon as it is packed, and epoch
+        *n* merges while the lanes run epoch *n + 1*.
 
         A feed with ``r`` queued operations needs at least
         ``ceil(r / epoch_size)`` more epochs — quotas and gas caps can only
@@ -965,7 +968,7 @@ class _LaneExecutor(_Executor):
             self._submitted = target
 
     def _place_and_order(self, epoch: int, shard_plan: List[List[str]]) -> None:
-        """Map this epoch's plan onto the lane pool, move the feeds it
+        """Map this epoch's plan onto the lanes, move the feeds it
         regrouped, and order the epoch.
 
         *Initial placement / admission* serialise the main-hosted mirror into

@@ -231,7 +231,7 @@ def reassemble_shard_spans(
 
     ``shard_spans`` maps shard index → that shard's finished spans
     (each tagged with a ``phase`` attr by the worker).  Lanes return results
-    in whatever order the pool delivers; this function imposes the canonical
+    in whatever order they are read; this function imposes the canonical
     structure: one ``phase`` span per phase (in ``phase_order``) whose
     children are the shards' spans sorted by shard index — exactly the tree a
     serial run produces, which is what makes trace output comparable across

@@ -2,8 +2,8 @@
 loudly, and LSM directories must keep a single opener while they move.
 
 ``LaneEngine.transfer`` leaves its install orders in flight (the
-epoch order queues behind them on the lane's FIFO pool), so a failed install
-is only observed at the engine's next call.  These tests inject the classic
+epoch order is sent behind them on the lane's pipe, answered in order), so a
+failed install is only observed at the engine's next call.  These tests inject the classic
 broken hand-off — a spec paired with another feed's packed state — and pin
 that the *original* typed error surfaces there, the run ends instead of
 hanging (every wait is bounded), and ``shutdown()`` leaves no lane process
@@ -139,10 +139,9 @@ def test_run_with_a_mismatched_frame_ends_with_the_wire_error(monkeypatch):
 
 
 def test_unpicklable_spec_is_a_configuration_error_naming_the_feed():
-    """An install order pickles its specs on the pool's feeder thread, so a
-    spec that cannot cross (a closure ``consumer_factory``) only fails where
-    installs settle — as the configuration error it is, not a raw pickling
-    traceback."""
+    """An install order pickles its specs as it is sent, so a spec that
+    cannot cross (a closure ``consumer_factory``) fails there — as the
+    configuration error it is, not a raw pickling traceback."""
     registry = FeedRegistry()
     for feed_id in ("alpha", "beta"):
 

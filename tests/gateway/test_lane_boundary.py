@@ -350,10 +350,9 @@ def refuse_hostile_frames(monkeypatch, chain, *, restore: bool) -> dict:
     def results(engine, epoch):
         if epoch != HOSTILE_EPOCH:
             return genuine(engine, epoch)
-        batch = engine._lanes[1].pending[0]
-        batch.envelopes = batch.future.result(timeout=TIMEOUT_SECONDS)
-        position = epoch - batch.start
-        intact = batch.envelopes[position]
+        # Lane 1's epoch replies not yet merged: this epoch's, then the next.
+        reply, following = list(engine._lanes[1].epochs)[:2]
+        intact = reply.result(timeout=TIMEOUT_SECONDS)
         _, [shard_result] = open_lane_epoch(intact.frame)
         receipt, _ = shard_result.deliver or shard_result.update
         assert isinstance(receipt, TransactionReceipt)
@@ -363,17 +362,17 @@ def refuse_hostile_frames(monkeypatch, chain, *, restore: bool) -> dict:
         ] + [
             (feed_state.pack({"epoch": epoch}), "holds a dict, not a tuple"),
             (feed_state.pack((epoch, [receipt])), r"does not hold \(epoch, \["),
-            (batch.envelopes[position + 1].frame, "is for epoch 4, expected 3"),
+            (following.result(timeout=TIMEOUT_SECONDS).frame, "is for epoch 4, expected 3"),
         ]
         seen["merged"] = merged_so_far(chain)
         for frame, refusal in hostile:
-            batch.envelopes[position] = replace(intact, frame=frame)
+            reply.value = replace(intact, frame=frame)
             with pytest.raises(WireError, match=refusal):
                 genuine(engine, epoch)
             assert merged_so_far(chain) == seen["merged"]
         seen["refused"] = len(hostile)
         if restore:
-            batch.envelopes[position] = intact
+            reply.value = intact
         return genuine(engine, epoch)
 
     monkeypatch.setattr(LaneEngine, "results", results)
@@ -429,7 +428,7 @@ class TestHostileLaneFrames:
 
 class TestHostileOrders:
     """An epoch's assignment and arrivals cross main → lane inside its order,
-    so what the lane makes of them comes back out of that order's future."""
+    so what the lane makes of them comes back as that order's reply."""
 
     @pytest.fixture
     def lane_hosting_alpha(self):
@@ -463,11 +462,11 @@ class TestHostileOrders:
     def test_arrivals_that_do_not_open(self, lane_hosting_alpha):
         engine = lane_hosting_alpha
         frame = feed_state.pack([("alpha", [Operation.read("k")])])
-        order = engine._lanes[0].pool.submit(
-            _lane_epochs, 0, 1, 4, [(0, ["alpha"])], frame[: len(frame) // 2]
+        [reply] = engine._lanes[0].send(
+            "epoch", 0, _lane_epochs, 0, 1, 4, [(0, ["alpha"])], frame[: len(frame) // 2]
         )
         with pytest.raises(WireError, match="arrivals frame cannot be opened"):
-            order.result(timeout=TIMEOUT_SECONDS)
+            reply.result(timeout=TIMEOUT_SECONDS)
         # The lane took nothing from the bad order and serves the next one.
         engine.submit(0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("alpha", [Operation.read("k")])]})
         [result] = engine.results(0)
