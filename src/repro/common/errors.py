@@ -72,8 +72,8 @@ class LaneDied(ReproError):
     """Raised when a worker lane's process is gone: its pipe broke while the
     main process sent it an order or awaited its reply.
 
-    ``phase`` names the order that went unanswered — ``start``, ``epoch``,
-    ``install``, ``migrate-out``, ``teardown`` or ``collect`` — and ``epoch``
+    ``phase`` names the order that went unanswered — ``start``, ``epochs``,
+    ``install``, ``migrate_out``, ``teardown`` or ``collect`` — and ``epoch``
     the epoch it was for (for an order placed between epochs, the first epoch
     not yet merged).
     """

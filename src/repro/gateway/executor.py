@@ -21,9 +21,10 @@ guarantee a property of the code path rather than of careful duplication.
 **Process backend.**  :class:`LaneEngine` ships each shard's epoch work to
 long-lived worker processes:
 
-* every worker **lane** is one long-lived child process on one duplex pipe,
-  running a plain loop (receive ``(function, args)``, send back the result
-  or the exception), so the worker-side state of a feed — its contracts on
+* every worker **lane** is one long-lived child process on one duplex pipe
+  that builds its :class:`_LaneWorker` as it starts and then serves
+  ``(method, args)`` orders as calls on it, sending back the result or the
+  exception, so the worker-side state of a feed — its contracts on
   a worker-local chain, SP store, control plane, read memo, bill, workload
   queue — persists across epochs and only *per-epoch deltas* cross the
   process boundary;
@@ -54,8 +55,8 @@ long-lived worker processes:
 
 The lane boundary has one format, the one a feed's state already crosses in
 (:mod:`repro.gateway.feed_state`): a lane packs its epoch — ``(epoch,
-[ShardEpochResult, …])``, the engine's own objects (buffers, ledgers,
-spans) with no second plain-data form — once, where it is produced, the main
+[ShardOutcome, …])`` as :func:`run_epoch_phases` returned it, the engine's
+own objects (buffers, ledgers, spans) — once, where it is produced, the main
 process opens it once, where it is merged (:func:`open_lane_epoch`), and a
 boundary's live arrivals go the other way packed where the order is placed.
 Every frame is self-contained, and is metered once, as the main process takes
@@ -390,18 +391,21 @@ def settle_feed_epoch(
 
 @dataclass
 class ShardOutcome:
-    """What one epoch left behind for one shard (see :func:`run_epoch_phases`)."""
+    """What one epoch left behind for one shard (see :func:`run_epoch_phases`);
+    a lane ships it back as itself."""
 
     shard_index: int
-    #: The drive phase's isolation buffer, already absorbed into the chain.
+    #: The drive phase's isolation buffer, already absorbed into the chain
+    #: that ran the epoch (a lane's: the main chain absorbs it at merge).
     drive: ExecutionBuffer
-    #: What ``settle`` returned for the shard's deliver / update batch;
-    #: ``None`` when the shard had nothing to land.
+    #: What ``settle`` returned for the shard's deliver / update batch (a
+    #: lane's is a :data:`Settlement`); ``None`` when it had nothing to land.
     deliver: object = None
     update: object = None
     #: feed id → ``(operations executed, settled epoch gas)``.
     settled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: The shard's finished phase spans, in phase order (empty when untraced).
+    #: The shard's finished phase spans, in phase order (empty when untraced);
+    #: a lane's are from its own clock, grafted in shard order, never compared.
     spans: List[Span] = field(default_factory=list)
 
 
@@ -558,24 +562,23 @@ def close_feed_bill(
 
 @dataclass(frozen=True)
 class LaneConfig:
-    """A lane's startup order; crosses the boundary once, at lane start.
+    """How a lane builds its worker; a process argument of the lane.
 
     By default the lane starts **empty**, with a registry of its own built
     from the chain parameters here, and every feed reaches it later as a
     packed state.  With :attr:`pinned` set the lane is **fork-seeded**
-    instead: on a fork start method the worker process is a copy-on-write
-    clone of the main process taken as the lane starts — the fully built
-    registry, every handle's workload queue and memo with it, is already in
-    its address space, bit-for-bit the state a dedicated mirror would have to
-    be rebuilt into — so the lane adopts the inherited registry via
-    :data:`_FORK_SEED` and drives only its own shards against it.
+    instead: its other process argument is the main registry, which a fork
+    start method hands the worker copy-on-write, never pickled — the fully
+    built registry, every handle's workload queue and memo with it,
+    bit-for-bit the state a dedicated mirror would have to be rebuilt into —
+    and the lane drives only its own shards against it.
     """
 
     schedule: GasSchedule
     parameters: ChainParameters
     router_address: str
     #: When set, the lane times per-shard phase spans (its own monotonic
-    #: clock) and ships them back in :attr:`ShardEpochResult.spans`.
+    #: clock) and ships them back in :attr:`ShardOutcome.spans`.
     obs_enabled: bool = False
     #: Fork-seeded lanes only: shard index → that shard's feed ids, in shard
     #: order — the lane's pinning for the whole run.
@@ -590,36 +593,11 @@ Settlement = Tuple[TransactionReceipt, GasLedger]
 
 
 @dataclass(frozen=True)
-class ShardEpochResult:
-    """One shard's epoch, as shipped back from its worker lane."""
-
-    shard_index: int
-    #: Phase-1 side effects (gas + request events); the main chain restamps
-    #: the events with its own epoch-start height when it absorbs the buffer.
-    drive: ExecutionBuffer
-    deliver: Optional[Settlement]
-    update: Optional[Settlement]
-    #: feed id → operations still queued after this epoch (run termination).
-    remaining: Dict[str, int]
-    #: feed id → the epoch's settled gas total (what
-    #: :func:`settle_feed_epoch` returned on the lane) — the planner's
-    #: observation input and the live request source's ``gas`` argument, so
-    #: the main process feeds both exactly what a serial run would have.
-    epoch_gas: Dict[str, int] = field(default_factory=dict)
-    #: This shard's finished phase spans (empty when the lane runs
-    #: untraced).  Durations are from the *lane's* clock; the main
-    #: process grafts them into its trace tree in fixed shard order
-    #: (:func:`repro.obs.tracing.reassemble_shard_spans`) and never compares
-    #: their timestamps across processes.
-    spans: Tuple[Span, ...] = ()
-
-
-@dataclass(frozen=True)
 class LaneEpochEnvelope:
     """One lane's whole epoch as it crosses the lane's pipe: one reply, sent
     as soon as the epoch is packed.
 
-    :attr:`frame` is the lane's ``(epoch, [ShardEpochResult, …])``, packed in
+    :attr:`frame` is the lane's ``(epoch, [ShardOutcome, …])``, packed in
     the lane (:func:`repro.gateway.feed_state.pack`) so the pipe's own pickle
     of this envelope copies bytes instead of walking an object graph, and the
     main process opens it where it merges it (:func:`open_lane_epoch`) with
@@ -634,21 +612,19 @@ class LaneEpochEnvelope:
     gc_collections: int = 0
 
 
-def open_lane_epoch(frame: bytes) -> Tuple[int, List[ShardEpochResult]]:
+def open_lane_epoch(frame: bytes) -> Tuple[int, List[ShardOutcome]]:
     """Open one lane's packed epoch: the epoch index and the lane's
-    :class:`ShardEpochResult`\\ s in the lane's shard order.  Bytes that do not
+    :class:`ShardOutcome`\\ s in the lane's shard order.  Bytes that do not
     open to exactly that shape are a :class:`WireError`."""
     opened = feed_state.open_packed(frame, tuple, "lane epoch frame")
-    epoch, results = opened if len(opened) == 2 else (None, None)
+    epoch, outcomes = opened if len(opened) == 2 else (None, None)
     if not (
         isinstance(epoch, int)
-        and isinstance(results, list)
-        and all(isinstance(result, ShardEpochResult) for result in results)
+        and isinstance(outcomes, list)
+        and all(isinstance(outcome, ShardOutcome) for outcome in outcomes)
     ):
-        raise WireError(
-            "lane epoch frame does not hold (epoch, [ShardEpochResult, ...])"
-        )
-    return epoch, results
+        raise WireError("lane epoch frame does not hold (epoch, [ShardOutcome, ...])")
+    return epoch, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +717,13 @@ def ipc_summary(metrics: MetricsRegistry, since: Optional[IpcReadings] = None) -
 class _LaneWorker:
     """A worker process's resident runtime: full mirrors of its shards' feeds.
 
-    Built once per lane from the shipped :class:`LaneConfig`; lives for the
-    whole run.  Every epoch it executes the complete epoch for each of its
-    shards — drive, watchdog poll, deliver settlement, memo warm-up, update
-    settlement, per-feed accounting — against its *local* chain, in the same
-    per-feed order a serial run uses, and ships back only the deltas the main
-    chain must record, as one packed frame per epoch.
+    Built once, in its lane's process (:func:`_lane_main`), whose orders
+    name its methods; lives for the whole run.  Every epoch it executes the
+    complete epoch for each of its shards — drive, watchdog poll, deliver
+    settlement, memo warm-up, update settlement, per-feed accounting —
+    against its *local* chain, in the same per-feed order a serial run uses,
+    and ships back only the deltas the main chain must record, as one packed
+    frame per epoch.
 
     The local chain's heights are private bookkeeping: the main chain
     restamps drive events when it absorbs their buffer, and settlement
@@ -755,7 +732,7 @@ class _LaneWorker:
     what allows it to run epochs ahead of the main process's merge.
     """
 
-    def __init__(self, config: LaneConfig) -> None:
+    def __init__(self, config: LaneConfig, seed: Optional[FeedRegistry]) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
         #: detached spans; the finished spans ship back as themselves and the
         #: main process owns the tree they end up in.
@@ -778,18 +755,13 @@ class _LaneWorker:
                 router_address=config.router_address,
             )
             return
-        if _FORK_SEED is None:
-            raise ConfigurationError(
-                "fork-seeded lane started without an inherited seed — the "
-                "lane's start method is not 'fork'"
-            )
         #: The forked copy of the main registry: every feed's contracts,
         #: stores, control planes and run state (queue, memo, fresh bill)
         #: exactly as the main process built them, for free via copy-on-write.
         #: The lane only ever drives its own shards against it; the chain's
         #: obs hook is severed (metrics belong to the main process, and
         #: worker-side mining must not pay for them).
-        self.registry = _FORK_SEED
+        self.registry = seed
         self.registry.chain.obs = None
         for shard_index in sorted(config.pinned):
             feed_ids = list(config.pinned[shard_index])
@@ -805,11 +777,38 @@ class _LaneWorker:
 
     # -- one epoch -----------------------------------------------------------
 
+    def epochs(
+        self,
+        start: int,
+        count: int,
+        epoch_size: int,
+        shards: Optional[Sequence[Tuple[int, Sequence[str]]]] = None,
+        arrivals_frame: Optional[bytes] = None,
+    ) -> Iterator[LaneEpochEnvelope]:
+        """The lane's one epoch order: adopt ``shards`` as the assignment
+        (when given), ingest the boundary's live arrivals (when any reached
+        this lane), then run ``count`` consecutive epochs from ``start``
+        back-to-back, yielding each packed frame as it is made —
+        :func:`_lane_main` sends it at once, one reply per epoch.
+
+        A fork-pinned lane is ordered in batches (every epoch the remaining
+        workloads guarantee as one order), so it never waits on the main
+        process between epochs, and the main process merges each epoch as
+        soon as its frame arrives.  Any other lane is lockstep, one epoch per
+        order: the next plan needs this epoch's observed gas, and an epoch's
+        arrivals cannot exist before the previous one settled."""
+        if shards is not None:
+            self.set_assignment(shards)
+        if arrivals_frame is not None:
+            self.ingest(arrivals_frame)
+        for epoch in range(start, start + count):
+            yield self.run_epoch(epoch, epoch_size)
+
     def ingest(self, frame: bytes) -> None:
         """Append one epoch boundary's live arrivals — packed ``(feed_id,
         operations)`` pairs — to this lane's queues.
 
-        Called (via :func:`_lane_epochs`) immediately before the epoch the
+        Called (by :meth:`epochs`) immediately before the epoch the
         arrivals join: the scheduler ships each boundary's arrivals with the
         epoch order itself, so by drive time the worker-local queues hold
         exactly what an inline run would have appended at the same boundary.
@@ -840,19 +839,27 @@ class _LaneWorker:
                     )
         self.shards = [(index, list(feed_ids)) for index, feed_ids in shards]
 
-    def migrate_out(self, feed_id: str) -> bytes:
-        """Detach the feed — its whole store: the next host starts from an
-        empty one — and drop the lane's copy.
+    def install(self, items: Sequence[Tuple[FeedSpec, bytes]]) -> None:
+        """Install one epoch's arriving feeds, one packed state each."""
+        for spec, blob in items:
+            feed_state.install(self.registry, spec, blob)
+
+    def migrate_out(self, feed_ids: Sequence[str]) -> List[bytes]:
+        """Detach one epoch's departing feeds — each its whole store: the
+        next host starts from an empty one — and drop the lane's copies; one
+        packed state per feed, in order.
 
         An LSM-backed store's directory is closed *before* returning, so by
         the time the destination lane's install order runs, the
         single-opener lock is free.
         """
-        blob = feed_state.detach(self.registry.get(feed_id))
-        self._release(feed_id)
-        return blob
+        blobs = []
+        for feed_id in feed_ids:
+            blobs.append(feed_state.detach(self.registry.get(feed_id)))
+            self._release(feed_id)
+        return blobs
 
-    def teardown_feed(self, feed_id: str, epoch: int) -> FeedTelemetry:
+    def teardown(self, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict the feed from this lane, returning its final bill.
 
         :func:`close_feed_bill` polls first, which routes the lane chain's
@@ -877,33 +884,16 @@ class _LaneWorker:
     def run_epoch(self, epoch: int, epoch_size: int) -> LaneEpochEnvelope:
         """Run the epoch body over this lane's shards against the lane-local
         chain and pack what the main chain must record into one frame."""
-        registry = self.registry
-        results = [
-            ShardEpochResult(
-                shard_index=outcome.shard_index,
-                drive=outcome.drive,
-                deliver=outcome.deliver,
-                update=outcome.update,
-                remaining={
-                    feed_id: len(registry.get(feed_id).queue)
-                    for feed_id in outcome.settled
-                },
-                epoch_gas={
-                    feed_id: gas for feed_id, (_, gas) in outcome.settled.items()
-                },
-                spans=tuple(outcome.spans),
-            )
-            for outcome in run_epoch_phases(
-                registry,
-                self.shards,
-                epoch,
-                epoch_size,
-                settle=self._settle,
-                tracer=self.tracer,
-            )
-        ]
+        outcomes = run_epoch_phases(
+            self.registry,
+            self.shards,
+            epoch,
+            epoch_size,
+            settle=self._settle,
+            tracer=self.tracer,
+        )
         started = time.perf_counter()
-        frame = feed_state.pack((epoch, results))
+        frame = feed_state.pack((epoch, outcomes))
         encode_seconds = time.perf_counter() - started
         self.collector.boundary(insure=self._unending)
         return LaneEpochEnvelope(
@@ -942,83 +932,21 @@ class _LaneWorker:
         ]
 
 
-#: The lane's resident worker, one per process (set by :func:`_lane_start`).
-_LANE_WORKER: Optional[_LaneWorker] = None
-
-#: Fork-seeding handoff: the parent sets this to its registry immediately
-#: before spawning fork-seeded lanes and clears it once they have started;
-#: each lane's forked copy keeps its own private reference.  Only meaningful
-#: under a ``fork`` start method — it is the parent's built state that the
-#: fork duplicates into the worker for free.
-_FORK_SEED: Optional[FeedRegistry] = None
-
-
-def _lane_start(config: LaneConfig) -> None:
-    global _LANE_WORKER
-    _LANE_WORKER = _LaneWorker(config)
-
-
-def _lane_epochs(
-    start: int,
-    count: int,
-    epoch_size: int,
-    shards: Optional[Sequence[Tuple[int, Sequence[str]]]] = None,
-    arrivals_frame: Optional[bytes] = None,
-) -> Iterator[LaneEpochEnvelope]:
-    """The lane's one epoch entry point: adopt ``shards`` as the assignment
-    (when given), ingest the boundary's live arrivals (when any reached this
-    lane), then run ``count`` consecutive epochs from ``start`` back-to-back,
-    yielding each packed frame as it is made — :func:`_lane_main` sends it
-    at once, one reply per epoch.
-
-    A fork-pinned lane is ordered in batches (every epoch the remaining
-    workloads guarantee as one order), so it never waits on the main process
-    between epochs, and the main process merges each epoch as soon as its
-    frame arrives.  Any other lane is lockstep, one epoch per order: the next
-    plan needs this epoch's observed gas, and an epoch's arrivals cannot
-    exist before the previous one settled."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    if shards is not None:
-        _LANE_WORKER.set_assignment(shards)
-    if arrivals_frame is not None:
-        _LANE_WORKER.ingest(arrivals_frame)
-    run_epoch = _LANE_WORKER.run_epoch
-    for epoch in range(start, start + count):
-        yield run_epoch(epoch, epoch_size)
-
-
-def _lane_collect() -> List[bytes]:
-    assert _LANE_WORKER is not None, "lane worker not started"
-    return _LANE_WORKER.collect()
-
-
-def _lane_install(items: Sequence[Tuple[FeedSpec, bytes]]) -> None:
-    """Install one epoch's arriving feeds into this lane, one packed state
-    each."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    for spec, blob in items:
-        feed_state.install(_LANE_WORKER.registry, spec, blob)
-
-
-def _lane_migrate_out(feed_ids: Sequence[str]) -> List[bytes]:
-    """Detach one epoch's departing feeds from this lane (releasing their
-    resources); one packed state per feed, in order."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    return [_LANE_WORKER.migrate_out(feed_id) for feed_id in feed_ids]
-
-
-def _lane_teardown(feed_id: str, epoch: int) -> FeedTelemetry:
-    """Evict one feed from this lane; returns its final bill."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    return _LANE_WORKER.teardown_feed(feed_id, epoch)
-
-
-def _lane_main(conn: Connection) -> None:
-    """A lane process's whole life: take ``(function, args)`` orders off the
-    pipe, in order, until the stop order (``None``) or the main process's
-    end closes, and answer each with its result — one reply per item when
-    the result is a generator (:func:`_lane_epochs`) — or with the exception
-    it raised, the lane's traceback attached as a note."""
+def _lane_main(
+    conn: Connection, config: LaneConfig, seed: Optional[FeedRegistry]
+) -> None:
+    """A lane process's whole life: build its worker and answer ``None`` —
+    or the exception that stopped it, and exit — then take ``(method, args)``
+    orders off the pipe, in order, until the stop order (``None``) or the
+    main process's end closes, and answer each with ``worker.method(*args)``
+    — one reply per item when that is a generator (:meth:`_LaneWorker.epochs`)
+    — or with the exception it raised (:func:`_crossing`)."""
+    try:
+        worker = _LaneWorker(config, seed)
+    except Exception as error:
+        conn.send(_crossing(error))
+        return
+    conn.send(None)
     while True:
         try:
             order = conn.recv()
@@ -1026,14 +954,28 @@ def _lane_main(conn: Connection) -> None:
             return
         if order is None:
             return
-        function, args = order
+        method, args = order
         try:
-            result = function(*args)
+            result = getattr(worker, method)(*args)
             for reply in result if isinstance(result, GeneratorType) else (result,):
                 conn.send(reply)
         except Exception as error:
-            error.add_note(f"raised in the lane:\n{traceback.format_exc()}")
-            conn.send(error)
+            conn.send(_crossing(error))
+
+
+def _crossing(error: Exception) -> Exception:
+    """The exception a lane answers with, the lane's traceback attached as a
+    note: ``error`` itself when it survives the pipe's pickle round trip,
+    else a :class:`ReproError` naming its class and message (one that cannot
+    cross would crash the lane as it is sent, or the main process's read)."""
+    note = f"raised in the lane:\n{traceback.format_exc()}"
+    error.add_note(note)
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        error = ReproError(f"{type(error).__qualname__}: {error}")
+        error.add_note(note)
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -1078,37 +1020,47 @@ class _Lane:
 
     __slots__ = ("index", "process", "conn", "owed", "epochs", "failed")
 
-    def __init__(self, index: int) -> None:
+    def __init__(
+        self,
+        index: int,
+        config: LaneConfig,
+        seed: Optional[FeedRegistry] = None,
+        epoch: int = 0,
+    ) -> None:
+        """Start the lane's process; its first reply, owed from here, is its
+        ``start``: ``None`` once its worker is built (see :func:`_lane_main`)."""
         self.index = index
         self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_lane_main, args=(child,), name=f"lane-{index}", daemon=True
+            target=_lane_main,
+            args=(child, config, seed),
+            name=f"lane-{index}",
+            daemon=True,
         )
         self.process.start()
         # The lane now holds the only copy of its end, so its death reads as
         # a broken pipe here.
         child.close()
-        self.owed: Deque[_Reply] = deque()
+        self.owed: Deque[_Reply] = deque([_Reply(self, "start", epoch)])
         self.epochs: Deque[_Reply] = deque()
         #: Set once a send or receive failed or a frame was refused: replies
         #: this lane owes may never come.
         self.failed = False
 
-    def send(
-        self, phase: str, epoch: int, function: Callable, *args, replies: int = 1
-    ) -> List[_Reply]:
-        """The engine's one send site: order ``function(*args)``; returns the
-        ``replies`` it will answer with, reply ``i`` for ``epoch + i``.
+    def send(self, method: str, epoch: int, *args, replies: int = 1) -> List[_Reply]:
+        """The engine's one send site: order the worker's ``method(*args)``;
+        returns the ``replies`` it will answer with, reply ``i`` for ``epoch +
+        i``.  ``method`` is also the phase a :class:`LaneDied` names.
 
         The order is pickled whole before a byte is written, so one that
         cannot be pickled raises here and leaves the pipe as it was.
         """
         try:
-            self.conn.send((function, args))
+            self.conn.send((method, args))
         except _PIPE_BROKEN as broken:
             self.failed = True
-            raise LaneDied(self.index, epoch, phase) from broken
-        owed = [_Reply(self, phase, epoch + offset) for offset in range(replies)]
+            raise LaneDied(self.index, epoch, method) from broken
+        owed = [_Reply(self, method, epoch + offset) for offset in range(replies)]
         self.owed.extend(owed)
         return owed
 
@@ -1232,13 +1184,15 @@ class LaneEngine:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn(self, configs: Mapping[int, LaneConfig]) -> None:
+    def _spawn(
+        self, configs: Mapping[int, LaneConfig], seed: Optional[FeedRegistry] = None
+    ) -> None:
         """Start one lane per config and wait until every worker is up."""
         try:
             started = []
             for lane, config in configs.items():
-                entry = self._lanes[lane] = _Lane(lane)
-                started += entry.send("start", self._boundary, _lane_start, config)
+                entry = self._lanes[lane] = _Lane(lane, config, seed, self._boundary)
+                started.append(entry.owed[0])
             for reply in started:
                 reply.result()
         except BaseException:
@@ -1250,28 +1204,22 @@ class LaneEngine:
         (shard ``i`` on lane ``i % lanes``); returns feed id → lane.
 
         The workers adopt the main process's built registry — the queues on
-        its handles included — through the fork's copy-on-write duplication;
-        the startup order carries only each lane's shard→feed pinning.
-        Requires a ``fork`` start method (the caller checks).
+        its handles included — as a process argument, which the fork hands
+        them copy-on-write; their config adds only each lane's shard→feed
+        pinning.  Requires a ``fork`` start method (the caller checks).
         """
         lanes = min(self.max_lanes, max(1, len(shard_plan)))
         pinned: Dict[int, Dict[int, Tuple[str, ...]]] = {}
         for shard_index, shard in enumerate(shard_plan):
             lane = self._shard_lane[shard_index] = shard_index % lanes
             pinned.setdefault(lane, {})[shard_index] = tuple(shard)
-        global _FORK_SEED
-        _FORK_SEED = self._registry
-        try:
-            # Each lane forks as it starts, inside ``_spawn``, so the seed
-            # handoff above is visible to every lane.
-            self._spawn(
-                {
-                    lane: replace(self._template, pinned=shards)
-                    for lane, shards in sorted(pinned.items())
-                }
-            )
-        finally:
-            _FORK_SEED = None
+        self._spawn(
+            {
+                lane: replace(self._template, pinned=shards)
+                for lane, shards in sorted(pinned.items())
+            },
+            self._registry,
+        )
         return {
             feed_id: lane
             for lane, shards in pinned.items()
@@ -1325,12 +1273,7 @@ class LaneEngine:
             if move.source is not None:
                 outgoing.setdefault(move.source, []).append(move.feed_id)
         orders = [
-            (
-                feed_ids,
-                self._lanes[lane].send(
-                    "migrate-out", self._boundary, _lane_migrate_out, feed_ids
-                )[0],
-            )
+            (feed_ids, self._lanes[lane].send("migrate_out", self._boundary, feed_ids))
             for lane, feed_ids in outgoing.items()
         ]
         blobs = {
@@ -1338,7 +1281,7 @@ class LaneEngine:
             for move in moves
             if move.source is None
         }
-        for feed_ids, reply in orders:
+        for feed_ids, [reply] in orders:
             blobs.update(zip(feed_ids, reply.result()))
         metrics = self.metrics
         incoming: Dict[int, List[Tuple[FeedSpec, bytes]]] = {}
@@ -1359,7 +1302,7 @@ class LaneEngine:
         )
         for lane, items in incoming.items():
             try:
-                self._lanes[lane].send("install", self._boundary, _lane_install, items)
+                self._lanes[lane].send("install", self._boundary, items)
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
                 for spec, _ in items:
                     if not _picklable(spec):
@@ -1372,7 +1315,7 @@ class LaneEngine:
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict one feed from its lane; returns its final bill."""
-        [reply] = self._lanes[lane].send("teardown", epoch, _lane_teardown, feed_id, epoch)
+        [reply] = self._lanes[lane].send("teardown", epoch, feed_id, epoch)
         return reply.result()
 
     # -- epochs --------------------------------------------------------------
@@ -1411,36 +1354,25 @@ class LaneEngine:
                 if items:
                     frame = feed_state.pack(items)
             entry = self._lanes[lane]
-            entry.epochs.extend(
-                entry.send(
-                    "epoch",
-                    start,
-                    _lane_epochs,
-                    start,
-                    count,
-                    epoch_size,
-                    shards,
-                    frame,
-                    replies=count,
-                )
-            )
+            order = (start, count, epoch_size, shards, frame)
+            entry.epochs.extend(entry.send("epochs", start, *order, replies=count))
 
     @property
     def lane_of(self) -> Dict[int, int]:
         """shard index → lane, as of the latest order (span labels)."""
         return dict(self._shard_lane)
 
-    def results(self, epoch: int) -> List[ShardEpochResult]:
+    def results(self, epoch: int) -> List[ShardOutcome]:
         """Read — and open — the next frame of every lane with an epoch
         order in flight, which must be its frame for ``epoch``.
 
         Must be called for epochs in submission order (the order the main
-        chain merges in); returns the shard results in fixed shard order.  No
+        chain merges in); returns the shard outcomes in fixed shard order.  No
         lane's frame is taken — or metered — until every lane's has opened
         and checked: a :class:`WireError` leaves the epoch wholly unmerged and
         every frame where it was.
         """
-        results: List[ShardEpochResult] = []
+        outcomes: List[ShardOutcome] = []
         opened: List[Tuple[str, _Lane, LaneEpochEnvelope, float]] = []
         for lane in sorted(self._lanes):
             entry = self._lanes[lane]
@@ -1455,7 +1387,7 @@ class LaneEngine:
             envelope: LaneEpochEnvelope = reply.result()
             started = time.perf_counter()
             try:
-                frame_epoch, lane_results = open_lane_epoch(envelope.frame)
+                frame_epoch, lane_outcomes = open_lane_epoch(envelope.frame)
                 if frame_epoch != epoch:
                     raise WireError(
                         f"lane {lane} frame is for epoch {frame_epoch}, expected "
@@ -1465,7 +1397,7 @@ class LaneEngine:
                 entry.failed = True
                 raise
             decode_seconds = time.perf_counter() - started
-            results.extend(lane_results)
+            outcomes.extend(lane_outcomes)
             opened.append((str(lane), entry, envelope, decode_seconds))
         metrics = self.metrics
         for lane, entry, envelope, decode_seconds in opened:
@@ -1480,8 +1412,8 @@ class LaneEngine:
             metrics.gauge("lane_gc_collections", lane=lane).set(envelope.gc_collections)
         metrics.counter("ipc_epochs_total").inc()
         self._boundary = epoch + 1
-        results.sort(key=lambda result: result.shard_index)
-        return results
+        outcomes.sort(key=lambda outcome: outcome.shard_index)
+        return outcomes
 
     def collect(self) -> List[feed_state.FeedState]:
         """Fetch every live lane's final feed state (run end).  Every order
@@ -1491,7 +1423,7 @@ class LaneEngine:
         if unmerged:
             raise ReproError(f"lanes {unmerged} still hold unmerged epoch orders")
         replies = [
-            self._lanes[lane].send("collect", self._boundary, _lane_collect)[0]
+            self._lanes[lane].send("collect", self._boundary)[0]
             for lane in sorted(self._lanes)
         ]
         return [feed_state.unpack(blob) for reply in replies for blob in reply.result()]

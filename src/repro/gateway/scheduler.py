@@ -124,6 +124,7 @@ from repro.gateway.executor import (
     EXECUTION_MODES,
     LaneEngine,
     Settlement,
+    ShardOutcome,
     close_feed_bill,
     ipc_readings,
     ipc_summary,
@@ -715,14 +716,20 @@ def _raise_if_reverted(receipt: TransactionReceipt) -> None:
         )
 
 
-def _count_batches(fleet: FleetTelemetry, outcomes) -> None:
-    """Count the deliver and update batches one epoch's shards landed (each
-    shard's ``ShardOutcome`` or ``ShardEpochResult``)."""
+def _settled(
+    fleet: FleetTelemetry, outcomes: Sequence[ShardOutcome]
+) -> Dict[str, Tuple[int, int]]:
+    """Count the deliver and update batches one epoch's shards landed, and
+    return feed id → ``(operations executed, settled epoch gas)`` over them —
+    whichever process ran the shards."""
+    settled: Dict[str, Tuple[int, int]] = {}
     for outcome in outcomes:
         if outcome.deliver is not None:
             fleet.deliver_batches += 1
         if outcome.update is not None:
             fleet.update_batches += 1
+        settled.update(outcome.settled)
+    return settled
 
 
 class _Executor:
@@ -806,11 +813,7 @@ class _InlineExecutor(_Executor):
                 tracer=self.obs.tracer,
                 phase=self.obs.phase,
             )
-        _count_batches(self.fleet, outcomes)
-        settled: Dict[str, Tuple[int, int]] = {}
-        for outcome in outcomes:
-            settled.update(outcome.settled)
-        return settled
+        return _settled(self.fleet, outcomes)
 
 
 class _LaneExecutor(_Executor):
@@ -822,7 +825,8 @@ class _LaneExecutor(_Executor):
 
     A feed is hosted by the main process (created, its queue on its handle)
     until an epoch's plan first assigns it a lane; from then on the lane's
-    copy is the live one and ``remaining`` mirrors its queue depth.  How
+    copy is the live one and ``remaining`` mirrors its queue depth: arrivals
+    add to it, and each merged epoch takes off the operations it executed.  How
     feeds reach lanes is decided from what the run shows, never by an option:
 
     * a **static** run — nothing that can change the plan: no queued churn,
@@ -923,17 +927,10 @@ class _LaneExecutor(_Executor):
             self._order_ahead(epoch, shard_plan)
         else:
             self._place_and_order(epoch, shard_plan)
-        results = self._merge_lane_epoch(epoch)
-        _count_batches(self.fleet, results)
-        settled: Dict[str, Tuple[int, int]] = {}
-        remaining = self.remaining
-        for result in results:
-            # ``epoch_gas`` is the very gas each lane's settle phase
-            # computed; the executed count is the queue-depth delta.
-            for feed_id, epoch_gas in result.epoch_gas.items():
-                left = result.remaining[feed_id]
-                settled[feed_id] = (remaining[feed_id] - left, epoch_gas)
-                remaining[feed_id] = left
+        settled = _settled(self.fleet, self._merge_lane_epoch(epoch))
+        for feed_id, (executed, _) in settled.items():
+            # The lane popped exactly ``executed`` operations off its queue.
+            self.remaining[feed_id] -= executed
         return settled
 
     def _order_ahead(self, epoch: int, shard_plan: List[List[str]]) -> None:
@@ -1006,7 +1003,7 @@ class _LaneExecutor(_Executor):
         self._arrivals = {}
         engine.submit(epoch, 1, self.epoch_size, assignments, arrivals_by_lane)
 
-    def _merge_lane_epoch(self, epoch: int) -> List:
+    def _merge_lane_epoch(self, epoch: int) -> List[ShardOutcome]:
         """Merge one ordered epoch's lane results into the main chain.
 
         Deterministic merge, mirroring the inline phase order: every shard's
@@ -1014,23 +1011,23 @@ class _LaneExecutor(_Executor):
         one recorded block per shard deliver, then one per shard update — all
         in fixed shard order.  The lanes' per-shard phase spans graft under
         this epoch in fixed shard order, before the merge span, so the trace
-        tree reads in canonical phase order.  Returns the opened shard
-        results in shard order.
+        tree reads in canonical phase order.  Returns the lanes' shard
+        outcomes in shard order.
         """
         chain = self.registry.chain
         with self.obs.span("epoch", epoch=epoch) as epoch_span:
-            results = self.engine.results(epoch)
-            self._graft_lane_spans(epoch_span, results)
+            outcomes = self.engine.results(epoch)
+            self._graft_lane_spans(epoch_span, outcomes)
             with self.obs.phase("merge", epoch=epoch):
-                for result in results:
-                    chain.absorb(result.drive)
-                for result in results:
-                    if result.deliver is not None:
-                        self._record_settlement(result.deliver)
-                for result in results:
-                    if result.update is not None:
-                        self._record_settlement(result.update)
-        return results
+                for outcome in outcomes:
+                    chain.absorb(outcome.drive)
+                for outcome in outcomes:
+                    if outcome.deliver is not None:
+                        self._record_settlement(outcome.deliver)
+                for outcome in outcomes:
+                    if outcome.update is not None:
+                        self._record_settlement(outcome.update)
+        return outcomes
 
     def finish(self) -> None:
         # Every surviving lane feed's final state folds back into the main
@@ -1051,10 +1048,10 @@ class _LaneExecutor(_Executor):
     def close(self) -> None:
         self.engine.shutdown()
 
-    def _graft_lane_spans(self, epoch_span, results) -> None:
+    def _graft_lane_spans(self, epoch_span, outcomes) -> None:
         """Fold the lanes' per-shard phase spans into the main trace tree.
 
-        Spans arrive as themselves on each :class:`ShardEpochResult` (like
+        Spans arrive as themselves on each lane's ``ShardOutcome`` (like
         the drive buffers); they are grafted under per-phase parents in
         fixed shard order, and each shard span's duration feeds the phase
         latency histograms — in process mode the phase's real time lives in
@@ -1064,7 +1061,7 @@ class _LaneExecutor(_Executor):
             return
         phase_parents = reassemble_shard_spans(
             epoch_span,
-            [(result.shard_index, result.spans) for result in results],
+            [(outcome.shard_index, outcome.spans) for outcome in outcomes],
             lane_of=self.engine.lane_of,
         )
         for parent in phase_parents:

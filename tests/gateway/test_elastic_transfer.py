@@ -25,7 +25,7 @@ from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardP
 from repro.gateway import feed_state
 from repro.gateway.executor import LaneEngine
 from repro.gateway.placement import FeedMove
-from repro.gateway.scheduler import _LaneExecutor
+from repro.gateway.scheduler import RequestSource, _LaneExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -167,6 +167,103 @@ def test_unpicklable_spec_is_a_configuration_error_naming_the_feed():
     with pytest.raises(ConfigurationError, match="'alpha' cannot be pickled"):
         bounded(lambda: scheduler.run(workloads))
     assert set(multiprocessing.active_children()) <= before
+
+
+class ScriptedArrivals(RequestSource):
+    """Live arrivals on a fixed schedule, ``{epoch: {feed_id: operations}}``;
+    counts what the run reports as executed."""
+
+    def __init__(self, script):
+        self.script = {epoch: dict(arrivals) for epoch, arrivals in script.items()}
+        self.executed = 0
+
+    def poll(self, epoch, *, wait):
+        arrivals = {}
+        for due in sorted(at for at in self.script if at <= epoch):
+            for feed_id, operations in self.script.pop(due).items():
+                arrivals.setdefault(feed_id, []).extend(operations)
+        return arrivals
+
+    @property
+    def exhausted(self):
+        return not self.script
+
+    def next_epoch(self, after):
+        return min((at for at in self.script if at > after), default=None)
+
+    def settled(self, epoch, feed_id, *, executed, deferred, gas):
+        self.executed += executed
+
+    def run_finished(self, fleet, error=None):
+        pass
+
+
+def quota_fleet(execution_mode):
+    """Three feeds, two of them held back by quotas (operations and gas),
+    regrouped between epochs, with live arrivals landing in their lanes."""
+    registry = FeedRegistry()
+    quotas = {
+        "ops": {"max_ops_per_epoch": 2},
+        "gas": {"max_gas_per_epoch": 1},
+        "free": {},
+    }
+    reads = {}
+    for feed_id, quota in quotas.items():
+        config = GrubConfig(epoch_size=4)
+        registry.create_feed(FeedSpec(feed_id=feed_id, config=config, **quota))
+        reads[feed_id] = [Operation.read(f"{feed_id}-k{j % 3}") for j in range(6)]
+    script = {0: {"ops": reads["ops"][:2]}, 2: reads, 5: {"gas": reads["gas"][:3]}}
+    scheduler = EpochScheduler(
+        registry,
+        num_workers=2 if execution_mode == "process" else 1,
+        execution_mode=execution_mode,
+        epoch_size=4,
+        enable_cache=False,
+        planner=GasAwareShardPlanner(block_gas_fraction=0.01),
+    )
+    workloads = {feed_id: operations[:5] for feed_id, operations in reads.items()}
+    return scheduler, workloads, script
+
+
+def test_lane_depth_mirror_tracks_the_lane_queues(monkeypatch):
+    """A lane-hosted feed's depth is derived main-side — arrivals add, each
+    merged epoch takes off what it executed.  After every merge it equals
+    the hosting lane's queue, and the run ends only once every lane queue is
+    empty, serial-identical."""
+    scheduler, workloads, script = quota_fleet("serial")
+    serial_fleet = scheduler.run(workloads, source=ScriptedArrivals(script))
+    genuine_run_epoch, genuine_finish = _LaneExecutor.run_epoch, _LaneExecutor.finish
+    depths = []
+
+    def lane_queues(executor):
+        return {state.feed_id: len(state.queue) for state in executor.engine.collect()}
+
+    def run_epoch(executor, epoch, shard_plan):
+        settled = genuine_run_epoch(executor, epoch, shard_plan)
+        assert executor.remaining == lane_queues(executor)
+        depths.append(sum(executor.remaining.values()))
+        return settled
+
+    def finish(executor):
+        remaining = dict(executor.remaining)
+        genuine_finish(executor)
+        registry = executor.registry
+        assert remaining == {f: len(registry.get(f).queue) for f in remaining}
+        assert not any(remaining.values())
+
+    monkeypatch.setattr(_LaneExecutor, "run_epoch", run_epoch)
+    monkeypatch.setattr(_LaneExecutor, "finish", finish)
+    scheduler, workloads, script = quota_fleet("process")
+    source = ScriptedArrivals(script)
+    process_fleet = bounded(lambda: scheduler.run(workloads, source=source))
+    assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+    assert process_fleet.ipc["migrations_total"] >= 1
+    assert max(depths) > 0 and process_fleet.deferred_ops > 0
+    arrived = sum(len(ops) for arrivals in script.values() for ops in arrivals.values())
+    total = sum(map(len, workloads.values())) + arrived
+    executed = sum(feed.operations for feed in process_fleet.feeds.values())
+    assert source.executed == total == executed
+    assert process_fleet.cancelled_ops == 0
 
 
 def _run_lsm_fleet(execution_mode, num_workers, directory):

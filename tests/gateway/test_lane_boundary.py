@@ -4,8 +4,9 @@ to *equal* values; what does not open to that is refused whole.
 Lane epochs and live arrivals cross packed like a feed's state does
 (``feed_state.pack`` → ``open_lane_epoch`` / the lane's ``ingest``).  The
 round trips drive the engine's own objects, generated to look like real
-engine traffic — randomized drive buffers, ledger deltas (including empty and
-zero-omitting ones), settlement receipts, spans, unicode keys — and one real
+engine traffic — randomized ``ShardOutcome`` values: drive buffers, ledger deltas
+(including empty and zero-omitting ones), settlement receipts, settled
+counts, lists of spans, unicode keys — and one real
 drive buffer, which must cross without the chain's call frames.  The hostile half swaps a real
 lane's frame mid-run for bytes that are not that epoch's results and pins the
 three typed failures: nothing of the epoch is merged, the frames stay where
@@ -31,9 +32,8 @@ from repro.core.config import GrubConfig
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, feed_state
 from repro.gateway.executor import (
     LaneEngine,
-    ShardEpochResult,
+    ShardOutcome,
     _LaneWorker,
-    _lane_epochs,
     drive_shard,
     open_lane_epoch,
 )
@@ -110,17 +110,18 @@ def random_settlement(rng: random.Random) -> tuple:
     return receipt, random_ledger(rng).since(GasLedger())
 
 
-def random_shard_result(rng: random.Random, shard_index: int) -> ShardEpochResult:
-    return ShardEpochResult(
+def random_outcome(rng: random.Random, shard_index: int) -> ShardOutcome:
+    """A shard's epoch as a lane ships it: what ``run_epoch_phases`` returned."""
+    return ShardOutcome(
         shard_index=shard_index,
         drive=ExecutionBuffer(ledger=random_ledger(rng), events=random_events(rng)),
         deliver=None if rng.random() < 0.3 else random_settlement(rng),
         update=None if rng.random() < 0.3 else random_settlement(rng),
-        remaining={
-            feed_id: rng.randrange(0, 300)
+        settled={
+            feed_id: (rng.randrange(0, 300), rng.randrange(0, 2_000_000))
             for feed_id in rng.sample(FEEDS, rng.randrange(0, 3))
         },
-        spans=tuple(random_span(rng) for _ in range(rng.randrange(0, 3))),
+        spans=[random_span(rng) for _ in range(rng.randrange(0, 3))],
     )
 
 
@@ -148,28 +149,28 @@ def span_tree(span: Span) -> tuple:
     )
 
 
-def comparable(results: list) -> list:
+def comparable(outcomes: list) -> list:
     return [
-        (replace(result, spans=()), [span_tree(span) for span in result.spans])
-        for result in results
+        (replace(outcome, spans=[]), [span_tree(span) for span in outcome.spans])
+        for outcome in outcomes
     ]
 
 
-def round_trip(epoch: int, results: list):
-    return open_lane_epoch(feed_state.pack((epoch, results)))
+def round_trip(epoch: int, outcomes: list):
+    return open_lane_epoch(feed_state.pack((epoch, outcomes)))
 
 
 class TestLaneEpochRoundTrip:
     def test_randomized_epochs_round_trip(self):
         rng = random.Random(21)
         for epoch in range(40):
-            results = [
-                random_shard_result(rng, shard_index)
+            outcomes = [
+                random_outcome(rng, shard_index)
                 for shard_index in range(rng.randrange(1, 4))
             ]
-            opened_epoch, opened = round_trip(epoch, results)
+            opened_epoch, opened = round_trip(epoch, outcomes)
             assert opened_epoch == epoch
-            assert comparable(opened) == comparable(results)
+            assert comparable(opened) == comparable(outcomes)
 
     def test_empty_epoch(self):
         assert round_trip(0, []) == (0, [])
@@ -185,18 +186,15 @@ class TestLaneEpochRoundTrip:
             block_number=1,
             transaction_index=0,
         )
-        quiet = ShardEpochResult(
+        quiet = ShardOutcome(
             shard_index=0,
             drive=ExecutionBuffer(),
             # zero-omitting delta of a no-op settlement: all empty
             deliver=(receipt, GasLedger().since(GasLedger())),
-            update=None,
-            remaining={},
-            spans=(),
         )
-        _, results = round_trip(7, [quiet])
-        assert results == [quiet]
-        _, delta = results[0].deliver
+        _, outcomes = round_trip(7, [quiet])
+        assert outcomes == [quiet]
+        _, delta = outcomes[0].deliver
         assert delta == GasLedger()
         assert (delta.total, delta.by_category, delta.by_scope) == (0, {}, {})
 
@@ -215,14 +213,12 @@ class TestLaneEpochRoundTrip:
             scope = rng.choice(FEEDS)
             worker.charge(amount, category, layer=layer, scope=scope)
             direct.charge(amount, category, layer=layer, scope=scope)
-        result = ShardEpochResult(
+        outcome = ShardOutcome(
             shard_index=0,
             drive=ExecutionBuffer(),
             deliver=(random_settlement(rng)[0], worker.since(before)),
-            update=None,
-            remaining={},
         )
-        _, [opened] = round_trip(0, [result])
+        _, [opened] = round_trip(0, [outcome])
         merged = GasLedger()
         merged.merge(before)
         merged.merge(opened.deliver[1])
@@ -236,10 +232,7 @@ class TestLaneEpochRoundTrip:
             registry.get(feed_id).queue.extend(operations)
         buffer, _ = drive_shard(registry, ["feed-0", "feed-1"], 0, 8)
         assert buffer.events and buffer.ledger.total > 0
-        result = ShardEpochResult(
-            shard_index=0, drive=buffer, deliver=None, update=None, remaining={}
-        )
-        frame = feed_state.pack((0, [result]))
+        frame = feed_state.pack((0, [ShardOutcome(shard_index=0, drive=buffer)]))
         assert b"_CallFrame" not in frame
         _, [opened] = open_lane_epoch(frame)
         assert opened.drive == buffer
@@ -353,8 +346,8 @@ def refuse_hostile_frames(monkeypatch, chain, *, restore: bool) -> dict:
         # Lane 1's epoch replies not yet merged: this epoch's, then the next.
         reply, following = list(engine._lanes[1].epochs)[:2]
         intact = reply.result(timeout=TIMEOUT_SECONDS)
-        _, [shard_result] = open_lane_epoch(intact.frame)
-        receipt, _ = shard_result.deliver or shard_result.update
+        _, [outcome] = open_lane_epoch(intact.frame)
+        receipt, _ = outcome.deliver or outcome.update
         assert isinstance(receipt, TransactionReceipt)
         hostile = [
             (intact.frame[:cut], "cannot be opened")
@@ -420,8 +413,8 @@ class TestHostileLaneFrames:
             with pytest.raises(WireError, match="for epoch 1, but the next in-flight epoch is 0"):
                 engine.results(1)
             for epoch in (0, 1):
-                results = engine.results(epoch)
-                assert [result.shard_index for result in results] == [0]
+                outcomes = engine.results(epoch)
+                assert [outcome.shard_index for outcome in outcomes] == [0]
         finally:
             engine.shutdown()
 
@@ -463,14 +456,15 @@ class TestHostileOrders:
         engine = lane_hosting_alpha
         frame = feed_state.pack([("alpha", [Operation.read("k")])])
         [reply] = engine._lanes[0].send(
-            "epoch", 0, _lane_epochs, 0, 1, 4, [(0, ["alpha"])], frame[: len(frame) // 2]
+            "epochs", 0, 0, 1, 4, [(0, ["alpha"])], frame[: len(frame) // 2]
         )
         with pytest.raises(WireError, match="arrivals frame cannot be opened"):
             reply.result(timeout=TIMEOUT_SECONDS)
         # The lane took nothing from the bad order and serves the next one.
         engine.submit(0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("alpha", [Operation.read("k")])]})
-        [result] = engine.results(0)
-        assert result.remaining == {"alpha": 0} and result.epoch_gas["alpha"] > 0
+        [outcome] = engine.results(0)
+        executed, gas = outcome.settled["alpha"]
+        assert executed == 1 and gas > 0
 
 
 class TestRecordedBlocks:
