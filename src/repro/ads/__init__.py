@@ -2,19 +2,20 @@
 
 The storage provider is untrusted: it may forge, replay, omit or fork the
 records it delivers to the blockchain.  GRuB defends against this with a
-Merkle tree built over the KV records, laid out as the paper describes
-(Section 3.3 and Appendix B.1): records are first grouped by replication state
-(NR group before R group) and sorted by data key within each group.  The data
-owner keeps the root hash; the storage-manager contract holds a copy and
-verifies every delivered record against it.
+Merkle tree built over the KV records (Section 3.3 and Appendix B.1).  The
+paper groups the leaves by replication state and sorts them by key; here each
+record keeps the slot it was appended to and its state is hashed into its leaf
+(see :mod:`repro.ads.authenticated_kv`).  The data owner keeps the root hash;
+the storage-manager contract holds a copy and verifies every delivered record
+against it.
 
 Modules:
 
-* :mod:`repro.ads.merkle` — a generic Merkle tree with membership, batch
-  (multiproof) and range proofs over an ordered list of leaves,
-* :mod:`repro.ads.authenticated_kv` — the GRuB-specific layout, update
-  protocol (DO-side verification + root recomputation), query proofs, and
-  the baseline / delta a store changes interpreter with,
+* :mod:`repro.ads.merkle` — a generic Merkle tree over an ordered list of
+  leaves, with one-leaf proofs and one multiproof for any set of leaves,
+* :mod:`repro.ads.authenticated_kv` — the GRuB-specific layout (append-only
+  slots), the batched epoch write, the multiproof a deliver batch is
+  answered with, and the baseline / delta a store changes interpreter with,
 * :mod:`repro.ads.signer` — the DO's signature over published root hashes.
 """
 
@@ -22,17 +23,14 @@ from repro.ads.merkle import (
     MerkleProof,
     MerkleTree,
     MultiProof,
-    RangeProof,
     multiproof_shape,
     verify_membership,
     verify_multiproof,
-    verify_range,
 )
 from repro.ads.authenticated_kv import (
     AuthenticatedKVStore,
     BatchQueryResult,
     QueryResult,
-    UpdateWitness,
 )
 from repro.ads.signer import RootSigner, SignedRoot
 
@@ -40,15 +38,12 @@ __all__ = [
     "MerkleTree",
     "MerkleProof",
     "MultiProof",
-    "RangeProof",
     "multiproof_shape",
     "verify_membership",
     "verify_multiproof",
-    "verify_range",
     "AuthenticatedKVStore",
     "BatchQueryResult",
     "QueryResult",
-    "UpdateWitness",
     "RootSigner",
     "SignedRoot",
 ]

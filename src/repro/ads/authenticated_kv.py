@@ -2,31 +2,32 @@
 
 The storage provider keeps the primary copy of every record in its KV store,
 under a key prefixed with the record's replication state, and maintains a
-Merkle tree over the records.  The data owner mirrors the layout (it is
-trusted and produces every update), so it can verify the SP's proofs against
-its own root hash before publishing a new signed root.
+Merkle tree over the records.  The data owner is trusted and produces every
+update: it lays out its own mirror the same way, so the root it computes there
+is the one it signs and publishes.
 
-Three flows are implemented here:
+Two flows run here:
 
-* **update** (write path, step w1) — the DO asks the SP for an update witness
-  (the proof of the record's current leaf), verifies it, applies the update
-  locally and recomputes the new root.
-* **query** (read path, step r2) — the SP produces the matching records plus a
-  proof for the storage-manager contract to verify (step r3).
-* **state transition** — when the control plane flips a record's replication
-  state the record's leaf hash changes (the R/NR prefix is part of the
-  authenticated payload), which changes the root.
+* **epoch write** (write path, step w1) — the DO's buffered writes and the
+  control plane's state-only transitions land as one :meth:`apply_updates`
+  batch, whose root paths are recomputed in one tree pass.  A state
+  transition changes the record's leaf hash (the R/NR prefix is part of the
+  authenticated payload), and so the root.
+* **deliver** (read path, step r2) — the SP answers one feed's epoch of gGets
+  with the records and one multiproof for all of them (:meth:`query_many`),
+  which the storage-manager contract verifies (step r3).
 
 Deviation from the paper's physical layout: the paper
 physically orders leaves by (replication-state group, key) and relocates a
-record between groups on a state transition.  This implementation keeps a
-*stable physical slot* per record and authenticates the replication state
-inside the leaf hash instead, so a state transition is a single O(log n) leaf
-update rather than a delete + insert.  The security argument is unchanged
-(the state bit is still bound to the record under the signed root) and the
-proof sizes — which are what the gas accounting depends on — are identical
-(⌈log2 n⌉ sibling digests).  The logical key-sorted view used for range
-queries is maintained separately.
+record between groups on a state transition.  This implementation gives each
+record the next *slot* when it is first written and keeps it there for good
+(nothing deletes a record, so slots are append-only and never reused), and
+authenticates the replication state inside the leaf hash instead, so a state
+transition is a single O(log n) leaf update rather than a delete + insert.
+The security argument is unchanged (the state bit is still bound to the
+record under the signed root) and the proof sizes — which are what the gas
+accounting depends on — are identical (⌈log2 n⌉ sibling digests).  A
+key-sorted view for scans is kept beside the slots (:meth:`select_keys`).
 """
 
 from __future__ import annotations
@@ -35,21 +36,11 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.ads.merkle import (
-    MerkleProof,
-    MerkleTree,
-    MultiProof,
-    expected_proof_length,
-    verify_membership,
-)
-from repro.common.errors import IntegrityError, StorageError
-from repro.common.hashing import hash_record, keccak
+from repro.ads.merkle import MerkleProof, MerkleTree, MultiProof
+from repro.common.errors import StorageError
+from repro.common.hashing import EMPTY_DIGEST, hash_record
 from repro.common.types import KVRecord, ReplicationState
 from repro.storage.kvstore import InMemoryKVStore, KVStore
-
-#: Leaf hash stored in slots whose record has been deleted.  Distinct from any
-#: real record hash because record hashes are length-prefixed field hashes.
-TOMBSTONE_LEAF = keccak(b"grub-tombstone-leaf")
 
 
 @dataclass(frozen=True)
@@ -66,15 +57,6 @@ class QueryResult:
     proof: Optional[MerkleProof]
     root: bytes
 
-    @property
-    def proof_words(self) -> int:
-        return self.proof.size_words if self.proof is not None else 0
-
-    @property
-    def payload_words(self) -> int:
-        record_words = self.record.size_words if self.record is not None else 0
-        return record_words + self.proof_words
-
 
 @dataclass(frozen=True)
 class BatchQueryResult:
@@ -85,17 +67,6 @@ class BatchQueryResult:
     #: key → ``(record, leaf index)``; a key the store does not hold is absent.
     found: Dict[str, Tuple[KVRecord, int]]
     proof: MultiProof
-
-
-@dataclass(frozen=True)
-class UpdateWitness:
-    """Proof material the SP hands the DO before an update (write path w1)."""
-
-    key: str
-    existing: Optional[KVRecord]
-    proof: Optional[MerkleProof]
-    leaf_index: Optional[int]
-    root: bytes
 
 
 @dataclass(frozen=True)
@@ -128,8 +99,6 @@ class StoreDelta:
     #: Baseline keys the store no longer holds.
     deleted: List[str]
     slot_count: int
-    #: The free-slot stack, bottom first (the next insert pops the last).
-    free_slots: List[int]
     #: :meth:`MerkleTree.interior` of the exporter's tree.
     interior: bytes
 
@@ -138,16 +107,14 @@ class StoreDelta:
 class AuthenticatedKVStore:
     """The SP-side store: primary KV copy plus the Merkle tree over it.
 
-    The class is also reused by the DO as its trusted local mirror (the DO
-    needs the same layout to recompute roots); the two instances stay in sync
-    because every update flows through the DO.
+    The DO holds the same object as its trusted local mirror
+    (:class:`~repro.core.grub.GrubSystem` hands one store to both): every
+    update flows through the DO, so there is no second copy to check against.
     """
 
     backing: KVStore = field(default_factory=InMemoryKVStore)
     _records: Dict[str, KVRecord] = field(default_factory=dict)
     _slot_of: Dict[str, int] = field(default_factory=dict)
-    _slots: List[Optional[str]] = field(default_factory=list)
-    _free_slots: List[int] = field(default_factory=list)
     _sorted_keys: List[str] = field(default_factory=list)
     _tree: MerkleTree = field(default_factory=lambda: MerkleTree([]))
     #: Keys currently in the R state, maintained incrementally so the per-epoch
@@ -157,20 +124,19 @@ class AuthenticatedKVStore:
     # -- bulk loading -------------------------------------------------------
 
     def load(self, records: Sequence[KVRecord]) -> bytes:
-        """Replace the store's contents with ``records`` and return the new root."""
+        """Replace the store's contents, backing included, with ``records``
+        (slot ``i`` holds ``records[i]``) and return the new root."""
+        writes = [(record.prefixed_key, None) for record in self._records.values()]
+        writes.extend((record.prefixed_key, record.value) for record in records)
         self._records = {record.key: record for record in records}
         self._sorted_keys = sorted(self._records)
-        self._slots = [record.key for record in records]
         self._slot_of = {record.key: index for index, record in enumerate(records)}
-        self._free_slots = []
         self._replicated_keys = {
             record.key
             for record in records
             if record.state is ReplicationState.REPLICATED
         }
-        self.backing.write_batch(
-            [(record.prefixed_key, record.value) for record in records]
-        )
+        self.backing.write_batch(writes)
         self._tree = MerkleTree([self._leaf_hash(record) for record in records])
         return self.root
 
@@ -190,10 +156,6 @@ class AuthenticatedKVStore:
         """All records sorted by data key."""
         return [self._records[key] for key in self._sorted_keys]
 
-    def replicated_records(self) -> List[KVRecord]:
-        """Records in the R state, key-sorted; O(replicated), not O(n)."""
-        return [self._records[key] for key in sorted(self._replicated_keys)]
-
     def replicated_keys(self) -> List[str]:
         """Key-sorted keys currently in the R state (no record objects built)."""
         return sorted(self._replicated_keys)
@@ -210,40 +172,7 @@ class AuthenticatedKVStore:
         start = bisect.bisect_left(self._sorted_keys, start_key)
         return self._sorted_keys[start : start + count]
 
-    def proof_length(self) -> int:
-        """Current proof length in digests (grows with the dataset size)."""
-        return expected_proof_length(max(1, len(self._slots)))
-
     # -- write path (DO <-> SP) ------------------------------------------------
-
-    def update_witness(self, key: str) -> UpdateWitness:
-        """Produce the witness the DO verifies before applying an update (w1)."""
-        record = self._records.get(key)
-        if record is None:
-            return UpdateWitness(
-                key=key, existing=None, proof=None, leaf_index=None, root=self.root
-            )
-        index = self._slot_of[key]
-        return UpdateWitness(
-            key=key,
-            existing=record,
-            proof=self._tree.prove(index),
-            leaf_index=index,
-            root=self.root,
-        )
-
-    def verify_witness(self, witness: UpdateWitness, trusted_root: bytes) -> None:
-        """DO-side check of an update witness against the DO's trusted root."""
-        if witness.existing is None:
-            # Nothing to verify for a fresh insert; the DO knows its own root.
-            return
-        if witness.proof is None:
-            raise IntegrityError(f"witness for {witness.key!r} is missing its proof")
-        leaf = self._leaf_hash(witness.existing)
-        if not verify_membership(trusted_root, leaf, witness.proof):
-            raise IntegrityError(
-                f"update witness for key {witness.key!r} does not verify against the trusted root"
-            )
 
     def apply_update(
         self,
@@ -325,23 +254,6 @@ class AuthenticatedKVStore:
         """Re-authenticate ``key`` under ``new_state`` and return the new root."""
         return self.apply_updates([(key, None, new_state)])
 
-    def delete(self, key: str) -> bytes:
-        """Remove ``key`` entirely and return the new root."""
-        existing = self._records.get(key)
-        if existing is None:
-            return self.root
-        slot = self._slot_of.pop(key)
-        self._slots[slot] = None
-        self._free_slots.append(slot)
-        del self._records[key]
-        self._replicated_keys.discard(key)
-        index = bisect.bisect_left(self._sorted_keys, key)
-        if index < len(self._sorted_keys) and self._sorted_keys[index] == key:
-            self._sorted_keys.pop(index)
-        self.backing.delete(existing.prefixed_key)
-        self._tree.update_leaf(slot, TOMBSTONE_LEAF)
-        return self.root
-
     # -- read path (SP -> chain) ---------------------------------------------------
 
     def query(self, key: str) -> QueryResult:
@@ -369,27 +281,6 @@ class AuthenticatedKVStore:
             proof=self._tree.prove_many([slot for _, slot in found.values()]),
         )
 
-    def query_range(self, start_key: str, end_key: str) -> List[QueryResult]:
-        """Per-record proofs for every NR record with key in ``[start_key, end_key]``."""
-        start = bisect.bisect_left(self._sorted_keys, start_key)
-        results: List[QueryResult] = []
-        for key in self._sorted_keys[start:]:
-            if key > end_key:
-                break
-            record = self._records[key]
-            if record.state is not ReplicationState.NOT_REPLICATED:
-                continue
-            results.append(self.query(key))
-        return results
-
-    def scan(self, start_key: str, count: int) -> List[QueryResult]:
-        """Proofs for ``count`` consecutive keys starting at ``start_key`` (YCSB E)."""
-        start = bisect.bisect_left(self._sorted_keys, start_key)
-        results: List[QueryResult] = []
-        for key in self._sorted_keys[start : start + count]:
-            results.append(self.query(key))
-        return results
-
     # -- changing interpreter (one layout, known only here) -------------------------
 
     def baseline(self) -> StoreBaseline:
@@ -415,8 +306,7 @@ class AuthenticatedKVStore:
             from_empty=not base_records,
             changed=changed,
             deleted=[key for key in base_records if key not in records],
-            slot_count=len(self._slots),
-            free_slots=list(self._free_slots),
+            slot_count=self._tree.leaf_count,
             interior=self._tree.interior(),
         )
 
@@ -424,37 +314,25 @@ class AuthenticatedKVStore:
         """Bring this store — a mirror standing at the delta's baseline — to
         the exporter's state and return the new root.
 
-        Reproduced exactly: records by key, slot layout, free-slot stack,
-        leaves and interior levels (hence every proof), the sorted and
-        replicated views, and the backing's contents, written as one batch.
+        Reproduced exactly: records by key, slot layout, leaves and interior
+        levels (hence every proof), the sorted and replicated views, and the
+        backing's contents, written as one batch.
         The records' dict order is not part of that state.
         """
-        if delta.from_empty and self._slots:
-            self.backing.write_batch(
-                [(record.prefixed_key, None) for record in self._records.values()]
-            )
+        if delta.from_empty and self._records:
             self.load([])
-        records, slot_of, slots = self._records, self._slot_of, self._slots
-        leaves = self._tree.leaves()
+        records, slot_of = self._records, self._slot_of
         writes: List[Tuple[str, Optional[bytes]]] = []
-        # Vacate first — deleted keys, and changed ones that moved — so a
-        # record that took over a vacated slot is not wiped after it lands.
-        moved = [
-            key for key, _, _, _, slot, _ in delta.changed if slot_of.get(key, slot) != slot
-        ]
         for key in delta.deleted:
+            del slot_of[key]
             writes.append((records.pop(key).prefixed_key, None))
             self._replicated_keys.discard(key)
-        for key in delta.deleted + moved:
-            slot = slot_of.pop(key)
-            slots[slot] = None
-            leaves[slot] = TOMBSTONE_LEAF
-        # A slot past the mirror's end that no record lands in was filled and
-        # freed again since the baseline.
-        grow = delta.slot_count - len(slots)
-        slots.extend([None] * grow)
-        leaves.extend([TOMBSTONE_LEAF] * grow)
-        del slots[delta.slot_count :], leaves[delta.slot_count :]
+        # Every exporter slot holds a record, and a slot that is new or has
+        # changed hands since the baseline (only a load moves a key) is in
+        # ``changed``, so the placeholders below are all overwritten.  A load
+        # may also have left fewer slots than the mirror has.
+        leaves = self._tree.leaves()[: delta.slot_count]
+        leaves.extend([EMPTY_DIGEST] * (delta.slot_count - len(leaves)))
         membership_changed = bool(delta.deleted)
         for key, value, state, version, slot, leaf in delta.changed:
             record = KVRecord(key=key, value=value, state=state, version=version)
@@ -466,14 +344,12 @@ class AuthenticatedKVStore:
             writes.append((record.prefixed_key, value))
             records[key] = record
             slot_of[key] = slot
-            slots[slot] = key
             leaves[slot] = leaf
             if state is ReplicationState.REPLICATED:
                 self._replicated_keys.add(key)
             else:
                 self._replicated_keys.discard(key)
         self._tree = MerkleTree.from_levels(leaves, delta.interior)
-        self._free_slots = list(delta.free_slots)
         if membership_changed:
             self._sorted_keys = sorted(records)
         self.backing.write_batch(writes)
@@ -490,20 +366,14 @@ class AuthenticatedKVStore:
         return self.leaf_hash_for(record)
 
     def _insert_record(self, record: KVRecord) -> None:
-        """Give a new record its slot and leaf (the caller writes the backing)."""
+        """Give a new record the next slot and its leaf (the caller writes the
+        backing)."""
         bisect.insort(self._sorted_keys, record.key)
         self._records[record.key] = record
         if record.state is ReplicationState.REPLICATED:
             self._replicated_keys.add(record.key)
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slots[slot] = record.key
-            self._tree.update_leaf(slot, self._leaf_hash(record))
-        else:
-            slot = len(self._slots)
-            self._slots.append(record.key)
-            self._tree.append_leaf(self._leaf_hash(record))
-        self._slot_of[record.key] = slot
+        self._slot_of[record.key] = self._tree.leaf_count
+        self._tree.append_leaf(self._leaf_hash(record))
 
     def _replace_record(self, old: KVRecord, new: KVRecord) -> None:
         slot = self._slot_of[old.key]

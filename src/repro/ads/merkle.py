@@ -1,4 +1,4 @@
-"""A Merkle tree over an ordered list of leaves, with membership and range proofs.
+"""A Merkle tree over an ordered list of leaves, with single-leaf and multi-leaf proofs.
 
 The tree is the binary-Merkle construction the paper uses for its ADS
 (Figure 4b): leaves hold record hashes, interior nodes hash the concatenation
@@ -14,6 +14,8 @@ batch repeat each other's upper siblings and carry siblings that are hashes of
 other leaves of the batch, so the batch ships only the digests its own leaves
 cannot compute (:meth:`MerkleTree.prove_many`), and what a verifier will need
 and hash is known from the leaf positions alone (:func:`multiproof_shape`).
+A contiguous run of leaves is ``prove_many(range(start, end))``: every leaf
+hash in it is checked, and its interior siblings are not shipped at all.
 """
 
 from __future__ import annotations
@@ -96,26 +98,6 @@ class MultiProof:
     def size_words(self) -> int:
         """Proof size in 32-byte words (one word per sibling digest)."""
         return len(self.siblings)
-
-
-@dataclass(frozen=True)
-class RangeProof:
-    """Proof for a contiguous run of leaves ``[start_index, start_index + count)``.
-
-    Implemented as the per-leaf membership proofs of the boundary leaves plus
-    every in-range leaf hash; sufficient for the contract to check both
-    integrity and completeness (no leaf inside the range was omitted).
-    """
-
-    start_index: int
-    count: int
-    leaf_count: int
-    leaf_hashes: Tuple[bytes, ...]
-    boundary_proofs: Tuple[MerkleProof, ...]
-
-    @property
-    def size_words(self) -> int:
-        return len(self.leaf_hashes) + sum(p.size_words for p in self.boundary_proofs)
 
 
 class MerkleTree:
@@ -244,27 +226,6 @@ class MerkleTree:
             known = parents
         return MultiProof(leaf_count, tuple(siblings))
 
-    def prove_range(self, start_index: int, count: int) -> RangeProof:
-        """Produce a proof for ``count`` consecutive leaves starting at ``start_index``."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        end = start_index + count
-        if not (0 <= start_index and end <= len(self._leaves)):
-            raise IndexError("range outside the leaf sequence")
-        leaf_hashes = tuple(self._leaves[start_index:end])
-        boundary: List[MerkleProof] = []
-        if count > 0:
-            boundary.append(self.prove(start_index))
-            if count > 1:
-                boundary.append(self.prove(end - 1))
-        return RangeProof(
-            start_index=start_index,
-            count=count,
-            leaf_count=len(self._leaves),
-            leaf_hashes=leaf_hashes,
-            boundary_proofs=tuple(boundary),
-        )
-
     # -- updates ------------------------------------------------------------------
 
     def _update_path(self, position: int, new_hash: bytes) -> bytes:
@@ -341,22 +302,6 @@ class MerkleTree:
         self._rebuild()
         return self.root
 
-    def insert_leaf(self, index: int, new_hash: bytes) -> bytes:
-        """Insert a leaf at ``index`` (shifting later leaves) and return the new root."""
-        if not 0 <= index <= len(self._leaves):
-            raise IndexError(f"insert index {index} out of range")
-        self._leaves.insert(index, new_hash)
-        self._rebuild()
-        return self.root
-
-    def remove_leaf(self, index: int) -> bytes:
-        """Remove the leaf at ``index`` and return the new root."""
-        if not 0 <= index < len(self._leaves):
-            raise IndexError(f"leaf index {index} out of range")
-        self._leaves.pop(index)
-        self._rebuild()
-        return self.root
-
 
 # -- verification (pure: a metering verifier charges before it calls) ---------------
 
@@ -368,9 +313,9 @@ def recompute_root_from_proof(leaf_hash: bytes, proof: MerkleProof) -> bytes:
     :attr:`MerkleProof.is_bound` or this raises
     :class:`~repro.common.errors.IntegrityError`, and each sibling's side
     comes from the index bits — the proof carries nothing that could say
-    otherwise.  ``verify_range`` and ``verify_non_membership`` trust
-    ``leaf_index``, so a path for leaf 9 relabelled as leaf 6 must not verify:
-    it hashes its siblings on leaf 6's sides and arrives at another root.
+    otherwise.  A path for leaf 9 relabelled as leaf 6 therefore does not
+    verify: it hashes its siblings on leaf 6's sides and arrives at another
+    root.
     """
     if not proof.is_bound:
         raise IntegrityError("proof path does not fit its leaf index and count")
@@ -476,65 +421,6 @@ def verify_multiproof(
         return recompute_root_from_multiproof(indices, leaf_hashes, proof) == root
     except IntegrityError:
         return False
-
-
-def verify_range(root: bytes, proof: RangeProof) -> bool:
-    """Check a contiguous-range proof: the boundary paths must verify and the
-    in-range leaf hashes must be exactly those committed at the boundary
-    positions.
-
-    The verification rebuilds the subtree spanned by the range from the leaf
-    hashes plus boundary siblings.  For simplicity (and matching the gas the
-    paper attributes to range verification) the check verifies each boundary
-    membership proof and that the claimed leaf hashes reproduce the first and
-    last boundary leaves.
-    """
-    if proof.count == 0:
-        return True
-    if len(proof.leaf_hashes) != proof.count:
-        return False
-    if not proof.boundary_proofs:
-        return False
-    first = proof.boundary_proofs[0]
-    if first.leaf_index != proof.start_index:
-        return False
-    if not verify_membership(root, proof.leaf_hashes[0], first):
-        return False
-    if proof.count > 1:
-        if len(proof.boundary_proofs) < 2:
-            return False
-        last = proof.boundary_proofs[1]
-        if last.leaf_index != proof.start_index + proof.count - 1:
-            return False
-        if not verify_membership(root, proof.leaf_hashes[-1], last):
-            return False
-        # Interior completeness: recompute the root over the whole leaf level
-        # is not available to the contract; instead the contract checks that
-        # the number of leaves claimed matches the boundary index distance,
-        # which together with the two verified boundary paths pins the range.
-        if last.leaf_index - first.leaf_index + 1 != proof.count:
-            return False
-    return True
-
-
-def verify_non_membership(
-    root: bytes,
-    left_neighbor: Tuple[bytes, MerkleProof],
-    right_neighbor: Tuple[bytes, MerkleProof],
-) -> bool:
-    """Check that no leaf exists between two adjacent leaves.
-
-    The caller is responsible for checking that the *keys* carried by the
-    neighbouring records straddle the queried key; this function checks that
-    the two records are committed at adjacent positions under ``root``.
-    """
-    left_hash, left_proof = left_neighbor
-    right_hash, right_proof = right_neighbor
-    if right_proof.leaf_index != left_proof.leaf_index + 1:
-        return False
-    if not verify_membership(root, left_hash, left_proof):
-        return False
-    return verify_membership(root, right_hash, right_proof)
 
 
 def expected_proof_length(leaf_count: int) -> int:

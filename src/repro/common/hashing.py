@@ -19,7 +19,7 @@ DIGEST_SIZE_BYTES = 32
 EMPTY_DIGEST = b"\x00" * DIGEST_SIZE_BYTES
 
 #: Entries kept by the leaf-serialization cache.  A feed's hot keys are
-#: re-hashed every epoch (deliver verification, ADS updates, witness checks);
+#: re-hashed every epoch (deliver verification, ADS updates);
 #: the bound keeps one gateway fleet's working set while letting cold entries
 #: age out of very long runs.
 LEAF_CACHE_SIZE = 65_536
@@ -64,7 +64,7 @@ def hash_record(key: Value, value: Value, state_prefix: str) -> bytes:
     The serialized leaf hash is memoized (the function is pure): the same
     record leaf is hashed repeatedly on the hot path — once when the DO
     applies the update to the ADS, again for every deliver verification of
-    the record and every update witness over it — and only the first
+    the record — and only the first
     computation pays for the length-prefixed field encoding and the SHA-256.
     Unhashable values (plain ``bytes``/``str``/``int`` are all hashable) fall
     back to the direct computation.

@@ -7,8 +7,9 @@ B.2.1 of the paper):
   an epoch-batched remote call),
 * at the end of the epoch it runs the control plane to obtain replication
   decisions and state transitions (step w0),
-* for every update it runs the ADS protocol with the SP — fetch the update
-  witness, verify it, apply the update, recompute the root (step w1),
+* it lands the epoch's updates and state transitions on its trusted mirror of
+  the ADS in one batch and recomputes the root (step w1); being trusted, it
+  fetches no per-write witness from the SP,
 * it signs the new root and sends a single ``update`` transaction to the
   storage-manager contract, carrying the digest, the new values of replicated
   records, and any replication-state transitions (step w2).
@@ -83,7 +84,6 @@ class DataOwner:
     sp_store: AuthenticatedKVStore
     control_plane: ControlPlane
     signer: RootSigner = field(default_factory=RootSigner)
-    verify_witnesses: bool = False
     trusted_root: bytes = b""
     #: Gas-attribution scope stamped on the DO's transactions (the feed id
     #: when the DO is hosted by the multi-tenant gateway).
@@ -156,25 +156,17 @@ class DataOwner:
         written_keys: Dict[str, ReplicationState] = {}
         replicated_this_epoch: set = set()
 
-        # Steps w1/w2 for the epoch's buffered writes: every update runs the
-        # ADS protocol with the SP; updates whose record is (or becomes)
-        # replicated are additionally carried by the ``update`` transaction so
-        # the on-chain replica tracks every tick of the feed.  When witnesses
-        # are not verified per update (the default — the DO trusts its own
-        # mirror), the epoch's writes wait in ``batched`` and land with its
-        # state-only transitions in one tree pass.
+        # Steps w1/w2 for the epoch's buffered writes: every write waits in
+        # ``batched`` and lands with the epoch's state-only transitions in one
+        # tree pass; writes whose record is (or becomes) replicated are also
+        # carried by the ``update`` transaction so the on-chain replica tracks
+        # every tick of the feed.
         batched: List[Tuple[str, Optional[bytes], ReplicationState]] = []
         for operation in self._write_buffer:
-            if self.verify_witnesses:
-                witness = self.sp_store.update_witness(operation.key)
-                self.sp_store.verify_witness(witness, self.trusted_root)
             decided = transitions.get(
                 operation.key, self.control_plane.decision_for(operation.key)
             )
-            if self.verify_witnesses:
-                self.sp_store.apply_update(operation.key, operation.value or b"", decided)
-            else:
-                batched.append((operation.key, operation.value or b"", decided))
+            batched.append((operation.key, operation.value or b"", decided))
             written_keys[operation.key] = decided
             if decided is ReplicationState.REPLICATED:
                 already_on_chain = (

@@ -54,6 +54,14 @@ _UTILIZATION_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.25, 
 #: Shards-per-plan histogram bounds (a count, not a latency).
 _SHARD_COUNT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+#: Weight of the newest observation in a feed's per-epoch gas EWMA.
+EWMA_ALPHA = 0.25
+
+#: Estimate for a feed with no history yet (a freshly admitted tenant):
+#: deliberately generous, so new tenants start in roomy shards and earn denser
+#: packing as their history accrues.
+BOOTSTRAP_GAS = 250_000
+
 
 class ShardPlanner:
     """Strategy interface: partition the active fleet into settlement shards."""
@@ -104,46 +112,29 @@ class GasAwareShardPlanner(ShardPlanner):
         block_gas_fraction: the fraction of ``block_gas_limit`` one shard's
             estimated epoch gas may occupy.  The default leaves half the block
             as headroom for estimate error and replication bursts.
-        ewma_alpha: weight of the newest observation in the per-feed EWMA.
-        bootstrap_gas: estimate used for a feed with no history yet (a freshly
-            admitted tenant); deliberately generous so new tenants start in
-            roomy shards and earn denser packing as their history accrues.
-        migration_stickiness: migration-cost awareness.  In process mode a
-            feed that changes *shard* may also change *lane*, and moving a
-            lane means serialising the feed's whole mirror across the process
-            boundary.  Before the FFD pass places a feed, the packer first
-            tries the bin index the feed occupied in the previous plan and
-            keeps it there while that bin's load stays within
-            ``migration_stickiness × budget``.  ``1.0`` (default) makes
-            staying free whenever it fits the normal budget; values ``> 1``
-            tolerate a modest overshoot to avoid a move; ``0`` disables
-            stickiness (pure FFD, the pre-migration behaviour).  Stickiness
-            only consults the planner's own previous plan, so every execution
-            backend computes the identical plan sequence.
+
+    The packer is migration-aware.  In process mode a feed that changes
+    *shard* may also change *lane*, and moving a lane means serialising the
+    feed's whole mirror across the process boundary.  So before the FFD pass
+    places a feed, the packer first tries the bin index the feed occupied in
+    the previous plan and keeps it there while that bin still fits the
+    budget.  This only consults the planner's own previous plan, so every
+    execution backend computes the identical plan sequence.
     """
 
     block_gas_fraction: float = 0.5
-    ewma_alpha: float = 0.25
-    bootstrap_gas: int = 250_000
-    migration_stickiness: float = 1.0
     _estimates: Dict[str, float] = field(default_factory=dict, repr=False)
-    #: Bin index each feed occupied in the previous plan (the stickiness
-    #: anchor); dropped on :meth:`forget`.
+    #: Bin index each feed occupied in the previous plan (where the packer
+    #: tries it first); dropped on :meth:`forget`.
     _previous_bins: Dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.block_gas_fraction <= 1.0:
             raise ConfigurationError("block_gas_fraction must be in (0, 1]")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError("ewma_alpha must be in (0, 1]")
-        if self.bootstrap_gas <= 0:
-            raise ConfigurationError("bootstrap_gas must be positive")
-        if self.migration_stickiness < 0.0:
-            raise ConfigurationError("migration_stickiness must be >= 0")
 
     def estimate(self, feed_id: str) -> float:
         """The feed's current per-epoch gas estimate (bootstrap if unseen)."""
-        return self._estimates.get(feed_id, float(self.bootstrap_gas))
+        return self._estimates.get(feed_id, float(BOOTSTRAP_GAS))
 
     def observe(self, feed_id: str, epoch_gas: int) -> None:
         previous = self._estimates.get(feed_id)
@@ -153,7 +144,7 @@ class GasAwareShardPlanner(ShardPlanner):
             self._estimates[feed_id] = float(epoch_gas)
         else:
             self._estimates[feed_id] = (
-                self.ewma_alpha * epoch_gas + (1.0 - self.ewma_alpha) * previous
+                EWMA_ALPHA * epoch_gas + (1.0 - EWMA_ALPHA) * previous
             )
 
     def forget(self, feed_id: str) -> None:
@@ -164,7 +155,6 @@ class GasAwareShardPlanner(ShardPlanner):
         if not feed_ids:
             return []
         budget = self.block_gas_fraction * block_gas_limit
-        sticky_budget = budget * self.migration_stickiness
         previous_bins = self._previous_bins
         # Heaviest feeds first (feed id breaks ties) — the classic FFD
         # ordering, which keeps the shard count near optimal.
@@ -173,15 +163,13 @@ class GasAwareShardPlanner(ShardPlanner):
         loads: List[float] = []
         for feed_id in ranked:
             estimate = self.estimate(feed_id)
-            # Stickiness: keep the feed in last plan's bin while that bin's
-            # load stays within the (possibly relaxed) sticky budget, so a
-            # process-mode fleet doesn't thrash mirrors between lanes.
+            # Keep the feed in last plan's bin while that bin still fits, so
+            # a process-mode fleet doesn't thrash mirrors between lanes.
             previous = previous_bins.get(feed_id)
             if (
                 previous is not None
-                and self.migration_stickiness > 0.0
                 and previous < len(shards)
-                and loads[previous] + estimate <= sticky_budget
+                and loads[previous] + estimate <= budget
             ):
                 shards[previous].append(feed_id)
                 loads[previous] += estimate

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
-from repro.ads.merkle import verify_membership
+from repro.ads.merkle import verify_membership, verify_multiproof
 from repro.ads.signer import RootSigner
 from repro.common.errors import IntegrityError, StorageError
 from repro.common.types import KVRecord, ReplicationState
@@ -23,8 +23,7 @@ class TestLoadAndLookup:
         assert keys == sorted(keys)
 
     def test_replicated_records_filter(self, loaded_store):
-        replicated = loaded_store.replicated_records()
-        assert [r.key for r in replicated] == ["charlie"]
+        assert loaded_store.replicated_keys() == ["charlie"]
 
     def test_backing_store_uses_prefixed_keys(self, loaded_store):
         assert loaded_store.backing.get("NR|alpha") == b"value-alpha"
@@ -35,7 +34,7 @@ class TestLoadAndLookup:
         small.load([KVRecord.make(f"k{i}", b"v") for i in range(4)])
         large = AuthenticatedKVStore()
         large.load([KVRecord.make(f"k{i}", b"v") for i in range(64)])
-        assert large.proof_length() > small.proof_length()
+        assert large.query("k0").proof.num_nodes > small.query("k0").proof.num_nodes
 
 
 class TestUpdatesAndTransitions:
@@ -69,17 +68,32 @@ class TestUpdatesAndTransitions:
         with pytest.raises(StorageError):
             loaded_store.apply_state_transition("ghost", ReplicationState.REPLICATED)
 
-    def test_delete_removes_and_allows_reinsert(self, loaded_store):
-        loaded_store.delete("bravo")
+    def test_a_key_a_reload_dropped_can_be_written_again(self, loaded_store, sample_records):
+        loaded_store.load([record for record in sample_records if record.key != "bravo"])
         assert loaded_store.get_record("bravo") is None
+        assert loaded_store.backing.get("NR|bravo") is None
         assert len(loaded_store) == 3
         loaded_store.apply_update("bravo", b"back")
         assert loaded_store.get_record("bravo").value == b"back"
+        # A new record again: version 0, in the next slot.
+        assert loaded_store.get_record("bravo").version == 0
+        assert loaded_store.query("bravo").proof.leaf_index == 3
 
-    def test_delete_unknown_key_is_noop(self, loaded_store):
-        root = loaded_store.root
-        loaded_store.delete("ghost")
-        assert loaded_store.root == root
+    def test_slots_are_append_only(self, loaded_store):
+        def slots():
+            return {key: loaded_store.query(key).proof.leaf_index for key in loaded_store.keys()}
+
+        before = slots()
+        loaded_store.apply_updates(
+            [
+                ("echo", b"new", None),
+                ("alpha", b"v2", ReplicationState.REPLICATED),
+                ("foxtrot", b"new", None),
+                ("charlie", None, ReplicationState.NOT_REPLICATED),
+            ]
+        )
+        loaded_store.apply_update("delta", b"v2")
+        assert slots() == {**before, "echo": 4, "foxtrot": 5}
 
 
 class TestQueriesAndProofs:
@@ -98,28 +112,30 @@ class TestQueriesAndProofs:
         leaf = AuthenticatedKVStore.leaf_hash_for(stale.record)
         assert not verify_membership(loaded_store.root, leaf, stale.proof)
 
-    def test_query_range_returns_only_nr_records_in_range(self, loaded_store):
-        results = loaded_store.query_range("alpha", "charlie")
-        keys = [r.key for r in results]
-        assert "charlie" not in keys  # replicated record excluded
-        assert set(keys) <= {"alpha", "bravo"}
-
     def test_scan_returns_consecutive_keys(self, loaded_store):
-        results = loaded_store.scan("alpha", 3)
-        assert [r.key for r in results] == ["alpha", "bravo", "charlie"]
+        assert loaded_store.select_keys("alpha", 3) == ["alpha", "bravo", "charlie"]
 
-    def test_update_witness_verifies_for_do(self, loaded_store):
-        witness = loaded_store.update_witness("alpha")
-        loaded_store.verify_witness(witness, loaded_store.root)
+    def test_a_key_range_is_proved_by_one_multiproof(self, loaded_store):
+        keys = loaded_store.select_keys("bravo", 3)
+        batch = loaded_store.query_many(keys)
+        assert sorted(batch.found) == keys == ["bravo", "charlie", "delta"]
+        by_slot = sorted(batch.found.values(), key=lambda found: found[1])
+        indices = [slot for _, slot in by_slot]
+        leaves = [AuthenticatedKVStore.leaf_hash_for(record) for record, _ in by_slot]
+        assert verify_multiproof(loaded_store.root, indices, leaves, batch.proof)
+        # Rewriting any record of the range leaves the old proof behind.
+        loaded_store.apply_update("charlie", b"rewritten")
+        assert not verify_multiproof(loaded_store.root, indices, leaves, batch.proof)
 
-    def test_witness_against_wrong_root_raises(self, loaded_store):
-        witness = loaded_store.update_witness("alpha")
-        with pytest.raises(IntegrityError):
-            loaded_store.verify_witness(witness, b"\x01" * 32)
-
-    def test_witness_for_missing_key_passes_trivially(self, loaded_store):
-        witness = loaded_store.update_witness("ghost")
-        loaded_store.verify_witness(witness, loaded_store.root)
+    def test_a_record_proves_only_under_its_replication_state(self, loaded_store):
+        batch = loaded_store.query_many(["charlie"])
+        record, slot = batch.found["charlie"]
+        relabelled = record.with_state(ReplicationState.NOT_REPLICATED)
+        leaf_hash_for = AuthenticatedKVStore.leaf_hash_for
+        assert verify_multiproof(loaded_store.root, [slot], [leaf_hash_for(record)], batch.proof)
+        assert not verify_multiproof(
+            loaded_store.root, [slot], [leaf_hash_for(relabelled)], batch.proof
+        )
 
 
 class TestRootSigner:

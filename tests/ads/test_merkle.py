@@ -12,8 +12,6 @@ from repro.ads.merkle import (
     recompute_root_from_proof,
     verify_membership,
     verify_multiproof,
-    verify_non_membership,
-    verify_range,
 )
 from repro.common.errors import IntegrityError
 from repro.common.hashing import EMPTY_DIGEST, hash_pair, keccak
@@ -115,15 +113,6 @@ class TestUpdates:
         assert tree.leaf_count == 5
         assert verify_membership(tree.root, keccak(b"extra"), tree.prove(4))
 
-    def test_insert_and_remove_leaf(self):
-        tree = MerkleTree(leaves_for(4))
-        tree.insert_leaf(2, keccak(b"inserted"))
-        assert tree.leaf_count == 5
-        assert verify_membership(tree.root, keccak(b"inserted"), tree.prove(2))
-        tree.remove_leaf(2)
-        assert tree.leaf_count == 4
-        assert tree.root == MerkleTree(leaves_for(4)).root
-
 
 def appended_across_a_doubling(leaves):
     tree = MerkleTree(leaves[: len(leaves) // 2])
@@ -173,40 +162,65 @@ class TestPadding:
         assert tree.recompute_paths([0]) == MerkleTree(leaves).root
 
 
-class TestRangeAndNonMembership:
-    def test_range_proof_verifies(self):
+class TestContiguousRanges:
+    """A contiguous run of leaves is proved by one multiproof over its
+    indices: every leaf of the run is hashed on the way to the root, so no
+    leaf inside it can be swapped without the root changing."""
+
+    def test_a_range_is_a_multiproof_over_its_indices(self):
         tree = MerkleTree(leaves_for(16))
-        proof = tree.prove_range(4, 5)
-        assert verify_range(tree.root, proof)
+        indices = list(range(4, 9))
+        proof = tree.prove_many(indices)
+        assert verify_multiproof(tree.root, indices, [tree.leaf(i) for i in indices], proof)
+        # Leaf 9, one node at level 1 and two at level 2.
+        assert proof.size_words == 4
 
-    def test_empty_range_verifies(self):
-        tree = MerkleTree(leaves_for(4))
-        assert verify_range(tree.root, tree.prove_range(2, 0))
-
-    def test_tampered_range_fails(self):
+    def test_every_interior_leaf_of_a_range_is_checked(self):
         tree = MerkleTree(leaves_for(16))
-        proof = tree.prove_range(4, 3)
-        tampered = type(proof)(
-            start_index=proof.start_index,
-            count=proof.count,
-            leaf_count=proof.leaf_count,
-            leaf_hashes=(keccak(b"x"),) + proof.leaf_hashes[1:],
-            boundary_proofs=proof.boundary_proofs,
-        )
-        assert not verify_range(tree.root, tampered)
+        indices = list(range(4, 9))
+        proof = tree.prove_many(indices)
+        for forged_at in range(len(indices)):
+            leaf_hashes = [tree.leaf(i) for i in indices]
+            leaf_hashes[forged_at] = keccak(b"forged")
+            assert not verify_multiproof(tree.root, indices, leaf_hashes, proof)
 
-    def test_non_membership_between_adjacent_leaves(self):
-        tree = MerkleTree(leaves_for(8))
-        left = (tree.leaf(2), tree.prove(2))
-        right = (tree.leaf(3), tree.prove(3))
-        assert verify_non_membership(tree.root, left, right)
-        far_right = (tree.leaf(5), tree.prove(5))
-        assert not verify_non_membership(tree.root, left, far_right)
+    def test_a_range_ending_in_another_leaf_fails(self):
+        # Claim the run 4..6 but end it with leaf 9, under the run's own proof
+        # and under the proof that does hold leaf 9.
+        tree = MerkleTree(leaves_for(16))
+        indices = [4, 5, 6]
+        honest = [tree.leaf(i) for i in indices]
+        forged = honest[:2] + [tree.leaf(9)]
+        assert verify_multiproof(tree.root, indices, honest, tree.prove_many(indices))
+        assert not verify_multiproof(tree.root, indices, forged, tree.prove_many(indices))
+        assert not verify_multiproof(tree.root, indices, forged, tree.prove_many([4, 5, 9]))
+
+    @pytest.mark.parametrize("count", [1, 5, 16])
+    def test_a_range_over_the_whole_tree_ships_only_padding(self, count):
+        tree = MerkleTree(leaves_for(count))
+        indices = list(range(count))
+        proof = tree.prove_many(indices)
+        assert verify_multiproof(tree.root, indices, tree.leaves(), proof)
+        assert set(proof.siblings) <= {EMPTY_DIGEST, hash_pair(EMPTY_DIGEST, EMPTY_DIGEST)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_range_verifies_and_refuses_two_swapped_leaves(self, data):
+        count = data.draw(st.integers(min_value=2, max_value=40))
+        start = data.draw(st.integers(min_value=0, max_value=count - 2))
+        end = data.draw(st.integers(min_value=start + 2, max_value=count))
+        tree = MerkleTree(leaves_for(count))
+        indices = list(range(start, end))
+        leaf_hashes = [tree.leaf(i) for i in indices]
+        proof = tree.prove_many(indices)
+        assert verify_multiproof(tree.root, indices, leaf_hashes, proof)
+        at = data.draw(st.integers(min_value=0, max_value=len(indices) - 2))
+        leaf_hashes[at], leaf_hashes[at + 1] = leaf_hashes[at + 1], leaf_hashes[at]
+        assert not verify_multiproof(tree.root, indices, leaf_hashes, proof)
 
 
 class TestProofBinding:
-    """A path verifies only at the leaf index and count it claims —
-    ``verify_range`` and ``verify_non_membership`` trust those fields."""
+    """A path verifies only at the leaf index and count it claims."""
 
     def test_forged_index_fails(self):
         tree = MerkleTree(leaves_for(16))
@@ -271,32 +285,6 @@ class TestProofBinding:
             assert not verify_membership(tree.root, tree.leaf(9), forged)
             with pytest.raises(IntegrityError):
                 recompute_root_from_proof(tree.leaf(9), forged)
-
-    def test_forged_adjacency_fails_non_membership(self):
-        # Leaves 2 and 9 are far apart; relabelling 9's proof as index 3
-        # would "prove" that nothing lies between them.
-        tree = MerkleTree(leaves_for(16))
-        left = (tree.leaf(2), tree.prove(2))
-        forged_right = (
-            tree.leaf(9),
-            MerkleProof(leaf_index=3, leaf_count=16, path=tree.prove(9).path),
-        )
-        assert not verify_non_membership(tree.root, left, forged_right)
-
-    def test_forged_boundary_fails_range(self):
-        tree = MerkleTree(leaves_for(16))
-        honest = tree.prove_range(4, 3)
-        # Claim the run 4..6 but end it with leaf 9 under a relabelled path.
-        forged_last = MerkleProof(leaf_index=6, leaf_count=16, path=tree.prove(9).path)
-        forged = type(honest)(
-            start_index=4,
-            count=3,
-            leaf_count=16,
-            leaf_hashes=honest.leaf_hashes[:2] + (tree.leaf(9),),
-            boundary_proofs=(honest.boundary_proofs[0], forged_last),
-        )
-        assert verify_range(tree.root, honest)
-        assert not verify_range(tree.root, forged)
 
 
 @settings(max_examples=30, deadline=None)

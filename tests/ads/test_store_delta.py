@@ -8,38 +8,40 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ads.authenticated_kv import (
-    EMPTY_BASELINE,
-    TOMBSTONE_LEAF,
-    AuthenticatedKVStore,
-)
+from repro.ads.authenticated_kv import EMPTY_BASELINE, AuthenticatedKVStore
 from repro.ads.merkle import verify_membership
 from repro.common.types import KVRecord, ReplicationState
 
-#: Few keys, so that sequences keep colliding: a key deleted and re-inserted,
-#: a freed slot taken over by a neighbour.
+#: Few keys, so that sequences keep colliding: a key a reload dropped written
+#: again, a slot that a reload handed to another key.
 KEYS = [f"k{index:02d}" for index in range(6)]
 keys = st.sampled_from(KEYS)
 values = st.binary(min_size=1, max_size=8)
 states = st.sampled_from([None, *ReplicationState])
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), keys, values, states),
-        st.tuples(st.just("flip"), keys),
-        st.tuples(st.just("delete"), keys),
-        st.tuples(st.just("batch"), st.lists(st.tuples(keys, values, states), max_size=4)),
-    ),
-    max_size=24,
-)
+#: A random subset of ``KEYS`` in a random slot order: nothing deletes a
+#: single record, so a reload is what removes keys and moves slots.
 preloads = st.lists(
     st.tuples(keys, values, st.sampled_from(list(ReplicationState))),
     unique_by=lambda item: item[0],
 )
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), keys, values, states),
+        st.tuples(st.just("flip"), keys),
+        st.tuples(st.just("load"), preloads),
+        st.tuples(st.just("batch"), st.lists(st.tuples(keys, values, states), max_size=4)),
+    ),
+    max_size=24,
+)
+
+
+def records(preload) -> list:
+    return [KVRecord(key, value, state) for key, value, state in preload]
 
 
 def loaded(preload) -> AuthenticatedKVStore:
     store = AuthenticatedKVStore()
-    store.load([KVRecord(key, value, state) for key, value, state in preload])
+    store.load(records(preload))
     return store
 
 
@@ -51,8 +53,8 @@ def drive(store: AuthenticatedKVStore, operation: tuple) -> None:
         record = store.get_record(args[0])
         if record is not None:
             store.apply_state_transition(args[0], record.state.flipped())
-    elif kind == "delete":
-        store.delete(args[0])
+    elif kind == "load":
+        store.load(records(args[0]))
     else:
         store.apply_updates(args[0])
 
@@ -61,8 +63,6 @@ def assert_same_store(mirror: AuthenticatedKVStore, store: AuthenticatedKVStore)
     assert mirror.root == store.root
     assert dict(mirror._records) == dict(store._records)
     assert mirror._slot_of == store._slot_of
-    assert mirror._slots == store._slots
-    assert mirror._free_slots == store._free_slots
     assert mirror._sorted_keys == store._sorted_keys
     assert mirror._replicated_keys == store._replicated_keys
     assert mirror._tree._leaves == store._tree._leaves
@@ -103,40 +103,10 @@ def test_delta_round_trips_from_a_baseline_and_from_empty(preload, before, after
             ("k00", b"x", ReplicationState.NOT_REPLICATED),
         ]
     )
-    unrelated.delete("k00")
     for target in (AuthenticatedKVStore(), unrelated):
         assert target.apply_delta(whole) == store.root
         assert_same_store(target, store)
         assert_same_backing(target, store)
-
-
-def test_a_reused_slot_and_a_reinserted_key_keep_their_slots():
-    """Delete ``k00``, let ``k03`` take its slot, append two, re-insert
-    ``k00``: nothing is "deleted" and the free lists are equal, yet the
-    baseline's slots are no longer a prefix of the store's."""
-    store = loaded([("k00", b"v", ReplicationState.NOT_REPLICATED)])
-    mirror = copy.deepcopy(store)
-    baseline = store.baseline()
-    store.delete("k00")
-    for key in ("k03", "k12", "k16", "k00"):
-        store.apply_update(key, b"w")
-    mirror.apply_delta(store.export_delta(baseline))
-    assert mirror._slots == store._slots == ["k03", "k12", "k16", "k00"]
-    assert_same_store(mirror, store)
-    assert_same_backing(mirror, store)
-
-
-def test_a_key_reinserted_into_another_slot_frees_its_old_one():
-    store = loaded([(key, b"v", ReplicationState.NOT_REPLICATED) for key in KEYS[:2]])
-    mirror = copy.deepcopy(store)
-    baseline = store.baseline()
-    store.delete("k00")
-    store.delete("k01")
-    store.apply_update("k00", b"v")
-    mirror.apply_delta(store.export_delta(baseline))
-    assert mirror._slots == store._slots == [None, "k00"]
-    assert_same_store(mirror, store)
-    assert_same_backing(mirror, store)
 
 
 def test_an_untouched_store_ships_no_records():
@@ -145,20 +115,39 @@ def test_an_untouched_store_ships_no_records():
     assert (delta.from_empty, delta.changed, delta.deleted) == (False, [], [])
 
 
-def test_freed_slots_arrive_as_tombstones():
-    """A slot filled and freed again since the baseline has no record to
-    carry its leaf; neither has one freed before a from-empty export."""
+def test_a_slot_a_reload_handed_to_another_key_ships_as_changed():
+    """Reload ``k00``'s slot with ``k03``, append two, write ``k00`` again:
+    no baseline key is gone, yet the baseline's slots are no longer a prefix
+    of the store's."""
     store = loaded([("k00", b"v", ReplicationState.NOT_REPLICATED)])
     mirror = copy.deepcopy(store)
     baseline = store.baseline()
-    store.apply_update("k01", b"w")
-    store.delete("k01")
+    store.load([KVRecord("k03", b"w")])
+    for key in ("k12", "k16", "k00"):
+        store.apply_update(key, b"w")
+    delta = store.export_delta(baseline)
+    assert delta.deleted == []
+    assert {key: slot for key, *_, slot, _ in delta.changed} == {
+        "k03": 0,
+        "k12": 1,
+        "k16": 2,
+        "k00": 3,
+    }
+    mirror.apply_delta(delta)
+    assert_same_store(mirror, store)
+    assert_same_backing(mirror, store)
+
+
+def test_two_keys_a_reload_swapped_trade_slots_on_the_mirror():
+    store = loaded([(key, b"v", ReplicationState.NOT_REPLICATED) for key in KEYS[:2]])
+    mirror = copy.deepcopy(store)
+    baseline = store.baseline()
+    store.load([KVRecord("k01", b"v")])
+    store.apply_update("k00", b"v")
     mirror.apply_delta(store.export_delta(baseline))
-    fresh = AuthenticatedKVStore()
-    fresh.apply_delta(store.export_delta())
-    for target in (mirror, fresh):
-        assert target._tree.leaf(1) == TOMBSTONE_LEAF
-        assert_same_store(target, store)
+    assert mirror._slot_of == store._slot_of == {"k01": 0, "k00": 1}
+    assert_same_store(mirror, store)
+    assert_same_backing(mirror, store)
 
 
 def test_a_store_reloaded_smaller_after_the_baseline_shrinks_the_mirror():

@@ -139,13 +139,28 @@ class TestWritePath:
         # the SP store and the on-chain digest consistent.
         assert protocol_system.sp_store.get_record("bravo").value == b"Y" * 32
 
-    def test_witness_verification_path(self):
-        config = GrubConfig(epoch_size=2)
-        system = GrubSystem(config, preload=[KVRecord.make("a", b"v" * 32)])
-        system.data_owner.verify_witnesses = True
-        system.data_owner.put("a", b"w" * 32)
-        result = system.data_owner.end_epoch()
-        assert result.buffered_writes == 1
+    def test_an_epoch_reaches_the_store_as_one_batch(self, protocol_system, monkeypatch):
+        batches = []
+        apply_updates = AuthenticatedKVStore.apply_updates
+
+        def recorded(store, updates):
+            batches.append([key for key, _, _ in updates])
+            return apply_updates(store, updates)
+
+        def refused(store, *args, **kwargs):
+            raise AssertionError("an epoch's writes land only through apply_updates")
+
+        monkeypatch.setattr(AuthenticatedKVStore, "apply_updates", recorded)
+        monkeypatch.setattr(AuthenticatedKVStore, "apply_update", refused)
+        owner = protocol_system.data_owner
+        owner.put("alpha", b"X" * 32)
+        owner.put("echo", b"E" * 32)
+        owner.end_epoch()
+        protocol_system.chain.mine_block()
+        assert batches == [["alpha", "echo"]]
+        store = protocol_system.sp_store
+        assert store.get_record("echo").value == b"E" * 32
+        assert protocol_system.storage_manager.root_hash() == store.root
 
 
 class TestReadPathAndWatchdog:

@@ -293,7 +293,7 @@ def _run_lsm_fleet(execution_mode, num_workers, directory):
         registry,
         num_workers=num_workers,
         execution_mode=execution_mode,
-        planner=GasAwareShardPlanner(block_gas_fraction=0.02, migration_stickiness=0.0),
+        planner=GasAwareShardPlanner(block_gas_fraction=0.02),
     )
     return scheduler.run(workloads), registry
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.gateway import GasAwareShardPlanner, RoundRobinPlanner
+from repro.gateway.planner import BOOTSTRAP_GAS, EWMA_ALPHA
 
 LIMIT = 10_000_000
 
@@ -30,25 +31,27 @@ class TestRoundRobinPlanner:
 
 class TestGasAwareShardPlanner:
     def test_unobserved_feeds_use_bootstrap_estimate(self):
-        planner = GasAwareShardPlanner(bootstrap_gas=100)
-        assert planner.estimate("new-feed") == 100.0
+        assert (EWMA_ALPHA, BOOTSTRAP_GAS) == (0.25, 250_000)
+        assert GasAwareShardPlanner().estimate("new-feed") == 250_000.0
 
     def test_first_observation_replaces_bootstrap(self):
-        planner = GasAwareShardPlanner(bootstrap_gas=100, ewma_alpha=0.5)
+        planner = GasAwareShardPlanner()
         planner.observe("f", 1_000)
         assert planner.estimate("f") == 1_000.0
 
     def test_ewma_tracks_trailing_gas(self):
-        planner = GasAwareShardPlanner(ewma_alpha=0.5)
+        planner = GasAwareShardPlanner()
         planner.observe("f", 1_000)
         planner.observe("f", 2_000)
-        assert planner.estimate("f") == 1_500.0
+        assert planner.estimate("f") == 0.25 * 2_000 + 0.75 * 1_000 == 1_250.0
+        planner.observe("f", 2_000)
+        assert planner.estimate("f") == 0.25 * 2_000 + 0.75 * 1_250 == 1_437.5
 
     def test_forget_resets_to_bootstrap(self):
-        planner = GasAwareShardPlanner(bootstrap_gas=100)
+        planner = GasAwareShardPlanner()
         planner.observe("f", 9_999)
         planner.forget("f")
-        assert planner.estimate("f") == 100.0
+        assert planner.estimate("f") == 250_000.0
 
     def test_packs_under_budget(self):
         planner = GasAwareShardPlanner(block_gas_fraction=0.5)
@@ -76,6 +79,18 @@ class TestGasAwareShardPlanner:
         assert ["whale"] in plan
         assert ["minnow"] in plan
 
+    def test_a_feed_stays_in_its_previous_bin_while_it_fits(self):
+        planner = GasAwareShardPlanner(block_gas_fraction=0.5)
+        for feed, gas in [("a", 3_000_000), ("b", 2_500_000), ("c", 2_000_000),
+                          ("d", 500_000)]:
+            planner.observe(feed, gas)
+        feeds = ["a", "b", "c", "d"]
+        assert planner.plan(feeds, block_gas_limit=LIMIT) == [["a", "c"], ["b", "d"]]
+        # c shrinks to 1.5M: first fit alone would now pull d into bin 0, but
+        # d's bin 1 still fits, so it stays and its mirror does not move.
+        planner.observe("c", 0)
+        assert planner.plan(feeds, block_gas_limit=LIMIT) == [["a", "c"], ["b", "d"]]
+
     def test_plan_is_deterministic(self):
         def build():
             planner = GasAwareShardPlanner(block_gas_fraction=0.2)
@@ -95,7 +110,3 @@ class TestGasAwareShardPlanner:
             GasAwareShardPlanner(block_gas_fraction=0.0)
         with pytest.raises(ConfigurationError):
             GasAwareShardPlanner(block_gas_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            GasAwareShardPlanner(ewma_alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            GasAwareShardPlanner(bootstrap_gas=0)
