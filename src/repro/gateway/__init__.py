@@ -34,8 +34,9 @@ storage-manager contract).  This package turns that into a hosted service:
   body both modes run (``run_epoch_phases``, where the phase order is
   written down), plus the :class:`LaneEngine` (persistent worker processes
   hosting full feed mirrors, only per-epoch deltas crossing the process
-  boundary; feeds reach a lane as packed feed states, or by fork
-  inheritance when the run's plan cannot change);
+  boundary; a lane forks with the main registry and adopts the feeds the
+  plan places on it there, and every other feed reaches it as a packed
+  feed state);
 * :mod:`repro.gateway.feed_state` — the one form a feed changes interpreter
   in: a :class:`~repro.gateway.feed_state.FeedState` (contracts, off-chain
   actors, the handle's run state — queue, dirty keys, bill, read memo — and

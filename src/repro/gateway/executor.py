@@ -29,8 +29,8 @@ long-lived worker processes:
   queue — persists across epochs and only *per-epoch deltas* cross the
   process boundary;
 * per order, a lane receives a tiny ``(start, count, epoch_size)`` tuple
-  (plus, when the plan can change, the epoch's shard assignment and live
-  arrivals) and sends back **one packed frame** per epoch, each as soon as
+  plus its shard assignment (and the boundary's live arrivals, when any
+  reached it) and sends back **one packed frame** per epoch, each as soon as
   it is packed
   (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
@@ -47,7 +47,7 @@ long-lived worker processes:
   state are bit-identical to a serial run;
 * at run end the workers ship their final feed state back — the same packed
   :class:`~repro.gateway.feed_state.FeedState` a feed moves between lanes
-  as, a fork-pinned lane's holding only what its store diverged by since the
+  as, an adopted feed's holding only what its store diverged by since the
   fork — and the scheduler applies it to the main registry's mirrors, so
   post-run inspection (contract storage, roots, replica counts, bills,
   memos) sees exactly what a serial run would have left, and the
@@ -69,34 +69,35 @@ for the epoch and the feeds they were handed over for — each failure a
 :class:`~repro.common.errors.WireError` before anything is merged or
 ingested.
 
-**How a feed reaches a lane.**  Two ways, chosen by the scheduler from what it
-can observe about the run, never by an option:
+**How a feed reaches a lane.**  One way a lane starts: forked, at an epoch
+boundary, with the main registry as its process argument — handed over
+copy-on-write, never pickled — keeping the feeds it *adopts* and dropping
+every other one it inherited (:meth:`LaneEngine.ensure_lanes`).  A feed the
+main process hosts is adopted by the lane its plan assigns it when that lane
+is spawned at the same boundary: the built feed — contracts, SP store,
+queue, memo and bill — is the lane's as the fork left it, and an LSM opener
+the main process closed before the fork is reopened there.  Every other move
+is an *install*: a feed's complete mirror — contract attrs and storage slots,
+the SP store's records, slot layout and Merkle tree, DO root/signer state,
+SP counters, control-plane and monitor state, read memo, workload queue,
+dirty keys, bill — is captured as one
+:class:`~repro.gateway.feed_state.FeedState`, packed into self-contained
+bytes where it is captured and applied where it lands
+(:mod:`repro.gateway.feed_state`: one capture, one apply, whoever sends and
+whoever receives).  Admission, eviction, gas-aware re-sharding and lane
+spawn/retire reduce to the same three lane operations (install / migrate-out
+/ teardown).  LSM-backed SP stores move by closing the source's exclusive
+directory opener before the destination re-opens it (single-opener enforced
+by :class:`~repro.storage.lsm.LSMStore`).  Where processes do not fork, a
+lane starts from an empty registry of its own and every feed is installed.
 
-* *install* (the general way): lanes start **empty** and a feed's complete
-  mirror — contract attrs and storage slots, the SP store's records, slot
-  layout and Merkle tree, DO root/signer state, SP counters, control-plane
-  and monitor state, read memo, workload queue, dirty keys, bill — is
-  captured as one :class:`~repro.gateway.feed_state.FeedState`, packed
-  into self-contained bytes where it is captured and applied where it lands
-  (:mod:`repro.gateway.feed_state`: one capture, one apply, whoever sends and
-  whoever receives).  Initial placement, admission, eviction, gas-aware
-  re-sharding and lane spawn/retire all reduce to the same three lane
-  operations (install / migrate-out / teardown), one lockstep epoch per
-  order.  LSM-backed SP stores migrate by closing the source's exclusive
-  directory opener before the destination re-opens it (single-opener
-  enforced by :class:`~repro.storage.lsm.LSMStore`);
-* *fork seeding* (a run whose plan cannot change, on a ``fork`` platform):
-  each lane adopts the main process's built registry — handles, queues and
-  memos with it — through the fork's copy-on-write duplication and is pinned
-  to its shards for the run.  Because
-  event stamps are assigned by the *main* chain at merge time, such lanes
-  never wait for the previous epoch's merge: the scheduler orders every epoch
-  the remaining workloads already guarantee, lanes run them back-to-back and
-  send each epoch's frame as it is packed, and the main process merges epoch
-  *n* while the lanes run epoch *n + 1*.  Routing a static fleet through
-  installs and lockstep orders instead measured 30–42 % fewer
-  ``ops_per_s`` on the ``lanes_read`` benchmark workload, which is why this
-  second way exists.
+Every lane takes its shards from each epoch order.  A run whose plan cannot
+change is ordered ahead: because event stamps are assigned by the *main*
+chain at merge time, its lanes never wait for the previous epoch's merge —
+the scheduler orders every epoch the remaining workloads already guarantee,
+lanes run them back-to-back and send each epoch's frame as it is packed, and
+the main process merges epoch *n* while the lanes run epoch *n + 1*.  Any
+other run is ordered one lockstep epoch at a time.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ from typing import (
     Tuple,
 )
 
+from repro.ads.authenticated_kv import EMPTY_BASELINE
 from repro.chain.chain import ChainParameters, ExecutionBuffer
 from repro.chain.gas import (
     GasLedger,
@@ -139,7 +141,7 @@ from repro.common.types import (
 from repro.gateway import feed_state
 from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
-from repro.gateway.registry import FeedRegistry, FeedSpec
+from repro.gateway.registry import FeedHandle, FeedRegistry, FeedSpec
 from repro.gateway.router import (
     DeliverGroup,
     UpdateGroup,
@@ -562,16 +564,15 @@ def close_feed_bill(
 
 @dataclass(frozen=True)
 class LaneConfig:
-    """How a lane builds its worker; a process argument of the lane.
+    """How a lane builds its worker; a process argument of the lane, beside
+    the main registry it forks with (see :meth:`LaneEngine.ensure_lanes`).
 
-    By default the lane starts **empty**, with a registry of its own built
-    from the chain parameters here, and every feed reaches it later as a
-    packed state.  With :attr:`pinned` set the lane is **fork-seeded**
-    instead: its other process argument is the main registry, which a fork
-    start method hands the worker copy-on-write, never pickled — the fully
-    built registry, every handle's workload queue and memo with it,
-    bit-for-bit the state a dedicated mirror would have to be rebuilt into —
-    and the lane drives only its own shards against it.
+    The worker keeps the feeds :attr:`adopts` names of that registry — the
+    fully built feeds, workload queue and memo with them, bit-for-bit the
+    state a packed one would have to be rebuilt into — and drops every other
+    one; every other feed reaches it later as a packed state.  Where lanes
+    do not fork there is no registry to keep feeds of: the worker builds an
+    empty one of its own from the chain parameters here.
     """
 
     schedule: GasSchedule
@@ -580,9 +581,8 @@ class LaneConfig:
     #: When set, the lane times per-shard phase spans (its own monotonic
     #: clock) and ships them back in :attr:`ShardOutcome.spans`.
     obs_enabled: bool = False
-    #: Fork-seeded lanes only: shard index → that shard's feed ids, in shard
-    #: order — the lane's pinning for the whole run.
-    pinned: Optional[Dict[int, Tuple[str, ...]]] = None
+    #: The main-hosted feeds this lane adopts as it forks; set by the engine.
+    adopts: Tuple[str, ...] = ()
 
 
 #: One settlement transaction as a lane executed it: the lane chain's receipt
@@ -732,48 +732,43 @@ class _LaneWorker:
     what allows it to run epochs ahead of the main process's merge.
     """
 
-    def __init__(self, config: LaneConfig, seed: Optional[FeedRegistry]) -> None:
+    def __init__(self, config: LaneConfig, registry: Optional[FeedRegistry]) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
         #: detached spans; the finished spans ship back as themselves and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
         #: The lane owns its process's collector until the process exits (so
-        #: nothing is ever restored): a fork-seeded lane inherits
-        #: the main process's frozen heap and switched-off collector, and this
-        #: is who collects in its stead — between epochs, never inside one.
+        #: nothing is ever restored): a forked lane inherits the main
+        #: process's frozen heap and switched-off collector, and this is who
+        #: collects in its stead — between epochs, never inside one.
         self.collector = CollectorOwner().__enter__()
-        #: A fork-pinned lane serves a static run — no live source, no churn —
-        #: which ends with its workloads; any other lane may serve a run that
-        #: never does, and insures against what it cannot see (cycles that
-        #: outlive a boundary).
-        self._unending = config.pinned is None
         self.shards: List[Tuple[int, List[str]]] = []
-        if config.pinned is None:
-            self.registry = FeedRegistry(
+        if registry is None:
+            registry = FeedRegistry(
                 schedule=config.schedule,
                 parameters=config.parameters,
                 router_address=config.router_address,
             )
-            return
-        #: The forked copy of the main registry: every feed's contracts,
-        #: stores, control planes and run state (queue, memo, fresh bill)
-        #: exactly as the main process built them, for free via copy-on-write.
-        #: The lane only ever drives its own shards against it; the chain's
-        #: obs hook is severed (metrics belong to the main process, and
-        #: worker-side mining must not pay for them).
-        self.registry = seed
-        self.registry.chain.obs = None
-        for shard_index in sorted(config.pinned):
-            feed_ids = list(config.pinned[shard_index])
-            for feed_id in feed_ids:
-                # The SP store as the fork left it is what the main mirror
-                # still holds — so at run end only what diverged from it
-                # ships.  (An installed feed keeps the empty baseline: the
-                # lane never saw the main mirror's store, and ships its own
-                # whole.)
-                handle = self.registry.get(feed_id)
-                handle.baseline = handle.system.sp_store.baseline()
-            self.shards.append((shard_index, feed_ids))
+        #: The forked copy of the main registry (every feed's contracts,
+        #: stores, control planes and run state exactly as the main process
+        #: built them, for free via copy-on-write), down to the feeds this
+        #: lane adopts.  The chain's obs hook is severed: metrics belong to
+        #: the main process, and worker-side mining must not pay for them.
+        self.registry = registry
+        registry.chain.obs = None
+        #: The inherited feeds the lane does not adopt: out of its registry,
+        #: but held rather than freed, because freeing them would write to —
+        #: and so copy — every shared page they sit on, at the lane's start.
+        self._dropped: List[FeedHandle] = []
+        for handle in registry.handles:
+            if handle.feed_id not in config.adopts:
+                self._dropped.append(registry.remove_feed(handle.feed_id))
+                continue
+            # The SP store as the fork left it is what the main mirror still
+            # holds — so at run end only what diverged from it ships.  (An
+            # installed feed keeps the empty baseline, and ships whole.)
+            feed_state.open_store(handle)
+            handle.baseline = handle.system.sp_store.baseline()
 
     # -- one epoch -----------------------------------------------------------
 
@@ -782,23 +777,22 @@ class _LaneWorker:
         start: int,
         count: int,
         epoch_size: int,
-        shards: Optional[Sequence[Tuple[int, Sequence[str]]]] = None,
+        shards: Sequence[Tuple[int, Sequence[str]]],
         arrivals_frame: Optional[bytes] = None,
     ) -> Iterator[LaneEpochEnvelope]:
-        """The lane's one epoch order: adopt ``shards`` as the assignment
-        (when given), ingest the boundary's live arrivals (when any reached
-        this lane), then run ``count`` consecutive epochs from ``start``
-        back-to-back, yielding each packed frame as it is made —
-        :func:`_lane_main` sends it at once, one reply per epoch.
+        """The lane's one epoch order: take ``shards`` as the assignment,
+        ingest the boundary's live arrivals (when any reached this lane),
+        then run ``count`` consecutive epochs from ``start`` back-to-back,
+        yielding each packed frame as it is made — :func:`_lane_main` sends
+        it at once, one reply per epoch.
 
-        A fork-pinned lane is ordered in batches (every epoch the remaining
-        workloads guarantee as one order), so it never waits on the main
-        process between epochs, and the main process merges each epoch as
-        soon as its frame arrives.  Any other lane is lockstep, one epoch per
-        order: the next plan needs this epoch's observed gas, and an epoch's
-        arrivals cannot exist before the previous one settled."""
-        if shards is not None:
-            self.set_assignment(shards)
+        A run whose plan cannot change is ordered in batches (every epoch the
+        remaining workloads guarantee as one order), so its lanes never wait
+        on the main process between epochs, and the main process merges each
+        epoch as soon as its frame arrives.  Any other run is lockstep, one
+        epoch per order: the next plan needs this epoch's observed gas, and
+        an epoch's arrivals cannot exist before the previous one settled."""
+        self.set_assignment(shards)
         if arrivals_frame is not None:
             self.ingest(arrivals_frame)
         for epoch in range(start, start + count):
@@ -827,8 +821,8 @@ class _LaneWorker:
     # -- feed mobility (assignment / admission / migration / eviction) --------
 
     def set_assignment(self, shards: Sequence[Tuple[int, Sequence[str]]]) -> None:
-        """Adopt this epoch's shard→feed assignment (a lane that is not
-        fork-pinned is re-assigned every order)."""
+        """Take this order's shard→feed assignment, each feed named by its
+        handle's own id string, which the epoch's frame then packs once."""
         for _, feed_ids in shards:
             for feed_id in feed_ids:
                 if feed_id not in self.registry:
@@ -837,7 +831,10 @@ class _LaneWorker:
                         "lane does not host — the engine's migration "
                         "bookkeeping is broken"
                     )
-        self.shards = [(index, list(feed_ids)) for index, feed_ids in shards]
+        self.shards = [
+            (index, [self.registry.get(feed_id).feed_id for feed_id in feed_ids])
+            for index, feed_ids in shards
+        ]
 
     def install(self, items: Sequence[Tuple[FeedSpec, bytes]]) -> None:
         """Install one epoch's arriving feeds, one packed state each."""
@@ -845,9 +842,9 @@ class _LaneWorker:
             feed_state.install(self.registry, spec, blob)
 
     def migrate_out(self, feed_ids: Sequence[str]) -> List[bytes]:
-        """Detach one epoch's departing feeds — each its whole store: the
-        next host starts from an empty one — and drop the lane's copies; one
-        packed state per feed, in order.
+        """Detach one epoch's departing feeds — each its whole store, whatever
+        its baseline: the next host starts from an empty one — and drop the
+        lane's copies; one packed state per feed, in order.
 
         An LSM-backed store's directory is closed *before* returning, so by
         the time the destination lane's install order runs, the
@@ -855,7 +852,9 @@ class _LaneWorker:
         """
         blobs = []
         for feed_id in feed_ids:
-            blobs.append(feed_state.detach(self.registry.get(feed_id)))
+            handle = self.registry.get(feed_id)
+            handle.baseline = EMPTY_BASELINE
+            blobs.append(feed_state.detach(handle))
             self._release(feed_id)
         return blobs
 
@@ -895,7 +894,9 @@ class _LaneWorker:
         started = time.perf_counter()
         frame = feed_state.pack((epoch, outcomes))
         encode_seconds = time.perf_counter() - started
-        self.collector.boundary(insure=self._unending)
+        # A lane cannot see whether its run ends, so it insures against
+        # what it cannot see either (cycles that outlive a boundary).
+        self.collector.boundary(insure=True)
         return LaneEpochEnvelope(
             frame=frame,
             encode_seconds=encode_seconds,
@@ -922,8 +923,8 @@ class _LaneWorker:
     # -- run-end state shipping ----------------------------------------------
 
     def collect(self) -> List[bytes]:
-        """Detach every hosted feed for the main registry's mirror of it: a
-        fork-pinned feed against its fork-time store, so only what the run
+        """Detach every hosted feed for the main registry's mirror of it: an
+        adopted feed against its fork-time store, so only what the run
         changed crosses; an installed feed whole, resetting the mirror."""
         return [
             feed_state.detach(self.registry.get(feed_id))
@@ -933,7 +934,7 @@ class _LaneWorker:
 
 
 def _lane_main(
-    conn: Connection, config: LaneConfig, seed: Optional[FeedRegistry]
+    conn: Connection, config: LaneConfig, registry: Optional[FeedRegistry]
 ) -> None:
     """A lane process's whole life: build its worker and answer ``None`` —
     or the exception that stopped it, and exit — then take ``(method, args)``
@@ -942,7 +943,7 @@ def _lane_main(
     — one reply per item when that is a generator (:meth:`_LaneWorker.epochs`)
     — or with the exception it raised (:func:`_crossing`)."""
     try:
-        worker = _LaneWorker(config, seed)
+        worker = _LaneWorker(config, registry)
     except Exception as error:
         conn.send(_crossing(error))
         return
@@ -1024,7 +1025,7 @@ class _Lane:
         self,
         index: int,
         config: LaneConfig,
-        seed: Optional[FeedRegistry] = None,
+        registry: Optional[FeedRegistry] = None,
         epoch: int = 0,
     ) -> None:
         """Start the lane's process; its first reply, owed from here, is its
@@ -1033,7 +1034,7 @@ class _Lane:
         self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
             target=_lane_main,
-            args=(child, config, seed),
+            args=(child, config, registry),
             name=f"lane-{index}",
             daemon=True,
         )
@@ -1138,17 +1139,16 @@ class LaneEngine:
     **No pipe deadlock.**  The main process never sends an order larger than
     the pipe buffer to a lane that may be blocked sending a reply the main
     process has not read.  The order sequence keeps it so: installs,
-    migrate-outs and teardowns go to lockstep lanes whose epoch replies have
-    all been read (at most small install replies are unread), and a
-    fork-pinned lane, whose frames stream ahead of the merge, is sent
-    nothing large after its epoch order — only its next small epoch order,
-    the run-end collect and the stop.
+    migrate-outs and teardowns go to lanes whose epoch replies have all been
+    read (at most small install replies are unread), and a lane ordered
+    ahead, whose frames stream ahead of the merge, is sent nothing large
+    after its first epoch order — only its next small epoch order, the
+    run-end collect and the stop.
 
-    Lanes come to host feeds in one of the two ways the module docstring
-    describes: :meth:`spawn_pinned` (fork-seeded, pinned for the run; orders
-    may cover many epochs), or :meth:`ensure_lanes` / :meth:`retire_lanes` +
-    :meth:`transfer` / :meth:`teardown` (empty lanes, feeds as packed
-    states; each order carries one epoch and the lane's shard assignment).
+    Lanes start, and come to host feeds, the one way the module docstring
+    describes: :meth:`ensure_lanes` (forked, adopting main-hosted feeds) /
+    :meth:`retire_lanes`, plus :meth:`transfer` / :meth:`teardown` (feeds
+    as packed states); each epoch order carries the lane's shard assignment.
 
     Each boundary event — a merged frame, an install or move, a spawn or
     retirement — is counted once, where it happens, into ``metrics``.
@@ -1176,6 +1176,9 @@ class LaneEngine:
             router_address=registry.router.address,
             obs_enabled=obs_enabled,
         )
+        #: Whether lanes start as forks of this process — which is what lets
+        #: one adopt a feed; elsewhere every feed is installed.
+        self.forks = multiprocessing.get_start_method() == "fork"
         #: shard index → lane, as of the latest order (span labels).
         self._shard_lane: Dict[int, int] = {}
         #: The first epoch not yet merged: what an order placed between
@@ -1184,54 +1187,32 @@ class LaneEngine:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn(
-        self, configs: Mapping[int, LaneConfig], seed: Optional[FeedRegistry] = None
-    ) -> None:
-        """Start one lane per config and wait until every worker is up."""
+    @property
+    def lanes(self) -> List[int]:
+        """The live lanes' ids."""
+        return sorted(self._lanes)
+
+    def ensure_lanes(self, count: int, adopts: Mapping[int, Sequence[str]]) -> List[int]:
+        """Spawn lanes until lanes ``0..count-1`` are all live, and wait
+        until every new worker is up; returns the lane ids spawned.
+
+        Each lane forks with the main registry as its process argument —
+        handed over copy-on-write, never pickled — and keeps of it the feeds
+        ``adopts`` names for that lane (:attr:`LaneConfig.adopts`).  Where
+        lanes do not fork (:attr:`forks`) nothing can be adopted, and each
+        lane starts from an empty registry of its own.
+        """
+        spawned = [lane for lane in range(count) if lane not in self._lanes]
+        registry = self._registry if self.forks else None
         try:
-            started = []
-            for lane, config in configs.items():
-                entry = self._lanes[lane] = _Lane(lane, config, seed, self._boundary)
-                started.append(entry.owed[0])
-            for reply in started:
-                reply.result()
+            for lane in spawned:
+                config = replace(self._template, adopts=tuple(adopts.get(lane, ())))
+                self._lanes[lane] = _Lane(lane, config, registry, self._boundary)
+            for lane in spawned:
+                self._lanes[lane].owed[0].result()
         except BaseException:
             self.shutdown()
             raise
-
-    def spawn_pinned(self, shard_plan: Sequence[Sequence[str]]) -> Dict[str, int]:
-        """Spawn fork-seeded lanes pinned to ``shard_plan`` for the whole run
-        (shard ``i`` on lane ``i % lanes``); returns feed id → lane.
-
-        The workers adopt the main process's built registry — the queues on
-        its handles included — as a process argument, which the fork hands
-        them copy-on-write; their config adds only each lane's shard→feed
-        pinning.  Requires a ``fork`` start method (the caller checks).
-        """
-        lanes = min(self.max_lanes, max(1, len(shard_plan)))
-        pinned: Dict[int, Dict[int, Tuple[str, ...]]] = {}
-        for shard_index, shard in enumerate(shard_plan):
-            lane = self._shard_lane[shard_index] = shard_index % lanes
-            pinned.setdefault(lane, {})[shard_index] = tuple(shard)
-        self._spawn(
-            {
-                lane: replace(self._template, pinned=shards)
-                for lane, shards in sorted(pinned.items())
-            },
-            self._registry,
-        )
-        return {
-            feed_id: lane
-            for lane, shards in pinned.items()
-            for feed_ids in shards.values()
-            for feed_id in feed_ids
-        }
-
-    def ensure_lanes(self, count: int) -> List[int]:
-        """Spawn empty lanes until lanes ``0..count-1`` are all live;
-        returns the lane ids spawned by this call."""
-        spawned = [lane for lane in range(count) if lane not in self._lanes]
-        self._spawn({lane: self._template for lane in spawned})
         if spawned:
             self.metrics.counter("lane_spawns_total").inc(len(spawned))
         return spawned
@@ -1262,11 +1243,8 @@ class LaneEngine:
         pass *through* the main process packed, never opened there.  The
         installs are not waited on: a failed one re-raises at the engine's
         next read of its lane (:meth:`results` / :meth:`teardown` /
-        :meth:`collect`), and a spec that cannot be pickled (a closure
-        ``consumer_factory``, say) is the configuration error it is, named by
-        feed, as its order is sent.  Each install and each lane-to-lane move
-        is counted with its bytes, a move under the reason the placement gave
-        it.
+        :meth:`collect`).  Each install and each lane-to-lane move is counted
+        with its bytes, a move under the reason the placement gave it.
         """
         outgoing: Dict[int, List[str]] = {}
         for move in moves:
@@ -1287,9 +1265,7 @@ class LaneEngine:
         incoming: Dict[int, List[Tuple[FeedSpec, bytes]]] = {}
         for move in moves:
             blob = blobs[move.feed_id]
-            spec = self._registry.get(move.feed_id).spec
-            if spec.preload is not None:
-                spec = replace(spec, preload=None)
+            spec = shipped_spec(self._registry.get(move.feed_id).spec)
             incoming.setdefault(move.destination, []).append((spec, blob))
             if move.source is None:
                 metrics.counter("installs_total").inc()
@@ -1301,17 +1277,7 @@ class LaneEngine:
             sum(len(feed_ids) for feed_ids in outgoing.values())
         )
         for lane, items in incoming.items():
-            try:
-                self._lanes[lane].send("install", self._boundary, items)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                for spec, _ in items:
-                    if not _picklable(spec):
-                        raise ConfigurationError(
-                            "process execution mode ships feed specs to "
-                            f"worker lanes, but the spec of feed "
-                            f"{spec.feed_id!r} cannot be pickled: {exc!r}"
-                        ) from exc
-                raise
+            self._lanes[lane].send("install", self._boundary, items)
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict one feed from its lane; returns its final bill."""
@@ -1325,34 +1291,29 @@ class LaneEngine:
         start: int,
         count: int,
         epoch_size: int,
-        assignments: Optional[Mapping[int, Sequence[Tuple[int, Sequence[str]]]]] = None,
+        assignments: Mapping[int, Sequence[Tuple[int, Sequence[str]]]],
         arrivals_by_lane: Optional[
             Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]]
         ] = None,
     ) -> None:
-        """Send ``count`` epochs from ``start`` as one order per lane
-        (returns once sent; :meth:`results` blocks for one epoch's frames).
+        """Send ``count`` epochs from ``start`` as one order per lane named
+        in ``assignments`` (returns once sent; :meth:`results` blocks for one
+        epoch's frames).
 
-        Without ``assignments`` every lane takes the order under its pinning
-        (fork-seeded lanes).  With it, each lane named there is shipped its
-        ``(shard_index, feed_ids)`` list for the epoch plus its slice of the
-        boundary's live arrivals — packed here, so the lane ingests what the
-        boundary held when the order was placed — and the other lanes sit the
-        epoch out.
+        Each such lane is shipped its ``(shard_index, feed_ids)`` list plus
+        its slice of the boundary's live arrivals — packed here, so the lane
+        ingests what the boundary held when the order was placed — and the
+        other lanes sit the epochs out.
         """
-        if assignments is not None:
-            self._shard_lane = {
-                shard_index: lane
-                for lane, shards in assignments.items()
-                for shard_index, _ in shards
-            }
-        for lane in sorted(self._lanes if assignments is None else assignments):
-            shards = frame = None
-            if assignments is not None:
-                shards = [(index, list(feed_ids)) for index, feed_ids in assignments[lane]]
-                items = list((arrivals_by_lane or {}).get(lane, ()))
-                if items:
-                    frame = feed_state.pack(items)
+        self._shard_lane = {
+            shard_index: lane
+            for lane, shards in assignments.items()
+            for shard_index, _ in shards
+        }
+        for lane in sorted(assignments):
+            shards = [(index, list(feed_ids)) for index, feed_ids in assignments[lane]]
+            items = list((arrivals_by_lane or {}).get(lane, ()))
+            frame = feed_state.pack(items) if items else None
             entry = self._lanes[lane]
             order = (start, count, epoch_size, shards, frame)
             entry.epochs.extend(entry.send("epochs", start, *order, replies=count))
@@ -1436,9 +1397,19 @@ class LaneEngine:
         _stop(lanes)
 
 
-def _picklable(value: object) -> bool:
+def shipped_spec(spec: FeedSpec) -> FeedSpec:
+    """``spec`` as an install order ships it: without its preload (the
+    records travel inside the feed's packed store), and checked to pickle —
+    one that cannot (a closure ``consumer_factory``, say) could never follow
+    its feed into a lane, so it is the configuration error it is, named by
+    feed."""
+    if spec.preload is not None:
+        spec = replace(spec, preload=None)
     try:
-        pickle.dumps(value)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return False
-    return True
+        pickle.dumps(spec)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigurationError(
+            "process execution mode ships feed specs to worker lanes, but "
+            f"the spec of feed {spec.feed_id!r} cannot be pickled: {exc!r}"
+        ) from exc
+    return spec

@@ -12,8 +12,8 @@ four steps on the same :class:`FeedState`:
   **delta against the handle's baseline**.  Against
   :data:`~repro.ads.authenticated_kv.EMPTY_BASELINE` that is the whole store
   (install, migration, and the run-end state of a feed that was installed);
-  against the baseline a fork-pinned lane took when it forked, it is only
-  what the run changed — the main mirror still holds the rest.
+  against the baseline a lane took as it forked and adopted the feed, it is
+  only what the run changed — the main mirror still holds the rest.
 * :func:`pack` turns it into opaque bytes (``pickle`` protocol 5), once, where
   it was captured; a migrating feed passes through the main process in that
   form, metered but never opened.
@@ -233,6 +233,14 @@ def close_store(handle) -> None:
         backing.close()
 
 
+def open_store(handle) -> None:
+    """Take the feed's LSM directory back, if its opener was closed (a no-op
+    otherwise)."""
+    backing = handle.system.sp_store.backing
+    if isinstance(backing, LSMStore) and backing.closed:
+        backing.reopen()
+
+
 def install(registry: FeedRegistry, spec: FeedSpec, blob: bytes) -> None:
     """Create the feed from ``spec`` (preload stripped: its records travel
     inside the state's store) in ``registry`` and apply its packed state.
@@ -263,9 +271,7 @@ def apply(handle: FeedHandle, state: FeedState) -> None:
             f"feed state is for feed {feed_id!r}, but the destination handle "
             f"hosts {handle.feed_id!r}"
         )
-    backing = handle.system.sp_store.backing
-    if isinstance(backing, LSMStore) and backing.closed:
-        backing.reopen()
+    open_store(handle)
     _apply_contract_state(handle.storage_manager, state.manager)
     _apply_contract_state(handle.consumer, state.consumer)
     handle.system.sp_store.apply_delta(state.store)

@@ -128,9 +128,9 @@ class FeedHandle:
     #: and the memo is bounded by the replicas GRuB itself decided to keep.
     #: ``None`` while the run has caching off.
     memo: Optional[Dict[str, bytes]] = field(default_factory=dict)
-    #: What a run-end state's store is a delta against: on a fork-pinned lane
-    #: the SP store as the fork left it (which the main mirror still holds),
-    #: everywhere else the empty store.
+    #: What a run-end state's store is a delta against: for a feed a lane
+    #: adopted as it forked, the SP store as the fork left it (which the main
+    #: mirror still holds); everywhere else the empty store.
     baseline: StoreBaseline = EMPTY_BASELINE
 
     def begin_run(self, operations: Iterable[Operation], *, memoise: bool) -> None:

@@ -25,12 +25,12 @@ heap looking for cycles that are not there.
     keeps but does not expose) — *once a collection of this ownership has
     found a cycle*: that is the evidence the program makes them, and it holds
     until a full collection comes back empty;
-  - and, where the run can go on forever (a live request source, a lane that
-    may be serving one), as insurance whenever the survivors outnumber the
-    old generation, cycles seen or not — so what a never-ending run holds at
-    most doubles between two full collections.  It falls due at one boundary
-    and is taken at the next, which for a gateway that idles is the one in
-    front of its blocking wait.
+  - and, where the run can go on forever (a live request source, and every
+    lane, which cannot see whether its run ends), as insurance whenever the
+    survivors outnumber the old generation, cycles seen or not — so what a
+    never-ending run holds at most doubles between two full collections.  It
+    falls due at one boundary and is taken at the next, which for a gateway
+    that idles is the one in front of its blocking wait.
 
   A batch run ends with its workload, and with it this ownership; what it
   promoted the interpreter's own bookkeeping has counted all along.

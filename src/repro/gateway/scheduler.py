@@ -68,11 +68,12 @@ the very same epoch body, :func:`repro.gateway.executor.run_epoch_phases`,
 the one place the phase order is written.  Churn processing and shard
 planning happen in the loop, on the main process between epochs, from
 deterministic inputs, so the guarantee extends to elastic runs (pinned by
-``tests/gateway/test_elastic_properties.py`` over both backends).  How a
-feed reaches a worker lane — as a packed
-:class:`~repro.gateway.feed_state.FeedState`, or by fork inheritance when
-nothing about the run can change the plan — is chosen by
-:class:`_LaneExecutor` from what it can observe, never by an option.
+``tests/gateway/test_elastic_properties.py`` over both backends).  A feed
+reaches a worker lane one way (:meth:`_LaneExecutor._place`): adopted by a
+lane that forks at the boundary its plan first assigns it there, else
+installed as a packed :class:`~repro.gateway.feed_state.FeedState`.  What
+:class:`_LaneExecutor` can observe about the run — never an option — decides
+only how far ahead of the merge its epochs are ordered.
 
 Reads are fronted by each feed's read memo (``FeedHandle.memo``) unless the
 scheduler was built with ``enable_cache=False``: a read of a key whose
@@ -103,7 +104,6 @@ collector back, exactly as it was, on every exit path.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import (
@@ -130,6 +130,7 @@ from repro.gateway.executor import (
     ipc_summary,
     land_transaction,
     run_epoch_phases,
+    shipped_spec,
 )
 from repro.gateway.metrics import FeedTelemetry, FleetTelemetry
 from repro.gateway.placement import assign_lanes, plan_moves
@@ -537,9 +538,13 @@ class EpochScheduler:
         blocks_before = chain.height
         wall_start = time.perf_counter()
         if self.execution_mode == "process":
-            # Nothing queued or live can change the plan mid-run: the lanes
-            # may be seeded once, for the whole run.
-            static = source is None and not self.pending_churn
+            # Nothing queued, live or observed can change the plan mid-run:
+            # it may be placed once, and its epochs ordered ahead.
+            static = (
+                source is None
+                and not self.pending_churn
+                and isinstance(self.planner, RoundRobinPlanner)
+            )
             executor: _Executor = _LaneExecutor(
                 self, epoch_size, fleet, static=static
             )
@@ -825,27 +830,23 @@ class _LaneExecutor(_Executor):
 
     A feed is hosted by the main process (created, its queue on its handle)
     until an epoch's plan first assigns it a lane; from then on the lane's
-    copy is the live one and ``remaining`` mirrors its queue depth: arrivals
-    add to it, and each merged epoch takes off the operations it executed.  How
-    feeds reach lanes is decided from what the run shows, never by an option:
+    copy is the live one — the main mirror stays as the feed left it, until
+    the run-end state lands on it — and ``remaining`` mirrors its queue
+    depth: arrivals add to it, and each merged epoch takes off the operations
+    it executed.  Every plan is placed the one way :meth:`_place` describes;
+    what the run shows, never an option, decides only how epochs are ordered:
 
-    * a **static** run — nothing that can change the plan: no queued churn,
-      no live source, a :class:`RoundRobinPlanner`, memory-backed stores — on
-      a ``fork`` start method spawns fork-seeded lanes pinned to the (stable)
-      plan and orders epochs ahead of the merge (:meth:`_order_ahead`), each
-      lane streaming an epoch's frame as it packs it;
-    * every other run spawns empty lanes and moves feeds as packed
-      :class:`~repro.gateway.feed_state.FeedState`\\ s, one lockstep epoch per
-      order (:meth:`_place_and_order`) — the next plan depends on this
-      epoch's settled gas, and an epoch's arrivals cannot exist before the
-      previous one settled.
+    * a **static** run — no queued churn, no live source, a
+      :class:`RoundRobinPlanner`, so the plan never changes — is placed once
+      and ordered ahead of the merge (:meth:`_order_ahead`), each lane
+      streaming an epoch's frame as it packs it;
+    * every other run is placed and ordered one lockstep epoch at a time —
+      the next plan depends on this epoch's settled gas, and an epoch's
+      arrivals cannot exist before the previous one settled.
 
-    Sending a static fleet the second way measured 30–42 % fewer
-    ``ops_per_s`` on the ``lanes_read`` benchmark workload (ROADMAP), which
-    is what the first way is kept for.  The engine counts lane traffic on
-    every run — on the obs plane, or on a registry of the run's own — and
-    ``FleetTelemetry.ipc`` is what the counters gained during the run (never
-    fingerprinted).
+    The engine counts lane traffic on every run — on the obs plane, or on a
+    registry of the run's own — and ``FleetTelemetry.ipc`` is what the
+    counters gained during the run (never fingerprinted).
     """
 
     def __init__(self, scheduler: EpochScheduler, *run_state, static: bool) -> None:
@@ -853,16 +854,10 @@ class _LaneExecutor(_Executor):
         self.num_workers = scheduler.num_workers
         #: The planner's per-feed load estimate (uniform when it keeps none).
         self._estimate = getattr(scheduler.planner, "estimate", lambda feed_id: 1.0)
-        self._pinned = (
-            static
-            and isinstance(scheduler.planner, RoundRobinPlanner)
-            and all(
-                self.registry.get(feed_id).spec.store_backend == "memory"
-                for feed_id in self.fleet.feeds
-            )
-            and multiprocessing.get_start_method() == "fork"
-        )
-        #: Pinned lanes only: epochs ordered so far (``[0, _submitted)``).
+        self._static = static
+        #: Static runs only: the run's one placement (lane → its shards) and
+        #: the epochs ordered so far (``[0, _submitted)``).
+        self._assignments: Optional[Dict[int, List[Tuple[int, List[str]]]]] = None
         self._submitted = 0
         #: feed id → the lane hosting its live mirror.  An active feed absent
         #: from it is still hosted by the main process: an initial feed before
@@ -891,7 +886,7 @@ class _LaneExecutor(_Executor):
             self.remaining[feed_id] += len(operations)
             self._arrivals[feed_id] = operations
         else:
-            # Still main-hosted: they ship inside its install state.
+            # Still main-hosted: they go with the feed to its first lane.
             self.registry.get(feed_id).queue.extend(operations)
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
@@ -907,26 +902,26 @@ class _LaneExecutor(_Executor):
         return self.engine.teardown(lane, feed_id, epoch)
 
     def _snapshot_feed(self, feed_id: str) -> bytes:
-        """Detach a main-hosted feed's mirror — its whole store: a lane starts
-        empty — as the packed state its first lane installs.
-
-        The main mirror stays registered (the merge path records settlements
-        against its addresses), but its queue empties — the lane's copy is
-        the live one now.
-        """
-        handle = self.registry.get(feed_id)
-        blob = feed_state.detach(handle)
-        self.remaining[feed_id] = len(handle.queue)
-        handle.queue.clear()
-        return blob
+        """Detach a main-hosted feed as the packed state a running lane
+        installs — its whole store: the lane never saw this one.  The main
+        mirror stays registered (the merge path records settlements against
+        its addresses)."""
+        return feed_state.detach(self.registry.get(feed_id))
 
     def run_epoch(
         self, epoch: int, shard_plan: List[List[str]]
     ) -> Dict[str, Tuple[int, int]]:
-        if self._pinned:
+        if self._static:
             self._order_ahead(epoch, shard_plan)
         else:
-            self._place_and_order(epoch, shard_plan)
+            assignments = self._place(shard_plan)
+            arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
+            for feed_id in sorted(self._arrivals):
+                arrivals_by_lane.setdefault(self.feed_lane[feed_id], []).append(
+                    (feed_id, self._arrivals[feed_id])
+                )
+            self._arrivals = {}
+            self.engine.submit(epoch, 1, self.epoch_size, assignments, arrivals_by_lane)
         settled = _settled(self.fleet, self._merge_lane_epoch(epoch))
         for feed_id, (executed, _) in settled.items():
             # The lane popped exactly ``executed`` operations off its queue.
@@ -934,7 +929,7 @@ class _LaneExecutor(_Executor):
         return settled
 
     def _order_ahead(self, epoch: int, shard_plan: List[List[str]]) -> None:
-        """Pinned lanes: keep every lane ordered with all the epochs the
+        """Static runs: keep every lane ordered with all the epochs the
         remaining workloads guarantee, so the merge runs behind the lanes —
         each lane sends an epoch's frame as soon as it is packed, and epoch
         *n* merges while the lanes run epoch *n + 1*.
@@ -947,61 +942,72 @@ class _LaneExecutor(_Executor):
         drops below what is already ordered: every ordered epoch is merged
         and the run ends with none orphaned.
         """
-        if not self.feed_lane:
+        if self._assignments is None:
             # Round-robin over a static fleet is per-epoch stable, so the
-            # first epoch's plan is the run's.
-            self.feed_lane = self.engine.spawn_pinned(shard_plan)
-            self.remaining = {
-                feed_id: len(self.registry.get(feed_id).queue)
-                for feed_id in self.feed_lane
-            }
+            # first epoch's placement is the run's.
+            self._assignments = self._place(shard_plan)
         target = epoch + max(
             -(-count // self.epoch_size) for count in self.remaining.values()
         )
         if self._submitted < target:
             self.engine.submit(
-                self._submitted, target - self._submitted, self.epoch_size
+                self._submitted, target - self._submitted, self.epoch_size,
+                self._assignments,
             )
             self._submitted = target
 
-    def _place_and_order(self, epoch: int, shard_plan: List[List[str]]) -> None:
-        """Map this epoch's plan onto the lanes, move the feeds it
-        regrouped, and order the epoch.
+    def _place(
+        self, shard_plan: List[List[str]]
+    ) -> Dict[int, List[Tuple[int, List[str]]]]:
+        """Map a plan onto the lanes and move the feeds it places anew or
+        regrouped; returns lane → its ``(shard_index, feed_ids)``.
 
-        *Initial placement / admission* serialise the main-hosted mirror into
-        the lane the plan assigns; *re-shard migration* follows placement
+        Placement keeps state where it lives
         (:func:`~repro.gateway.placement.assign_lanes`: a shard goes to the
         live lane already hosting most of its feeds, within a load-balance
-        cap on the planner's estimates), so only a feed the plan really
-        regrouped, or one on a retiring lane, moves — all of an epoch's moves
-        as one migrate-out order per source lane and one install order per
-        destination lane, with the epoch order queued behind the installs
-        without waiting for them.
+        cap on the planner's estimates), so only a main-hosted feed, one the
+        plan really regrouped, or one on a retiring lane moves.  A move from
+        the main process into a lane spawned at this boundary is an
+        *adoption* where lanes fork: the lane forks with the feed as it
+        stands (its LSM opener closed first, for the lane to reopen).  Every
+        other move is an install — all of them as one migrate-out order per
+        source lane and one install order per destination lane, with the
+        epoch order queued behind the installs without waiting for them.
+        Lanes the plan no longer needs retire once drained.
+
+        Every feed's first placement checks the spec it would travel with,
+        adopted or not, so a spec that cannot cross fails here, naming the
+        feed (:func:`~repro.gateway.executor.shipped_spec`).
         """
         engine = self.engine
         feed_lane = self.feed_lane
-        # Elasticity: lanes 0..desired-1 serve this epoch; spawn what's
-        # missing now, retire the surplus once drained.
         desired = max(1, min(self.num_workers, len(shard_plan)))
-        engine.ensure_lanes(desired)
         shard_lanes = assign_lanes(shard_plan, desired, feed_lane, self._estimate)
         moves = plan_moves(shard_plan, shard_lanes, feed_lane, desired)
-        engine.transfer(moves, self._snapshot_feed)
+        spawning = set(range(desired)) - set(engine.lanes) if engine.forks else set()
+        adopts: Dict[int, List[str]] = {}
+        installs = []
+        for move in moves:
+            if move.source is None:
+                handle = self.registry.get(move.feed_id)
+                shipped_spec(handle.spec)
+                self.remaining[move.feed_id] = len(handle.queue)
+                if move.destination in spawning:
+                    feed_state.close_store(handle)
+                    adopts.setdefault(move.destination, []).append(move.feed_id)
+                    continue
+            installs.append(move)
+        engine.ensure_lanes(desired, adopts)
+        engine.transfer(installs, self._snapshot_feed)
         for move in moves:
             feed_lane[move.feed_id] = move.destination
+        engine.retire_lanes(desired)
         assignments: Dict[int, List[Tuple[int, List[str]]]] = {}
         for shard_index, shard in enumerate(shard_plan):
             assignments.setdefault(shard_lanes[shard_index], []).append(
                 (shard_index, list(shard))
             )
-        engine.retire_lanes(desired)
-        arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
-        for feed_id in sorted(self._arrivals):
-            arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
-                (feed_id, self._arrivals[feed_id])
-            )
-        self._arrivals = {}
-        engine.submit(epoch, 1, self.epoch_size, assignments, arrivals_by_lane)
+        return assignments
 
     def _merge_lane_epoch(self, epoch: int) -> List[ShardOutcome]:
         """Merge one ordered epoch's lane results into the main chain.
@@ -1033,7 +1039,7 @@ class _LaneExecutor(_Executor):
         # Every surviving lane feed's final state folds back into the main
         # mirrors — the same apply a lane installs an arriving feed with — so
         # post-run inspection (contract storage, roots, bills, memos) sees
-        # serial-identical state.  A fork-pinned lane's state patches the
+        # serial-identical state.  An adopted feed's state patches the
         # mirror's store with what the run changed; an installed feed's
         # replaces it.  The bill that came back is the fleet's row.
         for state in self.engine.collect():

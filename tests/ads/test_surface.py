@@ -47,7 +47,7 @@ AUTHENTICATED_KV_STORE = {
     "apply_state_transition",  # test reference: a one-record state-only batch
     "query",  # test reference: the single path query_many's proof matches
     "query_many",  # ServiceProvider.build_deliver_items
-    "baseline",  # gateway/executor.py, a fork-pinned lane's starting point
+    "baseline",  # gateway/executor.py, an adopted feed's store as its lane forked
     "export_delta",  # gateway/feed_state.capture
     "apply_delta",  # gateway/feed_state.apply
     "leaf_hash_for",  # AuthenticatedKVStore._leaf_hash

@@ -1,5 +1,7 @@
 """The lane engine's batched feed transfer: deferred installs must fail
-loudly, and LSM directories must keep a single opener while they move.
+loudly, LSM directories must keep a single opener while they move, and a
+main-hosted feed placed on a lane spawned at that boundary is adopted by the
+fork instead of installed.
 
 ``LaneEngine.transfer`` leaves its install orders in flight (the
 epoch order is sent behind them on the lane's pipe, answered in order), so a
@@ -16,6 +18,9 @@ import multiprocessing
 import threading
 
 import pytest
+
+from test_feed_state import spec_of, workload_of
+from test_parallel_engine import chain_state_fingerprint
 
 from repro.common.errors import ConfigurationError, WireError
 from repro.common.types import KVRecord, Operation
@@ -73,7 +78,7 @@ def test_failed_install_reraises_at_the_next_engine_call(next_call):
     before = set(multiprocessing.active_children())
 
     def body():
-        engine.ensure_lanes(1)
+        engine.ensure_lanes(1, {})
         # alpha's install order carries beta's frame; the order is accepted
         # (installs are not waited on) ...
         engine.transfer(
@@ -102,7 +107,7 @@ def test_failed_migrate_out_reraises_its_typed_error():
     engine = LaneEngine(2, registry, MetricsRegistry())
 
     def body():
-        engine.ensure_lanes(2)
+        engine.ensure_lanes(2, {})
         # Lane 0 hosts nothing: its migrate-out order fails in the lane.
         engine.transfer(
             [FeedMove("alpha", 0, 1, "regrouped")],
@@ -117,6 +122,9 @@ def test_failed_migrate_out_reraises_its_typed_error():
 
 
 def test_run_with_a_mismatched_frame_ends_with_the_wire_error(monkeypatch):
+    """An admission after epoch 0 is installed into a running lane: its
+    install order pairing its spec with another feed's packed state ends the
+    run with the lane's typed error."""
     registry = two_feed_registry()
     scheduler = EpochScheduler(
         registry,
@@ -125,23 +133,59 @@ def test_run_with_a_mismatched_frame_ends_with_the_wire_error(monkeypatch):
         epoch_size=4,
         planner=GasAwareShardPlanner(block_gas_fraction=0.01),
     )
+    scheduler.admit(
+        FeedSpec(feed_id="gamma", config=GrubConfig(epoch_size=4)),
+        [Operation.read("k")] * 8,
+        at_epoch=1,
+    )
     genuine = _LaneExecutor._snapshot_feed
 
     def crossed(self, feed_id):
-        return genuine(self, "beta" if feed_id == "alpha" else feed_id)
+        return genuine(self, "beta" if feed_id == "gamma" else feed_id)
 
     monkeypatch.setattr(_LaneExecutor, "_snapshot_feed", crossed)
     before = set(multiprocessing.active_children())
     workloads = {feed_id: [Operation.read("k")] * 8 for feed_id in ("alpha", "beta")}
-    with pytest.raises(WireError, match="pairs spec 'alpha'"):
+    with pytest.raises(WireError, match="pairs spec 'gamma'"):
         bounded(lambda: scheduler.run(workloads))
     assert set(multiprocessing.active_children()) <= before
 
 
+def test_an_admission_on_a_lane_spawned_at_its_boundary_is_adopted():
+    """One feed runs from epoch 0 on one lane.  A second, admitted at epoch
+    2, gets a shard of its own, and a second lane spawns for it at that
+    boundary — forked with the admitted feed as it stands, so nothing is
+    installed, and the run is serial-identical.  Where lanes do not fork,
+    both feeds are installed."""
+
+    def run(execution_mode):
+        registry = FeedRegistry()
+        registry.create_feed(spec_of("alpha"))
+        scheduler = EpochScheduler(
+            registry,
+            num_shards=2,
+            num_workers=2 if execution_mode == "process" else 1,
+            execution_mode=execution_mode,
+        )
+        scheduler.admit(spec_of("late"), workload_of("late"), at_epoch=2)
+        return bounded(lambda: scheduler.run({"alpha": workload_of("alpha")})), registry
+
+    serial_fleet, serial_registry = run("serial")
+    process_fleet, process_registry = run("process")
+    forks = multiprocessing.get_start_method() == "fork"
+    assert process_fleet.ipc["lane_spawns_total"] == 2
+    assert process_fleet.ipc["installs_total"] == (0 if forks else 2)
+    assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+    assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
+        serial_registry
+    )
+
+
 def test_unpicklable_spec_is_a_configuration_error_naming_the_feed():
-    """An install order pickles its specs as it is sent, so a spec that
-    cannot cross (a closure ``consumer_factory``) fails there — as the
-    configuration error it is, not a raw pickling traceback."""
+    """Every feed's first placement checks the spec it would travel with —
+    adopted or installed — so a spec that cannot cross (a closure
+    ``consumer_factory``) fails there, as the configuration error it is, not
+    a raw pickling traceback."""
     registry = FeedRegistry()
     for feed_id in ("alpha", "beta"):
 
@@ -269,6 +313,18 @@ def test_lane_depth_mirror_tracks_the_lane_queues(monkeypatch):
 def _run_lsm_fleet(execution_mode, num_workers, directory):
     """Six LSM-backed feeds under a budget tight enough that the gas-aware
     plan regroups them between epochs."""
+    registry, workloads = lsm_fleet(directory)
+    scheduler = EpochScheduler(
+        registry,
+        num_workers=num_workers,
+        execution_mode=execution_mode,
+        planner=GasAwareShardPlanner(block_gas_fraction=0.02),
+    )
+    return scheduler.run(workloads), registry
+
+
+def lsm_fleet(directory):
+    """Six feeds, each on an LSM store in a directory of its own."""
     registry = FeedRegistry()
     workloads = {}
     for index in range(6):
@@ -289,13 +345,7 @@ def _run_lsm_fleet(execution_mode, num_workers, directory):
             key_prefix=f"k{index}-",
             seed=index + 1,
         ).operations()
-    scheduler = EpochScheduler(
-        registry,
-        num_workers=num_workers,
-        execution_mode=execution_mode,
-        planner=GasAwareShardPlanner(block_gas_fraction=0.02),
-    )
-    return scheduler.run(workloads), registry
+    return registry, workloads
 
 
 def test_lsm_feeds_migrate_in_batches_with_a_single_opener(tmp_path):
@@ -311,3 +361,37 @@ def test_lsm_feeds_migrate_in_batches_with_a_single_opener(tmp_path):
     for handle in serial_registry.handles:
         moved = process_registry.get(handle.feed_id).system.sp_store
         assert moved.root == handle.system.sp_store.root
+
+
+def test_a_static_lsm_fleet_is_adopted_and_runs_again(tmp_path):
+    """A round-robin fleet is static whatever its store backend: each lane
+    adopts its LSM-backed feeds (the main process closes their openers
+    before the fork, the lane reopens them), the run-end states land on the
+    main mirrors, which take their directories back, and a second run on
+    the same registry starts from there — serial-identical throughout."""
+
+    def two_runs(execution_mode, num_workers, directory):
+        registry, workloads = lsm_fleet(directory)
+        scheduler = EpochScheduler(
+            registry,
+            num_shards=2,
+            num_workers=num_workers,
+            execution_mode=execution_mode,
+        )
+        return [scheduler.run(workloads) for _ in range(2)], registry
+
+    serial_fleets, serial_registry = two_runs("serial", 1, tmp_path / "serial")
+    process_fleets, process_registry = bounded(
+        lambda: two_runs("process", 2, tmp_path / "process")
+    )
+    forks = multiprocessing.get_start_method() == "fork"
+    installs = [fleet.ipc["installs_total"] for fleet in process_fleets]
+    assert installs == ([0, 0] if forks else [6, 6])
+    assert [fleet.fingerprint() for fleet in process_fleets] == [
+        fleet.fingerprint() for fleet in serial_fleets
+    ]
+    for handle in serial_registry.handles:
+        store = process_registry.get(handle.feed_id).system.sp_store
+        assert not store.backing.closed
+        assert store.root == handle.system.sp_store.root
+        assert list(store.backing.items()) == list(handle.system.sp_store.backing.items())

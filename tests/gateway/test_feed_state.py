@@ -1,11 +1,13 @@
 """The one form a feed changes interpreter in (``repro.gateway.feed_state``):
 capture → pack → unpack → apply reproduces the feed; bytes that are not a
-packed state of the expected feed install nothing; and the run-end state of a
-fork-pinned lane stays a delta while an installed feed's is the whole store.
+packed state of the expected feed install nothing; and the run-end state of
+a feed a lane adopted stays a delta while an installed feed's is the whole
+store.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 from collections import deque
 from dataclasses import replace
@@ -19,7 +21,6 @@ from repro.gateway import (
     EpochScheduler,
     FeedRegistry,
     FeedSpec,
-    GasAwareShardPlanner,
     feed_state,
 )
 from repro.gateway.feed_state import ActorState
@@ -132,9 +133,18 @@ def test_a_state_for_another_feed_is_a_wire_error_and_touches_nothing():
     assert feed_view(source, "alpha") == before
 
 
-def run_recording_run_end_states(monkeypatch, **sharding):
-    """One process run over a busy feed and one whose workload is empty;
-    returns the run-end states the main process applied, and the registry."""
+def fleet_run(registry: FeedRegistry, admit, **process) -> object:
+    """A busy feed and one whose workload is empty over two shards, plus an
+    ``admit`` feed admitted at epoch 2 with a busy workload, when given."""
+    scheduler = EpochScheduler(registry, num_shards=2, **process)
+    if admit is not None:
+        scheduler.admit(spec_of(admit), workload_of(admit), at_epoch=2)
+    return scheduler.run({"busy": workload_of("busy"), "idle": []})
+
+
+def run_recording_run_end_states(monkeypatch, admit=None):
+    """:func:`fleet_run` on two lanes; returns the run-end states the main
+    process applied, the registry and the fleet."""
     registry = FeedRegistry()
     for feed_id in ("busy", "idle"):
         registry.create_feed(spec_of(feed_id))
@@ -146,40 +156,45 @@ def run_recording_run_end_states(monkeypatch, **sharding):
         genuine(handle, state)
 
     monkeypatch.setattr(feed_state, "apply", recording)
-    scheduler = EpochScheduler(
-        registry, num_workers=2, execution_mode="process", **sharding
-    )
-    fleet = scheduler.run({"busy": workload_of("busy"), "idle": []})
+    fleet = fleet_run(registry, admit, num_workers=2, execution_mode="process")
     return states, registry, fleet
 
 
-def serial_roots() -> dict:
+def serial_roots(admit=None) -> dict:
     registry = FeedRegistry()
     for feed_id in ("busy", "idle"):
         registry.create_feed(spec_of(feed_id))
-    EpochScheduler(registry, num_shards=2).run({"busy": workload_of("busy"), "idle": []})
+    fleet_run(registry, admit)
     return {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
 
 
-def test_a_fork_pinned_lane_ships_only_what_its_store_diverged_by(monkeypatch):
-    states, registry, fleet = run_recording_run_end_states(monkeypatch, num_shards=2)
-    assert fleet.ipc["installs_total"] == 0
+def test_an_adopted_feed_ships_only_what_its_store_diverged_by(monkeypatch):
+    """Both feeds are placed at epoch 0, each on a lane spawned for it there,
+    which adopts it as it forks.  Where lanes do not fork, both are
+    installed instead, and ship whole."""
+    states, registry, fleet = run_recording_run_end_states(monkeypatch)
+    forks = multiprocessing.get_start_method() == "fork"
+    assert fleet.ipc["installs_total"] == (0 if forks else 2)
     idle, busy = states["idle"].store, states["busy"].store
-    assert (idle.from_empty, idle.changed, idle.deleted) == (False, [], [])
-    assert not busy.from_empty
-    assert 0 < len(busy.changed) < len(registry.get("busy").system.sp_store)
+    assert (idle.from_empty, busy.from_empty) == (not forks, not forks)
+    if forks:
+        assert (idle.changed, idle.deleted) == ([], [])
+        assert 0 < len(busy.changed) < len(registry.get("busy").system.sp_store)
     roots = {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
     assert roots == serial_roots()
 
 
-def test_an_install_ships_the_whole_store_back_and_resets_the_mirror(monkeypatch):
-    states, registry, fleet = run_recording_run_end_states(
-        monkeypatch, planner=GasAwareShardPlanner(block_gas_fraction=0.01)
-    )
-    assert fleet.ipc["installs_total"] == 2
-    for feed_id, state in states.items():
-        store = registry.get(feed_id).system.sp_store
-        assert state.store.from_empty
-        assert sorted(key for key, *_ in state.store.changed) == store.keys()
+def test_a_feed_installed_into_a_running_lane_ships_whole_and_resets_the_mirror(
+    monkeypatch,
+):
+    """A feed admitted after epoch 0 joins a lane already running, so it is
+    installed: its run-end state is its whole store, which replaces the main
+    mirror's (the preload it was admitted with)."""
+    states, registry, fleet = run_recording_run_end_states(monkeypatch, admit="late")
+    forks = multiprocessing.get_start_method() == "fork"
+    assert fleet.ipc["installs_total"] == (1 if forks else 3)
+    late = states["late"].store
+    assert late.from_empty
+    assert sorted(key for key, *_ in late.changed) == registry.get("late").system.sp_store.keys()
     roots = {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
-    assert roots == serial_roots()
+    assert roots == serial_roots(admit="late")

@@ -287,8 +287,8 @@ class TestLaneArrivalsRoundTrip:
 
 
 def small_fleet():
-    """Four feeds over two shards: a static fleet, so process mode fork-pins
-    one shard to each of two lanes and orders every epoch ahead."""
+    """Four feeds over two shards: a static fleet, so process mode places
+    one shard on each of two lanes once and orders every epoch ahead."""
     registry = FeedRegistry()
     workloads = {}
     for index in range(4):
@@ -408,8 +408,8 @@ class TestHostileLaneFrames:
         engine = LaneEngine(1, registry, MetricsRegistry())
         try:
             feed_ids = [handle.feed_id for handle in registry.handles]
-            engine.spawn_pinned([feed_ids])
-            engine.submit(0, 2, 8)
+            engine.ensure_lanes(1, {0: feed_ids})
+            engine.submit(0, 2, 8, {0: [(0, feed_ids)]})
             with pytest.raises(WireError, match="for epoch 1, but the next in-flight epoch is 0"):
                 engine.results(1)
             for epoch in (0, 1):
@@ -429,7 +429,7 @@ class TestHostileOrders:
         registry.create_feed(FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=4)))
         engine = LaneEngine(1, registry, MetricsRegistry())
         before = set(multiprocessing.active_children())
-        engine.ensure_lanes(1)
+        engine.ensure_lanes(1, {})
         engine.transfer(
             [FeedMove("alpha", None, 0, None)],
             snapshot_local=lambda feed_id: feed_state.detach(registry.get(feed_id)),

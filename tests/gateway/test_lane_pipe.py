@@ -57,16 +57,16 @@ def fleet(operations: int):
     return registry, workloads
 
 
-def pinned_scheduler(registry):
-    """A static fleet on two lanes: fork-seeded, pinned, ordered ahead."""
+def static_scheduler(registry):
+    """A static fleet on two lanes: placed once, ordered ahead."""
     return EpochScheduler(
         registry, num_shards=2, num_workers=2, execution_mode="process"
     )
 
 
 def elastic_scheduler(registry):
-    """The same fleet under the gas-aware planner: installed into two empty
-    lanes, one lockstep epoch per order."""
+    """The same fleet under the gas-aware planner: one lockstep epoch per
+    order."""
     return EpochScheduler(
         registry,
         num_workers=2,
@@ -76,7 +76,7 @@ def elastic_scheduler(registry):
 
 
 class TestLaneDeath:
-    @pytest.mark.parametrize("scheduler_for", [pinned_scheduler, elastic_scheduler])
+    @pytest.mark.parametrize("scheduler_for", [static_scheduler, elastic_scheduler])
     def test_killed_lane_ends_the_run_typed(self, monkeypatch, scheduler_for):
         """SIGKILL lane 1 once epoch 1 is merged: the run ends in
         ``LaneDied`` naming lane 1, promptly, with no lane left running."""
@@ -128,7 +128,7 @@ class TestPipeBuffer:
             return feed_state.pack(feed_state.capture(registry.get(feed_id)))
 
         def body():
-            engine.ensure_lanes(1)
+            engine.ensure_lanes(1, {})
             engine.transfer([FeedMove(feed_id, None, 0, None) for feed_id, _ in small], snapshot)
             small_bytes = metrics.counter("install_bytes_total").value
             engine.transfer([FeedMove(feed_id, None, 0, None) for feed_id, _ in large], snapshot)
@@ -147,7 +147,7 @@ class TestPipeBuffer:
         assert set(multiprocessing.active_children()) <= before
 
     def test_slow_merge_behind_blocked_lanes_is_serial_identical(self, monkeypatch):
-        """A fork-pinned run whose merge is slowed: ≈ 400 kB of frames a lane,
+        """A static run whose merge is slowed: ≈ 400 kB of frames a lane,
         about twice a socket's default send buffer, so the lanes run ahead
         until they block sending — and the run still ends serial-identical."""
         registry, workloads = fleet(2400)
@@ -161,7 +161,7 @@ class TestPipeBuffer:
         monkeypatch.setattr(LaneEngine, "results", slowed)
         registry, workloads = fleet(2400)
         before = set(multiprocessing.active_children())
-        process_fleet = bounded(lambda: pinned_scheduler(registry).run(workloads))
+        process_fleet = bounded(lambda: static_scheduler(registry).run(workloads))
         assert process_fleet.ipc["wire_bytes_total"] > 2 * 300_000
         assert process_fleet.fingerprint() == serial_fleet.fingerprint()
         assert set(multiprocessing.active_children()) <= before
