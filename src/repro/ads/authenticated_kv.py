@@ -36,9 +36,9 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.ads.merkle import MerkleProof, MerkleTree, MultiProof
+from repro.ads.merkle import MerkleProof, MerkleTree, MultiProof, changed_nodes
 from repro.common.errors import StorageError
-from repro.common.hashing import EMPTY_DIGEST, hash_record
+from repro.common.hashing import hash_record
 from repro.common.types import KVRecord, ReplicationState
 from repro.storage.kvstore import InMemoryKVStore, KVStore
 
@@ -93,14 +93,18 @@ class StoreDelta:
     #: The baseline held no record: this is the whole store, and a mirror
     #: that holds anything is emptied before applying.
     from_empty: bool
-    #: ``(key, value, state, version, slot, leaf)`` of every record that is
-    #: new, rewritten or sitting in another slot than at the baseline.
-    changed: List[Tuple[str, bytes, ReplicationState, int, int, bytes]]
+    #: ``(key, value, state, version, slot)`` of every record that is new,
+    #: rewritten or sitting in another slot than at the baseline.
+    changed: List[Tuple[str, bytes, ReplicationState, int, int]]
     #: Baseline keys the store no longer holds.
     deleted: List[str]
     slot_count: int
-    #: :meth:`MerkleTree.interior` of the exporter's tree.
-    interior: bytes
+    #: The exporter's tree nodes that may differ from the baseline's — the
+    #: changed records' leaves and the nodes above them
+    #: (:func:`~repro.ads.merkle.changed_nodes`) — as one
+    #: :meth:`MerkleTree.nodes` blob.  Against the empty baseline that is
+    #: every node.
+    nodes: bytes
 
 
 @dataclass
@@ -290,24 +294,26 @@ class AuthenticatedKVStore:
 
     def export_delta(self, baseline: StoreBaseline = EMPTY_BASELINE) -> StoreDelta:
         """Everything that diverged from ``baseline`` — the whole store against
-        :data:`EMPTY_BASELINE`, next to nothing for a store barely touched."""
+        :data:`EMPTY_BASELINE`, next to nothing for a store barely touched:
+        the changed records and only the tree nodes above them."""
         records = self._records
         base_records = baseline.records
         base_slot_of = baseline.slot_of
-        leaf = self._tree.leaf
         changed = []
         for key, slot in self._slot_of.items():
             record = records[key]
             if base_records.get(key) is not record or base_slot_of[key] != slot:
-                changed.append(
-                    (key, record.value, record.state, record.version, slot, leaf(slot))
-                )
+                changed.append((key, record.value, record.state, record.version, slot))
+        tree = self._tree
+        positions = changed_nodes(
+            [item[4] for item in changed], len(base_slot_of), tree.leaf_count
+        )
         return StoreDelta(
             from_empty=not base_records,
             changed=changed,
             deleted=[key for key in base_records if key not in records],
-            slot_count=self._tree.leaf_count,
-            interior=self._tree.interior(),
+            slot_count=tree.leaf_count,
+            nodes=tree.nodes(positions),
         )
 
     def apply_delta(self, delta: StoreDelta) -> bytes:
@@ -316,25 +322,22 @@ class AuthenticatedKVStore:
 
         Reproduced exactly: records by key, slot layout, leaves and interior
         levels (hence every proof), the sorted and replicated views, and the
-        backing's contents, written as one batch.
+        backing's contents, written as one batch.  Only the tree nodes the
+        delta carries are written; the mirror's others already match.
         The records' dict order is not part of that state.
         """
         if delta.from_empty and self._records:
             self.load([])
+        base_count = self._tree.leaf_count
         records, slot_of = self._records, self._slot_of
         writes: List[Tuple[str, Optional[bytes]]] = []
         for key in delta.deleted:
             del slot_of[key]
             writes.append((records.pop(key).prefixed_key, None))
             self._replicated_keys.discard(key)
-        # Every exporter slot holds a record, and a slot that is new or has
-        # changed hands since the baseline (only a load moves a key) is in
-        # ``changed``, so the placeholders below are all overwritten.  A load
-        # may also have left fewer slots than the mirror has.
-        leaves = self._tree.leaves()[: delta.slot_count]
-        leaves.extend([EMPTY_DIGEST] * (delta.slot_count - len(leaves)))
         membership_changed = bool(delta.deleted)
-        for key, value, state, version, slot, leaf in delta.changed:
+        slots = []
+        for key, value, state, version, slot in delta.changed:
             record = KVRecord(key=key, value=value, state=state, version=version)
             old = records.get(key)
             if old is None:
@@ -344,12 +347,16 @@ class AuthenticatedKVStore:
             writes.append((record.prefixed_key, value))
             records[key] = record
             slot_of[key] = slot
-            leaves[slot] = leaf
+            slots.append(slot)
             if state is ReplicationState.REPLICATED:
                 self._replicated_keys.add(key)
             else:
                 self._replicated_keys.discard(key)
-        self._tree = MerkleTree.from_levels(leaves, delta.interior)
+        self._tree.patch(
+            delta.slot_count,
+            changed_nodes(slots, base_count, delta.slot_count),
+            delta.nodes,
+        )
         if membership_changed:
             self._sorted_keys = sorted(records)
         self.backing.write_batch(writes)

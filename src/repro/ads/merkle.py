@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.common.errors import IntegrityError
 from repro.common.hashing import DIGEST_SIZE_BYTES, EMPTY_DIGEST, hash_pair, keccak
@@ -118,10 +118,7 @@ class MerkleTree:
 
     def _rebuild(self) -> None:
         padded = list(self._leaves)
-        size = 1
-        while size < max(1, len(padded)):
-            size *= 2
-        padded.extend([EMPTY_DIGEST] * (size - len(padded)))
+        padded.extend([EMPTY_DIGEST] * (_width(len(padded)) - len(padded)))
         levels = [padded]
         while len(levels[-1]) > 1:
             current = levels[-1]
@@ -137,37 +134,51 @@ class MerkleTree:
         """Build a tree whose leaves are the hashes of ``values``."""
         return cls([keccak(value) for value in values])
 
-    @classmethod
-    def from_levels(cls, leaves: Sequence[bytes], interior: bytes) -> "MerkleTree":
-        """Reassemble a tree from its leaves and the :meth:`interior` blob of
-        the tree they were read from — nothing is hashed, so a tree that
-        changes interpreter costs a copy, not a rebuild."""
-        tree = cls.__new__(cls)
-        tree._leaves = list(leaves)
-        width = 1
-        while width < len(tree._leaves):
-            width *= 2
-        if len(interior) != (width - 1) * DIGEST_SIZE_BYTES:
-            raise IntegrityError(
-                f"{len(interior)} interior bytes do not fit {len(tree._leaves)} leaves"
-            )
-        tree._levels = [tree._leaves + [EMPTY_DIGEST] * (width - len(tree._leaves))]
-        offset = 0
-        while width > 1:
-            width //= 2
-            end = offset + width * DIGEST_SIZE_BYTES
-            tree._levels.append(
-                [
-                    interior[start : start + DIGEST_SIZE_BYTES]
-                    for start in range(offset, end, DIGEST_SIZE_BYTES)
-                ]
-            )
-            offset = end
-        return tree
+    def nodes(self, positions: Sequence[Sequence[int]]) -> bytes:
+        """The digests at ``positions`` (one sorted list per level, leaf level
+        first — what :func:`changed_nodes` returns) as one flat blob."""
+        return b"".join(
+            level[position]
+            for level, at_level in zip(self._levels, positions)
+            for position in at_level
+        )
 
-    def interior(self) -> bytes:
-        """Every interior node as one flat blob: level by level, root last."""
-        return b"".join(digest for level in self._levels[1:] for digest in level)
+    def patch(
+        self, leaf_count: int, positions: Sequence[Sequence[int]], blob: bytes
+    ) -> bytes:
+        """Resize the tree to ``leaf_count`` leaves and write the :meth:`nodes`
+        ``blob`` of another tree at ``positions``; returns the new root.
+
+        Nothing is hashed.  When ``positions`` is :func:`changed_nodes` of the
+        slots that differ between this tree and the exporter's, the result is
+        the exporter's tree, node for node.
+        """
+        width = _width(leaf_count)
+        if len(positions) != width.bit_length() or len(blob) != DIGEST_SIZE_BYTES * sum(
+            map(len, positions)
+        ):
+            raise IntegrityError(
+                f"{len(blob)} node bytes do not fit a {leaf_count}-leaf patch"
+            )
+        levels = self._levels
+        del levels[len(positions) :]
+        offset = 0
+        for height, at_level in enumerate(positions):
+            # Every position a placeholder lands on is in ``positions``, but
+            # the leaf level's padding, which stays empty.
+            size = width >> height
+            if height < len(levels):
+                level = levels[height]
+                del level[size if height else leaf_count :]
+                level.extend([EMPTY_DIGEST] * (size - len(level)))
+            else:
+                level = [EMPTY_DIGEST] * size
+                levels.append(level)
+            for position in at_level:
+                level[position] = blob[offset : offset + DIGEST_SIZE_BYTES]
+                offset += DIGEST_SIZE_BYTES
+        self._leaves = levels[0][:leaf_count]
+        return self.root
 
     # -- queries ----------------------------------------------------------------
 
@@ -301,6 +312,34 @@ class MerkleTree:
             return self._update_path(index, new_hash)
         self._rebuild()
         return self.root
+
+
+def _width(leaf_count: int) -> int:
+    """The padded width of a ``leaf_count``-leaf tree's leaf level."""
+    return 1 << max(0, leaf_count - 1).bit_length()
+
+
+def changed_nodes(
+    slots: Iterable[int], old_count: int, new_count: int
+) -> List[List[int]]:
+    """Where a tree that had ``old_count`` leaves and now has ``new_count``
+    may differ from its old self once the leaves at ``slots`` were rewritten:
+    per level, leaf level first, the sorted positions of those leaves, their
+    ancestors, the ancestors of leaves that turned into padding, and every
+    node the old tree was too narrow to have.  Any other node covers leaves
+    that did not change, so it holds the same digest as before.
+    """
+    width, old_width = _width(new_count), _width(old_count)
+    dirty = set(slots)
+    levels = [sorted(dirty)]
+    dirty.update(range(new_count, min(old_count, width)))
+    while width > 1:
+        width >>= 1
+        old_width >>= 1
+        dirty = {position >> 1 for position in dirty}
+        dirty.update(range(old_width, width))
+        levels.append(sorted(dirty))
+    return levels
 
 
 # -- verification (pure: a metering verifier charges before it calls) ---------------

@@ -47,8 +47,8 @@ long-lived worker processes:
   state are bit-identical to a serial run;
 * at run end the workers ship their final feed state back — the same packed
   :class:`~repro.gateway.feed_state.FeedState` a feed moves between lanes
-  as, an adopted feed's holding only what its store diverged by since the
-  fork — and the scheduler applies it to the main registry's mirrors, so
+  as, a copy that descends from the main mirror holding only what diverged
+  from it — and the scheduler applies it to the main registry's mirrors, so
   post-run inspection (contract storage, roots, replica counts, bills,
   memos) sees exactly what a serial run would have left, and the
   registry's next run continues from it.
@@ -71,25 +71,33 @@ ingested.
 
 **How a feed reaches a lane.**  One way a lane starts: forked, at an epoch
 boundary, with the main registry as its process argument — handed over
-copy-on-write, never pickled — keeping the feeds it *adopts* and dropping
+copy-on-write, never pickled — keeping the feeds it *adopts* and holding
 every other one it inherited (:meth:`LaneEngine.ensure_lanes`).  A feed the
 main process hosts is adopted by the lane its plan assigns it when that lane
 is spawned at the same boundary: the built feed — contracts, SP store,
 queue, memo and bill — is the lane's as the fork left it, and an LSM opener
 the main process closed before the fork is reopened there.  Every other move
-is an *install*: a feed's complete mirror — contract attrs and storage slots,
+is an *install* of one :class:`~repro.gateway.feed_state.FeedState`, packed
+into self-contained bytes where it is captured and applied where it lands
+(:mod:`repro.gateway.feed_state`: one capture, one apply, whoever sends and
+whoever receives).  A lane keeps every feed it inherited without adopting
+it, and every feed that left it, as a *held copy* at a version — the main
+mirror's, or the state the feed left as — and :class:`LaneEngine` records
+which version each lane holds of each feed.  A move to a lane holding one
+is cut against it when the source's copy arrived as that version: only the
+changed records, the tree nodes above them and the queue's two ends cross,
+and the destination re-hosts its held copy and applies them.  Anything else
+ships whole — a feed's complete mirror: contract attrs and storage slots,
 the SP store's records, slot layout and Merkle tree, DO root/signer state,
 SP counters, control-plane and monitor state, read memo, workload queue,
-dirty keys, bill — is captured as one
-:class:`~repro.gateway.feed_state.FeedState`, packed into self-contained
-bytes where it is captured and applied where it lands
-(:mod:`repro.gateway.feed_state`: one capture, one apply, whoever sends and
-whoever receives).  Admission, eviction, gas-aware re-sharding and lane
-spawn/retire reduce to the same three lane operations (install / migrate-out
-/ teardown).  LSM-backed SP stores move by closing the source's exclusive
-directory opener before the destination re-opens it (single-opener enforced
-by :class:`~repro.storage.lsm.LSMStore`).  Where processes do not fork, a
-lane starts from an empty registry of its own and every feed is installed.
+dirty keys, bill.  Admission, eviction, gas-aware re-sharding and lane
+spawn/retire reduce to the same lane operations (install / migrate-out /
+teardown, and a drop of an evicted feed's held copies).  LSM-backed SP
+stores move by closing the source's exclusive directory opener before the
+destination re-opens it (single-opener enforced by
+:class:`~repro.storage.lsm.LSMStore`).  Where processes do not fork, a lane
+starts from an empty registry of its own, holding nothing: every feed is
+installed, and its first move between lanes ships whole.
 
 Every lane takes its shards from each epoch order.  A run whose plan cannot
 change is ordered ahead: because event stamps are assigned by the *main*
@@ -122,7 +130,6 @@ from typing import (
     Tuple,
 )
 
-from repro.ads.authenticated_kv import EMPTY_BASELINE
 from repro.chain.chain import ChainParameters, ExecutionBuffer
 from repro.chain.gas import (
     GasLedger,
@@ -141,7 +148,13 @@ from repro.common.types import (
 from repro.gateway import feed_state
 from repro.gateway.metrics import FeedTelemetry
 from repro.gateway.placement import FeedMove
-from repro.gateway.registry import FeedHandle, FeedRegistry, FeedSpec
+from repro.gateway.registry import (
+    MAIN_VERSION,
+    FeedHandle,
+    FeedRegistry,
+    FeedSpec,
+    FeedVersion,
+)
 from repro.gateway.router import (
     DeliverGroup,
     UpdateGroup,
@@ -569,10 +582,12 @@ class LaneConfig:
 
     The worker keeps the feeds :attr:`adopts` names of that registry — the
     fully built feeds, workload queue and memo with them, bit-for-bit the
-    state a packed one would have to be rebuilt into — and drops every other
-    one; every other feed reaches it later as a packed state.  Where lanes
-    do not fork there is no registry to keep feeds of: the worker builds an
-    empty one of its own from the chain parameters here.
+    state a packed one would have to be rebuilt into — and holds every other
+    one, out of its registry, at the main mirror's version; every other feed
+    reaches it later as a packed state, a delta where it holds a copy at the
+    version the delta was cut against.  Where lanes do not fork there is no
+    registry to keep feeds of: the worker builds an empty one of its own
+    from the chain parameters here.
     """
 
     schedule: GasSchedule
@@ -644,8 +659,11 @@ _LANE_ROW = {
 }
 #: Run-wide counters: ``fleet.ipc`` keys of the same name, except merged lane
 #: epochs (``epochs``); ``migrations_total`` also counts by its ``reason``.
+#: ``migration_deltas_total`` counts the moves that crossed as a delta
+#: against a held copy (every other move crossed whole), with their bytes.
 _COUNTERS = (
-    "ipc_epochs_total", "migrations_total", "migration_bytes_total", "installs_total",
+    "ipc_epochs_total", "migrations_total", "migration_bytes_total",
+    "migration_deltas_total", "migration_delta_bytes_total", "installs_total",
     "install_bytes_total", "lane_spawns_total", "lane_retirements_total",
 )
 #: Where each lane-boundary counter and histogram stands: ``(count, sum)``.
@@ -756,19 +774,27 @@ class _LaneWorker:
         #: the main process, and worker-side mining must not pay for them.
         self.registry = registry
         registry.chain.obs = None
-        #: The inherited feeds the lane does not adopt: out of its registry,
-        #: but held rather than freed, because freeing them would write to —
-        #: and so copy — every shared page they sit on, at the lane's start.
-        self._dropped: List[FeedHandle] = []
+        #: feed id → ``(version, handle)`` of every copy this lane holds
+        #: without hosting it: an inherited feed it did not adopt (the main
+        #: mirror's version — and never freed, because freeing it would write
+        #: to, and so copy, every shared page it sits on) and a feed that
+        #: left it (the version it left as).  A delta cut against that
+        #: version re-hosts it; eviction drops it.
+        self._held: Dict[str, Tuple[int, FeedHandle]] = {}
         for handle in registry.handles:
             if handle.feed_id not in config.adopts:
-                self._dropped.append(registry.remove_feed(handle.feed_id))
+                self._held[handle.feed_id] = (
+                    MAIN_VERSION,
+                    registry.remove_feed(handle.feed_id),
+                )
                 continue
             # The SP store as the fork left it is what the main mirror still
-            # holds — so at run end only what diverged from it ships.  (An
-            # installed feed keeps the empty baseline, and ships whole.)
+            # holds — so at run end only what diverged from it ships, and a
+            # move to a lane holding its fork copy ships a delta.
             feed_state.open_store(handle)
-            handle.baseline = handle.system.sp_store.baseline()
+            store = handle.system.sp_store.baseline()
+            handle.baseline = FeedVersion(MAIN_VERSION, store)
+            handle.arrival = FeedVersion(MAIN_VERSION, store, len(handle.queue))
 
     # -- one epoch -----------------------------------------------------------
 
@@ -816,7 +842,9 @@ class _LaneWorker:
                     "does not host — the engine's feed→lane split is broken"
                 )
         for feed_id, operations in arrivals:
-            registry.get(feed_id).queue.extend(operations)
+            handle = registry.get(feed_id)
+            handle.queue.extend(operations)
+            handle.arrival.appended += len(operations)
 
     # -- feed mobility (assignment / admission / migration / eviction) --------
 
@@ -837,26 +865,37 @@ class _LaneWorker:
         ]
 
     def install(self, items: Sequence[Tuple[FeedSpec, bytes]]) -> None:
-        """Install one epoch's arriving feeds, one packed state each."""
+        """Install one epoch's arriving feeds, one packed state each: a delta
+        into the copy this lane holds at the version it was cut against, a
+        whole state into a fresh handle (:func:`feed_state.install`)."""
         for spec, blob in items:
-            feed_state.install(self.registry, spec, blob)
+            feed_state.install(self.registry, spec, blob, self._held.get(spec.feed_id))
+            self._held.pop(spec.feed_id, None)
 
-    def migrate_out(self, feed_ids: Sequence[str]) -> List[bytes]:
-        """Detach one epoch's departing feeds — each its whole store, whatever
-        its baseline: the next host starts from an empty one — and drop the
-        lane's copies; one packed state per feed, in order.
+    def migrate_out(
+        self, moves: Sequence[Tuple[str, Optional[int], int]]
+    ) -> List[Tuple[bytes, bool]]:
+        """Detach one epoch's departing feeds, each ``(feed_id, version its
+        destination holds or None, version it leaves as)``, and hold them at
+        the version they leave as; one ``(packed state, is a delta)`` per
+        feed, in order.
 
-        An LSM-backed store's directory is closed *before* returning, so by
-        the time the destination lane's install order runs, the
-        single-opener lock is free.
+        A feed that arrived as the version its destination holds ships only
+        what changed since; any other ships whole.  An LSM-backed store's
+        directory is closed *before* returning, so by the time the
+        destination lane's install order runs, the single-opener lock is
+        free.
         """
-        blobs = []
-        for feed_id in feed_ids:
+        shipped = []
+        for feed_id, held, version in moves:
             handle = self.registry.get(feed_id)
-            handle.baseline = EMPTY_BASELINE
-            blobs.append(feed_state.detach(handle))
+            since = handle.arrival if handle.arrival.token == held else None
+            blob = feed_state.detach(handle, version, since)
+            shipped.append((blob, since is not None))
             self._release(feed_id)
-        return blobs
+            handle.arrival = None
+            self._held[feed_id] = (version, handle)
+        return shipped
 
     def teardown(self, feed_id: str, epoch: int) -> FeedTelemetry:
         """Evict the feed from this lane, returning its final bill.
@@ -871,9 +910,13 @@ class _LaneWorker:
         self._release(feed_id)
         return bill
 
+    def drop(self, feed_id: str) -> None:
+        """Let go of the copy this lane holds of an evicted feed."""
+        self._held.pop(feed_id, None)
+
     def _release(self, feed_id: str) -> None:
-        """Drop a feed that left this lane (migrated out or evicted): its
-        handle, and everything the lane kept of it with the handle."""
+        """Stop hosting a feed that left this lane (migrated out or evicted):
+        out of the registry and the shards."""
         self.registry.remove_feed(feed_id)
         self.shards = [
             (index, [fid for fid in feed_ids if fid != feed_id])
@@ -923,13 +966,14 @@ class _LaneWorker:
     # -- run-end state shipping ----------------------------------------------
 
     def collect(self) -> List[bytes]:
-        """Detach every hosted feed for the main registry's mirror of it: an
-        adopted feed against its fork-time store, so only what the run
-        changed crosses; an installed feed whole, resetting the mirror."""
+        """Detach every hosted feed for the main registry's mirror of it: a
+        copy that descends from the mirror cut against it, so only what the
+        run changed crosses; any other whole, resetting the mirror."""
+        registry = self.registry
         return [
-            feed_state.detach(self.registry.get(feed_id))
+            feed_state.detach(handle, since=handle.baseline)
             for _, shard in self.shards
-            for feed_id in shard
+            for handle in map(registry.get, shard)
         ]
 
 
@@ -1099,8 +1143,9 @@ class _Lane:
 
 def _stop(lanes: Sequence[_Lane]) -> None:
     """Stop ``lanes``: ask each to stop — after reading what they still owe,
-    unless one of them failed — then join each with a timeout, and terminate
-    and kill whichever is still alive."""
+    unless one of them failed, in which case a lane still owing replies is
+    terminated at once — then join each with a timeout, and terminate and
+    kill whichever is still alive."""
     deadline = time.monotonic() + _STOP_SECONDS
     drain = not any(lane.failed for lane in lanes)
     for lane in lanes:
@@ -1112,6 +1157,10 @@ def _stop(lanes: Sequence[_Lane]) -> None:
             pass  # already gone
     for lane in lanes:
         process = lane.process
+        if lane.owed and not drain:
+            # Nobody will read what it owes, so it may be blocked sending a
+            # reply and never see its stop order: the run is over for it.
+            process.terminate()
         process.join(max(0.0, deadline - time.monotonic()))
         if process.is_alive():
             process.terminate()
@@ -1146,9 +1195,11 @@ class LaneEngine:
     run-end collect and the stop.
 
     Lanes start, and come to host feeds, the one way the module docstring
-    describes: :meth:`ensure_lanes` (forked, adopting main-hosted feeds) /
-    :meth:`retire_lanes`, plus :meth:`transfer` / :meth:`teardown` (feeds
-    as packed states); each epoch order carries the lane's shard assignment.
+    describes: :meth:`ensure_lanes` (forked, adopting main-hosted feeds and
+    holding the rest) / :meth:`retire_lanes`, plus :meth:`transfer` /
+    :meth:`teardown` (feeds as packed states, whole or cut against the
+    version the destination holds); each epoch order carries the lane's
+    shard assignment.
 
     Each boundary event — a merged frame, an install or move, a spawn or
     retirement — is counted once, where it happens, into ``metrics``.
@@ -1184,6 +1235,12 @@ class LaneEngine:
         #: The first epoch not yet merged: what an order placed between
         #: epochs is for.
         self._boundary = 0
+        #: feed id → lane → the version of the feed that lane holds without
+        #: hosting it (the lane's ``_LaneWorker._held``, kept in step with it
+        #: order by order): what a move to that lane is cut against.
+        self._copies: Dict[str, Dict[int, int]] = {}
+        #: Lane-to-lane moves so far: each numbers the version it leaves.
+        self._departures = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1198,9 +1255,10 @@ class LaneEngine:
 
         Each lane forks with the main registry as its process argument —
         handed over copy-on-write, never pickled — and keeps of it the feeds
-        ``adopts`` names for that lane (:attr:`LaneConfig.adopts`).  Where
-        lanes do not fork (:attr:`forks`) nothing can be adopted, and each
-        lane starts from an empty registry of its own.
+        ``adopts`` names for that lane (:attr:`LaneConfig.adopts`), holding
+        every other one at the main mirror's version.  Where lanes do not
+        fork (:attr:`forks`) nothing can be adopted or held, and each lane
+        starts from an empty registry of its own.
         """
         spawned = [lane for lane in range(count) if lane not in self._lanes]
         registry = self._registry if self.forks else None
@@ -1215,13 +1273,25 @@ class LaneEngine:
             raise
         if spawned:
             self.metrics.counter("lane_spawns_total").inc(len(spawned))
+        if registry is not None:
+            # A forked lane holds every feed it did not adopt at the main
+            # mirror's version.
+            for lane in spawned:
+                kept = set(adopts.get(lane, ()))
+                for feed_id in registry.feed_ids:
+                    if feed_id not in kept:
+                        self._copies.setdefault(feed_id, {})[lane] = MAIN_VERSION
         return spawned
 
     def retire_lanes(self, keep: int) -> List[int]:
-        """Shut down every lane with index ``>= keep``.  The caller must have
-        drained them first (migrated every hosted feed away)."""
+        """Shut down every lane with index ``>= keep``, with the copies they
+        held.  The caller must have drained them first (migrated every
+        hosted feed away)."""
         retired = sorted(lane for lane in self._lanes if lane >= keep)
         _stop([self._lanes.pop(lane) for lane in retired])
+        for copies in self._copies.values():
+            for lane in retired:
+                copies.pop(lane, None)
         if retired:
             self.metrics.counter("lane_retirements_total").inc(len(retired))
         return retired
@@ -1237,51 +1307,74 @@ class LaneEngine:
         lane, then one install order per destination lane.
 
         Source lanes detach in parallel while ``snapshot_local`` detaches the
-        feeds the main process still hosts (``source is None``).  Every
-        migrate-out resolves — mirror released, LSM opener closed — before
-        any state reaches a destination (single-opener rule); migrated states
+        feeds the main process still hosts (``source is None``), whole.  A
+        lane-to-lane move is cut against the version its destination holds
+        (:attr:`_copies`), which the source ships as a delta when its copy
+        arrived as that version, and whole otherwise; the source then holds
+        the feed at a new version, and the destination holds none.  Every
+        migrate-out resolves — mirror held, LSM opener closed — before any
+        state reaches a destination (single-opener rule); migrated states
         pass *through* the main process packed, never opened there.  The
         installs are not waited on: a failed one re-raises at the engine's
         next read of its lane (:meth:`results` / :meth:`teardown` /
         :meth:`collect`).  Each install and each lane-to-lane move is counted
-        with its bytes, a move under the reason the placement gave it.
+        with its bytes, a move under the reason the placement gave it, and a
+        move that crossed as a delta once more as one.
         """
-        outgoing: Dict[int, List[str]] = {}
+        outgoing: Dict[int, List[Tuple[str, Optional[int], int]]] = {}
         for move in moves:
             if move.source is not None:
-                outgoing.setdefault(move.source, []).append(move.feed_id)
+                self._departures += 1
+                held = self._copies.get(move.feed_id, {}).get(move.destination)
+                outgoing.setdefault(move.source, []).append(
+                    (move.feed_id, held, self._departures)
+                )
         orders = [
-            (feed_ids, self._lanes[lane].send("migrate_out", self._boundary, feed_ids))
-            for lane, feed_ids in outgoing.items()
+            (
+                lane,
+                departing,
+                self._lanes[lane].send("migrate_out", self._boundary, departing),
+            )
+            for lane, departing in outgoing.items()
         ]
-        blobs = {
-            move.feed_id: snapshot_local(move.feed_id)
+        shipped = {
+            move.feed_id: (snapshot_local(move.feed_id), False)
             for move in moves
             if move.source is None
         }
-        for feed_ids, [reply] in orders:
-            blobs.update(zip(feed_ids, reply.result()))
+        for lane, departing, [reply] in orders:
+            for (feed_id, _, version), result in zip(departing, reply.result()):
+                shipped[feed_id] = result
+                self._copies.setdefault(feed_id, {})[lane] = version
         metrics = self.metrics
         incoming: Dict[int, List[Tuple[FeedSpec, bytes]]] = {}
         for move in moves:
-            blob = blobs[move.feed_id]
+            blob, delta = shipped[move.feed_id]
+            self._copies.get(move.feed_id, {}).pop(move.destination, None)
             spec = shipped_spec(self._registry.get(move.feed_id).spec)
             incoming.setdefault(move.destination, []).append((spec, blob))
             if move.source is None:
                 metrics.counter("installs_total").inc()
                 metrics.counter("install_bytes_total").inc(len(blob))
-            else:
-                metrics.counter("migrations_total", reason=move.reason).inc()
-                metrics.counter("migration_bytes_total").inc(len(blob))
+                continue
+            metrics.counter("migrations_total", reason=move.reason).inc()
+            metrics.counter("migration_bytes_total").inc(len(blob))
+            if delta:
+                metrics.counter("migration_deltas_total").inc()
+                metrics.counter("migration_delta_bytes_total").inc(len(blob))
         metrics.histogram("migrations_per_epoch", buckets=_MOVE_BUCKETS).observe(
-            sum(len(feed_ids) for feed_ids in outgoing.values())
+            sum(len(departing) for departing in outgoing.values())
         )
         for lane, items in incoming.items():
             self._lanes[lane].send("install", self._boundary, items)
 
     def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
-        """Evict one feed from its lane; returns its final bill."""
+        """Evict one feed from its lane, and order every other lane holding a
+        copy of it to drop that copy (not waited on), so a lane holds at most
+        one copy per live feed; returns the feed's final bill."""
         [reply] = self._lanes[lane].send("teardown", epoch, feed_id, epoch)
+        for holder in sorted(self._copies.pop(feed_id, {})):
+            self._lanes[holder].send("drop", epoch, feed_id)
         return reply.result()
 
     # -- epochs --------------------------------------------------------------

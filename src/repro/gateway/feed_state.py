@@ -8,12 +8,12 @@ four steps on the same :class:`FeedState`:
 
 * :func:`capture` reads a hosted feed off its
   :class:`~repro.gateway.registry.FeedHandle` — the wired system and the run
-  state beside it (queue, dirty keys, bill, read memo) — its SP store as a
-  **delta against the handle's baseline**.  Against
-  :data:`~repro.ads.authenticated_kv.EMPTY_BASELINE` that is the whole store
-  (install, migration, and the run-end state of a feed that was installed);
-  against the baseline a lane took as it forked and adopted the feed, it is
-  only what the run changed — the main mirror still holds the rest.
+  state beside it (queue, dirty keys, bill, read memo) — either **whole** or
+  as a **delta against a version** the receiver already holds
+  (:class:`~repro.gateway.registry.FeedVersion`): the SP store as the
+  records that changed since and only the tree nodes above them, the queue
+  as how many operations left its head plus the ones appended since.  The
+  contracts, actors, bill and memo always ship whole.
 * :func:`pack` turns it into opaque bytes (``pickle`` protocol 5), once, where
   it was captured; a migrating feed passes through the main process in that
   form, metered but never opened.
@@ -21,15 +21,29 @@ four steps on the same :class:`FeedState`:
   not a packed :class:`FeedState` is a
   :class:`~repro.common.errors.WireError`, raised before a handle or registry
   is touched.
-* :func:`apply` installs it into a destination handle.  The delta itself
-  says whether it is from empty, and a non-empty mirror is reset first — so a
-  lane's fresh handle and the main registry's seed-state mirror take the
-  same call.
+* :func:`apply` brings a destination handle standing at the state's base —
+  a fresh one, or any mirror for a whole state — to the state.
+
+**Versions and held copies.**  A version of a feed is either the main
+mirror's (:data:`~repro.gateway.registry.MAIN_VERSION`: what every lane that
+forked inherits, and what a feed installed from the main process arrives as)
+or the state the feed had when it left a lane, numbered by its departure.  A
+lane keeps every copy it inherited without hosting it, and every copy that
+departed it, as a *held copy* at its version; a state cut against a version
+names it (:attr:`FeedState.base`), and :func:`install` re-hosts the held copy
+at exactly that version (:meth:`~repro.gateway.registry.FeedRegistry.restore_feed`)
+and applies the delta — any other version, or none, is a
+:class:`~repro.common.errors.WireError`.  A state that is whole is installed
+into a fresh handle, as it always was, and replaces any held copy.  Every
+hosted copy on a lane remembers the version it arrived as
+(``FeedHandle.arrival``), which a move to a lane still holding that version is
+cut against, and — where it descends from the main mirror — the main mirror's
+version (``FeedHandle.baseline``), which its run-end state is cut against.
 
 :func:`detach` is capture + pack + handing over the feed's LSM directory, the
-form all three senders use; :func:`install` is unpack + create + apply, a
-lane's way in.  How the store lays out its delta is the store's business
-(:meth:`~repro.ads.authenticated_kv.AuthenticatedKVStore.export_delta`).
+form all three senders use; :func:`install` is unpack + create or re-host +
+apply, a lane's way in.  How the store lays out its delta is the store's
+business (:meth:`~repro.ads.authenticated_kv.AuthenticatedKVStore.export_delta`).
 
 The lane boundary has this one format: a lane's epoch results and a
 boundary's live arrivals (:mod:`repro.gateway.executor`) are packed by the
@@ -42,13 +56,20 @@ from __future__ import annotations
 import pickle
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.ads.authenticated_kv import StoreDelta
+from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreDelta
 from repro.common.errors import WireError
 from repro.common.types import Operation
 from repro.gateway.metrics import FeedTelemetry
-from repro.gateway.registry import FeedHandle, FeedRegistry, FeedSpec
+from repro.gateway.registry import (
+    MAIN_VERSION,
+    FeedHandle,
+    FeedRegistry,
+    FeedSpec,
+    FeedVersion,
+)
 from repro.storage.lsm import LSMStore
 
 
@@ -159,13 +180,21 @@ def _apply_contract_state(contract, state: Tuple[dict, Dict[str, bytes]]) -> Non
 @dataclass
 class FeedState:
     """Everything an interpreter needs to continue a feed exactly where
-    another left it."""
+    another left it — given, for a delta, the version it was cut against."""
 
     feed_id: str
+    #: The version this state was cut against, which its destination must
+    #: hold; ``None``: the state is whole.
+    base: Optional[int]
+    #: The version this state is: what the copy its sender keeps stands at.
+    version: int
     #: The handle's run state (see :class:`~repro.gateway.registry.FeedHandle`):
     #: ``memo`` is ``None`` when the feed runs with caching off, which is how
-    #: the next host knows not to memoise either.
+    #: the next host knows not to memoise either.  ``queue`` is the whole
+    #: queue when ``consumed`` is ``None``, else the operations appended since
+    #: the base, behind the base's queue less ``consumed`` from its head.
     queue: List[Operation]
+    consumed: Optional[int]
     dirty: set
     bill: FeedTelemetry
     memo: Optional[Dict[str, bytes]]
@@ -173,23 +202,40 @@ class FeedState:
     manager: Tuple[dict, Dict[str, bytes]]
     consumer: Tuple[dict, Dict[str, bytes]]
     actors: ActorState
-    #: The SP store, as what diverged from the baseline it was captured against.
+    #: The SP store, as what diverged from the base (all of it when whole).
     store: StoreDelta
 
 
-def capture(handle: FeedHandle) -> FeedState:
+def capture(
+    handle: FeedHandle,
+    version: int = MAIN_VERSION,
+    since: Optional[FeedVersion] = None,
+) -> FeedState:
     """Read a hosted feed off its handle — queue, dirty keys, bill and memo
-    included — with its SP store as a delta against the handle's baseline."""
+    included — as ``version``: whole, or cut against ``since``, a version its
+    destination holds (the queue whole too when ``since`` kept no length)."""
+    queue, consumed = handle.queue, None
+    if since is not None and since.queued is not None:
+        # Operations leave the head and arrive at the tail: what is queued
+        # now is the base's queue less its head, then the newest arrivals.
+        tail = min(len(queue), since.appended)
+        consumed = since.queued - (len(queue) - tail)
+        queue = islice(queue, len(queue) - tail, None)
     return FeedState(
         feed_id=handle.feed_id,
-        queue=list(handle.queue),
+        base=None if since is None else since.token,
+        version=version,
+        queue=list(queue),
+        consumed=consumed,
         dirty=set(handle.dirty),
         bill=handle.bill,
         memo=handle.memo,
         manager=_contract_state(handle.storage_manager),
         consumer=_contract_state(handle.consumer),
         actors=ActorState.capture(handle),
-        store=handle.system.sp_store.export_delta(handle.baseline),
+        store=handle.system.sp_store.export_delta(
+            EMPTY_BASELINE if since is None else since.store
+        ),
     )
 
 
@@ -217,11 +263,16 @@ def unpack(blob: bytes) -> FeedState:
     return open_packed(blob, FeedState, "packed feed state")
 
 
-def detach(handle: FeedHandle) -> bytes:
-    """Capture and pack a feed for its next host, then release an exclusive
-    LSM opener so that host can take over the directory (single-opener rule).
-    The caller retires whatever it keeps of the feed."""
-    blob = pack(capture(handle))
+def detach(
+    handle: FeedHandle,
+    version: int = MAIN_VERSION,
+    since: Optional[FeedVersion] = None,
+) -> bytes:
+    """Capture (see :func:`capture`) and pack a feed for its next host, then
+    release an exclusive LSM opener so that host can take over the directory
+    (single-opener rule).  The caller retires or holds what it keeps of the
+    feed."""
+    blob = pack(capture(handle, version, since))
     close_store(handle)
     return blob
 
@@ -241,22 +292,55 @@ def open_store(handle) -> None:
         backing.reopen()
 
 
-def install(registry: FeedRegistry, spec: FeedSpec, blob: bytes) -> None:
-    """Create the feed from ``spec`` (preload stripped: its records travel
-    inside the state's store) in ``registry`` and apply its packed state.
-    The blob is opened and matched against the spec first — nothing is
-    created for one that does not open or belongs to another feed."""
+def install(
+    registry: FeedRegistry,
+    spec: FeedSpec,
+    blob: bytes,
+    held: Optional[Tuple[int, FeedHandle]] = None,
+) -> None:
+    """Host the feed a packed state brings in ``registry``: a whole state in
+    a handle created from ``spec`` (preload stripped: its records travel
+    inside the state's store), a delta in the ``held`` copy — ``(version,
+    handle)``, out of the registry — which must stand at the version the
+    delta was cut against.
+
+    The blob is opened and matched against the spec and the held version
+    first: nothing is created or re-hosted for one that does not open,
+    belongs to another feed, or was cut against another version.  The hosted
+    handle knows the version it arrived as and, where it descends from the
+    main mirror, the main mirror's.
+    """
     state = unpack(blob)
     if spec.feed_id != state.feed_id:
         raise WireError(
             f"install order pairs spec {spec.feed_id!r} with a snapshot "
             f"of {state.feed_id!r}"
         )
-    apply(registry.create_feed(spec), state)
+    if state.base is None:
+        handle = registry.create_feed(spec)
+    else:
+        holds = "no copy" if held is None else f"version {held[0]}"
+        if held is None or held[0] != state.base:
+            raise WireError(
+                f"feed {state.feed_id!r} arrives as a delta against version "
+                f"{state.base}, but this lane holds {holds}"
+            )
+        handle = registry.restore_feed(held[1])
+        if state.base == MAIN_VERSION:
+            # A fork copy is the main mirror as it stands.
+            store = handle.system.sp_store.baseline()
+            handle.baseline = FeedVersion(MAIN_VERSION, store)
+    apply(handle, state)
+    store = handle.system.sp_store.baseline()
+    if state.version == MAIN_VERSION:
+        # Installed whole from the main mirror, which it now equals.
+        handle.baseline = FeedVersion(MAIN_VERSION, store)
+    handle.arrival = FeedVersion(state.version, store, len(handle.queue))
 
 
 def apply(handle: FeedHandle, state: FeedState) -> None:
-    """Install ``state`` into ``handle``.
+    """Bring ``handle`` — standing at the state's base, or anywhere for a
+    whole state — to ``state``.
 
     After this the handle's contracts (storage slots, counters, call
     history), SP store, off-chain actors and run state (queue, dirty keys,
@@ -276,7 +360,11 @@ def apply(handle: FeedHandle, state: FeedState) -> None:
     _apply_contract_state(handle.consumer, state.consumer)
     handle.system.sp_store.apply_delta(state.store)
     state.actors.install(handle)
-    handle.queue = deque(state.queue)
+    if state.consumed is None:
+        handle.queue = deque(state.queue)
+    else:
+        handle.queue = deque(islice(handle.queue, state.consumed, None))
+        handle.queue.extend(state.queue)
     handle.dirty = state.dirty
     handle.bill = state.bill
     handle.memo = state.memo

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.ads.authenticated_kv import EMPTY_BASELINE, StoreBaseline
+from repro.ads.authenticated_kv import StoreBaseline
 from repro.chain.chain import Blockchain, ChainParameters
 from repro.chain.gas import GasSchedule
 from repro.common.errors import ConfigurationError
@@ -100,13 +100,38 @@ class FeedSpec:
         return LSMStore(directory=directory, exclusive=True)
 
 
+#: The version of a feed the main registry holds: what every fork copy a lane
+#: inherits is, and what a feed installed from the main process arrives as.
+#: A lane's departures are numbered from 1.
+MAIN_VERSION = 0
+
+
+@dataclass
+class FeedVersion:
+    """One version of a feed a copy stood at, kept as what a later delta is
+    cut against (see :mod:`repro.gateway.feed_state`)."""
+
+    #: :data:`MAIN_VERSION`, or the number of the departure that left it.
+    token: int
+    #: The SP store at that version.
+    store: StoreBaseline
+    #: The queue's length at that version, and the operations appended to it
+    #: since — so a delta ships its queue as what the head consumed plus what
+    #: was appended.  ``None``: the queue ships whole.
+    queued: Optional[int] = None
+    appended: int = 0
+
+
 @dataclass
 class FeedHandle:
     """One hosted feed: its wired GRuB system plus everything a run keeps per
     feed.  The handle is the only place that state lives — a forked lane
-    inherits it whole, a :class:`~repro.gateway.feed_state.FeedState` ships it
-    whole, and it is gone with the handle when the feed is removed — so a
-    tenant reusing a departed feed id starts from nothing.
+    inherits it whole, a :class:`~repro.gateway.feed_state.FeedState` ships
+    it whole or as a delta against a copy the receiver holds, and it leaves
+    the registry with the handle when the feed is removed — so a tenant
+    reusing a departed feed id starts from nothing.  A lane keeps the handle
+    of a feed that left it as a held copy, which
+    :meth:`FeedRegistry.restore_feed` hosts again.
     """
 
     spec: FeedSpec
@@ -128,10 +153,15 @@ class FeedHandle:
     #: and the memo is bounded by the replicas GRuB itself decided to keep.
     #: ``None`` while the run has caching off.
     memo: Optional[Dict[str, bytes]] = field(default_factory=dict)
-    #: What a run-end state's store is a delta against: for a feed a lane
-    #: adopted as it forked, the SP store as the fork left it (which the main
-    #: mirror still holds); everywhere else the empty store.
-    baseline: StoreBaseline = EMPTY_BASELINE
+    #: On a lane: the main mirror's version, which a run-end state is cut
+    #: against — set where this copy descends from the main mirror (adopted
+    #: as the lane forked, installed from the main process, or grown from
+    #: such a copy by deltas); ``None`` where it arrived whole from another
+    #: lane, so its run-end state ships whole.
+    baseline: Optional[FeedVersion] = None
+    #: On a lane: the version this copy arrived as, which a move to a lane
+    #: still holding that version is cut against (``None`` elsewhere).
+    arrival: Optional[FeedVersion] = None
 
     def begin_run(self, operations: Iterable[Operation], *, memoise: bool) -> None:
         """Start a run: ``operations`` queued, no dirty keys, a fresh bill.
@@ -220,6 +250,18 @@ class FeedRegistry:
         self.watchdog.deregister(handle)
         self.chain.undeploy(handle.storage_manager.address)
         self.chain.undeploy(handle.consumer.address)
+        return handle
+
+    def restore_feed(self, handle: FeedHandle) -> FeedHandle:
+        """Host a handle :meth:`remove_feed` took out again, as it stands:
+        the inverse of that call, so a lane re-hosts the copy it kept of a
+        feed that left it."""
+        if handle.feed_id in self._feeds:
+            raise ConfigurationError(f"feed {handle.feed_id!r} already registered")
+        self.chain.deploy(handle.storage_manager)
+        self.chain.deploy(handle.consumer)
+        self._feeds[handle.feed_id] = handle
+        self.watchdog.register(handle)
         return handle
 
     # -- lookup --------------------------------------------------------------

@@ -71,7 +71,9 @@ deterministic inputs, so the guarantee extends to elastic runs (pinned by
 ``tests/gateway/test_elastic_properties.py`` over both backends).  A feed
 reaches a worker lane one way (:meth:`_LaneExecutor._place`): adopted by a
 lane that forks at the boundary its plan first assigns it there, else
-installed as a packed :class:`~repro.gateway.feed_state.FeedState`.  What
+installed as a packed :class:`~repro.gateway.feed_state.FeedState`.  Between
+lanes it moves as a delta against the copy its destination still holds —
+the fork copy, or the one it left there — and whole where there is none.  What
 :class:`_LaneExecutor` can observe about the run — never an option — decides
 only how far ahead of the merge its epochs are ordered.
 
@@ -903,9 +905,10 @@ class _LaneExecutor(_Executor):
 
     def _snapshot_feed(self, feed_id: str) -> bytes:
         """Detach a main-hosted feed as the packed state a running lane
-        installs — its whole store: the lane never saw this one.  The main
-        mirror stays registered (the merge path records settlements against
-        its addresses)."""
+        installs — whole, as the main mirror's version, which its run-end
+        state is then cut against.  The main mirror stays registered (the
+        merge path records settlements against its addresses) and unchanged
+        until that run-end state lands."""
         return feed_state.detach(self.registry.get(feed_id))
 
     def run_epoch(
@@ -992,8 +995,10 @@ class _LaneExecutor(_Executor):
                 handle = self.registry.get(move.feed_id)
                 shipped_spec(handle.spec)
                 self.remaining[move.feed_id] = len(handle.queue)
+                # Closed before any lane forks, so no fork copy of it holds
+                # an opener: whichever lane re-hosts one reopens the directory.
+                feed_state.close_store(handle)
                 if move.destination in spawning:
-                    feed_state.close_store(handle)
                     adopts.setdefault(move.destination, []).append(move.feed_id)
                     continue
             installs.append(move)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ads.merkle import (
     MerkleProof,
     MerkleTree,
+    changed_nodes,
     expected_proof_length,
     recompute_root_from_proof,
     verify_membership,
@@ -122,8 +123,12 @@ def appended_across_a_doubling(leaves):
 
 
 def reassembled(leaves):
+    """An empty tree patched with every node of a built one."""
     source = MerkleTree(leaves)
-    return MerkleTree.from_levels(source.leaves(), source.interior())
+    positions = changed_nodes(range(len(leaves)), 0, len(leaves))
+    tree = MerkleTree([])
+    tree.patch(len(leaves), positions, source.nodes(positions))
+    return tree
 
 
 class TestPadding:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ads.authenticated_kv import EMPTY_BASELINE, AuthenticatedKVStore
 from repro.ads.merkle import verify_membership
+from repro.common.hashing import DIGEST_SIZE_BYTES
 from repro.common.types import KVRecord, ReplicationState
 
 #: Few keys, so that sequences keep colliding: a key a reload dropped written
@@ -127,7 +128,7 @@ def test_a_slot_a_reload_handed_to_another_key_ships_as_changed():
         store.apply_update(key, b"w")
     delta = store.export_delta(baseline)
     assert delta.deleted == []
-    assert {key: slot for key, *_, slot, _ in delta.changed} == {
+    assert {key: slot for key, *_, slot in delta.changed} == {
         "k03": 0,
         "k12": 1,
         "k16": 2,
@@ -148,6 +149,37 @@ def test_two_keys_a_reload_swapped_trade_slots_on_the_mirror():
     assert mirror._slot_of == store._slot_of == {"k01": 0, "k00": 1}
     assert_same_store(mirror, store)
     assert_same_backing(mirror, store)
+
+
+def test_a_write_ships_its_record_and_only_the_nodes_above_it():
+    """One rewritten record of a 64-record store crosses as that record, its
+    leaf and the six nodes above it — not the tree's 63 interior nodes."""
+    store = loaded(
+        [(f"k{index:02d}", b"v", ReplicationState.NOT_REPLICATED) for index in range(64)]
+    )
+    mirror = copy.deepcopy(store)
+    baseline = store.baseline()
+    store.apply_update("k37", b"w")
+    delta = store.export_delta(baseline)
+    assert [key for key, *_ in delta.changed] == ["k37"]
+    assert len(delta.nodes) == 7 * DIGEST_SIZE_BYTES
+    assert mirror.apply_delta(delta) == store.root
+    assert_same_store(mirror, store)
+    assert_same_backing(mirror, store)
+
+
+def test_a_store_that_outgrew_its_tree_ships_the_new_half():
+    """An append past the padded width doubles the tree: the delta carries the
+    new record's path and every node the narrower tree did not have."""
+    store = loaded([(key, b"v", ReplicationState.NOT_REPLICATED) for key in KEYS[:4]])
+    mirror = copy.deepcopy(store)
+    baseline = store.baseline()
+    store.apply_update("k04", b"w")
+    delta = store.export_delta(baseline)
+    # Leaf 4; level 1: 2, 3; level 2: 1; the root.
+    assert len(delta.nodes) == 5 * DIGEST_SIZE_BYTES
+    mirror.apply_delta(delta)
+    assert_same_store(mirror, store)
 
 
 def test_a_store_reloaded_smaller_after_the_baseline_shrinks_the_mirror():

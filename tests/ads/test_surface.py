@@ -18,14 +18,14 @@ from repro.ads.authenticated_kv import AuthenticatedKVStore, StoreDelta
 from repro.ads.merkle import MerkleTree
 
 MERKLE_TREE = {
-    "from_levels",  # AuthenticatedKVStore.apply_delta
     "from_values",  # test reference: a tree over hashed values
-    "interior",  # AuthenticatedKVStore.export_delta
+    "nodes",  # AuthenticatedKVStore.export_delta
+    "patch",  # AuthenticatedKVStore.apply_delta
     "root",  # AuthenticatedKVStore.root, apps/btc/bitcoin.py block headers
     "leaf_count",  # AuthenticatedKVStore._insert_record, .export_delta
     "depth",  # test reference: tree height against the proof length
-    "leaf",  # AuthenticatedKVStore.export_delta
-    "leaves",  # AuthenticatedKVStore.apply_delta
+    "leaf",  # test reference: one leaf digest
+    "leaves",  # test reference: every leaf digest, for multiproof checks
     "prove",  # apps/btc/bitcoin.py SPV proofs; test reference for prove_many
     "prove_many",  # AuthenticatedKVStore.query_many
     "update_leaf",  # test reference: the per-leaf path recompute_paths matches
@@ -47,7 +47,7 @@ AUTHENTICATED_KV_STORE = {
     "apply_state_transition",  # test reference: a one-record state-only batch
     "query",  # test reference: the single path query_many's proof matches
     "query_many",  # ServiceProvider.build_deliver_items
-    "baseline",  # gateway/executor.py, an adopted feed's store as its lane forked
+    "baseline",  # gateway/feed_state.py: a lane's copy as it arrived, or as main holds it
     "export_delta",  # gateway/feed_state.capture
     "apply_delta",  # gateway/feed_state.apply
     "leaf_hash_for",  # AuthenticatedKVStore._leaf_hash
@@ -58,7 +58,7 @@ STORE_DELTA = {
     "changed",  # AuthenticatedKVStore.apply_delta: records, slots and leaves
     "deleted",  # AuthenticatedKVStore.apply_delta: keys a reload dropped
     "slot_count",  # AuthenticatedKVStore.apply_delta: the leaf level's width
-    "interior",  # MerkleTree.from_levels
+    "nodes",  # MerkleTree.patch: the changed records' leaves and the nodes above
 }
 
 

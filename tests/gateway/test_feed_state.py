@@ -1,8 +1,8 @@
 """The one form a feed changes interpreter in (``repro.gateway.feed_state``):
 capture → pack → unpack → apply reproduces the feed; bytes that are not a
 packed state of the expected feed install nothing; and the run-end state of
-a feed a lane adopted stays a delta while an installed feed's is the whole
-store.
+a feed a lane adopted, or installed from the main mirror, is a delta against
+that mirror.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.gateway import (
     feed_state,
 )
 from repro.gateway.feed_state import ActorState
+from repro.gateway.registry import MAIN_VERSION
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -171,30 +172,31 @@ def serial_roots(admit=None) -> dict:
 def test_an_adopted_feed_ships_only_what_its_store_diverged_by(monkeypatch):
     """Both feeds are placed at epoch 0, each on a lane spawned for it there,
     which adopts it as it forks.  Where lanes do not fork, both are
-    installed instead, and ship whole."""
+    installed from the main mirror instead — and a copy installed from the
+    main mirror folds back as a delta against it just the same."""
     states, registry, fleet = run_recording_run_end_states(monkeypatch)
     forks = multiprocessing.get_start_method() == "fork"
     assert fleet.ipc["installs_total"] == (0 if forks else 2)
-    idle, busy = states["idle"].store, states["busy"].store
-    assert (idle.from_empty, busy.from_empty) == (not forks, not forks)
-    if forks:
-        assert (idle.changed, idle.deleted) == ([], [])
-        assert 0 < len(busy.changed) < len(registry.get("busy").system.sp_store)
+    idle, busy = states["idle"], states["busy"]
+    assert (idle.base, busy.base) == (MAIN_VERSION, MAIN_VERSION)
+    assert (idle.store.from_empty, busy.store.from_empty) == (False, False)
+    assert (idle.store.changed, idle.store.deleted, idle.store.nodes) == ([], [], b"")
+    assert 0 < len(busy.store.changed) < len(registry.get("busy").system.sp_store)
     roots = {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
     assert roots == serial_roots()
 
 
-def test_a_feed_installed_into_a_running_lane_ships_whole_and_resets_the_mirror(
-    monkeypatch,
-):
+def test_a_feed_installed_into_a_running_lane_folds_back_as_a_delta(monkeypatch):
     """A feed admitted after epoch 0 joins a lane already running, so it is
-    installed: its run-end state is its whole store, which replaces the main
-    mirror's (the preload it was admitted with)."""
+    installed — whole, the lane never saw it — but its copy descends from the
+    main mirror (the preload it was admitted with), so its run-end state is
+    only what the run changed, cut against that mirror."""
     states, registry, fleet = run_recording_run_end_states(monkeypatch, admit="late")
     forks = multiprocessing.get_start_method() == "fork"
     assert fleet.ipc["installs_total"] == (1 if forks else 3)
-    late = states["late"].store
-    assert late.from_empty
-    assert sorted(key for key, *_ in late.changed) == registry.get("late").system.sp_store.keys()
+    late = states["late"]
+    assert late.base == MAIN_VERSION and not late.store.from_empty
+    store = registry.get("late").system.sp_store
+    assert 0 < len(late.store.changed) < len(store)
     roots = {handle.feed_id: handle.system.sp_store.root for handle in registry.handles}
     assert roots == serial_roots(admit="late")

@@ -38,6 +38,7 @@ from repro.gateway.executor import (
     open_lane_epoch,
 )
 from repro.gateway.placement import FeedMove
+from repro.gateway.registry import MAIN_VERSION, FeedVersion
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
@@ -240,10 +241,12 @@ class TestLaneEpochRoundTrip:
 
 def lane_hosting(*feed_ids: str):
     """What ``_LaneWorker.ingest`` touches of a lane: its registry, for the
-    queues on its feeds' handles."""
+    queues on its feeds' handles and the version each arrived as (which
+    counts what is appended)."""
     registry = FeedRegistry()
     for feed_id in feed_ids:
-        registry.create_feed(FeedSpec(feed_id=feed_id))
+        handle = registry.create_feed(FeedSpec(feed_id=feed_id))
+        handle.arrival = FeedVersion(MAIN_VERSION, handle.system.sp_store.baseline(), 0)
     return SimpleNamespace(registry=registry)
 
 

@@ -31,7 +31,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: How soon a run must end once one of its lanes is killed.
-DEATH_DEADLINE_SECONDS = 10
+DEATH_DEADLINE_SECONDS = 1
 
 
 def fleet(operations: int):
