@@ -75,11 +75,6 @@ class MerkleProof:
             self.path
         ) == expected_proof_length(self.leaf_count)
 
-    @property
-    def size_words(self) -> int:
-        """Proof size in 32-byte words (one word per sibling digest)."""
-        return len(self.path)
-
 
 @dataclass(frozen=True)
 class MultiProof:

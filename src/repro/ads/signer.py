@@ -24,11 +24,6 @@ class SignedRoot:
     signature: bytes
     epoch: int
 
-    @property
-    def size_words(self) -> int:
-        """On-chain size: one word for the root plus one for the signature."""
-        return 2
-
 
 class RootSigner:
     """Holds the DO's signing secret and produces/verifies signed roots."""
@@ -50,7 +45,3 @@ class RootSigner:
         """Raise :class:`IntegrityError` unless the signature verifies."""
         if not self.verify(signed):
             raise IntegrityError("root hash signature does not verify")
-
-    @property
-    def current_epoch(self) -> int:
-        return self._epoch

@@ -15,10 +15,7 @@ CI, ``quick`` in tests) without changing the experiment logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.gateway.metrics import FleetTelemetry
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import percent_difference
 from repro.common.types import KVRecord, Operation
@@ -583,115 +580,6 @@ def run_slot_reuse_ablation(*, scale: Optional[ExperimentScale] = None) -> Compa
     reusing = fresh.with_overrides(reuse_replica_slots=True)
     configs = {"fresh slot per replica": fresh, "reused slot pool": reusing}
     return _ablation(configs, _replica_churn_operations(scale, num_keys=6))
-
-
-# ---------------------------------------------------------------------------
-# Multi-tenant gateway: N hosted feeds versus N isolated deployments
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GatewayComparisonResult:
-    """The gateway hosting N feeds versus N isolated single-feed runs."""
-
-    num_feeds: int
-    fleet: "FleetTelemetry"
-    isolated_reports: Dict[str, RunReport]
-
-    @property
-    def gateway_gas_feed(self) -> int:
-        return self.fleet.gas_feed
-
-    @property
-    def isolated_gas_feed(self) -> int:
-        return sum(report.gas_feed for report in self.isolated_reports.values())
-
-    @property
-    def gateway_gas_per_operation(self) -> float:
-        return self.fleet.gas_per_operation
-
-    @property
-    def isolated_gas_per_operation(self) -> float:
-        operations = sum(report.operations for report in self.isolated_reports.values())
-        if operations == 0:
-            return 0.0
-        return self.isolated_gas_feed / operations
-
-    @property
-    def saving(self) -> float:
-        """Fractional feed-gas saving of hosting over isolation (positive = cheaper)."""
-        if self.isolated_gas_feed == 0:
-            return 0.0
-        return 1.0 - self.gateway_gas_feed / self.isolated_gas_feed
-
-
-def build_gateway_workloads(
-    num_feeds: int,
-    *,
-    operations_per_feed: int = 256,
-    num_keys: int = 2,
-    record_size_bytes: int = 32,
-    base_seed: int = 11,
-) -> Dict[str, List[Operation]]:
-    """Per-feed synthetic workloads with heterogeneous read/write mixes.
-
-    Feeds cycle through read-heavy, balanced and write-heavy ratios so the
-    fleet exercises every replication regime at once (a hosted service does
-    not get to pick its tenants' workloads).
-    """
-    ratios = (8.0, 4.0, 1.0, 0.5)
-    workloads: Dict[str, List[Operation]] = {}
-    for index in range(num_feeds):
-        workload = SyntheticWorkload(
-            read_write_ratio=ratios[index % len(ratios)],
-            num_operations=operations_per_feed,
-            num_keys=num_keys,
-            record_size_bytes=record_size_bytes,
-            key_prefix=f"asset{index:03d}",
-            seed=base_seed + index,
-        )
-        workloads[f"feed-{index:03d}"] = workload.operations()
-    return workloads
-
-
-def run_multitenant_gateway_experiment(
-    num_feeds: int = 32,
-    *,
-    epoch_size: int = 16,
-    operations_per_feed: int = 256,
-    num_shards: int = 1,
-    enable_cache: bool = True,
-    algorithm: str = "memoryless",
-    workloads: Optional[Dict[str, List[Operation]]] = None,
-) -> GatewayComparisonResult:
-    """Host ``num_feeds`` feeds on one gateway and compare against isolation.
-
-    The isolated baseline runs the *same* per-feed workloads through
-    ``num_feeds`` independent :class:`GrubSystem` deployments (each paying its
-    own deliver/update transactions), which is exactly what operating N
-    single-feed GRuB instances side by side would cost.
-    """
-    from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
-
-    if workloads is None:
-        workloads = build_gateway_workloads(
-            num_feeds, operations_per_feed=operations_per_feed
-        )
-    config = GrubConfig(epoch_size=epoch_size, algorithm=algorithm)
-
-    registry = FeedRegistry()
-    for feed_id in workloads:
-        registry.create_feed(FeedSpec(feed_id=feed_id, config=config))
-    scheduler = EpochScheduler(registry, num_shards=num_shards, enable_cache=enable_cache)
-    fleet = scheduler.run(workloads)
-
-    isolated: Dict[str, RunReport] = {}
-    for feed_id, operations in workloads.items():
-        isolated[feed_id] = GrubSystem(config).run(operations)
-
-    return GatewayComparisonResult(
-        num_feeds=len(workloads), fleet=fleet, isolated_reports=isolated
-    )
 
 
 # ---------------------------------------------------------------------------

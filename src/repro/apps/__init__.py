@@ -12,7 +12,7 @@
 """
 
 from repro.apps.erc20 import ERC20Token
-from repro.apps.price_feed import PriceFeed, PriceFeedConsumer
+from repro.apps.price_feed import PriceFeed
 from repro.apps.stablecoin import SCoinIssuer, StablecoinDeployment, build_stablecoin_deployment
 from repro.apps.btc.bitcoin import BitcoinSimulator, BitcoinBlock, BitcoinTransaction
 from repro.apps.btc.btcrelay import BtcRelayFeed
@@ -21,7 +21,6 @@ from repro.apps.btc.pegged_token import PeggedTokenContract, PeggedTokenDeployme
 __all__ = [
     "ERC20Token",
     "PriceFeed",
-    "PriceFeedConsumer",
     "SCoinIssuer",
     "StablecoinDeployment",
     "build_stablecoin_deployment",

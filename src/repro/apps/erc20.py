@@ -9,7 +9,7 @@ produced by real contract work rather than a constant.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.chain.contract import Contract
 from repro.chain.vm import ExecutionContext
@@ -93,13 +93,6 @@ class ERC20Token(Contract):
     def peek_balance(self, owner: str) -> int:
         raw = self.storage.peek(self._balance_slot(owner))
         return int.from_bytes(raw, "big") if raw else 0
-
-    def holders(self) -> Dict[str, int]:
-        result = {}
-        for slot, value in self.storage.items():
-            if slot.startswith("balance:"):
-                result[slot.split(":", 1)[1]] = int.from_bytes(value, "big")
-        return result
 
     # -- internals -----------------------------------------------------------------------
 

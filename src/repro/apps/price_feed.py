@@ -4,18 +4,14 @@ The MakerDAO price oracle the paper measures exposes two functions: ``poke()``
 updates the price and ``peek()`` reads it.  Mapped onto GRuB, ``poke`` becomes
 a ``gPuts`` from the off-chain data owner and ``peek`` becomes a ``gGet`` from
 a consumer contract with a callback.  :class:`PriceFeed` is the off-chain
-producer half (owned by the DO) and :class:`PriceFeedConsumer` is the DU base
-the stablecoin issuer extends.
+producer half (owned by the DO); the stablecoin issuer
+(:class:`~repro.apps.stablecoin.SCoinIssuer`) is the consumer half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
-from repro.chain.vm import ExecutionContext
-from repro.common.encoding import decode_value
-from repro.core.data_consumer import DataConsumerContract
 from repro.core.data_owner import DataOwner
 
 PRICE_SCALE = 100
@@ -49,34 +45,3 @@ class PriceFeed:
         """Publish a new price for ``asset`` (buffered until the epoch ends)."""
         self.data_owner.put(asset, encode_price(price_usd, self.record_size_bytes))
         self.pokes += 1
-
-    def poke_many(self, prices: Dict[str, float]) -> None:
-        """Publish a batch of asset prices in one gPuts."""
-        self.data_owner.gPuts(
-            [(asset, encode_price(price, self.record_size_bytes)) for asset, price in prices.items()]
-        )
-        self.pokes += len(prices)
-
-
-class PriceFeedConsumer(DataConsumerContract):
-    """DU contract that remembers the latest verified price per asset."""
-
-    def __init__(self, address: str, storage_manager: str) -> None:
-        super().__init__(address, storage_manager)
-        self.latest_prices: Dict[str, float] = {}
-
-    def peek(self, ctx: ExecutionContext, asset: str) -> Optional[bytes]:
-        """Read the current price of ``asset`` through the feed."""
-        return self.query_feed(ctx, asset, callback="on_price")
-
-    def on_price(self, ctx: ExecutionContext, key: str, value: bytes, **context) -> None:
-        """Callback invoked with the verified price record."""
-        ctx.meter.charge(ctx.meter.schedule.memory_cost(1), "callback")
-        self.latest_prices[key] = decode_price(value)
-
-    def on_data(self, ctx: ExecutionContext, key: str, value: bytes, **context) -> None:
-        self.on_price(ctx, key, value, **context)
-
-    def price_of(self, asset: str) -> Optional[float]:
-        """Off-chain view of the most recent verified price."""
-        return self.latest_prices.get(asset)

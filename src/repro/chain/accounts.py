@@ -54,11 +54,5 @@ class AccountRegistry:
         self.balances[sender] = self.balance_of(sender) - amount_wei
         self.balances[recipient] = self.balance_of(recipient) + amount_wei
 
-    def deposit(self, address: str, amount_wei: int) -> None:
-        """Mint wei into an account (used to fund test fixtures)."""
-        if amount_wei < 0:
-            raise ContractError("deposit amount must be non-negative")
-        self.balances[address] = self.balance_of(address) + amount_wei
-
     def total_supply(self) -> int:
         return sum(self.balances.values())

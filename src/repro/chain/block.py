@@ -23,10 +23,6 @@ class Block:
         return sum(receipt.gas_used for receipt in self.receipts)
 
     @property
-    def transaction_count(self) -> int:
-        return len(self.receipts)
-
-    @property
     def block_hash(self) -> bytes:
         """Digest over the block header fields and included transaction ids."""
         txids = b"".join(

@@ -497,10 +497,6 @@ class Blockchain:
     def height(self) -> int:
         return len(self.blocks)
 
-    @property
-    def latest_block(self) -> Optional[Block]:
-        return self.blocks[-1] if self.blocks else None
-
     def is_finalized(self, block_number: int) -> bool:
         """True once ``finality_depth`` blocks exist above ``block_number``."""
         return self.height - 1 - block_number >= self.parameters.finality_depth

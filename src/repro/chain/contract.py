@@ -11,7 +11,7 @@ within the same transaction, mirroring EVM internal calls.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.chain.events import LogEvent
 from repro.chain.state import ContractStorage
@@ -97,16 +97,6 @@ class Contract:
         if method is None:
             raise ContractError(f"{callee.address} has no function {function!r}")
         return method(child, **kwargs)
-
-    # -- introspection -----------------------------------------------------
-
-    def public_functions(self) -> Dict[str, Any]:
-        """Names of callable public functions (for the chain's dispatcher)."""
-        return {
-            name: getattr(self, name)
-            for name in dir(self)
-            if not name.startswith("_") and callable(getattr(self, name))
-        }
 
 
 def _payload_size(value: Any) -> int:

@@ -61,9 +61,6 @@ class GasSchedule:
             raise ValueError("calldata words must be non-negative")
         return self.transaction_base + self.transaction_word * calldata_words
 
-    def transaction_cost_bytes(self, calldata_bytes: int) -> int:
-        return self.transaction_cost(words_for_bytes(calldata_bytes))
-
     def storage_insert_cost(self, words: int) -> int:
         return self.storage_insert_per_word * max(0, words)
 
@@ -82,9 +79,6 @@ class GasSchedule:
             + self.log_topic * max(0, num_topics)
             + self.log_data_per_byte * max(0, data_bytes)
         )
-
-    def call_cost(self) -> int:
-        return self.call_base
 
     def memory_cost(self, words: int) -> int:
         return self.memory_per_word * max(0, words)

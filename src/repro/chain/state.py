@@ -11,7 +11,7 @@ cheap and writes expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.chain.vm import GasMeter
 from repro.common.encoding import encode_value, words_for_bytes, Value
@@ -134,12 +134,6 @@ class ContractStorage:
     def has(self, slot: str) -> bool:
         """Unmetered existence check."""
         return slot in self.slots
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def items(self) -> Iterator[Tuple[str, bytes]]:
-        return iter(self.slots.items())
 
     def size_words(self) -> int:
         """Total number of words currently occupied (for reports)."""

@@ -42,9 +42,6 @@ class ReplicationState(enum.Enum):
             return ReplicationState.NOT_REPLICATED
         return ReplicationState.REPLICATED
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class OperationKind(enum.Enum):
     """Kind of a workload operation."""
@@ -52,9 +49,6 @@ class OperationKind(enum.Enum):
     READ = "read"
     WRITE = "write"
     SCAN = "scan"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -147,10 +141,6 @@ class KVRecord:
     def prefixed_key(self) -> str:
         """Key with the replication-state prefix, as laid out on the SP."""
         return f"{self.state.prefix}|{self.key}"
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.value)
 
     @property
     def size_words(self) -> int:

@@ -101,12 +101,6 @@ class GrubConfig:
             return self.k
         return self.gas_schedule.replication_threshold_k
 
-    @property
-    def effective_k_prime(self) -> int:
-        if self.k_prime is not None:
-            return self.k_prime
-        return self.gas_schedule.replication_threshold_k
-
     def with_algorithm(self, algorithm: str, **overrides) -> "GrubConfig":
         """Copy of the config running a different algorithm (and overrides)."""
         return replace(self, algorithm=algorithm, **overrides)

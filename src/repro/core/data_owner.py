@@ -277,7 +277,3 @@ class DataOwner:
             signed_root=prepared.signed_root,
             buffered_writes=prepared.buffered_writes,
         )
-
-    @property
-    def pending_writes(self) -> int:
-        return len(self._write_buffer)

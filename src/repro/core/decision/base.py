@@ -18,10 +18,6 @@ class Decision:
     key: str
     state: ReplicationState
 
-    @property
-    def replicate(self) -> bool:
-        return self.state is ReplicationState.REPLICATED
-
 
 @dataclass(frozen=True)
 class CostModel:

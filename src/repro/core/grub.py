@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
 from repro.chain.chain import Blockchain
-from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
+from repro.chain.gas import LAYER_FEED
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConfigurationError
 from repro.common.types import (
@@ -76,12 +76,6 @@ class RunReport:
         if self.operations == 0:
             return 0.0
         return self.gas_feed / self.operations
-
-    @property
-    def gas_per_operation_total(self) -> float:
-        if self.operations == 0:
-            return 0.0
-        return self.gas_total / self.operations
 
     def epoch_series(self) -> List[float]:
         """Per-epoch feed gas per operation (the Y series of the paper's figures)."""
@@ -393,7 +387,3 @@ class GrubSystem:
     @property
     def replicated_on_chain(self) -> int:
         return self.storage_manager.replica_count()
-
-    def preload_records(self, records: Sequence[KVRecord]) -> None:
-        """Preload the store outside the measured run (paper's YCSB setup)."""
-        self.data_owner.preload(list(records))

@@ -247,16 +247,8 @@ class FrontDoorTelemetry:
         return stats
 
     @property
-    def accepted(self) -> int:
-        return sum(stats.accepted for stats in self.tenants.values())
-
-    @property
     def rejected(self) -> int:
         return sum(stats.rejected_total for stats in self.tenants.values())
-
-    @property
-    def settled(self) -> int:
-        return sum(stats.settled for stats in self.tenants.values())
 
     def fingerprint(self) -> Dict[str, Any]:
         return {
@@ -420,11 +412,6 @@ class FrontDoor(RequestSource):
                 if not self._wake_after:
                     self._cond.notify_all()
         return await future
-
-    def hold(self) -> None:
-        """Stop boundaries from taking pending requests (see ``held``)."""
-        with self._cond:
-            self._held = True
 
     def release(self) -> None:
         """Let boundaries take pending requests again.

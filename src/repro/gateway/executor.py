@@ -774,6 +774,11 @@ class _LaneWorker:
         #: the main process, and worker-side mining must not pay for them.
         self.registry = registry
         registry.chain.obs = None
+        # A lane forked mid-run inherits the main watchdog's cursor from
+        # where the run began, while the main log has since absorbed every
+        # merged epoch's request events — answered already, on other lanes.
+        # The lane routes only what its own chain logs from here on.
+        registry.watchdog.skip_to_end()
         #: feed id → ``(version, handle)`` of every copy this lane holds
         #: without hosting it: an inherited feed it did not adopt (the main
         #: mirror's version — and never freed, because freeing it would write

@@ -163,14 +163,6 @@ class FleetTelemetry:
         return sum(feed.gas_feed for feed in self.feeds.values())
 
     @property
-    def gas_application(self) -> int:
-        return sum(feed.gas_application for feed in self.feeds.values())
-
-    @property
-    def gas_total(self) -> int:
-        return self.gas_feed + self.gas_application
-
-    @property
     def gas_per_operation(self) -> float:
         if self.operations == 0:
             return 0.0

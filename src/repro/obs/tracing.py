@@ -89,12 +89,6 @@ class Span:
             and all(span.attrs.get(key) == value for key, value in attrs.items())
         ]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Span({self.name!r}, attrs={self.attrs}, "
-            f"duration={self.duration:.6f}, children={len(self.children)})"
-        )
-
 
 class _SpanContext:
     """Context manager binding one stack span to a tracer."""
@@ -208,12 +202,6 @@ class Tracer:
         return [
             span for root in self.roots for span in root.find(name, **attrs)
         ]
-
-    def reset(self) -> None:
-        """Drop every recorded span (open stack included)."""
-        self.roots.clear()
-        self._stack.clear()
-
 
 #: Fixed phase order of one engine epoch — the order phase spans appear in
 #: under an epoch span, and the order lane spans are reassembled in.

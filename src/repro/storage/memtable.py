@@ -51,9 +51,6 @@ class MemTable:
         for key in self._sorted_keys:
             yield key, self._data[key]
 
-    def __len__(self) -> int:
-        return len(self._data)
-
     @property
     def is_empty(self) -> bool:
         return not self._data

@@ -53,9 +53,6 @@ class SSTable:
     def items(self) -> Iterator[Tuple[str, Optional[bytes]]]:
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def min_key(self) -> Optional[str]:
         return self._keys[0] if self._keys else None
@@ -63,13 +60,6 @@ class SSTable:
     @property
     def max_key(self) -> Optional[str]:
         return self._keys[-1] if self._keys else None
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(
-            len(key.encode("utf-8")) + (len(value) if value is not None else 1)
-            for key, value in self.entries
-        )
 
     # -- persistence ---------------------------------------------------------
 

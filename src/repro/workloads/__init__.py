@@ -12,20 +12,16 @@ objects that the system facades consume:
   block-read workload, matching Table 6 and the two-phase structure of
   Figure 6,
 * :mod:`repro.workloads.ycsb` — YCSB core workloads A/B/E/F plus the phase
-  mixer used by Figures 9, 13 and 14 and Table 4,
-* :mod:`repro.workloads.fleet_churn` — seeded elastic-fleet schedules
-  (tenant arrivals/departures plus NFT-mint burst tenants) for the
-  multi-tenant gateway's churn benchmark and property harness.
+  mixer used by Figures 9, 13 and 14 and Table 4.
+
+Multi-tenant gateway schedules — residents, joiners, NFT-mint bursts and
+departures — are the repo benchmark's (``churn_inputs`` in
+``benchmarks/suite/workloads.py``), which the gateway's property harness
+drives too: one churn generator, outside the library.
 """
 
 from repro.workloads.operations import WorkloadStats, characterise
 from repro.workloads.synthetic import SyntheticWorkload, AlternatingPhaseWorkload
-from repro.workloads.fleet_churn import (
-    ChurnSchedule,
-    FleetChurnWorkload,
-    TenantJoin,
-    TenantLeave,
-)
 from repro.workloads.eth_price_oracle import EthPriceOracleTrace, ETH_PRICE_ORACLE_DISTRIBUTION
 from repro.workloads.btcrelay_trace import BtcRelayTrace, BTCRELAY_DISTRIBUTION
 from repro.workloads.ycsb import (
@@ -41,10 +37,6 @@ __all__ = [
     "characterise",
     "SyntheticWorkload",
     "AlternatingPhaseWorkload",
-    "ChurnSchedule",
-    "FleetChurnWorkload",
-    "TenantJoin",
-    "TenantLeave",
     "EthPriceOracleTrace",
     "ETH_PRICE_ORACLE_DISTRIBUTION",
     "BtcRelayTrace",

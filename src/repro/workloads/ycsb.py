@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import KVRecord, Operation, OperationKind, ReplicationState
+from repro.common.types import KVRecord, Operation, ReplicationState
 
 
 class ZipfianGenerator:
@@ -86,10 +86,6 @@ class LatestGenerator:
     def next(self) -> int:
         offset = self.zipfian.next()
         return max(0, self.item_count - 1 - offset)
-
-    def grow(self) -> None:
-        self.item_count += 1
-        self.zipfian = ZipfianGenerator(self.item_count, self.zipfian.rng)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,15 @@
-"""Shared fixtures for the GRuB reproduction test suite."""
+"""Shared fixtures for the GRuB reproduction test suite.
+
+Also the one place tests find code outside ``src/``: the repo benchmark's
+package (``benchmarks/suite``, imported read-only as ``suite``), the
+examples (by file name) and the shared KV conformance suite
+(``tests/storage/kv_suite.py``).
+"""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +21,11 @@ from repro.common.types import KVRecord, ReplicationState
 from repro.core.config import GrubConfig
 from repro.core.grub import GrubSystem
 from repro.workloads.synthetic import SyntheticWorkload
+
+REPO = Path(__file__).resolve().parents[1]
+for directory in (REPO / "benchmarks", REPO / "examples", REPO / "tests" / "storage"):
+    if str(directory) not in sys.path:
+        sys.path.insert(0, str(directory))
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ set of invariants is asserted on every schedule:
   re-run in later epochs rather than vanishing;
 * **departure hygiene** — an evicted feed never appears in a later epoch's
   roster or summaries, and its final gas bill equals the ledger's scoped
-  total (frozen, exact);
+  total less what hosting it charged (its preload; frozen, exact);
 * **quota enforcement** — a tenant with ``max_ops_per_epoch`` never runs
   more than that many operations in any epoch;
 * **one hosted feed, one object** — after either run a hosted feed's bill is
@@ -27,8 +27,16 @@ set of invariants is asserted on every schedule:
   departed feed's handle is in no registry and its bill is still the fleet's.
 
 A few of the schedules run a second time with *synchronized hot-key bursts*
-(every resident bursts over the same 4 keys in the same epochs — cross-feed
-correlated traffic, the planner's worst case) under the same invariants.
+(every unthrottled resident bursts over the same 4 keys in the same epochs —
+cross-feed correlated traffic, the planner's worst case) under the same
+invariants.
+
+Every schedule comes from the benchmark's own churn generator,
+``suite.workloads.churn_inputs`` — what ``churn_lanes`` measures — at a shape
+drawn from the seed: how many residents, joiners (and how many of those are
+NFT-mint bursts), departures and quota-capped residents, and how long each
+resident's stream is.  The generator fixes a shape and draws only keys and
+values from its seed, so the shape draw is what makes the seeds differ.
 
 The seed count defaults to 20 (the CI contract) and can be raised via the
 ``GRUB_PROPERTY_SEEDS`` environment variable; a failing parametrized test id
@@ -38,8 +46,11 @@ carries the schedule seed, which is all that is needed to reproduce the run.
 from __future__ import annotations
 
 import os
+import random
+from dataclasses import replace
 
 import pytest
+from suite.workloads import WORKLOADS, FleetInputs, Workload, churn_inputs
 
 from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.common.types import Operation
@@ -47,36 +58,105 @@ from repro.gateway import EpochScheduler, FeedRegistry, FeedTelemetry, GasAwareS
 from repro.gateway.executor import ipc_summary
 from repro.gateway.placement import MOVE_LANE_RETIRED, MOVE_REGROUPED
 from repro.obs import Observability
-from repro.workloads.fleet_churn import FleetChurnWorkload
 
 NUM_SCHEDULES = int(os.environ.get("GRUB_PROPERTY_SEEDS", "20"))
 SEEDS = list(range(101, 101 + NUM_SCHEDULES))
 
-EPOCH_SIZE = 4
+CHURN = WORKLOADS["churn_lanes"]
+EPOCH_SIZE = CHURN.epoch_size
 #: Two orders of magnitude under the 10M default limit: estimates (~30–60k
 #: per feed-epoch) genuinely contend for the 100k budget, so plans have
 #: several shards and the overflow invariant is non-trivial.
 BLOCK_GAS_FRACTION = 0.01
+#: The synchronized bursts: how many shared hot keys, in how many epochs.
+HOT_KEYS = 4
+HOT_BURST_EPOCHS = 3
 
 
-def build_schedule(seed: int, correlated: bool = False):
-    """``correlated``: every resident also bursts over the same 4 hot keys in
-    the same 3 epochs, so the planner sees every bin fill at once instead of
-    independent noise averaging out."""
-    return FleetChurnWorkload(
-        seed=seed,
-        base_feeds=4,
-        joins=3,
-        leaves=3,
-        burst_tenants=1,
-        horizon_epochs=8,
-        epoch_size=EPOCH_SIZE,
-        ops_per_feed=24,
-        quota_feeds=1,
-        correlated_hot_keys=correlated,
-        hot_keys=4,
-        hot_burst_epochs=3,
-    ).generate()
+def shape(seed: int) -> Workload:
+    """``churn_lanes`` at a small shape drawn from ``seed``."""
+    rng = random.Random(seed)
+    feeds = rng.randint(3, 6)
+    joins = rng.randint(2, 4)
+    burst_tenants = rng.randint(1, joins // 2)
+    # A quota-capped resident drives half an epoch per epoch, which keeps the
+    # run re-planning long after the rest are done: with none, some
+    # schedules end before any feed changes lanes.
+    quota_feeds = rng.randint(1, 2)
+    # churn_inputs takes its resident leavers from every other unthrottled
+    # resident.
+    resident_leavers = rng.randint(1, len(range(quota_feeds, feeds, 2)))
+    return replace(
+        CHURN,
+        feeds=feeds,
+        joins=joins,
+        burst_tenants=burst_tenants,
+        leaves=burst_tenants + resident_leavers,
+        quota_feeds=quota_feeds,
+        ops_per_feed=rng.choice((16, 24, 32)),
+    )
+
+
+def hot_key_bursts(inputs: FleetInputs, seed: int) -> FleetInputs:
+    """``inputs`` with one epoch-long read burst over the same
+    ``HOT_KEYS`` preloaded keys spliced into every unthrottled resident's
+    stream at the same ``HOT_BURST_EPOCHS`` epoch boundaries.  Quota-capped
+    residents are left out: their quotas defer operations, so a burst spliced
+    at a stream offset would run epochs after everyone else's."""
+    rng = random.Random(f"{seed}:hot")
+    # Every burst epoch falls inside a resident's spliced stream.
+    horizon = max(map(len, inputs.operations.values())) // EPOCH_SIZE + HOT_BURST_EPOCHS
+    epochs = sorted(rng.sample(range(1, horizon), HOT_BURST_EPOCHS))
+    pattern = [rng.randrange(HOT_KEYS) for _ in range(EPOCH_SIZE)]
+    operations = dict(inputs.operations)
+    for spec in inputs.specs:
+        if spec.max_ops_per_epoch is not None:
+            continue
+        hot = spec.preload[:HOT_KEYS]
+        spliced = list(operations[spec.feed_id])
+        for epoch in epochs:
+            # Positions are epoch boundaries of the spliced stream, so every
+            # resident bursts in the same epochs.
+            position = min(epoch * EPOCH_SIZE, len(spliced))
+            spliced[position:position] = [
+                Operation.read(hot[index].key, size_bytes=len(hot[index].value))
+                for index in pattern
+            ]
+        operations[spec.feed_id] = tuple(spliced)
+    return replace(inputs, operations=operations)
+
+
+def build_schedule(seed: int, correlated: bool = False) -> FleetInputs:
+    inputs = churn_inputs(shape(seed), seed)
+    return hot_key_bursts(inputs, seed) if correlated else inputs
+
+
+def preload_gas(spec) -> tuple:
+    """What hosting ``spec`` charges its scope before it runs an operation —
+    its preload — as feed-layer and application-layer gas.  The same on any
+    chain, so a fresh registry measures it for residents and joiners alike."""
+    registry = FeedRegistry()
+    registry.create_feed(spec)
+    ledger = registry.chain.ledger
+    return (
+        ledger.scope_total(spec.feed_id, LAYER_FEED),
+        ledger.scope_total(spec.feed_id, LAYER_APPLICATION),
+    )
+
+
+def run_inputs(inputs: FleetInputs, **scheduler_options):
+    """Run ``inputs`` as the benchmark's harness does — residents hosted
+    up front, joins and leaves queued on the scheduler — in a fresh
+    registry; returns the registry and the run's telemetry."""
+    registry = FeedRegistry()
+    for spec in inputs.specs:
+        registry.create_feed(spec)
+    scheduler = EpochScheduler(registry, **scheduler_options)
+    for at_epoch, spec, operations in inputs.joins:
+        scheduler.admit(spec, operations, at_epoch=at_epoch)
+    for at_epoch, feed_id in inputs.leaves:
+        scheduler.evict(feed_id, at_epoch=at_epoch)
+    return registry, scheduler.run(inputs.operations)
 
 
 def run_schedule(
@@ -87,28 +167,15 @@ def run_schedule(
     correlated: bool = False,
 ):
     schedule = build_schedule(seed, correlated)
-    registry = FeedRegistry()
-    scheduler = EpochScheduler(
-        registry,
+    registry, fleet = run_inputs(
+        schedule,
         num_workers=num_workers,
         execution_mode=execution_mode,
         epoch_size=EPOCH_SIZE,
         obs=obs,
         planner=GasAwareShardPlanner(block_gas_fraction=BLOCK_GAS_FRACTION),
     )
-    workloads = schedule.install(registry, scheduler)
-    # Resident feeds charge their preload gas to their scope before the run;
-    # snapshot it so the billing invariant compares run deltas.
-    ledger = registry.chain.ledger
-    baseline = {
-        feed_id: (
-            ledger.scope_total(feed_id, LAYER_FEED),
-            ledger.scope_total(feed_id, LAYER_APPLICATION),
-        )
-        for feed_id in schedule.admitted_op_counts()
-    }
-    fleet = scheduler.run(workloads)
-    return schedule, registry, fleet, baseline
+    return schedule, registry, fleet
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -119,14 +186,18 @@ def test_churn_schedule_invariants(seed):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_synchronized_hot_key_bursts_keep_the_invariants(seed):
     schedule = check_schedule_invariants(seed, correlated=True)
-    assert len(schedule.hot_suffixes) == 4 and len(schedule.hot_burst_epochs) == 3
+    plain = build_schedule(seed)
+    for spec in schedule.specs:
+        added = len(schedule.operations[spec.feed_id]) - len(plain.operations[spec.feed_id])
+        bursts = 0 if spec.max_ops_per_epoch is not None else HOT_BURST_EPOCHS
+        assert added == bursts * EPOCH_SIZE
 
 
 def check_schedule_invariants(seed, correlated=False):
-    schedule, serial_registry, serial_fleet, baseline = run_schedule(
+    schedule, serial_registry, serial_fleet = run_schedule(
         seed, num_workers=1, correlated=correlated
     )
-    _, process_registry, process_fleet, _ = run_schedule(
+    _, process_registry, process_fleet = run_schedule(
         seed, num_workers=4, execution_mode="process", correlated=correlated
     )
 
@@ -149,12 +220,13 @@ def check_schedule_invariants(seed, correlated=False):
     assert serial_fleet.departures == len(schedule.leaves)
 
     # Op conservation: executed + cancelled == admitted, per tenant.
-    for feed_id, admitted in schedule.admitted_op_counts().items():
+    streams = schedule.streams()
+    for feed_id, (_, operations) in streams.items():
         telemetry = serial_fleet.feeds[feed_id]
-        assert telemetry.operations + telemetry.cancelled_ops == admitted
+        assert telemetry.operations + telemetry.cancelled_ops == len(operations)
 
     # Departure hygiene: no post-departure epochs, rosters, or gas drift.
-    departures = schedule.departures
+    departures = {feed_id: at_epoch for at_epoch, feed_id in schedule.leaves}
     for feed_id, telemetry in serial_fleet.feeds.items():
         if feed_id in departures:
             assert telemetry.departed_epoch == departures[feed_id]
@@ -168,25 +240,24 @@ def check_schedule_invariants(seed, correlated=False):
                 telemetry.departed_epoch is None or epoch < telemetry.departed_epoch
             )
             assert (feed_id in roster) == hosted
-        # The telemetry bill is exactly the ledger's scoped gas beyond the
-        # preload baseline — frozen for departed feeds, live for residents.
+        # The telemetry bill is exactly the ledger's scoped gas beyond what
+        # hosting the feed charged it — its preload, paid before the run for
+        # a resident and at admission for a joiner — frozen for departed
+        # feeds, live for the rest.
         ledger = serial_registry.chain.ledger
-        feed_base, app_base = baseline[feed_id]
+        feed_base, app_base = preload_gas(streams[feed_id][0])
         assert telemetry.gas_feed == ledger.scope_total(feed_id, LAYER_FEED) - feed_base
         assert telemetry.gas_application == (
             ledger.scope_total(feed_id, LAYER_APPLICATION) - app_base
         )
 
     # Quota enforcement: capped tenants never exceed their per-epoch ops cap.
-    quota_specs = {
-        join.feed_id: join.spec for join in (*schedule.initial, *schedule.joins)
-    }
-    for feed_id in schedule.quota_feed_ids():
-        cap = quota_specs[feed_id].max_ops_per_epoch
-        if cap is None:
-            continue
-        telemetry = serial_fleet.feeds[feed_id]
-        assert all(summary.operations <= cap for summary in telemetry.epochs)
+    for spec, _ in streams.values():
+        if spec.max_ops_per_epoch is not None:
+            telemetry = serial_fleet.feeds[spec.feed_id]
+            assert all(
+                summary.operations <= spec.max_ops_per_epoch for summary in telemetry.epochs
+            )
 
     # One hosted feed, one object — wherever the run executed.
     for registry, fleet in (
@@ -206,9 +277,28 @@ def check_schedule_invariants(seed, correlated=False):
     return schedule
 
 
+#: A schedule (3 residents, 2 joins, 32 operations each) whose process run
+#: retires a lane, forks a new one mid-run and moves onto it, from the
+#: retiring lane, a feed whose earlier requests were answered there.
+RESPAWN_SEED = 140
+
+
+def test_a_lane_forked_mid_run_answers_no_request_twice():
+    """The fork hands a lane the main registry's watchdog with its cursor
+    where the run began, while the main log has absorbed every merged epoch's
+    request events since.  A lane that polled from there answered those
+    requests a second time — extra ``deliver`` items and consumer callbacks
+    — and this run's fingerprint left its serial twin's."""
+    serial = run_schedule(RESPAWN_SEED, num_workers=1)[2]
+    process = run_schedule(RESPAWN_SEED, num_workers=4, execution_mode="process")[2]
+    assert process.ipc["lane_retirements_total"] >= 1
+    assert process.ipc["lane_spawns_total"] > 4  # one forked after epoch 0
+    assert process.fingerprint() == serial.fingerprint()
+
+
 @pytest.mark.parametrize("execution_mode, num_workers", [("serial", 1), ("process", 2)])
 def test_a_second_run_starts_every_registered_handle_afresh(execution_mode, num_workers):
-    _, registry, first, _ = run_schedule(SEEDS[0], num_workers=1)
+    _, registry, first = run_schedule(SEEDS[0], num_workers=1)
     idle, busy, *others = registry.handles
     assert others and all(handle.bill.operations for handle in registry.handles)
     # What an aborted run could leave behind.
@@ -247,7 +337,7 @@ def test_process_mode_forces_migration_spawn_and_retirement():
     first, and one lane retirement once the fleet shrinks — all metered on
     ``FleetTelemetry.ipc`` (never fingerprinted), which holds every key the
     benchmark suite reads; a serial run has no lane boundary and no record."""
-    fleet = run_schedule(SEEDS[0], num_workers=4, execution_mode="process")[2]
+    fleet = run_schedule(RESPAWN_SEED, num_workers=4, execution_mode="process")[2]
     ipc = fleet.ipc
     assert ipc["migrations_total"] >= 1
     assert ipc["migration_bytes_total"] > 0
@@ -257,7 +347,7 @@ def test_process_mode_forces_migration_spawn_and_retirement():
     assert ipc["lane_spawns_total"] >= 2
     assert ipc["lane_retirements_total"] >= 1
     assert {"bytes_per_epoch", "encode_seconds", "decode_seconds"} <= set(ipc)
-    assert run_schedule(SEEDS[0], num_workers=1)[2].ipc is None
+    assert run_schedule(RESPAWN_SEED, num_workers=1)[2].ipc is None
 
 
 def test_every_migration_is_metered_with_its_reason():
@@ -265,7 +355,7 @@ def test_every_migration_is_metered_with_its_reason():
     placement's reason as a label on the ``migrations_total`` counter, and
     ``fleet.ipc`` is read off that very counter — outside the fingerprint."""
     obs = Observability()
-    fleet = run_schedule(SEEDS[0], num_workers=4, execution_mode="process", obs=obs)[2]
+    fleet = run_schedule(RESPAWN_SEED, num_workers=4, execution_mode="process", obs=obs)[2]
     by_reason = fleet.ipc["migrations_by_reason"]
     assert set(by_reason) <= {MOVE_REGROUPED, MOVE_LANE_RETIRED}
     assert sum(by_reason.values()) == fleet.ipc["migrations_total"]
@@ -279,7 +369,7 @@ def test_every_migration_is_metered_with_its_reason():
         **by_reason,
         MOVE_REGROUPED: by_reason[MOVE_REGROUPED] + 1,
     }
-    plain = run_schedule(SEEDS[0], num_workers=1)[2]
+    plain = run_schedule(RESPAWN_SEED, num_workers=1)[2]
     assert fleet.fingerprint() == plain.fingerprint()
 
 

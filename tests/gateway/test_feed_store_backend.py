@@ -11,14 +11,9 @@ persistent store.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
+from kv_suite import KVStoreContract
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "storage"))
-
-from kv_suite import KVStoreContract  # noqa: E402 - path set up above
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord
 from repro.core.config import GrubConfig

@@ -262,150 +262,3 @@ class TestCharacterisation:
         # the same key or by the end of the trace.
         assert len(stats.reads_after_write) == stats.writes
         assert sum(stats.per_key_reads.values()) == stats.reads
-
-
-class TestFleetChurnWorkload:
-    def _generate(self, **overrides):
-        from repro.workloads.fleet_churn import FleetChurnWorkload
-
-        params = dict(
-            seed=7,
-            base_feeds=6,
-            joins=4,
-            leaves=4,
-            burst_tenants=2,
-            horizon_epochs=10,
-            epoch_size=8,
-            ops_per_feed=48,
-            quota_feeds=1,
-        )
-        params.update(overrides)
-        return FleetChurnWorkload(**params).generate()
-
-    def test_schedule_counts_match_parameters(self):
-        schedule = self._generate()
-        assert len(schedule.initial) == 6
-        assert len(schedule.joins) == 4
-        assert len(schedule.leaves) == 4
-        # Every burst tenant has a paired departure.
-        leaving = {leave.feed_id for leave in schedule.leaves}
-        assert {"mint-00", "mint-01"} <= leaving
-
-    def test_same_seed_is_reproducible(self):
-        first = self._generate()
-        second = self._generate()
-        assert first.admitted_op_counts() == second.admitted_op_counts()
-        assert first.departures == second.departures
-        for a, b in zip(first.initial, second.initial):
-            assert a.spec.feed_id == b.spec.feed_id
-            assert list(a.operations) == list(b.operations)
-
-    def test_different_seeds_differ(self):
-        first = self._generate(seed=7)
-        second = self._generate(seed=8)
-        ops_differ = any(
-            list(a.operations) != list(b.operations)
-            for a, b in zip(first.initial, second.initial)
-        )
-        assert ops_differ or first.departures != second.departures
-
-    def test_quota_feeds_carry_quotas_and_never_leave(self):
-        schedule = self._generate(quota_feeds=2)
-        quota_ids = schedule.quota_feed_ids()
-        assert len(quota_ids) == 2
-        specs = {join.feed_id: join.spec for join in schedule.initial}
-        for feed_id in quota_ids:
-            assert specs[feed_id].max_ops_per_epoch is not None
-        assert not (set(quota_ids) & set(schedule.departures))
-
-    def test_burst_tenants_are_mint_shaped(self):
-        schedule = self._generate()
-        mint = next(j for j in schedule.joins if j.feed_id == "mint-00")
-        ops = list(mint.operations)
-        writes = [op for op in ops if op.is_write]
-        reads = [op for op in ops if op.is_read]
-        # A mint burst: writes first, then a heavier read phase over the
-        # early (hot) tokens only.
-        assert ops[: len(writes)] == writes
-        assert len(reads) == 2 * len(writes)
-        hot = max(1, len(writes) // 4)
-        assert all(int(op.key.rsplit("-", 1)[1]) < hot for op in reads)
-
-    def test_departures_fall_inside_a_sane_epoch_range(self):
-        schedule = self._generate()
-        for leave in schedule.leaves:
-            assert 1 <= leave.at_epoch <= 14
-
-    def test_validation(self):
-        from repro.common.errors import ConfigurationError
-        from repro.workloads.fleet_churn import FleetChurnWorkload
-
-        with pytest.raises(ConfigurationError):
-            FleetChurnWorkload(burst_tenants=3, joins=2)
-        with pytest.raises(ConfigurationError):
-            FleetChurnWorkload(burst_tenants=2, joins=2, leaves=1)
-        with pytest.raises(ConfigurationError):
-            FleetChurnWorkload(base_feeds=2, leaves=4, joins=4, burst_tenants=0)
-        with pytest.raises(ConfigurationError):
-            FleetChurnWorkload(correlated_hot_keys=True, hot_keys=0)
-        with pytest.raises(ConfigurationError):
-            FleetChurnWorkload(
-                correlated_hot_keys=True, hot_burst_epochs=10, horizon_epochs=10
-            )
-
-    def test_correlated_hot_keys_off_by_default(self):
-        schedule = self._generate()
-        assert schedule.hot_burst_epochs == []
-        assert schedule.hot_suffixes == []
-
-    def test_correlated_hot_keys_share_suffixes_and_burst_epochs(self):
-        epoch_size = 8
-        schedule = self._generate(
-            correlated_hot_keys=True, hot_keys=4, hot_burst_epochs=2
-        )
-        assert len(schedule.hot_burst_epochs) == 2
-        assert schedule.hot_suffixes == [f"hot-{i:03d}" for i in range(4)]
-
-        burst_suffix_patterns = []
-        quota_ids = set(schedule.quota_feed_ids())
-        assert quota_ids, "default config must exercise the quota exclusion"
-        for join in schedule.initial:
-            feed_id = join.feed_id
-            ops = list(join.operations)
-            preload_keys = {record.key for record in join.spec.preload}
-            if feed_id in quota_ids:
-                # Quota feeds defer operations, so a spliced burst would not
-                # execute in the synchronized epoch — they must be excluded
-                # entirely (no hot preload, no burst reads).
-                assert not any("-hot-" in key for key in preload_keys)
-                assert not any("-hot-" in op.key for op in ops)
-                continue
-            # Every burst-cohort feed's preload carries its copy of the
-            # shared hot keyset.
-            for suffix in schedule.hot_suffixes:
-                assert f"{feed_id}-{suffix}" in preload_keys
-            # At every synchronized burst epoch the feed reads exactly the
-            # hot keyset for one whole epoch.  (Unquota'd feeds consume
-            # exactly epoch_size ops per epoch, so stream offsets are epoch
-            # boundaries of the executed run.)
-            pattern = []
-            for burst_epoch in schedule.hot_burst_epochs:
-                start = burst_epoch * epoch_size
-                burst = ops[start : start + epoch_size]
-                assert len(burst) == epoch_size
-                for op in burst:
-                    assert op.is_read
-                    prefix, suffix = op.key.split("-hot-")
-                    assert prefix == feed_id
-                    pattern.append(f"hot-{suffix}")
-            burst_suffix_patterns.append(tuple(pattern))
-        # The *same* suffix sequence in the *same* epochs for every cohort
-        # feed — that is the cross-feed correlation the planner and cache see.
-        assert len(set(burst_suffix_patterns)) == 1
-
-    def test_correlated_schedule_is_reproducible(self):
-        first = self._generate(correlated_hot_keys=True)
-        second = self._generate(correlated_hot_keys=True)
-        assert first.hot_burst_epochs == second.hot_burst_epochs
-        for a, b in zip(first.initial, second.initial):
-            assert list(a.operations) == list(b.operations)
