@@ -2,8 +2,9 @@
 
 Also the one place tests find code outside ``src/``: the repo benchmark's
 package (``benchmarks/suite``, imported read-only as ``suite``), the
-examples (by file name) and the shared KV conformance suite
-(``tests/storage/kv_suite.py``).
+examples (by file name), the shared KV conformance suite
+(``tests/storage/kv_suite.py``) and the churn schedules of the elastic
+property harness (``tests/workloads/churn_schedules.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from repro.core.grub import GrubSystem
 from repro.workloads.synthetic import SyntheticWorkload
 
 REPO = Path(__file__).resolve().parents[1]
-for directory in (REPO / "benchmarks", REPO / "examples", REPO / "tests" / "storage"):
+for directory in (
+    REPO / "benchmarks",
+    REPO / "examples",
+    REPO / "tests" / "storage",
+    REPO / "tests" / "workloads",
+):
     if str(directory) not in sys.path:
         sys.path.insert(0, str(directory))
 

@@ -37,6 +37,7 @@ drawn from the seed: how many residents, joiners (and how many of those are
 NFT-mint bursts), departures and quota-capped residents, and how long each
 resident's stream is.  The generator fixes a shape and draws only keys and
 values from its seed, so the shape draw is what makes the seeds differ.
+The schedules are built in ``tests/workloads/churn_schedules.py``.
 
 The seed count defaults to 20 (the CI contract) and can be raised via the
 ``GRUB_PROPERTY_SEEDS`` environment variable; a failing parametrized test id
@@ -46,11 +47,10 @@ carries the schedule seed, which is all that is needed to reproduce the run.
 from __future__ import annotations
 
 import os
-import random
-from dataclasses import replace
 
 import pytest
-from suite.workloads import WORKLOADS, FleetInputs, Workload, churn_inputs
+from churn_schedules import EPOCH_SIZE, HOT_BURST_EPOCHS, build_schedule
+from suite.workloads import FleetInputs
 
 from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.common.types import Operation
@@ -62,73 +62,10 @@ from repro.obs import Observability
 NUM_SCHEDULES = int(os.environ.get("GRUB_PROPERTY_SEEDS", "20"))
 SEEDS = list(range(101, 101 + NUM_SCHEDULES))
 
-CHURN = WORKLOADS["churn_lanes"]
-EPOCH_SIZE = CHURN.epoch_size
 #: Two orders of magnitude under the 10M default limit: estimates (~30–60k
 #: per feed-epoch) genuinely contend for the 100k budget, so plans have
 #: several shards and the overflow invariant is non-trivial.
 BLOCK_GAS_FRACTION = 0.01
-#: The synchronized bursts: how many shared hot keys, in how many epochs.
-HOT_KEYS = 4
-HOT_BURST_EPOCHS = 3
-
-
-def shape(seed: int) -> Workload:
-    """``churn_lanes`` at a small shape drawn from ``seed``."""
-    rng = random.Random(seed)
-    feeds = rng.randint(3, 6)
-    joins = rng.randint(2, 4)
-    burst_tenants = rng.randint(1, joins // 2)
-    # A quota-capped resident drives half an epoch per epoch, which keeps the
-    # run re-planning long after the rest are done: with none, some
-    # schedules end before any feed changes lanes.
-    quota_feeds = rng.randint(1, 2)
-    # churn_inputs takes its resident leavers from every other unthrottled
-    # resident.
-    resident_leavers = rng.randint(1, len(range(quota_feeds, feeds, 2)))
-    return replace(
-        CHURN,
-        feeds=feeds,
-        joins=joins,
-        burst_tenants=burst_tenants,
-        leaves=burst_tenants + resident_leavers,
-        quota_feeds=quota_feeds,
-        ops_per_feed=rng.choice((16, 24, 32)),
-    )
-
-
-def hot_key_bursts(inputs: FleetInputs, seed: int) -> FleetInputs:
-    """``inputs`` with one epoch-long read burst over the same
-    ``HOT_KEYS`` preloaded keys spliced into every unthrottled resident's
-    stream at the same ``HOT_BURST_EPOCHS`` epoch boundaries.  Quota-capped
-    residents are left out: their quotas defer operations, so a burst spliced
-    at a stream offset would run epochs after everyone else's."""
-    rng = random.Random(f"{seed}:hot")
-    # Every burst epoch falls inside a resident's spliced stream.
-    horizon = max(map(len, inputs.operations.values())) // EPOCH_SIZE + HOT_BURST_EPOCHS
-    epochs = sorted(rng.sample(range(1, horizon), HOT_BURST_EPOCHS))
-    pattern = [rng.randrange(HOT_KEYS) for _ in range(EPOCH_SIZE)]
-    operations = dict(inputs.operations)
-    for spec in inputs.specs:
-        if spec.max_ops_per_epoch is not None:
-            continue
-        hot = spec.preload[:HOT_KEYS]
-        spliced = list(operations[spec.feed_id])
-        for epoch in epochs:
-            # Positions are epoch boundaries of the spliced stream, so every
-            # resident bursts in the same epochs.
-            position = min(epoch * EPOCH_SIZE, len(spliced))
-            spliced[position:position] = [
-                Operation.read(hot[index].key, size_bytes=len(hot[index].value))
-                for index in pattern
-            ]
-        operations[spec.feed_id] = tuple(spliced)
-    return replace(inputs, operations=operations)
-
-
-def build_schedule(seed: int, correlated: bool = False) -> FleetInputs:
-    inputs = churn_inputs(shape(seed), seed)
-    return hot_key_bursts(inputs, seed) if correlated else inputs
 
 
 def preload_gas(spec) -> tuple:

@@ -1,4 +1,4 @@
-"""Tests for the workload generators: synthetic, traces and YCSB."""
+"""Tests for the workload generators: synthetic, traces, YCSB and churn."""
 
 from __future__ import annotations
 
@@ -262,3 +262,169 @@ class TestCharacterisation:
         # the same key or by the end of the trace.
         assert len(stats.reads_after_write) == stats.writes
         assert sum(stats.per_key_reads.values()) == stats.reads
+
+
+class TestFleetChurnWorkload:
+    """The churn schedules the elastic property harness runs: the benchmark's
+    ``churn_inputs`` at a shape drawn from the seed, optionally with
+    synchronized hot-key bursts spliced in."""
+
+    SEED = 7
+
+    def _workload(self, **overrides):
+        from dataclasses import replace
+
+        from churn_schedules import CHURN
+
+        params = dict(
+            feeds=6, joins=4, leaves=4, burst_tenants=2, quota_feeds=1, ops_per_feed=48
+        )
+        params.update(overrides)
+        return replace(CHURN, **params)
+
+    def _generate(self, seed=SEED, **overrides):
+        from suite.workloads import churn_inputs
+
+        return churn_inputs(self._workload(**overrides), seed)
+
+    def test_schedule_counts_match_parameters(self):
+        schedule = self._generate()
+        assert len(schedule.specs) == 6
+        assert len(schedule.joins) == 4
+        assert len(schedule.leaves) == 4
+        # Every burst tenant has a paired departure.
+        leaving = {feed_id for _, feed_id in schedule.leaves}
+        mints = {spec.feed_id for _, spec, _ in schedule.joins if spec.feed_id.startswith("mint-")}
+        assert len(mints) == 2 and mints <= leaving
+
+    def test_same_seed_is_reproducible(self):
+        first = self._generate()
+        second = self._generate()
+        assert first.leaves == second.leaves
+        assert [at for at, _, _ in first.joins] == [at for at, _, _ in second.joins]
+        assert first.streams() == second.streams()
+
+    def test_different_seeds_differ(self):
+        first = self._generate(seed=7)
+        second = self._generate(seed=8)
+        # The seed draws keys and values only; the shape stays put.
+        assert first.leaves == second.leaves
+        assert [at for at, _, _ in first.joins] == [at for at, _, _ in second.joins]
+        assert any(
+            first.operations[spec.feed_id] != second.operations[spec.feed_id]
+            for spec in first.specs
+        )
+
+    def test_quota_feeds_carry_quotas_and_never_leave(self):
+        schedule = self._generate(quota_feeds=2)
+        quota_ids = [spec.feed_id for spec in schedule.specs if spec.max_ops_per_epoch]
+        assert quota_ids == ["res-00", "res-01"]
+        assert schedule.specs[0].max_gas_per_epoch is not None
+        assert not set(quota_ids) & {feed_id for _, feed_id in schedule.leaves}
+
+    def test_burst_tenants_are_mint_shaped(self):
+        schedule = self._generate()
+        spec, ops = next(
+            (spec, ops) for _, spec, ops in schedule.joins if spec.feed_id.startswith("mint-")
+        )
+        assert not spec.preload
+        writes = [op for op in ops if op.is_write]
+        reads = [op for op in ops if op.is_read]
+        # A mint burst: writes first, then a heavier read phase over the
+        # early (hot) tokens only.
+        assert list(ops[: len(writes)]) == writes
+        assert len(reads) == 2 * len(writes)
+        hot = max(1, len(writes) // 4)
+        assert all(int(op.key.rsplit("-", 1)[1]) < hot for op in reads)
+
+    def test_departures_fall_inside_a_sane_epoch_range(self):
+        workload = self._workload()
+        schedule = self._generate()
+        arrivals = {spec.feed_id: at for at, spec, _ in schedule.joins}
+        for at_epoch, feed_id in schedule.leaves:
+            if feed_id in arrivals:
+                # A mint burst leaves four epochs after it arrives.
+                assert at_epoch == arrivals[feed_id] + 4
+            else:
+                # A resident leaves before its unthrottled stream is done.
+                assert 2 <= at_epoch <= workload.ops_per_feed // workload.epoch_size
+
+    def test_validation(self):
+        """Every shape the harness draws is one ``churn_inputs`` honours:
+        exactly the drawn joins, bursts and departures, and at least one
+        quota-capped resident."""
+        from churn_schedules import shape
+        from suite.workloads import churn_inputs
+
+        for seed in range(101, 201):
+            workload = shape(seed)
+            schedule = churn_inputs(workload, seed)
+            assert 1 <= workload.burst_tenants <= workload.joins // 2
+            assert len(schedule.joins) == workload.joins
+            assert len(schedule.leaves) == workload.leaves
+            mints = [spec for _, spec, _ in schedule.joins if spec.feed_id.startswith("mint-")]
+            assert len(mints) == workload.burst_tenants
+            assert any(spec.max_ops_per_epoch for spec in schedule.specs)
+
+    def test_correlated_hot_keys_off_by_default(self):
+        from churn_schedules import build_schedule, shape
+        from suite.workloads import churn_inputs
+
+        for seed in (101, 102, 103):
+            plain = churn_inputs(shape(seed), seed)
+            assert build_schedule(seed).streams() == plain.streams()
+
+    def test_correlated_hot_keys_share_suffixes_and_burst_epochs(self):
+        from churn_schedules import (
+            EPOCH_SIZE,
+            HOT_BURST_EPOCHS,
+            HOT_KEYS,
+            build_schedule,
+        )
+
+        seed = 101
+        plain = build_schedule(seed)
+        schedule = build_schedule(seed, correlated=True)
+        quota_ids = {spec.feed_id for spec in schedule.specs if spec.max_ops_per_epoch}
+        assert quota_ids, "the shape must exercise the quota exclusion"
+        bursts = set()
+        for spec in schedule.specs:
+            spliced = schedule.operations[spec.feed_id]
+            original = plain.operations[spec.feed_id]
+            if spec.feed_id in quota_ids:
+                # Quota feeds defer operations, so a spliced burst would not
+                # execute in the synchronized epoch: they are left out.
+                assert spliced == original
+                continue
+            # Walk the spliced stream against the original: whole epochs that
+            # are not the original's next operations are the bursts.
+            hot = [record.key for record in spec.preload[:HOT_KEYS]]
+            epochs, pattern = [], []
+            position, offset = 0, 0
+            while position < len(spliced):
+                block = spliced[position : position + EPOCH_SIZE]
+                if position % EPOCH_SIZE == 0 and block != original[offset : offset + EPOCH_SIZE]:
+                    assert all(op.is_read and op.key in hot for op in block)
+                    epochs.append(position // EPOCH_SIZE)
+                    pattern.extend(hot.index(op.key) for op in block)
+                    position += EPOCH_SIZE
+                    continue
+                assert spliced[position] == original[offset]
+                position += 1
+                offset += 1
+            assert offset == len(original)
+            assert len(epochs) == HOT_BURST_EPOCHS
+            bursts.add((tuple(epochs), tuple(pattern)))
+        # The *same* key pattern in the *same* epochs for every unthrottled
+        # resident: the cross-feed correlation the planner and cache see.
+        assert len(bursts) == 1
+        # Joiners are never spliced.
+        assert [ops for _, _, ops in schedule.joins] == [ops for _, _, ops in plain.joins]
+
+    def test_correlated_schedule_is_reproducible(self):
+        from churn_schedules import build_schedule
+
+        first = build_schedule(101, correlated=True)
+        second = build_schedule(101, correlated=True)
+        assert first.streams() == second.streams()
+        assert first.operations != build_schedule(101).operations
