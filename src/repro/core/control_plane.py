@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.common.types import Operation, OperationKind, ReplicationState
 from repro.core.decision.base import CostModel, Decision, DecisionAlgorithm
-from repro.core.storage_manager import CallHistoryCursor, StorageManagerContract
+from repro.core.storage_manager import StorageManagerContract
 
 
 @dataclass
@@ -35,54 +35,50 @@ class WorkloadMonitor:
 
     The federated trace preserves the interleaving of reads and writes: each
     locally observed write is stamped with the position of the on-chain call
-    history at the moment it was produced, so the monitor can merge the two
+    log at the moment it was produced, so the monitor can merge the two
     streams back into the order the feed actually experienced.  Losing that
     interleaving would systematically overstate the number of *consecutive*
     reads, which is exactly the quantity the memoryless algorithm thresholds
     on.
 
-    The on-chain read trace is consumed through a registered
-    :class:`~repro.core.storage_manager.CallHistoryCursor` — an in-place view
-    that never copies a history suffix — and registering it is what lets the
-    contract compact consumed history each epoch.
+    The monitor is the call log's one reader: each fetch takes the storage
+    manager's ``call_history`` whole and leaves it empty, so the log never
+    holds more than the reads since the last fetch.  A read's position is
+    its index in the run's whole read trace — ``observed_reads`` (the reads
+    taken before) plus its index in the taken log.
     """
 
     storage_manager: StorageManagerContract
     _local_writes: List[tuple] = field(default_factory=list)
     observed_reads: int = 0
-    observed_writes: int = 0
-    _cursor: Optional[CallHistoryCursor] = None
     #: Reusable READ operations keyed by data key.  The monitor materialises
     #: one :class:`Operation` per observed gGet; hot keys are read thousands
     #: of times and the operation object is immutable (the algorithms consult
     #: only ``kind``/``key``), so one instance per key serves the whole run.
     _read_ops: Dict[str, Operation] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._cursor = self.storage_manager.open_history_cursor()
-
     def record_local_write(self, operation: Operation) -> None:
         """Register a write the DO produced locally during the current epoch."""
-        position = self.storage_manager.history_end
+        position = self.observed_reads + len(self.storage_manager.call_history)
         self._local_writes.append((position, operation))
-        self.observed_writes += 1
 
     def fetch_chain_reads(self) -> List[tuple]:
-        """Pull new gGet calls from the DO's full node via the cursor view.
+        """Take the gGet calls logged since the last fetch from the DO's full
+        node.
 
         Returns ``(position, Operation)`` pairs where ``position`` is the
-        call's absolute index in the chain's native invocation log.
+        call's index in the run's whole read trace.
         """
+        manager = self.storage_manager
+        keys, manager.call_history = manager.call_history, []
         read_ops = self._read_ops
         reads = []
-        for position, call in self._cursor.drain():
-            operation = read_ops.get(call.key)
+        for position, key in enumerate(keys, self.observed_reads):
+            operation = read_ops.get(key)
             if operation is None:
-                operation = read_ops[call.key] = Operation(
-                    kind=OperationKind.READ, key=call.key
-                )
+                operation = read_ops[key] = Operation(kind=OperationKind.READ, key=key)
             reads.append((position, operation))
-        self.observed_reads += len(reads)
+        self.observed_reads += len(keys)
         return reads
 
     def federate_epoch_trace(self) -> List[Operation]:

@@ -254,7 +254,6 @@ class GrubSystem:
 
     def begin_epoch(self, index: int, operations: int = 0) -> EpochSummary:
         """Start epoch ``index`` and return its (empty) summary."""
-        self.storage_manager.current_epoch_hint = index
         return EpochSummary(index=index, operations=operations)
 
     def drive_operation(
@@ -336,10 +335,6 @@ class GrubSystem:
         report.evictions += summary.evictions
         report.deliveries += summary.deliveries
         report.update_transactions += summary.update_transactions
-        # The control plane's monitor has consumed this epoch's read trace by
-        # now; drop the consumed prefix so long runs keep O(epoch) history in
-        # memory instead of O(run).
-        self.storage_manager.compact_call_history()
 
     def _run_epoch(
         self,

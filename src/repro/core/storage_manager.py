@@ -30,7 +30,6 @@ path the protocol actually takes.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -108,68 +107,6 @@ class UpdateEntry:
         return 32 + value_bytes + (32 if self.is_transition else 0)
 
 
-@dataclass(slots=True)
-class GGetCall:
-    """Record of one gGet invocation, mirrored from the chain's native call log.
-
-    The control plane's workload monitor reads these (through the DO's full
-    node) to learn the on-chain read trace; this costs no gas because the
-    chain logs contract invocations natively.  Slotted: one is allocated per
-    on-chain read, the hottest path of every benchmark.
-    """
-
-    key: str
-    hit_replica: bool
-    epoch_hint: int
-    consumer: str
-
-
-class CallHistoryCursor:
-    """A registered consumer's position in the gGet call history.
-
-    Replaces the old pattern of unbounded history plus per-epoch
-    ``calls_since(index)`` suffix copies: a consumer opens a cursor once and
-    takes the new calls via :meth:`drain`.  Registered cursors tell
-    :meth:`StorageManagerContract.compact_call_history` how much of the
-    history prefix every consumer has seen, so long runs keep O(epoch)
-    history in memory instead of O(run).  The contract only holds a *weak*
-    reference to each cursor — an abandoned consumer stops pinning
-    compaction once collected — and :meth:`close` deregisters eagerly.
-
-    Positions are *absolute* call indices (they keep counting across
-    compactions), so interleaving markers recorded against them stay valid.
-    """
-
-    __slots__ = ("manager", "position", "__weakref__")
-
-    def __init__(self, manager: "StorageManagerContract") -> None:
-        self.manager = manager
-        self.position = manager.history_base
-
-    def drain(self) -> List[Tuple[int, GGetCall]]:
-        """Return ``(absolute_position, call)`` for every call past the cursor.
-
-        Everything returned counts as consumed — the cursor advances to the
-        history end before returning, and consumed entries become eligible
-        for compaction.  The batch is materialised (not lazily yielded) so a
-        later compaction can never shift entries out from under a caller
-        still holding the result.
-        """
-        manager = self.manager
-        history = manager.call_history
-        base = manager.history_base
-        start = self.position - base
-        end = len(history)
-        self.position = base + end
-        return [
-            (base + offset, history[offset]) for offset in range(max(0, start), end)
-        ]
-
-    def close(self) -> None:
-        """Deregister the cursor so it no longer pins history compaction."""
-        self.manager._drop_history_cursor(self)
-
-
 #: Marker stored in a replica slot when the replica is evicted.  The paper's
 #: data plane "invalidates" an existing replica on an R→NR transition rather
 #: than clearing the slot, so a later re-replication of the same key pays the
@@ -214,13 +151,11 @@ class StorageManagerContract(Contract):
         self.track_trace_on_chain = track_trace_on_chain
         self.reuse_replica_slots = reuse_replica_slots
         self.free_replica_slots = 0
-        self.call_history: List[GGetCall] = []
-        #: Absolute index of ``call_history[0]`` (> 0 once compaction ran).
-        self.history_base = 0
-        #: Weak references to registered cursors: a consumer that goes away
-        #: without :meth:`CallHistoryCursor.close` must not pin compaction
-        #: forever.
-        self._history_cursors: List["weakref.ReferenceType[CallHistoryCursor]"] = []
+        #: The key of every gGet since the workload monitor last took the
+        #: log, mirrored from the chain's native call log (so it costs no
+        #: gas).  The monitor is its one reader and takes it whole each time
+        #: it looks, which keeps it at most an epoch long.
+        self.call_history: List[str] = []
         self.requests_emitted = 0
         self.delivered_records = 0
         #: Calldata the verified ``deliver`` calls carried, and what the same
@@ -228,7 +163,6 @@ class StorageManagerContract(Contract):
         #: ``deliver``); see :meth:`delivered_read_discount`.
         self.delivered_bytes = 0
         self.delivered_bytes_unshared = 0
-        self.current_epoch_hint = 0
         #: Incrementally maintained count of live (non-invalidated) replicas;
         #: ``None`` marks it dirty (a revert touched storage behind our back)
         #: and the next :meth:`replica_count` rescans.
@@ -249,13 +183,10 @@ class StorageManagerContract(Contract):
         value = self.storage.load(ctx.meter, self._replica_slot(key))
         if value == INVALID_REPLICA:
             value = None
-        hit = value is not None
-        self.call_history.append(
-            GGetCall(key=key, hit_replica=hit, epoch_hint=self.current_epoch_hint, consumer=consumer)
-        )
+        self.call_history.append(key)
         if self.track_trace_on_chain != "off":
             self._maybe_track_trace(ctx, key, is_write=False)
-        if hit:
+        if value is not None:
             # Replica-hit fast path: invoke the callback directly, without
             # materialising a CallbackRef (one is allocated per read
             # otherwise, and replica hits dominate hot workloads).
@@ -287,19 +218,11 @@ class StorageManagerContract(Contract):
             value = self.storage.load(ctx.meter, self._replica_slot(key))
             if value == INVALID_REPLICA:
                 value = None
-            hit = value is not None
-            self.call_history.append(
-                GGetCall(
-                    key=key,
-                    hit_replica=hit,
-                    epoch_hint=self.current_epoch_hint,
-                    consumer=consumer,
-                )
-            )
+            self.call_history.append(key)
             if self.track_trace_on_chain != "off":
                 self._maybe_track_trace(ctx, key, is_write=False)
             results[key] = value
-            if not hit:
+            if value is None:
                 missing.append(key)
         if missing:
             self.requests_emitted += 1
@@ -484,71 +407,6 @@ class StorageManagerContract(Contract):
 
     def _mark_replica_count_dirty(self) -> None:
         self._replica_count = None
-
-    @property
-    def history_end(self) -> int:
-        """Absolute index one past the latest recorded gGet call."""
-        return self.history_base + len(self.call_history)
-
-    def open_history_cursor(self) -> CallHistoryCursor:
-        """Register a consumer of the call history (e.g. a workload monitor).
-
-        Compaction only drops history every *live* registered cursor has
-        consumed, so consumers must drain their cursor each epoch (and call
-        :meth:`CallHistoryCursor.close` when done; merely dropping the last
-        reference also works).  The caller must keep a reference to the
-        returned cursor — registration is weak.
-        """
-        cursor = CallHistoryCursor(self)
-        self._history_cursors.append(weakref.ref(cursor))
-        return cursor
-
-    def _live_history_cursors(self) -> List[CallHistoryCursor]:
-        """Live registered cursors; prunes references to collected ones."""
-        live: List[CallHistoryCursor] = []
-        live_refs = []
-        for ref in self._history_cursors:
-            cursor = ref()
-            if cursor is not None:
-                live.append(cursor)
-                live_refs.append(ref)
-        if len(live_refs) != len(self._history_cursors):
-            self._history_cursors = live_refs
-        return live
-
-    def _drop_history_cursor(self, cursor: CallHistoryCursor) -> None:
-        self._history_cursors = [
-            ref for ref in self._history_cursors
-            if ref() is not None and ref() is not cursor
-        ]
-
-    def calls_since(self, index: int) -> List[GGetCall]:
-        """Call-history suffix from absolute index ``index`` (a copy).
-
-        Retained for tests and one-shot inspection; steady-state consumers
-        should hold a :class:`CallHistoryCursor` instead, which iterates in
-        place and enables compaction.
-        """
-        return self.call_history[max(0, index - self.history_base):]
-
-    def compact_call_history(self) -> int:
-        """Drop the history prefix every registered cursor has consumed.
-
-        Returns the number of entries dropped.  Without this, ``gGet``
-        bookkeeping grows O(run); with per-epoch compaction a long fleet run
-        keeps only the current epoch's tail in memory.  No-op when no cursor
-        is registered (nothing is known to have been consumed).
-        """
-        cursors = self._live_history_cursors()
-        if not cursors:
-            return 0
-        consumed = min(cursor.position for cursor in cursors)
-        drop = consumed - self.history_base
-        if drop <= 0:
-            return 0
-        del self.call_history[:drop]
-        self.history_base = consumed
-        return drop
 
     # -- internals ---------------------------------------------------------------
 

@@ -94,12 +94,9 @@ class ActorState:
     cp_epochs_run: int
     cp_algorithm: object
     cp_actuator: object
+    #: Reads the monitor has taken off the call log; the keys it has not
+    #: taken yet travel in the storage manager's ``call_history``.
     monitor_observed_reads: int
-    monitor_observed_writes: int
-    #: Absolute call-history index of the monitor's cursor.  Its coordinate
-    #: space is the storage manager's call history, which travels with the
-    #: contract attrs — so the position stays valid across the move.
-    monitor_cursor_position: int
     monitor_local_writes: list
 
     @classmethod
@@ -120,8 +117,6 @@ class ActorState:
             cp_algorithm=control_plane.algorithm,
             cp_actuator=control_plane.actuator,
             monitor_observed_reads=monitor.observed_reads,
-            monitor_observed_writes=monitor.observed_writes,
-            monitor_cursor_position=monitor._cursor.position,
             monitor_local_writes=list(monitor._local_writes),
         )
 
@@ -147,18 +142,13 @@ class ActorState:
         control_plane.actuator = self.cp_actuator
         monitor = control_plane.monitor
         monitor.observed_reads = self.monitor_observed_reads
-        monitor.observed_writes = self.monitor_observed_writes
         monitor._local_writes = list(self.monitor_local_writes)
         monitor._read_ops = {}
-        # The cursor itself is destination-local (a weak ref held by the
-        # destination's storage manager); only its position crosses.
-        monitor._cursor.position = self.monitor_cursor_position
 
 
 #: Contract attributes that must not cross the process boundary: the chain
-#: back-reference (interpreter-local), the storage (shipped as slots), and the
-#: storage manager's weak cursor registry (rebuilt by the destination's monitor).
-_CONTRACT_ATTR_EXCLUDES = ("chain", "storage", "_history_cursors")
+#: back-reference (interpreter-local) and the storage (shipped as slots).
+_CONTRACT_ATTR_EXCLUDES = ("chain", "storage")
 
 
 def _contract_state(contract) -> Tuple[dict, Dict[str, bytes]]:

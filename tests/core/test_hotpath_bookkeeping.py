@@ -1,94 +1,12 @@
-"""Hot-path bookkeeping: cursor views, history compaction, replica counter."""
+"""Hot-path bookkeeping: the gGet call log its one reader empties, and the
+incremental replica counter."""
 
 from __future__ import annotations
 
 from repro.common.types import KVRecord, Operation, ReplicationState
 from repro.core.config import GrubConfig
 from repro.core.grub import GrubSystem
-from repro.core.storage_manager import GGetCall, StorageManagerContract
 from repro.workloads.synthetic import SyntheticWorkload
-
-
-class TestCallHistoryCursor:
-    def test_drain_yields_absolute_positions(self):
-        manager = StorageManagerContract("sm", "do")
-        cursor = manager.open_history_cursor()
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
-        manager.call_history.append(GGetCall("b", True, 0, "du"))
-        drained = list(cursor.drain())
-        assert [(position, call.key) for position, call in drained] == [
-            (0, "a"),
-            (1, "b"),
-        ]
-        # Draining again yields nothing until new calls arrive.
-        assert list(cursor.drain()) == []
-        manager.call_history.append(GGetCall("c", False, 0, "du"))
-        assert [key for _, key in ((p, c.key) for p, c in cursor.drain())] == ["c"]
-
-    def test_positions_survive_compaction(self):
-        manager = StorageManagerContract("sm", "do")
-        cursor = manager.open_history_cursor()
-        for key in ("a", "b", "c"):
-            manager.call_history.append(GGetCall(key, False, 0, "du"))
-        assert [p for p, _ in cursor.drain()] == [0, 1, 2]
-        dropped = manager.compact_call_history()
-        assert dropped == 3
-        assert manager.history_base == 3
-        assert manager.call_history == []
-        manager.call_history.append(GGetCall("d", False, 1, "du"))
-        assert [(p, c.key) for p, c in cursor.drain()] == [(3, "d")]
-        assert manager.history_end == 4
-
-    def test_compaction_waits_for_slowest_cursor(self):
-        manager = StorageManagerContract("sm", "do")
-        fast = manager.open_history_cursor()
-        slow = manager.open_history_cursor()
-        for key in ("a", "b"):
-            manager.call_history.append(GGetCall(key, False, 0, "du"))
-        list(fast.drain())
-        # The slow consumer has not drained: nothing may be dropped.
-        assert manager.compact_call_history() == 0
-        list(slow.drain())
-        assert manager.compact_call_history() == 2
-
-    def test_no_registered_cursor_means_no_compaction(self):
-        manager = StorageManagerContract("sm", "do")
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
-        assert manager.compact_call_history() == 0
-        assert manager.calls_since(0)[0].key == "a"
-
-    def test_closed_cursor_stops_pinning_compaction(self):
-        manager = StorageManagerContract("sm", "do")
-        active = manager.open_history_cursor()
-        stale = manager.open_history_cursor()
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
-        active.drain()
-        assert manager.compact_call_history() == 0  # stale pins the prefix
-        stale.close()
-        assert manager.compact_call_history() == 1
-
-    def test_abandoned_cursor_is_weakly_registered(self):
-        import gc
-
-        manager = StorageManagerContract("sm", "do")
-        active = manager.open_history_cursor()
-        manager.open_history_cursor()  # abandoned immediately
-        gc.collect()
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
-        active.drain()
-        # The collected cursor must not pin compaction forever.
-        assert manager.compact_call_history() == 1
-
-    def test_drain_is_materialised_against_compaction(self):
-        manager = StorageManagerContract("sm", "do")
-        cursor = manager.open_history_cursor()
-        for key in ("a", "b", "c"):
-            manager.call_history.append(GGetCall(key, False, 0, "du"))
-        drained = cursor.drain()
-        # Everything returned counts as consumed; compaction may run while
-        # the caller still holds the batch, without corrupting it.
-        assert manager.compact_call_history() == 3
-        assert [(p, c.key) for p, c in drained] == [(0, "a"), (1, "b"), (2, "c")]
 
 
 class TestHistoryStaysBounded:
@@ -101,42 +19,11 @@ class TestHistoryStaysBounded:
             read_write_ratio=4.0, num_operations=256, num_keys=4, key_prefix="k", seed=3
         ).operations()
         system.run(operations)
-        # Every epoch's record_epoch compacts the consumed prefix, so the
-        # retained history is at most one epoch's reads — not the whole run's.
+        # The monitor takes the whole log every epoch, so what is left is at
+        # most one epoch's reads — not the whole run's.
         assert len(system.storage_manager.call_history) <= config.epoch_size
-        assert system.storage_manager.history_base > 0
-        # The absolute counter still covers everything the run produced.
-        assert system.storage_manager.history_end >= 100
-
-    def test_compaction_does_not_change_decisions(self):
-        def run(compact: bool):
-            config = GrubConfig(epoch_size=8, algorithm="memoryless", k=2)
-            system = GrubSystem(
-                config, preload=[KVRecord.make(f"k{i}", bytes(32)) for i in range(4)]
-            )
-            pinned = None
-            if not compact:
-                # Pin an extra cursor that never drains: compaction becomes a
-                # no-op, emulating the old unbounded-history behaviour.  (The
-                # local reference keeps the weakly-registered cursor alive.)
-                pinned = system.storage_manager.open_history_cursor()
-            operations = SyntheticWorkload(
-                read_write_ratio=4.0,
-                num_operations=128,
-                num_keys=4,
-                key_prefix="k",
-                seed=5,
-            ).operations()
-            report = system.run(operations)
-            if pinned is not None:
-                assert system.storage_manager.history_base == 0
-            return report
-
-        compacted = run(compact=True)
-        uncompacted = run(compact=False)
-        assert compacted.gas_feed == uncompacted.gas_feed
-        assert compacted.replications == uncompacted.replications
-        assert compacted.evictions == uncompacted.evictions
+        # The monitor's count still covers every read the run produced.
+        assert system.data_owner.control_plane.monitor.observed_reads >= 100
 
 
 class TestIncrementalReplicaCount:

@@ -92,9 +92,10 @@ class TestStorageManagerContract:
     def test_call_history_records_hits_and_misses(self, protocol_system):
         chain = protocol_system.chain
         chain.execute_internal_call("user", "data-consumer", "query_feed", key="alpha")
-        history = protocol_system.storage_manager.calls_since(0)
-        assert len(history) == 1
-        assert history[0].key == "alpha" and history[0].hit_replica is False
+        manager = protocol_system.storage_manager
+        assert manager.call_history == ["alpha"]
+        # A miss: the read became a request event for the SP.
+        assert manager.requests_emitted == 1
 
     def test_on_chain_trace_tracking_costs_gas(self):
         config = GrubConfig(epoch_size=4)
@@ -613,31 +614,46 @@ class TestControlPlane:
 
     def test_monitor_preserves_interleaving(self):
         manager, plane = self._make(k=2)
-        from repro.core.storage_manager import GGetCall
-
         # read, write, read: the consecutive-read count after the write is 1, not 2.
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
+        manager.call_history.append("a")
         plane.record_local_write(Operation.write("a", b"v"))
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
+        manager.call_history.append("a")
         transitions = plane.run_epoch(replicated_keys=[])
         assert plane.algorithm.read_count("a") == 1
         assert transitions.get("a", ReplicationState.NOT_REPLICATED) is ReplicationState.NOT_REPLICATED
+        # The same after the epoch took the log: a write stamped without the
+        # reads taken before would sort ahead of both of this epoch's reads.
+        manager.call_history.append("b")
+        plane.record_local_write(Operation.write("b", b"v"))
+        manager.call_history.append("b")
+        transitions = plane.run_epoch(replicated_keys=[])
+        assert plane.algorithm.read_count("b") == 1
+        assert "b" not in transitions
+        assert manager.call_history == [] and plane.monitor.observed_reads == 4
 
     def test_continuous_mode_flips_decision_mid_epoch(self):
         manager, plane = self._make(continuous=True, k=1)
-        from repro.core.storage_manager import GGetCall
-
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
+        manager.call_history.append("a")
         plane.observe_chain_reads()
         assert plane.decision_for("a") is ReplicationState.REPLICATED
+        assert manager.call_history == []
+        # Continuous decisions follow the order of observation; the epoch's
+        # trace still federates by position, which after the take above
+        # counts from the read already taken.
+        manager.call_history.append("b")
+        plane.record_local_write(Operation.write("b", b"v"))
+        manager.call_history.append("b")
+        assert plane.monitor.federate_epoch_trace() == [
+            Operation.read("b"),
+            Operation.write("b", b"v"),
+            Operation.read("b"),
+        ]
 
     def test_eviction_policy_demotes_idle_replicas(self):
         manager, plane = self._make(k=1)
         plane.evict_unused_after_epochs = 2
         # Make "a" replicated by observing reads.
-        from repro.core.storage_manager import GGetCall
-
-        manager.call_history.append(GGetCall("a", False, 0, "du"))
+        manager.call_history.append("a")
         plane.run_epoch(replicated_keys=[])
         # Two idle epochs later the key is demoted.
         plane.run_epoch(replicated_keys=["a"])

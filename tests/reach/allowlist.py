@@ -205,15 +205,9 @@ ALLOWED = {
     "core/service_provider.py::TamperingServiceProvider.build_deliver_items":
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     # core/storage_manager.py
-    "core/storage_manager.py::CallHistoryCursor.close":
-        "test reference: tests/core/test_hotpath_bookkeeping.py",
     "core/storage_manager.py::StorageManagerContract.root_hash":
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     "core/storage_manager.py::StorageManagerContract._mark_replica_count_dirty":
-        "test reference: tests/core/test_storage_manager_and_protocol.py",
-    "core/storage_manager.py::StorageManagerContract._drop_history_cursor":
-        "test reference: tests/core/test_hotpath_bookkeeping.py",
-    "core/storage_manager.py::StorageManagerContract.calls_since":
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     # frontdoor/door.py
     "frontdoor/door.py::TenantRequestStats.fingerprint":
