@@ -3,10 +3,71 @@ incremental replica counter."""
 
 from __future__ import annotations
 
-from repro.common.types import KVRecord, Operation, ReplicationState
+from repro.common.types import KVRecord, Operation, OperationKind, ReplicationState
 from repro.core.config import GrubConfig
-from repro.core.grub import GrubSystem
+from repro.core.control_plane import WorkloadMonitor
+from repro.core.decision.base import CostModel, make_algorithm
+from repro.core.grub import GrubSystem, RunReport
+from repro.core.storage_manager import StorageManagerContract
 from repro.workloads.synthetic import SyntheticWorkload
+
+
+def _taken(reads):
+    return [(position, op.key) for position, op in reads]
+
+
+class TestCallHistoryCursor:
+    """The workload monitor's ``observed_reads`` is its cursor into the gGet
+    log: every fetch takes the log whole and numbers what it took from it."""
+
+    def test_drain_yields_absolute_positions(self):
+        manager = StorageManagerContract("sm", "do")
+        monitor = WorkloadMonitor(storage_manager=manager)
+        manager.call_history.extend(["a", "b"])
+        assert _taken(monitor.fetch_chain_reads()) == [(0, "a"), (1, "b")]
+        # Fetching again yields nothing until new calls arrive.
+        assert monitor.fetch_chain_reads() == []
+        manager.call_history.append("c")
+        assert _taken(monitor.fetch_chain_reads()) == [(2, "c")]
+
+    def test_positions_survive_compaction(self):
+        manager = StorageManagerContract("sm", "do")
+        monitor = WorkloadMonitor(storage_manager=manager)
+        manager.call_history.extend(["a", "b", "c"])
+        assert [p for p, _ in monitor.fetch_chain_reads()] == [0, 1, 2]
+        # The take empties the log; positions keep counting past it.
+        assert manager.call_history == []
+        assert monitor.observed_reads == 3
+        manager.call_history.append("d")
+        assert _taken(monitor.fetch_chain_reads()) == [(3, "d")]
+        assert monitor.observed_reads == 4
+
+    def test_no_registered_cursor_means_no_compaction(self):
+        config = GrubConfig(epoch_size=8, algorithm="memoryless", k=2)
+        system = GrubSystem(
+            config, preload=[KVRecord.make(f"k{i}", bytes(32)) for i in range(4)]
+        )
+        summary = system.begin_epoch(0)
+        report = RunReport(system_name=system.name)
+        keys = ["k0", "k1", "k0", "k3"]
+        for key in keys:
+            system.drive_operation(Operation.read(key), summary, report)
+        # Until the monitor looks, the log keeps every gGet in order.
+        assert system.storage_manager.call_history == keys
+        system.data_owner.end_epoch()
+        assert system.storage_manager.call_history == []
+        assert system.data_owner.control_plane.monitor.observed_reads == len(keys)
+
+    def test_drain_is_materialised_against_compaction(self):
+        manager = StorageManagerContract("sm", "do")
+        monitor = WorkloadMonitor(storage_manager=manager)
+        manager.call_history.extend(["a", "b", "c"])
+        taken = monitor.fetch_chain_reads()
+        # Reads logged after the take go to a fresh log and leave the batch
+        # the caller still holds as it was.
+        manager.call_history.append("d")
+        assert _taken(taken) == [(0, "a"), (1, "b"), (2, "c")]
+        assert _taken(monitor.fetch_chain_reads()) == [(3, "d")]
 
 
 class TestHistoryStaysBounded:
@@ -24,6 +85,49 @@ class TestHistoryStaysBounded:
         assert len(system.storage_manager.call_history) <= config.epoch_size
         # The monitor's count still covers every read the run produced.
         assert system.data_owner.control_plane.monitor.observed_reads >= 100
+
+    def test_compaction_does_not_change_decisions(self):
+        config = GrubConfig(epoch_size=8, algorithm="memoryless", k=2)
+        system = GrubSystem(
+            config, preload=[KVRecord.make(f"k{i}", bytes(32)) for i in range(4)]
+        )
+        operations = SyntheticWorkload(
+            read_write_ratio=4.0, num_operations=128, num_keys=4, key_prefix="k", seed=5
+        ).operations()
+        control_plane = system.data_owner.control_plane
+        monitor = control_plane.monitor
+        federate = monitor.federate_epoch_trace
+        traces = []
+
+        def recording_federate():
+            trace = federate()
+            traces.append([(op.kind, op.key) for op in trace])
+            return trace
+
+        monitor.federate_epoch_trace = recording_federate
+        system.run(operations)
+        # Taking the log whole each epoch loses nothing: every epoch's trace
+        # is that epoch's operations in the order the feed saw them.
+        size = config.epoch_size
+        assert traces == [
+            [(op.kind, op.key) for op in operations[start:start + size]]
+            for start in range(0, len(operations), size)
+        ]
+        # So the algorithm decides as it does over the retained trace.
+        offline = make_algorithm(
+            config.algorithm, CostModel.from_schedule(config.gas_schedule), k=config.k
+        )
+        replications = evictions = 0
+        for start in range(0, len(operations), size):
+            for decision in offline.observe(operations[start:start + size]):
+                if decision.state is ReplicationState.REPLICATED:
+                    replications += 1
+                else:
+                    evictions += 1
+        assert replications > 0
+        assert control_plane.actuator.replications == replications
+        assert control_plane.actuator.evictions == evictions
+        assert any(kind is OperationKind.WRITE for trace in traces for kind, _ in trace)
 
 
 class TestIncrementalReplicaCount:
