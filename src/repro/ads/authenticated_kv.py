@@ -131,7 +131,10 @@ class AuthenticatedKVStore:
         """Replace the store's contents, backing included, with ``records``
         (slot ``i`` holds ``records[i]``) and return the new root."""
         writes = [(record.prefixed_key, None) for record in self._records.values()]
-        writes.extend((record.prefixed_key, record.value) for record in records)
+        leaves = []
+        for record in records:
+            writes.append((record.prefixed_key, record.value))
+            leaves.append(self.leaf_hash_for(record))
         self._records = {record.key: record for record in records}
         self._sorted_keys = sorted(self._records)
         self._slot_of = {record.key: index for index, record in enumerate(records)}
@@ -141,7 +144,7 @@ class AuthenticatedKVStore:
             if record.state is ReplicationState.REPLICATED
         }
         self.backing.write_batch(writes)
-        self._tree = MerkleTree([self._leaf_hash(record) for record in records])
+        self._tree = MerkleTree(leaves)
         return self.root
 
     # -- lookups ------------------------------------------------------------
@@ -248,7 +251,7 @@ class AuthenticatedKVStore:
             if existing.prefixed_key != record.prefixed_key:
                 writes.append((existing.prefixed_key, None))
             writes.append((record.prefixed_key, record.value))
-            self._tree.stage_leaf(slot, self._leaf_hash(record))
+            self._tree.stage_leaf(slot, self.leaf_hash_for(record))
             staged.append(slot)
         self.backing.write_batch(writes)
         self._tree.recompute_paths(staged)
@@ -369,9 +372,6 @@ class AuthenticatedKVStore:
 
     # -- internal layout maintenance -------------------------------------------------
 
-    def _leaf_hash(self, record: KVRecord) -> bytes:
-        return self.leaf_hash_for(record)
-
     def _insert_record(self, record: KVRecord) -> None:
         """Give a new record the next slot and its leaf (the caller writes the
         backing)."""
@@ -380,7 +380,7 @@ class AuthenticatedKVStore:
         if record.state is ReplicationState.REPLICATED:
             self._replicated_keys.add(record.key)
         self._slot_of[record.key] = self._tree.leaf_count
-        self._tree.append_leaf(self._leaf_hash(record))
+        self._tree.append_leaf(self.leaf_hash_for(record))
 
     def _replace_record(self, old: KVRecord, new: KVRecord) -> None:
         slot = self._slot_of[old.key]
@@ -392,4 +392,4 @@ class AuthenticatedKVStore:
         if old.prefixed_key != new.prefixed_key:
             self.backing.delete(old.prefixed_key)
         self.backing.put(new.prefixed_key, new.value)
-        self._tree.update_leaf(slot, self._leaf_hash(new))
+        self._tree.update_leaf(slot, self.leaf_hash_for(new))

@@ -34,18 +34,13 @@ from repro.common.hashing import DIGEST_SIZE_BYTES, EMPTY_DIGEST, hash_pair, kec
 #: epochs — so the parent digest is computed once and replayed from the memo.
 PAIR_MEMO_SIZE = 1 << 17
 
-
-@lru_cache(maxsize=PAIR_MEMO_SIZE)
-def _hash_pair_memo(left: bytes, right: bytes) -> bytes:
-    """Memoized :func:`~repro.common.hashing.hash_pair` (a pure function).
-
-    Correctness does not depend on the memo: entries never go stale because
-    the digest of a pair is immutable, so eviction (or clearing) only costs
-    recomputation.  Gas accounting is untouched — callers charge per hash
-    *application*, not per SHA-256 actually executed, exactly as an on-chain
-    verifier would charge for every step of the path walk.
-    """
-    return hash_pair(left, right)
+#: Memoized :func:`~repro.common.hashing.hash_pair` (a pure function), with no
+#: Python frame between the memo and the hash.  Correctness does not depend
+#: on the memo: the digest of a pair is immutable, so eviction (or clearing)
+#: only costs recomputation.  Gas accounting is untouched — callers charge per
+#: hash *application*, not per SHA-256 actually executed, exactly as an
+#: on-chain verifier would charge for every step of the path walk.
+_hash_pair_memo = lru_cache(maxsize=PAIR_MEMO_SIZE)(hash_pair)
 
 
 def clear_pair_memo() -> None:

@@ -31,10 +31,10 @@ class ReplicationState(enum.Enum):
     NOT_REPLICATED = "NR"
     REPLICATED = "R"
 
-    @property
-    def prefix(self) -> str:
-        """The key prefix used in the authenticated layout (``"NR"`` / ``"R"``)."""
-        return self.value
+    def __init__(self, prefix: str) -> None:
+        #: The key prefix used in the authenticated layout (``"NR"`` / ``"R"``):
+        #: a plain attribute, read twice per record a feed preloads.
+        self.prefix = prefix
 
     def flipped(self) -> "ReplicationState":
         """Return the opposite state (used when actuating a transition)."""

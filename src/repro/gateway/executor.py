@@ -955,11 +955,17 @@ class _LaneWorker:
         """Execute one settlement transaction on the local chain; ship its
         receipt without the groups (they stay here) and the exact ledger
         delta it charged."""
+        # The settlement charges a ledger of its own, merged into the
+        # chain's afterwards, so nothing copies the chain's whole ledger.
         chain = self.registry.chain
-        before = GasLedger()
-        before.merge(chain.ledger)
-        receipt = land_transaction(chain, transaction)
-        ledger_delta = chain.ledger.since(before)
+        ledger, chain.ledger = chain.ledger, GasLedger()
+        try:
+            receipt = land_transaction(chain, transaction)
+        finally:
+            charged, chain.ledger = chain.ledger, ledger
+            ledger.merge(charged)
+        # ``since`` an empty ledger: the charges without their zero entries.
+        ledger_delta = charged.since(GasLedger())
         # Block-gas-limit overflow is *derived* accounting: the worker's local
         # mine_block recorded it from this block's gas, and the main chain's
         # mine_recorded_block re-derives it from the receipt's gas_used.

@@ -8,7 +8,6 @@ paper claims for GRuB ("any off-chain storage service supporting KV storage").
 
 from __future__ import annotations
 
-import bisect
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -81,7 +80,9 @@ class KVStore(ABC):
 
 
 class InMemoryKVStore(KVStore):
-    """A sorted in-memory store: a dict plus a sorted key index.
+    """An in-memory store: a plain dict, sorted only when :meth:`scan` or
+    :meth:`items` asks for key order (the program itself only reads and
+    writes single keys, so no write keeps a sorted index).
 
     Used where LSM behaviour (flush/compaction) is not the thing under test;
     the interface and iteration order are identical to :class:`LSMStore`.
@@ -89,7 +90,6 @@ class InMemoryKVStore(KVStore):
 
     def __init__(self) -> None:
         self._data: Dict[str, bytes] = {}
-        self._sorted_keys: List[str] = []
 
     def get(self, key: str) -> Optional[bytes]:
         return self._data.get(key)
@@ -97,18 +97,10 @@ class InMemoryKVStore(KVStore):
     def put(self, key: str, value: bytes) -> None:
         if not isinstance(value, bytes):
             raise StorageError(f"values must be bytes, got {type(value).__name__}")
-        if key not in self._data:
-            bisect.insort(self._sorted_keys, key)
         self._data[key] = value
 
     def delete(self, key: str) -> bool:
-        if key not in self._data:
-            return False
-        del self._data[key]
-        index = bisect.bisect_left(self._sorted_keys, key)
-        if index < len(self._sorted_keys) and self._sorted_keys[index] == key:
-            self._sorted_keys.pop(index)
-        return True
+        return self._data.pop(key, None) is not None
 
     def scan(
         self,
@@ -118,18 +110,15 @@ class InMemoryKVStore(KVStore):
     ) -> List[Tuple[str, bytes]]:
         if limit is not None and limit <= 0:
             return []
-        start = bisect.bisect_left(self._sorted_keys, start_key)
-        result: List[Tuple[str, bytes]] = []
-        for key in self._sorted_keys[start:]:
-            if end_key is not None and key >= end_key:
-                break
-            result.append((key, self._data[key]))
-            if limit is not None and len(result) >= limit:
-                break
-        return result
+        keys = sorted(
+            key
+            for key in self._data
+            if start_key <= key and (end_key is None or key < end_key)
+        )
+        return [(key, self._data[key]) for key in keys[:limit]]
 
     def items(self) -> Iterator[Tuple[str, bytes]]:
-        for key in self._sorted_keys:
+        for key in sorted(self._data):
             yield key, self._data[key]
 
     def __len__(self) -> int:

@@ -17,8 +17,13 @@ import hashlib
 import random
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
-from repro.ads.merkle import MerkleTree, clear_pair_memo
-from repro.common.hashing import EMPTY_DIGEST, clear_leaf_cache
+from repro.ads.merkle import (
+    MerkleTree,
+    _hash_pair_memo,
+    clear_pair_memo,
+    verify_multiproof,
+)
+from repro.common.hashing import EMPTY_DIGEST, _hash_record_cached, clear_leaf_cache
 from repro.common.types import KVRecord, ReplicationState
 
 
@@ -210,3 +215,56 @@ class TestLeafSerializationCache:
                 assert AuthenticatedKVStore.leaf_hash_for(record) == (
                     reference_leaf_hash(record)
                 ), (seed, record.key)
+
+
+def preload_records(rng, count: int):
+    """``count`` records as a feed preloads them, some already replicated."""
+    return [
+        KVRecord.make(
+            f"k{i:03d}",
+            rng.randbytes(16),
+            ReplicationState.REPLICATED
+            if rng.random() < 0.3
+            else ReplicationState.NOT_REPLICATED,
+        )
+        for i in range(count)
+    ]
+
+
+class TestPreloadBuild:
+    def test_loaded_root_matches_reference(self):
+        """A ``load``-built store's root is the longhand (hashlib-only) root
+        over the longhand leaf hashes, at sizes on and off a power of two."""
+        rng = random.Random(3)
+        for count in (1, 2, 5, 8, 37):
+            records = preload_records(rng, count)
+            expected = reference_root([reference_leaf_hash(r) for r in records])
+            store = AuthenticatedKVStore()
+            assert store.load(records) == expected == store.root, count
+
+    def test_load_seeds_both_memos(self):
+        """A preload leaves every leaf digest and every distinct interior pair
+        in the memos, so verifying preloaded leaves hashes nothing anew:
+        feed set-up pays for the tree, the run does not pay for it again."""
+        records = preload_records(random.Random(4), 37)
+        clear_leaf_cache()
+        clear_pair_memo()
+        store = AuthenticatedKVStore()
+        store.load(records)
+        levels = reference_levels([reference_leaf_hash(record) for record in records])
+        pairs = {
+            (level[i], level[i + 1])
+            for level in levels[:-1]
+            for i in range(0, len(level), 2)
+        }
+        assert _hash_record_cached.cache_info().currsize == len(records)
+        assert _hash_pair_memo.cache_info().currsize == len(pairs)
+
+        indices = [0, 5, 6, 20, 36]
+        leaf_misses = _hash_record_cached.cache_info().misses
+        pair_misses = _hash_pair_memo.cache_info().misses
+        leaves = [AuthenticatedKVStore.leaf_hash_for(records[i]) for i in indices]
+        proof = store.query_many([records[i].key for i in indices]).proof
+        assert verify_multiproof(store.root, indices, leaves, proof)
+        assert _hash_record_cached.cache_info().misses == leaf_misses
+        assert _hash_pair_memo.cache_info().misses == pair_misses

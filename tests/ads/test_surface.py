@@ -50,7 +50,7 @@ AUTHENTICATED_KV_STORE = {
     "baseline",  # gateway/feed_state.py: a lane's copy as it arrived, or as main holds it
     "export_delta",  # gateway/feed_state.capture
     "apply_delta",  # gateway/feed_state.apply
-    "leaf_hash_for",  # AuthenticatedKVStore._leaf_hash
+    "leaf_hash_for",  # AuthenticatedKVStore.load, apply_updates, _insert_record, _replace_record
 }
 
 STORE_DELTA = {

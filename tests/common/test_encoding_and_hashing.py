@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +99,16 @@ class TestHashing:
 
     def test_hash_words_field_boundaries_matter(self):
         assert hash_words(b"ab", b"c") != hash_words(b"a", b"bc")
+
+    def test_hash_words_matches_longhand_construction(self):
+        """Block hashes are ``hash_words``: pin its exact preimage — each
+        field's 8-byte big-endian length, then the field — for a ``str``, a
+        ``bytes`` and an ``int`` (a whole 32-byte word) field."""
+        hasher = hashlib.sha256()
+        for field in ("fèed".encode("utf-8"), b"\x00\xff", (7).to_bytes(32, "big")):
+            hasher.update(len(field).to_bytes(8, "big"))
+            hasher.update(field)
+        assert hash_words("fèed", b"\x00\xff", 7) == hasher.digest()
 
     def test_hash_record_binds_state_prefix(self):
         assert hash_record("k", b"v", "R") != hash_record("k", b"v", "NR")

@@ -36,12 +36,13 @@ from repro.gateway.executor import (
     _LaneWorker,
     drive_shard,
     open_lane_epoch,
+    run_epoch_phases,
 )
 from repro.gateway.placement import FeedMove
 from repro.gateway.registry import MAIN_VERSION, FeedVersion
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Span
+from repro.obs.tracing import Span, Tracer
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: Generous for a sub-second lane order; only a hang ever reaches it.
@@ -237,6 +238,40 @@ class TestLaneEpochRoundTrip:
         assert b"_CallFrame" not in frame
         _, [opened] = open_lane_epoch(frame)
         assert opened.drive == buffer
+
+
+class TestLaneSettlement:
+    def test_shipped_delta_is_what_the_chain_ledger_gained(self):
+        """A lane settles real deliver and update batches: the delta
+        ``_LaneWorker._settle`` ships is exactly what its chain's ledger gained,
+        zero entries omitted and block-gas-limit overflow (which the main
+        chain re-derives from the receipt) left out."""
+        registry, workloads = small_fleet()
+        chain = registry.chain
+        # Every settlement block overflows, so every delta has it to leave out.
+        chain.parameters = replace(chain.parameters, block_gas_limit=1)
+        for feed_id, operations in workloads.items():
+            registry.get(feed_id).queue.extend(operations)
+        lane = SimpleNamespace(registry=registry)
+        settled = []
+
+        def settle(transaction):
+            before = GasLedger()
+            before.merge(chain.ledger)
+            receipt, delta = _LaneWorker._settle(lane, transaction)
+            gained = chain.ledger.since(before)
+            assert gained.by_category.pop("block_gas_limit_overflow") > 0
+            assert delta == gained
+            assert receipt.transaction.args == {} and receipt.gas_used > 0
+            settled.append(transaction.function)
+            return receipt, delta
+
+        shards = [(0, ["feed-0", "feed-1"]), (1, ["feed-2", "feed-3"])]
+        for epoch in range(3):
+            run_epoch_phases(
+                registry, shards, epoch, 8, settle=settle, tracer=Tracer(enabled=False)
+            )
+        assert {"deliver_batch", "update_batch"} <= set(settled)
 
 
 def lane_hosting(*feed_ids: str):
