@@ -53,15 +53,7 @@ def hash_words(*values: Value) -> bytes:
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _hash_record_cached(key: Value, value: bytes, state_prefix: str) -> bytes:
-    # ``hash_words(state_prefix, key, value)``'s exact preimage, spelled out:
-    # every preloaded record is hashed here, and the loop over ``*values``
-    # costs a feed's set-up about a fifth of its leaf hashing.
-    prefix = state_prefix.encode("utf-8")
-    key, value = encode_value(key), encode_value(value)
-    return sha256(
-        len(prefix).to_bytes(8, "big") + prefix + len(key).to_bytes(8, "big") + key
-        + len(value).to_bytes(8, "big") + value
-    ).digest()
+    return hash_words(state_prefix, key, value)
 
 
 def hash_record(key: Value, value: Value, state_prefix: str) -> bytes:

@@ -957,6 +957,11 @@ class _LaneWorker:
         delta it charged."""
         # The settlement charges a ledger of its own, merged into the
         # chain's afterwards, so nothing copies the chain's whole ledger.
+        # Correct only while no gas meter or call frame made during
+        # ``land_transaction`` outlives it: one that did would stay bound to
+        # ``charged`` and its later charges would reach neither the chain's
+        # ledger nor a shipped delta.  Today every call frame lives inside
+        # ``isolated_execution``, which drops its frames on exit.
         chain = self.registry.chain
         ledger, chain.ledger = chain.ledger, GasLedger()
         try:

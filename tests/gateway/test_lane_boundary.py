@@ -29,7 +29,7 @@ from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import WireError
 from repro.common.types import KVRecord, Operation, OperationKind
 from repro.core.config import GrubConfig
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, feed_state
+from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, executor, feed_state
 from repro.gateway.executor import (
     LaneEngine,
     ShardOutcome,
@@ -272,6 +272,46 @@ class TestLaneSettlement:
                 registry, shards, epoch, 8, settle=settle, tracer=Tracer(enabled=False)
             )
         assert {"deliver_batch", "update_batch"} <= set(settled)
+
+    def test_zero_charges_do_not_ship(self, monkeypatch):
+        """A category, layer or scope a settlement charges only ``0`` gas is
+        absent from the shipped delta, as ``since`` would leave it out."""
+        registry, workloads = small_fleet()
+        chain = registry.chain
+        for feed_id, operations in workloads.items():
+            registry.get(feed_id).queue.extend(operations)
+        land = executor.land_transaction
+
+        def land_with_a_zero_charge(chain, transaction):
+            chain.ledger.charge(0, "zero-probe", layer="zero-layer", scope="zero-scope")
+            return land(chain, transaction)
+
+        monkeypatch.setattr(executor, "land_transaction", land_with_a_zero_charge)
+        lane = SimpleNamespace(registry=registry)
+        deltas = []
+
+        def settle(transaction):
+            receipt, delta = _LaneWorker._settle(lane, transaction)
+            deltas.append(delta)
+            return receipt, delta
+
+        run_epoch_phases(
+            registry,
+            [(0, ["feed-0", "feed-1", "feed-2", "feed-3"])],
+            0,
+            8,
+            settle=settle,
+            tracer=Tracer(enabled=False),
+        )
+        assert deltas and all(delta.total > 0 for delta in deltas)
+        for delta in deltas:
+            for entries in (delta.by_category, delta.by_layer, delta.by_scope):
+                assert all(entries.values())
+            assert "zero-probe" not in delta.by_category
+            assert "zero-layer" not in delta.by_layer
+            assert ("zero-scope", "zero-layer") not in delta.by_scope
+        # The chain's own ledger took the charge, as a serial run's would.
+        assert chain.ledger.by_category["zero-probe"] == 0
 
 
 def lane_hosting(*feed_ids: str):
