@@ -21,31 +21,15 @@ hash in it is checked, and its interior siblings are not shipped at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.common.errors import IntegrityError
 from repro.common.hashing import DIGEST_SIZE_BYTES, EMPTY_DIGEST, hash_pair, keccak
 
-#: Entries kept by the interior-node hash memo.  Epoch workloads re-hash the
-#: same (left, right) digest pairs constantly — a hot record delivered every
-#: epoch re-verifies the same authentication path until the tree changes, and
-#: batched path recomputation re-derives interior nodes shared between
-#: epochs — so the parent digest is computed once and replayed from the memo.
-PAIR_MEMO_SIZE = 1 << 17
-
-#: Memoized :func:`~repro.common.hashing.hash_pair` (a pure function), with no
-#: Python frame between the memo and the hash.  Correctness does not depend
-#: on the memo: the digest of a pair is immutable, so eviction (or clearing)
-#: only costs recomputation.  Gas accounting is untouched — callers charge per
-#: hash *application*, not per SHA-256 actually executed, exactly as an
-#: on-chain verifier would charge for every step of the path walk.
-_hash_pair_memo = lru_cache(maxsize=PAIR_MEMO_SIZE)(hash_pair)
-
 
 def clear_pair_memo() -> None:
-    """Drop every memoized interior-node digest (tests compare cold paths)."""
-    _hash_pair_memo.cache_clear()
+    """Do nothing: interior-node digests are not memoized.  Kept only for
+    ``benchmarks/suite/harness.py::_fresh_state``, which still calls it."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +97,7 @@ class MerkleTree:
         while len(levels[-1]) > 1:
             current = levels[-1]
             parent = [
-                _hash_pair_memo(current[i], current[i + 1])
+                hash_pair(current[i], current[i + 1])
                 for i in range(0, len(current), 2)
             ]
             levels.append(parent)
@@ -235,7 +219,7 @@ class MerkleTree:
         for depth in range(len(self._levels) - 1):
             parent_index = position // 2
             level = self._levels[depth]
-            self._levels[depth + 1][parent_index] = _hash_pair_memo(
+            self._levels[depth + 1][parent_index] = hash_pair(
                 level[parent_index * 2], level[parent_index * 2 + 1]
             )
             position = parent_index
@@ -281,8 +265,6 @@ class MerkleTree:
             parent_level = self._levels[depth + 1]
             next_parents = set()
             for parent in parents:
-                # Not through the memo: a freshly written leaf makes every
-                # pair above it one the memo has never seen.
                 parent_level[parent] = hash_pair(level[parent * 2], level[parent * 2 + 1])
                 next_parents.add(parent >> 1)
             parents = next_parents
@@ -352,9 +334,9 @@ def recompute_root_from_proof(leaf_hash: bytes, proof: MerkleProof) -> bytes:
     current = leaf_hash
     for sibling in proof.path:
         if position & 1:
-            current = _hash_pair_memo(sibling, current)
+            current = hash_pair(sibling, current)
         else:
-            current = _hash_pair_memo(current, sibling)
+            current = hash_pair(current, sibling)
         position >>= 1
     return current
 
@@ -424,10 +406,10 @@ def recompute_root_from_multiproof(
             for position, digest in digests.items():
                 if position & 1:
                     if position ^ 1 not in digests:
-                        parents[position >> 1] = _hash_pair_memo(next(siblings), digest)
+                        parents[position >> 1] = hash_pair(next(siblings), digest)
                 else:
                     right = digests.get(position ^ 1)
-                    parents[position >> 1] = _hash_pair_memo(
+                    parents[position >> 1] = hash_pair(
                         digest, next(siblings) if right is None else right
                     )
             digests = parents

@@ -9,7 +9,6 @@ contract code reads naturally.
 from __future__ import annotations
 
 import hmac
-from functools import lru_cache
 from hashlib import sha256
 from typing import Iterable
 
@@ -17,12 +16,6 @@ from repro.common.encoding import Value, encode_value
 
 DIGEST_SIZE_BYTES = 32
 EMPTY_DIGEST = b"\x00" * DIGEST_SIZE_BYTES
-
-#: Entries kept by the leaf-serialization cache.  A feed's hot keys are
-#: re-hashed every epoch (deliver verification, ADS updates);
-#: the bound keeps one gateway fleet's working set while letting cold entries
-#: age out of very long runs.
-LEAF_CACHE_SIZE = 65_536
 
 
 def keccak(data: bytes) -> bytes:
@@ -51,34 +44,18 @@ def hash_words(*values: Value) -> bytes:
     return sha256(b"".join(preimage)).digest()
 
 
-@lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _hash_record_cached(key: Value, value: bytes, state_prefix: str) -> bytes:
-    return hash_words(state_prefix, key, value)
-
-
 def hash_record(key: Value, value: Value, state_prefix: str) -> bytes:
     """Hash a GRuB KV record leaf: ``(replication-state prefix, key, value)``.
 
     The replication state is part of the authenticated payload because GRuB
     prefixes every data key with its R/NR bit (Section 3.2 of the paper).
-
-    The serialized leaf hash is memoized (the function is pure): the same
-    record leaf is hashed repeatedly on the hot path — once when the DO
-    applies the update to the ADS, again for every deliver verification of
-    the record — and only the first
-    computation pays for the length-prefixed field encoding and the SHA-256.
-    Unhashable values (plain ``bytes``/``str``/``int`` are all hashable) fall
-    back to the direct computation.
     """
-    try:
-        return _hash_record_cached(key, value, state_prefix)
-    except TypeError:
-        return hash_words(state_prefix, key, value)
+    return hash_words(state_prefix, key, value)
 
 
 def clear_leaf_cache() -> None:
-    """Drop every memoized leaf hash (used by tests to compare cold paths)."""
-    _hash_record_cached.cache_clear()
+    """Do nothing: leaf digests are not memoized.  Kept only for
+    ``benchmarks/suite/harness.py::_fresh_state``, which still calls it."""
 
 
 def combine_digests(digests: Iterable[bytes]) -> bytes:

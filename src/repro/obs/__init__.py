@@ -35,10 +35,7 @@ from repro.obs.export import (
     export_jsonl,
     export_prometheus,
     format_duration,
-    parse_prometheus,
     render_report,
-    validate_jsonl,
-    validate_jsonl_line,
 )
 from repro.obs.metrics import (
     Counter,
@@ -72,10 +69,7 @@ __all__ = [
     "PHASE_ORDER",
     "export_jsonl",
     "export_prometheus",
-    "parse_prometheus",
     "render_report",
-    "validate_jsonl",
-    "validate_jsonl_line",
     "format_duration",
 ]
 

@@ -6,14 +6,14 @@ Three consumers, three formats, one source of truth (a
 :class:`~repro.obs.tracing.Tracer`):
 
 * :func:`export_jsonl` — one JSON object per line, machine-diffable, the form
-  the tier-1 suite validates with :func:`validate_jsonl_line`.  Spans are
+  ``tests/obs/export_checks.py`` validates line by line.  Spans are
   flattened depth-first with ``span_id``/``parent_id`` assigned **at export
   time** in deterministic pre-order — span identity is a property of the
   finished tree, not of creation order, so exporting never introduces
   run-order entropy.
 * :func:`export_prometheus` — the Prometheus text exposition format
   (``# TYPE`` headers, cumulative ``le`` buckets, ``_sum``/``_count``),
-  round-trippable through :func:`parse_prometheus`.
+  round-trippable through the strict parser in ``tests/obs/export_checks.py``.
 * :func:`render_report` — the human section, rendered through
   :mod:`repro.analysis.reporting` so it matches every other table this repo
   prints.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ReproError
@@ -38,18 +37,6 @@ from repro.obs.metrics import (
     _render_key,
 )
 from repro.obs.tracing import Span, Tracer
-
-#: Every event type a JSONL stream may contain.
-JSONL_EVENT_TYPES = ("meta", "span", "counter", "gauge", "histogram")
-
-#: Required fields per event type (beyond ``type`` itself).
-_JSONL_REQUIRED: Dict[str, Tuple[str, ...]] = {
-    "meta": ("run",),
-    "span": ("span_id", "parent_id", "name", "attrs", "duration"),
-    "counter": ("name", "labels", "value"),
-    "gauge": ("name", "labels", "value"),
-    "histogram": ("name", "labels", "count", "sum", "buckets", "p50", "p95", "p99"),
-}
 
 
 def format_duration(seconds: Optional[float]) -> str:
@@ -145,63 +132,7 @@ def export_jsonl(
     return "\n".join(json.dumps(event, sort_keys=True) for event in events) + "\n"
 
 
-def validate_jsonl_line(line: str) -> dict:
-    """Parse one JSONL line and check it against the event schema.
-
-    Raises :class:`ReproError` describing the first violation; returns the
-    parsed event otherwise.  This is the check
-    ``tests/gateway/test_observability.py`` runs over every exported line of
-    a real traced run, serial and process.
-    """
-    try:
-        event = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"invalid JSONL line: {exc}") from exc
-    if not isinstance(event, dict):
-        raise ReproError("JSONL event must be an object")
-    event_type = event.get("type")
-    if event_type not in _JSONL_REQUIRED:
-        raise ReproError(f"unknown JSONL event type: {event_type!r}")
-    missing = [field for field in _JSONL_REQUIRED[event_type] if field not in event]
-    if missing:
-        raise ReproError(f"{event_type} event missing fields: {missing}")
-    if event_type == "span":
-        if not isinstance(event["span_id"], int):
-            raise ReproError("span_id must be an integer")
-        parent = event["parent_id"]
-        if parent is not None and (
-            not isinstance(parent, int) or parent >= event["span_id"]
-        ):
-            raise ReproError("parent_id must be None or a smaller span_id (pre-order)")
-        if not isinstance(event["duration"], (int, float)) or event["duration"] < 0:
-            raise ReproError("span duration must be a non-negative number")
-    if event_type == "histogram":
-        buckets = event["buckets"]
-        if not buckets or buckets[-1][0] != "+Inf":
-            raise ReproError("histogram buckets must end with +Inf")
-        counts = [count for _, count in buckets]
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            raise ReproError("histogram cumulative bucket counts must be monotone")
-        if counts[-1] != event["count"]:
-            raise ReproError("histogram +Inf bucket must equal total count")
-    return event
-
-
-def validate_jsonl(text: str) -> List[dict]:
-    """Validate a whole JSONL document line by line."""
-    events = [validate_jsonl_line(line) for line in text.splitlines() if line]
-    if not events or events[0].get("type") != "meta":
-        raise ReproError("JSONL stream must start with a meta event")
-    return events
-
-
 # -- Prometheus text -----------------------------------------------------------
-
-#: One ``key="value"`` pair of a label set and its separator; the value may
-#: hold the three escapes :func:`~repro.obs.metrics._render_key` writes.
-_PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\[\\"n])*)"(?:,(?!$)|$)')
-_PROM_ESCAPE = re.compile(r'\\([\\"n])')
-
 
 def _prom_number(value: float) -> str:
     if math.isinf(value):
@@ -246,57 +177,6 @@ def export_prometheus(registry: MetricsRegistry) -> str:
                     f"{_render_key(name, gauge.labels)} {_prom_number(gauge.value)}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus(text: str) -> Dict[str, List[Tuple[Dict[str, str], float]]]:
-    """Parse Prometheus text back into ``{metric: [(labels, value), …]}``.
-
-    A deliberately strict parser for the formats :func:`export_prometheus`
-    emits — the tier-1 suite uses it to assert the snapshot is well-formed.
-    Raises :class:`ReproError` on any malformed line.
-    """
-    samples: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
-    for raw in text.split("\n"):  # not splitlines(): "\r" and kin may sit in a label
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "TYPE" or parts[3] not in (
-                "counter",
-                "gauge",
-                "histogram",
-            ):
-                raise ReproError(f"malformed Prometheus comment: {raw!r}")
-            continue
-        name_part, _, value_part = line.rpartition(" ")
-        if not name_part:
-            raise ReproError(f"malformed Prometheus sample: {raw!r}")
-        if value_part == "+Inf":
-            value = math.inf
-        else:
-            try:
-                value = float(value_part)
-            except ValueError as exc:
-                raise ReproError(f"malformed Prometheus value: {raw!r}") from exc
-        labels: Dict[str, str] = {}
-        if name_part.endswith("}"):
-            name, _, label_blob = name_part.partition("{")
-            position, end = 0, len(label_blob) - 1
-            while position < end:
-                pair = _PROM_LABEL.match(label_blob, position, end)
-                if pair is None:
-                    raise ReproError(f"malformed Prometheus label: {raw!r}")
-                labels[pair[1]] = _PROM_ESCAPE.sub(
-                    lambda escape: "\n" if escape[1] == "n" else escape[1], pair[2]
-                )
-                position = pair.end()
-        else:
-            name = name_part
-        if not name or not name.replace("_", "").replace(":", "").isalnum():
-            raise ReproError(f"malformed Prometheus metric name: {raw!r}")
-        samples.setdefault(name, []).append((labels, value))
-    return samples
 
 
 # -- Operator report -----------------------------------------------------------

@@ -1,29 +1,27 @@
-"""Hash/serialization memoization must be observationally invisible.
+"""The tree and the record leaves, pinned against a hashlib-only reference.
 
-The hot-path pass memoizes two pure computations: interior-node digests
-(:func:`repro.ads.merkle._hash_pair_memo`) and record-leaf serialization
-hashes (:func:`repro.common.hashing.hash_record`).  Both caches key on the
-full input, so a stale entry is impossible *by construction* — but that is
-exactly the property worth pinning with an adversarial workload: randomized
-update/revert sequences that repeatedly re-introduce *old* values (the case a
-wrongly keyed or wrongly invalidated cache would get wrong), checked
-byte-for-byte against an unmemoized reference implementation written directly
-on hashlib.
+Interior-node digests (:func:`repro.common.hashing.hash_pair`) and record-leaf
+hashes (:func:`repro.common.hashing.hash_record`) are computed afresh on every
+call: no process-wide memo sits between the tree and SHA-256.  The
+equivalence tests drive adversarial workloads — randomized update/revert
+sequences that repeatedly re-introduce *old* values, the case a wrongly keyed
+or wrongly invalidated cache would get wrong — and check every root, path and
+leaf byte-for-byte against a reference written directly on hashlib, so a memo
+brought back in front of either hash has to stay invisible to them.  The last
+test pins what having no memo buys: a store that is dropped leaves no hash
+state behind in the process.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
-from repro.ads.merkle import (
-    MerkleTree,
-    _hash_pair_memo,
-    clear_pair_memo,
-    verify_multiproof,
-)
-from repro.common.hashing import EMPTY_DIGEST, _hash_record_cached, clear_leaf_cache
+from repro.ads.merkle import MerkleTree, clear_pair_memo, verify_multiproof
+from repro.common.hashing import EMPTY_DIGEST, clear_leaf_cache
 from repro.common.types import KVRecord, ReplicationState
 
 
@@ -242,29 +240,36 @@ class TestPreloadBuild:
             store = AuthenticatedKVStore()
             assert store.load(records) == expected == store.root, count
 
-    def test_load_seeds_both_memos(self):
-        """A preload leaves every leaf digest and every distinct interior pair
-        in the memos, so verifying preloaded leaves hashes nothing anew:
-        feed set-up pays for the tree, the run does not pay for it again."""
-        records = preload_records(random.Random(4), 37)
-        clear_leaf_cache()
-        clear_pair_memo()
-        store = AuthenticatedKVStore()
-        store.load(records)
-        levels = reference_levels([reference_leaf_hash(record) for record in records])
-        pairs = {
-            (level[i], level[i + 1])
-            for level in levels[:-1]
-            for i in range(0, len(level), 2)
-        }
-        assert _hash_record_cached.cache_info().currsize == len(records)
-        assert _hash_pair_memo.cache_info().currsize == len(pairs)
+    def test_dropped_store_leaves_no_hash_state_in_the_process(self):
+        """Load 1 024 records, prove and verify a batch, drop the store: what
+        ``repro/ads`` and ``repro/common`` allocated meanwhile is gone again,
+        so a long-lived gateway keeps no digests of the feeds it evicted."""
 
-        indices = [0, 5, 6, 20, 36]
-        leaf_misses = _hash_record_cached.cache_info().misses
-        pair_misses = _hash_pair_memo.cache_info().misses
-        leaves = [AuthenticatedKVStore.leaf_hash_for(records[i]) for i in indices]
-        proof = store.query_many([records[i].key for i in indices]).proof
-        assert verify_multiproof(store.root, indices, leaves, proof)
-        assert _hash_record_cached.cache_info().misses == leaf_misses
-        assert _hash_pair_memo.cache_info().misses == pair_misses
+        def load_prove_verify(seed: int) -> bool:
+            records = preload_records(random.Random(seed), 1024)
+            store = AuthenticatedKVStore()
+            store.load(records)
+            indices = [0, 5, 6, 200, 511, 512, 1023]
+            result = store.query_many([records[i].key for i in indices])
+            leaves = [AuthenticatedKVStore.leaf_hash_for(records[i]) for i in indices]
+            return verify_multiproof(store.root, indices, leaves, result.proof)
+
+        # Warm up imports and one-time set-up on other records: their
+        # digests were allocated before tracing starts and are not counted.
+        assert load_prove_verify(5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert load_prove_verify(6)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        live = snapshot.filter_traces(
+            [
+                tracemalloc.Filter(True, "*/repro/ads/*"),
+                tracemalloc.Filter(True, "*/repro/common/*"),
+            ]
+        )
+        kept = sum(stat.size for stat in live.statistics("filename"))
+        assert kept < 32 * 1024, kept

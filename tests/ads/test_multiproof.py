@@ -126,7 +126,7 @@ def test_malformed_indices_are_refused_by_the_shape_before_any_hash(size, monkey
     def no_hashing(left, right):
         raise AssertionError("a malformed multiproof reached the hash")
 
-    monkeypatch.setattr(merkle, "_hash_pair_memo", no_hashing)
+    monkeypatch.setattr(merkle, "hash_pair", no_hashing)
     malformed = [
         [],
         requested + [requested[-1]],  # a repeat

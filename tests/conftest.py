@@ -27,6 +27,7 @@ REPO = Path(__file__).resolve().parents[1]
 for directory in (
     REPO / "benchmarks",
     REPO / "examples",
+    REPO / "tests" / "obs",
     REPO / "tests" / "storage",
     REPO / "tests" / "workloads",
 ):

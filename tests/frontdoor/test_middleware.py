@@ -28,7 +28,8 @@ from repro.frontdoor import (
 )
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
 from repro.obs import Observability
-from repro.obs.export import parse_prometheus
+
+from export_checks import parse_prometheus
 
 EPOCH = 4
 

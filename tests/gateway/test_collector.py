@@ -14,8 +14,10 @@ from repro.core.config import GrubConfig
 from repro.frontdoor import FrontDoor, Request
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, RoundRobinPlanner
 from repro.gateway.runtime import CollectorOwner, _Heap
-from repro.obs import Observability, parse_prometheus
+from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
+
+from export_checks import parse_prometheus
 
 EPOCH = 4
 

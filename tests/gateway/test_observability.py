@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import PHASE_ORDER, Observability
-from repro.obs.export import parse_prometheus, validate_jsonl
 
+from export_checks import parse_prometheus, validate_jsonl
 from test_parallel_engine import build_mixed_fleet, chain_state_fingerprint
 
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec

@@ -9,17 +9,11 @@ import pytest
 from repro.common.clock import ManualClock
 from repro.common.errors import ReproError
 from repro.obs import Observability
-from repro.obs.export import (
-    export_jsonl,
-    export_prometheus,
-    format_duration,
-    parse_prometheus,
-    render_report,
-    validate_jsonl,
-    validate_jsonl_line,
-)
+from repro.obs.export import export_jsonl, export_prometheus, format_duration, render_report
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+
+from export_checks import parse_prometheus, validate_jsonl, validate_jsonl_line
 
 
 def build_observability() -> Observability:

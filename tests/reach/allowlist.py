@@ -262,13 +262,6 @@ ALLOWED = {
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     "obs/__init__.py::Observability.phase_percentiles":
         "test reference: tests/gateway/test_observability.py",
-    # obs/export.py
-    "obs/export.py::validate_jsonl_line":
-        "test reference: tests/obs/test_export.py, tests/gateway/test_observability.py",
-    "obs/export.py::validate_jsonl":
-        "test reference: tests/obs/test_export.py, tests/gateway/test_observability.py",
-    "obs/export.py::parse_prometheus":
-        "test reference: tests/obs/test_export.py, tests/frontdoor/test_middleware.py",
     # obs/metrics.py
     "obs/metrics.py::Gauge.add": "test reference: tests/obs/test_obs_metrics.py",
     "obs/metrics.py::Histogram.percentile":
