@@ -35,7 +35,10 @@ Determinism: epoch membership is driven purely by admission order and
 sequence before the fleet drains it (the seeded benchmark client, tests: a
 held door, then :meth:`FrontDoor.release`, which ends the gather at once)
 produces **bit-identical** fingerprints, gas bills and chain state to the
-equivalent batch run — in serial and process modes alike.  Requests
+equivalent batch run.  The door is served serially: a scheduler in process
+mode refuses a live source (lockstep lane epochs lose to serial), so
+:meth:`FrontDoor.serving` over one raises its
+:class:`~repro.common.errors.ConfigurationError`.  Requests
 racing the epoch clock in real time are serviced correctly, but *which*
 boundary catches them is scheduling weather, not physics — the gather
 deadline is part of that weather — and is the one thing a replay cannot pin.

@@ -29,9 +29,8 @@ long-lived worker processes:
   queue — persists across epochs and only *per-epoch deltas* cross the
   process boundary;
 * per order, a lane receives a tiny ``(start, count, epoch_size)`` tuple
-  plus its shard assignment (and the boundary's live arrivals, when any
-  reached it) and sends back **one packed frame** per epoch, each as soon as
-  it is packed
+  plus its shard assignment and sends back **one packed frame** per epoch,
+  each as soon as it is packed
   (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
   and each of the shard's settlement transactions *executed* against the
@@ -56,9 +55,8 @@ long-lived worker processes:
 The lane boundary has one format, the one a feed's state already crosses in
 (:mod:`repro.gateway.feed_state`): a lane packs its epoch — ``(epoch,
 [ShardOutcome, …])`` as :func:`run_epoch_phases` returned it, the engine's
-own objects (buffers, ledgers, spans) — once, where it is produced, the main
-process opens it once, where it is merged (:func:`open_lane_epoch`), and a
-boundary's live arrivals go the other way packed where the order is placed.
+own objects (buffers, ledgers, spans) — once, where it is produced, and the
+main process opens it once, where it is merged (:func:`open_lane_epoch`).
 Every frame is self-contained, and is metered once, as the main process takes
 it, into the ``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` /
 ``ipc_decode_seconds`` histograms per lane that :func:`ipc_summary` reads
@@ -66,8 +64,7 @@ back as ``FleetTelemetry.ipc``.  Lanes
 are this program's own children, so the byte layout is no protocol; what the
 boundary checks is that the bytes open, hold the type they should, and are
 for the epoch and the feeds they were handed over for — each failure a
-:class:`~repro.common.errors.WireError` before anything is merged or
-ingested.
+:class:`~repro.common.errors.WireError` before anything is merged.
 
 **How a feed reaches a lane.**  One way a lane starts: forked, at an epoch
 boundary, with the main registry as its process argument — handed over
@@ -85,8 +82,9 @@ it, and every feed that left it, as a *held copy* at a version — the main
 mirror's, or the state the feed left as — and :class:`LaneEngine` records
 which version each lane holds of each feed.  A move to a lane holding one
 is cut against it when the source's copy arrived as that version: only the
-changed records, the tree nodes above them and the queue's two ends cross,
-and the destination re-hosts its held copy and applies them.  Anything else
+changed records, the tree nodes above them and how many operations left the
+queue's head cross, and the destination re-hosts its held copy and applies
+them.  Anything else
 ships whole — a feed's complete mirror: contract attrs and storage slots,
 the SP store's records, slot layout and Merkle tree, DO root/signer state,
 SP counters, control-plane and monitor state, read memo, workload queue,
@@ -95,9 +93,7 @@ spawn/retire reduce to the same lane operations (install / migrate-out /
 teardown, and a drop of an evicted feed's held copies).  LSM-backed SP
 stores move by closing the source's exclusive directory opener before the
 destination re-opens it (single-opener enforced by
-:class:`~repro.storage.lsm.LSMStore`).  Where processes do not fork, a lane
-starts from an empty registry of its own, holding nothing: every feed is
-installed, and its first move between lanes ships whole.
+:class:`~repro.storage.lsm.LSMStore`).
 
 Every lane takes its shards from each epoch order.  A run whose plan cannot
 change is ordered ahead: because event stamps are assigned by the *main*
@@ -105,7 +101,8 @@ chain at merge time, its lanes never wait for the previous epoch's merge —
 the scheduler orders every epoch the remaining workloads already guarantee,
 lanes run them back-to-back and send each epoch's frame as it is packed, and
 the main process merges epoch *n* while the lanes run epoch *n + 1*.  Any
-other run is ordered one lockstep epoch at a time.
+other run is ordered one lockstep epoch at a time.  Lanes run batch inputs
+only, so a lane's queues only ever lose operations from their heads.
 """
 
 from __future__ import annotations
@@ -130,10 +127,9 @@ from typing import (
     Tuple,
 )
 
-from repro.chain.chain import ChainParameters, ExecutionBuffer
+from repro.chain.chain import ExecutionBuffer
 from repro.chain.gas import (
     GasLedger,
-    GasSchedule,
     LAYER_APPLICATION,
     LAYER_FEED,
 )
@@ -141,7 +137,6 @@ from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import ConfigurationError, LaneDied, ReproError, WireError
 from repro.common.types import (
     EpochSummary,
-    Operation,
     OperationKind,
     ReplicationState,
 )
@@ -574,6 +569,25 @@ def close_feed_bill(
 # Process backend: boundary types
 # ---------------------------------------------------------------------------
 
+#: Lanes always fork, whatever the interpreter's default start method;
+#: ``None`` where the platform cannot.
+_FORK = (
+    multiprocessing.get_context("fork")
+    if "fork" in multiprocessing.get_all_start_methods()
+    else None
+)
+
+
+def fork_context():
+    """The context every lane starts from; a platform that cannot fork has
+    no process backend (a lane inherits the main registry, nothing else)."""
+    if _FORK is None:
+        raise ConfigurationError(
+            "execution_mode='process' forks its worker lanes, and this "
+            "platform cannot fork; use execution_mode='serial'"
+        )
+    return _FORK
+
 
 @dataclass(frozen=True)
 class LaneConfig:
@@ -585,14 +599,9 @@ class LaneConfig:
     state a packed one would have to be rebuilt into — and holds every other
     one, out of its registry, at the main mirror's version; every other feed
     reaches it later as a packed state, a delta where it holds a copy at the
-    version the delta was cut against.  Where lanes do not fork there is no
-    registry to keep feeds of: the worker builds an empty one of its own
-    from the chain parameters here.
+    version the delta was cut against.
     """
 
-    schedule: GasSchedule
-    parameters: ChainParameters
-    router_address: str
     #: When set, the lane times per-shard phase spans (its own monotonic
     #: clock) and ships them back in :attr:`ShardOutcome.spans`.
     obs_enabled: bool = False
@@ -750,7 +759,7 @@ class _LaneWorker:
     what allows it to run epochs ahead of the main process's merge.
     """
 
-    def __init__(self, config: LaneConfig, registry: Optional[FeedRegistry]) -> None:
+    def __init__(self, config: LaneConfig, registry: FeedRegistry) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
         #: detached spans; the finished spans ship back as themselves and the
         #: main process owns the tree they end up in.
@@ -761,12 +770,6 @@ class _LaneWorker:
         #: collects in its stead — between epochs, never inside one.
         self.collector = CollectorOwner().__enter__()
         self.shards: List[Tuple[int, List[str]]] = []
-        if registry is None:
-            registry = FeedRegistry(
-                schedule=config.schedule,
-                parameters=config.parameters,
-                router_address=config.router_address,
-            )
         #: The forked copy of the main registry (every feed's contracts,
         #: stores, control planes and run state exactly as the main process
         #: built them, for free via copy-on-write), down to the feeds this
@@ -809,10 +812,8 @@ class _LaneWorker:
         count: int,
         epoch_size: int,
         shards: Sequence[Tuple[int, Sequence[str]]],
-        arrivals_frame: Optional[bytes] = None,
     ) -> Iterator[LaneEpochEnvelope]:
         """The lane's one epoch order: take ``shards`` as the assignment,
-        ingest the boundary's live arrivals (when any reached this lane),
         then run ``count`` consecutive epochs from ``start`` back-to-back,
         yielding each packed frame as it is made — :func:`_lane_main` sends
         it at once, one reply per epoch.
@@ -821,35 +822,10 @@ class _LaneWorker:
         remaining workloads guarantee as one order), so its lanes never wait
         on the main process between epochs, and the main process merges each
         epoch as soon as its frame arrives.  Any other run is lockstep, one
-        epoch per order: the next plan needs this epoch's observed gas, and
-        an epoch's arrivals cannot exist before the previous one settled."""
+        epoch per order: the next plan needs this epoch's observed gas."""
         self.set_assignment(shards)
-        if arrivals_frame is not None:
-            self.ingest(arrivals_frame)
         for epoch in range(start, start + count):
             yield self.run_epoch(epoch, epoch_size)
-
-    def ingest(self, frame: bytes) -> None:
-        """Append one epoch boundary's live arrivals — packed ``(feed_id,
-        operations)`` pairs — to this lane's queues.
-
-        Called (by :meth:`epochs`) immediately before the epoch the
-        arrivals join: the scheduler ships each boundary's arrivals with the
-        epoch order itself, so by drive time the worker-local queues hold
-        exactly what an inline run would have appended at the same boundary.
-        """
-        arrivals = feed_state.open_packed(frame, list, "arrivals frame")
-        registry = self.registry
-        for feed_id, _ in arrivals:
-            if feed_id not in registry:
-                raise WireError(
-                    f"arrivals frame names feed {feed_id!r}, which this lane "
-                    "does not host — the engine's feed→lane split is broken"
-                )
-        for feed_id, operations in arrivals:
-            handle = registry.get(feed_id)
-            handle.queue.extend(operations)
-            handle.arrival.appended += len(operations)
 
     # -- feed mobility (assignment / admission / migration / eviction) --------
 
@@ -993,9 +969,7 @@ class _LaneWorker:
         ]
 
 
-def _lane_main(
-    conn: Connection, config: LaneConfig, registry: Optional[FeedRegistry]
-) -> None:
+def _lane_main(conn: Connection, config: LaneConfig, registry: FeedRegistry) -> None:
     """A lane process's whole life: build its worker and answer ``None`` —
     or the exception that stopped it, and exit — then take ``(method, args)``
     orders off the pipe, in order, until the stop order (``None``) or the
@@ -1085,14 +1059,15 @@ class _Lane:
         self,
         index: int,
         config: LaneConfig,
-        registry: Optional[FeedRegistry] = None,
+        registry: FeedRegistry,
         epoch: int = 0,
     ) -> None:
-        """Start the lane's process; its first reply, owed from here, is its
+        """Fork the lane's process; its first reply, owed from here, is its
         ``start``: ``None`` once its worker is built (see :func:`_lane_main`)."""
+        context = fork_context()
         self.index = index
-        self.conn, child = multiprocessing.Pipe()
-        self.process = multiprocessing.Process(
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
             target=_lane_main,
             args=(child, config, registry),
             name=f"lane-{index}",
@@ -1237,15 +1212,7 @@ class LaneEngine:
         self._lanes: Dict[int, _Lane] = {}
         #: The main registry (its specs accompany every install order).
         self._registry = registry
-        self._template = LaneConfig(
-            schedule=registry.schedule,
-            parameters=registry.parameters,
-            router_address=registry.router.address,
-            obs_enabled=obs_enabled,
-        )
-        #: Whether lanes start as forks of this process — which is what lets
-        #: one adopt a feed; elsewhere every feed is installed.
-        self.forks = multiprocessing.get_start_method() == "fork"
+        self._template = LaneConfig(obs_enabled=obs_enabled)
         #: shard index → lane, as of the latest order (span labels).
         self._shard_lane: Dict[int, int] = {}
         #: The first epoch not yet merged: what an order placed between
@@ -1272,16 +1239,15 @@ class LaneEngine:
         Each lane forks with the main registry as its process argument —
         handed over copy-on-write, never pickled — and keeps of it the feeds
         ``adopts`` names for that lane (:attr:`LaneConfig.adopts`), holding
-        every other one at the main mirror's version.  Where lanes do not
-        fork (:attr:`forks`) nothing can be adopted or held, and each lane
-        starts from an empty registry of its own.
+        every other one at the main mirror's version.
         """
         spawned = [lane for lane in range(count) if lane not in self._lanes]
-        registry = self._registry if self.forks else None
         try:
             for lane in spawned:
                 config = replace(self._template, adopts=tuple(adopts.get(lane, ())))
-                self._lanes[lane] = _Lane(lane, config, registry, self._boundary)
+                self._lanes[lane] = _Lane(
+                    lane, config, self._registry, self._boundary
+                )
             for lane in spawned:
                 self._lanes[lane].owed[0].result()
         except BaseException:
@@ -1289,14 +1255,12 @@ class LaneEngine:
             raise
         if spawned:
             self.metrics.counter("lane_spawns_total").inc(len(spawned))
-        if registry is not None:
-            # A forked lane holds every feed it did not adopt at the main
-            # mirror's version.
-            for lane in spawned:
-                kept = set(adopts.get(lane, ()))
-                for feed_id in registry.feed_ids:
-                    if feed_id not in kept:
-                        self._copies.setdefault(feed_id, {})[lane] = MAIN_VERSION
+        # A lane holds every feed it did not adopt at the main mirror's version.
+        for lane in spawned:
+            kept = set(adopts.get(lane, ()))
+            for feed_id in self._registry.feed_ids:
+                if feed_id not in kept:
+                    self._copies.setdefault(feed_id, {})[lane] = MAIN_VERSION
         return spawned
 
     def retire_lanes(self, keep: int) -> List[int]:
@@ -1401,18 +1365,13 @@ class LaneEngine:
         count: int,
         epoch_size: int,
         assignments: Mapping[int, Sequence[Tuple[int, Sequence[str]]]],
-        arrivals_by_lane: Optional[
-            Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]]
-        ] = None,
     ) -> None:
         """Send ``count`` epochs from ``start`` as one order per lane named
         in ``assignments`` (returns once sent; :meth:`results` blocks for one
         epoch's frames).
 
-        Each such lane is shipped its ``(shard_index, feed_ids)`` list plus
-        its slice of the boundary's live arrivals — packed here, so the lane
-        ingests what the boundary held when the order was placed — and the
-        other lanes sit the epochs out.
+        Each such lane is shipped its ``(shard_index, feed_ids)`` list, and
+        the other lanes sit the epochs out.
         """
         self._shard_lane = {
             shard_index: lane
@@ -1421,10 +1380,8 @@ class LaneEngine:
         }
         for lane in sorted(assignments):
             shards = [(index, list(feed_ids)) for index, feed_ids in assignments[lane]]
-            items = list((arrivals_by_lane or {}).get(lane, ()))
-            frame = feed_state.pack(items) if items else None
             entry = self._lanes[lane]
-            order = (start, count, epoch_size, shards, frame)
+            order = (start, count, epoch_size, shards)
             entry.epochs.extend(entry.send("epochs", start, *order, replies=count))
 
     @property

@@ -12,8 +12,9 @@ four steps on the same :class:`FeedState`:
   as a **delta against a version** the receiver already holds
   (:class:`~repro.gateway.registry.FeedVersion`): the SP store as the
   records that changed since and only the tree nodes above them, the queue
-  as how many operations left its head plus the ones appended since.  The
-  contracts, actors, bill and memo always ship whole.
+  as how many operations left its head (a lane's queues never grow: lanes
+  run batch inputs only).  The contracts, actors, bill and memo always ship
+  whole.
 * :func:`pack` turns it into opaque bytes (``pickle`` protocol 5), once, where
   it was captured; a migrating feed passes through the main process in that
   form, metered but never opened.
@@ -45,10 +46,10 @@ form all three senders use; :func:`install` is unpack + create or re-host +
 apply, a lane's way in.  How the store lays out its delta is the store's
 business (:meth:`~repro.ads.authenticated_kv.AuthenticatedKVStore.export_delta`).
 
-The lane boundary has this one format: a lane's epoch results and a
-boundary's live arrivals (:mod:`repro.gateway.executor`) are packed by the
-same :func:`pack` and opened by the same :func:`open_packed`, the one place
-the package unpickles anything.
+The lane boundary has this one format: a lane's epoch results
+(:mod:`repro.gateway.executor`) are packed by the same :func:`pack` and opened
+by the same :func:`open_packed`, the one place the package unpickles
+anything.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ class FeedState:
     #: The handle's run state (see :class:`~repro.gateway.registry.FeedHandle`):
     #: ``memo`` is ``None`` when the feed runs with caching off, which is how
     #: the next host knows not to memoise either.  ``queue`` is the whole
-    #: queue when ``consumed`` is ``None``, else the operations appended since
-    #: the base, behind the base's queue less ``consumed`` from its head.
+    #: queue when ``consumed`` is ``None``, else empty: the queue is the
+    #: base's less ``consumed`` from its head.
     queue: List[Operation]
     consumed: Optional[int]
     dirty: set
@@ -206,11 +207,9 @@ def capture(
     destination holds (the queue whole too when ``since`` kept no length)."""
     queue, consumed = handle.queue, None
     if since is not None and since.queued is not None:
-        # Operations leave the head and arrive at the tail: what is queued
-        # now is the base's queue less its head, then the newest arrivals.
-        tail = min(len(queue), since.appended)
-        consumed = since.queued - (len(queue) - tail)
-        queue = islice(queue, len(queue) - tail, None)
+        # Operations only ever leave the head: what is queued now is the
+        # base's queue less its head.
+        queue, consumed = (), since.queued - len(queue)
     return FeedState(
         feed_id=handle.feed_id,
         base=None if since is None else since.token,
@@ -354,7 +353,6 @@ def apply(handle: FeedHandle, state: FeedState) -> None:
         handle.queue = deque(state.queue)
     else:
         handle.queue = deque(islice(handle.queue, state.consumed, None))
-        handle.queue.extend(state.queue)
     handle.dirty = state.dirty
     handle.bill = state.bill
     handle.memo = state.memo

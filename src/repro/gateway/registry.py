@@ -115,11 +115,9 @@ class FeedVersion:
     token: int
     #: The SP store at that version.
     store: StoreBaseline
-    #: The queue's length at that version, and the operations appended to it
-    #: since — so a delta ships its queue as what the head consumed plus what
-    #: was appended.  ``None``: the queue ships whole.
+    #: The queue's length at that version — so a delta ships its queue as
+    #: what the head consumed since.  ``None``: the queue ships whole.
     queued: Optional[int] = None
-    appended: int = 0
 
 
 @dataclass

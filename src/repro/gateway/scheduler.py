@@ -75,7 +75,9 @@ installed as a packed :class:`~repro.gateway.feed_state.FeedState`.  Between
 lanes it moves as a delta against the copy its destination still holds —
 the fork copy, or the one it left there — and whole where there is none.  What
 :class:`_LaneExecutor` can observe about the run — never an option — decides
-only how far ahead of the merge its epochs are ordered.
+only how far ahead of the merge its epochs are ordered.  Its lanes always
+fork, and run batch inputs only: a live request source (lockstep epochs,
+where lanes lose to serial) is served serially.
 
 Reads are fronted by each feed's read memo (``FeedHandle.memo``) unless the
 scheduler was built with ``enable_cache=False``: a read of a key whose
@@ -128,6 +130,7 @@ from repro.gateway.executor import (
     Settlement,
     ShardOutcome,
     close_feed_bill,
+    fork_context,
     ipc_readings,
     ipc_summary,
     land_transaction,
@@ -258,6 +261,8 @@ class EpochScheduler:
                 "thread, so num_workers must be 1; for more workers pass "
                 "execution_mode=\"process\" (num_workers worker-process lanes)"
             )
+        if execution_mode == "process":
+            fork_context()
         if planner is not None and num_shards != 1:
             raise ConfigurationError(
                 "num_shards only configures the default round-robin planner; "
@@ -522,15 +527,22 @@ class EpochScheduler:
         instead of terminating, so live traffic can arrive at any boundary;
         the run ends once the source is exhausted, every queue is drained and
         no churn remains.  The seam replaces nothing: a source-less ``run``
-        is the unchanged deterministic batch path.
+        is the unchanged deterministic batch path.  In process mode a
+        ``source`` is a :class:`ConfigurationError`, raised before any lane
+        starts.
 
         This is the only epoch loop — monitor, decide, replicate, settle —
         whatever ``execution_mode`` says: where an epoch's work executes (and
         where a feed's queue lives meanwhile) is behind the small
-        :class:`_Executor` seam, so churn, live ingest, fast-forward,
-        planning and settle feedback are the same code, in the same order,
-        for every backend.
+        :class:`_Executor` seam, so churn, fast-forward, planning and settle
+        feedback are the same code, in the same order, for every backend.
         """
+        if source is not None and self.execution_mode == "process":
+            raise ConfigurationError(
+                "a live request source is served with execution_mode='serial': "
+                "it forces one lockstep epoch per lane order, where process "
+                "lanes lose to serial"
+            )
         epoch_size, active, fleet = self._prepare_run(workloads, source=source)
         self._fleet = fleet
         for feed_id in active:
@@ -540,12 +552,10 @@ class EpochScheduler:
         blocks_before = chain.height
         wall_start = time.perf_counter()
         if self.execution_mode == "process":
-            # Nothing queued, live or observed can change the plan mid-run:
-            # it may be placed once, and its epochs ordered ahead.
-            static = (
-                source is None
-                and not self.pending_churn
-                and isinstance(self.planner, RoundRobinPlanner)
+            # Nothing queued or observed can change the plan mid-run: it may
+            # be placed once, and its epochs ordered ahead.
+            static = not self.pending_churn and isinstance(
+                self.planner, RoundRobinPlanner
             )
             executor: _Executor = _LaneExecutor(
                 self, epoch_size, fleet, static=static
@@ -573,7 +583,7 @@ class EpochScheduler:
                             )
                             if idle:
                                 collector.boundary(insure=True)
-                            self._ingest(source.poll(epoch, wait=idle), executor)
+                            self._ingest(source.poll(epoch, wait=idle))
                         has_work = any(executor.depth(f) for f in active)
                         door_open = source is not None and not source.exhausted
                         if not self.pending_churn and not has_work and not door_open:
@@ -680,12 +690,9 @@ class EpochScheduler:
         )
         return epoch_size, active, fleet
 
-    def _ingest(
-        self,
-        arrivals: Mapping[str, Sequence[Operation]],
-        executor: "_Executor",
-    ) -> None:
-        """Append one boundary's live arrivals to the per-feed queues.
+    def _ingest(self, arrivals: Mapping[str, Sequence[Operation]]) -> None:
+        """Append one boundary's live arrivals to the per-feed queues (a live
+        run is serial, so every queue is on its main-registry handle).
 
         Arrivals join at the *tail*, behind anything still queued (deferred or
         not-yet-scheduled operations), preserving each feed's FIFO order —
@@ -703,7 +710,7 @@ class EpochScheduler:
                     "does not currently host — the request source must "
                     "reject unknown or departed tenants at admission"
                 )
-            executor.ingest(feed_id, operations)
+            self.registry.get(feed_id).queue.extend(operations)
 
 
 def _raise_if_reverted(receipt: TransactionReceipt) -> None:
@@ -764,10 +771,6 @@ class _Executor:
         """Operations still queued for an active feed."""
         raise NotImplementedError
 
-    def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
-        """Append live arrivals to the tail of a hosted feed's queue."""
-        raise NotImplementedError
-
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         """Retire an evicted feed's live mirror: cancel and count its
         undelivered requests and queued operations, return its final bill."""
@@ -794,9 +797,6 @@ class _InlineExecutor(_Executor):
 
     def depth(self, feed_id: str) -> int:
         return len(self.registry.get(feed_id).queue)
-
-    def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
-        self.registry.get(feed_id).queue.extend(operations)
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         return close_feed_bill(self.registry, feed_id, epoch, poll=True)
@@ -834,17 +834,16 @@ class _LaneExecutor(_Executor):
     until an epoch's plan first assigns it a lane; from then on the lane's
     copy is the live one — the main mirror stays as the feed left it, until
     the run-end state lands on it — and ``remaining`` mirrors its queue
-    depth: arrivals add to it, and each merged epoch takes off the operations
-    it executed.  Every plan is placed the one way :meth:`_place` describes;
-    what the run shows, never an option, decides only how epochs are ordered:
+    depth: each merged epoch takes off the operations it executed.  Every
+    plan is placed the one way :meth:`_place` describes; what the run
+    shows, never an option, decides only how epochs are ordered:
 
-    * a **static** run — no queued churn, no live source, a
-      :class:`RoundRobinPlanner`, so the plan never changes — is placed once
-      and ordered ahead of the merge (:meth:`_order_ahead`), each lane
-      streaming an epoch's frame as it packs it;
+    * a **static** run — no queued churn and a :class:`RoundRobinPlanner`,
+      so the plan never changes — is placed once and ordered ahead of the
+      merge (:meth:`_order_ahead`), each lane streaming an epoch's frame as
+      it packs it;
     * every other run is placed and ordered one lockstep epoch at a time —
-      the next plan depends on this epoch's settled gas, and an epoch's
-      arrivals cannot exist before the previous one settled.
+      the next plan depends on this epoch's settled gas.
 
     The engine counts lane traffic on every run — on the obs plane, or on a
     registry of the run's own — and ``FleetTelemetry.ipc`` is what the
@@ -865,12 +864,8 @@ class _LaneExecutor(_Executor):
         #: from it is still hosted by the main process: an initial feed before
         #: its first executed epoch, or an admission awaiting its first plan.
         self.feed_lane: Dict[str, int] = {}
-        #: Lane-hosted feeds' queue depths, as of the last merged epoch plus
-        #: arrivals since.
+        #: Lane-hosted feeds' queue depths, as of the last merged epoch.
         self.remaining: Dict[str, int] = {}
-        #: This boundary's arrivals for lane-hosted feeds; they ship with the
-        #: next epoch order.
-        self._arrivals: Dict[str, Sequence[Operation]] = {}
         metrics = self.obs.registry if self.obs.enabled else MetricsRegistry()
         self.engine = LaneEngine(
             self.num_workers, self.registry, metrics, obs_enabled=self.obs.enabled
@@ -882,14 +877,6 @@ class _LaneExecutor(_Executor):
         if feed_id in self.feed_lane:
             return self.remaining[feed_id]
         return len(self.registry.get(feed_id).queue)
-
-    def ingest(self, feed_id: str, operations: Sequence[Operation]) -> None:
-        if feed_id in self.feed_lane:
-            self.remaining[feed_id] += len(operations)
-            self._arrivals[feed_id] = operations
-        else:
-            # Still main-hosted: they go with the feed to its first lane.
-            self.registry.get(feed_id).queue.extend(operations)
 
     def retire(self, feed_id: str, epoch: int) -> FeedTelemetry:
         lane = self.feed_lane.pop(feed_id, None)
@@ -917,14 +904,7 @@ class _LaneExecutor(_Executor):
         if self._static:
             self._order_ahead(epoch, shard_plan)
         else:
-            assignments = self._place(shard_plan)
-            arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
-            for feed_id in sorted(self._arrivals):
-                arrivals_by_lane.setdefault(self.feed_lane[feed_id], []).append(
-                    (feed_id, self._arrivals[feed_id])
-                )
-            self._arrivals = {}
-            self.engine.submit(epoch, 1, self.epoch_size, assignments, arrivals_by_lane)
+            self.engine.submit(epoch, 1, self.epoch_size, self._place(shard_plan))
         settled = _settled(self.fleet, self._merge_lane_epoch(epoch))
         for feed_id, (executed, _) in settled.items():
             # The lane popped exactly ``executed`` operations off its queue.
@@ -971,9 +951,9 @@ class _LaneExecutor(_Executor):
         cap on the planner's estimates), so only a main-hosted feed, one the
         plan really regrouped, or one on a retiring lane moves.  A move from
         the main process into a lane spawned at this boundary is an
-        *adoption* where lanes fork: the lane forks with the feed as it
-        stands (its LSM opener closed first, for the lane to reopen).  Every
-        other move is an install — all of them as one migrate-out order per
+        *adoption*: the lane forks with the feed as it stands (its LSM
+        opener closed first, for the lane to reopen).  Every other move is
+        an install — all of them as one migrate-out order per
         source lane and one install order per destination lane, with the
         epoch order queued behind the installs without waiting for them.
         Lanes the plan no longer needs retire once drained.
@@ -987,7 +967,7 @@ class _LaneExecutor(_Executor):
         desired = max(1, min(self.num_workers, len(shard_plan)))
         shard_lanes = assign_lanes(shard_plan, desired, feed_lane, self._estimate)
         moves = plan_moves(shard_plan, shard_lanes, feed_lane, desired)
-        spawning = set(range(desired)) - set(engine.lanes) if engine.forks else set()
+        spawning = set(range(desired)) - set(engine.lanes)
         adopts: Dict[int, List[str]] = {}
         installs = []
         for move in moves:

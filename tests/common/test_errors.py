@@ -68,9 +68,7 @@ def lane_whose_migrate_out(monkeypatch, body) -> _Lane:
     """An empty lane whose worker's ``migrate_out`` order runs ``body`` —
     patched before the lane forks, so the lane's worker has it."""
     monkeypatch.setattr(_LaneWorker, "migrate_out", lambda worker, feed_ids: body())
-    registry = FeedRegistry()
-    config = LaneConfig(registry.schedule, registry.parameters, registry.router.address)
-    return _Lane(0, config)
+    return _Lane(0, LaneConfig(), FeedRegistry())
 
 
 def test_out_of_gas_in_a_lane_arrives_typed_and_the_lane_lives_on(monkeypatch):

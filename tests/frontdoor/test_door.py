@@ -2,13 +2,14 @@
 
 The load-bearing test is the equivalence suite: a seeded client driving the
 same request sequence through the asyncio door must leave fingerprints, gas
-bills and chain state bit-identical to the equivalent batch run — in serial
-and process execution modes.
+bills and chain state bit-identical to the equivalent batch run.  The door is
+served serially: a process-mode scheduler refuses it before any lane starts.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.frontdoor import (
     STATUS_REJECTED,
     STATUS_SETTLED,
 )
-from repro.gateway import EXECUTION_MODES, EpochScheduler, FeedRegistry, FeedSpec
+from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
 from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -87,16 +88,12 @@ def drive_live(scheduler, workloads, *, door=None):
 
 
 class TestLiveBatchEquivalence:
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_live_run_matches_batch_run_bit_for_bit(self, mode):
+    def test_live_run_matches_batch_run_bit_for_bit(self):
         registry, workloads = build_fleet()
         baseline = EpochScheduler(registry, epoch_size=EPOCH).run(workloads)
 
         registry2, workloads2 = build_fleet()
-        kwargs = {} if mode == "serial" else {"num_workers": 2}
-        scheduler = EpochScheduler(
-            registry2, epoch_size=EPOCH, execution_mode=mode, **kwargs
-        )
+        scheduler = EpochScheduler(registry2, epoch_size=EPOCH)
         door, responses = drive_live(scheduler, workloads2)
 
         assert door.fleet.fingerprint() == baseline.fingerprint()
@@ -108,17 +105,48 @@ class TestLiveBatchEquivalence:
             for feed in baseline.feeds.values()
         )
 
-    def test_door_telemetry_fingerprint_is_mode_invariant(self):
-        fingerprints = []
-        for mode in EXECUTION_MODES:
-            registry, workloads = build_fleet(n_feeds=2, n_ops=6)
-            kwargs = {} if mode == "serial" else {"num_workers": 2}
-            scheduler = EpochScheduler(
-                registry, epoch_size=EPOCH, execution_mode=mode, **kwargs
-            )
-            door, _ = drive_live(scheduler, workloads)
-            fingerprints.append(door.telemetry.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
+    def test_a_process_scheduler_refuses_the_door_before_any_lane_starts(self):
+        """A live source forces one lockstep epoch per lane order, where
+        lanes lose to serial, so a process-mode scheduler refuses it:
+        ``serving()`` raises the typed refusal, every request submitted
+        meanwhile resolves — with the refusal, or turned away at the closed
+        door — and no lane process is ever started."""
+        registry, workloads = build_fleet(n_feeds=2, n_ops=3)
+        scheduler = EpochScheduler(
+            registry, epoch_size=EPOCH, execution_mode="process", num_workers=2
+        )
+        door = FrontDoor(scheduler, held=True)
+        before = set(multiprocessing.active_children())
+        outcomes = []
+
+        async def main():
+            async with door.serving() as d:
+                tasks = [
+                    asyncio.create_task(
+                        d.submit(Request(tenant=feed_id, operation=operation))
+                    )
+                    for feed_id, operations in workloads.items()
+                    for operation in operations
+                ]
+                outcomes.extend(
+                    await asyncio.wait_for(
+                        asyncio.gather(*tasks, return_exceptions=True), 5
+                    )
+                )
+
+        with pytest.raises(ConfigurationError, match="lanes lose to serial") as raised:
+            asyncio.run(main())
+        assert len(outcomes) == 6
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                assert outcome is raised.value
+            else:
+                assert (outcome.status, outcome.reason) == (
+                    STATUS_REJECTED,
+                    REJECT_DOOR_CLOSED,
+                )
+        assert door._pending == [] and not any(door._inflight.values())
+        assert set(multiprocessing.active_children()) == before
 
     def test_pre_seeded_workloads_execute_ahead_of_live_requests(self):
         # A live run may pre-seed queues exactly like a batch run; seeded
@@ -283,16 +311,14 @@ class TestRequestLifecycle:
         assert stats.settled == 1 and stats.cancelled == 2
         assert door.fleet.feed("leaver").cancelled_ops == 2
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_scheduler_crash_fails_the_request_in_flight_and_closes_the_door(self, mode):
+    def test_scheduler_crash_fails_the_request_in_flight_and_closes_the_door(self):
         """The epoch loop raises behind ``serving()``: the request in flight
         gets the error itself (not a "run finished" cancellation), a request
         submitted afterwards is turned away at a closed door instead of
         waiting for ever on a queue nobody drains, and the ``async with``
         re-raises the same error on the way out."""
         registry, _ = build_fleet(n_feeds=2, n_ops=0)
-        kwargs = {} if mode == "serial" else {"num_workers": 2}
-        scheduler = EpochScheduler(registry, epoch_size=EPOCH, execution_mode=mode, **kwargs)
+        scheduler = EpochScheduler(registry, epoch_size=EPOCH)
         crash = RuntimeError("planner exploded")
 
         def plan(feed_ids, *, block_gas_limit):

@@ -30,7 +30,7 @@ from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardP
 from repro.gateway import feed_state
 from repro.gateway.executor import LaneEngine
 from repro.gateway.placement import FeedMove
-from repro.gateway.scheduler import RequestSource, _LaneExecutor
+from repro.gateway.scheduler import _LaneExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -155,8 +155,7 @@ def test_an_admission_on_a_lane_spawned_at_its_boundary_is_adopted():
     """One feed runs from epoch 0 on one lane.  A second, admitted at epoch
     2, gets a shard of its own, and a second lane spawns for it at that
     boundary — forked with the admitted feed as it stands, so nothing is
-    installed, and the run is serial-identical.  Where lanes do not fork,
-    both feeds are installed."""
+    installed, and the run is serial-identical."""
 
     def run(execution_mode):
         registry = FeedRegistry()
@@ -172,9 +171,8 @@ def test_an_admission_on_a_lane_spawned_at_its_boundary_is_adopted():
 
     serial_fleet, serial_registry = run("serial")
     process_fleet, process_registry = run("process")
-    forks = multiprocessing.get_start_method() == "fork"
     assert process_fleet.ipc["lane_spawns_total"] == 2
-    assert process_fleet.ipc["installs_total"] == (0 if forks else 2)
+    assert process_fleet.ipc["installs_total"] == 0
     assert process_fleet.fingerprint() == serial_fleet.fingerprint()
     assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
         serial_registry
@@ -213,38 +211,9 @@ def test_unpicklable_spec_is_a_configuration_error_naming_the_feed():
     assert set(multiprocessing.active_children()) <= before
 
 
-class ScriptedArrivals(RequestSource):
-    """Live arrivals on a fixed schedule, ``{epoch: {feed_id: operations}}``;
-    counts what the run reports as executed."""
-
-    def __init__(self, script):
-        self.script = {epoch: dict(arrivals) for epoch, arrivals in script.items()}
-        self.executed = 0
-
-    def poll(self, epoch, *, wait):
-        arrivals = {}
-        for due in sorted(at for at in self.script if at <= epoch):
-            for feed_id, operations in self.script.pop(due).items():
-                arrivals.setdefault(feed_id, []).extend(operations)
-        return arrivals
-
-    @property
-    def exhausted(self):
-        return not self.script
-
-    def next_epoch(self, after):
-        return min((at for at in self.script if at > after), default=None)
-
-    def settled(self, epoch, feed_id, *, executed, deferred, gas):
-        self.executed += executed
-
-    def run_finished(self, fleet, error=None):
-        pass
-
-
 def quota_fleet(execution_mode):
     """Three feeds, two of them held back by quotas (operations and gas),
-    regrouped between epochs, with live arrivals landing in their lanes."""
+    regrouped between epochs."""
     registry = FeedRegistry()
     quotas = {
         "ops": {"max_ops_per_epoch": 2},
@@ -255,8 +224,7 @@ def quota_fleet(execution_mode):
     for feed_id, quota in quotas.items():
         config = GrubConfig(epoch_size=4)
         registry.create_feed(FeedSpec(feed_id=feed_id, config=config, **quota))
-        reads[feed_id] = [Operation.read(f"{feed_id}-k{j % 3}") for j in range(6)]
-    script = {0: {"ops": reads["ops"][:2]}, 2: reads, 5: {"gas": reads["gas"][:3]}}
+        reads[feed_id] = [Operation.read(f"{feed_id}-k{j % 3}") for j in range(11)]
     scheduler = EpochScheduler(
         registry,
         num_workers=2 if execution_mode == "process" else 1,
@@ -265,17 +233,16 @@ def quota_fleet(execution_mode):
         enable_cache=False,
         planner=GasAwareShardPlanner(block_gas_fraction=0.01),
     )
-    workloads = {feed_id: operations[:5] for feed_id, operations in reads.items()}
-    return scheduler, workloads, script
+    return scheduler, reads
 
 
 def test_lane_depth_mirror_tracks_the_lane_queues(monkeypatch):
-    """A lane-hosted feed's depth is derived main-side — arrivals add, each
-    merged epoch takes off what it executed.  After every merge it equals
-    the hosting lane's queue, and the run ends only once every lane queue is
-    empty, serial-identical."""
-    scheduler, workloads, script = quota_fleet("serial")
-    serial_fleet = scheduler.run(workloads, source=ScriptedArrivals(script))
+    """A lane-hosted feed's depth is derived main-side — each merged epoch
+    takes off what it executed.  After every merge it equals the hosting
+    lane's queue, and the run ends only once every lane queue is empty,
+    serial-identical."""
+    scheduler, workloads = quota_fleet("serial")
+    serial_fleet = scheduler.run(workloads)
     genuine_run_epoch, genuine_finish = _LaneExecutor.run_epoch, _LaneExecutor.finish
     depths = []
 
@@ -297,16 +264,13 @@ def test_lane_depth_mirror_tracks_the_lane_queues(monkeypatch):
 
     monkeypatch.setattr(_LaneExecutor, "run_epoch", run_epoch)
     monkeypatch.setattr(_LaneExecutor, "finish", finish)
-    scheduler, workloads, script = quota_fleet("process")
-    source = ScriptedArrivals(script)
-    process_fleet = bounded(lambda: scheduler.run(workloads, source=source))
+    scheduler, workloads = quota_fleet("process")
+    process_fleet = bounded(lambda: scheduler.run(workloads))
     assert process_fleet.fingerprint() == serial_fleet.fingerprint()
     assert process_fleet.ipc["migrations_total"] >= 1
     assert max(depths) > 0 and process_fleet.deferred_ops > 0
-    arrived = sum(len(ops) for arrivals in script.values() for ops in arrivals.values())
-    total = sum(map(len, workloads.values())) + arrived
     executed = sum(feed.operations for feed in process_fleet.feeds.values())
-    assert source.executed == total == executed
+    assert executed == sum(map(len, workloads.values()))
     assert process_fleet.cancelled_ops == 0
 
 
@@ -384,9 +348,8 @@ def test_a_static_lsm_fleet_is_adopted_and_runs_again(tmp_path):
     process_fleets, process_registry = bounded(
         lambda: two_runs("process", 2, tmp_path / "process")
     )
-    forks = multiprocessing.get_start_method() == "fork"
     installs = [fleet.ipc["installs_total"] for fleet in process_fleets]
-    assert installs == ([0, 0] if forks else [6, 6])
+    assert installs == [0, 0]
     assert [fleet.fingerprint() for fleet in process_fleets] == [
         fleet.fingerprint() for fleet in serial_fleets
     ]

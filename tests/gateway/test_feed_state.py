@@ -7,7 +7,6 @@ that mirror.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 from collections import deque
 from dataclasses import replace
@@ -171,12 +170,10 @@ def serial_roots(admit=None) -> dict:
 
 def test_an_adopted_feed_ships_only_what_its_store_diverged_by(monkeypatch):
     """Both feeds are placed at epoch 0, each on a lane spawned for it there,
-    which adopts it as it forks.  Where lanes do not fork, both are
-    installed from the main mirror instead — and a copy installed from the
-    main mirror folds back as a delta against it just the same."""
+    which adopts it as it forks, and folds back as a delta against the main
+    mirror."""
     states, registry, fleet = run_recording_run_end_states(monkeypatch)
-    forks = multiprocessing.get_start_method() == "fork"
-    assert fleet.ipc["installs_total"] == (0 if forks else 2)
+    assert fleet.ipc["installs_total"] == 0
     idle, busy = states["idle"], states["busy"]
     assert (idle.base, busy.base) == (MAIN_VERSION, MAIN_VERSION)
     assert (idle.store.from_empty, busy.store.from_empty) == (False, False)
@@ -192,8 +189,7 @@ def test_a_feed_installed_into_a_running_lane_folds_back_as_a_delta(monkeypatch)
     main mirror (the preload it was admitted with), so its run-end state is
     only what the run changed, cut against that mirror."""
     states, registry, fleet = run_recording_run_end_states(monkeypatch, admit="late")
-    forks = multiprocessing.get_start_method() == "fork"
-    assert fleet.ipc["installs_total"] == (1 if forks else 3)
+    assert fleet.ipc["installs_total"] == 1
     late = states["late"]
     assert late.base == MAIN_VERSION and not late.store.from_empty
     store = registry.get("late").system.sp_store

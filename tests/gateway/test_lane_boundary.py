@@ -1,8 +1,8 @@
 """The lane boundary's one format: what a lane packs, the main process opens
 to *equal* values; what does not open to that is refused whole.
 
-Lane epochs and live arrivals cross packed like a feed's state does
-(``feed_state.pack`` → ``open_lane_epoch`` / the lane's ``ingest``).  The
+Lane epochs cross packed like a feed's state does (``feed_state.pack`` →
+``open_lane_epoch``).  The
 round trips drive the engine's own objects, generated to look like real
 engine traffic — randomized ``ShardOutcome`` values: drive buffers, ledger deltas
 (including empty and zero-omitting ones), settlement receipts, settled
@@ -27,7 +27,7 @@ from repro.chain.events import LogEvent
 from repro.chain.gas import GasLedger
 from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import WireError
-from repro.common.types import KVRecord, Operation, OperationKind
+from repro.common.types import KVRecord
 from repro.core.config import GrubConfig
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, executor, feed_state
 from repro.gateway.executor import (
@@ -39,7 +39,6 @@ from repro.gateway.executor import (
     run_epoch_phases,
 )
 from repro.gateway.placement import FeedMove
-from repro.gateway.registry import MAIN_VERSION, FeedVersion
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
@@ -314,53 +313,6 @@ class TestLaneSettlement:
         assert chain.ledger.by_category["zero-probe"] == 0
 
 
-def lane_hosting(*feed_ids: str):
-    """What ``_LaneWorker.ingest`` touches of a lane: its registry, for the
-    queues on its feeds' handles and the version each arrived as (which
-    counts what is appended)."""
-    registry = FeedRegistry()
-    for feed_id in feed_ids:
-        handle = registry.create_feed(FeedSpec(feed_id=feed_id))
-        handle.arrival = FeedVersion(MAIN_VERSION, handle.system.sp_store.baseline(), 0)
-    return SimpleNamespace(registry=registry)
-
-
-def random_operations(rng: random.Random, count: int) -> list:
-    return [
-        Operation(
-            kind=rng.choice(list(OperationKind)),
-            key=f"ässet-{rng.randrange(50):04d}",
-            value=None if rng.random() < 0.5 else bytes(rng.randrange(0, 600)),
-            size_bytes=rng.randrange(0, 5_000),
-            scan_length=rng.randrange(1, 5),
-            sequence=rng.randrange(10_000),
-        )
-        for _ in range(count)
-    ]
-
-
-class TestLaneArrivalsRoundTrip:
-    def test_arrivals_round_trip(self):
-        """The one place operations cross main → lane outside a feed state:
-        packed as ``LaneEngine.submit`` packs them, they join the tail of the
-        hosting lane's queues equal and in order."""
-        operations = random_operations(random.Random(11), 30)
-        arrivals = [("feed-00", operations[:15]), ("fèed-ünïcode", operations[15:])]
-        lane = lane_hosting("feed-00", "fèed-ünïcode", "feed-02")
-        _LaneWorker.ingest(lane, feed_state.pack(arrivals))
-        assert {
-            handle.feed_id: list(handle.queue) for handle in lane.registry.handles
-        } == {**dict(arrivals), "feed-02": []}
-
-    def test_unhosted_arrivals_ingest_nothing(self):
-        operations = random_operations(random.Random(12), 4)
-        lane = lane_hosting("feed-00")
-        frame = feed_state.pack([("feed-00", operations), ("feed-01", operations)])
-        with pytest.raises(WireError, match="names feed 'feed-01'"):
-            _LaneWorker.ingest(lane, frame)
-        assert not lane.registry.get("feed-00").queue
-
-
 # -- hostile frames, in real lanes ---------------------------------------------
 
 
@@ -498,8 +450,8 @@ class TestHostileLaneFrames:
 
 
 class TestHostileOrders:
-    """An epoch's assignment and arrivals cross main → lane inside its order,
-    so what the lane makes of them comes back as that order's reply."""
+    """An epoch's assignment crosses main → lane inside its order, so what
+    the lane makes of it comes back as that order's reply."""
 
     @pytest.fixture
     def lane_hosting_alpha(self):
@@ -521,28 +473,6 @@ class TestHostileOrders:
         engine.submit(0, 1, 4, {0: [(0, ["alpha", "beta"])]})
         with pytest.raises(WireError, match="assignment names feed 'beta', which this"):
             engine.results(0)
-
-    def test_arrivals_naming_an_unhosted_feed(self, lane_hosting_alpha):
-        engine = lane_hosting_alpha
-        engine.submit(
-            0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("beta", [Operation.read("k")])]}
-        )
-        with pytest.raises(WireError, match="names feed 'beta', which this lane"):
-            engine.results(0)
-
-    def test_arrivals_that_do_not_open(self, lane_hosting_alpha):
-        engine = lane_hosting_alpha
-        frame = feed_state.pack([("alpha", [Operation.read("k")])])
-        [reply] = engine._lanes[0].send(
-            "epochs", 0, 0, 1, 4, [(0, ["alpha"])], frame[: len(frame) // 2]
-        )
-        with pytest.raises(WireError, match="arrivals frame cannot be opened"):
-            reply.result(timeout=TIMEOUT_SECONDS)
-        # The lane took nothing from the bad order and serves the next one.
-        engine.submit(0, 1, 4, {0: [(0, ["alpha"])]}, {0: [("alpha", [Operation.read("k")])]})
-        [outcome] = engine.results(0)
-        executed, gas = outcome.settled["alpha"]
-        assert executed == 1 and gas > 0
 
 
 class TestRecordedBlocks:

@@ -1,14 +1,14 @@
 """A feed that moves between lanes ships only what changed since the copy its
 destination already holds (``repro.gateway.feed_state``, versions and held
 copies): a ping-pong crosses as deltas that carry the changed records, the
-tree nodes above them and the queue's two ends, and lands the source's state
-exactly; a destination holding no copy gets the feed whole; a delta offered
-to another version is refused typed; and an evicted feed leaves no copy on
-any lane.
+tree nodes above them and how many operations left the queue's head, and
+lands the source's state exactly; a destination holding no copy gets the
+feed whole; a delta offered to another version is refused typed; and an
+evicted feed leaves no copy on any lane.
 
 The first tests run lane workers in this interpreter, over deep copies of a
 registry as a fork would hand them over; the rest drive real lane processes
-through the engine, under both start methods.
+through the engine.
 """
 
 from __future__ import annotations
@@ -99,22 +99,13 @@ class _NoCollector:
         pass
 
 
-def config_of(registry: FeedRegistry, *adopts: str) -> LaneConfig:
-    return LaneConfig(
-        schedule=registry.schedule,
-        parameters=registry.parameters,
-        router_address=registry.router.address,
-        adopts=adopts,
-    )
-
-
 @pytest.fixture
 def fork(monkeypatch):
     """``fork(registry, *adopts)``: a lane worker over a deep copy of
     ``registry`` — what a forked lane inherits — adopting ``adopts``."""
     monkeypatch.setattr(executor, "CollectorOwner", _NoCollector)
     return lambda registry, *adopts: _LaneWorker(
-        config_of(registry, *adopts), copy.deepcopy(registry)
+        LaneConfig(adopts=adopts), copy.deepcopy(registry)
     )
 
 
@@ -168,14 +159,11 @@ def test_a_ping_pong_ships_deltas_and_lands_the_source_state(fork):
     lane_a, lane_b = fork(main, "alpha"), fork(main)
     assert lane_b._held["alpha"][0] == MAIN_VERSION
     run(lane_a, 0, 2)
-    arrivals = workload_of("alpha", operations=5, seed=11)
-    lane_a.ingest(feed_state.pack([("alpha", arrivals)]))
 
     state, view = move(lane_a, lane_b, MAIN_VERSION, 1)
     assert (state.base, state.version) == (MAIN_VERSION, 1)
-    # The queue crossed as its two ends: 16 driven off the head, and the
-    # arrivals appended since.
-    assert (state.consumed, state.queue) == (2 * EPOCH_SIZE, arrivals)
+    # The queue crossed as what left its head: the 16 operations driven.
+    assert (state.consumed, state.queue) == (2 * EPOCH_SIZE, [])
     touched = {operation.key for operation in workload[: 2 * EPOCH_SIZE]}
     main_store = main.get("alpha").system.sp_store
     assert_only_what_changed(state, main_store, view["records"], touched)
@@ -186,7 +174,7 @@ def test_a_ping_pong_ships_deltas_and_lands_the_source_state(fork):
     state, view = move(lane_b, lane_a, 1, 2)
     assert (state.base, state.version, state.consumed) == (1, 2, 2 * EPOCH_SIZE)
     assert state.queue == []
-    touched = {operation.key for operation in (workload + arrivals)[2 * EPOCH_SIZE :]}
+    touched = {operation.key for operation in workload[2 * EPOCH_SIZE :]}
     assert_only_what_changed(state, held, view["records"], touched)
 
     run(lane_a, 4, 1)
@@ -208,7 +196,7 @@ def test_a_delta_offered_to_another_version_is_a_wire_error(fork):
     with pytest.raises(WireError, match="version 1, but this lane holds version 0"):
         lane_c.install([(spec, blob)])
     assert "alpha" not in lane_c.registry and lane_c._held["alpha"][0] == MAIN_VERSION
-    bare = _LaneWorker(config_of(main), None)
+    bare = fork(FeedRegistry())
     with pytest.raises(WireError, match="version 1, but this lane holds no copy"):
         bare.install([(spec, blob)])
     assert "alpha" not in bare.registry
@@ -228,16 +216,6 @@ def test_eviction_drops_every_held_copy(fork):
 
 
 # -- real lanes, through the engine ------------------------------------------
-
-
-@pytest.fixture(params=["fork", "forkserver"])
-def start_method(request):
-    """Lanes started by ``fork`` (feeds adopted, fork copies held) and by a
-    forkserver (every feed installed, no fork copies)."""
-    before = multiprocessing.get_start_method()
-    multiprocessing.set_start_method(request.param, force=True)
-    yield request.param
-    multiprocessing.set_start_method(before, force=True)
 
 
 def run_inline(registry: FeedRegistry, epochs: int) -> FeedRegistry:
@@ -268,8 +246,8 @@ def ping_pong(registry: FeedRegistry, moves: int, *, admitted: bool = False):
     else:
         # As placement does before any lane forks: no fork copy holds an opener.
         feed_state.close_store(registry.get("alpha"))
-        engine.ensure_lanes(2, {0: ["alpha"]} if engine.forks else {})
-    if admitted or not engine.forks:
+        engine.ensure_lanes(2, {0: ["alpha"]})
+    if admitted:
         engine.transfer(
             [FeedMove("alpha", None, 0, None)],
             lambda feed_id: feed_state.detach(registry.get(feed_id)),
@@ -305,13 +283,10 @@ def fold_back(engine: LaneEngine, registry: FeedRegistry) -> list:
     return [state.base for state in states]
 
 
-def test_ping_pong_through_real_lanes_is_serial_identical(start_method):
-    """Under ``fork`` lane 1 holds the fork copy, so every move is a delta
-    and the copy the feed ends on descends from the main mirror: its run-end
-    state is a delta against it.  Under a forkserver lane 1 holds nothing
-    until the feed first leaves it, so the first move ships whole, the rest
-    are deltas, and the copy that arrived whole folds back whole.  Either
-    way the main mirror lands where an inline run leaves it."""
+def test_ping_pong_through_real_lanes_is_serial_identical():
+    """Lane 1 holds the fork copy, so every move is a delta and the copy the
+    feed ends on descends from the main mirror: its run-end state is a delta
+    against it, and the main mirror lands where an inline run leaves it."""
     registry = registry_of(spec_of("alpha"))
     before = set(multiprocessing.active_children())
 
@@ -325,10 +300,9 @@ def test_ping_pong_through_real_lanes_is_serial_identical(start_method):
         return ipc, bases, epochs
 
     ipc, bases, epochs = bounded(body)
-    forks = start_method == "fork"
-    assert bases == [MAIN_VERSION if forks else None]
+    assert bases == [MAIN_VERSION]
     assert ipc["migrations_total"] == 3
-    assert ipc["migration_deltas_total"] == (3 if forks else 2)
+    assert ipc["migration_deltas_total"] == 3
     whole = len(feed_state.pack(feed_state.capture(registry.get("alpha"))))
     assert ipc["migration_delta_bytes_total"] * 2 < ipc["migration_deltas_total"] * whole
     inline = run_inline(registry_of(spec_of("alpha")), epochs)
@@ -353,7 +327,7 @@ def test_a_feed_admitted_after_the_lanes_forked_first_moves_whole():
     assert ipc["migration_deltas_total"] == 1
 
 
-def test_an_lsm_ping_pong_keeps_a_single_opener(tmp_path, start_method):
+def test_an_lsm_ping_pong_keeps_a_single_opener(tmp_path):
     """Every re-hosted copy of an LSM-backed feed reopens the directory the
     last host closed: a second opener would raise in its lane, so a clean
     run proves each move handed the directory over, and the store folds back
@@ -383,7 +357,7 @@ def test_an_lsm_ping_pong_keeps_a_single_opener(tmp_path, start_method):
     assert list(store.backing.items()) == list(reference.backing.items())
 
 
-def test_an_evicted_feed_is_dropped_by_every_lane_holding_it(monkeypatch, start_method):
+def test_an_evicted_feed_is_dropped_by_every_lane_holding_it(monkeypatch):
     """After a ping-pong lane 0 hosts the feed and lane 1 holds the copy it
     left; evicting the feed orders lane 1 to drop that copy, and the engine
     then knows of no copy anywhere."""
@@ -425,13 +399,12 @@ def test_no_fork_copy_holds_an_lsm_opener(tmp_path, monkeypatch):
     open_at_spawn = []
     genuine = _Lane.__init__
 
-    def spawn(lane, index, config, registry=None, epoch=0):
-        if registry is not None:
-            open_at_spawn.extend(
-                handle.feed_id
-                for handle in registry.handles
-                if not handle.system.sp_store.backing.closed
-            )
+    def spawn(lane, index, config, registry, epoch=0):
+        open_at_spawn.extend(
+            handle.feed_id
+            for handle in registry.handles
+            if not handle.system.sp_store.backing.closed
+        )
         genuine(lane, index, config, registry, epoch)
 
     monkeypatch.setattr(_Lane, "__init__", spawn)

@@ -21,7 +21,13 @@ from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
 from repro.core.config import GrubConfig
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
+from repro.gateway import (
+    EpochScheduler,
+    FeedRegistry,
+    FeedSpec,
+    GasAwareShardPlanner,
+    executor,
+)
 from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -222,10 +228,8 @@ class TestExecutionModeEquivalence:
         )
         assert (serial_fleet.deferred_ops > 0) == (quota is not None)
         # A static fleet is adopted by the lanes that fork for it: no feed
-        # travels as a snapshot frame.  Where lanes do not fork, every feed is
-        # installed.
-        forks = multiprocessing.get_start_method() == "fork"
-        assert process_fleet.ipc["installs_total"] == (0 if forks else len(serial_fleet.feeds))
+        # travels as a snapshot frame.
+        assert process_fleet.ipc["installs_total"] == 0
         assert process_fleet.ipc["epochs"] == serial_fleet.epochs_run
 
         assert process_fleet.fingerprint() == serial_fleet.fingerprint()
@@ -388,18 +392,17 @@ class TestWireCodecEquivalence:
             quiet_registry
         )
 
-    def test_spawn_platform_installs_snapshots(self, monkeypatch):
-        """Off a ``fork`` start method nothing can be inherited, so the same
-        static fleet reaches its lanes as packed feed states (fork is the
-        Linux default, so without the override that path never runs here)."""
-        serial_fleet, serial_registry = run_fleet(1, execution_mode="serial")
-        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
-        process_fleet, process_registry = run_fleet(2, execution_mode="process")
-        assert process_fleet.ipc["installs_total"] == len(serial_fleet.feeds)
-        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
-        assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
-            serial_registry
-        )
+    def test_a_platform_without_fork_is_refused_at_construction(self, monkeypatch):
+        """Lanes only ever fork: where the platform cannot, a process-mode
+        scheduler is a typed refusal as it is built, before any lane starts
+        (a serial one is unaffected)."""
+        monkeypatch.setattr(executor, "_FORK", None, raising=False)
+        registry = FeedRegistry()
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="cannot fork"):
+            EpochScheduler(registry, num_workers=2, execution_mode="process")
+        assert set(multiprocessing.active_children()) == before
+        EpochScheduler(registry)
 
     def test_ipc_meter_reports_traffic_and_stays_out_of_fingerprint(self):
         process_fleet, _ = run_fleet(2, execution_mode="process")

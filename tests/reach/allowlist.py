@@ -224,8 +224,6 @@ ALLOWED = {
     "frontdoor/middleware.py::Middleware.__call__":
         "test reference: tests/frontdoor/test_middleware.py",
     # gateway/executor.py
-    "gateway/executor.py::_LaneWorker.ingest":
-        "test reference: tests/gateway/test_elastic_transfer.py",
     "gateway/executor.py::_crossing":
         "test reference: tests/gateway/test_elastic_transfer.py",
     # gateway/metrics.py
@@ -251,11 +249,8 @@ ALLOWED = {
     "gateway/scheduler.py::EpochScheduler._next_churn_epoch":
         "test reference: tests/gateway/test_fleet_controller.py",
     "gateway/scheduler.py::_Executor.depth": SEAM,
-    "gateway/scheduler.py::_Executor.ingest": SEAM,
     "gateway/scheduler.py::_Executor.retire": SEAM,
     "gateway/scheduler.py::_Executor.run_epoch": SEAM,
-    "gateway/scheduler.py::_LaneExecutor.ingest":
-        "test reference: tests/gateway/test_elastic_transfer.py, tests/frontdoor/test_door.py",
     # obs/__init__.py
     "obs/__init__.py::Observability.gauge": "test reference: tests/obs/test_export.py",
     "obs/__init__.py::Observability.snapshot":

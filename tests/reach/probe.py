@@ -3,7 +3,7 @@
 Runs what the project runs — the five benchmark workloads (one traced second
 each), the paper's figures at quick scale and every example — with the
 recorder in ``hook/`` on every Python process they start (main, threads,
-forked and forkserver lanes), then compares the functions they entered with
+forked lanes), then compares the functions they entered with
 every ``def`` under ``src/repro``.  A function none of them reaches must be
 listed in ``allowlist.py`` with its caller or its reason; one that is not
 fails the probe.  A listed function that is reached now is reported, not
