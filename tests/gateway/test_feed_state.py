@@ -7,6 +7,7 @@ that mirror.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from collections import deque
 from dataclasses import replace
@@ -23,7 +24,7 @@ from repro.gateway import (
     feed_state,
 )
 from repro.gateway.feed_state import ActorState
-from repro.gateway.registry import MAIN_VERSION
+from repro.gateway.registry import MAIN_VERSION, FeedVersion
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -131,6 +132,44 @@ def test_a_state_for_another_feed_is_a_wire_error_and_touches_nothing():
     with pytest.raises(WireError, match="is for feed 'beta'.*hosts 'alpha'"):
         feed_state.apply(source.get("alpha"), feed_state.unpack(beta))
     assert feed_view(source, "alpha") == before
+
+
+def test_a_delta_ships_the_queue_as_what_left_its_head():
+    """Cut against a version that kept its queue's length, the queue crosses
+    as how many operations left its head and nothing else (a lane's queues
+    never grow), and the holder of that version drops as many off its own
+    copy's head."""
+    source = hosted("alpha")
+    handle = source.get("alpha")
+    store = handle.system.sp_store
+    since = FeedVersion(MAIN_VERSION, store.baseline(), len(handle.queue))
+    destination = copy.deepcopy(source)
+    handle.queue.popleft()
+    handle.queue.popleft()
+    state = feed_state.unpack(feed_state.pack(feed_state.capture(handle, 1, since)))
+    assert (state.base, state.version, state.consumed, state.queue) == (
+        MAIN_VERSION,
+        1,
+        2,
+        [],
+    )
+    feed_state.apply(destination.get("alpha"), state)
+    assert feed_view(destination, "alpha") == feed_view(source, "alpha")
+
+
+def test_a_version_that_kept_no_queue_length_gets_the_queue_whole():
+    """The main mirror's version keeps no queue length (a run-end state is
+    cut against it), so the queue ships whole and replaces the holder's."""
+    source = hosted("alpha")
+    handle = source.get("alpha")
+    since = FeedVersion(MAIN_VERSION, handle.system.sp_store.baseline())
+    destination = copy.deepcopy(source)
+    destination.get("alpha").queue.clear()
+    handle.queue.popleft()
+    state = feed_state.capture(handle, 1, since)
+    assert state.consumed is None and state.queue == list(handle.queue)
+    feed_state.apply(destination.get("alpha"), state)
+    assert list(destination.get("alpha").queue) == list(handle.queue) != []
 
 
 def fleet_run(registry: FeedRegistry, admit, **process) -> object:

@@ -357,6 +357,35 @@ def test_an_lsm_ping_pong_keeps_a_single_opener(tmp_path):
     assert list(store.backing.items()) == list(reference.backing.items())
 
 
+def test_every_lane_holds_the_feeds_it_did_not_adopt_at_the_main_version():
+    """Every lane forks with the main registry, so the engine records each
+    feed a lane did not adopt as held there at the main mirror's version —
+    lanes spawned together and a lane spawned later alike."""
+    registry = registry_of(spec_of("alpha"), spec_of("beta"), spec_of("gamma"))
+    before = set(multiprocessing.active_children())
+
+    def body():
+        engine = LaneEngine(3, registry, MetricsRegistry())
+        try:
+            assert engine.ensure_lanes(2, {0: ["alpha"], 1: ["beta"]}) == [0, 1]
+            assert engine._copies == {
+                "alpha": {1: MAIN_VERSION},
+                "beta": {0: MAIN_VERSION},
+                "gamma": {0: MAIN_VERSION, 1: MAIN_VERSION},
+            }
+            assert engine.ensure_lanes(3, {}) == [2]
+            return copy.deepcopy(engine._copies)
+        finally:
+            engine.shutdown()
+
+    assert bounded(body) == {
+        "alpha": {1: MAIN_VERSION, 2: MAIN_VERSION},
+        "beta": {0: MAIN_VERSION, 2: MAIN_VERSION},
+        "gamma": {0: MAIN_VERSION, 1: MAIN_VERSION, 2: MAIN_VERSION},
+    }
+    assert set(multiprocessing.active_children()) <= before
+
+
 def test_an_evicted_feed_is_dropped_by_every_lane_holding_it(monkeypatch):
     """After a ping-pong lane 0 hosts the feed and lane 1 holds the copy it
     left; evicting the feed orders lane 1 to drop that copy, and the engine

@@ -13,11 +13,12 @@ worker processes and whose results are spliced back in shard order.
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
 from repro.chain.chain import ChainParameters
-from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
+from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED, GasSchedule
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
 from repro.core.config import GrubConfig
@@ -28,6 +29,7 @@ from repro.gateway import (
     GasAwareShardPlanner,
     executor,
 )
+from repro.gateway.scheduler import RequestSource
 from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -140,6 +142,35 @@ def chain_state_fingerprint(registry: FeedRegistry) -> dict:
             for handle in registry.handles
         },
     }
+
+
+class ScriptedSource(RequestSource):
+    """A live source whose arrivals are ``workloads``, all due at the first
+    boundary; counts its polls and the operations the run settles."""
+
+    def __init__(self, workloads):
+        self.pending = {feed_id: list(ops) for feed_id, ops in workloads.items()}
+        self.polls = 0
+        self.executed = 0
+        self.finished = False
+
+    def poll(self, epoch, *, wait):
+        self.polls += 1
+        arrivals, self.pending = self.pending, {}
+        return arrivals
+
+    @property
+    def exhausted(self):
+        return not self.pending
+
+    def next_epoch(self, after):
+        return None
+
+    def settled(self, epoch, feed_id, *, executed, deferred, gas):
+        self.executed += executed
+
+    def run_finished(self, fleet, error=None):
+        self.finished = True
 
 
 def run_fleet(
@@ -404,6 +435,69 @@ class TestWireCodecEquivalence:
         assert set(multiprocessing.active_children()) == before
         EpochScheduler(registry)
 
+    def test_serial_mode_serves_a_live_source_where_the_platform_cannot_fork(
+        self, monkeypatch
+    ):
+        """The fork refusal is the process backend's alone: without fork a
+        serial scheduler still serves a live source, bit-identical to the
+        batch run of the same operations."""
+        batch_fleet, batch_registry = run_fleet(1)
+        monkeypatch.setattr(executor, "_FORK", None, raising=False)
+        registry, workloads = build_mixed_fleet()
+        source = ScriptedSource(workloads)
+        fleet = EpochScheduler(registry, num_shards=4).run(source=source)
+        assert source.finished and source.executed == sum(map(len, workloads.values()))
+        assert fleet.fingerprint() == batch_fleet.fingerprint()
+        assert chain_state_fingerprint(registry) == chain_state_fingerprint(
+            batch_registry
+        )
+
+    @pytest.fixture(params=["forkserver", "spawn"])
+    def default_start_method(self, request):
+        """The interpreter-wide start method set to something other than
+        ``fork`` for the test, and left unset again after it."""
+        multiprocessing.set_start_method(request.param, force=True)
+        yield request.param
+        multiprocessing.set_start_method(None, force=True)
+
+    def test_lanes_fork_whatever_the_default_start_method(self, default_start_method):
+        """Lanes take the fork context, not the interpreter's default: a
+        static fleet is still adopted by the lanes that fork for it (no feed
+        installed) and the run is serial-identical."""
+        serial_fleet, serial_registry = run_fleet(1)
+        process_fleet, process_registry = run_fleet(2)
+        assert process_fleet.ipc["installs_total"] == 0
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
+            serial_registry
+        )
+
+    def test_lanes_inherit_the_main_chain_schedule(self):
+        """A lane carries no chain configuration of its own: it charges gas
+        on the main registry's schedule, inherited as it forks, so a fleet
+        priced off the default schedule bills the same in either mode."""
+        schedule = GasSchedule(storage_update_per_word=7_000, hash_per_word=9)
+
+        def run(execution_mode, num_workers):
+            default_registry, workloads = build_mixed_fleet()
+            registry = FeedRegistry(schedule=schedule)
+            for handle in default_registry.handles:
+                config = replace(handle.spec.config, gas_schedule=schedule)
+                registry.create_feed(replace(handle.spec, config=config))
+            scheduler = EpochScheduler(
+                registry, num_workers=num_workers, execution_mode=execution_mode
+            )
+            return scheduler.run(workloads), registry
+
+        serial_fleet, serial_registry = run("serial", 1)
+        process_fleet, process_registry = run("process", 2)
+        default_fleet, _ = run_fleet(1)
+        assert serial_fleet.gas_feed != default_fleet.gas_feed
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
+            serial_registry
+        )
+
     def test_ipc_meter_reports_traffic_and_stays_out_of_fingerprint(self):
         process_fleet, _ = run_fleet(2, execution_mode="process")
         summary = process_fleet.ipc
@@ -435,6 +529,50 @@ class TestProcessModeConstraints:
         for mode in ("fiber", "thread"):
             with pytest.raises(ConfigurationError, match="'serial', 'process'"):
                 EpochScheduler(registry, execution_mode=mode)
+
+    def test_a_live_source_is_refused_before_any_lane_starts(self):
+        """A live source forces one lockstep epoch per lane order, where
+        lanes lose to serial: a process-mode run refuses it typed before a
+        lane forks, the source is never polled, and nothing ran."""
+        registry, workloads = build_mixed_fleet()
+        scheduler = EpochScheduler(registry, num_workers=2, execution_mode="process")
+        source = ScriptedSource(workloads)
+        height = registry.chain.height
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="lockstep epoch per lane order"):
+            scheduler.run(source=source)
+        assert set(multiprocessing.active_children()) == before
+        assert (source.polls, source.executed, source.finished) == (0, 0, False)
+        assert registry.chain.height == height
+        assert not any(handle.queue for handle in registry.handles)
+
+    def test_a_refused_live_run_leaves_the_scheduler_ready_for_a_batch_run(self):
+        serial_fleet, serial_registry = run_fleet(1)
+        registry, workloads = build_mixed_fleet()
+        scheduler = EpochScheduler(
+            registry, num_shards=4, num_workers=2, execution_mode="process"
+        )
+        with pytest.raises(ConfigurationError):
+            scheduler.run(workloads, source=ScriptedSource({}))
+        process_fleet = scheduler.run(workloads)
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert chain_state_fingerprint(registry) == chain_state_fingerprint(
+            serial_registry
+        )
+
+    def test_a_refused_source_is_whole_for_a_serial_scheduler(self):
+        """The refusal takes nothing from the source: a serial scheduler
+        over the same registry then serves every operation it holds."""
+        registry, workloads = build_mixed_fleet()
+        source = ScriptedSource(workloads)
+        with pytest.raises(ConfigurationError):
+            EpochScheduler(registry, num_workers=2, execution_mode="process").run(
+                source=source
+            )
+        fleet = EpochScheduler(registry, num_shards=4).run(source=source)
+        total = sum(map(len, workloads.values()))
+        assert source.finished and source.executed == total
+        assert sum(feed.operations for feed in fleet.feeds.values()) == total
 
     def _run_with_churn(self, execution_mode, num_workers):
         registry, workloads = build_mixed_fleet()
