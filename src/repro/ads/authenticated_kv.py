@@ -1,10 +1,12 @@
 """The GRuB authenticated KV store maintained by the storage provider.
 
-The storage provider keeps the primary copy of every record in its KV store,
-under a key prefixed with the record's replication state, and maintains a
-Merkle tree over the records.  The data owner is trusted and produces every
-update: it lays out its own mirror the same way, so the root it computes there
-is the one it signs and publishes.
+The storage provider keeps every record, authenticated with its replication
+state, and maintains a Merkle tree over the records.  A durable deployment
+also writes each record to an off-chain KV store (the store's ``backing``,
+an LSM tree), under a key prefixed with the record's replication state.  The
+data owner is trusted and produces every update: it lays out its own mirror
+the same way, so the root it computes there is the one it signs and
+publishes.
 
 Two flows run here:
 
@@ -40,7 +42,7 @@ from repro.ads.merkle import MerkleProof, MerkleTree, MultiProof, changed_nodes
 from repro.common.errors import StorageError
 from repro.common.hashing import hash_record
 from repro.common.types import KVRecord, ReplicationState
-from repro.storage.kvstore import InMemoryKVStore, KVStore
+from repro.storage.kvstore import KVStore
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,17 @@ class StoreDelta:
 
 @dataclass
 class AuthenticatedKVStore:
-    """The SP-side store: primary KV copy plus the Merkle tree over it.
+    """The SP-side store: the records plus the Merkle tree over them.
 
     The DO holds the same object as its trusted local mirror
     (:class:`~repro.core.grub.GrubSystem` hands one store to both): every
     update flows through the DO, so there is no second copy to check against.
+    A store with a ``backing`` (an LSM feed's) also writes every record to it
+    under its prefixed key, in the store's own write batches; one without (a
+    memory feed) holds each record once, in ``_records``.
     """
 
-    backing: KVStore = field(default_factory=InMemoryKVStore)
+    backing: Optional[KVStore] = None
     _records: Dict[str, KVRecord] = field(default_factory=dict)
     _slot_of: Dict[str, int] = field(default_factory=dict)
     _sorted_keys: List[str] = field(default_factory=list)
@@ -128,8 +133,10 @@ class AuthenticatedKVStore:
     # -- bulk loading -------------------------------------------------------
 
     def load(self, records: Sequence[KVRecord]) -> bytes:
-        """Replace the store's contents, backing included, with ``records``
-        (slot ``i`` holds ``records[i]``) and return the new root."""
+        """Replace the store's contents with ``records`` (slot ``i`` holds
+        ``records[i]``) and return the new root.  A backing, when the store
+        has one, gets the old records' deletes and the new records as one
+        batch."""
         writes = [(record.prefixed_key, None) for record in self._records.values()]
         leaves = []
         for record in records:
@@ -143,7 +150,7 @@ class AuthenticatedKVStore:
             for record in records
             if record.state is ReplicationState.REPLICATED
         }
-        self.backing.write_batch(writes)
+        self._write_backing(writes)
         self._tree = MerkleTree(leaves)
         return self.root
 
@@ -187,20 +194,9 @@ class AuthenticatedKVStore:
         value: bytes,
         state: Optional[ReplicationState] = None,
     ) -> bytes:
-        """Insert or update ``key`` (optionally moving it to ``state``) and return the new root."""
-        existing = self._records.get(key)
-        if existing is None:
-            new_state = state or ReplicationState.NOT_REPLICATED
-            record = KVRecord(key=key, value=value, state=new_state, version=0)
-            self.backing.put(record.prefixed_key, record.value)
-            self._insert_record(record)
-        else:
-            new_state = state or existing.state
-            record = KVRecord(
-                key=key, value=value, state=new_state, version=existing.version + 1
-            )
-            self._replace_record(existing, record)
-        return self.root
+        """Insert or update ``key`` (optionally moving it to ``state``) and
+        return the new root: a one-update :meth:`apply_updates`."""
+        return self.apply_updates([(key, value, state)])
 
     def apply_updates(
         self,
@@ -208,15 +204,15 @@ class AuthenticatedKVStore:
     ) -> bytes:
         """Apply a batch of ``(key, value, state)`` updates in one tree pass.
 
-        Equivalent to calling :meth:`apply_update` per tuple in order — a
-        ``value`` of ``None`` is a state-only transition: the record keeps its
-        value and version and only moves to ``state`` — but leaf
-        replacements are staged and their root paths recomputed once via
+        A ``value`` of ``None`` is a state-only transition: the record keeps
+        its value and version and only moves to ``state``.  The result is that
+        of the updates one at a time, in order, but leaf replacements are
+        staged and their root paths recomputed once via
         :meth:`MerkleTree.recompute_paths`: a feed's epoch write batch
         typically clusters under shared subtrees, so the shared interior
         hashes are computed once per batch.  Fresh inserts take the normal
-        incremental path (leaf storage stays current throughout, so the mix
-        is safe).  The backing store gets the batch's writes, in the same
+        incremental path (the leaf level stays current throughout, so the mix
+        is safe).  A backing store gets the batch's writes, in the same
         order, as one :meth:`KVStore.write_batch`.  Returns the new root.
         """
         staged: List[int] = []
@@ -253,7 +249,7 @@ class AuthenticatedKVStore:
             writes.append((record.prefixed_key, record.value))
             self._tree.stage_leaf(slot, self.leaf_hash_for(record))
             staged.append(slot)
-        self.backing.write_batch(writes)
+        self._write_backing(writes)
         self._tree.recompute_paths(staged)
         return self.root
 
@@ -324,7 +320,8 @@ class AuthenticatedKVStore:
         the exporter's state and return the new root.
 
         Reproduced exactly: records by key, slot layout, leaves and interior
-        levels (hence every proof), the sorted and replicated views, and the
+        levels (hence every proof), the sorted and replicated views, and —
+        when this store has a backing (a memory feed's has none) — the
         backing's contents, written as one batch.  Only the tree nodes the
         delta carries are written; the mirror's others already match.
         The records' dict order is not part of that state.
@@ -362,7 +359,7 @@ class AuthenticatedKVStore:
         )
         if membership_changed:
             self._sorted_keys = sorted(records)
-        self.backing.write_batch(writes)
+        self._write_backing(writes)
         return self.root
 
     @staticmethod
@@ -371,6 +368,11 @@ class AuthenticatedKVStore:
         return hash_record(record.key, record.value, record.state.prefix)
 
     # -- internal layout maintenance -------------------------------------------------
+
+    def _write_backing(self, writes: List[Tuple[str, Optional[bytes]]]) -> None:
+        """Hand ``writes`` to the backing, if there is one, as one batch."""
+        if self.backing is not None:
+            self.backing.write_batch(writes)
 
     def _insert_record(self, record: KVRecord) -> None:
         """Give a new record the next slot and its leaf (the caller writes the
@@ -381,15 +383,3 @@ class AuthenticatedKVStore:
             self._replicated_keys.add(record.key)
         self._slot_of[record.key] = self._tree.leaf_count
         self._tree.append_leaf(self.leaf_hash_for(record))
-
-    def _replace_record(self, old: KVRecord, new: KVRecord) -> None:
-        slot = self._slot_of[old.key]
-        self._records[new.key] = new
-        if new.state is ReplicationState.REPLICATED:
-            self._replicated_keys.add(new.key)
-        else:
-            self._replicated_keys.discard(new.key)
-        if old.prefixed_key != new.prefixed_key:
-            self.backing.delete(old.prefixed_key)
-        self.backing.put(new.prefixed_key, new.value)
-        self._tree.update_leaf(slot, self.leaf_hash_for(new))

@@ -84,14 +84,15 @@ class MerkleTree:
     """
 
     def __init__(self, leaf_hashes: Sequence[bytes]) -> None:
-        self._leaves: List[bytes] = list(leaf_hashes)
+        # The leaves are ``_levels[0][:_leaf_count]``; the rest is padding.
+        self._leaf_count = len(leaf_hashes)
         self._levels: List[List[bytes]] = []
-        self._rebuild()
+        self._rebuild(list(leaf_hashes))
 
     # -- construction ---------------------------------------------------------
 
-    def _rebuild(self) -> None:
-        padded = list(self._leaves)
+    def _rebuild(self, padded: List[bytes]) -> None:
+        """Pad the leaf level ``padded`` (taken over) and hash the levels above."""
         padded.extend([EMPTY_DIGEST] * (_width(len(padded)) - len(padded)))
         levels = [padded]
         while len(levels[-1]) > 1:
@@ -151,48 +152,50 @@ class MerkleTree:
             for position in at_level:
                 level[position] = blob[offset : offset + DIGEST_SIZE_BYTES]
                 offset += DIGEST_SIZE_BYTES
-        self._leaves = levels[0][:leaf_count]
+        self._leaf_count = leaf_count
         return self.root
 
     # -- queries ----------------------------------------------------------------
 
     @property
     def root(self) -> bytes:
-        if not self._leaves:
+        if not self._leaf_count:
             return EMPTY_DIGEST
         return self._levels[-1][0]
 
     @property
     def leaf_count(self) -> int:
-        return len(self._leaves)
+        return self._leaf_count
 
     @property
     def depth(self) -> int:
         return len(self._levels) - 1
 
     def leaf(self, index: int) -> bytes:
-        return self._leaves[index]
+        if not 0 <= index < self._leaf_count:
+            raise IndexError(f"leaf index {index} out of range")
+        return self._levels[0][index]
 
     def leaves(self) -> List[bytes]:
-        return list(self._leaves)
+        return self._levels[0][: self._leaf_count]
 
     def prove(self, index: int) -> MerkleProof:
         """Produce the authentication path for the leaf at ``index``."""
-        if not 0 <= index < len(self._leaves):
+        if not 0 <= index < self._leaf_count:
             raise IndexError(f"leaf index {index} out of range")
         # Every level is padded to a power of two, so the sibling exists.
         path = [
             level[(index >> depth) ^ 1]
             for depth, level in enumerate(self._levels[:-1])
         ]
-        return MerkleProof(index, len(self._leaves), tuple(path))
+        return MerkleProof(index, self._leaf_count, tuple(path))
 
     def prove_many(self, indices: Sequence[int]) -> MultiProof:
         """One proof for every leaf in ``indices`` (any order, repeats allowed):
         a deliver batch's records are authenticated together, so a sibling
         two of them share is shipped once and one that is itself the hash of
         proved leaves is not shipped at all."""
-        leaf_count = len(self._leaves)
+        leaf_count = self._leaf_count
         known = sorted(set(indices))
         if known and not 0 <= known[0] <= known[-1] < leaf_count:
             raise IndexError(f"leaf indices {known} out of range")
@@ -227,9 +230,8 @@ class MerkleTree:
 
     def update_leaf(self, index: int, new_hash: bytes) -> bytes:
         """Replace the leaf at ``index`` and return the new root (O(log n))."""
-        if not 0 <= index < len(self._leaves):
+        if not 0 <= index < self._leaf_count:
             raise IndexError(f"leaf index {index} out of range")
-        self._leaves[index] = new_hash
         return self._update_path(index, new_hash)
 
     def stage_leaf(self, index: int, new_hash: bytes) -> None:
@@ -240,12 +242,11 @@ class MerkleTree:
         every staged index, so interior nodes shared by several staged leaves
         are hashed once per batch instead of once per leaf.  Until the
         recompute, :attr:`root` and interior levels are stale — callers must
-        not read them mid-batch.  Leaf storage itself stays current, so
+        not read them mid-batch.  The leaf level itself stays current, so
         interleaved appends (even ones that trigger a rebuild) remain correct.
         """
-        if not 0 <= index < len(self._leaves):
+        if not 0 <= index < self._leaf_count:
             raise IndexError(f"leaf index {index} out of range")
-        self._leaves[index] = new_hash
         self._levels[0][index] = new_hash
 
     def recompute_paths(self, indices: Sequence[int]) -> bytes:
@@ -277,12 +278,13 @@ class MerkleTree:
         capacity the append is a single path update; when capacity is
         exhausted the tree doubles and rebuilds once.
         """
-        capacity = len(self._levels[0]) if self._levels else 0
-        index = len(self._leaves)
-        self._leaves.append(new_hash)
-        if index < capacity:
+        index = self._leaf_count
+        self._leaf_count += 1
+        leaves = self._levels[0]
+        if index < len(leaves):
             return self._update_path(index, new_hash)
-        self._rebuild()
+        leaves.append(new_hash)
+        self._rebuild(leaves)
         return self.root
 
 

@@ -155,14 +155,12 @@ class GrubSystem:
         else:
             self.consumer = consumer_factory(self.storage_manager.address)
         self.chain.deploy(self.consumer)
-        # The SP's primary store mirrors whatever KV backend the deployment
-        # selects (the paper's "any off-chain storage service supporting KV
-        # storage"): in-memory by default, or e.g. an LSM tree selected by the
-        # gateway's ``FeedSpec(store_backend="lsm", store_directory=...)``.
-        if sp_store_backing is not None:
-            self.sp_store = AuthenticatedKVStore(backing=sp_store_backing)
-        else:
-            self.sp_store = AuthenticatedKVStore()
+        # The SP's store writes its records through to whatever KV backend
+        # the deployment selects (the paper's "any off-chain storage service
+        # supporting KV storage"), e.g. an LSM tree selected by the gateway's
+        # ``FeedSpec(store_backend="lsm", store_directory=...)``; with none
+        # (the default) it holds its records in memory alone.
+        self.sp_store = AuthenticatedKVStore(backing=sp_store_backing)
         self.service_provider = ServiceProvider(
             address=f"{prefix}storage-provider",
             chain=self.chain,

@@ -56,10 +56,10 @@ class FeedSpec:
     #: epochs (``None`` = unlimited).  At least one operation always executes
     #: per epoch, so a quota can throttle a tenant but never wedge it.
     max_gas_per_epoch: Optional[int] = None
-    #: Backend of the feed's service-provider store: ``"memory"`` (default,
-    #: the dict-backed :class:`~repro.storage.kvstore.InMemoryKVStore`) or
-    #: ``"lsm"`` (an :class:`~repro.storage.lsm.LSMStore`; with
-    #: ``store_directory`` set, a persistent one whose SSTables and WAL
+    #: Backend of the feed's service-provider store: ``"memory"`` (default:
+    #: no backing, the store holds its records in memory alone) or ``"lsm"``
+    #: (every record also written to an :class:`~repro.storage.lsm.LSMStore`;
+    #: with ``store_directory`` set, a persistent one whose SSTables and WAL
     #: survive a gateway restart).
     store_backend: str = "memory"
     #: Directory for a persistent ``"lsm"`` store.  Must be private to this
@@ -87,7 +87,8 @@ class FeedSpec:
             )
 
     def build_store_backing(self) -> Optional[KVStore]:
-        """The SP-store backing this spec selects (``None`` = the default).
+        """The SP-store backing this spec selects (``None``: a memory feed
+        has none).
 
         Directory-backed LSM stores open *exclusively*: a feed's directory has
         exactly one live opener, which is what makes migrating the feed

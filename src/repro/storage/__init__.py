@@ -7,9 +7,8 @@ ordered iteration — built the way LevelDB is built: an in-memory memtable that
 flushes into immutable sorted string tables (SSTables), with background
 compaction merging tables and discarding shadowed versions and tombstones.
 
-A simpler :class:`InMemoryKVStore` with the same interface is also provided
-for fast unit tests and experiments where persistence behaviour is not under
-test.
+A plain dict-backed :class:`InMemoryKVStore` with the same interface is the
+reference the LSM tree is tested against.
 """
 
 from repro.storage.kvstore import KVStore, InMemoryKVStore

@@ -1,9 +1,10 @@
 """Abstract key-value store interface and an in-memory reference implementation.
 
-Every component that needs off-chain storage (the SP's primary copy, the DO's
-local mirror, test fixtures) programs against :class:`KVStore`, so the LSM
-store and the in-memory store are interchangeable — exactly the property the
-paper claims for GRuB ("any off-chain storage service supporting KV storage").
+The SP store's backing (an LSM feed's durable copy) programs against
+:class:`KVStore`, so any store with this interface can stand in for the LSM
+tree — the property the paper claims for GRuB ("any off-chain storage service
+supporting KV storage").  :class:`InMemoryKVStore` is the dict reference the
+conformance suite checks the LSM tree against.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ class KVStore(ABC):
     def keys(self) -> List[str]:
         return [key for key, _ in self.items()]
 
-    def require(self, key: str) -> bytes:
-        value = self.get(key)
-        if value is None:
-            raise StorageError(f"key not found: {key!r}")
-        return value
-
     def write_batch(self, items: Iterable[Tuple[str, Optional[bytes]]]) -> None:
         """Apply ordered ``(key, value)`` writes; a ``None`` value deletes.
 
@@ -71,21 +66,12 @@ class KVStore(ABC):
             else:
                 self.put(key, value)
 
-    def put_many(self, records: Dict[str, bytes]) -> None:
-        self.write_batch(records.items())
-
-    def clear(self) -> None:
-        for key in list(self.keys()):
-            self.delete(key)
-
 
 class InMemoryKVStore(KVStore):
     """An in-memory store: a plain dict, sorted only when :meth:`scan` or
-    :meth:`items` asks for key order (the program itself only reads and
-    writes single keys, so no write keeps a sorted index).
-
-    Used where LSM behaviour (flush/compaction) is not the thing under test;
-    the interface and iteration order are identical to :class:`LSMStore`.
+    :meth:`items` asks for key order.  The tests' reference for
+    :class:`LSMStore`, whose interface and iteration order it shares; no SP
+    store uses it as a backing (a memory feed has none).
     """
 
     def __init__(self) -> None:

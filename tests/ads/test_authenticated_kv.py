@@ -10,6 +10,16 @@ from repro.ads.merkle import verify_membership, verify_multiproof
 from repro.ads.signer import RootSigner
 from repro.common.errors import IntegrityError, StorageError
 from repro.common.types import KVRecord, ReplicationState
+from repro.storage.lsm import LSMStore
+
+
+@pytest.fixture
+def backed_store(sample_records) -> AuthenticatedKVStore:
+    """``loaded_store`` on an LSM backing, the durable path whose R/NR
+    prefixed-key layout these tests read (a default store has no backing)."""
+    store = AuthenticatedKVStore(backing=LSMStore())
+    store.load(sample_records)
+    return store
 
 
 class TestLoadAndLookup:
@@ -25,9 +35,12 @@ class TestLoadAndLookup:
     def test_replicated_records_filter(self, loaded_store):
         assert loaded_store.replicated_keys() == ["charlie"]
 
-    def test_backing_store_uses_prefixed_keys(self, loaded_store):
-        assert loaded_store.backing.get("NR|alpha") == b"value-alpha"
-        assert loaded_store.backing.get("R|charlie") == b"value-charlie"
+    def test_backing_store_uses_prefixed_keys(self, backed_store):
+        assert backed_store.backing.get("NR|alpha") == b"value-alpha"
+        assert backed_store.backing.get("R|charlie") == b"value-charlie"
+
+    def test_a_default_store_has_no_backing(self, loaded_store):
+        assert loaded_store.backing is None
 
     def test_proof_length_grows_with_size(self):
         small = AuthenticatedKVStore()
@@ -51,13 +64,13 @@ class TestUpdatesAndTransitions:
         assert loaded_store.get_record("echo") is not None
         assert "echo" in loaded_store.keys()
 
-    def test_state_transition_changes_root_and_prefix(self, loaded_store):
-        old_root = loaded_store.root
-        loaded_store.apply_state_transition("alpha", ReplicationState.REPLICATED)
-        assert loaded_store.root != old_root
-        assert loaded_store.get_record("alpha").state is ReplicationState.REPLICATED
-        assert loaded_store.backing.get("R|alpha") == b"value-alpha"
-        assert loaded_store.backing.get("NR|alpha") is None
+    def test_state_transition_changes_root_and_prefix(self, backed_store):
+        old_root = backed_store.root
+        backed_store.apply_state_transition("alpha", ReplicationState.REPLICATED)
+        assert backed_store.root != old_root
+        assert backed_store.get_record("alpha").state is ReplicationState.REPLICATED
+        assert backed_store.backing.get("R|alpha") == b"value-alpha"
+        assert backed_store.backing.get("NR|alpha") is None
 
     def test_transition_to_same_state_is_noop(self, loaded_store):
         root = loaded_store.root
@@ -68,16 +81,17 @@ class TestUpdatesAndTransitions:
         with pytest.raises(StorageError):
             loaded_store.apply_state_transition("ghost", ReplicationState.REPLICATED)
 
-    def test_a_key_a_reload_dropped_can_be_written_again(self, loaded_store, sample_records):
-        loaded_store.load([record for record in sample_records if record.key != "bravo"])
-        assert loaded_store.get_record("bravo") is None
-        assert loaded_store.backing.get("NR|bravo") is None
-        assert len(loaded_store) == 3
-        loaded_store.apply_update("bravo", b"back")
-        assert loaded_store.get_record("bravo").value == b"back"
+    def test_a_key_a_reload_dropped_can_be_written_again(self, backed_store, sample_records):
+        backed_store.load([record for record in sample_records if record.key != "bravo"])
+        assert backed_store.get_record("bravo") is None
+        assert backed_store.backing.get("NR|bravo") is None
+        assert len(backed_store) == 3
+        backed_store.apply_update("bravo", b"back")
+        assert backed_store.get_record("bravo").value == b"back"
+        assert backed_store.backing.get("NR|bravo") == b"back"
         # A new record again: version 0, in the next slot.
-        assert loaded_store.get_record("bravo").version == 0
-        assert loaded_store.query("bravo").proof.leaf_index == 3
+        assert backed_store.get_record("bravo").version == 0
+        assert backed_store.query("bravo").proof.leaf_index == 3
 
     def test_slots_are_append_only(self, loaded_store):
         def slots():

@@ -10,6 +10,7 @@ from repro.ads.merkle import MerkleTree, verify_multiproof
 from repro.common.errors import StorageError
 from repro.common.hashing import keccak
 from repro.common.types import KVRecord, ReplicationState
+from repro.storage.lsm import LSMStore
 
 
 def make_tree(num_leaves: int) -> MerkleTree:
@@ -87,8 +88,8 @@ class TestStagedLeafUpdates:
 
 
 class TestQueryMany:
-    def make_store(self, n=12) -> AuthenticatedKVStore:
-        store = AuthenticatedKVStore()
+    def make_store(self, n=12, backing=None) -> AuthenticatedKVStore:
+        store = AuthenticatedKVStore(backing=backing)
         store.load([KVRecord.make(f"key-{i:02d}", bytes([i]) * 8) for i in range(n)])
         return store
 
@@ -113,8 +114,8 @@ class TestQueryMany:
         )
 
     def test_state_only_update_keeps_value_and_version(self):
-        batched_store = self.make_store()
-        sequential_store = self.make_store()
+        batched_store = self.make_store(backing=LSMStore())
+        sequential_store = self.make_store(backing=LSMStore())
         updates = [
             ("key-03", b"v3", None),
             ("key-04", None, ReplicationState.REPLICATED),
@@ -148,3 +149,8 @@ class TestQueryMany:
         assert batched_store.replicated_keys() == sequential_store.replicated_keys()
         for key in ("key-02", "key-07", "brand-new"):
             assert batched_store.get_record(key) == sequential_store.get_record(key)
+        # The tree kept up by staged paths is the one built whole.
+        slot_of = batched_store._slot_of
+        rebuilt = AuthenticatedKVStore()
+        rebuilt.load(sorted(batched_store.records(), key=lambda record: slot_of[record.key]))
+        assert rebuilt.root == root

@@ -1,6 +1,7 @@
 """The SP store's way across an interpreter boundary: ``baseline`` /
 ``export_delta`` / ``apply_delta`` must reproduce the exporter's store on a
-mirror standing at the baseline — layout, tree and backing included."""
+mirror standing at the baseline — layout, tree and, on an LSM-backed store,
+backing included."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.ads.authenticated_kv import EMPTY_BASELINE, AuthenticatedKVStore
 from repro.ads.merkle import verify_membership
 from repro.common.hashing import DIGEST_SIZE_BYTES
 from repro.common.types import KVRecord, ReplicationState
+from repro.storage.lsm import LSMConfig, LSMStore
 
 #: Few keys, so that sequences keep colliding: a key a reload dropped written
 #: again, a slot that a reload handed to another key.
@@ -25,24 +27,33 @@ preloads = st.lists(
     st.tuples(keys, values, st.sampled_from(list(ReplicationState))),
     unique_by=lambda item: item[0],
 )
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), keys, values, states),
-        st.tuples(st.just("flip"), keys),
-        st.tuples(st.just("load"), preloads),
-        st.tuples(st.just("batch"), st.lists(st.tuples(keys, values, states), max_size=4)),
-    ),
-    max_size=24,
+operation = st.one_of(
+    st.tuples(st.just("put"), keys, values, states),
+    st.tuples(st.just("flip"), keys),
+    st.tuples(st.just("load"), preloads),
+    st.tuples(st.just("batch"), st.lists(st.tuples(keys, values, states), max_size=4)),
 )
+operations = st.lists(operation, max_size=24)
 
 
 def records(preload) -> list:
     return [KVRecord(key, value, state) for key, value, state in preload]
 
 
-def loaded(preload) -> AuthenticatedKVStore:
-    store = AuthenticatedKVStore()
+def loaded(preload, backing=None) -> AuthenticatedKVStore:
+    store = AuthenticatedKVStore(backing=backing)
     store.load(records(preload))
+    return store
+
+
+def backed(preload, before=()) -> AuthenticatedKVStore:
+    """A store on an LSM backing, whose contents a delta must carry too,
+    after ``before``.  A mirror of one is a second call with the same
+    arguments, not a ``copy.deepcopy``: the copy's memtable would not know
+    its tombstones (a sentinel compared by identity)."""
+    store = loaded(preload, LSMStore())
+    for operation in before:
+        drive(store, operation)
     return store
 
 
@@ -66,11 +77,19 @@ def assert_same_store(mirror: AuthenticatedKVStore, store: AuthenticatedKVStore)
     assert mirror._slot_of == store._slot_of
     assert mirror._sorted_keys == store._sorted_keys
     assert mirror._replicated_keys == store._replicated_keys
-    assert mirror._tree._leaves == store._tree._leaves
+    assert mirror._tree.leaves() == store._tree.leaves()
     assert mirror._tree._levels == store._tree._levels
     for key in store.keys():
         result = mirror.query(key)
         assert verify_membership(store.root, store.leaf_hash_for(result.record), result.proof)
+
+
+def rebuilt(store: AuthenticatedKVStore) -> AuthenticatedKVStore:
+    """The reference: ``store``'s records loaded from scratch in slot order,
+    the tree built whole rather than kept up write by write."""
+    fresh = AuthenticatedKVStore()
+    fresh.load(sorted(store._records.values(), key=lambda record: store._slot_of[record.key]))
+    return fresh
 
 
 def assert_same_backing(mirror: AuthenticatedKVStore, store: AuthenticatedKVStore) -> None:
@@ -80,12 +99,10 @@ def assert_same_backing(mirror: AuthenticatedKVStore, store: AuthenticatedKVStor
 @settings(max_examples=300, deadline=None)
 @given(preload=preloads, before=operations, after=operations)
 def test_delta_round_trips_from_a_baseline_and_from_empty(preload, before, after):
-    store = loaded(preload)
-    for operation in before:
-        drive(store, operation)
+    store = backed(preload, before)
     # (a) a mirror standing at a baseline taken mid-sequence (a forked lane's
     # view of the main store) receives only what diverged since.
-    mirror = copy.deepcopy(store)
+    mirror = backed(preload, before)
     baseline = store.baseline()
     for operation in after:
         drive(store, operation)
@@ -98,13 +115,13 @@ def test_delta_round_trips_from_a_baseline_and_from_empty(preload, before, after
     # store takes it as is, a store holding something else is emptied first.
     whole = store.export_delta(EMPTY_BASELINE)
     assert whole.from_empty and len(whole.changed) == len(store)
-    unrelated = loaded(
+    unrelated = backed(
         [
             ("zz-ghost", b"stale", ReplicationState.REPLICATED),
             ("k00", b"x", ReplicationState.NOT_REPLICATED),
         ]
     )
-    for target in (AuthenticatedKVStore(), unrelated):
+    for target in (AuthenticatedKVStore(backing=LSMStore()), unrelated):
         assert target.apply_delta(whole) == store.root
         assert_same_store(target, store)
         assert_same_backing(target, store)
@@ -120,8 +137,8 @@ def test_a_slot_a_reload_handed_to_another_key_ships_as_changed():
     """Reload ``k00``'s slot with ``k03``, append two, write ``k00`` again:
     no baseline key is gone, yet the baseline's slots are no longer a prefix
     of the store's."""
-    store = loaded([("k00", b"v", ReplicationState.NOT_REPLICATED)])
-    mirror = copy.deepcopy(store)
+    store = backed([("k00", b"v", ReplicationState.NOT_REPLICATED)])
+    mirror = backed([("k00", b"v", ReplicationState.NOT_REPLICATED)])
     baseline = store.baseline()
     store.load([KVRecord("k03", b"w")])
     for key in ("k12", "k16", "k00"):
@@ -140,8 +157,8 @@ def test_a_slot_a_reload_handed_to_another_key_ships_as_changed():
 
 
 def test_two_keys_a_reload_swapped_trade_slots_on_the_mirror():
-    store = loaded([(key, b"v", ReplicationState.NOT_REPLICATED) for key in KEYS[:2]])
-    mirror = copy.deepcopy(store)
+    store = backed([(key, b"v", ReplicationState.NOT_REPLICATED) for key in KEYS[:2]])
+    mirror = backed([(key, b"v", ReplicationState.NOT_REPLICATED) for key in KEYS[:2]])
     baseline = store.baseline()
     store.load([KVRecord("k01", b"v")])
     store.apply_update("k00", b"v")
@@ -154,10 +171,9 @@ def test_two_keys_a_reload_swapped_trade_slots_on_the_mirror():
 def test_a_write_ships_its_record_and_only_the_nodes_above_it():
     """One rewritten record of a 64-record store crosses as that record, its
     leaf and the six nodes above it — not the tree's 63 interior nodes."""
-    store = loaded(
-        [(f"k{index:02d}", b"v", ReplicationState.NOT_REPLICATED) for index in range(64)]
-    )
-    mirror = copy.deepcopy(store)
+    preload = [(f"k{index:02d}", b"v", ReplicationState.NOT_REPLICATED) for index in range(64)]
+    store = backed(preload)
+    mirror = backed(preload)
     baseline = store.baseline()
     store.apply_update("k37", b"w")
     delta = store.export_delta(baseline)
@@ -189,3 +205,45 @@ def test_a_store_reloaded_smaller_after_the_baseline_shrinks_the_mirror():
     store.load([KVRecord("k02", b"new"), KVRecord("k09", b"new")])
     mirror.apply_delta(store.export_delta(baseline))
     assert_same_store(mirror, store)
+
+
+#: Steps for a store and its twin: an operation, or a delta another store cut
+#: after running ``operations`` on a copy of the twin — against the copy's
+#: baseline, or against the empty one (``True``).
+steps = st.lists(
+    st.one_of(operation, st.tuples(st.just("delta"), st.booleans(), operations)),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=steps)
+def test_a_backing_holds_the_records_and_changes_nothing_else(steps):
+    """An LSM-backed store and an unbacked twin run the same loads, batches
+    and deltas: the backing holds exactly the store's records under their
+    prefixed keys, the twin stands where the backed store does, and both
+    stand where a store rebuilt from their records does."""
+    # A small memtable, so the sequences flush and compact too.
+    store = AuthenticatedKVStore(
+        backing=LSMStore(
+            config=LSMConfig(memtable_flush_bytes=64, max_sstables_before_compaction=2)
+        )
+    )
+    twin = AuthenticatedKVStore()
+    for step in steps:
+        if step[0] == "delta":
+            _, whole, source_operations = step
+            source = copy.deepcopy(twin)
+            baseline = EMPTY_BASELINE if whole else source.baseline()
+            for source_operation in source_operations:
+                drive(source, source_operation)
+            delta = source.export_delta(baseline)
+            assert store.apply_delta(delta) == twin.apply_delta(delta) == source.root
+        else:
+            drive(store, step)
+            drive(twin, step)
+        assert dict(store.backing.items()) == {
+            record.prefixed_key: record.value for record in store.records()
+        }
+        assert_same_store(twin, store)
+        assert_same_store(rebuilt(twin), twin)

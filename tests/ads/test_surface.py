@@ -42,7 +42,7 @@ AUTHENTICATED_KV_STORE = {
     "replicated_keys",  # DataOwner.prepare_epoch_update
     "keys",  # test reference: the key-sorted view
     "select_keys",  # GrubSystem's scan operation
-    "apply_update",  # test reference: the per-write path apply_updates matches
+    "apply_update",  # test reference: a one-update batch
     "apply_updates",  # DataOwner.prepare_epoch_update
     "apply_state_transition",  # test reference: a one-record state-only batch
     "query",  # test reference: the single path query_many's proof matches
@@ -50,7 +50,7 @@ AUTHENTICATED_KV_STORE = {
     "baseline",  # gateway/feed_state.py: a lane's copy as it arrived, or as main holds it
     "export_delta",  # gateway/feed_state.capture
     "apply_delta",  # gateway/feed_state.apply
-    "leaf_hash_for",  # AuthenticatedKVStore.load, apply_updates, _insert_record, _replace_record
+    "leaf_hash_for",  # AuthenticatedKVStore.load, apply_updates, _insert_record
 }
 
 STORE_DELTA = {

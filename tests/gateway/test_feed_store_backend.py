@@ -18,7 +18,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord
 from repro.core.config import GrubConfig
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
-from repro.storage.kvstore import InMemoryKVStore
 from repro.storage.lsm import LSMStore
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -53,7 +52,7 @@ class TestFeedSpecStoreBackend:
         handle = registry.create_feed(
             FeedSpec(feed_id="mem", config=GrubConfig(epoch_size=8))
         )
-        assert isinstance(handle.system.sp_store.backing, InMemoryKVStore)
+        assert handle.system.sp_store.backing is None
 
     def test_lsm_backend_with_directory_is_persistent(self, tmp_path):
         directory = tmp_path / "feed-store"

@@ -37,8 +37,6 @@ ALLOWED = {
         "test reference: tests/ads/test_authenticated_kv.py, tests/ads/test_batched_proofs.py",
     "ads/authenticated_kv.py::AuthenticatedKVStore.query":
         "test reference: tests/ads/test_authenticated_kv.py, tests/ads/test_batched_proofs.py",
-    "ads/authenticated_kv.py::AuthenticatedKVStore._replace_record":
-        "test reference: tests/ads/test_authenticated_kv.py, tests/ads/test_batched_proofs.py",
     # ads/merkle.py
     "ads/merkle.py::MerkleTree.from_values": "test reference: tests/ads/test_merkle.py",
     "ads/merkle.py::MerkleTree.depth":
@@ -281,11 +279,16 @@ ALLOWED = {
         "test reference: tests/storage/test_kv_suite.py, tests/gateway/test_feed_store_backend.py",
     "storage/kvstore.py::KVStore.keys":
         "test reference: tests/storage/test_kvstore.py, tests/storage/test_kv_suite.py",
-    "storage/kvstore.py::KVStore.require": "test reference: tests/storage/test_kvstore.py",
-    "storage/kvstore.py::KVStore.put_many": "test reference: tests/storage/test_kvstore.py",
-    "storage/kvstore.py::KVStore.clear": "test reference: tests/storage/test_kvstore.py",
+    "storage/kvstore.py::KVStore.write_batch":
+        "test reference: tests/storage/kv_suite.py, tests/storage/test_kvstore.py",
+    "storage/kvstore.py::InMemoryKVStore.__init__":
+        "test reference: tests/storage/kv_suite.py, tests/storage/test_kvstore.py",
     "storage/kvstore.py::InMemoryKVStore.get":
         "test reference: tests/storage/test_kvstore.py, tests/storage/test_kv_suite.py",
+    "storage/kvstore.py::InMemoryKVStore.put":
+        "test reference: tests/storage/kv_suite.py, tests/storage/test_kvstore.py",
+    "storage/kvstore.py::InMemoryKVStore.delete":
+        "test reference: tests/storage/kv_suite.py, tests/storage/test_kvstore.py",
     "storage/kvstore.py::InMemoryKVStore.scan":
         "test reference: tests/storage/test_kvstore.py, tests/storage/test_kv_suite.py",
     "storage/kvstore.py::InMemoryKVStore.items":

@@ -62,16 +62,6 @@ class TestKVStoreInterface:
         with pytest.raises(StorageError):
             store.put("key", "not-bytes")  # type: ignore[arg-type]
 
-    def test_require_raises_on_missing(self, store):
-        with pytest.raises(StorageError):
-            store.require("missing")
-
-    def test_put_many_and_clear(self, store):
-        store.put_many({"a": b"1", "b": b"2"})
-        assert len(store) == 2
-        store.clear()
-        assert len(store) == 0
-
 
 class TestMemTable:
     def test_tombstone_reported_as_found_none(self):
