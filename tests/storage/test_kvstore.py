@@ -62,6 +62,27 @@ class TestKVStoreInterface:
         with pytest.raises(StorageError):
             store.put("key", "not-bytes")  # type: ignore[arg-type]
 
+    def test_write_batch_stops_at_a_non_bytes_value(self, store):
+        writes = [("a", b"1"), ("b", "not-bytes"), ("c", b"3")]
+        with pytest.raises(StorageError):
+            store.write_batch(writes)  # type: ignore[arg-type]
+        assert store.get("a") == b"1"
+        assert store.get("b") is None
+        assert store.get("c") is None
+        assert len(store) == 1
+
+    def test_deleting_every_key_empties_the_store(self, store):
+        # Enough records to flush the small LSM memtable, so the deletes
+        # must shadow records already in SSTables.
+        store.write_batch((f"key-{index:02d}", b"v" * 16) for index in range(32))
+        assert len(store) == 32
+        for key in store.keys():
+            assert store.delete(key) is True
+        assert len(store) == 0
+        assert list(store.items()) == []
+        assert store.scan("") == []
+        assert store.get("key-00") is None
+
 
 class TestMemTable:
     def test_tombstone_reported_as_found_none(self):
