@@ -136,12 +136,13 @@ class AuthenticatedKVStore:
         """Replace the store's contents with ``records`` (slot ``i`` holds
         ``records[i]``) and return the new root.  A backing, when the store
         has one, gets the old records' deletes and the new records as one
-        batch."""
-        writes = [(record.prefixed_key, None) for record in self._records.values()]
-        leaves = []
-        for record in records:
-            writes.append((record.prefixed_key, record.value))
-            leaves.append(self.leaf_hash_for(record))
+        batch; without one, nothing is computed for it."""
+        leaf_hash_for = self.leaf_hash_for
+        leaves = [leaf_hash_for(record) for record in records]
+        if self.backing is not None:
+            writes = [(record.prefixed_key, None) for record in self._records.values()]
+            writes.extend((record.prefixed_key, record.value) for record in records)
+            self.backing.write_batch(writes)
         self._records = {record.key: record for record in records}
         self._sorted_keys = sorted(self._records)
         self._slot_of = {record.key: index for index, record in enumerate(records)}
@@ -150,7 +151,6 @@ class AuthenticatedKVStore:
             for record in records
             if record.state is ReplicationState.REPLICATED
         }
-        self._write_backing(writes)
         self._tree = MerkleTree(leaves)
         return self.root
 
@@ -213,10 +213,13 @@ class AuthenticatedKVStore:
         hashes are computed once per batch.  Fresh inserts take the normal
         incremental path (the leaf level stays current throughout, so the mix
         is safe).  A backing store gets the batch's writes, in the same
-        order, as one :meth:`KVStore.write_batch`.  Returns the new root.
+        order, as one :meth:`KVStore.write_batch`; without one no prefixed
+        key is built.  Returns the new root.
         """
         staged: List[int] = []
-        writes: List[Tuple[str, Optional[bytes]]] = []
+        writes: Optional[List[Tuple[str, Optional[bytes]]]] = (
+            [] if self.backing is not None else None
+        )
         for key, value, state in updates:
             existing = self._records.get(key)
             if value is None:
@@ -228,7 +231,8 @@ class AuthenticatedKVStore:
             elif existing is None:
                 new_state = state or ReplicationState.NOT_REPLICATED
                 record = KVRecord(key=key, value=value, state=new_state, version=0)
-                writes.append((record.prefixed_key, record.value))
+                if writes is not None:
+                    writes.append((record.prefixed_key, record.value))
                 self._insert_record(record)
                 continue
             else:
@@ -244,9 +248,10 @@ class AuthenticatedKVStore:
                 self._replicated_keys.add(key)
             else:
                 self._replicated_keys.discard(key)
-            if existing.prefixed_key != record.prefixed_key:
-                writes.append((existing.prefixed_key, None))
-            writes.append((record.prefixed_key, record.value))
+            if writes is not None:
+                if existing.state is not record.state:
+                    writes.append((existing.prefixed_key, None))
+                writes.append((record.prefixed_key, record.value))
             self._tree.stage_leaf(slot, self.leaf_hash_for(record))
             staged.append(slot)
         self._write_backing(writes)
@@ -330,10 +335,14 @@ class AuthenticatedKVStore:
             self.load([])
         base_count = self._tree.leaf_count
         records, slot_of = self._records, self._slot_of
-        writes: List[Tuple[str, Optional[bytes]]] = []
+        writes: Optional[List[Tuple[str, Optional[bytes]]]] = (
+            [] if self.backing is not None else None
+        )
         for key in delta.deleted:
             del slot_of[key]
-            writes.append((records.pop(key).prefixed_key, None))
+            old = records.pop(key)
+            if writes is not None:
+                writes.append((old.prefixed_key, None))
             self._replicated_keys.discard(key)
         membership_changed = bool(delta.deleted)
         slots = []
@@ -342,9 +351,10 @@ class AuthenticatedKVStore:
             old = records.get(key)
             if old is None:
                 membership_changed = True
-            elif old.prefixed_key != record.prefixed_key:
-                writes.append((old.prefixed_key, None))
-            writes.append((record.prefixed_key, value))
+            if writes is not None:
+                if old is not None and old.state is not state:
+                    writes.append((old.prefixed_key, None))
+                writes.append((record.prefixed_key, value))
             records[key] = record
             slot_of[key] = slot
             slots.append(slot)
@@ -369,9 +379,9 @@ class AuthenticatedKVStore:
 
     # -- internal layout maintenance -------------------------------------------------
 
-    def _write_backing(self, writes: List[Tuple[str, Optional[bytes]]]) -> None:
-        """Hand ``writes`` to the backing, if there is one, as one batch."""
-        if self.backing is not None:
+    def _write_backing(self, writes: Optional[List[Tuple[str, Optional[bytes]]]]) -> None:
+        """Hand ``writes`` to the backing as one batch (``None``: no backing)."""
+        if writes is not None:
             self.backing.write_batch(writes)
 
     def _insert_record(self, record: KVRecord) -> None:

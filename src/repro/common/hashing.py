@@ -9,6 +9,7 @@ contract code reads naturally.
 from __future__ import annotations
 
 import hmac
+import struct
 from hashlib import sha256
 from typing import Iterable
 
@@ -16,6 +17,10 @@ from repro.common.encoding import Value, encode_value
 
 DIGEST_SIZE_BYTES = 32
 EMPTY_DIGEST = b"\x00" * DIGEST_SIZE_BYTES
+
+#: A field's length as the 8-byte big-endian prefix that :func:`hash_words`
+#: puts before each field (``len(field).to_bytes(8, "big")``).
+_field_length = struct.Struct(">Q").pack
 
 
 def keccak(data: bytes) -> bytes:
@@ -44,13 +49,29 @@ def hash_words(*values: Value) -> bytes:
     return sha256(b"".join(preimage)).digest()
 
 
-def hash_record(key: Value, value: Value, state_prefix: str) -> bytes:
+def hash_record(key: str, value: bytes, state_prefix: str) -> bytes:
     """Hash a GRuB KV record leaf: ``(replication-state prefix, key, value)``.
 
     The replication state is part of the authenticated payload because GRuB
     prefixes every data key with its R/NR bit (Section 3.2 of the paper).
+    The digest is ``hash_words(state_prefix, key, value)``'s: the same three
+    length-prefixed fields, built here directly from the ``str`` prefix and
+    key and the ``bytes`` value, hashed in one call.
     """
-    return hash_words(state_prefix, key, value)
+    prefix = state_prefix.encode("utf-8")
+    key_bytes = key.encode("utf-8")
+    return sha256(
+        b"".join(
+            (
+                _field_length(len(prefix)),
+                prefix,
+                _field_length(len(key_bytes)),
+                key_bytes,
+                _field_length(len(value)),
+                value,
+            )
+        )
+    ).digest()
 
 
 def clear_leaf_cache() -> None:

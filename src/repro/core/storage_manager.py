@@ -414,6 +414,16 @@ class StorageManagerContract(Contract):
         return f"replica:{key}"
 
     def _leaf_hash(self, ctx: ExecutionContext, item: DeliverItem) -> bytes:
+        # The item is the SP's word: a field of another type than the leaf
+        # encoding and the proof's index order read is refused before it is
+        # charged for or hashed.
+        if not (
+            isinstance(item.key, str)
+            and isinstance(item.value, bytes)
+            and isinstance(item.state_prefix, str)
+            and type(item.leaf_index) is int
+        ):
+            self.revert(f"integrity check failed for delivered key {item.key!r}")
         words = max(1, words_for_bytes(len(item.value))) + 2
         ctx.meter.charge(ctx.meter.schedule.hash_cost(words), "hash")
         return hash_record(item.key, item.value, item.state_prefix)

@@ -139,13 +139,14 @@ class LSMStore(KVStore):
         each, exactly as the same :meth:`put`/:meth:`delete` sequence would —
         so tables, flush and compaction points are those of the sequence.  A
         flush inside the batch persists every record before it and truncates
-        the log, so their buffered WAL records are dropped rather than
-        written.  What is left is appended before the call returns, also when
-        a bad value ends the batch early.
+        the log, so the writes it persisted are dropped from the pending list
+        before they are ever encoded: a WAL record is built only for a write
+        still pending when the batch ends.  Those are appended before the
+        call returns, also when a bad value ends the batch early.
         """
         self._check_open()
         logged = self._wal_path is not None and self.config.write_ahead_log
-        pending: List[bytes] = []
+        pending: List[Tuple[str, Optional[bytes]]] = []
         try:
             for key, value in items:
                 if value is None:
@@ -157,14 +158,16 @@ class LSMStore(KVStore):
                         f"values must be bytes, got {type(value).__name__}"
                     )
                 if logged:
-                    pending.append(_wal_record(key, value))
+                    pending.append((key, value))
                 self._maybe_flush()
                 if self.memtable.is_empty:
                     # Flushed: every record so far is in a table.
                     pending.clear()
         finally:
             if pending:
-                self._append_wal(b"".join(pending))
+                self._append_wal(
+                    b"".join([_wal_record(key, value) for key, value in pending])
+                )
 
     def scan(
         self,

@@ -12,9 +12,22 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+
+class _Tombstone:
+    """The type of :data:`TOMBSTONE`, the memtable's mark of a deleted key."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        # A copy or an unpickled memtable names the module's one instance, so
+        # the identity tests below still see a tombstone in it.
+        return "TOMBSTONE"
+
+
 #: Sentinel stored for deleted keys; distinguishable from any real value
 #: because real values are raw bytes and the sentinel is a unique object.
-TOMBSTONE = object()
+#: It survives ``copy.deepcopy`` and pickling as itself.
+TOMBSTONE = _Tombstone()
 
 
 @dataclass

@@ -240,6 +240,49 @@ class TestPreloadBuild:
             store = AuthenticatedKVStore()
             assert store.load(records) == expected == store.root, count
 
+    def test_an_unbacked_store_builds_no_prefixed_key(self, monkeypatch):
+        """Prefixed keys are the backing's layout: a store without a backing
+        (a memory feed's) loads, updates, inserts and flips a record's state
+        without building one, and every root is still the reference's."""
+
+        def refused(record):
+            raise AssertionError("an unbacked store built a prefixed key")
+
+        monkeypatch.setattr(KVRecord, "prefixed_key", property(refused))
+        records = preload_records(random.Random(4), 9)
+        store = AuthenticatedKVStore()
+        assert store.load(records) == reference_root(
+            [reference_leaf_hash(r) for r in records]
+        )
+        flipped = records[2].with_state(
+            ReplicationState.REPLICATED
+            if records[2].state is ReplicationState.NOT_REPLICATED
+            else ReplicationState.NOT_REPLICATED
+        )
+        updated = KVRecord(
+            key=records[5].key,
+            value=b"new",
+            state=ReplicationState.REPLICATED,
+            version=records[5].version + 1,
+        )
+        inserted = KVRecord.make("k999", b"inserted")
+        root = store.apply_updates(
+            [
+                (flipped.key, None, flipped.state),
+                (updated.key, updated.value, updated.state),
+                (inserted.key, inserted.value, None),
+            ]
+        )
+        records[2], records[5] = flipped, updated
+        records.append(inserted)
+        assert root == reference_root([reference_leaf_hash(r) for r in records])
+        assert store.apply_state_transition(
+            inserted.key, ReplicationState.REPLICATED
+        ) == reference_root(
+            [reference_leaf_hash(r) for r in records[:-1]]
+            + [reference_leaf_hash(inserted.with_state(ReplicationState.REPLICATED))]
+        )
+
     def test_dropped_store_leaves_no_hash_state_in_the_process(self):
         """Load 1 024 records, prove and verify a batch, drop the store: what
         ``repro/ads`` and ``repro/common`` allocated meanwhile is gone again,

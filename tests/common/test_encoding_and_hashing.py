@@ -110,6 +110,28 @@ class TestHashing:
             hasher.update(field)
         assert hash_words("fèed", b"\x00\xff", 7) == hasher.digest()
 
+    @pytest.mark.parametrize(
+        "prefix, key, value",
+        [
+            ("NR", "fèed-κλειδί", b"\x01\x02"),
+            ("R", "k", b""),
+            ("NR", "price", bytes(range(256))),
+            ("X", "k", b"v"),
+        ],
+        ids=["non-ascii-key", "empty-value", "256-byte-value", "unknown-prefix"],
+    )
+    def test_hash_record_matches_longhand_construction(self, prefix, key, value):
+        """Record leaves are ``hash_record``, which builds its preimage
+        itself: pin it to ``hash_words``' — each field's 8-byte big-endian
+        length, then the field — so the leaf and block-hash encodings cannot
+        drift apart, for any ``str`` prefix."""
+        hasher = hashlib.sha256()
+        for field in (prefix.encode("utf-8"), key.encode("utf-8"), value):
+            hasher.update(len(field).to_bytes(8, "big"))
+            hasher.update(field)
+        assert hash_record(key, value, prefix) == hasher.digest()
+        assert hash_record(key, value, prefix) == hash_words(prefix, key, value)
+
     def test_hash_record_binds_state_prefix(self):
         assert hash_record("k", b"v", "R") != hash_record("k", b"v", "NR")
 

@@ -240,6 +240,26 @@ def forged(item):
     return replace(item, value=item.value + b"-forged")
 
 
+def flipped_state(item):
+    return replace(item, state_prefix="R" if item.state_prefix == "NR" else "NR")
+
+
+def unknown_state(item):
+    return replace(item, state_prefix="X")
+
+
+def text_value(item):
+    return replace(item, value=item.value.decode("ascii"))
+
+
+def bytes_state(item):
+    return replace(item, state_prefix=item.state_prefix.encode("ascii"))
+
+
+def text_index(item):
+    return replace(item, leaf_index=str(item.leaf_index))
+
+
 class TestSecurityAgainstTamperingSP:
     @pytest.mark.parametrize("attack", ["forge", "replay", "fork"])
     def test_tampered_deliveries_are_rejected_on_chain(self, attack):
@@ -268,11 +288,40 @@ class TestSecurityAgainstTamperingSP:
         # The callback must never observe tampered data.
         assert system.consumer.deliveries() == 0
 
-    @pytest.mark.parametrize("forged_at", [0, 1, 2], ids=["first", "middle", "last"])
-    def test_forged_item_in_a_mixed_batch_applies_nothing(self, protocol_system, forged_at):
+    @pytest.mark.parametrize(
+        "forge, forged_at",
+        [
+            (forged, 0),
+            (forged, 1),
+            (forged, 2),
+            (flipped_state, 1),
+            (unknown_state, 1),
+            (text_value, 1),
+            (bytes_state, 1),
+            (text_index, 1),
+        ],
+        ids=[
+            "first",
+            "middle",
+            "last",
+            "flipped-state",
+            "unknown-state",
+            "text-value",
+            "bytes-state",
+            "text-index",
+        ],
+    )
+    def test_forged_item_in_a_mixed_batch_applies_nothing(
+        self, protocol_system, forge, forged_at
+    ):
         """One forged record fails the whole ``deliver`` *before* anything is
         applied: a consumer's Python-side state is not contract storage, so a
         callback that had already run could not be reverted with the receipt.
+        A record claiming the other replication state (R and NR swapped), or
+        one that does not exist, is forged too: it hashes to another leaf, and
+        the call comes back as a failed receipt, not an exception out of
+        ``mine_block``.  So is a record whose value is text, whose state is
+        bytes or whose leaf index is text: types the verifier does not accept.
 
         This holds per ``deliver`` call.  A forged group inside a router
         ``deliver_batch`` still leaves the callbacks of *earlier groups* run —
@@ -280,7 +329,7 @@ class TestSecurityAgainstTamperingSP:
         """
         system = protocol_system
         items, proof = requested_items(system, ["alpha", "bravo", "charlie"])
-        items[forged_at] = forged(items[forged_at])
+        items[forged_at] = forge(items[forged_at])
         receipt, _ = land_deliver(system, items, proof)
         assert not receipt.success and "integrity check failed" in receipt.error
         assert system.consumer.deliveries() == 0

@@ -314,6 +314,7 @@ ALLOWED = {
     # storage/memtable.py
     "storage/memtable.py::MemTable.get":
         "test reference: tests/storage/test_kv_suite.py, tests/storage/test_kvstore.py",
+    "storage/memtable.py::_Tombstone.__reduce__": "test reference: tests/storage/test_kvstore.py",
     # storage/sstable.py
     "storage/sstable.py::SSTable.get":
         "test reference: tests/storage/test_kv_suite.py, tests/storage/test_kvstore.py",

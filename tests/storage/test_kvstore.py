@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import tempfile
 
 import pytest
@@ -104,6 +106,35 @@ class TestMemTable:
         for key in ["c", "a", "b"]:
             table.put(key, b"x")
         assert [k for k, _ in table.items()] == ["a", "b", "c"]
+
+
+class TestTombstoneCopies:
+    """A copied or unpickled store still recognises the deletes it holds."""
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda store: pickle.loads(pickle.dumps(store))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_duplicated_lsm_store_keeps_its_tombstones(self, duplicate, tmp_path):
+        original = LSMStore(config=LSMConfig(memtable_flush_bytes=10**9))
+        for key in ("gone", "back", "kept"):
+            original.put(key, key.encode())
+        original.delete("gone")
+        original.delete("back")
+        store = duplicate(original)
+        assert store.get("gone") is None and store.get("back") is None
+        store.put("back", b"again")
+        assert store.get("back") == b"again"
+        table = store.flush()
+        assert table.get("gone") == (True, None)
+        loaded = SSTable.read_from(table.write_to(tmp_path / "t.sst"))
+        assert list(loaded.items()) == [
+            ("back", b"again"),
+            ("gone", None),
+            ("kept", b"kept"),
+        ]
+        assert store.get("gone") is None and store.get("kept") == b"kept"
 
 
 class TestSSTable:
