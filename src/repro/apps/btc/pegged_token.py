@@ -122,9 +122,8 @@ class PeggedTokenContract(DataConsumerContract):
         if "purpose" in context and "index" in context:
             self.on_header(ctx, key, value, **context)
         else:
-            ctx.meter.charge(ctx.meter.schedule.memory_cost(1), "callback")
+            self._keep_delivery(ctx, key, value)
             self.header_cache[key] = value
-            self.received.append({"key": key, "value": value, **context})
 
     # -- internals ---------------------------------------------------------------------------
 

@@ -127,8 +127,7 @@ class SCoinIssuer(DataConsumerContract):
         elif "seller" in context:
             self.on_price_for_redeem(ctx, key, value, **context)
         else:
-            ctx.meter.charge(ctx.meter.schedule.memory_cost(1), "callback")
-            self.received.append({"key": key, "value": value, **context})
+            self._keep_delivery(ctx, key, value)
 
     # -- inspection -----------------------------------------------------------------------
 

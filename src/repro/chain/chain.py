@@ -244,9 +244,8 @@ class Blockchain:
 
         The receipt's transaction takes a fresh id from this process: lanes
         are forked copies of the id counter, so two lanes hand out the same
-        ids.  Its ``args`` are whatever the lane left on it (the process
-        backend empties them — the group payloads, with their multiproofs,
-        stay in the lane that executed them).
+        ids.  Its ``args`` are whatever the lane left on it: nothing, since
+        every landed batch drops its groups once its block is mined.
 
         The pending pool must be empty: mixing locally queued transactions
         into a recorded block would execute them against state the lane

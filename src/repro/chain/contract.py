@@ -59,7 +59,9 @@ class Contract:
             LogEvent(
                 contract=self.address,
                 name=name,
-                payload=dict(payload),
+                # ``payload`` is this call's own fresh kwargs dict: nothing
+                # else holds it, so the event keeps it without a copy.
+                payload=payload,
                 block_number=ctx.block_number,
                 transaction_index=-1,
                 log_index=-1,

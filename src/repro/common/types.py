@@ -51,7 +51,7 @@ class OperationKind(enum.Enum):
     SCAN = "scan"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One operation of a data-feed workload.
 
@@ -122,7 +122,7 @@ class Operation:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KVRecord:
     """A key-value record augmented with its replication state.
 

@@ -23,7 +23,11 @@ class DataConsumerContract(Contract):
     def __init__(self, address: str, storage_manager: str) -> None:
         super().__init__(address)
         self.storage_manager_address = storage_manager
-        self.received: List[Dict[str, Any]] = []
+        #: The most recent value delivered for each key, and how many
+        #: callbacks delivered one: all off-chain inspection reads, so a
+        #: consumer holds one value a key however long it runs.
+        self.latest: Dict[str, bytes] = {}
+        self.delivery_count = 0
         self.pending_queries = 0
 
     # -- public API ----------------------------------------------------------
@@ -71,24 +75,28 @@ class DataConsumerContract(Contract):
     # -- callback ---------------------------------------------------------------
 
     def on_data(self, ctx: ExecutionContext, key: str, value: bytes, **context: Any) -> None:
-        """Default query processor: record the delivery and charge a token amount
-        of application gas (one memory word), standing in for app logic.
+        """Default query processor: keep the delivery (see :meth:`_keep_delivery`).
 
         Application subclasses override this with real logic (and real gas).
         """
-        ctx.meter.charge(ctx.meter.schedule.memory_cost(1), "callback")
-        self.received.append({"key": key, "value": value, **context})
+        self._keep_delivery(ctx, key, value)
         if self.pending_queries > 0:
             self.pending_queries -= 1
+
+    def _keep_delivery(self, ctx: ExecutionContext, key: str, value: bytes) -> None:
+        """Charge a token amount of application gas (one memory word),
+        standing in for app logic, and keep ``value`` as ``key``'s latest.
+
+        The one bookkeeping every consumer's plain ``on_data`` shares."""
+        ctx.meter.charge(ctx.meter.schedule.memory_cost(1), "callback")
+        self.latest[key] = value
+        self.delivery_count += 1
 
     # -- inspection ---------------------------------------------------------------
 
     def last_value(self, key: str) -> Optional[bytes]:
         """Most recent value received for ``key`` (off-chain inspection)."""
-        for entry in reversed(self.received):
-            if entry["key"] == key:
-                return entry["value"]
-        return None
+        return self.latest.get(key)
 
     def deliveries(self) -> int:
-        return len(self.received)
+        return self.delivery_count

@@ -133,6 +133,9 @@ class DataOwner:
         )
         self.chain.submit(transaction)
         self.chain.mine_block()
+        # Landed: nothing reads the bootstrap's entries again, so its receipt
+        # does not keep them for the feed's lifetime.
+        transaction.args = {}
         return signed
 
     # -- epoch update (write path w0-w2) -----------------------------------------------

@@ -193,14 +193,20 @@ class StorageManagerContract(Contract):
             self._run_callback(ctx, consumer, callback, callback_context, key, value)
             return value
         self.requests_emitted += 1
-        self.emit(
-            ctx,
-            "request",
-            key=key,
-            consumer=consumer,
-            callback=callback,
-            context=callback_context or {},
-        )
+        if callback_context:
+            self.emit(
+                ctx,
+                "request",
+                key=key,
+                consumer=consumer,
+                callback=callback,
+                context=callback_context,
+            )
+        else:
+            # An empty context is left out rather than logged as ``{}``: it
+            # costs no log gas either way, and the watchdog's decoder
+            # (``PendingRequest.from_event``) defaults it.
+            self.emit(ctx, "request", key=key, consumer=consumer, callback=callback)
         return None
 
     def gGetRange(

@@ -35,8 +35,9 @@ long-lived worker processes:
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
   and each of the shard's settlement transactions *executed* against the
   worker's mirror of the shard's contracts, as a :data:`Settlement`: the
-  lane chain's own receipt (its transaction's ``args`` emptied) and the
-  exact :class:`~repro.chain.gas.GasLedger` delta it charged;
+  lane chain's own receipt (its transaction's ``args`` emptied once its
+  block is mined, as every landed batch's are) and the exact
+  :class:`~repro.chain.gas.GasLedger` delta it charged;
 * the main process merges results in **fixed shard order** — absorb every
   drive buffer, stamping its events at the epoch-start height, then record
   each shard's deliver receipt in a block of its own, then each update
@@ -532,9 +533,15 @@ def run_epoch_phases(
 
 def land_transaction(chain, transaction: Transaction):
     """Submit ``transaction`` and mine it into a block of its own; returns
-    its receipt."""
+    its receipt, whose transaction no longer carries its ``args``.
+
+    Once the block is mined nothing reads a batch's groups again — their
+    records, callbacks and multiproof did their work inside the block — so
+    the receipt kept in ``chain.receipts`` drops them instead of holding every
+    batch of the run.  A lane ships this receipt as it is."""
     chain.submit(transaction)
     chain.mine_block()
+    transaction.args = {}
     return chain.receipt_for(transaction.txid)
 
 
@@ -929,8 +936,8 @@ class _LaneWorker:
 
     def _settle(self, transaction: Transaction) -> Settlement:
         """Execute one settlement transaction on the local chain; ship its
-        receipt without the groups (they stay here) and the exact ledger
-        delta it charged."""
+        receipt (``land_transaction`` has already dropped the groups) and
+        the exact ledger delta it charged."""
         # The settlement charges a ledger of its own, merged into the
         # chain's afterwards, so nothing copies the chain's whole ledger.
         # Correct only while no gas meter or call frame made during
@@ -952,8 +959,7 @@ class _LaneWorker:
         # mine_recorded_block re-derives it from the receipt's gas_used.
         # Shipping it in the delta too would double-count it.
         ledger_delta.by_category.pop("block_gas_limit_overflow", None)
-        shipped = replace(receipt, transaction=replace(transaction, args={}))
-        return shipped, ledger_delta
+        return receipt, ledger_delta
 
     # -- run-end state shipping ----------------------------------------------
 

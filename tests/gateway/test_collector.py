@@ -283,7 +283,11 @@ class TestBoundedness:
         assert clean < epochs * per_epoch_litter
 
     def test_lanes_collect_at_their_boundaries(self):
-        registry, workloads = build_fleet(n_feeds=4, n_ops=20 * EPOCH)
+        # Long enough for each lane's young generation to cross the gen-0
+        # threshold: a lane keeps no landed batch and no per-callback record,
+        # so this fleet's lanes first cross it between epochs 30 and 40
+        # (within 20 when they kept both); 60 leaves a margin.
+        registry, workloads = build_fleet(n_feeds=4, n_ops=60 * EPOCH)
         fleet = EpochScheduler(
             registry, epoch_size=EPOCH, num_shards=2, num_workers=2,
             execution_mode="process",

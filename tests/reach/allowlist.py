@@ -165,9 +165,11 @@ ALLOWED = {
     "core/consistency.py::ConsistencyModel.immediate_feed_freshness": FRESHNESS,
     # core/data_consumer.py
     "core/data_consumer.py::DataConsumerContract.last_value":
-        "test reference: tests/core/test_grub_system.py, tests/gateway/test_parallel_engine.py",
+        "test reference: tests/core/test_grub_system.py, tests/gateway/test_parallel_engine.py, "
+        "tests/gateway/test_retained_state.py",
     "core/data_consumer.py::DataConsumerContract.deliveries":
-        "test reference: tests/core/test_storage_manager_and_protocol.py",
+        "test reference: tests/core/test_storage_manager_and_protocol.py, "
+        "tests/gateway/test_retained_state.py",
     # core/decision/adaptive.py
     "core/decision/adaptive.py::AdaptiveKAlgorithm.predicted_reads_per_write":
         "test reference: tests/core/test_decision_algorithms.py",
