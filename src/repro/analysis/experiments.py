@@ -30,7 +30,7 @@ from repro.core.grub import GrubSystem, RunReport
 from repro.workloads.btcrelay_trace import BtcRelayTrace
 from repro.workloads.eth_price_oracle import EthPriceOracleTrace
 from repro.workloads.operations import WorkloadStats, characterise
-from repro.workloads.synthetic import AlternatingPhaseWorkload, SyntheticWorkload
+from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.ycsb import MixedYCSBWorkload
 
 
@@ -184,7 +184,7 @@ class SweepResult:
 class ComparisonResult:
     """Several systems over one workload — GRuB against the static baselines
     (Figures 5, 6, 9, 13), or variants of GRuB against one another (Figures 8a
-    and 15, the ablations) — each read against ``reference``."""
+    and 15, the ablation) — each read against ``reference``."""
 
     reports: Dict[str, RunReport]
     reference: str = "GRuB"
@@ -545,15 +545,8 @@ def run_adaptive_k_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Ablations: one design choice switched, everything else equal
+# Ablation: one design choice switched, everything else equal
 # ---------------------------------------------------------------------------
-
-
-def _ablation(
-    configs: Mapping[str, GrubConfig], operations: Sequence[Operation]
-) -> ComparisonResult:
-    """GRuB under each config, read against the first."""
-    return ComparisonResult(_run_systems(configs, operations), reference=next(iter(configs)))
 
 
 def run_deliver_batching_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:
@@ -561,25 +554,9 @@ def run_deliver_batching_ablation(*, scale: Optional[ExperimentScale] = None) ->
     scale = scale or ExperimentScale.default()
     batched = GrubConfig(epoch_size=scale.epoch_size)
     configs = {"epoch-batched": batched, "per-request": batched.with_overrides(batch_deliver=False)}
-    return _ablation(configs, _synthetic_operations(scale, 8))
-
-
-def _replica_churn_operations(scale: ExperimentScale, num_keys: int) -> List[Operation]:
-    """Read-heavy and write-only phases in turn, so replicas come and go."""
-    return AlternatingPhaseWorkload(
-        phase_ratios=(8.0, 0.0, 8.0, 0.0),
-        operations_per_phase=scale.synthetic_operations // 4,
-        num_keys=num_keys,
-    ).operations()
-
-
-def run_slot_reuse_ablation(*, scale: Optional[ExperimentScale] = None) -> ComparisonResult:
-    """A fresh storage slot per replica against the BtcRelay experiment's reused pool."""
-    scale = scale or ExperimentScale.default()
-    fresh = GrubConfig(epoch_size=scale.epoch_size)
-    reusing = fresh.with_overrides(reuse_replica_slots=True)
-    configs = {"fresh slot per replica": fresh, "reused slot pool": reusing}
-    return _ablation(configs, _replica_churn_operations(scale, num_keys=6))
+    return ComparisonResult(
+        _run_systems(configs, _synthetic_operations(scale, 8)), reference="epoch-batched"
+    )
 
 
 # ---------------------------------------------------------------------------

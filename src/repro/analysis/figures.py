@@ -174,10 +174,6 @@ FIGURES: Dict[str, Tuple[str, Callable[..., object]]] = {
         "Ablation — one deliver transaction per epoch vs one per request",
         ex.run_deliver_batching_ablation,
     ),
-    "ablation-slot-reuse": (
-        "Ablation — replica slot reuse (BtcRelay's 'reusable storage')",
-        ex.run_slot_reuse_ablation,
-    ),
 }
 
 

@@ -49,20 +49,19 @@ class ChainParameters:
     propagation_delay: float = 1.0
     finality_depth: int = 250
     block_gas_limit: int = 10_000_000
-    default_gas_limit: Optional[int] = None
 
 
 class _CallFrame:
-    """A reusable internal-call envelope: one meter + context per attribution.
+    """The internal-call envelope: one meter + context per attribution.
 
-    ``execute_internal_call`` used to allocate a fresh :class:`GasMeter` and
-    :class:`ExecutionContext` per call — the hottest allocation site of every
-    benchmark (one per driven read).  A frame is cached per ``(layer, scope)``
-    attribution and reused; ``busy`` guards against reentrant internal calls
-    (a callback that issues another internal call under the same attribution
-    falls back to a fresh allocation).  Meter ``used`` accumulates across
-    reuses, which is harmless: internal calls carry no gas limit and their
-    metered total is never read back — only the ledger attribution matters.
+    ``execute_internal_call`` runs every call in the frame cached for its
+    ``(layer, scope)`` attribution rather than allocating a :class:`GasMeter`
+    and :class:`ExecutionContext` per call (one per driven read).  ``busy``
+    marks a frame whose call is in flight: a reentrant internal call under the
+    same attribution is refused, as nesting :meth:`Blockchain.isolated_execution`
+    is.  Meter ``used`` accumulates across reuses, which is harmless: internal
+    calls carry no gas limit and their metered total is never read back —
+    only the ledger attribution matters.
     """
 
     __slots__ = ("meter", "ctx", "busy")
@@ -228,6 +227,13 @@ class Blockchain:
         # number and timestamp.
         return self._produce_block(map(self._execute, transactions))
 
+    def land(self, transaction: Transaction) -> TransactionReceipt:
+        """Submit ``transaction`` and mine it into a block of its own;
+        returns its receipt (reverted or not)."""
+        self.submit(transaction)
+        self.mine_block()
+        return self.receipt_for(transaction.txid)
+
     def mine_recorded_block(self, receipt: TransactionReceipt) -> Block:
         """Mine one block around a receipt executed on another chain.
 
@@ -244,8 +250,7 @@ class Blockchain:
 
         The receipt's transaction takes a fresh id from this process: lanes
         are forked copies of the id counter, so two lanes hand out the same
-        ids.  Its ``args`` are whatever the lane left on it: nothing, since
-        every landed batch drops its groups once its block is mined.
+        ids.  Its ``args`` arrive empty, as every sealed receipt's are.
 
         The pending pool must be empty: mixing locally queued transactions
         into a recorded block would execute them against state the lane
@@ -268,6 +273,10 @@ class Blockchain:
         open.  Each receipt is stamped here with its block position and
         finality time, and its events are appended to the log with those
         stamps (the receipt keeps the log's entries).
+
+        A sealed receipt's transaction drops its ``args``: nothing reads a
+        batch's records, callbacks or proofs once its block is mined, so
+        ``receipts`` does not hold every payload of the run.
         """
         obs = self.obs
         started = obs.tracer.clock() if obs is not None else 0.0
@@ -287,6 +296,7 @@ class Blockchain:
             receipt.events = [
                 append_event(event, block.number, index) for event in receipt.events
             ]
+            receipt.transaction.args = {}
             block.receipts.append(receipt)
             self.receipts[receipt.txid] = receipt
         if block.gas_used > self.parameters.block_gas_limit:
@@ -313,7 +323,6 @@ class Blockchain:
         function: str,
         *,
         layer: str = LAYER_FEED,
-        gas_limit: Optional[int] = None,
         **kwargs: Any,
     ) -> Any:
         """Execute a read-only (eth_call style) contract invocation.
@@ -322,8 +331,7 @@ class Blockchain:
         gas to the global ledger because it runs locally on a full node.
         """
         contract = self.get_contract(contract_address)
-        scratch_ledger = GasLedger()
-        meter = GasMeter(schedule=self.schedule, ledger=scratch_ledger, limit=gas_limit, layer=layer)
+        meter = GasMeter(schedule=self.schedule, ledger=GasLedger(), layer=layer)
         ctx = ExecutionContext(
             sender=sender,
             meter=meter,
@@ -341,7 +349,6 @@ class Blockchain:
         *,
         layer: str = LAYER_FEED,
         scope: Optional[str] = None,
-        gas_limit: Optional[int] = None,
         **kwargs: Any,
     ) -> Any:
         """Execute a contract call as part of an already-paid-for transaction.
@@ -353,63 +360,42 @@ class Blockchain:
         charged to the chain's global ledger (billed to ``scope`` when given)
         and any emitted events are appended to the event log immediately (the
         enclosing transaction is committed within the current block).
+
+        A call made from inside another under the same attribution is a
+        :class:`ReproError`: the two would share one envelope.
         """
         contract = self.get_contract(contract_address)
         buffer = self._isolation_buffer
-        frame: Optional[_CallFrame] = None
-        if gas_limit is None:
-            # Hot path: reuse the cached call envelope for this attribution.
-            frames = self._call_frames
-            frame = frames.get((layer, scope))
-            if frame is None:
-                meter = GasMeter(
-                    schedule=self.schedule,
-                    ledger=self.ledger if buffer is None else buffer.ledger,
-                    layer=layer,
-                    scope=scope,
-                )
-                ctx = ExecutionContext(sender=sender, meter=meter)
-                frame = frames[(layer, scope)] = _CallFrame(meter, ctx)
-            elif frame.busy:
-                # Reentrant internal call under the same attribution: fall
-                # back to a one-shot envelope rather than clobbering the
-                # in-flight context.
-                frame = None
+        frame = self._call_frames.get((layer, scope))
         if frame is None:
             meter = GasMeter(
                 schedule=self.schedule,
                 ledger=self.ledger if buffer is None else buffer.ledger,
-                limit=gas_limit,
                 layer=layer,
                 scope=scope,
             )
-            ctx = ExecutionContext(
-                sender=sender,
-                meter=meter,
-                block_number=self.height,
-                timestamp=self.clock.now,
+            ctx = ExecutionContext(sender=sender, meter=meter)
+            frame = self._call_frames[(layer, scope)] = _CallFrame(meter, ctx)
+        elif frame.busy:
+            raise ReproError(
+                f"reentrant internal call to {contract_address}.{function} "
+                f"under the busy ({layer}, {scope}) frame"
             )
-            method = getattr(contract, function)
-            result = method(ctx, **kwargs)
-            emitted = ctx.emitted
-        else:
-            ctx = frame.ctx
-            ctx.sender = sender
-            ctx.block_number = self.height
-            ctx.timestamp = self.clock.now
-            frame.busy = True
-            try:
-                result = getattr(contract, function)(ctx, **kwargs)
-            except BaseException:
-                # A reverted call's events must never surface (a fresh
-                # context used to drop them by going out of scope; the
-                # reused frame has to drop them explicitly, or the next
-                # call under this attribution would flush phantom events).
-                ctx.emitted.clear()
-                raise
-            finally:
-                frame.busy = False
-            emitted = ctx.emitted
+        ctx = frame.ctx
+        ctx.sender = sender
+        ctx.block_number = self.height
+        ctx.timestamp = self.clock.now
+        emitted = ctx.emitted
+        frame.busy = True
+        try:
+            result = getattr(contract, function)(ctx, **kwargs)
+        except BaseException:
+            # A reverted call's events must never surface, or the next call
+            # under this attribution would flush them.
+            emitted.clear()
+            raise
+        finally:
+            frame.busy = False
         if buffer is not None:
             if emitted:
                 buffer.events.extend(emitted)
@@ -431,7 +417,7 @@ class Blockchain:
         meter = GasMeter(
             schedule=self.schedule,
             ledger=self.ledger,
-            limit=transaction.gas_limit or self.parameters.default_gas_limit,
+            limit=transaction.gas_limit,
             layer=transaction.layer,
             scope=transaction.scope,
         )

@@ -34,19 +34,9 @@ from repro.core.storage_manager import StorageManagerContract, UpdateEntry
 
 
 @dataclass
-class EpochUpdateResult:
-    """What the DO submitted (or skipped) at the end of an epoch."""
-
-    transaction: Optional[Transaction]
-    entries: List[UpdateEntry]
-    transitions: Dict[str, ReplicationState]
-    signed_root: Optional[SignedRoot]
-    buffered_writes: int
-
-
-@dataclass
 class PreparedEpochUpdate:
-    """An epoch update that has been computed but not yet submitted on chain.
+    """An epoch update as computed, before (and, standalone, after) it is
+    submitted on chain.
 
     Produced by :meth:`DataOwner.prepare_epoch_update` (control-plane run, ADS
     updates, root signing — steps w0/w1).  A single-feed deployment submits it
@@ -60,18 +50,14 @@ class PreparedEpochUpdate:
     transitions: Dict[str, ReplicationState]
     signed_root: Optional[SignedRoot]
     buffered_writes: int
+    #: The standalone ``update`` transaction :meth:`DataOwner.submit_prepared`
+    #: sent for it (``None`` before that, and for an epoch with no payload).
+    transaction: Optional[Transaction] = None
 
     @property
     def has_payload(self) -> bool:
         """Whether anything changed this epoch (an empty epoch sends no tx)."""
         return self.buffered_writes > 0 or bool(self.entries)
-
-    @property
-    def calldata_bytes(self) -> int:
-        """Digest (2 words) plus the entries' encoded size."""
-        if not self.has_payload:
-            return 0
-        return 64 + sum(entry.calldata_bytes for entry in self.entries)
 
 
 @dataclass
@@ -89,7 +75,6 @@ class DataOwner:
     #: when the DO is hosted by the multi-tenant gateway).
     scope: Optional[str] = None
     _write_buffer: List[Operation] = field(default_factory=list)
-    epochs_submitted: int = 0
 
     # -- gPuts: the producer-facing API --------------------------------------------
 
@@ -121,26 +106,12 @@ class DataOwner:
             for record in records
             if record.state is ReplicationState.REPLICATED
         ]
-        calldata = 64 + sum(entry.calldata_bytes for entry in entries)
-        transaction = Transaction(
-            sender=self.address,
-            contract=self.storage_manager.address,
-            function="update",
-            args={"entries": entries, "digest": signed.root},
-            calldata_bytes=calldata,
-            layer=LAYER_FEED,
-            scope=self.scope,
-        )
-        self.chain.submit(transaction)
-        self.chain.mine_block()
-        # Landed: nothing reads the bootstrap's entries again, so its receipt
-        # does not keep them for the feed's lifetime.
-        transaction.args = {}
+        self.chain.land(self._update_transaction(entries, signed))
         return signed
 
     # -- epoch update (write path w0-w2) -----------------------------------------------
 
-    def end_epoch(self) -> EpochUpdateResult:
+    def end_epoch(self) -> PreparedEpochUpdate:
         """Run the control plane and submit this epoch's ``update`` transaction."""
         prepared = self.prepare_epoch_update()
         return self.submit_prepared(prepared)
@@ -247,36 +218,27 @@ class DataOwner:
             buffered_writes=buffered,
         )
 
-    def note_epoch_submitted(self) -> None:
-        """Count one epoch update landed on chain (standalone or batched)."""
-        self.epochs_submitted += 1
-
-    def submit_prepared(self, prepared: PreparedEpochUpdate) -> EpochUpdateResult:
-        """Step w2: submit a prepared update as a standalone transaction."""
-        if not prepared.has_payload:
-            return EpochUpdateResult(
-                transaction=None,
-                entries=[],
-                transitions=prepared.transitions,
-                signed_root=None,
-                buffered_writes=0,
+    def submit_prepared(self, prepared: PreparedEpochUpdate) -> PreparedEpochUpdate:
+        """Step w2: submit a prepared update as a standalone transaction,
+        recorded on ``prepared``, which is returned."""
+        if prepared.has_payload:
+            assert prepared.signed_root is not None
+            prepared.transaction = self.chain.submit(
+                self._update_transaction(prepared.entries, prepared.signed_root)
             )
-        assert prepared.signed_root is not None
-        transaction = Transaction(
+        return prepared
+
+    def _update_transaction(
+        self, entries: List[UpdateEntry], signed: SignedRoot
+    ) -> Transaction:
+        """The standalone ``update`` transaction carrying ``entries`` and the
+        signed digest: 2 words of digest plus the entries' encoded size."""
+        return Transaction(
             sender=self.address,
             contract=self.storage_manager.address,
             function="update",
-            args={"entries": prepared.entries, "digest": prepared.signed_root.root},
-            calldata_bytes=prepared.calldata_bytes,
+            args={"entries": entries, "digest": signed.root},
+            calldata_bytes=64 + sum(entry.calldata_bytes for entry in entries),
             layer=LAYER_FEED,
             scope=self.scope,
-        )
-        self.chain.submit(transaction)
-        self.note_epoch_submitted()
-        return EpochUpdateResult(
-            transaction=transaction,
-            entries=prepared.entries,
-            transitions=prepared.transitions,
-            signed_root=prepared.signed_root,
-            buffered_writes=prepared.buffered_writes,
         )

@@ -99,8 +99,6 @@ class ServiceProvider:
     scope: Optional[str] = None
     _log_cursor: int = 0
     pending: List[PendingRequest] = field(default_factory=list)
-    deliveries_sent: int = 0
-    records_delivered: int = 0
 
     # -- watchdog ------------------------------------------------------------
 
@@ -165,17 +163,12 @@ class ServiceProvider:
         without submitting a transaction (no items: nothing to land).
 
         Used by the multi-tenant gateway, which lands the call inside a
-        batched router transaction shared with other feeds; the SP's delivery
-        counters are updated here so they stay correct in both deployments.
+        batched router transaction shared with other feeds.
         """
         if not self.pending:
             return [], None
         requests, self.pending = self.pending, []
-        items, proof = self.build_deliver_items(requests)
-        if items:
-            self.deliveries_sent += 1
-            self.records_delivered += len(items)
-        return items, proof
+        return self.build_deliver_items(requests)
 
     def flush_deliveries(self) -> List[Transaction]:
         """Answer pending requests, either in one batched transaction or one each."""
@@ -203,8 +196,6 @@ class ServiceProvider:
             )
             self.chain.submit(transaction)
             transactions.append(transaction)
-            self.deliveries_sent += 1
-            self.records_delivered += len(items)
         return transactions
 
     def service_epoch(self) -> List[Transaction]:

@@ -35,8 +35,8 @@ long-lived worker processes:
   shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` itself,
   and each of the shard's settlement transactions *executed* against the
   worker's mirror of the shard's contracts, as a :data:`Settlement`: the
-  lane chain's own receipt (its transaction's ``args`` emptied once its
-  block is mined, as every landed batch's are) and the exact
+  lane chain's own receipt (its transaction's ``args`` emptied when its
+  block was sealed, as every receipt's are) and the exact
   :class:`~repro.chain.gas.GasLedger` delta it charged;
 * the main process merges results in **fixed shard order** — absorb every
   drive buffer, stamping its events at the epoch-start height, then record
@@ -297,7 +297,6 @@ def prepare_update_groups(
         if not prepared.has_payload:
             continue
         assert prepared.signed_root is not None
-        handle.data_owner.note_epoch_submitted()
         groups.append(
             UpdateGroup(
                 feed_id=feed_id,
@@ -529,20 +528,6 @@ def run_epoch_phases(
                 )
             close(parent, outcome, span)
     return outcomes
-
-
-def land_transaction(chain, transaction: Transaction):
-    """Submit ``transaction`` and mine it into a block of its own; returns
-    its receipt, whose transaction no longer carries its ``args``.
-
-    Once the block is mined nothing reads a batch's groups again — their
-    records, callbacks and multiproof did their work inside the block — so
-    the receipt kept in ``chain.receipts`` drops them instead of holding every
-    batch of the run.  A lane ships this receipt as it is."""
-    chain.submit(transaction)
-    chain.mine_block()
-    transaction.args = {}
-    return chain.receipt_for(transaction.txid)
 
 
 def close_feed_bill(
@@ -936,19 +921,19 @@ class _LaneWorker:
 
     def _settle(self, transaction: Transaction) -> Settlement:
         """Execute one settlement transaction on the local chain; ship its
-        receipt (``land_transaction`` has already dropped the groups) and
-        the exact ledger delta it charged."""
+        receipt (sealed, so its groups are already dropped) and the exact
+        ledger delta it charged."""
         # The settlement charges a ledger of its own, merged into the
         # chain's afterwards, so nothing copies the chain's whole ledger.
-        # Correct only while no gas meter or call frame made during
-        # ``land_transaction`` outlives it: one that did would stay bound to
-        # ``charged`` and its later charges would reach neither the chain's
-        # ledger nor a shipped delta.  Today every call frame lives inside
-        # ``isolated_execution``, which drops its frames on exit.
+        # Correct only while no gas meter or call frame made during ``land``
+        # outlives it: one that did would stay bound to ``charged`` and its
+        # later charges would reach neither the chain's ledger nor a shipped
+        # delta.  Today every call frame lives inside ``isolated_execution``,
+        # which drops its frames on exit.
         chain = self.registry.chain
         ledger, chain.ledger = chain.ledger, GasLedger()
         try:
-            receipt = land_transaction(chain, transaction)
+            receipt = chain.land(transaction)
         finally:
             charged, chain.ledger = chain.ledger, ledger
             ledger.merge(charged)

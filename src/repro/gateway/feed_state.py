@@ -77,8 +77,8 @@ from repro.storage.lsm import LSMStore
 @dataclass
 class ActorState:
     """One feed's off-chain actors as plain data: the DO's trusted root and
-    signer, the SP's counters and pending requests, the control plane
-    (algorithm, actuator) and its monitor.
+    signer, the SP's pending requests, the control plane (algorithm,
+    actuator) and its monitor.
 
     The SP's ``_log_cursor`` deliberately does *not* travel: it indexes the
     source's private event log; :meth:`install` re-bases it against the
@@ -86,11 +86,8 @@ class ActorState:
     """
 
     do_trusted_root: bytes
-    do_epochs_submitted: int
     signer_secret: bytes
     signer_epoch: int
-    sp_deliveries_sent: int
-    sp_records_delivered: int
     sp_pending: list
     cp_epochs_run: int
     cp_algorithm: object
@@ -108,11 +105,8 @@ class ActorState:
         monitor = control_plane.monitor
         return cls(
             do_trusted_root=data_owner.trusted_root,
-            do_epochs_submitted=data_owner.epochs_submitted,
             signer_secret=data_owner.signer._secret,
             signer_epoch=data_owner.signer._epoch,
-            sp_deliveries_sent=provider.deliveries_sent,
-            sp_records_delivered=provider.records_delivered,
             sp_pending=list(provider.pending),
             cp_epochs_run=control_plane.epochs_run,
             cp_algorithm=control_plane.algorithm,
@@ -124,13 +118,10 @@ class ActorState:
     def install(self, handle) -> None:
         data_owner = handle.data_owner
         data_owner.trusted_root = self.do_trusted_root
-        data_owner.epochs_submitted = self.do_epochs_submitted
         data_owner.signer._secret = self.signer_secret
         data_owner.signer._epoch = self.signer_epoch
         data_owner._write_buffer = []
         provider = handle.service_provider
-        provider.deliveries_sent = self.sp_deliveries_sent
-        provider.records_delivered = self.sp_records_delivered
         provider.pending = list(self.sp_pending)
         # Everything logged on the destination chain so far was routed by
         # whoever hosted the feed then; a later poll must not replay it.

@@ -133,7 +133,6 @@ from repro.gateway.executor import (
     fork_context,
     ipc_readings,
     ipc_summary,
-    land_transaction,
     run_epoch_phases,
     shipped_spec,
 )
@@ -803,7 +802,7 @@ class _InlineExecutor(_Executor):
 
     def _settle(self, transaction: Transaction) -> TransactionReceipt:
         """Land one shard's batch; a reverted one stops the run."""
-        receipt = land_transaction(self.registry.chain, transaction)
+        receipt = self.registry.chain.land(transaction)
         _raise_if_reverted(receipt)
         return receipt
 

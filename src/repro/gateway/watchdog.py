@@ -31,8 +31,6 @@ class SharedWatchdog:
     _cursor: int = 0
     #: storage-manager address → the handle of the feed it belongs to.
     _routes: Dict[str, "FeedHandle"] = field(default_factory=dict)
-    events_scanned: int = 0
-    requests_routed: int = 0
     requests_cancelled: int = 0
 
     def register(self, handle: "FeedHandle") -> None:
@@ -65,14 +63,12 @@ class SharedWatchdog:
         self.skip_to_end()
         routed = 0
         for event in events:
-            self.events_scanned += 1
             handle = self._routes.get(event.contract)
             if handle is None:
                 continue
             requests = PendingRequest.from_event(event)
             handle.service_provider.pending.extend(requests)
             routed += len(requests)
-        self.requests_routed += routed
         return routed
 
     def skip_to_end(self) -> None:

@@ -112,8 +112,6 @@ GOLDEN = {
                "BtcRelay": {0: 0.92, 1: 0.0775, 2: 0.0025}},
     "ablation-deliver-batching": {"epoch-batched": [560136, 59755],
                                   "per-request": [752644, 59755]},
-    "ablation-slot-reuse": {"fresh slot per replica": [612232, 19684],
-                            "reused slot pool": [612232, 19684]},
 }
 
 #: The figure keys some test below checks the shape of.
@@ -334,7 +332,6 @@ class TestAlgorithmAndParameterExperiments:
 #: Ablation key → (the variant that must not cost more, the one it is read against).
 ABLATIONS = {
     "ablation-deliver-batching": ("epoch-batched", "per-request"),
-    "ablation-slot-reuse": ("reused slot pool", "fresh slot per replica"),
 }
 
 
@@ -347,15 +344,9 @@ class TestAblations:
         assert totals[cheaper] <= totals[dearer]
 
     def test_only_deliver_batching_shows_on_these_workloads(self):
-        """Batching saves a transaction per request.  Slot reuse is an
-        equality at every scale, not a saving: the six keys re-replicate into
-        their own invalidated slots, so the freed-slot pool is never drawn on
-        (BtcRelay's ever-new block keys are what draw on it).  Pinned so that
-        its starting to matter is noticed."""
+        """Batching saves a transaction per request."""
         batched, per_request = quick("ablation-deliver-batching").totals.values()
         assert batched < per_request
-        without, with_reuse = quick("ablation-slot-reuse").totals.values()
-        assert with_reuse == without
 
 
 class TestCharacterisationExperiment:

@@ -31,6 +31,13 @@ class CounterContract(Contract):
         self.emit(ctx, "Phantom", value=1)
         self.require(False, "fails after emitting")
 
+    def call_back(self, ctx, inner_scope=None):
+        """Emit, then make an internal call into this chain from inside one."""
+        self.emit(ctx, "Outer")
+        return self.chain.execute_internal_call(
+            "user", self.address, "increment", scope=inner_scope
+        )
+
 
 @pytest.fixture
 def deployed_chain(chain):
@@ -119,6 +126,28 @@ class TestExecution:
                 )
             deployed_chain.execute_internal_call("user", "counter", "increment")
         assert [event.name for event in buffer.events] == ["Incremented"]
+
+    def test_reentrant_internal_call_is_refused_and_frees_its_frame(self, deployed_chain):
+        """A call from inside another under the same attribution would share
+        its envelope: it is a typed error, the outer call's events are
+        dropped with it, and the frame serves the next call."""
+        with pytest.raises(ReproError, match="reentrant"):
+            deployed_chain.execute_internal_call("user", "counter", "call_back")
+        assert not any(frame.busy for frame in deployed_chain._call_frames.values())
+        assert len(deployed_chain.event_log) == 0
+        assert deployed_chain.execute_internal_call("user", "counter", "increment") == 1
+        assert [event.name for event in deployed_chain.event_log] == ["Incremented"]
+
+    def test_internal_call_under_another_attribution_is_served(self, deployed_chain):
+        result = deployed_chain.execute_internal_call(
+            "user", "counter", "call_back", inner_scope="tenant"
+        )
+        assert result == 1
+        assert deployed_chain.ledger.scope_total("tenant") > 0
+        assert sorted(event.name for event in deployed_chain.event_log) == [
+            "Incremented",
+            "Outer",
+        ]
 
     def test_isolated_execution_cannot_be_nested_and_reopens_after_exit(
         self, deployed_chain
@@ -223,6 +252,41 @@ class TestExecution:
     def test_internal_call_events_reach_log_immediately(self, deployed_chain):
         deployed_chain.execute_internal_call("user", "counter", "increment")
         assert deployed_chain.event_log.latest("Incremented") is not None
+
+
+class TestLanding:
+    def test_every_sealed_receipt_drops_its_args(self, deployed_chain):
+        for by in (2, 3):
+            deployed_chain.submit(
+                Transaction(sender="a", contract="counter", function="increment", args={"by": by})
+            )
+        receipts = deployed_chain.mine_block().receipts
+        assert [receipt.return_value for receipt in receipts] == [2, 5]
+        assert [receipt.transaction.args for receipt in receipts] == [{}, {}]
+
+    def test_land_returns_an_argless_receipt_for_a_reverted_transaction(self, deployed_chain):
+        transaction = Transaction(
+            sender="a", contract="counter", function="increment", args={"by": 2}, gas_limit=1
+        )
+        receipt = deployed_chain.land(transaction)
+        assert not receipt.success and "out of gas" in receipt.error
+        assert receipt.transaction is transaction and transaction.args == {}
+        assert deployed_chain.blocks[-1].receipts == [receipt]
+        assert deployed_chain.receipt_for(transaction.txid) is receipt
+        assert deployed_chain.pending == []
+
+    def test_land_mines_through_mine_block(self, deployed_chain, monkeypatch):
+        """Trace hooks time block production by wrapping ``mine_block``."""
+        mined = []
+        mine_block = Blockchain.mine_block
+
+        def counting(chain):
+            mined.append(chain.height)
+            return mine_block(chain)
+
+        monkeypatch.setattr(Blockchain, "mine_block", counting)
+        deployed_chain.land(Transaction(sender="a", contract="counter", function="increment"))
+        assert mined == [1]
 
 
 class TestTimingAndFinality:

@@ -25,8 +25,9 @@ BLOCKCHAIN = {
     "deploy",  # gateway/registry.py, core/grub.py, apps/stablecoin.py, apps/btc
     "undeploy",  # gateway/registry.py: a departing feed frees its addresses
     "get_contract",  # gateway/router.py, core/data_consumer.py: internal calls
-    "submit",  # gateway/executor.land_transaction, DataOwner, ServiceProvider
-    "mine_block",  # gateway/executor.land_transaction, core/grub.py epochs
+    "submit",  # Blockchain.land, DataOwner.submit_prepared, ServiceProvider
+    "mine_block",  # Blockchain.land, core/grub.py epochs
+    "land",  # gateway settlements (both modes), DataOwner.preload
     "mine_recorded_block",  # gateway/scheduler.py: a lane's settlement receipts
     "mine_until_finalized",  # test reference: tests/core/test_grub_system.py
     "execute_call",  # test reference: tests/chain, tests/apps; suite/trace.py times it
@@ -34,7 +35,7 @@ BLOCKCHAIN = {
     "height",  # gateway/scheduler.py: the blocks a run mined
     "is_finalized",  # test reference: tests/chain/test_blockchain.py
     "finality_delay",  # core/consistency.py: the freshness bound
-    "receipt_for",  # gateway/executor.land_transaction
+    "receipt_for",  # Blockchain.land
 }
 
 EVENT_LOG = {

@@ -38,11 +38,8 @@ WORKLOAD_MONITOR = {
 
 ACTOR_STATE = {
     "do_trusted_root",  # DataOwner.trusted_root
-    "do_epochs_submitted",  # DataOwner.epochs_submitted
     "signer_secret",  # the DO's RootSigner key
     "signer_epoch",  # the DO's RootSigner epoch counter
-    "sp_deliveries_sent",  # ServiceProvider.deliveries_sent
-    "sp_records_delivered",  # ServiceProvider.records_delivered
     "sp_pending",  # ServiceProvider.pending: requests not yet delivered
     "cp_epochs_run",  # ControlPlane.epochs_run
     "cp_algorithm",  # ControlPlane.algorithm: the decision state

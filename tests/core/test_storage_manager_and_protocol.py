@@ -8,6 +8,7 @@ import pytest
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
 from repro.chain.chain import Blockchain, ChainParameters
+from repro.chain.gas import GasLedger
 from repro.chain.transaction import Transaction
 from repro.common.clock import ManualClock
 from repro.common.types import KVRecord, Operation, ReplicationState
@@ -21,6 +22,7 @@ from repro.core.service_provider import ServiceProvider, TamperingServiceProvide
 from repro.core.storage_manager import (
     INVALID_REPLICA,
     StorageManagerContract,
+    UpdateEntry,
     deliver_calldata_bytes,
 )
 from repro.obs import Observability
@@ -140,6 +142,23 @@ class TestWritePath:
         # the SP store and the on-chain digest consistent.
         assert protocol_system.sp_store.get_record("bravo").value == b"Y" * 32
 
+    def test_submit_prepared_records_its_transaction_on_the_update(self, protocol_system):
+        owner = protocol_system.data_owner
+        owner.put("alpha", b"X" * 32)
+        prepared = owner.prepare_epoch_update()
+        assert prepared.transaction is None
+        assert owner.submit_prepared(prepared) is prepared
+        transaction = prepared.transaction
+        assert protocol_system.chain.pending == [transaction]
+        assert (transaction.function, transaction.sender) == ("update", owner.address)
+        assert transaction.args == {"entries": prepared.entries, "digest": owner.trusted_root}
+        assert transaction.calldata_bytes == 64 + sum(
+            entry.calldata_bytes for entry in prepared.entries
+        )
+        protocol_system.chain.mine_block()
+        assert transaction.args == {}
+        assert protocol_system.storage_manager.root_hash() == owner.trusted_root
+
     def test_an_epoch_reaches_the_store_as_one_batch(self, protocol_system, monkeypatch):
         batches = []
         apply_updates = AuthenticatedKVStore.apply_updates
@@ -162,6 +181,52 @@ class TestWritePath:
         store = protocol_system.sp_store
         assert store.get_record("echo").value == b"E" * 32
         assert protocol_system.storage_manager.root_hash() == store.root
+
+
+class TestReplicaSlotReuse:
+    """BtcRelay's "reusable storage": a new replica recycles a slot an
+    eviction freed, at the storage-update price instead of the insert price."""
+
+    @staticmethod
+    def land_update(chain, manager, entry) -> dict:
+        """Land one ``update`` carrying ``entry``; the gas it charged by category."""
+        before = GasLedger()
+        before.merge(chain.ledger)
+        receipt = chain.land(
+            Transaction(
+                sender="owner",
+                contract=manager.address,
+                function="update",
+                args={"entries": [entry], "digest": b"\x01" * 32},
+                calldata_bytes=64 + entry.calldata_bytes,
+            )
+        )
+        assert receipt.success
+        return chain.ledger.since(before).by_category
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reusing", "fresh"])
+    def test_a_new_key_takes_the_slot_an_eviction_freed(self, reuse):
+        chain = Blockchain()
+        manager = chain.deploy(
+            StorageManagerContract("manager", data_owner="owner", reuse_replica_slots=reuse)
+        )
+        replicate = ReplicationState.REPLICATED
+        self.land_update(chain, manager, UpdateEntry("A", b"a" * 32, replicate, True))
+        evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
+        self.land_update(chain, manager, evicted)
+        assert manager.free_replica_slots == 1
+        charged = self.land_update(chain, manager, UpdateEntry("B", b"b" * 32, replicate, True))
+        assert manager.replica_of("B") == b"b" * 32 and manager.replica_count() == 1
+        one_word = chain.schedule.storage_update_cost(1)
+        if reuse:
+            # The digest and B's replica: two updates, no insert.
+            assert charged.get("sstore_insert", 0) == 0
+            assert charged["sstore_update"] == 2 * one_word
+            assert manager.free_replica_slots == 0
+        else:
+            assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
+            assert charged["sstore_update"] == one_word
+            assert manager.free_replica_slots == 1
 
 
 class TestReadPathAndWatchdog:

@@ -29,7 +29,7 @@ from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.common.errors import WireError
 from repro.common.types import KVRecord
 from repro.core.config import GrubConfig
-from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, executor, feed_state
+from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, feed_state
 from repro.gateway.executor import (
     LaneEngine,
     ShardOutcome,
@@ -279,13 +279,13 @@ class TestLaneSettlement:
         chain = registry.chain
         for feed_id, operations in workloads.items():
             registry.get(feed_id).queue.extend(operations)
-        land = executor.land_transaction
+        land = chain.land
 
-        def land_with_a_zero_charge(chain, transaction):
+        def land_with_a_zero_charge(transaction):
             chain.ledger.charge(0, "zero-probe", layer="zero-layer", scope="zero-scope")
-            return land(chain, transaction)
+            return land(transaction)
 
-        monkeypatch.setattr(executor, "land_transaction", land_with_a_zero_charge)
+        monkeypatch.setattr(chain, "land", land_with_a_zero_charge)
         lane = SimpleNamespace(registry=registry)
         deltas = []
 

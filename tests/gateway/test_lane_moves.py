@@ -40,7 +40,6 @@ from repro.gateway.executor import (
     _Lane,
     _LaneWorker,
     ipc_summary,
-    land_transaction,
     run_epoch_phases,
     shipped_spec,
 )
@@ -220,14 +219,13 @@ def test_eviction_drops_every_held_copy(fork):
 
 def run_inline(registry: FeedRegistry, epochs: int) -> FeedRegistry:
     """``registry``'s ``alpha`` run ``epochs`` epochs inline."""
-    chain = registry.chain
     for epoch in range(epochs):
         run_epoch_phases(
             registry,
             [(0, ["alpha"])],
             epoch,
             EPOCH_SIZE,
-            settle=lambda transaction: land_transaction(chain, transaction),
+            settle=registry.chain.land,
             tracer=Tracer(enabled=False),
         )
     return registry

@@ -3,11 +3,11 @@
 Nothing reads a deliver or update batch's groups once its block is mined, and
 off-chain inspection of a consumer reads one value a key and a count.  These
 tests run a toy ``fleet_read`` (the benchmark's own inputs at smoke size) in
-both execution modes and check, with the registry still held, that none of
-the per-batch payload objects is alive, that every receipt dropped its
-transaction's arguments, and that each consumer holds at most one value per
-key — while ``deliveries()`` and ``last_value()`` answer as a consumer that
-kept every callback would.
+both execution modes, and a single-feed :class:`GrubSystem` run, and check,
+with the run still held, that none of the per-batch payload objects is alive,
+that every receipt dropped its transaction's arguments, and that each
+consumer holds at most one value per key — while ``deliveries()`` and
+``last_value()`` answer as a consumer that kept every callback would.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import pytest
 from repro.apps.btc.pegged_token import build_pegged_token_deployment
 from repro.apps.stablecoin import build_stablecoin_deployment
 from repro.chain.gas import GasSchedule
+from repro.common.types import KVRecord
 from repro.core.config import GrubConfig
 from repro.core.data_consumer import DataConsumerContract
 from repro.core.grub import GrubSystem
 from repro.core.storage_manager import CallbackRef, DeliverItem, UpdateEntry
 from repro.gateway import EpochScheduler, FeedRegistry
 from repro.gateway.router import DeliverGroup, UpdateGroup
+from repro.workloads.synthetic import SyntheticWorkload
 from suite.workloads import WORKLOADS, generate
 
 #: What one landed batch carries: its groups, their records, callbacks and
@@ -101,6 +103,24 @@ def test_a_finished_run_keeps_no_batch_payload(execution_mode):
         for value in vars(consumer).values():
             if isinstance(value, (list, dict, set, tuple)):
                 assert len(value) <= len(keys)
+
+
+def test_a_finished_single_feed_run_keeps_no_batch_payload():
+    """The path every paper figure takes: one feed's SP delivers and its DO
+    updates in transactions of their own, mined by the epoch loop."""
+    before = live_payload()
+    seen = {id(obj) for obj in before}
+    system = GrubSystem(
+        GrubConfig(epoch_size=8, algorithm="memoryless", k=2),
+        preload=[KVRecord.make(f"asset-{index:05d}", b"v" * 32) for index in range(64)],
+    )
+    system.run(
+        SyntheticWorkload(read_write_ratio=4.0, num_operations=800, num_keys=64).operations()
+    )
+    assert [obj for obj in live_payload() if id(obj) not in seen] == []
+    receipts = system.chain.receipts.values()
+    assert {r.transaction.function for r in receipts} == {"deliver", "update"}
+    assert all(r.transaction.args == {} for r in receipts)
 
 
 def test_consumer_answers_as_one_that_kept_every_callback(monkeypatch):

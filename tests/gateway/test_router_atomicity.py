@@ -9,11 +9,7 @@ from repro.common.types import KVRecord, ReplicationState
 from repro.core.service_provider import TamperingServiceProvider
 from repro.core.storage_manager import UpdateEntry
 from repro.gateway import FeedRegistry, FeedSpec
-from repro.gateway.executor import (
-    build_deliver_groups,
-    deliver_transaction,
-    land_transaction,
-)
+from repro.gateway.executor import build_deliver_groups, deliver_transaction
 from repro.gateway.router import UpdateGroup, scope_weights_for_update
 
 
@@ -147,9 +143,7 @@ def test_tampering_group_reverts_the_whole_deliver_batch(attack, adversary_at):
     groups = build_deliver_groups(registry, feed_ids)
     assert [group.feed_id for group in groups] == feed_ids
     assert all(len(group.items) == len(KEYS) for group in groups)
-    receipt = land_transaction(
-        registry.chain, deliver_transaction(registry.router.address, groups)
-    )
+    receipt = registry.chain.land(deliver_transaction(registry.router.address, groups))
     assert evil.attacks_attempted == len(KEYS)
     assert not receipt.success and "integrity check failed" in receipt.error
     # The batch is atomic on chain: the neighbours' groups verified — some of
@@ -174,9 +168,7 @@ def test_omitting_group_lands_and_starves_only_its_own_feed():
     groups = build_deliver_groups(registry, feed_ids)
     omitted = len(KEYS) - len(groups[1].items)
     assert evil.attacks_attempted == len(KEYS) and 0 < omitted < len(KEYS)
-    receipt = land_transaction(
-        registry.chain, deliver_transaction(registry.router.address, groups)
-    )
+    receipt = registry.chain.land(deliver_transaction(registry.router.address, groups))
     # Omission is the attack verification cannot see: what is delivered is
     # genuine (the multiproof was made for the records that were kept), the
     # transaction lands, and only the adversary's own tenant goes short.

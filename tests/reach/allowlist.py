@@ -332,6 +332,8 @@ ALLOWED = {
     "workloads/operations.py::interleave_phases":
         "test reference: tests/workloads/test_workloads.py",
     # workloads/synthetic.py
+    "workloads/synthetic.py::AlternatingPhaseWorkload.operations":
+        "test reference: tests/workloads/test_workloads.py",
     "workloads/synthetic.py::AlternatingPhaseWorkload.phase_boundaries":
         "test reference: tests/workloads/test_workloads.py",
     "workloads/synthetic.py::WorstCaseMemorylessWorkload.operations":

@@ -6,13 +6,14 @@ recorder in ``hook/`` on every Python process they start (main, threads,
 forked lanes), then compares the functions they entered with
 every ``def`` under ``src/repro``.  A function none of them reaches must be
 listed in ``allowlist.py`` with its caller or its reason; one that is not
-fails the probe.  A listed function that is reached now is reported, not
-failed, so the list can be pruned.
+fails the probe.  So does a listed function that is reached now: its entry
+must leave the list, which stays exactly the unreached functions.
 
     python tests/reach/probe.py
 
 Takes about a minute and a half on a 2-CPU host, so it runs in CI, not in
-tier-1.  Exit status: 0 when every unreached function is listed, 1 otherwise.
+tier-1.  Exit status: 0 when the listed functions are exactly the unreached
+ones, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def report(functions: List[Function], missing: List[Function], allowed: Dict[str
         f"{len(listed)} listed, {len(unlisted)} not"
     )
     for name in now_reached:
-        print(f"reached now, can leave the allow-list: {name}")
+        print(f"REACHED, must leave the allow-list: {name}")
     for function in unlisted:
         print(f"UNREACHED, not on the allow-list: {function.name} ({function.lines} lines)")
-    return 1 if unlisted else 0
+    return 1 if unlisted or now_reached else 0
 
 
 def main() -> int:

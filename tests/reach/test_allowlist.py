@@ -2,7 +2,8 @@
 
 ``probe.py`` (CI's ``reach`` job) fails when a function of ``src/repro`` is
 reached by no workload, figure or example and is not listed in
-``allowlist.py``.  This checks the list itself, in tier-1: every entry names
+``allowlist.py``, or is listed there and reached.  This checks the list
+itself, in tier-1: every entry names
 a function that exists, and gives one of the accepted reasons — a test file
 that calls it (which must exist), an abstract or protocol seam, a benchmark
 trace hook, the roadmap item that will call it, or a named program caller.
