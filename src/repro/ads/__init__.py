@@ -7,7 +7,9 @@ paper groups the leaves by replication state and sorts them by key; here each
 record keeps the slot it was appended to and its state is hashed into its leaf
 (see :mod:`repro.ads.authenticated_kv`).  The data owner keeps the root hash;
 the storage-manager contract holds a copy and verifies every delivered record
-against it.
+against it.  The contract takes a new root only from the data owner (or
+the gateway hosting it) as the transaction's sender, so the root needs no
+signature of its own.
 
 Modules:
 
@@ -15,8 +17,7 @@ Modules:
   leaves, with one-leaf proofs and one multiproof for any set of leaves,
 * :mod:`repro.ads.authenticated_kv` — the GRuB-specific layout (append-only
   slots), the batched epoch write, the multiproof a deliver batch is
-  answered with, and the baseline / delta a store changes interpreter with,
-* :mod:`repro.ads.signer` — the DO's signature over published root hashes.
+  answered with, and the baseline / delta a store changes interpreter with.
 """
 
 from repro.ads.merkle import (
@@ -32,7 +33,6 @@ from repro.ads.authenticated_kv import (
     BatchQueryResult,
     QueryResult,
 )
-from repro.ads.signer import RootSigner, SignedRoot
 
 __all__ = [
     "MerkleTree",
@@ -44,6 +44,4 @@ __all__ = [
     "AuthenticatedKVStore",
     "BatchQueryResult",
     "QueryResult",
-    "RootSigner",
-    "SignedRoot",
 ]

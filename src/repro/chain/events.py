@@ -41,35 +41,14 @@ class EventLog:
     def __init__(self) -> None:
         self._events: List[LogEvent] = []
 
-    def append(
-        self,
-        contract: str,
-        name: str,
-        payload: Dict[str, Any],
-        block_number: int,
-        transaction_index: int,
-    ) -> LogEvent:
-        event = LogEvent(
-            contract=contract,
-            name=name,
-            payload=dict(payload),
-            block_number=block_number,
-            transaction_index=transaction_index,
-            log_index=len(self._events),
-        )
-        self._events.append(event)
-        return event
-
     def append_event(
         self, event: LogEvent, block_number: int, transaction_index: int
     ) -> LogEvent:
         """Append a context-buffered event, re-stamped with its block position.
 
-        Unlike :meth:`append` the payload dict is *shared* with the buffered
-        event rather than copied: the payload was built privately by
-        :meth:`~repro.chain.contract.Contract.emit` and every reader treats it
-        as immutable, so the second copy (one per event, on the hot read path)
-        bought nothing.
+        The payload dict is *shared* with the buffered event, not copied: it
+        was built privately by :meth:`~repro.chain.contract.Contract.emit` and
+        every reader treats it as immutable.
         """
         stamped = LogEvent(
             contract=event.contract,

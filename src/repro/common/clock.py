@@ -22,8 +22,8 @@ and make span durations exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable
 
 #: The injectable monotonic-clock contract: call it, get seconds.  Any
 #: zero-argument callable returning non-decreasing floats qualifies.
@@ -69,47 +69,10 @@ class SimulatedClock:
     """Monotonic simulated time in abstract seconds."""
 
     now: float = 0.0
-    _scheduled: List[Tuple[float, int, Callable[[], None]]] = field(
-        default_factory=list, repr=False
-    )
-    _sequence: int = 0
 
     def advance(self, seconds: float) -> float:
-        """Move time forward, firing any callbacks scheduled in the interval.
-
-        Callbacks fire in timestamp order (ties broken by scheduling order) and
-        may themselves schedule further callbacks, which also fire if they fall
-        within the interval being advanced over.
-        """
+        """Move time forward by ``seconds``."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        target = self.now + seconds
-        while True:
-            due = [entry for entry in self._scheduled if entry[0] <= target]
-            if not due:
-                break
-            due.sort()
-            timestamp, _, callback = due[0]
-            self._scheduled.remove(due[0])
-            self.now = max(self.now, timestamp)
-            callback()
-        self.now = target
+        self.now += seconds
         return self.now
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule in the past")
-        self._sequence += 1
-        self._scheduled.append((self.now + delay, self._sequence, callback))
-
-    @property
-    def pending(self) -> int:
-        """Number of callbacks that have not fired yet."""
-        return len(self._scheduled)
-
-    def reset(self) -> None:
-        """Reset time to zero and drop all scheduled callbacks."""
-        self.now = 0.0
-        self._scheduled.clear()
-        self._sequence = 0

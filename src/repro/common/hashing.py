@@ -8,7 +8,6 @@ contract code reads naturally.
 
 from __future__ import annotations
 
-import hmac
 import struct
 from hashlib import sha256
 from typing import Iterable
@@ -86,18 +85,3 @@ def combine_digests(digests: Iterable[bytes]) -> bytes:
         hasher.update(digest)
     return hasher.digest()
 
-
-def sign_digest(secret_key: bytes, digest: bytes) -> bytes:
-    """Produce the data owner's signature over a root digest.
-
-    An HMAC stands in for the ECDSA signature the prototype would use; the
-    property the protocol needs is that only the holder of ``secret_key`` can
-    produce a value that verifies.
-    """
-    return hmac.new(secret_key, digest, sha256).digest()
-
-
-def verify_signature(secret_key: bytes, digest: bytes, signature: bytes) -> bool:
-    """Check a signature produced by :func:`sign_digest` (constant time)."""
-    expected = sign_digest(secret_key, digest)
-    return hmac.compare_digest(expected, signature)

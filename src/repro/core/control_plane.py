@@ -103,18 +103,13 @@ class DecisionActuator:
 
     #: keys that must change state in the next epoch update, with the target state.
     pending_transitions: Dict[str, ReplicationState] = field(default_factory=dict)
-    #: epoch index of the most recent read per replicated key (for eviction).
+    #: epoch index of the most recent read per key, kept only for a control
+    #: plane that evicts idle replicas (:meth:`evict_stale` is its reader).
     last_read_epoch: Dict[str, int] = field(default_factory=dict)
-    replications: int = 0
-    evictions: int = 0
 
     def apply_decisions(self, decisions: Iterable[Decision]) -> None:
         for decision in decisions:
             self.pending_transitions[decision.key] = decision.state
-            if decision.state is ReplicationState.REPLICATED:
-                self.replications += 1
-            else:
-                self.evictions += 1
 
     def note_reads(self, operations: Iterable[Operation], epoch: int) -> None:
         for op in operations:
@@ -126,16 +121,12 @@ class DecisionActuator:
         replicated_keys: Iterable[str],
         current_epoch: int,
         max_idle_epochs: int,
-    ) -> List[str]:
+    ) -> None:
         """Demote replicated keys that have not been read recently."""
-        evicted: List[str] = []
         for key in replicated_keys:
             last = self.last_read_epoch.get(key, -1)
             if current_epoch - last >= max_idle_epochs:
                 self.pending_transitions[key] = ReplicationState.NOT_REPLICATED
-                self.evictions += 1
-                evicted.append(key)
-        return evicted
 
     def drain_transitions(self) -> Dict[str, ReplicationState]:
         """Hand the accumulated transitions to the data plane and clear them."""
@@ -181,7 +172,8 @@ class ControlPlane:
         reads = [op for _, op in self.monitor.fetch_chain_reads()]
         if not reads:
             return
-        self.actuator.note_reads(reads, self.epochs_run)
+        if self.evict_unused_after_epochs is not None:
+            self.actuator.note_reads(reads, self.epochs_run)
         decisions = self.algorithm.observe(reads)
         self.actuator.apply_decisions(decisions)
 
@@ -197,7 +189,8 @@ class ControlPlane:
             self.monitor.federate_epoch_trace()
         else:
             trace = self.monitor.federate_epoch_trace()
-            self.actuator.note_reads(trace, self.epochs_run)
+            if self.evict_unused_after_epochs is not None:
+                self.actuator.note_reads(trace, self.epochs_run)
             decisions = self.algorithm.observe(trace)
             self.actuator.apply_decisions(decisions)
         if self.evict_unused_after_epochs is not None:

@@ -10,9 +10,11 @@ B.2.1 of the paper):
 * it lands the epoch's updates and state transitions on its trusted mirror of
   the ADS in one batch and recomputes the root (step w1); being trusted, it
   fetches no per-write witness from the SP,
-* it signs the new root and sends a single ``update`` transaction to the
-  storage-manager contract, carrying the digest, the new values of replicated
-  records, and any replication-state transitions (step w2).
+* it sends a single ``update`` transaction to the storage-manager contract,
+  carrying the new root, the new values of replicated records, and any
+  replication-state transitions (step w2).  The root is authenticated by the
+  transaction's sender: the contract takes a digest only from the data owner
+  (or the gateway hosting it).
 
 The DO is trusted, so its own computation costs no gas; only the ``update``
 transaction it submits does.
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
-from repro.ads.signer import RootSigner, SignedRoot
 from repro.chain.chain import Blockchain
 from repro.chain.gas import LAYER_FEED
 from repro.chain.transaction import Transaction
@@ -38,8 +39,8 @@ class PreparedEpochUpdate:
     """An epoch update as computed, before (and, standalone, after) it is
     submitted on chain.
 
-    Produced by :meth:`DataOwner.prepare_epoch_update` (control-plane run, ADS
-    updates, root signing — steps w0/w1).  A single-feed deployment submits it
+    Produced by :meth:`DataOwner.prepare_epoch_update` (control-plane run and
+    ADS updates — steps w0/w1).  A single-feed deployment submits it
     straight away via :meth:`DataOwner.submit_prepared`; the multi-tenant
     gateway instead collects the prepared updates of every feed in a shard and
     lands them in one batched router transaction, amortising the transaction
@@ -48,7 +49,8 @@ class PreparedEpochUpdate:
 
     entries: List[UpdateEntry]
     transitions: Dict[str, ReplicationState]
-    signed_root: Optional[SignedRoot]
+    #: The store's new root (``None`` for an epoch with no payload).
+    root: Optional[bytes]
     buffered_writes: int
     #: The standalone ``update`` transaction :meth:`DataOwner.submit_prepared`
     #: sent for it (``None`` before that, and for an epoch with no payload).
@@ -69,8 +71,6 @@ class DataOwner:
     storage_manager: StorageManagerContract
     sp_store: AuthenticatedKVStore
     control_plane: ControlPlane
-    signer: RootSigner = field(default_factory=RootSigner)
-    trusted_root: bytes = b""
     #: Gas-attribution scope stamped on the DO's transactions (the feed id
     #: when the DO is hosted by the multi-tenant gateway).
     scope: Optional[str] = None
@@ -91,23 +91,22 @@ class DataOwner:
 
     # -- preloading -----------------------------------------------------------------
 
-    def preload(self, records: List[KVRecord]) -> SignedRoot:
+    def preload(self, records: List[KVRecord]) -> bytes:
         """Initialise the SP store with ``records`` and publish the first digest.
 
         Preloading happens before the measured workload starts (the paper
         preloads 2^16 records for the YCSB experiments), so it uses a single
         bootstrap transaction whose gas is not attributed to any epoch.
+        Returns the published root.
         """
         root = self.sp_store.load(records)
-        self.trusted_root = root
-        signed = self.signer.sign(root)
         entries = [
             UpdateEntry(key=record.key, value=record.value, new_state=record.state, is_transition=False)
             for record in records
             if record.state is ReplicationState.REPLICATED
         ]
-        self.chain.land(self._update_transaction(entries, signed))
-        return signed
+        self.chain.land(self._update_transaction(entries, root))
+        return root
 
     # -- epoch update (write path w0-w2) -----------------------------------------------
 
@@ -117,12 +116,11 @@ class DataOwner:
         return self.submit_prepared(prepared)
 
     def prepare_epoch_update(self) -> PreparedEpochUpdate:
-        """Steps w0/w1: run the control plane, apply ADS updates, sign the root.
+        """Steps w0/w1: run the control plane and apply the ADS updates.
 
-        Mutates the SP store and the DO's trusted root but submits nothing on
-        chain; the caller decides how the prepared update reaches the contract
-        (a standalone ``update`` transaction, or a gateway ``update_batch``
-        grouped with other feeds).
+        Mutates the SP store but submits nothing on chain; the caller decides
+        how the prepared update reaches the contract (a standalone ``update``
+        transaction, or a gateway ``update_batch`` grouped with other feeds).
         """
         transitions = self.control_plane.run_epoch(self.sp_store.replicated_keys())
 
@@ -204,17 +202,14 @@ class DataOwner:
             return PreparedEpochUpdate(
                 entries=[],
                 transitions=transitions,
-                signed_root=None,
+                root=None,
                 buffered_writes=0,
             )
 
-        new_root = self.sp_store.root
-        self.trusted_root = new_root
-        signed = self.signer.sign(new_root)
         return PreparedEpochUpdate(
             entries=entries,
             transitions=transitions,
-            signed_root=signed,
+            root=self.sp_store.root,
             buffered_writes=buffered,
         )
 
@@ -222,22 +217,22 @@ class DataOwner:
         """Step w2: submit a prepared update as a standalone transaction,
         recorded on ``prepared``, which is returned."""
         if prepared.has_payload:
-            assert prepared.signed_root is not None
+            assert prepared.root is not None
             prepared.transaction = self.chain.submit(
-                self._update_transaction(prepared.entries, prepared.signed_root)
+                self._update_transaction(prepared.entries, prepared.root)
             )
         return prepared
 
     def _update_transaction(
-        self, entries: List[UpdateEntry], signed: SignedRoot
+        self, entries: List[UpdateEntry], root: bytes
     ) -> Transaction:
         """The standalone ``update`` transaction carrying ``entries`` and the
-        signed digest: 2 words of digest plus the entries' encoded size."""
+        root: 2 words of digest plus the entries' encoded size."""
         return Transaction(
             sender=self.address,
             contract=self.storage_manager.address,
             function="update",
-            args={"entries": entries, "digest": signed.root},
+            args={"entries": entries, "digest": root},
             calldata_bytes=64 + sum(entry.calldata_bytes for entry in entries),
             layer=LAYER_FEED,
             scope=self.scope,

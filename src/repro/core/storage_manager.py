@@ -2,8 +2,9 @@
 
 The contract holds:
 
-* ``rootHash`` — the latest digest of the authenticated KV store, signed and
-  published by the data owner with every epoch's ``update`` transaction,
+* ``rootHash`` — the latest digest of the authenticated KV store, published
+  by the data owner with every epoch's ``update`` transaction (the one
+  sender, with the gateway hosting it, that ``update`` accepts),
 * ``replica:<key>`` slots — the on-chain replicas of records whose current
   replication decision is R.
 
@@ -156,18 +157,11 @@ class StorageManagerContract(Contract):
         #: gas).  The monitor is its one reader and takes it whole each time
         #: it looks, which keeps it at most an epoch long.
         self.call_history: List[str] = []
-        self.requests_emitted = 0
-        self.delivered_records = 0
         #: Calldata the verified ``deliver`` calls carried, and what the same
         #: records would have carried with a root path each (the paper's
         #: ``deliver``); see :meth:`delivered_read_discount`.
         self.delivered_bytes = 0
         self.delivered_bytes_unshared = 0
-        #: Incrementally maintained count of live (non-invalidated) replicas;
-        #: ``None`` marks it dirty (a revert touched storage behind our back)
-        #: and the next :meth:`replica_count` rescans.
-        self._replica_count: Optional[int] = 0
-        self.storage.on_rollback = self._mark_replica_count_dirty
 
     # -- read path ----------------------------------------------------------
 
@@ -192,7 +186,6 @@ class StorageManagerContract(Contract):
             # otherwise, and replica hits dominate hot workloads).
             self._run_callback(ctx, consumer, callback, callback_context, key, value)
             return value
-        self.requests_emitted += 1
         if callback_context:
             self.emit(
                 ctx,
@@ -231,7 +224,6 @@ class StorageManagerContract(Contract):
             if value is None:
                 missing.append(key)
         if missing:
-            self.requests_emitted += 1
             self.emit(
                 ctx,
                 "request_range",
@@ -314,7 +306,6 @@ class StorageManagerContract(Contract):
                 self._store_replica(ctx, item.key, item.value)
             if item.callback is not None:
                 self._invoke_callback(ctx, item.callback, item.key, item.value)
-        self.delivered_records += len(items)
         record_bytes = sum(item.calldata_bytes for item in items)
         self.delivered_bytes += record_bytes + 32 * len(proof.siblings)
         self.delivered_bytes_unshared += record_bytes + 32 * depth * len(items)
@@ -344,32 +335,31 @@ class StorageManagerContract(Contract):
                 )
                 self._store_replica(ctx, entry.key, entry.value)
             else:
-                if entry.is_transition and self.storage.contains(ctx.meter, self._replica_slot(entry.key)):
+                slot = self._replica_slot(entry.key)
+                if entry.is_transition and self.storage.contains(ctx.meter, slot):
                     # Invalidate (do not delete) so a later re-replication of
                     # the same key is a storage update rather than an insert.
-                    slot = self._replica_slot(entry.key)
-                    if self._replica_count is not None and self.storage.peek(slot) != INVALID_REPLICA:
-                        self._replica_count -= 1
+                    if self.storage.peek(slot) != INVALID_REPLICA:
+                        self.free_replica_slots += 1
                     self.storage.store(ctx.meter, slot, INVALID_REPLICA)
-                    self.free_replica_slots += 1
             applied += 1
         return applied
 
     def _store_replica(self, ctx: ExecutionContext, key: str, value: bytes) -> None:
-        """Write a replica, recycling a freed slot when the pool allows it."""
+        """Write a replica, recycling a freed slot when the pool allows it.
+
+        A key that refills its own invalidated slot takes that slot off the
+        pool, so no later key is charged for reusing it.
+        """
         slot = self._replica_slot(key)
         prior = self.storage.peek(slot)
-        if (
-            self.reuse_replica_slots
-            and self.free_replica_slots > 0
-            and prior is None
-        ):
+        if prior is None and self.reuse_replica_slots and self.free_replica_slots > 0:
             self.free_replica_slots -= 1
             self.storage.store_reusing(ctx.meter, slot, value)
-        else:
-            self.storage.store(ctx.meter, slot, value)
-        if self._replica_count is not None and (prior is None or prior == INVALID_REPLICA):
-            self._replica_count += 1
+            return
+        if prior == INVALID_REPLICA and self.free_replica_slots > 0:
+            self.free_replica_slots -= 1
+        self.storage.store(ctx.meter, slot, value)
 
     # -- views (no global gas; used by off-chain components via their full node) --
 
@@ -396,23 +386,13 @@ class StorageManagerContract(Contract):
         return self.storage.peek(self.ROOT_SLOT)
 
     def replica_count(self) -> int:
-        """Number of live on-chain replicas, maintained incrementally.
-
-        The count is updated by every replica store/invalidate, so sampling
-        it per telemetry epoch is O(1) instead of an O(slots) scan; a revert
-        (which rolls storage back behind the contract object) marks it dirty
-        and the next call rescans.
-        """
-        if self._replica_count is None:
-            self._replica_count = sum(
-                1
-                for slot, value in self.storage.slots.items()
-                if slot.startswith("replica:") and value != INVALID_REPLICA
-            )
-        return self._replica_count
-
-    def _mark_replica_count_dirty(self) -> None:
-        self._replica_count = None
+        """Number of live on-chain replicas: a scan of the replica slots
+        (off-chain observation, read at run end)."""
+        return sum(
+            1
+            for slot, value in self.storage.slots.items()
+            if slot.startswith("replica:") and value != INVALID_REPLICA
+        )
 
     # -- internals ---------------------------------------------------------------
 

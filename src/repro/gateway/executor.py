@@ -87,9 +87,9 @@ changed records, the tree nodes above them and how many operations left the
 queue's head cross, and the destination re-hosts its held copy and applies
 them.  Anything else
 ships whole — a feed's complete mirror: contract attrs and storage slots,
-the SP store's records, slot layout and Merkle tree, DO root/signer state,
-SP counters, control-plane and monitor state, read memo, workload queue,
-dirty keys, bill.  Admission, eviction, gas-aware re-sharding and lane
+the SP store's records, slot layout and Merkle tree, SP counters,
+control-plane and monitor state, read memo, workload queue, dirty keys,
+bill.  Admission, eviction, gas-aware re-sharding and lane
 spawn/retire reduce to the same lane operations (install / migrate-out /
 teardown, and a drop of an evicted feed's held copies).  LSM-backed SP
 stores move by closing the source's exclusive directory opener before the
@@ -152,6 +152,7 @@ from repro.gateway.registry import (
     FeedVersion,
 )
 from repro.gateway.router import (
+    GATEWAY_OPERATOR,
     DeliverGroup,
     UpdateGroup,
     scope_weights_for_deliver,
@@ -161,10 +162,6 @@ from repro.gateway.runtime import CollectorOwner
 from repro.obs import DISABLED
 from repro.obs.metrics import Histogram, LabelSet, MetricsRegistry, log_buckets
 from repro.obs.tracing import Span, Tracer
-
-#: Externally-owned account the gateway runtime submits batched transactions
-#: from (defined here so the worker side needs no scheduler import).
-GATEWAY_OPERATOR = "gateway-operator"
 
 #: The scheduler's execution backends.
 EXECUTION_MODES = ("serial", "process")
@@ -296,13 +293,13 @@ def prepare_update_groups(
         shard_transitions[feed_id] = prepared.transitions
         if not prepared.has_payload:
             continue
-        assert prepared.signed_root is not None
+        assert prepared.root is not None
         groups.append(
             UpdateGroup(
                 feed_id=feed_id,
                 manager=handle.storage_manager.address,
                 entries=prepared.entries,
-                digest=prepared.signed_root.root,
+                digest=prepared.root,
             )
         )
     return groups, shard_transitions
@@ -492,8 +489,7 @@ def run_epoch_phases(
             close(parent, outcome, span)
 
     # Phase 3 — every shard prepares its feeds' epoch updates (control plane
-    # + ADS + root signing); each shard's payloads land in one grouped update
-    # transaction.
+    # + ADS); each shard's payloads land in one grouped update transaction.
     updated = dict.fromkeys(gas_before, 0)
     transitions: Dict[str, Dict[str, ReplicationState]] = {}
     with phase("update", epoch=epoch) as parent:

@@ -76,18 +76,14 @@ from repro.storage.lsm import LSMStore
 
 @dataclass
 class ActorState:
-    """One feed's off-chain actors as plain data: the DO's trusted root and
-    signer, the SP's pending requests, the control plane (algorithm,
-    actuator) and its monitor.
+    """One feed's off-chain actors as plain data: the SP's pending requests,
+    the control plane (algorithm, actuator) and its monitor.
 
     The SP's ``_log_cursor`` deliberately does *not* travel: it indexes the
     source's private event log; :meth:`install` re-bases it against the
     destination chain.
     """
 
-    do_trusted_root: bytes
-    signer_secret: bytes
-    signer_epoch: int
     sp_pending: list
     cp_epochs_run: int
     cp_algorithm: object
@@ -104,9 +100,6 @@ class ActorState:
         control_plane = data_owner.control_plane
         monitor = control_plane.monitor
         return cls(
-            do_trusted_root=data_owner.trusted_root,
-            signer_secret=data_owner.signer._secret,
-            signer_epoch=data_owner.signer._epoch,
             sp_pending=list(provider.pending),
             cp_epochs_run=control_plane.epochs_run,
             cp_algorithm=control_plane.algorithm,
@@ -117,9 +110,6 @@ class ActorState:
 
     def install(self, handle) -> None:
         data_owner = handle.data_owner
-        data_owner.trusted_root = self.do_trusted_root
-        data_owner.signer._secret = self.signer_secret
-        data_owner.signer._epoch = self.signer_epoch
         data_owner._write_buffer = []
         provider = handle.service_provider
         provider.pending = list(self.sp_pending)

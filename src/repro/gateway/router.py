@@ -16,7 +16,9 @@ total with no double-counting.
 Authorisation mirrors the single-feed contract: each storage manager still
 verifies delivered records against its own root hash, and ``update`` groups
 are only accepted because the hosted feeds name the router as their gateway
-(the gateway operates the DOs, so it is their on-chain agent).
+(the gateway operates the DOs, so it is their on-chain agent).  The router
+in turn forwards an update batch only from the gateway's operator, so no
+other account can replace a hosted feed's root or replicas through it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from repro.chain.contract import Contract
 from repro.chain.vm import ExecutionContext
 from repro.core.storage_manager import DeliverItem, UpdateEntry, deliver_calldata_bytes
 
+#: Externally-owned account the gateway runtime sends every batched
+#: transaction from, and the one sender :meth:`GatewayRouterContract.update_batch`
+#: accepts.
+GATEWAY_OPERATOR = "gateway-operator"
 
 @dataclass(frozen=True)
 class DeliverGroup:
@@ -70,6 +76,9 @@ class GatewayRouterContract(Contract):
         Each group is executed under its feed's gas scope; the per-feed
         storage manager performs the usual Merkle verification (one
         multiproof a group), optional replication and consumer callbacks.
+        Any sender may deliver: a group lands only if its records verify
+        against the root its feed's manager stores, which only the feed's
+        data owner or this router's operator can set.
         """
         self.require(bool(groups), "empty deliver batch")
         verified = 0
@@ -89,8 +98,12 @@ class GatewayRouterContract(Contract):
         """Land several feeds' epoch updates in one transaction.
 
         The storage managers accept the router as sender because the hosted
-        feeds were deployed with this router as their ``gateway``.
+        feeds were deployed with this router as their ``gateway``, so the
+        router takes the batch only from the gateway's operator.
         """
+        self.require(
+            ctx.sender == GATEWAY_OPERATOR, "only the gateway operator may update hosted feeds"
+        )
         self.require(bool(groups), "empty update batch")
         applied = 0
         for group in groups:

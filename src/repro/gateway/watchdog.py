@@ -31,7 +31,6 @@ class SharedWatchdog:
     _cursor: int = 0
     #: storage-manager address → the handle of the feed it belongs to.
     _routes: Dict[str, "FeedHandle"] = field(default_factory=dict)
-    requests_cancelled: int = 0
 
     def register(self, handle: "FeedHandle") -> None:
         self._routes[handle.storage_manager.address] = handle
@@ -44,14 +43,13 @@ class SharedWatchdog:
 
         The fleet controller calls this (after a final :meth:`poll`) before a
         feed is removed: any request the watchdog routed to the feed's SP but
-        the scheduler has not yet settled is dropped *visibly* — counted here
-        and in the feed's telemetry — instead of being silently routed to a
-        dead handle once the feed's contracts are undeployed.  Returns the
-        number of requests cancelled.
+        the scheduler has not yet settled is dropped *visibly* — the number
+        returned is added to the feed's bill (``cancelled_requests``) —
+        instead of being silently routed to a dead handle once the feed's
+        contracts are undeployed.
         """
         cancelled = len(handle.service_provider.pending)
         handle.service_provider.pending.clear()
-        self.requests_cancelled += cancelled
         return cancelled
 
     def poll(self) -> int:

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
 from repro.ads.merkle import verify_membership, verify_multiproof
-from repro.ads.signer import RootSigner
-from repro.common.errors import IntegrityError, StorageError
+from repro.common.errors import StorageError
 from repro.common.types import KVRecord, ReplicationState
 from repro.storage.lsm import LSMStore
 
@@ -150,27 +149,6 @@ class TestQueriesAndProofs:
         assert not verify_multiproof(
             loaded_store.root, [slot], [leaf_hash_for(relabelled)], batch.proof
         )
-
-
-class TestRootSigner:
-    def test_sign_and_verify(self):
-        signer = RootSigner(secret=b"k" * 32)
-        signed = signer.sign(b"\x02" * 32)
-        assert signer.verify(signed)
-        signer.require_valid(signed)
-
-    def test_epochs_increment(self):
-        signer = RootSigner()
-        first = signer.sign(b"\x01" * 32)
-        second = signer.sign(b"\x02" * 32)
-        assert second.epoch == first.epoch + 1
-
-    def test_foreign_signature_rejected(self):
-        honest, attacker = RootSigner(), RootSigner()
-        forged = attacker.sign(b"\x03" * 32)
-        assert not honest.verify(forged)
-        with pytest.raises(IntegrityError):
-            honest.require_valid(forged)
 
 
 @settings(max_examples=25, deadline=None)

@@ -74,7 +74,7 @@ class TestExecution:
         assert receipt.error is not None
         assert receipt.gas_used > 0
         counter = deployed_chain.get_contract("counter")
-        assert not counter.storage.has("poison")
+        assert counter.storage.peek("poison") is None
 
     def test_unknown_function_reverts(self, deployed_chain):
         deployed_chain.submit(Transaction(sender="a", contract="counter", function="nope"))

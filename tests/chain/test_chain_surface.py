@@ -39,7 +39,6 @@ BLOCKCHAIN = {
 }
 
 EVENT_LOG = {
-    "append",  # test reference: tests/gateway/test_fleet_controller.py
     "append_event",  # Blockchain.absorb, ._produce_block, .execute_internal_call
     "since",  # gateway/watchdog.py SharedWatchdog.poll
     "filter",  # core/service_provider.py ServiceProvider.poll_requests

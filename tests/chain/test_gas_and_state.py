@@ -177,16 +177,43 @@ class TestContractStorage:
         assert ledger.by_category.get("sstore_insert", 0) == 0
         assert ledger.by_category["sstore_update"] == 5_000
 
-    def test_snapshot_restore(self, meter):
+    def test_rollback_restores_every_slot_the_transaction_wrote(self, meter):
+        storage = ContractStorage()
+        storage.store(meter, "kept", b"1")
+        storage.store(meter, "updated", b"2")
+        before = dict(storage.slots)
+        storage.begin_tx()
+        storage.store(meter, "updated", b"changed")
+        storage.store(meter, "updated", b"changed twice")
+        storage.store(meter, "inserted", b"3")
+        storage.store_reusing(meter, "recycled", b"4")
+        storage.rollback_tx()
+        # Inserted slots are gone again and an updated slot holds its value
+        # from before the transaction, however often it was written.
+        assert storage.slots == before
+
+    def test_commit_keeps_the_writes_and_ends_the_journal(self, meter):
+        storage = ContractStorage()
+        storage.begin_tx()
+        storage.store(meter, "a", b"1")
+        storage.commit_tx()
+        assert storage.slots == {"a": b"1"}
+        # A rollback after the commit has nothing to undo.
+        storage.rollback_tx()
+        assert storage.slots == {"a": b"1"}
+
+    def test_writes_outside_a_transaction_are_not_journalled(self, meter):
         storage = ContractStorage()
         storage.store(meter, "a", b"1")
-        snapshot = storage.snapshot()
-        storage.store(meter, "b", b"2")
-        storage.restore(snapshot)
-        assert storage.has("a") and not storage.has("b")
+        storage.rollback_tx()
+        assert storage.slots == {"a": b"1"}
 
-    def test_size_words(self, meter):
+    def test_a_rollback_journals_only_the_next_transaction(self, meter):
         storage = ContractStorage()
-        storage.store(meter, "a", b"x" * 33)
-        storage.store(meter, "b", b"y")
-        assert storage.size_words() == 3
+        storage.begin_tx()
+        storage.store(meter, "first", b"1")
+        storage.rollback_tx()
+        storage.begin_tx()
+        storage.store(meter, "second", b"2")
+        storage.commit_tx()
+        assert storage.slots == {"second": b"2"}

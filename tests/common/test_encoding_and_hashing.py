@@ -22,8 +22,6 @@ from repro.common.hashing import (
     hash_record,
     hash_words,
     keccak,
-    sign_digest,
-    verify_signature,
 )
 
 
@@ -139,17 +137,6 @@ class TestHashing:
         a, b = keccak(b"a"), keccak(b"b")
         assert combine_digests([a, b]) != combine_digests([b, a])
 
-    def test_signature_verifies_with_correct_key(self):
-        secret = b"s" * 32
-        digest = keccak(b"root")
-        signature = sign_digest(secret, digest)
-        assert verify_signature(secret, digest, signature)
-
-    def test_signature_rejects_wrong_key(self):
-        digest = keccak(b"root")
-        signature = sign_digest(b"a" * 32, digest)
-        assert not verify_signature(b"b" * 32, digest, signature)
-
     @given(st.binary(min_size=1, max_size=64), st.binary(min_size=1, max_size=64))
     def test_distinct_inputs_distinct_digests(self, left, right):
         if left != right:
@@ -167,33 +154,8 @@ class TestSimulatedClock:
         with pytest.raises(ValueError):
             clock.advance(-1)
 
-    def test_scheduled_callbacks_fire_in_order(self):
+    def test_advance_accumulates_and_returns_the_new_time(self):
         clock = SimulatedClock()
-        fired = []
-        clock.schedule(3, lambda: fired.append("late"))
-        clock.schedule(1, lambda: fired.append("early"))
-        clock.advance(5)
-        assert fired == ["early", "late"]
-
-    def test_callback_outside_window_does_not_fire(self):
-        clock = SimulatedClock()
-        fired = []
-        clock.schedule(10, lambda: fired.append("x"))
-        clock.advance(5)
-        assert fired == []
-        assert clock.pending == 1
-
-    def test_nested_scheduling_fires_within_same_advance(self):
-        clock = SimulatedClock()
-        fired = []
-        clock.schedule(1, lambda: clock.schedule(1, lambda: fired.append("nested")))
-        clock.advance(3)
-        assert fired == ["nested"]
-
-    def test_reset(self):
-        clock = SimulatedClock()
-        clock.schedule(1, lambda: None)
-        clock.advance(0.5)
-        clock.reset()
-        assert clock.now == 0
-        assert clock.pending == 0
+        assert clock.advance(1.5) == 1.5
+        assert clock.advance(0) == 1.5
+        assert clock.advance(2) == clock.now == 3.5

@@ -25,7 +25,7 @@ STORAGE_MANAGER_CONTRACT = {
     "update",  # DataOwner's epoch transaction, GatewayRouter.update_batch
     "has_replica",  # DataOwner.prepare_epoch_update
     "replica_of",  # gateway/executor.py: the read memo's replica check
-    "replica_count",  # GrubSystem.replica_count
+    "replica_count",  # GrubSystem.replicated_on_chain: examples and tests, at run end
     "delivered_read_discount",  # ControlPlane.run_epoch: Equation 1's K
     "root_hash",  # test reference: the digest the DO published
 }
@@ -37,13 +37,10 @@ WORKLOAD_MONITOR = {
 }
 
 ACTOR_STATE = {
-    "do_trusted_root",  # DataOwner.trusted_root
-    "signer_secret",  # the DO's RootSigner key
-    "signer_epoch",  # the DO's RootSigner epoch counter
     "sp_pending",  # ServiceProvider.pending: requests not yet delivered
     "cp_epochs_run",  # ControlPlane.epochs_run
     "cp_algorithm",  # ControlPlane.algorithm: the decision state
-    "cp_actuator",  # ControlPlane.actuator: pending transitions, last reads
+    "cp_actuator",  # ControlPlane.actuator: pending transitions, last reads if evicting
     "monitor_observed_reads",  # WorkloadMonitor.observed_reads: read positions
     "monitor_local_writes",  # WorkloadMonitor's stamped writes of the epoch
 }

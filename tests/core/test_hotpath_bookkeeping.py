@@ -1,5 +1,5 @@
 """Hot-path bookkeeping: the gGet call log its one reader empties, and the
-incremental replica counter."""
+replica count."""
 
 from __future__ import annotations
 
@@ -98,6 +98,15 @@ class TestHistoryStaysBounded:
         monitor = control_plane.monitor
         federate = monitor.federate_epoch_trace
         traces = []
+        applied = []
+        apply_decisions = control_plane.actuator.apply_decisions
+
+        def recording_apply(decisions):
+            decisions = list(decisions)
+            applied.extend(decisions)
+            apply_decisions(decisions)
+
+        control_plane.actuator.apply_decisions = recording_apply
 
         def recording_federate():
             trace = federate()
@@ -125,13 +134,15 @@ class TestHistoryStaysBounded:
                 else:
                     evictions += 1
         assert replications > 0
-        assert control_plane.actuator.replications == replications
-        assert control_plane.actuator.evictions == evictions
+        assert [decision.state for decision in applied].count(
+            ReplicationState.REPLICATED
+        ) == replications
+        assert len(applied) == replications + evictions
         assert any(kind is OperationKind.WRITE for trace in traces for kind, _ in trace)
 
 
-class TestIncrementalReplicaCount:
-    def test_counter_matches_scan_after_a_run(self):
+class TestReplicaCount:
+    def test_count_skips_invalidated_replicas(self):
         config = GrubConfig(epoch_size=8, algorithm="memoryless", k=1,
                             evict_unused_after_epochs=2)
         system = GrubSystem(
@@ -142,14 +153,18 @@ class TestIncrementalReplicaCount:
         ).operations()
         system.run(operations)
         manager = system.storage_manager
-        scanned = sum(
-            1
-            for slot, value in manager.storage.slots.items()
-            if slot.startswith("replica:") and value != b"\x00"
-        )
-        assert manager.replica_count() == scanned
+        keys = [
+            slot.removeprefix("replica:")
+            for slot in manager.storage.slots
+            if slot.startswith("replica:")
+        ]
+        live = sum(manager.has_replica(key) for key in keys)
+        # Idle replicas were evicted: their slots stay, invalidated, and are
+        # not counted.
+        assert any(manager.storage.peek(f"replica:{key}") == b"\x00" for key in keys)
+        assert 0 < manager.replica_count() == live < len(keys)
 
-    def test_revert_marks_counter_dirty_and_rescans(self):
+    def test_a_reverted_update_leaves_the_count(self):
         from repro.chain.transaction import Transaction
 
         config = GrubConfig(epoch_size=4, algorithm="always")
@@ -157,8 +172,8 @@ class TestIncrementalReplicaCount:
         system.run([Operation.write("k", b"v" * 32), Operation.read("k")])
         count_before = system.storage_manager.replica_count()
         assert count_before >= 1
-        # A reverting transaction (unauthorised update) rolls storage back;
-        # the counter must resync, not drift.
+        # A reverting transaction (unauthorised update) changes no slot, so
+        # no replica is counted or lost.
         system.chain.submit(
             Transaction(
                 sender="mallory",

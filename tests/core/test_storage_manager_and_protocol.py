@@ -50,8 +50,7 @@ class TestStorageManagerContract:
             "user", "data-consumer", "query_feed", key="alpha"
         )
         assert value is None
-        assert chain.event_log.latest("request") is not None
-        assert protocol_system.storage_manager.requests_emitted == 1
+        assert len(chain.event_log.filter(name="request")) == 1
 
     def test_deliver_then_hit(self, protocol_system):
         chain = protocol_system.chain
@@ -97,7 +96,7 @@ class TestStorageManagerContract:
         manager = protocol_system.storage_manager
         assert manager.call_history == ["alpha"]
         # A miss: the read became a request event for the SP.
-        assert manager.requests_emitted == 1
+        assert len(chain.event_log.filter(contract=manager.address, name="request")) == 1
 
     def test_on_chain_trace_tracking_costs_gas(self):
         config = GrubConfig(epoch_size=4)
@@ -151,13 +150,14 @@ class TestWritePath:
         transaction = prepared.transaction
         assert protocol_system.chain.pending == [transaction]
         assert (transaction.function, transaction.sender) == ("update", owner.address)
-        assert transaction.args == {"entries": prepared.entries, "digest": owner.trusted_root}
+        assert prepared.root == protocol_system.sp_store.root
+        assert transaction.args == {"entries": prepared.entries, "digest": prepared.root}
         assert transaction.calldata_bytes == 64 + sum(
             entry.calldata_bytes for entry in prepared.entries
         )
         protocol_system.chain.mine_block()
         assert transaction.args == {}
-        assert protocol_system.storage_manager.root_hash() == owner.trusted_root
+        assert protocol_system.storage_manager.root_hash() == prepared.root
 
     def test_an_epoch_reaches_the_store_as_one_batch(self, protocol_system, monkeypatch):
         batches = []
@@ -227,6 +227,45 @@ class TestReplicaSlotReuse:
             assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
             assert charged["sstore_update"] == one_word
             assert manager.free_replica_slots == 1
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reusing", "fresh"])
+    def test_a_key_refilling_its_own_slot_takes_it_off_the_pool(self, reuse):
+        chain = Blockchain()
+        manager = chain.deploy(
+            StorageManagerContract("manager", data_owner="owner", reuse_replica_slots=reuse)
+        )
+        replicate = ReplicationState.REPLICATED
+        self.land_update(chain, manager, UpdateEntry("A", b"a" * 32, replicate, True))
+        evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
+        self.land_update(chain, manager, evicted)
+        assert manager.free_replica_slots == 1
+        # A fills the slot it was evicted from: an update, and no slot is
+        # free any more.
+        charged = self.land_update(chain, manager, UpdateEntry("A", b"A" * 32, replicate, True))
+        one_word = chain.schedule.storage_update_cost(1)
+        assert charged.get("sstore_insert", 0) == 0
+        assert charged["sstore_update"] == 2 * one_word
+        assert manager.free_replica_slots == 0
+        # So a new key claims a fresh slot at the insert price.
+        charged = self.land_update(chain, manager, UpdateEntry("B", b"b" * 32, replicate, True))
+        assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
+        assert charged["sstore_update"] == one_word
+        assert manager.free_replica_slots == 0
+        assert manager.replica_count() == 2
+
+    def test_evicting_an_invalidated_replica_frees_no_second_slot(self):
+        chain = Blockchain()
+        manager = chain.deploy(
+            StorageManagerContract("manager", data_owner="owner", reuse_replica_slots=True)
+        )
+        self.land_update(
+            chain, manager, UpdateEntry("A", b"a" * 32, ReplicationState.REPLICATED, True)
+        )
+        evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
+        self.land_update(chain, manager, evicted)
+        self.land_update(chain, manager, evicted)
+        assert manager.free_replica_slots == 1
+        assert manager.replica_count() == 0
 
 
 class TestReadPathAndWatchdog:
@@ -398,7 +437,7 @@ class TestSecurityAgainstTamperingSP:
         receipt, _ = land_deliver(system, items, proof)
         assert not receipt.success and "integrity check failed" in receipt.error
         assert system.consumer.deliveries() == 0
-        assert system.storage_manager.delivered_records == 0
+        assert system.storage_manager.delivered_bytes == 0
         assert system.storage_manager.replica_count() == 0
         assert not any(
             slot.startswith("replica:") for slot in system.storage_manager.storage.slots
@@ -485,7 +524,7 @@ class TestDeliverMetering:
         assert charged["transaction"] == 21_000 + 2_176 * (9 + siblings)
         assert receipt.gas_used == gas_used == sum(charged.values())
         assert charged["sstore_insert"] == 80_000 and charged["call"] == 2_800
-        assert system.consumer.deliveries() == system.storage_manager.delivered_records == 4
+        assert system.consumer.deliveries() == 4
 
     def test_k_requests_of_one_key_pay_one_leafs_siblings(self):
         # Three requests of one key are one leaf: its six siblings are shipped
@@ -501,12 +540,13 @@ class TestDeliverMetering:
         assert receipt.success and receipt.gas_used == 71_993
         assert charged["transaction"] == 49_288 and charged["hash"] == 396
         assert charged["sstore_insert"] == 20_000
-        assert system.consumer.deliveries() == system.storage_manager.delivered_records == 3
+        assert system.consumer.deliveries() == 3
 
     def test_out_of_gas_while_applying(self):
         # The limit runs out at the third record's replica store, after the
         # whole call has been verified and paid for (hash 486);
-        # `delivered_records` does not count a reverted call.
+        # a reverted call adds nothing to the delivered bytes Equation 1's
+        # discount reads.
         system = self.system_with(40)
         receipt, charged = land_deliver(
             system, *requested_items(system, self.KEYS), gas_limit=100_000
@@ -521,7 +561,7 @@ class TestDeliverMetering:
             "call": 1_400,
             "callback": 6,
         }
-        assert system.storage_manager.delivered_records == 0
+        assert system.storage_manager.delivered_bytes == 0
         assert system.storage_manager.replica_count() == 0
         # Running out of gas while applying is not a verification failure: the
         # two callbacks that ran are Python-side state no revert undoes.
@@ -536,7 +576,7 @@ class TestDeliverMetering:
         )
         assert not receipt.success and "out of gas: requested 294" in receipt.error
         assert charged == {"transaction": 49_288, "sload": 200, "hash": 192}
-        assert system.storage_manager.delivered_records == 0
+        assert system.storage_manager.delivered_bytes == 0
         assert system.storage_manager.replica_count() == 0
         assert system.consumer.deliveries() == 0
 
@@ -617,7 +657,7 @@ class TestDeliverMetering:
         (receipt,) = system.chain.mine_block().receipts
         assert not receipt.success
         assert "missing proof" in receipt.error or "integrity check failed" in receipt.error
-        assert system.consumer.deliveries() == system.storage_manager.delivered_records == 0
+        assert system.consumer.deliveries() == 0
 
     def test_two_values_for_one_leaf_are_refused(self):
         # Requests of one key share a leaf; a second item claiming the same

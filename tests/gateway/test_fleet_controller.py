@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.events import LogEvent
 from repro.chain.gas import LAYER_FEED
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
@@ -224,7 +225,7 @@ class TestWatchdogDrain:
         fleet = scheduler.run({"alpha": []})
 
         assert fleet.feed("alpha").cancelled_requests == 1
-        assert registry.watchdog.requests_cancelled == 1
+        assert fleet.cancelled_requests == 1
         assert handle.service_provider.pending == []
 
     def test_unpolled_events_are_pulled_before_departure(self):
@@ -250,13 +251,15 @@ class TestWatchdogDrain:
         manager_address = handle.storage_manager.address
         registry.remove_feed("alpha")
         # A late event from the departed feed's old address is skipped.
-        registry.chain.event_log.append(
+        late = LogEvent(
             contract=manager_address,
             name="request",
             payload={"key": "k", "consumer": "c", "callback": "on_data"},
-            block_number=registry.chain.height,
-            transaction_index=0,
+            block_number=-1,
+            transaction_index=-1,
+            log_index=-1,
         )
+        registry.chain.event_log.append_event(late, registry.chain.height, 0)
         routed = registry.watchdog.poll()
         assert routed == 0
         assert handle.service_provider.pending == []
@@ -361,7 +364,7 @@ class TestFlashTenancy:
 
         assert fleet.feed("flash").cancelled_requests == 0
         assert fleet.feed("alpha").cancelled_requests == 0
-        assert registry.watchdog.requests_cancelled == 0
+        assert fleet.cancelled_requests == 0
         assert alpha.service_provider.pending == []  # serviced, not dropped
 
     def test_flash_cache_shard_is_torn_down(self):

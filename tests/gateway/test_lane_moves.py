@@ -264,14 +264,6 @@ def ping_pong(registry: FeedRegistry, moves: int, *, admitted: bool = False):
     return engine, epoch
 
 
-def keyless_view(registry: FeedRegistry) -> dict:
-    """:func:`feed_view` of ``alpha`` but for its signing key, which every
-    deployment draws afresh."""
-    view = feed_view(registry, "alpha")
-    del view["actors"]["signer_secret"]
-    return view
-
-
 def fold_back(engine: LaneEngine, registry: FeedRegistry) -> list:
     """The run end: every lane's state applied to the main mirror; returns
     the versions the states were cut against."""
@@ -304,7 +296,7 @@ def test_ping_pong_through_real_lanes_is_serial_identical():
     whole = len(feed_state.pack(feed_state.capture(registry.get("alpha"))))
     assert ipc["migration_delta_bytes_total"] * 2 < ipc["migration_deltas_total"] * whole
     inline = run_inline(registry_of(spec_of("alpha")), epochs)
-    assert keyless_view(registry) == keyless_view(inline)
+    assert feed_view(registry, "alpha") == feed_view(inline, "alpha")
     assert set(multiprocessing.active_children()) <= before
 
 

@@ -324,8 +324,8 @@ class TestExecutionModeEquivalence:
     @pytest.mark.parametrize("gas_aware", [False, True], ids=["round-robin", "gas-aware"])
     def test_registry_runs_again_after_a_process_run(self, gas_aware):
         """A second ``run()`` on the same scheduler continues from the first
-        run's final state in either mode: the lanes' control planes, monitors,
-        signer epochs and pending requests come home at run end, and the main
+        run's final state in either mode: the lanes' control planes, monitors
+        and pending requests come home at run end, and the main
         watchdog does not replay events the lanes already routed.  Covers a
         static run ordered ahead and (gas-aware planner) a lockstep one.
         A third run only re-reads: it is served from the memos the first two
@@ -381,15 +381,11 @@ class TestExecutionModeEquivalence:
                 == serial_handle.storage_manager.root_hash()
             )
             assert process_handle.replicated_on_chain == serial_handle.replicated_on_chain
-            # Off-chain mirrors: bill, memo, SP store root, DO trusted root.
+            # Off-chain mirrors: bill, memo, SP store root (the DO's root).
             assert process_handle.bill == serial_handle.bill
             assert process_handle.memo == serial_handle.memo
             assert (
                 process_handle.system.sp_store.root == serial_handle.system.sp_store.root
-            )
-            assert (
-                process_handle.data_owner.trusted_root
-                == serial_handle.data_owner.trusted_root
             )
             # Consumer state (callbacks received) synced from the worker.
             assert (

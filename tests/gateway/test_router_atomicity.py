@@ -1,4 +1,5 @@
-"""A failing group must revert the whole batched router transaction."""
+"""A failing group must revert the whole batched router transaction, and
+only the gateway's operator may send the router an update batch."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from repro.core.service_provider import TamperingServiceProvider
 from repro.core.storage_manager import UpdateEntry
 from repro.gateway import FeedRegistry, FeedSpec
 from repro.gateway.executor import build_deliver_groups, deliver_transaction
-from repro.gateway.router import UpdateGroup, scope_weights_for_update
+from repro.gateway.router import GATEWAY_OPERATOR, UpdateGroup, scope_weights_for_update
 
 
 def test_failing_group_reverts_earlier_groups_storage():
@@ -89,6 +90,78 @@ def test_receipt_gas_covers_batched_group_execution():
 
 
 # ---------------------------------------------------------------------------
+# Who may update through the router
+# ---------------------------------------------------------------------------
+
+
+def hosted_pair():
+    """Two hosted feeds, alpha with ``k`` replicated on chain and read once."""
+    registry = FeedRegistry()
+    alpha = registry.create_feed(
+        FeedSpec(
+            feed_id="alpha",
+            preload=[KVRecord.make("k", b"v" * 32, ReplicationState.REPLICATED)],
+        )
+    )
+    registry.create_feed(FeedSpec(feed_id="bravo"))
+    registry.chain.execute_internal_call(
+        "user", alpha.consumer.address, "query_feed", key="k"
+    )
+    return registry, alpha
+
+
+def land_update_batch(registry, sender, handle, value):
+    group = UpdateGroup(
+        feed_id=handle.feed_id,
+        manager=handle.storage_manager.address,
+        entries=[UpdateEntry("k", value, ReplicationState.REPLICATED)],
+        digest=b"\xee" * 32,
+    )
+    return registry.chain.land(
+        Transaction(
+            sender=sender,
+            contract=registry.router.address,
+            function="update_batch",
+            args={"groups": [group]},
+            calldata_bytes=group.calldata_bytes,
+            scopes=scope_weights_for_update([group]),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "sender",
+    ["mallory", "bravo/data-owner", "alpha/data-owner"],
+    ids=["stranger", "neighbour", "own-owner"],
+)
+def test_only_the_gateway_operator_may_send_an_update_batch(sender):
+    registry, alpha = hosted_pair()
+    manager = alpha.storage_manager
+    assert alpha.data_owner.address == "alpha/data-owner"
+    root, slots = manager.root_hash(), dict(manager.storage.slots)
+    consumer = (alpha.consumer.deliveries(), dict(alpha.consumer.latest))
+    receipt = land_update_batch(registry, sender, alpha, b"forged")
+    assert not receipt.success and "only the gateway operator" in receipt.error
+    # Nothing of the feed moved: root, replica slots and the consumer, which
+    # still reads the genuine value.
+    assert manager.root_hash() == root
+    assert dict(manager.storage.slots) == slots
+    assert manager.replica_of("k") == b"v" * 32
+    assert (alpha.consumer.deliveries(), dict(alpha.consumer.latest)) == consumer
+    assert registry.chain.execute_internal_call(
+        "user", alpha.consumer.address, "query_feed", key="k"
+    ) == b"v" * 32
+
+
+def test_the_operators_update_batch_lands():
+    registry, alpha = hosted_pair()
+    receipt = land_update_batch(registry, GATEWAY_OPERATOR, alpha, b"w" * 32)
+    assert receipt.success
+    assert alpha.storage_manager.root_hash() == b"\xee" * 32
+    assert alpha.storage_manager.replica_of("k") == b"w" * 32
+
+
+# ---------------------------------------------------------------------------
 # The adversary inside the gateway: one tampering SP among honest neighbours
 # ---------------------------------------------------------------------------
 
@@ -160,7 +233,7 @@ def test_tampering_group_reverts_the_whole_deliver_batch(attack, adversary_at):
     # revert undoes — quarantining the one tenant is ROADMAP item 2 (c).)
     for feed_id in feed_ids[adversary_at + 1 :]:
         assert registry.get(feed_id).consumer.deliveries() == 0
-        assert registry.get(feed_id).storage_manager.delivered_records == 0
+        assert registry.get(feed_id).storage_manager.delivered_bytes == 0
 
 
 def test_omitting_group_lands_and_starves_only_its_own_feed():

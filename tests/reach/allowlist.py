@@ -47,10 +47,6 @@ ALLOWED = {
         "test reference: tests/ads/test_merkle.py, tests/ads/test_batched_proofs.py",
     "ads/merkle.py::MerkleTree.update_leaf":
         "test reference: tests/ads/test_merkle.py, tests/ads/test_merkle_memoization.py",
-    # ads/signer.py
-    "ads/signer.py::RootSigner.verify": "test reference: tests/ads/test_authenticated_kv.py",
-    "ads/signer.py::RootSigner.require_valid":
-        "test reference: tests/ads/test_authenticated_kv.py",
     # analysis/experiments.py
     "analysis/experiments.py::ExperimentScale.default":
         "caller: python -m repro.analysis --scale default (CI paper-tables)",
@@ -95,7 +91,6 @@ ALLOWED = {
     "chain/chain.py::Blockchain.execute_call": TRACE_HOOK,
     "chain/chain.py::Blockchain.is_finalized": "test reference: tests/chain/test_blockchain.py",
     # chain/events.py
-    "chain/events.py::EventLog.append": "test reference: tests/gateway/test_fleet_controller.py",
     "chain/events.py::EventLog.__iter__":
         "test reference: tests/chain/test_blockchain.py, tests/gateway/test_elastic_transfer.py",
     "chain/events.py::EventLog.latest":
@@ -105,14 +100,6 @@ ALLOWED = {
         "test reference: tests/chain/test_gas_and_state.py, tests/core/test_grub_system.py",
     "chain/gas.py::GasLedger.charge":
         "test reference: tests/chain/test_gas_and_state.py, tests/chain/test_gas_scopes.py",
-    # chain/state.py
-    "chain/state.py::ContractStorage.has":
-        "test reference: tests/chain/test_gas_and_state.py, tests/chain/test_blockchain.py",
-    "chain/state.py::ContractStorage.size_words":
-        "test reference: tests/chain/test_gas_and_state.py",
-    "chain/state.py::ContractStorage.snapshot":
-        "test reference: tests/chain/test_gas_and_state.py",
-    "chain/state.py::ContractStorage.restore": "test reference: tests/chain/test_gas_and_state.py",
     # chain/vm.py
     "chain/vm.py::GasMeter.remaining": "test reference: tests/chain/test_gas_and_state.py",
     # common/clock.py
@@ -122,12 +109,6 @@ ALLOWED = {
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     "common/clock.py::ManualClock.advance":
         "test reference: tests/core/test_storage_manager_and_protocol.py",
-    "common/clock.py::SimulatedClock.schedule":
-        "test reference: tests/common/test_encoding_and_hashing.py",
-    "common/clock.py::SimulatedClock.pending":
-        "test reference: tests/common/test_encoding_and_hashing.py",
-    "common/clock.py::SimulatedClock.reset":
-        "test reference: tests/common/test_encoding_and_hashing.py",
     # common/encoding.py
     "common/encoding.py::decode_value":
         "test reference: tests/common/test_encoding_and_hashing.py",
@@ -143,8 +124,6 @@ ALLOWED = {
     "common/errors.py::LaneDied.__reduce__": "test reference: tests/common/test_errors.py",
     # common/hashing.py
     "common/hashing.py::combine_digests":
-        "test reference: tests/common/test_encoding_and_hashing.py",
-    "common/hashing.py::verify_signature":
         "test reference: tests/common/test_encoding_and_hashing.py",
     # common/types.py
     "common/types.py::ReplicationState.flipped":
@@ -206,8 +185,6 @@ ALLOWED = {
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     # core/storage_manager.py
     "core/storage_manager.py::StorageManagerContract.root_hash":
-        "test reference: tests/core/test_storage_manager_and_protocol.py",
-    "core/storage_manager.py::StorageManagerContract._mark_replica_count_dirty":
         "test reference: tests/core/test_storage_manager_and_protocol.py",
     # frontdoor/door.py
     "frontdoor/door.py::TenantRequestStats.fingerprint":
