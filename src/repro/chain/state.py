@@ -93,6 +93,12 @@ class ContractStorage:
         self._record(slot)
         self.slots[slot] = encoded
 
+    def release(self, slot: str) -> None:
+        """Drop ``slot``'s name, charging nothing: the physical slot it named
+        now backs another name (see :meth:`store_reusing`)."""
+        self._record(slot)
+        del self.slots[slot]
+
     def load(self, meter: GasMeter, slot: str) -> Optional[bytes]:
         """Read ``slot``; a miss still charges a one-word ``SLOAD``.
 

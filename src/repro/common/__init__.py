@@ -6,7 +6,6 @@ the ADS layer and the GRuB core — can rely on them without import cycles.
 """
 
 from repro.common.types import (
-    Bytes32,
     KVRecord,
     Operation,
     OperationKind,
@@ -31,7 +30,6 @@ from repro.common.errors import (
 )
 
 __all__ = [
-    "Bytes32",
     "KVRecord",
     "Operation",
     "OperationKind",

@@ -58,10 +58,6 @@ class ConfigurationError(ReproError):
     """Raised when a system or algorithm is configured with invalid parameters."""
 
 
-class UnknownKeyError(StorageError, KeyError):
-    """Raised when a key is looked up that neither the SP nor the chain holds."""
-
-
 class WireError(ReproError):
     """Raised when bytes that crossed a process boundary are not what they
     should be: they do not open, hold another type, or belong to another

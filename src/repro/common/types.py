@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import NewType, Optional
+from typing import Optional
 
 from repro.common.encoding import Value, encode_value, words_for_value
-
-Bytes32 = NewType("Bytes32", bytes)
-"""A 32-byte digest (Merkle root, block hash, ...)."""
-
 
 class ReplicationState(enum.Enum):
     """Whether a record currently has a replica in smart-contract storage.

@@ -25,7 +25,7 @@ gas of the feed layer divided by the number of operations in the epoch is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
@@ -52,9 +52,15 @@ from repro.core.storage_manager import StorageManagerContract
 
 @dataclass
 class RunReport:
-    """Results of driving one workload through a system."""
+    """Results of driving one workload through a system.
 
-    system_name: str
+    Each counter is written once: an operation lands in its epoch's
+    :class:`~repro.common.types.EpochSummary`, and :meth:`record_epoch` folds
+    the settled epoch into the totals.  The gateway's per-feed bill extends
+    this record, so a hosted feed and a standalone one count alike.
+    """
+
+    _: KW_ONLY
     operations: int = 0
     reads: int = 0
     writes: int = 0
@@ -65,7 +71,6 @@ class RunReport:
     evictions: int = 0
     deliveries: int = 0
     update_transactions: int = 0
-    gas_by_category: Dict[str, int] = field(default_factory=dict)
 
     @property
     def gas_total(self) -> int:
@@ -81,11 +86,35 @@ class RunReport:
         """Per-epoch feed gas per operation (the Y series of the paper's figures)."""
         return [epoch.gas_per_operation for epoch in self.epochs]
 
-    def saving_versus(self, other: "RunReport") -> float:
-        """Fractional gas saving of this run compared to ``other`` (positive = cheaper)."""
-        if other.gas_feed == 0:
-            return 0.0
-        return 1.0 - self.gas_feed / other.gas_feed
+    def record_epoch(
+        self,
+        summary: EpochSummary,
+        *,
+        deliveries: int,
+        update_transactions: int,
+        transitions: Dict[str, ReplicationState],
+        gas_feed: int,
+        gas_application: int,
+    ) -> None:
+        """Fold one settled epoch's outcome into its summary and the totals."""
+        summary.deliveries = deliveries
+        summary.update_transactions = update_transactions
+        summary.replications = sum(
+            1 for state in transitions.values() if state is ReplicationState.REPLICATED
+        )
+        summary.evictions = len(transitions) - summary.replications
+        summary.gas_feed = gas_feed
+        summary.gas_application = gas_application
+        self.epochs.append(summary)
+        self.operations += summary.operations
+        self.reads += summary.reads
+        self.writes += summary.writes
+        self.gas_feed += gas_feed
+        self.gas_application += gas_application
+        self.replications += summary.replications
+        self.evictions += summary.evictions
+        self.deliveries += deliveries
+        self.update_transactions += update_transactions
 
 
 class GrubSystem:
@@ -230,7 +259,7 @@ class GrubSystem:
         phase_markers: Optional[Dict[int, str]] = None,
     ) -> RunReport:
         """Drive ``operations`` through the system, one epoch at a time."""
-        report = RunReport(system_name=self.name)
+        report = RunReport()
         epoch_ops: List[Operation] = []
         for operation in operations:
             epoch_ops.append(operation)
@@ -239,28 +268,16 @@ class GrubSystem:
                 epoch_ops = []
         if epoch_ops:
             self._run_epoch(epoch_ops, report, phase_markers)
-        self._finalise_report(report)
         return report
 
-    # -- epoch-step hooks ------------------------------------------------------
-    #
-    # The epoch loop is decomposed into three steps so an external scheduler
-    # (the multi-tenant gateway's EpochScheduler) can drive many feeds in
-    # lockstep: begin every feed's epoch, interleave their operations, then
-    # settle delivers/updates across feeds in batched transactions instead of
-    # the standalone per-feed settlement below.
+    def drive_operation(self, operation: Operation, summary: EpochSummary) -> None:
+        """Apply one workload operation: buffer a write, or execute a read on
+        chain, counting it in its epoch's ``summary``.
 
-    def begin_epoch(self, index: int, operations: int = 0) -> EpochSummary:
-        """Start epoch ``index`` and return its (empty) summary."""
-        return EpochSummary(index=index, operations=operations)
-
-    def drive_operation(
-        self, operation: Operation, summary: EpochSummary, report: RunReport
-    ) -> None:
-        """Apply one workload operation: buffer a write, or execute a read on chain.
-
-        ``report`` is whatever keeps the run's counters: a :class:`RunReport`,
-        or — under the gateway — the feed's bill, which carries the same names.
+        An external scheduler (the multi-tenant gateway's EpochScheduler)
+        drives many feeds in lockstep through this and settles their
+        delivers and updates across feeds in batched transactions instead of
+        the standalone per-feed settlement of :meth:`run`.
         """
         if operation.is_write:
             value = operation.value
@@ -268,7 +285,6 @@ class GrubSystem:
                 value = b"\x00" * self.config.record_size_bytes
             self.data_owner.put(operation.key, value)
             summary.writes += 1
-            report.writes += 1
         elif operation.kind is OperationKind.SCAN:
             keys = self._scan_keys(operation)
             self.chain.execute_internal_call(
@@ -281,7 +297,6 @@ class GrubSystem:
                 keys=keys,
             )
             summary.reads += 1
-            report.reads += 1
         else:
             self.chain.execute_internal_call(
                 sender="end-user",
@@ -292,8 +307,6 @@ class GrubSystem:
                 key=operation.key,
             )
             summary.reads += 1
-            report.reads += 1
-        report.operations += 1
         if self.config.continuous_decisions and operation.is_read:
             # The DO's full node sees the gGet in the next block; feed it
             # to the decision algorithm straight away.
@@ -304,36 +317,6 @@ class GrubSystem:
             self.service_provider.service_epoch()
             self.chain.mine_block()
 
-    def record_epoch(
-        self,
-        summary: EpochSummary,
-        report: RunReport,
-        *,
-        deliveries: int,
-        update_transactions: int,
-        transitions: Dict[str, ReplicationState],
-        gas_feed: int,
-        gas_application: int,
-    ) -> None:
-        """Fold one settled epoch's outcome into the summary and the report."""
-        summary.deliveries = deliveries
-        summary.update_transactions = update_transactions
-        summary.replications = sum(
-            1 for state in transitions.values() if state is ReplicationState.REPLICATED
-        )
-        summary.evictions = sum(
-            1 for state in transitions.values() if state is ReplicationState.NOT_REPLICATED
-        )
-        summary.gas_feed = gas_feed
-        summary.gas_application = gas_application
-        report.epochs.append(summary)
-        report.gas_feed += summary.gas_feed
-        report.gas_application += summary.gas_application
-        report.replications += summary.replications
-        report.evictions += summary.evictions
-        report.deliveries += summary.deliveries
-        report.update_transactions += summary.update_transactions
-
     def _run_epoch(
         self,
         operations: List[Operation],
@@ -342,12 +325,12 @@ class GrubSystem:
     ) -> None:
         feed_before = self.chain.ledger.feed_total
         app_before = self.chain.ledger.application_total
-        summary = self.begin_epoch(len(report.epochs), len(operations))
+        summary = EpochSummary(index=len(report.epochs), operations=len(operations))
         if phase_markers and report.operations in phase_markers:
             summary.extras["phase"] = phase_markers[report.operations]
 
         for operation in operations:
-            self.drive_operation(operation, summary, report)
+            self.drive_operation(operation, summary)
 
         # End of epoch: the SP answers outstanding requests first (its deliver
         # may already materialise pending NR→R decisions via the replicate
@@ -358,9 +341,8 @@ class GrubSystem:
         update_result = self.data_owner.end_epoch()
         self.chain.mine_block()
 
-        self.record_epoch(
+        report.record_epoch(
             summary,
-            report,
             deliveries=len(deliver_txs),
             update_transactions=1 if update_result.transaction is not None else 0,
             transitions=update_result.transitions,
@@ -371,9 +353,6 @@ class GrubSystem:
     def _scan_keys(self, operation: Operation) -> List[str]:
         selected = self.sp_store.select_keys(operation.key, operation.scan_length)
         return selected or [operation.key]
-
-    def _finalise_report(self, report: RunReport) -> None:
-        report.gas_by_category = dict(self.chain.ledger.by_category)
 
     # -- convenience views ---------------------------------------------------------
 

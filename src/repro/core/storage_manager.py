@@ -139,7 +139,11 @@ class StorageManagerContract(Contract):
 
         ``reuse_replica_slots`` enables the BtcRelay experiment's "reusable
         storage": new replicas recycle slots freed by earlier evictions, so
-        they pay the storage-update price instead of the insert price.
+        they pay the storage-update price instead of the insert price.  A
+        key holds a physical slot while ``replica:<key>`` exists; a recycled
+        slot moves to its new key's name, so the key evicted from it holds
+        none and pays an insert (or takes another freed slot) when it is
+        replicated again.
 
         ``gateway`` optionally names a hosting-gateway router contract that is
         also authorised to call ``update`` (on behalf of the data owner it
@@ -151,7 +155,10 @@ class StorageManagerContract(Contract):
         self.gateway = gateway
         self.track_trace_on_chain = track_trace_on_chain
         self.reuse_replica_slots = reuse_replica_slots
-        self.free_replica_slots = 0
+        #: With ``reuse_replica_slots``: the keys whose invalidated slot is
+        #: free for a new replica, in the order they were freed (a dict used
+        #: as an ordered set; the last freed is handed out first).
+        self.free_replica_slots: Dict[str, None] = {}
         #: The key of every gGet since the workload monitor last took the
         #: log, mirrored from the chain's native call log (so it costs no
         #: gas).  The monitor is its one reader and takes it whole each time
@@ -339,8 +346,9 @@ class StorageManagerContract(Contract):
                 if entry.is_transition and self.storage.contains(ctx.meter, slot):
                     # Invalidate (do not delete) so a later re-replication of
                     # the same key is a storage update rather than an insert.
-                    if self.storage.peek(slot) != INVALID_REPLICA:
-                        self.free_replica_slots += 1
+                    live = self.storage.peek(slot) != INVALID_REPLICA
+                    if live and self.reuse_replica_slots:
+                        self.free_replica_slots[entry.key] = None
                     self.storage.store(ctx.meter, slot, INVALID_REPLICA)
             applied += 1
         return applied
@@ -349,17 +357,24 @@ class StorageManagerContract(Contract):
         """Write a replica, recycling a freed slot when the pool allows it.
 
         A key that refills its own invalidated slot takes that slot off the
-        pool, so no later key is charged for reusing it.
+        pool.  A key with no slot takes the last freed one, whose old key
+        then holds no slot.  A reverted eviction can leave a key on the pool
+        whose slot is live again; such an entry is skipped, never recycled.
         """
         slot = self._replica_slot(key)
-        prior = self.storage.peek(slot)
-        if prior is None and self.reuse_replica_slots and self.free_replica_slots > 0:
-            self.free_replica_slots -= 1
-            self.storage.store_reusing(ctx.meter, slot, value)
-            return
-        if prior == INVALID_REPLICA and self.free_replica_slots > 0:
-            self.free_replica_slots -= 1
-        self.storage.store(ctx.meter, slot, value)
+        storage = self.storage
+        prior = storage.peek(slot)
+        if self.reuse_replica_slots:
+            free = self.free_replica_slots
+            if prior == INVALID_REPLICA:
+                free.pop(key, None)
+            while prior is None and free:
+                freed = self._replica_slot(free.popitem()[0])
+                if storage.peek(freed) == INVALID_REPLICA:
+                    storage.release(freed)
+                    storage.store_reusing(ctx.meter, slot, value)
+                    return
+        storage.store(ctx.meter, slot, value)
 
     # -- views (no global gas; used by off-chain components via their full node) --
 

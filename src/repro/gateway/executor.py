@@ -208,38 +208,44 @@ def drive_shard(
             take = planned
             if spec.max_ops_per_epoch is not None:
                 take = min(take, spec.max_ops_per_epoch)
-            summary = system.begin_epoch(epoch, take)
+            summary = EpochSummary(index=epoch, operations=take)
             shard_summaries[feed_id] = summary
             executed = 0
             gas_cap = spec.max_gas_per_epoch
             popleft = queue.popleft
             drive_op = system.drive_operation
-            replica_of = handle.storage_manager.replica_of
+            manager = handle.storage_manager
+            replica_of = manager.replica_of
+            continuous = spec.config.continuous_decisions
+            observe_reads = handle.data_owner.control_plane.observe_chain_reads
             for _ in range(take):
                 operation = popleft()
                 kind = operation.kind
-                if memo is not None and kind is OperationKind.READ:
+                if kind is OperationKind.READ:
                     key = operation.key
                     if key in memo:
                         # Served from the gateway's memo of verified chain
-                        # state: no on-chain call, no gas, no trace entry.
+                        # state: no on-chain call and no gas, but the read
+                        # enters the feed's read trace where its gGet would
+                        # (the list is looked up per hit: a fetch swaps it).
                         bill.cache_hits += 1
                         summary.reads += 1
-                        bill.reads += 1
-                        bill.operations += 1
+                        manager.call_history.append(key)
+                        if continuous:
+                            observe_reads()
                     else:
                         bill.cache_misses += 1
-                        drive_op(operation, summary, bill)
+                        drive_op(operation, summary)
                         replica = replica_of(key)
                         if replica is not None and key not in dirty:
                             # Served by a verified on-chain replica with no
                             # buffered write about to supersede it: memoise.
                             memo[key] = replica
                 else:
-                    if kind is OperationKind.WRITE and memo is not None:
+                    if kind is OperationKind.WRITE:
                         memo.pop(operation.key, None)
                         dirty.add(operation.key)
-                    drive_op(operation, summary, bill)
+                    drive_op(operation, summary)
                 executed += 1
                 if (
                     gas_cap is not None
@@ -348,8 +354,6 @@ def warm_cache_from_deliveries(
     for group in groups:
         handle = registry.get(group.feed_id)
         memo = handle.memo
-        if memo is None:
-            continue
         dirty = handle.dirty
         for item in group.items:
             if item.replicate and item.key not in dirty:
@@ -377,16 +381,14 @@ def settle_feed_epoch(
     ledger = registry.chain.ledger
     handle = registry.get(feed_id)
     memo = handle.memo
-    if memo is not None:
-        for key, state in transitions.items():
-            if state is ReplicationState.NOT_REPLICATED:
-                memo.pop(key, None)
-        handle.dirty.clear()
+    for key, state in transitions.items():
+        if state is ReplicationState.NOT_REPLICATED:
+            memo.pop(key, None)
+    handle.dirty.clear()
     feed_after = ledger.scope_total(feed_id, LAYER_FEED)
     app_after = ledger.scope_total(feed_id, LAYER_APPLICATION)
-    handle.system.record_epoch(
+    handle.bill.record_epoch(
         summary,
-        handle.bill,
         deliveries=deliveries,
         update_transactions=update_transactions,
         transitions=transitions,

@@ -160,16 +160,14 @@ class FeedState:
     base: Optional[int]
     #: The version this state is: what the copy its sender keeps stands at.
     version: int
-    #: The handle's run state (see :class:`~repro.gateway.registry.FeedHandle`):
-    #: ``memo`` is ``None`` when the feed runs with caching off, which is how
-    #: the next host knows not to memoise either.  ``queue`` is the whole
-    #: queue when ``consumed`` is ``None``, else empty: the queue is the
-    #: base's less ``consumed`` from its head.
+    #: The handle's run state (see :class:`~repro.gateway.registry.FeedHandle`).
+    #: ``queue`` is the whole queue when ``consumed`` is ``None``, else empty:
+    #: the queue is the base's less ``consumed`` from its head.
     queue: List[Operation]
     consumed: Optional[int]
     dirty: set
     bill: FeedTelemetry
-    memo: Optional[Dict[str, bytes]]
+    memo: Dict[str, bytes]
     #: ``(attrs, storage slots)`` of the storage manager and the consumer.
     manager: Tuple[dict, Dict[str, bytes]]
     consumer: Tuple[dict, Dict[str, bytes]]

@@ -17,33 +17,21 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.common.types import EpochSummary
+from repro.core.grub import RunReport
 
 
 @dataclass
-class FeedTelemetry:
-    """One hosted feed's bill: gas, traffic, cache and churn counters.
-
-    The counters a :class:`~repro.core.grub.RunReport` also keeps carry its
-    names, so the bill is the ``report`` that
-    :meth:`~repro.core.grub.GrubSystem.drive_operation` and
-    :meth:`~repro.core.grub.GrubSystem.record_epoch` fold into: every counter
-    is written once, where the operation or the epoch happens.
+class FeedTelemetry(RunReport):
+    """One hosted feed's bill: a :class:`~repro.core.grub.RunReport` — the
+    record a standalone GRuB run keeps, folded by the same
+    :meth:`~repro.core.grub.RunReport.record_epoch` — plus what hosting adds:
+    cache traffic, tenancy and quota counters.  Its ``deliveries`` and
+    ``update_transactions`` count the batches the feed had a group in.
     """
 
     feed_id: str
-    operations: int = 0
-    reads: int = 0
-    writes: int = 0
-    gas_feed: int = 0
-    gas_application: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    replications: int = 0
-    evictions: int = 0
-    #: Deliver / update batches this feed had a group in.
-    deliveries: int = 0
-    update_transactions: int = 0
     #: Epoch at which the tenant joined the run (0 = present from the start).
     admitted_epoch: int = 0
     #: Epoch boundary at which the tenant left, or ``None`` while hosted.  A
@@ -56,21 +44,10 @@ class FeedTelemetry:
     cancelled_ops: int = 0
     #: Pending deliver requests cancelled when the tenant departed.
     cancelled_requests: int = 0
-    epochs: List[EpochSummary] = field(default_factory=list)
 
     @property
     def departed(self) -> bool:
         return self.departed_epoch is not None
-
-    @property
-    def gas_total(self) -> int:
-        return self.gas_feed + self.gas_application
-
-    @property
-    def gas_per_operation(self) -> float:
-        if self.operations == 0:
-            return 0.0
-        return self.gas_feed / self.operations
 
     @property
     def cache_lookups(self) -> int:
@@ -88,10 +65,6 @@ class FeedTelemetry:
         if not self.epochs:
             return 0.0
         return (self.replications + self.evictions) / len(self.epochs)
-
-    def epoch_series(self) -> List[float]:
-        """Per-epoch feed gas per operation (same series as RunReport)."""
-        return [epoch.gas_per_operation for epoch in self.epochs]
 
     def fingerprint(self) -> Dict[str, Any]:
         """Every deterministic field as plain data (epoch summaries included).

@@ -136,8 +136,8 @@ class FeedHandle:
     spec: FeedSpec
     system: GrubSystem
     #: The feed's bill for the current (or latest) run: the very row
-    #: ``FleetTelemetry.feeds`` holds, and the ``report`` the system's
-    #: ``drive_operation`` / ``record_epoch`` fold into.
+    #: ``FleetTelemetry.feeds`` holds, whose ``record_epoch`` folds each
+    #: settled epoch.
     bill: FeedTelemetry
     #: Workload operations not yet driven, head first.
     queue: Deque[Operation] = field(default_factory=deque)
@@ -150,8 +150,9 @@ class FeedHandle:
     #: chain just verified and stored).  A write drops the key's entry, an
     #: R→NR transition drops it, so every entry equals the on-chain replica
     #: and the memo is bounded by the replicas GRuB itself decided to keep.
-    #: ``None`` while the run has caching off.
-    memo: Optional[Dict[str, bytes]] = field(default_factory=dict)
+    #: A hit still enters the feed's read trace, so the memo saves gas
+    #: without changing what GRuB decides.
+    memo: Dict[str, bytes] = field(default_factory=dict)
     #: On a lane: the main mirror's version, which a run-end state is cut
     #: against — set where this copy descends from the main mirror (adopted
     #: as the lane forked, installed from the main process, or grown from
@@ -162,18 +163,13 @@ class FeedHandle:
     #: still holding that version is cut against (``None`` elsewhere).
     arrival: Optional[FeedVersion] = None
 
-    def begin_run(self, operations: Iterable[Operation], *, memoise: bool) -> None:
+    def begin_run(self, operations: Iterable[Operation]) -> None:
         """Start a run: ``operations`` queued, no dirty keys, a fresh bill.
-        The memo carries over between runs that memoise — it holds nothing
-        but on-chain replicas — and a run that does not drops it, so nothing
-        can go stale behind that run's back."""
+        The memo carries over between runs: it holds nothing but on-chain
+        replicas."""
         self.queue = deque(operations)
         self.dirty = set()
         self.bill = FeedTelemetry(feed_id=self.feed_id)
-        if not memoise:
-            self.memo = None
-        elif self.memo is None:
-            self.memo = {}
 
     @property
     def feed_id(self) -> str:

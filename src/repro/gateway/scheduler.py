@@ -79,20 +79,19 @@ only how far ahead of the merge its epochs are ordered.  Its lanes always
 fork, and run batch inputs only: a live request source (lockstep epochs,
 where lanes lose to serial) is served serially.
 
-Reads are fronted by each feed's read memo (``FeedHandle.memo``) unless the
-scheduler was built with ``enable_cache=False``: a read of a key whose
-verified replica the gateway has already observed is served from the
-gateway's full node without re-executing the on-chain ``gGet`` (memoised reads
-therefore do not appear in the on-chain read trace — exactly like a consumer
-that keeps its own memo of public chain state).  The memo is additionally
+Reads are fronted by each feed's read memo (``FeedHandle.memo``): a read of a
+key whose verified replica the gateway has already observed is served from
+the gateway's full node without re-executing the on-chain ``gGet`` — exactly
+like a consumer that keeps its own memo of public chain state — and enters
+the feed's read trace where the ``gGet`` would have, so the feed decides as
+standalone GRuB does on the same operations.  The memo is additionally
 warmed straight from verified deliver payloads: a record the chain just
 verified *and replicated* in a deliver batch is public replicated state, so it
 is memoised immediately instead of waiting for the first post-deliver read.
 Writes and evictions drop the affected entry; keys written during the current
 epoch are never memoised until their epoch update lands.  The memo belongs to
 the feed, not to a scheduler: whichever scheduler drives the feed next reads
-and maintains the same one, and a run with caching off drops it, so no run
-can leave another a stale entry.
+and maintains the same one.
 
 The scheduler never consults a wall clock for scheduling decisions and uses
 no randomness, so two runs over the same fleet, workloads and churn schedule
@@ -240,7 +239,6 @@ class EpochScheduler:
         num_shards: int = 1,
         num_workers: int = 1,
         epoch_size: Optional[int] = None,
-        enable_cache: bool = True,
         planner: Optional[ShardPlanner] = None,
         execution_mode: str = "serial",
         obs: Optional[Observability] = None,
@@ -295,12 +293,9 @@ class EpochScheduler:
         if self.obs.enabled:
             self.registry.chain.obs = self.obs
             self.planner.obs = self.obs
-        #: Whether this scheduler's runs serve repeated reads of replicated
-        #: records from the feeds' memos (``FeedHandle.memo``).
-        self.enable_cache = enable_cache
         #: The current (or latest) run's telemetry, for the memo gauges.
         self._fleet = FleetTelemetry()
-        if self.obs.enabled and enable_cache:
+        if self.obs.enabled:
             # Pull-style: the bills' counters are copied into gauges at
             # snapshot time, so the hot path stays untouched.
             self.obs.registry.register_collector(self._collect_cache_metrics)
@@ -431,7 +426,7 @@ class EpochScheduler:
                 )
             self._require_batch_deliver(spec)
             handle = self.registry.create_feed(spec)
-            handle.begin_run(admission.operations, memoise=self.enable_cache)
+            handle.begin_run(admission.operations)
             handle.bill.admitted_epoch = epoch
             self._wire_feed_obs(spec.feed_id)
             active.append(spec.feed_id)
@@ -484,7 +479,7 @@ class EpochScheduler:
         registry.gauge("cache_misses").set(fleet.cache_lookups - fleet.cache_hits)
         registry.gauge("cache_hit_rate").set(fleet.cache_hit_rate)
         registry.gauge("cache_entries").set(
-            sum(len(handle.memo or ()) for handle in self.registry.handles)
+            sum(len(handle.memo) for handle in self.registry.handles)
         )
 
     def _wire_feed_obs(self, feed_id: str) -> None:
@@ -656,8 +651,7 @@ class EpochScheduler:
     ) -> Tuple[int, List[str], FleetTelemetry]:
         """The run prologue: validate the workload map against the registry
         and start the run on every registered handle — its workload queued
-        (empty for a feed ``workloads`` does not name), a fresh bill, the memo
-        kept or dropped as ``enable_cache`` says.
+        (empty for a feed ``workloads`` does not name) and a fresh bill.
 
         With a live ``source``, *every* registered feed is active from epoch 0
         (each may receive requests at any boundary), with an empty queue
@@ -679,9 +673,7 @@ class EpochScheduler:
         for feed_id in feed_ids:
             self._require_batch_deliver(self.registry.get(feed_id).spec)
         for handle in self.registry.handles:
-            handle.begin_run(
-                workloads.get(handle.feed_id, ()), memoise=self.enable_cache
-            )
+            handle.begin_run(workloads.get(handle.feed_id, ()))
         epoch_size = self.epoch_size_for(feed_ids)
         active = list(feed_ids)
         fleet = FleetTelemetry(

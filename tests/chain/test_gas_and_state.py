@@ -187,9 +187,11 @@ class TestContractStorage:
         storage.store(meter, "updated", b"changed twice")
         storage.store(meter, "inserted", b"3")
         storage.store_reusing(meter, "recycled", b"4")
+        storage.release("kept")
         storage.rollback_tx()
-        # Inserted slots are gone again and an updated slot holds its value
-        # from before the transaction, however often it was written.
+        # Inserted slots are gone again, a released one is back, and an
+        # updated slot holds its value from before the transaction, however
+        # often it was written.
         assert storage.slots == before
 
     def test_commit_keeps_the_writes_and_ends_the_journal(self, meter):

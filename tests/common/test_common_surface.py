@@ -55,18 +55,16 @@ ERRORS = {
     "StorageError",  # storage/kvstore.py, storage/lsm.py, ads/authenticated_kv.py
     "ContractError",  # chain/contract.py Contract.revert
     "ConfigurationError",  # gateway/, obs/metrics.py, workloads/ycsb.py, frontdoor/
-    "UnknownKeyError",  # no raiser and no test: one of ROADMAP item 13's names
     "WireError",  # gateway/feed_state.py, gateway/executor.py lane frames
     "LaneDied",  # gateway/executor.py: a lane that stopped answering
 }
 
 TYPES = {
-    "Bytes32",  # no user and no test: one of ROADMAP item 13's names
     "ReplicationState",  # every layer: a record's R/NR state
     "OperationKind",  # core/control_plane.py, workloads/
     "Operation",  # workloads/, core/grub.py drive_operation
     "KVRecord",  # ads/authenticated_kv.py, workloads/ycsb.py, analysis/
-    "EpochSummary",  # core/grub.py, gateway/executor.py, gateway/metrics.py
+    "EpochSummary",  # core/grub.py, gateway/executor.py
 }
 
 SIMULATED_CLOCK = {
@@ -100,11 +98,10 @@ KV_RECORD = {
 
 EPOCH_SUMMARY = {
     "gas_total",  # gateway/executor.py: an epoch's gas
-    "gas_per_operation",  # gateway/metrics.py FeedTelemetry.epoch_series
+    "gas_per_operation",  # core/grub.py RunReport.epoch_series
 }
 
 PACKAGE_EXPORTS = {
-    "Bytes32",
     "KVRecord",
     "Operation",
     "OperationKind",

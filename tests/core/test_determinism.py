@@ -19,23 +19,10 @@ from repro.workloads.synthetic import AlternatingPhaseWorkload, SyntheticWorkloa
 from repro.workloads.ycsb import MixedYCSBWorkload
 
 
-def report_fingerprint(report: RunReport) -> dict:
-    """Every field of a report (epoch summaries included) as plain data."""
-    data = {
-        "system_name": report.system_name,
-        "operations": report.operations,
-        "reads": report.reads,
-        "writes": report.writes,
-        "gas_feed": report.gas_feed,
-        "gas_application": report.gas_application,
-        "replications": report.replications,
-        "evictions": report.evictions,
-        "deliveries": report.deliveries,
-        "update_transactions": report.update_transactions,
-        "gas_by_category": dict(report.gas_by_category),
-        "epochs": [asdict(epoch) for epoch in report.epochs],
-    }
-    return data
+def report_fingerprint(system: GrubSystem, report: RunReport) -> dict:
+    """Every field of a report (epoch summaries included) and the gas the
+    run's chain charged by category, as plain data."""
+    return {**asdict(report), "gas_by_category": dict(system.chain.ledger.by_category)}
 
 
 class TestWorkloadDeterminism:
@@ -61,20 +48,21 @@ class TestSystemRunDeterminism:
         workload = MixedYCSBWorkload(
             record_count=128, operations_per_phase=64, record_size_bytes=64, seed=42
         )
-        reports = []
+        fingerprints = []
         for _ in range(2):
             system = GrubSystem(config, preload=workload.preload_records())
-            reports.append(system.run(workload.operations()))
-        assert report_fingerprint(reports[0]) == report_fingerprint(reports[1])
+            fingerprints.append(report_fingerprint(system, system.run(workload.operations())))
+        assert fingerprints[0] == fingerprints[1]
 
     def test_identical_phase_workload_runs_match(self):
         config = GrubConfig(epoch_size=8, algorithm="memorizing")
         operations = AlternatingPhaseWorkload(
             operations_per_phase=32, num_keys=2, seed=5
         ).operations()
-        first = GrubSystem(config).run(operations)
-        second = GrubSystem(config).run(operations)
-        assert report_fingerprint(first) == report_fingerprint(second)
+        first, second = GrubSystem(config), GrubSystem(config)
+        assert report_fingerprint(first, first.run(operations)) == report_fingerprint(
+            second, second.run(operations)
+        )
 
 
 class TestGatewayDeterminism:

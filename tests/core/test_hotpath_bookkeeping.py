@@ -3,11 +3,11 @@ replica count."""
 
 from __future__ import annotations
 
-from repro.common.types import KVRecord, Operation, OperationKind, ReplicationState
+from repro.common.types import EpochSummary, KVRecord, Operation, OperationKind, ReplicationState
 from repro.core.config import GrubConfig
 from repro.core.control_plane import WorkloadMonitor
 from repro.core.decision.base import CostModel, make_algorithm
-from repro.core.grub import GrubSystem, RunReport
+from repro.core.grub import GrubSystem
 from repro.core.storage_manager import StorageManagerContract
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -47,11 +47,10 @@ class TestCallHistoryCursor:
         system = GrubSystem(
             config, preload=[KVRecord.make(f"k{i}", bytes(32)) for i in range(4)]
         )
-        summary = system.begin_epoch(0)
-        report = RunReport(system_name=system.name)
+        summary = EpochSummary(index=0)
         keys = ["k0", "k1", "k0", "k3"]
         for key in keys:
-            system.drive_operation(Operation.read(key), summary, report)
+            system.drive_operation(Operation.read(key), summary)
         # Until the monitor looks, the log keeps every gGet in order.
         assert system.storage_manager.call_history == keys
         system.data_owner.end_epoch()

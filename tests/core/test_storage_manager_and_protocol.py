@@ -214,7 +214,8 @@ class TestReplicaSlotReuse:
         self.land_update(chain, manager, UpdateEntry("A", b"a" * 32, replicate, True))
         evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
         self.land_update(chain, manager, evicted)
-        assert manager.free_replica_slots == 1
+        # Only a reusing manager keeps a pool: nothing else would take from it.
+        assert list(manager.free_replica_slots) == (["A"] if reuse else [])
         charged = self.land_update(chain, manager, UpdateEntry("B", b"b" * 32, replicate, True))
         assert manager.replica_of("B") == b"b" * 32 and manager.replica_count() == 1
         one_word = chain.schedule.storage_update_cost(1)
@@ -222,11 +223,10 @@ class TestReplicaSlotReuse:
             # The digest and B's replica: two updates, no insert.
             assert charged.get("sstore_insert", 0) == 0
             assert charged["sstore_update"] == 2 * one_word
-            assert manager.free_replica_slots == 0
         else:
             assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
             assert charged["sstore_update"] == one_word
-            assert manager.free_replica_slots == 1
+        assert manager.free_replica_slots == {}
 
     @pytest.mark.parametrize("reuse", [True, False], ids=["reusing", "fresh"])
     def test_a_key_refilling_its_own_slot_takes_it_off_the_pool(self, reuse):
@@ -238,20 +238,73 @@ class TestReplicaSlotReuse:
         self.land_update(chain, manager, UpdateEntry("A", b"a" * 32, replicate, True))
         evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
         self.land_update(chain, manager, evicted)
-        assert manager.free_replica_slots == 1
+        assert list(manager.free_replica_slots) == (["A"] if reuse else [])
         # A fills the slot it was evicted from: an update, and no slot is
         # free any more.
         charged = self.land_update(chain, manager, UpdateEntry("A", b"A" * 32, replicate, True))
         one_word = chain.schedule.storage_update_cost(1)
         assert charged.get("sstore_insert", 0) == 0
         assert charged["sstore_update"] == 2 * one_word
-        assert manager.free_replica_slots == 0
+        assert manager.free_replica_slots == {}
         # So a new key claims a fresh slot at the insert price.
         charged = self.land_update(chain, manager, UpdateEntry("B", b"b" * 32, replicate, True))
         assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
         assert charged["sstore_update"] == one_word
-        assert manager.free_replica_slots == 0
+        assert manager.free_replica_slots == {}
         assert manager.replica_count() == 2
+
+    def test_a_key_whose_slot_went_to_another_pays_an_insert(self):
+        chain = Blockchain()
+        manager = chain.deploy(
+            StorageManagerContract("manager", data_owner="owner", reuse_replica_slots=True)
+        )
+        replicate = ReplicationState.REPLICATED
+        self.land_update(chain, manager, UpdateEntry("A", b"a" * 32, replicate, True))
+        evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
+        self.land_update(chain, manager, evicted)
+        # B takes the slot A was evicted from, so A holds no slot any more.
+        charged = self.land_update(chain, manager, UpdateEntry("B", b"b" * 32, replicate, True))
+        assert charged.get("sstore_insert", 0) == 0
+        # Two live replicas need two slots: A claims a fresh one.
+        charged = self.land_update(chain, manager, UpdateEntry("A", b"A" * 32, replicate, True))
+        assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
+        assert charged["sstore_update"] == chain.schedule.storage_update_cost(1)
+        assert (manager.replica_of("A"), manager.replica_of("B")) == (b"A" * 32, b"b" * 32)
+        assert manager.replica_count() == 2
+        # The digest's slot and two replica slots: three inserts in all.
+        inserts = chain.ledger.by_category["sstore_insert"]
+        assert inserts == 3 * chain.schedule.storage_insert_cost(1)
+        # Evicted again, A frees its new slot, not B's.
+        self.land_update(chain, manager, evicted)
+        assert manager.replica_of("B") == b"b" * 32 and manager.replica_count() == 1
+        assert list(manager.free_replica_slots) == ["A"]
+
+    def test_a_reverted_eviction_frees_no_slot(self):
+        chain = Blockchain()
+        manager = chain.deploy(
+            StorageManagerContract("manager", data_owner="owner", reuse_replica_slots=True)
+        )
+        replicate = ReplicationState.REPLICATED
+        self.land_update(chain, manager, UpdateEntry("A", b"a" * 32, replicate, True))
+        # A's eviction lands in an update that then fails, so it is undone.
+        entries = [
+            UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True),
+            UpdateEntry("C", None, replicate, True),
+        ]
+        receipt = chain.land(
+            Transaction(
+                sender="owner",
+                contract=manager.address,
+                function="update",
+                args={"entries": entries, "digest": b"\x01" * 32},
+                calldata_bytes=64 + sum(entry.calldata_bytes for entry in entries),
+            )
+        )
+        assert not receipt.success and manager.replica_of("A") == b"a" * 32
+        # A still holds its slot, so B claims a fresh one.
+        charged = self.land_update(chain, manager, UpdateEntry("B", b"b" * 32, replicate, True))
+        assert charged["sstore_insert"] == chain.schedule.storage_insert_cost(1)
+        assert (manager.replica_of("A"), manager.replica_of("B")) == (b"a" * 32, b"b" * 32)
 
     def test_evicting_an_invalidated_replica_frees_no_second_slot(self):
         chain = Blockchain()
@@ -264,7 +317,7 @@ class TestReplicaSlotReuse:
         evicted = UpdateEntry("A", None, ReplicationState.NOT_REPLICATED, True)
         self.land_update(chain, manager, evicted)
         self.land_update(chain, manager, evicted)
-        assert manager.free_replica_slots == 1
+        assert list(manager.free_replica_slots) == ["A"]
         assert manager.replica_count() == 0
 
 

@@ -67,7 +67,7 @@ def two_feed_registry():
 
 def snapshot_of(registry, feed_id):
     handle = registry.get(feed_id)
-    handle.begin_run([Operation.read("k")] * 4, memoise=False)
+    handle.begin_run([Operation.read("k")] * 4)
     return feed_state.pack(feed_state.capture(handle))
 
 
@@ -213,7 +213,8 @@ def test_unpicklable_spec_is_a_configuration_error_naming_the_feed():
 
 def quota_fleet(execution_mode):
     """Three feeds, two of them held back by quotas (operations and gas),
-    regrouped between epochs."""
+    regrouped between epochs.  They never replicate, so every read stays on
+    chain and pays gas (none is served from the read memo)."""
     registry = FeedRegistry()
     quotas = {
         "ops": {"max_ops_per_epoch": 2},
@@ -222,7 +223,7 @@ def quota_fleet(execution_mode):
     }
     reads = {}
     for feed_id, quota in quotas.items():
-        config = GrubConfig(epoch_size=4)
+        config = GrubConfig(epoch_size=4, algorithm="never")
         registry.create_feed(FeedSpec(feed_id=feed_id, config=config, **quota))
         reads[feed_id] = [Operation.read(f"{feed_id}-k{j % 3}") for j in range(11)]
     scheduler = EpochScheduler(
@@ -230,7 +231,6 @@ def quota_fleet(execution_mode):
         num_workers=2 if execution_mode == "process" else 1,
         execution_mode=execution_mode,
         epoch_size=4,
-        enable_cache=False,
         planner=GasAwareShardPlanner(block_gas_fraction=0.01),
     )
     return scheduler, reads

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.common.errors import WireError
-from repro.common.types import KVRecord, Operation
+from repro.common.types import EpochSummary, KVRecord, Operation
 from repro.core.config import GrubConfig
 from repro.gateway import (
     EpochScheduler,
@@ -59,7 +59,7 @@ def hosted(*feed_ids: str) -> FeedRegistry:
         handle.queue = deque(workload_of(feed_id, operations=5))
         handle.dirty = {f"{feed_id}-03"}
         handle.system.drive_operation(
-            Operation.read(f"{feed_id}-07"), handle.system.begin_epoch(6, 1), handle.bill
+            Operation.read(f"{feed_id}-07"), EpochSummary(index=6, operations=1)
         )
     registry.watchdog.poll()
     return registry

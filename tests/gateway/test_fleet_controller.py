@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chain.events import LogEvent
@@ -286,12 +288,16 @@ class TestQuotas:
     def test_gas_quota_throttles_but_never_wedges(self):
         registry = FeedRegistry()
         # A cap below any single read's gas: the post-op check trips after
-        # every operation, so exactly one op per epoch runs.  The cache is
-        # off (a cache hit charges no gas and would slip past the cap) and
-        # the workload is read-only (writes buffer at the DO and pay their
-        # gas at the epoch update, not during driving).
-        registry.create_feed(make_spec("throttled", max_gas_per_epoch=1))
-        scheduler = EpochScheduler(registry, epoch_size=EPOCH, enable_cache=False)
+        # every operation, so exactly one op per epoch runs.  The feed never
+        # replicates, so no read is served from the memo (a memo hit charges
+        # no gas and would slip past the cap), and the workload is read-only
+        # (writes buffer at the DO and pay their gas at the epoch update, not
+        # during driving).
+        spec = make_spec("throttled", max_gas_per_epoch=1)
+        registry.create_feed(
+            replace(spec, config=replace(spec.config, algorithm="never"))
+        )
+        scheduler = EpochScheduler(registry, epoch_size=EPOCH)
         operations = [Operation.read("throttled-k0") for _ in range(6)]
         fleet = scheduler.run({"throttled": operations})
         throttled = fleet.feed("throttled")

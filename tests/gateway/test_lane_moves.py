@@ -78,7 +78,7 @@ def registry_of(*specs: FeedSpec) -> FeedRegistry:
     registry = FeedRegistry()
     for spec in specs:
         handle = registry.create_feed(spec)
-        handle.begin_run(workload_of(spec.feed_id), memoise=True)
+        handle.begin_run(workload_of(spec.feed_id))
     return registry
 
 
@@ -240,7 +240,7 @@ def ping_pong(registry: FeedRegistry, moves: int, *, admitted: bool = False):
     if admitted:
         spec = registry.remove_feed("alpha").spec
         engine.ensure_lanes(2, {})
-        registry.create_feed(spec).begin_run(workload_of("alpha"), memoise=True)
+        registry.create_feed(spec).begin_run(workload_of("alpha"))
     else:
         # As placement does before any lane forks: no fork copy holds an opener.
         feed_state.close_store(registry.get("alpha"))

@@ -119,7 +119,7 @@ class TestPipeBuffer:
                     preload=[KVRecord.make(f"{feed_id}/{j:05d}", bytes(32)) for j in range(keys)],
                 )
             )
-            registry.get(feed_id).begin_run([Operation.read(f"{feed_id}/00001")], memoise=False)
+            registry.get(feed_id).begin_run([Operation.read(f"{feed_id}/00001")])
         metrics = MetricsRegistry()
         engine = LaneEngine(1, registry, metrics)
         before = set(multiprocessing.active_children())

@@ -7,26 +7,26 @@ import pytest
 
 from repro.common.types import Operation
 from repro.core.config import GrubConfig
+from repro.core.grub import GrubSystem
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec
 
 
-def _single_feed_fixture(enable_cache: bool):
+CONFIG = GrubConfig(epoch_size=4, algorithm="memoryless", k=1)
+# One write then a long run of reads of the same key: the key replicates,
+# after which every further read can be served from the memo.
+OPERATIONS = [Operation.write("hot", b"hot-value")] + [Operation.read("hot")] * 23
+
+
+def _single_feed_fixture():
     registry = FeedRegistry()
-    registry.create_feed(
-        FeedSpec(feed_id="alpha", config=GrubConfig(epoch_size=4, algorithm="memoryless", k=1))
-    )
-    # One write then a long run of reads of the same key: the key replicates,
-    # after which every further read can be served from the memo.
-    operations = [Operation.write("hot", b"hot-value")]
-    operations += [Operation.read("hot") for _ in range(23)]
-    scheduler = EpochScheduler(registry, enable_cache=enable_cache)
-    fleet = scheduler.run({"alpha": operations})
+    registry.create_feed(FeedSpec(feed_id="alpha", config=CONFIG))
+    fleet = EpochScheduler(registry).run({"alpha": OPERATIONS})
     return registry, fleet
 
 
 class TestReadCacheInScheduler:
     def test_repeated_replicated_reads_hit_the_cache(self):
-        _, fleet = _single_feed_fixture(enable_cache=True)
+        _, fleet = _single_feed_fixture()
         telemetry = fleet.feed("alpha")
         assert telemetry.cache_hits > 0
         assert fleet.cache_hit_rate > 0.5
@@ -34,9 +34,17 @@ class TestReadCacheInScheduler:
         assert telemetry.operations == 24
 
     def test_cache_lowers_feed_gas(self):
-        _, with_cache = _single_feed_fixture(enable_cache=True)
-        _, without_cache = _single_feed_fixture(enable_cache=False)
-        assert with_cache.gas_feed < without_cache.gas_feed
+        _, fleet = _single_feed_fixture()
+        hosted = fleet.feed("alpha")
+        standalone = GrubSystem(CONFIG).run(OPERATIONS)
+        # Both replicate "hot" alike; once it is memoised, an epoch of its
+        # reads costs the gateway nothing, while standalone GRuB pays every
+        # gGet.
+        assert [e.replications for e in hosted.epochs] == [
+            e.replications for e in standalone.epochs
+        ]
+        assert hosted.epochs[-1].gas_feed == 0 < standalone.epochs[-1].gas_feed
+        assert hosted.gas_feed < standalone.gas_feed
 
     def test_write_invalidates_and_next_read_sees_new_value(self):
         registry = FeedRegistry()
@@ -203,10 +211,9 @@ class TestTheMemoIsTheFeeds:
         "second_scheduler",
         [
             {},
-            {"enable_cache": False},
             {"execution_mode": "process", "num_workers": 1},
         ],
-        ids=["cached", "cache-off", "process"],
+        ids=["cached", "process"],
     )
     def test_a_second_scheduler_cannot_leave_the_first_a_stale_entry(
         self, second_scheduler

@@ -83,7 +83,7 @@ class TestBatching:
     def test_one_deliver_and_update_batch_per_shard_per_epoch(self):
         registry, _ = make_fleet(4, epoch_size=8)
         workloads = make_workloads(4, operations=16)  # 2 epochs
-        fleet = EpochScheduler(registry, num_shards=2, enable_cache=False).run(workloads)
+        fleet = EpochScheduler(registry, num_shards=2).run(workloads)
         assert fleet.epochs_run == 2
         # Every feed is active in every epoch, so each of the 2 shards sends
         # at most one deliver and one update batch per epoch.
@@ -94,14 +94,16 @@ class TestBatching:
 
     def test_cross_feed_batching_beats_isolated_deployments(self):
         num_feeds = 8
-        registry, config = make_fleet(num_feeds, epoch_size=8)
+        # The feeds never replicate, so the read memo stays empty and every
+        # read pays for its gGet on both sides.
+        registry, config = make_fleet(num_feeds, epoch_size=8, algorithm="never")
         workloads = make_workloads(num_feeds, ratio=4.0, operations=64)
-        fleet = EpochScheduler(registry, num_shards=1, enable_cache=False).run(workloads)
+        fleet = EpochScheduler(registry, num_shards=1).run(workloads)
 
         isolated_gas = 0
         for feed_id, operations in workloads.items():
             isolated_gas += GrubSystem(config).run(operations).gas_feed
-        # Even without the read cache, amortising the transaction base across
+        # Even without the read memo, amortising the transaction base across
         # the fleet makes hosting strictly cheaper than isolation.
         assert fleet.gas_feed < isolated_gas
 
@@ -109,9 +111,10 @@ class TestBatching:
         # With one feed there is nothing to amortise across tenants, so the
         # router's overhead (one calldata word and one CALL per routed group)
         # is visible — it must stay a small constant factor, not a blow-up.
-        registry, config = make_fleet(1, epoch_size=8)
+        # The feed never replicates, so no read is served from the memo.
+        registry, config = make_fleet(1, epoch_size=8, algorithm="never")
         workloads = make_workloads(1, operations=64)
-        fleet = EpochScheduler(registry, enable_cache=False).run(workloads)
+        fleet = EpochScheduler(registry).run(workloads)
         isolated = GrubSystem(config).run(workloads["feed-00"])
         assert fleet.gas_feed <= isolated.gas_feed * 1.10
 

@@ -174,8 +174,6 @@ ALLOWED = {
         "test reference: tests/core/test_competitiveness.py",
     # core/decision/offline.py
     "core/decision/offline.py::OfflineOptimalAlgorithm.reset": SEAM,
-    # core/grub.py
-    "core/grub.py::RunReport.saving_versus": "test reference: tests/core/test_grub_system.py",
     # core/service_provider.py
     "core/service_provider.py::TamperingServiceProvider.__post_init__":
         "test reference: tests/core/test_determinism.py",
@@ -205,8 +203,6 @@ ALLOWED = {
         "test reference: tests/gateway/test_elastic_transfer.py",
     # gateway/metrics.py
     "gateway/metrics.py::FeedTelemetry.replication_churn":
-        "test reference: tests/gateway/test_metrics.py",
-    "gateway/metrics.py::FeedTelemetry.epoch_series":
         "test reference: tests/gateway/test_metrics.py",
     # gateway/planner.py
     "gateway/planner.py::ShardPlanner.plan": SEAM,
