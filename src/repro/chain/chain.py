@@ -11,13 +11,22 @@ Appendix E): block interval ``B``, propagation delay ``Pt`` and finality depth
 block and is *finalized* once ``F`` further blocks exist, i.e. at roughly
 ``t + Pt + B * F``; the helpers expose these timestamps so the consistency
 theorems can be checked in tests.
+
+``F`` is also the chain's memory: it keeps the last ``F + 1`` blocks (the
+oldest of them already final), with their receipts and events, and forgets
+the block that falls out as each new one is mined.  Nothing reads further
+back: a submitter reads its receipt in the block that mined it, and the
+watchdogs read the log from their cursors, which stay within a few blocks of
+the head.  Heights, block numbers and log indices stay absolute, and the
+oldest kept block's ``parent_hash`` commits to everything dropped.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.chain.block import Block
 from repro.chain.contract import Contract
@@ -106,6 +115,10 @@ class Blockchain:
     canonical history rather than modelling adversarial forks, but it does
     model the *latency* of inclusion and finality because the consistency
     guarantees depend on them.
+
+    ``blocks``, ``receipts`` and ``event_log`` hold the finality window only:
+    the last ``finality_depth + 1`` blocks and what they carry (see the
+    module docstring).
     """
 
     def __init__(
@@ -120,7 +133,7 @@ class Blockchain:
         self.ledger = GasLedger()
         self.event_log = EventLog()
         self.contracts: Dict[str, Contract] = {}
-        self.blocks: List[Block] = []
+        self.blocks: Deque[Block] = deque()
         self.pending: List[Transaction] = []
         self.receipts: Dict[int, TransactionReceipt] = {}
         #: The open :meth:`isolated_execution` buffer, if any.  Plain
@@ -192,9 +205,9 @@ class Blockchain:
     def undeploy(self, address: str) -> Contract:
         """Remove a contract from the chain (EVM ``selfdestruct`` analogue).
 
-        History (blocks, receipts, events) is untouched; the address simply
-        becomes free again — the gateway uses this when a hosted feed leaves,
-        so a later tenant can reuse the feed id.
+        History (the window's blocks, receipts, events) is untouched; the
+        address simply becomes free again — the gateway uses this when a
+        hosted feed leaves, so a later tenant can reuse the feed id.
         """
         contract = self.get_contract(address)
         del self.contracts[address]
@@ -276,14 +289,15 @@ class Blockchain:
 
         A sealed receipt's transaction drops its ``args``: nothing reads a
         batch's records, callbacks or proofs once its block is mined, so
-        ``receipts`` does not hold every payload of the run.
+        ``receipts`` does not hold every payload of the run.  The block that
+        leaves the finality window goes with its receipts and events.
         """
         obs = self.obs
         started = obs.tracer.clock() if obs is not None else 0.0
         self.clock.advance(self.parameters.block_interval)
-        parent_hash = self.blocks[-1].block_hash if self.blocks else EMPTY_DIGEST
+        parent_hash = self.blocks[-1].block_hash
         block = Block(
-            number=len(self.blocks),
+            number=self.height,
             timestamp=self.clock.now,
             parent_hash=parent_hash,
         )
@@ -305,6 +319,8 @@ class Blockchain:
             block_overflow = block.gas_used - self.parameters.block_gas_limit
             self.ledger.by_category["block_gas_limit_overflow"] += block_overflow
         self.blocks.append(block)
+        if len(self.blocks) > self.parameters.finality_depth + 1:
+            self._forget(self.blocks.popleft())
         if obs is not None:
             obs.counter("chain_blocks_total").inc()
             obs.counter("chain_transactions_total").inc(len(block.receipts))
@@ -312,8 +328,9 @@ class Blockchain:
         return block
 
     def mine_until_finalized(self, block_number: int) -> None:
-        """Produce empty blocks until ``block_number`` is final."""
-        while self.height < block_number + self.parameters.finality_depth:
+        """Produce empty blocks until ``block_number`` is final
+        (:meth:`is_finalized`): the window then still holds it."""
+        while not self.is_finalized(block_number):
             self.mine_block()
 
     def execute_call(
@@ -450,7 +467,14 @@ class Blockchain:
                     self.schedule.transaction_cost(transaction.calldata_words),
                     "transaction",
                 )
-            method = getattr(contract, transaction.function, None)
+            # A leading underscore marks a contract's internal helper (one
+            # that trusts its caller, like a delivery's unverified apply):
+            # a transaction cannot reach it, as Solidity's ``internal``.
+            method = (
+                None
+                if transaction.function.startswith("_")
+                else getattr(contract, transaction.function, None)
+            )
             if method is None:
                 raise ContractError(
                     f"{transaction.contract} has no function {transaction.function!r}"
@@ -480,7 +504,8 @@ class Blockchain:
 
     @property
     def height(self) -> int:
-        return len(self.blocks)
+        """Blocks mined so far, genesis included (not the window's length)."""
+        return self.blocks[-1].number + 1
 
     def is_finalized(self, block_number: int) -> bool:
         """True once ``finality_depth`` blocks exist above ``block_number``."""
@@ -494,7 +519,15 @@ class Blockchain:
         )
 
     def receipt_for(self, txid: int) -> Optional[TransactionReceipt]:
+        """The receipt of ``txid`` while its block is in the window."""
         return self.receipts.get(txid)
+
+    def _forget(self, block: Block) -> None:
+        """Drop a block that left the finality window: its receipts and the
+        events stamped at or below its number."""
+        for receipt in block.receipts:
+            del self.receipts[receipt.txid]
+        self.event_log.forget_through(block.number)
 
     def _genesis(self) -> None:
         genesis = Block(number=0, timestamp=self.clock.now, parent_hash=EMPTY_DIGEST)

@@ -253,12 +253,22 @@ class StorageManagerContract(Contract):
         Nothing is applied until the whole call has verified: a consumer's
         Python-side state is not contract storage, so a callback that ran
         before a later item failed could not be rolled back with the revert.
+        The gateway router runs the two halves itself, every group's
+        verification before any group's application.
         """
+        self.verify_delivery(ctx, items, proof)
+        return self._apply_delivery(ctx, items, proof)
+
+    def verify_delivery(
+        self, ctx: ExecutionContext, items: List[DeliverItem], proof: MultiProof
+    ) -> None:
+        """The metered half of :meth:`deliver` that reverts on a forged
+        record or proof and changes nothing."""
         meter = ctx.meter
         root = self.storage.load(meter, self.ROOT_SLOT)
         self.require(root is not None, "no root hash published yet")
         if not items:
-            return 0
+            return
         obs = getattr(self.chain, "obs", None)
         verify_started = obs.tracer.clock() if obs is not None else 0.0
         # Requests of one key are one leaf: every item pays its own leaf hash
@@ -308,12 +318,35 @@ class StorageManagerContract(Contract):
             obs.histogram("chain_verify_seconds").observe(
                 obs.tracer.clock() - verify_started
             )
+
+    def apply_delivery(
+        self, ctx: ExecutionContext, items: List[DeliverItem], proof: MultiProof
+    ) -> int:
+        """The half of :meth:`deliver` that replicates and calls back, for
+        records :meth:`verify_delivery` accepted.
+
+        It checks no proof, so only the hosting gateway, which verifies every
+        group of its batch first, may call it; anyone else delivers through
+        :meth:`deliver`.
+        """
+        self.require(
+            self.gateway is not None and ctx.sender == self.gateway,
+            "only the hosting gateway may apply a delivery it verified",
+        )
+        return self._apply_delivery(ctx, items, proof)
+
+    def _apply_delivery(
+        self, ctx: ExecutionContext, items: List[DeliverItem], proof: MultiProof
+    ) -> int:
+        if not items:
+            return 0
         for item in items:
             if item.replicate:
                 self._store_replica(ctx, item.key, item.value)
             if item.callback is not None:
                 self._invoke_callback(ctx, item.callback, item.key, item.value)
         record_bytes = sum(item.calldata_bytes for item in items)
+        depth = expected_proof_length(proof.leaf_count)
         self.delivered_bytes += record_bytes + 32 * len(proof.siblings)
         self.delivered_bytes_unshared += record_bytes + 32 * depth * len(items)
         return len(items)

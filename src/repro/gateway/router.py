@@ -73,26 +73,31 @@ class GatewayRouterContract(Contract):
     def deliver_batch(self, ctx: ExecutionContext, groups: List[DeliverGroup]) -> int:
         """Answer outstanding requests of several feeds in one transaction.
 
-        Each group is executed under its feed's gas scope; the per-feed
-        storage manager performs the usual Merkle verification (one
-        multiproof a group), optional replication and consumer callbacks.
-        Any sender may deliver: a group lands only if its records verify
-        against the root its feed's manager stores, which only the feed's
-        data owner or this router's operator can set.
+        Each group is executed under its feed's gas scope and charged one
+        call: first every group's storage manager verifies its records
+        against its one multiproof, then every group replicates and calls
+        its consumers back.  A forged group therefore reverts the batch
+        before any consumer's Python-side state has moved.  Any sender may
+        deliver: a group lands only if its records verify against the root
+        its feed's manager stores, which only the feed's data owner or this
+        router's operator can set.
         """
         self.require(bool(groups), "empty deliver batch")
-        verified = 0
-        for group in groups:
-            manager = self.chain.get_contract(group.manager)
-            verified += self.call_contract(
+        managers = [self.chain.get_contract(group.manager) for group in groups]
+        for manager, group in zip(managers, groups):
+            self.call_contract(
                 ctx,
                 manager,
-                "deliver",
+                "verify_delivery",
                 scope=group.feed_id,
                 items=group.items,
                 proof=group.proof,
             )
-        return verified
+        applied = 0
+        for manager, group in zip(managers, groups):
+            child = ctx.child(sender=self.address, scope=group.feed_id)
+            applied += manager.apply_delivery(child, group.items, group.proof)
+        return applied
 
     def update_batch(self, ctx: ExecutionContext, groups: List[UpdateGroup]) -> int:
         """Land several feeds' epoch updates in one transaction.

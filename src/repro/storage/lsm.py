@@ -28,12 +28,14 @@ from repro.storage.kvstore import KVStore
 from repro.storage.memtable import TOMBSTONE, MemTable
 from repro.storage.sstable import SSTable, merge_tables
 
-#: One WAL record is ``op, key length, value length, CRC32, key, value``: the
-#: three fixed fields, then the checksum of those fields and the key and value
-#: bytes that follow it.  A delete carries an empty value.
+#: One WAL record is ``op, key length, value length, header CRC32, body
+#: CRC32, key, value``: the three fixed fields, the checksum of those fields,
+#: then the checksum of the key and value bytes that follow.  A delete carries
+#: an empty value.  The header's own checksum tells a damaged length (which
+#: could point past the end of the file) from a torn tail.
 _WAL_FIELDS = struct.Struct(">BII")
-_WAL_CRC = struct.Struct(">I")
-_WAL_HEADER_SIZE = _WAL_FIELDS.size + _WAL_CRC.size
+_WAL_CRCS = struct.Struct(">II")
+_WAL_HEADER_SIZE = _WAL_FIELDS.size + _WAL_CRCS.size
 _WAL_PUT = 0
 _WAL_DELETE = 1
 
@@ -47,8 +49,7 @@ def _wal_record(key: str, value: Optional[bytes]) -> bytes:
     else:
         fields = _WAL_FIELDS.pack(_WAL_PUT, len(key_bytes), len(value))
         body = key_bytes + value
-    checksum = zlib.crc32(body, zlib.crc32(fields))
-    return fields + _WAL_CRC.pack(checksum) + body
+    return fields + _WAL_CRCS.pack(zlib.crc32(fields), zlib.crc32(body)) + body
 
 
 @dataclass(frozen=True)
@@ -382,22 +383,27 @@ class LSMStore(KVStore):
         """Apply the log's records to the memtable, in order.
 
         A call's records reach the file in one write, so a crash leaves a
-        prefix of the log: a record that runs past the end of the file is a
-        torn tail and is cut off (the records before it are the recovered
-        state).  A record that is all there but fails its checksum is damage,
-        not a crash, and raises.
+        prefix of the log: a record whose header or body runs past the end of
+        the file is a torn tail and is cut off (the records before it are the
+        recovered state).  A header that is all there but fails its checksum
+        is damage, not a crash, and raises — a damaged length is never read
+        as a tail — and so does a body that is all there but fails its own.
         """
         data = self._wal_path.read_bytes()
         offset = 0
         while offset + _WAL_HEADER_SIZE <= len(data):
-            op, key_len, value_len = _WAL_FIELDS.unpack_from(data, offset)
-            (checksum,) = _WAL_CRC.unpack_from(data, offset + _WAL_FIELDS.size)
+            fields = data[offset : offset + _WAL_FIELDS.size]
+            header_crc, body_crc = _WAL_CRCS.unpack_from(data, offset + _WAL_FIELDS.size)
+            if zlib.crc32(fields) != header_crc:
+                raise StorageError(
+                    f"{self._wal_path}: record header at byte {offset} fails its checksum"
+                )
+            op, key_len, value_len = _WAL_FIELDS.unpack(fields)
             body = offset + _WAL_HEADER_SIZE
             end = body + key_len + value_len
             if end > len(data):
                 break
-            fields = data[offset : offset + _WAL_FIELDS.size]
-            if zlib.crc32(data[body:end], zlib.crc32(fields)) != checksum:
+            if zlib.crc32(data[body:end]) != body_crc:
                 raise StorageError(
                     f"{self._wal_path}: record at byte {offset} fails its checksum"
                 )

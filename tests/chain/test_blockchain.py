@@ -85,7 +85,7 @@ class TestExecution:
         deployed_chain.submit(Transaction(sender="a", contract="counter", function="increment"))
         assert len(deployed_chain.event_log) == 0
         deployed_chain.mine_block()
-        events = deployed_chain.event_log.filter(name="Incremented")
+        events = deployed_chain.event_log.filter(name="Incremented", since=0)
         assert len(events) == 1
         assert events[0].payload["value"] == 1
 

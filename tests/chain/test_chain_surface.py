@@ -4,7 +4,8 @@ Every public method and property of :class:`Blockchain`, :class:`EventLog`
 and :class:`Contract` is listed here with its caller in ``src/``, or as a
 test reference: a query tests read the chain through, or an entry point only
 tests and the benchmark's tracer drive.  A new public name fails this test
-until its entry names the caller that needs it.  The fields of
+until its entry names the caller that needs it.  Where the finality window
+changed what a name answers, its entry says how.  The fields of
 :class:`LogEvent` — one per request on the read path, crossing the lane
 boundary in every drive buffer — are pinned the same way, each with its
 reader.
@@ -32,17 +33,28 @@ BLOCKCHAIN = {
     "mine_until_finalized",  # test reference: tests/core/test_grub_system.py
     "execute_call",  # test reference: tests/chain, tests/apps; suite/trace.py times it
     "execute_internal_call",  # GrubSystem.drive_operation: every DU read and scan
-    "height",  # gateway/scheduler.py: the blocks a run mined
+    # gateway/scheduler.py: the blocks a run mined.  Windowed chain: the
+    # newest block's number + 1, no longer len(blocks).
+    "height",
     "is_finalized",  # test reference: tests/chain/test_blockchain.py
     "finality_delay",  # core/consistency.py: the freshness bound
-    "receipt_for",  # Blockchain.land
+    # Blockchain.land.  Windowed chain: None once the receipt's block left.
+    "receipt_for",
 }
 
 EVENT_LOG = {
     "append_event",  # Blockchain.absorb, ._produce_block, .execute_internal_call
-    "since",  # gateway/watchdog.py SharedWatchdog.poll
-    "filter",  # core/service_provider.py ServiceProvider.poll_requests
-    "latest",  # test reference: tests/chain/test_blockchain.py
+    # Blockchain._forget: the events of a block leaving the window go with it.
+    "forget_through",
+    # gateway/watchdog.py SharedWatchdog.poll.  Windowed log: a cursor below
+    # the kept events raises ReproError.
+    "since",
+    # core/service_provider.py ServiceProvider.poll_requests.  Windowed log:
+    # raises as since does.
+    "filter",
+    # test reference: tests/chain/test_blockchain.py.  Windowed log: the
+    # newest kept event.
+    "latest",
 }
 
 CONTRACT = {

@@ -21,7 +21,9 @@ from repro.gateway.feed_state import ActorState
 STORAGE_MANAGER_CONTRACT = {
     "gGet",  # DataConsumer.query_feed
     "gGetRange",  # DataConsumer.scan_feed
-    "deliver",  # ServiceProvider's deliver transaction, GatewayRouter.deliver_batch
+    "deliver",  # ServiceProvider's deliver transaction: both halves below
+    "verify_delivery",  # StorageManagerContract.deliver, GatewayRouter.deliver_batch
+    "apply_delivery",  # StorageManagerContract.deliver, GatewayRouter.deliver_batch
     "update",  # DataOwner's epoch transaction, GatewayRouter.update_batch
     "has_replica",  # DataOwner.prepare_epoch_update
     "replica_of",  # gateway/executor.py: the read memo's replica check

@@ -50,7 +50,7 @@ class TestStorageManagerContract:
             "user", "data-consumer", "query_feed", key="alpha"
         )
         assert value is None
-        assert len(chain.event_log.filter(name="request")) == 1
+        assert len(chain.event_log.filter(name="request", since=0)) == 1
 
     def test_deliver_then_hit(self, protocol_system):
         chain = protocol_system.chain
@@ -96,7 +96,7 @@ class TestStorageManagerContract:
         manager = protocol_system.storage_manager
         assert manager.call_history == ["alpha"]
         # A miss: the read became a request event for the SP.
-        assert len(chain.event_log.filter(contract=manager.address, name="request")) == 1
+        assert len(chain.event_log.filter(contract=manager.address, name="request", since=0)) == 1
 
     def test_on_chain_trace_tracking_costs_gas(self):
         config = GrubConfig(epoch_size=4)
@@ -480,9 +480,9 @@ class TestSecurityAgainstTamperingSP:
         ``mine_block``.  So is a record whose value is text, whose state is
         bytes or whose leaf index is text: types the verifier does not accept.
 
-        This holds per ``deliver`` call.  A forged group inside a router
-        ``deliver_batch`` still leaves the callbacks of *earlier groups* run —
-        each group is its own ``deliver`` — which is ROADMAP item 2 (c).
+        This holds per ``deliver`` call, and across a router
+        ``deliver_batch``: the router verifies every group before it applies
+        any (``tests/gateway/test_router_atomicity.py``).
         """
         system = protocol_system
         items, proof = requested_items(system, ["alpha", "bravo", "charlie"])

@@ -86,12 +86,40 @@ def _event(e) -> tuple:
     )
 
 
-def _receipt(chain, r) -> tuple:
+class ChainHistory:
+    """Every block, receipt and event a chain makes from the moment it is
+    attached, kept beside the chain: the whole history a mode-equivalence
+    check compares once a run outgrows the chain's finality window.  Attach
+    it to a registry's chain before the first feed is created."""
+
+    def __init__(self, chain) -> None:
+        self.blocks = list(chain.blocks)
+        self.receipts = dict(chain.receipts)
+        self.event_log = list(chain.event_log)
+        produce = chain._produce_block
+        append = chain.event_log.append_event
+
+        def produce_recorded(receipts):
+            block = produce(receipts)
+            self.blocks.append(block)
+            self.receipts.update((receipt.txid, receipt) for receipt in block.receipts)
+            return block
+
+        def append_recorded(event, block_number, transaction_index):
+            stamped = append(event, block_number, transaction_index)
+            self.event_log.append(stamped)
+            return stamped
+
+        chain._produce_block = produce_recorded
+        chain.event_log.append_event = append_recorded
+
+
+def _receipt(receipts, r) -> tuple:
     """A receipt as a serial run and a process run must both record it: all
     but the transaction's ``args`` (left in the lane) and its id (the
     recording chain's own).  Every id must find its own receipt — lanes
     handing out colliding ids would overwrite each other's."""
-    assert chain.receipt_for(r.txid) is r
+    assert receipts[r.txid] is r
     return (
         r.block_number,
         r.transaction_index,
@@ -107,9 +135,13 @@ def _receipt(chain, r) -> tuple:
     )
 
 
-def chain_state_fingerprint(registry: FeedRegistry) -> dict:
-    """Everything observable about the shared chain after a run."""
+def chain_state_fingerprint(registry: FeedRegistry, history: ChainHistory = None) -> dict:
+    """Everything observable about the shared chain after a run: its whole
+    history, from ``history`` when the run outgrew the finality window."""
     chain = registry.chain
+    if history is None:
+        assert chain.blocks[0].number == 0, "the run outgrew the window: pass a ChainHistory"
+        history = chain
     ledger = chain.ledger
     return {
         "height": chain.height,
@@ -117,9 +149,10 @@ def chain_state_fingerprint(registry: FeedRegistry) -> dict:
         # reproduce not just the event stream but the very block numbers a
         # serial run records (the main chain stamps lane events with its own
         # heights when it merges them).
-        "events": [_event(e) for e in chain.event_log],
+        "events": [_event(e) for e in history.event_log],
         "receipts": [
-            [_receipt(chain, r) for r in block.receipts] for block in chain.blocks
+            [_receipt(history.receipts, r) for r in block.receipts]
+            for block in history.blocks
         ],
         "ledger_total": ledger.total,
         "by_scope": {

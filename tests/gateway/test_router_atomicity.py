@@ -8,7 +8,7 @@ import pytest
 from repro.chain.transaction import Transaction
 from repro.common.types import KVRecord, ReplicationState
 from repro.core.service_provider import TamperingServiceProvider
-from repro.core.storage_manager import UpdateEntry
+from repro.core.storage_manager import UpdateEntry, deliver_calldata_bytes
 from repro.gateway import FeedRegistry, FeedSpec
 from repro.gateway.executor import build_deliver_groups, deliver_transaction
 from repro.gateway.router import GATEWAY_OPERATOR, UpdateGroup, scope_weights_for_update
@@ -221,17 +221,17 @@ def test_tampering_group_reverts_the_whole_deliver_batch(attack, adversary_at):
     assert not receipt.success and "integrity check failed" in receipt.error
     # The batch is atomic on chain: the neighbours' groups verified — some of
     # them before the tampering one was reached — yet none of their replicas
-    # survives, and the tampered feed's consumer never saw a record.
+    # survives.
     for handle in registry.handles:
         assert handle.storage_manager.replica_count() == 0
         assert not any(
             slot.startswith("replica:") for slot in handle.storage_manager.storage.slots
         )
-    assert registry.get(feed_ids[adversary_at]).consumer.deliveries() == 0
-    # Groups after the tampering one were never executed at all.  (Groups
-    # before it ran their consumers' callbacks, which are Python-side state no
-    # revert undoes — quarantining the one tenant is ROADMAP item 2 (c).)
-    for feed_id in feed_ids[adversary_at + 1 :]:
+    # The router verifies every group before it applies any, so no consumer
+    # in the batch saw a callback — Python-side state no revert would undo —
+    # wherever the tampering group sits.  (Landing the batch again without
+    # the one tenant is ROADMAP item 2 (b).)
+    for feed_id in feed_ids:
         assert registry.get(feed_id).consumer.deliveries() == 0
         assert registry.get(feed_id).storage_manager.delivered_bytes == 0
 
@@ -251,3 +251,29 @@ def test_omitting_group_lands_and_starves_only_its_own_feed():
     assert [
         registry.get(feed_id).storage_manager.replica_count() for feed_id in feed_ids
     ] == delivered
+
+
+@pytest.mark.parametrize("function", ["apply_delivery", "_apply_delivery"])
+@pytest.mark.parametrize("sender", ["sp", "stranger", GATEWAY_OPERATOR])
+def test_an_unverified_apply_is_only_the_routers(function, sender):
+    # A delivery's apply half checks no proof: sent as its own transaction —
+    # by the feed's SP, a stranger or the router's operator (who is not the
+    # router contract) — it reverts, and the forged records neither become
+    # replicas nor reach a consumer.
+    registry, feed_ids, evil = fleet_with_adversary("forge", 0)
+    group = build_deliver_groups(registry, feed_ids)[0]
+    manager = registry.get(feed_ids[0]).storage_manager
+    receipt = registry.chain.land(
+        Transaction(
+            sender=evil.address if sender == "sp" else sender,
+            contract=manager.address,
+            function=function,
+            args={"items": group.items, "proof": group.proof},
+            calldata_bytes=deliver_calldata_bytes(group.items, group.proof),
+        )
+    )
+    assert evil.attacks_attempted == len(KEYS)
+    assert not receipt.success
+    assert not any(slot.startswith("replica:") for slot in manager.storage.slots)
+    assert registry.get(feed_ids[0]).consumer.deliveries() == 0
+    assert manager.delivered_bytes == 0
